@@ -1,9 +1,9 @@
 """Sharded multi-process serving over a shared mmap snapshot.
 
-:class:`ClusterEngine` presents the :class:`~repro.serving.engine.ServingEngine`
-surface — ``serve``/``query``/``serve_batch``/``query_batch``/``query_many``,
-``apply_batch``/``submit_batch``/``wait_for_maintenance``, ``stats`` and
-``graph_at`` — but answers through N worker *processes* instead of threads.
+:class:`ClusterEngine` is the sharded backend of
+:class:`~repro.serving.core.EngineCore` — the same surface as
+:class:`~repro.serving.engine.ServingEngine`, inherited rather than copied —
+but answers through N worker *processes* instead of threads.
 Each worker warm-starts with :func:`repro.store.load_index` from the same
 snapshot directory, so the heavy flat arrays are mapped read-only from one
 file and the per-worker incremental RSS is near zero; unlike threads, the
@@ -42,35 +42,22 @@ the current epoch and replay only the short journal since.
 from __future__ import annotations
 
 import os
-import queue
 import threading
-import time
-from collections import OrderedDict
-from typing import Dict, Iterable, List, Optional
+from typing import Dict, List, Optional
 
 from repro import obs
 from repro.base import QueryPair, StageTiming, UpdateReport
-from repro.exceptions import (
-    ClusterError,
-    ClusterWorkerError,
-    EngineStoppedError,
-    QueryRejectedError,
-    VertexNotFoundError,
-)
+from repro.exceptions import ClusterError, ClusterWorkerError, EngineStoppedError
 from repro.graph.graph import Graph
 from repro.graph.updates import UpdateBatch
-from repro.serving.admission import AdmissionController, AlwaysAdmit
-from repro.serving.engine import QueryResult
-from repro.serving.metrics import ServingMetrics
+from repro.serving.core import EngineCore, QueryResult
 from repro.store import load_snapshot_graph, read_manifest
 
 from repro.cluster.dispatcher import DEFAULT_WORKER_TIMEOUT, Dispatcher
 from repro.cluster.routing import ShardRouter
 
-_STOP = object()
 
-
-class ClusterEngine:
+class ClusterEngine(EngineCore):
     """Serve shortest-distance queries from N shard processes.
 
     Parameters
@@ -103,6 +90,8 @@ class ClusterEngine:
         available).
     """
 
+    _obs_prefix = "cluster"
+
     def __init__(
         self,
         snapshot_path: str,
@@ -124,17 +113,6 @@ class ClusterEngine:
             if publish_dir is not None
             else snapshot_path.rstrip("/\\") + "-gens"
         )
-        self.metrics = ServingMetrics()
-        if admission is not None:
-            self.admission = admission
-        elif response_qos is not None:
-            self.admission = AdmissionController(response_qos)
-        else:
-            self.admission = AlwaysAdmit()
-        self.response_qos = response_qos
-        self.update_reports: List[UpdateReport] = []
-        self.maintenance_errors: List[Exception] = []
-
         #: Dispatcher-side graph mirror: vertex validation + per-epoch oracles.
         self._graph = load_snapshot_graph(snapshot_path)
         self._generation = int(manifest.get("generation", 0))
@@ -146,26 +124,12 @@ class ClusterEngine:
             start_method=start_method,
         )
         self._router: Optional[ShardRouter] = None
+        #: Serialises dispatcher-side work: a scatter/gather, an update
+        #: broadcast + commit, a publish.
         self._dispatch = threading.Lock()
-        self._state = threading.Lock()
-        self._epoch = 0
-        self._inflight = 0
         self._batches_since_publish = 0
         self._published: List[str] = []
-
-        self._worker: Optional[threading.Thread] = None
-        self._queue: "queue.Queue" = queue.Queue()
-        self._pending = 0
-        self._pending_cond = threading.Condition()
-        self._running = False
-
-        self._snapshot_limit = snapshot_limit
-        self._snapshots: "OrderedDict[int, Graph]" = OrderedDict()
-        if snapshot_limit > 0:
-            self._snapshots[0] = self._graph.copy()
-
-        if obs.is_enabled():
-            self._register_obs_gauges()
+        super().__init__(response_qos, admission, snapshot_limit)
 
     @classmethod
     def from_index(cls, index, workdir: str, **engine_kwargs) -> "ClusterEngine":
@@ -183,19 +147,14 @@ class ClusterEngine:
         return cls(path, **engine_kwargs)
 
     def _register_obs_gauges(self) -> None:
+        super()._register_obs_gauges()
         registry = obs.registry()
-        registry.gauge(
-            "repro_cluster_epoch", "Cluster serving epoch (committed batches)"
-        ).set_function(lambda: self._epoch)
         registry.gauge(
             "repro_cluster_workers", "Configured shard process count"
         ).set_function(lambda: self._dispatcher.num_workers)
         registry.gauge(
             "repro_cluster_generation", "Latest published snapshot generation"
         ).set_function(lambda: self._generation)
-        registry.gauge(
-            "repro_cluster_pending_batches", "Update batches queued or installing"
-        ).set_function(lambda: self.pending_batches)
         registry.gauge(
             "repro_cluster_journal_batches",
             "Batches a respawned worker must replay over the last generation",
@@ -204,53 +163,22 @@ class ClusterEngine:
     # ------------------------------------------------------------------
     # Lifecycle
     # ------------------------------------------------------------------
-    def start(self) -> "ClusterEngine":
-        """Fork the shard pool and the maintenance thread (idempotent)."""
-        if self._running:
-            return self
+    def _start_backend(self) -> None:
+        """Fork the shard pool and learn the partition map from one shard."""
         with obs.span("cluster.start", workers=self._dispatcher.num_workers):
             self._dispatcher.start()
             partition_map = self._dispatcher.request(
                 self._dispatcher.worker_ids()[0], "partition_map"
             )
             self._router = ShardRouter(self._dispatcher.num_workers, partition_map)
-        self._running = True
-        self._worker = threading.Thread(
-            target=self._maintenance_loop, name="repro-cluster-maintain", daemon=True
-        )
-        self._worker.start()
-        return self
 
-    def stop(self, drain: bool = True) -> None:
-        """Stop the maintenance thread and every shard; no orphans remain."""
-        if not self._running:
-            return
-        if drain:
-            self.wait_for_maintenance()
-        self._running = False
-        self._queue.put(_STOP)
-        if self._worker is not None:
-            self._worker.join()
-            self._worker = None
+    def _stop_backend(self) -> None:
+        """Stop every shard; no orphans remain."""
         self._dispatcher.stop()
-
-    def __enter__(self) -> "ClusterEngine":
-        return self.start()
-
-    def __exit__(self, *exc_info) -> None:
-        self.stop()
-
-    @property
-    def is_running(self) -> bool:
-        return self._running
 
     @property
     def num_workers(self) -> int:
         return self._dispatcher.num_workers
-
-    @property
-    def current_epoch(self) -> int:
-        return self._epoch
 
     @property
     def current_generation(self) -> int:
@@ -269,95 +197,23 @@ class ClusterEngine:
     def partition_aware(self) -> bool:
         return self._router is not None and self._router.partition_aware
 
-    def graph_at(self, epoch: int) -> Graph:
-        """Graph mirror snapshot of ``epoch`` (for correctness oracles)."""
-        with self._state:
-            snapshot = self._snapshots.get(epoch)
-        if snapshot is None:
-            raise ClusterError(
-                f"no graph snapshot retained for epoch {epoch} "
-                f"(snapshot_limit={self._snapshot_limit})"
-            )
-        return snapshot
-
     # ------------------------------------------------------------------
     # Query plane
     # ------------------------------------------------------------------
-    def serve(self, source: int, target: int) -> QueryResult:
-        """Serve one query (routed to its owning shard)."""
-        return self.serve_batch([(source, target)])[0]
-
-    def query(self, source: int, target: int) -> float:
-        return self.serve(source, target).distance
-
-    def serve_batch(self, pairs: Iterable[QueryPair]) -> List[QueryResult]:
-        """Serve a batch across the shards at one consistent epoch.
-
-        The batch is split by the partition-aware router, scattered, and the
-        shards answer concurrently; every reply must carry the same epoch or
-        the call raises :class:`~repro.exceptions.ClusterError` instead of
-        returning a torn read.  Admission is decided once for the whole batch
-        at the dispatcher.  ``latency_seconds`` is the batch wall amortised
-        per query, exactly like the single-process batch plane.
-        """
-        started = time.perf_counter()
-        if not self._running:
-            raise EngineStoppedError("serve_batch on a stopped cluster; call start()")
-        pair_list: List[QueryPair] = list(pairs)
-        for source, target in pair_list:
-            if not self._graph.has_vertex(source):
-                raise VertexNotFoundError(source)
-            if not self._graph.has_vertex(target):
-                raise VertexNotFoundError(target)
-        if not pair_list:
-            return []
-        with self._state:
-            inflight = self._inflight
-        decision = self.admission.decide(inflight=inflight)
-        if not decision.admitted:
-            self.metrics.record_shed()
-            raise QueryRejectedError(decision.reason)
-        with self._state:
-            self._inflight += 1
-        try:
-            results = self._dispatch_batch(pair_list, started)
-        finally:
-            with self._state:
-                self._inflight -= 1
-        for result in results:
-            self.metrics.record_query(result.stage, result.latency_seconds)
-        self.admission.observe_latency(results[-1].latency_seconds)
-        if obs.is_enabled():
-            obs.record_span(
-                "cluster.serve_batch", time.perf_counter() - started,
-                size=len(results), epoch=results[-1].epoch,
-            )
-        return results
-
-    def query_batch(self, pairs: Iterable[QueryPair]) -> List[float]:
-        return [result.distance for result in self.serve_batch(pairs)]
-
     # ServingEngine's batch plane calls this ``query_batch``; the index-level
     # name is ``query_many`` — the cluster answers to both.
-    query_many = query_batch
+    query_many = EngineCore.query_batch
 
-    def serve_one_to_many(
-        self, source: int, targets: Iterable[int]
-    ) -> List[QueryResult]:
-        """Serve one source against many targets at a single cluster epoch.
+    def _answer(self, pair_list: List[QueryPair], started: float) -> List[QueryResult]:
+        """Scatter the batch across the shards and gather at one epoch.
 
-        The pairs share a source, so the partition-aware router sends the
-        whole set to one shard whenever the source's partition owns it —
-        the shard then amortises through its index's native one-to-many path.
+        The batch is split by the partition-aware router and the shards
+        answer concurrently; every reply must carry the dispatcher's epoch or
+        the call raises :class:`~repro.exceptions.ClusterError` instead of
+        returning a torn read.
         """
-        return self.serve_batch([(source, target) for target in targets])
-
-    def query_one_to_many(self, source: int, targets: Iterable[int]) -> List[float]:
-        return [result.distance for result in self.serve_one_to_many(source, targets)]
-
-    def _dispatch_batch(
-        self, pair_list: List[QueryPair], started: float
-    ) -> List[QueryResult]:
+        if not self._running:
+            raise EngineStoppedError("serve_batch on a stopped cluster; call start()")
         with self._dispatch:
             epoch = self._epoch
             assignments = self._router.split(pair_list)
@@ -368,36 +224,26 @@ class ClusterEngine:
                 }
             )
         distances: List[Optional[float]] = [None] * len(pair_list)
-        shard_of: List[int] = [0] * len(pair_list)
+        stages = [""] * len(pair_list)
         epochs = set()
         for worker_id, entries in assignments.items():
             shard_epoch, shard_distances = replies[worker_id]
             epochs.add(shard_epoch)
+            stage = f"shard{worker_id}"
             for (position, _pair), distance in zip(entries, shard_distances):
                 distances[position] = distance
-                shard_of[position] = worker_id
+                stages[position] = stage
         if epochs != {epoch}:
             raise ClusterError(
                 f"torn epoch: dispatcher at {epoch}, shards answered at "
                 f"{sorted(epochs)} — the barrier protocol was violated"
             )
-        latency = (time.perf_counter() - started) / len(pair_list)
-        return [
-            QueryResult(
-                source,
-                target,
-                distances[position],
-                epoch,
-                f"shard{shard_of[position]}",
-                latency,
-            )
-            for position, (source, target) in enumerate(pair_list)
-        ]
+        return self._shape_results(pair_list, distances, epoch, stages, started)
 
     # ------------------------------------------------------------------
     # Maintenance plane
     # ------------------------------------------------------------------
-    def apply_batch(self, batch: UpdateBatch) -> UpdateReport:
+    def _install(self, batch: UpdateBatch) -> UpdateReport:
         """Install ``batch`` on every shard under the two-phase barrier.
 
         Blocks until every shard serves the new epoch, commits it, applies
@@ -406,9 +252,6 @@ class ClusterEngine:
         respawned with the batch folded into its replay journal, so the
         barrier closes regardless (DESIGN.md §11, failure model).
         """
-        if not self._running:
-            raise EngineStoppedError("apply_batch on a stopped cluster; call start()")
-        started = time.perf_counter()
         with self._dispatch:
             pending_epoch = self._epoch + 1
             with obs.span(
@@ -423,22 +266,14 @@ class ClusterEngine:
                 )
             # Commit: from here on queries observe (and verify) the new epoch.
             batch.apply(self._graph)
-            with self._state:
-                self._epoch = pending_epoch
-                if self._snapshot_limit > 0:
-                    self._snapshots[pending_epoch] = self._graph.copy()
-                    while len(self._snapshots) > self._snapshot_limit:
-                        self._snapshots.popitem(last=False)
-            report = self._ack_report(acks)
+            self._commit_epoch(pending_epoch)
             self._batches_since_publish += 1
             if (
                 self.publish_interval > 0
                 and self._batches_since_publish >= self.publish_interval
             ):
                 self._publish_locked()
-        self.update_reports.append(report)
-        self.metrics.record_batch(time.perf_counter() - started)
-        return report
+        return self._ack_report(acks)
 
     @staticmethod
     def _ack_report(acks: Dict[int, tuple]) -> UpdateReport:
@@ -455,37 +290,6 @@ class ClusterEngine:
             )
             report.stages.append(StageTiming(name=name, seconds=worst))
         return report
-
-    def submit_batch(self, batch: UpdateBatch) -> None:
-        """Queue an update batch for the background maintenance thread."""
-        if not self._running:
-            raise EngineStoppedError("submit_batch on a stopped cluster; call start()")
-        with self._pending_cond:
-            self._pending += 1
-        self._queue.put(batch)
-
-    def wait_for_maintenance(self, timeout: Optional[float] = None) -> bool:
-        with self._pending_cond:
-            return self._pending_cond.wait_for(lambda: self._pending == 0, timeout)
-
-    @property
-    def pending_batches(self) -> int:
-        with self._pending_cond:
-            return self._pending
-
-    def _maintenance_loop(self) -> None:
-        while True:
-            item = self._queue.get()
-            if item is _STOP:
-                break
-            try:
-                self.apply_batch(item)
-            except Exception as exc:  # keep draining; surface via stats()
-                self.maintenance_errors.append(exc)
-            finally:
-                with self._pending_cond:
-                    self._pending -= 1
-                    self._pending_cond.notify_all()
 
     # ------------------------------------------------------------------
     # Snapshot republish
@@ -557,10 +361,7 @@ class ClusterEngine:
 
     def stats(self) -> Dict[str, object]:
         """Merged dispatcher metrics, shard counters and epoch state."""
-        snapshot = self.metrics.snapshot()
-        snapshot["epoch"] = self._epoch
-        snapshot["qps"] = self.metrics.qps()
-        snapshot["lifetime_qps"] = self.metrics.lifetime_qps()
+        snapshot = super().stats()
         snapshot["workers"] = self.worker_stats()
         snapshot["num_workers"] = self._dispatcher.num_workers
         snapshot["respawns"] = self._dispatcher.respawns
@@ -568,7 +369,6 @@ class ClusterEngine:
         snapshot["published_snapshots"] = list(self._published)
         snapshot["journal_batches"] = len(self._dispatcher.journal)
         snapshot["partition_aware"] = self.partition_aware
-        snapshot["maintenance_errors"] = [repr(exc) for exc in self.maintenance_errors]
         return snapshot
 
     # ------------------------------------------------------------------

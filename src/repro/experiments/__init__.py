@@ -35,7 +35,6 @@ from repro.experiments import (
     exp9_live_serving,
 )
 from repro.experiments.config import DEFAULT_CONFIG, PAPER_TABLE_II, ExperimentConfig
-from repro.experiments.methods import ALL_METHODS, QUICK_METHODS, build_method, method_names
 from repro.registry import create_index, experiment_methods, spec_from_config
 from repro.experiments.runner import (
     IndexPerformance,
@@ -64,10 +63,6 @@ __all__ = [
     "ExperimentConfig",
     "DEFAULT_CONFIG",
     "PAPER_TABLE_II",
-    "ALL_METHODS",
-    "QUICK_METHODS",
-    "build_method",
-    "method_names",
     "create_index",
     "experiment_methods",
     "spec_from_config",

@@ -9,11 +9,9 @@ counter silo.  Two exposition formats are built in: a JSON tree
 Prometheus text format (:meth:`MetricRegistry.to_prometheus`) for scrape
 endpoints and humans.
 
-:class:`Histogram` is the generalised form of the serving layer's original
-``LatencyHistogram`` (log-spaced buckets, O(1) recording, fixed memory);
-``repro.serving.metrics.LatencyHistogram`` is now a thin latency-flavoured
-subclass, so both layers share one implementation and one set of quantile
-semantics.
+:class:`Histogram` (log-spaced buckets, O(1) recording, fixed memory) is also
+what :class:`repro.serving.metrics.ServingMetrics` keeps its latencies in, so
+both layers share one implementation and one set of quantile semantics.
 """
 
 from __future__ import annotations

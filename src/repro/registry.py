@@ -1,9 +1,7 @@
 """Typed index specs and the method registry/factory.
 
-Construction of the paper's methods used to be scattered across nine
-heterogeneous constructors plus a string-keyed dispatch table in
-``repro.experiments.methods``.  This module replaces that with a uniform,
-typed surface:
+Construction of the paper's methods goes through one uniform, typed surface
+instead of nine heterogeneous constructors:
 
 * :class:`IndexSpec` — one frozen dataclass per method carrying its typed
   construction parameters (partitions, bandwidth, seed, …).  A spec is an

@@ -99,14 +99,6 @@ class _Connection:
             pass
 
 
-def _backend_graph(backend):
-    """The backend's live graph (both engines expose ``.graph``)."""
-    graph = getattr(backend, "graph", None)
-    if graph is not None:
-        return graph
-    return backend.index.graph
-
-
 class QueryServer:
     """Serve the frame protocol over a serving-engine backend.
 
@@ -114,9 +106,10 @@ class QueryServer:
     ----------
     backend:
         A started :class:`~repro.serving.engine.ServingEngine` or
-        :class:`~repro.cluster.engine.ClusterEngine` (anything with
-        ``serve``/``serve_batch``/``stats``/``current_epoch``).  The server
-        does not own the backend's lifecycle.
+        :class:`~repro.cluster.engine.ClusterEngine` — the server speaks the
+        :class:`~repro.serving.core.EngineCore` surface (``serve``,
+        ``serve_batch``, ``serve_one_to_many``, ``apply_batch``, ``graph``,
+        ``stats``, ``current_epoch``) and does not own the backend's lifecycle.
     host / port:
         Listen address; port 0 binds an ephemeral port (read it back from
         :attr:`address` after :meth:`start`).
@@ -403,69 +396,36 @@ class QueryServer:
                 "stage": result.stage,
                 "from_cache": result.from_cache,
             }
-        if op == OP_QUERY_BATCH:
-            pairs = _require_pairs(payload, frame.seq)
-            results = self.backend.serve_batch(pairs)
-            return {
-                "distances": [result.distance for result in results],
-                "epoch": _single_epoch(results),
-            }
-        if op == OP_ONE_TO_MANY:
-            source = _require_vertex(payload, "source", frame.seq)
-            targets = _require_vertex_list(payload, "targets", frame.seq)
-            serve_otm = getattr(self.backend, "serve_one_to_many", None)
-            if callable(serve_otm):
-                results = serve_otm(source, targets)
+        if op in (OP_QUERY_BATCH, OP_ONE_TO_MANY):
+            if op == OP_QUERY_BATCH:
+                results = self.backend.serve_batch(_require_pairs(payload, frame.seq))
             else:
-                results = self.backend.serve_batch([(source, t) for t in targets])
+                source = _require_vertex(payload, "source", frame.seq)
+                targets = _require_vertex_list(payload, "targets", frame.seq)
+                results = self.backend.serve_one_to_many(source, targets)
             return {
                 "distances": [result.distance for result in results],
                 "epoch": _single_epoch(results),
             }
         if op == OP_APPLY_BATCH:
             batch = _require_batch(payload, frame.seq)
-            # Validate against the live graph up front: the single-process
-            # engine installs asynchronously (errors would only surface in
-            # maintenance_errors) and a cluster broadcast would fail shards.
-            graph = _backend_graph(self.backend)
+            # Validate against the live graph up front: installs are not
+            # transactional, and a bad cluster broadcast would fail shards.
+            graph = self.backend.graph
             for update in batch:
                 if not graph.has_edge(update.u, update.v):
                     raise EdgeNotFoundError(update.u, update.v)
                 if not (update.new_weight > 0):
                     raise InvalidWeightError(update.new_weight)
-            epoch = self._apply_sync(batch)
-            return {"epoch": epoch, "applied": len(batch)}
+            # Synchronous: a failed install raises here (and only here), so
+            # the error frame goes to the request that caused it.
+            self.backend.apply_batch(batch)
+            return {"epoch": self.backend.current_epoch, "applied": len(batch)}
         if op == OP_STATS:
-            return {
-                "server": {
-                    "inflight": self._inflight,
-                    "connections": len(self._connections),
-                    "requests_total": self._requests_total,
-                    "retries_total": self._retries_total,
-                    "errors_total": self._errors_total,
-                    "connections_total": self._connections_total,
-                    "draining": self._draining,
-                    "max_inflight": self.max_inflight,
-                    "max_inflight_per_connection": self.max_inflight_per_connection,
-                },
-                "backend": self.backend.stats(),
-            }
+            return {"server": self.stats(), "backend": self.backend.stats()}
         raise ProtocolError(  # pragma: no cover - guarded by _handle_frame
             f"unhandled op {op:#x}", code="unknown_op", seq=frame.seq
         )
-
-    def _apply_sync(self, batch: UpdateBatch) -> int:
-        """Install an update batch through whichever surface the backend has."""
-        apply = getattr(self.backend, "apply_batch", None)
-        if callable(apply):
-            apply(batch)  # the cluster's synchronous two-phase broadcast
-        else:
-            self.backend.submit_batch(batch)
-            self.backend.wait_for_maintenance()
-            errors = getattr(self.backend, "maintenance_errors", None)
-            if errors:
-                raise errors[-1]
-        return self.backend.current_epoch
 
     # ------------------------------------------------------------------
     # Responses
@@ -520,6 +480,8 @@ class QueryServer:
             "errors_total": self._errors_total,
             "connections_total": self._connections_total,
             "draining": self._draining,
+            "max_inflight": self.max_inflight,
+            "max_inflight_per_connection": self.max_inflight_per_connection,
         }
 
 

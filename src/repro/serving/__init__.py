@@ -8,7 +8,8 @@ maintenance worker, with each index's multi-stage catalog dispatched live.
 
 Modules
 -------
-``engine``     :class:`ServingEngine` — epochs, locks, maintenance worker.
+``core``       ``EngineCore`` — lifecycle, admission, epochs, update queue.
+``engine``     :class:`ServingEngine` — the in-process backend: locks, stages.
 ``router``     stage-aware dispatch with per-stage validity epochs.
 ``cache``      epoch-versioned LRU distance cache, partition invalidation.
 ``admission``  Lemma-1-style QoS admission control / load shedding.
@@ -33,7 +34,7 @@ from repro.serving.admission import AdmissionController, AdmissionDecision, Alwa
 from repro.serving.cache import OVERLAY, CacheStats, EpochDistanceCache
 from repro.serving.driver import MixedWorkloadReport, run_mixed_workload
 from repro.serving.engine import QueryResult, ServingEngine
-from repro.serving.metrics import LatencyHistogram, ServingMetrics
+from repro.serving.metrics import ServingMetrics
 from repro.serving.router import LAST_STAGE, RoutedStage, StageRouter, stage_entries
 from repro.serving.rwlock import RWLock
 
@@ -47,7 +48,6 @@ __all__ = [
     "OVERLAY",
     "QueryRejectedError",
     "ServingError",
-    "LatencyHistogram",
     "LAST_STAGE",
     "MixedWorkloadReport",
     "QueryResult",

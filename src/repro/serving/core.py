@@ -1,0 +1,390 @@
+"""The engine core: everything a serving backend does regardless of *where*
+queries execute.
+
+:class:`EngineCore` owns the paper's serving contract — Lemma-1 admission,
+answers consistent with exactly one **epoch** (the graph state after that
+many installed update batches), and maintenance that installs batches one at
+a time while queries keep flowing — and leaves to a backend only the parts
+that depend on where the index lives (the "Backend interface" methods below).
+
+:class:`~repro.serving.engine.ServingEngine` (threads over an in-process
+index) and :class:`~repro.cluster.engine.ClusterEngine` (shard processes over
+a shared snapshot) are the two backends; :class:`~repro.server.QueryServer`
+speaks this surface and nothing else.
+"""
+
+from __future__ import annotations
+
+import queue
+import threading
+import time
+from collections import OrderedDict
+from dataclasses import dataclass
+from typing import Callable, Dict, Iterable, List, Optional, TypeVar
+
+from repro import obs
+from repro.base import QueryPair, UpdateReport
+from repro.exceptions import (
+    EngineStoppedError,
+    QueryRejectedError,
+    ServingError,
+    VertexNotFoundError,
+)
+from repro.graph.graph import Graph
+from repro.graph.updates import UpdateBatch
+from repro.serving.admission import AdmissionController, AlwaysAdmit
+from repro.serving.metrics import ServingMetrics
+
+_STOP = object()
+_Engine = TypeVar("_Engine", bound="EngineCore")
+
+
+@dataclass(frozen=True)
+class QueryResult:
+    """One served query: the answer plus the serving context."""
+
+    source: int
+    target: int
+    distance: float
+    #: Epoch (number of installed update batches) the answer is consistent with.
+    epoch: int
+    #: Name of the query stage that produced the answer (``"cache"`` for hits,
+    #: ``"shardN"`` from the cluster).
+    stage: str
+    latency_seconds: float
+    from_cache: bool = False
+
+
+class EngineCore:
+    """Lifecycle, admission, epochs and maintenance shared by every backend.
+
+    A backend sets up whatever :attr:`graph` and its obs gauges read *before*
+    calling this constructor (epoch 0 is snapshotted here); the three
+    arguments are documented on the backends' own constructors.
+    """
+
+    #: ``"serving"`` / ``"cluster"`` — prefixes the backend's span names and
+    #: ``repro_<prefix>_*`` gauges.
+    _obs_prefix: str
+
+    def __init__(
+        self,
+        response_qos: Optional[float],
+        admission: Optional[AdmissionController],
+        snapshot_limit: int,
+    ) -> None:
+        self.metrics = ServingMetrics()
+        if admission is not None:
+            self.admission = admission
+        elif response_qos is not None:
+            self.admission = AdmissionController(response_qos)
+        else:
+            self.admission = AlwaysAdmit()
+        self.response_qos = response_qos
+        self.update_reports: List[UpdateReport] = []
+        #: Exceptions raised by *queued* installs (a failing :meth:`apply_batch`
+        #: call raises to its caller instead).  A failed batch may leave the
+        #: graph partially updated (installs are not transactional); the
+        #: epoch/oracle guarantee covers successful installs only.
+        self.maintenance_errors: List[Exception] = []
+
+        self._state = threading.Lock()
+        self._inflight = 0
+        #: Serialises installs: one batch at a time, whichever thread runs it.
+        self._install_lock = threading.Lock()
+        self._worker: Optional[threading.Thread] = None
+        self._queue: "queue.Queue" = queue.Queue()
+        self._pending = 0
+        self._pending_cond = threading.Condition()
+        self._running = False
+
+        self._snapshot_limit = snapshot_limit
+        self._snapshots: "OrderedDict[int, Graph]" = OrderedDict()
+        self._commit_epoch(0)
+
+        if obs.is_enabled():
+            self._register_obs_gauges()
+
+    def _register_obs_gauges(self) -> None:
+        """Re-export engine state as registry gauges (backends add their own).
+
+        Gauges read live callbacks at exposition time.  The registry is
+        process-wide, so with several engines of one kind the most recently
+        constructed one owns these series (last registration wins).
+        """
+        registry = obs.registry()
+        registry.gauge(
+            f"repro_{self._obs_prefix}_epoch", "Current serving epoch (installed batches)"
+        ).set_function(lambda: self._epoch)
+        registry.gauge(
+            f"repro_{self._obs_prefix}_pending_batches",
+            "Update batches queued or installing",
+        ).set_function(lambda: self.pending_batches)
+
+    # ------------------------------------------------------------------
+    # Backend interface
+    # ------------------------------------------------------------------
+    @property
+    def graph(self) -> Graph:
+        """The live served graph at the current epoch."""
+        raise NotImplementedError
+
+    def _answer(self, pair_list: List[QueryPair], started: float) -> List[QueryResult]:
+        """Answer a validated, admitted, non-empty batch at a single epoch."""
+        raise NotImplementedError
+
+    def _install(self, batch: UpdateBatch) -> UpdateReport:
+        """Install ``batch`` as the next epoch (the install lock is held)."""
+        raise NotImplementedError
+
+    def _start_backend(self) -> None:
+        raise NotImplementedError
+
+    def _stop_backend(self) -> None:
+        raise NotImplementedError
+
+    # ------------------------------------------------------------------
+    # Lifecycle
+    # ------------------------------------------------------------------
+    def start(self: _Engine) -> _Engine:
+        """Start the backend and the maintenance worker (idempotent)."""
+        if self._running:
+            return self
+        self._start_backend()
+        self._running = True
+        self._worker = threading.Thread(
+            target=self._maintenance_loop,
+            name=f"repro-{self._obs_prefix}-maintain",
+            daemon=True,
+        )
+        self._worker.start()
+        return self
+
+    def stop(self, drain: bool = True) -> None:
+        """Stop the engine; with ``drain`` wait for queued batches first
+        (without, batches still queued fail with ``EngineStoppedError``)."""
+        if not self._running:
+            return
+        if drain:
+            self.wait_for_maintenance()
+        self._running = False
+        self._queue.put(_STOP)
+        if self._worker is not None:
+            self._worker.join()
+            self._worker = None
+        self._stop_backend()
+
+    def __enter__(self: _Engine) -> _Engine:
+        return self.start()
+
+    def __exit__(self, *exc_info) -> None:
+        self.stop()
+
+    @property
+    def is_running(self) -> bool:
+        return self._running
+
+    # ------------------------------------------------------------------
+    # Epochs and snapshots
+    # ------------------------------------------------------------------
+    @property
+    def current_epoch(self) -> int:
+        return self._epoch
+
+    def graph_at(self, epoch: int) -> Graph:
+        """Graph snapshot of ``epoch`` (for per-epoch correctness oracles)."""
+        with self._state:
+            snapshot = self._snapshots.get(epoch)
+        if snapshot is None:
+            raise ServingError(
+                f"no graph snapshot retained for epoch {epoch} "
+                f"(snapshot_limit={self._snapshot_limit})"
+            )
+        return snapshot
+
+    def _commit_epoch(self, epoch: int) -> None:
+        """Make ``epoch`` current and retain its graph snapshot.
+
+        Backends call this from :meth:`_install` once :attr:`graph` is at the
+        new state, while whatever excludes their readers is still held.
+        """
+        with self._state:
+            self._epoch = epoch
+            if self._snapshot_limit > 0:
+                self._snapshots[epoch] = self.graph.copy()
+                while len(self._snapshots) > self._snapshot_limit:
+                    self._snapshots.popitem(last=False)
+
+    # ------------------------------------------------------------------
+    # Maintenance path
+    # ------------------------------------------------------------------
+    def apply_batch(self, batch: UpdateBatch) -> UpdateReport:
+        """Install ``batch`` on the calling thread; raises if the install fails.
+
+        Returns once queries observe the new epoch.  Installs are serialised
+        by a mutex; the :meth:`submit_batch` worker drains through this too.
+        """
+        if not self._running:
+            raise EngineStoppedError("apply_batch on a stopped engine; call start()")
+        started = time.perf_counter()
+        with self._install_lock:
+            report = self._install(batch)
+            self.update_reports.append(report)
+        self.metrics.record_batch(time.perf_counter() - started)
+        return report
+
+    def submit_batch(self, batch: UpdateBatch) -> None:
+        """Queue an update batch for the maintenance worker."""
+        if not self._running:
+            raise EngineStoppedError("submit_batch on a stopped engine; call start()")
+        with self._pending_cond:
+            self._pending += 1
+        self._queue.put(batch)
+
+    def wait_for_maintenance(self, timeout: Optional[float] = None) -> bool:
+        """Block until every queued batch is fully installed."""
+        with self._pending_cond:
+            return self._pending_cond.wait_for(lambda: self._pending == 0, timeout)
+
+    @property
+    def pending_batches(self) -> int:
+        with self._pending_cond:
+            return self._pending
+
+    def _maintenance_loop(self) -> None:
+        while True:
+            item = self._queue.get()
+            if item is _STOP:
+                break
+            try:
+                self.apply_batch(item)
+            except Exception as exc:  # keep the worker alive for later batches
+                self.maintenance_errors.append(exc)
+            finally:
+                with self._pending_cond:
+                    self._pending -= 1
+                    self._pending_cond.notify_all()
+
+    # ------------------------------------------------------------------
+    # Query path
+    # ------------------------------------------------------------------
+    def serve(self, source: int, target: int) -> QueryResult:
+        """Serve one query on the calling thread.
+
+        Raises :class:`~repro.exceptions.QueryRejectedError` when admission
+        control sheds the query.
+        """
+        return self.serve_batch(((source, target),))[0]
+
+    def serve_batch(self, pairs: Iterable[QueryPair]) -> List[QueryResult]:
+        """Serve a whole batch of queries against a *single* epoch.
+
+        One admission decision and one backend call for the whole batch
+        instead of per-pair overhead.  All returned results carry the same
+        epoch, and every answer is consistent with that epoch's graph
+        snapshot.
+
+        Each result's ``latency_seconds`` is the batch wall latency amortised
+        over the batch (wall / len(pairs)) — the per-query service cost.
+        Metrics and the admission controller's service-time estimator consume
+        that amortised figure, keeping them commensurable with scalar
+        :meth:`serve` samples.
+
+        Raises :class:`~repro.exceptions.QueryRejectedError` when admission
+        control sheds the batch (the batch is admitted or shed as a whole).
+        """
+        return self._serve(pairs, self._answer, "serve_batch")
+
+    def _serve(
+        self,
+        pairs: Iterable[QueryPair],
+        answer: Callable[[List[QueryPair], float], List[QueryResult]],
+        span: str,
+    ) -> List[QueryResult]:
+        """Validate → admit → ``answer`` → record: the one serving template."""
+        started = time.perf_counter()
+        pair_list: List[QueryPair] = list(pairs)
+        # Validate up front: backends skip the vertex checks of
+        # ``index.query`` and would otherwise surface raw KeyErrors.
+        graph = self.graph
+        for source, target in pair_list:
+            if not graph.has_vertex(source):
+                raise VertexNotFoundError(source)
+            if not graph.has_vertex(target):
+                raise VertexNotFoundError(target)
+        if not pair_list:
+            return []
+        with self._state:
+            inflight = self._inflight
+        decision = self.admission.decide(inflight=inflight)
+        if not decision.admitted:
+            self.metrics.record_shed()
+            raise QueryRejectedError(decision.reason)
+        with self._state:
+            self._inflight += 1
+        try:
+            results = answer(pair_list, started)
+        finally:
+            with self._state:
+                self._inflight -= 1
+        for result in results:
+            self.metrics.record_query(result.stage, result.latency_seconds, result.from_cache)
+        self.admission.observe_latency(results[-1].latency_seconds)
+        if obs.is_enabled():
+            obs.record_span(
+                f"{self._obs_prefix}.{span}", time.perf_counter() - started,
+                size=len(results), stage=results[-1].stage, epoch=results[-1].epoch,
+            )
+        return results
+
+    @staticmethod
+    def _shape_results(
+        pair_list: List[QueryPair],
+        distances: List[float],
+        epoch: int,
+        stages: List[str],
+        started: float,
+    ) -> List[QueryResult]:
+        """One :class:`QueryResult` per pair, all at ``epoch``, the wall latency
+        amortised per query (the whole-batch wall would inflate the admission
+        estimator ~len(pair_list)-fold and shed batches spuriously)."""
+        latency = (time.perf_counter() - started) / len(pair_list)
+        return [
+            QueryResult(source, target, distance, epoch, stage, latency, stage == "cache")
+            for (source, target), distance, stage in zip(pair_list, distances, stages)
+        ]
+
+    def query(self, source: int, target: int) -> float:
+        """Distance-only convenience wrapper around :meth:`serve`."""
+        return self.serve(source, target).distance
+
+    def query_batch(self, pairs: Iterable[QueryPair]) -> List[float]:
+        """Distance-only convenience wrapper around :meth:`serve_batch`."""
+        return [result.distance for result in self.serve_batch(pairs)]
+
+    def serve_one_to_many(
+        self, source: int, targets: Iterable[int]
+    ) -> List[QueryResult]:
+        """Serve one source against many targets at a single epoch.
+
+        Rides the batch plane: same-source pairs amortise into the index's
+        native one-to-many path (in the cluster, on the one shard that owns
+        the source's partition).
+        """
+        return self.serve_batch([(source, target) for target in targets])
+
+    def query_one_to_many(self, source: int, targets: Iterable[int]) -> List[float]:
+        """Distance-only convenience wrapper around :meth:`serve_one_to_many`."""
+        return [result.distance for result in self.serve_one_to_many(source, targets)]
+
+    # ------------------------------------------------------------------
+    # Introspection
+    # ------------------------------------------------------------------
+    def stats(self) -> Dict[str, object]:
+        """Metrics, epoch and maintenance state (backends merge in their own)."""
+        snapshot = self.metrics.snapshot()
+        snapshot["epoch"] = self._epoch
+        snapshot["qps"] = self.metrics.qps()
+        snapshot["lifetime_qps"] = self.metrics.lifetime_qps()
+        snapshot["maintenance_errors"] = [repr(exc) for exc in self.maintenance_errors]
+        return snapshot

@@ -1,11 +1,12 @@
-"""The live concurrent query-serving engine.
+"""The live concurrent query-serving engine (the in-process backend).
 
 :class:`ServingEngine` turns any :class:`~repro.base.DistanceIndex` into a
 running service: queries execute on the calling thread (or a small thread
 pool via :meth:`submit`) while update batches install on a dedicated
 maintenance worker — operationalising the paper's core idea that the
 multi-stage indexes keep answering queries, with progressively faster
-algorithms, *while* they are being maintained.
+algorithms, *while* they are being maintained.  (Lifecycle, admission and
+the update queue are inherited from :class:`~repro.serving.core.EngineCore`.)
 
 Consistency model (see DESIGN.md §5)
 ------------------------------------
@@ -39,49 +40,23 @@ the epoch it reports — the invariant the serving tests enforce.
 
 from __future__ import annotations
 
-import queue
-import threading
 import time
-from collections import OrderedDict
 from concurrent.futures import Future, ThreadPoolExecutor
-from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional
+from typing import Dict, List, Optional
 
 from repro import obs
 from repro.base import DistanceIndex, QueryPair, StageTiming, UpdateReport
-from repro.exceptions import (
-    EngineStoppedError,
-    QueryRejectedError,
-    ServingError,
-    VertexNotFoundError,
-)
+from repro.exceptions import EngineStoppedError, ServingError
 from repro.graph.graph import Graph
 from repro.graph.updates import UpdateBatch
-from repro.serving.admission import AdmissionController, AlwaysAdmit
+from repro.serving.admission import AdmissionController
 from repro.serving.cache import EpochDistanceCache
-from repro.serving.metrics import ServingMetrics
+from repro.serving.core import EngineCore, QueryResult
 from repro.serving.router import StageRouter
 from repro.serving.rwlock import RWLock
 
-_STOP = object()
 
-
-@dataclass(frozen=True)
-class QueryResult:
-    """One served query: the answer plus the serving context."""
-
-    source: int
-    target: int
-    distance: float
-    #: Epoch (number of installed update batches) the answer is consistent with.
-    epoch: int
-    #: Name of the query stage that produced the answer (``"cache"`` for hits).
-    stage: str
-    latency_seconds: float
-    from_cache: bool = False
-
-
-class ServingEngine:
+class ServingEngine(EngineCore):
     """Serve concurrent shortest-distance queries over a dynamic index.
 
     Parameters
@@ -103,6 +78,8 @@ class ServingEngine:
         stage boundary so queued readers can use the just-released stage.
     """
 
+    _obs_prefix = "serving"
+
     def __init__(
         self,
         index: DistanceIndex,
@@ -119,61 +96,20 @@ class ServingEngine:
             index.build()
         self.index = index
         self.router = StageRouter(index)
-        self.metrics = ServingMetrics()
         self.cache = EpochDistanceCache(cache_capacity) if cache_capacity > 0 else None
-        if admission is not None:
-            self.admission = admission
-        elif response_qos is not None:
-            self.admission = AdmissionController(response_qos)
-        else:
-            self.admission = AlwaysAdmit()
-        self.response_qos = response_qos
         self.stage_grace_seconds = stage_grace_seconds
-        self.update_reports: List[UpdateReport] = []
-        #: Exceptions raised by failed batch installs.  A failed batch may
-        #: leave the graph partially updated (``apply_batch`` is not
-        #: transactional); the epoch/oracle guarantee covers successful
-        #: installs, and the worker keeps draining the queue regardless.
-        self.maintenance_errors: List[Exception] = []
-
         self._graph_rw = RWLock()
         self._index_rw = RWLock()
-        self._state = threading.Lock()
-        self._epoch = 0
-        self._inflight = 0
         self._query_threads = query_threads
         self._pool: Optional[ThreadPoolExecutor] = None
-        self._worker: Optional[threading.Thread] = None
-        self._queue: "queue.Queue" = queue.Queue()
-        self._pending = 0
-        self._pending_cond = threading.Condition()
-        self._running = False
-
-        self._snapshot_limit = snapshot_limit
-        self._snapshots: "OrderedDict[int, Graph]" = OrderedDict()
-        if snapshot_limit > 0:
-            self._snapshots[0] = index.graph.copy()
-
-        if obs.is_enabled():
-            self._register_obs_gauges()
+        super().__init__(response_qos, admission, snapshot_limit)
 
     def _register_obs_gauges(self) -> None:
-        """Re-export engine/cache/admission state as registry gauges.
-
-        Gauges read live callbacks at exposition time.  The registry is
-        process-wide, so with several engines the most recently constructed
-        one owns these series (last registration wins).
-        """
+        super()._register_obs_gauges()
         registry = obs.registry()
-        registry.gauge(
-            "repro_serving_epoch", "Current serving epoch (installed batches)"
-        ).set_function(lambda: self._epoch)
         registry.gauge(
             "repro_serving_inflight", "Queries currently executing"
         ).set_function(lambda: self._inflight)
-        registry.gauge(
-            "repro_serving_pending_batches", "Update batches queued or installing"
-        ).set_function(lambda: self.pending_batches)
         if self.cache is not None:
             for key in (
                 "size", "hits", "misses", "hit_rate",
@@ -189,55 +125,19 @@ class ServingEngine:
                 "Lemma-1 sustainable arrival rate under the configured QoS",
             ).set_function(sustainable)
 
-    # ------------------------------------------------------------------
-    # Lifecycle
-    # ------------------------------------------------------------------
-    def start(self) -> "ServingEngine":
-        """Start the maintenance worker and the query pool (idempotent)."""
-        if self._running:
-            return self
-        self._running = True
+    def _start_backend(self) -> None:
         self._pool = ThreadPoolExecutor(
             max_workers=self._query_threads, thread_name_prefix="repro-serve"
         )
-        self._worker = threading.Thread(
-            target=self._maintenance_loop, name="repro-maintain", daemon=True
-        )
-        self._worker.start()
-        return self
 
-    def stop(self, drain: bool = True) -> None:
-        """Stop the engine; with ``drain`` wait for queued batches first."""
-        if not self._running:
-            return
-        if drain:
-            self.wait_for_maintenance()
-        self._running = False
-        self._queue.put(_STOP)
-        if self._worker is not None:
-            self._worker.join()
-            self._worker = None
+    def _stop_backend(self) -> None:
         if self._pool is not None:
             self._pool.shutdown(wait=True)
             self._pool = None
 
-    def __enter__(self) -> "ServingEngine":
-        return self.start()
-
-    def __exit__(self, *exc_info) -> None:
-        self.stop()
-
-    @property
-    def is_running(self) -> bool:
-        return self._running
-
     # ------------------------------------------------------------------
     # Epochs and snapshots
     # ------------------------------------------------------------------
-    @property
-    def current_epoch(self) -> int:
-        return self._epoch
-
     @property
     def graph(self) -> Graph:
         """The live served graph (the index's graph at the current epoch)."""
@@ -248,15 +148,13 @@ class ServingEngine:
     ) -> int:
         """Persist the served index as an epoch-consistent on-disk snapshot.
 
-        The export runs under *read* acquisitions of both engine locks, so it
-        proceeds concurrently with queries but never alongside an update
-        batch.  Holding the read locks alone is not enough: the maintenance
-        worker reopens the index lock at every stage boundary (the grace
-        windows), where the structures are only *stage*-consistent.  The loop
-        below therefore re-acquires until it holds both locks with zero
-        batches pending — i.e. at a closed epoch — and only then serializes.
-        Returns the epoch the snapshot captured; the manifest records it
-        under ``extras.epoch``.  Works on a stopped engine too.
+        Waits for every queued batch to install, then serializes while
+        holding the core's install mutex — so the export proceeds concurrently
+        with queries but never alongside an update batch (the reader locks
+        would not do: an install reopens the index lock at every stage
+        boundary, where the structures are only *stage*-consistent).  Returns
+        the epoch the snapshot captured; the manifest records it under
+        ``extras.epoch``.  Works on a stopped engine too.
 
         Under a sustained update stream a quiescent point may never arrive on
         its own; pass ``timeout`` (seconds) to bound the wait — on expiry a
@@ -272,27 +170,13 @@ class ServingEngine:
         from repro.store import save_index
 
         deadline = None if timeout is None else time.monotonic() + timeout
-        while True:
-            # Pending batches always drain: queued items precede the _STOP
-            # sentinel, so the worker finishes them even during/after a
-            # ``stop(drain=False)``, and ``submit_batch`` rejects new work on
-            # a stopped engine.  Only zero-pending is an acceptable export
-            # point — ``_running`` alone says nothing about a batch the
-            # worker already dequeued.
-            remaining = None if deadline is None else deadline - time.monotonic()
-            if not self.wait_for_maintenance(remaining):
-                raise ServingError(
-                    f"export_snapshot timed out after {timeout}s waiting for "
-                    "the update stream to quiesce"
-                )
-            self._index_rw.acquire_read()
-            self._graph_rw.acquire_read()
-            if self.pending_batches == 0:
-                break
-            # A batch slipped in between the drain and the lock acquisition
-            # (we may be inside one of its grace windows) — retry.
-            self._graph_rw.release_read()
-            self._index_rw.release_read()
+        drained = self.wait_for_maintenance(timeout)
+        remaining = -1 if deadline is None else max(0.0, deadline - time.monotonic())
+        if not (drained and self._install_lock.acquire(timeout=remaining)):
+            raise ServingError(
+                f"export_snapshot timed out after {timeout}s waiting for "
+                "the update stream to quiesce"
+            )
         try:
             epoch = self._epoch
             extras = dict(save_kwargs.pop("extras", None) or {})
@@ -300,8 +184,7 @@ class ServingEngine:
             save_kwargs.setdefault("atomic", True)
             save_index(self.index, path, extras=extras, **save_kwargs)
         finally:
-            self._graph_rw.release_read()
-            self._index_rw.release_read()
+            self._install_lock.release()
         return epoch
 
     @classmethod
@@ -319,60 +202,16 @@ class ServingEngine:
 
         return cls(load_index(path, graph=graph), **engine_kwargs)
 
-    def graph_at(self, epoch: int) -> Graph:
-        """Graph snapshot of ``epoch`` (for per-epoch correctness oracles)."""
-        with self._state:
-            snapshot = self._snapshots.get(epoch)
-        if snapshot is None:
-            raise ServingError(
-                f"no graph snapshot retained for epoch {epoch} "
-                f"(snapshot_limit={self._snapshot_limit})"
-            )
-        return snapshot
-
     # ------------------------------------------------------------------
     # Maintenance path
     # ------------------------------------------------------------------
-    def submit_batch(self, batch: UpdateBatch) -> None:
-        """Queue an update batch for the maintenance worker."""
-        if not self._running:
-            raise EngineStoppedError("submit_batch on a stopped engine; call start()")
-        with self._pending_cond:
-            self._pending += 1
-        self._queue.put(batch)
-
-    def wait_for_maintenance(self, timeout: Optional[float] = None) -> bool:
-        """Block until every queued batch is fully installed."""
-        with self._pending_cond:
-            return self._pending_cond.wait_for(lambda: self._pending == 0, timeout)
-
-    @property
-    def pending_batches(self) -> int:
-        with self._pending_cond:
-            return self._pending
-
-    def _maintenance_loop(self) -> None:
-        while True:
-            item = self._queue.get()
-            if item is _STOP:
-                break
-            try:
-                self._install(item)
-            except Exception as exc:  # keep the worker alive for later batches
-                self.maintenance_errors.append(exc)
-            finally:
-                with self._pending_cond:
-                    self._pending -= 1
-                    self._pending_cond.notify_all()
-
-    def _install(self, batch: UpdateBatch) -> None:
-        """Install one batch under the epoch protocol (maintenance thread)."""
+    def _install(self, batch: UpdateBatch) -> UpdateReport:
+        """Install one batch under the stage-by-stage epoch protocol."""
         index = self.index
         pending_epoch = self._epoch + 1
         affected = {index.vertex_partition(u.u) for u in batch}
         affected |= {index.vertex_partition(u.v) for u in batch}
 
-        started = time.perf_counter()
         self._index_rw.acquire_write()
         self._graph_rw.acquire_write()
         graph_locked = True
@@ -386,12 +225,7 @@ class ServingEngine:
                 # still holding both write locks so no query can observe a
                 # half-open epoch.
                 epoch_open = True
-                with self._state:
-                    self._epoch = pending_epoch
-                    if self._snapshot_limit > 0:
-                        self._snapshots[pending_epoch] = index.graph.copy()
-                        while len(self._snapshots) > self._snapshot_limit:
-                            self._snapshots.popitem(last=False)
+                self._commit_epoch(pending_epoch)
                 # Key the frozen query kernels to the serving epoch: every
                 # store frozen from here on belongs to ``pending_epoch`` and
                 # is frozen at most once per stage (apply_batch also
@@ -426,127 +260,20 @@ class ServingEngine:
             if graph_locked:
                 self._graph_rw.release_write()
             self._index_rw.release_write()
-        self.update_reports.append(report)
-        self.metrics.record_batch(time.perf_counter() - started)
+        return report
 
     # ------------------------------------------------------------------
     # Query path
     # ------------------------------------------------------------------
     def serve(self, source: int, target: int) -> QueryResult:
-        """Serve one query on the calling thread.
+        """:meth:`EngineCore.serve` through the cache-first scalar plane."""
+        return self._serve(((source, target),), self._dispatch, "serve")[0]
 
-        Raises :class:`~repro.exceptions.QueryRejectedError` when admission
-        control sheds the query.
-        """
-        started = time.perf_counter()
-        # Validate up front: the stage dispatchers skip the vertex checks of
-        # ``index.query`` and would otherwise surface raw KeyErrors.
-        graph = self.index.graph
-        if not graph.has_vertex(source):
-            raise VertexNotFoundError(source)
-        if not graph.has_vertex(target):
-            raise VertexNotFoundError(target)
-        with self._state:
-            inflight = self._inflight
-        decision = self.admission.decide(inflight=inflight)
-        if not decision.admitted:
-            self.metrics.record_shed()
-            raise QueryRejectedError(decision.reason)
-        with self._state:
-            self._inflight += 1
-        try:
-            result = self._dispatch(source, target, started)
-        finally:
-            with self._state:
-                self._inflight -= 1
-        self.metrics.record_query(result.stage, result.latency_seconds, result.from_cache)
-        self.admission.observe_latency(result.latency_seconds)
-        if obs.is_enabled():
-            obs.record_span(
-                "serving.serve", result.latency_seconds,
-                stage=result.stage, epoch=result.epoch,
-            )
-        return result
-
-    def query(self, source: int, target: int) -> float:
-        """Distance-only convenience wrapper around :meth:`serve`."""
-        return self.serve(source, target).distance
-
-    def serve_batch(self, pairs: Iterable[QueryPair]) -> List[QueryResult]:
-        """Serve a whole batch of queries against a *single* epoch snapshot.
-
-        The batch plane counterpart of :meth:`serve`: one admission decision,
-        one lock acquisition, one stage-routing decision, a bulk cache probe,
-        and one amortised :meth:`~repro.base.DistanceIndex.query_many` call
-        when the index's fastest stage is valid — instead of per-pair
-        overhead for every query.  All returned results carry the same epoch,
-        and every answer is consistent with that epoch's graph snapshot.
-
-        Each result's ``latency_seconds`` is the batch wall latency amortised
-        over the batch (wall / len(pairs)) — the per-query service cost.
-        Metrics and the admission controller's service-time estimator consume
-        that amortised figure, keeping them commensurable with scalar
-        :meth:`serve` samples.
-
-        Raises :class:`~repro.exceptions.QueryRejectedError` when admission
-        control sheds the batch (the batch is admitted or shed as a whole).
-        """
-        started = time.perf_counter()
-        pair_list: List[QueryPair] = list(pairs)
-        graph = self.index.graph
-        for source, target in pair_list:
-            if not graph.has_vertex(source):
-                raise VertexNotFoundError(source)
-            if not graph.has_vertex(target):
-                raise VertexNotFoundError(target)
-        if not pair_list:
-            return []
-        with self._state:
-            inflight = self._inflight
-        decision = self.admission.decide(inflight=inflight)
-        if not decision.admitted:
-            self.metrics.record_shed()
-            raise QueryRejectedError(decision.reason)
-        with self._state:
-            self._inflight += 1
-        try:
-            results = self._dispatch_batch(pair_list, started)
-        finally:
-            with self._state:
-                self._inflight -= 1
-        for result in results:
-            self.metrics.record_query(result.stage, result.latency_seconds, result.from_cache)
-        self.admission.observe_latency(results[-1].latency_seconds)
-        if obs.is_enabled():
-            obs.record_span(
-                "serving.serve_batch", time.perf_counter() - started,
-                size=len(results), stage=results[-1].stage, epoch=results[-1].epoch,
-            )
-        return results
-
-    def query_batch(self, pairs: Iterable[QueryPair]) -> List[float]:
-        """Distance-only convenience wrapper around :meth:`serve_batch`."""
-        return [result.distance for result in self.serve_batch(pairs)]
-
-    def serve_one_to_many(
-        self, source: int, targets: Iterable[int]
-    ) -> List[QueryResult]:
-        """Serve one source against many targets at a single epoch.
-
-        Rides the batch plane: :meth:`serve_batch` routes same-source pairs
-        through :meth:`~repro.base.DistanceIndex.query_many`, whose
-        source-grouped dispatch amortises into the index's native
-        one-to-many path.
-        """
-        return self.serve_batch([(source, target) for target in targets])
-
-    def query_one_to_many(self, source: int, targets: Iterable[int]) -> List[float]:
-        """Distance-only convenience wrapper around :meth:`serve_one_to_many`."""
-        return [result.distance for result in self.serve_one_to_many(source, targets)]
-
-    def _dispatch_batch(
-        self, pair_list: List[QueryPair], started: float
-    ) -> List[QueryResult]:
+    def _answer(self, pair_list: List[QueryPair], started: float) -> List[QueryResult]:
+        """The batch plane: one lock acquisition, one stage-routing decision,
+        a bulk cache probe, and one amortised
+        :meth:`~repro.base.DistanceIndex.query_many` call when the index's
+        fastest stage is valid."""
         # Index-backed path: one non-blocking read acquisition pins the epoch
         # for the whole batch (the edge refresh needs both write locks).
         if self._index_rw.acquire_read(blocking=False):
@@ -580,14 +307,14 @@ class ServingEngine:
     ) -> List[QueryResult]:
         """Answer ``pair_list`` at ``epoch`` through ``stage`` (cache first)."""
         distances: List[Optional[float]] = [None] * len(pair_list)
-        cached_flags = [False] * len(pair_list)
+        stages = [stage.name] * len(pair_list)
         misses: List[int] = []
         if self.cache is not None:
             for position, (source, target) in enumerate(pair_list):
                 hit = self.cache.get(source, target, epoch)
                 if hit is not None:
                     distances[position] = hit
-                    cached_flags[position] = True
+                    stages[position] = "cache"
                 else:
                     misses.append(position)
         else:
@@ -607,23 +334,7 @@ class ServingEngine:
                 distances[position] = distance
                 source, target = pair_list[position]
                 self._cache_put(source, target, distance, epoch)
-
-        # Amortised per-query latency: feeding the whole-batch wall time into
-        # the per-query metrics/admission estimator would inflate the service
-        # estimate ~len(pair_list)-fold and shed batches spuriously.
-        latency = (time.perf_counter() - started) / len(pair_list)
-        return [
-            QueryResult(
-                source,
-                target,
-                distances[position],
-                epoch,
-                "cache" if cached_flags[position] else stage.name,
-                latency,
-                from_cache=cached_flags[position],
-            )
-            for position, (source, target) in enumerate(pair_list)
-        ]
+        return self._shape_results(pair_list, distances, epoch, stages, started)
 
     def submit(self, source: int, target: int) -> "Future[QueryResult]":
         """Asynchronous :meth:`serve` on the engine's query pool."""
@@ -631,7 +342,9 @@ class ServingEngine:
             raise EngineStoppedError("submit on a stopped engine; call start()")
         return self._pool.submit(self.serve, source, target)
 
-    def _dispatch(self, source: int, target: int, started: float) -> QueryResult:
+    def _dispatch(self, pair_list: List[QueryPair], started: float) -> List[QueryResult]:
+        """The scalar plane: answer the one pair of ``pair_list``."""
+        source, target = pair_list[0]
         # 1. Cache — the (distance, epoch) pair is internally consistent even
         #    if the epoch advances concurrently: the answer linearises just
         #    before the newer batch.
@@ -639,10 +352,10 @@ class ServingEngine:
             epoch = self._epoch
             cached = self.cache.get(source, target, epoch)
             if cached is not None:
-                return QueryResult(
+                return [QueryResult(
                     source, target, cached, epoch,
                     "cache", time.perf_counter() - started, from_cache=True,
-                )
+                )]
 
         # 2. Index-backed stages.  Non-blocking: while an update stage is
         #    mutating the structures we fall back to the live graph instead of
@@ -655,10 +368,10 @@ class ServingEngine:
                 if stage is not None:
                     distance = stage.query(source, target)
                     self._cache_put(source, target, distance, epoch)
-                    return QueryResult(
+                    return [QueryResult(
                         source, target, distance, epoch,
                         stage.name, time.perf_counter() - started,
-                    )
+                    )]
             finally:
                 self._index_rw.release_read()
 
@@ -669,10 +382,10 @@ class ServingEngine:
             epoch = self._epoch
             distance = graph_stage.query(source, target)
         self._cache_put(source, target, distance, epoch)
-        return QueryResult(
+        return [QueryResult(
             source, target, distance, epoch,
             graph_stage.name, time.perf_counter() - started,
-        )
+        )]
 
     def _cache_put(self, source: int, target: int, distance: float, epoch: int) -> None:
         if self.cache is None:
@@ -685,12 +398,8 @@ class ServingEngine:
     # ------------------------------------------------------------------
     def stats(self) -> Dict[str, object]:
         """One merged snapshot of metrics, cache, router and epoch state."""
-        snapshot = self.metrics.snapshot()
-        snapshot["epoch"] = self._epoch
-        snapshot["qps"] = self.metrics.qps()
-        snapshot["lifetime_qps"] = self.metrics.lifetime_qps()
+        snapshot = super().stats()
         snapshot["stages"] = self.router.describe()
-        snapshot["maintenance_errors"] = [repr(exc) for exc in self.maintenance_errors]
         if self.cache is not None:
             snapshot["cache"] = self.cache.snapshot()
         return snapshot

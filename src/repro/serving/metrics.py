@@ -5,12 +5,11 @@ The throughput experiments report the *analytic* maximum sustainable rate
 *measured* figures — queries actually served per second and p50/p95/p99
 response-time quantiles — so the two can be cross-checked (``exp9``).
 
-:class:`LatencyHistogram` is a latency-flavoured view of the generalised
-:class:`repro.obs.metrics.Histogram` (same buckets, same quantile semantics);
-when ``repro.obs`` is enabled, :class:`ServingMetrics` additionally mirrors
-every recorded event into the process-wide metric registry
-(``repro_serving_*`` series), so the legacy :meth:`ServingMetrics.snapshot`
-and the registry always agree.
+:class:`ServingMetrics` keeps its latencies in the shared
+:class:`repro.obs.metrics.Histogram` (1 µs – 10 s, 10 buckets per decade);
+when ``repro.obs`` is enabled it additionally mirrors every recorded event
+into the process-wide metric registry (``repro_serving_*`` series), so the
+legacy :meth:`ServingMetrics.snapshot` and the registry always agree.
 """
 
 from __future__ import annotations
@@ -22,42 +21,6 @@ from typing import Dict, Optional
 
 from repro import obs
 from repro.obs.metrics import Histogram
-
-
-class LatencyHistogram(Histogram):
-    """Log-bucketed latency histogram with approximate quantiles.
-
-    A :class:`repro.obs.metrics.Histogram` with latency defaults (1 µs – 10 s,
-    10 buckets per decade) and second-suffixed snapshot keys.  Bucket error
-    stays within one bucket width (~26 %) at any scale — plenty for
-    p50/p95/p99 reporting — with O(1) recording and fixed memory.
-    ``quantile(0.0)`` returns the exact minimum observed latency.
-    """
-
-    def __init__(
-        self,
-        min_latency: float = 1e-6,
-        max_latency: float = 10.0,
-        buckets_per_decade: int = 10,
-    ) -> None:
-        super().__init__(
-            min_value=min_latency,
-            max_value=max_latency,
-            buckets_per_decade=buckets_per_decade,
-        )
-
-    def snapshot(self) -> Dict[str, object]:
-        return {
-            "count": float(self.count),
-            "mean_seconds": self.mean,
-            "min_seconds": self.min,
-            "p50_seconds": self.quantile(0.50),
-            "p95_seconds": self.quantile(0.95),
-            "p99_seconds": self.quantile(0.99),
-            "max_seconds": self.max,
-            "bucket_bounds": self.bucket_bounds(),
-            "bucket_counts": self.bucket_counts(),
-        }
 
 
 class ServingMetrics:
@@ -78,7 +41,7 @@ class ServingMetrics:
         self._shed = 0
         self._cache_hits = 0
         self._by_stage: Dict[str, int] = {}
-        self._latency = LatencyHistogram()
+        self._latency = Histogram(min_value=1e-6, max_value=10.0, buckets_per_decade=10)
         self._recent: deque = deque()
         self._batches = 0
         self._batch_seconds = 0.0
@@ -179,5 +142,20 @@ class ServingMetrics:
                 "by_stage": dict(self._by_stage),
                 "batches_applied": self._batches,
                 "maintenance_seconds": self._batch_seconds,
-                "latency": self._latency.snapshot(),
+                "latency": self._latency_snapshot(),
             }
+
+    def _latency_snapshot(self) -> Dict[str, object]:
+        """The latency histogram under second-suffixed keys (caller holds the lock)."""
+        latency = self._latency
+        return {
+            "count": float(latency.count),
+            "mean_seconds": latency.mean,
+            "min_seconds": latency.min,
+            "p50_seconds": latency.quantile(0.50),
+            "p95_seconds": latency.quantile(0.95),
+            "p99_seconds": latency.quantile(0.99),
+            "max_seconds": latency.max,
+            "bucket_bounds": latency.bucket_bounds(),
+            "bucket_counts": latency.bucket_counts(),
+        }

@@ -16,7 +16,7 @@ from repro.obs.metrics import Counter, Gauge, Histogram, MetricRegistry
 from repro.obs.tracing import Tracer
 from repro.registry import create_index
 from repro.serving.engine import ServingEngine
-from repro.serving.metrics import LatencyHistogram, ServingMetrics
+from repro.serving.metrics import ServingMetrics
 from repro.throughput.workload import sample_query_pairs
 
 
@@ -368,13 +368,13 @@ class TestObsSwitch:
 
 
 # ----------------------------------------------------------------------
-# Serving metrics: LatencyHistogram + qps window trimming
+# Serving metrics: latency snapshot keys + qps window trimming
 # ----------------------------------------------------------------------
 class TestServingMetrics:
     def test_latency_histogram_snapshot_keys(self):
-        hist = LatencyHistogram()
-        hist.record(0.002)
-        snap = hist.snapshot()
+        metrics = ServingMetrics(clock=FakeClock())
+        metrics.record_query("labels", 0.002)
+        snap = metrics.snapshot()["latency"]
         for key in (
             "count", "mean_seconds", "min_seconds", "p50_seconds",
             "p95_seconds", "p99_seconds", "max_seconds",

@@ -1,4 +1,4 @@
-"""Typed index registry: specs, factory, config binding and the deprecated shims."""
+"""Typed index registry: specs, factory and config binding."""
 
 from __future__ import annotations
 
@@ -8,7 +8,6 @@ from repro import IndexSpec, PAPER_METHODS, create_index, get_spec, registered_m
 from repro.core.pmhl import PMHLIndex, PMHLSpec
 from repro.core.postmhl import PostMHLIndex, PostMHLSpec
 from repro.experiments.config import DEFAULT_CONFIG
-from repro.experiments.methods import ALL_METHODS, QUICK_METHODS, build_method, method_names
 from repro.graph.generators import grid_road_network
 from repro.registry import experiment_methods, spec_class, spec_from_config
 
@@ -98,32 +97,3 @@ class TestConfigBinding:
         assert PAPER_METHODS[0] == "BiDijkstra"
         assert PAPER_METHODS[-1] == "PostMHL"
         assert set(PAPER_METHODS) <= set(registered_methods())
-
-
-class TestDeprecatedShims:
-    """`build_method`/`method_names` keep working but warn (back-compat)."""
-
-    def test_build_method_builds_every_method_and_warns(self, graph):
-        for name in ALL_METHODS:
-            with pytest.warns(DeprecationWarning, match="create_index"):
-                index = build_method(name, graph.copy(), QUICK)
-            assert index.name == name
-            index.build()
-            assert index.is_built
-
-    def test_method_names_warns_and_matches_registry(self):
-        with pytest.warns(DeprecationWarning, match="experiment_methods"):
-            names = method_names()
-        assert names == experiment_methods()
-        with pytest.warns(DeprecationWarning):
-            quick_names = method_names(quick=True)
-        assert set(quick_names) <= set(names)
-
-    def test_build_method_unknown_name_still_value_error(self, graph):
-        with pytest.warns(DeprecationWarning):
-            with pytest.raises(ValueError):
-                build_method("FancyIndex", graph, QUICK)
-
-    def test_constants_preserved(self):
-        assert ALL_METHODS == PAPER_METHODS
-        assert QUICK_METHODS == ALL_METHODS

@@ -20,8 +20,10 @@ import pytest
 from repro.algorithms.dijkstra import dijkstra_distance
 from repro.exceptions import (
     QueryRejectedError,
+    RemoteServerError,
     ServerBackpressureError,
     ServerClosedError,
+    ServingError,
 )
 from repro.graph.generators import load_dataset, random_connected_graph
 from repro.graph.updates import generate_update_batch
@@ -322,6 +324,40 @@ class TestEpochConsistency:
                     yield server
 
             self._assert_interleaved_consistency(server_cm, graph, engine)
+
+
+def test_failed_install_errors_only_the_request_that_caused_it(monkeypatch):
+    """One failing install gets a typed ERROR frame; the next APPLY_BATCH
+    installs and reports the advanced epoch instead of the stale error."""
+    graph = paper_example_graph()
+    engine = build_engine(graph=graph.copy())
+    pairs = list(sample_query_pairs(graph, 8, seed=7))
+    batch = generate_update_batch(graph, 4, seed=200)
+    real_apply = engine.index.apply_batch
+
+    def apply_fails_once(updates):
+        monkeypatch.setattr(engine.index, "apply_batch", real_apply)
+        raise ServingError("index install failed")
+
+    monkeypatch.setattr(engine.index, "apply_batch", apply_fails_once)
+
+    async def main():
+        async with running_server(engine) as server:
+            async with await AsyncClient.connect(*server.address) as client:
+                with pytest.raises(RemoteServerError) as excinfo:
+                    await client.apply_batch(as_tuples(batch))
+                assert excinfo.value.code == "serving_failed"
+                assert engine.current_epoch == 0
+
+                assert await client.apply_batch(as_tuples(batch)) == 1
+                reply = await client.query_batch(pairs)
+                assert reply.epoch == 1
+                oracle_graph = engine.graph_at(1)
+                for pair, got in zip(pairs, reply.distances):
+                    assert got == dijkstra_distance(oracle_graph, *pair)
+
+    with engine:
+        run(main())
 
 
 # ----------------------------------------------------------------------
