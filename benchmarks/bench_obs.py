@@ -1,7 +1,7 @@
 """Observability overhead benchmark: the disabled fast path must be free.
 
 ``repro.obs`` instruments the serving hot path (``serve_batch`` /
-``record_query``), the kernel freeze path and every ``apply_batch`` stage.
+``record_queries``), the kernel freeze path and every ``apply_batch`` stage.
 All of it hides behind a module-level enabled flag; this benchmark measures
 what that flag check costs on a representative serving workload:
 

@@ -97,6 +97,10 @@ class DistanceIndex(abc.ABC):
 
     #: Human-readable method name used in experiment tables.
     name: str = "index"
+    #: ``True`` when the index's final (fastest) query stage is a label lookup
+    #: — cheaper than a distance-cache probe, so the serving engine routes
+    #: batches through it uncached.  Search-based final stages keep ``False``.
+    final_stage_is_label_lookup: bool = False
 
     def __init__(self, graph: Graph):
         self.graph = graph

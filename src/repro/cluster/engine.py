@@ -43,6 +43,7 @@ from __future__ import annotations
 
 import os
 import threading
+import time
 from typing import Dict, List, Optional
 
 from repro import obs
@@ -50,7 +51,7 @@ from repro.base import QueryPair, StageTiming, UpdateReport
 from repro.exceptions import ClusterError, ClusterWorkerError, EngineStoppedError
 from repro.graph.graph import Graph
 from repro.graph.updates import UpdateBatch
-from repro.serving.core import EngineCore, QueryResult
+from repro.serving.core import MIXED_STAGE, BatchResult, EngineCore
 from repro.store import load_snapshot_graph, read_manifest
 
 from repro.cluster.dispatcher import DEFAULT_WORKER_TIMEOUT, Dispatcher
@@ -204,7 +205,7 @@ class ClusterEngine(EngineCore):
     # name is ``query_many`` — the cluster answers to both.
     query_many = EngineCore.query_batch
 
-    def _answer(self, pair_list: List[QueryPair], started: float) -> List[QueryResult]:
+    def _answer(self, pair_list: List[QueryPair], started: float) -> BatchResult:
         """Scatter the batch across the shards and gather at one epoch.
 
         The batch is split by the partition-aware router and the shards
@@ -223,22 +224,25 @@ class ClusterEngine(EngineCore):
                     for worker_id, entries in assignments.items()
                 }
             )
-        distances: List[Optional[float]] = [None] * len(pair_list)
-        stages = [""] * len(pair_list)
-        epochs = set()
-        for worker_id, entries in assignments.items():
-            shard_epoch, shard_distances = replies[worker_id]
-            epochs.add(shard_epoch)
-            stage = f"shard{worker_id}"
-            for (position, _pair), distance in zip(entries, shard_distances):
-                distances[position] = distance
-                stages[position] = stage
+        epochs = {shard_epoch for shard_epoch, _distances in replies.values()}
         if epochs != {epoch}:
             raise ClusterError(
                 f"torn epoch: dispatcher at {epoch}, shards answered at "
                 f"{sorted(epochs)} — the barrier protocol was violated"
             )
-        return self._shape_results(pair_list, distances, epoch, stages, started)
+        if len(assignments) == 1:
+            [(worker_id, (_epoch, distances))] = replies.items()
+            stage, stages = f"shard{worker_id}", None
+        else:
+            distances = [0.0] * len(pair_list)
+            stage, stages = MIXED_STAGE, [""] * len(pair_list)
+            for worker_id, entries in assignments.items():
+                name = f"shard{worker_id}"
+                for (position, _pair), distance in zip(entries, replies[worker_id][1]):
+                    distances[position] = distance
+                    stages[position] = name
+        latency = (time.perf_counter() - started) / len(pair_list)
+        return BatchResult(pair_list, distances, epoch, latency, stage, stages)
 
     # ------------------------------------------------------------------
     # Maintenance plane

@@ -66,6 +66,7 @@ class PMHLIndex(DistanceIndex):
     """
 
     name = "PMHL"
+    final_stage_is_label_lookup = True
 
     def __init__(
         self,

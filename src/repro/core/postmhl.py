@@ -61,6 +61,7 @@ class PostMHLIndex(DistanceIndex):
     """
 
     name = "PostMHL"
+    final_stage_is_label_lookup = True
 
     def __init__(
         self,

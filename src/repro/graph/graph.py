@@ -104,6 +104,17 @@ class Graph:
         """Return ``True`` if vertex ``v`` exists."""
         return v in self._adj
 
+    def missing_endpoint(self, pairs: Iterable[Tuple[int, int]]) -> Optional[int]:
+        """First vertex of ``pairs`` (source before target) that does not
+        exist, or ``None`` — a whole batch validated in one call."""
+        adj = self._adj
+        for source, target in pairs:
+            if source not in adj:
+                return source
+            if target not in adj:
+                return target
+        return None
+
     def has_edge(self, u: int, v: int) -> bool:
         """Return ``True`` if the undirected edge ``(u, v)`` exists."""
         return u in self._adj and v in self._adj[u]

@@ -208,6 +208,7 @@ class H2HIndex(DistanceIndex):
     """Static H2H index (tree decomposition + distance/position arrays)."""
 
     name = "H2H"
+    final_stage_is_label_lookup = True
 
     def __init__(
         self,

@@ -171,22 +171,24 @@ class Histogram:
             return math.inf
         return self._min_value * 10.0 ** ((index + 1) / self._per_decade)
 
-    def _record(self, value: float) -> None:
-        self._counts[self._bucket(value)] += 1
-        self._total += 1
-        self._sum += value
+    def _record(self, value: float, count: int) -> None:
+        self._counts[self._bucket(value)] += count
+        self._total += count
+        self._sum += value * count
         if value > self._max:
             self._max = value
         if value < self._min_seen:
             self._min_seen = value
 
-    def record(self, value: float) -> None:
+    def record(self, value: float, count: int = 1) -> None:
+        """Record ``count`` observations of ``value`` (a batch of queries that
+        share one amortised latency is one weighted sample)."""
         lock = self._lock
         if lock is None:
-            self._record(value)
+            self._record(value, count)
         else:
             with lock:
-                self._record(value)
+                self._record(value, count)
 
     #: Prometheus-style alias.
     observe = record

@@ -1,6 +1,7 @@
 """``repro.server`` — the asyncio network query plane.
 
-A length-prefixed binary frame protocol (:mod:`repro.server.protocol`), an
+A length-prefixed binary frame protocol with packed batch payloads
+(:mod:`repro.server.protocol`), an
 asyncio server over a :class:`~repro.serving.engine.ServingEngine` or
 :class:`~repro.cluster.engine.ClusterEngine` backend with explicit
 backpressure and graceful drain (:mod:`repro.server.server`), a pipelining
@@ -14,6 +15,7 @@ from repro.server.loadgen import LoadReport, run_closed_loop
 from repro.server.protocol import (
     DEFAULT_MAX_FRAME_BYTES,
     OP_APPLY_BATCH,
+    OP_DISTANCES,
     OP_ERROR,
     OP_ONE_TO_MANY,
     OP_PING,
@@ -52,4 +54,5 @@ __all__ = [
     "OP_RESULT",
     "OP_ERROR",
     "OP_RETRY",
+    "OP_DISTANCES",
 ]

@@ -31,6 +31,7 @@ from repro.graph.updates import EdgeUpdate, UpdateBatch
 from repro.server.protocol import (
     DEFAULT_MAX_FRAME_BYTES,
     OP_APPLY_BATCH,
+    OP_DISTANCES,
     OP_ERROR,
     OP_ONE_TO_MANY,
     OP_PING,
@@ -102,7 +103,7 @@ class AsyncClient:
                 future = self._pending.pop(frame.seq, None)
                 if future is None or future.done():
                     continue  # unsolicited (e.g. a seq-0 connection error)
-                if frame.op == OP_RESULT:
+                if frame.op in (OP_RESULT, OP_DISTANCES):
                     future.set_result(frame.payload)
                 elif frame.op == OP_RETRY:
                     payload = frame.payload or {}
@@ -150,10 +151,13 @@ class AsyncClient:
                 await write_frame(
                     self._writer, op, seq, payload, self._max_frame_bytes
                 )
+            return await future
         except (ConnectionError, OSError) as exc:
-            self._pending.pop(seq, None)
             raise ServerClosedError(f"send failed: {exc}") from None
-        return await future
+        finally:
+            # Whatever ended the wait — a reply, an encode error, a cancelled
+            # caller — the slot goes; a late reply for it is then ignored.
+            self._pending.pop(seq, None)
 
     async def send_raw(self, data: bytes) -> None:
         """Write raw bytes on the connection (protocol fuzzing hook)."""
@@ -201,16 +205,14 @@ class AsyncClient:
         )
 
     async def query_batch(self, pairs: Iterable[Tuple[int, int]]) -> BatchReply:
-        payload = await self.request(
-            OP_QUERY_BATCH, {"pairs": [[s, t] for s, t in pairs]}
-        )
-        return BatchReply(distances=payload["distances"], epoch=payload["epoch"])
+        """Packed batch query; a vertex id outside int32 raises
+        :class:`~repro.exceptions.ProtocolError` before anything is sent."""
+        return BatchReply(**await self.request(OP_QUERY_BATCH, {"pairs": pairs}))
 
-    async def one_to_many(self, source: int, targets: Sequence[int]) -> BatchReply:
-        payload = await self.request(
-            OP_ONE_TO_MANY, {"source": source, "targets": list(targets)}
+    async def one_to_many(self, source: int, targets: Iterable[int]) -> BatchReply:
+        return BatchReply(
+            **await self.request(OP_ONE_TO_MANY, {"source": source, "targets": targets})
         )
-        return BatchReply(distances=payload["distances"], epoch=payload["epoch"])
 
     async def apply_batch(self, batch) -> int:
         """Broadcast an update batch; returns the post-install epoch.

@@ -3,7 +3,7 @@
 Every message — request or response — is one **frame**::
 
     +----------------+---------+------+-----------+------------------+
-    | length u32 BE  | version | op   | seq u32BE | payload (JSON)   |
+    | length u32 BE  | version | op   | seq u32BE | payload          |
     +----------------+---------+------+-----------+------------------+
          4 bytes        1 byte  1 byte   4 bytes     length-6 bytes
 
@@ -13,17 +13,28 @@ version byte (:data:`PROTOCOL_VERSION`); a mismatch yields a typed
 ``bad_version`` ERROR frame and the connection closes.  ``seq`` is the
 client-chosen request id, echoed verbatim in the response frame, which is
 what lets a client pipeline many requests over one connection and match
-out-of-order completions.  The payload is UTF-8 JSON (the stdlib codec —
-``Infinity`` round-trips, so unreachable distances survive the wire
-bit-for-bit).
+out-of-order completions.
 
-Request ops: :data:`OP_QUERY`, :data:`OP_QUERY_BATCH`, :data:`OP_ONE_TO_MANY`,
-:data:`OP_APPLY_BATCH`, :data:`OP_STATS`, :data:`OP_PING`.  Response ops:
+The batch ops carry **packed** little-endian payloads (version 2), so a batch
+crosses the wire as two column buffers and no text is parsed per pair:
+
+* :data:`OP_QUERY_BATCH` — ``n × (int32 source, int32 target)``;
+* :data:`OP_ONE_TO_MANY` — ``int32 source`` then ``n × int32 target``;
+* :data:`OP_DISTANCES` (their response) — ``int64 epoch`` then
+  ``n × float64`` — ``inf`` (an unreachable pair) is bit-exact.
+
+Every other op's payload is UTF-8 JSON (the stdlib codec — ``Infinity``
+round-trips): requests :data:`OP_QUERY`, :data:`OP_APPLY_BATCH`,
+:data:`OP_STATS`, :data:`OP_PING`, and the responses
 
 * :data:`OP_RESULT` — success, payload is the operation's result object;
 * :data:`OP_ERROR` — typed failure, payload ``{"code", "message"}``;
 * :data:`OP_RETRY` — backpressure (the HTTP-429 analogue), payload
   ``{"reason", "queue_depth", "suggested_wait_seconds"}``.
+
+Either way :func:`encode_frame` takes and :func:`decode_body` returns the
+payload as a plain mapping (``{"pairs": [(s, t), …]}``, ``{"source",
+"targets"}``, ``{"distances", "epoch"}`` for the packed ops).
 
 Framing errors raise the typed exceptions from :mod:`repro.exceptions`
 (:class:`~repro.exceptions.ProtocolError` /
@@ -37,7 +48,9 @@ from __future__ import annotations
 
 import asyncio
 import json
+import struct
 from dataclasses import dataclass
+from itertools import chain
 from typing import Optional
 
 from repro.exceptions import (
@@ -47,7 +60,7 @@ from repro.exceptions import (
 )
 
 #: Protocol version byte this build speaks.
-PROTOCOL_VERSION = 1
+PROTOCOL_VERSION = 2
 
 #: Bytes of the length prefix.
 HEADER_BYTES = 4
@@ -68,11 +81,12 @@ OP_PING = 0x06
 OP_RESULT = 0x81
 OP_ERROR = 0x82
 OP_RETRY = 0x83
+OP_DISTANCES = 0x84
 
 REQUEST_OPS = frozenset(
     (OP_QUERY, OP_QUERY_BATCH, OP_ONE_TO_MANY, OP_APPLY_BATCH, OP_STATS, OP_PING)
 )
-RESPONSE_OPS = frozenset((OP_RESULT, OP_ERROR, OP_RETRY))
+RESPONSE_OPS = frozenset((OP_RESULT, OP_ERROR, OP_RETRY, OP_DISTANCES))
 
 OP_NAMES = {
     OP_QUERY: "query",
@@ -84,12 +98,13 @@ OP_NAMES = {
     OP_RESULT: "result",
     OP_ERROR: "error",
     OP_RETRY: "retry",
+    OP_DISTANCES: "distances",
 }
 
 
 @dataclass(frozen=True)
 class Frame:
-    """One decoded frame: operation, request id, JSON payload (or ``None``)."""
+    """One decoded frame: operation, request id, payload mapping (or ``None``)."""
 
     op: int
     seq: int
@@ -98,6 +113,79 @@ class Frame:
     @property
     def op_name(self) -> str:
         return OP_NAMES.get(self.op, f"op_{self.op:#x}")
+
+
+# ----------------------------------------------------------------------
+# Payload codecs: packed columns for the batch ops, JSON for the rest
+# ----------------------------------------------------------------------
+def _pack(layout: str, values) -> bytes:
+    """``struct.pack`` with the client-side failure typed: a vertex id outside
+    int32 (or a non-number) never reaches the wire."""
+    try:
+        return struct.pack(layout, *values)
+    except struct.error as exc:
+        raise ProtocolError(f"value does not fit the packed payload: {exc}") from None
+
+
+def _encode_pairs(payload) -> bytes:
+    pairs = list(payload["pairs"])
+    flat = list(chain.from_iterable(pairs))
+    if len(flat) != 2 * len(pairs):
+        raise ProtocolError("each pair must be (source, target)")
+    return _pack(f"<{len(flat)}i", flat)
+
+
+def _encode_one_to_many(payload) -> bytes:
+    targets = list(payload["targets"])
+    return _pack(f"<{len(targets) + 1}i", (payload["source"], *targets))
+
+
+def _encode_distances(payload) -> bytes:
+    distances = payload["distances"]
+    return _pack(f"<q{len(distances)}d", (payload["epoch"], *distances))
+
+
+def _records(raw: bytes, head: int, size: int, what: str) -> int:
+    """Number of ``size``-byte records after a ``head``-byte prefix; a payload
+    that holds none, or a torn one, is a ``ValueError`` (→ ``bad_payload``)."""
+    count, torn = divmod(len(raw) - head, size)
+    if count < 1 or torn:
+        raise ValueError(f"{len(raw)} bytes is not {head} + n x {size} ({what}, n >= 1)")
+    return count
+
+
+def _decode_pairs(raw: bytes):
+    _records(raw, 0, 8, "int32 source, int32 target")
+    return {"pairs": list(struct.iter_unpack("<ii", raw))}
+
+
+def _decode_one_to_many(raw: bytes):
+    count = _records(raw, 4, 4, "int32 source, then int32 targets")
+    source, *targets = struct.unpack(f"<{count + 1}i", raw)
+    return {"source": source, "targets": targets}
+
+
+def _decode_distances(raw: bytes):
+    count = _records(raw, 8, 8, "int64 epoch, then float64 distances")
+    epoch, *distances = struct.unpack(f"<q{count}d", raw)
+    return {"distances": distances, "epoch": epoch}
+
+
+def _encode_json(payload) -> bytes:
+    return b"" if payload is None else json.dumps(payload, separators=(",", ":")).encode()
+
+
+def _decode_json(raw: bytes):
+    return json.loads(raw.decode("utf-8")) if raw else None
+
+
+#: op → (encode, decode) of the packed ops; every other op is JSON.
+_PACKED = {
+    OP_QUERY_BATCH: (_encode_pairs, _decode_pairs),
+    OP_ONE_TO_MANY: (_encode_one_to_many, _decode_one_to_many),
+    OP_DISTANCES: (_encode_distances, _decode_distances),
+}
+_JSON = (_encode_json, _decode_json)
 
 
 def encode_frame(
@@ -111,7 +199,12 @@ def encode_frame(
         raise ProtocolError(f"op code {op} does not fit one byte")
     if not 0 <= seq <= 0xFFFFFFFF:
         raise ProtocolError(f"seq {seq} does not fit u32")
-    body = b"" if payload is None else json.dumps(payload, separators=(",", ":")).encode()
+    try:
+        body = _PACKED.get(op, _JSON)[0](payload)
+    except (KeyError, TypeError) as exc:
+        raise ProtocolError(
+            f"payload of op {OP_NAMES.get(op, op)} has the wrong shape: {exc!r}"
+        ) from None
     length = FIXED_BODY_BYTES + len(body)
     if length > max_frame_bytes:
         raise FrameTooLargeError(length, max_frame_bytes)
@@ -126,7 +219,7 @@ def encode_frame(
 
 
 def decode_body(body: bytes) -> Frame:
-    """Decode the post-prefix bytes of one frame (validates version + JSON)."""
+    """Decode the post-prefix bytes of one frame (validates version + payload)."""
     if len(body) < FIXED_BODY_BYTES:
         raise ProtocolError(
             f"frame body of {len(body)} bytes is shorter than the "
@@ -137,16 +230,13 @@ def decode_body(body: bytes) -> Frame:
         raise ProtocolVersionError(version, PROTOCOL_VERSION)
     op = body[1]
     seq = int.from_bytes(body[2:6], "big")
-    raw = body[FIXED_BODY_BYTES:]
-    if not raw:
-        return Frame(op, seq, None)
     try:
-        payload = json.loads(raw.decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        payload = _PACKED.get(op, _JSON)[1](body[FIXED_BODY_BYTES:])
+    except ValueError as exc:  # torn columns, bad UTF-8, bad JSON
         # The frame boundary itself was intact, so the stream is still in
         # sync — the server can answer a typed error and keep the connection.
         raise ProtocolError(
-            f"frame payload is not valid JSON: {exc}",
+            f"malformed {OP_NAMES.get(op, 'frame')} payload: {exc}",
             code="bad_payload",
             seq=seq,
             recoverable=True,

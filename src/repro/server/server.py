@@ -46,11 +46,12 @@ from __future__ import annotations
 import asyncio
 import time
 from concurrent.futures import ThreadPoolExecutor
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, Optional, Set, Tuple
 
 from repro import obs
 from repro.exceptions import (
     EdgeNotFoundError,
+    FrameTooLargeError,
     InvalidWeightError,
     ProtocolError,
     QueryRejectedError,
@@ -61,6 +62,7 @@ from repro.graph.updates import EdgeUpdate, UpdateBatch
 from repro.server.protocol import (
     DEFAULT_MAX_FRAME_BYTES,
     OP_APPLY_BATCH,
+    OP_DISTANCES,
     OP_ERROR,
     OP_NAMES,
     OP_ONE_TO_MANY,
@@ -373,7 +375,7 @@ class QueryServer:
             if self._service_ewma == 0.0
             else (1 - alpha) * self._service_ewma + alpha * serve_seconds
         )
-        await self._safe_send(conn, OP_RESULT, frame.seq, payload)
+        await self._safe_send(conn, _RESPONSE_OPS.get(frame.op, OP_RESULT), frame.seq, payload)
         if obs.is_enabled():
             obs.record_span("server.serve", serve_seconds, op=op_name)
             obs.record_span(
@@ -397,16 +399,15 @@ class QueryServer:
                 "from_cache": result.from_cache,
             }
         if op in (OP_QUERY_BATCH, OP_ONE_TO_MANY):
+            # Packed ops: the codec already validated the column layout, and
+            # the backend checks the vertices — columns in, columns out.
             if op == OP_QUERY_BATCH:
-                results = self.backend.serve_batch(_require_pairs(payload, frame.seq))
+                result = self.backend.serve_batch(payload["pairs"])
             else:
-                source = _require_vertex(payload, "source", frame.seq)
-                targets = _require_vertex_list(payload, "targets", frame.seq)
-                results = self.backend.serve_one_to_many(source, targets)
-            return {
-                "distances": [result.distance for result in results],
-                "epoch": _single_epoch(results),
-            }
+                result = self.backend.serve_one_to_many(
+                    payload["source"], payload["targets"]
+                )
+            return {"distances": result.distances, "epoch": result.epoch}
         if op == OP_APPLY_BATCH:
             batch = _require_batch(payload, frame.seq)
             # Validate against the live graph up front: installs are not
@@ -456,6 +457,14 @@ class QueryServer:
         started = time.perf_counter()
         try:
             data = encode_frame(op, seq, payload, self.max_frame_bytes)
+        except FrameTooLargeError as exc:
+            # The reply outgrew the cap (a packed reply is twice its request):
+            # the request still gets its typed answer, and the stream stays
+            # in sync because nothing of the oversized frame was written.
+            self._errors_total += 1
+            op = OP_ERROR
+            data = encode_frame(op, seq, {"code": exc.code, "message": str(exc)})
+        try:
             async with conn.lock:
                 conn.writer.write(data)
                 await asyncio.wait_for(conn.writer.drain(), self.write_timeout)
@@ -484,6 +493,9 @@ class QueryServer:
             "max_inflight_per_connection": self.max_inflight_per_connection,
         }
 
+
+#: Request op → response op of its success frame (default: ``OP_RESULT``).
+_RESPONSE_OPS = {OP_QUERY_BATCH: OP_DISTANCES, OP_ONE_TO_MANY: OP_DISTANCES}
 
 #: Exception-name → wire error code for typed ReproError failures.
 _ERROR_CODES = {
@@ -526,29 +538,6 @@ def _require_vertex(payload, key: str, seq: int) -> int:
     return _as_vertex(mapping[key], key, seq)
 
 
-def _require_vertex_list(payload, key: str, seq: int) -> List[int]:
-    mapping = _require_mapping(payload, seq)
-    values = mapping.get(key)
-    if not isinstance(values, list) or not values:
-        raise _bad_payload(f"{key!r} must be a non-empty list of vertex ids", seq)
-    return [_as_vertex(value, key, seq) for value in values]
-
-
-def _require_pairs(payload, seq: int) -> List[Tuple[int, int]]:
-    mapping = _require_mapping(payload, seq)
-    raw = mapping.get("pairs")
-    if not isinstance(raw, list) or not raw:
-        raise _bad_payload("'pairs' must be a non-empty list of [source, target]", seq)
-    pairs: List[Tuple[int, int]] = []
-    for item in raw:
-        if not isinstance(item, (list, tuple)) or len(item) != 2:
-            raise _bad_payload(f"each pair must be [source, target], got {item!r}", seq)
-        pairs.append(
-            (_as_vertex(item[0], "source", seq), _as_vertex(item[1], "target", seq))
-        )
-    return pairs
-
-
 def _require_batch(payload, seq: int) -> UpdateBatch:
     mapping = _require_mapping(payload, seq)
     raw = mapping.get("updates")
@@ -569,10 +558,3 @@ def _require_batch(payload, seq: int) -> UpdateBatch:
             raise _bad_payload(f"update weights must be numbers, got {item!r}", seq)
         updates.append(EdgeUpdate(u, v, old_weight, new_weight))
     return UpdateBatch(updates)
-
-
-def _single_epoch(results) -> int:
-    epochs = {result.epoch for result in results}
-    if len(epochs) != 1:  # pragma: no cover - engines guarantee this
-        raise ServerError(f"torn batch epoch: {sorted(epochs)}")
-    return epochs.pop()

@@ -8,7 +8,8 @@ maintenance worker, with each index's multi-stage catalog dispatched live.
 
 Modules
 -------
-``core``       ``EngineCore`` — lifecycle, admission, epochs, update queue.
+``core``       ``EngineCore`` — lifecycle, admission, epochs, update queue;
+               ``BatchResult`` — one served batch as columns.
 ``engine``     :class:`ServingEngine` — the in-process backend: locks, stages.
 ``router``     stage-aware dispatch with per-stage validity epochs.
 ``cache``      epoch-versioned LRU distance cache, partition invalidation.
@@ -33,7 +34,7 @@ from repro.exceptions import EngineStoppedError, QueryRejectedError, ServingErro
 from repro.serving.admission import AdmissionController, AdmissionDecision, AlwaysAdmit
 from repro.serving.cache import OVERLAY, CacheStats, EpochDistanceCache
 from repro.serving.driver import MixedWorkloadReport, run_mixed_workload
-from repro.serving.engine import QueryResult, ServingEngine
+from repro.serving.engine import BatchResult, QueryResult, ServingEngine
 from repro.serving.metrics import ServingMetrics
 from repro.serving.router import LAST_STAGE, RoutedStage, StageRouter, stage_entries
 from repro.serving.rwlock import RWLock
@@ -42,6 +43,7 @@ __all__ = [
     "AdmissionController",
     "AdmissionDecision",
     "AlwaysAdmit",
+    "BatchResult",
     "CacheStats",
     "EngineStoppedError",
     "EpochDistanceCache",

@@ -18,9 +18,11 @@ from __future__ import annotations
 import queue
 import threading
 import time
-from collections import OrderedDict
+from collections import Counter, OrderedDict
+from collections.abc import Sequence
 from dataclasses import dataclass
-from typing import Callable, Dict, Iterable, List, Optional, TypeVar
+from itertools import repeat
+from typing import Dict, Iterable, List, Mapping, Optional, TypeVar
 
 from repro import obs
 from repro.base import QueryPair, UpdateReport
@@ -38,6 +40,11 @@ from repro.serving.metrics import ServingMetrics
 _STOP = object()
 _Engine = TypeVar("_Engine", bound="EngineCore")
 
+#: Stage name of answers served from the distance cache.
+CACHE_STAGE = "cache"
+#: :attr:`BatchResult.stage` of a batch whose answers came from several stages.
+MIXED_STAGE = "mixed"
+
 
 @dataclass(frozen=True)
 class QueryResult:
@@ -53,6 +60,84 @@ class QueryResult:
     stage: str
     latency_seconds: float
     from_cache: bool = False
+
+
+class BatchResult(Sequence):
+    """One served batch, held as columns instead of a row object per query.
+
+    ``pairs`` and ``distances`` are parallel lists.  The whole batch shares one
+    ``epoch`` and one ``latency_seconds`` — the batch wall time amortised over
+    its queries (wall / len), which keeps metrics and the admission
+    controller's service-time estimator commensurable with scalar samples
+    (the whole-batch wall would inflate the estimate len-fold and shed
+    batches spuriously).  ``stage`` names the query stage that answered every
+    pair; when answers mix (cache hits beside computed ones, several shards)
+    it is :data:`MIXED_STAGE` and ``stages`` holds the per-pair column.
+
+    The result is also a read-only ``Sequence[QueryResult]``: the rows are
+    built on first indexing/iteration and memoised, so callers that only
+    want the columns (the wire plane, ``query_batch``) never pay for them.
+    """
+
+    __slots__ = (
+        "pairs", "distances", "epoch", "latency_seconds", "stage", "stages", "_rows",
+    )
+
+    def __init__(
+        self,
+        pairs: List[QueryPair],
+        distances: List[float],
+        epoch: int,
+        latency_seconds: float,
+        stage: str,
+        stages: Optional[List[str]] = None,
+    ) -> None:
+        self.pairs = pairs
+        self.distances = distances
+        self.epoch = epoch
+        self.latency_seconds = latency_seconds
+        self.stage = stage
+        self.stages = stages
+        self._rows: Optional[List[QueryResult]] = None
+
+    def stage_counts(self) -> Mapping[str, int]:
+        """How many of the batch's queries each stage answered."""
+        if self.stages is None:
+            return {self.stage: len(self.pairs)}
+        return Counter(self.stages)
+
+    def _materialise(self) -> List[QueryResult]:
+        rows = self._rows
+        if rows is None:
+            epoch, latency = self.epoch, self.latency_seconds
+            stages = repeat(self.stage) if self.stages is None else self.stages
+            rows = self._rows = [
+                QueryResult(source, target, distance, epoch, stage, latency, stage == CACHE_STAGE)
+                for (source, target), distance, stage in zip(self.pairs, self.distances, stages)
+            ]
+        return rows
+
+    def __len__(self) -> int:
+        return len(self.pairs)
+
+    def __getitem__(self, index):
+        return self._materialise()[index]
+
+    def __iter__(self):
+        return iter(self._materialise())
+
+    def __eq__(self, other) -> bool:
+        if isinstance(other, (BatchResult, list, tuple)):
+            return self._materialise() == list(other)
+        return NotImplemented
+
+    __hash__ = None  # type: ignore[assignment]
+
+    def __repr__(self) -> str:
+        return (
+            f"BatchResult(queries={len(self.pairs)}, epoch={self.epoch}, "
+            f"stage={self.stage!r})"
+        )
 
 
 class EngineCore:
@@ -129,8 +214,9 @@ class EngineCore:
         """The live served graph at the current epoch."""
         raise NotImplementedError
 
-    def _answer(self, pair_list: List[QueryPair], started: float) -> List[QueryResult]:
-        """Answer a validated, admitted, non-empty batch at a single epoch."""
+    def _answer(self, pair_list: List[QueryPair], started: float) -> BatchResult:
+        """Answer a validated, admitted, non-empty batch at a single epoch;
+        the result's latency is ``(now - started) / len(pair_list)``."""
         raise NotImplementedError
 
     def _install(self, batch: UpdateBatch) -> UpdateReport:
@@ -274,108 +360,76 @@ class EngineCore:
         Raises :class:`~repro.exceptions.QueryRejectedError` when admission
         control sheds the query.
         """
-        return self.serve_batch(((source, target),))[0]
+        return self._serve(((source, target),), "serve")[0]
 
-    def serve_batch(self, pairs: Iterable[QueryPair]) -> List[QueryResult]:
+    def serve_batch(self, pairs: Iterable[QueryPair]) -> BatchResult:
         """Serve a whole batch of queries against a *single* epoch.
 
-        One admission decision and one backend call for the whole batch
-        instead of per-pair overhead.  All returned results carry the same
-        epoch, and every answer is consistent with that epoch's graph
-        snapshot.
-
-        Each result's ``latency_seconds`` is the batch wall latency amortised
-        over the batch (wall / len(pairs)) — the per-query service cost.
-        Metrics and the admission controller's service-time estimator consume
-        that amortised figure, keeping them commensurable with scalar
-        :meth:`serve` samples.
+        One admission decision, one backend call and one metrics record for
+        the whole batch instead of per-pair overhead.  The returned
+        :class:`BatchResult` carries the one epoch every answer is consistent
+        with and the amortised per-query latency; it indexes and iterates as
+        ``QueryResult`` rows.
 
         Raises :class:`~repro.exceptions.QueryRejectedError` when admission
         control sheds the batch (the batch is admitted or shed as a whole).
         """
-        return self._serve(pairs, self._answer, "serve_batch")
+        return self._serve(pairs, "serve_batch")
 
-    def _serve(
-        self,
-        pairs: Iterable[QueryPair],
-        answer: Callable[[List[QueryPair], float], List[QueryResult]],
-        span: str,
-    ) -> List[QueryResult]:
-        """Validate → admit → ``answer`` → record: the one serving template."""
+    def _serve(self, pairs: Iterable[QueryPair], span: str) -> BatchResult:
+        """Validate → admit → answer → record: the one serving template."""
         started = time.perf_counter()
         pair_list: List[QueryPair] = list(pairs)
         # Validate up front: backends skip the vertex checks of
         # ``index.query`` and would otherwise surface raw KeyErrors.
-        graph = self.graph
-        for source, target in pair_list:
-            if not graph.has_vertex(source):
-                raise VertexNotFoundError(source)
-            if not graph.has_vertex(target):
-                raise VertexNotFoundError(target)
+        missing = self.graph.missing_endpoint(pair_list)
+        if missing is not None:
+            raise VertexNotFoundError(missing)
         if not pair_list:
-            return []
-        with self._state:
-            inflight = self._inflight
-        decision = self.admission.decide(inflight=inflight)
+            return BatchResult([], [], self._epoch, 0.0, "")
+        decision = self.admission.decide(inflight=self._inflight)
         if not decision.admitted:
             self.metrics.record_shed()
             raise QueryRejectedError(decision.reason)
         with self._state:
             self._inflight += 1
         try:
-            results = answer(pair_list, started)
+            result = self._answer(pair_list, started)
         finally:
             with self._state:
                 self._inflight -= 1
-        for result in results:
-            self.metrics.record_query(result.stage, result.latency_seconds, result.from_cache)
-        self.admission.observe_latency(results[-1].latency_seconds)
+        counts = result.stage_counts()
+        self.metrics.record_queries(
+            counts, result.latency_seconds, counts.get(CACHE_STAGE, 0)
+        )
+        self.admission.observe_latency(result.latency_seconds)
         if obs.is_enabled():
             obs.record_span(
                 f"{self._obs_prefix}.{span}", time.perf_counter() - started,
-                size=len(results), stage=results[-1].stage, epoch=results[-1].epoch,
+                size=len(pair_list), stage=result.stage, epoch=result.epoch,
             )
-        return results
-
-    @staticmethod
-    def _shape_results(
-        pair_list: List[QueryPair],
-        distances: List[float],
-        epoch: int,
-        stages: List[str],
-        started: float,
-    ) -> List[QueryResult]:
-        """One :class:`QueryResult` per pair, all at ``epoch``, the wall latency
-        amortised per query (the whole-batch wall would inflate the admission
-        estimator ~len(pair_list)-fold and shed batches spuriously)."""
-        latency = (time.perf_counter() - started) / len(pair_list)
-        return [
-            QueryResult(source, target, distance, epoch, stage, latency, stage == "cache")
-            for (source, target), distance, stage in zip(pair_list, distances, stages)
-        ]
+        return result
 
     def query(self, source: int, target: int) -> float:
         """Distance-only convenience wrapper around :meth:`serve`."""
-        return self.serve(source, target).distance
+        return self._serve(((source, target),), "serve").distances[0]
 
     def query_batch(self, pairs: Iterable[QueryPair]) -> List[float]:
         """Distance-only convenience wrapper around :meth:`serve_batch`."""
-        return [result.distance for result in self.serve_batch(pairs)]
+        return self.serve_batch(pairs).distances
 
-    def serve_one_to_many(
-        self, source: int, targets: Iterable[int]
-    ) -> List[QueryResult]:
+    def serve_one_to_many(self, source: int, targets: Iterable[int]) -> BatchResult:
         """Serve one source against many targets at a single epoch.
 
         Rides the batch plane: same-source pairs amortise into the index's
         native one-to-many path (in the cluster, on the one shard that owns
         the source's partition).
         """
-        return self.serve_batch([(source, target) for target in targets])
+        return self.serve_batch(zip(repeat(source), targets))
 
     def query_one_to_many(self, source: int, targets: Iterable[int]) -> List[float]:
         """Distance-only convenience wrapper around :meth:`serve_one_to_many`."""
-        return [result.distance for result in self.serve_one_to_many(source, targets)]
+        return self.serve_one_to_many(source, targets).distances
 
     # ------------------------------------------------------------------
     # Introspection

@@ -51,8 +51,14 @@ from repro.graph.graph import Graph
 from repro.graph.updates import UpdateBatch
 from repro.serving.admission import AdmissionController
 from repro.serving.cache import EpochDistanceCache
-from repro.serving.core import EngineCore, QueryResult
-from repro.serving.router import StageRouter
+from repro.serving.core import (
+    CACHE_STAGE,
+    MIXED_STAGE,
+    BatchResult,
+    EngineCore,
+    QueryResult,
+)
+from repro.serving.router import RoutedStage, StageRouter
 from repro.serving.rwlock import RWLock
 
 
@@ -69,7 +75,10 @@ class ServingEngine(EngineCore):
     query_threads:
         Pool size for the asynchronous :meth:`submit` API.
     cache_capacity:
-        LRU distance-cache capacity; ``0`` disables caching.
+        LRU distance-cache capacity; ``0`` disables caching.  The cache
+        fronts search stages only — an index whose final stage is a label
+        lookup (``DistanceIndex.final_stage_is_label_lookup``) is cached only
+        while its slower fallback stages answer during an install.
     snapshot_limit:
         How many per-epoch graph snapshots to retain for :meth:`graph_at`
         (used by correctness oracles); ``0`` disables snapshotting.
@@ -265,76 +274,69 @@ class ServingEngine(EngineCore):
     # ------------------------------------------------------------------
     # Query path
     # ------------------------------------------------------------------
-    def serve(self, source: int, target: int) -> QueryResult:
-        """:meth:`EngineCore.serve` through the cache-first scalar plane."""
-        return self._serve(((source, target),), self._dispatch, "serve")[0]
-
-    def _answer(self, pair_list: List[QueryPair], started: float) -> List[QueryResult]:
-        """The batch plane: one lock acquisition, one stage-routing decision,
-        a bulk cache probe, and one amortised
-        :meth:`~repro.base.DistanceIndex.query_many` call when the index's
-        fastest stage is valid."""
-        # Index-backed path: one non-blocking read acquisition pins the epoch
-        # for the whole batch (the edge refresh needs both write locks).
+    def _answer(self, pair_list: List[QueryPair], started: float) -> BatchResult:
+        """One lock acquisition and one stage-routing decision per batch
+        (a scalar query is a batch of one)."""
+        # Index-backed path.  Non-blocking: while an update stage is mutating
+        # the structures we fall back to the live graph instead of queueing
+        # behind the writer.  Holding the read lock pins the epoch for the
+        # whole batch (the edge refresh needs both write locks).
         if self._index_rw.acquire_read(blocking=False):
             try:
                 epoch = self._epoch
                 stage = self.router.best_valid_index_stage(epoch)
                 if stage is not None:
-                    # The last catalog position is the index's native fastest
-                    # stage — the one `query_many` amortises; intermediate
-                    # stages answer through their scalar algorithm.
-                    use_query_many = stage.position == len(self.router.stages) - 1
-                    return self._answer_batch(
-                        pair_list, epoch, stage, started, use_query_many
-                    )
+                    return self._answer_batch(pair_list, epoch, stage, started)
             finally:
                 self._index_rw.release_read()
 
-        # Live-graph fallback: the graph read lock pins the epoch instead.
-        graph_stage = self.router.graph_stage
+        # Live-graph fallback (Q-Stage 1): the graph read lock pins the epoch
+        # instead.  Blocks only for the duration of an on-spot edge refresh.
         with self._graph_rw.read_locked():
-            epoch = self._epoch
-            return self._answer_batch(pair_list, epoch, graph_stage, started, False)
+            return self._answer_batch(
+                pair_list, self._epoch, self.router.graph_stage, started
+            )
 
     def _answer_batch(
-        self,
-        pair_list: List[QueryPair],
-        epoch: int,
-        stage,
-        started: float,
-        use_query_many: bool,
-    ) -> List[QueryResult]:
-        """Answer ``pair_list`` at ``epoch`` through ``stage`` (cache first)."""
-        distances: List[Optional[float]] = [None] * len(pair_list)
-        stages = [stage.name] * len(pair_list)
-        misses: List[int] = []
-        if self.cache is not None:
-            for position, (source, target) in enumerate(pair_list):
-                hit = self.cache.get(source, target, epoch)
-                if hit is not None:
-                    distances[position] = hit
-                    stages[position] = "cache"
-                else:
-                    misses.append(position)
-        else:
-            misses = list(range(len(pair_list)))
+        self, pair_list: List[QueryPair], epoch: int, stage: RoutedStage, started: float
+    ) -> BatchResult:
+        """Answer ``pair_list`` at ``epoch`` through ``stage``.
 
-        if misses:
-            if use_query_many:
-                answers = self.index.query_many(
-                    [pair_list[position] for position in misses]
-                )
+        The cache fronts search stages only: through a label-lookup stage
+        (``stage.cached`` false) the whole batch goes straight to the index,
+        with no per-pair work on this side of the kernel.
+        """
+        cache = self.cache
+        name = stage.name
+        stages: Optional[List[str]] = None
+        if cache is None or not stage.cached:
+            distances = self._compute(stage, pair_list)
+        else:
+            distances = [cache.get(source, target, epoch) for source, target in pair_list]
+            misses = [position for position, hit in enumerate(distances) if hit is None]
+            if not misses:
+                name = CACHE_STAGE
             else:
-                answers = [
-                    stage.query(pair_list[position][0], pair_list[position][1])
-                    for position in misses
-                ]
-            for position, distance in zip(misses, answers):
-                distances[position] = distance
-                source, target = pair_list[position]
-                self._cache_put(source, target, distance, epoch)
-        return self._shape_results(pair_list, distances, epoch, stages, started)
+                answers = self._compute(stage, [pair_list[position] for position in misses])
+                for position, distance in zip(misses, answers):
+                    distances[position] = distance
+                    source, target = pair_list[position]
+                    self._cache_put(source, target, distance, epoch)
+                if len(misses) < len(pair_list):
+                    stages = [CACHE_STAGE] * len(pair_list)
+                    for position in misses:
+                        stages[position] = name
+                    name = MIXED_STAGE
+        latency = (time.perf_counter() - started) / len(pair_list)
+        return BatchResult(pair_list, distances, epoch, latency, name, stages)
+
+    def _compute(self, stage: RoutedStage, pairs: List[QueryPair]) -> List[float]:
+        """``pairs`` through ``stage``: the index's native fastest stage
+        amortises a batch in ``query_many``; every other stage (and a lone
+        pair) answers through its scalar algorithm."""
+        if stage.final and len(pairs) > 1:
+            return self.index.query_many(pairs)
+        return [stage.query(source, target) for source, target in pairs]
 
     def submit(self, source: int, target: int) -> "Future[QueryResult]":
         """Asynchronous :meth:`serve` on the engine's query pool."""
@@ -342,54 +344,7 @@ class ServingEngine(EngineCore):
             raise EngineStoppedError("submit on a stopped engine; call start()")
         return self._pool.submit(self.serve, source, target)
 
-    def _dispatch(self, pair_list: List[QueryPair], started: float) -> List[QueryResult]:
-        """The scalar plane: answer the one pair of ``pair_list``."""
-        source, target = pair_list[0]
-        # 1. Cache — the (distance, epoch) pair is internally consistent even
-        #    if the epoch advances concurrently: the answer linearises just
-        #    before the newer batch.
-        if self.cache is not None:
-            epoch = self._epoch
-            cached = self.cache.get(source, target, epoch)
-            if cached is not None:
-                return [QueryResult(
-                    source, target, cached, epoch,
-                    "cache", time.perf_counter() - started, from_cache=True,
-                )]
-
-        # 2. Index-backed stages.  Non-blocking: while an update stage is
-        #    mutating the structures we fall back to the live graph instead of
-        #    queueing behind the writer.  Holding the read lock pins the
-        #    epoch (the edge refresh needs both write locks).
-        if self._index_rw.acquire_read(blocking=False):
-            try:
-                epoch = self._epoch
-                stage = self.router.best_valid_index_stage(epoch)
-                if stage is not None:
-                    distance = stage.query(source, target)
-                    self._cache_put(source, target, distance, epoch)
-                    return [QueryResult(
-                        source, target, distance, epoch,
-                        stage.name, time.perf_counter() - started,
-                    )]
-            finally:
-                self._index_rw.release_read()
-
-        # 3. Live-graph fallback (Q-Stage 1).  Blocks only for the duration
-        #    of an on-spot edge refresh.
-        graph_stage = self.router.graph_stage
-        with self._graph_rw.read_locked():
-            epoch = self._epoch
-            distance = graph_stage.query(source, target)
-        self._cache_put(source, target, distance, epoch)
-        return [QueryResult(
-            source, target, distance, epoch,
-            graph_stage.name, time.perf_counter() - started,
-        )]
-
     def _cache_put(self, source: int, target: int, distance: float, epoch: int) -> None:
-        if self.cache is None:
-            return
         tags = (self.index.vertex_partition(source), self.index.vertex_partition(target))
         self.cache.put(source, target, distance, epoch, tags)
 

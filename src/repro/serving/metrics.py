@@ -17,7 +17,7 @@ from __future__ import annotations
 import threading
 import time
 from collections import deque
-from typing import Dict, Optional
+from typing import Dict, Mapping, Optional
 
 from repro import obs
 from repro.obs.metrics import Histogram
@@ -42,36 +42,61 @@ class ServingMetrics:
         self._cache_hits = 0
         self._by_stage: Dict[str, int] = {}
         self._latency = Histogram(min_value=1e-6, max_value=10.0, buckets_per_decade=10)
+        #: ``(timestamp, queries)`` per recorded batch inside the window, and
+        #: the running sum of their counts.
         self._recent: deque = deque()
+        self._recent_total = 0
         self._batches = 0
         self._batch_seconds = 0.0
 
     # ------------------------------------------------------------------
-    def record_query(self, stage: str, latency_seconds: float, from_cache: bool = False) -> None:
+    def record_queries(
+        self, stage_counts: Mapping[str, int], latency_seconds: float, cache_hits: int = 0
+    ) -> None:
+        """Record one served batch: ``stage_counts`` maps each answering stage
+        to how many of the batch's queries it answered, ``latency_seconds`` is
+        the per-query (amortised) latency they all share.
+
+        One lock, one weighted histogram sample and one window entry per
+        batch, whatever its size.
+        """
+        served = sum(stage_counts.values())
         now = self._clock()
         with self._lock:
-            self._served += 1
-            if from_cache:
-                self._cache_hits += 1
-            self._by_stage[stage] = self._by_stage.get(stage, 0) + 1
-            self._latency.record(latency_seconds)
-            self._recent.append(now)
-            cutoff = now - self._window
-            while self._recent and self._recent[0] < cutoff:
-                self._recent.popleft()
+            self._served += served
+            self._cache_hits += cache_hits
+            by_stage = self._by_stage
+            for stage, count in stage_counts.items():
+                by_stage[stage] = by_stage.get(stage, 0) + count
+            self._latency.record(latency_seconds, served)
+            self._recent.append((now, served))
+            self._recent_total += served
+            self._trim(now)
         if obs.is_enabled():
             registry = obs.registry()
-            registry.counter(
-                "repro_serving_queries_total", "Queries served, by answering stage",
-                stage=stage,
-            ).inc()
-            if from_cache:
+            for stage, count in stage_counts.items():
+                registry.counter(
+                    "repro_serving_queries_total", "Queries served, by answering stage",
+                    stage=stage,
+                ).inc(count)
+            if cache_hits:
                 registry.counter(
                     "repro_serving_cache_hits_total", "Queries answered from the cache"
-                ).inc()
+                ).inc(cache_hits)
             registry.histogram(
                 "repro_serving_latency_seconds", "Per-query response time"
-            ).record(latency_seconds)
+            ).record(latency_seconds, served)
+
+    def record_query(self, stage: str, latency_seconds: float, from_cache: bool = False) -> None:
+        """One served query: :meth:`record_queries` with a batch of one."""
+        self.record_queries({stage: 1}, latency_seconds, int(from_cache))
+
+    def _trim(self, now: float) -> None:
+        """Drop window entries older than the window (caller holds the lock)."""
+        cutoff = now - self._window
+        recent = self._recent
+        while recent and recent[0][0] < cutoff:
+            self._recent_total -= recent.popleft()[1]
 
     def record_shed(self) -> None:
         with self._lock:
@@ -108,21 +133,19 @@ class ServingMetrics:
     def qps(self, window_seconds: Optional[float] = None) -> float:
         """Served queries per second over the sliding window.
 
-        Stale timestamps are trimmed here as well as in ``record_query``, so
-        an idle engine releases the window's memory and repeated ``qps``
-        calls don't rescan entries that can never count again.
+        Stale entries are trimmed here as well as on recording, so an idle
+        engine releases the window's memory and repeated ``qps`` calls don't
+        rescan entries that can never count again.
         """
         window = window_seconds if window_seconds is not None else self._window
         now = self._clock()
         with self._lock:
-            cutoff = now - self._window
-            while self._recent and self._recent[0] < cutoff:
-                self._recent.popleft()
+            self._trim(now)
             if window >= self._window:
-                recent = len(self._recent)
+                recent = self._recent_total
             else:
                 query_cutoff = now - window
-                recent = sum(1 for t in self._recent if t >= query_cutoff)
+                recent = sum(n for t, n in self._recent if t >= query_cutoff)
         return recent / window if window > 0 else 0.0
 
     def lifetime_qps(self) -> float:

@@ -34,11 +34,16 @@ class RoutedStage:
     name: str
     released_after: str
     query: Callable[[int, int], float]
-    #: Position in the catalog — higher means more efficient.
-    position: int
     #: True for every stage that reads index structures; the BiDijkstra stage
     #: (position 0) reads only the live graph and is guarded separately.
     uses_index: bool
+    #: True for the last catalog entry (later entries are more efficient):
+    #: the index's native fastest stage, the one ``query_many`` amortises.
+    final: bool
+    #: Whether the engine's distance cache fronts this stage: every stage
+    #: except a final stage the index declares a label lookup
+    #: (:attr:`repro.base.DistanceIndex.final_stage_is_label_lookup`).
+    cached: bool
     #: Epoch at which this stage last became consistent.
     valid_epoch: int = 0
 
@@ -56,17 +61,20 @@ class StageRouter:
 
     def __init__(self, index: DistanceIndex):
         self.index = index
+        entries = stage_entries(index)
+        last = len(entries) - 1
         self._stages: List[RoutedStage] = [
             RoutedStage(
                 # Stage catalogs use IntEnum members; prefer their symbolic name.
                 name=getattr(entry["query_stage"], "name", None) or str(entry["query_stage"]),
                 released_after=str(entry["released_after"]),
                 query=entry["query"],  # type: ignore[arg-type]
-                position=position,
                 uses_index=position > 0,
+                final=position == last,
+                cached=not (position == last and index.final_stage_is_label_lookup),
                 valid_epoch=0,
             )
-            for position, entry in enumerate(stage_entries(index))
+            for position, entry in enumerate(entries)
         ]
 
     # ------------------------------------------------------------------
@@ -121,6 +129,7 @@ class StageRouter:
                 "released_after": stage.released_after,
                 "valid_epoch": stage.valid_epoch,
                 "uses_index": stage.uses_index,
+                "cached": stage.cached,
             }
             for stage in self._stages
         ]

@@ -1,13 +1,14 @@
 """A reader-writer lock for the serving engine's epoch protocol.
 
 Queries are readers (many may run at once); the maintenance worker is the
-single writer.  The lock is *read-preferring*: readers are admitted whenever
-no writer holds the lock, and a writer waits until every active reader has
-drained.  Writer starvation is not a practical concern here because queries
-are short and the engine's query pool is small, while the writer re-acquires
-the lock at every update-stage boundary anyway (see
-``repro.serving.engine.ServingEngine``); the brief windows between stages are
-exactly where queued readers are meant to slip in.
+single writer.  The lock is *write-preferring*: once the writer is waiting,
+new readers are refused (non-blocking) or queue behind it (blocking), so the
+writer waits for the active readers to drain and no longer — with a fast
+front end keeping several batches in flight the readers otherwise overlap
+without a gap and the install starves.  The writer releases the lock at
+every update-stage boundary (see ``repro.serving.engine.ServingEngine``);
+those brief windows, when it is neither holding nor waiting, are exactly
+where queued readers slip in.
 """
 
 from __future__ import annotations
@@ -18,12 +19,13 @@ from typing import Iterator, Optional
 
 
 class RWLock:
-    """Read-preferring reader-writer lock built on a single condition variable."""
+    """Write-preferring reader-writer lock built on a single condition variable."""
 
     def __init__(self) -> None:
         self._cond = threading.Condition()
         self._active_readers = 0
         self._writer_active = False
+        self._writers_waiting = 0
 
     # ------------------------------------------------------------------
     # Reader side
@@ -32,11 +34,13 @@ class RWLock:
         """Acquire the lock in shared mode; returns ``False`` on timeout/contention."""
         with self._cond:
             if not blocking:
-                if self._writer_active:
+                if self._writer_active or self._writers_waiting:
                     return False
                 self._active_readers += 1
                 return True
-            acquired = self._cond.wait_for(lambda: not self._writer_active, timeout)
+            acquired = self._cond.wait_for(
+                lambda: not (self._writer_active or self._writers_waiting), timeout
+            )
             if not acquired:
                 return False
             self._active_readers += 1
@@ -64,10 +68,16 @@ class RWLock:
     def acquire_write(self, timeout: Optional[float] = None) -> bool:
         """Acquire the lock exclusively; returns ``False`` on timeout."""
         with self._cond:
-            acquired = self._cond.wait_for(
-                lambda: not self._writer_active and self._active_readers == 0, timeout
-            )
+            self._writers_waiting += 1
+            try:
+                acquired = self._cond.wait_for(
+                    lambda: not self._writer_active and self._active_readers == 0, timeout
+                )
+            finally:
+                self._writers_waiting -= 1
             if not acquired:
+                # Readers that queued behind this writer may go again.
+                self._cond.notify_all()
                 return False
             self._writer_active = True
             return True

@@ -14,7 +14,7 @@ import contextlib
 import threading
 from typing import List, Tuple
 
-from repro.serving.engine import QueryResult
+from repro.serving.core import BatchResult, QueryResult
 from repro.server.protocol import read_frame
 from repro.server.server import QueryServer
 
@@ -88,14 +88,11 @@ class BlockingBackend:
     def current_epoch(self) -> int:
         return self._epoch
 
-    def serve_batch(self, pairs) -> List[QueryResult]:
+    def serve_batch(self, pairs) -> BatchResult:
         assert self._release.wait(timeout=TEST_TIMEOUT), "backend never released"
         with self._lock:
             self.served += len(pairs)
-        return [
-            QueryResult(source, target, 1.0, self._epoch, "stub", 0.0)
-            for source, target in pairs
-        ]
+        return BatchResult(list(pairs), [1.0] * len(pairs), self._epoch, 0.0, "stub")
 
     def serve(self, source: int, target: int) -> QueryResult:
         return self.serve_batch([(source, target)])[0]

@@ -25,6 +25,7 @@ from repro.graph.generators import grid_road_network
 from repro.graph.updates import generate_update_stream
 from repro.registry import create_index
 from repro.serving.admission import AdmissionDecision, AlwaysAdmit
+from repro.serving.core import BatchResult, QueryResult
 from repro.serving.engine import ServingEngine
 
 SIDE = 5
@@ -187,6 +188,75 @@ class TestQueryPlane:
             assert distances == [r.distance for r in results]
             assert engine.query_batch([(0, t) for t in targets]) == distances
             assert engine.query(0, targets[-1]) == distances[-1]
+
+
+class TestBatchResult:
+    """``serve_batch`` returns columns that still read as ``QueryResult`` rows."""
+
+    def test_sequence_semantics(self, make_engine):
+        pairs = [(0, FAR), (1, 7), (3, 3), (FAR, 2), (5, 6)]
+        with make_engine() as engine:
+            result = engine.serve_batch(iter(pairs))
+            assert isinstance(result, BatchResult)
+            assert result.pairs == pairs and len(result.distances) == len(pairs)
+            assert len(result) == len(pairs)
+            rows = list(result)
+            assert all(isinstance(row, QueryResult) for row in rows)
+            assert [(r.source, r.target) for r in rows] == pairs
+            assert [r.distance for r in rows] == result.distances
+            # indexing, negative indexing, slices and a second iteration all
+            # yield rows equal to the first pass (and memoised, so identical)
+            assert [result[i] for i in range(len(pairs))] == rows
+            assert result[-1] == rows[-1] and result[-1] is result[len(pairs) - 1]
+            assert result[1:4] == rows[1:4] and result[::-1] == rows[::-1]
+            assert list(result) == rows and list(reversed(result)) == rows[::-1]
+            assert rows[2] in result and result.index(rows[2]) == 2
+            assert result == rows and result == tuple(rows) and rows == result
+            assert result != rows[:-1] and result != "rows"
+            with pytest.raises(IndexError):
+                result[len(pairs)]
+
+    def test_one_epoch_and_one_amortised_latency_per_batch(self, make_engine, graph):
+        batch = generate_update_stream(graph, 1, volume=4, seed=3)[0]
+        pairs = [(0, t) for t in range(1, SIDE * SIDE)]
+        with make_engine() as engine:
+            engine.apply_batch(batch)
+            result = engine.serve_batch(pairs)
+            assert result.epoch == 1 and result.latency_seconds > 0
+            assert {row.epoch for row in result} == {1}
+            assert {row.latency_seconds for row in result} == {result.latency_seconds}
+            assert {row.stage for row in result} == set(result.stage_counts())
+            snapshot = engine.graph_at(1)
+            for row in result:
+                oracle = dijkstra_distance(snapshot, row.source, row.target)
+                assert row.distance == pytest.approx(oracle, rel=1e-12)
+            # the histogram took one weighted sample for the whole batch
+            latency = engine.stats()["latency"]
+            assert latency["count"] == len(pairs)
+            assert latency["min_seconds"] == latency["max_seconds"] == result.latency_seconds
+
+    def test_empty_batch_is_an_empty_result(self, make_engine):
+        with make_engine() as engine:
+            for result in (engine.serve_batch([]), engine.serve_one_to_many(0, [])):
+                assert isinstance(result, BatchResult)
+                assert len(result) == 0 and list(result) == [] and result == []
+                assert result.distances == [] and result.epoch == 0
+            assert engine.query_batch([]) == []
+            assert engine.metrics.queries_served == 0
+
+    def test_by_stage_totals_equal_queries_served(self, make_engine):
+        """Whether recorded per batch (``serve_batch``, one-to-many) or per
+        query (``serve``), every served query lands in exactly one stage."""
+        with make_engine() as engine:
+            engine.serve_batch([(0, t) for t in range(1, 9)])
+            engine.serve_one_to_many(2, range(3, 8))
+            for target in (4, 5, 6):
+                engine.serve(0, target)
+            stats = engine.stats()
+            assert stats["queries_served"] == 8 + 5 + 3
+            assert sum(stats["by_stage"].values()) == stats["queries_served"]
+            assert stats["latency"]["count"] == stats["queries_served"]
+            assert stats["qps"] == pytest.approx(stats["queries_served"] / 2.0)
 
 
 class TestMaintenanceErrors:

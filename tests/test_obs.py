@@ -411,6 +411,25 @@ class TestServingMetrics:
         assert metrics.qps(window_seconds=0.5) == pytest.approx(1 / 0.5)
         assert metrics.qps(window_seconds=5.0) == pytest.approx(2 / 5.0)
 
+    def test_batches_are_one_window_entry_each(self):
+        clock = FakeClock()
+        metrics = ServingMetrics(clock=clock, window_seconds=2.0)
+        metrics.record_queries({"labels": 60, "cache": 4}, 0.001, cache_hits=4)  # t = 0.0
+        clock.advance(1.5)
+        metrics.record_queries({"labels": 64}, 0.002)  # t = 1.5
+        assert len(metrics._recent) == 2  # per batch, not per query
+        assert metrics.qps() == pytest.approx(128 / 2.0)
+        assert metrics.qps(window_seconds=1.0) == pytest.approx(64 / 1.0)
+        clock.advance(1.0)  # now 2.5: the first batch aged out, the second did not
+        assert metrics.qps() == pytest.approx(64 / 2.0)
+        assert len(metrics._recent) == 1
+        snap = metrics.snapshot()
+        assert snap["queries_served"] == 128 and snap["cache_hits"] == 4
+        assert snap["by_stage"] == {"labels": 124, "cache": 4}
+        # one weighted histogram sample per batch
+        assert snap["latency"]["count"] == 128.0
+        assert snap["latency"]["mean_seconds"] == pytest.approx(0.0015)
+
     def test_qps_zero_window(self):
         metrics = ServingMetrics(clock=FakeClock())
         assert metrics.qps(window_seconds=0.0) == 0.0

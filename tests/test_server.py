@@ -13,12 +13,14 @@ from __future__ import annotations
 
 import asyncio
 import math
+import struct
 import threading
 
 import pytest
 
 from repro.algorithms.dijkstra import dijkstra_distance
 from repro.exceptions import (
+    ProtocolError,
     QueryRejectedError,
     RemoteServerError,
     ServerBackpressureError,
@@ -180,32 +182,105 @@ class TestEndToEnd:
             run(main(engine))
 
 
+class TestReplyAndRequestHygiene:
+    def test_reply_over_the_frame_cap_is_a_typed_error_not_a_hang(self):
+        """A reply that outgrows ``max_frame_bytes`` (packed replies are twice
+        their request) answers ``frame_too_large`` on the request's seq and
+        keeps the connection; before, the send task died and the client hung."""
+
+        async def main(engine):
+            async with running_server(engine, max_frame_bytes=256) as server:
+                async with await AsyncClient.connect(*server.address) as client:
+                    targets = [t % 14 for t in range(1, 40)]  # 160 B in, 320 B out
+                    with pytest.raises(RemoteServerError) as excinfo:
+                        await asyncio.wait_for(client.one_to_many(0, targets), 3.0)
+                    assert excinfo.value.code == "frame_too_large"
+                    # Same connection, still in sync: a reply that fits is served.
+                    small = await client.one_to_many(0, targets[:8])
+                    assert len(small.distances) == 8
+                    assert await client.ping() == 0
+                    assert server.stats()["errors_total"] == 1
+
+        with build_engine() as engine:
+            run(main(engine))
+
+    def test_cancelled_request_leaves_no_pending_entry(self):
+        """A caller that gives up (``wait_for`` timeout) frees its ``seq``;
+        the late reply for it is dropped and later requests are unaffected."""
+        backend = BlockingBackend()
+
+        async def main():
+            async with running_server(backend) as server:
+                async with await AsyncClient.connect(*server.address) as client:
+                    with pytest.raises(asyncio.TimeoutError):
+                        await asyncio.wait_for(client.query(1, 2), 0.05)
+                    assert client._pending == {}
+                    await wait_for(lambda: server.stats()["inflight"] == 1)
+                    backend.release()  # the abandoned request's reply arrives late...
+                    await wait_for(lambda: server.stats()["requests_total"] == 1)
+                    assert (await client.query(3, 4)).distance == 1.0  # ...and is ignored
+                    assert client._pending == {}
+
+        run(main())
+
+    def test_unencodable_request_leaves_no_pending_entry(self):
+        async def main(engine):
+            async with running_server(engine) as server:
+                async with await AsyncClient.connect(*server.address) as client:
+                    with pytest.raises(ProtocolError):
+                        await client.query_batch([(0, 2**31)])  # id outside int32
+                    assert client._pending == {}
+                    assert (await client.query_batch([(0, 7)])).distances == [16.0]
+
+        with build_engine() as engine:
+            run(main(engine))
+
+
 # ----------------------------------------------------------------------
 # Satellite: seeded differential vs. in-process ServingEngine, nine methods
 # ----------------------------------------------------------------------
 GRAPH_SEED = 3
 UPDATE_SEED = 41
 QUERY_SAMPLE = 20
+ISOLATED = 99
+#: Single-tree decompositions refuse a disconnected graph; the other six
+#: methods also carry an ``inf`` pair through the float64 packing.
+NEEDS_CONNECTED = {"DH2H", "MHL", "PostMHL"}
 
 
 @pytest.mark.parametrize("method", sorted(NINE_SPECS))
 def test_differential_network_vs_inprocess(method):
     """Server responses must be bit-identical to an in-process engine built
-    from the same seed — fresh, and again after the same update batch."""
+    from the same seed — fresh, and again after the same update batch —
+    through the float64 packing, ``inf`` (an isolated vertex) included."""
     graph = random_connected_graph(36, 28, seed=GRAPH_SEED)
     pairs = list(sample_query_pairs(graph, QUERY_SAMPLE, seed=GRAPH_SEED + 1))
+    disconnected = method not in NEEDS_CONNECTED
+    if disconnected:
+        graph.add_vertex(ISOLATED)  # every pair touching it is inf
+        pairs += [(0, ISOLATED), (ISOLATED, 5)]
+    targets = [t for _s, t in pairs]
 
     served = build_engine(method, graph.copy())
     local = build_engine(method, graph.copy())
 
+    def same_bits(got, want):
+        return [struct.pack("<d", d) for d in got] == [struct.pack("<d", d) for d in want]
+
     async def main():
         async with running_server(served) as server:
             async with await AsyncClient.connect(*server.address) as client:
-                # Fresh build: batch plane and scalar plane.
+                # Fresh build: batch plane, one-to-many plane and scalar plane.
                 reply = await client.query_batch(pairs)
                 assert reply.epoch == local.current_epoch == 0
-                assert reply.distances == local.query_batch(pairs)
-                for source, target in pairs[:3]:
+                assert isinstance(reply.distances, list)
+                assert same_bits(reply.distances, local.query_batch(pairs))
+                fanout = await client.one_to_many(0, targets)
+                assert same_bits(fanout.distances, local.query_one_to_many(0, targets))
+                if disconnected:
+                    assert reply.distances[-2:] == [math.inf, math.inf]
+                    assert fanout.distances[-2] == math.inf
+                for source, target in pairs[:3] + pairs[-1:]:
                     got = await client.query(source, target)
                     assert got.distance == local.query(source, target)
 
@@ -221,7 +296,10 @@ def test_differential_network_vs_inprocess(method):
 
                 reply = await client.query_batch(pairs)
                 assert reply.epoch == 1
-                assert reply.distances == local.query_batch(pairs)
+                assert same_bits(reply.distances, local.query_batch(pairs))
+                fanout = await client.one_to_many(0, targets)
+                assert fanout.epoch == 1
+                assert same_bits(fanout.distances, local.query_one_to_many(0, targets))
 
     with served, local:
         run(main())

@@ -2,7 +2,8 @@
 
 The fuzz classes drive seeded random malformed bytes at a live server —
 truncated length prefixes, oversized lengths, bad version bytes, garbage
-payloads, mid-frame disconnects, and fully random streams — and assert the
+payloads, torn/empty/oversize packed batch columns, mid-frame disconnects,
+and fully random streams — and assert the
 contract from ISSUE/DESIGN §12: every malformed input yields a *typed error
 frame* or a *clean connection close*, never a crash and never a hang (each
 scenario re-verifies the server still answers on a fresh connection, and
@@ -15,6 +16,7 @@ import asyncio
 import json
 import math
 import random
+import struct
 
 import pytest
 
@@ -30,6 +32,7 @@ from repro.server.protocol import (
     DEFAULT_MAX_FRAME_BYTES,
     FIXED_BODY_BYTES,
     OP_APPLY_BATCH,
+    OP_DISTANCES,
     OP_ERROR,
     OP_ONE_TO_MANY,
     OP_PING,
@@ -96,9 +99,73 @@ class TestCodec:
         assert frame.op == OP_PING and frame.seq == 1 and frame.payload is None
 
     def test_roundtrip_infinity_distance(self):
-        # Unreachable pairs serve as inf; the stdlib JSON codec round-trips it.
+        # The scalar plane stays JSON: the stdlib codec round-trips inf.
         frame = decode_body(encode_frame(OP_RESULT, 2, {"distance": math.inf})[4:])
         assert frame.payload["distance"] == math.inf
+
+    def test_packed_query_batch_layout_and_roundtrip(self):
+        pairs = [(3, 9), (0, 2**31 - 1), (-1, 7)]
+        wire = encode_frame(OP_QUERY_BATCH, 5, {"pairs": [list(p) for p in pairs]})
+        # n x (int32 source, int32 target), little-endian, straight after the header.
+        assert wire[4 + FIXED_BODY_BYTES:] == b"".join(struct.pack("<ii", *p) for p in pairs)
+        frame = decode_body(wire[4:])
+        assert (frame.op, frame.seq, frame.payload) == (OP_QUERY_BATCH, 5, {"pairs": pairs})
+        # any iterable of 2-sequences encodes to the same bytes
+        assert encode_frame(OP_QUERY_BATCH, 5, {"pairs": iter(pairs)}) == wire
+
+    def test_packed_one_to_many_layout_and_roundtrip(self):
+        wire = encode_frame(OP_ONE_TO_MANY, 6, {"source": 4, "targets": range(3)})
+        assert wire[4 + FIXED_BODY_BYTES:] == struct.pack("<4i", 4, 0, 1, 2)
+        assert decode_body(wire[4:]).payload == {"source": 4, "targets": [0, 1, 2]}
+
+    def test_packed_distances_are_bit_exact(self):
+        distances = [0.0, 0.1 + 0.2, math.inf, 1e-310, 16.0]
+        wire = encode_frame(OP_DISTANCES, 7, {"distances": distances, "epoch": 2**40})
+        assert wire[4 + FIXED_BODY_BYTES:] == struct.pack("<q5d", 2**40, *distances)
+        payload = decode_body(wire[4:]).payload
+        assert payload == {"distances": distances, "epoch": 2**40}
+        assert [struct.pack("<d", d) for d in payload["distances"]] == [
+            struct.pack("<d", d) for d in distances
+        ]
+
+    @pytest.mark.parametrize(
+        "op,payload",
+        [
+            (OP_QUERY_BATCH, {"pairs": [(0, 2**31)]}),  # id outside int32
+            (OP_QUERY_BATCH, {"pairs": [(0, -(2**31) - 1)]}),
+            (OP_QUERY_BATCH, {"pairs": [(0, 1, 2)]}),  # not a pair
+            (OP_QUERY_BATCH, {"pairs": [(0, "x")]}),
+            (OP_QUERY_BATCH, {"pears": []}),
+            (OP_QUERY_BATCH, None),
+            (OP_ONE_TO_MANY, {"source": 2**31, "targets": [1]}),
+            (OP_ONE_TO_MANY, {"source": 0, "targets": [1.5]}),
+            (OP_DISTANCES, {"distances": [1.0], "epoch": "zero"}),
+        ],
+    )
+    def test_packed_encode_rejects_bad_values_client_side(self, op, payload):
+        with pytest.raises(ProtocolError):
+            encode_frame(op, 1, payload)
+
+    @pytest.mark.parametrize(
+        "op,raw",
+        [
+            (OP_QUERY_BATCH, b""),  # empty
+            (OP_QUERY_BATCH, struct.pack("<3i", 1, 2, 3)),  # odd id count
+            (OP_QUERY_BATCH, struct.pack("<2i", 1, 2)[:-1]),  # torn record
+            (OP_ONE_TO_MANY, b""),
+            (OP_ONE_TO_MANY, struct.pack("<i", 0)),  # a source and no target
+            (OP_ONE_TO_MANY, struct.pack("<2i", 0, 1) + b"\x00"),
+            (OP_DISTANCES, b""),
+            (OP_DISTANCES, struct.pack("<q", 0)),  # an epoch and no distance
+            (OP_DISTANCES, struct.pack("<qd", 0, 1.0)[:-3]),
+        ],
+    )
+    def test_decode_malformed_packed_payload_is_recoverable_with_seq(self, op, raw):
+        with pytest.raises(ProtocolError) as excinfo:
+            decode_body(make_body(op, 41, raw))
+        assert excinfo.value.code == "bad_payload"
+        assert excinfo.value.seq == 41
+        assert excinfo.value.recoverable
 
     def test_seq_echo_bounds(self):
         frame = decode_body(encode_frame(OP_PING, 2**32 - 1)[4:])
@@ -204,7 +271,9 @@ class TestMalformedFrames:
         async def main():
             async with running_server(engine) as server:
                 rng = random.Random(seed)
-                version = rng.choice([0] + list(range(2, 256)))
+                version = rng.choice(
+                    [v for v in range(256) if v != PROTOCOL_VERSION]
+                )
                 reader, writer = await open_raw(server)
                 writer.write(make_frame(OP_PING, 5, b"", version=version))
                 await writer.drain()
@@ -304,35 +373,187 @@ class TestMalformedFrames:
 
 
 # ----------------------------------------------------------------------
+# Seeded fuzz of the packed batch payloads (protocol v2)
+# ----------------------------------------------------------------------
+def packed_request(rng: random.Random, vertices: int = 14):
+    """A valid packed batch request: ``(op, payload bytes, query count)``."""
+    count = rng.randint(1, 24)
+    ids = [rng.randrange(vertices) for _ in range(2 * count)]
+    if rng.random() < 0.5:
+        return OP_QUERY_BATCH, struct.pack(f"<{2 * count}i", *ids), count
+    return OP_ONE_TO_MANY, struct.pack(f"<{count + 1}i", *ids[: count + 1]), count
+
+
+class TestPackedPayloadFuzz:
+    @pytest.mark.parametrize("seed", FUZZ_SEEDS)
+    def test_torn_columns_typed_error_keeps_connection(self, engine, seed):
+        """A payload whose length is not a whole number of records (odd id
+        count, chopped bytes) is a recoverable ``bad_payload``; the same
+        connection then answers an intact packed request."""
+
+        async def main():
+            async with running_server(engine) as server:
+                rng = random.Random(seed)
+                reader, writer = await open_raw(server)
+                for seq in range(1, 9, 2):
+                    op, raw, _count = packed_request(rng)
+                    if op == OP_QUERY_BATCH and rng.random() < 0.5:
+                        torn = raw[:-4]  # a source with no target
+                    else:
+                        torn = raw[: -rng.randint(1, 3)]
+                    good_op, good_raw, count = packed_request(rng)
+                    writer.write(make_frame(op, seq, torn))
+                    writer.write(make_frame(good_op, seq + 1, good_raw))
+                    await writer.drain()
+                    by_seq = {}
+                    for _ in range(2):
+                        frame = await read_frame(reader)
+                        by_seq[frame.seq] = frame
+                    assert by_seq[seq].op == OP_ERROR
+                    assert by_seq[seq].payload["code"] == "bad_payload"
+                    assert by_seq[seq + 1].op == OP_DISTANCES
+                    assert len(by_seq[seq + 1].payload["distances"]) == count
+                await close_writer(writer)
+                await assert_alive(server)
+
+        run(main())
+
+    @pytest.mark.parametrize("op", [OP_QUERY_BATCH, OP_ONE_TO_MANY])
+    def test_empty_packed_payload_typed_error(self, engine, op):
+        async def main():
+            async with running_server(engine) as server:
+                reader, writer = await open_raw(server)
+                writer.write(make_frame(op, 11, b""))
+                writer.write(make_frame(OP_PING, 12, b""))
+                await writer.drain()
+                error = await read_frame(reader)
+                assert (error.op, error.seq) == (OP_ERROR, 11)
+                assert error.payload["code"] == "bad_payload"
+                assert (await read_frame(reader)).seq == 12  # still in sync
+                await close_writer(writer)
+                await assert_alive(server)
+
+        run(main())
+
+    @pytest.mark.parametrize("seed", FUZZ_SEEDS)
+    def test_truncated_packed_frame_clean_close(self, engine, seed):
+        async def main():
+            async with running_server(engine) as server:
+                rng = random.Random(seed)
+                op, raw, _count = packed_request(rng)
+                frame = make_frame(op, 3, raw)
+                reader, writer = await open_raw(server)
+                writer.write(frame[: rng.randint(5, len(frame) - 1)])
+                writer.write_eof()
+                assert await drain_frames(reader) == []  # clean close, no reply
+                await close_writer(writer)
+                await assert_alive(server)
+
+        run(main())
+
+    @pytest.mark.parametrize("seed", FUZZ_SEEDS)
+    def test_oversize_packed_request_typed_error(self, engine, seed):
+        async def main():
+            async with running_server(engine, max_frame_bytes=256) as server:
+                rng = random.Random(seed)
+                count = rng.randint(32, 512)  # 8 bytes a pair: past the cap
+                raw = struct.pack(f"<{2 * count}i", *([0, 7] * count))
+                reader, writer = await open_raw(server)
+                writer.write(make_frame(OP_QUERY_BATCH, 9, raw))
+                await writer.drain()
+                frames = await drain_frames(reader)
+                assert [f.op for f in frames] == [OP_ERROR]
+                assert frames[0].payload["code"] == "frame_too_large"
+                await close_writer(writer)
+                await assert_alive(server)
+
+        run(main())
+
+    @pytest.mark.parametrize("seed", FUZZ_SEEDS)
+    def test_random_ids_are_typed_never_a_crash(self, engine, seed):
+        """Well-formed columns of random int32s: unknown vertices are a typed
+        ``vertex_not_found``, and the connection keeps answering."""
+
+        async def main():
+            async with running_server(engine) as server:
+                rng = random.Random(seed)
+                reader, writer = await open_raw(server)
+                for seq in range(1, 6):
+                    writer.write(
+                        make_frame(OP_QUERY_BATCH, seq, rng.randbytes(8 * rng.randint(1, 16)))
+                    )
+                writer.write(make_frame(OP_QUERY_BATCH, 6, struct.pack("<2i", 0, 7)))
+                await writer.drain()
+                frames = {}
+                for _ in range(6):
+                    frame = await read_frame(reader)
+                    frames[frame.seq] = frame
+                for seq in range(1, 6):
+                    assert frames[seq].op == OP_ERROR
+                    assert frames[seq].payload["code"] == "vertex_not_found"
+                assert frames[6].payload == {"distances": [16.0], "epoch": 0}
+                await close_writer(writer)
+                await assert_alive(server)
+
+        run(main())
+
+    def test_v1_json_batch_frame_gets_bad_version(self, engine):
+        """A protocol-v1 client (JSON batch payloads) is refused by version,
+        not mis-decoded as packed columns."""
+
+        async def main():
+            async with running_server(engine) as server:
+                reader, writer = await open_raw(server)
+                payload = json.dumps({"pairs": [[0, 7], [0, 9]]}).encode()
+                writer.write(make_frame(OP_QUERY_BATCH, 5, payload, version=1))
+                await writer.drain()
+                frames = await drain_frames(reader)  # typed error, then close
+                assert [f.op for f in frames] == [OP_ERROR]
+                assert frames[0].payload["code"] == "bad_version"
+                await close_writer(writer)
+                await assert_alive(server)
+
+        run(main())
+
+
+# ----------------------------------------------------------------------
 # Typed request-level errors (well-formed frames, bad content)
 # ----------------------------------------------------------------------
+def _json(payload) -> bytes:
+    return json.dumps(payload).encode()
+
+
 BAD_PAYLOADS = [
-    (OP_QUERY, None, "bad_payload"),
-    (OP_QUERY, {"source": 0}, "bad_payload"),
-    (OP_QUERY, {"source": "a", "target": 1}, "bad_payload"),
-    (OP_QUERY, {"source": True, "target": 1}, "bad_payload"),
-    (OP_QUERY_BATCH, {"pairs": []}, "bad_payload"),
-    (OP_QUERY_BATCH, {"pairs": [[1, 2, 3]]}, "bad_payload"),
-    (OP_QUERY_BATCH, {"pairs": "nope"}, "bad_payload"),
-    (OP_ONE_TO_MANY, {"source": 0, "targets": []}, "bad_payload"),
-    (OP_ONE_TO_MANY, {"source": 0, "targets": [1, "x"]}, "bad_payload"),
-    (OP_APPLY_BATCH, {"updates": [[0, 8, 6.0]]}, "bad_payload"),
-    (OP_APPLY_BATCH, {"updates": [[0, 8, "w", 3.0]]}, "bad_payload"),
-    (OP_APPLY_BATCH, {}, "bad_payload"),
+    (OP_QUERY, b"", "bad_payload"),
+    (OP_QUERY, _json({"source": 0}), "bad_payload"),
+    (OP_QUERY, _json({"source": "a", "target": 1}), "bad_payload"),
+    (OP_QUERY, _json({"source": True, "target": 1}), "bad_payload"),
+    (OP_QUERY_BATCH, b"", "bad_payload"),
+    (OP_QUERY_BATCH, struct.pack("<i", 1), "bad_payload"),
+    (OP_QUERY_BATCH, struct.pack("<3i", 1, 2, 3), "bad_payload"),
+    (OP_QUERY_BATCH, struct.pack("<2i", 1, 2)[:-1], "bad_payload"),
+    (OP_QUERY_BATCH, _json({"pairs": [[1, 2]]}), "bad_payload"),  # v1 text, 19 bytes
+    (OP_QUERY_BATCH, struct.pack("<2i", 0, 999_999), "vertex_not_found"),
+    (OP_ONE_TO_MANY, b"", "bad_payload"),
+    (OP_ONE_TO_MANY, struct.pack("<i", 0), "bad_payload"),
+    (OP_ONE_TO_MANY, struct.pack("<2i", 0, 1)[:-2], "bad_payload"),
+    (OP_ONE_TO_MANY, struct.pack("<2i", 0, -5), "vertex_not_found"),
+    (OP_APPLY_BATCH, _json({"updates": [[0, 8, 6.0]]}), "bad_payload"),
+    (OP_APPLY_BATCH, _json({"updates": [[0, 8, "w", 3.0]]}), "bad_payload"),
+    (OP_APPLY_BATCH, _json({}), "bad_payload"),
 ]
 
 
 class TestTypedRequestErrors:
     @pytest.mark.parametrize(
-        "op,payload,code",
+        "op,raw,code",
         BAD_PAYLOADS,
         ids=[f"case{i}" for i in range(len(BAD_PAYLOADS))],
     )
-    def test_bad_payload_shapes(self, engine, op, payload, code):
+    def test_bad_payload_shapes(self, engine, op, raw, code):
         async def main():
             async with running_server(engine) as server:
                 reader, writer = await open_raw(server)
-                raw = b"" if payload is None else json.dumps(payload).encode()
                 writer.write(make_frame(op, 3, raw))
                 writer.write(make_frame(OP_PING, 4, b""))
                 await writer.drain()

@@ -4,6 +4,7 @@ stage routing, admission control, metrics and the reader-writer lock."""
 from __future__ import annotations
 
 import threading
+import time
 
 import pytest
 
@@ -18,6 +19,7 @@ from repro.exceptions import (
 )
 from repro.graph.generators import grid_road_network
 from repro.graph.updates import generate_update_stream
+from repro.hierarchy.ch import DCHIndex
 from repro.labeling.h2h import DH2HIndex
 from repro.obs.metrics import Histogram
 from repro.serving.admission import AdmissionController
@@ -212,14 +214,26 @@ class TestServeBatch:
         assert {result.epoch for result in results} == {0}
 
     def test_bulk_cache_probe_and_fill(self):
-        graph, engine = self._engine()
+        # The cache fronts search stages only, so this runs on DCH.
+        graph = grid_road_network(7, 7, seed=7)
+        engine = ServingEngine(DCHIndex(graph), cache_capacity=512)
         pairs = list(sample_query_pairs(graph, 10, seed=6))
-        first = engine.serve_batch(pairs)
+        first = engine.serve_batch(pairs[:6])
+        assert first.stage == "native" and first.stages is None
         assert not any(result.from_cache for result in first)
-        second = engine.serve_batch(pairs)
+        second = engine.serve_batch(pairs[:6])
+        assert second.stage == "cache" and second.stages is None
         assert all(result.from_cache for result in second)
-        assert {result.stage for result in second} == {"cache"}
-        assert [r.distance for r in second] == [r.distance for r in first]
+        assert second.distances == first.distances
+        # Hits beside misses: a per-pair stages column, and metrics that
+        # count each pair under the stage that answered it.
+        mixed = engine.serve_batch(pairs)
+        assert mixed.stage == "mixed"
+        assert mixed.stages == ["cache"] * 6 + ["native"] * 4
+        assert [r.from_cache for r in mixed] == [True] * 6 + [False] * 4
+        stats = engine.stats()
+        assert stats["by_stage"] == {"native": 10, "cache": 12}
+        assert stats["cache_hits"] == 12
 
     def test_query_batch_matches_scalar_engine_queries(self):
         graph, engine = self._engine(cache_capacity=0)
@@ -414,6 +428,36 @@ class TestRWLock:
         lock.release_read()
         assert acquired.wait(2.0)
         thread.join()
+
+    def test_waiting_writer_turns_new_readers_away(self):
+        """Write preference: overlapping readers cannot starve an install."""
+        lock = RWLock()
+        lock.acquire_read()
+        acquired, done = threading.Event(), threading.Event()
+
+        def writer():
+            lock.acquire_write()
+            acquired.set()
+            done.wait(5.0)
+            lock.release_write()
+
+        thread = threading.Thread(target=writer, daemon=True)  # a failure must not hang exit
+        thread.start()
+        deadline = time.monotonic() + 5.0
+        while lock.acquire_read(blocking=False):  # until the writer is waiting
+            lock.release_read()
+            assert time.monotonic() < deadline, "the writer never queued"
+            time.sleep(0.001)
+        assert not acquired.is_set()  # the first reader is still in
+        lock.release_read()
+        assert acquired.wait(5.0)  # ...and its release is all the writer needed
+        done.set()
+        thread.join(5.0)
+        assert not thread.is_alive()
+        assert lock.acquire_read(blocking=False)
+        # A writer that gave up no longer holds readers back.
+        assert not lock.acquire_write(timeout=0.01)
+        assert lock.acquire_read(blocking=False)
 
     def test_release_without_acquire_raises(self):
         lock = RWLock()

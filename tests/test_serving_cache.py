@@ -1,6 +1,8 @@
 """Cache and epoch-invalidation coverage: stale-epoch rejection, per-partition
-invalidation on ``apply_batch``, and hit/miss accounting under a mixed
-query/update workload."""
+invalidation on ``apply_batch``, hit/miss accounting under a mixed
+query/update workload, and the rule that the cache fronts search stages only
+(the integration cases run on search-based indexes; a label index's final
+stage never probes it)."""
 
 from __future__ import annotations
 
@@ -9,6 +11,8 @@ import pytest
 from repro.algorithms.dijkstra import dijkstra_distance
 from repro.core.pmhl import PMHLIndex
 from repro.graph.generators import grid_road_network
+from repro.hierarchy.ch import DCHIndex
+from repro.psp.no_boundary import NCHPIndex
 from repro.graph.updates import EdgeUpdate, UpdateBatch, generate_update_stream
 from repro.serving.cache import OVERLAY, EpochDistanceCache
 from repro.serving.engine import ServingEngine
@@ -80,9 +84,8 @@ class TestEpochDistanceCache:
 
 
 class TestEngineCacheIntegration:
-    def _engine(self, graph, **kwargs):
-        index = PMHLIndex(graph, num_partitions=4, seed=0)
-        return ServingEngine(index, snapshot_limit=8, **kwargs)
+    def _engine(self, graph, index_cls=DCHIndex, **index_kwargs):
+        return ServingEngine(index_cls(graph, **index_kwargs), snapshot_limit=8)
 
     def test_repeat_query_hits_cache_within_epoch(self):
         graph = grid_road_network(6, 6, seed=7)
@@ -96,7 +99,8 @@ class TestEngineCacheIntegration:
 
     def test_apply_batch_invalidates_affected_partitions_only(self):
         graph = grid_road_network(6, 6, seed=7)
-        engine = self._engine(graph)
+        # N-CH-P: search-based (so cached) *and* partitioned (so selective).
+        engine = self._engine(graph, NCHPIndex, num_partitions=4, seed=0)
         index = engine.index
         partitioning = index.partitioning
 
@@ -158,6 +162,55 @@ class TestEngineCacheIntegration:
         assert stats["hits"] + stats["misses"] == engine.metrics.queries_served
         # Every cache answer was correct for its epoch (sanity via metrics):
         assert engine.metrics.snapshot()["by_stage"]["cache"] == stats["hits"]
+
+    def test_label_final_stage_bypasses_cache_but_install_fallback_uses_it(
+        self, monkeypatch
+    ):
+        graph = grid_road_network(6, 6, seed=7)
+        engine = self._engine(graph, PMHLIndex, num_partitions=4, seed=0)
+        pairs = list(sample_query_pairs(graph, 10, seed=2))
+        batch = generate_update_stream(graph, 1, volume=5, seed=4)[0]
+        assert [row["cached"] for row in engine.stats()["stages"]] == [
+            True, True, True, True, False,
+        ]
+
+        # Steady state: the label lookup answers, batch and scalar, and the
+        # cache is neither probed nor filled.
+        assert engine.serve_batch(pairs).stage == "CROSS_BOUNDARY"
+        assert engine.serve(*pairs[0]).stage == "CROSS_BOUNDARY"
+        assert engine.serve_batch(pairs).stage == "CROSS_BOUNDARY"
+        assert engine.cache.stats.lookups == 0
+        assert len(engine.cache) == 0
+
+        # Mid-install (index write lock held, graph lock released — the hook
+        # runs on the installing thread at the first later-stage boundary)
+        # the BiDijkstra fallback answers, and that search stage is cached.
+        during = []
+        real_release = engine.router.release
+
+        def release(update_stage, epoch):
+            if not during:
+                during.extend(engine.serve_batch(pairs) for _ in range(2))
+            real_release(update_stage, epoch)
+
+        monkeypatch.setattr(engine.router, "release", release)
+        with engine:
+            engine.apply_batch(batch)
+        computed, cached = during
+        assert (computed.stage, computed.epoch) == ("BIDIJKSTRA", 1)
+        assert (cached.stage, cached.epoch) == ("cache", 1)
+        assert cached.distances == computed.distances
+        assert engine.cache.stats.lookups == 2 * len(pairs)
+        assert engine.cache.stats.hits == len(pairs)
+        snapshot = engine.graph_at(1)
+        for (source, target), distance in zip(pairs, computed.distances):
+            assert distance == pytest.approx(dijkstra_distance(snapshot, source, target))
+
+        # Installed: the final stage is back, and bypasses the cache again.
+        after = engine.serve_batch(pairs)
+        assert (after.stage, after.epoch) == ("CROSS_BOUNDARY", 1)
+        assert after.distances == pytest.approx(computed.distances)
+        assert engine.cache.stats.lookups == 2 * len(pairs)
 
     def test_cache_disabled(self):
         graph = grid_road_network(5, 5, seed=3)
