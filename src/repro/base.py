@@ -39,6 +39,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro import obs
+from repro.algorithms.dijkstra import bidijkstra
 from repro.graph.graph import Graph
 from repro.graph.updates import UpdateBatch
 
@@ -195,6 +196,18 @@ class DistanceIndex(abc.ABC):
             for position, distance in zip(positions, distances):
                 results[position] = distance
         return results
+
+    def query_bidijkstra(self, source: int, target: int) -> float:
+        """Index-free bidirectional Dijkstra on the live graph.
+
+        The first query stage of every multi-stage index: correct as soon as
+        the on-spot edge update is done.  Runs over the CSR graph snapshot
+        when kernels are on (a literal port, bit-identical to the live search).
+        """
+        snapshot = self._graph_snapshot()
+        if snapshot is not None:
+            return snapshot.bidijkstra(source, target)
+        return bidijkstra(self.graph, source, target)
 
     def apply_batch(self, batch: UpdateBatch) -> UpdateReport:
         """Apply a batch of edge-weight updates to the graph and the index.

@@ -24,9 +24,8 @@ import math
 from dataclasses import dataclass
 from typing import List, Sequence
 
-from repro.algorithms.dijkstra import bidijkstra, dijkstra_one_to_many
+from repro.algorithms.dijkstra import dijkstra_one_to_many
 from repro.base import DistanceIndex, StageTiming, Timer, UpdateReport
-from repro.exceptions import VertexNotFoundError
 from repro.graph.graph import Graph
 from repro.graph.updates import UpdateBatch
 from repro.registry import IndexSpec, register_spec
@@ -43,15 +42,7 @@ class BiDijkstraIndex(DistanceIndex):
         """Nothing to build — the search runs directly on the live graph."""
 
     def query(self, source: int, target: int) -> float:
-        snapshot = self._graph_snapshot()
-        if snapshot is not None:
-            # CSR-frozen search; a literal port, bit-identical to the live one.
-            return snapshot.bidijkstra(source, target)
-        if not self.graph.has_vertex(source):
-            raise VertexNotFoundError(source)
-        if not self.graph.has_vertex(target):
-            raise VertexNotFoundError(target)
-        return bidijkstra(self.graph, source, target)
+        return self.query_bidijkstra(source, target)
 
     def query_one_to_many(self, source: int, targets: Sequence[int]) -> List[float]:
         """One truncated Dijkstra instead of ``len(targets)`` bidirectional searches.

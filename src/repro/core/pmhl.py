@@ -21,17 +21,17 @@ paper's multi-threaded execution (see ``repro.throughput.parallel``).
 
 from __future__ import annotations
 
-import math
-import time
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Set
 
 from repro import obs
-from repro.algorithms.dijkstra import bidijkstra
 from repro.base import DistanceIndex, StageTiming, Timer, UpdateReport
-from repro.core.cross_boundary import build_cross_boundary_index
+from repro.core.cross_boundary import (
+    build_cross_boundary_index,
+    compose_cross_boundary_contraction,
+)
 from repro.core.stages import PMHLQueryStage, timed_label_update_by_root
-from repro.exceptions import IndexNotBuiltError, VertexNotFoundError
+from repro.exceptions import VertexNotFoundError
 from repro.graph.graph import Graph
 from repro.graph.updates import UpdateBatch
 from repro.hierarchy.ch import ch_bidirectional_query
@@ -39,18 +39,19 @@ from repro.kernels.label_store import LabelStore
 from repro.kernels.shortcut_store import ShortcutStore
 from repro.labeling.h2h import H2HLabels
 from repro.partitioning.base import Partitioning
-from repro.partitioning.natural_cut import natural_cut_partition
-from repro.partitioning.ordering import boundary_first_order
-from repro.psp.overlay import OverlayIndex
-from repro.psp.partition_family import PartitionIndexFamily
+from repro.psp.post_boundary import PostBoundaryPSPIndex
 from repro.registry import IndexSpec, register_spec
 from repro.treedec.tree import TreeDecomposition
 
-INF = math.inf
 
-
-class PMHLIndex(DistanceIndex):
+class PMHLIndex(PostBoundaryPSPIndex):
     """Partitioned Multi-stage Hub Labeling index.
+
+    The no-boundary and post-boundary strategies — their build steps, the
+    PSP concatenation query and the maintenance phases — are the ``repro.psp``
+    classes' own (hop-based underlying); this class adds what is PMHL's: the
+    cross-boundary labels ``L*``, the PCH union store, and an update that
+    sequences the shared phases so each one releases a query stage.
 
     Parameters
     ----------
@@ -75,15 +76,13 @@ class PMHLIndex(DistanceIndex):
         partitioning: Optional[Partitioning] = None,
         seed: int = 0,
     ):
-        super().__init__(graph)
-        self.num_partitions = num_partitions
-        self.seed = seed
-        self.partitioning = partitioning
-        self.order: List[int] = []
-        self.family: Optional[PartitionIndexFamily] = None
-        self.overlay: Optional[OverlayIndex] = None
-        self.extended_family: Optional[PartitionIndexFamily] = None
-        self.boundary_distances: List[Dict[Tuple[int, int], float]] = []
+        super().__init__(
+            graph,
+            num_partitions=num_partitions,
+            underlying="h2h",
+            partitioning=partitioning,
+            seed=seed,
+        )
         self.cross_tree: Optional[TreeDecomposition] = None
         self.cross_labels: Optional[H2HLabels] = None
         self.build_breakdown: Dict[str, float] = {}
@@ -92,162 +91,82 @@ class PMHLIndex(DistanceIndex):
     # Construction (Section V-C, Steps 1-6)
     # ------------------------------------------------------------------
     def _build(self) -> None:
-        breakdown: Dict[str, float] = {}
-        start = time.perf_counter()
-        if self.partitioning is None:
-            self.partitioning = natural_cut_partition(
-                self.graph, self.num_partitions, seed=self.seed
-            )
-        self.order = boundary_first_order(self.graph, self.partitioning)
-        breakdown["partitioning_and_ordering"] = time.perf_counter() - start
-        obs.record_span(
-            "pmhl.build.partitioning_and_ordering",
-            breakdown["partitioning_and_ordering"],
-        )
+        self.build_breakdown = {}
+        for key, steps in (
+            ("partitioning_and_ordering", (self._build_partitioning,)),
+            # Steps 1-3: no-boundary index ({L_i}, overlay graph, overlay index).
+            ("no_boundary", (self._build_partition_indexes, self._build_overlay)),
+            # Steps 4-5: post-boundary index ({L'_i} on extended partitions).
+            ("post_boundary", (self._build_extended_partitions,)),
+            # Step 6: cross-boundary index L* via tree aggregation.
+            ("cross_boundary", (self._build_cross_boundary,)),
+        ):
+            with Timer() as timer:
+                for step in steps:
+                    step()
+            self.build_breakdown[key] = timer.seconds
+            obs.record_span("pmhl.build." + key, timer.seconds)
 
-        # Steps 1-3: no-boundary index ({L_i}, overlay graph, overlay index).
-        start = time.perf_counter()
-        self.family = PartitionIndexFamily(self.partitioning, self.order, with_labels=True)
-        self.family.build()
-        self.overlay = OverlayIndex(self.partitioning, self.family, self.order, with_labels=True)
-        self.overlay.build()
-        breakdown["no_boundary"] = time.perf_counter() - start
-        obs.record_span("pmhl.build.no_boundary", breakdown["no_boundary"])
-
-        # Steps 4-5: post-boundary index ({L'_i} on extended partitions).
-        start = time.perf_counter()
-        extended_graphs: List[Graph] = []
-        self.boundary_distances = []
-        for pid in range(self.partitioning.num_partitions):
-            extended = self.partitioning.subgraph(pid)
-            distances = self.overlay.boundary_pair_distances(pid)
-            for (b1, b2), weight in distances.items():
-                if b1 < b2 and weight < INF:
-                    if extended.has_edge(b1, b2):
-                        extended.set_edge_weight(
-                            b1, b2, min(weight, extended.edge_weight(b1, b2))
-                        )
-                    else:
-                        extended.add_edge(b1, b2, weight)
-            extended_graphs.append(extended)
-            self.boundary_distances.append(distances)
-        self.extended_family = PartitionIndexFamily(
-            self.partitioning, self.order, with_labels=True, graphs=extended_graphs
-        )
-        self.extended_family.build()
-        breakdown["post_boundary"] = time.perf_counter() - start
-        obs.record_span("pmhl.build.post_boundary", breakdown["post_boundary"])
-
-        # Step 6: cross-boundary index L* via tree aggregation.
-        start = time.perf_counter()
+    def _build_cross_boundary(self) -> None:
         _, self.cross_tree, self.cross_labels = build_cross_boundary_index(
             self.partitioning, self.order, self.family, self.overlay
         )
-        breakdown["cross_boundary"] = time.perf_counter() - start
-        obs.record_span("pmhl.build.cross_boundary", breakdown["cross_boundary"])
-        self.build_breakdown = breakdown
-
-    def _require_built(self) -> None:
-        if self.cross_labels is None:
-            raise IndexNotBuiltError("PMHL index has not been built")
 
     # ------------------------------------------------------------------
-    # Frozen stores (one per query stage; see repro.kernels)
+    # Frozen stores of PMHL's own query stages (see repro.kernels; Q3/Q4
+    # read the PSP classes' overlay / per-partition stores)
     #
     # Each store reads only structures that are *final* by the time the
-    # serving engine releases its query stage — family/overlay labels after
-    # U-Stage 3, extended labels after U-Stage 4, cross labels after U-Stage
-    # 5 — so a store frozen in a mid-batch grace window stays valid for the
-    # rest of the epoch.
+    # serving engine releases its query stage — shortcut arrays after
+    # U-Stage 2, cross labels after U-Stage 5 — so a store frozen in a
+    # mid-batch grace window stays valid for the rest of the epoch.
     # ------------------------------------------------------------------
     def _cross_store(self):
         return self._kernel(
             "cross_labels", lambda: LabelStore.freeze(self.cross_labels)
         )
 
+    def _pch_upward(self) -> Callable[[int], Dict[int, float]]:
+        """Upward shortcut array of a vertex in the union of the overlay's
+        and the partitions' contractions."""
+        boundary = self.partitioning.all_boundary()
+        partition_of = self.partitioning.partition_of
+        overlay_shortcuts = self.overlay.contraction.shortcuts
+        contractions = self.family.contractions
+
+        def upward(v: int) -> Dict[int, float]:
+            if v in boundary:
+                return overlay_shortcuts[v]
+            return contractions[partition_of(v)].shortcuts[v]
+
+        return upward
+
     def _pch_store(self):
-        def freeze():
-            boundary = self.partitioning.all_boundary()
-            partition_of = self.partitioning.partition_of
-            overlay_shortcuts = self.overlay.contraction.shortcuts
-            contractions = self.family.contractions
-
-            def upward(v: int) -> Dict[int, float]:
-                if v in boundary:
-                    return overlay_shortcuts[v]
-                return contractions[partition_of(v)].shortcuts[v]
-
-            return ShortcutStore.freeze(upward, self.order)
-
-        return self._kernel("pch", freeze)
-
-    def _overlay_store(self):
         return self._kernel(
-            "overlay_labels", lambda: LabelStore.freeze(self.overlay.labels)
+            "pch", lambda: ShortcutStore.freeze(self._pch_upward(), self.order)
         )
 
-    def _family_store(self, family: PartitionIndexFamily, tag: str, pid: int):
-        return self._kernel(
-            f"{tag}_labels_{pid}", lambda: LabelStore.freeze(family.labels[pid])
-        )
-
-    def _overlay_distance(self, b1: int, b2: int) -> float:
-        store = self._overlay_store()
-        if store is not None and store.query_fn is not None:
-            return store.query_fn(b1, b2)
-        return self.overlay.query(b1, b2)
-
-    def _family_distance(
-        self, family: PartitionIndexFamily, tag: str, pid: int, source: int, target: int
-    ) -> float:
-        store = self._family_store(family, tag, pid)
-        if store is not None and store.query_fn is not None:
-            return store.query_fn(source, target)
-        return family.query(pid, source, target)
-
-    def _family_to_boundary(
-        self, family: PartitionIndexFamily, tag: str, pid: int, vertex: int
-    ) -> Dict[int, float]:
-        store = self._family_store(family, tag, pid)
-        if store is not None:
-            boundary = sorted(self.partitioning.boundary(pid))
-            return dict(zip(boundary, store.one_to_many(vertex, boundary)))
-        return family.distances_to_boundary(pid, vertex)
-
     # ------------------------------------------------------------------
-    # Query processing (Q-Stages 1-5)
+    # Query processing (Q-Stages 1-5; Q-Stage 1 is the base class's
+    # ``query_bidijkstra``)
     # ------------------------------------------------------------------
-    def query_bidijkstra(self, source: int, target: int) -> float:
-        """Q-Stage 1: index-free bidirectional Dijkstra on the live graph."""
-        snapshot = self._graph_snapshot()
-        if snapshot is not None:
-            return snapshot.bidijkstra(source, target)
-        return bidijkstra(self.graph, source, target)
-
     def query_pch(self, source: int, target: int) -> float:
         """Q-Stage 2: partitioned CH query over the union of shortcut arrays."""
         self._require_built()
         store = self._pch_store()
         if store is not None:
             return store.query(source, target)
-        boundary = self.partitioning.all_boundary()
-
-        def upward(v: int) -> Dict[int, float]:
-            if v in boundary:
-                return self.overlay.contraction.shortcuts[v]
-            return self.family.contractions[self.partitioning.partition_of(v)].shortcuts[v]
-
-        return ch_bidirectional_query(source, target, upward)
+        return ch_bidirectional_query(source, target, self._pch_upward())
 
     def query_no_boundary(self, source: int, target: int) -> float:
         """Q-Stage 3: no-boundary PSP query (distance concatenation via {L_i}, L̃)."""
         self._require_built()
-        return self._psp_query(source, target, self.family, same_partition_direct=False)
+        return self._psp_query(source, target, self.family, False)
 
     def query_post_boundary(self, source: int, target: int) -> float:
         """Q-Stage 4: post-boundary PSP query (same-partition queries answered by {L'_i})."""
         self._require_built()
-        return self._psp_query(source, target, self.extended_family, same_partition_direct=True)
+        return self._psp_query(source, target, self.extended_family, True)
 
     def query_cross_boundary(self, source: int, target: int) -> float:
         """Q-Stage 5: cross-boundary 2-hop query on L* (fastest)."""
@@ -293,7 +212,8 @@ class PMHLIndex(DistanceIndex):
         store = self._cross_store()
         if store is not None:
             return store.query_pairs(list(pairs))
-        return super().query_many(pairs)
+        # Not the inherited PSP batch plane: group by source over L*.
+        return DistanceIndex.query_many(self, pairs)
 
     def query_at_stage(self, source: int, target: int, stage: PMHLQueryStage) -> float:
         """Dispatch a query to the requested stage's algorithm."""
@@ -307,92 +227,14 @@ class PMHLIndex(DistanceIndex):
             return self.query_post_boundary(source, target)
         return self.query_cross_boundary(source, target)
 
-    def _psp_query(
-        self,
-        source: int,
-        target: int,
-        family: PartitionIndexFamily,
-        same_partition_direct: bool,
-    ) -> float:
-        """Shared no-/post-boundary query logic (Section III-C query cases).
-
-        Distance fetches route through the kernel-aware helpers (frozen
-        per-partition / overlay label stores) when ``use_kernels`` is on;
-        the case analysis itself is identical either way.
-        """
-        if source == target:
-            return 0.0
-        tag = "extended" if family is self.extended_family else "family"
-        partitioning = self.partitioning
-        pid_s = partitioning.partition_of(source)
-        pid_t = partitioning.partition_of(target)
-        boundary = partitioning.all_boundary()
-        source_is_boundary = source in boundary
-        target_is_boundary = target in boundary
-
-        if pid_s == pid_t:
-            local = self._family_distance(family, tag, pid_s, source, target)
-            if same_partition_direct:
-                return local
-            best = local
-            source_to_boundary = self._family_to_boundary(family, tag, pid_s, source)
-            target_to_boundary = self._family_to_boundary(family, tag, pid_s, target)
-            for bp, d_s in source_to_boundary.items():
-                if d_s == INF:
-                    continue
-                for bq, d_t in target_to_boundary.items():
-                    if d_t == INF:
-                        continue
-                    candidate = d_s + self._overlay_distance(bp, bq) + d_t
-                    if candidate < best:
-                        best = candidate
-            return best
-
-        if source_is_boundary and target_is_boundary:
-            return self._overlay_distance(source, target)
-        if source_is_boundary:
-            return self._psp_boundary_to_inner(source, pid_t, target, family, tag)
-        if target_is_boundary:
-            return self._psp_boundary_to_inner(target, pid_s, source, family, tag)
-
-        best = INF
-        source_to_boundary = self._family_to_boundary(family, tag, pid_s, source)
-        target_to_boundary = self._family_to_boundary(family, tag, pid_t, target)
-        for bp, d_s in source_to_boundary.items():
-            if d_s == INF:
-                continue
-            for bq, d_t in target_to_boundary.items():
-                if d_t == INF:
-                    continue
-                candidate = d_s + self._overlay_distance(bp, bq) + d_t
-                if candidate < best:
-                    best = candidate
-        return best
-
-    def _psp_boundary_to_inner(
-        self,
-        boundary_vertex: int,
-        pid: int,
-        inner: int,
-        family: PartitionIndexFamily,
-        tag: str,
-    ) -> float:
-        best = INF
-        for bq, d_t in self._family_to_boundary(family, tag, pid, inner).items():
-            if d_t == INF:
-                continue
-            candidate = self._overlay_distance(boundary_vertex, bq) + d_t
-            if candidate < best:
-                best = candidate
-        return best
-
     # ------------------------------------------------------------------
-    # Maintenance (U-Stages 1-5, Section V-D)
+    # Maintenance (U-Stages 1-5, Section V-D): the PSP classes' phases in
+    # PMHL's order, each emitted as its own stage so the query stage it
+    # completes is released before the next phase starts.
     # ------------------------------------------------------------------
     def _apply_batch(self, batch: UpdateBatch) -> UpdateReport:
         self._require_built()
         report = UpdateReport()
-        partitioning = self.partitioning
         # Before any structure mutates: stage queries released mid-batch
         # refreeze from the new epoch's structures, never a pre-update store.
         self.invalidate_kernels()
@@ -402,75 +244,37 @@ class PMHLIndex(DistanceIndex):
             batch.apply(self.graph)
         self._emit_stage(report, StageTiming("edge_update", timer.seconds))
 
-        # Group updates by partition / inter-partition.
-        per_partition: Dict[int, List] = {}
-        inter_updates: List = []
-        for update in batch:
-            pid_u = partitioning.partition_of(update.u)
-            pid_v = partitioning.partition_of(update.v)
-            if pid_u == pid_v:
-                per_partition.setdefault(pid_u, []).append(update)
-            else:
-                inter_updates.append(update)
+        per_partition, inter_updates = self._split_batch(batch)
 
         # U-Stage 2: no-boundary shortcut update (partitions in parallel, then overlay).
-        partition_shortcut_times: List[float] = []
-        partition_changed: Dict[int, Dict[int, List[int]]] = {}
-        changed_boundary: Dict[Tuple[int, int], float] = {}
-        for pid, updates in sorted(per_partition.items()):
-            start = time.perf_counter()
-            changed_edges = self.family.apply_edge_updates(pid, updates)
-            changed_report = self.family.update_shortcuts(pid, changed_edges)
-            partition_changed[pid] = changed_report
-            boundary = partitioning.boundary(pid)
-            for v, neighbours in changed_report.items():
-                if v in boundary:
-                    for u in neighbours:
-                        if u in boundary:
-                            changed_boundary[(v, u)] = self.family.contractions[pid].shortcuts[v][u]
-            partition_shortcut_times.append(time.perf_counter() - start)
+        times, changed, changed_boundary = self._update_partition_shortcuts(per_partition)
         self._emit_stage(report,
-            StageTiming(
-                "partition_shortcut_update",
-                sum(partition_shortcut_times),
-                parallel_times=partition_shortcut_times,
-            )
+            StageTiming("partition_shortcut_update", sum(times), parallel_times=times)
         )
-
         with Timer() as timer:
-            overlay_changed = self._overlay_shortcut_update(inter_updates, changed_boundary)
+            overlay_changed = self.overlay.update_shortcuts(inter_updates, changed_boundary)
         self._emit_stage(report, StageTiming("overlay_shortcut_update", timer.seconds))
 
         # U-Stage 3: no-boundary label update (partitions in parallel, then overlay).
-        partition_label_times: List[float] = []
-        for pid, changed_report in sorted(partition_changed.items()):
-            start = time.perf_counter()
-            self.family.update_labels(pid, changed_report.keys())
-            partition_label_times.append(time.perf_counter() - start)
+        times = self._update_partition_labels(changed)
         self._emit_stage(report,
-            StageTiming(
-                "partition_label_update",
-                sum(partition_label_times),
-                parallel_times=partition_label_times,
-            )
+            StageTiming("partition_label_update", sum(times), parallel_times=times)
         )
-
         with Timer() as timer:
-            if overlay_changed:
-                self.overlay.labels.update_top_down(overlay_changed.keys())
+            self.overlay.update_labels(overlay_changed)
         self._emit_stage(report, StageTiming("overlay_label_update", timer.seconds))
 
         # U-Stage 4: post-boundary index update (partitions in parallel).
-        post_times = self._post_boundary_update(per_partition)
+        times = self._update_extended_partitions(per_partition)
         self._emit_stage(report,
-            StageTiming("post_boundary_update", sum(post_times), parallel_times=post_times)
+            StageTiming("post_boundary_update", sum(times), parallel_times=times)
         )
 
         # U-Stage 5: cross-boundary index update (branch roots in parallel).
         with Timer() as timer:
-            affected: Set[int] = set(overlay_changed.keys())
-            for changed_report in partition_changed.values():
-                affected |= set(changed_report.keys())
+            affected: Set[int] = set(overlay_changed)
+            for changed_report in changed.values():
+                affected.update(changed_report)
             _, per_root_times = timed_label_update_by_root(self.cross_labels, affected)
         self._emit_stage(report,
             StageTiming("cross_boundary_update", timer.seconds, parallel_times=per_root_times)
@@ -479,78 +283,14 @@ class PMHLIndex(DistanceIndex):
         self.last_report = report
         return report
 
-    def _overlay_shortcut_update(
-        self, inter_updates: List, changed_boundary: Dict[Tuple[int, int], float]
-    ) -> Dict[int, List[int]]:
-        """Install overlay edge changes and maintain the overlay shortcut arrays."""
-        overlay = self.overlay
-        changed_edges: List[Tuple[int, int]] = []
-        for update in inter_updates:
-            if overlay.graph.has_edge(update.u, update.v):
-                overlay.graph.set_edge_weight(update.u, update.v, update.new_weight)
-                changed_edges.append(update.key())
-        for (b1, b2), weight in changed_boundary.items():
-            if overlay.graph.has_edge(b1, b2):
-                if overlay.graph.edge_weight(b1, b2) != weight:
-                    overlay.graph.set_edge_weight(b1, b2, weight)
-                    changed_edges.append((b1, b2) if b1 < b2 else (b2, b1))
-            else:
-                overlay.graph.add_edge(b1, b2, weight)
-                changed_edges.append((b1, b2) if b1 < b2 else (b2, b1))
-        from repro.treedec.mde import update_shortcuts_bottom_up
-
-        return update_shortcuts_bottom_up(overlay.contraction, overlay.graph, changed_edges)
-
-    def _post_boundary_update(self, per_partition: Dict[int, List]) -> List[float]:
-        """U-Stage 4: refresh extended partitions whose boundary distances or edges changed."""
-        partitioning = self.partitioning
-        times: List[float] = []
-        for pid in range(partitioning.num_partitions):
-            start = time.perf_counter()
-            boundary = partitioning.boundary(pid)
-            new_distances = self.overlay.boundary_pair_distances(pid)
-            changed_pairs = {
-                pair: weight
-                for pair, weight in new_distances.items()
-                if pair[0] < pair[1]
-                and weight < INF
-                and self.boundary_distances[pid].get(pair) != weight
-            }
-            intra_updates = [
-                u
-                for u in per_partition.get(pid, [])
-                if not (u.u in boundary and u.v in boundary)
-            ]
-            if not changed_pairs and not intra_updates:
-                times.append(time.perf_counter() - start)
-                continue
-            self.boundary_distances[pid] = new_distances
-            changed_edges = self.extended_family.apply_edge_updates(pid, intra_updates)
-            changed_edges += self.extended_family.set_edge_weights(pid, changed_pairs)
-            changed_report = self.extended_family.update_shortcuts(pid, changed_edges)
-            self.extended_family.update_labels(pid, changed_report.keys())
-            times.append(time.perf_counter() - start)
-        return times
-
     # ------------------------------------------------------------------
     # Introspection and throughput metadata
     # ------------------------------------------------------------------
-    def vertex_partition(self, v: int) -> Optional[int]:
-        if self.partitioning is None:
-            return None
-        return self.partitioning.partition_of(v)
-
     def index_size(self) -> int:
-        self._require_built()
-        return (
-            self.family.index_size()
-            + self.overlay.index_size()
-            + self.extended_family.index_size()
-            + self.cross_labels.label_entry_count()
-        )
+        return super().index_size() + self.cross_labels.label_entry_count()
 
     # ------------------------------------------------------------------
-    # Snapshot persistence (see repro.store)
+    # Snapshot persistence (see repro.store): the post-boundary state plus L*
     # ------------------------------------------------------------------
     def to_state(self, io) -> Dict[str, object]:
         """All five stages' structures; the cross-boundary contraction is not
@@ -559,40 +299,15 @@ class PMHLIndex(DistanceIndex):
         maintenance relies on)."""
         from repro.store import codec
 
-        self._require_built()
-        return {
-            "partitioning": codec.pack_partitioning(self.partitioning, io),
-            "order": io.put_ints(self.order),
-            "family": codec.pack_family(self.family, io),
-            "overlay": codec.pack_overlay(self.overlay, io),
-            "extended_family": codec.pack_family(self.extended_family, io),
-            "boundary_distances": [
-                codec.pack_pair_table(table, io) for table in self.boundary_distances
-            ],
-            "cross_labels": codec.pack_labels(self.cross_labels, io),
-            "build_breakdown": dict(self.build_breakdown),
-        }
+        state = super().to_state(io)
+        state["cross_labels"] = codec.pack_labels(self.cross_labels, io)
+        state["build_breakdown"] = dict(self.build_breakdown)
+        return state
 
     def from_state(self, state: Dict[str, object], io) -> None:
-        from repro.core.cross_boundary import compose_cross_boundary_contraction
         from repro.store import codec
 
-        self.partitioning = codec.unpack_partitioning(
-            state["partitioning"], io, self.graph
-        )
-        self.order = io.get_list(state["order"])
-        self.family = codec.unpack_family(
-            state["family"], io, self.partitioning, self.order
-        )
-        self.overlay = codec.unpack_overlay(
-            state["overlay"], io, self.partitioning, self.family, self.order
-        )
-        self.extended_family = codec.unpack_family(
-            state["extended_family"], io, self.partitioning, self.order
-        )
-        self.boundary_distances = [
-            codec.unpack_pair_table(table, io) for table in state["boundary_distances"]
-        ]
+        super().from_state(state, io)
         composed = compose_cross_boundary_contraction(
             self.partitioning, self.order, self.family, self.overlay
         )

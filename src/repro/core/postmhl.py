@@ -27,7 +27,6 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from repro import obs
-from repro.algorithms.dijkstra import bidijkstra
 from repro.base import DistanceIndex, StageTiming, Timer, UpdateReport
 from repro.core.stages import PostMHLQueryStage
 from repro.exceptions import IndexNotBuiltError, VertexNotFoundError
@@ -169,15 +168,9 @@ class PostMHLIndex(DistanceIndex):
         )
 
     # ------------------------------------------------------------------
-    # Query processing (Q-Stages 1-4)
+    # Query processing (Q-Stages 1-4; Q-Stage 1 is the base class's
+    # ``query_bidijkstra``)
     # ------------------------------------------------------------------
-    def query_bidijkstra(self, source: int, target: int) -> float:
-        """Q-Stage 1: index-free bidirectional Dijkstra on the live graph."""
-        snapshot = self._graph_snapshot()
-        if snapshot is not None:
-            return snapshot.bidijkstra(source, target)
-        return bidijkstra(self.graph, source, target)
-
     def query_pch(self, source: int, target: int) -> float:
         """Q-Stage 2: partitioned CH query over the shared shortcut arrays."""
         self._require_built()

@@ -24,7 +24,6 @@ from dataclasses import dataclass
 from enum import IntEnum
 from typing import Dict, List
 
-from repro.algorithms.dijkstra import bidijkstra
 from repro.base import StageTiming, Timer, UpdateReport
 from repro.graph.graph import Graph
 from repro.graph.updates import UpdateBatch
@@ -54,13 +53,6 @@ class MHLIndex(DH2HIndex):
     # ------------------------------------------------------------------
     # Stage-specific query processing
     # ------------------------------------------------------------------
-    def query_bidijkstra(self, source: int, target: int) -> float:
-        """Stage-1 query: index-free bidirectional Dijkstra on the live graph."""
-        snapshot = self._graph_snapshot()
-        if snapshot is not None:
-            return snapshot.bidijkstra(source, target)
-        return bidijkstra(self.graph, source, target)
-
     def _ch_store(self):
         """Frozen stage-2 shortcut adjacency of this epoch (``None`` = pure path)."""
         return self._kernel(

@@ -20,6 +20,7 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 try:
@@ -42,6 +43,55 @@ from repro.psp.partition_family import PartitionIndexFamily
 from repro.registry import IndexSpec, register_spec
 
 INF = math.inf
+
+
+def _scalar_query(store) -> Optional[Callable[[int, int], float]]:
+    """Scalar distance function of a frozen store; ``None`` when the store is
+    absent or has no scalar kernel (a LabelStore without the native backend)."""
+    if isinstance(store, LabelStore):
+        return store.query_fn
+    return store.query if store is not None else None
+
+
+def _concat_min(
+    source_map: Dict[int, float],
+    target_map: Dict[int, float],
+    overlay_query: Callable[[int, int], float],
+) -> float:
+    """``min d(s,b_p) + d̃(b_p,b_q) + d(b_q,t)`` over two boundary-distance maps."""
+    vectorized = getattr(overlay_query, "concat_min", None)
+    if vectorized is not None:
+        return vectorized(source_map, target_map)
+    best = INF
+    for bp, d_s in source_map.items():
+        if d_s == INF:
+            continue
+        for bq, d_t in target_map.items():
+            if d_t == INF:
+                continue
+            candidate = d_s + overlay_query(bp, bq) + d_t
+            if candidate < best:
+                best = candidate
+    return best
+
+
+def _row_min(
+    boundary_vertex: int,
+    target_map: Dict[int, float],
+    overlay_query: Callable[[int, int], float],
+) -> float:
+    """``min d̃(b,b_q) + d(b_q,t)``: a boundary vertex against one boundary map."""
+    vectorized = getattr(overlay_query, "row_min", None)
+    if vectorized is not None:
+        return vectorized(boundary_vertex, target_map)
+    best = INF
+    for bq, d_t in target_map.items():
+        if d_t == INF:
+            continue
+        candidate = overlay_query(boundary_vertex, bq) + d_t
+        if candidate < best:
+            best = candidate
+    return best
 
 
 class NoBoundaryPSPIndex(DistanceIndex):
@@ -86,43 +136,57 @@ class NoBoundaryPSPIndex(DistanceIndex):
         self.last_report: Optional[UpdateReport] = None
 
     # ------------------------------------------------------------------
-    # Construction
+    # Construction (Section III-C, Steps 1-3; one method per step so PMHL
+    # can time them under its own breakdown)
     # ------------------------------------------------------------------
     def _build(self) -> None:
         prefix = self.name.lower() + ".build."
         with obs.span(prefix + "partitioning_and_ordering"):
-            if self.partitioning is None:
-                self.partitioning = natural_cut_partition(
-                    self.graph, self.num_partitions, seed=self.seed
-                )
-            self.order = boundary_first_order(self.graph, self.partitioning)
-        with_labels = self.underlying == "h2h"
+            self._build_partitioning()
         with obs.span(prefix + "partition_indexes"):
-            self.family = PartitionIndexFamily(
-                self.partitioning, self.order, with_labels=with_labels
-            )
-            self.family.build()
+            self._build_partition_indexes()
         with obs.span(prefix + "overlay"):
-            self.overlay = OverlayIndex(
-                self.partitioning, self.family, self.order, with_labels=with_labels
+            self._build_overlay()
+
+    def _build_partitioning(self) -> None:
+        if self.partitioning is None:
+            self.partitioning = natural_cut_partition(
+                self.graph, self.num_partitions, seed=self.seed
             )
-            self.overlay.build()
+        self.order = boundary_first_order(self.graph, self.partitioning)
+
+    def _build_partition_indexes(self) -> None:
+        self.family = PartitionIndexFamily(
+            self.partitioning, self.order, with_labels=self.underlying == "h2h"
+        )
+        self.family.build()
+
+    def _build_overlay(self) -> None:
+        self.overlay = OverlayIndex(
+            self.partitioning,
+            self.family,
+            self.order,
+            with_labels=self.underlying == "h2h",
+        )
+        self.overlay.build()
 
     def _require_built(self) -> None:
         if self.family is None or self.overlay is None or not self.overlay._built:
             raise IndexNotBuiltError(f"{self.name} index has not been built")
 
     # ------------------------------------------------------------------
-    # Frozen stores (see repro.kernels)
+    # Frozen stores and kernel-aware fetchers (see repro.kernels)
     #
     # H2H-underlying structures freeze into :class:`LabelStore`\ s, CH
-    # underlying ones into :class:`ShortcutStore`\ s.  Per-partition stores
-    # are memoised under distinct keys so a query batch touching one
-    # partition never freezes the others.
+    # underlying ones (no labels) into :class:`ShortcutStore`\ s.
+    # Per-partition stores are memoised under distinct keys so a query batch
+    # touching one partition never freezes the others.  Every fetcher falls
+    # back to the pure-Python structures when ``use_kernels`` is off or a
+    # store has no scalar kernel.
     # ------------------------------------------------------------------
     def _store_for(self, key: str, labels, contraction):
         def freeze():
-            if self.with_kernel_labels and labels is not None:
+            if labels is not None:
                 return LabelStore.freeze(labels)
             return ShortcutStore.freeze(
                 lambda v: contraction.shortcuts[v], contraction.order
@@ -130,62 +194,67 @@ class NoBoundaryPSPIndex(DistanceIndex):
 
         return self._kernel(key, freeze)
 
-    @property
-    def with_kernel_labels(self) -> bool:
-        return self.underlying == "h2h"
-
     def _overlay_store(self):
         return self._store_for(
             "overlay", self.overlay.labels, self.overlay.contraction
         )
 
-    def _partition_store(self, pid: int):
+    def _family_store(self, family: PartitionIndexFamily, pid: int):
+        """Frozen store of ``family``'s partition ``pid``: ``partition_<pid>``
+        for the partition family, ``extended_<pid>`` for any other (the
+        extended partitions of the post-boundary strategy)."""
+        tag = "partition" if family is self.family else "extended"
         return self._store_for(
-            f"partition_{pid}", self.family.labels[pid], self.family.contractions[pid]
+            f"{tag}_{pid}", family.labels[pid], family.contractions[pid]
         )
 
-    def _overlay_distance(self, b1: int, b2: int) -> float:
-        store = self._overlay_store()
-        if isinstance(store, LabelStore):
-            if store.query_fn is not None:
-                return store.query_fn(b1, b2)
-        elif store is not None:
-            return store.query(b1, b2)
-        return self.overlay.query(b1, b2)
+    def _overlay_fetcher(self) -> Callable[[int, int], float]:
+        """``(b1, b2) -> d`` between boundary vertices on the overlay."""
+        return _scalar_query(self._overlay_store()) or self.overlay.query
 
-    def _partition_distance(self, pid: int, source: int, target: int) -> float:
-        store = self._partition_store(pid)
-        if isinstance(store, LabelStore):
-            if store.query_fn is not None:
-                return store.query_fn(source, target)
-        elif store is not None:
-            return store.query(source, target)
-        return self.family.query(pid, source, target)
+    def _local_distance(
+        self, family: PartitionIndexFamily, pid: int, source: int, target: int
+    ) -> float:
+        """Distance inside ``family``'s graph of partition ``pid``."""
+        query = _scalar_query(self._family_store(family, pid))
+        if query is not None:
+            return query(source, target)
+        return family.query(pid, source, target)
 
-    # ------------------------------------------------------------------
-    # Query processing
-    #
-    # The case analysis is written against two injectable fetchers so the
-    # batch plane can share memoised lookups across a whole batch:
-    #
-    # * ``overlay_query(bp, bq)`` — global boundary-to-boundary distance,
-    # * ``to_boundary(pid, v)``   — distances from ``v`` to its partition
-    #   boundary (through whichever family answers same-partition queries).
-    #
-    # The scalar path passes the raw (unmemoised) fetchers, the batch path
-    # memoising wrappers around the very same calls, so both produce
-    # bit-identical distances.  Both route through the frozen stores above
-    # when ``use_kernels`` is on.
-    # ------------------------------------------------------------------
-    def _to_boundary(self, pid: int, vertex: int) -> Dict[int, float]:
-        """Distances from ``vertex`` to its partition boundary (overridable)."""
-        store = self._partition_store(pid)
+    def _to_boundary(
+        self, family: PartitionIndexFamily, pid: int, vertex: int
+    ) -> Dict[int, float]:
+        """Distances from ``vertex`` to the boundary of its partition ``pid``."""
+        store = self._family_store(family, pid)
         if store is not None:
             # LabelStore and ShortcutStore both answer the boundary fan-out
             # as one native batch (hoisted source / C-looped scalar search).
             boundary = sorted(self.partitioning.boundary(pid))
             return dict(zip(boundary, store.one_to_many(vertex, boundary)))
-        return self.family.distances_to_boundary(pid, vertex)
+        return family.distances_to_boundary(pid, vertex)
+
+    # ------------------------------------------------------------------
+    # Query processing
+    #
+    # One concatenation routine, :meth:`_psp_query`, serves every PSP
+    # strategy.  A strategy is the pair ``(family, same_partition_direct)``:
+    # which partition family answers in-partition lookups, and whether that
+    # family's same-partition answer is already global (extended partitions)
+    # or must be compared with a detour through the overlay.  The routine is
+    # written against two injectable fetchers so the batch plane can share
+    # memoised lookups across a whole batch:
+    #
+    # * ``overlay_query(bp, bq)`` — global boundary-to-boundary distance,
+    # * ``to_boundary(pid, v)``   — distances from ``v`` to its partition
+    #   boundary (through the strategy's family).
+    #
+    # The scalar path resolves the raw fetchers once per query, the batch
+    # path wraps the very same calls in memos, so both produce bit-identical
+    # distances.
+    # ------------------------------------------------------------------
+    def _query_strategy(self) -> Tuple[PartitionIndexFamily, bool]:
+        """The ``(family, same_partition_direct)`` pair behind :meth:`query`."""
+        return self.family, False
 
     def query(self, source: int, target: int) -> float:
         self._require_built()
@@ -193,9 +262,7 @@ class NoBoundaryPSPIndex(DistanceIndex):
             raise VertexNotFoundError(source)
         if not self.graph.has_vertex(target):
             raise VertexNotFoundError(target)
-        return self._query_with(
-            source, target, self._overlay_distance, self._to_boundary
-        )
+        return self._psp_query(source, target, *self._query_strategy())
 
     def query_many(self, pairs: Iterable[Tuple[int, int]]) -> List[float]:
         """Batched queries sharing overlay/boundary lookups across the batch.
@@ -214,9 +281,10 @@ class NoBoundaryPSPIndex(DistanceIndex):
                 raise VertexNotFoundError(source)
             if not self.graph.has_vertex(target):
                 raise VertexNotFoundError(target)
+        family, same_partition_direct = self._query_strategy()
 
         overlay_memo: Dict[Tuple[int, int], float] = {}
-        overlay_query = self._overlay_distance
+        overlay_query = self._overlay_fetcher()
 
         def cached_overlay(bp: int, bq: int) -> float:
             key = (bp, bq)
@@ -232,7 +300,7 @@ class NoBoundaryPSPIndex(DistanceIndex):
             key = (pid, vertex)
             hit = boundary_memo.get(key)
             if hit is None:
-                hit = self._to_boundary(pid, vertex)
+                hit = self._to_boundary(family, pid, vertex)
                 boundary_memo[key] = hit
             return hit
 
@@ -243,7 +311,10 @@ class NoBoundaryPSPIndex(DistanceIndex):
             self._attach_vector_concat(cached_overlay)
 
         return [
-            self._query_with(source, target, cached_overlay, cached_to_boundary)
+            self._psp_query(
+                source, target, family, same_partition_direct,
+                cached_overlay, cached_to_boundary,
+            )
             for source, target in pair_list
         ]
 
@@ -298,113 +369,56 @@ class NoBoundaryPSPIndex(DistanceIndex):
         """One-to-many batch: the source's boundary distances are fetched once."""
         return self.query_many([(source, target) for target in targets])
 
-    def _query_with(
+    def _psp_query(
         self,
         source: int,
         target: int,
-        overlay_query: Callable[[int, int], float],
-        to_boundary: Callable[[int, int], Dict[int, float]],
+        family: PartitionIndexFamily,
+        same_partition_direct: bool,
+        overlay_query: Optional[Callable[[int, int], float]] = None,
+        to_boundary: Optional[Callable[[int, int], Dict[int, float]]] = None,
     ) -> float:
-        """Shared scalar/batch case analysis (Section III-C query cases)."""
+        """PSP distance concatenation (the Section III-C query cases).
+
+        Without injected fetchers (the scalar plane) the raw kernel-aware
+        ones are resolved here, once per query.
+        """
         if source == target:
             return 0.0
+        if overlay_query is None:
+            overlay_query = self._overlay_fetcher()
+            to_boundary = partial(self._to_boundary, family)
         partitioning = self.partitioning
         pid_s = partitioning.partition_of(source)
         pid_t = partitioning.partition_of(target)
-        boundary_s = partitioning.boundary(pid_s)
-        boundary_t = partitioning.boundary(pid_t)
-        source_is_boundary = source in boundary_s
-        target_is_boundary = target in boundary_t
-
         if pid_s == pid_t:
-            return self._same_partition_query(
-                pid_s, source, target, overlay_query, to_boundary
+            # Local distance vs. detour through the overlay.
+            local = self._local_distance(family, pid_s, source, target)
+            if same_partition_direct:
+                return local
+            detour = _concat_min(
+                to_boundary(pid_s, source), to_boundary(pid_s, target), overlay_query
             )
+            return detour if detour < local else local
+        source_is_boundary = source in partitioning.boundary(pid_s)
+        target_is_boundary = target in partitioning.boundary(pid_t)
         if source_is_boundary and target_is_boundary:
             return overlay_query(source, target)
         if source_is_boundary:
-            return self._boundary_to_inner(source, pid_t, target, overlay_query, to_boundary)
+            return _row_min(source, to_boundary(pid_t, target), overlay_query)
         if target_is_boundary:
-            return self._boundary_to_inner(target, pid_s, source, overlay_query, to_boundary)
-        return self._inner_to_inner(pid_s, source, pid_t, target, overlay_query, to_boundary)
-
-    def _same_partition_query(
-        self,
-        pid: int,
-        source: int,
-        target: int,
-        overlay_query: Callable[[int, int], float],
-        to_boundary: Callable[[int, int], Dict[int, float]],
-    ) -> float:
-        """Same-partition query: local distance vs. detour through the overlay."""
-        best = self._partition_distance(pid, source, target)
-        source_to_boundary = to_boundary(pid, source)
-        target_to_boundary = to_boundary(pid, target)
-        concat_min = getattr(overlay_query, "concat_min", None)
-        if concat_min is not None:
-            detour = concat_min(source_to_boundary, target_to_boundary)
-            return detour if detour < best else best
-        for bp, d_s in source_to_boundary.items():
-            if d_s == INF:
-                continue
-            for bq, d_t in target_to_boundary.items():
-                if d_t == INF:
-                    continue
-                candidate = d_s + overlay_query(bp, bq) + d_t
-                if candidate < best:
-                    best = candidate
-        return best
-
-    def _boundary_to_inner(
-        self,
-        boundary_vertex: int,
-        pid: int,
-        inner: int,
-        overlay_query: Callable[[int, int], float],
-        to_boundary: Callable[[int, int], Dict[int, float]],
-    ) -> float:
-        """Query between a boundary vertex and a non-boundary vertex of partition ``pid``."""
-        row_min = getattr(overlay_query, "row_min", None)
-        if row_min is not None:
-            return row_min(boundary_vertex, to_boundary(pid, inner))
-        best = INF
-        for bq, d_t in to_boundary(pid, inner).items():
-            if d_t == INF:
-                continue
-            candidate = overlay_query(boundary_vertex, bq) + d_t
-            if candidate < best:
-                best = candidate
-        return best
-
-    def _inner_to_inner(
-        self,
-        pid_s: int,
-        source: int,
-        pid_t: int,
-        target: int,
-        overlay_query: Callable[[int, int], float],
-        to_boundary: Callable[[int, int], Dict[int, float]],
-    ) -> float:
-        """Cross-partition query between two non-boundary vertices."""
-        source_to_boundary = to_boundary(pid_s, source)
-        target_to_boundary = to_boundary(pid_t, target)
-        concat_min = getattr(overlay_query, "concat_min", None)
-        if concat_min is not None:
-            return concat_min(source_to_boundary, target_to_boundary)
-        best = INF
-        for bp, d_s in source_to_boundary.items():
-            if d_s == INF:
-                continue
-            for bq, d_t in target_to_boundary.items():
-                if d_t == INF:
-                    continue
-                candidate = d_s + overlay_query(bp, bq) + d_t
-                if candidate < best:
-                    best = candidate
-        return best
+            return _row_min(target, to_boundary(pid_s, source), overlay_query)
+        return _concat_min(
+            to_boundary(pid_s, source), to_boundary(pid_t, target), overlay_query
+        )
 
     # ------------------------------------------------------------------
     # Maintenance
+    #
+    # Split into a *shortcut phase* (partitions, then overlay) and a *label
+    # phase* (partitions, then overlay) so the multi-stage PMHL can release a
+    # query stage between them; the planar strategies here run them back to
+    # back and report per-partition work as one ``partition_update`` stage.
     # ------------------------------------------------------------------
     def _apply_batch(self, batch: UpdateBatch) -> UpdateReport:
         self._require_built()
@@ -416,55 +430,76 @@ class NoBoundaryPSPIndex(DistanceIndex):
             batch.apply(self.graph)
         self._emit_stage(report, StageTiming("edge_update", timer.seconds))
 
-        partition_times, changed_boundary = self._update_partitions(batch, report)
+        per_partition, inter_updates = self._split_batch(batch)
+        shortcut_times, changed, changed_boundary = self._update_partition_shortcuts(
+            per_partition
+        )
+        label_times = self._update_partition_labels(changed)
+        partition_times = [a + b for a, b in zip(shortcut_times, label_times)]
+        self._emit_stage(report,
+            StageTiming(
+                "partition_update", sum(partition_times), parallel_times=partition_times
+            )
+        )
 
         with Timer() as timer:
-            inter_updates = [
-                u
-                for u in batch
-                if self.partitioning.partition_of(u.u) != self.partitioning.partition_of(u.v)
-            ]
             self.overlay.apply_updates(inter_updates, changed_boundary)
         self._emit_stage(report, StageTiming("overlay_update", timer.seconds))
 
         self.last_report = report
         return report
 
-    def _update_partitions(
-        self, batch: UpdateBatch, report: UpdateReport
-    ) -> Tuple[List[float], Dict[Tuple[int, int], float]]:
-        """Maintain the partition indexes; returns per-partition times and the
-        boundary shortcuts whose values changed (for the overlay update)."""
-        partitioning = self.partitioning
+    def _split_batch(self, batch: UpdateBatch) -> Tuple[Dict[int, List], List]:
+        """Group a batch into per-partition updates and inter-partition ones."""
+        partition_of = self.partitioning.partition_of
         per_partition: Dict[int, List] = {}
+        inter_updates: List = []
         for update in batch:
-            pid_u = partitioning.partition_of(update.u)
-            pid_v = partitioning.partition_of(update.v)
-            if pid_u == pid_v:
-                per_partition.setdefault(pid_u, []).append(update)
+            pid = partition_of(update.u)
+            if pid == partition_of(update.v):
+                per_partition.setdefault(pid, []).append(update)
+            else:
+                inter_updates.append(update)
+        return per_partition, inter_updates
 
-        partition_times: List[float] = []
+    def _update_partition_shortcuts(
+        self, per_partition: Dict[int, List]
+    ) -> Tuple[List[float], Dict[int, Dict[int, List[int]]], Dict[Tuple[int, int], float]]:
+        """Shortcut phase of the touched partitions (parallel in the paper).
+
+        Returns per-partition seconds, each partition's changed-shortcut
+        report (the seed of its label phase) and the boundary shortcuts whose
+        values changed (the seed of the overlay's shortcut phase).
+        """
+        times: List[float] = []
+        changed: Dict[int, Dict[int, List[int]]] = {}
         changed_boundary: Dict[Tuple[int, int], float] = {}
         for pid, updates in sorted(per_partition.items()):
             start = time.perf_counter()
             changed_edges = self.family.apply_edge_updates(pid, updates)
             changed_report = self.family.update_shortcuts(pid, changed_edges)
-            self.family.update_labels(pid, changed_report.keys())
-            boundary = partitioning.boundary(pid)
+            changed[pid] = changed_report
+            boundary = self.partitioning.boundary(pid)
+            shortcuts = self.family.contractions[pid].shortcuts
             for v, neighbours in changed_report.items():
                 if v not in boundary:
                     continue
                 for u in neighbours:
                     if u in boundary:
-                        changed_boundary[(v, u)] = self.family.contractions[pid].shortcuts[v][u]
-            partition_times.append(time.perf_counter() - start)
+                        changed_boundary[(v, u)] = shortcuts[v][u]
+            times.append(time.perf_counter() - start)
+        return times, changed, changed_boundary
 
-        self._emit_stage(report,
-            StageTiming(
-                "partition_update", sum(partition_times), parallel_times=partition_times
-            )
-        )
-        return partition_times, changed_boundary
+    def _update_partition_labels(
+        self, changed: Dict[int, Dict[int, List[int]]]
+    ) -> List[float]:
+        """Label phase of the touched partitions; returns per-partition seconds."""
+        times: List[float] = []
+        for pid, changed_report in sorted(changed.items()):
+            start = time.perf_counter()
+            self.family.update_labels(pid, changed_report.keys())
+            times.append(time.perf_counter() - start)
+        return times
 
     # ------------------------------------------------------------------
     def vertex_partition(self, v: int) -> Optional[int]:

@@ -113,12 +113,13 @@ class OverlayIndex:
         return distances
 
     # ------------------------------------------------------------------
-    def apply_updates(
+    def update_shortcuts(
         self,
         inter_updates: Iterable,
         changed_boundary_shortcuts: Dict[Tuple[int, int], float],
-    ) -> Tuple[Dict[int, List[int]], Set[int]]:
-        """Install overlay edge changes and maintain the overlay index.
+    ) -> Dict[int, List[int]]:
+        """Shortcut half of overlay maintenance: install edge changes, then
+        update the overlay shortcut arrays bottom-up.
 
         Parameters
         ----------
@@ -129,10 +130,7 @@ class OverlayIndex:
             New values of partition boundary shortcuts that changed during the
             partition shortcut-update phase.
 
-        Returns
-        -------
-        tuple
-            ``(changed_shortcut_report, changed_label_vertices)``.
+        Returns the changed-shortcut report that seeds :meth:`update_labels`.
         """
         self._require_built()
         changed_edges: List[Tuple[int, int]] = []
@@ -148,14 +146,24 @@ class OverlayIndex:
             else:
                 self.graph.add_edge(b1, b2, weight)
                 changed_edges.append((b1, b2) if b1 < b2 else (b2, b1))
+        return update_shortcuts_bottom_up(self.contraction, self.graph, changed_edges)
 
-        changed_report = update_shortcuts_bottom_up(
-            self.contraction, self.graph, changed_edges
-        )
-        changed_labels: Set[int] = set()
+    def update_labels(self, changed_report: Dict[int, List[int]]) -> Set[int]:
+        """Label half of overlay maintenance: top-down from the vertices whose
+        shortcuts changed; returns the vertices whose labels changed."""
         if self.with_labels and changed_report:
-            changed_labels = self.labels.update_top_down(changed_report.keys())
-        return changed_report, changed_labels
+            return self.labels.update_top_down(changed_report.keys())
+        return set()
+
+    def apply_updates(
+        self,
+        inter_updates: Iterable,
+        changed_boundary_shortcuts: Dict[Tuple[int, int], float],
+    ) -> Tuple[Dict[int, List[int]], Set[int]]:
+        """Shortcut half, then label half (arguments as :meth:`update_shortcuts`);
+        returns ``(changed_shortcut_report, changed_label_vertices)``."""
+        changed_report = self.update_shortcuts(inter_updates, changed_boundary_shortcuts)
+        return changed_report, self.update_labels(changed_report)
 
     # ------------------------------------------------------------------
     def index_size(self) -> int:

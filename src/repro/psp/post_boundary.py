@@ -17,13 +17,12 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from repro import obs
 from repro.base import StageTiming, UpdateReport
 from repro.graph.graph import Graph
 from repro.graph.updates import UpdateBatch
-from repro.kernels.label_store import LabelStore
 from repro.partitioning.base import Partitioning
 from repro.psp.no_boundary import NoBoundaryPSPIndex
 from repro.psp.partition_family import PartitionIndexFamily
@@ -57,100 +56,64 @@ class PostBoundaryPSPIndex(NoBoundaryPSPIndex):
         self.boundary_distances: List[Dict[Tuple[int, int], float]] = []
 
     # ------------------------------------------------------------------
-    # Construction
+    # Construction (Section III-C, Steps 4-5)
     # ------------------------------------------------------------------
     def _build(self) -> None:
         super()._build()
         with obs.span(self.name.lower() + ".build.extended_partitions"):
-            extended_graphs: List[Graph] = []
-            self.boundary_distances = []
-            for pid in range(self.partitioning.num_partitions):
-                extended = self.partitioning.subgraph(pid)
-                distances = self.overlay.boundary_pair_distances(pid)
-                for (b1, b2), weight in distances.items():
-                    if b1 < b2 and weight < INF:
-                        if extended.has_edge(b1, b2):
-                            extended.set_edge_weight(
-                                b1, b2, min(weight, extended.edge_weight(b1, b2))
-                            )
-                        else:
-                            extended.add_edge(b1, b2, weight)
-                extended_graphs.append(extended)
-                self.boundary_distances.append(distances)
-            self.extended_family = PartitionIndexFamily(
-                self.partitioning,
-                self.order,
-                with_labels=(self.underlying == "h2h"),
-                graphs=extended_graphs,
-            )
-            self.extended_family.build()
+            self._build_extended_partitions()
 
-    # ------------------------------------------------------------------
-    # Query processing (same-partition queries go straight to {L'_i})
-    #
-    # Boundary distances flow through the extended family here, so the
-    # inherited ``query_many`` batch memo automatically caches extended-family
-    # lookups instead of the base family's; the frozen per-partition stores
-    # likewise snapshot the *extended* structures.
-    # ------------------------------------------------------------------
-    def _extended_store(self, pid: int):
-        return self._store_for(
-            f"extended_{pid}",
-            self.extended_family.labels[pid],
-            self.extended_family.contractions[pid],
+    def _build_extended_partitions(self) -> None:
+        """Insert every partition's all-pair global boundary distances (from
+        the overlay index) into its subgraph and index the results."""
+        extended_graphs: List[Graph] = []
+        self.boundary_distances = []
+        for pid in range(self.partitioning.num_partitions):
+            extended = self.partitioning.subgraph(pid)
+            distances = self.overlay.boundary_pair_distances(pid)
+            for (b1, b2), weight in distances.items():
+                if b1 < b2 and weight < INF:
+                    if extended.has_edge(b1, b2):
+                        extended.set_edge_weight(
+                            b1, b2, min(weight, extended.edge_weight(b1, b2))
+                        )
+                    else:
+                        extended.add_edge(b1, b2, weight)
+            extended_graphs.append(extended)
+            self.boundary_distances.append(distances)
+        self.extended_family = PartitionIndexFamily(
+            self.partitioning,
+            self.order,
+            with_labels=(self.underlying == "h2h"),
+            graphs=extended_graphs,
         )
+        self.extended_family.build()
 
-    def _to_boundary(self, pid: int, vertex: int) -> Dict[int, float]:
-        store = self._extended_store(pid)
-        if store is not None:
-            # LabelStore and ShortcutStore both answer the boundary fan-out
-            # as one native batch (hoisted source / C-looped scalar search).
-            boundary = sorted(self.partitioning.boundary(pid))
-            return dict(zip(boundary, store.one_to_many(vertex, boundary)))
-        return self.extended_family.distances_to_boundary(pid, vertex)
-
-    def _same_partition_query(
-        self,
-        pid: int,
-        source: int,
-        target: int,
-        overlay_query: Callable[[int, int], float],
-        to_boundary: Callable[[int, int], Dict[int, float]],
-    ) -> float:
-        store = self._extended_store(pid)
-        if isinstance(store, LabelStore):
-            if store.query_fn is not None:
-                return store.query_fn(source, target)
-        elif store is not None:
-            return store.query(source, target)
-        return self.extended_family.query(pid, source, target)
-
-    # ``_boundary_to_inner`` / ``_inner_to_inner`` are inherited: the
-    # concatenation loops (and their vectorized batch plane) are identical —
-    # only the per-partition stores they consult differ, via ``_to_boundary``.
+    # ------------------------------------------------------------------
+    # Query processing: in-partition lookups go through the extended family,
+    # whose same-partition answers are already global.  The scalar and batch
+    # planes are inherited; their memos and frozen per-partition stores then
+    # hold the *extended* structures.
+    # ------------------------------------------------------------------
+    def _query_strategy(self) -> Tuple[PartitionIndexFamily, bool]:
+        return self.extended_family, True
 
     # ------------------------------------------------------------------
     # Maintenance
     # ------------------------------------------------------------------
     def _apply_batch(self, batch: UpdateBatch) -> UpdateReport:
         report = super()._apply_batch(batch)
-        post_times = self._update_extended_partitions(batch)
+        post_times = self._update_extended_partitions(self._split_batch(batch)[0])
         self._emit_stage(report,
             StageTiming("post_boundary_update", sum(post_times), parallel_times=post_times)
         )
-        self.last_report = report
         return report
 
-    def _update_extended_partitions(self, batch: UpdateBatch) -> List[float]:
-        """Refresh the extended partitions after the overlay index is up to date."""
+    def _update_extended_partitions(self, per_partition: Dict[int, List]) -> List[float]:
+        """Refresh the extended partitions whose boundary distances or edges
+        changed, once the overlay index is up to date; returns per-partition
+        seconds (parallel in the paper)."""
         partitioning = self.partitioning
-        per_partition_updates: Dict[int, List] = {}
-        for update in batch:
-            pid_u = partitioning.partition_of(update.u)
-            pid_v = partitioning.partition_of(update.v)
-            if pid_u == pid_v:
-                per_partition_updates.setdefault(pid_u, []).append(update)
-
         times: List[float] = []
         for pid in range(partitioning.num_partitions):
             start = time.perf_counter()
@@ -165,7 +128,7 @@ class PostBoundaryPSPIndex(NoBoundaryPSPIndex):
             }
             intra_updates = [
                 u
-                for u in per_partition_updates.get(pid, [])
+                for u in per_partition.get(pid, [])
                 if not (u.u in boundary and u.v in boundary)
             ]
             if not changed_pairs and not intra_updates:

@@ -4,10 +4,15 @@ import pytest
 
 from repro.algorithms.dijkstra import dijkstra_distance
 from repro.core.pmhl import PMHLIndex
-from repro.core.stages import PMHLQueryStage
+from repro.core.stages import PMHL_UPDATE_STAGES, PMHLQueryStage
 from repro.exceptions import IndexNotBuiltError, VertexNotFoundError
 from repro.graph.generators import grid_road_network, highway_network
 from repro.graph.updates import generate_update_batch, generate_update_stream
+from repro.partitioning.base import Partitioning
+from repro.partitioning.natural_cut import natural_cut_partition
+from repro.psp.no_boundary import NoBoundaryPSPIndex
+from repro.psp.post_boundary import PTDPIndex
+from repro.store import load_index, save_index
 
 from tests.conftest import random_query_pairs
 
@@ -91,16 +96,7 @@ class TestPMHLMaintenance:
         index = build_pmhl(graph, k=4, seed=seed)
         batch = generate_update_batch(graph, volume=12, seed=seed)
         report = index.apply_batch(batch)
-        names = [s.name for s in report.stages]
-        assert names == [
-            "edge_update",
-            "partition_shortcut_update",
-            "overlay_shortcut_update",
-            "partition_label_update",
-            "overlay_label_update",
-            "post_boundary_update",
-            "cross_boundary_update",
-        ]
+        assert [s.name for s in report.stages] == list(PMHL_UPDATE_STAGES)
         for s, t in random_query_pairs(graph, 25, seed=seed):
             expected = dijkstra_distance(graph, s, t)
             for stage in PMHLQueryStage:
@@ -144,3 +140,79 @@ class TestPMHLMaintenance:
         assert by_name["partition_shortcut_update"].parallel_times is not None
         assert by_name["post_boundary_update"].parallel_times is not None
         assert by_name["cross_boundary_update"].parallel_times is not None
+
+
+PARALLEL_STAGES = {
+    "partition_shortcut_update",
+    "partition_label_update",
+    "post_boundary_update",
+    "cross_boundary_update",
+}
+
+
+@pytest.mark.parametrize("use_kernels", [True, False])
+@pytest.mark.parametrize("seed", [0, 1])
+class TestPMHLAggregatesPSP:
+    """PMHL's Q3/Q4 *are* the PSP classes' queries: same bits in every state."""
+
+    def test_stage_queries_equal_psp_indexes(self, seed, use_kernels, tmp_path):
+        base = grid_road_network(9, 9, seed=seed)
+        assignment = natural_cut_partition(base, 4, seed=seed).vertex_partition
+        pairs = random_query_pairs(base, 60, seed=seed)
+
+        def build(cls, **kwargs):
+            graph = base.copy()
+            index = cls(
+                graph,
+                num_partitions=4,
+                partitioning=Partitioning(graph, dict(assignment)),
+                **kwargs,
+            )
+            index.use_kernels = use_kernels
+            index.build()
+            return index
+
+        pmhl = build(PMHLIndex)
+        no_boundary = build(NoBoundaryPSPIndex, underlying="h2h")
+        post_boundary = build(PTDPIndex)
+
+        def check():
+            q3 = [pmhl.query_no_boundary(s, t) for s, t in pairs]
+            q4 = [pmhl.query_post_boundary(s, t) for s, t in pairs]
+            expected = [dijkstra_distance(pmhl.graph, s, t) for s, t in pairs]
+            assert q3 == pytest.approx(expected)
+            assert q4 == pytest.approx(expected)
+            assert [d.hex() for d in q3] == [
+                no_boundary.query(s, t).hex() for s, t in pairs
+            ]
+            assert [d.hex() for d in q4] == [
+                post_boundary.query(s, t).hex() for s, t in pairs
+            ]
+
+        def apply(batch_seed, decrease_fraction):
+            for index in (pmhl, no_boundary, post_boundary):
+                # Same seed on equal graphs -> the same batch for every index.
+                batch = generate_update_batch(
+                    index.graph, volume=10, seed=batch_seed,
+                    decrease_fraction=decrease_fraction,
+                )
+                report = index.apply_batch(batch)
+                if index is pmhl:
+                    assert [s.name for s in report.stages] == list(PMHL_UPDATE_STAGES)
+                    assert {
+                        s.name for s in report.stages if s.parallel_times is not None
+                    } == PARALLEL_STAGES
+
+        check()
+        for i, decrease_fraction in enumerate((0.0, 1.0, 0.5)):
+            apply(seed * 10 + i, decrease_fraction)
+        check()
+
+        # Snapshot round trip (N-PSP has no registry spec; it stays live).
+        save_index(pmhl, str(tmp_path / "pmhl"))
+        save_index(post_boundary, str(tmp_path / "ptdp"))
+        pmhl = load_index(str(tmp_path / "pmhl"), use_kernels=use_kernels)
+        post_boundary = load_index(str(tmp_path / "ptdp"), use_kernels=use_kernels)
+        check()
+        apply(seed * 10 + 3, 0.5)
+        check()

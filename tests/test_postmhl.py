@@ -4,7 +4,7 @@ import pytest
 
 from repro.algorithms.dijkstra import dijkstra_distance
 from repro.core.postmhl import PostMHLIndex
-from repro.core.stages import PostMHLQueryStage
+from repro.core.stages import POSTMHL_UPDATE_STAGES, PostMHLQueryStage
 from repro.exceptions import IndexNotBuiltError, VertexNotFoundError
 from repro.graph.generators import grid_road_network, highway_network
 from repro.graph.updates import generate_update_batch, generate_update_stream
@@ -118,15 +118,7 @@ class TestPostMHLMaintenance:
         index = build_postmhl(graph, bandwidth=12, ke=4)
         batch = generate_update_batch(graph, volume=15, seed=seed)
         report = index.apply_batch(batch)
-        names = [s.name for s in report.stages]
-        assert names == [
-            "edge_update",
-            "partition_shortcut_update",
-            "overlay_shortcut_update",
-            "overlay_label_update",
-            "post_boundary_update",
-            "cross_boundary_update",
-        ]
+        assert [s.name for s in report.stages] == list(POSTMHL_UPDATE_STAGES)
         for s, t in random_query_pairs(graph, 25, seed=seed):
             expected = dijkstra_distance(graph, s, t)
             for stage in PostMHLQueryStage:

@@ -11,6 +11,7 @@ from repro.psp.no_boundary import NCHPIndex, NoBoundaryPSPIndex
 from repro.psp.overlay import OverlayIndex, build_overlay_graph
 from repro.psp.partition_family import PartitionIndexFamily
 from repro.psp.post_boundary import PostBoundaryPSPIndex, PTDPIndex
+from repro.store import load_index, save_index
 
 from tests.conftest import random_query_pairs
 
@@ -143,6 +144,67 @@ class TestPSPIndexCorrectness:
                 assert index.query(s, t) == pytest.approx(
                     dijkstra_distance(graph, s, t)
                 ), (s, t)
+
+
+PSP_STAGES = ["edge_update", "partition_update", "overlay_update"]
+
+
+@pytest.mark.parametrize("use_kernels", [True, False])
+@pytest.mark.parametrize(
+    "make, stages, parallel, registered",
+    [
+        (lambda g: NoBoundaryPSPIndex(g, num_partitions=4, seed=11),
+         PSP_STAGES, {"partition_update"}, False),
+        (lambda g: NCHPIndex(g, num_partitions=4, seed=11),
+         PSP_STAGES, {"partition_update"}, True),
+        (lambda g: PTDPIndex(g, num_partitions=4, seed=11),
+         PSP_STAGES + ["post_boundary_update"],
+         {"partition_update", "post_boundary_update"}, True),
+    ],
+    ids=["N-PSP", "N-CH-P", "P-TD-P"],
+)
+class TestPSPBatchPlaneAndReports:
+    """The batch plane runs the scalar routine: same bits fresh, updated and
+    reloaded; the composed maintenance phases keep each strategy's stage names."""
+
+    def test_query_many_is_query_and_stage_names_hold(
+        self, make, stages, parallel, registered, use_kernels, tmp_path
+    ):
+        index = make(grid_road_network(8, 8, seed=11))
+        index.use_kernels = use_kernels
+        index.build()
+        pairs = random_query_pairs(index.graph, 40, seed=11)
+
+        def check():
+            scalar = [index.query(s, t) for s, t in pairs]
+            assert scalar == pytest.approx(
+                [dijkstra_distance(index.graph, s, t) for s, t in pairs]
+            )
+            batch = index.query_many(pairs)
+            assert [d.hex() for d in batch] == [d.hex() for d in scalar]
+
+        def apply(batch_seed, decrease_fraction):
+            report = index.apply_batch(
+                generate_update_batch(
+                    index.graph, volume=10, seed=batch_seed,
+                    decrease_fraction=decrease_fraction,
+                )
+            )
+            assert [s.name for s in report.stages] == stages
+            assert {
+                s.name for s in report.stages if s.parallel_times is not None
+            } == parallel
+
+        check()
+        for i, decrease_fraction in enumerate((0.0, 1.0, 0.5)):
+            apply(110 + i, decrease_fraction)
+        check()
+        if registered:  # snapshots cover the registry's methods only
+            save_index(index, str(tmp_path / "snap"))
+            index = load_index(str(tmp_path / "snap"), use_kernels=use_kernels)
+            check()
+            apply(113, 0.5)
+            check()
 
 
 class TestPSPBaselines:
