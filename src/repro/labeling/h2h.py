@@ -73,26 +73,30 @@ class H2HLabels:
         tree = self.tree
         anc = tree.ancestors[v]
         depth = tree.depth
+        dis = self.dis
         m = len(anc)
         neighbors = tree.neighbors(v)
         shortcuts = tree.contraction.shortcuts[v]
 
+        # Neighbour-outer, column-inner: ``x`` sits at depth ``px < m - 1`` on
+        # ``v``'s ancestor chain.  Columns above it relax against ``x``'s own
+        # array, columns from it downwards against the ancestor's entry for
+        # ``x`` (``0.0`` at ``j == px``, where the ancestor is ``x`` itself).
+        # Each column still takes the minimum over the same candidates.
         new = [INF] * m
+        for x in neighbors:
+            sc = shortcuts[x]
+            px = depth[x]
+            for j, d in enumerate(dis[x][:px]):
+                candidate = sc + d
+                if candidate < new[j]:
+                    new[j] = candidate
+            for j in range(px, m - 1):
+                candidate = sc + dis[anc[j]][px]
+                if candidate < new[j]:
+                    new[j] = candidate
         new[m - 1] = 0.0
-        for j in range(m - 1):
-            ancestor = anc[j]
-            best = INF
-            for x in neighbors:
-                px = depth[x]
-                if px > j:
-                    d = self.dis[x][j]
-                else:
-                    d = self.dis[ancestor][px]
-                candidate = shortcuts[x] + d
-                if candidate < best:
-                    best = candidate
-            new[j] = best
-        self.dis[v] = new
+        dis[v] = new
         self.pos[v] = [depth[x] for x in neighbors] + [m - 1]
         return new
 

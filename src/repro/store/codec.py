@@ -31,123 +31,92 @@ from repro.treedec.mde import ContractionResult
 from repro.treedec.tree import TreeDecomposition
 
 
-class LazyDict(dict):
-    """A dict whose contents are produced by ``loader`` on first read access.
+class _LoadedDict(dict):
+    """What a :class:`LazyDict` becomes once its loader has run.
+
+    A ``dict`` subclass with no Python-level method at all (the slots only
+    keep the two layouts assignment-compatible), so every subscript, ``get``
+    and iteration of a materialised container runs at built-in ``dict``
+    speed: a loaded index maintains exactly as fast as the one it was saved
+    from.
+    """
+
+    __slots__ = ("_loader", "_lock")
+
+
+class LazyDict(_LoadedDict):
+    """A dict whose contents are produced by ``loader`` on first access.
 
     Loading a snapshot materialises Python dict-of-list structures from flat
     arrays; for the structures only the *maintenance* paths read (supporter
     records, shortcut arrays, label dicts shadowed by a reattached kernel
     store) that conversion is deferred: the loader closure keeps the (mmap-
-    backed) arrays and runs once, on the first read, after which the instance
-    behaves as a plain dict.  Query-only warm starts therefore never pay for
-    the structures they never touch.
+    backed) arrays and runs once, on the first access, after which the
+    instance **is** a plain dict — its class is swapped to the override-free
+    :class:`_LoadedDict`, so no later access enters Python.  Query-only warm
+    starts therefore never pay for the structures they never touch, and
+    maintenance never pays for the laziness after the first touch.
+
+    Every public ``dict`` method that reads, merges or writes is wrapped to
+    materialise first (see ``_MATERIALISING`` below; a loader running *after*
+    a write would silently overwrite it).
     """
 
-    __slots__ = ("_loader", "_lock")
+    __slots__ = ()
 
     def __init__(self, loader):
         super().__init__()
         self._loader = loader
         self._lock = threading.Lock()
 
-    def _ensure(self) -> None:
-        # Warm-started serving runs queries on multiple threads; the first
-        # touches can race here.  The loader fills a *staging* dict under the
-        # lock (so its own writes don't re-enter these overrides) and
-        # ``_loader`` flips to None only after ``self`` holds the full
-        # contents — a thread seeing None on the fast path therefore always
-        # sees a completely materialised dict, never a partial one.
-        if self._loader is None:
+
+def _ensure_loaded(lazy: _LoadedDict) -> None:
+    # Warm-started serving runs queries on multiple threads; the first
+    # touches can race here.  The loader fills a *staging* dict under the
+    # lock (so its own writes don't re-enter the wrappers) and ``_loader``
+    # flips to None only after ``lazy`` holds the full contents — a thread
+    # seeing None on the fast path therefore always sees a completely
+    # materialised dict, never a partial one.  The class swap comes last:
+    # a thread that bypasses the wrappers sees the same complete dict.
+    if lazy._loader is None:
+        return
+    with lazy._lock:
+        loader = lazy._loader
+        if loader is None:
             return
-        with self._lock:
-            loader = self._loader
-            if loader is None:
-                return
-            staging: dict = {}
-            loader(staging)
-            dict.update(self, staging)
-            self._loader = None
+        staging: dict = {}
+        loader(staging)
+        dict.update(lazy, staging)
+        lazy._loader = None
+        lazy.__class__ = _LoadedDict
 
-    def __getitem__(self, key):
-        self._ensure()
-        return dict.__getitem__(self, key)
 
-    def __contains__(self, key):
-        self._ensure()
-        return dict.__contains__(self, key)
+def _materialising(name: str):
+    method = getattr(dict, name)
 
-    def __iter__(self):
-        self._ensure()
-        return dict.__iter__(self)
+    def wrapper(self, *args, **kwargs):
+        _ensure_loaded(self)
+        return method(self, *args, **kwargs)
 
-    def __len__(self):
-        self._ensure()
-        return dict.__len__(self)
+    wrapper.__name__ = name
+    wrapper.__qualname__ = f"LazyDict.{name}"
+    return wrapper
 
-    def __bool__(self):
-        self._ensure()
-        return dict.__len__(self) > 0
 
-    def __eq__(self, other):
-        self._ensure()
-        return dict.__eq__(self, other)
-
-    def __ne__(self, other):
-        self._ensure()
-        return dict.__ne__(self, other)
-
-    __hash__ = None
-
-    # Writes materialise first too: a loader running *after* a write would
-    # silently overwrite it (no current maintenance path writes before
-    # reading, but the guarantee should not depend on that).
-    def __setitem__(self, key, value):
-        self._ensure()
-        dict.__setitem__(self, key, value)
-
-    def __delitem__(self, key):
-        self._ensure()
-        dict.__delitem__(self, key)
-
-    def setdefault(self, key, default=None):
-        self._ensure()
-        return dict.setdefault(self, key, default)
-
-    def pop(self, *args):
-        self._ensure()
-        return dict.pop(self, *args)
-
-    def popitem(self):
-        self._ensure()
-        return dict.popitem(self)
-
-    def update(self, *args, **kwargs):
-        self._ensure()
-        dict.update(self, *args, **kwargs)
-
-    def clear(self):
-        self._loader = None
-        dict.clear(self)
-
-    def copy(self):
-        self._ensure()
-        return dict(self)
-
-    def get(self, key, default=None):
-        self._ensure()
-        return dict.get(self, key, default)
-
-    def keys(self):
-        self._ensure()
-        return dict.keys(self)
-
-    def values(self):
-        self._ensure()
-        return dict.values(self)
-
-    def items(self):
-        self._ensure()
-        return dict.items(self)
+#: Every public ``dict`` method that observes or changes the contents.
+#: ``bool()`` goes through ``__len__``; ``str()`` / ``format()`` through
+#: ``__repr__``; ``dict(lazy)`` and ``{**lazy}`` through ``keys`` because
+#: ``__iter__`` is overridden (CPython's raw-storage fast path is skipped).
+_MATERIALISING = (
+    "__contains__", "__getitem__", "__iter__", "__len__", "__reversed__",
+    "__eq__", "__ne__", "__repr__", "__or__", "__ror__", "__ior__",
+    "__setitem__", "__delitem__",
+    "get", "keys", "values", "items", "copy",
+    "pop", "popitem", "setdefault", "update", "clear",
+)
+for _name in _MATERIALISING:
+    setattr(LazyDict, _name, _materialising(_name))
+del _name
 
 
 # ----------------------------------------------------------------------
@@ -244,13 +213,26 @@ def pack_contraction(contraction: ContractionResult, io: ArrayWriter) -> Dict[st
     }
 
 
+def _canonical_ids(order: List[int]):
+    """Map a vertex id to the one int object ``order`` holds for it.
+
+    Every array read mints fresh int objects, and a dict probe whose key is
+    equal but not *identical* to the stored one pays a rich comparison on top
+    of the hash match — maintenance makes millions of them.  Routing the
+    vertex-id lists of one structure through this map gives a loaded index
+    what a built one has for free: one int object per vertex.
+    """
+    return dict(zip(order, order)).__getitem__
+
+
 def unpack_contraction(state: Dict[str, object], io: ArrayReader) -> ContractionResult:
     result = ContractionResult()
     order = io.get_list(state["order"])
     result.order = order
     result.rank = {v: i for i, v in enumerate(order)}
     nbr_indptr = io.get_list(state["nbr_indptr"])
-    nbr_data = io.get_list(state["nbr_data"])
+    same = _canonical_ids(order)
+    nbr_data = list(map(same, io.get_list(state["nbr_data"])))
     for i, v in enumerate(order):
         result.neighbors[v] = nbr_data[nbr_indptr[i] : nbr_indptr[i + 1]]
     neighbors = result.neighbors
@@ -267,9 +249,12 @@ def unpack_contraction(state: Dict[str, object], io: ArrayReader) -> Contraction
 
     def load_supporters(target: dict) -> None:
         sup_indptr = io.get_list(state["sup_indptr"])
-        sup_data = io.get_list(state["sup_data"])
+        sup_data = list(map(same, io.get_list(state["sup_data"])))
         for i, (a, b) in enumerate(
-            zip(io.get_list(state["sup_a"]), io.get_list(state["sup_b"]))
+            zip(
+                map(same, io.get_list(state["sup_a"])),
+                map(same, io.get_list(state["sup_b"])),
+            )
         ):
             target[(a, b)] = sup_data[sup_indptr[i] : sup_indptr[i + 1]]
 
@@ -319,7 +304,8 @@ def unpack_labels(state: Dict[str, object], io: ArrayReader, tree: TreeDecomposi
     # With a reattached kernel store the dict-of-list labels are only read
     # by maintenance and the pure reference path; materialise them lazily.
     def load_dis(target: dict) -> None:
-        verts = io.get_list(state["verts"])
+        same = _canonical_ids(tree.contraction.order)
+        verts = map(same, io.get_list(state["verts"]))
         indptr = io.get_list(state["dis_indptr"])
         data = io.get_list(state["dis_data"])
         for i, v in enumerate(verts):

@@ -220,10 +220,10 @@ def recompute_shortcut(
     """
     key = _pair_key(v, u)
     value = graph.edge_weight_or(v, u, INF)
+    shortcuts = result.shortcuts
     for x in result.supporters.get(key, ()):  # x has lower rank than both v and u
-        sc_xv = result.shortcuts[x].get(v, INF)
-        sc_xu = result.shortcuts[x].get(u, INF)
-        candidate = sc_xv + sc_xu
+        row = shortcuts[x]
+        candidate = row.get(v, INF) + row.get(u, INF)
         if candidate < value:
             value = candidate
     return value

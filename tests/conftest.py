@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import hashlib
 import random
+import struct
 from typing import List, Tuple
 
 import pytest
@@ -57,3 +59,63 @@ def medium_grid() -> Graph:
 @pytest.fixture
 def random_graph() -> Graph:
     return random_connected_graph(40, 30, seed=3)
+
+
+def maintenance_structures(index) -> List[Tuple[str, object]]:
+    """Every ``H2HLabels`` / ``ContractionResult`` an index holds, by attribute path.
+
+    Walks the index's attributes (and the PSP family / overlay objects and
+    lists below them) in sorted-name order, each structure reported once —
+    the containers ``apply_batch`` reads, wherever a method keeps them.
+    """
+    from repro.labeling.h2h import H2HLabels
+    from repro.treedec.mde import ContractionResult
+
+    found: List[Tuple[str, object]] = []
+    seen = set()
+
+    def walk(path: str, obj) -> None:
+        if id(obj) in seen:
+            return
+        if isinstance(obj, (H2HLabels, ContractionResult)):
+            seen.add(id(obj))
+            found.append((path, obj))
+        elif isinstance(obj, (list, tuple)):
+            for i, item in enumerate(obj):
+                walk(f"{path}[{i}]", item)
+        elif type(obj).__module__.startswith("repro.") and hasattr(obj, "__dict__"):
+            seen.add(id(obj))
+            for name in sorted(vars(obj)):
+                walk(f"{path}.{name}", vars(obj)[name])
+
+    walk(type(index).__name__, index)
+    return found
+
+
+def index_state_digest(index, pairs) -> str:
+    """SHA-256 over the float64 bits of an index's labels, shortcuts and answers.
+
+    Covers ``dis`` / ``pos`` of every label set, the shortcut array of every
+    contraction (both in stored order) and ``query_many(pairs)``; two indexes
+    with equal digests are bit-identical in everything a query can read.
+    """
+    digest = hashlib.sha256()
+
+    def feed(fmt: str, values) -> None:
+        values = list(values)
+        digest.update(struct.pack(f"<{len(values)}{fmt}", *values))
+
+    for path, obj in maintenance_structures(index):
+        digest.update(path.encode())
+        if hasattr(obj, "dis"):
+            for v, row in obj.dis.items():
+                feed("q", [v])
+                feed("d", row)
+                feed("q", obj.pos[v])
+        else:
+            for v in obj.order:
+                feed("q", [v])
+                feed("q", obj.neighbors[v])
+                feed("d", (obj.shortcuts[v][u] for u in obj.neighbors[v]))
+    feed("d", index.query_many(pairs))
+    return digest.hexdigest()

@@ -48,6 +48,8 @@ from repro.store import (
 )
 from repro.throughput.workload import sample_query_pairs
 
+from tests.conftest import index_state_digest, maintenance_structures
+
 #: All nine registered methods with small-graph construction parameters.
 NINE_SPECS = {
     "BiDijkstra": get_spec("BiDijkstra"),
@@ -63,6 +65,60 @@ NINE_SPECS = {
 
 GRID_SIDE = 8
 UPDATE_VOLUME = 12
+
+#: Side of the grid the golden label digests were dumped on.
+GOLDEN_SIDE = 24
+
+#: ``index_state_digest`` at the three points of ``_golden_phases`` — fresh build,
+#: after three update batches, after save -> load -> one more batch — dumped
+#: from the commit preceding the hoisted label loop (PR 20's tree).
+GOLDEN_DIGESTS = {
+    "BiDijkstra": [
+        "faabaaab5b43bfc7df88cdfc3f0823ab0b7ee890a51ff5d98c2425d171d727c3",
+        "58446e8f2bd60e8816bee9b9c8d170940c8465569f2f7a16e58a4c6500bb7b13",
+        "81bc63af498a3e1155dfcc00a02f80e47ce83ab02c8355165743feb8dd2a4f8a",
+    ],
+    "DCH": [
+        "b332789215d319711f98d5ff5d59ec78b05e7c0ab01a7e083aa28da5dbad4c9d",
+        "384143563cdb97a9b4b8dcf5861238a06ca99f2def8bd10dc83bdf8fbff35c22",
+        "14c7c3e5fccf4b26b5b909c6cf8f70ce91d688506d2558ae1c03f09b7cb9eec2",
+    ],
+    "DH2H": [
+        "535fa666ee08fd4c9c4ca4d0009a7c0d81a032e6f30e4bf38238c1e75d308ef3",
+        "3b97abcabefa3e3a0ec3cefb7303fab16c7c2401a7b60e9e3c8dbe3d971fac50",
+        "0b40084b7f4c6164b27b170fc541bb474d456efca0c38da8a1a816aa13bad6e4",
+    ],
+    "MHL": [
+        "ded824af29aec08f6658f1bd245047966c48886cfb2e1de9f2bcadbf9d80e138",
+        "de0d13270e0980b216cdae2e10318d8ad357c577060d458ade03f6f9670df446",
+        "a85369d4549097e58be30009b826cff10e17fe0bac2b41b09c4ede4f2dbeff8f",
+    ],
+    "N-CH-P": [
+        "63104618a6017d91afd562f02d23abf8a991a9bf77adddfdfa447c93286e64fa",
+        "8c7148b9313b2c86cfe6730acde5df88f0427f1e1da546728a664d757edb9082",
+        "53f15f621e8be1b5d19ee52f694b612f7fead695d43979eb5a32a8aed462b20c",
+    ],
+    "P-TD-P": [
+        "ce8a23078561ff696f3b5aab5d8015a5525ce4c88d9f286febefcada376162a6",
+        "4abbe0b597be79fbb694a0bfef41d61315afdbf6025e13ee6b289081d320eb0f",
+        "ab32408be63e94916f75b3ca4f37af6dbe227a9fea4e5af49c61447abebf9777",
+    ],
+    "PMHL": [
+        "8624a3d0a1095e3860df403de6bfabb1e539efc283196ba046a51e5487730959",
+        "43ede5b9cd0bb3466a2c393926d527deb3ef52ad1e66108205584cc416508a58",
+        "d3aa4439c1dd2609c999590f1e7ac7e6f8d542f009f0fea807c3cf9708794b17",
+    ],
+    "PostMHL": [
+        "f99741da97e123bc30ba09b2bd47f4190516946403ec7896362edd1d498e519d",
+        "111bc2f002bb4c64f3b2270bd108516d683f531bdfbb668c73f8e328f4e25371",
+        "bedd806bc3ccd2d8e743bcb4dc2815e8926d8bfa906ea159a9bef775218dc609",
+    ],
+    "TOAIN": [
+        "1bd2ca5253f7936bfb4ac3d1034fd471ec8f9a7b5a8bee7f457aeb36b2e2c74e",
+        "b24c86dd99629a6f1f96edecc8a915f4d3c10aa12dd223cc377f02d2a163cd76",
+        "717f0413cdb318995640c2e275c80bd98bdb088169b93c52d608a31fbed016ed",
+    ],
+}
 
 
 def _base_graph():
@@ -239,6 +295,52 @@ class TestRoundTripPostUpdate:
 
         assert loaded.kernel_epoch > epoch_before
         _assert_equivalent(original, loaded, pairs)
+
+
+def _golden_phases(method, snapshot_path):
+    """Digest one method at the three points the golden table records."""
+    graph = grid_road_network(GOLDEN_SIDE, GOLDEN_SIDE, seed=5)
+    pairs = list(sample_query_pairs(graph, 60, seed=3))
+    index = create_index(NINE_SPECS[method], graph)
+    index.build()
+    yield index_state_digest(index, pairs)
+    for seed in (11, 12, 13):  # each batch mixes increases and decreases
+        index.apply_batch(generate_update_batch(index.graph, UPDATE_VOLUME, seed=seed))
+    yield index_state_digest(index, pairs)
+    save_index(index, snapshot_path)
+    loaded = load_index(snapshot_path)
+    loaded.apply_batch(generate_update_batch(loaded.graph, UPDATE_VOLUME, seed=14))
+    yield index_state_digest(loaded, pairs)
+
+
+class TestMaintenanceParity:
+    """A loaded index maintains like a built one: same containers, same bits."""
+
+    @pytest.mark.parametrize("method", sorted(NINE_SPECS))
+    def test_loaded_containers_are_plain_after_update(self, snapshot_dirs, method):
+        """After one ``apply_batch`` no dict the maintenance path reads keeps a
+        Python-level accessor: a lazily loaded container is a plain dict."""
+        loaded = load_index(snapshot_dirs[method])
+        loaded.apply_batch(generate_update_batch(loaded.graph, UPDATE_VOLUME, seed=4))
+        for path, structure in maintenance_structures(loaded):
+            names = (
+                ("dis", "pos")
+                if hasattr(structure, "dis")
+                else ("shortcuts", "supporters")
+            )
+            for name in names:
+                container = getattr(structure, name)
+                assert type(container).__getitem__ is dict.__getitem__, (path, name)
+                assert type(container).get is dict.get, (path, name)
+
+    @pytest.mark.parametrize("method", sorted(NINE_SPECS))
+    def test_golden_digests(self, method, tmp_path):
+        """Labels, shortcut arrays and answers reproduce, byte for byte, the
+        digests dumped from the commit before the label loop was hoisted —
+        fresh, after three update batches, and after a snapshot round trip
+        plus one more batch."""
+        digests = list(_golden_phases(method, str(tmp_path / "snap")))
+        assert digests == GOLDEN_DIGESTS[method]
 
 
 class TestCorruptionAndSkew:
@@ -483,6 +585,77 @@ class TestLazyDictConcurrency:
         for thread in threads:
             thread.join()
         assert errors == []
+        # Whichever reader won the race, the swap to a plain dict happened once.
+        assert type(lazy).__getitem__ is dict.__getitem__
+
+
+def _ior(d):
+    d |= {3: 4}
+    return d
+
+
+#: One call per public ``dict`` method that reads, merges or writes contents.
+DICT_CALLS = {
+    "__contains__": lambda d: (1 in d, 9 in d),
+    "__getitem__": lambda d: d[1],
+    "__iter__": lambda d: list(iter(d)),
+    "__len__": lambda d: (len(d), bool(d)),
+    "__reversed__": lambda d: list(reversed(d)),
+    "__eq__": lambda d: d == {1: 2, 5: 6},
+    "__ne__": lambda d: d != {1: 2, 5: 6},
+    "__repr__": repr,
+    "__str__": str,
+    "__format__": lambda d: format(d, ""),
+    "__or__": lambda d: d | {3: 4},
+    "__ror__": lambda d: {3: 4} | d,
+    "__ior__": _ior,
+    "__setitem__": lambda d: d.__setitem__(3, 4),
+    "__delitem__": lambda d: d.__delitem__(1),
+    "get": lambda d: (d.get(1), d.get(9, "missing")),
+    "keys": lambda d: list(d.keys()),
+    "values": lambda d: list(d.values()),
+    "items": lambda d: list(d.items()),
+    "copy": lambda d: d.copy(),
+    "pop": lambda d: d.pop(1),
+    "popitem": lambda d: d.popitem(),
+    "setdefault": lambda d: (d.setdefault(1, 0), d.setdefault(3, 4)),
+    "update": lambda d: d.update({3: 4}),
+    "clear": lambda d: d.clear(),
+    # Not methods, but the two ways a dict is most often copied.
+    "dict()": dict,
+    "{**d}": lambda d: {**d},
+}
+
+#: ``dir(dict)`` entries that do not depend on the contents: the object
+#: protocol, construction, and the ordering operators (``NotImplemented``).
+DICT_NOT_CONTENT = {
+    "__class__", "__class_getitem__", "__delattr__", "__dir__", "__doc__",
+    "__getattribute__", "__getstate__", "__hash__", "__init__",
+    "__init_subclass__", "__new__", "__reduce__", "__reduce_ex__",
+    "__setattr__", "__sizeof__", "__subclasshook__", "fromkeys",
+    "__ge__", "__gt__", "__le__", "__lt__",
+}
+
+
+class TestLazyDictIsADict:
+    def test_every_dict_method_is_classified(self):
+        """A ``dict`` method this suite has never heard of fails here, not in
+        production as an empty view of an unloaded container."""
+        assert set(dir(dict)) <= set(DICT_CALLS) | DICT_NOT_CONTENT
+
+    @pytest.mark.parametrize("name", sorted(DICT_CALLS))
+    def test_unloaded_reads_like_the_loaded_dict(self, name):
+        from repro.store.codec import LazyDict
+
+        contents = {1: 2, 5: 6}
+        plain = dict(contents)
+        lazy = LazyDict(lambda target: target.update(contents))
+        call = DICT_CALLS[name]
+        assert call(lazy) == call(plain)
+        assert dict.items(lazy) == plain.items()  # read past any override
+        # ... and from now on nothing about it is lazy or Python-level.
+        assert type(lazy).__getitem__ is dict.__getitem__
+        assert type(lazy).get is dict.get
 
 
 @pytest.mark.skipif(numpy is None, reason="npz payloads require numpy")
