@@ -1,4 +1,5 @@
-"""Frozen-kernel benchmark: scalar + batch query latencies for all nine indexes.
+"""Kernel benchmark: query latencies for all nine indexes, update windows for
+the eight maintained ones.
 
 Measures, on the quick configuration (a seeded grid analog), the per-query
 latency of every registered method with the frozen kernels on versus the
@@ -7,27 +8,36 @@ pure-Python reference path (``use_kernels=False``), for
 * the scalar ``query`` loop, and
 * the batch plane (``query_many`` over a pair batch),
 
-and writes the rows plus the derived speedups to ``BENCH_kernels.json`` —
+then, per maintained method, the CPU time of alternating ``apply_batch``
+windows with the native maintenance kernels (``recompute_row`` /
+``shortcut_row``) and with them patched out (the pure loops they port), and
+writes the rows plus the derived speedups to ``BENCH_kernels.json`` —
 the machine-readable perf trajectory seeded by this benchmark and uploaded
 as a CI artifact.  Run directly::
 
     PYTHONPATH=src python benchmarks/bench_kernels.py [--out BENCH_kernels.json]
 
 Equivalence (kernel results == reference results, bit-for-bit) is asserted
-on every method while measuring, so a speedup can never come from answering
-a different question.
+on every method while measuring — for the update windows on the answers of
+the two maintained indexes afterwards — so a speedup can never come from
+answering a different question.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import math
 import platform
+import statistics
 import time
-from typing import Dict, List, Tuple
+from typing import Dict, List, Optional, Tuple
 
+import repro.labeling.h2h as h2h_module
+import repro.treedec.mde as mde_module
 from repro.graph.generators import grid_road_network
+from repro.graph.updates import generate_update_batch
 from repro.kernels.native import native_kernel, native_kernel_error
 from repro.registry import create_index, get_spec
 from repro.throughput.workload import sample_query_pairs
@@ -53,7 +63,15 @@ H2H_FAMILY = ("DH2H", "MHL", "PMHL", "PostMHL")
 #: (≥2x scalar and batch) applies to these.
 CH_SEARCH_FAMILY = ("BiDijkstra", "DCH", "TOAIN", "N-CH-P", "P-TD-P")
 
+#: Methods whose update window is mostly the label loop: the native
+#: maintenance kernels must keep it ≥1.5x cheaper than the pure rung
+#: (measured 3-4x; loose on purpose).  The other maintained methods — every
+#: spec but the index-free BiDijkstra — are recorded without a bar.
+MAINTENANCE_BARS = {"DH2H": 1.5, "P-TD-P": 1.5, "PMHL": 1.5, "PostMHL": 1.5}
+
 GRID = 52
+UPDATE_WINDOWS = 6
+UPDATE_VOLUME = 20
 SCALAR_QUERIES = 400
 BATCH_QUERIES = 4000
 #: The per-pair search baselines (index-free / CH searches) are orders of
@@ -88,6 +106,44 @@ def _measure(index, pairs: List[Tuple[int, int]], scalar_n: int) -> Dict[str, ob
     }
 
 
+@contextlib.contextmanager
+def _pure_maintenance():
+    """Run the update loops on their pure rung (what a missing compiler gives)."""
+    modules = (h2h_module, mde_module)
+    saved = [module.native_kernel for module in modules]
+    for module in modules:
+        module.native_kernel = lambda: None
+    try:
+        yield
+    finally:
+        for module, function in zip(modules, saved):
+            module.native_kernel = function
+
+
+def _measure_maintenance(native_index, pure_index, pairs) -> Optional[Dict[str, float]]:
+    """CPU seconds of the same update windows on both rungs, alternating which
+    side goes first; both indexes see the same batches and must agree after."""
+    if native_kernel() is None:
+        return None
+    seconds: Dict[str, List[float]] = {"native": [], "pure": []}
+    for window in range(UPDATE_WINDOWS):
+        sides = [("native", native_index, contextlib.nullcontext()),
+                 ("pure", pure_index, _pure_maintenance())]
+        if window % 2:
+            sides.reverse()
+        for rung, index, patched in sides:
+            batch = generate_update_batch(index.graph, UPDATE_VOLUME, seed=100 + window)
+            with patched:
+                start = time.process_time()
+                index.apply_batch(batch)
+                seconds[rung].append(time.process_time() - start)
+    assert native_index.query_many(pairs) == pure_index.query_many(pairs)
+    native_s = statistics.median(seconds["native"])
+    pure_s = statistics.median(seconds["pure"])
+    return {"apply_native_s": native_s, "apply_pure_s": pure_s,
+            "apply_speedup": pure_s / native_s}
+
+
 def run(out_path: str) -> Dict[str, object]:
     base = grid_road_network(GRID, GRID, seed=5)
     report: Dict[str, object] = {
@@ -97,6 +153,7 @@ def run(out_path: str) -> Dict[str, object]:
         "native_kernel": native_kernel() is not None,
         "native_kernel_error": native_kernel_error(),
         "python": platform.python_version(),
+        "update_windows": {"count": UPDATE_WINDOWS, "edges": UPDATE_VOLUME},
         "methods": {},
     }
     for name, spec in SPECS.items():
@@ -129,12 +186,30 @@ def run(out_path: str) -> Dict[str, object]:
             "h2h_family": name in H2H_FAMILY,
             "family": "h2h" if name in H2H_FAMILY else "ch_search",
         }
+        # After the query rows: the two built indexes become the two rungs of
+        # the update-window comparison (``use_kernels`` only selects the query
+        # stores; maintenance is the same code on both).
+        if name != "BiDijkstra":
+            entry["maintenance"] = _measure_maintenance(fast, reference, pairs)
         report["methods"][name] = entry
         print(
             f"{name:>10}: scalar {entry['scalar_speedup']:5.1f}x "
             f"({pure['scalar_us_per_query']:8.1f} -> {kernels['scalar_us_per_query']:7.1f} us)   "
             f"batch {entry['batch_speedup']:5.1f}x "
             f"({pure['batch_us_per_query']:8.1f} -> {kernels['batch_us_per_query']:7.1f} us)"
+        )
+
+    for name, entry in report["methods"].items():
+        row = entry.get("maintenance")
+        if row is None:
+            continue
+        print(
+            f"{name:>10}: update window {row['apply_speedup']:5.1f}x "
+            f"({row['apply_pure_s']:.4f} -> {row['apply_native_s']:.4f} s CPU)"
+        )
+        bar = MAINTENANCE_BARS.get(name)
+        assert bar is None or row["apply_speedup"] >= bar, (
+            f"{name}: native maintenance only {row['apply_speedup']:.2f}x the pure rung"
         )
 
     report["families"] = _family_rows(report["methods"])

@@ -1,6 +1,7 @@
-/* Native kernels for the frozen query stores of repro.kernels.
+/* Native kernels of repro.kernels: the frozen query stores, and the two hot
+ * loops of index maintenance.
  *
- * Two capsule types are exported:
+ * Two capsule types are exported for the query side:
  *
  * 1. "repro.kernels.labelstore" -- an H2H-family label store: the CSR
  *    distance/position arrays of one H2HLabels instance plus the flattened
@@ -40,8 +41,27 @@
  * directly over the owning store's arena -- including mmap-backed arenas
  * shared across repro.cluster shard processes.
  *
+ * The maintenance kernels take no capsule.  recompute_row (the body of
+ * H2HLabels.recompute_vertex, the DH2H label phase) and shortcut_row
+ * (mde.recompute_shortcut over one vertex's whole row, the DCH shortcut
+ * phase) walk the *live* dict-of-list / dict-of-dict containers the indexes
+ * maintain -- labels.dis, the contraction's shortcuts and supporters, the
+ * tree's depth map -- because those are what every update stage mutates in
+ * place: a frozen layout would have to be rebuilt or patched per stage,
+ * whereas a C loop over the same objects needs no second representation and
+ * no invalidation.  They only read: each returns a fresh list and the Python
+ * caller stores it.  Containers another layer filled are not trusted --
+ * types, depths, row lengths and list sizes are checked (the sizes again
+ * after any lookup that may have run Python), a missing key is the KeyError
+ * the Python loop raises -- and lookups honour a dict subclass's
+ * __getitem__ (see container_get), so a snapshot-loaded LazyDict
+ * materialises exactly as it does under the pure loops, which stay in place
+ * as the fallback and as the oracle the differential tests compare against.
+ *
  * No function releases the GIL; concurrent Python threads therefore
- * serialize around the shared per-capsule scratch space by construction.
+ * serialize around the shared per-capsule scratch space by construction, and
+ * the maintenance kernels see the containers under the same exclusion the
+ * pure loops do.
  */
 #define PY_SSIZE_T_CLEAN
 #include <Python.h>
@@ -818,6 +838,349 @@ static PyObject *search_one_to_many(PyObject *self, PyObject *const *args,
     Py_RETURN_NONE;
 }
 
+/* ------------------------------------------------------------------ */
+/* Maintenance kernels (over the live Python containers)              */
+/* ------------------------------------------------------------------ */
+
+/* container[key] as a new reference.  PyDict_GetItem* reads a dict's raw
+ * storage, which skips a subclass's __getitem__ -- an unmaterialised
+ * store.codec.LazyDict would read as empty -- so the fast path is taken only
+ * when the type's mp_subscript is dict's own (plain dicts, and a LazyDict
+ * once its loader has run and swapped its class); anything else goes through
+ * PyObject_GetItem.  A missing key raises KeyError, or with `missing_ok`
+ * returns NULL with no exception set (dict.get semantics). */
+static PyObject *container_get(PyObject *container, PyObject *key, int missing_ok) {
+    PyMappingMethods *mapping = Py_TYPE(container)->tp_as_mapping;
+    if (PyDict_Check(container) && mapping != NULL &&
+        mapping->mp_subscript == PyDict_Type.tp_as_mapping->mp_subscript) {
+        PyObject *value = PyDict_GetItemWithError(container, key);
+        if (value != NULL) {
+            Py_INCREF(value);
+        } else if (!missing_ok && !PyErr_Occurred()) {
+            PyErr_SetObject(PyExc_KeyError, key);
+        }
+        return value;
+    }
+    PyObject *value = PyObject_GetItem(container, key);
+    if (value == NULL && missing_ok && PyErr_ExceptionMatches(PyExc_KeyError)) {
+        PyErr_Clear();
+    }
+    return value;
+}
+
+/* float(obj): exact floats inline, anything else (int weights) through
+ * PyFloat_AsDouble.  Int inputs are thereby normalised: both kernels return
+ * floats where the pure rung's `sc + d` would stay an int of the same value
+ * (Graph stores float weights, so no index reaches this).  Returns -1 with
+ * an exception set on failure. */
+static inline int as_double(PyObject *obj, double *out) {
+    if (PyFloat_CheckExact(obj)) {
+        *out = PyFloat_AS_DOUBLE(obj);
+        return 0;
+    }
+    Py_INCREF(obj);
+    *out = PyFloat_AsDouble(obj);
+    Py_DECREF(obj);
+    return (*out == -1.0 && PyErr_Occurred()) ? -1 : 0;
+}
+
+/* float(row[j]); the bound is re-checked on every read because a non-float
+ * entry's __float__ may run Python that resizes the row. */
+static inline int row_entry(PyObject *row, Py_ssize_t j, double *out) {
+    if (j >= PyList_GET_SIZE(row)) {
+        PyErr_SetString(PyExc_ValueError, "distance array shorter than its depth");
+        return -1;
+    }
+    return as_double(PyList_GET_ITEM(row, j), out);
+}
+
+/* dis[vertex] as a new reference, checked to be a list of at least `need`
+ * entries (exactly `need` when `exact`). */
+static PyObject *distance_row(PyObject *dis, PyObject *vertex, Py_ssize_t need,
+                              int exact) {
+    PyObject *row = container_get(dis, vertex, 0);
+    if (row == NULL) {
+        return NULL;
+    }
+    if (!PyList_Check(row)) {
+        PyErr_SetString(PyExc_TypeError, "distance arrays must be lists");
+    } else if (exact ? PyList_GET_SIZE(row) != need : PyList_GET_SIZE(row) < need) {
+        PyErr_SetString(PyExc_ValueError,
+                        "distance array length does not match its vertex's depth");
+    } else {
+        return row;
+    }
+    Py_DECREF(row);
+    return NULL;
+}
+
+/* sc_row[x] and depth[x] of one neighbour, the depth checked to lie strictly
+ * above a vertex whose ancestor chain has m entries. */
+static int neighbour_inputs(PyObject *sc_row, PyObject *depth, PyObject *x,
+                            Py_ssize_t m, double *sc, Py_ssize_t *px) {
+    PyObject *sc_obj = container_get(sc_row, x, 0);
+    if (sc_obj == NULL) {
+        return -1;
+    }
+    int status = as_double(sc_obj, sc);
+    Py_DECREF(sc_obj);
+    if (status < 0) {
+        return -1;
+    }
+    PyObject *px_obj = container_get(depth, x, 0);
+    if (px_obj == NULL) {
+        return -1;
+    }
+    *px = PyLong_AsSsize_t(px_obj);
+    Py_DECREF(px_obj);
+    if (*px == -1 && PyErr_Occurred()) {
+        return -1;
+    }
+    if (*px < 0 || *px >= m - 1) {
+        PyErr_SetString(PyExc_ValueError,
+                        "neighbour depth outside the vertex's ancestor chain");
+        return -1;
+    }
+    return 0;
+}
+
+/* A fresh list of the n floats in values. */
+static PyObject *float_list(const double *values, Py_ssize_t n) {
+    PyObject *list = PyList_New(n);
+    if (list == NULL) {
+        return NULL;
+    }
+    for (Py_ssize_t i = 0; i < n; i++) {
+        PyObject *item = PyFloat_FromDouble(values[i]);
+        if (item == NULL) {
+            Py_DECREF(list);
+            return NULL;
+        }
+        PyList_SET_ITEM(list, i, item);
+    }
+    return list;
+}
+
+/* recompute_row(dis, anc, neighbors, sc_row, depth) -> list
+ *
+ * The body of H2HLabels.recompute_vertex for the vertex whose ancestor chain
+ * is `anc` (m entries, the vertex itself last): per neighbour x at depth px,
+ * columns j < px relax against sc_row[x] + dis[x][j], columns px <= j < m-1
+ * against sc_row[x] + dis[anc[j]][px]; column m-1 is 0.0.  Same candidates,
+ * same float64 add and `<` as the Python loop.  Nothing is written to any
+ * argument; the caller stores the returned list. */
+static PyObject *maintain_recompute_row(PyObject *self, PyObject *const *args,
+                                        Py_ssize_t nargs) {
+    (void)self;
+    if (nargs != 5) {
+        PyErr_SetString(PyExc_TypeError,
+                        "recompute_row(dis, anc, neighbors, sc_row, depth) takes 5 arguments");
+        return NULL;
+    }
+    PyObject *dis = args[0], *anc = args[1], *neighbors = args[2];
+    PyObject *sc_row = args[3], *depth = args[4];
+    if (!PyList_Check(anc) || !PyList_Check(neighbors)) {
+        PyErr_SetString(PyExc_TypeError, "anc and neighbors must be lists");
+        return NULL;
+    }
+    Py_ssize_t m = PyList_GET_SIZE(anc);
+    if (m < 1) {
+        PyErr_SetString(PyExc_ValueError, "anc must hold at least the vertex itself");
+        return NULL;
+    }
+    double *best = (double *)malloc((size_t)m * sizeof(double));
+    /* dis[anc[j]], fetched on first use and owned until return. */
+    PyObject **anc_rows = (PyObject **)calloc((size_t)m, sizeof(PyObject *));
+    PyObject *result = NULL;
+    if (best == NULL || anc_rows == NULL) {
+        PyErr_NoMemory();
+        goto done;
+    }
+    for (Py_ssize_t j = 0; j < m; j++) {
+        best[j] = Py_HUGE_VAL;
+    }
+    for (Py_ssize_t i = 0; i < PyList_GET_SIZE(neighbors); i++) {
+        PyObject *x = PyList_GET_ITEM(neighbors, i);
+        double sc, d;
+        Py_ssize_t px;
+        Py_INCREF(x);
+        PyObject *row = neighbour_inputs(sc_row, depth, x, m, &sc, &px) < 0
+                            ? NULL
+                            : distance_row(dis, x, px, 0);
+        Py_DECREF(x);
+        if (row == NULL) {
+            goto done;
+        }
+        for (Py_ssize_t j = 0; j < px; j++) {
+            if (row_entry(row, j, &d) < 0) {
+                Py_DECREF(row);
+                goto done;
+            }
+            double candidate = sc + d;
+            if (candidate < best[j]) {
+                best[j] = candidate;
+            }
+        }
+        Py_DECREF(row);
+        for (Py_ssize_t j = px; j < m - 1; j++) {
+            if (anc_rows[j] == NULL) {
+                if (PyList_GET_SIZE(anc) != m) {
+                    PyErr_SetString(PyExc_ValueError, "anc changed size during the call");
+                    goto done;
+                }
+                PyObject *ancestor = PyList_GET_ITEM(anc, j);
+                Py_INCREF(ancestor);
+                anc_rows[j] = distance_row(dis, ancestor, j + 1, 1);
+                Py_DECREF(ancestor);
+                if (anc_rows[j] == NULL) {
+                    goto done;
+                }
+            }
+            if (row_entry(anc_rows[j], px, &d) < 0) {
+                goto done;
+            }
+            double candidate = sc + d;
+            if (candidate < best[j]) {
+                best[j] = candidate;
+            }
+        }
+    }
+    best[m - 1] = 0.0;
+    result = float_list(best, m);
+done:
+    if (anc_rows != NULL) {
+        for (Py_ssize_t j = 0; j < m; j++) {
+            Py_XDECREF(anc_rows[j]);
+        }
+    }
+    free(anc_rows);
+    free(best);
+    return result;
+}
+
+/* *value = min(*value, row[v] + row[u]) over row = shortcuts[x] for every
+ * supporter x in sup; a row missing either endpoint contributes nothing
+ * (the Python loop's row.get(., inf)). */
+static int relax_supporters(PyObject *shortcuts, PyObject *sup, PyObject *v,
+                            PyObject *u, double *value) {
+    if (!PyList_Check(sup)) {
+        PyErr_SetString(PyExc_TypeError, "supporter records must be lists");
+        return -1;
+    }
+    for (Py_ssize_t k = 0; k < PyList_GET_SIZE(sup); k++) {
+        PyObject *x = PyList_GET_ITEM(sup, k);
+        Py_INCREF(x);
+        PyObject *row = container_get(shortcuts, x, 0);
+        Py_DECREF(x);
+        if (row == NULL) {
+            return -1;
+        }
+        if (!PyDict_Check(row)) {
+            Py_DECREF(row);
+            PyErr_SetString(PyExc_TypeError, "shortcut rows must be dicts");
+            return -1;
+        }
+        PyObject *a = container_get(row, v, 1);
+        PyObject *b = a != NULL ? container_get(row, u, 1) : NULL;
+        Py_DECREF(row);
+        int status = 0;
+        if (b != NULL) {
+            double da, db;
+            if (as_double(a, &da) < 0 || as_double(b, &db) < 0) {
+                status = -1;
+            } else if (da + db < *value) {
+                *value = da + db;
+            }
+        } else if (PyErr_Occurred()) {
+            status = -1;
+        }
+        Py_XDECREF(a);
+        Py_XDECREF(b);
+        if (status < 0) {
+            return -1;
+        }
+    }
+    return 0;
+}
+
+/* mde.recompute_shortcut(v, u): the graph weight `base` relaxed over the
+ * supporters of the canonical pair (min(v, u), max(v, u)). */
+static int shortcut_entry(PyObject *shortcuts, PyObject *supporters, PyObject *v,
+                          PyObject *u, PyObject *base, double *value) {
+    if (as_double(base, value) < 0) {
+        return -1;
+    }
+    int v_first = PyObject_RichCompareBool(v, u, Py_LT);
+    if (v_first < 0) {
+        return -1;
+    }
+    PyObject *key = v_first ? PyTuple_Pack(2, v, u) : PyTuple_Pack(2, u, v);
+    if (key == NULL) {
+        return -1;
+    }
+    PyObject *sup = container_get(supporters, key, 1);
+    Py_DECREF(key);
+    if (sup == NULL) {
+        return PyErr_Occurred() ? -1 : 0;
+    }
+    int status = relax_supporters(shortcuts, sup, v, u, value);
+    Py_DECREF(sup);
+    return status;
+}
+
+/* shortcut_row(shortcuts, supporters, v, neighbors, base_weights) -> list
+ *
+ * mde.recompute_shortcut for every u in X(v).N in one call: entry i starts
+ * from base_weights[i] (the current graph weight of (v, neighbors[i]), inf
+ * when it is no edge).  Nothing is written; the caller compares the result
+ * against shortcuts[v] and stores what changed. */
+static PyObject *maintain_shortcut_row(PyObject *self, PyObject *const *args,
+                                       Py_ssize_t nargs) {
+    (void)self;
+    if (nargs != 5) {
+        PyErr_SetString(PyExc_TypeError,
+                        "shortcut_row(shortcuts, supporters, v, neighbors, base_weights) "
+                        "takes 5 arguments");
+        return NULL;
+    }
+    PyObject *shortcuts = args[0], *supporters = args[1], *v = args[2];
+    PyObject *neighbors = args[3], *base = args[4];
+    if (!PyList_Check(neighbors) || !PyList_Check(base)) {
+        PyErr_SetString(PyExc_TypeError, "neighbors and base_weights must be lists");
+        return NULL;
+    }
+    Py_ssize_t n = PyList_GET_SIZE(neighbors);
+    if (PyList_GET_SIZE(base) != n) {
+        PyErr_SetString(PyExc_ValueError,
+                        "neighbors and base_weights must have equal lengths");
+        return NULL;
+    }
+    double *values = (double *)malloc((size_t)(n > 0 ? n : 1) * sizeof(double));
+    if (values == NULL) {
+        return PyErr_NoMemory();
+    }
+    PyObject *result = NULL;
+    for (Py_ssize_t i = 0; i < n; i++) {
+        /* The previous entry's lookups may have run Python. */
+        if (PyList_GET_SIZE(neighbors) != n || PyList_GET_SIZE(base) != n) {
+            PyErr_SetString(PyExc_ValueError, "neighbors changed size during the call");
+            goto done;
+        }
+        PyObject *u = PyList_GET_ITEM(neighbors, i);
+        Py_INCREF(u);
+        int status = shortcut_entry(shortcuts, supporters, v, u,
+                                    PyList_GET_ITEM(base, i), &values[i]);
+        Py_DECREF(u);
+        if (status < 0) {
+            goto done;
+        }
+    }
+    result = float_list(values, n);
+done:
+    free(values);
+    return result;
+}
+
 static PyMethodDef methods[] = {
     {"build", label_build, METH_VARARGS,
      "build(mask, comp, first, logs, tbl_flat, tbl_off, pos_indptr, pos_data, "
@@ -837,6 +1200,12 @@ static PyMethodDef methods[] = {
      "search_query_pairs(graph, s_rows, t_rows, out, ch_mode) -> None (fills out)"},
     {"search_one_to_many", (PyCFunction)search_one_to_many, METH_FASTCALL,
      "search_one_to_many(graph, rs, t_rows, out) -> None (truncated Dijkstra)"},
+    {"recompute_row", (PyCFunction)maintain_recompute_row, METH_FASTCALL,
+     "recompute_row(dis, anc, neighbors, sc_row, depth) -> H2H distance array "
+     "of the vertex at the end of anc (inputs untouched)"},
+    {"shortcut_row", (PyCFunction)maintain_shortcut_row, METH_FASTCALL,
+     "shortcut_row(shortcuts, supporters, v, neighbors, base_weights) -> "
+     "recomputed sc(v, u) for every u in neighbors (inputs untouched)"},
     {NULL, NULL, 0, NULL},
 };
 

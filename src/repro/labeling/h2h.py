@@ -32,6 +32,7 @@ from repro.exceptions import IndexNotBuiltError, VertexNotFoundError
 from repro.graph.graph import Graph
 from repro.graph.updates import UpdateBatch
 from repro.kernels.label_store import LabelStore
+from repro.kernels.native import native_kernel
 from repro.registry import IndexSpec, register_spec
 from repro.treedec.mde import ContractionResult, contract_graph, update_shortcuts_bottom_up
 from repro.treedec.tree import TreeDecomposition
@@ -83,19 +84,24 @@ class H2HLabels:
         # array, columns from it downwards against the ancestor's entry for
         # ``x`` (``0.0`` at ``j == px``, where the ancestor is ``x`` itself).
         # Each column still takes the minimum over the same candidates.
-        new = [INF] * m
-        for x in neighbors:
-            sc = shortcuts[x]
-            px = depth[x]
-            for j, d in enumerate(dis[x][:px]):
-                candidate = sc + d
-                if candidate < new[j]:
-                    new[j] = candidate
-            for j in range(px, m - 1):
-                candidate = sc + dis[anc[j]][px]
-                if candidate < new[j]:
-                    new[j] = candidate
-        new[m - 1] = 0.0
+        kernel = native_kernel()
+        if kernel is not None:
+            # The same loop in C over these same containers (bit-identical).
+            new = kernel.recompute_row(dis, anc, neighbors, shortcuts, depth)
+        else:
+            new = [INF] * m
+            for x in neighbors:
+                sc = shortcuts[x]
+                px = depth[x]
+                for j, d in enumerate(dis[x][:px]):
+                    candidate = sc + d
+                    if candidate < new[j]:
+                        new[j] = candidate
+                for j in range(px, m - 1):
+                    candidate = sc + dis[anc[j]][px]
+                    if candidate < new[j]:
+                        new[j] = candidate
+            new[m - 1] = 0.0
         dis[v] = new
         self.pos[v] = [depth[x] for x in neighbors] + [m - 1]
         return new

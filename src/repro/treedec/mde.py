@@ -28,6 +28,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.exceptions import GraphError
 from repro.graph.graph import Graph
+from repro.kernels.native import native_kernel
 
 INF = math.inf
 
@@ -290,18 +291,31 @@ def update_shortcuts_bottom_up(
     if not dirty:
         return changed_report
 
-    heap: List[Tuple[int, int]] = [(result.rank[v], v) for v in dirty]
+    rank = result.rank
+    shortcuts = result.shortcuts
+    heap: List[Tuple[int, int]] = [(rank[v], v) for v in dirty]
     heapq.heapify(heap)
     queued = set(dirty)
+    kernel = native_kernel()
 
     while heap:
         _, v = heapq.heappop(heap)
         queued.discard(v)
+        nbr_list = result.neighbors[v]
+        if kernel is not None:
+            # ``recompute_shortcut`` for the whole row in one C call over the
+            # same containers (bit-identical); the graph weights go in as a list.
+            new_row = kernel.shortcut_row(
+                shortcuts, result.supporters, v, nbr_list,
+                [graph.edge_weight_or(v, u, INF) for u in nbr_list],
+            )
+        else:
+            new_row = [recompute_shortcut(result, graph, v, u) for u in nbr_list]
+        row = shortcuts[v]
         changed_neighbors: List[int] = []
-        for u in result.neighbors[v]:
-            new_value = recompute_shortcut(result, graph, v, u)
-            if new_value != result.shortcuts[v][u]:
-                result.shortcuts[v][u] = new_value
+        for u, new_value in zip(nbr_list, new_row):
+            if new_value != row[u]:
+                row[u] = new_value
                 changed_neighbors.append(u)
         if not changed_neighbors:
             continue
@@ -309,17 +323,17 @@ def update_shortcuts_bottom_up(
         # Shortcut changes of v alter v's supporting contribution to pairs
         # (u, w) with u, w in X(v).N; mark the owners of the pairs involving a
         # changed neighbour as dirty.
-        nbr_list = result.neighbors[v]
         for u in changed_neighbors:
+            rank_u = rank[u]
             for w_vertex in nbr_list:
                 if w_vertex == u:
                     continue
-                owner = result.owner(u, w_vertex)
+                owner = u if rank_u < rank[w_vertex] else w_vertex
                 if restrict_to is not None and owner not in restrict_to:
                     if escaped_out is not None:
                         escaped_out.add(owner)
                     continue
                 if owner not in queued:
                     queued.add(owner)
-                    heapq.heappush(heap, (result.rank[owner], owner))
+                    heapq.heappush(heap, (rank[owner], owner))
     return changed_report

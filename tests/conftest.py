@@ -61,6 +61,26 @@ def random_graph() -> Graph:
     return random_connected_graph(40, 30, seed=3)
 
 
+@pytest.fixture
+def pure_maintenance(monkeypatch):
+    """A switch: once called, ``recompute_vertex`` and ``update_shortcuts_bottom_up``
+    run their pure loops (what a missing compiler gives) until the test ends."""
+    import repro.labeling.h2h as h2h_module
+    import repro.treedec.mde as mde_module
+
+    def switch() -> None:
+        for module in (h2h_module, mde_module):
+            monkeypatch.setattr(module, "native_kernel", lambda: None)
+
+    return switch
+
+
+def float_bits(values) -> bytes:
+    """The float64 bit patterns of ``values`` (``==`` would equate 0.0 and -0.0)."""
+    values = list(values)
+    return struct.pack(f"<{len(values)}d", *values)
+
+
 def maintenance_structures(index) -> List[Tuple[str, object]]:
     """Every ``H2HLabels`` / ``ContractionResult`` an index holds, by attribute path.
 

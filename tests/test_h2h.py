@@ -9,7 +9,7 @@ from repro.graph.updates import UpdateBatch, generate_update_batch, generate_upd
 from repro.labeling.h2h import DH2HIndex, H2HIndex
 from repro.labeling.mhl import MHLIndex, MHLQueryStage
 
-from tests.conftest import paper_example_graph, random_query_pairs
+from tests.conftest import float_bits, paper_example_graph, random_query_pairs
 
 
 def assert_matches_dijkstra(query_fn, graph, pairs):
@@ -109,6 +109,38 @@ class TestDH2HMaintenance:
         rebuilt.build()
         for v in order:
             assert index.labels.dis[v] == pytest.approx(rebuilt.labels.dis[v])
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_native_and_pure_rungs_agree_bit_for_bit(self, seed, pure_maintenance):
+        """Build plus mixed increase / decrease batches through the native
+        maintenance kernels and through the pure loops they port: same label
+        and shortcut bits, same positions, same changed sets."""
+
+        def maintain():
+            graph = grid_road_network(9, 9, seed=seed)
+            index = DH2HIndex(graph)
+            index.build()
+            changed = []
+            for step in range(3):
+                index.apply_batch(
+                    generate_update_batch(graph, volume=12, seed=10 * seed + step)
+                )
+                changed.append((index.last_changed_shortcuts, index.last_changed_labels))
+            contraction = index.contraction
+            return (
+                {v: float_bits(row) for v, row in index.labels.dis.items()},
+                dict(index.labels.pos),
+                {
+                    v: float_bits(contraction.shortcuts[v][u] for u in contraction.neighbors[v])
+                    for v in contraction.order
+                },
+                changed,
+            )
+
+        native = maintain()
+        pure_maintenance()
+        assert maintain() == native
+        assert all(labels for _, labels in native[3])
 
     def test_empty_batch(self):
         graph = grid_road_network(5, 5, seed=1)

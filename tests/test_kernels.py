@@ -416,3 +416,222 @@ class TestKernelSpeedup:
             f"CH-search kernel only {reference_seconds / fast_seconds:.2f}x faster "
             f"({reference_seconds:.4f}s reference vs {fast_seconds:.4f}s kernels)"
         )
+
+
+def _maintenance_kernel():
+    from repro.kernels.native import native_kernel
+
+    kernel = native_kernel()
+    if kernel is None:
+        pytest.skip("native kernel unavailable (no compiler)")
+    return kernel
+
+
+class TestMaintenanceKernels:
+    """``recompute_row`` / ``shortcut_row`` over the live containers: what a
+    loaded index hands them, and what malformed input must turn into."""
+
+    @pytest.fixture(scope="class")
+    def built(self):
+        index = create_index("DH2H", grid_road_network(8, 8, seed=5))
+        index.build()
+        return index
+
+    @staticmethod
+    def _row_args(index, v):
+        """``recompute_row``'s arguments for ``v``, containers shallow-copied."""
+        tree = index.tree
+        return [
+            dict(index.labels.dis),
+            list(tree.ancestors[v]),
+            list(tree.neighbors(v)),
+            dict(index.contraction.shortcuts[v]),
+            dict(tree.depth),
+        ]
+
+    @staticmethod
+    def _shortcut_args(index, v):
+        """``shortcut_row``'s arguments for ``v``, containers shallow-copied."""
+        contraction = index.contraction
+        nbrs = list(contraction.neighbors[v])
+        base = [index.graph.edge_weight_or(v, u) for u in nbrs]
+        return [dict(contraction.shortcuts), dict(contraction.supporters), v, nbrs, base]
+
+    @staticmethod
+    def _deep_vertex(index):
+        """A vertex with neighbours both above and below some ancestor."""
+        return max(index.tree.depth, key=lambda v: (len(index.tree.neighbors(v)), v))
+
+    @staticmethod
+    def _supported_vertex(index):
+        """A vertex owning a shortcut that has supporters."""
+        contraction = index.contraction
+        for v in reversed(contraction.order):
+            for u in contraction.neighbors[v]:
+                if contraction.supporters.get((min(u, v), max(u, v))):
+                    return v
+        raise AssertionError("no supported shortcut on this graph")
+
+    def test_kernels_match_the_pure_rung_on_every_vertex(self, built):
+        from repro.treedec.mde import recompute_shortcut
+
+        kernel = _maintenance_kernel()
+        for v in built.contraction.order:
+            assert kernel.recompute_row(*self._row_args(built, v)) == built.labels.dis[v]
+            assert kernel.shortcut_row(*self._shortcut_args(built, v)) == [
+                recompute_shortcut(built.contraction, built.graph, v, u)
+                for u in built.contraction.neighbors[v]
+            ]
+
+    def test_unloaded_lazy_containers_are_materialised(self, built):
+        """A C-API dict read skips ``LazyDict.__getitem__`` and sees an empty
+        dict; the kernels must go through the override, which loads the
+        container and swaps its class to the plain one."""
+        from repro.store.codec import LazyDict, _LoadedDict
+
+        kernel = _maintenance_kernel()
+
+        def lazy(contents):
+            return LazyDict(lambda target: target.update(contents))
+
+        v = self._deep_vertex(built)
+        args = self._row_args(built, v)
+        expected = kernel.recompute_row(*args)
+        dis = lazy(args[0])
+        assert kernel.recompute_row(dis, *args[1:]) == expected
+        assert type(dis) is _LoadedDict and dict(dis) == args[0]
+
+        v = self._supported_vertex(built)
+        args = self._shortcut_args(built, v)
+        expected = kernel.shortcut_row(*args)
+        shortcuts, supporters = lazy(args[0]), lazy(args[1])
+        assert kernel.shortcut_row(shortcuts, supporters, *args[2:]) == expected
+        assert type(shortcuts) is _LoadedDict and dict(shortcuts) == args[0]
+        assert type(supporters) is _LoadedDict and dict(supporters) == args[1]
+
+    def test_inputs_are_not_written(self, built):
+        kernel = _maintenance_kernel()
+        for make, call in (
+            (self._row_args, kernel.recompute_row),
+            (self._shortcut_args, kernel.shortcut_row),
+        ):
+            args = make(built, self._supported_vertex(built))
+            before = repr(args)
+            call(*args)
+            assert repr(args) == before
+
+    def test_malformed_recompute_row_input_raises(self, built):
+        kernel = _maintenance_kernel()
+        v = self._deep_vertex(built)
+        x = built.tree.neighbors(v)[0]
+        m = len(built.tree.ancestors[v])
+
+        def call(mutate):
+            dis, anc, nbrs, sc_row, depth = self._row_args(built, v)
+            mutate(dis, anc, nbrs, sc_row, depth)
+            return kernel.recompute_row(dis, anc, nbrs, sc_row, depth)
+
+        with pytest.raises(ValueError):  # neighbour depth >= m - 1
+            call(lambda dis, anc, nbrs, sc, depth: depth.__setitem__(x, m - 1))
+        with pytest.raises(ValueError):
+            call(lambda dis, anc, nbrs, sc, depth: depth.__setitem__(x, -1))
+        deep = max(built.tree.neighbors(v), key=built.tree.depth.get)
+        with pytest.raises(ValueError):  # neighbour row too short
+            call(lambda dis, anc, nbrs, sc, depth: dis.__setitem__(deep, []))
+        with pytest.raises(ValueError):  # ancestor row too short
+            call(lambda dis, anc, nbrs, sc, depth: dis.__setitem__(
+                anc[m - 2], dis[anc[m - 2]][:-1]))
+        with pytest.raises(TypeError):  # non-numeric distance entry
+            call(lambda dis, anc, nbrs, sc, depth: dis.__setitem__(
+                anc[m - 2], ["far"] * (m - 1)))
+        with pytest.raises(TypeError):  # non-numeric shortcut
+            call(lambda dis, anc, nbrs, sc, depth: sc.__setitem__(x, None))
+        with pytest.raises(TypeError):  # distance array that is no list
+            call(lambda dis, anc, nbrs, sc, depth: dis.__setitem__(x, tuple(dis[x])))
+        with pytest.raises(KeyError):  # missing vertex, each container
+            call(lambda dis, anc, nbrs, sc, depth: dis.__delitem__(x))
+        with pytest.raises(KeyError):
+            call(lambda dis, anc, nbrs, sc, depth: sc.__delitem__(x))
+        with pytest.raises(KeyError):
+            call(lambda dis, anc, nbrs, sc, depth: depth.__delitem__(x))
+        with pytest.raises(TypeError):
+            kernel.recompute_row({}, (v,), [], {}, {})
+        with pytest.raises(ValueError):
+            kernel.recompute_row({}, [], [], {}, {})
+        with pytest.raises(TypeError):
+            kernel.recompute_row({}, [v], [])
+
+    def test_malformed_shortcut_row_input_raises(self, built):
+        kernel = _maintenance_kernel()
+        v = self._supported_vertex(built)
+        # One supported shortcut (v, u) of the row and its first supporter x.
+        supporters = built.contraction.supporters
+        u = next(u for u in built.contraction.neighbors[v]
+                 if supporters.get((min(u, v), max(u, v))))
+        pair = (min(u, v), max(u, v))
+        x = supporters[pair][0]
+
+        def call(mutate):
+            args = self._shortcut_args(built, v)
+            mutate(*args)
+            return kernel.shortcut_row(*args)
+
+        with pytest.raises(ValueError):  # mismatched lengths
+            call(lambda sc, sup, v, nbrs, base: base.pop())
+        with pytest.raises(TypeError):  # non-dict shortcut row
+            call(lambda sc, sup, v, nbrs, base: sc.__setitem__(x, [1.0, 2.0]))
+        with pytest.raises(KeyError):  # supporter without a shortcut row
+            call(lambda sc, sup, v, nbrs, base: sc.__delitem__(x))
+        with pytest.raises(TypeError):  # non-numeric base weight
+            call(lambda sc, sup, v, nbrs, base: base.__setitem__(0, "w"))
+        with pytest.raises(TypeError):  # non-numeric shortcut value
+            call(lambda sc, sup, v, nbrs, base: sc.__setitem__(x, dict.fromkeys(sc[x], "w")))
+        with pytest.raises(TypeError):  # supporter record that is no list
+            call(lambda sc, sup, v, nbrs, base: sup.__setitem__(pair, 7))
+        with pytest.raises(TypeError):
+            kernel.shortcut_row({}, {}, v, (1,), [1.0])
+
+        # A supporter row missing an endpoint is skipped, as ``row.get(., inf)``.
+        args = self._shortcut_args(built, v)
+        args[0][x] = {}
+        args[1][pair] = [x]
+        slot = args[3].index(u)
+        assert kernel.shortcut_row(*args)[slot] == args[4][slot]
+
+    def test_int_weighted_graph_labels_equal_the_pure_rung(self, pure_maintenance):
+        """Int weights take the ``PyFloat_AsDouble`` fallback.  The kernels
+        return floats where the pure rung's ``sc + d`` stays an int, so the two
+        rungs are compared as the float64 values they denote."""
+        from repro.graph.updates import EdgeUpdate, UpdateBatch
+        from tests.conftest import float_bits
+
+        _maintenance_kernel()
+
+        def build_and_update():
+            graph = grid_road_network(6, 6, seed=5)
+            for v in graph.vertices():
+                # ``Graph`` coerces weights to float; plant ints behind it.
+                row = graph.neighbors(v)
+                for u in row:
+                    row[u] = 1 + (u * v) % 7
+            index = create_index("DH2H", graph)
+            index.build()
+            (u, v, w), (a, b, c) = list(graph.edges())[:2]
+            index.apply_batch(
+                UpdateBatch([EdgeUpdate(u, v, w, w + 5), EdgeUpdate(a, b, c, c / 2)])
+            )
+            return index
+
+        native = build_and_update()
+        pure_maintenance()
+        pure = build_and_update()
+
+        def bits(index):
+            neighbors = index.contraction.neighbors
+            return (
+                {v: float_bits(row) for v, row in index.labels.dis.items()},
+                {v: float_bits(row[u] for u in neighbors[v])
+                 for v, row in index.contraction.shortcuts.items()},
+            )
+
+        assert bits(native) == bits(pure)

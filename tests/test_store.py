@@ -334,6 +334,20 @@ class TestMaintenanceParity:
                 assert type(container).get is dict.get, (path, name)
 
     @pytest.mark.parametrize("method", sorted(NINE_SPECS))
+    def test_update_as_first_touch_of_loaded_index(self, snapshot_dirs, method):
+        """``apply_batch`` on a loaded index nothing has read yet: the native
+        maintenance kernels meet every container still unmaterialised (a C-API
+        dict read would see it empty) and must leave the same bits as the
+        built index."""
+        built = create_index(NINE_SPECS[method], _base_graph().copy())
+        built.build()
+        loaded = load_index(snapshot_dirs[method])
+        for index in (built, loaded):
+            index.apply_batch(generate_update_batch(index.graph, UPDATE_VOLUME, seed=4))
+        pairs = _query_pairs(built.graph)
+        assert index_state_digest(loaded, pairs) == index_state_digest(built, pairs)
+
+    @pytest.mark.parametrize("method", sorted(NINE_SPECS))
     def test_golden_digests(self, method, tmp_path):
         """Labels, shortcut arrays and answers reproduce, byte for byte, the
         digests dumped from the commit before the label loop was hoisted —

@@ -10,7 +10,7 @@ from repro.graph.updates import generate_update_batch
 from repro.treedec.mde import contract_graph, mde_order, update_shortcuts_bottom_up
 from repro.treedec.tree import TreeDecomposition
 
-from tests.conftest import paper_example_graph
+from tests.conftest import float_bits, paper_example_graph
 
 
 class TestContraction:
@@ -98,6 +98,32 @@ class TestShortcutMaintenance:
         for v in order:
             for u in result.neighbors[v]:
                 assert result.shortcuts[v][u] == pytest.approx(rebuilt.shortcuts[v][u])
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_native_and_pure_rungs_agree_bit_for_bit(self, seed, pure_maintenance):
+        """Mixed increase / decrease batches through ``shortcut_row`` and through
+        the pure ``recompute_shortcut`` loop: same shortcut bits, same report."""
+
+        def maintain():
+            graph = grid_road_network(9, 9, seed=seed)
+            result = contract_graph(graph)
+            reports = []
+            for step in range(3):
+                batch = generate_update_batch(graph, volume=12, seed=10 * seed + step)
+                batch.apply(graph)
+                reports.append(
+                    update_shortcuts_bottom_up(result, graph, [u.key() for u in batch])
+                )
+            rows = {
+                v: float_bits(result.shortcuts[v][u] for u in result.neighbors[v])
+                for v in result.order
+            }
+            return rows, reports
+
+        native = maintain()
+        pure_maintenance()
+        assert maintain() == native
+        assert any(native[1])
 
     def test_update_with_no_changes_reports_nothing(self):
         graph = grid_road_network(4, 4, seed=0)
