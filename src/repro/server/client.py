@@ -40,8 +40,11 @@ from repro.server.protocol import (
     OP_RESULT,
     OP_RETRY,
     OP_STATS,
-    read_frame,
-    write_frame,
+    READ_BYTES,
+    Frame,
+    FrameSplitter,
+    encode_frame,
+    needs_drain,
 )
 
 
@@ -97,37 +100,48 @@ class AsyncClient:
     # Plumbing
     # ------------------------------------------------------------------
     async def _read_loop(self) -> None:
+        splitter = FrameSplitter(self._max_frame_bytes)
         try:
             while True:
-                frame = await read_frame(self._reader, self._max_frame_bytes)
-                future = self._pending.pop(frame.seq, None)
-                if future is None or future.done():
-                    continue  # unsolicited (e.g. a seq-0 connection error)
-                if frame.op in (OP_RESULT, OP_DISTANCES):
-                    future.set_result(frame.payload)
-                elif frame.op == OP_RETRY:
-                    payload = frame.payload or {}
-                    future.set_exception(
-                        ServerBackpressureError(
-                            payload.get("reason", "unknown"),
-                            int(payload.get("queue_depth", 0)),
-                            float(payload.get("suggested_wait_seconds", 0.001)),
-                        )
-                    )
-                elif frame.op == OP_ERROR:
-                    payload = frame.payload or {}
-                    future.set_exception(
-                        RemoteServerError(
-                            payload.get("code", "unknown"),
-                            payload.get("message", ""),
-                        )
-                    )
-                else:
-                    future.set_exception(
-                        ProtocolError(f"unexpected response op {frame.op:#x}")
-                    )
+                data = await self._reader.read(READ_BYTES)
+                if not data:
+                    raise EOFError("server closed the connection")
+                splitter.feed(data)
+                frame = splitter.next_frame()
+                while frame is not None:
+                    self._deliver(frame)
+                    frame = splitter.next_frame()
         except Exception as exc:
             self._fail_pending(exc)
+
+    def _deliver(self, frame: Frame) -> None:
+        """Resolve the pending request ``frame`` answers."""
+        future = self._pending.pop(frame.seq, None)
+        if future is None or future.done():
+            return  # unsolicited (e.g. a seq-0 connection error)
+        if frame.op in (OP_RESULT, OP_DISTANCES):
+            future.set_result(frame.payload)
+        elif frame.op == OP_RETRY:
+            payload = frame.payload or {}
+            future.set_exception(
+                ServerBackpressureError(
+                    payload.get("reason", "unknown"),
+                    int(payload.get("queue_depth", 0)),
+                    float(payload.get("suggested_wait_seconds", 0.001)),
+                )
+            )
+        elif frame.op == OP_ERROR:
+            payload = frame.payload or {}
+            future.set_exception(
+                RemoteServerError(
+                    payload.get("code", "unknown"),
+                    payload.get("message", ""),
+                )
+            )
+        else:
+            future.set_exception(
+                ProtocolError(f"unexpected response op {frame.op:#x}")
+            )
 
     def _fail_pending(self, cause: Exception) -> None:
         pending = list(self._pending.values())
@@ -147,10 +161,10 @@ class AsyncClient:
         future: asyncio.Future = asyncio.get_running_loop().create_future()
         self._pending[seq] = future
         try:
-            async with self._write_lock:
-                await write_frame(
-                    self._writer, op, seq, payload, self._max_frame_bytes
-                )
+            self._writer.write(encode_frame(op, seq, payload, self._max_frame_bytes))
+            if needs_drain(self._writer):
+                async with self._write_lock:
+                    await self._writer.drain()
             return await future
         except (ConnectionError, OSError) as exc:
             raise ServerClosedError(f"send failed: {exc}") from None

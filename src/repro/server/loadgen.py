@@ -1,8 +1,10 @@
 """Closed-loop async load generator for the network query plane.
 
 ``concurrency`` workers each hold one :class:`~repro.server.client.AsyncClient`
-connection and issue the next request the moment the previous one completes
-(classic closed-loop load), honouring the server's RETRY backpressure hints.
+connection and run ``depth`` lanes over it; a lane issues its next request the
+moment the previous one completes (classic closed-loop load, ``depth``
+requests pipelined per connection), honouring the server's RETRY backpressure
+hints.
 The report carries sustained QPS and the p50/p99/p999 of the *per-operation*
 wall latency as observed by the client — i.e. including serialization, the
 socket, scheduling and backpressure, which is the whole point of measuring
@@ -36,6 +38,7 @@ class LoadReport:
 
     label: str
     concurrency: int
+    depth: int
     batch_size: int
     duration_seconds: float
     operations: int
@@ -52,6 +55,7 @@ class LoadReport:
         return {
             "label": self.label,
             "concurrency": self.concurrency,
+            "depth": self.depth,
             "batch_size": self.batch_size,
             "duration_seconds": self.duration_seconds,
             "operations": self.operations,
@@ -73,40 +77,47 @@ async def run_closed_loop(
     concurrency: int = 4,
     batch_size: int = 0,
     label: str = "",
+    depth: int = 1,
 ) -> LoadReport:
     """Drive the server closed-loop and report client-observed latency/QPS.
 
     ``batch_size == 0`` issues scalar ``query`` ops (one query per frame);
     ``batch_size > 0`` issues ``query_batch`` ops of that many pairs (per-op
     latency then amortises the frame + dispatch overhead over the batch).
+    ``depth`` is the number of requests each connection keeps in flight.
     """
     latencies: List[float] = []
     totals = {"operations": 0, "queries": 0, "retries": 0}
 
+    async def lane(client: AsyncClient, lane_id: int) -> None:
+        cursor = lane_id * 7919  # de-phase the lanes' walk over the pairs
+        while time.perf_counter() < deadline:
+            began = time.perf_counter()
+            try:
+                if batch_size > 0:
+                    chunk = [
+                        pairs[(cursor + offset) % len(pairs)]
+                        for offset in range(batch_size)
+                    ]
+                    cursor += batch_size
+                    await client.query_batch_with_retry(chunk)
+                    totals["queries"] += batch_size
+                else:
+                    source, target = pairs[cursor % len(pairs)]
+                    cursor += 1
+                    await client.query_with_retry(source, target)
+                    totals["queries"] += 1
+            except ServerBackpressureError:
+                continue  # retry budget exhausted; closed loop moves on
+            latencies.append(time.perf_counter() - began)
+            totals["operations"] += 1
+
     async def worker(worker_id: int) -> None:
         client = await AsyncClient.connect(host, port)
-        cursor = worker_id * 7919  # de-phase the workers' walk over the pairs
         try:
-            while time.perf_counter() < deadline:
-                began = time.perf_counter()
-                try:
-                    if batch_size > 0:
-                        chunk = [
-                            pairs[(cursor + offset) % len(pairs)]
-                            for offset in range(batch_size)
-                        ]
-                        cursor += batch_size
-                        await client.query_batch_with_retry(chunk)
-                        totals["queries"] += batch_size
-                    else:
-                        source, target = pairs[cursor % len(pairs)]
-                        cursor += 1
-                        await client.query_with_retry(source, target)
-                        totals["queries"] += 1
-                except ServerBackpressureError:
-                    continue  # retry budget exhausted; closed loop moves on
-                latencies.append(time.perf_counter() - began)
-                totals["operations"] += 1
+            await asyncio.gather(
+                *(lane(client, worker_id * depth + i) for i in range(max(1, depth)))
+            )
         finally:
             totals["retries"] += client.retries
             await client.close()
@@ -121,6 +132,7 @@ async def run_closed_loop(
     return LoadReport(
         label=label,
         concurrency=concurrency,
+        depth=depth,
         batch_size=batch_size,
         duration_seconds=elapsed,
         operations=totals["operations"],

@@ -68,6 +68,10 @@ HEADER_BYTES = 4
 FIXED_BODY_BYTES = 6
 #: Default cap on ``length`` — a defence against hostile or corrupt prefixes.
 DEFAULT_MAX_FRAME_BYTES = 8 * 2**20
+#: Bytes asked of the socket per read by the server's and the client's read
+#: loops; one read usually holds several pipelined frames.
+READ_BYTES = 65536
+_LENGTH_PREFIX = struct.Struct(">I")
 
 # Request op codes.
 OP_QUERY = 0x01
@@ -244,6 +248,57 @@ def decode_body(body: bytes) -> Frame:
     return Frame(op, seq, payload)
 
 
+def _check_length(length: int, max_frame_bytes: int) -> None:
+    """Validate a length prefix; both failures leave the stream out of sync."""
+    if length > max_frame_bytes:
+        raise FrameTooLargeError(length, max_frame_bytes)
+    if length < FIXED_BODY_BYTES:
+        raise ProtocolError(
+            f"frame length {length} is shorter than the {FIXED_BODY_BYTES}-byte "
+            "fixed header"
+        )
+
+
+class FrameSplitter:
+    """Incremental frame splitter: :meth:`feed` it whatever the socket
+    delivered, then call :meth:`next_frame` until it returns ``None``.
+
+    One segment usually carries several pipelined frames; splitting them out
+    of one buffer costs no ``await`` per frame.  The checks and typed errors
+    are :func:`read_frame`'s: an oversized or too-short length prefix and a bad
+    version byte are non-recoverable (the caller closes the connection), a
+    malformed payload is recoverable — the bad frame's bytes are consumed and
+    the next call resumes at the following frame.
+    """
+
+    __slots__ = ("_max_frame_bytes", "_buffer", "_position")
+
+    def __init__(self, max_frame_bytes: int = DEFAULT_MAX_FRAME_BYTES) -> None:
+        self._max_frame_bytes = max_frame_bytes
+        self._buffer = bytearray()
+        self._position = 0
+
+    def feed(self, data: bytes) -> None:
+        if self._position:
+            del self._buffer[: self._position]
+            self._position = 0
+        self._buffer += data
+
+    def next_frame(self) -> Optional[Frame]:
+        """The next complete frame, or ``None`` until more bytes are fed."""
+        buffer = self._buffer
+        body_start = self._position + HEADER_BYTES
+        if body_start > len(buffer):
+            return None
+        (length,) = _LENGTH_PREFIX.unpack_from(buffer, self._position)
+        _check_length(length, self._max_frame_bytes)
+        body_end = body_start + length
+        if body_end > len(buffer):
+            return None
+        self._position = body_end
+        return decode_body(bytes(buffer[body_start:body_end]))
+
+
 async def read_frame(
     reader: asyncio.StreamReader,
     max_frame_bytes: int = DEFAULT_MAX_FRAME_BYTES,
@@ -257,15 +312,20 @@ async def read_frame(
     """
     header = await reader.readexactly(HEADER_BYTES)
     length = int.from_bytes(header, "big")
-    if length > max_frame_bytes:
-        raise FrameTooLargeError(length, max_frame_bytes)
-    if length < FIXED_BODY_BYTES:
-        raise ProtocolError(
-            f"frame length {length} is shorter than the {FIXED_BODY_BYTES}-byte "
-            "fixed header"
-        )
+    _check_length(length, max_frame_bytes)
     body = await reader.readexactly(length)
     return decode_body(body)
+
+
+def needs_drain(writer: asyncio.StreamWriter) -> bool:
+    """Whether ``writer.drain()`` has anything to wait for after a write.
+
+    With an empty transport buffer the bytes are already with the kernel and
+    ``drain()`` is a no-op; a closing transport still needs it, because that
+    is where a lost connection surfaces as an exception.
+    """
+    transport = writer.transport
+    return transport.is_closing() or transport.get_write_buffer_size() > 0
 
 
 async def write_frame(

@@ -11,11 +11,20 @@ end-to-end service numbers rather than in-process kernel microseconds.
 Concurrency model
 -----------------
 
-The event loop owns all protocol state; backend calls block (engine locks,
-shard round trips), so each admitted request runs on a bounded thread pool
-via ``run_in_executor`` while the loop keeps decoding frames.  Clients may
-pipeline: requests on one connection are answered out of order, matched by
-the echoed ``seq``.
+The event loop owns all protocol state.  Each connection's read loop takes
+whatever the socket delivered, splits out every complete frame and handles
+them without awaiting in between; backend calls block (engine locks, shard
+round trips), so they run on a bounded thread pool via ``run_in_executor``.
+Clients may pipeline: requests on one connection are answered out of order,
+matched by the echoed ``seq``.
+
+Scalar ``QUERY`` frames are **gathered**: an admitted query joins a
+server-wide list, and the list is served as one ``backend.serve_batch`` —
+one admission decision, one epoch, one executor hop, one write per
+connection.  At most one gathered batch is on the executor; requests that
+arrive while it runs form the next one, so batch size follows load (1 on an
+idle server) with no timer and nothing to tune.  Caps, ``seq`` echo and
+typed errors stay per frame: a bad request never fails its neighbours.
 
 Backpressure (DESIGN.md §12)
 ----------------------------
@@ -46,7 +55,8 @@ from __future__ import annotations
 import asyncio
 import time
 from concurrent.futures import ThreadPoolExecutor
-from typing import Dict, Optional, Set, Tuple
+from itertools import repeat
+from typing import Dict, List, Optional, Set, Tuple
 
 from repro import obs
 from repro.exceptions import (
@@ -72,11 +82,19 @@ from repro.server.protocol import (
     OP_RESULT,
     OP_RETRY,
     OP_STATS,
+    READ_BYTES,
     REQUEST_OPS,
     Frame,
+    FrameSplitter,
     encode_frame,
-    read_frame,
+    needs_drain,
 )
+from repro.serving.core import CACHE_STAGE
+
+#: One reply frame before encoding: ``(op, seq, payload)``.
+_Reply = Tuple[int, int, object]
+#: One gathered scalar query: its connection, ``seq`` and ``(source, target)``.
+_Gathered = Tuple["_Connection", int, Tuple[int, int]]
 
 
 class _Connection:
@@ -109,15 +127,15 @@ class QueryServer:
     backend:
         A started :class:`~repro.serving.engine.ServingEngine` or
         :class:`~repro.cluster.engine.ClusterEngine` — the server speaks the
-        :class:`~repro.serving.core.EngineCore` surface (``serve``,
-        ``serve_batch``, ``serve_one_to_many``, ``apply_batch``, ``graph``,
-        ``stats``, ``current_epoch``) and does not own the backend's lifecycle.
+        :class:`~repro.serving.core.EngineCore` surface (``serve_batch``,
+        ``serve_one_to_many``, ``apply_batch``, ``graph``, ``stats``,
+        ``current_epoch``) and does not own the backend's lifecycle.
     host / port:
         Listen address; port 0 binds an ephemeral port (read it back from
         :attr:`address` after :meth:`start`).
     max_inflight:
-        Global cap on concurrently executing requests; excess arrivals get
-        RETRY frames.
+        Global cap on admitted requests (executing, or gathered and waiting
+        for the next scalar batch); excess arrivals get RETRY frames.
     max_inflight_per_connection:
         Per-connection cap, strictly enforced before the global cap so one
         pipelining client cannot monopolise the executor.
@@ -163,6 +181,10 @@ class QueryServer:
         self._connections: Set[_Connection] = set()
         self._conn_tasks: Set[asyncio.Task] = set()
         self._tasks: Set[asyncio.Task] = set()
+        #: Admitted scalar queries waiting for the next gathered batch, and
+        #: whether a :meth:`_serve_gathered` task is scheduled or running.
+        self._gathered: List[_Gathered] = []
+        self._gather_running = False
         self._draining = False
         self._inflight = 0
         self._shed_streak = 0
@@ -171,6 +193,8 @@ class QueryServer:
         self._retries_total = 0
         self._errors_total = 0
         self._connections_total = 0
+        self._gathered_batches_total = 0
+        self._gathered_queries_total = 0
 
         if obs.is_enabled():
             registry = obs.registry()
@@ -270,27 +294,38 @@ class QueryServer:
                 self._conn_tasks.discard(task)
 
     async def _read_loop(self, reader: asyncio.StreamReader, conn: _Connection) -> None:
+        splitter = FrameSplitter(self.max_frame_bytes)
         while True:
             try:
-                frame = await read_frame(reader, self.max_frame_bytes)
-            except ProtocolError as exc:
-                # Malformed frame: answer with a typed error; keep the
-                # connection only when the stream is provably still in sync.
-                self._errors_total += 1
-                obs.counter(
-                    "repro_server_protocol_errors_total",
-                    "Malformed frames received", code=exc.code,
-                ).inc()
-                await self._safe_send(
-                    conn, OP_ERROR, exc.seq or 0,
-                    {"code": exc.code, "message": str(exc)},
-                )
-                if exc.recoverable:
-                    continue
+                data = await reader.read(READ_BYTES)
+            except (ConnectionError, OSError):
                 return
-            except (asyncio.IncompleteReadError, ConnectionError, OSError):
+            if not data:
                 return  # clean close: peer went away (possibly mid-frame)
-            await self._handle_frame(conn, frame)
+            splitter.feed(data)
+            while True:
+                try:
+                    frame = splitter.next_frame()
+                except ProtocolError as exc:
+                    # Malformed frame: answer with a typed error; keep the
+                    # connection only when the stream is provably still in sync.
+                    self._errors_total += 1
+                    obs.counter(
+                        "repro_server_protocol_errors_total",
+                        "Malformed frames received", code=exc.code,
+                    ).inc()
+                    await self._safe_send(
+                        conn, OP_ERROR, exc.seq or 0,
+                        {"code": exc.code, "message": str(exc)},
+                    )
+                    if exc.recoverable:
+                        continue
+                    return
+                if frame is None:
+                    break
+                await self._handle_frame(conn, frame)
+                if conn.closed:
+                    return  # dropped for stalling: its buffered frames go unserved
 
     async def _handle_frame(self, conn: _Connection, frame: Frame) -> None:
         if frame.op == OP_PING:
@@ -315,89 +350,149 @@ class QueryServer:
         ):
             await self._send_retry(conn, frame.seq, "queue_full")
             return
+        if frame.op == OP_QUERY:
+            try:
+                pair = (
+                    _require_vertex(frame.payload, "source", frame.seq),
+                    _require_vertex(frame.payload, "target", frame.seq),
+                )
+            except ProtocolError as exc:
+                await self._safe_send(conn, *self._failure_reply(frame.seq, exc))
+                return
         conn.inflight += 1
         self._inflight += 1
-        task = asyncio.ensure_future(self._process(conn, frame))
+        if frame.op != OP_QUERY:
+            self._spawn(self._process(conn, frame))
+            return
+        self._gathered.append((conn, frame.seq, pair))
+        if not self._gather_running:
+            # The task's first step runs on the next loop turn, after every
+            # frame already buffered has joined the list: a lone request
+            # waits for no timer, a burst shares one batch.
+            self._gather_running = True
+            self._spawn(self._serve_gathered())
+
+    def _spawn(self, coro) -> None:
+        """Run ``coro`` as a task that :meth:`stop` waits for."""
+        task = asyncio.ensure_future(coro)
         self._tasks.add(task)
         task.add_done_callback(self._tasks.discard)
 
     # ------------------------------------------------------------------
     # Request execution
     # ------------------------------------------------------------------
+    async def _serve_gathered(self) -> None:
+        """Serve every query gathered so far as one engine batch and answer
+        each connection with one write; requests that arrived meanwhile are
+        the next batch, so at most one is ever on the executor."""
+        batch, self._gathered = self._gathered, []
+        started = time.perf_counter()
+        loop = asyncio.get_running_loop()
+        try:
+            outcomes = await loop.run_in_executor(
+                self._executor, self._execute_gathered, [pair for _, _, pair in batch]
+            )
+        finally:
+            for conn, _seq, _pair in batch:
+                conn.inflight -= 1
+            self._inflight -= len(batch)
+            if self._gathered:
+                self._spawn(self._serve_gathered())
+            else:
+                self._gather_running = False
+        serve_seconds = time.perf_counter() - started
+        self._gathered_batches_total += 1
+        self._gathered_queries_total += len(batch)
+
+        replies: Dict[_Connection, List[_Reply]] = {}
+        served = 0
+        for (conn, seq, _pair), outcome in zip(batch, outcomes):
+            if isinstance(outcome, Exception):
+                reply = self._failure_reply(seq, outcome)
+            else:
+                served += 1
+                distance, epoch, stage = outcome
+                reply = (
+                    OP_RESULT, seq,
+                    {
+                        "distance": distance,
+                        "epoch": epoch,
+                        "stage": stage,
+                        "from_cache": stage == CACHE_STAGE,
+                    },
+                )
+            replies.setdefault(conn, []).append(reply)
+        # Every connection gets its bytes before any stalled one is waited
+        # for: a peer that stopped reading delays nobody else's replies.
+        stalled = [conn for conn, frames in replies.items() if self._write(conn, frames)]
+        if served:
+            self._record_served("query", served, started, serve_seconds)
+        if stalled:
+            await asyncio.gather(*(self._drain(conn) for conn in stalled))
+
+    def _execute_gathered(self, pairs: List[Tuple[int, int]]) -> list:
+        """One ``serve_batch`` for the gathered queries (executor thread).
+
+        Returns one outcome per query — ``(distance, epoch, stage)`` or the
+        exception that query gets answered with — and never raises.  The
+        backend fails a batch as a whole (one unknown vertex), so a failed
+        batch of several is re-served one query at a time: the typed error
+        lands on the request that caused it and the others get their answer.
+        An admission shed is the engine's verdict on the whole batch and is
+        not retried.
+        """
+        try:
+            result = self.backend.serve_batch(pairs)
+        except Exception as exc:
+            if isinstance(exc, QueryRejectedError) or len(pairs) == 1:
+                return [exc] * len(pairs)
+            return [self._execute_gathered([pair])[0] for pair in pairs]
+        stages = result.stages if result.stages is not None else repeat(result.stage)
+        return list(zip(result.distances, repeat(result.epoch), stages))
+
     async def _process(self, conn: _Connection, frame: Frame) -> None:
         started = time.perf_counter()
-        op_name = OP_NAMES[frame.op]
         loop = asyncio.get_running_loop()
         try:
             payload = await loop.run_in_executor(
                 self._executor, self._execute, frame
             )
-        except QueryRejectedError:
-            # Admission control shed the query — backpressure, not failure.
-            await self._send_retry(conn, frame.seq, "admission")
-            return
-        except ProtocolError as exc:
-            self._errors_total += 1
-            await self._safe_send(
-                conn, OP_ERROR, frame.seq, {"code": exc.code, "message": str(exc)}
-            )
-            return
-        except ReproError as exc:
-            self._errors_total += 1
-            code = _ERROR_CODES.get(type(exc).__name__, "request_failed")
-            obs.counter(
-                "repro_server_errors_total", "Typed request failures", code=code
-            ).inc()
-            await self._safe_send(
-                conn, OP_ERROR, frame.seq, {"code": code, "message": str(exc)}
-            )
-            return
         except Exception as exc:  # never let a request kill the server
-            self._errors_total += 1
-            obs.counter(
-                "repro_server_errors_total", "Typed request failures", code="internal"
-            ).inc()
-            await self._safe_send(
-                conn, OP_ERROR, frame.seq,
-                {"code": "internal", "message": f"{type(exc).__name__}: {exc}"},
-            )
+            await self._safe_send(conn, *self._failure_reply(frame.seq, exc))
             return
         finally:
             conn.inflight -= 1
             self._inflight -= 1
-
         serve_seconds = time.perf_counter() - started
+        await self._safe_send(conn, _RESPONSE_OPS.get(frame.op, OP_RESULT), frame.seq, payload)
+        self._record_served(OP_NAMES[frame.op], 1, started, serve_seconds)
+
+    def _record_served(
+        self, op_name: str, count: int, started: float, serve_seconds: float
+    ) -> None:
+        """Account ``count`` requests answered by one backend call."""
         self._shed_streak = 0
-        self._requests_total += 1
+        self._requests_total += count
+        # Amortised over the batch, so RETRY waits stay per-request estimates.
+        per_request = serve_seconds / count
         alpha = 0.2
         self._service_ewma = (
-            serve_seconds
+            per_request
             if self._service_ewma == 0.0
-            else (1 - alpha) * self._service_ewma + alpha * serve_seconds
+            else (1 - alpha) * self._service_ewma + alpha * per_request
         )
-        await self._safe_send(conn, _RESPONSE_OPS.get(frame.op, OP_RESULT), frame.seq, payload)
         if obs.is_enabled():
-            obs.record_span("server.serve", serve_seconds, op=op_name)
+            obs.record_span("server.serve", serve_seconds, op=op_name, size=count)
             obs.record_span(
-                "server.request", time.perf_counter() - started, op=op_name
+                "server.request", time.perf_counter() - started, op=op_name, size=count
             )
             obs.counter(
                 "repro_server_requests_total", "Completed requests", op=op_name
-            ).inc()
+            ).inc(count)
 
     def _execute(self, frame: Frame):
         """Run one request against the backend (executor thread, blocking)."""
         op, payload = frame.op, frame.payload
-        if op == OP_QUERY:
-            source = _require_vertex(payload, "source", frame.seq)
-            target = _require_vertex(payload, "target", frame.seq)
-            result = self.backend.serve(source, target)
-            return {
-                "distance": result.distance,
-                "epoch": result.epoch,
-                "stage": result.stage,
-                "from_cache": result.from_cache,
-            }
         if op in (OP_QUERY_BATCH, OP_ONE_TO_MANY):
             # Packed ops: the codec already validated the column layout, and
             # the backend checks the vertices — columns in, columns out.
@@ -431,7 +526,26 @@ class QueryServer:
     # ------------------------------------------------------------------
     # Responses
     # ------------------------------------------------------------------
-    async def _send_retry(self, conn: _Connection, seq: int, reason: str) -> None:
+    def _failure_reply(self, seq: int, exc: Exception) -> _Reply:
+        """The RETRY or typed ERROR frame a failed request is answered with."""
+        if isinstance(exc, QueryRejectedError):
+            # Admission control shed the query — backpressure, not failure.
+            return OP_RETRY, seq, self._retry_payload("admission")
+        self._errors_total += 1
+        message = str(exc)
+        if isinstance(exc, ProtocolError):
+            code = exc.code
+        else:
+            if isinstance(exc, ReproError):
+                code = _ERROR_CODES.get(type(exc).__name__, "request_failed")
+            else:
+                code, message = "internal", f"{type(exc).__name__}: {exc}"
+            obs.counter(
+                "repro_server_errors_total", "Typed request failures", code=code
+            ).inc()
+        return OP_ERROR, seq, {"code": code, "message": message}
+
+    def _retry_payload(self, reason: str) -> Dict[str, object]:
         self._shed_streak += 1
         self._retries_total += 1
         depth = self._inflight + self._shed_streak
@@ -439,42 +553,63 @@ class QueryServer:
         obs.counter(
             "repro_server_retries_total", "RETRY frames sent", reason=reason
         ).inc()
-        await self._safe_send(
-            conn, OP_RETRY, seq,
-            {
-                "reason": reason,
-                "queue_depth": depth,
-                "suggested_wait_seconds": wait,
-            },
-        )
+        return {
+            "reason": reason,
+            "queue_depth": depth,
+            "suggested_wait_seconds": wait,
+        }
+
+    async def _send_retry(self, conn: _Connection, seq: int, reason: str) -> None:
+        await self._safe_send(conn, OP_RETRY, seq, self._retry_payload(reason))
 
     async def _safe_send(
         self, conn: _Connection, op: int, seq: int, payload
     ) -> None:
         """Write one frame; a dead or stalled peer drops the connection."""
+        if self._write(conn, [(op, seq, payload)]):
+            await self._drain(conn)
+
+    def _write(self, conn: _Connection, frames: List[_Reply]) -> bool:
+        """Encode ``frames`` and hand them to the transport in one write.
+
+        Returns whether the caller has to :meth:`_drain`: with an empty
+        transport buffer the bytes are already with the kernel, ``drain()``
+        would be a no-op, and its timeout guard (a task and a timer) is
+        pure cost.
+        """
         if conn.closed:
-            return
+            return False
         started = time.perf_counter()
+        conn.writer.write(b"".join([self._encode(*frame) for frame in frames]))
+        if obs.is_enabled():
+            ops = {op for op, _seq, _payload in frames}
+            obs.record_span(
+                "server.encode", time.perf_counter() - started,
+                op=OP_NAMES[ops.pop()] if len(ops) == 1 else "mixed",
+                size=len(frames),
+            )
+        return needs_drain(conn.writer)
+
+    def _encode(self, op: int, seq: int, payload) -> bytes:
         try:
-            data = encode_frame(op, seq, payload, self.max_frame_bytes)
+            return encode_frame(op, seq, payload, self.max_frame_bytes)
         except FrameTooLargeError as exc:
             # The reply outgrew the cap (a packed reply is twice its request):
             # the request still gets its typed answer, and the stream stays
             # in sync because nothing of the oversized frame was written.
             self._errors_total += 1
-            op = OP_ERROR
-            data = encode_frame(op, seq, {"code": exc.code, "message": str(exc)})
+            return encode_frame(OP_ERROR, seq, {"code": exc.code, "message": str(exc)})
+
+    async def _drain(self, conn: _Connection) -> None:
+        """Wait for the peer to take what was written, within the timeout."""
         try:
             async with conn.lock:
-                conn.writer.write(data)
                 await asyncio.wait_for(conn.writer.drain(), self.write_timeout)
         except (ConnectionError, OSError, asyncio.TimeoutError):
+            # A graceful close waits for the write buffer to flush, which is
+            # what just failed to happen; discard it so the close completes.
+            conn.writer.transport.abort()
             await conn.close()
-        else:
-            if obs.is_enabled():
-                obs.record_span(
-                    "server.encode", time.perf_counter() - started, op=OP_NAMES[op]
-                )
 
     # ------------------------------------------------------------------
     # Introspection
@@ -488,6 +623,8 @@ class QueryServer:
             "retries_total": self._retries_total,
             "errors_total": self._errors_total,
             "connections_total": self._connections_total,
+            "gathered_batches_total": self._gathered_batches_total,
+            "gathered_queries_total": self._gathered_queries_total,
             "draining": self._draining,
             "max_inflight": self.max_inflight,
             "max_inflight_per_connection": self.max_inflight_per_connection,

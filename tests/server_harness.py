@@ -14,7 +14,7 @@ import contextlib
 import threading
 from typing import List, Tuple
 
-from repro.serving.core import BatchResult, QueryResult
+from repro.serving.core import BatchResult
 from repro.server.protocol import read_frame
 from repro.server.server import QueryServer
 
@@ -77,6 +77,8 @@ class BlockingBackend:
         self._release = threading.Event()
         self._epoch = epoch
         self.served = 0
+        #: Size of every ``serve_batch`` call, recorded as it parks.
+        self.batches: List[int] = []
         self._lock = threading.Lock()
 
     # -- test controls -------------------------------------------------
@@ -89,13 +91,12 @@ class BlockingBackend:
         return self._epoch
 
     def serve_batch(self, pairs) -> BatchResult:
+        with self._lock:
+            self.batches.append(len(pairs))
         assert self._release.wait(timeout=TEST_TIMEOUT), "backend never released"
         with self._lock:
             self.served += len(pairs)
         return BatchResult(list(pairs), [1.0] * len(pairs), self._epoch, 0.0, "stub")
-
-    def serve(self, source: int, target: int) -> QueryResult:
-        return self.serve_batch([(source, target)])[0]
 
     def stats(self) -> dict:
         return {"stub": True, "served": self.served}

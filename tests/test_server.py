@@ -12,6 +12,7 @@ subcommand end-to-end, and the closed-loop async load generator.
 from __future__ import annotations
 
 import asyncio
+import json
 import math
 import struct
 import threading
@@ -34,7 +35,8 @@ from repro.serving.admission import AdmissionController
 from repro.serving.engine import ServingEngine
 from repro.server import AsyncClient, LoadReport, run_closed_loop
 from repro.server.loadgen import quantile
-from repro.server.protocol import OP_QUERY, OP_RESULT, OP_RETRY, read_frame
+from repro import obs
+from repro.server.protocol import OP_ERROR, OP_QUERY, OP_RESULT, OP_RETRY, read_frame
 from repro.throughput.workload import sample_query_pairs
 
 from tests.conftest import paper_example_graph
@@ -59,6 +61,15 @@ def build_engine(method: str = "BiDijkstra", graph=None, **engine_kwargs):
 
 def as_tuples(batch):
     return [(u.u, u.v, u.old_weight, u.new_weight) for u in batch.updates]
+
+
+def query_frame(seq: int, source, target) -> bytes:
+    """One scalar ``QUERY`` frame as wire bytes (any JSON values)."""
+    return make_frame(OP_QUERY, seq, json.dumps({"source": source, "target": target}).encode())
+
+
+async def read_frames(reader, count: int):
+    return [await read_frame(reader) for _ in range(count)]
 
 
 # ----------------------------------------------------------------------
@@ -534,6 +545,44 @@ class TestBackpressure:
 
         run(main())
 
+    def test_stalled_peer_drops_only_its_own_connection(self):
+        """A peer that pipelines requests and never reads its replies stalls
+        its own writes until ``write_timeout`` drops it; its slots are freed
+        and a well-behaved client on the same server is answered meanwhile,
+        including queries gathered into one batch with the stalled peer's."""
+        import socket
+
+        async def main(engine):
+            async with running_server(engine, write_timeout=1.5) as server:
+                sock = socket.socket()
+                # Small kernel buffers on both ends: the path holds a few
+                # hundred replies, the peer's unread StreamReader ~1 500 more.
+                sock.setsockopt(socket.SOL_SOCKET, socket.SO_RCVBUF, 4096)
+                sock.setblocking(False)
+                await asyncio.get_running_loop().sock_connect(sock, server.address)
+                _reader, writer = await asyncio.open_connection(sock=sock)
+                await wait_for(lambda: server.stats()["connections"] == 1)
+                (conn,) = server._connections
+                conn.writer.transport.get_extra_info("socket").setsockopt(
+                    socket.SOL_SOCKET, socket.SO_SNDBUF, 4096
+                )
+                async with await AsyncClient.connect(*server.address) as client:
+                    writer.write(b"".join(query_frame(seq, 0, 7) for seq in range(1, 20001)))
+                    await wait_for(lambda: server.stats()["retries_total"] > 0)
+                    began = asyncio.get_running_loop().time()
+                    for _ in range(50):
+                        reply = await asyncio.wait_for(client.query_with_retry(0, 9), 1.0)
+                        assert reply.distance == 2.0
+                    assert asyncio.get_running_loop().time() - began < 1.0
+                    # The stalled connection goes; the reading one stays.
+                    await wait_for(lambda: server.stats()["connections"] == 1, timeout=10.0)
+                    await wait_for(lambda: server.stats()["inflight"] == 0)
+                    assert (await client.query(0, 7)).distance == 16.0
+                await close_writer(writer)
+
+        with build_engine() as engine:
+            run(main(engine))
+
     def test_fake_clock_admission_maps_to_retry(self):
         """Lemma-1 shedding surfaces as a RETRY frame; once the fake clock
         advances past the arrival window the same request is admitted."""
@@ -622,6 +671,39 @@ class TestDrain:
 
         run(main())
 
+    def test_drain_delivers_gathered_requests_behind_a_running_batch(self):
+        """Requests admitted while a gathered batch runs are not on any task
+        yet; ``stop()`` still waits for them, and only later arrivals are
+        turned away."""
+        backend = BlockingBackend()
+
+        async def main():
+            async with running_server(backend) as server:
+                reader, writer = await open_raw(server)
+                writer.write(query_frame(1, 1, 2))
+                await wait_for(lambda: backend.batches == [1])  # parked on the executor
+                writer.write(b"".join(query_frame(seq, seq, seq + 1) for seq in range(2, 6)))
+                await wait_for(lambda: server.stats()["inflight"] == 5)
+
+                stop_task = asyncio.ensure_future(server.stop())
+                await wait_for(lambda: server.stats()["draining"])
+                writer.write(query_frame(6, 6, 7))
+                late = await read_frame(reader)
+                assert (late.op, late.seq) == (OP_RETRY, 6)
+                assert late.payload["reason"] == "draining"
+                assert not stop_task.done(), "stop() returned with work gathered"
+
+                backend.release()
+                results = await read_frames(reader, 5)
+                assert all(f.op == OP_RESULT for f in results)
+                assert sorted(f.seq for f in results) == [1, 2, 3, 4, 5]
+                await stop_task
+                assert backend.batches == [1, 4]
+                assert backend.served == 5
+                await close_writer(writer)
+
+        run(main())
+
     def test_drain_refuses_new_connections(self):
         backend = BlockingBackend()
         backend.release()
@@ -676,6 +758,199 @@ class TestDrain:
                 assert not server.is_serving
 
         run(main())
+
+
+# ----------------------------------------------------------------------
+# Scalar plane: QUERY frames that arrive together share one engine batch
+# ----------------------------------------------------------------------
+class TestGather:
+    @pytest.mark.parametrize("stub", [False, True], ids=["engine", "stub"])
+    def test_one_segment_over_the_connection_cap(self, stub):
+        """32 frames in one segment, cap 16: the caps are per frame at
+        arrival, so exactly 16 are served and 16 shed, each seq once."""
+        backend = BlockingBackend() if stub else build_engine()
+
+        async def main():
+            async with running_server(backend, max_inflight_per_connection=16) as server:
+                reader, writer = await open_raw(server)
+                writer.write(b"".join(query_frame(seq, 0, 7) for seq in range(1, 33)))
+                retries = await read_frames(reader, 16)
+                assert all(f.op == OP_RETRY for f in retries)
+                assert all(f.payload["reason"] == "queue_full" for f in retries)
+                if stub:
+                    assert server.stats()["inflight"] == 16
+                    backend.release()
+                results = await read_frames(reader, 16)
+                assert all(f.op == OP_RESULT for f in results)
+                assert sorted(f.seq for f in retries + results) == list(range(1, 33))
+                assert [f.seq for f in results] == list(range(1, 17))
+                stats = server.stats()
+                assert stats["gathered_queries_total"] == 16
+                assert stats["gathered_batches_total"] == 1
+                assert stats["inflight"] == 0
+                await close_writer(writer)
+
+        if stub:
+            run(main())
+        else:
+            with backend:
+                run(main())
+
+    def test_bad_requests_do_not_fail_their_neighbours(self):
+        pairs = [(s, t) for s in range(7) for t in (7, 13)]  # 14 good pairs
+
+        async def main(engine):
+            async with running_server(engine) as server:
+                reader, writer = await open_raw(server)
+                frames = [query_frame(seq, s, t) for seq, (s, t) in enumerate(pairs, 1)]
+                frames.insert(3, query_frame(100, 0, 999_999))  # unknown vertex
+                frames.insert(9, query_frame(101, "zero", 7))  # not an integer
+                writer.write(b"".join(frames))
+                by_seq = {f.seq: f for f in await read_frames(reader, 16)}
+                assert len(by_seq) == 16
+                assert by_seq[100].op == by_seq[101].op == OP_ERROR
+                assert by_seq[100].payload["code"] == "vertex_not_found"
+                assert by_seq[101].payload["code"] == "bad_payload"
+                for seq, (s, t) in enumerate(pairs, 1):
+                    assert by_seq[seq].op == OP_RESULT
+                    got = by_seq[seq].payload["distance"]
+                    assert struct.pack("<d", got) == struct.pack("<d", engine.query(s, t))
+                stats = server.stats()
+                assert stats["errors_total"] == 2 and stats["inflight"] == 0
+                # The unknown vertex failed the batch of 15; each was re-served alone.
+                assert stats["gathered_queries_total"] == 15
+                await close_writer(writer)
+
+        with build_engine() as engine:
+            run(main(engine))
+
+    def test_admission_shed_is_one_retry_per_gathered_request(self):
+        clock = fake_clock()
+        admission = AdmissionController(
+            response_qos=0.05, window_seconds=1.0, min_samples=5, clock=clock
+        )
+        for _ in range(60):
+            admission.observe_latency(0.04)
+        engine = build_engine(admission=admission)
+
+        async def main():
+            async with running_server(engine) as server:
+                reader, writer = await open_raw(server)
+                for _ in range(200):
+                    writer.write(b"".join(query_frame(seq, 0, 9) for seq in range(1, 9)))
+                    replies = await read_frames(reader, 8)
+                    if replies[0].op == OP_RETRY:
+                        break
+                    assert all(f.op == OP_RESULT for f in replies)
+                else:
+                    raise AssertionError("admission never shed")
+                # The engine admits or sheds a batch as a whole.
+                assert [f.op for f in replies] == [OP_RETRY] * 8
+                assert [f.seq for f in replies] == list(range(1, 9))
+                assert all(f.payload["reason"] == "admission" for f in replies)
+                depths = [f.payload["queue_depth"] for f in replies]
+                assert depths == sorted(depths) and depths[0] >= 1
+                assert server.stats()["inflight"] == 0
+                await close_writer(writer)
+
+        with engine:
+            run(main())
+
+    def _assert_one_epoch_per_gathered_batch(self, server_cm, graph, backend):
+        """Scalar replies of one segment were one ``serve_batch``: they share
+        an epoch and match that epoch's oracle while updates interleave."""
+        rounds = TestEpochConsistency.ROUNDS
+        history, batches = _epoch_graph_history(graph, rounds)
+        pairs = list(sample_query_pairs(graph, 8, seed=7))
+        oracle = [[dijkstra_distance(g, *pair) for pair in pairs] for g in history]
+
+        async def applier(server):
+            async with await AsyncClient.connect(*server.address) as client:
+                for batch in batches:
+                    await client.apply_batch(as_tuples(batch))
+                    await asyncio.sleep(0.01)
+
+        async def querier(server, seen):
+            reader, writer = await open_raw(server)
+            segment = b"".join(
+                query_frame(seq, s, t) for seq, (s, t) in enumerate(pairs)
+            )
+            while rounds not in seen:
+                writer.write(segment)
+                replies = sorted(await read_frames(reader, len(pairs)), key=lambda f: f.seq)
+                assert all(f.op == OP_RESULT for f in replies)
+                epochs = {f.payload["epoch"] for f in replies}
+                assert len(epochs) == 1, f"gathered batch saw epochs {epochs}"
+                epoch = epochs.pop()
+                assert [f.payload["distance"] for f in replies] == oracle[epoch]
+                seen.add(epoch)
+            await close_writer(writer)
+
+        async def main():
+            async with server_cm() as server:
+                seen = set()
+                await asyncio.gather(applier(server), querier(server, seen))
+                assert backend.current_epoch == rounds
+
+        run(main(), timeout=120.0)
+
+    def test_gathered_batch_reports_one_epoch(self):
+        graph = paper_example_graph()
+        with build_engine(graph=graph.copy()) as engine:
+            self._assert_one_epoch_per_gathered_batch(
+                lambda: running_server(engine), graph, engine
+            )
+
+    def test_gathered_batch_reports_one_epoch_cluster(self, tmp_path):
+        from repro.cluster import ClusterEngine
+
+        graph = paper_example_graph()
+        index = create_index("BiDijkstra", graph.copy())
+        index.build()
+        # fork-before-loop: worker processes must exist before asyncio.run.
+        with ClusterEngine.from_index(index, str(tmp_path), num_workers=2) as engine:
+            self._assert_one_epoch_per_gathered_batch(
+                lambda: running_server(engine), graph, engine
+            )
+
+    def test_lone_request_waits_for_nothing(self):
+        """The gather has no timer: one request on an idle server is served
+        as a batch of one without any other arrival to push it out."""
+
+        async def main(engine):
+            async with running_server(engine) as server:
+                async with await AsyncClient.connect(*server.address) as client:
+                    reply = await asyncio.wait_for(client.query(0, 7), 3.0)
+                    assert reply.distance == 16.0
+                    stats = server.stats()
+                    assert stats["gathered_batches_total"] == 1
+                    assert stats["gathered_queries_total"] == 1
+                    assert (await client.stats())["server"]["gathered_batches_total"] == 1
+
+        with build_engine() as engine:
+            run(main(engine))
+
+    def test_spans_are_per_batch_and_the_counter_per_request(self):
+        async def main(engine):
+            async with running_server(engine) as server:
+                reader, writer = await open_raw(server)
+                writer.write(b"".join(query_frame(seq, 0, 7) for seq in range(1, 7)))
+                assert all(f.op == OP_RESULT for f in await read_frames(reader, 6))
+                await close_writer(writer)
+
+        obs.reset()
+        obs.enable()
+        try:
+            with build_engine() as engine:
+                run(main(engine))
+            for name in ("server.serve", "server.request"):
+                spans = [e for e in obs.tracer().events() if e.name == name]
+                assert [(e.args["op"], e.args["size"]) for e in spans] == [("query", 6)]
+            counter = obs.registry().get("repro_server_requests_total", op="query")
+            assert counter.value == 6.0
+        finally:
+            obs.disable()
+            obs.reset()
 
 
 # ----------------------------------------------------------------------

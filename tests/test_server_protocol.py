@@ -41,6 +41,8 @@ from repro.server.protocol import (
     OP_RESULT,
     OP_RETRY,
     PROTOCOL_VERSION,
+    Frame,
+    FrameSplitter,
     decode_body,
     encode_frame,
     read_frame,
@@ -514,6 +516,155 @@ class TestPackedPayloadFuzz:
                 await assert_alive(server)
 
         run(main())
+
+
+# ----------------------------------------------------------------------
+# The incremental splitter against read_frame (server and client share it)
+# ----------------------------------------------------------------------
+def _outcome(exc: ProtocolError):
+    return ("error", type(exc).__name__, exc.code, exc.recoverable, exc.seq)
+
+
+def frames_by_read_frame(data: bytes, max_frame_bytes: int = DEFAULT_MAX_FRAME_BYTES):
+    """The reference: frames and typed errors ``read_frame`` yields over a
+    ``StreamReader`` until EOF or the first non-recoverable error."""
+
+    async def main():
+        reader = asyncio.StreamReader()
+        reader.feed_data(data)
+        reader.feed_eof()
+        outcomes = []
+        while True:
+            try:
+                outcomes.append(await read_frame(reader, max_frame_bytes))
+            except ProtocolError as exc:
+                outcomes.append(_outcome(exc))
+                if not exc.recoverable:
+                    return outcomes
+            except asyncio.IncompleteReadError:
+                return outcomes
+
+    return run(main())
+
+
+def frames_by_splitter(chunks, max_frame_bytes: int = DEFAULT_MAX_FRAME_BYTES):
+    splitter = FrameSplitter(max_frame_bytes)
+    outcomes = []
+    for chunk in chunks:
+        splitter.feed(chunk)
+        while True:
+            try:
+                frame = splitter.next_frame()
+            except ProtocolError as exc:
+                outcomes.append(_outcome(exc))
+                if not exc.recoverable:
+                    return outcomes
+                continue
+            if frame is None:
+                break
+            outcomes.append(frame)
+    return outcomes
+
+
+def malformed_corpus(seed: int):
+    """The byte streams the live-server fuzz classes send, by the same recipes."""
+    rng = random.Random(seed)
+    ping = make_frame(OP_PING, 77, b"")
+    good_query = make_frame(OP_QUERY, 78, json.dumps({"source": 0, "target": 7}).encode())
+    yield "truncated_prefix", rng.randbytes(rng.randint(1, 3))
+    oversized = DEFAULT_MAX_FRAME_BYTES + rng.randint(1, 2**24)
+    yield "oversized_prefix", oversized.to_bytes(4, "big") + rng.randbytes(16)
+    version = rng.choice([v for v in range(256) if v != PROTOCOL_VERSION])
+    yield "bad_version", make_frame(OP_PING, 5, b"", version=version) + ping
+    yield "garbage_payload", (
+        make_frame(OP_QUERY, rng.randint(1, 2**31), rng.randbytes(rng.randint(1, 64)))
+        + ping
+    )
+    claimed = rng.randint(FIXED_BODY_BYTES + 10, 4096)
+    yield "mid_frame_disconnect", (
+        ping + claimed.to_bytes(4, "big") + rng.randbytes(rng.randint(1, claimed - 1))
+    )
+    yield "random_garbage", rng.randbytes(rng.randint(1, 512))
+    yield "zero_length", ping + (0).to_bytes(4, "big") + ping
+    yield "short_length", (3).to_bytes(4, "big") + b"\x02\x06\x00" + ping
+    op, raw, _count = packed_request(rng)
+    yield "torn_columns", make_frame(op, 3, raw[: -rng.randint(1, 3)]) + good_query
+    yield "empty_packed", (
+        make_frame(OP_QUERY_BATCH, 11, b"") + make_frame(OP_ONE_TO_MANY, 12, b"") + ping
+    )
+    frame = make_frame(op, 4, raw)
+    yield "truncated_packed", frame[: rng.randint(5, len(frame) - 1)]
+    barrage = []
+    for index in range(20):
+        kind = rng.randrange(3)
+        if kind == 0:
+            barrage.append(make_frame(OP_QUERY, index + 1, rng.randbytes(8)))
+        elif kind == 1:
+            barrage.append(good_query)
+        else:
+            barrage.append(make_frame(rng.randint(0x20, 0x7F), index + 1, b"{}"))
+    yield "barrage", b"".join(barrage)
+
+
+def valid_stream(count: int = 100) -> bytes:
+    rng = random.Random(7)
+    frames = []
+    for seq in range(1, count + 1):
+        kind = seq % 3
+        if kind == 0:
+            op, raw, _count = packed_request(rng)
+            frames.append(make_frame(op, seq, raw))
+        elif kind == 1:
+            frames.append(encode_frame(OP_QUERY, seq, {"source": seq, "target": seq + 1}))
+        else:
+            frames.append(encode_frame(OP_PING, seq))
+    return b"".join(frames)
+
+
+class TestFrameSplitter:
+    @pytest.mark.parametrize("seed", FUZZ_SEEDS)
+    def test_malformed_corpus_matches_read_frame(self, seed):
+        """Same frames, same typed errors, same ``recoverable`` flag — fed
+        whole, byte by byte, and in random chunks; a recoverable error
+        resumes at the next frame (the trailing ping of the corpus entries)."""
+        chunker = random.Random(seed)
+        for name, data in malformed_corpus(seed):
+            want = frames_by_read_frame(data)
+            assert frames_by_splitter([data]) == want, name
+            assert frames_by_splitter([bytes((b,)) for b in data]) == want, name
+            cuts = sorted(chunker.sample(range(len(data) + 1), min(4, len(data))))
+            chunks = [data[a:b] for a, b in zip([0] + cuts, cuts + [len(data)])]
+            assert frames_by_splitter(chunks) == want, name
+            if name in ("garbage_payload", "torn_columns", "empty_packed"):
+                assert want[0][0] == "error" and want[0][3], name  # recoverable
+                assert isinstance(want[-1], Frame), f"{name}: did not resume"
+
+    def test_hundred_valid_frames_whole_and_bytewise(self):
+        data = valid_stream(100)
+        want = frames_by_read_frame(data)
+        assert [f.seq for f in want] == list(range(1, 101))
+        assert frames_by_splitter([data]) == want
+        assert frames_by_splitter([bytes((b,)) for b in data]) == want
+
+    @pytest.mark.parametrize("cut", [1, 2, 3])
+    def test_boundary_inside_the_length_prefix(self, cut):
+        first = encode_frame(OP_QUERY, 1, {"source": 0, "target": 7})
+        second = encode_frame(OP_PING, 2)
+        data = first + second
+        split = len(first) + cut  # the second frame's prefix straddles the feeds
+        splitter = FrameSplitter()
+        splitter.feed(data[:split])
+        assert splitter.next_frame().seq == 1
+        assert splitter.next_frame() is None
+        splitter.feed(data[split:])
+        assert splitter.next_frame().seq == 2
+        assert splitter.next_frame() is None
+
+    def test_frame_cap_is_the_splitters_own(self):
+        data = encode_frame(OP_QUERY, 1, {"blob": "x" * 64})
+        want = frames_by_read_frame(data, max_frame_bytes=32)
+        assert want == [("error", "FrameTooLargeError", "frame_too_large", False, None)]
+        assert frames_by_splitter([data], max_frame_bytes=32) == want
 
 
 # ----------------------------------------------------------------------
