@@ -40,6 +40,7 @@ from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro import obs
 from repro.algorithms.dijkstra import bidijkstra
+from repro.exceptions import StoreNotPublishedError
 from repro.graph.graph import Graph
 from repro.graph.updates import UpdateBatch
 
@@ -115,6 +116,10 @@ class DistanceIndex(abc.ABC):
         #: array stores of ``repro.kernels``; ``False`` keeps the pure-Python
         #: reference path.  Results are bit-identical either way.
         self.use_kernels: bool = True
+        #: Set for good by :meth:`adopt_stores`: the index's own structures
+        #: no longer describe the served epoch, so a query whose store is not
+        #: attached raises instead of freezing one from them.
+        self.store_reader = False
         self._kernel_epoch = 0
         self._kernel_stores: Dict[str, object] = {}
         self._graph_snapshot_cache = None
@@ -310,12 +315,16 @@ class DistanceIndex(abc.ABC):
         ``builder()`` runs at most once per kernel epoch per ``key``; a
         ``None`` result (freeze unsupported — e.g. numpy unavailable) is
         cached too so unsupported structures don't retry on every query.
-        Returns ``None`` whenever ``use_kernels`` is off.
+        Returns ``None`` whenever ``use_kernels`` is off; a store reader
+        raises :class:`~repro.exceptions.StoreNotPublishedError` instead of
+        calling ``builder``.
         """
         if not self.use_kernels:
             return None
         entry = self._kernel_stores.get(key, _UNFROZEN)
         if entry is _UNFROZEN:
+            if self.store_reader:
+                raise StoreNotPublishedError(key)
             if obs.is_enabled():
                 with obs.span("kernels.freeze." + key, index=self.name, store=key):
                     entry = builder()
@@ -335,11 +344,16 @@ class DistanceIndex(abc.ABC):
 
         Self-invalidating: keyed to ``graph.version`` rather than the kernel
         epoch, so out-of-band graph mutation (e.g. a caller editing the graph
-        directly) can never be served from a stale snapshot.
+        directly) can never be served from a stale snapshot.  A store reader
+        serves only the adopted snapshot.
         """
         if not self.use_kernels:
             return None
         snapshot = self._graph_snapshot_cache
+        if self.store_reader:
+            if snapshot is None:
+                raise StoreNotPublishedError("__graph__")
+            return snapshot
         if snapshot is None or not snapshot.is_fresh(self.graph):
             from repro.kernels.graph_snapshot import GraphSnapshot
 
@@ -383,8 +397,9 @@ class DistanceIndex(abc.ABC):
         epoch if necessary) and writes the resulting store's arrays next to
         the index state, so a loaded index answers its first query through
         reattached stores instead of paying a re-freeze.  The base class
-        persists nothing; indexes override this with the stores behind their
-        default query path.
+        persists nothing; indexes override this with **every** store their
+        :meth:`query_many` reads — a cluster store reader answers from these
+        alone (:meth:`adopt_stores`).
         """
         return {}
 
@@ -394,6 +409,20 @@ class DistanceIndex(abc.ABC):
             self._graph_snapshot_cache = store
         else:
             self._kernel_stores[key] = store
+
+    def adopt_stores(self, stores: Dict[str, object]) -> None:
+        """Answer from ``stores`` — frozen by another index — from now on.
+
+        ``stores`` maps memo keys to stores as :meth:`_kernel_exports` names
+        them.  The current kernel epoch is dropped, ``stores`` become the
+        next one, and the index turns into a :attr:`store_reader` for good:
+        once a store reflects updates this index never saw, none may ever be
+        frozen from its own structures again.
+        """
+        self.invalidate_kernels()
+        for key, store in stores.items():
+            self._attach_kernel(key, store)
+        self.store_reader = True
 
     # ------------------------------------------------------------------
     # Shared helpers

@@ -1,11 +1,11 @@
-"""Worker-process management for the cluster engine.
+"""Reader-process management for the cluster engine.
 
-The :class:`Dispatcher` owns the worker pool: it forks N processes (each
-warm-starting from the shared snapshot via ``repro.cluster.worker``), routes
-per-worker sub-batches through their pipes, enforces liveness (reply timeout
-+ ``is_alive`` check), and respawns dead or hung workers from the last
-published snapshot generation plus the journal of update batches committed
-since — so a respawned worker rejoins at exactly the cluster's current epoch.
+The :class:`Dispatcher` owns the reader pool: it forks N processes (each
+loading the shared base snapshot via ``repro.cluster.worker``), routes
+per-reader sub-batches through their pipes, enforces liveness (reply timeout
++ ``is_alive`` check), and respawns dead or hung readers straight into the
+newest store generation — so a respawned reader rejoins at exactly the
+cluster's current epoch.
 
 Concurrency model: the dispatcher itself is *not* thread-safe — the
 :class:`~repro.cluster.engine.ClusterEngine` serializes access under its
@@ -16,10 +16,10 @@ concurrently while the dispatcher blocks on the slowest one.
 Failure model: a worker that dies, hangs past ``worker_timeout`` or reports a
 command error fails the in-flight batch with a typed
 :class:`~repro.exceptions.ClusterWorkerError` *after* being respawned, so the
-next batch finds a full pool again.  Update broadcasts are the exception —
-survivors have already installed the batch, so the dispatcher folds it into
-the respawn journal and the epoch barrier still closes (see
-:meth:`Dispatcher.broadcast_update`).
+next batch finds a full pool again.  Adopt broadcasts are the exception — the
+generation is already the respawn target, so a reader lost mid-adopt comes
+back at the new epoch and the barrier still closes (see
+:meth:`Dispatcher.adopt`).
 """
 
 from __future__ import annotations
@@ -30,7 +30,6 @@ from typing import Dict, List, Optional, Tuple
 
 from repro import obs
 from repro.exceptions import ClusterError, ClusterWorkerError
-from repro.graph.updates import UpdateBatch
 
 from repro.cluster.worker import worker_main
 
@@ -73,7 +72,6 @@ class Dispatcher:
         self,
         snapshot_path: str,
         num_workers: int,
-        base_epoch: int = 0,
         worker_timeout: float = DEFAULT_WORKER_TIMEOUT,
         spawn_timeout: float = 120.0,
         start_method: Optional[str] = None,
@@ -83,13 +81,11 @@ class Dispatcher:
         self.num_workers = num_workers
         self.worker_timeout = worker_timeout
         self.spawn_timeout = spawn_timeout
-        #: Last published snapshot generation — what respawned workers load.
-        self.base_snapshot = snapshot_path
-        #: Cluster epoch captured by ``base_snapshot``.
-        self.base_epoch = base_epoch
-        #: Update batches committed after ``base_epoch``, oldest first;
-        #: replayed on respawn, cleared by :meth:`note_published`.
-        self.journal: List[UpdateBatch] = []
+        #: The base snapshot every reader loads.
+        self.snapshot_path = snapshot_path
+        #: ``(epoch, path)`` of the newest store generation, which a
+        #: (re)spawned reader adopts before answering (no path at epoch 0).
+        self.generation: Tuple[int, Optional[str]] = (0, None)
         self.respawns = 0
         self._ctx = _pick_context(start_method)
         self._handles: Dict[int, WorkerHandle] = {}
@@ -98,13 +94,24 @@ class Dispatcher:
     # ------------------------------------------------------------------
     # Lifecycle
     # ------------------------------------------------------------------
-    def start(self) -> None:
+    def start(self, base_index=None) -> None:
+        """Launch the pool and await every reader's readiness.
+
+        ``base_index`` is the base snapshot already loaded in this process
+        and not modified since; under fork the readers inherit it instead of
+        loading the snapshot again.
+        """
         if self._started:
             return
         self._started = True
+        if self._ctx.get_start_method() != "fork":
+            base_index = None  # would be pickled: loading is cheaper
         try:
+            # Launch every reader before awaiting any, so the loads overlap.
             for worker_id in range(self.num_workers):
-                self._handles[worker_id] = self._spawn(worker_id)
+                self._handles[worker_id] = self._launch(worker_id, base_index)
+            for handle in self._handles.values():
+                self._await_ready(handle)
         except Exception:
             self.stop()
             raise
@@ -116,28 +123,12 @@ class Dispatcher:
         for handle in handles.values():
             try:
                 handle.conn.send(("shutdown", None))
-            except (OSError, ValueError, BrokenPipeError):
+            except (OSError, ValueError):
                 pass
         deadline = time.monotonic() + timeout
         for handle in handles.values():
             handle.process.join(max(0.0, deadline - time.monotonic()))
-            if handle.process.is_alive():
-                handle.process.terminate()
-                handle.process.join(1.0)
-                if handle.process.is_alive():  # pragma: no cover - last resort
-                    handle.process.kill()
-                    handle.process.join(1.0)
-            try:
-                handle.conn.close()
-            except OSError:  # pragma: no cover - already closed
-                pass
-            # Release the process object's resources (semaphores, pidfd).
-            if hasattr(handle.process, "close"):
-                handle.process.close()
-
-    @property
-    def is_started(self) -> bool:
-        return self._started
+            self._destroy(handle)  # escalates only past the graceful deadline
 
     def worker_ids(self) -> List[int]:
         return sorted(self._handles)
@@ -149,38 +140,32 @@ class Dispatcher:
     # ------------------------------------------------------------------
     # Spawning and respawning
     # ------------------------------------------------------------------
-    def _spawn(self, worker_id: int) -> WorkerHandle:
+    def _launch(self, worker_id: int, base_index=None) -> WorkerHandle:
         parent_conn, child_conn = self._ctx.Pipe()
         process = self._ctx.Process(
             target=worker_main,
-            args=(
-                child_conn,
-                worker_id,
-                self.base_snapshot,
-                self.base_epoch,
-                list(self.journal),
-            ),
+            args=(child_conn, worker_id, self.snapshot_path, self.generation, base_index),
             name=f"repro-shard-{worker_id}",
             daemon=True,
         )
         process.start()
         child_conn.close()
-        handle = WorkerHandle(worker_id, process, parent_conn)
-        # Synchronous readiness check: the ping only returns once load_index
-        # and the journal replay finished, so a handle returned from here is
-        # serving at the cluster's current epoch.
+        return WorkerHandle(worker_id, process, parent_conn)
+
+    def _await_ready(self, handle: WorkerHandle) -> None:
+        """Readiness check: the ping only returns once the reader loaded the
+        base snapshot and adopted the newest generation, so it must report
+        that generation's epoch."""
         reply = self._request(handle, "ping", None, timeout=self.spawn_timeout)
-        expected = self.base_epoch + len(self.journal)
-        if reply["epoch"] != expected:
-            self._destroy(handle)
+        if reply["epoch"] != self.generation[0]:
             raise ClusterError(
-                f"worker {worker_id} started at epoch {reply['epoch']}, "
-                f"expected {expected}"
+                f"worker {handle.worker_id} started at epoch {reply['epoch']}, "
+                f"expected {self.generation[0]}"
             )
-        return handle
 
     def _destroy(self, handle: WorkerHandle) -> None:
-        """Tear one worker down hard (dead/hung path; no protocol goodbye)."""
+        """Tear one worker down hard: close its pipe, terminate (then kill)
+        it if still alive, and release the process object's resources."""
         try:
             handle.conn.close()
         except OSError:  # pragma: no cover - already closed
@@ -192,7 +177,7 @@ class Dispatcher:
                 handle.process.kill()
                 handle.process.join(1.0)
         if hasattr(handle.process, "close"):
-            handle.process.close()
+            handle.process.close()  # semaphores, pidfd
 
     def _respawn(self, worker_id: int, reason: str) -> None:
         """Replace a failed worker with a fresh one at the current epoch."""
@@ -200,7 +185,13 @@ class Dispatcher:
         old = self._handles.pop(worker_id, None)
         if old is not None:
             self._destroy(old)
-        self._handles[worker_id] = self._spawn(worker_id)
+        handle = self._launch(worker_id)
+        try:
+            self._await_ready(handle)
+        except Exception:
+            self._destroy(handle)
+            raise
+        self._handles[worker_id] = handle
         self.respawns += 1
         if obs.is_enabled():
             obs.record_span(
@@ -226,7 +217,7 @@ class Dispatcher:
     def _send(self, handle: WorkerHandle, command: str, payload) -> None:
         try:
             handle.conn.send((command, payload))
-        except (OSError, ValueError, BrokenPipeError) as exc:
+        except (OSError, ValueError) as exc:
             raise ClusterWorkerError(
                 handle.worker_id, f"pipe closed sending {command!r}: {exc}"
             ) from exc
@@ -328,31 +319,20 @@ class Dispatcher:
             raise next(iter(sorted(failures.items())))[1]
         return results
 
-    def broadcast_update(
-        self, batch: UpdateBatch, timeout: Optional[float] = None
-    ) -> Tuple[Dict[int, Tuple[int, List]], List[int]]:
-        """Phase one of the epoch barrier: install ``batch`` on every shard.
+    def adopt(self, epoch: int, path: str) -> Dict[int, int]:
+        """Commit phase of the epoch barrier: every reader adopts the store
+        generation at ``path`` and reports ``epoch``.
 
-        Returns ``(acks, respawned_ids)`` where each ack is the worker's
-        ``(new_epoch, stage_timings)``.  The batch is appended to the respawn
-        journal *before* any recovery, so a worker that dies mid-install is
-        respawned with the batch included and the barrier still closes: after
-        this call every live worker is at the new epoch, unconditionally.
+        The generation becomes the respawn target *before* the broadcast, so
+        a reader that dies or hangs mid-adopt is respawned straight into it
+        and the barrier still closes: after this call every reader is at
+        ``epoch``, unconditionally.  Returns each reader's reported epoch.
         """
-        alive = {wid: ("update", batch) for wid in self._handles}
-        results, failures = self._scatter(alive, timeout)
-        self.journal.append(batch)
-        respawned: List[int] = []
+        self.generation = (epoch, path)
+        results, failures = self._scatter(
+            {wid: ("adopt", (epoch, path)) for wid in range(self.num_workers)}
+        )
         for worker_id, failure in sorted(failures.items()):
             self._respawn(worker_id, failure.reason)
-            respawned.append(worker_id)
-        return results, respawned
-
-    # ------------------------------------------------------------------
-    # Republish bookkeeping
-    # ------------------------------------------------------------------
-    def note_published(self, path: str, epoch: int) -> None:
-        """A fresh snapshot generation is live: respawns now start there."""
-        self.base_snapshot = path
-        self.base_epoch = epoch
-        self.journal.clear()
+            results[worker_id] = epoch  # the readiness ping confirmed it
+        return results

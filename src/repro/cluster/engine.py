@@ -1,90 +1,92 @@
-"""Sharded multi-process serving over a shared mmap snapshot.
+"""Sharded multi-process serving: one maintainer, N store readers.
 
 :class:`ClusterEngine` is the sharded backend of
 :class:`~repro.serving.core.EngineCore` — the same surface as
 :class:`~repro.serving.engine.ServingEngine`, inherited rather than copied —
-but answers through N worker *processes* instead of threads.
-Each worker warm-starts with :func:`repro.store.load_index` from the same
-snapshot directory, so the heavy flat arrays are mapped read-only from one
-file and the per-worker incremental RSS is near zero; unlike threads, the
-workers then execute queries on distinct cores, which is what lets measured
-QPS honestly exceed Lemma 1's single-core bound (DESIGN.md §11 — threads in
-one process only interleave under the GIL).
+but answers through N reader *processes* instead of threads.  The engine's
+own process is the **maintainer**: it loads the one mutable index from the
+snapshot and installs every update batch on it, once.  Each reader loads the
+same snapshot with :func:`repro.store.load_index` (the heavy flat arrays are
+mapped read-only from one file) and never mutates it; after every batch the
+maintainer writes the stores its ``query_many`` reads as a *store
+generation* and the readers map those.  Unlike threads, readers execute
+queries on distinct cores, which is what lets measured QPS honestly exceed
+Lemma 1's single-core bound (DESIGN.md §11).
 
 Consistency model
 -----------------
 
 The engine counts epochs exactly like the single-process engine: epoch ``e``
-is the state after ``e`` committed update batches.  A single dispatch lock
-serializes *dispatcher-side* work (scatter/gather is cheap; the shards do the
-real work in parallel), which yields a two-phase epoch barrier:
+is the state after ``e`` committed update batches.  Installing batch
+``e + 1`` is a two-phase barrier:
 
-* **Phase 1 (install):** the update batch is broadcast to every worker and
-  the dispatcher waits for all acks.  Queries never interleave here — they
-  would need the dispatch lock — and worker pipes are FIFO, so anything sent
-  earlier was answered at the old epoch.
-* **Phase 2 (commit):** only after every shard acked the new epoch does the
-  engine bump its epoch, update the graph mirror, and resume dispatching
-  queries (now tagged/verified against the new epoch).
+* **Prepare:** the maintainer applies the batch and writes the epoch
+  ``e + 1`` store generation (``stores-NNNNNN`` under ``publish_dir``,
+  atomic rename).  No lock is held against queries: readers keep answering
+  epoch ``e`` from stores nothing mutates.
+* **Commit:** under the dispatch lock — which every scatter/gather also
+  takes, and pipes are FIFO — every reader adopts the generation, then the
+  engine commits the epoch.  A batch the graph rejects raises before the
+  prepare writes anything, so no epoch and no generation follow it.
 
-Every serve_batch therefore observes one epoch across all shards — the
-answers either all precede a batch or all follow it, never a mix — and the
-engine double-checks by comparing the epoch each shard reports against its
-own (a mismatch raises :class:`~repro.exceptions.ClusterError` rather than
-returning a torn read).
-
-After each maintenance window the engine republishes a fresh snapshot
-generation (``gen-NNNNNN`` under ``publish_dir``; atomic rename, manifest
-``generation`` field), so restarted or late-joining workers warm-start near
-the current epoch and replay only the short journal since.
+Every served batch therefore observes one epoch across all readers, and the
+engine verifies it: each reader reports the epoch it answered at, and a
+mismatch raises :class:`~repro.exceptions.ClusterError` rather than
+returning a torn read.  Only the current and the previous store generation
+are kept on disk; full snapshots are written on request
+(:meth:`ClusterEngine.publish_snapshot`, :meth:`~ClusterEngine.export_snapshot`).
 """
 
 from __future__ import annotations
 
 import os
+import shutil
 import threading
 import time
 from typing import Dict, List, Optional
 
+try:
+    import numpy as np
+except ImportError:  # pragma: no cover - exercised only without numpy
+    np = None
+
 from repro import obs
-from repro.base import QueryPair, StageTiming, UpdateReport
+from repro.base import QueryPair, UpdateReport
 from repro.exceptions import ClusterError, ClusterWorkerError, EngineStoppedError
 from repro.graph.graph import Graph
 from repro.graph.updates import UpdateBatch
 from repro.serving.core import MIXED_STAGE, BatchResult, EngineCore
-from repro.store import load_snapshot_graph, read_manifest
+from repro.store import load_index, read_manifest, save_index, save_stores
 
 from repro.cluster.dispatcher import DEFAULT_WORKER_TIMEOUT, Dispatcher
 from repro.cluster.routing import ShardRouter
 
+_STORES = "stores-"
+
 
 class ClusterEngine(EngineCore):
-    """Serve shortest-distance queries from N shard processes.
+    """Serve shortest-distance queries from N reader processes.
 
     Parameters
     ----------
     snapshot_path:
-        Snapshot directory every worker warm-starts from (written by
-        :func:`repro.store.save_index` or
-        :meth:`~repro.serving.engine.ServingEngine.export_snapshot`).
+        Snapshot directory the maintainer and every reader load (written by
+        :func:`repro.store.save_index` or :meth:`export_snapshot`).
     num_workers:
-        Shard process count.
+        Reader process count.
     response_qos / admission:
         Cluster-wide admission control, decided once per batch at the
-        dispatcher — shards never shed independently, so a batch is admitted
+        dispatcher — readers never shed independently, so a batch is admitted
         or rejected as a whole exactly like the single-process engine.
     publish_dir:
-        Where republished snapshot generations go (default:
+        Where store generations and published full snapshots go (default:
         ``<snapshot_path>-gens``).
-    publish_interval:
-        Republish a fresh generation after every N committed update batches
-        (the paper's maintenance window); ``0`` disables republishing.
     worker_timeout:
-        Seconds a shard may stay silent before the in-flight batch fails
-        with :class:`~repro.exceptions.ClusterWorkerError` and the shard is
-        respawned from the last published generation.
+        Seconds a reader may stay silent before the in-flight call fails
+        with :class:`~repro.exceptions.ClusterWorkerError` and the reader is
+        respawned into the newest store generation.
     snapshot_limit:
-        Per-epoch graph-mirror snapshots retained for :meth:`graph_at`
+        Per-epoch graph snapshots retained for :meth:`graph_at`
         (correctness oracles); ``0`` disables.
     start_method:
         Multiprocessing start method override (default: fork where
@@ -100,35 +102,45 @@ class ClusterEngine(EngineCore):
         response_qos: Optional[float] = None,
         admission=None,
         publish_dir: Optional[str] = None,
-        publish_interval: int = 1,
         worker_timeout: float = DEFAULT_WORKER_TIMEOUT,
         snapshot_limit: int = 16,
         start_method: Optional[str] = None,
     ) -> None:
+        if np is None:
+            raise ClusterError(
+                "ClusterEngine needs numpy: readers map the maintainer's "
+                "stores from npz store generations"
+            )
         manifest = read_manifest(snapshot_path)
         self.snapshot_path = snapshot_path
         self.method = manifest.get("method")
-        self.publish_interval = publish_interval
         self.publish_dir = (
             publish_dir
             if publish_dir is not None
             else snapshot_path.rstrip("/\\") + "-gens"
         )
-        #: Dispatcher-side graph mirror: vertex validation + per-epoch oracles.
-        self._graph = load_snapshot_graph(snapshot_path)
-        self._generation = int(manifest.get("generation", 0))
         self._dispatcher = Dispatcher(
             snapshot_path,
             num_workers,
-            base_epoch=0,
             worker_timeout=worker_timeout,
             start_method=start_method,
         )
-        self._router: Optional[ShardRouter] = None
-        #: Serialises dispatcher-side work: a scatter/gather, an update
-        #: broadcast + commit, a publish.
+        #: The maintainer: the cluster's one mutable index (its graph is the
+        #: engine's graph).  Only ``_install`` mutates it.
+        self.index = load_index(snapshot_path, use_kernels=True)
+        self._maintainer_is_base = True
+        self._router = ShardRouter(
+            num_workers,
+            {
+                vertex: partition
+                for vertex in self.index.graph.vertices()
+                if (partition := self.index.vertex_partition(vertex)) is not None
+            },
+        )
+        self._generation = int(manifest.get("generation", 0))
+        #: Serialises dispatcher-side work: a scatter/gather, an adopt +
+        #: commit, a stats pull.
         self._dispatch = threading.Lock()
-        self._batches_since_publish = 0
         self._published: List[str] = []
         super().__init__(response_qos, admission, snapshot_limit)
 
@@ -137,11 +149,9 @@ class ClusterEngine(EngineCore):
         """Persist ``index`` as generation 0 under ``workdir`` and cluster it.
 
         Convenience for tests/benchmarks that start from an in-process index
-        rather than an existing snapshot; republished generations land next
-        to generation 0 in ``workdir``.
+        rather than an existing snapshot; store generations and published
+        snapshots land next to generation 0 in ``workdir``.
         """
-        from repro.store import save_index
-
         path = os.path.join(workdir, "gen-000000")
         save_index(index, path, atomic=True, generation=0, extras={"epoch": 0})
         engine_kwargs.setdefault("publish_dir", workdir)
@@ -151,30 +161,27 @@ class ClusterEngine(EngineCore):
         super()._register_obs_gauges()
         registry = obs.registry()
         registry.gauge(
-            "repro_cluster_workers", "Configured shard process count"
+            "repro_cluster_workers", "Configured reader process count"
         ).set_function(lambda: self._dispatcher.num_workers)
         registry.gauge(
-            "repro_cluster_generation", "Latest published snapshot generation"
+            "repro_cluster_generation", "Latest published full snapshot generation"
         ).set_function(lambda: self._generation)
         registry.gauge(
-            "repro_cluster_journal_batches",
-            "Batches a respawned worker must replay over the last generation",
-        ).set_function(lambda: len(self._dispatcher.journal))
+            "repro_cluster_store_generation",
+            "Epoch of the store generation the readers answer from",
+        ).set_function(lambda: self._dispatcher.generation[0])
 
     # ------------------------------------------------------------------
     # Lifecycle
     # ------------------------------------------------------------------
     def _start_backend(self) -> None:
-        """Fork the shard pool and learn the partition map from one shard."""
+        """Fork the reader pool; until a batch is installed the maintainer
+        is the base snapshot, which the readers then inherit."""
         with obs.span("cluster.start", workers=self._dispatcher.num_workers):
-            self._dispatcher.start()
-            partition_map = self._dispatcher.request(
-                self._dispatcher.worker_ids()[0], "partition_map"
-            )
-            self._router = ShardRouter(self._dispatcher.num_workers, partition_map)
+            self._dispatcher.start(self.index if self._maintainer_is_base else None)
 
     def _stop_backend(self) -> None:
-        """Stop every shard; no orphans remain."""
+        """Stop every reader; no orphans remain."""
         self._dispatcher.stop()
 
     @property
@@ -187,8 +194,8 @@ class ClusterEngine(EngineCore):
 
     @property
     def graph(self) -> Graph:
-        """The dispatcher-side graph mirror at the current epoch."""
-        return self._graph
+        """The maintainer's graph (at the current epoch between installs)."""
+        return self.index.graph
 
     @property
     def published_snapshots(self) -> List[str]:
@@ -196,7 +203,7 @@ class ClusterEngine(EngineCore):
 
     @property
     def partition_aware(self) -> bool:
-        return self._router is not None and self._router.partition_aware
+        return self._router.partition_aware
 
     # ------------------------------------------------------------------
     # Query plane
@@ -206,9 +213,9 @@ class ClusterEngine(EngineCore):
     query_many = EngineCore.query_batch
 
     def _answer(self, pair_list: List[QueryPair], started: float) -> BatchResult:
-        """Scatter the batch across the shards and gather at one epoch.
+        """Scatter the batch across the readers and gather at one epoch.
 
-        The batch is split by the partition-aware router and the shards
+        The batch is split by the partition-aware router and the readers
         answer concurrently; every reply must carry the dispatcher's epoch or
         the call raises :class:`~repro.exceptions.ClusterError` instead of
         returning a torn read.
@@ -248,101 +255,86 @@ class ClusterEngine(EngineCore):
     # Maintenance plane
     # ------------------------------------------------------------------
     def _install(self, batch: UpdateBatch) -> UpdateReport:
-        """Install ``batch`` on every shard under the two-phase barrier.
+        """Apply ``batch`` once on the maintainer, then flip every reader.
 
-        Blocks until every shard serves the new epoch, commits it, applies
-        the batch to the graph mirror, and republishes a snapshot generation
-        when the maintenance window closes.  A shard that dies mid-install is
-        respawned with the batch folded into its replay journal, so the
-        barrier closes regardless (DESIGN.md §11, failure model).
+        Returns the maintainer's own report — the stages and
+        ``parallel_times`` :class:`~repro.serving.engine.ServingEngine`
+        reports for the same method.  A reader lost mid-adopt is respawned
+        into the new generation, so the barrier closes regardless
+        (DESIGN.md §11, failure model).  Any other failure once the
+        maintainer holds the batch fails the engine for good.
         """
-        with self._dispatch:
-            pending_epoch = self._epoch + 1
-            with obs.span(
-                "cluster.update_broadcast", epoch=pending_epoch, updates=len(batch)
-            ):
-                acks, _respawned = self._dispatcher.broadcast_update(batch)
-            epochs = {epoch for epoch, _stages in acks.values()}
-            if epochs - {pending_epoch}:
-                raise ClusterError(
-                    f"update barrier broke: expected every shard at epoch "
-                    f"{pending_epoch}, got {sorted(epochs)}"
-                )
+        epoch = self._epoch + 1
+        self._maintainer_is_base = False
+        # Prepare, outside the dispatch lock: readers keep answering the
+        # current epoch from immutable stores meanwhile.  A batch the graph
+        # rejects raises here, with nothing written.
+        with obs.span("cluster.apply_batch", epoch=epoch, updates=len(batch)):
+            report = self.index.apply_batch(batch)
+        try:
+            path = os.path.join(self.publish_dir, f"{_STORES}{epoch:06d}")
+            with obs.span("cluster.write_stores", epoch=epoch):
+                save_stores(self.index, path, epoch)
             # Commit: from here on queries observe (and verify) the new epoch.
-            batch.apply(self._graph)
-            self._commit_epoch(pending_epoch)
-            self._batches_since_publish += 1
-            if (
-                self.publish_interval > 0
-                and self._batches_since_publish >= self.publish_interval
-            ):
-                self._publish_locked()
-        return self._ack_report(acks)
-
-    @staticmethod
-    def _ack_report(acks: Dict[int, tuple]) -> UpdateReport:
-        """Aggregate per-shard stage timings: every shard ran the same
-        stages; the barrier pays the slowest, so report per-stage maxima."""
-        report = UpdateReport()
-        timings = [stages for _worker, (_epoch, stages) in sorted(acks.items())]
-        if not timings:
-            return report
-        for position, (name, seconds) in enumerate(timings[0]):
-            worst = max(
-                (stages[position][1] for stages in timings if position < len(stages)),
-                default=seconds,
+            with self._dispatch, obs.span("cluster.adopt", epoch=epoch):
+                epochs = set(self._dispatcher.adopt(epoch, path).values())
+                if epochs != {epoch}:
+                    raise ClusterError(
+                        f"adopt barrier broke: expected every reader at epoch "
+                        f"{epoch}, got {sorted(epochs)}"
+                    )
+                self._commit_epoch(epoch)
+        except Exception as exc:
+            # The maintainer carries the batch and cannot take it back, so no
+            # later epoch can be committed truthfully: the cluster stops
+            # serving and installing until it is restarted from a snapshot.
+            self._failure = ClusterError(
+                f"cluster failed: epoch {epoch} was applied on the maintainer "
+                f"but not committed ({exc!r}); restart it from a snapshot"
             )
-            report.stages.append(StageTiming(name=name, seconds=worst))
+            raise self._failure from exc
+        self._retire_store_generations(epoch)
         return report
 
+    def _retire_store_generations(self, epoch: int) -> None:
+        """Delete every store generation but ``epoch``'s and the previous
+        one (a reader may still map that one mid-flip)."""
+        keep = {f"{_STORES}{e:06d}" for e in (epoch, epoch - 1)}
+        for name in os.listdir(self.publish_dir):
+            if name.lstrip(".").startswith(_STORES) and name not in keep:
+                shutil.rmtree(os.path.join(self.publish_dir, name), ignore_errors=True)
+
     # ------------------------------------------------------------------
-    # Snapshot republish
+    # Full snapshots
     # ------------------------------------------------------------------
     def publish_snapshot(self) -> str:
-        """Republish the current epoch as a fresh snapshot generation now."""
+        """Write the maintainer's index at the current epoch as the next full
+        snapshot generation (``gen-NNNNNN`` under ``publish_dir``): a base a
+        new cluster can start from."""
         if not self._running:
             raise EngineStoppedError("publish_snapshot on a stopped cluster")
-        with self._dispatch:
-            return self._publish_locked()
-
-    def _publish_locked(self) -> str:
-        generation = self._generation + 1
-        path = os.path.join(self.publish_dir, f"gen-{generation:06d}")
-        errors: List[ClusterWorkerError] = []
-        with obs.span("cluster.publish", generation=generation, epoch=self._epoch):
-            # Any shard can publish — they are replicas.  Walk the pool so a
-            # publisher dying mid-write (it is respawned by ``request``) only
-            # fails the publish if every shard fails.
-            for worker_id in self._dispatcher.worker_ids():
-                try:
-                    epoch, published = self._dispatcher.request(
-                        worker_id, "publish",
-                        (path, generation, {"cluster_epoch": self._epoch}),
-                    )
-                except ClusterWorkerError as exc:
-                    errors.append(exc)
-                    continue
-                if epoch != self._epoch:  # pragma: no cover - barrier guards this
-                    raise ClusterError(
-                        f"publisher {worker_id} at epoch {epoch}, cluster at "
-                        f"{self._epoch}"
-                    )
-                self._generation = generation
-                self._batches_since_publish = 0
-                self._published.append(published)
-                self._dispatcher.note_published(published, self._epoch)
-                return published
-        raise errors[0]
+        with self._install_lock:
+            self._check_intact()
+            generation = self._generation + 1
+            path = os.path.join(self.publish_dir, f"gen-{generation:06d}")
+            with obs.span("cluster.publish", generation=generation, epoch=self._epoch):
+                save_index(
+                    self.index, path, atomic=True, generation=generation,
+                    extras={"epoch": self._epoch},
+                )
+            self._generation = generation
+            self._published.append(path)
+        return path
 
     # ------------------------------------------------------------------
     # Introspection
     # ------------------------------------------------------------------
     def worker_stats(self) -> List[Dict[str, object]]:
-        """Per-shard counters, pulled live from every worker.
+        """Per-reader counters, pulled live from every reader.
 
-        With ``repro.obs`` enabled each shard's counters are re-exported as
+        With ``repro.obs`` enabled each reader's counters are re-exported as
         ``repro_cluster_worker_*`` gauges (labelled by worker id), so the
-        process-wide registry sees the whole cluster even though the workers
+        process-wide registry sees the whole cluster even though the readers
         meter in their own processes.
         """
         rows: List[Dict[str, object]] = []
@@ -351,41 +343,47 @@ class ClusterEngine(EngineCore):
                 try:
                     rows.append(self._dispatcher.request(worker_id, "stats"))
                 except ClusterWorkerError:
-                    continue  # respawned; fresh worker reports zeros next pull
+                    continue  # respawned; fresh reader reports zeros next pull
         if obs.is_enabled():
             registry = obs.registry()
             for row in rows:
-                for key in ("queries_served", "batches_applied", "epoch", "publishes"):
+                for key in ("queries_served", "adopts", "epoch"):
                     registry.gauge(
                         f"repro_cluster_worker_{key}",
-                        f"Per-shard {key.replace('_', ' ')}",
+                        f"Per-reader {key.replace('_', ' ')}",
                         worker=row["worker"],
                     ).set(row[key])
         return rows
 
     def stats(self) -> Dict[str, object]:
-        """Merged dispatcher metrics, shard counters and epoch state."""
+        """Merged dispatcher metrics, reader counters and epoch state."""
         snapshot = super().stats()
         snapshot["workers"] = self.worker_stats()
         snapshot["num_workers"] = self._dispatcher.num_workers
         snapshot["respawns"] = self._dispatcher.respawns
         snapshot["generation"] = self._generation
+        snapshot["store_generation"] = self._dispatcher.generation[0]
         snapshot["published_snapshots"] = list(self._published)
-        snapshot["journal_batches"] = len(self._dispatcher.journal)
         snapshot["partition_aware"] = self.partition_aware
         return snapshot
 
     # ------------------------------------------------------------------
     # Failure injection (robustness tests)
     # ------------------------------------------------------------------
-    def inject_worker_crash(self, worker_id: int, exitcode: int = 13) -> None:
-        """Make one shard die mid-protocol (fire-and-forget test hook)."""
+    def inject_worker_crash(
+        self, worker_id: int, exitcode: int = 13, on: Optional[str] = None
+    ) -> None:
+        """Make one reader die — now, or when command ``on`` next reaches it
+        (fire-and-forget test hook)."""
         self._dispatcher._send(
-            self._dispatcher._handles[worker_id], "_crash", exitcode
+            self._dispatcher._handles[worker_id], "_crash", (exitcode, on)
         )
 
-    def inject_worker_hang(self, worker_id: int, seconds: float) -> None:
-        """Make one shard sleep through its timeout (fire-and-forget test hook)."""
+    def inject_worker_hang(
+        self, worker_id: int, seconds: float, on: Optional[str] = None
+    ) -> None:
+        """Make one reader sleep through its timeout — now, or when command
+        ``on`` next reaches it (fire-and-forget test hook)."""
         self._dispatcher._send(
-            self._dispatcher._handles[worker_id], "_hang", seconds
+            self._dispatcher._handles[worker_id], "_hang", (seconds, on)
         )

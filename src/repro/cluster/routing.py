@@ -1,13 +1,13 @@
 """Partition-aware query routing across cluster shards.
 
-Every worker maps the *same* snapshot, so any worker can answer any query —
+Every reader maps the *same* stores, so any reader can answer any query —
 routing is an affinity policy, not a correctness requirement.  For
-partitioned indexes (PMHL, PostMHL, the PSP baselines) the dispatcher pulls
-the vertex→partition map once at startup (through the
-:meth:`repro.base.DistanceIndex.vertex_partition` hook, see PR 1) and pins
-each partition to one worker: queries touching the same partition land on the
-same process, so its lazily-frozen per-partition kernel stores and OS page
-cache stay hot.  Unpartitioned indexes (and overlay vertices, which
+partitioned indexes (PMHL, PostMHL, the PSP baselines) the engine reads the
+vertex→partition map once from the maintainer (through the
+:meth:`repro.base.DistanceIndex.vertex_partition` hook) and pins each
+partition to one reader: queries touching the same partition land on the
+same process, so its per-partition kernel stores and OS page cache stay
+hot.  Unpartitioned indexes (and overlay vertices, which
 ``vertex_partition`` reports as ``None``) fall back to a deterministic
 multiplicative hash, which also keeps the load balanced when the partition
 count is small or skewed.

@@ -1,54 +1,70 @@
-"""The cluster worker process: one shard serving the shared snapshot.
+"""The cluster reader process: one shard answering from frozen stores.
 
-``worker_main`` is the child-process entry point.  It warm-starts an index
-with :func:`repro.store.load_index` from the snapshot path the dispatcher
-hands it — every worker maps the *same* mmap-backed ``.npz`` payload
-read-only, so N workers cost near-zero incremental RSS over one — replays the
-journal of update batches committed since that snapshot's epoch (empty unless
-the worker is a respawn or a late joiner), and then serves commands from its
-pipe until told to shut down.
+``worker_main`` is the child-process entry point.  It loads the base
+snapshot with :func:`repro.store.load_index` — every reader maps the *same*
+mmap-backed ``.npz`` payload read-only — or, when the cluster first starts
+under fork, inherits the maintainer's copy, adopts the newest store generation
+the dispatcher hands it (none while the cluster is at epoch 0), and then
+serves commands from its pipe until told to shut down.  A reader never
+mutates its index: the maintainer applies every update batch and writes the
+stores its queries read as a store generation; the reader maps those and
+answers from them alone (:meth:`repro.base.DistanceIndex.adopt_stores`).
 
 The protocol is strictly request/response over a ``multiprocessing`` pipe:
 the dispatcher sends ``(command, payload)`` tuples and the worker answers
-``("ok", result)`` or ``("err", message)``.  Pipes are FIFO, so within one
-worker every query sent before an update broadcast is answered at the
-pre-update epoch — the per-worker half of the cluster's epoch barrier.
+``("ok", result)`` or ``("err", message)``.  Pipes are FIFO, so every query
+sent before an ``adopt`` is answered at the previous epoch — the per-reader
+half of the cluster's epoch barrier.
 
 Commands
 --------
 ``ping``            liveness check; replies with worker id, epoch and pid.
 ``query``           answer a sub-batch of pairs via ``query_many`` at the
-                    worker's current epoch.
-``update``          install an :class:`~repro.graph.updates.UpdateBatch`
-                    (phase one of the two-phase barrier; the dispatcher
-                    commits the new epoch only after *every* worker acked).
-``publish``         persist this worker's index as the next snapshot
-                    generation (atomic write; see ``repro.store``).
-``partition_map``   the vertex→partition map behind partition-aware routing.
+                    reader's current epoch.
+``adopt``           map the store generation ``(epoch, path)`` and answer at
+                    that epoch from now on (the commit of the barrier).
 ``stats``           serving counters for dispatcher-side aggregation.
 ``shutdown``        drain and exit cleanly.
 
 ``_crash`` and ``_hang`` are failure-injection hooks for the robustness
-tests: they make the worker die mid-protocol or sleep through its timeout so
-the dispatcher's liveness/respawn machinery can be exercised determin-
-istically.
+tests, sent without awaiting a reply: with payload ``(value, None)`` the
+worker dies (exit code ``value``) or sleeps ``value`` seconds right away;
+with ``(value, command)`` it does so when ``command`` next arrives, i.e. in
+the middle of that command's round trip.
 """
 
 from __future__ import annotations
 
+import gc
 import os
 import time
-from typing import List, Optional
+from typing import Optional, Tuple
 
-from repro.graph.updates import UpdateBatch
+from repro.exceptions import ClusterError
+
+
+def _adopt(index, epoch: int, path: str) -> None:
+    from repro.store import load_stores
+
+    found, stores = load_stores(path, index.graph)
+    if found != epoch:
+        raise ClusterError(f"store generation {path!r} holds epoch {found}, not {epoch}")
+    index.adopt_stores(stores)
+
+
+def _spring(hook: str, value) -> None:
+    """Run a failure-injection hook: ``_crash`` exits, ``_hang`` sleeps."""
+    if hook == "_crash":
+        os._exit(value)
+    time.sleep(value)
 
 
 def worker_main(
     conn,
     worker_id: int,
     snapshot_path: str,
-    base_epoch: int,
-    journal: Optional[List[UpdateBatch]] = None,
+    generation: Tuple[int, Optional[str]],
+    base_index=None,
 ) -> None:
     """Child-process entry point (see module docstring).
 
@@ -59,35 +75,49 @@ def worker_main(
     worker_id:
         Stable shard id (survives respawns).
     snapshot_path:
-        Snapshot directory to warm-start from (the last published generation).
-    base_epoch:
-        Cluster epoch the snapshot at ``snapshot_path`` captured.
-    journal:
-        Update batches committed after ``base_epoch``, oldest first; replayed
-        before serving so a respawned worker rejoins at the cluster's current
-        epoch.
+        The cluster's base snapshot.
+    generation:
+        ``(epoch, path)`` of the newest store generation, adopted before the
+        first command; ``path`` is ``None`` at epoch 0.
+    base_index:
+        The base snapshot already loaded, inherited by fork (the dispatcher
+        passes it only while it is unmodified); ``None`` loads
+        ``snapshot_path``.
     """
     from repro.store import load_index
 
+    # Under fork this process inherits the maintainer's heap; freezing it
+    # keeps the collector from touching — and so copying — its pages.
+    gc.freeze()
     try:
-        index = load_index(snapshot_path)
-        epoch = base_epoch
-        for batch in journal or ():
-            index.apply_batch(batch)
-            epoch += 1
-
+        index = (
+            base_index
+            if base_index is not None
+            else load_index(snapshot_path, use_kernels=True)
+        )
+        epoch, path = generation
+        adopts = 0
+        if path is not None:
+            _adopt(index, epoch, path)
+            adopts += 1
         queries_served = 0
-        batches_applied = 0
         query_seconds = 0.0
-        update_seconds = 0.0
-        publishes = 0
+        traps = {}
 
         while True:
             try:
-                message = conn.recv()
+                command, payload = conn.recv()
             except (EOFError, OSError):
                 break  # dispatcher went away; die quietly
-            command, payload = message
+            if command in traps:
+                _spring(*traps.pop(command))
+            if command in ("_crash", "_hang"):
+                value, on = payload
+                if on is None:
+                    _spring(command, value)
+                else:
+                    traps[on] = (command, value)
+                continue  # fire-and-forget: no reply
             try:
                 if command == "ping":
                     result = {"worker": worker_id, "epoch": epoch, "pid": os.getpid()}
@@ -97,51 +127,20 @@ def worker_main(
                     query_seconds += time.perf_counter() - started
                     queries_served += len(payload)
                     result = (epoch, distances)
-                elif command == "update":
-                    started = time.perf_counter()
-                    report = index.apply_batch(payload)
-                    update_seconds += time.perf_counter() - started
-                    batches_applied += 1
-                    epoch += 1
-                    result = (
-                        epoch,
-                        [(stage.name, stage.seconds) for stage in report.stages],
-                    )
-                elif command == "publish":
-                    path, generation, extras = payload
-                    from repro.store import save_index
-
-                    merged = dict(extras or {})
-                    merged["epoch"] = epoch
-                    merged["worker"] = worker_id
-                    save_index(
-                        index, path, extras=merged,
-                        generation=generation, atomic=True,
-                    )
-                    publishes += 1
-                    result = (epoch, path)
-                elif command == "partition_map":
-                    result = {
-                        vertex: partition
-                        for vertex in index.graph.vertices()
-                        if (partition := index.vertex_partition(vertex)) is not None
-                    }
+                elif command == "adopt":
+                    _adopt(index, *payload)
+                    epoch = payload[0]
+                    adopts += 1
+                    result = epoch
                 elif command == "stats":
                     result = {
                         "worker": worker_id,
                         "pid": os.getpid(),
                         "epoch": epoch,
                         "queries_served": queries_served,
-                        "batches_applied": batches_applied,
                         "query_seconds": query_seconds,
-                        "update_seconds": update_seconds,
-                        "publishes": publishes,
+                        "adopts": adopts,
                     }
-                elif command == "_hang":
-                    time.sleep(payload)
-                    result = None
-                elif command == "_crash":
-                    os._exit(payload if isinstance(payload, int) else 13)
                 elif command == "shutdown":
                     conn.send(("ok", None))
                     break

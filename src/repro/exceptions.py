@@ -106,12 +106,24 @@ class ClusterError(ServingError):
 class ClusterWorkerError(ClusterError):
     """Raised when a cluster worker dies, hangs past its timeout, or reports
     a command failure; the in-flight batch fails and the worker is respawned
-    from the last published snapshot."""
+    into the newest store generation."""
 
     def __init__(self, worker_id: int, reason: str):
         super().__init__(f"cluster worker {worker_id} failed: {reason}")
         self.worker_id = worker_id
         self.reason = reason
+
+
+class StoreNotPublishedError(ClusterError):
+    """Raised by a store reader whose query needs a frozen store that the
+    adopted generation does not carry: a reader never freezes one from its
+    own structures, which stopped describing the served epoch at the adopt."""
+
+    def __init__(self, key: str):
+        super().__init__(
+            f"frozen store {key!r} is not in the adopted store generation"
+        )
+        self.key = key
 
 
 class ServerError(ServingError):

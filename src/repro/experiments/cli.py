@@ -308,7 +308,7 @@ def build_cluster_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--update-batches", type=int, default=2,
-        help="update batches broadcast (two-phase epoch barrier) during the run",
+        help="update batches installed (two-phase epoch barrier) during the run",
     )
     parser.add_argument(
         "--update-volume", type=int, default=20, help="edge updates per batch"
@@ -379,7 +379,7 @@ def _cluster_main(argv: Sequence[str]) -> int:
         print(
             f"served {served} queries in {args.duration:.1f}s "
             f"({stats['lifetime_qps']:.0f} QPS lifetime), epoch {stats['epoch']}, "
-            f"{stats['respawns']} respawns, generation {stats['generation']}"
+            f"{stats['respawns']} respawns, store generation {stats['store_generation']}"
         )
         latency = stats["latency"]
         print(
@@ -390,8 +390,8 @@ def _cluster_main(argv: Sequence[str]) -> int:
         for row in stats["workers"]:
             print(
                 f"  shard {row['worker']} (pid {row['pid']}): "
-                f"{row['queries_served']} queries, {row['batches_applied']} batches, "
-                f"epoch {row['epoch']}, {row['publishes']} publishes"
+                f"{row['queries_served']} queries, {row['adopts']} adopts, "
+                f"epoch {row['epoch']}"
             )
     return 0
 

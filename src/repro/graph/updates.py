@@ -15,8 +15,8 @@ import random
 from dataclasses import dataclass, field
 from typing import Iterator, List, Sequence, Tuple
 
-from repro.exceptions import EdgeNotFoundError, GraphError, InvalidWeightError
-from repro.graph.graph import Graph
+from repro.exceptions import EdgeNotFoundError, GraphError
+from repro.graph.graph import Graph, _check_weight
 
 
 @dataclass(frozen=True)
@@ -79,12 +79,17 @@ class UpdateBatch:
         return [u for u in self.updates if u.is_decrease]
 
     def apply(self, graph: Graph) -> None:
-        """Apply every update in the batch to ``graph`` in place."""
+        """Apply every update in the batch to ``graph`` in place.
+
+        All or nothing: every update is validated (the edge exists, the new
+        weight is positive and finite) before the first one is written, so a
+        rejected batch raises with ``graph`` untouched.
+        """
         for update in self.updates:
             if not graph.has_edge(update.u, update.v):
                 raise EdgeNotFoundError(update.u, update.v)
-            if update.new_weight <= 0:
-                raise InvalidWeightError(update.new_weight)
+            _check_weight(update.new_weight)
+        for update in self.updates:
             graph.set_edge_weight(update.u, update.v, update.new_weight)
 
     def revert(self, graph: Graph) -> None:

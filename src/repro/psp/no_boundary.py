@@ -45,10 +45,15 @@ from repro.registry import IndexSpec, register_spec
 INF = math.inf
 
 
-def _scalar_query(store) -> Optional[Callable[[int, int], float]]:
+def _scalar_query(store, reader: bool) -> Optional[Callable[[int, int], float]]:
     """Scalar distance function of a frozen store; ``None`` when the store is
-    absent or has no scalar kernel (a LabelStore without the native backend)."""
+    absent or has no scalar kernel (a LabelStore without the native backend)
+    and the caller may fall back to its live structures.  A store ``reader``
+    may not (they are stale), so its LabelStore answers one pair through the
+    (bit-identical) numpy batch path instead."""
     if isinstance(store, LabelStore):
+        if store.query_fn is None and reader:
+            return lambda s, t: store.query_pairs(((s, t),))[0]
         return store.query_fn
     return store.query if store is not None else None
 
@@ -199,24 +204,30 @@ class NoBoundaryPSPIndex(DistanceIndex):
             "overlay", self.overlay.labels, self.overlay.contraction
         )
 
+    def _family_key(self, family: PartitionIndexFamily, pid: int) -> str:
+        """Memo key of ``family``'s partition ``pid``: ``partition_<pid>`` for
+        the partition family, ``extended_<pid>`` for any other (the extended
+        partitions of the post-boundary strategy)."""
+        return f"{'partition' if family is self.family else 'extended'}_{pid}"
+
     def _family_store(self, family: PartitionIndexFamily, pid: int):
-        """Frozen store of ``family``'s partition ``pid``: ``partition_<pid>``
-        for the partition family, ``extended_<pid>`` for any other (the
-        extended partitions of the post-boundary strategy)."""
-        tag = "partition" if family is self.family else "extended"
+        """Frozen store of ``family``'s partition ``pid``."""
         return self._store_for(
-            f"{tag}_{pid}", family.labels[pid], family.contractions[pid]
+            self._family_key(family, pid), family.labels[pid], family.contractions[pid]
         )
 
     def _overlay_fetcher(self) -> Callable[[int, int], float]:
         """``(b1, b2) -> d`` between boundary vertices on the overlay."""
-        return _scalar_query(self._overlay_store()) or self.overlay.query
+        return (
+            _scalar_query(self._overlay_store(), self.store_reader)
+            or self.overlay.query
+        )
 
     def _local_distance(
         self, family: PartitionIndexFamily, pid: int, source: int, target: int
     ) -> float:
         """Distance inside ``family``'s graph of partition ``pid``."""
-        query = _scalar_query(self._family_store(family, pid))
+        query = _scalar_query(self._family_store(family, pid), self.store_reader)
         if query is not None:
             return query(source, target)
         return family.query(pid, source, target)
@@ -547,7 +558,15 @@ class NoBoundaryPSPIndex(DistanceIndex):
         )
 
     def _kernel_exports(self):
-        return {"overlay": self._overlay_store}
+        """The overlay store and one store per partition of the strategy's
+        family — everything :meth:`query_many` reads."""
+        family, _direct = self._query_strategy()
+        exports = {"overlay": self._overlay_store}
+        for pid in range(self.partitioning.num_partitions):
+            exports[self._family_key(family, pid)] = partial(
+                self._family_store, family, pid
+            )
+        return exports
 
 
 class NCHPIndex(NoBoundaryPSPIndex):

@@ -60,9 +60,7 @@ from typing import Dict, List, Optional, Set, Tuple
 
 from repro import obs
 from repro.exceptions import (
-    EdgeNotFoundError,
     FrameTooLargeError,
-    InvalidWeightError,
     ProtocolError,
     QueryRejectedError,
     ReproError,
@@ -505,16 +503,10 @@ class QueryServer:
             return {"distances": result.distances, "epoch": result.epoch}
         if op == OP_APPLY_BATCH:
             batch = _require_batch(payload, frame.seq)
-            # Validate against the live graph up front: installs are not
-            # transactional, and a bad cluster broadcast would fail shards.
-            graph = self.backend.graph
-            for update in batch:
-                if not graph.has_edge(update.u, update.v):
-                    raise EdgeNotFoundError(update.u, update.v)
-                if not (update.new_weight > 0):
-                    raise InvalidWeightError(update.new_weight)
             # Synchronous: a failed install raises here (and only here), so
-            # the error frame goes to the request that caused it.
+            # the error frame goes to the request that caused it.  A batch
+            # the graph rejects changes nothing (UpdateBatch.apply validates
+            # every update before writing any).
             self.backend.apply_batch(batch)
             return {"epoch": self.backend.current_epoch, "applied": len(batch)}
         if op == OP_STATS:

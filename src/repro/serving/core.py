@@ -25,7 +25,7 @@ from itertools import repeat
 from typing import Dict, Iterable, List, Mapping, Optional, TypeVar
 
 from repro import obs
-from repro.base import QueryPair, UpdateReport
+from repro.base import DistanceIndex, QueryPair, UpdateReport
 from repro.exceptions import (
     EngineStoppedError,
     QueryRejectedError,
@@ -168,10 +168,14 @@ class EngineCore:
         self.response_qos = response_qos
         self.update_reports: List[UpdateReport] = []
         #: Exceptions raised by *queued* installs (a failing :meth:`apply_batch`
-        #: call raises to its caller instead).  A failed batch may leave the
-        #: graph partially updated (installs are not transactional); the
-        #: epoch/oracle guarantee covers successful installs only.
+        #: call raises to its caller instead).  A batch the graph rejects
+        #: (unknown edge, bad weight) raises before anything is written and
+        #: commits no epoch (``UpdateBatch.apply`` is all or nothing).
         self.maintenance_errors: List[Exception] = []
+        #: Set by a backend whose install failed after :attr:`index` took the
+        #: batch (no epoch can be committed truthfully after that); from then
+        #: on queries, batches and exports raise it.
+        self._failure: Optional[ServingError] = None
 
         self._state = threading.Lock()
         self._inflight = 0
@@ -209,6 +213,10 @@ class EngineCore:
     # ------------------------------------------------------------------
     # Backend interface
     # ------------------------------------------------------------------
+    #: The one mutable index: the served index of ``ServingEngine``, the
+    #: maintainer of ``ClusterEngine``.  Only ``_install`` mutates it.
+    index: DistanceIndex
+
     @property
     def graph(self) -> Graph:
         """The live served graph at the current epoch."""
@@ -301,6 +309,53 @@ class EngineCore:
                 while len(self._snapshots) > self._snapshot_limit:
                     self._snapshots.popitem(last=False)
 
+    def export_snapshot(
+        self, path: str, timeout: Optional[float] = None, **save_kwargs
+    ) -> int:
+        """Persist :attr:`index` as an epoch-consistent on-disk snapshot.
+
+        Waits for every queued batch to install, then serializes while
+        holding the install mutex — so the export proceeds concurrently with
+        queries but never alongside an update batch (mid-install the
+        structures are at best *stage*-consistent).  Returns the epoch the
+        snapshot captured; the manifest records it under ``extras.epoch``.
+        Works on a stopped engine too.
+
+        Under a sustained update stream a quiescent point may never arrive on
+        its own; pass ``timeout`` (seconds) to bound the wait — on expiry a
+        :class:`~repro.exceptions.ServingError` is raised and nothing is
+        written.
+
+        The write is atomic (staging directory + rename): a cluster starting
+        from ``path`` concurrently can never mmap a half-written snapshot.
+        ``save_kwargs`` forward to :func:`repro.store.save_index` (e.g.
+        ``generation=``).
+        """
+        from repro.store import save_index
+
+        deadline = None if timeout is None else time.monotonic() + timeout
+        drained = self.wait_for_maintenance(timeout)
+        remaining = -1 if deadline is None else max(0.0, deadline - time.monotonic())
+        if not (drained and self._install_lock.acquire(timeout=remaining)):
+            raise ServingError(
+                f"export_snapshot timed out after {timeout}s waiting for "
+                "the update stream to quiesce"
+            )
+        try:
+            self._check_intact()
+            epoch = self._epoch
+            extras = dict(save_kwargs.pop("extras", None) or {})
+            extras["epoch"] = epoch
+            save_kwargs.setdefault("atomic", True)
+            save_index(self.index, path, extras=extras, **save_kwargs)
+        finally:
+            self._install_lock.release()
+        return epoch
+
+    def _check_intact(self) -> None:
+        if self._failure is not None:
+            raise self._failure
+
     # ------------------------------------------------------------------
     # Maintenance path
     # ------------------------------------------------------------------
@@ -314,6 +369,7 @@ class EngineCore:
             raise EngineStoppedError("apply_batch on a stopped engine; call start()")
         started = time.perf_counter()
         with self._install_lock:
+            self._check_intact()
             report = self._install(batch)
             self.update_reports.append(report)
         self.metrics.record_batch(time.perf_counter() - started)
@@ -379,6 +435,7 @@ class EngineCore:
     def _serve(self, pairs: Iterable[QueryPair], span: str) -> BatchResult:
         """Validate → admit → answer → record: the one serving template."""
         started = time.perf_counter()
+        self._check_intact()
         pair_list: List[QueryPair] = list(pairs)
         # Validate up front: backends skip the vertex checks of
         # ``index.query`` and would otherwise surface raw KeyErrors.

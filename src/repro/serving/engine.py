@@ -152,50 +152,6 @@ class ServingEngine(EngineCore):
         """The live served graph (the index's graph at the current epoch)."""
         return self.index.graph
 
-    def export_snapshot(
-        self, path: str, timeout: Optional[float] = None, **save_kwargs
-    ) -> int:
-        """Persist the served index as an epoch-consistent on-disk snapshot.
-
-        Waits for every queued batch to install, then serializes while
-        holding the core's install mutex — so the export proceeds concurrently
-        with queries but never alongside an update batch (the reader locks
-        would not do: an install reopens the index lock at every stage
-        boundary, where the structures are only *stage*-consistent).  Returns
-        the epoch the snapshot captured; the manifest records it under
-        ``extras.epoch``.  Works on a stopped engine too.
-
-        Under a sustained update stream a quiescent point may never arrive on
-        its own; pass ``timeout`` (seconds) to bound the wait — on expiry a
-        :class:`~repro.exceptions.ServingError` is raised and nothing is
-        written.
-
-        The write is atomic (staging directory + rename): a concurrently
-        starting cluster worker warm-starting from ``path`` can never mmap a
-        half-written snapshot.  ``save_kwargs`` forward to
-        :func:`repro.store.save_index` — pass ``generation=`` to stamp the
-        manifest field the cluster's republish lifecycle reads.
-        """
-        from repro.store import save_index
-
-        deadline = None if timeout is None else time.monotonic() + timeout
-        drained = self.wait_for_maintenance(timeout)
-        remaining = -1 if deadline is None else max(0.0, deadline - time.monotonic())
-        if not (drained and self._install_lock.acquire(timeout=remaining)):
-            raise ServingError(
-                f"export_snapshot timed out after {timeout}s waiting for "
-                "the update stream to quiesce"
-            )
-        try:
-            epoch = self._epoch
-            extras = dict(save_kwargs.pop("extras", None) or {})
-            extras["epoch"] = epoch
-            save_kwargs.setdefault("atomic", True)
-            save_index(self.index, path, extras=extras, **save_kwargs)
-        finally:
-            self._install_lock.release()
-        return epoch
-
     @classmethod
     def from_snapshot(
         cls, path: str, graph: Optional[Graph] = None, **engine_kwargs

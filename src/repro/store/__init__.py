@@ -19,18 +19,24 @@ from repro.exceptions import (
 from repro.store.snapshot import (
     FORMAT,
     SCHEMA_VERSION,
+    STORES_FORMAT,
     graph_fingerprint,
     load_index,
     load_snapshot_graph,
+    load_stores,
     read_manifest,
     save_index,
+    save_stores,
 )
 
 __all__ = [
     "FORMAT",
     "SCHEMA_VERSION",
+    "STORES_FORMAT",
     "save_index",
     "load_index",
+    "save_stores",
+    "load_stores",
     "load_snapshot_graph",
     "read_manifest",
     "graph_fingerprint",

@@ -228,35 +228,36 @@ class NpzPayloadReader(ArrayReader):
                     self._members[name] = info
         except (OSError, zipfile.BadZipFile) as exc:
             raise SnapshotFormatError(f"unreadable npz payload {path!r}: {exc}") from exc
-        self._handle = open(path, "rb") if mmap else None
 
     # ------------------------------------------------------------------
     def _mmap_member(self, info: zipfile.ZipInfo):
         """A read-only memmap of one uncompressed ``.npy`` member, or ``None``."""
-        if self._handle is None or info.compress_type != zipfile.ZIP_STORED:
+        if not self._mmap or info.compress_type != zipfile.ZIP_STORED:
             return None
-        handle = self._handle
-        # Local file header: 30 fixed bytes, then filename + extra field
-        # (whose lengths can differ from the central directory's copy).
-        handle.seek(info.header_offset)
-        header = handle.read(30)
-        if len(header) != 30 or header[:4] != b"PK\x03\x04":
-            return None
-        name_len, extra_len = struct.unpack("<HH", header[26:30])
-        handle.seek(info.header_offset + 30 + name_len + extra_len)
-        try:
-            version = np.lib.format.read_magic(handle)
-            if version == (1, 0):
-                shape, fortran, dtype = np.lib.format.read_array_header_1_0(handle)
-            elif version == (2, 0):
-                shape, fortran, dtype = np.lib.format.read_array_header_2_0(handle)
-            else:
+        # A handle per member: one kept open would share its file offset with
+        # every thread, and every forked process, fetching members.
+        with open(self._path, "rb") as handle:
+            # Local file header: 30 fixed bytes, then filename + extra field
+            # (whose lengths can differ from the central directory's copy).
+            handle.seek(info.header_offset)
+            header = handle.read(30)
+            if len(header) != 30 or header[:4] != b"PK\x03\x04":
                 return None
-        except (ValueError, OSError):
-            return None
+            name_len, extra_len = struct.unpack("<HH", header[26:30])
+            handle.seek(info.header_offset + 30 + name_len + extra_len)
+            try:
+                version = np.lib.format.read_magic(handle)
+                if version == (1, 0):
+                    shape, fortran, dtype = np.lib.format.read_array_header_1_0(handle)
+                elif version == (2, 0):
+                    shape, fortran, dtype = np.lib.format.read_array_header_2_0(handle)
+                else:
+                    return None
+            except (ValueError, OSError):
+                return None
+            offset = handle.tell()
         if fortran or dtype.hasobject:
             return None
-        offset = handle.tell()
         if any(dim == 0 for dim in shape):
             return np.empty(shape, dtype=dtype)
         return np.memmap(self._path, dtype=dtype, mode="r", shape=shape, offset=offset)

@@ -12,11 +12,15 @@ A snapshot is a directory::
       payload.json    -- flat arrays (pure-Python fallback backend)
 
 ``save_index`` captures everything the query *and* maintenance paths read,
-plus the frozen kernel stores behind the index's default query path, so a
+plus the frozen kernel stores behind the index's batch query path, so a
 loaded index serves its first query at full speed and accepts update batches
 exactly like the original.  ``load_index`` reverses it: spec resolution
 through the registry (keyword overrides welcome), graph reconstruction or
 fingerprint verification, ``from_state``, then kernel-store reattachment.
+
+A *store generation* (``save_stores`` / ``load_stores``) is the same layout
+holding only those kernel stores, tagged with the epoch they answer for: how
+the cluster's maintainer ships each update batch's result to its readers.
 
 Failure modes are typed (:mod:`repro.exceptions`): a truncated or missing
 payload raises :class:`SnapshotFormatError`, a schema mismatch
@@ -34,7 +38,7 @@ import os
 import shutil
 import tempfile
 import time
-from typing import Dict, Optional
+from typing import Dict, Optional, Tuple
 
 from repro import obs
 from repro.base import DistanceIndex
@@ -54,6 +58,7 @@ from repro.store.codec import (
 )
 
 FORMAT = "repro-index-snapshot"
+STORES_FORMAT = "repro-store-generation"
 SCHEMA_VERSION = 1
 
 _MANIFEST = "manifest.json"
@@ -125,9 +130,9 @@ def save_index(
         serving engine's epoch).
     generation:
         Monotonic publish counter recorded as the manifest's top-level
-        ``generation`` field (defaults to 0).  The cluster layer names each
-        republished snapshot with the next generation and reads this field
-        back when respawning workers.
+        ``generation`` field (defaults to 0).  The cluster's
+        ``publish_snapshot`` names each full snapshot it writes with the
+        next generation.
     atomic:
         Serialize into a staging directory next to ``path`` and rename it
         into place, so a concurrently-starting reader (e.g. a cluster worker
@@ -145,75 +150,15 @@ def save_index(
         "graph": pack_graph(index.graph, writer),
         "index": index.to_state(writer),
     }
-    kernels: Dict[str, object] = {}
-    if index.use_kernels:
-        for key, freezer in index._kernel_exports().items():
-            store = freezer()
-            if store is None:
-                continue
-            packed = pack_kernel_store(store, writer)
-            if packed is not None:
-                kernels[key] = packed
+    kernels = _pack_kernels(index, writer)
     if kernels:
         state["kernels"] = kernels
-
-    if atomic:
-        parent = os.path.dirname(os.path.abspath(path)) or "."
-        os.makedirs(parent, exist_ok=True)
-        staging = tempfile.mkdtemp(
-            prefix="." + os.path.basename(path) + ".tmp-", dir=parent
-        )
-        try:
-            _write_snapshot_files(index, staging, writer, spec, state, extras, generation)
-            if os.path.isdir(path):
-                # ``os.rename`` refuses a non-empty target; retire the old
-                # snapshot first.  Both renames are atomic, so a reader only
-                # ever finds a complete old or complete new directory at
-                # ``path`` (or, in the instant between the two renames, no
-                # directory — a typed SnapshotFormatError, never torn bytes).
-                retired = staging + ".old"
-                os.rename(path, retired)
-                os.rename(staging, path)
-                shutil.rmtree(retired, ignore_errors=True)
-            else:
-                os.rename(staging, path)
-        except Exception:
-            shutil.rmtree(staging, ignore_errors=True)
-            raise
-    else:
-        _write_snapshot_files(index, path, writer, spec, state, extras, generation)
-    if obs.is_enabled():
-        _record_snapshot_op("save", index.name, time.perf_counter() - started, path)
-    return path
-
-
-def _write_snapshot_files(
-    index: DistanceIndex,
-    path: str,
-    writer: ArrayWriter,
-    spec,
-    state: Dict[str, object],
-    extras: Optional[Dict[str, object]],
-    generation: Optional[int],
-) -> None:
-    """Write payload, state and manifest into ``path`` (manifest last)."""
-    os.makedirs(path, exist_ok=True)
-    # Invalidate any existing snapshot *before* touching its files: payload
-    # array names are deterministic (a0000, ...), so a crash mid-overwrite
-    # must never leave an old manifest pairing old refs with new bytes —
-    # without a manifest the directory reads as SnapshotFormatError, typed.
-    manifest_path = os.path.join(path, _MANIFEST)
-    if os.path.exists(manifest_path):
-        os.remove(manifest_path)
-    payload_name = writer.write(path)
-    with open(os.path.join(path, _STATE), "w") as handle:
-        json.dump(state, handle)
     manifest = {
         "format": FORMAT,
         "schema_version": SCHEMA_VERSION,
         "method": spec.method,
         "spec": dataclasses.asdict(spec),
-        "payload": payload_name,
+        "payload": writer.filename,
         "payload_backend": writer.backend,
         "state_file": _STATE,
         "generation": int(generation) if generation is not None else 0,
@@ -231,6 +176,132 @@ def _write_snapshot_files(
     }
     if extras:
         manifest["extras"] = extras
+    _write(path, writer, state, manifest, atomic)
+    if obs.is_enabled():
+        _record_snapshot_op("save", index.name, time.perf_counter() - started, path)
+    return path
+
+
+def save_stores(index: DistanceIndex, path: str, epoch: int) -> str:
+    """Write ``index``'s exported query stores as a *store generation*.
+
+    A store generation is a snapshot directory without the graph and the
+    index state: the npz payload holds only the arenas of
+    :meth:`~repro.base.DistanceIndex._kernel_exports` (frozen now if this
+    kernel epoch has not frozen them yet), and the manifest records the
+    ``epoch`` they answer for.  The write is atomic (see :func:`save_index`).
+    A process holding an index loaded from the same base snapshot maps the
+    generation with :func:`load_stores` and serves this epoch through
+    :meth:`~repro.base.DistanceIndex.adopt_stores`.
+    """
+    writer = ArrayWriter("npz")
+    state = {"kernels": _pack_kernels(index, writer)}
+    manifest = {
+        "format": STORES_FORMAT,
+        "schema_version": SCHEMA_VERSION,
+        "method": _spec_for(index).method,
+        "epoch": int(epoch),
+        "payload": writer.filename,
+        "payload_backend": writer.backend,
+        "state_file": _STATE,
+    }
+    _write(path, writer, state, manifest, atomic=True)
+    return path
+
+
+def load_stores(path: str, graph: Graph) -> Tuple[int, Dict[str, object]]:
+    """Map a store generation written by :func:`save_stores`.
+
+    Returns ``(epoch, {memo key: store})``; the arenas are mmap views onto
+    the generation's payload.  ``graph`` is the reading index's graph (a
+    graph snapshot store is keyed to it).
+    """
+    manifest = read_manifest(path, STORES_FORMAT)
+    reader, state = _open_state(path, manifest)
+    try:
+        epoch = int(manifest["epoch"])
+    except (KeyError, TypeError, ValueError) as exc:
+        raise SnapshotFormatError(f"store generation {path!r} has no epoch: {exc}") from None
+    return epoch, _unpack_kernels(state.get("kernels", {}), reader, graph)
+
+
+def _pack_kernels(index: DistanceIndex, writer: ArrayWriter) -> Dict[str, object]:
+    """Freeze (or reuse) and serialize every store ``index`` exports."""
+    kernels: Dict[str, object] = {}
+    if index.use_kernels:
+        for key, freezer in index._kernel_exports().items():
+            store = freezer()
+            if store is None:
+                continue
+            packed = pack_kernel_store(store, writer)
+            if packed is not None:
+                kernels[key] = packed
+    return kernels
+
+
+def _unpack_kernels(packed_stores: Dict[str, object], reader, graph: Graph) -> Dict[str, object]:
+    """Reattach every packed store; stores this process cannot back are dropped."""
+    try:
+        stores = {
+            key: unpack_kernel_store(packed, reader, graph)
+            for key, packed in packed_stores.items()
+        }
+    except (AttributeError, KeyError, IndexError, TypeError, ValueError) as exc:
+        raise SnapshotFormatError(f"corrupt snapshot kernel payload: {exc}") from exc
+    return {key: store for key, store in stores.items() if store is not None}
+
+
+def _write(
+    path: str,
+    writer: ArrayWriter,
+    state: Dict[str, object],
+    manifest: Dict[str, object],
+    atomic: bool,
+) -> None:
+    """Write a snapshot directory, in place or by atomic rename."""
+    if not atomic:
+        _write_files(path, writer, state, manifest)
+        return
+    parent = os.path.dirname(os.path.abspath(path)) or "."
+    os.makedirs(parent, exist_ok=True)
+    staging = tempfile.mkdtemp(prefix="." + os.path.basename(path) + ".tmp-", dir=parent)
+    try:
+        _write_files(staging, writer, state, manifest)
+        if os.path.isdir(path):
+            # ``os.rename`` refuses a non-empty target; retire the old
+            # snapshot first.  Both renames are atomic, so a reader only
+            # ever finds a complete old or complete new directory at
+            # ``path`` (or, in the instant between the two renames, no
+            # directory — a typed SnapshotFormatError, never torn bytes).
+            retired = staging + ".old"
+            os.rename(path, retired)
+            os.rename(staging, path)
+            shutil.rmtree(retired, ignore_errors=True)
+        else:
+            os.rename(staging, path)
+    except Exception:
+        shutil.rmtree(staging, ignore_errors=True)
+        raise
+
+
+def _write_files(
+    path: str,
+    writer: ArrayWriter,
+    state: Dict[str, object],
+    manifest: Dict[str, object],
+) -> None:
+    """Write payload, state and manifest into ``path`` (manifest last)."""
+    os.makedirs(path, exist_ok=True)
+    # Invalidate any existing snapshot *before* touching its files: payload
+    # array names are deterministic (a0000, ...), so a crash mid-overwrite
+    # must never leave an old manifest pairing old refs with new bytes —
+    # without a manifest the directory reads as SnapshotFormatError, typed.
+    manifest_path = os.path.join(path, _MANIFEST)
+    if os.path.exists(manifest_path):
+        os.remove(manifest_path)
+    writer.write(path)
+    with open(os.path.join(path, _STATE), "w") as handle:
+        json.dump(state, handle)
     # The manifest goes last: its presence marks a complete snapshot.
     with open(manifest_path, "w") as handle:
         json.dump(manifest, handle, indent=2)
@@ -263,8 +334,9 @@ def _record_snapshot_op(op: str, method: str, seconds: float, path: str) -> None
     ).set(size)
 
 
-def read_manifest(path: str) -> Dict[str, object]:
-    """Read and validate a snapshot's manifest (format + schema version)."""
+def read_manifest(path: str, format: str = FORMAT) -> Dict[str, object]:
+    """Read and validate a snapshot's manifest (format + schema version);
+    ``format`` is :data:`STORES_FORMAT` for a store generation."""
     manifest_path = os.path.join(path, _MANIFEST)
     try:
         with open(manifest_path) as handle:
@@ -275,13 +347,30 @@ def read_manifest(path: str) -> Dict[str, object]:
         ) from exc
     except ValueError as exc:
         raise SnapshotFormatError(f"corrupt snapshot manifest {manifest_path!r}: {exc}") from exc
-    if not isinstance(manifest, dict) or manifest.get("format") != FORMAT:
+    if not isinstance(manifest, dict) or manifest.get("format") != format:
         raise SnapshotFormatError(
-            f"{manifest_path!r} is not a {FORMAT} manifest"
+            f"{manifest_path!r} is not a {format} manifest"
         )
     if manifest.get("schema_version") != SCHEMA_VERSION:
         raise SnapshotVersionError(manifest.get("schema_version"), SCHEMA_VERSION)
     return manifest
+
+
+def _open_state(path: str, manifest: Dict[str, object], mmap: bool = True):
+    """The payload reader and the JSON state tree a manifest points at."""
+    try:
+        payload_name = manifest["payload"]
+        payload_backend = manifest["payload_backend"]
+    except KeyError as exc:
+        raise SnapshotFormatError(f"snapshot manifest is missing field {exc}") from None
+    reader = open_payload(path, payload_name, payload_backend, mmap=mmap)
+    state_path = os.path.join(path, manifest.get("state_file", _STATE))
+    try:
+        with open(state_path) as handle:
+            state = json.load(handle)
+    except (OSError, ValueError) as exc:
+        raise SnapshotFormatError(f"unreadable snapshot state {state_path!r}: {exc}") from exc
+    return reader, state
 
 
 def load_index(
@@ -314,21 +403,12 @@ def load_index(
     try:
         method = manifest["method"]
         saved_params = dict(manifest["spec"])
-        payload_name = manifest["payload"]
-        payload_backend = manifest["payload_backend"]
         graph_meta = manifest["graph"]
     except KeyError as exc:
         raise SnapshotFormatError(f"snapshot manifest is missing field {exc}") from None
     saved_params.update(overrides)
     spec = get_spec(method, **saved_params)
-
-    reader = open_payload(path, payload_name, payload_backend, mmap=mmap)
-    state_path = os.path.join(path, manifest.get("state_file", _STATE))
-    try:
-        with open(state_path) as handle:
-            state = json.load(handle)
-    except (OSError, ValueError) as exc:
-        raise SnapshotFormatError(f"unreadable snapshot state {state_path!r}: {exc}") from exc
+    reader, state = _open_state(path, manifest, mmap)
 
     if graph is not None:
         found = graph_fingerprint(graph)
@@ -355,40 +435,16 @@ def load_index(
     index.build_seconds = manifest.get("index", {}).get("build_seconds", 0.0)
     index.invalidate_kernels()
     if index.use_kernels:
-        try:
-            for key, packed in state.get("kernels", {}).items():
-                store = unpack_kernel_store(packed, reader, index.graph)
-                if store is not None:
-                    index._attach_kernel(key, store)
-        except (AttributeError, KeyError, IndexError, TypeError, ValueError) as exc:
-            raise SnapshotFormatError(
-                f"corrupt snapshot kernel payload: {exc}"
-            ) from exc
+        for key, store in _unpack_kernels(state.get("kernels", {}), reader, graph).items():
+            index._attach_kernel(key, store)
     if obs.is_enabled():
         _record_snapshot_op("load", index.name, time.perf_counter() - started, path)
     return index
 
 
 def load_snapshot_graph(path: str, mmap: bool = True) -> Graph:
-    """Reconstruct only the graph of a snapshot (no index state).
-
-    The cluster dispatcher uses this to keep a lightweight graph mirror for
-    vertex validation and per-epoch correctness oracles without paying a full
-    ``load_index`` in the dispatcher process.
-    """
-    manifest = read_manifest(path)
-    try:
-        payload_name = manifest["payload"]
-        payload_backend = manifest["payload_backend"]
-    except KeyError as exc:
-        raise SnapshotFormatError(f"snapshot manifest is missing field {exc}") from None
-    reader = open_payload(path, payload_name, payload_backend, mmap=mmap)
-    state_path = os.path.join(path, manifest.get("state_file", _STATE))
-    try:
-        with open(state_path) as handle:
-            state = json.load(handle)
-    except (OSError, ValueError) as exc:
-        raise SnapshotFormatError(f"unreadable snapshot state {state_path!r}: {exc}") from exc
+    """Reconstruct only the graph of a snapshot (no index state)."""
+    reader, state = _open_state(path, read_manifest(path), mmap)
     try:
         return unpack_graph(state["graph"], reader)
     except (KeyError, IndexError, TypeError, ValueError) as exc:

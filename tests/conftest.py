@@ -9,8 +9,34 @@ from typing import List, Tuple
 
 import pytest
 
+try:
+    import numpy
+except ImportError:  # pragma: no cover - the no-numpy CI job
+    numpy = None
+
 from repro.graph.generators import grid_road_network, random_connected_graph
 from repro.graph.graph import Graph
+
+
+#: Without numpy ``ClusterEngine`` refuses to start (its readers map npz
+#: store generations); every test that starts one carries this skip.
+NEEDS_NUMPY = pytest.mark.skipif(
+    numpy is None, reason="ClusterEngine needs numpy (npz store generations)"
+)
+
+
+def require_numpy() -> None:
+    """Skip the calling test unless a ``ClusterEngine`` can start."""
+    if numpy is None:
+        pytest.skip(NEEDS_NUMPY.kwargs["reason"])
+
+
+def pytest_collection_modifyitems(config, items):
+    """Give the engine-core conformance tests' cluster backend the numpy skip."""
+    for item in items:
+        callspec = getattr(item, "callspec", None)
+        if callspec is not None and callspec.params.get("make_engine") == "cluster":
+            item.add_marker(NEEDS_NUMPY)
 
 
 def paper_example_graph() -> Graph:

@@ -193,6 +193,21 @@ class TestUpdateBatches:
         with pytest.raises(EdgeNotFoundError):
             batch.apply(graph)
 
+    @pytest.mark.parametrize("bad", [(1, 2, 5.0), (0, 1, 0.0), (0, 1, float("nan"))])
+    def test_rejected_batch_writes_nothing(self, bad):
+        from repro.exceptions import GraphError
+
+        graph = Graph(3)
+        graph.add_edge(0, 1, 1.0)
+        graph.add_edge(0, 2, 4.0)
+        version = graph.version
+        u, v, weight = bad
+        batch = UpdateBatch([EdgeUpdate(0, 2, 4.0, 2.0), EdgeUpdate(u, v, 1.0, weight)])
+        with pytest.raises(GraphError):
+            batch.apply(graph)
+        assert graph.edge_weight(0, 2) == 4.0
+        assert graph.version == version
+
 
 class TestValidation:
     def test_stats(self):

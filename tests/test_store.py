@@ -35,16 +35,20 @@ from repro.exceptions import (
     SnapshotGraphMismatchError,
     SnapshotUnsupportedError,
     SnapshotVersionError,
+    StoreNotPublishedError,
 )
 from repro.graph.generators import grid_road_network
 from repro.graph.updates import generate_update_batch
 from repro.registry import create_index, get_spec
 from repro.serving.engine import ServingEngine
 from repro.store import (
+    STORES_FORMAT,
     graph_fingerprint,
     load_index,
+    load_stores,
     read_manifest,
     save_index,
+    save_stores,
 )
 from repro.throughput.workload import sample_query_pairs
 
@@ -689,3 +693,97 @@ class TestKernelReattachment:
         loaded.apply_batch(batch)
         refrozen = loaded._label_store()
         assert refrozen is not attached
+
+
+@pytest.mark.skipif(numpy is None, reason="npz payloads require numpy")
+class TestNpzPayloadReader:
+    def test_interleaved_member_fetches_share_no_file_offset(self, tmp_path, monkeypatch):
+        """A fetch that starts while another is mid-header (a second thread,
+        or a forked cluster reader and the maintainer it inherited the index
+        from) leaves the first one reading its own header: both members come
+        back as mmap views with their own contents."""
+        from repro.store.arrays import ArrayWriter, NpzPayloadReader
+
+        writer = ArrayWriter("npz")
+        first = writer.put_ints(range(10))
+        second = writer.put_floats([0.5, 1.5, 2.5])
+        reader = NpzPayloadReader(str(tmp_path / writer.write(str(tmp_path))))
+        read_magic = numpy.lib.format.read_magic
+        nested = {}
+
+        def interleaved(handle):
+            version = read_magic(handle)
+            if "second" not in nested:
+                nested["second"] = None
+                nested["second"] = reader.get_array(second)
+            return version
+
+        monkeypatch.setattr(numpy.lib.format, "read_magic", interleaved)
+        array = reader.get_array(first)
+        assert isinstance(array, numpy.memmap)
+        assert array.tolist() == list(range(10))
+        assert isinstance(nested["second"], numpy.memmap)
+        assert nested["second"].tolist() == [0.5, 1.5, 2.5]
+
+
+@pytest.mark.skipif(numpy is None, reason="store generations are npz payloads")
+class TestStoreGenerations:
+    """``save_stores`` / ``load_stores`` + ``adopt_stores``: an index loaded
+    from the base snapshot answers a later epoch from the stores another
+    index froze, and from nothing else."""
+
+    @pytest.mark.parametrize("method", sorted(NINE_SPECS))
+    def test_reader_answers_from_adopted_stores(self, method, snapshot_dirs, tmp_path):
+        maintainer = load_index(snapshot_dirs[method])
+        reader = load_index(snapshot_dirs[method])
+        maintainer.apply_batch(
+            generate_update_batch(maintainer.graph, UPDATE_VOLUME, seed=17)
+        )
+        path = save_stores(maintainer, str(tmp_path / "stores-000001"), epoch=1)
+        assert read_manifest(path, STORES_FORMAT)["epoch"] == 1
+        epoch, stores = load_stores(path, reader.graph)
+        assert epoch == 1 and set(stores) == set(maintainer._kernel_exports())
+        reader.adopt_stores(stores)
+        pairs = _query_pairs(maintainer.graph)
+        assert reader.query_many(pairs) == maintainer.query_many(pairs)
+
+    def test_reader_without_native_kernel_stays_on_the_stores(
+        self, snapshot_dirs, tmp_path, monkeypatch
+    ):
+        """Label stores mapped without the C kernel have no scalar function;
+        the PSP concatenation must still read the adopted stores, never the
+        reader's own (stale) partition and overlay labels."""
+        import repro.kernels.label_store as label_store
+
+        maintainer = load_index(snapshot_dirs["P-TD-P"])
+        reader = load_index(snapshot_dirs["P-TD-P"])
+        maintainer.apply_batch(
+            generate_update_batch(maintainer.graph, UPDATE_VOLUME, seed=23)
+        )
+        path = save_stores(maintainer, str(tmp_path / "stores"), epoch=1)
+        monkeypatch.setattr(label_store, "native_kernel", lambda: None)
+        reader.adopt_stores(load_stores(path, reader.graph)[1])
+        pairs = _query_pairs(maintainer.graph)
+        assert reader.query_many(pairs) == maintainer.query_many(pairs)
+
+    def test_missing_store_raises_instead_of_freezing(self, snapshot_dirs, tmp_path):
+        reader = load_index(snapshot_dirs["N-CH-P"])
+        maintainer = load_index(snapshot_dirs["N-CH-P"])
+        _epoch, stores = load_stores(
+            save_stores(maintainer, str(tmp_path / "stores"), epoch=0), reader.graph
+        )
+        del stores["partition_1"]
+        reader.adopt_stores(stores)
+        vertex = next(
+            v for v in reader.graph.vertices()
+            if reader.vertex_partition(v) == 1
+            and v not in reader.partitioning.boundary(1)
+        )
+        with pytest.raises(StoreNotPublishedError) as excinfo:
+            reader.query_many([(vertex, 0)])
+        assert excinfo.value.key == "partition_1"
+        assert "partition_1" not in reader._kernel_stores
+
+    def test_a_full_snapshot_is_not_a_store_generation(self, snapshot_dirs):
+        with pytest.raises(SnapshotFormatError):
+            load_stores(snapshot_dirs["PMHL"], _base_graph())
