@@ -26,9 +26,11 @@ queries without walking dict-of-dict structures.  The base class owns the
 lifecycle — a per-index **kernel epoch** that update paths bump via
 :meth:`DistanceIndex.invalidate_kernels`, and a per-epoch memo
 (:meth:`DistanceIndex._kernel`) so each store is frozen at most once per
-epoch.  The ``use_kernels`` flag (default on, settable through the registry
-specs) switches an index between the frozen kernels and the pure-Python
-reference path; both return bit-identical distances.
+epoch.  A store exists only when the C kernel of ``repro.kernels.native``
+is loaded — the one rule, checked where stores are frozen (here) and where
+they are loaded (``repro.store``).  Without it, or with the ``use_kernels``
+flag off (default on, settable through the registry specs), an index answers
+through its pure-Python reference path; both return bit-identical distances.
 """
 
 from __future__ import annotations
@@ -43,12 +45,13 @@ from repro.algorithms.dijkstra import bidijkstra
 from repro.exceptions import StoreNotPublishedError
 from repro.graph.graph import Graph
 from repro.graph.updates import UpdateBatch
+from repro.kernels.native import native_kernel
 
 #: One ``(source, target)`` query pair of the batch query plane.
 QueryPair = Tuple[int, int]
 
 #: Sentinel distinguishing "not yet frozen" from a cached ``None`` (freeze
-#: unsupported for this structure — e.g. numpy unavailable).
+#: unsupported for this structure).
 _UNFROZEN = object()
 
 
@@ -113,8 +116,9 @@ class DistanceIndex(abc.ABC):
         self.spec = None
         self._stage_listener: Optional[Callable[[StageTiming], None]] = None
         #: Frozen-kernel switch: ``True`` answers queries through the flat
-        #: array stores of ``repro.kernels``; ``False`` keeps the pure-Python
-        #: reference path.  Results are bit-identical either way.
+        #: array stores of ``repro.kernels`` (when the C kernel is loaded);
+        #: ``False`` keeps the pure-Python reference path.  Results are
+        #: bit-identical either way.
         self.use_kernels: bool = True
         #: Set for good by :meth:`adopt_stores`: the index's own structures
         #: no longer describe the served epoch, so a query whose store is not
@@ -313,11 +317,12 @@ class DistanceIndex(abc.ABC):
         """Per-epoch memo of one frozen store.
 
         ``builder()`` runs at most once per kernel epoch per ``key``; a
-        ``None`` result (freeze unsupported — e.g. numpy unavailable) is
-        cached too so unsupported structures don't retry on every query.
-        Returns ``None`` whenever ``use_kernels`` is off; a store reader
-        raises :class:`~repro.exceptions.StoreNotPublishedError` instead of
-        calling ``builder``.
+        ``None`` result (freeze unsupported for this structure) is cached
+        too so unsupported structures don't retry on every query.  Returns
+        ``None`` whenever ``use_kernels`` is off or the C kernel is not
+        loaded; a store reader raises
+        :class:`~repro.exceptions.StoreNotPublishedError` instead of calling
+        ``builder``.
         """
         if not self.use_kernels:
             return None
@@ -325,6 +330,8 @@ class DistanceIndex(abc.ABC):
         if entry is _UNFROZEN:
             if self.store_reader:
                 raise StoreNotPublishedError(key)
+            if native_kernel() is None:
+                return None
             if obs.is_enabled():
                 with obs.span("kernels.freeze." + key, index=self.name, store=key):
                     entry = builder()
@@ -345,7 +352,7 @@ class DistanceIndex(abc.ABC):
         Self-invalidating: keyed to ``graph.version`` rather than the kernel
         epoch, so out-of-band graph mutation (e.g. a caller editing the graph
         directly) can never be served from a stale snapshot.  A store reader
-        serves only the adopted snapshot.
+        serves only the adopted snapshot; without the C kernel there is none.
         """
         if not self.use_kernels:
             return None
@@ -355,6 +362,8 @@ class DistanceIndex(abc.ABC):
                 raise StoreNotPublishedError("__graph__")
             return snapshot
         if snapshot is None or not snapshot.is_fresh(self.graph):
+            if native_kernel() is None:
+                return None
             from repro.kernels.graph_snapshot import GraphSnapshot
 
             snapshot = GraphSnapshot.freeze(self.graph)

@@ -120,7 +120,7 @@ class TOAINIndex(DistanceIndex):
         )
 
     def _hub_store(self):
-        """Frozen CSR hub-label table (``None`` = pure path / no numpy)."""
+        """Frozen CSR hub-label table (``None`` = pure path)."""
         contraction = self._require_built()
 
         def freeze():
@@ -163,11 +163,7 @@ class TOAINIndex(DistanceIndex):
             d_t = labels_t.get(hub)
             if d_t is not None and d_s + d_t < best:
                 best = d_s + d_t
-
-        if store is not None:
-            below = store.query(source, target)
-        else:
-            below = ch_bidirectional_query(source, target, self._sub_core_upward())
+        below = ch_bidirectional_query(source, target, self._sub_core_upward())
         return min(best, below)
 
     def query_one_to_many(self, source: int, targets: Sequence[int]) -> List[float]:
@@ -211,22 +207,6 @@ class TOAINIndex(DistanceIndex):
                 0.0 if source == target else min(best, b)
                 for target, best, b in zip(targets, joined, below)
             ]
-        if sub_core_store is not None:
-            labels_s = self.core_labels[source]
-            results: List[float] = []
-            for target in targets:
-                if source == target:
-                    results.append(0.0)
-                    continue
-                labels_t = self.core_labels[target]
-                best = INF
-                for hub, d_s in labels_s.items():
-                    d_t = labels_t.get(hub)
-                    if d_t is not None and d_s + d_t < best:
-                        best = d_s + d_t
-                results.append(min(best, sub_core_store.query(source, target)))
-            return results
-
         labels_s = self.core_labels[source]
         sub_core_upward = self._sub_core_upward(memo={})
         results: List[float] = []

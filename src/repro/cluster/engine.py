@@ -45,16 +45,12 @@ import threading
 import time
 from typing import Dict, List, Optional
 
-try:
-    import numpy as np
-except ImportError:  # pragma: no cover - exercised only without numpy
-    np = None
-
 from repro import obs
 from repro.base import QueryPair, UpdateReport
 from repro.exceptions import ClusterError, ClusterWorkerError, EngineStoppedError
 from repro.graph.graph import Graph
 from repro.graph.updates import UpdateBatch
+from repro.kernels.native import native_kernel, native_kernel_error
 from repro.serving.core import MIXED_STAGE, BatchResult, EngineCore
 from repro.store import load_index, read_manifest, save_index, save_stores
 
@@ -106,10 +102,11 @@ class ClusterEngine(EngineCore):
         snapshot_limit: int = 16,
         start_method: Optional[str] = None,
     ) -> None:
-        if np is None:
+        if native_kernel() is None:
             raise ClusterError(
-                "ClusterEngine needs numpy: readers map the maintainer's "
-                "stores from npz store generations"
+                "ClusterEngine needs the native C kernel: readers serve only "
+                "the maintainer's stores, and none exist without it "
+                f"({native_kernel_error()})"
             )
         manifest = read_manifest(snapshot_path)
         self.snapshot_path = snapshot_path

@@ -172,8 +172,8 @@ class PMHLIndex(PostBoundaryPSPIndex):
         """Q-Stage 5: cross-boundary 2-hop query on L* (fastest)."""
         self._require_built()
         store = self._cross_store()
-        if store is not None and store.query_fn is not None:
-            return store.query_fn(source, target)
+        if store is not None:
+            return store.query(source, target)
         return self.cross_labels.query(source, target)
 
     def query(self, source: int, target: int) -> float:
@@ -189,10 +189,10 @@ class PMHLIndex(PostBoundaryPSPIndex):
         """Amortised batch query on the cross-boundary labels ``L*``.
 
         With kernels on, the whole batch is answered by the frozen store's
-        one-to-many kernel (native hub scan or one vectorized reduction);
-        the pure reference fetches the source's label array once and
-        intersects it against every target.  The 2-hop arithmetic is exactly
-        the scalar path's either way, so distances are bit-identical.
+        one-to-many kernel (one native hub scan); the pure reference fetches
+        the source's label array once and intersects it against every target.
+        The 2-hop arithmetic is exactly the scalar path's either way, so
+        distances are bit-identical.
         """
         self._require_built()
         targets = list(targets)

@@ -203,8 +203,8 @@ class PostMHLIndex(DistanceIndex):
         """Q-Stage 4: full H2H query on the amalgamated tree (fastest)."""
         self._require_built()
         store = self._label_store()
-        if store is not None and store.query_fn is not None:
-            return store.query_fn(source, target)
+        if store is not None:
+            return store.query(source, target)
         return self.labels.query(source, target)
 
     def query(self, source: int, target: int) -> float:

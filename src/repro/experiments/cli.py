@@ -106,12 +106,6 @@ def build_snapshot_parser() -> argparse.ArgumentParser:
         "--dataset", default="NY", help="synthetic dataset name (save only)"
     )
     parser.add_argument(
-        "--backend",
-        default=None,
-        choices=("npz", "json"),
-        help="payload backend (save only; default: npz with numpy, else json)",
-    )
-    parser.add_argument(
         "--verify",
         type=int,
         default=0,
@@ -140,7 +134,7 @@ def _snapshot_main(argv: Sequence[str]) -> int:
         started = time.perf_counter()
         index.build()
         built = time.perf_counter() - started
-        save_index(index, args.path, backend=args.backend)
+        save_index(index, args.path)
         print(
             f"saved {args.method} on {args.dataset} "
             f"(n={graph.num_vertices}, built in {built:.2f}s) to {args.path}"

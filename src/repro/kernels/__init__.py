@@ -4,8 +4,7 @@ After a build or update batch completes, each index *freezes* its query-side
 state into immutable flat stores (see the per-module docs):
 
 * :class:`~repro.kernels.label_store.LabelStore` — CSR distance/position
-  arrays + flattened LCA for H2H-family labels, with native (C) scalar and
-  batch backends and a vectorized numpy batch fallback;
+  arrays + flattened LCA for H2H-family labels (C scalar and batch queries);
 * :class:`~repro.kernels.graph_snapshot.GraphSnapshot` — CSR adjacency for
   the index-free stage-1 searches, with a native bidirectional-search /
   one-to-many kernel;
@@ -19,12 +18,17 @@ the unified buffer ``repro.store`` serializes as a single payload and
 ``repro.cluster`` shards mmap-share, and whose views the C kernels borrow
 without copying.
 
-Freezing is lazy (first query after an invalidation) and keyed to the
-index's kernel epoch (see ``repro.base.DistanceIndex.invalidate_kernels``),
-so a store is built at most once per update epoch per query stage.  Every
-store computes exactly the reference arithmetic; results are bit-identical
-to the pure-Python paths, which remain in place as the reference
-implementation (``use_kernels=False``).
+Two rungs answer every query: the C kernel of :mod:`repro.kernels.native`
+over these stores, and the pure-Python reference implementation.  One rule
+joins them — a store exists only when the C kernel is loaded — checked where
+stores are frozen (``repro.base.DistanceIndex._kernel`` / ``_graph_snapshot``)
+and loaded (``repro.store``); everywhere else a store can assume its capsule.
+Without the kernel, or with ``use_kernels=False``, an index answers through
+the reference path.  Freezing is lazy (first query after an invalidation)
+and keyed to the index's kernel epoch (see
+``repro.base.DistanceIndex.invalidate_kernels``), so a store is built at most
+once per update epoch per query stage.  Every store computes exactly the
+reference arithmetic, so results are bit-identical on both rungs.
 """
 
 from repro.kernels.arena import Arena

@@ -28,8 +28,8 @@
  *      indptr[r]..    CSR of the adjacency rows (neighbor rows + weights).
  *
  *    The searches are literal ports of the pure-Python references
- *    (GraphSnapshot.bidijkstra / GraphSnapshot._dijkstra /
- *    ShortcutStore.query): heaps are keyed by (distance, original id)
+ *    (repro.algorithms.dijkstra.bidijkstra / dijkstra_one_to_many /
+ *    repro.hierarchy.ch.ch_bidirectional_query): heaps are keyed by (distance, original id)
  *    exactly like heapq's (dist, vertex) tuples, rows relax neighbours in
  *    CSR order (the adjacency-dict iteration order), and every float
  *    operation is the same float64 add/compare -- so the pop sequence, the
@@ -729,7 +729,7 @@ static PyObject *search_query_pairs(PyObject *self, PyObject *const *args,
 }
 
 /* one_to_many(graph, rs, t_rows, out): one truncated Dijkstra from rs -- a
- * literal port of GraphSnapshot._dijkstra + one_to_many.  Settle-time
+ * literal port of repro.algorithms.dijkstra.dijkstra_one_to_many.  Settle-time
  * distances are recorded separately so the output matches the reference's
  * `settled` dict byte for byte. */
 static PyObject *search_one_to_many(PyObject *self, PyObject *const *args,

@@ -30,10 +30,7 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Sequence, Tuple
 
-try:
-    import numpy as np
-except ImportError:  # pragma: no cover - exercised only without numpy
-    np = None
+import numpy as np
 
 from repro.exceptions import VertexNotFoundError
 
@@ -166,24 +163,19 @@ REMAP_SLACK = 1024
 
 
 def build_remap(ids) -> Optional[object]:
-    """Dense ``id -> row`` remap array for compact integer id spaces.
+    """Dense ``id -> row`` remap array for a store's ``int64`` id column.
 
-    Returns ``None`` when the ids are not nonnegative integers or the id
-    space is too sparse for a dense table to pay off; callers then fall back
-    to the row dict.
+    Returns ``None`` when an id is negative or the id space is too sparse
+    for a dense table to pay off; callers then fall back to the row dict.
     """
-    if np is None or len(ids) == 0:
+    if len(ids) == 0:
         return None
-    try:
-        arr = np.asarray(ids, dtype=np.int64)
-    except (TypeError, ValueError, OverflowError):
-        return None
-    lo = int(arr.min())
-    hi = int(arr.max())
-    if lo < 0 or hi >= len(arr) + REMAP_SLACK:
+    lo = int(ids.min())
+    hi = int(ids.max())
+    if lo < 0 or hi >= len(ids) + REMAP_SLACK:
         return None
     remap = np.full(hi + 1, -1, dtype=np.int64)
-    remap[arr] = np.arange(len(arr), dtype=np.int64)
+    remap[ids] = np.arange(len(ids), dtype=np.int64)
     return remap
 
 

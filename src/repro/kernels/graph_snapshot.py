@@ -8,19 +8,15 @@ via :meth:`repro.graph.graph.Graph.to_csr`) packed into one
 :class:`~repro.kernels.arena.Arena` — the same buffer ``repro.store``
 serializes and ``repro.cluster`` workers mmap-share.
 
-The fallback ladder, top to bottom:
-
-* **native backend** — the C search kernel of ``repro.kernels.native``
-  borrows the arena views (no copy) and runs the bidirectional search /
-  truncated one-to-many Dijkstra entirely in C;
-* **pure Python** — the loops below iterate per-vertex ``(neighbor,
-  weight)`` tuple lists materialised lazily from the same CSR arrays.
-
-Both are literal ports of :func:`repro.algorithms.dijkstra.bidijkstra` and
-:func:`~repro.algorithms.dijkstra.dijkstra` — same relaxation order (CSR
-rows preserve the adjacency-dict iteration order), same heap keys
+The C search kernel of ``repro.kernels.native`` borrows the arena views (no
+copy) and runs the bidirectional search / truncated one-to-many Dijkstra
+entirely in C.  Both are literal ports of
+:func:`repro.algorithms.dijkstra.bidijkstra` and
+:func:`~repro.algorithms.dijkstra.dijkstra_one_to_many` — same relaxation
+order (CSR rows preserve the adjacency-dict iteration order), same heap keys
 (``(distance, original vertex id)``), same float arithmetic — so their
-results are bit-identical to the live-graph reference.
+results are bit-identical to the live-graph reference, which is what an
+index searches when the kernel is not loaded (no snapshot is frozen then).
 
 Every snapshot records ``graph.version`` at freeze time; holders use
 :meth:`is_fresh` to detect out-of-band mutation.
@@ -28,14 +24,9 @@ Every snapshot records ``graph.version`` at freeze time; holders use
 
 from __future__ import annotations
 
-import heapq
-import math
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Iterable, List
 
-try:
-    import numpy as np
-except ImportError:  # pragma: no cover - exercised only without numpy
-    np = None
+import numpy as np
 
 from repro import obs
 from repro.exceptions import VertexNotFoundError
@@ -43,77 +34,21 @@ from repro.graph.graph import Graph
 from repro.kernels.arena import Arena, build_remap, rows_of
 from repro.kernels.native import native_kernel
 
-INF = math.inf
-
 
 class GraphSnapshot:
     """Immutable CSR adjacency snapshot of one :class:`Graph` epoch."""
 
-    __slots__ = ("version", "arena", "row", "_remap", "capsule", "_pairs_cache")
+    __slots__ = ("version", "arena", "row", "_remap", "capsule")
 
-    def __init__(self, graph: Graph):
-        self.version = graph.version
-        ids, indptr, indices, weights = graph.to_csr()
-        self._init_from_csr(ids, indptr, indices, weights)
-
-    def _init_from_csr(self, ids, indptr, indices, weights) -> None:
-        self.arena = None
-        self.capsule = None
-        self._remap = None
-        self._pairs_cache = None
-        if np is not None:
-            try:
-                ids_arr = np.asarray(ids, dtype=np.int64)
-            except (TypeError, ValueError, OverflowError):
-                ids_arr = None  # non-integer vertex ids: pure-Python path
-            if ids_arr is not None:
-                self.arena = Arena.pack(
-                    {
-                        "ids": ids_arr,
-                        "indptr": np.asarray(indptr, dtype=np.int64),
-                        "indices": np.asarray(indices, dtype=np.int64),
-                        "weights": np.asarray(weights, dtype=np.float64),
-                    }
-                )
-                self._remap = build_remap(self.arena["ids"])
-                kernel = native_kernel()
-                if kernel is not None:
-                    self.capsule = kernel.search_build(
-                        self.arena["ids"],
-                        self.arena["indptr"],
-                        self.arena["indices"],
-                        self.arena["weights"],
-                    )
-        if self.arena is not None:
-            self.row = {v: i for i, v in enumerate(self.arena["ids"].tolist())}
-        else:
-            self.row = {v: i for i, v in enumerate(ids)}
-            self._pairs_cache = self._pairs_from_csr(ids, indptr, indices, weights)
-
-    @staticmethod
-    def _pairs_from_csr(ids, indptr, indices, weights):
-        pairs: Dict[int, List[Tuple[int, float]]] = {}
-        for position, vertex in enumerate(ids):
-            start, end = indptr[position], indptr[position + 1]
-            pairs[vertex] = [
-                (ids[indices[j]], weights[j]) for j in range(start, end)
-            ]
-        return pairs
-
-    @property
-    def _pairs(self) -> Dict[int, List[Tuple[int, float]]]:
-        """Per-vertex neighbour tuple lists for the pure-Python search loops
-        (materialised lazily from the arena; the values are the same float64
-        weights the native kernel reads)."""
-        if self._pairs_cache is None:
-            arena = self.arena
-            self._pairs_cache = self._pairs_from_csr(
-                arena["ids"].tolist(),
-                arena["indptr"].tolist(),
-                arena["indices"].tolist(),
-                arena["weights"].tolist(),
-            )
-        return self._pairs_cache
+    def __init__(self, arena: Arena, version: int):
+        self.version = version
+        self.arena = arena
+        ids = arena["ids"]
+        self.row = {v: i for i, v in enumerate(ids.tolist())}
+        self._remap = build_remap(ids)
+        self.capsule = native_kernel().search_build(
+            ids, arena["indptr"], arena["indices"], arena["weights"]
+        )
 
     @classmethod
     def freeze(cls, graph: Graph) -> "GraphSnapshot":
@@ -123,67 +58,35 @@ class GraphSnapshot:
                 "Frozen kernel stores built, by store kind",
                 store="graph_snapshot",
             ).inc()
-        return cls(graph)
+        ids, indptr, indices, weights = graph.to_csr()
+        arena = Arena.pack(
+            {
+                "ids": np.asarray(ids, dtype=np.int64),
+                "indptr": np.asarray(indptr, dtype=np.int64),
+                "indices": np.asarray(indices, dtype=np.int64),
+                "weights": np.asarray(weights, dtype=np.float64),
+            }
+        )
+        return cls(arena, graph.version)
 
     def is_fresh(self, graph: Graph) -> bool:
         """True while the snapshot still matches the live graph."""
         return self.version == graph.version
 
-    def has_vertex(self, v: int) -> bool:
-        return v in self.row
-
     # ------------------------------------------------------------------
     # Snapshot persistence (see repro.store)
     # ------------------------------------------------------------------
     def to_state(self, io) -> dict:
-        """Serialize the frozen adjacency: the arena on array-capable
-        backends, order-preserving CSR lists otherwise."""
-        if self.arena is not None and getattr(io, "backend", None) == "npz":
-            state = self.arena.to_state(io)
-            state["kind"] = "graph_snapshot"
-            return state
-        from repro.store.codec import pack_pairs_csr
-
-        return {"kind": "graph_snapshot", **pack_pairs_csr(self._pairs.items(), io)}
+        """Serialize the frozen adjacency as its arena."""
+        state = self.arena.to_state(io)
+        state["kind"] = "graph_snapshot"
+        return state
 
     @classmethod
     def from_state(cls, state: dict, io, graph: Graph) -> "GraphSnapshot":
-        """Reattach a snapshot, re-keyed to the *loaded* graph's version.
-
-        Arena-format states rebuild the native path directly over the
-        (possibly mmap-backed) payload buffer; legacy pairs-CSR states are
-        re-packed into a private arena.
-        """
-        snapshot = cls.__new__(cls)
-        snapshot.version = graph.version
-        if "arena" in state and np is not None:
-            arena = Arena.from_state(state, io)
-            snapshot.arena = arena
-            snapshot.capsule = None
-            snapshot._pairs_cache = None
-            snapshot.row = {v: i for i, v in enumerate(arena["ids"].tolist())}
-            snapshot._remap = build_remap(arena["ids"])
-            kernel = native_kernel()
-            if kernel is not None:
-                snapshot.capsule = kernel.search_build(
-                    arena["ids"], arena["indptr"], arena["indices"], arena["weights"]
-                )
-            return snapshot
-        from repro.store.codec import unpack_pairs_csr
-
-        pairs = unpack_pairs_csr(state, io)
-        ids = list(pairs)
-        position = {v: i for i, v in enumerate(ids)}
-        indptr = [0]
-        indices: List[int] = []
-        weights: List[float] = []
-        for v in ids:
-            for u, w in pairs[v]:
-                indices.append(position[u])
-                weights.append(w)
-            indptr.append(len(indices))
-        snapshot._init_from_csr(ids, indptr, indices, weights)
-        return snapshot
+        """Reattach a snapshot over the (possibly mmap-backed) payload
+        buffer, re-keyed to the *loaded* graph's version."""
+        return cls(Arena.from_state(state, io), graph.version)
 
     # ------------------------------------------------------------------
     # Searches (bit-identical ports of repro.algorithms.dijkstra)
@@ -197,58 +100,7 @@ class GraphSnapshot:
             raise VertexNotFoundError(target)
         if source == target:
             return 0.0
-        if self.capsule is not None:
-            return native_kernel().search_query(
-                self.capsule, row[source], row[target], 0
-            )
-        return self._bidijkstra_py(source, target)
-
-    def _bidijkstra_py(self, source: int, target: int) -> float:
-        pairs = self._pairs
-        dist_f: Dict[int, float] = {source: 0.0}
-        dist_b: Dict[int, float] = {target: 0.0}
-        settled_f: set = set()
-        settled_b: set = set()
-        heap_f: List[Tuple[float, int]] = [(0.0, source)]
-        heap_b: List[Tuple[float, int]] = [(0.0, target)]
-        best = INF
-
-        while heap_f or heap_b:
-            top_f = heap_f[0][0] if heap_f else INF
-            top_b = heap_b[0][0] if heap_b else INF
-            if best <= top_f + top_b:
-                break
-            if top_f <= top_b and heap_f:
-                d, v = heapq.heappop(heap_f)
-                if v in settled_f:
-                    continue
-                settled_f.add(v)
-                if v in dist_b:
-                    best = min(best, d + dist_b[v])
-                for u, w in pairs[v]:
-                    nd = d + w
-                    if nd < dist_f.get(u, INF):
-                        dist_f[u] = nd
-                        heapq.heappush(heap_f, (nd, u))
-                        if u in dist_b:
-                            best = min(best, nd + dist_b[u])
-            elif heap_b:
-                d, v = heapq.heappop(heap_b)
-                if v in settled_b:
-                    continue
-                settled_b.add(v)
-                if v in dist_f:
-                    best = min(best, d + dist_f[v])
-                for u, w in pairs[v]:
-                    nd = d + w
-                    if nd < dist_b.get(u, INF):
-                        dist_b[u] = nd
-                        heapq.heappush(heap_b, (nd, u))
-                        if u in dist_f:
-                            best = min(best, nd + dist_f[u])
-            else:
-                break
-        return best
+        return native_kernel().search_query(self.capsule, row[source], row[target], 0)
 
     def one_to_many(self, source: int, targets: Iterable[int]) -> List[float]:
         """One truncated Dijkstra from ``source``; distances in target order."""
@@ -258,37 +110,7 @@ class GraphSnapshot:
         target_list = list(targets)
         if not target_list:
             return []
-        if self.capsule is not None:
-            t_rows = rows_of(row, self._remap, target_list)
-            out = np.empty(len(target_list), dtype=np.float64)
-            native_kernel().search_one_to_many(self.capsule, row[source], t_rows, out)
-            return out.tolist()
-        for target in target_list:
-            if target not in row:
-                raise VertexNotFoundError(target)
-        settled = self._dijkstra(source, target_list)
-        return [settled.get(target, INF) for target in target_list]
-
-    def _dijkstra(
-        self, source: int, targets: Optional[Iterable[int]] = None
-    ) -> Dict[int, float]:
-        pairs = self._pairs
-        remaining = set(targets) if targets is not None else None
-        dist: Dict[int, float] = {source: 0.0}
-        settled: Dict[int, float] = {}
-        heap: List[Tuple[float, int]] = [(0.0, source)]
-        while heap:
-            d, v = heapq.heappop(heap)
-            if v in settled:
-                continue
-            settled[v] = d
-            if remaining is not None:
-                remaining.discard(v)
-                if not remaining:
-                    break
-            for u, w in pairs[v]:
-                nd = d + w
-                if nd < dist.get(u, INF):
-                    dist[u] = nd
-                    heapq.heappush(heap, (nd, u))
-        return settled
+        t_rows = rows_of(row, self._remap, target_list)
+        out = np.empty(len(target_list), dtype=np.float64)
+        native_kernel().search_one_to_many(self.capsule, row[source], t_rows, out)
+        return out.tolist()

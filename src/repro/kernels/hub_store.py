@@ -13,7 +13,10 @@ the concatenated hub axis yields the per-target join minimum.
 
 The join arithmetic matches the scalar reference (``d_s + d_t`` minimised
 over the hubs both vertices share; targets with no shared hub get ``inf``),
-so results are bit-identical to the dict-based loop.
+so results are bit-identical to the dict-based loop.  The join itself is
+numpy, but like every store a hub table is frozen only when the C kernel is
+loaded (``repro.base.DistanceIndex._kernel``): TOAIN's sub-core search, which
+every query pairs with the join, needs it.
 """
 
 from __future__ import annotations
@@ -21,10 +24,7 @@ from __future__ import annotations
 import math
 from typing import Dict, List, Optional, Sequence
 
-try:
-    import numpy as np
-except ImportError:  # pragma: no cover - exercised only without numpy
-    np = None
+import numpy as np
 
 from repro import obs
 from repro.exceptions import VertexNotFoundError
@@ -61,7 +61,7 @@ class HubStore:
         cls, core_labels: Dict[int, Dict[int, float]], core_slots: Dict[int, int]
     ) -> Optional["HubStore"]:
         """Flatten ``core_labels`` (hub vertices mapped through ``core_slots``)."""
-        if np is None or not core_labels:
+        if not core_labels:
             return None
         verts = sorted(core_labels)
         counts = [len(core_labels[v]) for v in verts]
@@ -103,20 +103,9 @@ class HubStore:
         return state
 
     @classmethod
-    def from_state(cls, state: dict, io) -> Optional["HubStore"]:
-        """Rebuild from a snapshot payload (arena or legacy per-array)."""
-        if np is None:
-            return None
-        if "arena" in state:
-            return cls(Arena.from_state(state, io))
-        arrays = {
-            "verts": np.asarray(io.get_list(state["verts"]), dtype=np.int64),
-            "core_size": np.asarray([int(state["core_size"])], dtype=np.int64),
-            "hub_indptr": io.get_array(state["hub_indptr"]),
-            "hub_slots": io.get_array(state["hub_slots"]),
-            "hub_dists": io.get_array(state["hub_dists"]),
-        }
-        return cls(Arena.pack(arrays))
+    def from_state(cls, state: dict, io) -> "HubStore":
+        """Rebuild from a snapshot payload (mmap-backed when possible)."""
+        return cls(Arena.from_state(state, io))
 
     def join_pair(self, source: int, target: int) -> float:
         """Scalar hub-join minimum (``inf`` when no shared hub).

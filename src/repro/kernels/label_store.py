@@ -13,23 +13,17 @@ Arena` — the unified buffer that ``repro.store`` serializes as a single
 payload and ``repro.cluster`` workers mmap-share, and whose views the native
 kernel borrows without copying.
 
-Three query backends read the store, forming the fallback ladder:
-
-* the **native backend** (``repro.kernels.native``) runs the LCA + hub scan
-  in C — scalar queries call it once, batches (:meth:`one_to_many`,
-  :meth:`query_pairs`) cross into C a single time per batch with ``int64``
-  row buffers in and a ``float64`` output buffer out, so there is no
-  per-query Python and no per-query numpy temporary;
-* the **vectorized backend** answers whole batches with numpy: one gather of
-  the ragged hub-position segments and one ``np.minimum.reduceat`` over the
-  hub axis per batch — the no-compiler fallback;
-* the **pure-Python reference** (``H2HLabels.query``) remains the semantic
-  ground truth the other two must match bit for bit.
-
-Both accelerated backends perform exactly the reference arithmetic
-(``dis_s[i] + dis_t[i]`` minimised over ``i ∈ pos[lca]``), so their results
-are bit-identical to ``H2HLabels.query``; the equivalence suite in
-``tests/test_kernels.py`` enforces this for every index.
+The C kernel of ``repro.kernels.native`` answers every query over those
+views: a scalar query is one call, and a batch (:meth:`one_to_many`,
+:meth:`query_pairs`) crosses into C once with ``int64`` row buffers in and a
+``float64`` output buffer out, so there is no per-query Python and no
+per-query numpy temporary.  A store exists only when that kernel is loaded
+(``repro.base.DistanceIndex._kernel``); without it the index answers through
+``H2HLabels.query``, the pure-Python reference.  The kernel performs exactly
+the reference arithmetic (``dis_s[i] + dis_t[i]`` minimised over
+``i ∈ pos[lca]``), so its results are bit-identical to ``H2HLabels.query``;
+the equivalence suite in ``tests/test_kernels.py`` enforces this for every
+index.
 
 The *layout* (row numbering, LCA arrays, position CSR) depends only on the
 tree structure, which weight-only updates never change — it is computed once
@@ -40,20 +34,14 @@ only re-flattens the distance data before packing the epoch's arena.
 
 from __future__ import annotations
 
-import math
 from typing import Dict, List, Optional, Sequence, Tuple
 
-try:  # numpy is a hard dependency of the package but the kernels degrade
-    import numpy as np  # gracefully so the pure-Python paths keep working.
-except ImportError:  # pragma: no cover - exercised only without numpy
-    np = None
+import numpy as np
 
 from repro import obs
 from repro.exceptions import VertexNotFoundError
 from repro.kernels.arena import Arena, build_remap, rows_of
 from repro.kernels.native import native_kernel
-
-INF = math.inf
 
 #: Rows are packed into the low bits of sparse-table entries; depth goes in
 #: the high bits.  2^22 rows is far beyond any graph this package indexes.
@@ -146,27 +134,10 @@ _FIELDS = (
 class LabelStore:
     """One frozen snapshot of an ``H2HLabels`` instance (see module docs)."""
 
-    __slots__ = (
-        "arena",
-        "row",
-        "_remap",
-        "comp",
-        "first",
-        "logs",
-        "tbl_flat",
-        "tbl_off",
-        "pos_indptr",
-        "pos_data",
-        "dis_indptr",
-        "dis_data",
-        "capsule",
-        "query_fn",
-    )
+    __slots__ = ("arena", "row", "_remap", "capsule", "query")
 
     def __init__(self, arena: Arena, row: Optional[Dict[int, int]] = None):
         self.arena = arena
-        for field in _FIELDS[1:]:
-            setattr(self, field, arena[field])
         verts = arena["verts"]
         if row is None:
             row = {v: i for i, v in enumerate(verts.tolist())}
@@ -174,23 +145,12 @@ class LabelStore:
         # Dense id->row remap: turns batch row mapping into one numpy gather
         # (no per-query Python dict lookups) when the id space is dense.
         self._remap = build_remap(verts)
-        self.capsule = None
-        self.query_fn = None
         kernel = native_kernel()
-        if kernel is not None:
-            self.capsule = kernel.build(
-                MASK,
-                self.comp,
-                self.first,
-                self.logs,
-                self.tbl_flat,
-                self.tbl_off,
-                self.pos_indptr,
-                self.pos_data,
-                self.dis_indptr,
-                self.dis_data,
-            )
-            self.query_fn = self._make_scalar_query(kernel)
+        self.capsule = kernel.build(MASK, *(arena[field] for field in _FIELDS[1:]))
+        #: The scalar query ``(source, target) -> distance``: a closure over
+        #: the row map and the capsule, so a lookup is one dict probe per
+        #: endpoint and one C call.
+        self.query = self._make_scalar_query(kernel)
 
     # ------------------------------------------------------------------
     # Construction
@@ -199,8 +159,6 @@ class LabelStore:
     def freeze(cls, labels) -> Optional["LabelStore"]:
         """Freeze ``labels`` into a flat arena-backed store; ``None`` when
         unsupported."""
-        if np is None:
-            return None
         layout = _layout_for(labels.tree, labels)
         if layout is None:
             return None
@@ -251,25 +209,12 @@ class LabelStore:
         return state
 
     @classmethod
-    def from_state(cls, state: dict, io) -> Optional["LabelStore"]:
-        """Rebuild a store from a snapshot payload (mmap-backed when possible).
-
-        Accepts both the unified-arena format (one buffer + TOC) and the
-        legacy per-array format of pre-arena snapshots.
-        """
-        if np is None:
-            return None
-        if "arena" in state:
-            return cls(Arena.from_state(state, io))
-        arrays = {
-            "verts": np.asarray(io.get_list(state["verts"]), dtype=np.int64)
-        }
-        for field in _FIELDS[1:]:
-            arrays[field] = io.get_array(state[field])
-        return cls(Arena.pack(arrays))
+    def from_state(cls, state: dict, io) -> "LabelStore":
+        """Rebuild a store from a snapshot payload (mmap-backed when possible)."""
+        return cls(Arena.from_state(state, io))
 
     # ------------------------------------------------------------------
-    # Scalar path (native backend)
+    # Queries
     # ------------------------------------------------------------------
     def _make_scalar_query(self, kernel):
         row = self.row
@@ -290,9 +235,6 @@ class LabelStore:
 
         return query
 
-    # ------------------------------------------------------------------
-    # Batch path
-    # ------------------------------------------------------------------
     def _rows_of(self, vertices: Sequence[int]):
         """Map a vertex sequence to an ``int64`` row array (one gather when
         the id space is dense — the only per-batch Python is this call)."""
@@ -306,14 +248,9 @@ class LabelStore:
         targets = list(targets)
         if not targets:
             return []
-        t_rows = self._rows_of(targets)
-        kernel = native_kernel()
-        if self.capsule is not None and kernel is not None:
-            out = np.empty(len(targets), dtype=np.float64)
-            kernel.one_to_many(self.capsule, row[source], t_rows, out)
-            return out.tolist()
-        s_rows = np.full(len(targets), row[source], dtype=np.int64)
-        return self._vectorized_pairs(s_rows, t_rows).tolist()
+        out = np.empty(len(targets), dtype=np.float64)
+        native_kernel().one_to_many(self.capsule, row[source], self._rows_of(targets), out)
+        return out.tolist()
 
     def query_pairs(self, pairs: Sequence[Tuple[int, int]]) -> List[float]:
         """Distances for arbitrary ``(source, target)`` pairs, input order."""
@@ -322,52 +259,6 @@ class LabelStore:
             return []
         s_rows = self._rows_of([s for s, _ in pairs])
         t_rows = self._rows_of([t for _, t in pairs])
-        kernel = native_kernel()
-        if self.capsule is not None and kernel is not None:
-            out = np.empty(len(pairs), dtype=np.float64)
-            kernel.query_pairs(self.capsule, s_rows, t_rows, out)
-            return out.tolist()
-        return self._vectorized_pairs(s_rows, t_rows).tolist()
-
-    def _vectorized_pairs(self, s_rows, t_rows):
-        """Pure-numpy batch backend: one reduceat over the hub axis.
-
-        Per-pair arithmetic is exactly the scalar reference (float64 sums,
-        order-independent minimum), so results stay bit-identical.
-        """
-        out = np.empty(len(s_rows), dtype=np.float64)
-        same = s_rows == t_rows
-        split = self.comp[s_rows] != self.comp[t_rows]
-        out[same] = 0.0
-        out[split] = INF
-        regular = ~(same | split)
-        rs = s_rows[regular]
-        rt = t_rows[regular]
-        if rs.size == 0:
-            return out
-        fs = self.first[rs]
-        ft = self.first[rt]
-        lo = np.minimum(fs, ft)
-        hi = np.maximum(fs, ft)
-        k = self.logs[hi - lo + 1]
-        base = self.tbl_off[k]
-        a = self.tbl_flat[base + lo]
-        b = self.tbl_flat[base + hi - (1 << k) + 1]
-        lca_rows = np.minimum(a, b) & MASK
-        starts = self.pos_indptr[lca_rows]
-        counts = self.pos_indptr[lca_rows + 1] - starts
-        seg = np.zeros(len(counts), dtype=np.int64)
-        np.cumsum(counts[:-1], out=seg[1:])
-        total = int(seg[-1] + counts[-1])
-        flat = np.arange(total, dtype=np.int64) - np.repeat(seg, counts) + np.repeat(
-            starts, counts
-        )
-        hub_positions = self.pos_data[flat]
-        s_base = np.repeat(self.dis_indptr[rs], counts)
-        t_base = np.repeat(self.dis_indptr[rt], counts)
-        candidates = (
-            self.dis_data[s_base + hub_positions]
-            + self.dis_data[t_base + hub_positions]
-        )
-        out[regular] = np.minimum.reduceat(candidates, seg)
-        return out
+        out = np.empty(len(pairs), dtype=np.float64)
+        native_kernel().query_pairs(self.capsule, s_rows, t_rows, out)
+        return out.tolist()

@@ -13,7 +13,10 @@ part of the package.
 Gating: the native kernel is attempted only on CPython, can be disabled with
 ``REPRO_DISABLE_NATIVE_KERNELS=1``, and every failure mode (no compiler, no
 headers, sandboxed filesystem, exotic platform) degrades silently to the
-pure-Python/numpy paths — the kernel is an accelerator, never a dependency.
+pure-Python rung: no frozen store exists without the kernel (see
+``repro.kernels``), so every index answers through its reference path and
+maintains through the pure loops — the kernel is an accelerator, never a
+dependency.  Only ``repro.cluster`` refuses to start without it.
 """
 
 from __future__ import annotations

@@ -8,239 +8,121 @@ upward adjacency, preserving the source mapping's iteration order, into CSR
 arrays packed in one :class:`~repro.kernels.arena.Arena` (the buffer
 ``repro.store`` serializes and ``repro.cluster`` shards mmap-share).
 
-The fallback ladder mirrors :class:`~repro.kernels.graph_snapshot.
-GraphSnapshot`: the native C kernel borrows the arena views and runs the
-bidirectional upward search in C (scalar and batch); without a compiler the
-pure-Python loop below iterates lazily materialised per-vertex ``(neighbor,
-weight)`` tuple lists.  Both are literal ports of :func:`repro.hierarchy.ch.
-ch_bidirectional_query` (same relaxation order, same heap keys, same float
-arithmetic), so results are bit-identical to the live-dict reference.
+The native C kernel borrows the arena views and runs the bidirectional upward
+search in C (scalar and batch).  It is a literal port of
+:func:`repro.hierarchy.ch.ch_bidirectional_query` (same relaxation order,
+same heap keys, same float arithmetic), so results are bit-identical to the
+live-dict reference, which is what an index answers through when the kernel
+is not loaded (no store is frozen then).
 """
 
 from __future__ import annotations
 
-import heapq
-import math
-from typing import Callable, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
+from typing import Callable, Iterable, List, Mapping, Optional, Sequence, Tuple
 
-try:
-    import numpy as np
-except ImportError:  # pragma: no cover - exercised only without numpy
-    np = None
+import numpy as np
 
 from repro import obs
 from repro.kernels.arena import Arena, build_remap, rows_of
 from repro.kernels.native import native_kernel
 
-INF = math.inf
-
 
 class ShortcutStore:
     """Immutable upward adjacency (vertex -> [(higher-rank neighbor, weight)])."""
 
-    __slots__ = ("arena", "row", "_remap", "capsule", "_pairs_cache")
+    __slots__ = ("arena", "row", "_remap", "capsule")
 
-    def __init__(self, pairs: Dict[int, List[Tuple[int, float]]]):
-        self.arena = None
-        self.capsule = None
-        self._remap = None
-        self._pairs_cache = None
-        self.row = {v: i for i, v in enumerate(pairs)}
-        csr = self._csr_from_pairs(pairs) if np is not None else None
-        if csr is None:
-            self._pairs_cache = pairs
-            return
-        self.arena = Arena.pack(csr)
-        self._remap = build_remap(self.arena["ids"])
-        kernel = native_kernel()
-        if kernel is not None:
-            self.capsule = kernel.search_build(
-                self.arena["ids"],
-                self.arena["indptr"],
-                self.arena["indices"],
-                self.arena["weights"],
-            )
-
-    def _csr_from_pairs(self, pairs) -> Optional[Dict[str, object]]:
-        position = self.row
-        indptr = [0]
-        indices: List[int] = []
-        weights: List[float] = []
-        try:
-            for v in pairs:
-                for u, w in pairs[v]:
-                    indices.append(position[u])
-                    weights.append(w)
-                indptr.append(len(indices))
-            ids = np.asarray(list(pairs), dtype=np.int64)
-        except (KeyError, TypeError, ValueError, OverflowError):
-            # Adjacency not closed over its keys, or non-integer vertex
-            # ids: keep the pure-Python dict path.
-            return None
-        return {
-            "ids": ids,
-            "indptr": np.asarray(indptr, dtype=np.int64),
-            "indices": np.asarray(indices, dtype=np.int64),
-            "weights": np.asarray(weights, dtype=np.float64),
-        }
-
-    @property
-    def _pairs(self) -> Dict[int, List[Tuple[int, float]]]:
-        """Per-vertex tuple lists for the pure-Python search (lazy)."""
-        if self._pairs_cache is None:
-            arena = self.arena
-            ids = arena["ids"].tolist()
-            indptr = arena["indptr"].tolist()
-            indices = arena["indices"].tolist()
-            weights = arena["weights"].tolist()
-            pairs: Dict[int, List[Tuple[int, float]]] = {}
-            for position, vertex in enumerate(ids):
-                start, end = indptr[position], indptr[position + 1]
-                pairs[vertex] = [
-                    (ids[indices[j]], weights[j]) for j in range(start, end)
-                ]
-            self._pairs_cache = pairs
-        return self._pairs_cache
+    def __init__(self, arena: Arena):
+        self.arena = arena
+        ids = arena["ids"]
+        self.row = {v: i for i, v in enumerate(ids.tolist())}
+        self._remap = build_remap(ids)
+        self.capsule = native_kernel().search_build(
+            ids, arena["indptr"], arena["indices"], arena["weights"]
+        )
 
     @classmethod
     def freeze(
         cls,
         upward: Callable[[int], Mapping[int, float]],
         vertices: Iterable[int],
-    ) -> "ShortcutStore":
-        """Materialise ``upward(v)`` for every vertex, preserving item order."""
+    ) -> Optional["ShortcutStore"]:
+        """Materialise ``upward(v)`` for every vertex, preserving item order;
+        ``None`` when the adjacency leaves ``vertices`` (unsupported)."""
+        ids = list(vertices)
+        position = {v: i for i, v in enumerate(ids)}
+        indptr = [0]
+        indices: List[int] = []
+        weights: List[float] = []
+        for v in ids:
+            for u, w in upward(v).items():
+                row = position.get(u)
+                if row is None:
+                    return None
+                indices.append(row)
+                weights.append(w)
+            indptr.append(len(indices))
         if obs.is_enabled():
             obs.registry().counter(
                 "repro_kernel_store_freezes_total",
                 "Frozen kernel stores built, by store kind",
                 store="shortcut_store",
             ).inc()
-        return cls({v: list(upward(v).items()) for v in vertices})
-
-    def has_vertex(self, v: int) -> bool:
-        return v in self.row
+        return cls(
+            Arena.pack(
+                {
+                    "ids": np.asarray(ids, dtype=np.int64),
+                    "indptr": np.asarray(indptr, dtype=np.int64),
+                    "indices": np.asarray(indices, dtype=np.int64),
+                    "weights": np.asarray(weights, dtype=np.float64),
+                }
+            )
+        )
 
     # ------------------------------------------------------------------
     # Snapshot persistence (see repro.store)
     # ------------------------------------------------------------------
     def to_state(self, io) -> dict:
-        """Serialize the upward adjacency: the arena on array-capable
-        backends, order-preserving CSR lists otherwise."""
-        if self.arena is not None and getattr(io, "backend", None) == "npz":
-            state = self.arena.to_state(io)
-            state["kind"] = "shortcut_store"
-            return state
-        from repro.store.codec import pack_pairs_csr
-
-        return {"kind": "shortcut_store", **pack_pairs_csr(self._pairs.items(), io)}
+        """Serialize the upward adjacency as its arena."""
+        state = self.arena.to_state(io)
+        state["kind"] = "shortcut_store"
+        return state
 
     @classmethod
     def from_state(cls, state: dict, io) -> "ShortcutStore":
-        if "arena" in state and np is not None:
-            store = cls.__new__(cls)
-            arena = Arena.from_state(state, io)
-            store.arena = arena
-            store.capsule = None
-            store._pairs_cache = None
-            store.row = {v: i for i, v in enumerate(arena["ids"].tolist())}
-            store._remap = build_remap(arena["ids"])
-            kernel = native_kernel()
-            if kernel is not None:
-                store.capsule = kernel.search_build(
-                    arena["ids"], arena["indptr"], arena["indices"], arena["weights"]
-                )
-            return store
-        from repro.store.codec import unpack_pairs_csr
-
-        return cls(unpack_pairs_csr(state, io))
+        return cls(Arena.from_state(state, io))
 
     # ------------------------------------------------------------------
     # Searches (bit-identical ports of repro.hierarchy.ch)
     # ------------------------------------------------------------------
     def query(self, source: int, target: int) -> float:
-        """Bidirectional upward search over the frozen shortcut arrays."""
+        """Bidirectional upward search over the frozen shortcut arrays.
+
+        Raises ``KeyError`` for a vertex the store never froze, like the
+        dict path would; callers guarantee membership."""
         if source == target:
             return 0.0
-        if self.capsule is not None:
-            row = self.row
-            return native_kernel().search_query(
-                self.capsule, row[source], row[target], 1
-            )
-        return self._query_py(source, target)
+        row = self.row
+        return native_kernel().search_query(self.capsule, row[source], row[target], 1)
 
     def one_to_many(self, source: int, targets: Sequence[int]) -> List[float]:
         """The scalar search looped in C: distances in target order."""
         targets = list(targets)
         if not targets:
             return []
-        if self.capsule is not None:
-            s_rows = np.full(len(targets), self.row[source], dtype=np.int64)
-            t_rows = rows_of(self.row, self._remap, targets)
-            out = np.empty(len(targets), dtype=np.float64)
-            native_kernel().search_query_pairs(self.capsule, s_rows, t_rows, out, 1)
-            return out.tolist()
-        return [self.query(source, target) for target in targets]
+        s_rows = np.full(len(targets), self.row[source], dtype=np.int64)
+        t_rows = rows_of(self.row, self._remap, targets)
+        out = np.empty(len(targets), dtype=np.float64)
+        native_kernel().search_query_pairs(self.capsule, s_rows, t_rows, out, 1)
+        return out.tolist()
 
     def query_pairs(self, pairs: Sequence[Tuple[int, int]]) -> List[float]:
         """Distances for arbitrary ``(source, target)`` pairs, input order."""
         pairs = list(pairs)
         if not pairs:
             return []
-        if self.capsule is not None:
-            s_rows = rows_of(self.row, self._remap, [s for s, _ in pairs])
-            t_rows = rows_of(self.row, self._remap, [t for _, t in pairs])
-            out = np.empty(len(pairs), dtype=np.float64)
-            native_kernel().search_query_pairs(self.capsule, s_rows, t_rows, out, 1)
-            return out.tolist()
-        return [self.query(s, t) for s, t in pairs]
-
-    def _query_py(self, source: int, target: int) -> float:
-        pairs = self._pairs
-
-        dist_f: Dict[int, float] = {source: 0.0}
-        dist_b: Dict[int, float] = {target: 0.0}
-        heap_f: List[Tuple[float, int]] = [(0.0, source)]
-        heap_b: List[Tuple[float, int]] = [(0.0, target)]
-        settled_f: Dict[int, float] = {}
-        settled_b: Dict[int, float] = {}
-        best = INF
-
-        while heap_f or heap_b:
-            top_f = heap_f[0][0] if heap_f else INF
-            top_b = heap_b[0][0] if heap_b else INF
-            if min(top_f, top_b) >= best:
-                break
-            if top_f <= top_b and heap_f:
-                d, v = heapq.heappop(heap_f)
-                if v in settled_f:
-                    continue
-                settled_f[v] = d
-                if v in dist_b:
-                    best = min(best, d + dist_b[v])
-                for u, w in pairs[v]:
-                    nd = d + w
-                    if nd < dist_f.get(u, INF):
-                        dist_f[u] = nd
-                        heapq.heappush(heap_f, (nd, u))
-                        if u in dist_b:
-                            best = min(best, nd + dist_b[u])
-            elif heap_b:
-                d, v = heapq.heappop(heap_b)
-                if v in settled_b:
-                    continue
-                settled_b[v] = d
-                if v in dist_f:
-                    best = min(best, d + dist_f[v])
-                for u, w in pairs[v]:
-                    nd = d + w
-                    if nd < dist_b.get(u, INF):
-                        dist_b[u] = nd
-                        heapq.heappush(heap_b, (nd, u))
-                        if u in dist_f:
-                            best = min(best, nd + dist_f[u])
-            else:
-                break
-        return best
-
-    # C scalar query raises KeyError like the dict path would for vertices
-    # the store never froze; callers guarantee membership.
+        s_rows = rows_of(self.row, self._remap, [s for s, _ in pairs])
+        t_rows = rows_of(self.row, self._remap, [t for _, t in pairs])
+        out = np.empty(len(pairs), dtype=np.float64)
+        native_kernel().search_query_pairs(self.capsule, s_rows, t_rows, out, 1)
+        return out.tolist()

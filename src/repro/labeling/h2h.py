@@ -257,9 +257,9 @@ class H2HIndex(DistanceIndex):
     def query(self, source: int, target: int) -> float:
         labels = self._require_built()
         store = self._label_store()
-        if store is not None and store.query_fn is not None:
+        if store is not None:
             # Native scalar kernel; raises VertexNotFoundError for unknown ids.
-            return store.query_fn(source, target)
+            return store.query(source, target)
         if source not in self.contraction.rank:
             raise VertexNotFoundError(source)
         if target not in self.contraction.rank:

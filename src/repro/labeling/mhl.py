@@ -76,8 +76,8 @@ class MHLIndex(DH2HIndex):
         """Stage-3 query: H2H label lookup (fastest)."""
         labels = self._require_built()
         store = self._label_store()
-        if store is not None and store.query_fn is not None:
-            return store.query_fn(source, target)
+        if store is not None:
+            return store.query(source, target)
         return labels.query(source, target)
 
     def query_at_stage(self, source: int, target: int, stage: MHLQueryStage) -> float:

@@ -23,10 +23,7 @@ from dataclasses import dataclass
 from functools import partial
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
-try:
-    import numpy as np
-except ImportError:  # pragma: no cover - exercised only without numpy
-    np = None
+import numpy as np
 
 from repro import obs
 from repro.base import DistanceIndex, StageTiming, Timer, UpdateReport
@@ -43,19 +40,6 @@ from repro.psp.partition_family import PartitionIndexFamily
 from repro.registry import IndexSpec, register_spec
 
 INF = math.inf
-
-
-def _scalar_query(store, reader: bool) -> Optional[Callable[[int, int], float]]:
-    """Scalar distance function of a frozen store; ``None`` when the store is
-    absent or has no scalar kernel (a LabelStore without the native backend)
-    and the caller may fall back to its live structures.  A store ``reader``
-    may not (they are stale), so its LabelStore answers one pair through the
-    (bit-identical) numpy batch path instead."""
-    if isinstance(store, LabelStore):
-        if store.query_fn is None and reader:
-            return lambda s, t: store.query_pairs(((s, t),))[0]
-        return store.query_fn
-    return store.query if store is not None else None
 
 
 def _concat_min(
@@ -186,8 +170,7 @@ class NoBoundaryPSPIndex(DistanceIndex):
     # underlying ones (no labels) into :class:`ShortcutStore`\ s.
     # Per-partition stores are memoised under distinct keys so a query batch
     # touching one partition never freezes the others.  Every fetcher falls
-    # back to the pure-Python structures when ``use_kernels`` is off or a
-    # store has no scalar kernel.
+    # back to the pure-Python structures when no store is frozen.
     # ------------------------------------------------------------------
     def _store_for(self, key: str, labels, contraction):
         def freeze():
@@ -218,18 +201,16 @@ class NoBoundaryPSPIndex(DistanceIndex):
 
     def _overlay_fetcher(self) -> Callable[[int, int], float]:
         """``(b1, b2) -> d`` between boundary vertices on the overlay."""
-        return (
-            _scalar_query(self._overlay_store(), self.store_reader)
-            or self.overlay.query
-        )
+        store = self._overlay_store()
+        return store.query if store is not None else self.overlay.query
 
     def _local_distance(
         self, family: PartitionIndexFamily, pid: int, source: int, target: int
     ) -> float:
         """Distance inside ``family``'s graph of partition ``pid``."""
-        query = _scalar_query(self._family_store(family, pid), self.store_reader)
-        if query is not None:
-            return query(source, target)
+        store = self._family_store(family, pid)
+        if store is not None:
+            return store.query(source, target)
         return family.query(pid, source, target)
 
     def _to_boundary(
@@ -318,7 +299,7 @@ class NoBoundaryPSPIndex(DistanceIndex):
         # With a frozen overlay store, collapse the double loops over
         # boundary sets into one numpy broadcast over a memoised overlay
         # distance block per boundary-set pair (see _attach_vector_concat).
-        if np is not None and self._overlay_store() is not None:
+        if self._overlay_store() is not None:
             self._attach_vector_concat(cached_overlay)
 
         return [

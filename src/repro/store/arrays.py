@@ -1,41 +1,34 @@
-"""Flat-array payloads of an index snapshot: ``.npz`` with mmap, JSON fallback.
+"""Flat-array payload of an index snapshot: an aligned ``.npz`` read by mmap.
 
 A snapshot's structural metadata lives in a small JSON tree (see
 ``repro.store.snapshot``); every bulk array — CSR label data, contraction
 orders, supporter lists, edge arrays — is pulled out of that tree into a
-single *payload* file and referenced by name.  Two backends implement the
-payload:
+single *payload* file and referenced by name.  The payload is an
+``np.load``-compatible uncompressed archive written by
+:func:`_write_aligned_npz`, which pads each member to a 64-byte data offset
+(plain ``np.savez`` leaves member alignment to chance).  Because members are
+stored with ``ZIP_STORED``, each is a verbatim ``.npy`` byte range inside the
+archive; :class:`ArrayReader` locates those ranges and attaches
+:class:`numpy.memmap` views directly onto them, so loading a snapshot maps
+the flat arrays instead of copying them through the zip layer.  Any
+structural surprise (compressed member, malformed header) degrades to an
+eager in-memory read of that member.
 
-* ``npz`` — an ``np.load``-compatible uncompressed archive written by
-  :func:`_write_aligned_npz`, which pads each member to a 64-byte data
-  offset (plain ``np.savez`` leaves member alignment to chance).  Because
-  members are stored with ``ZIP_STORED``, each is a verbatim ``.npy`` byte
-  range inside the archive; :class:`NpzPayloadReader` locates those ranges
-  and attaches :class:`numpy.memmap` views directly onto them, so loading a
-  snapshot maps the flat arrays instead of copying them through the zip
-  layer.  Any structural surprise (compressed member, malformed header)
-  degrades to an eager in-memory read of that member.
-* ``json`` — a plain JSON object of lists, used when numpy is unavailable
-  (the pure-Python reference paths).  Python's ``json`` round-trips floats
-  through ``repr``, so values survive bit-exactly, including ``inf``.
-
-Both backends raise :class:`~repro.exceptions.SnapshotFormatError` for
-missing or truncated payloads so callers never silently read garbage.
+A missing or truncated payload, or a manifest naming any other payload
+format (the pure-JSON payload of older snapshots included), raises
+:class:`~repro.exceptions.SnapshotFormatError`, so callers never silently
+read garbage.
 """
 
 from __future__ import annotations
 
 import io
-import json
 import os
 import struct
 import zipfile
-from typing import Dict, List, Optional, Sequence, Union
+from typing import Dict, List, Sequence
 
-try:
-    import numpy as np
-except ImportError:  # pragma: no cover - exercised only without numpy
-    np = None
+import numpy as np
 
 from repro.exceptions import SnapshotFormatError
 
@@ -92,51 +85,33 @@ def is_ref(value: object) -> bool:
 class ArrayWriter:
     """Collects named arrays during ``to_state`` and writes one payload file."""
 
-    def __init__(self, backend: Optional[str] = None):
-        if backend is None:
-            backend = "npz" if np is not None else "json"
-        if backend == "npz" and np is None:
-            raise SnapshotFormatError("the 'npz' payload backend requires numpy")
-        if backend not in ("npz", "json"):
-            raise SnapshotFormatError(f"unknown payload backend {backend!r}")
-        self.backend = backend
+    #: The payload format every snapshot manifest records, and its file
+    #: name inside the snapshot directory.
+    backend = "npz"
+    filename = "payload.npz"
+
+    def __init__(self):
         self._arrays: Dict[str, object] = {}
         self._counter = 0
 
     # ------------------------------------------------------------------
-    def _add(self, values: Sequence, dtype: str) -> ArrayRef:
-        name = f"a{self._counter:04d}"
-        self._counter += 1
-        if self.backend == "npz":
-            self._arrays[name] = np.asarray(values, dtype=dtype)
-        else:
-            self._arrays[name] = [
-                int(v) if dtype == "int64" else float(v) for v in values
-            ]
-        return {_REF_KEY: name}
-
-    def put_ints(self, values: Sequence[int]) -> ArrayRef:
-        """Store an int64 array; returns the reference to embed in the state tree."""
-        return self._add(values, "int64")
-
-    def put_floats(self, values: Sequence[float]) -> ArrayRef:
-        """Store a float64 array; returns the reference to embed in the state tree."""
-        return self._add(values, "float64")
-
     def put_array(self, array) -> ArrayRef:
-        """Store an existing numpy array verbatim (npz backend only)."""
-        if self.backend != "npz":
-            raise SnapshotFormatError("raw array payloads require the npz backend")
+        """Store an array verbatim; returns the reference to embed in the
+        state tree."""
         name = f"a{self._counter:04d}"
         self._counter += 1
         self._arrays[name] = np.ascontiguousarray(array)
         return {_REF_KEY: name}
 
-    # ------------------------------------------------------------------
-    @property
-    def filename(self) -> str:
-        return "payload.npz" if self.backend == "npz" else "payload.json"
+    def put_ints(self, values: Sequence[int]) -> ArrayRef:
+        """Store an int64 array; returns the reference to embed in the state tree."""
+        return self.put_array(np.asarray(values, dtype=np.int64))
 
+    def put_floats(self, values: Sequence[float]) -> ArrayRef:
+        """Store a float64 array; returns the reference to embed in the state tree."""
+        return self.put_array(np.asarray(values, dtype=np.float64))
+
+    # ------------------------------------------------------------------
     def write(self, directory: str) -> str:
         """Write the payload file into ``directory``; returns its filename.
 
@@ -149,57 +124,13 @@ class ArrayWriter:
         """
         path = os.path.join(directory, self.filename)
         tmp_path = path + ".tmp"
-        if self.backend == "npz":
-            with open(tmp_path, "wb") as handle:
-                _write_aligned_npz(handle, self._arrays)
-        else:
-            with open(tmp_path, "w") as handle:
-                json.dump(self._arrays, handle)
+        with open(tmp_path, "wb") as handle:
+            _write_aligned_npz(handle, self._arrays)
         os.replace(tmp_path, path)
         return self.filename
 
 
 class ArrayReader:
-    """Common interface of the two payload readers."""
-
-    def _fetch(self, name: str):
-        raise NotImplementedError
-
-    def _resolve(self, ref: ArrayRef):
-        if not is_ref(ref):
-            raise SnapshotFormatError(f"expected an array reference, got {ref!r}")
-        return self._fetch(ref[_REF_KEY])
-
-    def get_list(self, ref: ArrayRef) -> List:
-        """The referenced array as a plain Python list (ints / floats)."""
-        values = self._resolve(ref)
-        return values.tolist() if hasattr(values, "tolist") else list(values)
-
-    def get_array(self, ref: ArrayRef):
-        """The referenced array in its native form (mmap/ndarray, or a list)."""
-        return self._resolve(ref)
-
-
-class JsonPayloadReader(ArrayReader):
-    """Reader for the pure-Python JSON payload."""
-
-    def __init__(self, path: str):
-        try:
-            with open(path) as handle:
-                self._arrays = json.load(handle)
-        except (OSError, ValueError) as exc:
-            raise SnapshotFormatError(f"unreadable JSON payload {path!r}: {exc}") from exc
-        if not isinstance(self._arrays, dict):
-            raise SnapshotFormatError(f"JSON payload {path!r} is not an object")
-
-    def _fetch(self, name: str):
-        try:
-            return self._arrays[name]
-        except KeyError:
-            raise SnapshotFormatError(f"payload is missing array {name!r}") from None
-
-
-class NpzPayloadReader(ArrayReader):
     """Reader for the ``.npz`` payload with mmap-backed member access.
 
     ``numpy.savez`` members are uncompressed ``.npy`` files at known offsets
@@ -210,8 +141,6 @@ class NpzPayloadReader(ArrayReader):
     """
 
     def __init__(self, path: str, mmap: bool = True):
-        if np is None:
-            raise SnapshotFormatError("reading an npz payload requires numpy")
         self._path = path
         self._mmap = mmap
         self._members: Dict[str, zipfile.ZipInfo] = {}
@@ -228,6 +157,16 @@ class NpzPayloadReader(ArrayReader):
                     self._members[name] = info
         except (OSError, zipfile.BadZipFile) as exc:
             raise SnapshotFormatError(f"unreadable npz payload {path!r}: {exc}") from exc
+
+    def get_list(self, ref: ArrayRef) -> List:
+        """The referenced array as a plain Python list (ints / floats)."""
+        return self.get_array(ref).tolist()
+
+    def get_array(self, ref: ArrayRef):
+        """The referenced array (an mmap view where possible)."""
+        if not is_ref(ref):
+            raise SnapshotFormatError(f"expected an array reference, got {ref!r}")
+        return self._fetch(ref[_REF_KEY])
 
     # ------------------------------------------------------------------
     def _mmap_member(self, info: zipfile.ZipInfo):
@@ -289,13 +228,14 @@ class NpzPayloadReader(ArrayReader):
 
 def open_payload(
     directory: str, filename: str, backend: str, mmap: bool = True
-) -> Union[JsonPayloadReader, NpzPayloadReader]:
+) -> ArrayReader:
     """Open the payload file named by a snapshot manifest."""
+    if backend != ArrayWriter.backend:
+        raise SnapshotFormatError(
+            f"snapshot payload backend {backend!r} is not readable (only "
+            f"{ArrayWriter.backend!r} is); re-save the snapshot"
+        )
     path = os.path.join(directory, filename)
     if not os.path.exists(path):
         raise SnapshotFormatError(f"snapshot payload {path!r} does not exist")
-    if backend == "json":
-        return JsonPayloadReader(path)
-    if backend == "npz":
-        return NpzPayloadReader(path, mmap=mmap)
-    raise SnapshotFormatError(f"unknown payload backend {backend!r}")
+    return ArrayReader(path, mmap=mmap)

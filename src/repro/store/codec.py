@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import math
 import threading
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 from repro.graph.graph import Graph
 from repro.store.arrays import ArrayReader, ArrayWriter
@@ -413,7 +413,7 @@ def unpack_overlay(state: Dict[str, object], io: ArrayReader, partitioning, fami
 
 # ----------------------------------------------------------------------
 # Weighted adjacency rows: Dict[int, [(int, float), ...]] as CSR arrays
-# (shared by ShortcutStore / GraphSnapshot / TOAIN's core-label table)
+# (TOAIN's core-label table)
 # ----------------------------------------------------------------------
 def pack_pairs_csr(rows, io: ArrayWriter) -> Dict[str, object]:
     """CSR-serialize ``(vertex, [(neighbor, weight), ...])`` rows in order."""
@@ -476,26 +476,6 @@ def unpack_pair_table(state: Dict[str, object], io: ArrayReader) -> Dict[Tuple[i
 # ----------------------------------------------------------------------
 # Frozen kernel stores (see repro.kernels)
 # ----------------------------------------------------------------------
-def pack_kernel_store(store, io: ArrayWriter) -> Optional[Dict[str, object]]:
-    """Serialize one frozen kernel store, or ``None`` when the backend can't.
-
-    The numpy-backed stores (``LabelStore``, ``HubStore``) are only persisted
-    into npz payloads; the pure-Python stores travel on either backend.
-    """
-    from repro.kernels.graph_snapshot import GraphSnapshot
-    from repro.kernels.hub_store import HubStore
-    from repro.kernels.label_store import LabelStore
-    from repro.kernels.shortcut_store import ShortcutStore
-
-    if isinstance(store, (LabelStore, HubStore)) and io.backend != "npz":
-        return None
-    if isinstance(
-        store, (LabelStore, HubStore, ShortcutStore, GraphSnapshot)
-    ):
-        return store.to_state(io)
-    return None
-
-
 def unpack_kernel_store(state: Dict[str, object], io: ArrayReader, graph: Graph):
     """Reattach one frozen kernel store from its snapshot payload."""
     from repro.kernels.graph_snapshot import GraphSnapshot

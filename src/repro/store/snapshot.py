@@ -4,17 +4,16 @@ A snapshot is a directory::
 
     <path>/
       manifest.json   -- format tag, schema version, method + spec params,
-                         graph fingerprint, payload backend (written last:
-                         its presence marks a complete snapshot)
+                         graph fingerprint (written last: its presence
+                         marks a complete snapshot)
       state.json      -- the JSON state tree produced by ``to_state`` with
                          embedded array references
-      payload.npz     -- flat arrays (numpy backend; mmap-read on load)
-      payload.json    -- flat arrays (pure-Python fallback backend)
+      payload.npz     -- flat arrays (mmap-read on load)
 
 ``save_index`` captures everything the query *and* maintenance paths read,
-plus the frozen kernel stores behind the index's batch query path, so a
-loaded index serves its first query at full speed and accepts update batches
-exactly like the original.  ``load_index`` reverses it: spec resolution
+plus the frozen kernel stores behind the index's batch query path (when the
+C kernel is loaded), so a loaded index serves its first query at full speed
+and accepts update batches exactly like the original.  ``load_index`` reverses it: spec resolution
 through the registry (keyword overrides welcome), graph reconstruction or
 fingerprint verification, ``from_state``, then kernel-store reattachment.
 
@@ -49,13 +48,9 @@ from repro.exceptions import (
     SnapshotVersionError,
 )
 from repro.graph.graph import Graph
+from repro.kernels.native import native_kernel
 from repro.store.arrays import ArrayWriter, open_payload
-from repro.store.codec import (
-    pack_graph,
-    pack_kernel_store,
-    unpack_graph,
-    unpack_kernel_store,
-)
+from repro.store.codec import pack_graph, unpack_graph, unpack_kernel_store
 
 FORMAT = "repro-index-snapshot"
 STORES_FORMAT = "repro-store-generation"
@@ -109,7 +104,6 @@ def _spec_for(index: DistanceIndex):
 def save_index(
     index: DistanceIndex,
     path: str,
-    backend: Optional[str] = None,
     extras: Optional[Dict[str, object]] = None,
     generation: Optional[int] = None,
     atomic: bool = False,
@@ -122,9 +116,6 @@ def save_index(
         Any built, registry-created :class:`~repro.base.DistanceIndex`.
     path:
         Snapshot directory (created if missing, files overwritten).
-    backend:
-        Payload backend: ``"npz"`` (default with numpy) or ``"json"``
-        (pure-Python fallback, always available).
     extras:
         Optional JSON-able metadata recorded in the manifest (e.g. the
         serving engine's epoch).
@@ -144,7 +135,7 @@ def save_index(
         raise SnapshotUnsupportedError("only built indexes can be snapshotted")
     started = time.perf_counter()
     spec = _spec_for(index)
-    writer = ArrayWriter(backend)
+    writer = ArrayWriter()
 
     state: Dict[str, object] = {
         "graph": pack_graph(index.graph, writer),
@@ -194,7 +185,7 @@ def save_stores(index: DistanceIndex, path: str, epoch: int) -> str:
     generation with :func:`load_stores` and serves this epoch through
     :meth:`~repro.base.DistanceIndex.adopt_stores`.
     """
-    writer = ArrayWriter("npz")
+    writer = ArrayWriter()
     state = {"kernels": _pack_kernels(index, writer)}
     manifest = {
         "format": STORES_FORMAT,
@@ -231,17 +222,22 @@ def _pack_kernels(index: DistanceIndex, writer: ArrayWriter) -> Dict[str, object
     if index.use_kernels:
         for key, freezer in index._kernel_exports().items():
             store = freezer()
-            if store is None:
-                continue
-            packed = pack_kernel_store(store, writer)
-            if packed is not None:
-                kernels[key] = packed
+            if store is not None:
+                kernels[key] = store.to_state(writer)
     return kernels
 
 
 def _unpack_kernels(packed_stores: Dict[str, object], reader, graph: Graph) -> Dict[str, object]:
-    """Reattach every packed store; stores this process cannot back are dropped."""
+    """Reattach every packed store — none without the C kernel, which every
+    store answers through (the loading index takes its reference path)."""
     try:
+        for key, packed in packed_stores.items():
+            if "arena" not in packed:
+                raise SnapshotFormatError(
+                    f"kernel store {key!r} predates the arena layout; re-save the snapshot"
+                )
+        if native_kernel() is None:
+            return {}
         stores = {
             key: unpack_kernel_store(packed, reader, graph)
             for key, packed in packed_stores.items()

@@ -9,34 +9,40 @@ from typing import List, Tuple
 
 import pytest
 
-try:
-    import numpy
-except ImportError:  # pragma: no cover - the no-numpy CI job
-    numpy = None
-
 from repro.graph.generators import grid_road_network, random_connected_graph
 from repro.graph.graph import Graph
+from repro.kernels.native import native_kernel, native_kernel_error
 
 
-#: Without numpy ``ClusterEngine`` refuses to start (its readers map npz
-#: store generations); every test that starts one carries this skip.
-NEEDS_NUMPY = pytest.mark.skipif(
-    numpy is None, reason="ClusterEngine needs numpy (npz store generations)"
+#: No frozen store exists without the native C kernel, and a
+#: ``ClusterEngine`` (whose readers serve only stores) refuses to start
+#: without it: every test that inspects a store or starts a cluster carries
+#: this skip, which the pure rung (``REPRO_DISABLE_NATIVE_KERNELS=1``, or no
+#: compiler) takes.
+NEEDS_NATIVE = pytest.mark.skipif(
+    native_kernel() is None,
+    reason=f"native C kernel unavailable: {native_kernel_error()}",
 )
 
 
-def require_numpy() -> None:
-    """Skip the calling test unless a ``ClusterEngine`` can start."""
-    if numpy is None:
-        pytest.skip(NEEDS_NUMPY.kwargs["reason"])
-
-
 def pytest_collection_modifyitems(config, items):
-    """Give the engine-core conformance tests' cluster backend the numpy skip."""
+    """Give the engine-core conformance tests' cluster backend the native skip."""
     for item in items:
         callspec = getattr(item, "callspec", None)
         if callspec is not None and callspec.params.get("make_engine") == "cluster":
-            item.add_marker(NEEDS_NUMPY)
+            item.add_marker(NEEDS_NATIVE)
+
+
+def patch_out_native_kernel(monkeypatch) -> None:
+    """Make the native kernel unavailable until the test ends — the state a
+    machine without a compiler loads.  Every check of the one store rule
+    (``repro.base``, ``repro.store``, ``repro.cluster``) and the maintenance
+    loops read it through ``native_kernel()``, so all of them see ``None``."""
+    from repro.kernels import native
+
+    monkeypatch.setattr(native, "_loaded", True)
+    monkeypatch.setattr(native, "_module", None)
+    monkeypatch.setattr(native, "_failure", "patched out by the test")
 
 
 def paper_example_graph() -> Graph:

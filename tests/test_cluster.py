@@ -38,7 +38,7 @@ from repro.registry import create_index, get_spec
 from repro.serving.engine import ServingEngine
 from repro.store import STORES_FORMAT, load_snapshot_graph, read_manifest, save_index
 from repro.throughput.workload import sample_query_pairs
-from tests.conftest import require_numpy
+from tests.conftest import NEEDS_NATIVE, patch_out_native_kernel
 
 SIDE = 7
 SEED = 7
@@ -87,14 +87,12 @@ NINE_SPECS = {
 
 
 def make_cluster(snapshot, tmp_path, **kwargs):
-    require_numpy()
     kwargs.setdefault("num_workers", 2)
     kwargs.setdefault("publish_dir", str(tmp_path / "gens"))
     return ClusterEngine(snapshot, **kwargs)
 
 
 def cluster_from_index(index, tmp_path, **kwargs):
-    require_numpy()
     return ClusterEngine.from_index(index, str(tmp_path), **kwargs)
 
 
@@ -152,6 +150,7 @@ class TestShardRouter:
 # ----------------------------------------------------------------------
 # Bit-identical answers vs the single-process engine
 # ----------------------------------------------------------------------
+@NEEDS_NATIVE
 class TestBitIdentical:
     def test_fresh_matches_single_process(self, pmhl_snapshot, query_pairs, tmp_path):
         single = ServingEngine.from_snapshot(pmhl_snapshot, cache_capacity=0)
@@ -221,6 +220,7 @@ class TestBitIdentical:
             assert cluster.serve_batch([]) == []
 
 
+@NEEDS_NATIVE
 class TestReaderStart:
     def test_first_readers_inherit_the_maintainers_base(
         self, pmhl_snapshot, query_pairs, tmp_path, monkeypatch
@@ -258,6 +258,7 @@ class TestReaderStart:
 # ----------------------------------------------------------------------
 # Epoch barrier: no torn reads across an update broadcast
 # ----------------------------------------------------------------------
+@NEEDS_NATIVE
 class TestEpochBarrier:
     def test_every_shard_answers_at_the_same_epoch(
         self, pmhl_snapshot, query_pairs, update_batches, tmp_path
@@ -352,6 +353,7 @@ class TestEpochBarrier:
 # ----------------------------------------------------------------------
 # Worker death / hang robustness
 # ----------------------------------------------------------------------
+@NEEDS_NATIVE
 class TestWorkerFailure:
     def test_crash_fails_batch_typed_then_recovers(
         self, pmhl_snapshot, query_pairs, tmp_path
@@ -447,6 +449,7 @@ class TestWorkerFailure:
 # ----------------------------------------------------------------------
 # Graceful shutdown: no orphan processes
 # ----------------------------------------------------------------------
+@NEEDS_NATIVE
 class TestShutdown:
     def test_stop_leaves_no_orphans(self, pmhl_snapshot, query_pairs, tmp_path):
         cluster = make_cluster(pmhl_snapshot, tmp_path, num_workers=3)
@@ -492,6 +495,7 @@ class TestShutdown:
 # ----------------------------------------------------------------------
 # Snapshot republish lifecycle + atomic writes
 # ----------------------------------------------------------------------
+@NEEDS_NATIVE
 class TestRepublish:
     def test_generation_published_after_each_window(
         self, pmhl_snapshot, update_batches, tmp_path
@@ -555,6 +559,7 @@ class TestRepublish:
 # ----------------------------------------------------------------------
 # Readers answer from the maintainer's stores, and from nothing else
 # ----------------------------------------------------------------------
+@NEEDS_NATIVE
 class TestReaderCompleteness:
     @pytest.mark.parametrize("method", sorted(NINE_SPECS))
     def test_readers_match_single_process_and_dijkstra(
@@ -611,7 +616,9 @@ class TestReaderCompleteness:
 # A rejected batch commits nothing
 # ----------------------------------------------------------------------
 class TestRejectedBatch:
-    @pytest.mark.parametrize("backend", ["serving", "cluster"])
+    @pytest.mark.parametrize(
+        "backend", ["serving", pytest.param("cluster", marks=NEEDS_NATIVE)]
+    )
     @pytest.mark.parametrize(
         "bad, error",
         [
@@ -654,6 +661,7 @@ class TestRejectedBatch:
             assert store_generations(tmp_path / "gens") == ["stores-000001"]
 
 
+@NEEDS_NATIVE
 class TestUncommittedBatch:
     @pytest.mark.parametrize("stage", ["write", "adopt"])
     def test_failure_after_the_apply_fails_the_cluster(
@@ -698,6 +706,7 @@ class TestUncommittedBatch:
 # ----------------------------------------------------------------------
 # Stats
 # ----------------------------------------------------------------------
+@NEEDS_NATIVE
 class TestStats:
     def test_stats_report_store_generation_and_adopts(
         self, pmhl_snapshot, update_batches, tmp_path
@@ -715,6 +724,16 @@ class TestStats:
                 assert row["adopts"] == len(update_batches)
                 assert row["epoch"] == len(update_batches)
                 assert "batches_applied" not in row
+
+
+class TestWithoutNativeKernel:
+    def test_cluster_engine_refuses_to_start(self, pmhl_snapshot, tmp_path, monkeypatch):
+        """Readers serve only the maintainer's stores, and no store exists
+        without the C kernel: the cluster refuses typed, naming the reason."""
+        patch_out_native_kernel(monkeypatch)
+        with pytest.raises(ClusterError, match="patched out by the test"):
+            make_cluster(pmhl_snapshot, tmp_path)
+        assert not os.path.exists(tmp_path / "gens")
 
 
 class TestAtomicSnapshotWrites:

@@ -12,29 +12,28 @@ The contract under test (see DESIGN.md §7):
   replay exactly against a fresh Dijkstra oracle;
 * the CSR graph snapshot is additionally keyed to ``graph.version`` so even
   out-of-band graph mutation cannot be served from a stale snapshot;
-* the vectorized numpy batch backend (used when the native C kernel is
-  unavailable) is bit-identical too.
+* without the native C kernel no store is frozen or loaded, and every index
+  answers exactly as its reference path does.
 """
 
 from __future__ import annotations
 
+import json
+import os
 import time
 
+import numpy
 import pytest
-
-try:
-    import numpy
-except ImportError:  # pragma: no cover - the no-numpy CI job
-    numpy = None
 
 from repro.algorithms.dijkstra import bidijkstra, dijkstra_distance
 from repro.graph.generators import grid_road_network
 from repro.graph.updates import generate_update_batch
-from repro.kernels import LabelStore
+from repro.kernels.native import native_kernel
 from repro.registry import create_index, get_spec
 from repro.serving.engine import ServingEngine
 from repro.store.snapshot import load_index, save_index
 from repro.throughput.workload import sample_query_pairs
+from tests.conftest import NEEDS_NATIVE, patch_out_native_kernel
 
 #: All nine registered methods with small-graph construction parameters.
 NINE_SPECS = {
@@ -49,14 +48,6 @@ NINE_SPECS = {
     "PostMHL": get_spec("PostMHL", bandwidth=10, expected_partitions=4),
 }
 
-#: The methods whose labels freeze into a :class:`LabelStore` (the H2H family).
-H2H_FAMILY = ("DH2H", "MHL", "PMHL", "PostMHL")
-
-#: The equivalence/staleness tests run with or without numpy (kernels degrade
-#: to the reference paths); the store-introspection and speedup tests don't.
-needs_numpy = pytest.mark.skipif(
-    numpy is None, reason="numpy-backed label stores unavailable"
-)
 
 
 def _query_pairs(graph):
@@ -160,7 +151,7 @@ class TestPostSnapshotLoadEquivalence:
             abs(a - b) <= 1e-6 * max(1.0, abs(b)) for a, b in zip(scalar, oracle)
         )
 
-    @needs_numpy
+    @NEEDS_NATIVE
     @pytest.mark.parametrize("method", ("BiDijkstra", "DCH", "DH2H", "TOAIN", "PMHL"))
     def test_loaded_stores_share_snapshot_mmap(self, tmp_path, method):
         """Warm-started stores execute over the snapshot's mmap'd buffers —
@@ -182,7 +173,7 @@ class TestPostSnapshotLoadEquivalence:
 
 
 class TestStaleness:
-    @needs_numpy
+    @NEEDS_NATIVE
     def test_update_invalidates_frozen_label_store(self):
         graph = grid_road_network(8, 8, seed=2)
         index = create_index("DH2H", graph)
@@ -233,60 +224,51 @@ class TestStaleness:
         assert engine.maintenance_errors == []
 
 
-class TestVectorizedBackend:
-    @needs_numpy
-    def test_numpy_batch_path_bit_identical_without_native_kernel(self, monkeypatch):
-        import repro.kernels.label_store as label_store_module
+class TestWithoutNativeKernel:
+    """What a machine without a compiler runs: no store exists, so an index
+    answers through its reference path, bit for bit as ``use_kernels=False``
+    does — built fresh, after one batch, and loaded from a snapshot that was
+    saved with the kernel (whose stores must then be ignored)."""
 
-        monkeypatch.setattr(label_store_module, "native_kernel", lambda: None)
-        graph = grid_road_network(8, 8, seed=3)
-        index = create_index("DH2H", graph)
-        index.build()
-        reference = create_index("DH2H", graph.copy(), use_kernels=False)
-        reference.build()
-        pairs = _query_pairs(graph)
-        store = index._label_store()
-        assert isinstance(store, LabelStore) and store.query_fn is None
-        assert index.query_many(pairs) == reference.query_many(pairs)
+    @staticmethod
+    def _answers(index, pairs):
         source = pairs[0][0]
         targets = [t for _, t in pairs]
-        assert index.query_one_to_many(source, targets) == reference.query_one_to_many(
-            source, targets
+        return (
+            [index.query(s, t) for s, t in pairs],
+            index.query_many(pairs),
+            index.query_one_to_many(source, targets),
         )
 
+    @pytest.mark.parametrize("method", sorted(NINE_SPECS))
+    def test_no_store_and_reference_answers(self, method, monkeypatch, tmp_path):
+        spec = NINE_SPECS[method]
+        base = grid_road_network(8, 8, seed=3)
+        saved = create_index(spec, base.copy())
+        saved.build()
+        snapshot = str(tmp_path / "snap")
+        save_index(saved, snapshot)
+        with open(os.path.join(snapshot, "state.json")) as handle:
+            # Stores to ignore on load, wherever the kernel is loaded.
+            assert bool(json.load(handle).get("kernels")) == (native_kernel() is not None)
 
-class TestNoCompilerFallback:
-    @needs_numpy
-    @pytest.mark.parametrize("method", ("BiDijkstra", "DCH", "TOAIN"))
-    def test_search_kernels_fall_back_bit_identically(self, monkeypatch, method):
-        """With the native kernel unavailable, the CSR stores run the
-        pure-Python literal ports — same answers, bit for bit."""
-        import repro.kernels.graph_snapshot as graph_snapshot_module
-        import repro.kernels.label_store as label_store_module
-        import repro.kernels.shortcut_store as shortcut_store_module
-
-        for module in (
-            graph_snapshot_module,
-            label_store_module,
-            shortcut_store_module,
-        ):
-            monkeypatch.setattr(module, "native_kernel", lambda: None)
-        graph = grid_road_network(8, 8, seed=3)
-        index = create_index(NINE_SPECS[method], graph)
-        index.build()
-        reference = create_index(NINE_SPECS[method], graph.copy(), use_kernels=False)
+        patch_out_native_kernel(monkeypatch)
+        fresh = create_index(spec, base.copy())
+        fresh.build()
+        loaded = load_index(snapshot)
+        reference = create_index(spec, base.copy(), use_kernels=False)
         reference.build()
-        pairs = _query_pairs(graph)
-        assert [index.query(s, t) for s, t in pairs] == [
-            reference.query(s, t) for s, t in pairs
-        ]
-        assert index.query_many(pairs) == reference.query_many(pairs)
-        # The fallback really was exercised: no capsule anywhere.
-        frozen = list(index._kernel_stores.values())
-        if index._graph_snapshot_cache is not None:
-            frozen.append(index._graph_snapshot_cache)
-        assert frozen, method
-        assert all(getattr(store, "capsule", None) is None for store in frozen)
+        pairs = _query_pairs(base)
+        batch = generate_update_batch(base, volume=12, seed=9)
+        for stage in ("fresh", "after one batch"):
+            if stage != "fresh":
+                for index in (fresh, loaded, reference):
+                    index.apply_batch(batch)
+            expected = self._answers(reference, pairs)
+            for index in (fresh, loaded):
+                assert self._answers(index, pairs) == expected, (method, stage)
+                assert index._kernel_stores == {}, (method, stage)
+                assert index._graph_snapshot_cache is None, (method, stage)
 
 
 class TestNativeCompileCache:
@@ -312,7 +294,6 @@ class TestNativeCompileCache:
 
 
 class TestArenaRoundTrip:
-    @needs_numpy
     def test_pack_views_and_state_roundtrip(self, tmp_path):
         from repro.kernels.arena import Arena
         from repro.store.arrays import ArrayWriter, open_payload
@@ -331,7 +312,7 @@ class TestArenaRoundTrip:
             assert offset % 64 == 0
             assert arena[name].ctypes.data % 8 == 0
 
-        writer = ArrayWriter("npz")
+        writer = ArrayWriter()
         state = arena.to_state(writer)
         writer.write(str(tmp_path))
         reader = open_payload(str(tmp_path), writer.filename, "npz")
@@ -342,14 +323,13 @@ class TestArenaRoundTrip:
         # view over the snapshot's mmap — shared, not copied.
         assert loaded.is_shared()
 
-    @needs_numpy
     def test_npz_members_are_aligned_mmap_views(self, tmp_path):
         """Every payload member — whatever odd sizes precede it — comes back
         as an 8-byte-aligned memmap view (the property the arena and the C
         kernels depend on; plain ``np.savez`` leaves this to chance)."""
         from repro.store.arrays import ArrayWriter, open_payload
 
-        writer = ArrayWriter("npz")
+        writer = ArrayWriter()
         refs = []
         for size in (1, 3, 7, 11, 2, 5):
             refs.append(writer.put_ints(list(range(size))))
@@ -361,8 +341,8 @@ class TestArenaRoundTrip:
             assert member.ctypes.data % 8 == 0
 
 
+@NEEDS_NATIVE
 class TestKernelSpeedup:
-    @needs_numpy
     def test_h2h_family_batch_at_least_2x_faster(self):
         """Conservative CI bar; bench_kernels.py records the real (~5-10x) gap."""
         base = grid_road_network(14, 14, seed=5)
@@ -387,14 +367,9 @@ class TestKernelSpeedup:
             f"({reference_seconds:.4f}s reference vs {fast_seconds:.4f}s kernels)"
         )
 
-    @needs_numpy
     def test_ch_search_kernel_at_least_2x_faster(self):
         """Conservative CI bar for the native bidirectional-search kernel;
         bench_kernels.py records the real (~15x) gap on the bigger graph."""
-        from repro.kernels.native import native_kernel
-
-        if native_kernel() is None:
-            pytest.skip("native kernel unavailable (no compiler)")
         base = grid_road_network(18, 18, seed=5)
         fast = create_index("DCH", base.copy())
         fast.build()
@@ -418,15 +393,7 @@ class TestKernelSpeedup:
         )
 
 
-def _maintenance_kernel():
-    from repro.kernels.native import native_kernel
-
-    kernel = native_kernel()
-    if kernel is None:
-        pytest.skip("native kernel unavailable (no compiler)")
-    return kernel
-
-
+@NEEDS_NATIVE
 class TestMaintenanceKernels:
     """``recompute_row`` / ``shortcut_row`` over the live containers: what a
     loaded index hands them, and what malformed input must turn into."""
@@ -475,7 +442,7 @@ class TestMaintenanceKernels:
     def test_kernels_match_the_pure_rung_on_every_vertex(self, built):
         from repro.treedec.mde import recompute_shortcut
 
-        kernel = _maintenance_kernel()
+        kernel = native_kernel()
         for v in built.contraction.order:
             assert kernel.recompute_row(*self._row_args(built, v)) == built.labels.dis[v]
             assert kernel.shortcut_row(*self._shortcut_args(built, v)) == [
@@ -489,7 +456,7 @@ class TestMaintenanceKernels:
         container and swaps its class to the plain one."""
         from repro.store.codec import LazyDict, _LoadedDict
 
-        kernel = _maintenance_kernel()
+        kernel = native_kernel()
 
         def lazy(contents):
             return LazyDict(lambda target: target.update(contents))
@@ -510,7 +477,7 @@ class TestMaintenanceKernels:
         assert type(supporters) is _LoadedDict and dict(supporters) == args[1]
 
     def test_inputs_are_not_written(self, built):
-        kernel = _maintenance_kernel()
+        kernel = native_kernel()
         for make, call in (
             (self._row_args, kernel.recompute_row),
             (self._shortcut_args, kernel.shortcut_row),
@@ -521,7 +488,7 @@ class TestMaintenanceKernels:
             assert repr(args) == before
 
     def test_malformed_recompute_row_input_raises(self, built):
-        kernel = _maintenance_kernel()
+        kernel = native_kernel()
         v = self._deep_vertex(built)
         x = built.tree.neighbors(v)[0]
         m = len(built.tree.ancestors[v])
@@ -562,7 +529,7 @@ class TestMaintenanceKernels:
             kernel.recompute_row({}, [v], [])
 
     def test_malformed_shortcut_row_input_raises(self, built):
-        kernel = _maintenance_kernel()
+        kernel = native_kernel()
         v = self._supported_vertex(built)
         # One supported shortcut (v, u) of the row and its first supporter x.
         supporters = built.contraction.supporters
@@ -605,7 +572,7 @@ class TestMaintenanceKernels:
         from repro.graph.updates import EdgeUpdate, UpdateBatch
         from tests.conftest import float_bits
 
-        _maintenance_kernel()
+        native_kernel()
 
         def build_and_update():
             graph = grid_road_network(6, 6, seed=5)

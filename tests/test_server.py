@@ -39,7 +39,7 @@ from repro import obs
 from repro.server.protocol import OP_ERROR, OP_QUERY, OP_RESULT, OP_RETRY, read_frame
 from repro.throughput.workload import sample_query_pairs
 
-from tests.conftest import NEEDS_NUMPY, paper_example_graph
+from tests.conftest import NEEDS_NATIVE, paper_example_graph
 from tests.server_harness import (
     BlockingBackend,
     close_writer,
@@ -395,7 +395,7 @@ class TestEpochConsistency:
 
             self._assert_interleaved_consistency(server_cm, graph, engine)
 
-    @NEEDS_NUMPY
+    @NEEDS_NATIVE
     def test_cluster_engine_no_torn_epochs(self, tmp_path):
         from repro.cluster import ClusterEngine
 
@@ -902,7 +902,7 @@ class TestGather:
                 lambda: running_server(engine), graph, engine
             )
 
-    @NEEDS_NUMPY
+    @NEEDS_NATIVE
     def test_gathered_batch_reports_one_epoch_cluster(self, tmp_path):
         from repro.cluster import ClusterEngine
 

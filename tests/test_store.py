@@ -22,12 +22,8 @@ from __future__ import annotations
 import json
 import os
 
+import numpy
 import pytest
-
-try:
-    import numpy
-except ImportError:  # pragma: no cover - the no-numpy CI job
-    numpy = None
 
 from repro.algorithms.dijkstra import dijkstra_distance
 from repro.exceptions import (
@@ -52,7 +48,7 @@ from repro.store import (
 )
 from repro.throughput.workload import sample_query_pairs
 
-from tests.conftest import index_state_digest, maintenance_structures
+from tests.conftest import NEEDS_NATIVE, index_state_digest, maintenance_structures
 
 #: All nine registered methods with small-graph construction parameters.
 NINE_SPECS = {
@@ -240,16 +236,6 @@ class TestRoundTripFresh:
         fresh.apply_batch(batch_a)
         twice.apply_batch(batch_b)
         assert fresh.query_many(pairs) == twice.query_many(pairs)
-
-    def test_json_backend_round_trip(self, built_indexes, tmp_path):
-        """The pure-JSON payload (the no-numpy fallback) is equivalent."""
-        for method in ("DH2H", "PostMHL"):
-            original = built_indexes[method]
-            path = str(tmp_path / f"json-{method}")
-            save_index(original, path, backend="json")
-            assert read_manifest(path)["payload_backend"] == "json"
-            loaded = load_index(path)
-            _assert_equivalent(original, loaded, _query_pairs(original.graph)[:20])
 
 
 class TestRoundTripPostUpdate:
@@ -440,6 +426,30 @@ class TestCorruptionAndSkew:
         bytes — the directory reads as a typed format error instead."""
         os.remove(os.path.join(snapshot, "manifest.json"))
         with pytest.raises(SnapshotFormatError):
+            load_index(snapshot)
+
+    def test_json_payload_backend_rejected(self, snapshot):
+        """The pure-JSON payload is gone: a manifest naming it is a typed
+        format error, not a reader that half-works."""
+        manifest_path = os.path.join(snapshot, "manifest.json")
+        with open(manifest_path) as handle:
+            manifest = json.load(handle)
+        manifest["payload_backend"] = "json"
+        with open(manifest_path, "w") as handle:
+            json.dump(manifest, handle)
+        with pytest.raises(SnapshotFormatError, match="json"):
+            load_index(snapshot)
+
+    def test_kernel_store_without_arena_rejected(self, snapshot):
+        """A kernel store in the per-array layout that predates the arena
+        has no reader left: a typed format error on either rung."""
+        state_path = os.path.join(snapshot, "state.json")
+        with open(state_path) as handle:
+            state = json.load(handle)
+        state["kernels"] = {"labels": {"kind": "label_store", "verts": {}}}
+        with open(state_path, "w") as handle:
+            json.dump(state, handle)
+        with pytest.raises(SnapshotFormatError, match="arena"):
             load_index(snapshot)
 
     def test_unbuilt_index_rejected(self, tmp_path):
@@ -676,7 +686,7 @@ class TestLazyDictIsADict:
         assert type(lazy).get is dict.get
 
 
-@pytest.mark.skipif(numpy is None, reason="npz payloads require numpy")
+@NEEDS_NATIVE
 class TestKernelReattachment:
     def test_stores_attached_without_refreeze(self, built_indexes, snapshot_dirs):
         """The persisted stores are live immediately after the load."""
@@ -695,19 +705,18 @@ class TestKernelReattachment:
         assert refrozen is not attached
 
 
-@pytest.mark.skipif(numpy is None, reason="npz payloads require numpy")
 class TestNpzPayloadReader:
     def test_interleaved_member_fetches_share_no_file_offset(self, tmp_path, monkeypatch):
         """A fetch that starts while another is mid-header (a second thread,
         or a forked cluster reader and the maintainer it inherited the index
         from) leaves the first one reading its own header: both members come
         back as mmap views with their own contents."""
-        from repro.store.arrays import ArrayWriter, NpzPayloadReader
+        from repro.store.arrays import ArrayReader, ArrayWriter
 
-        writer = ArrayWriter("npz")
+        writer = ArrayWriter()
         first = writer.put_ints(range(10))
         second = writer.put_floats([0.5, 1.5, 2.5])
-        reader = NpzPayloadReader(str(tmp_path / writer.write(str(tmp_path))))
+        reader = ArrayReader(str(tmp_path / writer.write(str(tmp_path))))
         read_magic = numpy.lib.format.read_magic
         nested = {}
 
@@ -726,7 +735,7 @@ class TestNpzPayloadReader:
         assert nested["second"].tolist() == [0.5, 1.5, 2.5]
 
 
-@pytest.mark.skipif(numpy is None, reason="store generations are npz payloads")
+@NEEDS_NATIVE
 class TestStoreGenerations:
     """``save_stores`` / ``load_stores`` + ``adopt_stores``: an index loaded
     from the base snapshot answers a later epoch from the stores another
@@ -744,25 +753,6 @@ class TestStoreGenerations:
         epoch, stores = load_stores(path, reader.graph)
         assert epoch == 1 and set(stores) == set(maintainer._kernel_exports())
         reader.adopt_stores(stores)
-        pairs = _query_pairs(maintainer.graph)
-        assert reader.query_many(pairs) == maintainer.query_many(pairs)
-
-    def test_reader_without_native_kernel_stays_on_the_stores(
-        self, snapshot_dirs, tmp_path, monkeypatch
-    ):
-        """Label stores mapped without the C kernel have no scalar function;
-        the PSP concatenation must still read the adopted stores, never the
-        reader's own (stale) partition and overlay labels."""
-        import repro.kernels.label_store as label_store
-
-        maintainer = load_index(snapshot_dirs["P-TD-P"])
-        reader = load_index(snapshot_dirs["P-TD-P"])
-        maintainer.apply_batch(
-            generate_update_batch(maintainer.graph, UPDATE_VOLUME, seed=23)
-        )
-        path = save_stores(maintainer, str(tmp_path / "stores"), epoch=1)
-        monkeypatch.setattr(label_store, "native_kernel", lambda: None)
-        reader.adopt_stores(load_stores(path, reader.graph)[1])
         pairs = _query_pairs(maintainer.graph)
         assert reader.query_many(pairs) == maintainer.query_many(pairs)
 
