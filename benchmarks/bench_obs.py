@@ -1,16 +1,20 @@
 """Observability overhead benchmark: the disabled fast path must be free.
 
-``repro.obs`` instruments the serving hot path (``serve_batch`` /
-``record_queries``), the kernel freeze path and every ``apply_batch`` stage.
-All of it hides behind a module-level enabled flag; this benchmark measures
-what that flag check costs on a representative serving workload:
+``repro.obs`` instruments the serving hot path (the ``serve_batch`` span),
+the kernel freeze path and every ``apply_batch`` stage.  All of it hides
+behind a module-level enabled flag; this benchmark measures what that flag
+check costs on a representative serving workload:
 
 * ``baseline`` — the same workload with the ``obs`` module reference in the
-  engine / metrics / base hot paths swapped for an inert stub, i.e. the
-  closest dynamic approximation of the pre-instrumentation code,
+  engine core / base hot paths swapped for an inert stub, i.e. the closest
+  dynamic approximation of the pre-instrumentation code,
 * ``disabled`` — instrumentation present, observability off (the shipped
   default), and
 * ``enabled`` — full span + registry recording, for information.
+
+The engine's counters and latency histogram are recorded in every mode: they
+are what ``stats()`` reads, and enabling obs only exposes them in the
+registry (at engine construction), so no mode pays or skips them.
 
 Modes run interleaved over several rounds and the best round per mode is
 compared (minimum wall time is the noise-robust estimator for identical
@@ -30,8 +34,7 @@ import time
 from typing import Dict, List
 
 import repro.base as base_module
-import repro.serving.engine as engine_module
-import repro.serving.metrics as metrics_module
+import repro.serving.core as core_module
 from repro import obs
 from repro.graph.generators import grid_road_network
 from repro.registry import create_index, get_spec
@@ -46,7 +49,7 @@ ROUNDS = 5
 
 #: Modules whose hot paths consult ``obs``; the baseline mode swaps their
 #: module-level ``obs`` reference for :class:`_ObsStub`.
-_HOT_MODULES = (engine_module, metrics_module, base_module)
+_HOT_MODULES = (core_module, base_module)
 
 
 class _NoopSpan:

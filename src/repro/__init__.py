@@ -96,8 +96,9 @@ from repro.registry import (
 from repro.registry import load_index, save_index
 from repro.serving.admission import AdmissionController
 from repro.serving.cache import EpochDistanceCache
+from repro.serving.core import QueryResult
 from repro.serving.driver import MixedWorkloadReport, run_mixed_workload
-from repro.serving.engine import QueryResult, ServingEngine
+from repro.serving.engine import ServingEngine
 from repro.serving.metrics import ServingMetrics
 from repro.serving.router import StageRouter
 from repro.throughput.evaluator import ThroughputEvaluator, ThroughputResult

@@ -1,13 +1,10 @@
-"""Index-free shortest-path algorithms (baselines, ground truth, substrates)."""
+"""Index-free shortest-path algorithms (baselines, ground truth)."""
 
 from repro.algorithms.dijkstra import (
-    all_pairs_boundary_distances,
-    astar,
     bidijkstra,
     dijkstra,
     dijkstra_distance,
     dijkstra_path,
-    restricted_dijkstra,
 )
 
 __all__ = [
@@ -15,7 +12,4 @@ __all__ = [
     "dijkstra_distance",
     "dijkstra_path",
     "bidijkstra",
-    "astar",
-    "restricted_dijkstra",
-    "all_pairs_boundary_distances",
 ]

@@ -1,14 +1,12 @@
-"""Index-free shortest-path algorithms: Dijkstra, bidirectional Dijkstra, A*.
+"""Index-free shortest-path algorithms: Dijkstra and bidirectional Dijkstra.
 
-These serve three roles in the reproduction:
+These serve two roles in the reproduction:
 
 1. *Baselines* — ``BiDijkstra`` is one of the paper's compared methods and the
    Q-Stage-1 fallback of both PMHL and PostMHL (queries are answered by an
    index-free search while the index is stale).
 2. *Ground truth* — every index in the test-suite is validated against plain
    Dijkstra.
-3. *Substrate* — bounded Dijkstra searches are used by the pre-boundary PSP
-   strategy to compute all-pair boundary shortcuts.
 """
 
 from __future__ import annotations
@@ -196,102 +194,3 @@ def bidijkstra(graph: Graph, source: int, target: int) -> float:
             break
     return best
 
-
-def astar(graph: Graph, source: int, target: int) -> float:
-    """A* search using the Euclidean coordinate lower bound.
-
-    Falls back to plain Dijkstra when the graph has no coordinates or when
-    coordinates are not admissible (weights smaller than Euclidean length are
-    possible in synthetic networks, so the heuristic is scaled conservatively).
-    """
-    if not graph.has_coordinates():
-        return dijkstra_distance(graph, source, target)
-    if source == target:
-        return 0.0
-
-    # Derive a conservative scale so the heuristic never overestimates.
-    min_ratio = INF
-    for u, v, w in graph.edges():
-        cu, cv = graph.coordinate(u), graph.coordinate(v)
-        euclid = math.dist(cu, cv)
-        if euclid > 0:
-            min_ratio = min(min_ratio, w / euclid)
-    scale = 0.0 if min_ratio is INF else min_ratio
-
-    target_coord = graph.coordinate(target)
-
-    def heuristic(v: int) -> float:
-        return scale * math.dist(graph.coordinate(v), target_coord)
-
-    dist: Dict[int, float] = {source: 0.0}
-    settled: set = set()
-    heap: List[Tuple[float, int]] = [(heuristic(source), source)]
-    while heap:
-        _, v = heapq.heappop(heap)
-        if v in settled:
-            continue
-        settled.add(v)
-        if v == target:
-            return dist[v]
-        for u, w in graph.neighbors(v).items():
-            nd = dist[v] + w
-            if nd < dist.get(u, INF):
-                dist[u] = nd
-                heapq.heappush(heap, (nd + heuristic(u), u))
-    return INF
-
-
-def restricted_dijkstra(
-    graph: Graph, source: int, allowed: Iterable[int], targets: Optional[Iterable[int]] = None
-) -> Dict[int, float]:
-    """Dijkstra restricted to a vertex subset (used for partition-local searches)."""
-    allowed_set = set(allowed)
-    if source not in allowed_set:
-        raise VertexNotFoundError(source)
-    remaining = set(targets) if targets is not None else None
-    dist: Dict[int, float] = {source: 0.0}
-    settled: Dict[int, float] = {}
-    heap: List[Tuple[float, int]] = [(0.0, source)]
-    while heap:
-        d, v = heapq.heappop(heap)
-        if v in settled:
-            continue
-        settled[v] = d
-        if remaining is not None:
-            remaining.discard(v)
-            if not remaining:
-                break
-        for u, w in graph.neighbors(v).items():
-            if u not in allowed_set:
-                continue
-            nd = d + w
-            if nd < dist.get(u, INF):
-                dist[u] = nd
-                heapq.heappush(heap, (nd, u))
-    return settled
-
-
-def all_pairs_boundary_distances(
-    graph: Graph, boundary: Iterable[int]
-) -> Dict[Tuple[int, int], float]:
-    """All-pair shortest distances among ``boundary`` vertices using Dijkstra.
-
-    This is the *pre-boundary strategy*'s shortcut-construction primitive
-    (Section III-C of the paper): each boundary vertex runs a Dijkstra over
-    the (sub)graph until all other boundary vertices are settled.
-    """
-    boundary_list = sorted(set(boundary))
-    result: Dict[Tuple[int, int], float] = {}
-    for b in boundary_list:  # validate the whole group once, not per search
-        if not graph.has_vertex(b):
-            raise VertexNotFoundError(b)
-    for i, b in enumerate(boundary_list):
-        others = boundary_list[i + 1 :]
-        if not others:
-            continue
-        settled = _dijkstra_settle(graph, b, set(others))
-        for other in others:
-            d = settled.get(other, INF)
-            result[(b, other)] = d
-            result[(other, b)] = d
-    return result

@@ -30,6 +30,7 @@ from typing import Dict, List, Optional, Tuple
 
 from repro import obs
 from repro.exceptions import ClusterError, ClusterWorkerError
+from repro.obs.metrics import Counter
 
 from repro.cluster.worker import worker_main
 
@@ -86,7 +87,8 @@ class Dispatcher:
         #: ``(epoch, path)`` of the newest store generation, which a
         #: (re)spawned reader adopts before answering (no path at epoch 0).
         self.generation: Tuple[int, Optional[str]] = (0, None)
-        self.respawns = 0
+        #: Readers respawned so far (the cluster installs it in the registry).
+        self.respawns = Counter("repro_cluster_respawns_total")
         self._ctx = _pick_context(start_method)
         self._handles: Dict[int, WorkerHandle] = {}
         self._started = False
@@ -192,16 +194,11 @@ class Dispatcher:
             self._destroy(handle)
             raise
         self._handles[worker_id] = handle
-        self.respawns += 1
-        if obs.is_enabled():
-            obs.record_span(
-                "cluster.respawn", time.perf_counter() - started,
-                worker=worker_id, reason=reason,
-            )
-            obs.registry().counter(
-                "repro_cluster_respawns_total",
-                "Workers respawned after death/hang/command failure",
-            ).inc()
+        self.respawns.inc()
+        obs.record_span(
+            "cluster.respawn", time.perf_counter() - started,
+            worker=worker_id, reason=reason,
+        )
 
     # ------------------------------------------------------------------
     # Request plumbing

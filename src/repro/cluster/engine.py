@@ -51,6 +51,7 @@ from repro.exceptions import ClusterError, ClusterWorkerError, EngineStoppedErro
 from repro.graph.graph import Graph
 from repro.graph.updates import UpdateBatch
 from repro.kernels.native import native_kernel, native_kernel_error
+from repro.obs.metrics import MetricRegistry
 from repro.serving.core import MIXED_STAGE, BatchResult, EngineCore
 from repro.store import load_index, read_manifest, save_index, save_stores
 
@@ -154,9 +155,12 @@ class ClusterEngine(EngineCore):
         engine_kwargs.setdefault("publish_dir", workdir)
         return cls(path, **engine_kwargs)
 
-    def _register_obs_gauges(self) -> None:
-        super()._register_obs_gauges()
-        registry = obs.registry()
+    def _register_obs(self, registry: MetricRegistry) -> None:
+        super()._register_obs(registry)
+        registry.install(
+            self._dispatcher.respawns,
+            "Workers respawned after death/hang/command failure",
+        )
         registry.gauge(
             "repro_cluster_workers", "Configured reader process count"
         ).set_function(lambda: self._dispatcher.num_workers)
@@ -357,7 +361,7 @@ class ClusterEngine(EngineCore):
         snapshot = super().stats()
         snapshot["workers"] = self.worker_stats()
         snapshot["num_workers"] = self._dispatcher.num_workers
-        snapshot["respawns"] = self._dispatcher.respawns
+        snapshot["respawns"] = int(self._dispatcher.respawns.value)
         snapshot["generation"] = self._generation
         snapshot["store_generation"] = self._dispatcher.generation[0]
         snapshot["published_snapshots"] = list(self._published)

@@ -237,7 +237,7 @@ def _obs_main(argv: Sequence[str]) -> int:
         graph = base_graph.copy()
         index = create_index(method, graph)
         with obs.span("obs_cli.workload", method=method):
-            with ServingEngine(index, query_threads=2) as engine:
+            with ServingEngine(index) as engine:
                 pairs = list(
                     sample_query_pairs(graph, args.queries, seed=args.seed + 1)
                 )

@@ -70,7 +70,6 @@ def live_serving_rows(
         engine = ServingEngine(
             index,
             response_qos=config.response_qos,
-            query_threads=query_threads,
             cache_capacity=cache_capacity,
             snapshot_limit=0,
         )

@@ -18,8 +18,8 @@ helpers return a shared inert metric — so the instrumented hot paths pay one
 flag check and nothing else (asserted <3 % serving overhead in
 ``benchmarks/bench_obs.py``).  Enable with :func:`enable`, or set
 ``REPRO_OBS=1`` in the environment before the process starts.  Enable
-*before* constructing the objects you want observed: gauge callbacks (e.g.
-the serving engine's epoch/cache gauges) register at construction time.
+*before* constructing the objects you want observed: engines and servers
+install their counters and gauge callbacks at construction time.
 
 See DESIGN.md §10 for the span taxonomy and the metric name catalogue.
 """
@@ -29,13 +29,14 @@ from __future__ import annotations
 import os
 from typing import Dict, Optional
 
-from repro.obs.metrics import Counter, Gauge, Histogram, MetricRegistry
+from repro.obs.metrics import Counter, Gauge, Histogram, LabeledCounter, MetricRegistry
 from repro.obs.tracing import SpanEvent, Tracer
 
 __all__ = [
     "Counter",
     "Gauge",
     "Histogram",
+    "LabeledCounter",
     "MetricRegistry",
     "SpanEvent",
     "Tracer",

@@ -4,14 +4,13 @@ The registry is the single sink every instrumented layer publishes into —
 index builds (``repro.base``), maintenance stages, kernel freezes
 (``repro.kernels``), snapshot save/load (``repro.store``) and the serving
 engine (``repro.serving``) all meet here instead of each keeping a private
-counter silo.  Two exposition formats are built in: a JSON tree
+counter silo.  Objects that report their own counters (an engine's
+``stats()``, a server's) record into instruments they own and
+:meth:`MetricRegistry.install` them, so the registry and ``stats()`` read the
+same objects.  Two exposition formats are built in: a JSON tree
 (:meth:`MetricRegistry.to_json`) for programmatic consumers and the
 Prometheus text format (:meth:`MetricRegistry.to_prometheus`) for scrape
 endpoints and humans.
-
-:class:`Histogram` (log-spaced buckets, O(1) recording, fixed memory) is also
-what :class:`repro.serving.metrics.ServingMetrics` keeps its latencies in, so
-both layers share one implementation and one set of quantile semantics.
 """
 
 from __future__ import annotations
@@ -133,8 +132,8 @@ class Histogram:
     The exact minimum and maximum observed values are tracked alongside the
     buckets, so ``quantile(0.0)`` / ``quantile(1.0)`` return true extremes
     rather than bucket bounds.  Pass ``thread_safe=True`` (the registry does)
-    when recorders race; the serving layer records under its own lock and
-    keeps the lock-free default.
+    when recorders race; an owner that records under its own lock keeps the
+    lock-free default.
     """
 
     def __init__(
@@ -143,6 +142,7 @@ class Histogram:
         max_value: float = 10.0,
         buckets_per_decade: int = 10,
         thread_safe: bool = False,
+        name: str = "",
     ) -> None:
         if min_value <= 0 or max_value <= min_value:
             raise ValueError("require 0 < min_value < max_value")
@@ -156,8 +156,7 @@ class Histogram:
         self._max = 0.0
         self._min_seen = math.inf
         self._lock = threading.Lock() if thread_safe else None
-        # Fixed at construction; labels/name are attached by the registry.
-        self.name = ""
+        self.name = name
         self.labels: LabelKey = ()
 
     def _bucket(self, value: float) -> int:
@@ -258,6 +257,36 @@ class Histogram:
         }
 
 
+class LabeledCounter:
+    """One :class:`Counter` per value of one label, held by the object that
+    records into it (an engine's per-stage query counts, a server's per-op
+    requests).  :attr:`value` sums every series."""
+
+    __slots__ = ("name", "label", "series")
+
+    def __init__(self, name: str, label: str) -> None:
+        self.name = name
+        self.label = label
+        #: ``{label key: counter}`` — the form a registry family holds.
+        self.series: Dict[LabelKey, Counter] = {}
+
+    def labels(self, value: str) -> Counter:
+        """The counter of ``label=value`` (created on first use)."""
+        key = ((self.label, value),)
+        counter = self.series.get(key)
+        if counter is None:
+            # setdefault is atomic: racing first uses share one counter.
+            counter = self.series.setdefault(key, Counter(self.name, key))
+        return counter
+
+    def by_label(self) -> Dict[str, float]:
+        return {key[0][1]: counter.value for key, counter in list(self.series.items())}
+
+    @property
+    def value(self) -> float:
+        return sum(counter.value for counter in list(self.series.values()))
+
+
 class _Family:
     """All instances of one metric name (one per label set)."""
 
@@ -268,6 +297,14 @@ class _Family:
         self.kind = kind
         self.description = description
         self.instances: Dict[LabelKey, object] = {}
+
+
+_INSTRUMENT_KINDS = {
+    Counter: "counter",
+    LabeledCounter: "counter",
+    Gauge: "gauge",
+    Histogram: "histogram",
+}
 
 
 class MetricRegistry:
@@ -286,20 +323,25 @@ class MetricRegistry:
         self._lock = threading.Lock()
         self._families: Dict[str, _Family] = {}
 
+    def _family(self, name: str, kind: str, description: str) -> _Family:
+        """The family of ``name`` (caller holds the lock)."""
+        family = self._families.get(name)
+        if family is None:
+            family = _Family(name, kind, description)
+            self._families[name] = family
+        elif family.kind != kind:
+            raise ValueError(
+                f"metric {name!r} already registered as {family.kind}, "
+                f"cannot re-register as {kind}"
+            )
+        if description and not family.description:
+            family.description = description
+        return family
+
     def _get(self, name: str, kind: str, description: str, labels: Dict[str, object]):
         key = _label_key(labels)
         with self._lock:
-            family = self._families.get(name)
-            if family is None:
-                family = _Family(name, kind, description)
-                self._families[name] = family
-            elif family.kind != kind:
-                raise ValueError(
-                    f"metric {name!r} already registered as {family.kind}, "
-                    f"cannot re-register as {kind}"
-                )
-            if description and not family.description:
-                family.description = description
+            family = self._family(name, kind, description)
             instance = family.instances.get(key)
             if instance is None:
                 if kind == "counter":
@@ -307,8 +349,7 @@ class MetricRegistry:
                 elif kind == "gauge":
                     instance = Gauge(name, key)
                 else:
-                    instance = Histogram(thread_safe=True)
-                    instance.name = name
+                    instance = Histogram(thread_safe=True, name=name)
                     instance.labels = key
                 family.instances[key] = instance
             return instance
@@ -321,6 +362,22 @@ class MetricRegistry:
 
     def histogram(self, name: str, description: str = "", **labels: object) -> Histogram:
         return self._get(name, "histogram", description, labels)
+
+    def install(self, instrument, description: str = "") -> None:
+        """Expose an instrument its owner records into as the registry's
+        series for its name and labels — every series of the name, for a
+        :class:`LabeledCounter` — replacing what was there.
+
+        Owners install at construction, so with several engines or servers
+        in one process the most recently constructed one owns the series.
+        """
+        kind = _INSTRUMENT_KINDS[type(instrument)]
+        with self._lock:
+            family = self._family(instrument.name, kind, description)
+            if isinstance(instrument, LabeledCounter):
+                family.instances = instrument.series
+            else:
+                family.instances[instrument.labels] = instrument
 
     def get(self, name: str, **labels: object):
         """Existing metric instance or ``None`` (never creates)."""

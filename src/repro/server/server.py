@@ -67,6 +67,7 @@ from repro.exceptions import (
     ServerError,
 )
 from repro.graph.updates import EdgeUpdate, UpdateBatch
+from repro.obs.metrics import Counter, LabeledCounter
 from repro.server.protocol import (
     DEFAULT_MAX_FRAME_BYTES,
     OP_APPLY_BATCH,
@@ -187,15 +188,26 @@ class QueryServer:
         self._inflight = 0
         self._shed_streak = 0
         self._service_ewma = 0.0
-        self._requests_total = 0
-        self._retries_total = 0
-        self._errors_total = 0
-        self._connections_total = 0
-        self._gathered_batches_total = 0
-        self._gathered_queries_total = 0
+        #: Every total :meth:`stats` reports, each recorded once here; with
+        #: ``repro.obs`` enabled they are also the registry's series.
+        self._requests = LabeledCounter("repro_server_requests_total", "op")
+        self._retries = LabeledCounter("repro_server_retries_total", "reason")
+        self._errors = LabeledCounter("repro_server_errors_total", "code")
+        self._connections_total = Counter("repro_server_connections_total")
+        self._gathered_batches = Counter("repro_server_gathered_batches_total")
+        self._gathered_queries = Counter("repro_server_gathered_queries_total")
 
         if obs.is_enabled():
             registry = obs.registry()
+            for instrument, description in (
+                (self._requests, "Completed requests"),
+                (self._retries, "RETRY frames sent"),
+                (self._errors, "ERROR frames sent, by code"),
+                (self._connections_total, "Accepted connections"),
+                (self._gathered_batches, "Engine batches served for scalar QUERY frames"),
+                (self._gathered_queries, "Scalar QUERY frames served in gathered batches"),
+            ):
+                registry.install(instrument, description)
             registry.gauge(
                 "repro_server_inflight", "Requests currently executing"
             ).set_function(lambda: self._inflight)
@@ -281,8 +293,7 @@ class QueryServer:
         if task is not None:
             self._conn_tasks.add(task)
         self._connections.add(conn)
-        self._connections_total += 1
-        obs.counter("repro_server_connections_total", "Accepted connections").inc()
+        self._connections_total.inc()
         try:
             await self._read_loop(reader, conn)
         finally:
@@ -307,11 +318,7 @@ class QueryServer:
                 except ProtocolError as exc:
                     # Malformed frame: answer with a typed error; keep the
                     # connection only when the stream is provably still in sync.
-                    self._errors_total += 1
-                    obs.counter(
-                        "repro_server_protocol_errors_total",
-                        "Malformed frames received", code=exc.code,
-                    ).inc()
+                    self._errors.labels(exc.code).inc()
                     await self._safe_send(
                         conn, OP_ERROR, exc.seq or 0,
                         {"code": exc.code, "message": str(exc)},
@@ -333,7 +340,7 @@ class QueryServer:
             )
             return
         if frame.op not in REQUEST_OPS:
-            self._errors_total += 1
+            self._errors.labels("unknown_op").inc()
             await self._safe_send(
                 conn, OP_ERROR, frame.seq,
                 {"code": "unknown_op", "message": f"unknown op {frame.op:#x}"},
@@ -399,8 +406,8 @@ class QueryServer:
             else:
                 self._gather_running = False
         serve_seconds = time.perf_counter() - started
-        self._gathered_batches_total += 1
-        self._gathered_queries_total += len(batch)
+        self._gathered_batches.inc()
+        self._gathered_queries.inc(len(batch))
 
         replies: Dict[_Connection, List[_Reply]] = {}
         served = 0
@@ -470,7 +477,7 @@ class QueryServer:
     ) -> None:
         """Account ``count`` requests answered by one backend call."""
         self._shed_streak = 0
-        self._requests_total += count
+        self._requests.labels(op_name).inc(count)
         # Amortised over the batch, so RETRY waits stay per-request estimates.
         per_request = serve_seconds / count
         alpha = 0.2
@@ -484,9 +491,6 @@ class QueryServer:
             obs.record_span(
                 "server.request", time.perf_counter() - started, op=op_name, size=count
             )
-            obs.counter(
-                "repro_server_requests_total", "Completed requests", op=op_name
-            ).inc(count)
 
     def _execute(self, frame: Frame):
         """Run one request against the backend (executor thread, blocking)."""
@@ -523,28 +527,21 @@ class QueryServer:
         if isinstance(exc, QueryRejectedError):
             # Admission control shed the query — backpressure, not failure.
             return OP_RETRY, seq, self._retry_payload("admission")
-        self._errors_total += 1
         message = str(exc)
         if isinstance(exc, ProtocolError):
             code = exc.code
+        elif isinstance(exc, ReproError):
+            code = _ERROR_CODES.get(type(exc).__name__, "request_failed")
         else:
-            if isinstance(exc, ReproError):
-                code = _ERROR_CODES.get(type(exc).__name__, "request_failed")
-            else:
-                code, message = "internal", f"{type(exc).__name__}: {exc}"
-            obs.counter(
-                "repro_server_errors_total", "Typed request failures", code=code
-            ).inc()
+            code, message = "internal", f"{type(exc).__name__}: {exc}"
+        self._errors.labels(code).inc()
         return OP_ERROR, seq, {"code": code, "message": message}
 
     def _retry_payload(self, reason: str) -> Dict[str, object]:
         self._shed_streak += 1
-        self._retries_total += 1
+        self._retries.labels(reason).inc()
         depth = self._inflight + self._shed_streak
         wait = min(1.0, max(0.001, depth * max(self._service_ewma, 0.0005)))
-        obs.counter(
-            "repro_server_retries_total", "RETRY frames sent", reason=reason
-        ).inc()
         return {
             "reason": reason,
             "queue_depth": depth,
@@ -589,7 +586,7 @@ class QueryServer:
             # The reply outgrew the cap (a packed reply is twice its request):
             # the request still gets its typed answer, and the stream stays
             # in sync because nothing of the oversized frame was written.
-            self._errors_total += 1
+            self._errors.labels(exc.code).inc()
             return encode_frame(OP_ERROR, seq, {"code": exc.code, "message": str(exc)})
 
     async def _drain(self, conn: _Connection) -> None:
@@ -607,16 +604,17 @@ class QueryServer:
     # Introspection
     # ------------------------------------------------------------------
     def stats(self) -> Dict[str, object]:
-        """Server-side counters (the ``stats`` op returns these + backend's)."""
+        """Server-side counters (the ``stats`` op returns these + backend's);
+        a labelled total is the sum over its labels."""
         return {
             "inflight": self._inflight,
             "connections": len(self._connections),
-            "requests_total": self._requests_total,
-            "retries_total": self._retries_total,
-            "errors_total": self._errors_total,
-            "connections_total": self._connections_total,
-            "gathered_batches_total": self._gathered_batches_total,
-            "gathered_queries_total": self._gathered_queries_total,
+            "requests_total": int(self._requests.value),
+            "retries_total": int(self._retries.value),
+            "errors_total": int(self._errors.value),
+            "connections_total": int(self._connections_total.value),
+            "gathered_batches_total": int(self._gathered_batches.value),
+            "gathered_queries_total": int(self._gathered_queries.value),
             "draining": self._draining,
             "max_inflight": self.max_inflight,
             "max_inflight_per_connection": self.max_inflight_per_connection,

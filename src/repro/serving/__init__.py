@@ -14,7 +14,9 @@ Modules
 ``router``     stage-aware dispatch with per-stage validity epochs.
 ``cache``      epoch-versioned LRU distance cache, partition invalidation.
 ``admission``  Lemma-1-style QoS admission control / load shedding.
-``metrics``    QPS counters and p50/p95/p99 latency histograms.
+``metrics``    ``ServingMetrics`` — per-stage counters and p50/p95/p99 latency
+               as ``repro.obs`` instruments, ``snapshot()`` their view, plus
+               the sliding-window QPS.
 ``driver``     closed-loop mixed query/update workload runner (``exp9``).
 ``rwlock``     the reader-writer lock behind the epoch protocol.
 
@@ -34,7 +36,8 @@ from repro.exceptions import EngineStoppedError, QueryRejectedError, ServingErro
 from repro.serving.admission import AdmissionController, AdmissionDecision, AlwaysAdmit
 from repro.serving.cache import OVERLAY, CacheStats, EpochDistanceCache
 from repro.serving.driver import MixedWorkloadReport, run_mixed_workload
-from repro.serving.engine import BatchResult, QueryResult, ServingEngine
+from repro.serving.core import BatchResult, QueryResult
+from repro.serving.engine import ServingEngine
 from repro.serving.metrics import ServingMetrics
 from repro.serving.router import LAST_STAGE, RoutedStage, StageRouter, stage_entries
 from repro.serving.rwlock import RWLock

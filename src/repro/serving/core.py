@@ -34,6 +34,7 @@ from repro.exceptions import (
 )
 from repro.graph.graph import Graph
 from repro.graph.updates import UpdateBatch
+from repro.obs.metrics import MetricRegistry
 from repro.serving.admission import AdmissionController, AlwaysAdmit
 from repro.serving.metrics import ServingMetrics
 
@@ -192,16 +193,18 @@ class EngineCore:
         self._commit_epoch(0)
 
         if obs.is_enabled():
-            self._register_obs_gauges()
+            self._register_obs(obs.registry())
 
-    def _register_obs_gauges(self) -> None:
-        """Re-export engine state as registry gauges (backends add their own).
+    def _register_obs(self, registry: MetricRegistry) -> None:
+        """Expose this engine in the registry (backends add their own series).
 
-        Gauges read live callbacks at exposition time.  The registry is
-        process-wide, so with several engines of one kind the most recently
-        constructed one owns these series (last registration wins).
+        The metrics' counters and histograms are installed as they are, and
+        gauges read live callbacks at exposition time.  The registry is
+        process-wide, so with several engines the most recently constructed
+        one owns these series (``repro_serving_*`` are shared by both
+        backends; the gauges are per backend kind).
         """
-        registry = obs.registry()
+        self.metrics.install(registry)
         registry.gauge(
             f"repro_{self._obs_prefix}_epoch", "Current serving epoch (installed batches)"
         ).set_function(lambda: self._epoch)
@@ -232,10 +235,10 @@ class EngineCore:
         raise NotImplementedError
 
     def _start_backend(self) -> None:
-        raise NotImplementedError
+        """Start whatever the backend runs beside the maintenance worker."""
 
     def _stop_backend(self) -> None:
-        raise NotImplementedError
+        """Stop what :meth:`_start_backend` started."""
 
     # ------------------------------------------------------------------
     # Lifecycle

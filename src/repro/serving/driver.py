@@ -19,7 +19,8 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.exceptions import QueryRejectedError, ServingError
 from repro.graph.updates import UpdateBatch
-from repro.serving.engine import QueryResult, ServingEngine
+from repro.serving.core import QueryResult
+from repro.serving.engine import ServingEngine
 
 
 @dataclass

@@ -1,9 +1,8 @@
 """The live concurrent query-serving engine (the in-process backend).
 
 :class:`ServingEngine` turns any :class:`~repro.base.DistanceIndex` into a
-running service: queries execute on the calling thread (or a small thread
-pool via :meth:`submit`) while update batches install on a dedicated
-maintenance worker — operationalising the paper's core idea that the
+running service: queries execute on the calling thread while update
+batches install on a dedicated maintenance worker — operationalising the paper's core idea that the
 multi-stage indexes keep answering queries, with progressively faster
 algorithms, *while* they are being maintained.  (Lifecycle, admission and
 the update queue are inherited from :class:`~repro.serving.core.EngineCore`.)
@@ -41,14 +40,13 @@ the epoch it reports — the invariant the serving tests enforce.
 from __future__ import annotations
 
 import time
-from concurrent.futures import Future, ThreadPoolExecutor
 from typing import Dict, List, Optional
 
 from repro import obs
 from repro.base import DistanceIndex, QueryPair, StageTiming, UpdateReport
-from repro.exceptions import EngineStoppedError, ServingError
 from repro.graph.graph import Graph
 from repro.graph.updates import UpdateBatch
+from repro.obs.metrics import MetricRegistry
 from repro.serving.admission import AdmissionController
 from repro.serving.cache import EpochDistanceCache
 from repro.serving.core import (
@@ -56,10 +54,14 @@ from repro.serving.core import (
     MIXED_STAGE,
     BatchResult,
     EngineCore,
-    QueryResult,
 )
 from repro.serving.router import RoutedStage, StageRouter
 from repro.serving.rwlock import RWLock
+
+#: How long the maintenance worker leaves the index lock open at each stage
+#: boundary of :meth:`ServingEngine._install`, so queued readers can use the
+#: just-released stage.
+STAGE_GRACE_SECONDS = 0.0005
 
 
 class ServingEngine(EngineCore):
@@ -72,8 +74,6 @@ class ServingEngine(EngineCore):
     response_qos:
         Optional ``R*_q`` bound in seconds — enables Lemma-1-style admission
         control (:mod:`repro.serving.admission`).  ``None`` admits everything.
-    query_threads:
-        Pool size for the asynchronous :meth:`submit` API.
     cache_capacity:
         LRU distance-cache capacity; ``0`` disables caching.  The cache
         fronts search stages only — an index whose final stage is a label
@@ -82,9 +82,6 @@ class ServingEngine(EngineCore):
     snapshot_limit:
         How many per-epoch graph snapshots to retain for :meth:`graph_at`
         (used by correctness oracles); ``0`` disables snapshotting.
-    stage_grace_seconds:
-        How long the maintenance worker leaves the index lock open at each
-        stage boundary so queued readers can use the just-released stage.
     """
 
     _obs_prefix = "serving"
@@ -93,29 +90,21 @@ class ServingEngine(EngineCore):
         self,
         index: DistanceIndex,
         response_qos: Optional[float] = None,
-        query_threads: int = 2,
         cache_capacity: int = 4096,
         snapshot_limit: int = 16,
-        stage_grace_seconds: float = 0.0005,
         admission: Optional[AdmissionController] = None,
     ) -> None:
-        if query_threads < 1:
-            raise ServingError(f"query_threads must be >= 1, got {query_threads}")
         if not index.is_built:
             index.build()
         self.index = index
         self.router = StageRouter(index)
         self.cache = EpochDistanceCache(cache_capacity) if cache_capacity > 0 else None
-        self.stage_grace_seconds = stage_grace_seconds
         self._graph_rw = RWLock()
         self._index_rw = RWLock()
-        self._query_threads = query_threads
-        self._pool: Optional[ThreadPoolExecutor] = None
         super().__init__(response_qos, admission, snapshot_limit)
 
-    def _register_obs_gauges(self) -> None:
-        super()._register_obs_gauges()
-        registry = obs.registry()
+    def _register_obs(self, registry: MetricRegistry) -> None:
+        super()._register_obs(registry)
         registry.gauge(
             "repro_serving_inflight", "Queries currently executing"
         ).set_function(lambda: self._inflight)
@@ -133,16 +122,6 @@ class ServingEngine(EngineCore):
                 "repro_serving_admission_sustainable_rate",
                 "Lemma-1 sustainable arrival rate under the configured QoS",
             ).set_function(sustainable)
-
-    def _start_backend(self) -> None:
-        self._pool = ThreadPoolExecutor(
-            max_workers=self._query_threads, thread_name_prefix="repro-serve"
-        )
-
-    def _stop_backend(self) -> None:
-        if self._pool is not None:
-            self._pool.shutdown(wait=True)
-            self._pool = None
 
     # ------------------------------------------------------------------
     # Epochs and snapshots
@@ -209,8 +188,7 @@ class ServingEngine(EngineCore):
                 # released stage get a consistent window before the next
                 # update stage starts mutating.
                 self._index_rw.release_write()
-                if self.stage_grace_seconds > 0:
-                    time.sleep(self.stage_grace_seconds)
+                time.sleep(STAGE_GRACE_SECONDS)
                 self._index_rw.acquire_write()
 
         index.set_stage_listener(on_stage)
@@ -293,12 +271,6 @@ class ServingEngine(EngineCore):
         if stage.final and len(pairs) > 1:
             return self.index.query_many(pairs)
         return [stage.query(source, target) for source, target in pairs]
-
-    def submit(self, source: int, target: int) -> "Future[QueryResult]":
-        """Asynchronous :meth:`serve` on the engine's query pool."""
-        if not self._running or self._pool is None:
-            raise EngineStoppedError("submit on a stopped engine; call start()")
-        return self._pool.submit(self.serve, source, target)
 
     def _cache_put(self, source: int, target: int, distance: float, epoch: int) -> None:
         tags = (self.index.vertex_partition(source), self.index.vertex_partition(target))

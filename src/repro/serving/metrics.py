@@ -5,11 +5,11 @@ The throughput experiments report the *analytic* maximum sustainable rate
 *measured* figures — queries actually served per second and p50/p95/p99
 response-time quantiles — so the two can be cross-checked (``exp9``).
 
-:class:`ServingMetrics` keeps its latencies in the shared
-:class:`repro.obs.metrics.Histogram` (1 µs – 10 s, 10 buckets per decade);
-when ``repro.obs`` is enabled it additionally mirrors every recorded event
-into the process-wide metric registry (``repro_serving_*`` series), so the
-legacy :meth:`ServingMetrics.snapshot` and the registry always agree.
+:class:`ServingMetrics` records every count into :mod:`repro.obs.metrics`
+instruments it owns, and :meth:`ServingMetrics.snapshot` reads them.  With
+``repro.obs`` enabled the engine installs the same instruments as the
+registry's ``repro_serving_*`` series (:meth:`ServingMetrics.install`), so the
+two views cannot disagree.
 """
 
 from __future__ import annotations
@@ -19,12 +19,11 @@ import time
 from collections import deque
 from typing import Dict, Mapping, Optional
 
-from repro import obs
-from repro.obs.metrics import Histogram
+from repro.obs.metrics import Counter, Histogram, LabeledCounter, MetricRegistry
 
 
 class ServingMetrics:
-    """Thread-safe counters for one :class:`~repro.serving.engine.ServingEngine`.
+    """Thread-safe counters for one serving engine.
 
     Tracks served/shed query counts, a per-stage breakdown (which query stage
     actually answered — the live counterpart of the paper's Figure 13), cache
@@ -35,19 +34,30 @@ class ServingMetrics:
     def __init__(self, clock=time.monotonic, window_seconds: float = 2.0) -> None:
         self._clock = clock
         self._window = window_seconds
+        #: Guards the sliding window and the (lock-free) latency histogram.
         self._lock = threading.Lock()
         self._started = clock()
-        self._served = 0
-        self._shed = 0
-        self._cache_hits = 0
-        self._by_stage: Dict[str, int] = {}
-        self._latency = Histogram(min_value=1e-6, max_value=10.0, buckets_per_decade=10)
+        self._queries = LabeledCounter("repro_serving_queries_total", "stage")
+        self._shed = Counter("repro_serving_queries_shed_total")
+        self._cache_hits = Counter("repro_serving_cache_hits_total")
+        self._latency = Histogram(name="repro_serving_latency_seconds")
+        self._batches = Counter("repro_serving_maintenance_batches_total")
+        self._maintenance = Histogram(
+            name="repro_serving_maintenance_seconds", thread_safe=True
+        )
         #: ``(timestamp, queries)`` per recorded batch inside the window, and
         #: the running sum of their counts.
         self._recent: deque = deque()
         self._recent_total = 0
-        self._batches = 0
-        self._batch_seconds = 0.0
+
+    def install(self, registry: MetricRegistry) -> None:
+        """Expose these instruments as the registry's ``repro_serving_*`` series."""
+        registry.install(self._queries, "Queries served, by answering stage")
+        registry.install(self._shed, "Queries shed by admission control")
+        registry.install(self._cache_hits, "Queries answered from the cache")
+        registry.install(self._latency, "Per-query response time")
+        registry.install(self._batches, "Installed update batches")
+        registry.install(self._maintenance, "Wall time per installed batch")
 
     # ------------------------------------------------------------------
     def record_queries(
@@ -57,35 +67,21 @@ class ServingMetrics:
         to how many of the batch's queries it answered, ``latency_seconds`` is
         the per-query (amortised) latency they all share.
 
-        One lock, one weighted histogram sample and one window entry per
-        batch, whatever its size.
+        One weighted histogram sample and one window entry per batch,
+        whatever its size.
         """
-        served = sum(stage_counts.values())
+        served = 0
+        for stage, count in stage_counts.items():
+            self._queries.labels(stage).inc(count)
+            served += count
+        if cache_hits:
+            self._cache_hits.inc(cache_hits)
         now = self._clock()
         with self._lock:
-            self._served += served
-            self._cache_hits += cache_hits
-            by_stage = self._by_stage
-            for stage, count in stage_counts.items():
-                by_stage[stage] = by_stage.get(stage, 0) + count
             self._latency.record(latency_seconds, served)
             self._recent.append((now, served))
             self._recent_total += served
             self._trim(now)
-        if obs.is_enabled():
-            registry = obs.registry()
-            for stage, count in stage_counts.items():
-                registry.counter(
-                    "repro_serving_queries_total", "Queries served, by answering stage",
-                    stage=stage,
-                ).inc(count)
-            if cache_hits:
-                registry.counter(
-                    "repro_serving_cache_hits_total", "Queries answered from the cache"
-                ).inc(cache_hits)
-            registry.histogram(
-                "repro_serving_latency_seconds", "Per-query response time"
-            ).record(latency_seconds, served)
 
     def record_query(self, stage: str, latency_seconds: float, from_cache: bool = False) -> None:
         """One served query: :meth:`record_queries` with a batch of one."""
@@ -99,36 +95,20 @@ class ServingMetrics:
             self._recent_total -= recent.popleft()[1]
 
     def record_shed(self) -> None:
-        with self._lock:
-            self._shed += 1
-        if obs.is_enabled():
-            obs.registry().counter(
-                "repro_serving_queries_shed_total", "Queries shed by admission control"
-            ).inc()
+        self._shed.inc()
 
     def record_batch(self, wall_seconds: float) -> None:
-        with self._lock:
-            self._batches += 1
-            self._batch_seconds += wall_seconds
-        if obs.is_enabled():
-            registry = obs.registry()
-            registry.counter(
-                "repro_serving_maintenance_batches_total", "Installed update batches"
-            ).inc()
-            registry.histogram(
-                "repro_serving_maintenance_seconds", "Wall time per installed batch"
-            ).record(wall_seconds)
+        self._batches.inc()
+        self._maintenance.record(wall_seconds)
 
     # ------------------------------------------------------------------
     @property
     def queries_served(self) -> int:
-        with self._lock:
-            return self._served
+        return int(self._queries.value)
 
     @property
     def queries_shed(self) -> int:
-        with self._lock:
-            return self._shed
+        return int(self._shed.value)
 
     def qps(self, window_seconds: Optional[float] = None) -> float:
         """Served queries per second over the sliding window.
@@ -150,23 +130,25 @@ class ServingMetrics:
 
     def lifetime_qps(self) -> float:
         elapsed = self._clock() - self._started
-        with self._lock:
-            served = self._served
-        return served / elapsed if elapsed > 0 else 0.0
+        return self.queries_served / elapsed if elapsed > 0 else 0.0
 
     def snapshot(self) -> Dict[str, object]:
+        served, shed = self.queries_served, self.queries_shed
+        attempted = served + shed
         with self._lock:
-            attempted = self._served + self._shed
-            return {
-                "queries_served": self._served,
-                "queries_shed": self._shed,
-                "shed_fraction": self._shed / attempted if attempted else 0.0,
-                "cache_hits": self._cache_hits,
-                "by_stage": dict(self._by_stage),
-                "batches_applied": self._batches,
-                "maintenance_seconds": self._batch_seconds,
-                "latency": self._latency_snapshot(),
-            }
+            latency = self._latency_snapshot()
+        return {
+            "queries_served": served,
+            "queries_shed": shed,
+            "shed_fraction": shed / attempted if attempted else 0.0,
+            "cache_hits": int(self._cache_hits.value),
+            "by_stage": {
+                stage: int(count) for stage, count in self._queries.by_label().items()
+            },
+            "batches_applied": int(self._batches.value),
+            "maintenance_seconds": self._maintenance.sum,
+            "latency": latency,
+        }
 
     def _latency_snapshot(self) -> Dict[str, object]:
         """The latency histogram under second-suffixed keys (caller holds the lock)."""

@@ -5,13 +5,10 @@ import math
 import pytest
 
 from repro.algorithms.dijkstra import (
-    all_pairs_boundary_distances,
-    astar,
     bidijkstra,
     dijkstra,
     dijkstra_distance,
     dijkstra_path,
-    restricted_dijkstra,
 )
 from repro.exceptions import VertexNotFoundError
 from repro.graph.generators import grid_road_network, random_connected_graph
@@ -94,46 +91,3 @@ class TestBiDijkstraAndAStar:
     def test_bidijkstra_same_vertex(self):
         graph = paper_example_graph()
         assert bidijkstra(graph, 3, 3) == 0.0
-
-    def test_astar_matches_dijkstra_with_coordinates(self):
-        graph = grid_road_network(7, 7, seed=3)
-        for s, t in random_query_pairs(graph, 20, seed=3):
-            assert astar(graph, s, t) == pytest.approx(dijkstra_distance(graph, s, t))
-
-    def test_astar_without_coordinates_falls_back(self):
-        graph = paper_example_graph()
-        assert astar(graph, 0, 7) == pytest.approx(dijkstra_distance(graph, 0, 7))
-
-
-class TestRestrictedSearch:
-    def test_restricted_to_subset(self):
-        graph = Graph()
-        graph.add_edge(0, 1, 1.0)
-        graph.add_edge(1, 2, 1.0)
-        graph.add_edge(0, 3, 1.0)
-        graph.add_edge(3, 2, 1.0)
-        settled = restricted_dijkstra(graph, 0, allowed=[0, 1, 2])
-        assert settled[2] == 2.0
-
-    def test_source_outside_subset_raises(self):
-        graph = Graph(3)
-        graph.add_edge(0, 1, 1.0)
-        with pytest.raises(VertexNotFoundError):
-            restricted_dijkstra(graph, 0, allowed=[1, 2])
-
-
-class TestBoundaryDistances:
-    def test_all_pairs_boundary(self):
-        graph = grid_road_network(6, 6, seed=2)
-        boundary = [0, 5, 30, 35]
-        pairs = all_pairs_boundary_distances(graph, boundary)
-        for b1 in boundary:
-            for b2 in boundary:
-                if b1 == b2:
-                    continue
-                assert pairs[(b1, b2)] == pytest.approx(dijkstra_distance(graph, b1, b2))
-                assert pairs[(b1, b2)] == pairs[(b2, b1)]
-
-    def test_single_boundary_vertex(self):
-        graph = grid_road_network(3, 3, seed=2)
-        assert all_pairs_boundary_distances(graph, [4]) == {}

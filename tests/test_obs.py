@@ -398,8 +398,11 @@ class TestServingMetrics:
             metrics.record_query("cache", 0.001)
         clock.advance(10.0)
         assert metrics.qps() == 0.0
-        # the stale timestamps were dropped, not just skipped
-        assert len(metrics._recent) == 0
+        assert metrics.qps(window_seconds=0.5) == 0.0
+        # the window forgets; the lifetime counts do not
+        assert metrics.queries_served == 6
+        metrics.record_query("cache", 0.001)
+        assert metrics.qps() == pytest.approx(1 / 2.0)
 
     def test_qps_sub_window(self):
         clock = FakeClock()
@@ -417,12 +420,10 @@ class TestServingMetrics:
         metrics.record_queries({"labels": 60, "cache": 4}, 0.001, cache_hits=4)  # t = 0.0
         clock.advance(1.5)
         metrics.record_queries({"labels": 64}, 0.002)  # t = 1.5
-        assert len(metrics._recent) == 2  # per batch, not per query
         assert metrics.qps() == pytest.approx(128 / 2.0)
         assert metrics.qps(window_seconds=1.0) == pytest.approx(64 / 1.0)
         clock.advance(1.0)  # now 2.5: the first batch aged out, the second did not
         assert metrics.qps() == pytest.approx(64 / 2.0)
-        assert len(metrics._recent) == 1
         snap = metrics.snapshot()
         assert snap["queries_served"] == 128 and snap["cache_hits"] == 4
         assert snap["by_stage"] == {"labels": 124, "cache": 4}
@@ -453,7 +454,10 @@ class TestServingMetrics:
 # Integration: instrumented build + serving registry agreement
 # ----------------------------------------------------------------------
 class TestServingIntegration:
-    def test_registry_agrees_with_legacy_snapshot(self):
+    def test_registry_reads_the_newest_engines_instruments(self):
+        """One store: with two engines in a process the registry's
+        ``repro_serving_*`` series are the newest engine's own instruments,
+        so they equal its ``stats()``, and the older engine keeps its own."""
         obs.enable()
         graph = grid_road_network(6, 6, seed=7)
         index = create_index("PMHL", graph)
@@ -465,34 +469,42 @@ class TestServingIntegration:
         span_names = {event.name for event in obs.tracer().events()}
         assert "pmhl.build" in span_names
 
-        with ServingEngine(index, query_threads=2, cache_capacity=64) as engine:
-            pairs = list(sample_query_pairs(graph, 30, seed=3))
-            engine.query_batch(pairs)
-            for source, target in pairs[:10]:  # repeats: some hit the cache
-                engine.serve(source, target)
-            batch = generate_update_batch(engine.index.graph, volume=5, seed=9)
-            engine.submit_batch(batch)
-            engine.wait_for_maintenance()
-            engine.query_batch(pairs[:8])
-            legacy = engine.metrics.snapshot()
-            epoch_gauge = registry.get("repro_serving_epoch")
-            assert epoch_gauge is not None
-            assert epoch_gauge.value == float(engine.current_epoch) == 1.0
+        pairs = list(sample_query_pairs(graph, 30, seed=3))
+        keys = ("queries_served", "by_stage", "cache_hits", "batches_applied", "latency")
+        with ServingEngine(index, cache_capacity=64) as first:
+            first.query_batch(pairs[:3])
+            first.serve(*pairs[0])
+            first.apply_batch(generate_update_batch(first.index.graph, volume=5, seed=9))
+            first.apply_batch(generate_update_batch(first.index.graph, volume=5, seed=10))
+            before = {key: first.stats()[key] for key in keys}
+            assert before["queries_served"] == 4 and before["batches_applied"] == 2
 
-        # sum the per-stage series directly from the family tree
+            second_index = create_index("DH2H", graph.copy())
+            with ServingEngine(second_index, cache_capacity=0) as second:
+                second.query_batch(pairs[:5])
+                second.apply_batch(
+                    generate_update_batch(second.index.graph, volume=5, seed=11)
+                )
+                stats = second.stats()
+                epoch_gauge = registry.get("repro_serving_epoch")
+                assert epoch_gauge.value == float(second.current_epoch) == 1.0
+            assert {key: first.stats()[key] for key in keys} == before
+
+        assert stats["queries_served"] == 5
         family = registry.to_json()["repro_serving_queries_total"]["series"]
-        served = sum(entry["value"] for entry in family)
-        assert served == legacy["queries_served"]
-
-        latency = registry.get("repro_serving_latency_seconds")
-        assert latency.count == legacy["queries_served"]
-
-        if legacy["cache_hits"]:
-            hits = registry.get("repro_serving_cache_hits_total")
-            assert hits is not None and hits.value == legacy["cache_hits"]
-
-        batches = registry.get("repro_serving_maintenance_batches_total")
-        assert batches.value == legacy["batches_applied"] == 1.0
+        assert sum(entry["value"] for entry in family) == stats["queries_served"]
+        assert {
+            entry["labels"]["stage"]: entry["value"] for entry in family
+        } == stats["by_stage"]
+        assert (
+            registry.get("repro_serving_latency_seconds").count
+            == stats["latency"]["count"] == 5
+        )
+        assert (
+            registry.get("repro_serving_maintenance_batches_total").value
+            == stats["batches_applied"] == 1
+        )
+        assert registry.get("repro_serving_cache_hits_total").value == stats["cache_hits"] == 0
 
         span_names = {event.name for event in obs.tracer().events()}
         assert "serving.install_batch" in span_names
@@ -508,7 +520,7 @@ class TestServingIntegration:
         graph = grid_road_network(4, 4, seed=7)
         index = create_index("BiDijkstra", graph)
         index.build()
-        with ServingEngine(index, query_threads=1) as engine:
+        with ServingEngine(index) as engine:
             engine.serve(0, 5)
         assert obs.registry().names() == []
         assert len(obs.tracer()) == 0

@@ -954,6 +954,46 @@ class TestGather:
             obs.disable()
             obs.reset()
 
+    def test_registry_reads_the_newest_servers_totals(self):
+        """With two servers in one process the registry's ``repro_server_*``
+        totals are the newest server's own counters: they equal its
+        ``stats()``, and the older server's ``stats()`` is untouched."""
+
+        async def serve(server, queries: int, unknown_ops: int) -> None:
+            reader, writer = await open_raw(server)
+            writer.write(b"".join(query_frame(seq, 0, 7) for seq in range(queries)))
+            writer.write(b"".join(make_frame(0x55, 100 + i, b"{}") for i in range(unknown_ops)))
+            frames = await read_frames(reader, queries + unknown_ops)
+            assert sum(f.op == OP_RESULT for f in frames) == queries
+            await close_writer(writer)
+
+        def series_sum(name: str) -> float:
+            return sum(entry["value"] for entry in obs.registry().to_json()[name]["series"])
+
+        async def main(engine):
+            async with running_server(engine) as first:
+                await serve(first, 6, 1)
+                before = first.stats()
+                async with running_server(engine) as second:
+                    await serve(second, 2, 3)
+                    await serve(first, 1, 0)
+                    stats = second.stats()
+                    assert (stats["requests_total"], stats["errors_total"]) == (2, 3)
+                    assert series_sum("repro_server_requests_total") == 2
+                    assert series_sum("repro_server_errors_total") == 3
+                    assert series_sum("repro_server_connections_total") == 1
+                    assert first.stats()["requests_total"] == before["requests_total"] + 1
+                    assert first.stats()["errors_total"] == before["errors_total"] == 1
+
+        obs.reset()
+        obs.enable()
+        try:
+            with build_engine() as engine:
+                run(main(engine))
+        finally:
+            obs.disable()
+            obs.reset()
+
 
 # ----------------------------------------------------------------------
 # Satellite: `repro-experiments serve` CLI end-to-end

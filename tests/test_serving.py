@@ -35,7 +35,6 @@ def _serving_oracle_run(index, graph, *, query_threads, num_batches, seed=3):
     """Drive a mixed workload and replay every answer against Dijkstra."""
     engine = ServingEngine(
         index,
-        query_threads=query_threads,
         snapshot_limit=num_batches + 1,
         cache_capacity=512,
     )
@@ -125,17 +124,7 @@ class TestServingEngineBasics:
         graph = grid_road_network(4, 4, seed=1)
         engine = ServingEngine(BiDijkstraIndex(graph))
         with pytest.raises(EngineStoppedError):
-            engine.submit(0, 5)
-        with pytest.raises(EngineStoppedError):
             engine.submit_batch(generate_update_stream(graph, 1, volume=2, seed=0)[0])
-
-    def test_submit_future_roundtrip(self):
-        graph = grid_road_network(4, 4, seed=1)
-        with ServingEngine(BiDijkstraIndex(graph)) as engine:
-            future = engine.submit(0, 15)
-            assert future.result(timeout=10).distance == pytest.approx(
-                dijkstra_distance(graph, 0, 15)
-            )
 
     def test_maintenance_worker_survives_failed_batch(self):
         from repro.graph.updates import EdgeUpdate, UpdateBatch
