@@ -264,11 +264,12 @@ class DCHIndex(CHIndex):
 class DCHSpec(IndexSpec):
     """Construction spec for the dynamic CH baseline (no knobs).
 
-    DCH's batch plane stays a per-pair loop of the scalar search: its query
-    is a pruned bidirectional search whose result depends on the interleaving
-    of the two frontiers, so any shared-search amortisation would perturb the
-    floating-point rounding of the scalar path.  The native kernel keeps that
-    contract — it loops the identical search in C, one pair at a time.
+    DCH's batch plane stays a per-pair loop of the scalar query, so batch
+    answers equal scalar ones bit for bit.  The native kernel answers each
+    pair with the elimination-tree query: the contraction's upward graph is
+    chordal, so it walks the source's and the target's ancestor chains with
+    no heap, evaluating the same float sums the pure upward search settles
+    (see DESIGN.md, "The native kernels").
     """
 
     method = "DCH"

@@ -9,7 +9,8 @@ state into immutable flat stores (see the per-module docs):
   the index-free stage-1 searches, with a native bidirectional-search /
   one-to-many kernel;
 * :class:`~repro.kernels.shortcut_store.ShortcutStore` — materialised upward
-  adjacency for CH-style bidirectional searches (native scalar + batch);
+  adjacency for CH-style queries, answered natively (scalar + batch) by an
+  elimination-tree walk;
 * :class:`~repro.kernels.hub_store.HubStore` — flattened hub-label table for
   TOAIN's check-in join.
 

@@ -25,16 +25,24 @@
  *    CH-style upward shortcut arrays) for the Dijkstra-family searches:
  *
  *      ids[r]         original vertex id of row r (heap tie-break key),
- *      indptr[r]..    CSR of the adjacency rows (neighbor rows + weights).
+ *      indptr[r]..    CSR of the adjacency rows (neighbor rows + weights),
+ *      parent[r]      elimination-tree parent of row r, computed at build
+ *                     when the rows form one (see tree_parents).
  *
- *    The searches are literal ports of the pure-Python references
- *    (repro.algorithms.dijkstra.bidijkstra / dijkstra_one_to_many /
- *    repro.hierarchy.ch.ch_bidirectional_query): heaps are keyed by (distance, original id)
- *    exactly like heapq's (dist, vertex) tuples, rows relax neighbours in
- *    CSR order (the adjacency-dict iteration order), and every float
- *    operation is the same float64 add/compare -- so the pop sequence, the
- *    relaxation sequence and therefore the returned distances are
- *    bit-identical to the Python searches.
+ *    Two search bodies.  The graph-snapshot searches are literal ports of
+ *    repro.algorithms.dijkstra.bidijkstra / dijkstra_one_to_many: heaps are
+ *    keyed by (distance, original id) exactly like heapq's (dist, vertex)
+ *    tuples, rows relax neighbours in CSR order (the adjacency-dict
+ *    iteration order), and every float operation is the same float64
+ *    add/compare -- so the pop sequence, the relaxation sequence and
+ *    therefore the returned distances are bit-identical to the Python
+ *    searches.  The CH query (repro.hierarchy.ch.ch_bidirectional_query)
+ *    runs over an elimination tree instead: a contraction's upward graph is
+ *    chordal, so a row's upward search space is its ancestor chain and the
+ *    query walks two chains with no heap (see search_tree).  It evaluates
+ *    the same min-of-float-sums the upward Dijkstra settles, so it too is
+ *    bit-identical to the reference.  A CH query over rows that fail the
+ *    check is a ValueError.
  *
  * Neither capsule copies its arrays: buffers are borrowed via the buffer
  * protocol (views held for the capsule's lifetime), so the kernels execute
@@ -440,6 +448,10 @@ typedef struct {
     const int64_t *indptr;
     const int64_t *indices;
     const double *weights;
+    /* Elimination tree of the rows (see tree_parents), or NULL when the rows
+     * do not form one: parent[r] is the lowest upward neighbour of row r, -1
+     * at a root. */
+    int64_t *parent;
     /* Reusable per-query scratch (validity tracked by query stamps, so a new
      * query never pays an O(n) reset).  Guarded by the GIL. */
     int64_t stamp;
@@ -448,23 +460,112 @@ typedef struct {
     double *dist_f, *dist_b;
     double *settled_val;
     Heap heap_f, heap_b;
+    /* Tree-query scratch: +inf everywhere between queries (each query resets
+     * the two ancestor chains it wrote). */
+    double *tree_f, *tree_b;
 } SearchGraph;
+
+static void search_free_scratch(SearchGraph *g) {
+    free(g->dist_stamp_f);
+    free(g->dist_stamp_b);
+    free(g->settled_stamp_f);
+    free(g->settled_stamp_b);
+    free(g->dist_f);
+    free(g->dist_b);
+    free(g->settled_val);
+    g->dist_stamp_f = g->dist_stamp_b = NULL;
+    g->settled_stamp_f = g->settled_stamp_b = NULL;
+    g->dist_f = g->dist_b = g->settled_val = NULL;
+}
+
+static void search_free(SearchGraph *g) {
+    release_views(g->views, S_NVIEWS);
+    search_free_scratch(g);
+    free(g->heap_f.items);
+    free(g->heap_b.items);
+    free(g->parent);
+    free(g->tree_f);
+    free(g->tree_b);
+    free(g);
+}
 
 static void search_destructor(PyObject *capsule) {
     SearchGraph *g = (SearchGraph *)PyCapsule_GetPointer(capsule, SEARCH_CAPSULE);
     if (g != NULL) {
-        release_views(g->views, S_NVIEWS);
-        free(g->dist_stamp_f);
-        free(g->dist_stamp_b);
-        free(g->settled_stamp_f);
-        free(g->settled_stamp_b);
-        free(g->dist_f);
-        free(g->dist_b);
-        free(g->settled_val);
-        free(g->heap_f.items);
-        free(g->heap_b.items);
-        free(g);
+        search_free(g);
     }
+}
+
+/* The elimination-tree check, O(n + m).  The rows form an elimination tree
+ * when (1) every arc goes to a later row, and (2) with parent[v] the lowest
+ * upward neighbour of v, up(v) \ {parent[v]} is a subset of up(parent[v]).
+ * By induction every upward neighbour of v is then an ancestor of v -- the
+ * upward graph is chordal, as a contraction with full fill leaves it -- so the
+ * upward search space of a row is exactly its ancestor chain.  Condition (2)
+ * is checked one parent at a time: up(p) is stamped into a scratch row once,
+ * then each child's row is looked up in it, so every row is scanned at most
+ * twice.  Returns 1 and sets g->parent when both hold, 0 when they do not,
+ * -1 (MemoryError set) when scratch allocation fails. */
+static int tree_parents(SearchGraph *g) {
+    int64_t n = g->n;
+    size_t cells = (size_t)(n > 0 ? n : 1);
+    int64_t *parent = (int64_t *)malloc(cells * sizeof(int64_t));
+    /* first_child / next_sibling lists and the stamp row, one allocation. */
+    int64_t *work = (int64_t *)malloc(3 * cells * sizeof(int64_t));
+    if (parent == NULL || work == NULL) {
+        free(parent);
+        free(work);
+        PyErr_NoMemory();
+        return -1;
+    }
+    int64_t *first_child = work, *next_sibling = work + cells, *stamp = work + 2 * cells;
+    int tree = 1;
+    for (int64_t v = 0; v < n; v++) {
+        first_child[v] = -1;
+        stamp[v] = -1;
+    }
+    for (int64_t v = n - 1; v >= 0 && tree; v--) {
+        int64_t p = -1;
+        for (int64_t e = g->indptr[v]; e < g->indptr[v + 1]; e++) {
+            int64_t u = g->indices[e];
+            if (u <= v) {
+                tree = 0;
+                break;
+            }
+            if (p < 0 || u < p) {
+                p = u;
+            }
+        }
+        parent[v] = p;
+        if (p >= 0) {
+            next_sibling[v] = first_child[p];
+            first_child[p] = v;
+        }
+    }
+    for (int64_t p = 0; p < n && tree; p++) {
+        if (first_child[p] < 0) {
+            continue;
+        }
+        for (int64_t e = g->indptr[p]; e < g->indptr[p + 1]; e++) {
+            stamp[g->indices[e]] = p;
+        }
+        for (int64_t c = first_child[p]; c >= 0 && tree; c = next_sibling[c]) {
+            for (int64_t e = g->indptr[c]; e < g->indptr[c + 1]; e++) {
+                int64_t u = g->indices[e];
+                if (u != p && stamp[u] != p) {
+                    tree = 0;
+                    break;
+                }
+            }
+        }
+    }
+    free(work);
+    if (tree) {
+        g->parent = parent;
+    } else {
+        free(parent);
+    }
+    return tree;
 }
 
 /* search_build(ids, indptr, indices, weights) -> graph capsule */
@@ -505,15 +606,17 @@ static PyObject *search_build(PyObject *self, PyObject *args) {
         }
     }
     if (!valid) {
-        release_views(g->views, S_NVIEWS);
-        free(g);
+        search_free(g);
         PyErr_SetString(PyExc_ValueError, "search-graph CSR arrays are inconsistent");
+        return NULL;
+    }
+    if (tree_parents(g) < 0) {
+        search_free(g);
         return NULL;
     }
     PyObject *capsule = PyCapsule_New(g, SEARCH_CAPSULE, search_destructor);
     if (capsule == NULL) {
-        release_views(g->views, S_NVIEWS);
-        free(g);
+        search_free(g);
     }
     return capsule;
 }
@@ -522,6 +625,9 @@ static SearchGraph *search_from_arg(PyObject *arg) {
     return (SearchGraph *)PyCapsule_GetPointer(arg, SEARCH_CAPSULE);
 }
 
+/* Heap-search scratch, allocated on first use.  All or nothing: a failed
+ * allocation frees and NULLs every array, so the next call retries instead
+ * of finding some arrays set and dereferencing the NULL ones. */
 static int search_scratch(SearchGraph *g) {
     if (g->dist_stamp_f != NULL) {
         return 0;
@@ -537,6 +643,7 @@ static int search_scratch(SearchGraph *g) {
     if (g->dist_stamp_f == NULL || g->dist_stamp_b == NULL ||
         g->settled_stamp_f == NULL || g->settled_stamp_b == NULL ||
         g->dist_f == NULL || g->dist_b == NULL || g->settled_val == NULL) {
+        search_free_scratch(g);
         PyErr_NoMemory();
         return -1;
     }
@@ -544,13 +651,110 @@ static int search_scratch(SearchGraph *g) {
     return 0;
 }
 
-/* Bidirectional search body; `ch_mode` selects the stopping rule:
- *   0 -> GraphSnapshot.bidijkstra:  stop when best <= top_f + top_b
- *   1 -> ShortcutStore.query:       stop when min(top_f, top_b) >= best
- * Both are literal ports (same alternation, same lazy deletion, same float
- * arithmetic) of the Python references. */
+/* Tree-query scratch, the same all-or-nothing rule: both rows or neither. */
+static int tree_scratch(SearchGraph *g) {
+    if (g->tree_f != NULL) {
+        return 0;
+    }
+    size_t n = (size_t)(g->n > 0 ? g->n : 1);
+    g->tree_f = (double *)malloc(n * sizeof(double));
+    g->tree_b = (double *)malloc(n * sizeof(double));
+    if (g->tree_f == NULL || g->tree_b == NULL) {
+        free(g->tree_f);
+        free(g->tree_b);
+        g->tree_f = g->tree_b = NULL;
+        PyErr_NoMemory();
+        return -1;
+    }
+    for (size_t r = 0; r < n; r++) {
+        g->tree_f[r] = Py_HUGE_VAL;
+        g->tree_b[r] = Py_HUGE_VAL;
+    }
+    return 0;
+}
+
+/* Relax the upward arcs of row v at distance d into dist[]. */
+static inline void tree_relax(const SearchGraph *g, double *dist, int64_t v, double d) {
+    const int64_t *nbr = g->indices + g->indptr[v];
+    const int64_t *nbr_end = g->indices + g->indptr[v + 1];
+    const double *wgt = g->weights + g->indptr[v];
+    for (; nbr < nbr_end; nbr++, wgt++) {
+        double nd = d + *wgt;
+        if (nd < dist[*nbr]) {
+            dist[*nbr] = nd;
+        }
+    }
+}
+
+/* Elimination-tree CH query (the query of Customizable Contraction
+ * Hierarchies): the upward search space of a row is its ancestor chain, so
+ * no priority queue is needed.  Walking a chain bottom-up evaluates each
+ * f[v] = min_u fl(f[u] + w(u, v)) over the same arcs, in the same DAG order,
+ * that the upward Dijkstra of ch_bidirectional_query settles, and the answer
+ * is min_v fl(f[v] + b[v]) over the common ancestors -- the value that
+ * search's pruned candidates reduce to, bit for bit (fl(a + w) >= a for
+ * w >= 0, so a row skipped at distance >= best cannot lower best).  Rows are
+ * reset to +inf as soon as they are read, so both chains are clean when the
+ * query returns. */
+static double search_tree(SearchGraph *g, int64_t rs, int64_t rt, int *failed) {
+    *failed = 0;
+    if (rs == rt) {
+        return 0.0;
+    }
+    if (tree_scratch(g) < 0) {
+        *failed = 1;
+        return 0.0;
+    }
+    const int64_t *parent = g->parent;
+    double *f = g->tree_f;
+    double *b = g->tree_b;
+    f[rs] = 0.0;
+    b[rt] = 0.0;
+    /* Step the lower of the two chains until they meet. */
+    int64_t x = rs, y = rt;
+    while (x != y) {
+        int64_t *low = x < y ? &x : &y;
+        double *dist = x < y ? f : b;
+        int64_t v = *low;
+        double d = dist[v];
+        dist[v] = Py_HUGE_VAL;
+        if (d < Py_HUGE_VAL) {
+            tree_relax(g, dist, v, d);
+        }
+        *low = parent[v];
+        if (*low < 0) {
+            /* Different trees of the forest: clear what the other chain
+             * wrote (every row it can still reach is above it). */
+            for (int64_t r = x < 0 ? y : x; r >= 0; r = parent[r]) {
+                f[r] = b[r] = Py_HUGE_VAL;
+            }
+            return Py_HUGE_VAL;
+        }
+    }
+    /* The common ancestors, from the meeting row to the root. */
+    double best = Py_HUGE_VAL;
+    for (int64_t v = x; v >= 0; v = parent[v]) {
+        double fv = f[v], bv = b[v];
+        f[v] = b[v] = Py_HUGE_VAL;
+        double candidate = fv + bv;
+        if (candidate < best) {
+            best = candidate;
+        }
+        if (fv < best) {
+            tree_relax(g, f, v, fv);
+        }
+        if (bv < best) {
+            tree_relax(g, b, v, bv);
+        }
+    }
+    return best;
+}
+
+/* Bidirectional Dijkstra (GraphSnapshot.bidijkstra), a literal port of the
+ * Python reference: same alternation, same lazy deletion, same float
+ * arithmetic, and the same stop rule, best <= top_f + top_b. */
 static double search_bidirectional(SearchGraph *g, int64_t rs, int64_t rt,
-                                   int ch_mode, int *failed) {
+                                   int *failed) {
     *failed = 0;
     if (rs == rt) {
         return 0.0;
@@ -578,14 +782,8 @@ static double search_bidirectional(SearchGraph *g, int64_t rs, int64_t rt,
     while (hf->size > 0 || hb->size > 0) {
         double top_f = hf->size ? hf->items[0].dist : Py_HUGE_VAL;
         double top_b = hb->size ? hb->items[0].dist : Py_HUGE_VAL;
-        if (ch_mode) {
-            if ((top_f <= top_b ? top_f : top_b) >= best) {
-                break;
-            }
-        } else {
-            if (best <= top_f + top_b) {
-                break;
-            }
+        if (best <= top_f + top_b) {
+            break;
         }
         int forward = top_f <= top_b && hf->size > 0;
         if (!forward && hb->size == 0) {
@@ -636,6 +834,36 @@ static double search_bidirectional(SearchGraph *g, int64_t rs, int64_t rt,
     return best;
 }
 
+/* One pair: ch_mode 1 is the CH query (ShortcutStore), which walks the two
+ * ancestor chains; ch_mode 0 is the bidirectional Dijkstra (GraphSnapshot). */
+static inline double search_pair(SearchGraph *g, int64_t rs, int64_t rt,
+                                 int ch_mode, int *failed) {
+    if (ch_mode) {
+        return search_tree(g, rs, rt, failed);
+    }
+    return search_bidirectional(g, rs, rt, failed);
+}
+
+/* A CH query needs the elimination tree: 0, or -1 with ValueError set. */
+static int check_ch_mode(const SearchGraph *g, long ch_mode) {
+    if (ch_mode && g->parent == NULL) {
+        PyErr_SetString(PyExc_ValueError,
+                        "CH query over rows that do not form an elimination tree");
+        return -1;
+    }
+    return 0;
+}
+
+/* is_tree(graph) -> whether the rows form an elimination tree */
+static PyObject *search_is_tree(PyObject *self, PyObject *arg) {
+    (void)self;
+    SearchGraph *g = search_from_arg(arg);
+    if (g == NULL) {
+        return NULL;
+    }
+    return PyBool_FromLong(g->parent != NULL);
+}
+
 /* bidijkstra(graph, rs, rt, ch_mode) -> distance */
 static PyObject *search_query(PyObject *self, PyObject *const *args,
                               Py_ssize_t nargs) {
@@ -655,12 +883,15 @@ static PyObject *search_query(PyObject *self, PyObject *const *args,
     if ((rs == -1 || rt == -1 || ch_mode == -1) && PyErr_Occurred()) {
         return NULL;
     }
+    if (check_ch_mode(g, ch_mode) < 0) {
+        return NULL;
+    }
     if (rs < 0 || rs >= g->n || rt < 0 || rt >= g->n) {
         PyErr_SetString(PyExc_IndexError, "search-graph row out of range");
         return NULL;
     }
     int failed;
-    double result = search_bidirectional(g, rs, rt, ch_mode != 0, &failed);
+    double result = search_pair(g, rs, rt, ch_mode != 0, &failed);
     if (failed) {
         return NULL;
     }
@@ -682,7 +913,7 @@ static PyObject *search_query_pairs(PyObject *self, PyObject *const *args,
         return NULL;
     }
     long ch_mode = PyLong_AsLong(args[4]);
-    if (ch_mode == -1 && PyErr_Occurred()) {
+    if ((ch_mode == -1 && PyErr_Occurred()) || check_ch_mode(g, ch_mode) < 0) {
         return NULL;
     }
     Py_buffer s_view, t_view, out_view;
@@ -714,7 +945,7 @@ static PyObject *search_query_pairs(PyObject *self, PyObject *const *args,
             failed = 1;
             break;
         }
-        out[i] = search_bidirectional(g, rs, rt, ch_mode != 0, &failed);
+        out[i] = search_pair(g, rs, rt, ch_mode != 0, &failed);
         if (failed) {
             break;
         }
@@ -1194,6 +1425,8 @@ static PyMethodDef methods[] = {
     {"search_build", search_build, METH_VARARGS,
      "search_build(ids, indptr, indices, weights) -> CSR search-graph capsule "
      "(buffers borrowed, not copied)"},
+    {"search_is_tree", search_is_tree, METH_O,
+     "search_is_tree(graph) -> True when CH queries walk the elimination tree"},
     {"search_query", (PyCFunction)search_query, METH_FASTCALL,
      "search_query(graph, rs, rt, ch_mode) -> bidirectional-search distance"},
     {"search_query_pairs", (PyCFunction)search_query_pairs, METH_FASTCALL,

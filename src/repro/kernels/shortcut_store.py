@@ -8,12 +8,17 @@ upward adjacency, preserving the source mapping's iteration order, into CSR
 arrays packed in one :class:`~repro.kernels.arena.Arena` (the buffer
 ``repro.store`` serializes and ``repro.cluster`` shards mmap-share).
 
-The native C kernel borrows the arena views and runs the bidirectional upward
-search in C (scalar and batch).  It is a literal port of
-:func:`repro.hierarchy.ch.ch_bidirectional_query` (same relaxation order,
-same heap keys, same float arithmetic), so results are bit-identical to the
-live-dict reference, which is what an index answers through when the kernel
-is not loaded (no store is frozen then).
+The native C kernel borrows the arena views and answers the CH query in C
+(scalar and batch) as an elimination-tree query: rows are frozen in
+contraction order, a contraction's upward graph is chordal, so the upward
+search space of a vertex is its ancestor chain in the elimination tree and
+the query walks the two chains of source and target, with no heap.  The
+kernel checks the tree shape once when the store is built; a store whose rows
+do not form an elimination tree is a ``ValueError``.  The chain walk
+evaluates the same float sums the upward Dijkstra of
+:func:`repro.hierarchy.ch.ch_bidirectional_query` settles, so results are
+bit-identical to that live-dict reference, which is what an index answers
+through when the kernel is not loaded (no store is frozen then).
 """
 
 from __future__ import annotations
@@ -37,9 +42,12 @@ class ShortcutStore:
         ids = arena["ids"]
         self.row = {v: i for i, v in enumerate(ids.tolist())}
         self._remap = build_remap(ids)
-        self.capsule = native_kernel().search_build(
+        kernel = native_kernel()
+        self.capsule = kernel.search_build(
             ids, arena["indptr"], arena["indices"], arena["weights"]
         )
+        if not kernel.search_is_tree(self.capsule):
+            raise ValueError("shortcut store rows do not form an elimination tree")
 
     @classmethod
     def freeze(
@@ -93,10 +101,10 @@ class ShortcutStore:
         return cls(Arena.from_state(state, io))
 
     # ------------------------------------------------------------------
-    # Searches (bit-identical ports of repro.hierarchy.ch)
+    # Searches (bit-identical to repro.hierarchy.ch)
     # ------------------------------------------------------------------
     def query(self, source: int, target: int) -> float:
-        """Bidirectional upward search over the frozen shortcut arrays.
+        """Elimination-tree CH query over the frozen shortcut arrays.
 
         Raises ``KeyError`` for a vertex the store never froze, like the
         dict path would; callers guarantee membership."""

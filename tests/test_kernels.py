@@ -26,9 +26,14 @@ import numpy
 import pytest
 
 from repro.algorithms.dijkstra import bidijkstra, dijkstra_distance
+from repro.exceptions import SnapshotFormatError
 from repro.graph.generators import grid_road_network
+from repro.graph.graph import Graph
 from repro.graph.updates import generate_update_batch
+from repro.hierarchy.ch import ch_bidirectional_query
+from repro.kernels.arena import Arena
 from repro.kernels.native import native_kernel
+from repro.kernels.shortcut_store import ShortcutStore
 from repro.registry import create_index, get_spec
 from repro.serving.engine import ServingEngine
 from repro.store.snapshot import load_index, save_index
@@ -339,6 +344,178 @@ class TestArenaRoundTrip:
             member = reader.get_array(ref)
             assert isinstance(member, numpy.memmap)
             assert member.ctypes.data % 8 == 0
+
+
+#: Every method that freezes a ShortcutStore, and the query stage that reads it.
+CH_STAGES = {
+    "DCH": "query",
+    "MHL": "query_ch",
+    "TOAIN": "query",
+    "N-CH-P": "query",
+    "PMHL": "query_pch",
+    "PostMHL": "query_pch",
+}
+
+
+def _csr_store(rows):
+    """A hand-built ShortcutStore arena: ``rows[r]`` = [(row, weight), ...]."""
+    indptr = [0]
+    indices, weights = [], []
+    for row in rows:
+        indices += [u for u, _ in row]
+        weights += [w for _, w in row]
+        indptr.append(len(indices))
+    return Arena.pack(
+        {
+            "ids": numpy.arange(len(rows), dtype=numpy.int64),
+            "indptr": numpy.asarray(indptr, dtype=numpy.int64),
+            "indices": numpy.asarray(indices, dtype=numpy.int64),
+            "weights": numpy.asarray(weights, dtype=numpy.float64),
+        }
+    )
+
+
+#: Upward rows 0 -> 1 -> 2 with the fill arc 0 -> 2: an elimination tree.
+CHORDAL_ROWS = [[(1, 1.0), (2, 4.0)], [(2, 2.0)], []]
+#: Not elimination trees: an arc to an earlier row, and 0's upward neighbour
+#: 3 missing from its parent 1's row (the fill arc 1 -> 3 is absent).
+DOWNWARD_ROWS = [[(1, 1.0)], [(0, 1.0), (2, 2.0)], []]
+MISSING_FILL_ROWS = [[(1, 1.0), (3, 5.0)], [(2, 2.0)], [(3, 1.0)], []]
+
+
+@NEEDS_NATIVE
+class TestEliminationTreeQuery:
+    """The CH query walks the elimination tree of every shortcut store: each
+    store any method freezes passes the kernel's tree check, and its answers
+    equal the pure rung's bit for bit, fresh and after every kind of batch."""
+
+    @pytest.mark.parametrize("method", sorted(CH_STAGES))
+    def test_every_store_is_a_tree_and_bit_identical(self, method):
+        spec = NINE_SPECS[method]
+        base = grid_road_network(12, 12, seed=4)
+        fast = create_index(spec, base.copy())
+        fast.build()
+        reference = create_index(spec, base.copy(), use_kernels=False)
+        reference.build()
+        pairs = _query_pairs(base)
+        stage = CH_STAGES[method]
+        schedule = [("fresh", None), ("increase", 0.0), ("decrease", 1.0), ("mixed", 0.5)]
+        for seed, (name, decrease_fraction) in enumerate(schedule, start=20):
+            if decrease_fraction is not None:
+                for index in (fast, reference):
+                    index.apply_batch(generate_update_batch(
+                        index.graph, volume=12, seed=seed, decrease_fraction=decrease_fraction
+                    ))
+            answers = [getattr(fast, stage)(s, t) for s, t in pairs]
+            assert answers == [getattr(reference, stage)(s, t) for s, t in pairs], name
+            assert fast.query_many(pairs) == reference.query_many(pairs), name
+            stores = {
+                key: store for key, store in fast._kernel_stores.items()
+                if isinstance(store, ShortcutStore)
+            }
+            assert stores, (method, name)
+            for key, store in stores.items():
+                assert native_kernel().search_is_tree(store.capsule), (method, name, key)
+
+    def test_source_equals_target(self):
+        index = create_index("DCH", grid_road_network(6, 6, seed=1))
+        index.build()
+        store = index._shortcut_store()
+        vertices = list(index.graph.vertices())
+        # query_pairs reaches the C body; the scalar call short-circuits.
+        assert store.query_pairs([(v, v) for v in vertices]) == [0.0] * len(vertices)
+        row = store.row[vertices[3]]
+        assert native_kernel().search_query(store.capsule, row, row, 1) == 0.0
+
+    def test_disconnected_forest_is_inf_on_both_rungs(self):
+        graph = Graph()
+        for offset in (0, 100):  # two 3x3 grids with no edge between them
+            for r in range(3):
+                for c in range(3):
+                    v = offset + 3 * r + c
+                    graph.add_vertex(v)
+                    if c:
+                        graph.add_edge(v - 1, v, 1.0 + c)
+                    if r:
+                        graph.add_edge(v - 3, v, 2.0 + r)
+        fast = create_index("DCH", graph.copy())
+        fast.build()
+        reference = create_index("DCH", graph.copy(), use_kernels=False)
+        reference.build()
+        store = fast._shortcut_store()
+        assert native_kernel().search_is_tree(store.capsule)
+        roots = numpy.count_nonzero(numpy.diff(store.arena["indptr"]) == 0)
+        assert roots == 2
+        vertices = sorted(graph.vertices())
+        pairs = [(s, t) for s in vertices for t in vertices]
+        expected = [reference.query(s, t) for s, t in pairs]
+        assert store.query_pairs(pairs) == expected
+        assert [fast.query(s, t) for s, t in pairs] == expected
+        assert expected[vertices.index(100)] == float("inf")  # (0, 100)
+
+    def test_hand_built_chordal_rows_walk_the_tree(self):
+        store = ShortcutStore(_csr_store(CHORDAL_ROWS))
+        assert native_kernel().search_is_tree(store.capsule)
+        upward = {v: dict(row) for v, row in enumerate(CHORDAL_ROWS)}
+        pairs = [(s, t) for s in range(3) for t in range(3)]
+        assert store.query_pairs(pairs) == [
+            ch_bidirectional_query(s, t, upward.__getitem__) for s, t in pairs
+        ]
+
+    @pytest.mark.parametrize("rows", [DOWNWARD_ROWS, MISSING_FILL_ROWS],
+                             ids=["downward-arc", "missing-fill-arc"])
+    def test_non_chordal_rows_are_refused(self, rows, tmp_path):
+        kernel = native_kernel()
+        arena = _csr_store(rows)
+        capsule = kernel.search_build(
+            arena["ids"], arena["indptr"], arena["indices"], arena["weights"]
+        )
+        assert not kernel.search_is_tree(capsule)
+        # The graph-snapshot search (ch_mode 0) still runs over any CSR ...
+        assert kernel.search_query(capsule, 0, 1, 0) == 1.0
+        # ... but there is no CH query without an elimination tree.
+        with pytest.raises(ValueError):
+            kernel.search_query(capsule, 0, 1, 1)
+        out = numpy.empty(1)
+        rows_0 = numpy.zeros(1, dtype=numpy.int64)
+        with pytest.raises(ValueError):
+            kernel.search_query_pairs(capsule, rows_0, rows_0 + 1, out, 1)
+        with pytest.raises(ValueError):
+            ShortcutStore(arena)
+
+        from repro.store.arrays import ArrayWriter, open_payload
+        from repro.store.snapshot import _unpack_kernels
+
+        writer = ArrayWriter()
+        state = {"ch": dict(arena.to_state(writer), kind="shortcut_store")}
+        writer.write(str(tmp_path))
+        reader = open_payload(str(tmp_path), writer.filename, "npz")
+        with pytest.raises(SnapshotFormatError):
+            _unpack_kernels(state, reader, Graph(len(rows)))
+
+    def test_loaded_and_adopted_stores_stay_trees(self, tmp_path):
+        from repro.store.snapshot import load_stores, save_stores
+
+        index = create_index("DCH", grid_road_network(8, 8, seed=2))
+        index.build()
+        path = str(tmp_path / "snap")
+        save_index(index, path)
+        loaded = load_index(path)
+        store = loaded._shortcut_store()
+        assert store.arena.is_shared()
+        assert native_kernel().search_is_tree(store.capsule)
+
+        reader = load_index(path)
+        index.apply_batch(generate_update_batch(index.graph, volume=10, seed=3))
+        _epoch, stores = load_stores(
+            save_stores(index, str(tmp_path / "stores-000001"), epoch=1), reader.graph
+        )
+        reader.adopt_stores(stores)
+        adopted = reader._shortcut_store()
+        assert adopted.arena.is_shared()
+        assert native_kernel().search_is_tree(adopted.capsule)
+        pairs = _query_pairs(index.graph)
+        assert reader.query_many(pairs) == index.query_many(pairs)
 
 
 @NEEDS_NATIVE
