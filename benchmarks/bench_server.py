@@ -4,8 +4,8 @@ Builds PMHL on a grid road-network analog and drives the asyncio front end
 (:mod:`repro.server`) with the closed-loop async load generator, measuring
 sustained QPS and client-observed p50/p99/p999 per-operation latency for
 
-* the **scalar** plane (one ``query`` frame per round trip),
-* the **pipelined** scalar plane (``--depth`` ``query`` frames in flight per
+* the **scalar** plane (one one-pair ``query_batch`` frame per round trip),
+* the **pipelined** scalar plane (``--depth`` one-pair frames in flight per
   connection — the server gathers them into one engine batch), and
 * the **batch** plane (``query_batch`` frames of ``--batch-size`` pairs),
 
@@ -16,7 +16,7 @@ over both backends the server can front:
 * a 2-worker :class:`~repro.cluster.ClusterEngine` over an mmap snapshot of
   the same index.
 
-The batch plane amortises framing, JSON, and scheduling across
+The batch plane amortises framing, the codec, and scheduling across
 ``--batch-size`` queries per round trip, so the acceptance bar asserted here
 — **batch QPS >= 2x scalar QPS on every backend** — is about the protocol,
 not the cores, and holds on single-core CI.  Beside it, **pipelined scalar
@@ -191,7 +191,8 @@ def main() -> int:
     )
     assert all(c["met"] for c in pipeline_checks), (
         "pipelined scalar plane failed to clear the 1.5x QPS bar over depth-1 "
-        f"scalar (is the server still gathering QUERY frames?): {pipeline_checks}"
+        f"scalar (is the server still gathering query frames into one engine "
+        f"batch?): {pipeline_checks}"
     )
     return 0
 

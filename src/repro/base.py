@@ -280,10 +280,9 @@ class DistanceIndex(abc.ABC):
         """Partition id of ``v``, or ``None`` for unpartitioned indexes.
 
         Partitioned indexes (PMHL, PostMHL, the PSP baselines) override this;
-        the serving engine's distance cache uses it to tag entries so an
-        update batch only evicts the partitions it touches.  ``None`` also
-        denotes overlay vertices of indexes whose overlay lives outside every
-        partition (PostMHL).
+        the cluster's shard router uses it to pin each partition's queries
+        to one worker.  ``None`` also denotes overlay vertices of indexes
+        whose overlay lives outside every partition (PostMHL).
         """
         return None
 

@@ -1,8 +1,8 @@
 """``repro.server`` — the asyncio network query plane.
 
-A length-prefixed binary frame protocol with packed batch payloads
-(:mod:`repro.server.protocol`), an
-asyncio server over a :class:`~repro.serving.engine.ServingEngine` or
+A length-prefixed binary frame protocol in which every query is a packed
+batch (:mod:`repro.server.protocol`), an asyncio server over a
+:class:`~repro.serving.engine.ServingEngine` or
 :class:`~repro.cluster.engine.ClusterEngine` backend with explicit
 backpressure and graceful drain (:mod:`repro.server.server`), a pipelining
 :class:`~repro.server.client.AsyncClient`, and a closed-loop load generator
@@ -19,7 +19,6 @@ from repro.server.protocol import (
     OP_ERROR,
     OP_ONE_TO_MANY,
     OP_PING,
-    OP_QUERY,
     OP_QUERY_BATCH,
     OP_RESULT,
     OP_RETRY,
@@ -45,7 +44,6 @@ __all__ = [
     "write_frame",
     "PROTOCOL_VERSION",
     "DEFAULT_MAX_FRAME_BYTES",
-    "OP_QUERY",
     "OP_QUERY_BATCH",
     "OP_ONE_TO_MANY",
     "OP_APPLY_BATCH",

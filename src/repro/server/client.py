@@ -35,7 +35,6 @@ from repro.server.protocol import (
     OP_ERROR,
     OP_ONE_TO_MANY,
     OP_PING,
-    OP_QUERY,
     OP_QUERY_BATCH,
     OP_RESULT,
     OP_RETRY,
@@ -46,11 +45,12 @@ from repro.server.protocol import (
     encode_frame,
     needs_drain,
 )
+from repro.serving.core import CACHE_STAGE
 
 
 @dataclass(frozen=True)
 class QueryReply:
-    """Scalar query response: the distance plus its serving context."""
+    """Scalar query response (a one-pair batch) with its serving context."""
 
     distance: float
     epoch: int
@@ -60,10 +60,12 @@ class QueryReply:
 
 @dataclass(frozen=True)
 class BatchReply:
-    """Batch/one-to-many response: all distances share one epoch."""
+    """Batch/one-to-many response at one epoch; ``stages[i]`` answered pair
+    ``i`` (``"cache"`` for a cache hit)."""
 
     distances: List[float]
     epoch: int
+    stages: List[str]
 
 
 class AsyncClient:
@@ -210,13 +212,10 @@ class AsyncClient:
         return int(payload["epoch"])
 
     async def query(self, source: int, target: int) -> QueryReply:
-        payload = await self.request(OP_QUERY, {"source": source, "target": target})
-        return QueryReply(
-            distance=payload["distance"],
-            epoch=payload["epoch"],
-            stage=payload["stage"],
-            from_cache=bool(payload.get("from_cache", False)),
-        )
+        """One pair, sent as a one-pair ``QUERY_BATCH``."""
+        reply = await self.query_batch(((source, target),))
+        (distance,), (stage,) = reply.distances, reply.stages
+        return QueryReply(distance, reply.epoch, stage, stage == CACHE_STAGE)
 
     async def query_batch(self, pairs: Iterable[Tuple[int, int]]) -> BatchReply:
         """Packed batch query; a vertex id outside int32 raises

@@ -81,7 +81,7 @@ async def run_closed_loop(
 ) -> LoadReport:
     """Drive the server closed-loop and report client-observed latency/QPS.
 
-    ``batch_size == 0`` issues scalar ``query`` ops (one query per frame);
+    ``batch_size == 0`` issues scalar ``query`` ops (a one-pair frame each);
     ``batch_size > 0`` issues ``query_batch`` ops of that many pairs (per-op
     latency then amortises the frame + dispatch overhead over the batch).
     ``depth`` is the number of requests each connection keeps in flight.

@@ -15,17 +15,17 @@ client-chosen request id, echoed verbatim in the response frame, which is
 what lets a client pipeline many requests over one connection and match
 out-of-order completions.
 
-The batch ops carry **packed** little-endian payloads (version 2), so a batch
-crosses the wire as two column buffers and no text is parsed per pair:
+Every query is a batch (version 3; a scalar query is a batch of one), sent
+as **packed** little-endian columns, so no text is parsed per pair:
 
 * :data:`OP_QUERY_BATCH` — ``n × (int32 source, int32 target)``;
 * :data:`OP_ONE_TO_MANY` — ``int32 source`` then ``n × int32 target``;
-* :data:`OP_DISTANCES` (their response) — ``int64 epoch`` then
-  ``n × float64`` — ``inf`` (an unreachable pair) is bit-exact.
+* :data:`OP_DISTANCES` (their response) — ``int64 epoch``, ``u32 n``,
+  ``n × float64`` (``inf`` bit-exact), ``n × u8`` stage id, then the stage
+  names, UTF-8, ``"\n"``-joined: stage id ``i`` is the ``i``-th name.
 
-Every other op's payload is UTF-8 JSON (the stdlib codec — ``Infinity``
-round-trips): requests :data:`OP_QUERY`, :data:`OP_APPLY_BATCH`,
-:data:`OP_STATS`, :data:`OP_PING`, and the responses
+Every other op's payload is UTF-8 JSON (the stdlib codec): requests
+:data:`OP_APPLY_BATCH`, :data:`OP_STATS`, :data:`OP_PING`, and the responses
 
 * :data:`OP_RESULT` — success, payload is the operation's result object;
 * :data:`OP_ERROR` — typed failure, payload ``{"code", "message"}``;
@@ -34,7 +34,7 @@ round-trips): requests :data:`OP_QUERY`, :data:`OP_APPLY_BATCH`,
 
 Either way :func:`encode_frame` takes and :func:`decode_body` returns the
 payload as a plain mapping (``{"pairs": [(s, t), …]}``, ``{"source",
-"targets"}``, ``{"distances", "epoch"}`` for the packed ops).
+"targets"}``, ``{"distances", "epoch", "stages"}`` for the packed ops).
 
 Framing errors raise the typed exceptions from :mod:`repro.exceptions`
 (:class:`~repro.exceptions.ProtocolError` /
@@ -60,7 +60,7 @@ from repro.exceptions import (
 )
 
 #: Protocol version byte this build speaks.
-PROTOCOL_VERSION = 2
+PROTOCOL_VERSION = 3
 
 #: Bytes of the length prefix.
 HEADER_BYTES = 4
@@ -73,8 +73,7 @@ DEFAULT_MAX_FRAME_BYTES = 8 * 2**20
 READ_BYTES = 65536
 _LENGTH_PREFIX = struct.Struct(">I")
 
-# Request op codes.
-OP_QUERY = 0x01
+# Request op codes (0x01, the retired JSON scalar query, is unknown).
 OP_QUERY_BATCH = 0x02
 OP_ONE_TO_MANY = 0x03
 OP_APPLY_BATCH = 0x04
@@ -88,12 +87,11 @@ OP_RETRY = 0x83
 OP_DISTANCES = 0x84
 
 REQUEST_OPS = frozenset(
-    (OP_QUERY, OP_QUERY_BATCH, OP_ONE_TO_MANY, OP_APPLY_BATCH, OP_STATS, OP_PING)
+    (OP_QUERY_BATCH, OP_ONE_TO_MANY, OP_APPLY_BATCH, OP_STATS, OP_PING)
 )
 RESPONSE_OPS = frozenset((OP_RESULT, OP_ERROR, OP_RETRY, OP_DISTANCES))
 
 OP_NAMES = {
-    OP_QUERY: "query",
     OP_QUERY_BATCH: "query_batch",
     OP_ONE_TO_MANY: "one_to_many",
     OP_APPLY_BATCH: "apply_batch",
@@ -144,9 +142,21 @@ def _encode_one_to_many(payload) -> bytes:
     return _pack(f"<{len(targets) + 1}i", (payload["source"], *targets))
 
 
+#: Distinct stage names one DISTANCES frame can carry (a u8 stage id each).
+MAX_STAGE_NAMES = 256
+
+
 def _encode_distances(payload) -> bytes:
-    distances = payload["distances"]
-    return _pack(f"<q{len(distances)}d", (payload["epoch"], *distances))
+    distances, stages = payload["distances"], payload["stages"]
+    names = list(dict.fromkeys(stages))
+    if len(names) > MAX_STAGE_NAMES or len(stages) != len(distances):
+        raise ProtocolError(
+            f"{len(stages)} stages ({len(names)} distinct) for {len(distances)} "
+            f"distances: one stage a distance, at most {MAX_STAGE_NAMES} names"
+        )
+    ids = bytes(map({name: i for i, name in enumerate(names)}.__getitem__, stages))
+    head = _pack(f"<qI{len(distances)}d", (payload["epoch"], len(distances), *distances))
+    return head + ids + "\n".join(names).encode()
 
 
 def _records(raw: bytes, head: int, size: int, what: str) -> int:
@@ -170,9 +180,16 @@ def _decode_one_to_many(raw: bytes):
 
 
 def _decode_distances(raw: bytes):
-    count = _records(raw, 8, 8, "int64 epoch, then float64 distances")
-    epoch, *distances = struct.unpack(f"<q{count}d", raw)
-    return {"distances": distances, "epoch": epoch}
+    count = struct.unpack_from("<I", raw, 8)[0] if len(raw) >= 12 else 0
+    ids_at = 12 + 8 * count
+    if count < 1 or len(raw) < ids_at + count:
+        raise ValueError(f"{len(raw)} bytes is not 12 + 9n (+ stage names) with n >= 1")
+    epoch, _count, *distances = struct.unpack_from(f"<qI{count}d", raw)
+    ids = raw[ids_at : ids_at + count]
+    names = raw[ids_at + count :].decode("utf-8").split("\n")  # bad UTF-8: ValueError
+    if max(ids) >= len(names):
+        raise ValueError(f"stage id {max(ids)} is past the {len(names)} stage names")
+    return {"distances": distances, "epoch": epoch, "stages": [names[i] for i in ids]}
 
 
 def _encode_json(payload) -> bytes:

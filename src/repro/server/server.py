@@ -18,13 +18,15 @@ round trips), so they run on a bounded thread pool via ``run_in_executor``.
 Clients may pipeline: requests on one connection are answered out of order,
 matched by the echoed ``seq``.
 
-Scalar ``QUERY`` frames are **gathered**: an admitted query joins a
-server-wide list, and the list is served as one ``backend.serve_batch`` —
-one admission decision, one epoch, one executor hop, one write per
-connection.  At most one gathered batch is on the executor; requests that
-arrive while it runs form the next one, so batch size follows load (1 on an
-idle server) with no timer and nothing to tune.  Caps, ``seq`` echo and
-typed errors stay per frame: a bad request never fails its neighbours.
+Every query frame (``QUERY_BATCH``, ``ONE_TO_MANY``) is **gathered**: its
+pairs join a server-wide list, and the list is served as one
+``backend.serve_batch`` — one admission decision, one epoch, one executor
+hop, one write per connection — then sliced back into one ``DISTANCES``
+reply per frame.  At most one gathered batch is on the executor; frames that
+arrive while it runs form the next one, so batch size follows load (one
+frame on an idle server) with no timer and nothing to tune.  Caps, ``seq``
+echo and typed errors stay per frame: a bad frame never fails its
+neighbours.
 
 Backpressure (DESIGN.md §12)
 ----------------------------
@@ -55,12 +57,11 @@ from __future__ import annotations
 import asyncio
 import time
 from concurrent.futures import ThreadPoolExecutor
-from itertools import repeat
+from itertools import accumulate, chain
 from typing import Dict, List, Optional, Set, Tuple
 
 from repro import obs
 from repro.exceptions import (
-    FrameTooLargeError,
     ProtocolError,
     QueryRejectedError,
     ReproError,
@@ -76,7 +77,6 @@ from repro.server.protocol import (
     OP_NAMES,
     OP_ONE_TO_MANY,
     OP_PING,
-    OP_QUERY,
     OP_QUERY_BATCH,
     OP_RESULT,
     OP_RETRY,
@@ -88,12 +88,11 @@ from repro.server.protocol import (
     encode_frame,
     needs_drain,
 )
-from repro.serving.core import CACHE_STAGE
 
 #: One reply frame before encoding: ``(op, seq, payload)``.
 _Reply = Tuple[int, int, object]
-#: One gathered scalar query: its connection, ``seq`` and ``(source, target)``.
-_Gathered = Tuple["_Connection", int, Tuple[int, int]]
+#: One gathered query frame: its connection, ``seq`` and pairs.
+_Gathered = Tuple["_Connection", int, List[Tuple[int, int]]]
 
 
 class _Connection:
@@ -127,14 +126,14 @@ class QueryServer:
         A started :class:`~repro.serving.engine.ServingEngine` or
         :class:`~repro.cluster.engine.ClusterEngine` — the server speaks the
         :class:`~repro.serving.core.EngineCore` surface (``serve_batch``,
-        ``serve_one_to_many``, ``apply_batch``, ``graph``, ``stats``,
-        ``current_epoch``) and does not own the backend's lifecycle.
+        ``apply_batch``, ``stats``, ``current_epoch``) and does not own the
+        backend's lifecycle.
     host / port:
         Listen address; port 0 binds an ephemeral port (read it back from
         :attr:`address` after :meth:`start`).
     max_inflight:
         Global cap on admitted requests (executing, or gathered and waiting
-        for the next scalar batch); excess arrivals get RETRY frames.
+        for the next engine batch); excess arrivals get RETRY frames.
     max_inflight_per_connection:
         Per-connection cap, strictly enforced before the global cap so one
         pipelining client cannot monopolise the executor.
@@ -180,7 +179,7 @@ class QueryServer:
         self._connections: Set[_Connection] = set()
         self._conn_tasks: Set[asyncio.Task] = set()
         self._tasks: Set[asyncio.Task] = set()
-        #: Admitted scalar queries waiting for the next gathered batch, and
+        #: Admitted query frames waiting for the next gathered batch, and
         #: whether a :meth:`_serve_gathered` task is scheduled or running.
         self._gathered: List[_Gathered] = []
         self._gather_running = False
@@ -204,8 +203,8 @@ class QueryServer:
                 (self._retries, "RETRY frames sent"),
                 (self._errors, "ERROR frames sent, by code"),
                 (self._connections_total, "Accepted connections"),
-                (self._gathered_batches, "Engine batches served for scalar QUERY frames"),
-                (self._gathered_queries, "Scalar QUERY frames served in gathered batches"),
+                (self._gathered_batches, "Engine batches served for query frames"),
+                (self._gathered_queries, "Query pairs served in gathered batches"),
             ):
                 registry.install(instrument, description)
             registry.gauge(
@@ -355,21 +354,20 @@ class QueryServer:
         ):
             await self._send_retry(conn, frame.seq, "queue_full")
             return
-        if frame.op == OP_QUERY:
-            try:
-                pair = (
-                    _require_vertex(frame.payload, "source", frame.seq),
-                    _require_vertex(frame.payload, "target", frame.seq),
-                )
-            except ProtocolError as exc:
-                await self._safe_send(conn, *self._failure_reply(frame.seq, exc))
-                return
         conn.inflight += 1
         self._inflight += 1
-        if frame.op != OP_QUERY:
+        payload = frame.payload
+        if frame.op == OP_QUERY_BATCH:
+            pairs = payload["pairs"]
+        elif frame.op == OP_ONE_TO_MANY:
+            source = payload["source"]
+            pairs = [(source, target) for target in payload["targets"]]
+        else:
             self._spawn(self._process(conn, frame))
             return
-        self._gathered.append((conn, frame.seq, pair))
+        # The codec already validated the column layout; the backend checks
+        # that every vertex exists.
+        self._gathered.append((conn, frame.seq, pairs))
         if not self._gather_running:
             # The task's first step runs on the next loop turn, after every
             # frame already buffered has joined the list: a lone request
@@ -387,18 +385,19 @@ class QueryServer:
     # Request execution
     # ------------------------------------------------------------------
     async def _serve_gathered(self) -> None:
-        """Serve every query gathered so far as one engine batch and answer
-        each connection with one write; requests that arrived meanwhile are
-        the next batch, so at most one is ever on the executor."""
+        """Serve every query frame gathered so far as one engine batch and
+        answer each connection with one write; frames that arrived meanwhile
+        are the next batch, so at most one is ever on the executor."""
         batch, self._gathered = self._gathered, []
         started = time.perf_counter()
         loop = asyncio.get_running_loop()
+        frames = [pairs for _conn, _seq, pairs in batch]
         try:
             outcomes = await loop.run_in_executor(
-                self._executor, self._execute_gathered, [pair for _, _, pair in batch]
+                self._executor, self._execute_gathered, frames
             )
         finally:
-            for conn, _seq, _pair in batch:
+            for conn, _seq, _pairs in batch:
                 conn.inflight -= 1
             self._inflight -= len(batch)
             if self._gathered:
@@ -407,53 +406,49 @@ class QueryServer:
                 self._gather_running = False
         serve_seconds = time.perf_counter() - started
         self._gathered_batches.inc()
-        self._gathered_queries.inc(len(batch))
+        self._gathered_queries.inc(sum(map(len, frames)))
 
         replies: Dict[_Connection, List[_Reply]] = {}
         served = 0
-        for (conn, seq, _pair), outcome in zip(batch, outcomes):
+        for (conn, seq, _pairs), outcome in zip(batch, outcomes):
             if isinstance(outcome, Exception):
                 reply = self._failure_reply(seq, outcome)
             else:
                 served += 1
-                distance, epoch, stage = outcome
-                reply = (
-                    OP_RESULT, seq,
-                    {
-                        "distance": distance,
-                        "epoch": epoch,
-                        "stage": stage,
-                        "from_cache": stage == CACHE_STAGE,
-                    },
-                )
+                reply = (OP_DISTANCES, seq, outcome)
             replies.setdefault(conn, []).append(reply)
         # Every connection gets its bytes before any stalled one is waited
         # for: a peer that stopped reading delays nobody else's replies.
-        stalled = [conn for conn, frames in replies.items() if self._write(conn, frames)]
+        stalled = [conn for conn, written in replies.items() if self._write(conn, written)]
         if served:
             self._record_served("query", served, started, serve_seconds)
         if stalled:
             await asyncio.gather(*(self._drain(conn) for conn in stalled))
 
-    def _execute_gathered(self, pairs: List[Tuple[int, int]]) -> list:
-        """One ``serve_batch`` for the gathered queries (executor thread).
+    def _execute_gathered(self, frames: List[List[Tuple[int, int]]]) -> list:
+        """One ``serve_batch`` for the gathered frames (executor thread).
 
-        Returns one outcome per query — ``(distance, epoch, stage)`` or the
-        exception that query gets answered with — and never raises.  The
-        backend fails a batch as a whole (one unknown vertex), so a failed
-        batch of several is re-served one query at a time: the typed error
-        lands on the request that caused it and the others get their answer.
-        An admission shed is the engine's verdict on the whole batch and is
-        not retried.
+        Returns one outcome per frame — its ``DISTANCES`` payload, sliced out
+        of the one :class:`~repro.serving.core.BatchResult`, or the exception
+        that frame gets answered with — and never raises.  The backend fails
+        a batch as a whole (one unknown vertex), so a failed batch of several
+        frames is re-served one frame at a time: the typed error lands on the
+        frame that caused it and the others get their answer.  An admission
+        shed is the engine's verdict on the whole batch and is not retried.
         """
         try:
-            result = self.backend.serve_batch(pairs)
+            result = self.backend.serve_batch(list(chain.from_iterable(frames)))
         except Exception as exc:
-            if isinstance(exc, QueryRejectedError) or len(pairs) == 1:
-                return [exc] * len(pairs)
-            return [self._execute_gathered([pair])[0] for pair in pairs]
-        stages = result.stages if result.stages is not None else repeat(result.stage)
-        return list(zip(result.distances, repeat(result.epoch), stages))
+            if isinstance(exc, QueryRejectedError) or len(frames) == 1:
+                return [exc] * len(frames)
+            return [self._execute_gathered([frame])[0] for frame in frames]
+        distances, epoch = result.distances, result.epoch
+        stages = result.stages or [result.stage] * len(distances)
+        bounds = list(accumulate(map(len, frames), initial=0))
+        return [
+            {"distances": distances[start:end], "epoch": epoch, "stages": stages[start:end]}
+            for start, end in zip(bounds, bounds[1:])
+        ]
 
     async def _process(self, conn: _Connection, frame: Frame) -> None:
         started = time.perf_counter()
@@ -469,13 +464,14 @@ class QueryServer:
             conn.inflight -= 1
             self._inflight -= 1
         serve_seconds = time.perf_counter() - started
-        await self._safe_send(conn, _RESPONSE_OPS.get(frame.op, OP_RESULT), frame.seq, payload)
+        await self._safe_send(conn, OP_RESULT, frame.seq, payload)
         self._record_served(OP_NAMES[frame.op], 1, started, serve_seconds)
 
     def _record_served(
         self, op_name: str, count: int, started: float, serve_seconds: float
     ) -> None:
-        """Account ``count`` requests answered by one backend call."""
+        """Account ``count`` requests answered by one backend call (every
+        query frame, of either query op, is a ``query`` request)."""
         self._shed_streak = 0
         self._requests.labels(op_name).inc(count)
         # Amortised over the batch, so RETRY waits stay per-request estimates.
@@ -495,16 +491,6 @@ class QueryServer:
     def _execute(self, frame: Frame):
         """Run one request against the backend (executor thread, blocking)."""
         op, payload = frame.op, frame.payload
-        if op in (OP_QUERY_BATCH, OP_ONE_TO_MANY):
-            # Packed ops: the codec already validated the column layout, and
-            # the backend checks the vertices — columns in, columns out.
-            if op == OP_QUERY_BATCH:
-                result = self.backend.serve_batch(payload["pairs"])
-            else:
-                result = self.backend.serve_one_to_many(
-                    payload["source"], payload["targets"]
-                )
-            return {"distances": result.distances, "epoch": result.epoch}
         if op == OP_APPLY_BATCH:
             batch = _require_batch(payload, frame.seq)
             # Synchronous: a failed install raises here (and only here), so
@@ -582,8 +568,9 @@ class QueryServer:
     def _encode(self, op: int, seq: int, payload) -> bytes:
         try:
             return encode_frame(op, seq, payload, self.max_frame_bytes)
-        except FrameTooLargeError as exc:
-            # The reply outgrew the cap (a packed reply is twice its request):
+        except ProtocolError as exc:
+            # The reply outgrew the cap (a packed reply is 9 bytes a pair
+            # against 4-8 in the request), or cannot be encoded at all:
             # the request still gets its typed answer, and the stream stays
             # in sync because nothing of the oversized frame was written.
             self._errors.labels(exc.code).inc()
@@ -621,9 +608,6 @@ class QueryServer:
         }
 
 
-#: Request op → response op of its success frame (default: ``OP_RESULT``).
-_RESPONSE_OPS = {OP_QUERY_BATCH: OP_DISTANCES, OP_ONE_TO_MANY: OP_DISTANCES}
-
 #: Exception-name → wire error code for typed ReproError failures.
 _ERROR_CODES = {
     "VertexNotFoundError": "vertex_not_found",
@@ -656,13 +640,6 @@ def _as_vertex(value, context: str, seq: int) -> int:
     if isinstance(value, bool) or not isinstance(value, int):
         raise _bad_payload(f"{context} must be an integer vertex id, got {value!r}", seq)
     return value
-
-
-def _require_vertex(payload, key: str, seq: int) -> int:
-    mapping = _require_mapping(payload, seq)
-    if key not in mapping:
-        raise _bad_payload(f"payload is missing required key {key!r}", seq)
-    return _as_vertex(mapping[key], key, seq)
 
 
 def _require_batch(payload, seq: int) -> UpdateBatch:

@@ -13,7 +13,7 @@ Modules
 ``engine``     :class:`ServingEngine` — the in-process backend: the epoch
                lock, stage release during installs.
 ``router``     stage-aware dispatch with per-stage validity epochs.
-``cache``      epoch-versioned LRU distance cache, partition invalidation.
+``cache``      epoch-versioned LRU distance cache, cleared per epoch.
 ``admission``  Lemma-1-style QoS admission control / load shedding.
 ``metrics``    ``ServingMetrics`` — per-stage counters and p50/p95/p99 latency
                as ``repro.obs`` instruments, ``snapshot()`` their view, plus
@@ -36,7 +36,7 @@ Quickstart::
 
 from repro.exceptions import EngineStoppedError, QueryRejectedError, ServingError
 from repro.serving.admission import AdmissionController, AdmissionDecision, AlwaysAdmit
-from repro.serving.cache import OVERLAY, CacheStats, EpochDistanceCache
+from repro.serving.cache import CacheStats, EpochDistanceCache
 from repro.serving.driver import MixedWorkloadReport, run_mixed_workload
 from repro.serving.core import BatchResult, QueryResult
 from repro.serving.engine import ServingEngine
@@ -52,7 +52,6 @@ __all__ = [
     "CacheStats",
     "EngineStoppedError",
     "EpochDistanceCache",
-    "OVERLAY",
     "QueryRejectedError",
     "ServingError",
     "LAST_STAGE",

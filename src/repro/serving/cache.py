@@ -1,33 +1,22 @@
-"""Epoch-versioned LRU distance cache with per-partition invalidation.
+"""Epoch-versioned LRU distance cache, cleared once per epoch.
 
 A cached distance is only ever served at the *exact* epoch (update-batch
 count) it was computed at — a lookup from a newer epoch is a **stale-epoch
-rejection** and drops the entry.  This keeps the cache strictly consistent
-with the per-epoch Dijkstra oracle: partition-footprint reasoning alone
-cannot prove a distance unchanged across a batch (a weight decrease anywhere
-can open a shorter path between vertices of untouched partitions), so the
-epoch check is the correctness gate and the partition machinery below is an
-*eager eviction* optimisation layered on top of it.
-
-On each installed batch the engine calls :meth:`invalidate_partitions` with
-the partition ids touched by the batch (from
-:meth:`repro.base.DistanceIndex.vertex_partition`); every entry whose tag set
-intersects them is dropped immediately instead of lingering until a
-stale-epoch rejection or LRU eviction pushes it out.  Entries touching
-overlay/unpartitioned vertices are tagged :data:`OVERLAY` and evicted when
-the batch touches overlay vertices.  See DESIGN.md §5.
+rejection** and drops the entry.  That check is the correctness gate — no
+partition footprint can prove a distance unchanged across a batch (a weight
+decrease anywhere can open a shorter path between vertices of untouched
+partitions) — and it keeps the cache exact whatever lock its caller holds
+around :meth:`put`.  Since no entry can be served at a newer epoch, the
+engine clears the whole cache (:meth:`invalidate_all`) when it commits one.
+See DESIGN.md §5.
 """
 
 from __future__ import annotations
 
 import threading
 from collections import OrderedDict
-from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, Iterable, Optional, Tuple
-
-#: Partition tag of vertices that live outside every partition (overlay
-#: vertices of PostMHL, every vertex of an unpartitioned index).
-OVERLAY = -1
+from dataclasses import dataclass
+from typing import Dict, Optional, Tuple
 
 
 @dataclass
@@ -53,7 +42,6 @@ class CacheStats:
 class _Entry:
     distance: float
     epoch: int
-    tags: FrozenSet[int] = field(default_factory=frozenset)
 
 
 class EpochDistanceCache:
@@ -89,48 +77,19 @@ class EpochDistanceCache:
             self.stats.hits += 1
             return entry.distance
 
-    def put(
-        self,
-        source: int,
-        target: int,
-        distance: float,
-        epoch: int,
-        tags: Iterable[Optional[int]] = (),
-    ) -> None:
-        """Insert a distance computed at ``epoch``; ``tags`` are partition ids.
-
-        ``None`` tags (unpartitioned / overlay vertices) collapse to
-        :data:`OVERLAY`.
-        """
+    def put(self, source: int, target: int, distance: float, epoch: int) -> None:
+        """Insert a distance computed at ``epoch``."""
         key = self._key(source, target)
-        tag_set = frozenset(OVERLAY if tag is None else tag for tag in tags)
         with self._lock:
-            self._entries[key] = _Entry(distance, epoch, tag_set)
+            self._entries[key] = _Entry(distance, epoch)
             self._entries.move_to_end(key)
             while len(self._entries) > self.capacity:
                 self._entries.popitem(last=False)
                 self.stats.evictions += 1
 
     # ------------------------------------------------------------------
-    def invalidate_partitions(self, partitions: Iterable[Optional[int]]) -> int:
-        """Drop every entry whose tag set intersects ``partitions``.
-
-        Returns the number of entries removed.  ``None`` in ``partitions``
-        matches :data:`OVERLAY`-tagged entries.
-        """
-        affected = {OVERLAY if pid is None else pid for pid in partitions}
-        if not affected:
-            return 0
-        with self._lock:
-            doomed = [
-                key for key, entry in self._entries.items() if entry.tags & affected
-            ]
-            for key in doomed:
-                del self._entries[key]
-            self.stats.invalidated += len(doomed)
-            return len(doomed)
-
     def invalidate_all(self) -> int:
+        """Drop every entry; returns how many were removed."""
         with self._lock:
             count = len(self._entries)
             self._entries.clear()

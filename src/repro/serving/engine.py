@@ -22,9 +22,9 @@ them.
 The update-stage listener installed on the index (see
 :meth:`repro.base.DistanceIndex.set_stage_listener`) fires at every stage
 boundary.  The first stage bumps the epoch, snapshots the graph, drops the
-frozen stores, invalidates the affected cache partitions and releases the
-lock (BiDijkstra serves the new epoch from then on, concurrently with the
-remaining maintenance).  Every later stage publishes the query stage it
+frozen stores, clears the distance cache and releases the lock (BiDijkstra
+serves the new epoch from then on, concurrently with the remaining
+maintenance).  Every later stage publishes the query stage it
 releases to the router, with no lock.  A query takes the read lock, reads
 the epoch and runs on the fastest stage valid at it; holding the lock pins
 the epoch, since the next batch's edge refresh needs the write lock.  That
@@ -146,9 +146,6 @@ class ServingEngine(EngineCore):
         """Install one batch under the stage-by-stage epoch protocol."""
         index = self.index
         pending_epoch = self._epoch + 1
-        affected = {index.vertex_partition(u.u) for u in batch}
-        affected |= {index.vertex_partition(u.v) for u in batch}
-
         self._graph_rw.acquire_write()
         refreshing = True
 
@@ -170,7 +167,9 @@ class ServingEngine(EngineCore):
             index.invalidate_kernels()
             self.router.begin_epoch(pending_epoch)
             if self.cache is not None:
-                self.cache.invalidate_partitions(affected)
+                # No entry can be served at the new epoch (``get`` rejects
+                # it), so clearing is eviction, not the correctness gate.
+                self.cache.invalidate_all()
             refreshing = False
             self._graph_rw.release_write()
 
@@ -227,8 +226,7 @@ class ServingEngine(EngineCore):
                 answers = self._compute(stage, [pair_list[position] for position in misses])
                 for position, distance in zip(misses, answers):
                     distances[position] = distance
-                    source, target = pair_list[position]
-                    self._cache_put(source, target, distance, epoch)
+                    cache.put(*pair_list[position], distance, epoch)
                 if len(misses) < len(pair_list):
                     stages = [CACHE_STAGE] * len(pair_list)
                     for position in misses:
@@ -244,10 +242,6 @@ class ServingEngine(EngineCore):
         if stage.final and len(pairs) > 1:
             return self.index.query_many(pairs)
         return [stage.query(source, target) for source, target in pairs]
-
-    def _cache_put(self, source: int, target: int, distance: float, epoch: int) -> None:
-        tags = (self.index.vertex_partition(source), self.index.vertex_partition(target))
-        self.cache.put(source, target, distance, epoch, tags)
 
     # ------------------------------------------------------------------
     # Introspection

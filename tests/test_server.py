@@ -12,7 +12,6 @@ subcommand end-to-end, and the closed-loop async load generator.
 from __future__ import annotations
 
 import asyncio
-import json
 import math
 import struct
 import threading
@@ -32,11 +31,19 @@ from repro.graph.generators import load_dataset, random_connected_graph
 from repro.graph.updates import generate_update_batch
 from repro.registry import create_index
 from repro.serving.admission import AdmissionController
+from repro.serving.core import CACHE_STAGE
 from repro.serving.engine import ServingEngine
 from repro.server import AsyncClient, LoadReport, run_closed_loop
 from repro.server.loadgen import quantile
 from repro import obs
-from repro.server.protocol import OP_ERROR, OP_QUERY, OP_RESULT, OP_RETRY, read_frame
+from repro.server.protocol import (
+    OP_DISTANCES,
+    OP_ERROR,
+    OP_ONE_TO_MANY,
+    OP_QUERY_BATCH,
+    OP_RETRY,
+    read_frame,
+)
 from repro.throughput.workload import sample_query_pairs
 
 from tests.conftest import NEEDS_NATIVE, paper_example_graph
@@ -50,7 +57,7 @@ from tests.server_harness import (
     wait_for,
 )
 from tests.test_differential import NINE_SPECS
-from tests.test_server_protocol import make_frame
+from tests.test_server_protocol import make_frame, pairs_frame
 
 
 def build_engine(method: str = "BiDijkstra", graph=None, **engine_kwargs):
@@ -63,9 +70,29 @@ def as_tuples(batch):
     return [(u.u, u.v, u.old_weight, u.new_weight) for u in batch.updates]
 
 
-def query_frame(seq: int, source, target) -> bytes:
-    """One scalar ``QUERY`` frame as wire bytes (any JSON values)."""
-    return make_frame(OP_QUERY, seq, json.dumps({"source": source, "target": target}).encode())
+def query_frame(seq: int, source: int, target: int) -> bytes:
+    """One scalar query as wire bytes: a one-pair ``QUERY_BATCH`` frame."""
+    return pairs_frame(seq, [(source, target)])
+
+
+def distance_of(frame) -> float:
+    """The one distance of a one-pair ``DISTANCES`` reply."""
+    assert frame.op == OP_DISTANCES
+    (distance,) = frame.payload["distances"]
+    return distance
+
+
+class GatedEngine(BlockingBackend):
+    """A :class:`BlockingBackend` that answers through a real engine once
+    released, so a test can queue frames behind a parked batch."""
+
+    def __init__(self, engine) -> None:
+        super().__init__()
+        self.engine = engine
+
+    def serve_batch(self, pairs):
+        super().serve_batch(pairs)
+        return self.engine.serve_batch(pairs)
 
 
 async def read_frames(reader, count: int):
@@ -285,6 +312,7 @@ def test_differential_network_vs_inprocess(method):
                 reply = await client.query_batch(pairs)
                 assert reply.epoch == local.current_epoch == 0
                 assert isinstance(reply.distances, list)
+                assert len(reply.stages) == len(pairs)
                 assert same_bits(reply.distances, local.query_batch(pairs))
                 fanout = await client.one_to_many(0, targets)
                 assert same_bits(fanout.distances, local.query_one_to_many(0, targets))
@@ -462,11 +490,8 @@ class TestBackpressure:
                 backend, max_inflight=2, max_inflight_per_connection=8
             ) as server:
                 reader, writer = await open_raw(server)
-                import json
-
-                payload = json.dumps({"source": 1, "target": 2}).encode()
                 for seq in range(1, 9):
-                    writer.write(make_frame(OP_QUERY, seq, payload))
+                    writer.write(query_frame(seq, 1, 2))
                 await writer.drain()
 
                 # Two admitted requests park in the executor; the six
@@ -483,7 +508,7 @@ class TestBackpressure:
 
                 backend.release()
                 results = [await read_frame(reader) for _ in range(2)]
-                assert all(f.op == OP_RESULT for f in results)
+                assert all(f.op == OP_DISTANCES for f in results)
                 await close_writer(writer)
 
         run(main())
@@ -520,12 +545,9 @@ class TestBackpressure:
             async with running_server(
                 backend, max_inflight=64, max_inflight_per_connection=2
             ) as server:
-                import json
-
                 reader, writer = await open_raw(server)
-                payload = json.dumps({"source": 1, "target": 2}).encode()
                 for seq in range(1, 5):
-                    writer.write(make_frame(OP_QUERY, seq, payload))
+                    writer.write(query_frame(seq, 1, 2))
                 await writer.drain()
                 # The greedy connection sheds beyond its own cap...
                 retries = [await read_frame(reader) for _ in range(2)]
@@ -541,7 +563,7 @@ class TestBackpressure:
                 finally:
                     await client.close()
                 results = [await read_frame(reader) for _ in range(2)]
-                assert all(f.op == OP_RESULT for f in results)
+                assert all(f.op == OP_DISTANCES for f in results)
                 await close_writer(writer)
 
         run(main())
@@ -696,7 +718,7 @@ class TestDrain:
 
                 backend.release()
                 results = await read_frames(reader, 5)
-                assert all(f.op == OP_RESULT for f in results)
+                assert all(f.op == OP_DISTANCES for f in results)
                 assert sorted(f.seq for f in results) == [1, 2, 3, 4, 5]
                 await stop_task
                 assert backend.batches == [1, 4]
@@ -723,8 +745,6 @@ class TestDrain:
 
         async def main():
             async with running_server(backend) as server:
-                import json
-
                 client = await AsyncClient.connect(*server.address)
                 reader, writer = await open_raw(server)
 
@@ -733,8 +753,7 @@ class TestDrain:
                 stop_task = asyncio.ensure_future(server.stop())
                 await wait_for(lambda: server.stats()["draining"])
 
-                payload = json.dumps({"source": 3, "target": 4}).encode()
-                writer.write(make_frame(OP_QUERY, 1, payload))
+                writer.write(query_frame(1, 3, 4))
                 await writer.drain()
                 frame = await read_frame(reader)
                 assert frame.op == OP_RETRY
@@ -762,7 +781,7 @@ class TestDrain:
 
 
 # ----------------------------------------------------------------------
-# Scalar plane: QUERY frames that arrive together share one engine batch
+# Query frames that arrive together share one engine batch
 # ----------------------------------------------------------------------
 class TestGather:
     @pytest.mark.parametrize("stub", [False, True], ids=["engine", "stub"])
@@ -782,7 +801,7 @@ class TestGather:
                     assert server.stats()["inflight"] == 16
                     backend.release()
                 results = await read_frames(reader, 16)
-                assert all(f.op == OP_RESULT for f in results)
+                assert all(f.op == OP_DISTANCES for f in results)
                 assert sorted(f.seq for f in retries + results) == list(range(1, 33))
                 assert [f.seq for f in results] == list(range(1, 17))
                 stats = server.stats()
@@ -805,7 +824,7 @@ class TestGather:
                 reader, writer = await open_raw(server)
                 frames = [query_frame(seq, s, t) for seq, (s, t) in enumerate(pairs, 1)]
                 frames.insert(3, query_frame(100, 0, 999_999))  # unknown vertex
-                frames.insert(9, query_frame(101, "zero", 7))  # not an integer
+                frames.insert(9, make_frame(OP_QUERY_BATCH, 101, b"\x00" * 7))  # torn pair
                 writer.write(b"".join(frames))
                 by_seq = {f.seq: f for f in await read_frames(reader, 16)}
                 assert len(by_seq) == 16
@@ -813,8 +832,7 @@ class TestGather:
                 assert by_seq[100].payload["code"] == "vertex_not_found"
                 assert by_seq[101].payload["code"] == "bad_payload"
                 for seq, (s, t) in enumerate(pairs, 1):
-                    assert by_seq[seq].op == OP_RESULT
-                    got = by_seq[seq].payload["distance"]
+                    got = distance_of(by_seq[seq])
                     assert struct.pack("<d", got) == struct.pack("<d", engine.query(s, t))
                 stats = server.stats()
                 assert stats["errors_total"] == 2 and stats["inflight"] == 0
@@ -823,6 +841,116 @@ class TestGather:
                 await close_writer(writer)
 
         with build_engine() as engine:
+            run(main(engine))
+
+    def test_frames_of_two_connections_and_a_one_to_many_share_one_engine_batch(self):
+        """Frames queued behind a parked batch — two ``QUERY_BATCH`` frames on
+        two connections and a ``ONE_TO_MANY`` — are one ``serve_batch``, and
+        each reply holds exactly its own pairs, in order, at one epoch, with
+        the stage column the engine produced."""
+        batch_a = [(0, 7), (0, 9), (4, 10)]
+        batch_b = [(1, 7), (0, 13)]
+        fan_source, fan_targets = 0, [9, 7, 13, 0]
+
+        async def main(engine, backend):
+            async with running_server(backend) as server:
+                first, first_writer = await open_raw(server)
+                second, second_writer = await open_raw(server)
+                first_writer.write(query_frame(1, 0, 7))
+                await wait_for(lambda: backend.batches == [1])  # parked on the executor
+                first_writer.write(
+                    pairs_frame(2, batch_a)
+                    + make_frame(
+                        OP_ONE_TO_MANY, 3,
+                        struct.pack(f"<{len(fan_targets) + 1}i", fan_source, *fan_targets),
+                    )
+                )
+                second_writer.write(pairs_frame(4, batch_b))
+                await wait_for(lambda: server.stats()["inflight"] == 4)
+                backend.release()
+                replies = {f.seq: f for f in await read_frames(first, 3)}
+                replies.update((f.seq, f) for f in await read_frames(second, 1))
+                gathered = batch_a + [(fan_source, t) for t in fan_targets] + batch_b
+                assert backend.batches == [1, len(gathered)]
+                stats = server.stats()
+                assert stats["gathered_batches_total"] == 2
+                assert stats["gathered_queries_total"] == 1 + len(gathered)
+                want = engine.serve_batch(gathered)
+                stage = want.stage
+                for seq, pairs in ((2, batch_a), (3, gathered[3:7]), (4, batch_b)):
+                    payload = replies[seq].payload
+                    assert replies[seq].op == OP_DISTANCES
+                    assert payload["epoch"] == want.epoch == 0
+                    assert payload["distances"] == [
+                        dijkstra_distance(engine.graph, *pair) for pair in pairs
+                    ]
+                    assert payload["stages"] == [stage] * len(pairs)
+                await close_writer(first_writer)
+                await close_writer(second_writer)
+
+        with build_engine() as engine:
+            run(main(engine, GatedEngine(engine)))
+
+    def test_a_bad_frame_fails_alone_among_gathered_frames(self):
+        """One frame with an unknown vertex among its pairs fails the gathered
+        batch; the frames are re-served one at a time, so only that frame
+        gets ``vertex_not_found`` and the others their distances."""
+        good = [(0, 7), (0, 9)]
+        bad = [(4, 10), (0, 999_999), (1, 7)]
+
+        async def main(engine, backend):
+            async with running_server(backend) as server:
+                reader, writer = await open_raw(server)
+                writer.write(query_frame(1, 0, 7))
+                await wait_for(lambda: backend.batches == [1])
+                writer.write(
+                    pairs_frame(2, good)
+                    + pairs_frame(3, bad)
+                    + make_frame(OP_ONE_TO_MANY, 4, struct.pack("<3i", 0, 9, 13))
+                )
+                await wait_for(lambda: server.stats()["inflight"] == 4)
+                backend.release()
+                by_seq = {f.seq: f for f in await read_frames(reader, 4)}
+                assert by_seq[3].op == OP_ERROR
+                assert by_seq[3].payload["code"] == "vertex_not_found"
+                assert by_seq[2].payload["distances"] == [engine.query(*p) for p in good]
+                assert by_seq[4].payload["distances"] == [engine.query(0, 9), engine.query(0, 13)]
+                # The batch of 7 failed; then each frame alone: 2, 3 (fails), 2.
+                assert backend.batches == [1, 7, 2, 3, 2]
+                stats = server.stats()
+                assert stats["errors_total"] == 1 and stats["inflight"] == 0
+                assert stats["requests_total"] == 3
+                await close_writer(writer)
+
+        with build_engine() as engine:
+            run(main(engine, GatedEngine(engine)))
+
+    def test_warm_cache_stages_reach_the_client_per_pair(self):
+        """DCH fronts its search with the distance cache: a batch that mixes
+        cached and computed pairs reports each pair's stage, and a cached
+        scalar query says so."""
+        index = create_index(NINE_SPECS["DCH"], paper_example_graph())
+        index.build()
+
+        async def main(engine):
+            async with running_server(engine) as server:
+                async with await AsyncClient.connect(*server.address) as client:
+                    cold = await client.query_batch([(0, 7), (0, 9)])
+                    (computed,) = set(cold.stages)
+                    assert computed != CACHE_STAGE
+                    mixed = await client.query_batch([(4, 10), (0, 7), (9, 0)])
+                    assert mixed.stages == [computed, CACHE_STAGE, CACHE_STAGE]
+                    assert mixed.distances == [
+                        dijkstra_distance(engine.graph, *pair)
+                        for pair in [(4, 10), (0, 7), (9, 0)]
+                    ]
+                    scalar = await client.query(4, 10)
+                    assert (scalar.stage, scalar.from_cache) == (CACHE_STAGE, True)
+                    assert scalar.distance == mixed.distances[0]
+                    fresh = await client.query(1, 7)
+                    assert (fresh.stage, fresh.from_cache) == (computed, False)
+
+        with ServingEngine(index) as engine:
             run(main(engine))
 
     def test_admission_shed_is_one_retry_per_gathered_request(self):
@@ -842,7 +970,7 @@ class TestGather:
                     replies = await read_frames(reader, 8)
                     if replies[0].op == OP_RETRY:
                         break
-                    assert all(f.op == OP_RESULT for f in replies)
+                    assert all(f.op == OP_DISTANCES for f in replies)
                 else:
                     raise AssertionError("admission never shed")
                 # The engine admits or sheds a batch as a whole.
@@ -858,8 +986,8 @@ class TestGather:
             run(main())
 
     def _assert_one_epoch_per_gathered_batch(self, server_cm, graph, backend):
-        """Scalar replies of one segment were one ``serve_batch``: they share
-        an epoch and match that epoch's oracle while updates interleave."""
+        """One-pair replies of one segment were one ``serve_batch``: they
+        share an epoch and match that epoch's oracle while updates interleave."""
         rounds = TestEpochConsistency.ROUNDS
         history, batches = _epoch_graph_history(graph, rounds)
         pairs = list(sample_query_pairs(graph, 8, seed=7))
@@ -879,11 +1007,11 @@ class TestGather:
             while rounds not in seen:
                 writer.write(segment)
                 replies = sorted(await read_frames(reader, len(pairs)), key=lambda f: f.seq)
-                assert all(f.op == OP_RESULT for f in replies)
+                distances = [distance_of(f) for f in replies]
                 epochs = {f.payload["epoch"] for f in replies}
                 assert len(epochs) == 1, f"gathered batch saw epochs {epochs}"
                 epoch = epochs.pop()
-                assert [f.payload["distance"] for f in replies] == oracle[epoch]
+                assert distances == oracle[epoch]
                 seen.add(epoch)
             await close_writer(writer)
 
@@ -937,7 +1065,7 @@ class TestGather:
             async with running_server(engine) as server:
                 reader, writer = await open_raw(server)
                 writer.write(b"".join(query_frame(seq, 0, 7) for seq in range(1, 7)))
-                assert all(f.op == OP_RESULT for f in await read_frames(reader, 6))
+                assert all(f.op == OP_DISTANCES for f in await read_frames(reader, 6))
                 await close_writer(writer)
 
         obs.reset()
@@ -964,7 +1092,7 @@ class TestGather:
             writer.write(b"".join(query_frame(seq, 0, 7) for seq in range(queries)))
             writer.write(b"".join(make_frame(0x55, 100 + i, b"{}") for i in range(unknown_ops)))
             frames = await read_frames(reader, queries + unknown_ops)
-            assert sum(f.op == OP_RESULT for f in frames) == queries
+            assert sum(f.op == OP_DISTANCES for f in frames) == queries
             await close_writer(writer)
 
         def series_sum(name: str) -> float:

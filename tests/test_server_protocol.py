@@ -36,10 +36,10 @@ from repro.server.protocol import (
     OP_ERROR,
     OP_ONE_TO_MANY,
     OP_PING,
-    OP_QUERY,
     OP_QUERY_BATCH,
     OP_RESULT,
     OP_RETRY,
+    MAX_STAGE_NAMES,
     PROTOCOL_VERSION,
     Frame,
     FrameSplitter,
@@ -78,6 +78,17 @@ def make_frame(op: int, seq: int, raw_payload: bytes, version: int = PROTOCOL_VE
     return len(body).to_bytes(4, "big") + body
 
 
+def pairs_frame(seq: int, pairs) -> bytes:
+    """A packed ``QUERY_BATCH`` frame as wire bytes (one pair is a scalar query)."""
+    return make_frame(OP_QUERY_BATCH, seq, b"".join(struct.pack("<ii", *p) for p in pairs))
+
+
+def distances_raw(epoch: int, distances, ids: bytes, names: bytes) -> bytes:
+    """A ``DISTANCES`` payload assembled field by field (malformed on demand)."""
+    head = struct.pack(f"<qI{len(distances)}d", epoch, len(distances), *distances)
+    return head + ids + names
+
+
 async def assert_alive(server) -> None:
     """The liveness probe every fuzz scenario ends with."""
     client = await AsyncClient.connect(*server.address)
@@ -92,16 +103,16 @@ async def assert_alive(server) -> None:
 # ----------------------------------------------------------------------
 class TestCodec:
     def test_roundtrip_simple(self):
-        payload = {"source": 3, "target": 9}
-        frame = decode_body(encode_frame(OP_QUERY, 17, payload)[4:])
-        assert (frame.op, frame.seq, frame.payload) == (OP_QUERY, 17, payload)
+        payload = {"updates": [[3, 9, 1.0, 2.5]]}
+        frame = decode_body(encode_frame(OP_APPLY_BATCH, 17, payload)[4:])
+        assert (frame.op, frame.seq, frame.payload) == (OP_APPLY_BATCH, 17, payload)
 
     def test_roundtrip_empty_payload(self):
         frame = decode_body(encode_frame(OP_PING, 1)[4:])
         assert frame.op == OP_PING and frame.seq == 1 and frame.payload is None
 
     def test_roundtrip_infinity_distance(self):
-        # The scalar plane stays JSON: the stdlib codec round-trips inf.
+        # RESULT stays JSON: the stdlib codec round-trips inf.
         frame = decode_body(encode_frame(OP_RESULT, 2, {"distance": math.inf})[4:])
         assert frame.payload["distance"] == math.inf
 
@@ -122,13 +133,23 @@ class TestCodec:
 
     def test_packed_distances_are_bit_exact(self):
         distances = [0.0, 0.1 + 0.2, math.inf, 1e-310, 16.0]
-        wire = encode_frame(OP_DISTANCES, 7, {"distances": distances, "epoch": 2**40})
-        assert wire[4 + FIXED_BODY_BYTES:] == struct.pack("<q5d", 2**40, *distances)
+        stages = ["cache", "BIDIJKSTRA", "cache", "shard1", "cache"]
+        sent = {"distances": distances, "epoch": 2**40, "stages": stages}
+        wire = encode_frame(OP_DISTANCES, 7, sent)
+        # epoch, n, the distance column, one stage id a pair, the name table.
+        assert wire[4 + FIXED_BODY_BYTES:] == distances_raw(
+            2**40, distances, bytes((0, 1, 0, 2, 0)), b"cache\nBIDIJKSTRA\nshard1"
+        )
         payload = decode_body(wire[4:]).payload
-        assert payload == {"distances": distances, "epoch": 2**40}
+        assert payload == sent
         assert [struct.pack("<d", d) for d in payload["distances"]] == [
             struct.pack("<d", d) for d in distances
         ]
+
+    def test_distances_carry_the_full_stage_id_range(self):
+        names = [f"shard{i}" for i in range(MAX_STAGE_NAMES)]
+        sent = {"distances": [1.0] * MAX_STAGE_NAMES, "epoch": 3, "stages": names[::-1]}
+        assert decode_body(encode_frame(OP_DISTANCES, 1, sent)[4:]).payload == sent
 
     @pytest.mark.parametrize(
         "op,payload",
@@ -141,7 +162,17 @@ class TestCodec:
             (OP_QUERY_BATCH, None),
             (OP_ONE_TO_MANY, {"source": 2**31, "targets": [1]}),
             (OP_ONE_TO_MANY, {"source": 0, "targets": [1.5]}),
-            (OP_DISTANCES, {"distances": [1.0], "epoch": "zero"}),
+            (OP_DISTANCES, {"distances": [1.0], "epoch": "zero", "stages": ["s"]}),
+            (OP_DISTANCES, {"distances": [1.0, 2.0], "epoch": 0, "stages": ["s"]}),
+            # 257 distinct stage names do not fit a u8 stage id.
+            (
+                OP_DISTANCES,
+                {
+                    "distances": [1.0] * (MAX_STAGE_NAMES + 1),
+                    "epoch": 0,
+                    "stages": [str(i) for i in range(MAX_STAGE_NAMES + 1)],
+                },
+            ),
         ],
     )
     def test_packed_encode_rejects_bad_values_client_side(self, op, payload):
@@ -160,6 +191,13 @@ class TestCodec:
             (OP_DISTANCES, b""),
             (OP_DISTANCES, struct.pack("<q", 0)),  # an epoch and no distance
             (OP_DISTANCES, struct.pack("<qd", 0, 1.0)[:-3]),
+            # Shorter than 12 + 9n: the last stage id is missing.
+            (OP_DISTANCES, distances_raw(0, [1.0, 2.0], b"\x00", b"")),
+            (OP_DISTANCES, struct.pack("<qI", 0, 2**32 - 1)),  # n far past the bytes
+            (OP_DISTANCES, distances_raw(0, [], b"", b"cache")),  # n = 0
+            # A stage id past the name table.
+            (OP_DISTANCES, distances_raw(0, [1.0], b"\x01", b"BIDIJKSTRA")),
+            (OP_DISTANCES, distances_raw(0, [1.0], b"\x00", b"\xff\xfecache")),  # not UTF-8
         ],
     )
     def test_decode_malformed_packed_payload_is_recoverable_with_seq(self, op, raw):
@@ -179,7 +217,7 @@ class TestCodec:
 
     def test_encode_rejects_oversized(self):
         with pytest.raises(FrameTooLargeError):
-            encode_frame(OP_QUERY, 1, {"blob": "x" * 64}, max_frame_bytes=32)
+            encode_frame(OP_APPLY_BATCH, 1, {"blob": "x" * 64}, max_frame_bytes=32)
 
     def test_decode_body_too_short(self):
         with pytest.raises(ProtocolError) as excinfo:
@@ -194,7 +232,7 @@ class TestCodec:
 
     def test_decode_garbage_json_is_recoverable_with_seq(self):
         with pytest.raises(ProtocolError) as excinfo:
-            decode_body(make_body(OP_QUERY, 77, b"\xff\x00not-json"))
+            decode_body(make_body(OP_APPLY_BATCH, 77, b"\xff\x00not-json"))
         assert excinfo.value.code == "bad_payload"
         assert excinfo.value.seq == 77
         assert excinfo.value.recoverable
@@ -203,12 +241,12 @@ class TestCodec:
         async def main():
             reader = asyncio.StreamReader()
             reader.feed_data(encode_frame(OP_PING, 1))
-            reader.feed_data(encode_frame(OP_QUERY, 2, {"source": 0, "target": 1}))
+            reader.feed_data(encode_frame(OP_QUERY_BATCH, 2, {"pairs": [(0, 1)]}))
             reader.feed_eof()
             first = await read_frame(reader)
             second = await read_frame(reader)
             assert (first.op, first.seq) == (OP_PING, 1)
-            assert (second.op, second.seq) == (OP_QUERY, 2)
+            assert (second.op, second.seq) == (OP_QUERY_BATCH, 2)
 
         run(main())
 
@@ -292,10 +330,10 @@ class TestMalformedFrames:
         async def main():
             async with running_server(engine) as server:
                 rng = random.Random(seed)
-                garbage = rng.randbytes(rng.randint(1, 64))
+                garbage = rng.randbytes(8 * rng.randint(0, 7) + rng.randint(1, 7))
                 seq = rng.randint(1, 2**31)
                 reader, writer = await open_raw(server)
-                writer.write(make_frame(OP_QUERY, seq, garbage))
+                writer.write(make_frame(OP_QUERY_BATCH, seq, garbage))
                 # The stream stayed in sync, so the same connection must
                 # still answer a valid request afterwards.
                 writer.write(make_frame(OP_PING, seq + 1, b""))
@@ -354,10 +392,9 @@ class TestMalformedFrames:
                 for index in range(20):
                     kind = rng.randrange(3)
                     if kind == 0:
-                        writer.write(make_frame(OP_QUERY, index + 1, rng.randbytes(8)))
+                        writer.write(make_frame(OP_QUERY_BATCH, index + 1, rng.randbytes(7)))
                     elif kind == 1:
-                        payload = json.dumps({"source": 0, "target": 7}).encode()
-                        writer.write(make_frame(OP_QUERY, index + 1, payload))
+                        writer.write(pairs_frame(index + 1, [(0, 7)]))
                     else:
                         writer.write(make_frame(rng.randint(0x20, 0x7F), index + 1, b"{}"))
                     try:
@@ -367,7 +404,7 @@ class TestMalformedFrames:
                 writer.write_eof()
                 frames = await drain_frames(reader)
                 assert frames, "server answered nothing on a syncable stream"
-                assert all(f.op in (OP_RESULT, OP_ERROR, OP_RETRY) for f in frames)
+                assert all(f.op in (OP_DISTANCES, OP_ERROR, OP_RETRY) for f in frames)
                 await close_writer(writer)
                 await assert_alive(server)
 
@@ -375,7 +412,7 @@ class TestMalformedFrames:
 
 
 # ----------------------------------------------------------------------
-# Seeded fuzz of the packed batch payloads (protocol v2)
+# Seeded fuzz of the packed payloads (protocol v3)
 # ----------------------------------------------------------------------
 def packed_request(rng: random.Random, vertices: int = 14):
     """A valid packed batch request: ``(op, payload bytes, query count)``."""
@@ -493,7 +530,8 @@ class TestPackedPayloadFuzz:
                 for seq in range(1, 6):
                     assert frames[seq].op == OP_ERROR
                     assert frames[seq].payload["code"] == "vertex_not_found"
-                assert frames[6].payload == {"distances": [16.0], "epoch": 0}
+                assert frames[6].payload["distances"] == [16.0]
+                assert frames[6].payload["epoch"] == 0
                 await close_writer(writer)
                 await assert_alive(server)
 
@@ -512,6 +550,84 @@ class TestPackedPayloadFuzz:
                 frames = await drain_frames(reader)  # typed error, then close
                 assert [f.op for f in frames] == [OP_ERROR]
                 assert frames[0].payload["code"] == "bad_version"
+                await close_writer(writer)
+                await assert_alive(server)
+
+        run(main())
+
+    def test_v2_frame_gets_bad_version(self, engine):
+        """A protocol-v2 peer (a DISTANCES reply without the stage column) is
+        refused by version before its packed payload is read."""
+
+        async def main():
+            async with running_server(engine) as server:
+                reader, writer = await open_raw(server)
+                writer.write(make_frame(OP_QUERY_BATCH, 5, struct.pack("<2i", 0, 7), version=2))
+                await writer.drain()
+                frames = await drain_frames(reader)  # typed error, then close
+                assert [f.op for f in frames] == [OP_ERROR]
+                assert frames[0].payload["code"] == "bad_version"
+                await close_writer(writer)
+                await assert_alive(server)
+
+        run(main())
+
+    @pytest.mark.parametrize("seed", FUZZ_SEEDS)
+    def test_retired_scalar_op_is_unknown_and_keeps_connection(self, engine, seed):
+        """Op 0x01 (the JSON scalar query of protocol v2) is an unknown op
+        now: a typed ``unknown_op`` on its seq, and the connection stays."""
+
+        async def main():
+            async with running_server(engine) as server:
+                rng = random.Random(seed)
+                reader, writer = await open_raw(server)
+                seq = rng.randint(1, 2**31)
+                payload = json.dumps({"source": 0, "target": rng.randrange(14)}).encode()
+                writer.write(make_frame(0x01, seq, payload) + pairs_frame(seq + 1, [(0, 7)]))
+                await writer.drain()
+                by_seq = {f.seq: f for f in [await read_frame(reader) for _ in range(2)]}
+                assert by_seq[seq].op == OP_ERROR
+                assert by_seq[seq].payload["code"] == "unknown_op"
+                assert by_seq[seq + 1].op == OP_DISTANCES
+                assert by_seq[seq + 1].payload["distances"] == [16.0]
+                await close_writer(writer)
+                await assert_alive(server)
+
+        run(main())
+
+    @pytest.mark.parametrize("seed", FUZZ_SEEDS)
+    def test_malformed_distances_frames_are_typed_and_keep_connection(self, engine, seed):
+        """A DISTANCES payload that is short, empty, points past its name
+        table or carries non-UTF-8 names decodes to a recoverable
+        ``bad_payload`` (never an IndexError or UnicodeDecodeError); a
+        well-formed one sent as a request is an ``unknown_op``."""
+
+        async def main():
+            async with running_server(engine) as server:
+                rng = random.Random(seed)
+                count = rng.randint(1, 24)
+                distances = [rng.random() for _ in range(count)]
+                ids = bytes(rng.randrange(2) for _ in range(count))
+                bad = [
+                    distances_raw(0, distances, ids[:-1], b""),
+                    distances_raw(0, [], b"", b"cache"),
+                    distances_raw(0, distances, ids[:-1] + b"\x02", b"cache\nsearch"),
+                    distances_raw(0, distances, ids, b"cache\n\xff" + rng.randbytes(3)),
+                ]
+                good = distances_raw(rng.randrange(2**40), distances, ids, b"cache\nsearch")
+                reader, writer = await open_raw(server)
+                writer.write(
+                    b"".join(make_frame(OP_DISTANCES, seq, raw) for seq, raw in enumerate(bad, 1))
+                    + make_frame(OP_DISTANCES, 5, good)
+                    + make_frame(OP_PING, 6, b"")
+                )
+                await writer.drain()
+                by_seq = {f.seq: f for f in [await read_frame(reader) for _ in range(6)]}
+                for seq in range(1, 5):
+                    assert by_seq[seq].op == OP_ERROR
+                    assert by_seq[seq].payload["code"] == "bad_payload"
+                assert by_seq[5].payload["code"] == "unknown_op"
+                assert by_seq[6].op == OP_RESULT  # still in sync
                 await close_writer(writer)
                 await assert_alive(server)
 
@@ -570,14 +686,18 @@ def malformed_corpus(seed: int):
     """The byte streams the live-server fuzz classes send, by the same recipes."""
     rng = random.Random(seed)
     ping = make_frame(OP_PING, 77, b"")
-    good_query = make_frame(OP_QUERY, 78, json.dumps({"source": 0, "target": 7}).encode())
+    good_query = pairs_frame(78, [(0, 7)])
     yield "truncated_prefix", rng.randbytes(rng.randint(1, 3))
     oversized = DEFAULT_MAX_FRAME_BYTES + rng.randint(1, 2**24)
     yield "oversized_prefix", oversized.to_bytes(4, "big") + rng.randbytes(16)
     version = rng.choice([v for v in range(256) if v != PROTOCOL_VERSION])
     yield "bad_version", make_frame(OP_PING, 5, b"", version=version) + ping
     yield "garbage_payload", (
-        make_frame(OP_QUERY, rng.randint(1, 2**31), rng.randbytes(rng.randint(1, 64)))
+        make_frame(
+            OP_QUERY_BATCH,
+            rng.randint(1, 2**31),
+            rng.randbytes(8 * rng.randint(0, 7) + rng.randint(1, 7)),
+        )
         + ping
     )
     claimed = rng.randint(FIXED_BODY_BYTES + 10, 4096)
@@ -594,11 +714,18 @@ def malformed_corpus(seed: int):
     )
     frame = make_frame(op, 4, raw)
     yield "truncated_packed", frame[: rng.randint(5, len(frame) - 1)]
+    yield "bad_distances", (
+        make_frame(OP_DISTANCES, 13, distances_raw(0, [1.0], b"\x01", b"cache"))
+        + make_frame(OP_DISTANCES, 14, distances_raw(0, [1.0], b"\x00", b"\xff"))
+        + make_frame(OP_DISTANCES, 15, distances_raw(0, [], b"", b""))
+        + ping
+    )
+    yield "retired_op", make_frame(0x01, 16, b'{"source":0,"target":7}') + good_query
     barrage = []
     for index in range(20):
         kind = rng.randrange(3)
         if kind == 0:
-            barrage.append(make_frame(OP_QUERY, index + 1, rng.randbytes(8)))
+            barrage.append(make_frame(OP_QUERY_BATCH, index + 1, rng.randbytes(7)))
         elif kind == 1:
             barrage.append(good_query)
         else:
@@ -615,7 +742,7 @@ def valid_stream(count: int = 100) -> bytes:
             op, raw, _count = packed_request(rng)
             frames.append(make_frame(op, seq, raw))
         elif kind == 1:
-            frames.append(encode_frame(OP_QUERY, seq, {"source": seq, "target": seq + 1}))
+            frames.append(encode_frame(OP_QUERY_BATCH, seq, {"pairs": [(seq, seq + 1)]}))
         else:
             frames.append(encode_frame(OP_PING, seq))
     return b"".join(frames)
@@ -635,7 +762,7 @@ class TestFrameSplitter:
             cuts = sorted(chunker.sample(range(len(data) + 1), min(4, len(data))))
             chunks = [data[a:b] for a, b in zip([0] + cuts, cuts + [len(data)])]
             assert frames_by_splitter(chunks) == want, name
-            if name in ("garbage_payload", "torn_columns", "empty_packed"):
+            if name in ("garbage_payload", "torn_columns", "empty_packed", "bad_distances"):
                 assert want[0][0] == "error" and want[0][3], name  # recoverable
                 assert isinstance(want[-1], Frame), f"{name}: did not resume"
 
@@ -648,7 +775,7 @@ class TestFrameSplitter:
 
     @pytest.mark.parametrize("cut", [1, 2, 3])
     def test_boundary_inside_the_length_prefix(self, cut):
-        first = encode_frame(OP_QUERY, 1, {"source": 0, "target": 7})
+        first = encode_frame(OP_QUERY_BATCH, 1, {"pairs": [(0, 7)]})
         second = encode_frame(OP_PING, 2)
         data = first + second
         split = len(first) + cut  # the second frame's prefix straddles the feeds
@@ -661,7 +788,7 @@ class TestFrameSplitter:
         assert splitter.next_frame() is None
 
     def test_frame_cap_is_the_splitters_own(self):
-        data = encode_frame(OP_QUERY, 1, {"blob": "x" * 64})
+        data = encode_frame(OP_APPLY_BATCH, 1, {"blob": "x" * 64})
         want = frames_by_read_frame(data, max_frame_bytes=32)
         assert want == [("error", "FrameTooLargeError", "frame_too_large", False, None)]
         assert frames_by_splitter([data], max_frame_bytes=32) == want
@@ -675,10 +802,10 @@ def _json(payload) -> bytes:
 
 
 BAD_PAYLOADS = [
-    (OP_QUERY, b"", "bad_payload"),
-    (OP_QUERY, _json({"source": 0}), "bad_payload"),
-    (OP_QUERY, _json({"source": "a", "target": 1}), "bad_payload"),
-    (OP_QUERY, _json({"source": True, "target": 1}), "bad_payload"),
+    (0x01, _json({"source": 0, "target": 7}), "unknown_op"),  # the retired scalar op
+    (OP_QUERY_BATCH, struct.pack("<4i", 0, 7, 999_999, 0), "vertex_not_found"),
+    (OP_ONE_TO_MANY, struct.pack("<3i", 0, 7, 999_999), "vertex_not_found"),
+    (OP_APPLY_BATCH, _json([[0, 8, 6.0, 3.0]]), "bad_payload"),  # not an object
     (OP_QUERY_BATCH, b"", "bad_payload"),
     (OP_QUERY_BATCH, struct.pack("<i", 1), "bad_payload"),
     (OP_QUERY_BATCH, struct.pack("<3i", 1, 2, 3), "bad_payload"),

@@ -1,5 +1,5 @@
-"""Cache and epoch-invalidation coverage: stale-epoch rejection, per-partition
-invalidation on ``apply_batch``, hit/miss accounting under a mixed
+"""Cache and epoch-invalidation coverage: stale-epoch rejection, the whole
+cache cleared on ``apply_batch``, hit/miss accounting under a mixed
 query/update workload, and the rule that the cache fronts search stages only
 (the integration cases run on search-based indexes; a label index's final
 stage never probes it)."""
@@ -12,9 +12,8 @@ from repro.algorithms.dijkstra import dijkstra_distance
 from repro.core.pmhl import PMHLIndex
 from repro.graph.generators import grid_road_network
 from repro.hierarchy.ch import DCHIndex
-from repro.psp.no_boundary import NCHPIndex
 from repro.graph.updates import EdgeUpdate, UpdateBatch, generate_update_stream
-from repro.serving.cache import OVERLAY, EpochDistanceCache
+from repro.serving.cache import EpochDistanceCache
 from repro.serving.engine import ServingEngine
 from repro.throughput.workload import sample_query_pairs
 
@@ -23,7 +22,7 @@ class TestEpochDistanceCache:
     def test_hit_and_miss_accounting(self):
         cache = EpochDistanceCache(capacity=8)
         assert cache.get(1, 2, epoch=0) is None
-        cache.put(1, 2, 5.0, epoch=0, tags=(0, 1))
+        cache.put(1, 2, 5.0, epoch=0)
         assert cache.get(1, 2, epoch=0) == 5.0
         assert cache.get(2, 1, epoch=0) == 5.0  # canonical key: order-insensitive
         stats = cache.snapshot()
@@ -40,26 +39,6 @@ class TestEpochDistanceCache:
         # And a lookup at the original epoch is now a plain miss.
         assert cache.get(1, 2, epoch=0) is None
         assert cache.stats.stale_rejections == 1
-
-    def test_partition_invalidation_is_selective(self):
-        cache = EpochDistanceCache(capacity=8)
-        cache.put(1, 2, 5.0, epoch=0, tags=(0,))
-        cache.put(3, 4, 6.0, epoch=0, tags=(1,))
-        cache.put(5, 6, 7.0, epoch=0, tags=(0, 1))
-        cache.put(7, 8, 8.0, epoch=0, tags=(None,))  # overlay-tagged
-        removed = cache.invalidate_partitions({0})
-        assert removed == 2
-        assert cache.get(3, 4, epoch=0) == 6.0
-        assert cache.get(7, 8, epoch=0) == 8.0
-        assert cache.get(1, 2, epoch=0) is None
-        # None in the affected set matches OVERLAY-tagged entries.
-        assert cache.invalidate_partitions({None}) == 1
-        assert cache.stats.invalidated == 3
-
-    def test_overlay_sentinel_normalisation(self):
-        cache = EpochDistanceCache(capacity=8)
-        cache.put(1, 2, 5.0, epoch=0, tags=(None,))
-        assert cache.invalidate_partitions({OVERLAY}) == 1
 
     def test_lru_eviction(self):
         cache = EpochDistanceCache(capacity=2)
@@ -97,52 +76,30 @@ class TestEngineCacheIntegration:
         assert second.distance == first.distance
         assert engine.cache.stats.hits == 1
 
-    def test_apply_batch_invalidates_affected_partitions_only(self):
+    def test_apply_batch_clears_the_cache(self):
         graph = grid_road_network(6, 6, seed=7)
-        # N-CH-P: search-based (so cached) *and* partitioned (so selective).
-        engine = self._engine(graph, NCHPIndex, num_partitions=4, seed=0)
-        index = engine.index
-        partitioning = index.partitioning
-
-        # One intra-partition update confined to the partition of vertex 0.
-        pid = partitioning.partition_of(0)
-        edge = next(
-            (u, v, w)
-            for u, v, w in graph.edges()
-            if partitioning.partition_of(u) == pid
-            and partitioning.partition_of(v) == pid
-        )
-        u, v, w = edge
+        engine = self._engine(graph)
+        u, v, w = next(iter(graph.edges()))
         batch = UpdateBatch([EdgeUpdate(u, v, w, w * 2.0)])
-
-        # Warm the cache with a pair inside the affected partition and a pair
-        # entirely outside it.
-        inside = [x for x in partitioning.partition_vertices(pid)][:2]
-        outside_pid = next(p for p in range(partitioning.num_partitions) if p != pid)
-        outside = [x for x in partitioning.partition_vertices(outside_pid)][:2]
-        engine.serve(inside[0], inside[1])
-        engine.serve(outside[0], outside[1])
-        assert len(engine.cache) == 2
+        pairs = [(0, 35), (5, 30), (12, 17)]
+        for pair in pairs:
+            engine.serve(*pair)
+        assert len(engine.cache) == len(pairs)
 
         with engine:
             engine.submit_batch(batch)
             engine.wait_for_maintenance()
 
-        # The affected partition's entry is eagerly evicted; the other remains
-        # resident but is epoch-stale.
-        assert (inside[0], inside[1]) not in engine.cache
-        assert (outside[0], outside[1]) in engine.cache
-        assert engine.cache.stats.invalidated == 1
-
-        # Serving the untouched pair again rejects the stale entry and
-        # recomputes at the new epoch — still exactly the Dijkstra answer.
-        result = engine.serve(outside[0], outside[1])
-        assert not result.from_cache
-        assert result.epoch == 1
-        assert engine.cache.stats.stale_rejections == 1
-        assert result.distance == pytest.approx(
-            dijkstra_distance(engine.graph_at(1), outside[0], outside[1])
-        )
+        # Every entry is gone at the install, not left to stale-reject later.
+        assert len(engine.cache) == 0
+        assert engine.cache.stats.invalidated == len(pairs)
+        for source, target in pairs:
+            result = engine.serve(source, target)
+            assert not result.from_cache and result.epoch == 1
+            assert result.distance == pytest.approx(
+                dijkstra_distance(engine.graph_at(1), source, target)
+            )
+        assert engine.cache.stats.stale_rejections == 0
 
     def test_mixed_workload_accounting_consistency(self):
         graph = grid_road_network(6, 6, seed=9)
