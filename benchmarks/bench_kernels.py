@@ -8,8 +8,9 @@ pure-Python reference path (``use_kernels=False``), for
 * the scalar ``query`` loop, and
 * the batch plane (``query_many`` over a pair batch),
 
-then, per maintained method, the CPU time of alternating ``apply_batch``
-windows with the native maintenance kernels (``recompute_row`` /
+then PMHL's five query stages one by one (recorded only, no bar), then,
+per maintained method, the CPU time of alternating ``apply_batch`` windows
+with the native maintenance kernels (``recompute_row`` /
 ``shortcut_row``) and with them patched out (the pure loops they port), and
 writes the rows plus the derived speedups to ``BENCH_kernels.json`` —
 the machine-readable perf trajectory seeded by this benchmark and uploaded
@@ -36,6 +37,7 @@ from typing import Dict, List, Optional, Tuple
 
 import repro.labeling.h2h as h2h_module
 import repro.treedec.mde as mde_module
+from repro.core.stages import PMHLQueryStage
 from repro.graph.generators import grid_road_network
 from repro.graph.updates import generate_update_batch
 from repro.kernels.native import native_kernel, native_kernel_error
@@ -78,6 +80,9 @@ BATCH_QUERIES = 4000
 #: magnitude slower per query; smaller counts keep the run short.
 SLOW_METHODS = {"BiDijkstra": (60, 240), "DCH": (150, 600), "TOAIN": (150, 600),
                 "N-CH-P": (60, 240), "P-TD-P": (150, 600)}
+#: Pairs per batch of the PMHL per-stage rows.
+STAGE_BATCH = 64
+STAGE_BATCHES = 4
 
 
 def _measure(index, pairs: List[Tuple[int, int]], scalar_n: int) -> Dict[str, object]:
@@ -104,6 +109,44 @@ def _measure(index, pairs: List[Tuple[int, int]], scalar_n: int) -> Dict[str, ob
         "_scalar_results": scalar,
         "_batch_results": batch,
     }
+
+
+def _measure_stages(index, pairs: List[Tuple[int, int]]) -> Dict[str, Dict[str, float]]:
+    """µs per query of every PMHL query stage, on the kernel rung.
+
+    ``scalar`` answers pair by pair through ``query_at_stage``; ``batch`` in
+    ``STAGE_BATCH``-pair batches through the stage's batch form — the PSP
+    join (``_psp_query_many``) for NO_BOUNDARY / POST_BOUNDARY, L*'s pair
+    kernel for CROSS_BOUNDARY and the scalar loop for the two search stages,
+    which have none.  Both must return the same bits.
+    """
+    batch_forms = {
+        PMHLQueryStage.NO_BOUNDARY:
+            lambda batch: index._psp_query_many(batch, index.family, False),
+        PMHLQueryStage.POST_BOUNDARY:
+            lambda batch: index._psp_query_many(batch, index.extended_family, True),
+        PMHLQueryStage.CROSS_BOUNDARY: index.query_many,
+    }
+    batches = [pairs[i:i + STAGE_BATCH]
+               for i in range(0, STAGE_BATCH * STAGE_BATCHES, STAGE_BATCH)]
+    rows: Dict[str, Dict[str, float]] = {}
+    for stage in PMHLQueryStage:
+        def scalar_form(batch, stage=stage):
+            return [index.query_at_stage(s, t, stage) for s, t in batch]
+
+        batch_form = batch_forms.get(stage, scalar_form)
+        batch_form(batches[0][:4])  # freezes the stage's stores outside the timing
+        seconds, answers = {}, {}
+        for plane, form in (("scalar", scalar_form), ("batch", batch_form)):
+            start = time.perf_counter()
+            answers[plane] = [form(batch) for batch in batches]
+            seconds[plane] = time.perf_counter() - start
+        assert answers["scalar"] == answers["batch"], stage.name
+        rows[stage.name] = {
+            plane + "_us_per_query": 1e6 * value / (STAGE_BATCH * STAGE_BATCHES)
+            for plane, value in seconds.items()
+        }
+    return rows
 
 
 @contextlib.contextmanager
@@ -186,6 +229,8 @@ def run(out_path: str) -> Dict[str, object]:
             "h2h_family": name in H2H_FAMILY,
             "family": "h2h" if name in H2H_FAMILY else "ch_search",
         }
+        if name == "PMHL":
+            report["pmhl_stages"] = _measure_stages(fast, pairs)
         # After the query rows: the two built indexes become the two rungs of
         # the update-window comparison (``use_kernels`` only selects the query
         # stores; maintenance is the same code on both).
@@ -197,6 +242,12 @@ def run(out_path: str) -> Dict[str, object]:
             f"({pure['scalar_us_per_query']:8.1f} -> {kernels['scalar_us_per_query']:7.1f} us)   "
             f"batch {entry['batch_speedup']:5.1f}x "
             f"({pure['batch_us_per_query']:8.1f} -> {kernels['batch_us_per_query']:7.1f} us)"
+        )
+
+    for stage, row in report["pmhl_stages"].items():
+        print(
+            f"{'PMHL ' + stage:>20}: scalar {row['scalar_us_per_query']:8.1f} us   "
+            f"{STAGE_BATCH}-pair batch {row['batch_us_per_query']:8.1f} us"
         )
 
     for name, entry in report["methods"].items():

@@ -32,6 +32,7 @@ class Partitioning:
     vertex_partition: Dict[int, int]
     _partitions: List[List[int]] = field(init=False, repr=False)
     _boundary: List[Set[int]] = field(init=False, repr=False)
+    _sorted_boundary: List[List[int]] = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         if set(self.vertex_partition) != set(self.graph.vertices()):
@@ -56,6 +57,7 @@ class Partitioning:
             if pu != pv:
                 self._boundary[pu].add(u)
                 self._boundary[pv].add(v)
+        self._sorted_boundary = [sorted(b) for b in self._boundary]
 
     # ------------------------------------------------------------------
     # Introspection
@@ -71,6 +73,10 @@ class Partitioning:
     def boundary(self, pid: int) -> Set[int]:
         """Boundary vertex set ``B_i`` of partition ``pid``."""
         return self._boundary[pid]
+
+    def sorted_boundary(self, pid: int) -> List[int]:
+        """Boundary vertices of partition ``pid`` in ascending id order."""
+        return self._sorted_boundary[pid]
 
     def all_boundary(self) -> Set[int]:
         """Union of all boundary vertex sets ``B``."""

@@ -10,6 +10,9 @@ for distance concatenation:
 * same-partition:  ``min(d_{L_i}(s,t), min_{b_p,b_q∈B_i} d_{L_i}(s,b_p) + d_{L̃}(b_p,b_q) + d_{L_i}(b_q,t))``
 * cross-partition: ``min_{b_p∈B_i, b_q∈B_j} d_{L_i}(s,b_p) + d_{L̃}(b_p,b_q) + d_{L_j}(b_q,t)``
 
+Both are evaluated as one *lift, then join* over the overlay tree
+(:meth:`NoBoundaryPSPIndex._psp_query_many`).
+
 ``NoBoundaryPSPIndex(underlying="ch")`` is the paper's **N-CH-P** baseline
 (update-oriented, slow queries); ``underlying="h2h"`` gives the hop-based
 variant used inside PMHL.
@@ -21,13 +24,13 @@ import math
 import time
 from dataclasses import dataclass
 from functools import partial
-from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro import obs
 from repro.base import DistanceIndex, StageTiming, Timer, UpdateReport
-from repro.exceptions import IndexNotBuiltError, VertexNotFoundError
+from repro.exceptions import IndexNotBuiltError, PartitioningError, VertexNotFoundError
 from repro.graph.graph import Graph
 from repro.graph.updates import UpdateBatch
 from repro.kernels.label_store import LabelStore
@@ -40,47 +43,6 @@ from repro.psp.partition_family import PartitionIndexFamily
 from repro.registry import IndexSpec, register_spec
 
 INF = math.inf
-
-
-def _concat_min(
-    source_map: Dict[int, float],
-    target_map: Dict[int, float],
-    overlay_query: Callable[[int, int], float],
-) -> float:
-    """``min d(s,b_p) + d̃(b_p,b_q) + d(b_q,t)`` over two boundary-distance maps."""
-    vectorized = getattr(overlay_query, "concat_min", None)
-    if vectorized is not None:
-        return vectorized(source_map, target_map)
-    best = INF
-    for bp, d_s in source_map.items():
-        if d_s == INF:
-            continue
-        for bq, d_t in target_map.items():
-            if d_t == INF:
-                continue
-            candidate = d_s + overlay_query(bp, bq) + d_t
-            if candidate < best:
-                best = candidate
-    return best
-
-
-def _row_min(
-    boundary_vertex: int,
-    target_map: Dict[int, float],
-    overlay_query: Callable[[int, int], float],
-) -> float:
-    """``min d̃(b,b_q) + d(b_q,t)``: a boundary vertex against one boundary map."""
-    vectorized = getattr(overlay_query, "row_min", None)
-    if vectorized is not None:
-        return vectorized(boundary_vertex, target_map)
-    best = INF
-    for bq, d_t in target_map.items():
-        if d_t == INF:
-            continue
-        candidate = overlay_query(boundary_vertex, bq) + d_t
-        if candidate < best:
-            best = candidate
-    return best
 
 
 class NoBoundaryPSPIndex(DistanceIndex):
@@ -123,6 +85,8 @@ class NoBoundaryPSPIndex(DistanceIndex):
         self.family: Optional[PartitionIndexFamily] = None
         self.overlay: Optional[OverlayIndex] = None
         self.last_report: Optional[UpdateReport] = None
+        #: ``(kernel epoch, overlay column of each vertex, {pid: M_p})``.
+        self._lift_memo: Tuple[int, Dict[int, int], Dict[int, np.ndarray]] = (-1, {}, {})
 
     # ------------------------------------------------------------------
     # Construction (Section III-C, Steps 1-3; one method per step so PMHL
@@ -141,6 +105,12 @@ class NoBoundaryPSPIndex(DistanceIndex):
         if self.partitioning is None:
             self.partitioning = natural_cut_partition(
                 self.graph, self.num_partitions, seed=self.seed
+            )
+        if not self.partitioning.all_boundary():
+            raise PartitioningError(
+                f"{self.name} needs an overlay, but the "
+                f"{self.partitioning.num_partitions}-partition partitioning has no "
+                "boundary vertex (every partition is a whole connected component)"
             )
         self.order = boundary_first_order(self.graph, self.partitioning)
 
@@ -199,11 +169,6 @@ class NoBoundaryPSPIndex(DistanceIndex):
             self._family_key(family, pid), family.labels[pid], family.contractions[pid]
         )
 
-    def _overlay_fetcher(self) -> Callable[[int, int], float]:
-        """``(b1, b2) -> d`` between boundary vertices on the overlay."""
-        store = self._overlay_store()
-        return store.query if store is not None else self.overlay.query
-
     def _local_distance(
         self, family: PartitionIndexFamily, pid: int, source: int, target: int
     ) -> float:
@@ -215,34 +180,67 @@ class NoBoundaryPSPIndex(DistanceIndex):
 
     def _to_boundary(
         self, family: PartitionIndexFamily, pid: int, vertex: int
-    ) -> Dict[int, float]:
-        """Distances from ``vertex`` to the boundary of its partition ``pid``."""
+    ) -> np.ndarray:
+        """``d_p(vertex, b_i)`` for the boundary of ``vertex``'s partition
+        ``pid``, in :meth:`Partitioning.sorted_boundary` order (the rows of
+        the partition's lift matrix)."""
+        boundary = self.partitioning.sorted_boundary(pid)
         store = self._family_store(family, pid)
         if store is not None:
-            # LabelStore and ShortcutStore both answer the boundary fan-out
-            # as one native batch (hoisted source / C-looped scalar search).
-            boundary = sorted(self.partitioning.boundary(pid))
-            return dict(zip(boundary, store.one_to_many(vertex, boundary)))
-        return family.distances_to_boundary(pid, vertex)
+            return np.asarray(store.one_to_many(vertex, boundary), dtype=np.float64)
+        return np.array([family.query(pid, vertex, b) for b in boundary], dtype=np.float64)
+
+    def _lift_matrix(self, pid: int) -> np.ndarray:
+        """``M_p[i, h] = d̃(b_i, h)`` for every overlay ancestor ``h`` of the
+        ``i``-th boundary vertex of partition ``pid``, ``inf`` elsewhere.
+
+        One row is one overlay ``one_to_many(b_i, ancestors[b_i])`` — through
+        the frozen overlay store, so a store reader derives the matrix from
+        the adopted generation (and a missing ``overlay`` store raises), or
+        through ``overlay.query`` on the pure rung.  Memoised per kernel
+        epoch; it reads the overlay only, so the no-boundary and the
+        post-boundary strategy share it.
+        """
+        epoch = self.kernel_epoch
+        memo = self._lift_memo
+        if memo[0] != epoch:
+            columns = {h: i for i, h in enumerate(self.overlay.tree.ancestors)}
+            memo = self._lift_memo = (epoch, columns, {})
+        _, columns, matrices = memo
+        matrix = matrices.get(pid)
+        if matrix is None:
+            store = self._overlay_store()
+            query = self.overlay.query
+            ancestors = self.overlay.tree.ancestors
+            boundary = self.partitioning.sorted_boundary(pid)
+            matrix = np.full((len(boundary), len(columns)), INF)
+            for row, b in zip(matrix, boundary):
+                chain = ancestors[b]
+                row[[columns[h] for h in chain]] = (
+                    store.one_to_many(b, chain)
+                    if store is not None
+                    else [query(b, h) for h in chain]
+                )
+            matrices[pid] = matrix
+        return matrix
 
     # ------------------------------------------------------------------
-    # Query processing
+    # Query processing: lift, then join
     #
-    # One concatenation routine, :meth:`_psp_query`, serves every PSP
-    # strategy.  A strategy is the pair ``(family, same_partition_direct)``:
-    # which partition family answers in-partition lookups, and whether that
-    # family's same-partition answer is already global (extended partitions)
-    # or must be compared with a detour through the overlay.  The routine is
-    # written against two injectable fetchers so the batch plane can share
-    # memoised lookups across a whole batch:
+    # One routine, :meth:`_psp_query_many`, answers every PSP query — the
+    # scalar plane is its one-pair batch.  A strategy is the pair
+    # ``(family, same_partition_direct)``: which partition family answers
+    # in-partition lookups, and whether that family's same-partition answer
+    # is already global (extended partitions) or must be compared with a
+    # detour through the overlay.
     #
-    # * ``overlay_query(bp, bq)`` — global boundary-to-boundary distance,
-    # * ``to_boundary(pid, v)``   — distances from ``v`` to its partition
-    #   boundary (through the strategy's family).
-    #
-    # The scalar path resolves the raw fetchers once per query, the batch
-    # path wraps the very same calls in memos, so both produce bit-identical
-    # distances.
+    # An endpoint ``v`` of partition ``p`` is *lifted* onto the overlay once:
+    # ``L_v = min_i d_p(v, b_i) + M_p[i, :]``, the shortest ``v -> h`` path
+    # through a boundary vertex of ``p`` that lies below ``h`` in the overlay
+    # tree.  Because the overlay distance of two boundary vertices is the
+    # minimum over their common overlay ancestors, the concatenation
+    # ``min_{b_p, b_q} d(s,b_p) + d̃(b_p,b_q) + d(b_q,t)`` is ``min(L_s + L_t)``
+    # (``inf`` across the trees of a forest overlay).
     # ------------------------------------------------------------------
     def _query_strategy(self) -> Tuple[PartitionIndexFamily, bool]:
         """The ``(family, same_partition_direct)`` pair behind :meth:`query`."""
@@ -257,15 +255,7 @@ class NoBoundaryPSPIndex(DistanceIndex):
         return self._psp_query(source, target, *self._query_strategy())
 
     def query_many(self, pairs: Iterable[Tuple[int, int]]) -> List[float]:
-        """Batched queries sharing overlay/boundary lookups across the batch.
-
-        One memo of overlay boundary-pair distances and one of
-        vertex-to-boundary distance maps span the whole batch, so the
-        concatenation lookups that dominate PSP queries — shared by every
-        pair with the same (source-partition, target-partition) footprint —
-        are paid once per distinct vertex/boundary pair instead of once per
-        query pair.
-        """
+        """Batched queries: each distinct endpoint is lifted once per batch."""
         self._require_built()
         pair_list = list(pairs)
         for source, target in pair_list:
@@ -273,92 +263,10 @@ class NoBoundaryPSPIndex(DistanceIndex):
                 raise VertexNotFoundError(source)
             if not self.graph.has_vertex(target):
                 raise VertexNotFoundError(target)
-        family, same_partition_direct = self._query_strategy()
-
-        overlay_memo: Dict[Tuple[int, int], float] = {}
-        overlay_query = self._overlay_fetcher()
-
-        def cached_overlay(bp: int, bq: int) -> float:
-            key = (bp, bq)
-            hit = overlay_memo.get(key)
-            if hit is None:
-                hit = overlay_query(bp, bq)
-                overlay_memo[key] = hit
-            return hit
-
-        boundary_memo: Dict[Tuple[int, int], Dict[int, float]] = {}
-
-        def cached_to_boundary(pid: int, vertex: int) -> Dict[int, float]:
-            key = (pid, vertex)
-            hit = boundary_memo.get(key)
-            if hit is None:
-                hit = self._to_boundary(family, pid, vertex)
-                boundary_memo[key] = hit
-            return hit
-
-        # With a frozen overlay store, collapse the double loops over
-        # boundary sets into one numpy broadcast over a memoised overlay
-        # distance block per boundary-set pair (see _attach_vector_concat).
-        if self._overlay_store() is not None:
-            self._attach_vector_concat(cached_overlay)
-
-        return [
-            self._psp_query(
-                source, target, family, same_partition_direct,
-                cached_overlay, cached_to_boundary,
-            )
-            for source, target in pair_list
-        ]
-
-    def _attach_vector_concat(self, overlay_query: Callable[[int, int], float]) -> None:
-        """Equip the batch plane's overlay fetcher with vectorized combiners.
-
-        ``concat_min`` and ``row_min`` evaluate the same candidates as the
-        scalar concatenation loops — ``(d_s + overlay) + d_t`` in the same
-        association order, minimised — over an overlay distance block fetched
-        once per distinct boundary-set pair through the frozen store's native
-        batch API, so results are bit-identical while the per-query Python
-        cost drops from ``|B_s|·|B_t|`` loop iterations to one broadcast.
-        """
-        store = self._overlay_store()
-        block_memo: Dict[Tuple, object] = {}
-
-        def block(bs: Tuple[int, ...], bt: Tuple[int, ...]):
-            hit = block_memo.get((bs, bt))
-            if hit is None:
-                hit = np.array(
-                    [store.one_to_many(bp, bt) for bp in bs], dtype=np.float64
-                )
-                block_memo[(bs, bt)] = hit
-            return hit
-
-        def concat_min(source_map: Dict[int, float], target_map: Dict[int, float]) -> float:
-            if not source_map or not target_map:
-                return INF
-            bs = tuple(source_map)
-            bt = tuple(target_map)
-            d_s = np.fromiter(source_map.values(), np.float64, len(bs))
-            d_t = np.fromiter(target_map.values(), np.float64, len(bt))
-            return float(np.min((d_s[:, None] + block(bs, bt)) + d_t[None, :]))
-
-        def row_min(boundary_vertex: int, target_map: Dict[int, float]) -> float:
-            if not target_map:
-                return INF
-            bt = tuple(target_map)
-            hit = block_memo.get((boundary_vertex, bt))
-            if hit is None:
-                hit = np.asarray(
-                    store.one_to_many(boundary_vertex, bt), dtype=np.float64
-                )
-                block_memo[(boundary_vertex, bt)] = hit
-            d_t = np.fromiter(target_map.values(), np.float64, len(bt))
-            return float(np.min(hit + d_t))
-
-        overlay_query.concat_min = concat_min
-        overlay_query.row_min = row_min
+        return self._psp_query_many(pair_list, *self._query_strategy())
 
     def query_one_to_many(self, source: int, targets: Sequence[int]) -> List[float]:
-        """One-to-many batch: the source's boundary distances are fetched once."""
+        """One-to-many batch: the source is lifted once."""
         return self.query_many([(source, target) for target in targets])
 
     def _psp_query(
@@ -367,42 +275,45 @@ class NoBoundaryPSPIndex(DistanceIndex):
         target: int,
         family: PartitionIndexFamily,
         same_partition_direct: bool,
-        overlay_query: Optional[Callable[[int, int], float]] = None,
-        to_boundary: Optional[Callable[[int, int], Dict[int, float]]] = None,
     ) -> float:
-        """PSP distance concatenation (the Section III-C query cases).
+        """One PSP query: the one-pair batch of :meth:`_psp_query_many`."""
+        return self._psp_query_many([(source, target)], family, same_partition_direct)[0]
 
-        Without injected fetchers (the scalar plane) the raw kernel-aware
-        ones are resolved here, once per query.
-        """
-        if source == target:
-            return 0.0
-        if overlay_query is None:
-            overlay_query = self._overlay_fetcher()
-            to_boundary = partial(self._to_boundary, family)
-        partitioning = self.partitioning
-        pid_s = partitioning.partition_of(source)
-        pid_t = partitioning.partition_of(target)
-        if pid_s == pid_t:
-            # Local distance vs. detour through the overlay.
-            local = self._local_distance(family, pid_s, source, target)
-            if same_partition_direct:
-                return local
-            detour = _concat_min(
-                to_boundary(pid_s, source), to_boundary(pid_s, target), overlay_query
-            )
-            return detour if detour < local else local
-        source_is_boundary = source in partitioning.boundary(pid_s)
-        target_is_boundary = target in partitioning.boundary(pid_t)
-        if source_is_boundary and target_is_boundary:
-            return overlay_query(source, target)
-        if source_is_boundary:
-            return _row_min(source, to_boundary(pid_t, target), overlay_query)
-        if target_is_boundary:
-            return _row_min(target, to_boundary(pid_s, source), overlay_query)
-        return _concat_min(
-            to_boundary(pid_s, source), to_boundary(pid_t, target), overlay_query
-        )
+    def _psp_query_many(
+        self,
+        pairs: Sequence[Tuple[int, int]],
+        family: PartitionIndexFamily,
+        same_partition_direct: bool,
+    ) -> List[float]:
+        """PSP distances of ``pairs`` under one strategy (lift, then join)."""
+        partition_of = self.partitioning.partition_of
+        lifts: Dict[int, np.ndarray] = {}
+
+        def lift(vertex: int) -> np.ndarray:
+            lifted = lifts.get(vertex)
+            if lifted is None:
+                pid = partition_of(vertex)
+                to_boundary = self._to_boundary(family, pid, vertex)
+                lifted = lifts[vertex] = (
+                    to_boundary[:, None] + self._lift_matrix(pid)
+                ).min(axis=0, initial=INF)
+            return lifted
+
+        distances: List[float] = []
+        for source, target in pairs:
+            if source == target:
+                distances.append(0.0)
+                continue
+            local = INF
+            pid = partition_of(source)
+            if pid == partition_of(target):
+                local = self._local_distance(family, pid, source, target)
+                if same_partition_direct:
+                    distances.append(local)
+                    continue
+            joined = float((lift(source) + lift(target)).min())
+            distances.append(joined if joined < local else local)
+        return distances
 
     # ------------------------------------------------------------------
     # Maintenance

@@ -103,7 +103,7 @@ class OverlayIndex:
 
     def boundary_pair_distances(self, pid: int) -> Dict[Tuple[int, int], float]:
         """All-pair global distances among the boundary vertices of partition ``pid``."""
-        boundary = sorted(self.partitioning.boundary(pid))
+        boundary = self.partitioning.sorted_boundary(pid)
         distances: Dict[Tuple[int, int], float] = {}
         for i, b1 in enumerate(boundary):
             for b2 in boundary[i + 1 :]:

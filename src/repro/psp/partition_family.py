@@ -109,13 +109,6 @@ class PartitionIndexFamily:
         contraction = self.contractions[pid]
         return ch_bidirectional_query(source, target, lambda v: contraction.shortcuts[v])
 
-    def distances_to_boundary(self, pid: int, vertex: int) -> Dict[int, float]:
-        """Distances from ``vertex`` to every boundary vertex of its partition."""
-        self._require_built()
-        return {
-            b: self.query(pid, vertex, b) for b in sorted(self.partitioning.boundary(pid))
-        }
-
     # ------------------------------------------------------------------
     # Boundary shortcuts (overlay-graph construction, Theorem 2)
     # ------------------------------------------------------------------

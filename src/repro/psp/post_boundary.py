@@ -91,9 +91,9 @@ class PostBoundaryPSPIndex(NoBoundaryPSPIndex):
 
     # ------------------------------------------------------------------
     # Query processing: in-partition lookups go through the extended family,
-    # whose same-partition answers are already global.  The scalar and batch
-    # planes are inherited; their memos and frozen per-partition stores then
-    # hold the *extended* structures.
+    # whose same-partition answers are already global.  The lift-then-join
+    # is inherited; its frozen per-partition stores then hold the *extended*
+    # structures, its lift matrices are the overlay's own.
     # ------------------------------------------------------------------
     def _query_strategy(self) -> Tuple[PartitionIndexFamily, bool]:
         return self.extended_family, True
