@@ -8,8 +8,11 @@ pure-Python reference path (``use_kernels=False``), for
 * the scalar ``query`` loop, and
 * the batch plane (``query_many`` over a pair batch),
 
-then PMHL's five query stages one by one (recorded only, no bar), then,
-per maintained method, the CPU time of alternating ``apply_batch`` windows
+then PMHL's five query stages one by one (recorded only, no bar), then
+the milliseconds of a full freeze and of a refreeze (values gathered into
+the previous epoch's layout) of DCH's shortcut store, PMHL's cross-boundary
+label store and the graph snapshot (recorded only, no bar), then, per
+maintained method, the CPU time of alternating ``apply_batch`` windows
 with the native maintenance kernels (``recompute_row`` /
 ``shortcut_row``) and with them patched out (the pure loops they port), and
 writes the rows plus the derived speedups to ``BENCH_kernels.json`` —
@@ -40,7 +43,10 @@ import repro.treedec.mde as mde_module
 from repro.core.stages import PMHLQueryStage
 from repro.graph.generators import grid_road_network
 from repro.graph.updates import generate_update_batch
+from repro.kernels.graph_snapshot import GraphSnapshot
+from repro.kernels.label_store import LabelStore
 from repro.kernels.native import native_kernel, native_kernel_error
+from repro.kernels.shortcut_store import ShortcutStore
 from repro.registry import create_index, get_spec
 from repro.throughput.workload import sample_query_pairs
 
@@ -83,6 +89,8 @@ SLOW_METHODS = {"BiDijkstra": (60, 240), "DCH": (150, 600), "TOAIN": (150, 600),
 #: Pairs per batch of the PMHL per-stage rows.
 STAGE_BATCH = 64
 STAGE_BATCHES = 4
+#: Timed freezes per refreeze row (median reported).
+FREEZE_REPEATS = 7
 
 
 def _measure(index, pairs: List[Tuple[int, int]], scalar_n: int) -> Dict[str, object]:
@@ -187,6 +195,56 @@ def _measure_maintenance(native_index, pure_index, pairs) -> Optional[Dict[str, 
             "apply_speedup": pure_s / native_s}
 
 
+def _median_ms(freeze, repeats: int = FREEZE_REPEATS) -> float:
+    samples = []
+    for _ in range(repeats):
+        start = time.perf_counter()
+        freeze()
+        samples.append(time.perf_counter() - start)
+    return 1e3 * statistics.median(samples)
+
+
+def _measure_refreeze(dch, pmhl) -> Optional[Dict[str, Dict[str, float]]]:
+    """Full freeze vs refreeze of the three stores a weight-only epoch keeps
+    the layout of; the refrozen store must equal the full one byte for byte.
+
+    A full freeze derives the layout afresh (for the label store: the tree's
+    cached LCA / position arrays), a refreeze gathers the values into the
+    layout of a template store (for the label store: the tree's cached one).
+    """
+    if native_kernel() is None:
+        return None
+    shortcuts, order = dch.contraction.shortcuts, dch.contraction.order
+    labels = pmhl.cross_labels
+
+    def full_labels():
+        labels.tree._kernel_layout = None
+        return LabelStore.freeze(labels)
+
+    cases = {
+        "dch_ch": (
+            lambda: ShortcutStore.freeze(shortcuts.__getitem__, order),
+            lambda template: ShortcutStore.freeze(shortcuts.__getitem__, order, template),
+        ),
+        "pmhl_cross_labels": (full_labels, lambda template: LabelStore.freeze(labels)),
+        "graph_snapshot": (
+            lambda: GraphSnapshot.freeze(dch.graph),
+            lambda template: GraphSnapshot.freeze(dch.graph, template),
+        ),
+    }
+    rows: Dict[str, Dict[str, float]] = {}
+    for name, (full, refreeze) in cases.items():
+        template = full()
+        full_ms = _median_ms(full)
+        refreeze_ms = _median_ms(lambda: refreeze(template))
+        gathered, rebuilt = refreeze(template), full()
+        assert gathered.arena.toc == rebuilt.arena.toc, name
+        assert bytes(gathered.arena.buffer) == bytes(rebuilt.arena.buffer), name
+        rows[name] = {"full_freeze_ms": full_ms, "refreeze_ms": refreeze_ms,
+                      "speedup": full_ms / refreeze_ms}
+    return rows
+
+
 def run(out_path: str) -> Dict[str, object]:
     base = grid_road_network(GRID, GRID, seed=5)
     report: Dict[str, object] = {
@@ -199,6 +257,7 @@ def run(out_path: str) -> Dict[str, object]:
         "update_windows": {"count": UPDATE_WINDOWS, "edges": UPDATE_VOLUME},
         "methods": {},
     }
+    built: Dict[str, object] = {}
     for name, spec in SPECS.items():
         scalar_n, batch_n = SLOW_METHODS.get(name, (SCALAR_QUERIES, BATCH_QUERIES))
         pairs = list(sample_query_pairs(base, batch_n, seed=3))
@@ -237,6 +296,8 @@ def run(out_path: str) -> Dict[str, object]:
         if name != "BiDijkstra":
             entry["maintenance"] = _measure_maintenance(fast, reference, pairs)
         report["methods"][name] = entry
+        if name in ("DCH", "PMHL"):
+            built[name] = fast
         print(
             f"{name:>10}: scalar {entry['scalar_speedup']:5.1f}x "
             f"({pure['scalar_us_per_query']:8.1f} -> {kernels['scalar_us_per_query']:7.1f} us)   "
@@ -248,6 +309,13 @@ def run(out_path: str) -> Dict[str, object]:
         print(
             f"{'PMHL ' + stage:>20}: scalar {row['scalar_us_per_query']:8.1f} us   "
             f"{STAGE_BATCH}-pair batch {row['batch_us_per_query']:8.1f} us"
+        )
+
+    report["refreeze"] = _measure_refreeze(built["DCH"], built["PMHL"])
+    for name, row in (report["refreeze"] or {}).items():
+        print(
+            f"{name:>20}: full freeze {row['full_freeze_ms']:6.2f} ms   "
+            f"refreeze {row['refreeze_ms']:6.2f} ms   ({row['speedup']:4.1f}x)"
         )
 
     for name, entry in report["methods"].items():

@@ -42,7 +42,7 @@ from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro import obs
 from repro.algorithms.dijkstra import bidijkstra
-from repro.exceptions import StoreNotPublishedError
+from repro.exceptions import StoreNotPublishedError, VertexNotFoundError
 from repro.graph.graph import Graph
 from repro.graph.updates import UpdateBatch
 from repro.kernels.native import native_kernel
@@ -127,6 +127,10 @@ class DistanceIndex(abc.ABC):
         self._kernel_epoch = 0
         self._kernel_stores: Dict[str, object] = {}
         self._graph_snapshot_cache = None
+        #: The shortcut stores and graph snapshot (under ``"__graph__"``) the
+        #: last invalidation dropped, by memo key: a refreeze gathers its
+        #: values into the template's layout (see :meth:`_kernel`).
+        self._kernel_templates: Dict[str, object] = {}
 
     # ------------------------------------------------------------------
     # Lifecycle
@@ -301,8 +305,23 @@ class DistanceIndex(abc.ABC):
         (before any structure is mutated), so no query can ever read a store
         frozen from pre-update state.  The serving engine additionally calls
         this when it opens a new epoch, keying freezes to its epoch counter.
+
+        The dropped stores a refreeze gathers into (those whose class sets
+        ``gathers_into_template``) stay on as templates, one per memo key,
+        until that key refreezes: weight updates keep their layout, so the
+        refreeze copies only values into it.  A template is never served
+        and never written (a store is immutable), so a reader still holding
+        it answers exactly as before.
         """
         self._kernel_epoch += 1
+        templates = self._kernel_templates
+        templates.update(
+            (key, store)
+            for key, store in list(self._kernel_stores.items())
+            if getattr(store, "gathers_into_template", False)
+        )
+        if self._graph_snapshot_cache is not None:
+            templates["__graph__"] = self._graph_snapshot_cache
         self._kernel_stores.clear()
         self._graph_snapshot_cache = None
         if obs.is_enabled():
@@ -312,10 +331,13 @@ class DistanceIndex(abc.ABC):
                 index=self.name,
             ).inc()
 
-    def _kernel(self, key: str, builder: Callable[[], object]):
+    def _kernel(self, key: str, builder: Callable[[object], object]):
         """Per-epoch memo of one frozen store.
 
-        ``builder()`` runs at most once per kernel epoch per ``key``; a
+        ``builder(template)`` runs at most once per kernel epoch per ``key``;
+        ``template`` is the store the last invalidation dropped under ``key``
+        (or ``None``), released here: a ``ShortcutStore.freeze`` gathers into
+        its layout and itself checks that the layout still fits.  A
         ``None`` result (freeze unsupported for this structure) is cached
         too so unsupported structures don't retry on every query.  Returns
         ``None`` whenever ``use_kernels`` is off or the C kernel is not
@@ -331,9 +353,10 @@ class DistanceIndex(abc.ABC):
                 raise StoreNotPublishedError(key)
             if native_kernel() is None:
                 return None
+            template = self._kernel_templates.pop(key, None)
             if obs.is_enabled():
                 with obs.span("kernels.freeze." + key, index=self.name, store=key):
-                    entry = builder()
+                    entry = builder(template)
                 obs.registry().counter(
                     "repro_kernel_freezes_total",
                     "Frozen-store builds (label 'frozen' distinguishes "
@@ -341,7 +364,7 @@ class DistanceIndex(abc.ABC):
                     index=self.name, store=key, frozen=entry is not None,
                 ).inc()
             else:
-                entry = builder()
+                entry = builder(template)
             self._kernel_stores[key] = entry
         return entry
 
@@ -365,8 +388,12 @@ class DistanceIndex(abc.ABC):
                 return None
             from repro.kernels.graph_snapshot import GraphSnapshot
 
-            snapshot = GraphSnapshot.freeze(self.graph)
+            # A stale snapshot (out-of-band mutation) is as good a template
+            # as the one the last invalidation dropped.
+            template = snapshot or self._kernel_templates.get("__graph__")
+            snapshot = GraphSnapshot.freeze(self.graph, template)
             self._graph_snapshot_cache = snapshot
+            self._kernel_templates.pop("__graph__", None)
         return snapshot
 
     # ------------------------------------------------------------------
@@ -428,6 +455,8 @@ class DistanceIndex(abc.ABC):
         frozen from its own structures again.
         """
         self.invalidate_kernels()
+        # Nothing here ever freezes again, so no template is ever released.
+        self._kernel_templates.clear()
         for key, store in stores.items():
             self._attach_kernel(key, store)
         self.store_reader = True
@@ -438,6 +467,15 @@ class DistanceIndex(abc.ABC):
     @property
     def is_built(self) -> bool:
         return self._built
+
+    def _check_endpoints(self, source: int, target: int) -> None:
+        """Raise :class:`~repro.exceptions.VertexNotFoundError` unless both
+        endpoints are vertices of the graph: what a stage answering from
+        Python structures checks first (a frozen store checks its own)."""
+        if not self.graph.has_vertex(source):
+            raise VertexNotFoundError(source)
+        if not self.graph.has_vertex(target):
+            raise VertexNotFoundError(target)
 
     def describe(self) -> Dict[str, object]:
         """Small summary dictionary used by the experiment reports."""

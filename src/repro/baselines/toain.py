@@ -114,8 +114,8 @@ class TOAINIndex(DistanceIndex):
         contraction = self._require_built()
         return self._kernel(
             "sub_core",
-            lambda: ShortcutStore.freeze(
-                self._sub_core_upward(), contraction.order
+            lambda template: ShortcutStore.freeze(
+                self._sub_core_upward(), contraction.order, template
             ),
         )
 
@@ -123,7 +123,7 @@ class TOAINIndex(DistanceIndex):
         """Frozen CSR hub-label table (``None`` = pure path)."""
         contraction = self._require_built()
 
-        def freeze():
+        def freeze(_):
             rank = contraction.rank
             threshold = self.core_rank_threshold
             core = [v for v in contraction.order if rank[v] >= threshold]

@@ -124,7 +124,7 @@ class PMHLIndex(PostBoundaryPSPIndex):
     # ------------------------------------------------------------------
     def _cross_store(self):
         return self._kernel(
-            "cross_labels", lambda: LabelStore.freeze(self.cross_labels)
+            "cross_labels", lambda _: LabelStore.freeze(self.cross_labels)
         )
 
     def _pch_upward(self) -> Callable[[int], Dict[int, float]]:
@@ -144,7 +144,10 @@ class PMHLIndex(PostBoundaryPSPIndex):
 
     def _pch_store(self):
         return self._kernel(
-            "pch", lambda: ShortcutStore.freeze(self._pch_upward(), self.order)
+            "pch",
+            lambda template: ShortcutStore.freeze(
+                self._pch_upward(), self.order, template
+            ),
         )
 
     # ------------------------------------------------------------------
@@ -157,16 +160,19 @@ class PMHLIndex(PostBoundaryPSPIndex):
         store = self._pch_store()
         if store is not None:
             return store.query(source, target)
+        self._check_endpoints(source, target)
         return ch_bidirectional_query(source, target, self._pch_upward())
 
     def query_no_boundary(self, source: int, target: int) -> float:
         """Q-Stage 3: no-boundary PSP query (distance concatenation via {L_i}, L̃)."""
         self._require_built()
+        self._check_endpoints(source, target)
         return self._psp_query(source, target, self.family, False)
 
     def query_post_boundary(self, source: int, target: int) -> float:
         """Q-Stage 4: post-boundary PSP query (same-partition queries answered by {L'_i})."""
         self._require_built()
+        self._check_endpoints(source, target)
         return self._psp_query(source, target, self.extended_family, True)
 
     def query_cross_boundary(self, source: int, target: int) -> float:
@@ -175,15 +181,11 @@ class PMHLIndex(PostBoundaryPSPIndex):
         store = self._cross_store()
         if store is not None:
             return store.query(source, target)
+        self._check_endpoints(source, target)
         return self.cross_labels.query(source, target)
 
     def query(self, source: int, target: int) -> float:
         """Default query path: the fastest (cross-boundary) stage."""
-        self._require_built()
-        if not self.graph.has_vertex(source):
-            raise VertexNotFoundError(source)
-        if not self.graph.has_vertex(target):
-            raise VertexNotFoundError(target)
         return self.query_cross_boundary(source, target)
 
     def query_one_to_many(self, source: int, targets: Sequence[int]) -> List[float]:

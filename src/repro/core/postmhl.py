@@ -157,13 +157,15 @@ class PostMHLIndex(DistanceIndex):
     # entries.
     # ------------------------------------------------------------------
     def _label_store(self):
-        return self._kernel("labels", lambda: LabelStore.freeze(self.labels))
+        return self._kernel("labels", lambda _: LabelStore.freeze(self.labels))
 
     def _pch_store(self):
         return self._kernel(
             "pch",
-            lambda: ShortcutStore.freeze(
-                lambda v: self.contraction.shortcuts[v], self.contraction.order
+            lambda template: ShortcutStore.freeze(
+                self.contraction.shortcuts.__getitem__,
+                self.contraction.order,
+                template,
             ),
         )
 
@@ -177,6 +179,7 @@ class PostMHLIndex(DistanceIndex):
         store = self._pch_store()
         if store is not None:
             return store.query(source, target)
+        self._check_endpoints(source, target)
         return ch_bidirectional_query(
             source, target, lambda v: self.contraction.shortcuts[v]
         )
@@ -184,6 +187,7 @@ class PostMHLIndex(DistanceIndex):
     def query_post_boundary(self, source: int, target: int) -> float:
         """Q-Stage 3: post-boundary query (boundary arrays + overlay labels)."""
         self._require_built()
+        self._check_endpoints(source, target)
         if source == target:
             return 0.0
         pid_s = self.td.partition_of(source)
@@ -205,15 +209,11 @@ class PostMHLIndex(DistanceIndex):
         store = self._label_store()
         if store is not None:
             return store.query(source, target)
+        self._check_endpoints(source, target)
         return self.labels.query(source, target)
 
     def query(self, source: int, target: int) -> float:
         """Default query path: the fastest (cross-boundary) stage."""
-        self._require_built()
-        if not self.graph.has_vertex(source):
-            raise VertexNotFoundError(source)
-        if not self.graph.has_vertex(target):
-            raise VertexNotFoundError(target)
         return self.query_cross_boundary(source, target)
 
     def query_one_to_many(self, source: int, targets: Sequence[int]) -> List[float]:

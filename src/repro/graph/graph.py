@@ -18,7 +18,7 @@ although the synthetic generators produce contiguous ids.
 from __future__ import annotations
 
 import math
-from typing import Dict, Iterable, Iterator, List, Optional, Tuple
+from typing import Dict, Iterable, Iterator, List, Optional, Tuple, ValuesView
 
 from repro.exceptions import (
     EdgeNotFoundError,
@@ -285,6 +285,12 @@ class Graph:
                 weights.append(w)
             indptr[i + 1] = indptr[i] + len(nbrs)
         return ids, indptr, indices, weights
+
+    def adjacency_rows(self) -> Tuple[List[int], ValuesView[Dict[int, float]]]:
+        """The rows :meth:`to_csr` flattens: the vertices in adjacency order
+        and a live view of their neighbour dicts, in the same order.  The
+        dicts are the graph's own; callers only read them."""
+        return list(self._adj), self._adj.values()
 
     # ------------------------------------------------------------------
     # Connectivity helpers

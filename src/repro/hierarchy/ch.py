@@ -143,8 +143,8 @@ class CHIndex(DistanceIndex):
         contraction = self._require_built()
         return self._kernel(
             "ch",
-            lambda: ShortcutStore.freeze(
-                lambda v: contraction.shortcuts[v], contraction.order
+            lambda template: ShortcutStore.freeze(
+                contraction.shortcuts.__getitem__, contraction.order, template
             ),
         )
 

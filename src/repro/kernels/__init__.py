@@ -28,7 +28,10 @@ Without the kernel, or with ``use_kernels=False``, an index answers through
 the reference path.  Freezing is lazy (first query after an invalidation)
 and keyed to the index's kernel epoch (see
 ``repro.base.DistanceIndex.invalidate_kernels``), so a store is built at most
-once per update epoch per query stage.  Every store computes exactly the
+once per update epoch per query stage; since updates change weights only,
+that refreeze gathers the new values into the previous epoch's layout
+(:func:`~repro.kernels.arena.regather`, the C ``gather_rows``) and rebuilds
+the layout only when a row no longer fits it.  Every store computes exactly the
 reference arithmetic, so results are bit-identical on both rungs.
 """
 

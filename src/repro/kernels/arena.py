@@ -22,17 +22,20 @@ one memory model:
   epoch is pointers into this arena, wherever its bytes physically live.
 
 Arenas are immutable by contract: a store freezes one per kernel epoch and
-never writes to it afterwards.  Views are plain numpy slices of the buffer —
+never writes to it afterwards; a refreeze (:func:`regather`) writes into a
+copy of the previous epoch's buffer.  Views are plain numpy slices of the buffer —
 zero-copy, C-contiguous, and safe to hand to the native kernels.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from repro import obs
 from repro.exceptions import VertexNotFoundError
+from repro.kernels.native import native_kernel
 
 #: Offset alignment inside the buffer.  64 bytes keeps every view cache-line
 #: aligned when the buffer itself is (fresh allocations are; mmap-backed
@@ -210,3 +213,47 @@ def rows_of(row: Dict, remap, vertices: Sequence):
             if v not in row:
                 raise VertexNotFoundError(v) from None
         raise
+
+
+# ----------------------------------------------------------------------
+# Refreeze (shared by the CSR stores: ids / indptr / indices / weights)
+# ----------------------------------------------------------------------
+def count_freeze(store: str, layout: str) -> None:
+    """Count one frozen store of kind ``store``; ``layout`` is ``"reused"``
+    when only its values were gathered into the previous epoch's layout,
+    ``"built"`` when the layout was derived afresh."""
+    if obs.is_enabled():
+        obs.registry().counter(
+            "repro_kernel_store_freezes_total",
+            "Frozen kernel stores built, by store kind and layout",
+            store=store,
+            layout=layout,
+        ).inc()
+
+
+def regather(template, ids: Sequence, rows: Iterable) -> Optional[Arena]:
+    """The next epoch's arena of a CSR store whose layout survived.
+
+    ``template`` is the previous epoch's store (``arena`` with ``ids`` /
+    ``indptr`` / ``indices`` / ``weights`` entries, plus its ``row`` dict and
+    ``_remap``); ``rows`` holds one ``neighbour id -> weight`` mapping per
+    vertex of ``ids``.  Weight-only updates keep every key and its order, so
+    the result is a copy of the template's buffer — same table of contents,
+    so it packs and serializes exactly like a full freeze — whose
+    ``weights`` the C kernel gathers from ``rows`` in one pass.  ``None``
+    when the ids differ or any row no longer fits the layout (a key, a count
+    or the order changed): the caller rebuilds the layout then.  The
+    template is only read.
+    """
+    layout = template.arena
+    if len(ids) != len(layout["ids"]) or not np.array_equal(layout["ids"], ids):
+        return None
+    arena = Arena(layout.buffer.copy(), layout.toc)
+    remap = template.row if template._remap is None else template._remap
+    try:
+        native_kernel().gather_rows(
+            rows, arena["indptr"], arena["weights"], remap, arena["indices"]
+        )
+    except ValueError:
+        return None
+    return arena

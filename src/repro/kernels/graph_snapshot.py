@@ -24,14 +24,13 @@ Every snapshot records ``graph.version`` at freeze time; holders use
 
 from __future__ import annotations
 
-from typing import Iterable, List
+from typing import Iterable, List, Optional
 
 import numpy as np
 
-from repro import obs
 from repro.exceptions import VertexNotFoundError
 from repro.graph.graph import Graph
-from repro.kernels.arena import Arena, build_remap, rows_of
+from repro.kernels.arena import Arena, build_remap, count_freeze, regather, rows_of
 from repro.kernels.native import native_kernel
 
 
@@ -40,24 +39,41 @@ class GraphSnapshot:
 
     __slots__ = ("version", "arena", "row", "_remap", "capsule")
 
-    def __init__(self, arena: Arena, version: int):
+    #: A refreeze gathers into the previous snapshot (see ShortcutStore).
+    gathers_into_template = True
+
+    def __init__(
+        self, arena: Arena, version: int, layout: Optional["GraphSnapshot"] = None
+    ):
+        """``layout``: an earlier snapshot with the same ids, whose (never
+        mutated) ``row`` dict and remap are shared instead of rebuilt."""
         self.version = version
         self.arena = arena
         ids = arena["ids"]
-        self.row = {v: i for i, v in enumerate(ids.tolist())}
-        self._remap = build_remap(ids)
+        if layout is None:
+            self.row = {v: i for i, v in enumerate(ids.tolist())}
+            self._remap = build_remap(ids)
+        else:
+            self.row = layout.row
+            self._remap = layout._remap
         self.capsule = native_kernel().search_build(
             ids, arena["indptr"], arena["indices"], arena["weights"]
         )
 
     @classmethod
-    def freeze(cls, graph: Graph) -> "GraphSnapshot":
-        if obs.is_enabled():
-            obs.registry().counter(
-                "repro_kernel_store_freezes_total",
-                "Frozen kernel stores built, by store kind",
-                store="graph_snapshot",
-            ).inc()
+    def freeze(
+        cls, graph: Graph, template: Optional["GraphSnapshot"] = None
+    ) -> "GraphSnapshot":
+        """Freeze ``graph``'s adjacency.  ``template`` is an earlier snapshot
+        of the same graph: while only weights changed since, just the weights
+        are gathered into its layout (:func:`~repro.kernels.arena.regather`);
+        an added or removed edge or vertex rebuilds the layout."""
+        if template is not None:
+            arena = regather(template, *graph.adjacency_rows())
+            if arena is not None:
+                count_freeze("graph_snapshot", "reused")
+                return cls(arena, graph.version, layout=template)
+        count_freeze("graph_snapshot", "built")
         ids, indptr, indices, weights = graph.to_csr()
         arena = Arena.pack(
             {

@@ -26,9 +26,8 @@ from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
-from repro import obs
 from repro.exceptions import VertexNotFoundError
-from repro.kernels.arena import Arena, build_remap, rows_of
+from repro.kernels.arena import Arena, build_remap, count_freeze, rows_of
 
 INF = math.inf
 
@@ -76,12 +75,7 @@ class HubStore:
                 hub_slots[offset] = core_slots[hub]
                 hub_dists[offset] = distance
                 offset += 1
-        if obs.is_enabled():
-            obs.registry().counter(
-                "repro_kernel_store_freezes_total",
-                "Frozen kernel stores built, by store kind",
-                store="hub_store",
-            ).inc()
+        count_freeze("hub_store", "built")
         arena = Arena.pack(
             {
                 "verts": np.asarray(verts, dtype=np.int64),

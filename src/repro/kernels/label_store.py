@@ -29,7 +29,8 @@ The *layout* (row numbering, LCA arrays, position CSR) depends only on the
 tree structure, which weight-only updates never change — it is computed once
 per tree and cached on the :class:`~repro.treedec.tree.TreeDecomposition`
 keyed by its ``structure_version``.  A freeze after an update batch therefore
-only re-flattens the distance data before packing the epoch's arena.
+only gathers the distance data (one pass of the C kernel's ``gather_rows``)
+before packing the epoch's arena.
 """
 
 from __future__ import annotations
@@ -38,9 +39,8 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro import obs
 from repro.exceptions import VertexNotFoundError
-from repro.kernels.arena import Arena, build_remap, rows_of
+from repro.kernels.arena import Arena, build_remap, count_freeze, rows_of
 from repro.kernels.native import native_kernel
 
 #: Rows are packed into the low bits of sparse-table entries; depth goes in
@@ -163,15 +163,11 @@ class LabelStore:
         if layout is None:
             return None
         verts = layout.verts
-        dis = labels.dis
-        counts = [len(dis[v]) for v in verts]
-        dis_indptr = np.zeros(len(verts) + 1, dtype=np.int64)
-        np.cumsum(counts, out=dis_indptr[1:])
+        rows = list(map(labels.dis.__getitem__, verts))
+        dis_indptr = np.zeros(len(rows) + 1, dtype=np.int64)
+        np.cumsum([len(row) for row in rows], out=dis_indptr[1:])
         dis_data = np.empty(int(dis_indptr[-1]), dtype=np.float64)
-        offset = 0
-        for v, count in zip(verts, counts):
-            dis_data[offset : offset + count] = dis[v]
-            offset += count
+        native_kernel().gather_rows(rows, dis_indptr, dis_data)
         arena = Arena.pack(
             {
                 "verts": np.asarray(verts, dtype=np.int64),
@@ -186,13 +182,8 @@ class LabelStore:
                 "dis_data": dis_data,
             }
         )
-        if obs.is_enabled():
-            obs.registry().counter(
-                "repro_kernel_store_freezes_total",
-                "Frozen kernel stores built, by store kind",
-                store="label_store",
-            ).inc()
-        return cls(arena, row=dict(layout.row))
+        count_freeze("label_store", "built")
+        return cls(arena, row=layout.row)
 
     # ------------------------------------------------------------------
     # Snapshot persistence (see repro.store)

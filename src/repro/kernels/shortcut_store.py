@@ -27,8 +27,8 @@ from typing import Callable, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro import obs
-from repro.kernels.arena import Arena, build_remap, rows_of
+from repro.exceptions import VertexNotFoundError
+from repro.kernels.arena import Arena, build_remap, count_freeze, regather, rows_of
 from repro.kernels.native import native_kernel
 
 
@@ -37,11 +37,21 @@ class ShortcutStore:
 
     __slots__ = ("arena", "row", "_remap", "capsule")
 
-    def __init__(self, arena: Arena):
+    #: A refreeze gathers into the previous epoch's store, so an index keeps
+    #: the store it drops as the template of its memo key.
+    gathers_into_template = True
+
+    def __init__(self, arena: Arena, layout: Optional["ShortcutStore"] = None):
+        """``layout``: an earlier store with the same ids, whose (never
+        mutated) ``row`` dict and remap are shared instead of rebuilt."""
         self.arena = arena
         ids = arena["ids"]
-        self.row = {v: i for i, v in enumerate(ids.tolist())}
-        self._remap = build_remap(ids)
+        if layout is None:
+            self.row = {v: i for i, v in enumerate(ids.tolist())}
+            self._remap = build_remap(ids)
+        else:
+            self.row = layout.row
+            self._remap = layout._remap
         kernel = native_kernel()
         self.capsule = kernel.search_build(
             ids, arena["indptr"], arena["indices"], arena["weights"]
@@ -54,10 +64,22 @@ class ShortcutStore:
         cls,
         upward: Callable[[int], Mapping[int, float]],
         vertices: Iterable[int],
+        template: Optional["ShortcutStore"] = None,
     ) -> Optional["ShortcutStore"]:
         """Materialise ``upward(v)`` for every vertex, preserving item order;
-        ``None`` when the adjacency leaves ``vertices`` (unsupported)."""
+        ``None`` when the adjacency leaves ``vertices`` (unsupported).
+
+        ``template`` is the previous epoch's store of the same adjacency:
+        weight updates keep the shortcut set, so only the weights are
+        gathered into its layout (:func:`~repro.kernels.arena.regather`);
+        when a row no longer fits it, the layout is rebuilt from scratch.
+        """
         ids = list(vertices)
+        if template is not None:
+            arena = regather(template, ids, map(upward, ids))
+            if arena is not None:
+                count_freeze("shortcut_store", "reused")
+                return cls(arena, layout=template)
         position = {v: i for i, v in enumerate(ids)}
         indptr = [0]
         indices: List[int] = []
@@ -70,12 +92,7 @@ class ShortcutStore:
                 indices.append(row)
                 weights.append(w)
             indptr.append(len(indices))
-        if obs.is_enabled():
-            obs.registry().counter(
-                "repro_kernel_store_freezes_total",
-                "Frozen kernel stores built, by store kind",
-                store="shortcut_store",
-            ).inc()
+        count_freeze("shortcut_store", "built")
         return cls(
             Arena.pack(
                 {
@@ -106,11 +123,15 @@ class ShortcutStore:
     def query(self, source: int, target: int) -> float:
         """Elimination-tree CH query over the frozen shortcut arrays.
 
-        Raises ``KeyError`` for a vertex the store never froze, like the
-        dict path would; callers guarantee membership."""
+        Raises :class:`VertexNotFoundError` for a vertex the store never
+        froze, also when ``source == target``."""
+        row = self.row
+        if source not in row:
+            raise VertexNotFoundError(source)
+        if target not in row:
+            raise VertexNotFoundError(target)
         if source == target:
             return 0.0
-        row = self.row
         return native_kernel().search_query(self.capsule, row[source], row[target], 1)
 
     def one_to_many(self, source: int, targets: Sequence[int]) -> List[float]:

@@ -252,7 +252,7 @@ class H2HIndex(DistanceIndex):
 
     def _label_store(self):
         """The frozen :class:`LabelStore` of this epoch (``None`` = pure path)."""
-        return self._kernel("labels", lambda: LabelStore.freeze(self.labels))
+        return self._kernel("labels", lambda _: LabelStore.freeze(self.labels))
 
     def query(self, source: int, target: int) -> float:
         labels = self._require_built()

@@ -57,8 +57,10 @@ class MHLIndex(DH2HIndex):
         """Frozen stage-2 shortcut adjacency of this epoch (``None`` = pure path)."""
         return self._kernel(
             "ch",
-            lambda: ShortcutStore.freeze(
-                lambda v: self.contraction.shortcuts[v], self.contraction.order
+            lambda template: ShortcutStore.freeze(
+                self.contraction.shortcuts.__getitem__,
+                self.contraction.order,
+                template,
             ),
         )
 
@@ -68,6 +70,7 @@ class MHLIndex(DH2HIndex):
         store = self._ch_store()
         if store is not None:
             return store.query(source, target)
+        self._check_endpoints(source, target)
         return ch_bidirectional_query(
             source, target, lambda v: self.contraction.shortcuts[v]
         )
@@ -78,6 +81,7 @@ class MHLIndex(DH2HIndex):
         store = self._label_store()
         if store is not None:
             return store.query(source, target)
+        self._check_endpoints(source, target)
         return labels.query(source, target)
 
     def query_at_stage(self, source: int, target: int, stage: MHLQueryStage) -> float:

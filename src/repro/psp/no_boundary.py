@@ -143,11 +143,11 @@ class NoBoundaryPSPIndex(DistanceIndex):
     # back to the pure-Python structures when no store is frozen.
     # ------------------------------------------------------------------
     def _store_for(self, key: str, labels, contraction):
-        def freeze():
+        def freeze(template):
             if labels is not None:
                 return LabelStore.freeze(labels)
             return ShortcutStore.freeze(
-                lambda v: contraction.shortcuts[v], contraction.order
+                contraction.shortcuts.__getitem__, contraction.order, template
             )
 
         return self._kernel(key, freeze)

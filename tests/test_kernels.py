@@ -26,14 +26,18 @@ import numpy
 import pytest
 
 from repro.algorithms.dijkstra import bidijkstra, dijkstra_distance
-from repro.exceptions import SnapshotFormatError
+from repro.core.stages import PMHLQueryStage, PostMHLQueryStage, stage_entries
+from repro.exceptions import SnapshotFormatError, VertexNotFoundError
 from repro.graph.generators import grid_road_network
 from repro.graph.graph import Graph
 from repro.graph.updates import generate_update_batch
 from repro.hierarchy.ch import ch_bidirectional_query
 from repro.kernels.arena import Arena
+from repro.kernels.graph_snapshot import GraphSnapshot
+from repro.kernels.label_store import LabelStore
 from repro.kernels.native import native_kernel
 from repro.kernels.shortcut_store import ShortcutStore
+from repro.labeling.mhl import MHLQueryStage
 from repro.registry import create_index, get_spec
 from repro.serving.engine import ServingEngine
 from repro.store.snapshot import load_index, save_index
@@ -53,6 +57,11 @@ NINE_SPECS = {
     "PostMHL": get_spec("PostMHL", bandwidth=10, expected_partitions=4),
 }
 
+
+
+def _same_bytes(a, b) -> bool:
+    """Two stores whose arenas hold the same bytes under the same TOC."""
+    return a.arena.toc == b.arena.toc and numpy.array_equal(a.arena.buffer, b.arena.buffer)
 
 
 def _query_pairs(graph):
@@ -208,9 +217,22 @@ class TestStaleness:
         # The snapshot search is a literal port of the live bidirectional one.
         assert index.query(0, 35) == bidijkstra(graph, 0, 35)
         # Mutate the graph directly — no apply_batch, no kernel invalidation.
+        # A weight change keeps the CSR layout (the stale snapshot is the
+        # refreeze's template); an added or removed edge changes it.
         u, v, w = next(iter(graph.edges()))
         graph.set_edge_weight(u, v, w * 3.5)
         assert index.query(0, 35) == bidijkstra(graph, 0, 35)
+        graph.add_edge(0, 35, 1.0)
+        assert index.query(0, 35) == bidijkstra(graph, 0, 35) == 1.0
+        graph.remove_edge(0, 35)
+        assert index.query(0, 35) == bidijkstra(graph, 0, 35)
+        # Same edges and counts, but u's and v's neighbours in another order.
+        graph.remove_edge(u, v)
+        graph.add_edge(u, v, w)
+        assert index.query(0, 35) == bidijkstra(graph, 0, 35)
+        if native_kernel() is not None:
+            snapshot = index._graph_snapshot()
+            assert _same_bytes(snapshot, GraphSnapshot.freeze(graph))
 
     def test_serving_engine_never_reads_pre_freeze_store(self):
         graph = grid_road_network(8, 8, seed=7)
@@ -779,3 +801,226 @@ class TestMaintenanceKernels:
             )
 
         assert bits(native) == bits(pure)
+
+
+# ----------------------------------------------------------------------
+# Endpoint validation of the multi-stage indexes' stage queries
+# ----------------------------------------------------------------------
+STAGED = {
+    "MHL": MHLQueryStage,
+    "PMHL": PMHLQueryStage,
+    "PostMHL": PostMHLQueryStage,
+}
+
+
+class TestStageEndpoints:
+    """Every stage of every multi-stage index raises the typed error for an
+    unknown vertex, on both rungs, also when it is both endpoints."""
+
+    @pytest.mark.parametrize("use_kernels", (True, False), ids=("kernels", "pure"))
+    @pytest.mark.parametrize("method", sorted(STAGED))
+    def test_unknown_vertex_raises_at_every_stage(self, method, use_kernels):
+        index = create_index(
+            NINE_SPECS[method], grid_road_network(8, 8, seed=3), use_kernels=use_kernels
+        )
+        index.build()
+        missing = 10_000
+        for stage in STAGED[method]:
+            for source, target in ((missing, missing), (missing, 5), (5, missing)):
+                with pytest.raises(VertexNotFoundError):
+                    index.query_at_stage(source, target, stage)
+            assert index.query_at_stage(5, 5, stage) == 0.0
+
+
+# ----------------------------------------------------------------------
+# Refreeze by gather (DESIGN.md §7)
+# ----------------------------------------------------------------------
+def _warm(index, pairs):
+    """Freeze every store the index's query paths read: each stage, the
+    batch plane and the graph snapshot."""
+    for entry in stage_entries(index):
+        for s, t in pairs:
+            entry["query"](s, t)
+    index.query_many(pairs)
+    index.query_bidijkstra(*pairs[0])
+
+
+def _frozen(index):
+    """The arena-backed stores of the current epoch, graph snapshot included."""
+    stores = {
+        key: store for key, store in index._kernel_stores.items()
+        if getattr(store, "arena", None) is not None
+    }
+    if index._graph_snapshot_cache is not None:
+        stores["__graph__"] = index._graph_snapshot_cache
+    return stores
+
+
+#: Increase-only, decrease-only and mixed batches: (decrease_fraction, seed).
+BATCH_KINDS = ((0.0, 21), (1.0, 22), (0.5, 23))
+
+
+@NEEDS_NATIVE
+class TestRefreezeGather:
+    """A new epoch's store gathers its values into the previous epoch's
+    layout: byte-identical to a full freeze, without touching the old epoch,
+    and rebuilt from scratch whenever a row no longer fits the layout."""
+
+    @pytest.mark.parametrize("method", sorted(NINE_SPECS))
+    def test_gathered_stores_equal_a_full_freeze(self, method):
+        spec = NINE_SPECS[method]
+        base = grid_road_network(10, 10, seed=5)
+        index = create_index(spec, base.copy())
+        index.build()
+        pairs = _query_pairs(index.graph)[:20]
+        _warm(index, pairs)
+        batches = []
+        for fraction, seed in BATCH_KINDS:
+            batch = generate_update_batch(
+                index.graph, volume=12, seed=seed, decrease_fraction=fraction
+            )
+            batches.append(batch)
+            before = _frozen(index)
+            index.apply_batch(batch)
+            _warm(index, pairs)
+            after = _frozen(index)
+            assert after.keys() == before.keys(), (method, fraction)
+            # The reference froze nothing before this epoch: every store it
+            # holds is a full freeze, from scratch.
+            reference = create_index(spec, base.copy())
+            reference.build()
+            for earlier in batches:
+                reference.apply_batch(earlier)
+            _warm(reference, pairs)
+            full = _frozen(reference)
+            assert full.keys() == after.keys(), (method, fraction)
+            for key, store in after.items():
+                assert store is not before[key], (method, key)
+                assert _same_bytes(store, full[key]), (method, fraction, key)
+                if isinstance(store, (ShortcutStore, GraphSnapshot)):
+                    # Reused: the template's row dict, not a rebuilt one.
+                    assert store.row is before[key].row, (method, key)
+                    assert store.row is not full[key].row, (method, key)
+
+    def test_old_epoch_store_is_untouched(self):
+        index = create_index("DCH", grid_road_network(10, 10, seed=5))
+        index.build()
+        pairs = _query_pairs(index.graph)
+        old = index._shortcut_store()
+        old_bytes = old.arena.buffer.copy()
+        answers = old.query_pairs(pairs)
+        index.apply_batch(generate_update_batch(index.graph, volume=30, seed=4))
+        new = index._shortcut_store()
+        assert new is not old and new.row is old.row
+        assert not numpy.shares_memory(new.arena.buffer, old.arena.buffer)
+        assert not numpy.array_equal(new.arena["weights"], old.arena["weights"])
+        assert numpy.array_equal(old.arena.buffer, old_bytes)
+        assert old.query_pairs(pairs) == answers
+        assert [old.query(s, t) for s, t in pairs] == answers
+        # The template is released once its key has refrozen.
+        assert "ch" not in index._kernel_templates
+
+    # -- fallback: rows that no longer fit the template's layout --------
+    #: Upward rows of a four-vertex elimination tree 0 -> 1 -> 2 -> 3.
+    ROWS = [{1: 1.0, 2: 4.0}, {2: 2.0}, {3: 1.0}, {}]
+
+    @staticmethod
+    def _freeze(rows, template=None):
+        return ShortcutStore.freeze(rows.__getitem__, range(len(rows)), template)
+
+    @pytest.mark.parametrize(
+        "mutate",
+        (
+            pytest.param(lambda rows: rows[1].__setitem__(3, 5.0), id="extra-key"),
+            pytest.param(lambda rows: rows[0].pop(2), id="missing-key"),
+            pytest.param(
+                lambda rows: rows.__setitem__(0, {2: 4.0, 1: 1.0}), id="swapped-order"
+            ),
+            pytest.param(lambda rows: rows[0].__setitem__(2, "4.5"), id="non-numeric"),
+            pytest.param(
+                lambda rows: rows.__setitem__(0, __import__("types").MappingProxyType(
+                    {1: 1.0, 2: 4.0})), id="not-dict-or-list"),
+        ),
+    )
+    def test_misfit_rows_rebuild_the_layout(self, mutate):
+        template = self._freeze(self.ROWS)
+        rows = [dict(row) for row in self.ROWS]
+        mutate(rows)
+        arena = template.arena
+        with pytest.raises(ValueError):
+            native_kernel().gather_rows(
+                rows, arena["indptr"], numpy.empty(len(arena["weights"])),
+                template._remap, arena["indices"],
+            )
+        gathered = self._freeze(rows, template)
+        full = self._freeze(rows)
+        assert _same_bytes(gathered, full)
+        assert gathered.row is not template.row
+
+    def test_gather_rows_unit(self):
+        gather = native_kernel().gather_rows
+        from repro.store.codec import LazyDict
+
+        # Unkeyed list rows: exact lengths only.
+        out = numpy.empty(3)
+        gather([[1.0, 2], [3.5]], numpy.array([0, 2, 3]), out)
+        assert out.tolist() == [1.0, 2.0, 3.5]
+        for bad in ([[1.0], [3.5, 4.0]], [[1.0, 2.0], [3.5, 1.0]], [[1.0, 2.0], (3.5,)],
+                    [[1.0, 2.0], {0: 3.5}], [[1.0, None], [3.5]]):
+            with pytest.raises(ValueError):
+                gather(bad, numpy.array([0, 2, 3]), out)
+        with pytest.raises(ValueError):  # row count differs from the layout
+            gather([[1.0, 2.0]], numpy.array([0, 2, 3]), out)
+        # Keyed dict rows, through a dense remap or a dict: an unmaterialised
+        # LazyDict row is read through its items(), never as empty.
+        indptr, indices = numpy.array([0, 2, 3]), numpy.array([1, 2, 2])
+        dense = numpy.array([-1, 0, 1, 2])
+        for remap in (dense, {1: 0, 2: 1, 3: 2}):
+            out = numpy.empty(3)
+            lazy = LazyDict(lambda target: target.update({3: 7.0}))
+            gather([{2: 1.5, 3: 2.5}, lazy], indptr, out, remap, indices)
+            assert out.tolist() == [1.5, 2.5, 7.0]
+            for bad in ([{3: 2.5, 2: 1.5}, {3: 7.0}], [{2: 1.5, 0: 2.5}, {3: 7.0}],
+                        [{2: 1.5, 9: 2.5}, {3: 7.0}], [{2: 1.5, "x": 2.5}, {3: 7.0}],
+                        [{2: 1.5, 3: 2.5}, [7.0]]):
+                with pytest.raises(ValueError):
+                    gather(bad, indptr, out, remap, indices)
+
+    @pytest.mark.parametrize("method", ("DCH", "MHL", "PMHL"))
+    def test_first_refreeze_after_load_equals_a_full_freeze(self, method, tmp_path):
+        spec = NINE_SPECS[method]
+        base = grid_road_network(10, 10, seed=5)
+        index = create_index(spec, base.copy())
+        index.build()
+        path = str(tmp_path / "snap")
+        save_index(index, path)
+        loaded = load_index(path)
+        attached = _frozen(loaded)
+        assert attached
+        batch = generate_update_batch(loaded.graph, volume=12, seed=31)
+        loaded.apply_batch(batch)
+        pairs = _query_pairs(loaded.graph)[:20]
+        _warm(loaded, pairs)
+        # A loaded graph's adjacency order is the snapshot's, so the full
+        # freezes to compare against come from a second load of it, whose
+        # attached stores are dropped before it freezes anything.
+        reference = load_index(path)
+        reference.apply_batch(batch)
+        reference.invalidate_kernels()
+        reference._kernel_templates.clear()
+        _warm(reference, pairs)
+        full = _frozen(reference)
+        assert full.keys() == _frozen(loaded).keys()
+        for key, store in _frozen(loaded).items():
+            assert _same_bytes(store, full[key]), (method, key)
+            if key in attached and isinstance(store, ShortcutStore):
+                assert store.row is attached[key].row, (method, key)
+
+    def test_adopt_drops_the_templates(self):
+        index = create_index("DCH", grid_road_network(6, 6, seed=1))
+        index.build()
+        store = index._shortcut_store()
+        index.invalidate_kernels()
+        assert index._kernel_templates["ch"] is store
+        index.adopt_stores({"ch": store})
+        assert index._kernel_templates == {}

@@ -18,6 +18,7 @@ from repro.registry import create_index
 from repro.serving.engine import ServingEngine
 from repro.serving.metrics import ServingMetrics
 from repro.throughput.workload import sample_query_pairs
+from tests.conftest import NEEDS_NATIVE
 
 
 @pytest.fixture(autouse=True)
@@ -515,6 +516,32 @@ class TestServingIntegration:
         assert any(name.startswith("pmhl.apply_batch.") for name in span_names)
         stages = registry.get("repro_kernel_invalidations_total", index=index.name)
         assert stages is None or stages.value >= 1.0
+
+    @NEEDS_NATIVE
+    def test_serving_epoch_refreezes_into_the_previous_layout(self):
+        """A DCH serving epoch gathers its shortcut store into the previous
+        epoch's layout: the freeze counter's ``layout`` label says so."""
+        obs.enable()
+        graph = grid_road_network(8, 8, seed=7)
+        index = create_index("DCH", graph)
+        index.build()
+        pairs = list(sample_query_pairs(graph, 20, seed=3))
+        registry = obs.registry()
+
+        def freezes(layout):
+            counter = registry.get(
+                "repro_kernel_store_freezes_total", store="shortcut_store", layout=layout
+            )
+            return 0.0 if counter is None else counter.value
+
+        with ServingEngine(index, cache_capacity=0) as engine:
+            engine.query_batch(pairs)
+            assert freezes("built") == 1.0 and freezes("reused") == 0.0
+            engine.apply_batch(generate_update_batch(graph, volume=6, seed=4))
+            engine.query_batch(pairs)
+            assert engine.current_epoch == 1
+        assert freezes("built") == 1.0
+        assert freezes("reused") == 1.0
 
     def test_disabled_engine_records_nothing(self):
         graph = grid_road_network(4, 4, seed=7)
