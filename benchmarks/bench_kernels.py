@@ -40,7 +40,6 @@ from typing import Dict, List, Optional, Tuple
 
 import repro.labeling.h2h as h2h_module
 import repro.treedec.mde as mde_module
-from repro.core.stages import PMHLQueryStage
 from repro.graph.generators import grid_road_network
 from repro.graph.updates import generate_update_batch
 from repro.kernels.graph_snapshot import GraphSnapshot
@@ -122,27 +121,26 @@ def _measure(index, pairs: List[Tuple[int, int]], scalar_n: int) -> Dict[str, ob
 def _measure_stages(index, pairs: List[Tuple[int, int]]) -> Dict[str, Dict[str, float]]:
     """µs per query of every PMHL query stage, on the kernel rung.
 
-    ``scalar`` answers pair by pair through ``query_at_stage``; ``batch`` in
-    ``STAGE_BATCH``-pair batches through the stage's batch form — the PSP
-    join (``_psp_query_many``) for NO_BOUNDARY / POST_BOUNDARY, L*'s pair
-    kernel for CROSS_BOUNDARY and the scalar loop for the two search stages,
-    which have none.  Both must return the same bits.
+    ``scalar`` answers pair by pair through the stage's ``stage_catalog()``
+    row; ``batch`` in ``STAGE_BATCH``-pair batches through the stage's batch
+    form — the PSP join (``_psp_query_many``) for NO_BOUNDARY / POST_BOUNDARY,
+    L*'s pair kernel for CROSS_BOUNDARY and the scalar loop for the two
+    search stages, which have none.  Both must return the same bits.
     """
     batch_forms = {
-        PMHLQueryStage.NO_BOUNDARY:
-            lambda batch: index._psp_query_many(batch, index.family, False),
-        PMHLQueryStage.POST_BOUNDARY:
+        "NO_BOUNDARY": lambda batch: index._psp_query_many(batch, index.family, False),
+        "POST_BOUNDARY":
             lambda batch: index._psp_query_many(batch, index.extended_family, True),
-        PMHLQueryStage.CROSS_BOUNDARY: index.query_many,
+        "CROSS_BOUNDARY": index.query_many,
     }
     batches = [pairs[i:i + STAGE_BATCH]
                for i in range(0, STAGE_BATCH * STAGE_BATCHES, STAGE_BATCH)]
     rows: Dict[str, Dict[str, float]] = {}
-    for stage in PMHLQueryStage:
-        def scalar_form(batch, stage=stage):
-            return [index.query_at_stage(s, t, stage) for s, t in batch]
+    for stage in index.stage_catalog():
+        def scalar_form(batch, query=stage.query):
+            return [query(s, t) for s, t in batch]
 
-        batch_form = batch_forms.get(stage, scalar_form)
+        batch_form = batch_forms.get(stage.name, scalar_form)
         batch_form(batches[0][:4])  # freezes the stage's stores outside the timing
         seconds, answers = {}, {}
         for plane, form in (("scalar", scalar_form), ("batch", batch_form)):

@@ -4,12 +4,7 @@
 Run with ``python examples/quickstart.py``.
 """
 
-from repro import (
-    PostMHLQueryStage,
-    create_index,
-    generate_update_batch,
-    grid_road_network,
-)
+from repro import create_index, generate_update_batch, grid_road_network
 from repro.algorithms.dijkstra import dijkstra_distance
 
 
@@ -36,13 +31,14 @@ def main() -> None:
           f"(Dijkstra says {dijkstra_distance(graph, source, target):.2f})")
 
     # 4. Apply a batch of traffic updates and query again — every query stage
-    #    of the multi-stage index stays consistent with the updated network.
+    #    of the multi-stage index (one `stage_catalog()` row each, in release
+    #    order) stays consistent with the updated network.
     batch = generate_update_batch(graph, volume=40, seed=1)
     report = index.apply_batch(batch)
     print("update stages:", ", ".join(f"{s.name}={s.seconds * 1000:.1f}ms" for s in report.stages))
-    for stage in PostMHLQueryStage:
+    for stage in index.stage_catalog():
         print(f"  {stage.name:<15} d({source},{target}) = "
-              f"{index.query_at_stage(source, target, stage):.2f}")
+              f"{stage.query(source, target):.2f}")
 
     # 5. The batch query plane answers many pairs in one call (one source-label
     #    fetch per distinct source) with exactly the scalar path's distances.

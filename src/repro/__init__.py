@@ -42,12 +42,11 @@ Quickstart::
     print(index.query_many([(0, 399), (0, 200), (37, 311)]))
 """
 
-from repro.base import DistanceIndex, StageTiming, UpdateReport
+from repro.base import DistanceIndex, QueryStage, StageTiming, UpdateReport
 from repro.baselines.bidijkstra_index import BiDijkstraIndex
 from repro.baselines.toain import TOAINIndex
 from repro.core.pmhl import PMHLIndex
 from repro.core.postmhl import PostMHLIndex
-from repro.core.stages import PMHLQueryStage, PostMHLQueryStage
 from repro.exceptions import (
     EngineStoppedError,
     GraphError,
@@ -110,6 +109,7 @@ __all__ = [
     "__version__",
     # Base interfaces
     "DistanceIndex",
+    "QueryStage",
     "StageTiming",
     "UpdateReport",
     # Exceptions
@@ -152,8 +152,6 @@ __all__ = [
     "PTDPIndex",
     "PMHLIndex",
     "PostMHLIndex",
-    "PMHLQueryStage",
-    "PostMHLQueryStage",
     # Typed registry / factory
     "IndexSpec",
     "create_index",

@@ -10,8 +10,10 @@ N-CH-P, P-TD-P, TOAIN, PMHL, PostMHL): each exposes
   per-query work where the index allows it,
 * :meth:`DistanceIndex.apply_batch` — install a batch of edge-weight updates
   (``t_u``), returning a per-stage timing breakdown for the multi-stage
-  methods, and
-* :meth:`DistanceIndex.index_size` — number of stored index entries (``|L|``).
+  methods,
+* :meth:`DistanceIndex.index_size` — number of stored index entries (``|L|``), and
+* :meth:`DistanceIndex.stage_catalog` — the stage table: which query stage
+  answers once which update stage has finished.
 
 Sizes are reported as *entry counts* rather than bytes because pure-Python
 object overhead would otherwise dominate and hide the paper's size ordering.
@@ -38,7 +40,7 @@ from __future__ import annotations
 import abc
 import time
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple
 
 from repro import obs
 from repro.algorithms.dijkstra import bidijkstra
@@ -53,6 +55,22 @@ QueryPair = Tuple[int, int]
 #: Sentinel distinguishing "not yet frozen" from a cached ``None`` (freeze
 #: unsupported for this structure).
 _UNFROZEN = object()
+
+#: ``released_after`` of a query stage released only once the whole update
+#: completes, not by any named update stage.
+LAST_STAGE = "__last__"
+
+
+class QueryStage(NamedTuple):
+    """One row of an index's stage table (:meth:`DistanceIndex.stage_catalog`).
+
+    ``query`` answers correctly as soon as the update stage named
+    ``released_after`` has finished (:data:`LAST_STAGE`: the whole batch).
+    """
+
+    name: str
+    released_after: str
+    query: Callable[[int, int], float]
 
 
 @dataclass
@@ -279,6 +297,24 @@ class DistanceIndex(abc.ABC):
             ).inc()
         if self._stage_listener is not None:
             self._stage_listener(timing)
+
+    def stage_catalog(self) -> Tuple[QueryStage, ...]:
+        """Query stages in release order (later rows are faster).
+
+        The one stage table the serving router dispatches on and the
+        throughput evaluator models.  Multi-stage indexes (MHL, PMHL,
+        PostMHL) list their own; every other index gets the paper's
+        protocol: BiDijkstra on the live graph once the on-spot edge refresh
+        is done, the native query once the whole update completes.
+        """
+        return (
+            QueryStage(
+                "bidijkstra_fallback",
+                "edge_update",
+                lambda source, target: bidijkstra(self.graph, source, target),
+            ),
+            QueryStage("native", LAST_STAGE, self.query),
+        )
 
     def vertex_partition(self, v: int) -> Optional[int]:
         """Partition id of ``v``, or ``None`` for unpartitioned indexes.

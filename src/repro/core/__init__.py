@@ -9,16 +9,12 @@ from repro.core.postmhl import PostMHLIndex
 from repro.core.stages import (
     PMHL_UPDATE_STAGES,
     POSTMHL_UPDATE_STAGES,
-    PMHLQueryStage,
-    PostMHLQueryStage,
     timed_label_update_by_root,
 )
 
 __all__ = [
     "PMHLIndex",
     "PostMHLIndex",
-    "PMHLQueryStage",
-    "PostMHLQueryStage",
     "PMHL_UPDATE_STAGES",
     "POSTMHL_UPDATE_STAGES",
     "build_cross_boundary_index",

@@ -22,15 +22,15 @@ paper's multi-threaded execution (see ``repro.throughput.parallel``).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence, Set
+from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
 
 from repro import obs
-from repro.base import DistanceIndex, StageTiming, Timer, UpdateReport
+from repro.base import DistanceIndex, QueryStage, StageTiming, Timer, UpdateReport
 from repro.core.cross_boundary import (
     build_cross_boundary_index,
     compose_cross_boundary_contraction,
 )
-from repro.core.stages import PMHLQueryStage, timed_label_update_by_root
+from repro.core.stages import timed_label_update_by_root
 from repro.exceptions import VertexNotFoundError
 from repro.graph.graph import Graph
 from repro.graph.updates import UpdateBatch
@@ -218,18 +218,6 @@ class PMHLIndex(PostBoundaryPSPIndex):
         # Not the inherited PSP batch plane: group by source over L*.
         return DistanceIndex.query_many(self, pairs)
 
-    def query_at_stage(self, source: int, target: int, stage: PMHLQueryStage) -> float:
-        """Dispatch a query to the requested stage's algorithm."""
-        if stage == PMHLQueryStage.BIDIJKSTRA:
-            return self.query_bidijkstra(source, target)
-        if stage == PMHLQueryStage.PCH:
-            return self.query_pch(source, target)
-        if stage == PMHLQueryStage.NO_BOUNDARY:
-            return self.query_no_boundary(source, target)
-        if stage == PMHLQueryStage.POST_BOUNDARY:
-            return self.query_post_boundary(source, target)
-        return self.query_cross_boundary(source, target)
-
     # ------------------------------------------------------------------
     # Maintenance (U-Stages 1-5, Section V-D): the PSP classes' phases in
     # PMHL's order, each emitted as its own stage so the query stage it
@@ -321,35 +309,15 @@ class PMHLIndex(PostBoundaryPSPIndex):
     def _kernel_exports(self):
         return {"cross_labels": self._cross_store}
 
-    def stage_catalog(self) -> List[Dict[str, object]]:
-        """Query stages in release order, with the update stage that releases each."""
-        return [
-            {
-                "query_stage": PMHLQueryStage.BIDIJKSTRA,
-                "released_after": "edge_update",
-                "query": self.query_bidijkstra,
-            },
-            {
-                "query_stage": PMHLQueryStage.PCH,
-                "released_after": "overlay_shortcut_update",
-                "query": self.query_pch,
-            },
-            {
-                "query_stage": PMHLQueryStage.NO_BOUNDARY,
-                "released_after": "overlay_label_update",
-                "query": self.query_no_boundary,
-            },
-            {
-                "query_stage": PMHLQueryStage.POST_BOUNDARY,
-                "released_after": "post_boundary_update",
-                "query": self.query_post_boundary,
-            },
-            {
-                "query_stage": PMHLQueryStage.CROSS_BOUNDARY,
-                "released_after": "cross_boundary_update",
-                "query": self.query_cross_boundary,
-            },
-        ]
+    def stage_catalog(self) -> Tuple[QueryStage, ...]:
+        """Q-Stages 1-5 in release order, each released by its U-Stage (Figure 7)."""
+        return (
+            QueryStage("BIDIJKSTRA", "edge_update", self.query_bidijkstra),
+            QueryStage("PCH", "overlay_shortcut_update", self.query_pch),
+            QueryStage("NO_BOUNDARY", "overlay_label_update", self.query_no_boundary),
+            QueryStage("POST_BOUNDARY", "post_boundary_update", self.query_post_boundary),
+            QueryStage("CROSS_BOUNDARY", "cross_boundary_update", self.query_cross_boundary),
+        )
 
 
 @register_spec

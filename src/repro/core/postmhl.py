@@ -27,8 +27,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from repro import obs
-from repro.base import DistanceIndex, StageTiming, Timer, UpdateReport
-from repro.core.stages import PostMHLQueryStage
+from repro.base import DistanceIndex, QueryStage, StageTiming, Timer, UpdateReport
 from repro.exceptions import IndexNotBuiltError, VertexNotFoundError
 from repro.graph.graph import Graph
 from repro.graph.updates import UpdateBatch
@@ -244,16 +243,6 @@ class PostMHLIndex(DistanceIndex):
         if store is not None:
             return store.query_pairs(list(pairs))
         return super().query_many(pairs)
-
-    def query_at_stage(self, source: int, target: int, stage: PostMHLQueryStage) -> float:
-        """Dispatch a query to the requested stage's algorithm."""
-        if stage == PostMHLQueryStage.BIDIJKSTRA:
-            return self.query_bidijkstra(source, target)
-        if stage == PostMHLQueryStage.PCH:
-            return self.query_pch(source, target)
-        if stage == PostMHLQueryStage.POST_BOUNDARY:
-            return self.query_post_boundary(source, target)
-        return self.query_cross_boundary(source, target)
 
     def _same_partition_post_query(self, pid: int, source: int, target: int) -> float:
         """Same-partition query over the LCA separator using post-boundary data only."""
@@ -601,30 +590,14 @@ class PostMHLIndex(DistanceIndex):
         self._require_built()
         return len(self.td.overlay_vertices)
 
-    def stage_catalog(self) -> List[Dict[str, object]]:
-        """Query stages in release order, with the update stage that releases each."""
-        return [
-            {
-                "query_stage": PostMHLQueryStage.BIDIJKSTRA,
-                "released_after": "edge_update",
-                "query": self.query_bidijkstra,
-            },
-            {
-                "query_stage": PostMHLQueryStage.PCH,
-                "released_after": "overlay_shortcut_update",
-                "query": self.query_pch,
-            },
-            {
-                "query_stage": PostMHLQueryStage.POST_BOUNDARY,
-                "released_after": "post_boundary_update",
-                "query": self.query_post_boundary,
-            },
-            {
-                "query_stage": PostMHLQueryStage.CROSS_BOUNDARY,
-                "released_after": "cross_boundary_update",
-                "query": self.query_cross_boundary,
-            },
-        ]
+    def stage_catalog(self) -> Tuple[QueryStage, ...]:
+        """Q-Stages 1-4 in release order, each released by its U-Stage (Figure 9)."""
+        return (
+            QueryStage("BIDIJKSTRA", "edge_update", self.query_bidijkstra),
+            QueryStage("PCH", "overlay_shortcut_update", self.query_pch),
+            QueryStage("POST_BOUNDARY", "post_boundary_update", self.query_post_boundary),
+            QueryStage("CROSS_BOUNDARY", "cross_boundary_update", self.query_cross_boundary),
+        )
 
 
 @register_spec

@@ -1,8 +1,9 @@
-"""Query/update stage definitions shared by the multi-stage PSP indexes.
+"""Update-stage definitions shared by the multi-stage PSP indexes.
 
 Both PMHL (Section V, Figure 7) and PostMHL (Section VI, Figure 9) interleave
 index maintenance with query processing: as soon as an update stage finishes,
-a faster query algorithm becomes available.  The enums here name those stages;
+a faster query algorithm becomes available (each index's
+``stage_catalog()`` says which).  The tuples here name the update stages;
 the helper :func:`timed_label_update_by_root` performs a top-down label update
 one affected branch root at a time, recording each root's wall-clock time so
 the throughput machinery can model the paper's one-thread-per-branch-root
@@ -12,35 +13,9 @@ parallelisation.
 from __future__ import annotations
 
 import time
-from enum import IntEnum
 from typing import Dict, Iterable, List, Optional, Set, Tuple
 
-from repro.algorithms.dijkstra import bidijkstra
-from repro.base import DistanceIndex
 from repro.labeling.h2h import H2HLabels
-
-#: Sentinel ``released_after`` value meaning "after the last update stage".
-LAST_STAGE = "__last__"
-
-
-class PMHLQueryStage(IntEnum):
-    """Query stages of PMHL in increasing efficiency (Figure 7)."""
-
-    BIDIJKSTRA = 1
-    PCH = 2
-    NO_BOUNDARY = 3
-    POST_BOUNDARY = 4
-    CROSS_BOUNDARY = 5
-
-
-class PostMHLQueryStage(IntEnum):
-    """Query stages of PostMHL in increasing efficiency (Figure 9)."""
-
-    BIDIJKSTRA = 1
-    PCH = 2
-    POST_BOUNDARY = 3
-    CROSS_BOUNDARY = 4
-
 
 #: Update-stage names of PMHL, in execution order.
 PMHL_UPDATE_STAGES = (
@@ -62,34 +37,6 @@ POSTMHL_UPDATE_STAGES = (
     "post_boundary_update",
     "cross_boundary_update",
 )
-
-
-def stage_entries(index: DistanceIndex) -> List[Dict[str, object]]:
-    """Query stages of an index in release order.
-
-    Multi-stage indexes provide them via ``stage_catalog``; plain indexes
-    (DCH, DH2H, TOAIN, …) get the paper's protocol synthesised for them —
-    BiDijkstra answers queries while their index is stale, the native query
-    takes over once the whole update completes (:data:`LAST_STAGE`).  This is
-    the single source of the stage table consumed by both the analytic
-    evaluator (``repro.throughput.evaluator``) and the live router
-    (``repro.serving.router``).
-    """
-    catalog = getattr(index, "stage_catalog", None)
-    if callable(catalog):
-        return list(catalog())
-    return [
-        {
-            "query_stage": "bidijkstra_fallback",
-            "released_after": "edge_update",
-            "query": lambda s, t: bidijkstra(index.graph, s, t),
-        },
-        {
-            "query_stage": "native",
-            "released_after": LAST_STAGE,
-            "query": index.query,
-        },
-    ]
 
 
 def timed_label_update_by_root(

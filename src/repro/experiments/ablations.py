@@ -91,7 +91,7 @@ def multistage_ablation_rows(
     with_stages = evaluator.evaluate_from_report(index, report, workload)
 
     full_catalog = index.stage_catalog()
-    single_stage_catalog = [full_catalog[0], full_catalog[-1]]
+    single_stage_catalog = (full_catalog[0], full_catalog[-1])
     original = index.stage_catalog
     index.stage_catalog = lambda: single_stage_catalog  # type: ignore[assignment]
     try:

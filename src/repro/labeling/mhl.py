@@ -21,10 +21,9 @@ know when each query stage becomes available.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from enum import IntEnum
-from typing import Dict, List
+from typing import Tuple
 
-from repro.base import StageTiming, Timer, UpdateReport
+from repro.base import QueryStage, StageTiming, Timer, UpdateReport
 from repro.graph.graph import Graph
 from repro.graph.updates import UpdateBatch
 from repro.hierarchy.ch import ch_bidirectional_query
@@ -34,21 +33,10 @@ from repro.registry import IndexSpec, register_spec
 from repro.treedec.mde import update_shortcuts_bottom_up
 
 
-class MHLQueryStage(IntEnum):
-    """Query stages of the non-partitioned MHL index, in increasing efficiency."""
-
-    BIDIJKSTRA = 1
-    CH = 2
-    H2H = 3
-
-
 class MHLIndex(DH2HIndex):
     """Multi-stage Hub Labeling: DH2H extended with CH-stage query processing."""
 
     name = "MHL"
-
-    #: Stage ordering used by the throughput machinery.
-    query_stage_order = (MHLQueryStage.BIDIJKSTRA, MHLQueryStage.CH, MHLQueryStage.H2H)
 
     # ------------------------------------------------------------------
     # Stage-specific query processing
@@ -83,14 +71,6 @@ class MHLIndex(DH2HIndex):
             return store.query(source, target)
         self._check_endpoints(source, target)
         return labels.query(source, target)
-
-    def query_at_stage(self, source: int, target: int, stage: MHLQueryStage) -> float:
-        """Dispatch a query to the requested stage's algorithm."""
-        if stage == MHLQueryStage.BIDIJKSTRA:
-            return self.query_bidijkstra(source, target)
-        if stage == MHLQueryStage.CH:
-            return self.query_ch(source, target)
-        return self.query_h2h(source, target)
 
     def query(self, source: int, target: int) -> float:
         """Default query path (the fastest stage; the index is assumed up to date)."""
@@ -140,32 +120,16 @@ class MHLIndex(DH2HIndex):
         return exports
 
     # ------------------------------------------------------------------
-    # Stage metadata for the throughput simulator
+    # Stage table
     # ------------------------------------------------------------------
-    def stage_catalog(self) -> List[Dict[str, object]]:
-        """Describe the query stages in the order they become available.
-
-        Each entry names the update stage that releases the query stage and the
-        callable answering queries at that stage.  The throughput evaluator
-        samples each callable to estimate per-stage query cost.
-        """
-        return [
-            {
-                "query_stage": MHLQueryStage.BIDIJKSTRA,
-                "released_after": "edge_update",
-                "query": self.query_bidijkstra,
-            },
-            {
-                "query_stage": MHLQueryStage.CH,
-                "released_after": "shortcut_update",
-                "query": self.query_ch,
-            },
-            {
-                "query_stage": MHLQueryStage.H2H,
-                "released_after": "label_update",
-                "query": self.query_h2h,
-            },
-        ]
+    def stage_catalog(self) -> Tuple[QueryStage, ...]:
+        """Stages 1-3 in release order, each released by the update stage
+        that makes what it reads consistent."""
+        return (
+            QueryStage("BIDIJKSTRA", "edge_update", self.query_bidijkstra),
+            QueryStage("CH", "shortcut_update", self.query_ch),
+            QueryStage("H2H", "label_update", self.query_h2h),
+        )
 
 
 @register_spec

@@ -41,7 +41,7 @@ from repro.serving.driver import MixedWorkloadReport, run_mixed_workload
 from repro.serving.core import BatchResult, QueryResult
 from repro.serving.engine import ServingEngine
 from repro.serving.metrics import ServingMetrics
-from repro.serving.router import LAST_STAGE, RoutedStage, StageRouter, stage_entries
+from repro.serving.router import LAST_STAGE, RoutedStage, StageRouter
 from repro.serving.rwlock import RWLock
 
 __all__ = [
@@ -63,5 +63,4 @@ __all__ = [
     "ServingMetrics",
     "StageRouter",
     "run_mixed_workload",
-    "stage_entries",
 ]

@@ -1,19 +1,13 @@
 """Stage-aware query routing with per-stage validity epochs.
 
-The multi-stage indexes publish their query stages through
-``stage_catalog()`` (see :mod:`repro.core.stages`): each catalog entry names
-the update stage whose completion *releases* that query stage.  The router
-turns the catalog into a live dispatch table — every query stage carries the
-epoch (update-batch count) at which it last became consistent, and a query at
-epoch ``e`` is dispatched to the most efficient stage whose
-``valid_epoch == e``.
-
-Plain indexes (DCH, DH2H, TOAIN, …) have no catalog; exactly as the paper
-treats them, :func:`repro.core.stages.stage_entries` synthesises a two-stage
-table for them — an index-free BiDijkstra fallback released by the on-spot
-edge refresh, and the native query released once the whole update completes.
-That same function feeds the analytic evaluator, so the live and modelled
-stage tables cannot drift apart.
+Every index publishes its query stages through ``stage_catalog()`` (see
+:class:`repro.base.QueryStage`): each row names the update stage whose
+completion *releases* that query stage.  The router turns the table into a
+live dispatch table — every query stage carries the epoch (update-batch
+count) at which it last became consistent, and a query at epoch ``e`` is
+dispatched to the most efficient stage whose ``valid_epoch == e``.  The
+analytic evaluator reads the same table, so the live and modelled stage
+timelines cannot drift apart.
 """
 
 from __future__ import annotations
@@ -21,10 +15,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional
 
-from repro.base import DistanceIndex
-from repro.core.stages import LAST_STAGE, stage_entries
+from repro.base import LAST_STAGE, DistanceIndex
 
-__all__ = ["LAST_STAGE", "RoutedStage", "StageRouter", "stage_entries"]
+__all__ = ["LAST_STAGE", "RoutedStage", "StageRouter"]
 
 
 @dataclass
@@ -34,7 +27,7 @@ class RoutedStage:
     name: str
     released_after: str
     query: Callable[[int, int], float]
-    #: True for the last catalog entry (later entries are more efficient):
+    #: True for the last catalog row (later rows are more efficient):
     #: the index's native fastest stage, the one ``query_many`` amortises.
     final: bool
     #: Whether the engine's distance cache fronts this stage: every stage
@@ -60,19 +53,17 @@ class StageRouter:
 
     def __init__(self, index: DistanceIndex):
         self.index = index
-        entries = stage_entries(index)
-        last = len(entries) - 1
+        rows = index.stage_catalog()
+        last = len(rows) - 1
         self._stages: List[RoutedStage] = [
             RoutedStage(
-                # Stage catalogs use IntEnum members; prefer their symbolic name.
-                name=getattr(entry["query_stage"], "name", None) or str(entry["query_stage"]),
-                released_after=str(entry["released_after"]),
-                query=entry["query"],  # type: ignore[arg-type]
+                name=row.name,
+                released_after=row.released_after,
+                query=row.query,
                 final=position == last,
                 cached=not (position == last and index.final_stage_is_label_lookup),
-                valid_epoch=0,
             )
-            for position, entry in enumerate(entries)
+            for position, row in enumerate(rows)
         ]
 
     # ------------------------------------------------------------------

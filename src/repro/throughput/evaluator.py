@@ -14,8 +14,9 @@ one dataset:
 5. optionally validate the analytic figure with the discrete-event queue
    simulator.
 
-Indexes that expose ``stage_catalog()`` (MHL, PMHL, PostMHL) get the full
-multi-stage treatment; plain indexes (DCH, DH2H, …) are treated as the paper
+The query stages come from the index's ``stage_catalog()``, the table the
+live serving router dispatches on: MHL, PMHL and PostMHL list their own
+multi-stage timeline; plain indexes (DCH, DH2H, …) are treated as the paper
 treats them — BiDijkstra answers queries while their index is being repaired,
 and their native query takes over once the update completes.
 
@@ -39,10 +40,9 @@ from __future__ import annotations
 import statistics
 import time
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, List, Optional, Sequence, Tuple
 
 from repro.base import DistanceIndex, UpdateReport
-from repro.core.stages import stage_entries
 from repro.exceptions import WorkloadError
 from repro.graph.updates import UpdateBatch
 from repro.throughput.parallel import cumulative_release_times, report_wall_seconds
@@ -135,19 +135,6 @@ class ThroughputEvaluator:
         self.query_sample_size = query_sample_size
 
     # ------------------------------------------------------------------
-    def stage_queries(self, index: DistanceIndex) -> List[Dict[str, object]]:
-        """Query stages of an index in release order.
-
-        Multi-stage indexes provide them via ``stage_catalog``; for the rest
-        the paper's protocol applies: BiDijkstra while the index is stale, the
-        native query once the last update stage completes.  Delegates to
-        :func:`repro.core.stages.stage_entries` — the same table the live
-        serving router dispatches on — so the analytic and measured timelines
-        can never disagree about the stages themselves.
-        """
-        return stage_entries(index)
-
-    # ------------------------------------------------------------------
     def evaluate(
         self,
         index: DistanceIndex,
@@ -179,40 +166,13 @@ class ThroughputEvaluator:
         if not pairs:
             raise WorkloadError("the query workload is empty")
 
-        stage_entries = self.stage_queries(index)
-        releases_by_stage = cumulative_release_times(report, self.threads)
-        stage_name_to_release = {
-            stage.name: releases_by_stage[i] for i, stage in enumerate(report.stages)
-        }
-        total_wall = report_wall_seconds(report, self.threads)
-
-        release_times: List[float] = []
-        names: List[str] = []
-        means: List[float] = []
-        variances: List[float] = []
-        costs: List[StageQueryCost] = []
-        for entry in stage_entries:
-            released_after = entry["released_after"]
-            if released_after == "__last__":
-                release = total_wall
-            else:
-                release = stage_name_to_release.get(released_after, total_wall)
-            mean, variance = measure_query_cost(entry["query"], pairs)
-            release_times.append(release)
-            names.append(str(entry["query_stage"]))
-            means.append(mean)
-            variances.append(variance)
-            costs.append(
-                StageQueryCost(
-                    name=str(entry["query_stage"]),
-                    mean_seconds=mean,
-                    variance=variance,
-                    released_after=str(released_after),
-                )
-            )
-
+        costs, release_times, total_wall = self._stage_timeline(index, report, pairs)
         segments = build_segments(
-            release_times, names, means, variances, self.update_interval
+            release_times,
+            [cost.name for cost in costs],
+            [cost.mean_seconds for cost in costs],
+            [cost.variance for cost in costs],
+            self.update_interval,
         )
         max_throughput = multistage_max_throughput(
             segments, self.update_interval, self.response_qos, total_wall
@@ -249,23 +209,11 @@ class ThroughputEvaluator:
         fastest query stage already released is reported.
         """
         pairs = list(workload)[: self.query_sample_size]
-        stage_entries = self.stage_queries(index)
-        releases_by_stage = cumulative_release_times(report, self.threads)
-        stage_name_to_release = {
-            stage.name: releases_by_stage[i] for i, stage in enumerate(report.stages)
-        }
-        total_wall = report_wall_seconds(report, self.threads)
-
-        stage_points: List[Tuple[float, float]] = []
-        for entry in stage_entries:
-            released_after = entry["released_after"]
-            release = (
-                total_wall
-                if released_after == "__last__"
-                else stage_name_to_release.get(released_after, total_wall)
-            )
-            mean, _ = measure_query_cost(entry["query"], pairs)
-            stage_points.append((release, 1.0 / mean if mean > 0 else float("inf")))
+        costs, release_times, _ = self._stage_timeline(index, report, pairs)
+        stage_points = [
+            (release, 1.0 / cost.mean_seconds if cost.mean_seconds > 0 else float("inf"))
+            for release, cost in zip(release_times, costs)
+        ]
 
         samples: List[Tuple[float, float]] = []
         for i in range(num_points):
@@ -278,3 +226,30 @@ class ThroughputEvaluator:
                 qps = stage_points[0][1]
             samples.append((t, qps))
         return samples
+
+    # ------------------------------------------------------------------
+    def _stage_timeline(
+        self, index: DistanceIndex, report: UpdateReport, pairs: Sequence[Tuple[int, int]]
+    ) -> Tuple[List[StageQueryCost], List[float], float]:
+        """Measured cost and simulated release time of every query stage.
+
+        Returns ``(costs, release_times, total_wall)``: one cost and one
+        release time per row of ``index.stage_catalog()``, and the update's
+        simulated wall-clock under ``threads`` workers.  A stage released
+        after :data:`~repro.base.LAST_STAGE` (or after a stage the report
+        lacks) is released when the whole update completes.
+        """
+        total_wall = report_wall_seconds(report, self.threads)
+        released_at = {
+            stage.name: release
+            for stage, release in zip(
+                report.stages, cumulative_release_times(report, self.threads)
+            )
+        }
+        costs: List[StageQueryCost] = []
+        release_times: List[float] = []
+        for row in index.stage_catalog():
+            mean, variance = measure_query_cost(row.query, pairs)
+            costs.append(StageQueryCost(row.name, mean, variance, row.released_after))
+            release_times.append(released_at.get(row.released_after, total_wall))
+        return costs, release_times, total_wall

@@ -7,7 +7,7 @@ from repro.exceptions import IndexNotBuiltError
 from repro.graph.generators import grid_road_network, random_connected_graph
 from repro.graph.updates import UpdateBatch, generate_update_batch, generate_update_stream
 from repro.labeling.h2h import DH2HIndex, H2HIndex
-from repro.labeling.mhl import MHLIndex, MHLQueryStage
+from repro.labeling.mhl import MHLIndex
 
 from tests.conftest import float_bits, paper_example_graph, random_query_pairs
 
@@ -165,10 +165,8 @@ class TestMHL:
         graph = grid_road_network(5, 5, seed=2)
         index = MHLIndex(graph)
         index.build()
-        for stage in MHLQueryStage:
-            assert index.query_at_stage(0, 24, stage) == pytest.approx(
-                dijkstra_distance(graph, 0, 24)
-            )
+        for stage in index.stage_catalog():
+            assert stage.query(0, 24) == pytest.approx(dijkstra_distance(graph, 0, 24))
 
     def test_stages_after_update(self):
         graph = grid_road_network(6, 6, seed=14)
@@ -177,20 +175,21 @@ class TestMHL:
         batch = generate_update_batch(graph, volume=12, seed=14)
         index.apply_batch(batch)
         pairs = random_query_pairs(graph, 25, seed=14)
-        for stage in MHLQueryStage:
+        for stage in index.stage_catalog():
             for s, t in pairs:
-                assert index.query_at_stage(s, t, stage) == pytest.approx(
-                    dijkstra_distance(graph, s, t)
-                )
+                assert stage.query(s, t) == pytest.approx(dijkstra_distance(graph, s, t))
 
     def test_stage_catalog_structure(self):
         graph = grid_road_network(4, 4, seed=0)
         index = MHLIndex(graph)
         index.build()
         catalog = index.stage_catalog()
-        assert [entry["released_after"] for entry in catalog] == [
+        assert [stage.released_after for stage in catalog] == [
             "edge_update",
             "shortcut_update",
             "label_update",
         ]
-        assert [entry["query_stage"] for entry in catalog] == list(index.query_stage_order)
+        assert [stage.name for stage in catalog] == ["BIDIJKSTRA", "CH", "H2H"]
+        assert [stage.query for stage in catalog] == [
+            index.query_bidijkstra, index.query_ch, index.query_h2h
+        ]

@@ -26,7 +26,6 @@ import numpy
 import pytest
 
 from repro.algorithms.dijkstra import bidijkstra, dijkstra_distance
-from repro.core.stages import PMHLQueryStage, PostMHLQueryStage, stage_entries
 from repro.exceptions import SnapshotFormatError, VertexNotFoundError
 from repro.graph.generators import grid_road_network
 from repro.graph.graph import Graph
@@ -34,10 +33,8 @@ from repro.graph.updates import generate_update_batch
 from repro.hierarchy.ch import ch_bidirectional_query
 from repro.kernels.arena import Arena
 from repro.kernels.graph_snapshot import GraphSnapshot
-from repro.kernels.label_store import LabelStore
 from repro.kernels.native import native_kernel
 from repro.kernels.shortcut_store import ShortcutStore
-from repro.labeling.mhl import MHLQueryStage
 from repro.registry import create_index, get_spec
 from repro.serving.engine import ServingEngine
 from repro.store.snapshot import load_index, save_index
@@ -804,32 +801,25 @@ class TestMaintenanceKernels:
 
 
 # ----------------------------------------------------------------------
-# Endpoint validation of the multi-stage indexes' stage queries
+# Endpoint validation of every index's stage queries
 # ----------------------------------------------------------------------
-STAGED = {
-    "MHL": MHLQueryStage,
-    "PMHL": PMHLQueryStage,
-    "PostMHL": PostMHLQueryStage,
-}
-
-
 class TestStageEndpoints:
-    """Every stage of every multi-stage index raises the typed error for an
-    unknown vertex, on both rungs, also when it is both endpoints."""
+    """Every stage of every index raises the typed error for an unknown
+    vertex, on both rungs, also when it is both endpoints."""
 
     @pytest.mark.parametrize("use_kernels", (True, False), ids=("kernels", "pure"))
-    @pytest.mark.parametrize("method", sorted(STAGED))
+    @pytest.mark.parametrize("method", sorted(NINE_SPECS))
     def test_unknown_vertex_raises_at_every_stage(self, method, use_kernels):
         index = create_index(
             NINE_SPECS[method], grid_road_network(8, 8, seed=3), use_kernels=use_kernels
         )
         index.build()
         missing = 10_000
-        for stage in STAGED[method]:
+        for stage in index.stage_catalog():
             for source, target in ((missing, missing), (missing, 5), (5, missing)):
                 with pytest.raises(VertexNotFoundError):
-                    index.query_at_stage(source, target, stage)
-            assert index.query_at_stage(5, 5, stage) == 0.0
+                    stage.query(source, target)
+            assert stage.query(5, 5) == 0.0
 
 
 # ----------------------------------------------------------------------
@@ -838,9 +828,9 @@ class TestStageEndpoints:
 def _warm(index, pairs):
     """Freeze every store the index's query paths read: each stage, the
     batch plane and the graph snapshot."""
-    for entry in stage_entries(index):
+    for stage in index.stage_catalog():
         for s, t in pairs:
-            entry["query"](s, t)
+            stage.query(s, t)
     index.query_many(pairs)
     index.query_bidijkstra(*pairs[0])
 

@@ -4,7 +4,7 @@ import pytest
 
 from repro.algorithms.dijkstra import dijkstra_distance
 from repro.core.pmhl import PMHLIndex
-from repro.core.stages import PMHL_UPDATE_STAGES, PMHLQueryStage
+from repro.core.stages import PMHL_UPDATE_STAGES
 from repro.exceptions import IndexNotBuiltError, VertexNotFoundError
 from repro.graph.generators import grid_road_network, highway_network
 from repro.graph.updates import generate_update_batch, generate_update_stream
@@ -51,7 +51,9 @@ class TestPMHLConstruction:
         graph = grid_road_network(5, 5, seed=2)
         index = build_pmhl(graph)
         catalog = index.stage_catalog()
-        assert [entry["query_stage"] for entry in catalog] == list(PMHLQueryStage)
+        assert [stage.name for stage in catalog] == [
+            "BIDIJKSTRA", "PCH", "NO_BOUNDARY", "POST_BOUNDARY", "CROSS_BOUNDARY"
+        ]
 
 
 class TestPMHLQueryStages:
@@ -62,12 +64,8 @@ class TestPMHLQueryStages:
         pairs = random_query_pairs(graph, 30, seed=seed)
         for s, t in pairs:
             expected = dijkstra_distance(graph, s, t)
-            for stage in PMHLQueryStage:
-                assert index.query_at_stage(s, t, stage) == pytest.approx(expected), (
-                    s,
-                    t,
-                    stage,
-                )
+            for stage in index.stage_catalog():
+                assert stage.query(s, t) == pytest.approx(expected), (s, t, stage.name)
 
     def test_highway_network_cross_partition_queries(self):
         graph = highway_network(clusters=4, cluster_size=20, seed=3)
@@ -85,8 +83,8 @@ class TestPMHLQueryStages:
             for s in members[:3]:
                 for t in members[-3:]:
                     expected = dijkstra_distance(graph, s, t)
-                    for stage in PMHLQueryStage:
-                        assert index.query_at_stage(s, t, stage) == pytest.approx(expected)
+                    for stage in index.stage_catalog():
+                        assert stage.query(s, t) == pytest.approx(expected)
 
 
 class TestPMHLMaintenance:
@@ -99,12 +97,8 @@ class TestPMHLMaintenance:
         assert [s.name for s in report.stages] == list(PMHL_UPDATE_STAGES)
         for s, t in random_query_pairs(graph, 25, seed=seed):
             expected = dijkstra_distance(graph, s, t)
-            for stage in PMHLQueryStage:
-                assert index.query_at_stage(s, t, stage) == pytest.approx(expected), (
-                    s,
-                    t,
-                    stage,
-                )
+            for stage in index.stage_catalog():
+                assert stage.query(s, t) == pytest.approx(expected), (s, t, stage.name)
 
     def test_update_stream_stays_correct(self):
         graph = grid_road_network(6, 6, seed=5)

@@ -4,7 +4,7 @@ import pytest
 
 from repro.algorithms.dijkstra import dijkstra_distance
 from repro.core.postmhl import PostMHLIndex
-from repro.core.stages import POSTMHL_UPDATE_STAGES, PostMHLQueryStage
+from repro.core.stages import POSTMHL_UPDATE_STAGES
 from repro.exceptions import IndexNotBuiltError, VertexNotFoundError
 from repro.graph.generators import grid_road_network, highway_network
 from repro.graph.updates import generate_update_batch, generate_update_stream
@@ -62,8 +62,8 @@ class TestPostMHLConstruction:
         assert index.td.num_partitions == 0
         for s, t in random_query_pairs(graph, 15, seed=4):
             expected = dijkstra_distance(graph, s, t)
-            for stage in PostMHLQueryStage:
-                assert index.query_at_stage(s, t, stage) == pytest.approx(expected)
+            for stage in index.stage_catalog():
+                assert stage.query(s, t) == pytest.approx(expected)
 
 
 class TestPostMHLQueryStages:
@@ -73,12 +73,8 @@ class TestPostMHLQueryStages:
         index = build_postmhl(graph, bandwidth=12, ke=4)
         for s, t in random_query_pairs(graph, 30, seed=seed):
             expected = dijkstra_distance(graph, s, t)
-            for stage in PostMHLQueryStage:
-                assert index.query_at_stage(s, t, stage) == pytest.approx(expected), (
-                    s,
-                    t,
-                    stage,
-                )
+            for stage in index.stage_catalog():
+                assert stage.query(s, t) == pytest.approx(expected), (s, t, stage.name)
 
     def test_highway_network(self):
         graph = highway_network(clusters=4, cluster_size=20, seed=5)
@@ -121,12 +117,8 @@ class TestPostMHLMaintenance:
         assert [s.name for s in report.stages] == list(POSTMHL_UPDATE_STAGES)
         for s, t in random_query_pairs(graph, 25, seed=seed):
             expected = dijkstra_distance(graph, s, t)
-            for stage in PostMHLQueryStage:
-                assert index.query_at_stage(s, t, stage) == pytest.approx(expected), (
-                    s,
-                    t,
-                    stage,
-                )
+            for stage in index.stage_catalog():
+                assert stage.query(s, t) == pytest.approx(expected), (s, t, stage.name)
 
     def test_labels_match_rebuild_after_update(self):
         graph = grid_road_network(7, 7, seed=8)

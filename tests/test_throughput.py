@@ -33,6 +33,8 @@ from repro.throughput.workload import (
     sample_query_pairs,
 )
 from repro.partitioning.natural_cut import natural_cut_partition
+from repro.registry import create_index
+from repro.serving.router import StageRouter
 
 
 class TestParallelModel:
@@ -283,3 +285,27 @@ class TestEvaluator:
         values = [qps for _, qps in samples]
         for a, b in zip(values, values[1:]):
             assert b >= a - 1e-9
+
+    @pytest.mark.parametrize(
+        "method, params",
+        (
+            ("MHL", {}),
+            ("PMHL", {"num_partitions": 4, "seed": 0}),
+            ("PostMHL", {"bandwidth": 10, "expected_partitions": 4}),
+            ("DCH", {}),
+        ),
+        ids=("MHL", "PMHL", "PostMHL", "DCH"),
+    )
+    def test_stage_names_match_the_live_router(self, method, params):
+        """The modelled timeline names its stages as the serving router does."""
+        graph = grid_road_network(6, 6, seed=3)
+        index = create_index(method, graph, **params)
+        index.build()
+        evaluator = ThroughputEvaluator(
+            update_interval=1.0, response_qos=0.5, threads=2, query_sample_size=5
+        )
+        batch = generate_update_batch(graph, volume=6, seed=3)
+        result = evaluator.evaluate(index, batch, sample_query_pairs(graph, 5, seed=3))
+        names = [stage.name for stage in StageRouter(index).stages]
+        assert [cost.name for cost in result.stage_costs] == names
+        assert {segment.stage_name for segment in result.segments} <= set(names)
