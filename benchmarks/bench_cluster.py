@@ -172,7 +172,6 @@ def run(
             with cluster:
                 row = _closed_loop(cluster.query_batch, pairs, duration, expected)
                 row["speedup_vs_single"] = row["qps"] / single_row["qps"]
-                row["partition_aware"] = cluster.partition_aware
                 row["per_worker_queries"] = [
                     stats["queries_served"] for stats in cluster.worker_stats()
                 ]
@@ -180,7 +179,7 @@ def run(
             print(
                 f"{workers} worker(s)    : {row['qps']:10.0f} QPS  "
                 f"({row['speedup_vs_single']:4.2f}x single, "
-                f"shard split {row['per_worker_queries']})"
+                f"per-reader queries {row['per_worker_queries']})"
             )
 
         report["analytic_thread_model"] = _analytic_rows(snapshot, workload)

@@ -316,16 +316,6 @@ class DistanceIndex(abc.ABC):
             QueryStage("native", LAST_STAGE, self.query),
         )
 
-    def vertex_partition(self, v: int) -> Optional[int]:
-        """Partition id of ``v``, or ``None`` for unpartitioned indexes.
-
-        Partitioned indexes (PMHL, PostMHL, the PSP baselines) override this;
-        the cluster's shard router uses it to pin each partition's queries
-        to one worker.  ``None`` also denotes overlay vertices of indexes
-        whose overlay lives outside every partition (PostMHL).
-        """
-        return None
-
     # ------------------------------------------------------------------
     # Frozen query kernels (see repro.kernels)
     # ------------------------------------------------------------------

@@ -6,9 +6,9 @@ package is one maintainer and N reader processes: the maintainer (the
 engine's process) applies each update batch to the one mutable index once
 and publishes the stores its queries read; the readers load the *same*
 mmap-backed snapshot (:mod:`repro.store`) at near-zero incremental RSS, never
-mutate it, and answer query sub-batches from the published stores on
-distinct cores — the first configuration that can honestly beat the analytic
-single-core bound on wall-clock hardware.
+mutate it, and each answers a contiguous slice of every query batch from
+the published stores on distinct cores — the first configuration that can
+honestly beat the analytic single-core bound on wall-clock hardware.
 
 Modules
 -------
@@ -17,8 +17,7 @@ Modules
                 generations and their retention, admission, stats.
 ``dispatcher``  reader pool management: scatter/gather, adopt broadcasts,
                 liveness, respawn into the newest store generation.
-``worker``      the reader process's command loop (one shard).
-``routing``     partition-aware batch routing with hash fallback.
+``worker``      the reader process's command loop.
 
 Quickstart::
 
@@ -36,7 +35,6 @@ generations and the failure model.
 from repro.exceptions import ClusterError, ClusterWorkerError
 from repro.cluster.dispatcher import DEFAULT_WORKER_TIMEOUT, Dispatcher, WorkerHandle
 from repro.cluster.engine import ClusterEngine
-from repro.cluster.routing import ShardRouter
 
 __all__ = [
     "ClusterEngine",
@@ -44,6 +42,5 @@ __all__ = [
     "ClusterWorkerError",
     "DEFAULT_WORKER_TIMEOUT",
     "Dispatcher",
-    "ShardRouter",
     "WorkerHandle",
 ]

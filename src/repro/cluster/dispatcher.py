@@ -299,22 +299,24 @@ class Dispatcher:
     # Batch operations
     # ------------------------------------------------------------------
     def query_shards(
-        self, assignments: Dict[int, List], timeout: Optional[float] = None
-    ) -> Dict[int, Tuple[int, List[float]]]:
-        """Scatter per-worker pair lists, gather ``(epoch, distances)``.
+        self, slices: List[List], timeout: Optional[float] = None
+    ) -> List[Tuple[int, List[float]]]:
+        """Scatter slice ``i`` to worker ``i``, gather ``(epoch, distances)``
+        per slice, in slice order.
 
         On any shard failure the surviving replies are discarded, every
         failed worker is respawned at the current epoch, and the first
         failure is raised — the in-flight batch fails as a whole, typed.
         """
         results, failures = self._scatter(
-            {wid: ("query", pairs) for wid, pairs in assignments.items()}, timeout
+            {worker_id: ("query", pairs) for worker_id, pairs in enumerate(slices)},
+            timeout,
         )
         if failures:
             for worker_id, failure in sorted(failures.items()):
                 self._respawn(worker_id, failure.reason)
             raise next(iter(sorted(failures.items())))[1]
-        return results
+        return [results[worker_id] for worker_id in range(len(slices))]
 
     def adopt(self, epoch: int, path: str) -> Dict[int, int]:
         """Commit phase of the epoch barrier: every reader adopts the store

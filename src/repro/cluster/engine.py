@@ -52,11 +52,10 @@ from repro.graph.graph import Graph
 from repro.graph.updates import UpdateBatch
 from repro.kernels.native import native_kernel, native_kernel_error
 from repro.obs.metrics import MetricRegistry
-from repro.serving.core import MIXED_STAGE, BatchResult, EngineCore
+from repro.serving.core import BatchResult, EngineCore
 from repro.store import load_index, read_manifest, save_index, save_stores
 
 from repro.cluster.dispatcher import DEFAULT_WORKER_TIMEOUT, Dispatcher
-from repro.cluster.routing import ShardRouter
 
 _STORES = "stores-"
 
@@ -127,14 +126,10 @@ class ClusterEngine(EngineCore):
         #: engine's graph).  Only ``_install`` mutates it.
         self.index = load_index(snapshot_path, use_kernels=True)
         self._maintainer_is_base = True
-        self._router = ShardRouter(
-            num_workers,
-            {
-                vertex: partition
-                for vertex in self.index.graph.vertices()
-                if (partition := self.index.vertex_partition(vertex)) is not None
-            },
-        )
+        #: Readers answer only from the final stage's stores, so every answer
+        #: carries the name the single-process engine reports once an epoch
+        #: has settled.
+        self._stage = self.index.stage_catalog()[-1].name
         self._generation = int(manifest.get("generation", 0))
         #: Serialises dispatcher-side work: a scatter/gather, an adopt +
         #: commit, a stats pull.
@@ -202,10 +197,6 @@ class ClusterEngine(EngineCore):
     def published_snapshots(self) -> List[str]:
         return list(self._published)
 
-    @property
-    def partition_aware(self) -> bool:
-        return self._router.partition_aware
-
     # ------------------------------------------------------------------
     # Query plane
     # ------------------------------------------------------------------
@@ -214,43 +205,32 @@ class ClusterEngine(EngineCore):
     query_many = EngineCore.query_batch
 
     def _answer(self, pair_list: List[QueryPair], started: float) -> BatchResult:
-        """Scatter the batch across the readers and gather at one epoch.
+        """Split the batch across the readers and gather at one epoch.
 
-        The batch is split by the partition-aware router and the readers
-        answer concurrently; every reply must carry the dispatcher's epoch or
-        the call raises :class:`~repro.exceptions.ClusterError` instead of
+        Every reader maps the whole index, so the batch splits into
+        ``min(num_workers, len(pairs))`` contiguous near-equal slices, one per
+        reader; the readers answer concurrently and the replies concatenate
+        in input order.  Every reply must carry the dispatcher's epoch or the
+        call raises :class:`~repro.exceptions.ClusterError` instead of
         returning a torn read.
         """
         if not self._running:
             raise EngineStoppedError("serve_batch on a stopped cluster; call start()")
+        count = min(self.num_workers, len(pair_list))
+        bounds = [len(pair_list) * part // count for part in range(count + 1)]
+        slices = [pair_list[low:high] for low, high in zip(bounds, bounds[1:])]
         with self._dispatch:
             epoch = self._epoch
-            assignments = self._router.split(pair_list)
-            replies = self._dispatcher.query_shards(
-                {
-                    worker_id: [pair for _pos, pair in entries]
-                    for worker_id, entries in assignments.items()
-                }
-            )
-        epochs = {shard_epoch for shard_epoch, _distances in replies.values()}
+            replies = self._dispatcher.query_shards(slices)
+        epochs = {reply_epoch for reply_epoch, _distances in replies}
         if epochs != {epoch}:
             raise ClusterError(
-                f"torn epoch: dispatcher at {epoch}, shards answered at "
+                f"torn epoch: dispatcher at {epoch}, readers answered at "
                 f"{sorted(epochs)} — the barrier protocol was violated"
             )
-        if len(assignments) == 1:
-            [(worker_id, (_epoch, distances))] = replies.items()
-            stage, stages = f"shard{worker_id}", None
-        else:
-            distances = [0.0] * len(pair_list)
-            stage, stages = MIXED_STAGE, [""] * len(pair_list)
-            for worker_id, entries in assignments.items():
-                name = f"shard{worker_id}"
-                for (position, _pair), distance in zip(entries, replies[worker_id][1]):
-                    distances[position] = distance
-                    stages[position] = name
+        distances = [distance for _epoch, part in replies for distance in part]
         latency = (time.perf_counter() - started) / len(pair_list)
-        return BatchResult(pair_list, distances, epoch, latency, stage, stages)
+        return BatchResult(pair_list, distances, epoch, latency, self._stage)
 
     # ------------------------------------------------------------------
     # Maintenance plane
@@ -365,7 +345,6 @@ class ClusterEngine(EngineCore):
         snapshot["generation"] = self._generation
         snapshot["store_generation"] = self._dispatcher.generation[0]
         snapshot["published_snapshots"] = list(self._published)
-        snapshot["partition_aware"] = self.partition_aware
         return snapshot
 
     # ------------------------------------------------------------------

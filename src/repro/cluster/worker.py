@@ -1,4 +1,4 @@
-"""The cluster reader process: one shard answering from frozen stores.
+"""The cluster reader process: one reader answering from frozen stores.
 
 ``worker_main`` is the child-process entry point.  It loads the base
 snapshot with :func:`repro.store.load_index` — every reader maps the *same*

@@ -514,11 +514,6 @@ class PostMHLIndex(DistanceIndex):
     # ------------------------------------------------------------------
     # Introspection and throughput metadata
     # ------------------------------------------------------------------
-    def vertex_partition(self, v: int) -> Optional[int]:
-        if self.td is None:
-            return None
-        return self.td.partition_of(v)
-
     def index_size(self) -> int:
         self._require_built()
         boundary_entries = sum(len(values) for values in self.disB.values())

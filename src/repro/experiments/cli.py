@@ -351,10 +351,7 @@ def _cluster_main(argv: Sequence[str]) -> int:
             publish_dir=f"{scratch}/gens",
         )
         with engine:
-            print(
-                f"cluster up: {engine.num_workers} workers over {snapshot} "
-                f"(partition_aware={engine.partition_aware})"
-            )
+            print(f"cluster up: {engine.num_workers} workers over {snapshot}")
             for batch in batches:
                 engine.submit_batch(batch)
             deadline = time.perf_counter() + args.duration

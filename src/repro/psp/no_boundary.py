@@ -405,11 +405,6 @@ class NoBoundaryPSPIndex(DistanceIndex):
         return times
 
     # ------------------------------------------------------------------
-    def vertex_partition(self, v: int) -> Optional[int]:
-        if self.partitioning is None:
-            return None
-        return self.partitioning.partition_of(v)
-
     def index_size(self) -> int:
         self._require_built()
         return self.family.index_size() + self.overlay.index_size()

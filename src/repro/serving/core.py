@@ -43,7 +43,8 @@ _Engine = TypeVar("_Engine", bound="EngineCore")
 
 #: Stage name of answers served from the distance cache.
 CACHE_STAGE = "cache"
-#: :attr:`BatchResult.stage` of a batch whose answers came from several stages.
+#: :attr:`BatchResult.stage` of a batch that mixes cache hits with computed
+#: answers.
 MIXED_STAGE = "mixed"
 
 
@@ -56,8 +57,8 @@ class QueryResult:
     distance: float
     #: Epoch (number of installed update batches) the answer is consistent with.
     epoch: int
-    #: Name of the query stage that produced the answer (``"cache"`` for hits,
-    #: ``"shardN"`` from the cluster).
+    #: Name of the query stage that produced the answer (``"cache"`` for hits;
+    #: the cluster always reports the index's final stage).
     stage: str
     latency_seconds: float
     from_cache: bool = False
@@ -72,8 +73,8 @@ class BatchResult(Sequence):
     controller's service-time estimator commensurable with scalar samples
     (the whole-batch wall would inflate the estimate len-fold and shed
     batches spuriously).  ``stage`` names the query stage that answered every
-    pair; when answers mix (cache hits beside computed ones, several shards)
-    it is :data:`MIXED_STAGE` and ``stages`` holds the per-pair column.
+    pair; when cache hits sit beside computed answers it is
+    :data:`MIXED_STAGE` and ``stages`` holds the per-pair column.
 
     The result is also a read-only ``Sequence[QueryResult]``: the rows are
     built on first indexing/iteration and memoised, so callers that only
@@ -482,8 +483,8 @@ class EngineCore:
         """Serve one source against many targets at a single epoch.
 
         Rides the batch plane: same-source pairs amortise into the index's
-        native one-to-many path (in the cluster, on the one shard that owns
-        the source's partition).
+        native one-to-many path (in the cluster, each reader takes a
+        contiguous slice of the targets).
         """
         return self.serve_batch(zip(repeat(source), targets))
 

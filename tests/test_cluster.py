@@ -3,13 +3,15 @@
 Covers bit-identical answers versus the single-process
 :class:`~repro.serving.engine.ServingEngine` (fresh and post-update, on all
 nine registry methods, plus a seeded differential against the Dijkstra
-oracle), epoch-barrier consistency under interleaved update/query batches
-(every reader answers at the same epoch — no torn reads), readers that answer
-only from the maintainer's published stores, all-or-nothing rejection of bad
-batches, reader crash/hang recovery (mid-query and mid-adopt) with typed
+oracle), the contiguous per-reader batch split, epoch-barrier consistency
+under interleaved update/query batches (every reader answers at the same
+epoch — no torn reads), readers that answer only from the maintainer's
+published stores, all-or-nothing rejection of bad batches, reader
+crash/hang recovery (mid-query and mid-adopt) with typed
 :class:`~repro.exceptions.ClusterWorkerError`, graceful shutdown without
-orphan processes, store-generation retention, explicit full snapshots, and
-the atomic ``save_index`` / ``export_snapshot`` write path.
+orphan processes, the ``spawn`` start method, store-generation retention,
+explicit full snapshots, and the atomic ``save_index`` / ``export_snapshot``
+write path.
 """
 
 from __future__ import annotations
@@ -18,12 +20,12 @@ import errno
 import os
 import threading
 import time
+from itertools import repeat
 
 import pytest
 
 from repro.algorithms.dijkstra import dijkstra_distance
-from repro.cluster import ClusterEngine, ShardRouter
-from repro.cluster.routing import _stable_hash
+from repro.cluster import ClusterEngine
 from repro.exceptions import (
     ClusterError,
     ClusterWorkerError,
@@ -36,7 +38,13 @@ from repro.graph.generators import grid_road_network
 from repro.graph.updates import EdgeUpdate, UpdateBatch, generate_update_stream
 from repro.registry import create_index, get_spec
 from repro.serving.engine import ServingEngine
-from repro.store import STORES_FORMAT, load_snapshot_graph, read_manifest, save_index
+from repro.store import (
+    STORES_FORMAT,
+    load_index,
+    load_snapshot_graph,
+    read_manifest,
+    save_index,
+)
 from repro.throughput.workload import sample_query_pairs
 from tests.conftest import NEEDS_NATIVE, patch_out_native_kernel
 
@@ -58,6 +66,16 @@ def pmhl_snapshot(base_graph, tmp_path_factory):
     )
     index.build()
     path = str(tmp_path_factory.mktemp("cluster") / "gen-000000")
+    save_index(index, path, atomic=True, generation=0)
+    return path
+
+
+@pytest.fixture(scope="module")
+def dh2h_snapshot(base_graph, tmp_path_factory):
+    """A built DH2H index (unpartitioned) persisted once for the module."""
+    index = create_index(get_spec("DH2H"), base_graph.copy())
+    index.build()
+    path = str(tmp_path_factory.mktemp("cluster-dh2h") / "gen-000000")
     save_index(index, path, atomic=True, generation=0)
     return path
 
@@ -105,46 +123,81 @@ def leftovers(directory):
 
 
 # ----------------------------------------------------------------------
-# Routing
+# The batch split: contiguous near-equal slices, one per reader
 # ----------------------------------------------------------------------
-class TestShardRouter:
-    def test_partition_affinity(self):
-        router = ShardRouter(3, {0: 0, 1: 0, 2: 1, 3: 2})
-        assert router.partition_aware
-        # Same source partition -> same worker, whatever the target.
-        assert router.worker_for(0, 2) == router.worker_for(1, 3)
+@NEEDS_NATIVE
+class TestSplit:
+    @pytest.mark.parametrize(
+        "snapshot_fixture, final_stage",
+        [("pmhl_snapshot", "CROSS_BOUNDARY"), ("dh2h_snapshot", "native")],
+    )
+    def test_slices_answer_in_input_order_on_every_reader(
+        self, snapshot_fixture, final_stage, request, query_pairs, tmp_path
+    ):
+        """Every reader holds the whole index, partitioned or not: a batch of
+        n >= 2 pairs gives reader 0 the first n // 2 pairs and reader 1 the
+        rest, the answers come back in input order equal to the index's, and
+        every answer carries the final stage the single-process engine
+        reports."""
+        snapshot = request.getfixturevalue(snapshot_fixture)
+        index = load_index(snapshot)
+        source = query_pairs[0][0]
+        targets = [target for _source, target in query_pairs[1:10]]
+        fan_out = list(zip(repeat(source), targets))
 
-    def test_hash_fallback_is_deterministic_and_spread(self):
-        router = ShardRouter(4)
-        assert not router.partition_aware
-        first = [router.worker_for(v, v + 1) for v in range(64)]
-        assert first == [router.worker_for(v, v + 1) for v in range(64)]
-        # The multiplicative mix must not send consecutive ids to one worker.
-        assert len(set(first)) == 4
+        def serve(engine, pairs):
+            if pairs is fan_out:
+                return engine.serve_one_to_many(source, targets)
+            return engine.serve_batch(pairs)
 
-    def test_unknown_source_routes_by_target_partition(self):
-        router = ShardRouter(2, {5: 1})
-        assert router.worker_for(99, 5) == _stable_hash(1) % 2
+        single = ServingEngine.from_snapshot(snapshot, cache_capacity=0)
+        with make_cluster(snapshot, tmp_path) as cluster, single:
+            before = [row["queries_served"] for row in cluster.worker_stats()]
+            for pairs in (query_pairs[:1], query_pairs[:3], query_pairs, fan_out):
+                result = serve(cluster, pairs)
+                assert result.pairs == pairs
+                assert result.distances == index.query_many(pairs)
+                assert [row.stage for row in result] == [
+                    row.stage for row in serve(single, pairs)
+                ]
+                assert (result.stage, result.stages) == (final_stage, None)
+                after = [row["queries_served"] for row in cluster.worker_stats()]
+                half = len(pairs) // 2
+                expected = [1, 0] if len(pairs) == 1 else [half, len(pairs) - half]
+                assert [a - b for a, b in zip(after, before)] == expected
+                before = after
 
-    def test_split_preserves_positions(self):
-        router = ShardRouter(2)
-        pairs = [(1, 2), (2, 3), (3, 4), (4, 5)]
-        assignments = router.split(pairs)
-        seen = sorted(
-            position for entries in assignments.values() for position, _ in entries
-        )
-        assert seen == [0, 1, 2, 3]
-        for entries in assignments.values():
-            for position, pair in entries:
-                assert pairs[position] == pair
+    @pytest.mark.parametrize(
+        "num_workers, count, served",
+        [(1, 40, [40]), (3, 2, [1, 1, 0]), (3, 40, [13, 13, 14])],
+    )
+    def test_near_equal_slices_over_min_readers_and_pairs(
+        self, num_workers, count, served, pmhl_snapshot, query_pairs, tmp_path
+    ):
+        pairs = query_pairs[:count]
+        with make_cluster(pmhl_snapshot, tmp_path, num_workers=num_workers) as cluster:
+            assert cluster.query_batch(pairs) == load_index(pmhl_snapshot).query_many(pairs)
+            assert [row["queries_served"] for row in cluster.worker_stats()] == served
 
-    def test_single_worker_takes_everything(self):
-        router = ShardRouter(1, {0: 3})
-        assert router.split([(0, 1), (9, 9)]).keys() == {0}
+    def test_a_reply_at_another_epoch_is_a_torn_read(
+        self, pmhl_snapshot, query_pairs, tmp_path, monkeypatch
+    ):
+        with make_cluster(pmhl_snapshot, tmp_path) as cluster:
+            query_shards = cluster._dispatcher.query_shards
 
-    def test_rejects_zero_workers(self):
-        with pytest.raises(ValueError):
-            ShardRouter(0)
+            def last_reader_skewed(slices):
+                replies = query_shards(slices)
+                epoch, distances = replies[-1]
+                replies[-1] = (epoch + 1, distances)
+                return replies
+
+            monkeypatch.setattr(cluster._dispatcher, "query_shards", last_reader_skewed)
+            with pytest.raises(ClusterError, match="torn epoch"):
+                cluster.query_batch(query_pairs)
+
+    def test_zero_readers_is_refused(self, pmhl_snapshot, tmp_path):
+        with pytest.raises(ClusterError, match="num_workers"):
+            ClusterEngine(pmhl_snapshot, num_workers=0, publish_dir=str(tmp_path))
 
 
 # ----------------------------------------------------------------------
@@ -155,7 +208,6 @@ class TestBitIdentical:
     def test_fresh_matches_single_process(self, pmhl_snapshot, query_pairs, tmp_path):
         single = ServingEngine.from_snapshot(pmhl_snapshot, cache_capacity=0)
         with make_cluster(pmhl_snapshot, tmp_path) as cluster:
-            assert cluster.partition_aware
             got = cluster.query_batch(query_pairs)
         with single:
             expected = single.query_batch(query_pairs)
@@ -193,20 +245,6 @@ class TestBitIdentical:
                         f"epoch={epoch}"
                     )
 
-    def test_unpartitioned_method_uses_hash_fallback(
-        self, base_graph, query_pairs, tmp_path
-    ):
-        index = create_index(get_spec("DH2H"), base_graph.copy())
-        index.build()
-        snapshot = str(tmp_path / "dh2h")
-        save_index(index, snapshot, atomic=True)
-        with make_cluster(snapshot, tmp_path) as cluster:
-            assert not cluster.partition_aware
-            assert cluster.query_batch(query_pairs) == index.query_many(query_pairs)
-            # Both shards actually served (hash spread, not all-on-one).
-            busy = [w for w in cluster.worker_stats() if w["queries_served"] > 0]
-            assert len(busy) == 2
-
     def test_scalar_serve_and_vertex_validation(
         self, pmhl_snapshot, query_pairs, tmp_path
     ):
@@ -214,7 +252,7 @@ class TestBitIdentical:
             source, target = query_pairs[0]
             result = cluster.serve(source, target)
             assert result.distance == cluster.query(source, target)
-            assert result.stage.startswith("shard")
+            assert result.stage == "CROSS_BOUNDARY"
             with pytest.raises(VertexNotFoundError):
                 cluster.serve(source, 10_000)
             assert cluster.serve_batch([]) == []
@@ -222,6 +260,29 @@ class TestBitIdentical:
 
 @NEEDS_NATIVE
 class TestReaderStart:
+    def test_spawned_readers_answer_and_recover_like_forked_ones(
+        self, pmhl_snapshot, query_pairs, update_batches, tmp_path
+    ):
+        """``spawn`` readers load the snapshot instead of inheriting it and
+        must behave exactly like forked ones: bit-identical answers after two
+        update batches, a typed failure on a crash, and a respawn that
+        answers identically again."""
+        single = ServingEngine.from_snapshot(pmhl_snapshot, cache_capacity=0)
+        cluster = make_cluster(pmhl_snapshot, tmp_path, start_method="spawn")
+        with cluster, single:
+            for batch in update_batches[:2]:
+                cluster.apply_batch(batch)
+                single.apply_batch(batch)
+            expected = single.query_batch(query_pairs)
+            assert cluster.query_batch(query_pairs) == expected
+            cluster.inject_worker_crash(0)
+            time.sleep(0.2)
+            with pytest.raises(ClusterWorkerError) as excinfo:
+                cluster.query_batch(query_pairs)
+            assert excinfo.value.worker_id == 0
+            assert cluster.query_batch(query_pairs) == expected
+            assert cluster.stats()["respawns"] == 1
+
     def test_first_readers_inherit_the_maintainers_base(
         self, pmhl_snapshot, query_pairs, tmp_path, monkeypatch
     ):
@@ -580,6 +641,7 @@ class TestReaderCompleteness:
                 expected = single.serve_batch(query_pairs)
                 assert got.epoch == expected.epoch == cluster.current_epoch
                 assert got.distances == expected.distances, method
+                assert got.stage == expected.stage, method
                 graph = cluster.graph_at(got.epoch)
                 for (source, target), distance in zip(query_pairs, got.distances):
                     oracle = dijkstra_distance(graph, source, target)

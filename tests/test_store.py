@@ -769,7 +769,7 @@ class TestStoreGenerations:
         reader.adopt_stores(stores)
         vertex = next(
             v for v in reader.graph.vertices()
-            if reader.vertex_partition(v) == 1
+            if reader.partitioning.partition_of(v) == 1
             and v not in reader.partitioning.boundary(1)
         )
         with pytest.raises(StoreNotPublishedError) as excinfo:
