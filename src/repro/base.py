@@ -18,6 +18,13 @@ N-CH-P, P-TD-P, TOAIN, PMHL, PostMHL): each exposes
 Sizes are reported as *entry counts* rather than bytes because pure-Python
 object overhead would otherwise dominate and hide the paper's size ordering.
 
+The three query methods are written once, here: an index declares the frozen
+store of its final query stage (:meth:`DistanceIndex._final_store`) and its
+pure reference (``_reference_query``, plus ``_reference_one_to_many`` where
+it amortises the source), and the base answers through the store's kernels,
+or — without a store — checks the endpoints once and runs the reference.
+Stage queries reuse the same dispatch (:meth:`DistanceIndex._stage_query`).
+
 Frozen query kernels
 --------------------
 
@@ -48,6 +55,7 @@ from repro.exceptions import StoreNotPublishedError, VertexNotFoundError
 from repro.graph.graph import Graph
 from repro.graph.updates import UpdateBatch
 from repro.kernels.native import native_kernel
+from repro.kernels.shortcut_store import ShortcutStore
 
 #: One ``(source, target)`` query pair of the batch query plane.
 QueryPair = Tuple[int, int]
@@ -188,45 +196,91 @@ class DistanceIndex(abc.ABC):
     def _build(self) -> None:
         """Concrete construction logic."""
 
-    @abc.abstractmethod
+    # ------------------------------------------------------------------
+    # Query plane: the final stage's store, or the pure reference
+    # ------------------------------------------------------------------
     def query(self, source: int, target: int) -> float:
         """Return the shortest distance between ``source`` and ``target``."""
+        return self._stage_query(
+            self._final_store(), source, target, self._reference_query
+        )
 
-    # ------------------------------------------------------------------
-    # Batch query plane
-    # ------------------------------------------------------------------
     def query_one_to_many(self, source: int, targets: Sequence[int]) -> List[float]:
         """Shortest distances from ``source`` to every vertex of ``targets``.
 
-        The default implementation is a scalar loop over :meth:`query`, so it
-        is always available and always agrees with the scalar path.  Indexes
-        override it to amortise per-query work across the batch (fetching the
-        source label once, sharing a single truncated search, …); overrides
-        must return the same distances the scalar path returns.
+        One call of the final store's ``one_to_many`` kernel; without a
+        store, :meth:`_reference_one_to_many` answers once every endpoint
+        (the source too, even with no targets) is known to exist.  Both
+        return the distances the scalar path returns.
         """
-        return [self.query(source, target) for target in targets]
+        targets = list(targets)
+        store = self._final_store()
+        if store is not None:
+            return store.one_to_many(source, targets)
+        self._check_pairs((source, target) for target in (source, *targets))
+        return self._reference_one_to_many(source, targets)
 
     def query_many(self, pairs: Iterable[QueryPair]) -> List[float]:
         """Shortest distances for many ``(source, target)`` pairs at once.
 
-        Pairs are grouped by source and each group is answered through
-        :meth:`query_one_to_many`, so any index that amortises the
-        one-to-many case speeds up arbitrary batches for free.  Results are
-        returned in input order.  With the default scalar
-        :meth:`query_one_to_many` this is exactly the scalar loop.
+        One call of the final store's ``query_pairs`` kernel; without a
+        store, :meth:`_reference_many` answers.  Results are returned in
+        input order.
         """
         pair_list = list(pairs)
+        store = self._final_store()
+        if store is not None:
+            return store.query_pairs(pair_list)
+        return self._reference_many(pair_list)
+
+    def _final_store(self):
+        """This epoch's frozen store of the final query stage, or ``None``.
+
+        The store answers :meth:`query`, :meth:`query_one_to_many` and
+        :meth:`query_many` and raises
+        :class:`~repro.exceptions.VertexNotFoundError` itself; ``None`` (the
+        pure rung, or an index without one final store) hands them to the
+        reference hooks below.  An index's override raises
+        :class:`~repro.exceptions.IndexNotBuiltError` before a build.
+        """
+        return None
+
+    def _reference_query(self, source: int, target: int) -> float:
+        """The pure final-stage query, for endpoints known to exist."""
+        raise NotImplementedError(f"{type(self).__name__} has no reference query")
+
+    def _reference_one_to_many(self, source: int, targets: List[int]) -> List[float]:
+        """The pure one-to-many, for endpoints known to exist: a scalar loop
+        unless the index's reference amortises the source."""
+        return [self._reference_query(source, target) for target in targets]
+
+    def _reference_many(self, pairs: List[QueryPair]) -> List[float]:
+        """The batch without a final store: pairs grouped by source, each
+        group answered (and checked) by :meth:`query_one_to_many`, so any
+        index that amortises the one-to-many case speeds up arbitrary
+        batches for free."""
         by_source: Dict[int, List[int]] = {}
-        for position, (source, _target) in enumerate(pair_list):
+        for position, (source, _target) in enumerate(pairs):
             by_source.setdefault(source, []).append(position)
-        results: List[float] = [0.0] * len(pair_list)
+        results: List[float] = [0.0] * len(pairs)
         for source, positions in by_source.items():
             distances = self.query_one_to_many(
-                source, [pair_list[position][1] for position in positions]
+                source, [pairs[position][1] for position in positions]
             )
             for position, distance in zip(positions, distances):
                 results[position] = distance
         return results
+
+    def _stage_query(
+        self, store, source: int, target: int, reference: Callable[..., float], *args
+    ) -> float:
+        """One query of a stage: its frozen ``store`` when there is one,
+        else ``reference(source, target, *args)`` once both endpoints are
+        known to exist."""
+        if store is not None:
+            return store.query(source, target)
+        self._check_endpoints(source, target)
+        return reference(source, target, *args)
 
     def query_bidijkstra(self, source: int, target: int) -> float:
         """Index-free bidirectional Dijkstra on the live graph.
@@ -394,6 +448,16 @@ class DistanceIndex(abc.ABC):
             self._kernel_stores[key] = entry
         return entry
 
+    def _contraction_store(self, key: str, contraction):
+        """Frozen upward shortcut arrays of ``contraction`` under memo
+        ``key`` — the store of every CH-style search stage."""
+        return self._kernel(
+            key,
+            lambda template: ShortcutStore.freeze(
+                contraction.shortcuts.__getitem__, contraction.order, template
+            ),
+        )
+
     def _graph_snapshot(self):
         """CSR snapshot of the live graph for index-free searches.
 
@@ -502,6 +566,12 @@ class DistanceIndex(abc.ABC):
             raise VertexNotFoundError(source)
         if not self.graph.has_vertex(target):
             raise VertexNotFoundError(target)
+
+    def _check_pairs(self, pairs: Iterable[QueryPair]) -> None:
+        """:meth:`_check_endpoints` for a whole batch, in one graph call."""
+        missing = self.graph.missing_endpoint(pairs)
+        if missing is not None:
+            raise VertexNotFoundError(missing)
 
     def describe(self) -> Dict[str, object]:
         """Small summary dictionary used by the experiment reports."""

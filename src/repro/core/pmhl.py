@@ -22,7 +22,7 @@ paper's multi-threaded execution (see ``repro.throughput.parallel``).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
+from typing import Callable, Dict, List, Optional, Set, Tuple
 
 from repro import obs
 from repro.base import DistanceIndex, QueryStage, StageTiming, Timer, UpdateReport
@@ -31,7 +31,6 @@ from repro.core.cross_boundary import (
     compose_cross_boundary_contraction,
 )
 from repro.core.stages import timed_label_update_by_root
-from repro.exceptions import VertexNotFoundError
 from repro.graph.graph import Graph
 from repro.graph.updates import UpdateBatch
 from repro.hierarchy.ch import ch_bidirectional_query
@@ -123,6 +122,7 @@ class PMHLIndex(PostBoundaryPSPIndex):
     # of the epoch (DESIGN.md §5 audits every stage).
     # ------------------------------------------------------------------
     def _cross_store(self):
+        self._require_built()
         return self._kernel(
             "cross_labels", lambda _: LabelStore.freeze(self.cross_labels)
         )
@@ -143,6 +143,7 @@ class PMHLIndex(PostBoundaryPSPIndex):
         return upward
 
     def _pch_store(self):
+        self._require_built()
         return self._kernel(
             "pch",
             lambda template: ShortcutStore.freeze(
@@ -156,12 +157,10 @@ class PMHLIndex(PostBoundaryPSPIndex):
     # ------------------------------------------------------------------
     def query_pch(self, source: int, target: int) -> float:
         """Q-Stage 2: partitioned CH query over the union of shortcut arrays."""
-        self._require_built()
-        store = self._pch_store()
-        if store is not None:
-            return store.query(source, target)
-        self._check_endpoints(source, target)
-        return ch_bidirectional_query(source, target, self._pch_upward())
+        return self._stage_query(
+            self._pch_store(), source, target,
+            lambda s, t: ch_bidirectional_query(s, t, self._pch_upward()),
+        )
 
     def query_no_boundary(self, source: int, target: int) -> float:
         """Q-Stage 3: no-boundary PSP query (distance concatenation via {L_i}, L̃)."""
@@ -176,47 +175,24 @@ class PMHLIndex(PostBoundaryPSPIndex):
         return self._psp_query(source, target, self.extended_family, True)
 
     def query_cross_boundary(self, source: int, target: int) -> float:
-        """Q-Stage 5: cross-boundary 2-hop query on L* (fastest)."""
-        self._require_built()
-        store = self._cross_store()
-        if store is not None:
-            return store.query(source, target)
-        self._check_endpoints(source, target)
+        """Q-Stage 5: cross-boundary 2-hop query on L* (fastest), the final stage."""
+        return self.query(source, target)
+
+    # The final stage is L*: its frozen store, or the labels themselves, in
+    # place of the PSP classes' lift-then-join (so the pure batch is the
+    # base's source grouping again).  The pure one-to-many fetches the
+    # source's label array once; the 2-hop arithmetic is the scalar path's
+    # either way, so distances are bit-identical.
+    def _final_store(self):
+        return self._cross_store()
+
+    def _reference_query(self, source: int, target: int) -> float:
         return self.cross_labels.query(source, target)
 
-    def query(self, source: int, target: int) -> float:
-        """Default query path: the fastest (cross-boundary) stage."""
-        return self.query_cross_boundary(source, target)
-
-    def query_one_to_many(self, source: int, targets: Sequence[int]) -> List[float]:
-        """Amortised batch query on the cross-boundary labels ``L*``.
-
-        With kernels on, the whole batch is answered by the frozen store's
-        one-to-many kernel (one native hub scan); the pure reference fetches
-        the source's label array once and intersects it against every target.
-        The 2-hop arithmetic is exactly the scalar path's either way, so
-        distances are bit-identical.
-        """
-        self._require_built()
-        targets = list(targets)
-        store = self._cross_store()
-        if store is not None:
-            return store.one_to_many(source, targets)
-        if not self.graph.has_vertex(source):
-            raise VertexNotFoundError(source)
-        for target in targets:
-            if not self.graph.has_vertex(target):
-                raise VertexNotFoundError(target)
+    def _reference_one_to_many(self, source: int, targets: List[int]) -> List[float]:
         return self.cross_labels.query_one_to_many(source, targets)
 
-    def query_many(self, pairs) -> List[float]:
-        """Vectorized pair-batch kernel on ``L*`` (no source grouping needed)."""
-        self._require_built()
-        store = self._cross_store()
-        if store is not None:
-            return store.query_pairs(list(pairs))
-        # Not the inherited PSP batch plane: group by source over L*.
-        return DistanceIndex.query_many(self, pairs)
+    _reference_many = DistanceIndex._reference_many
 
     # ------------------------------------------------------------------
     # Maintenance (U-Stages 1-5, Section V-D): the PSP classes' phases in

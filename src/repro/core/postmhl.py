@@ -24,16 +24,15 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Optional, Set, Tuple
 
 from repro import obs
 from repro.base import DistanceIndex, QueryStage, StageTiming, Timer, UpdateReport
-from repro.exceptions import IndexNotBuiltError, VertexNotFoundError
+from repro.exceptions import IndexNotBuiltError
 from repro.graph.graph import Graph
 from repro.graph.updates import UpdateBatch
 from repro.hierarchy.ch import ch_bidirectional_query
 from repro.kernels.label_store import LabelStore
-from repro.kernels.shortcut_store import ShortcutStore
 from repro.labeling.h2h import H2HLabels
 from repro.partitioning.td_partition import TDPartitioning, td_partition
 from repro.registry import IndexSpec, register_spec
@@ -156,17 +155,12 @@ class PostMHLIndex(DistanceIndex):
     # entries.
     # ------------------------------------------------------------------
     def _label_store(self):
+        self._require_built()
         return self._kernel("labels", lambda _: LabelStore.freeze(self.labels))
 
     def _pch_store(self):
-        return self._kernel(
-            "pch",
-            lambda template: ShortcutStore.freeze(
-                self.contraction.shortcuts.__getitem__,
-                self.contraction.order,
-                template,
-            ),
-        )
+        self._require_built()
+        return self._contraction_store("pch", self.contraction)
 
     # ------------------------------------------------------------------
     # Query processing (Q-Stages 1-4; Q-Stage 1 is the base class's
@@ -174,13 +168,9 @@ class PostMHLIndex(DistanceIndex):
     # ------------------------------------------------------------------
     def query_pch(self, source: int, target: int) -> float:
         """Q-Stage 2: partitioned CH query over the shared shortcut arrays."""
-        self._require_built()
-        store = self._pch_store()
-        if store is not None:
-            return store.query(source, target)
-        self._check_endpoints(source, target)
-        return ch_bidirectional_query(
-            source, target, lambda v: self.contraction.shortcuts[v]
+        return self._stage_query(
+            self._pch_store(), source, target,
+            ch_bidirectional_query, self.contraction.shortcuts.__getitem__,
         )
 
     def query_post_boundary(self, source: int, target: int) -> float:
@@ -203,46 +193,21 @@ class PostMHLIndex(DistanceIndex):
         return self._cross_partition_post_query(pid_s, source, pid_t, target)
 
     def query_cross_boundary(self, source: int, target: int) -> float:
-        """Q-Stage 4: full H2H query on the amalgamated tree (fastest)."""
-        self._require_built()
-        store = self._label_store()
-        if store is not None:
-            return store.query(source, target)
-        self._check_endpoints(source, target)
+        """Q-Stage 4: full H2H query on the amalgamated tree (fastest), the
+        final stage."""
+        return self.query(source, target)
+
+    # The final stage: the amalgamated label store, or the labels
+    # themselves (the pure one-to-many fetches the source's distance array
+    # once; the 2-hop arithmetic is the scalar path's either way).
+    def _final_store(self):
+        return self._label_store()
+
+    def _reference_query(self, source: int, target: int) -> float:
         return self.labels.query(source, target)
 
-    def query(self, source: int, target: int) -> float:
-        """Default query path: the fastest (cross-boundary) stage."""
-        return self.query_cross_boundary(source, target)
-
-    def query_one_to_many(self, source: int, targets: Sequence[int]) -> List[float]:
-        """Amortised batch query on the amalgamated H2H labels.
-
-        With kernels on, the whole batch runs through the frozen store's
-        one-to-many kernel; the pure reference fetches the source's distance
-        array once and intersects it against every target.  The 2-hop
-        arithmetic is exactly the scalar path's either way, so distances are
-        bit-identical.
-        """
-        self._require_built()
-        targets = list(targets)
-        store = self._label_store()
-        if store is not None:
-            return store.one_to_many(source, targets)
-        if not self.graph.has_vertex(source):
-            raise VertexNotFoundError(source)
-        for target in targets:
-            if not self.graph.has_vertex(target):
-                raise VertexNotFoundError(target)
+    def _reference_one_to_many(self, source: int, targets: List[int]) -> List[float]:
         return self.labels.query_one_to_many(source, targets)
-
-    def query_many(self, pairs) -> List[float]:
-        """Vectorized pair-batch kernel on the amalgamated labels."""
-        self._require_built()
-        store = self._label_store()
-        if store is not None:
-            return store.query_pairs(list(pairs))
-        return super().query_many(pairs)
 
     def _same_partition_post_query(self, pid: int, source: int, target: int) -> float:
         """Same-partition query over the LCA separator using post-boundary data only."""

@@ -22,10 +22,9 @@ from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro import obs
 from repro.base import DistanceIndex, StageTiming, Timer, UpdateReport
-from repro.exceptions import IndexNotBuiltError, VertexNotFoundError
+from repro.exceptions import IndexNotBuiltError
 from repro.graph.graph import Graph
 from repro.graph.updates import UpdateBatch
-from repro.kernels.shortcut_store import ShortcutStore
 from repro.registry import IndexSpec, register_spec
 from repro.treedec.mde import ContractionResult, contract_graph, update_shortcuts_bottom_up
 
@@ -140,65 +139,16 @@ class CHIndex(DistanceIndex):
 
     def _shortcut_store(self):
         """Frozen upward adjacency of this epoch (``None`` = pure path)."""
-        contraction = self._require_built()
-        return self._kernel(
-            "ch",
-            lambda template: ShortcutStore.freeze(
-                contraction.shortcuts.__getitem__, contraction.order, template
-            ),
-        )
+        return self._contraction_store("ch", self._require_built())
 
-    def query(self, source: int, target: int) -> float:
-        contraction = self._require_built()
-        if source not in contraction.rank:
-            raise VertexNotFoundError(source)
-        if target not in contraction.rank:
-            raise VertexNotFoundError(target)
-        store = self._shortcut_store()
-        if store is not None:
-            return store.query(source, target)
+    # The final stage: the shortcut store, or the search over the shortcut
+    # dicts (the native batch is the same search looped in C, so results
+    # match the scalar path bit for bit).
+    def _final_store(self):
+        return self._shortcut_store()
+
+    def _reference_query(self, source: int, target: int) -> float:
         return ch_bidirectional_query(source, target, self.upward_neighbors)
-
-    def query_one_to_many(self, source: int, targets: Sequence[int]) -> List[float]:
-        """The scalar search per target, looped natively when frozen.
-
-        Each pair is answered by exactly the scalar bidirectional search (the
-        native batch is the same search looped in C), so results match the
-        scalar path bit for bit.
-        """
-        contraction = self._require_built()
-        if source not in contraction.rank:
-            raise VertexNotFoundError(source)
-        targets = list(targets)
-        for target in targets:
-            if target not in contraction.rank:
-                raise VertexNotFoundError(target)
-        store = self._shortcut_store()
-        if store is not None:
-            return store.one_to_many(source, targets)
-        return [
-            0.0
-            if source == target
-            else ch_bidirectional_query(source, target, self.upward_neighbors)
-            for target in targets
-        ]
-
-    def query_many(self, pairs) -> List[float]:
-        """Arbitrary pair batches in one native call when frozen."""
-        pair_list = list(pairs)
-        if not pair_list:
-            return []
-        contraction = self._require_built()
-        rank = contraction.rank
-        for source, target in pair_list:
-            if source not in rank:
-                raise VertexNotFoundError(source)
-            if target not in rank:
-                raise VertexNotFoundError(target)
-        store = self._shortcut_store()
-        if store is not None:
-            return store.query_pairs(pair_list)
-        return super().query_many(pair_list)
 
     def _apply_batch(self, batch: UpdateBatch) -> UpdateReport:
         raise NotImplementedError(

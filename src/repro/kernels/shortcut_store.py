@@ -136,11 +136,14 @@ class ShortcutStore:
 
     def one_to_many(self, source: int, targets: Sequence[int]) -> List[float]:
         """The scalar search looped in C: distances in target order."""
+        row = self.row
+        if source not in row:
+            raise VertexNotFoundError(source)
         targets = list(targets)
         if not targets:
             return []
-        s_rows = np.full(len(targets), self.row[source], dtype=np.int64)
-        t_rows = rows_of(self.row, self._remap, targets)
+        s_rows = np.full(len(targets), row[source], dtype=np.int64)
+        t_rows = rows_of(row, self._remap, targets)
         out = np.empty(len(targets), dtype=np.float64)
         native_kernel().search_query_pairs(self.capsule, s_rows, t_rows, out, 1)
         return out.tolist()

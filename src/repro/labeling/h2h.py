@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 from repro import obs
 from repro.base import DistanceIndex, StageTiming, Timer, UpdateReport
-from repro.exceptions import IndexNotBuiltError, VertexNotFoundError
+from repro.exceptions import IndexNotBuiltError
 from repro.graph.graph import Graph
 from repro.graph.updates import UpdateBatch
 from repro.kernels.label_store import LabelStore
@@ -252,47 +252,19 @@ class H2HIndex(DistanceIndex):
 
     def _label_store(self):
         """The frozen :class:`LabelStore` of this epoch (``None`` = pure path)."""
-        return self._kernel("labels", lambda _: LabelStore.freeze(self.labels))
-
-    def query(self, source: int, target: int) -> float:
         labels = self._require_built()
-        store = self._label_store()
-        if store is not None:
-            # Native scalar kernel; raises VertexNotFoundError for unknown ids.
-            return store.query(source, target)
-        if source not in self.contraction.rank:
-            raise VertexNotFoundError(source)
-        if target not in self.contraction.rank:
-            raise VertexNotFoundError(target)
-        return labels.query(source, target)
+        return self._kernel("labels", lambda _: LabelStore.freeze(labels))
 
-    def query_one_to_many(self, source: int, targets: Sequence[int]) -> List[float]:
-        """Amortised batch query: the source label is fetched once."""
-        labels = self._require_built()
-        store = self._label_store()
-        if store is not None:
-            return store.one_to_many(source, list(targets))
-        rank = self.contraction.rank
-        if source not in rank:
-            raise VertexNotFoundError(source)
-        targets = list(targets)
-        for target in targets:
-            if target not in rank:
-                raise VertexNotFoundError(target)
-        return labels.query_one_to_many(source, targets)
+    # The final stage: the label store, or the labels themselves.
+    def _final_store(self):
+        return self._label_store()
 
-    def query_many(self, pairs) -> List[float]:
-        """Vectorized batch query over the frozen label store.
+    def _reference_query(self, source: int, target: int) -> float:
+        return self.labels.query(source, target)
 
-        Arbitrary pair batches go straight through the store's pair kernel
-        (no source grouping needed); the pure-Python reference keeps the
-        source-grouped default of :class:`~repro.base.DistanceIndex`.
-        """
-        self._require_built()
-        store = self._label_store()
-        if store is not None:
-            return store.query_pairs(list(pairs))
-        return super().query_many(pairs)
+    def _reference_one_to_many(self, source: int, targets: List[int]) -> List[float]:
+        """The source label is fetched once."""
+        return self.labels.query_one_to_many(source, targets)
 
     def _apply_batch(self, batch: UpdateBatch) -> UpdateReport:
         raise NotImplementedError("H2HIndex is static; use DH2HIndex for dynamic maintenance")

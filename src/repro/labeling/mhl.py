@@ -27,7 +27,6 @@ from repro.base import QueryStage, StageTiming, Timer, UpdateReport
 from repro.graph.graph import Graph
 from repro.graph.updates import UpdateBatch
 from repro.hierarchy.ch import ch_bidirectional_query
-from repro.kernels.shortcut_store import ShortcutStore
 from repro.labeling.h2h import DH2HIndex
 from repro.registry import IndexSpec, register_spec
 from repro.treedec.mde import update_shortcuts_bottom_up
@@ -43,38 +42,19 @@ class MHLIndex(DH2HIndex):
     # ------------------------------------------------------------------
     def _ch_store(self):
         """Frozen stage-2 shortcut adjacency of this epoch (``None`` = pure path)."""
-        return self._kernel(
-            "ch",
-            lambda template: ShortcutStore.freeze(
-                self.contraction.shortcuts.__getitem__,
-                self.contraction.order,
-                template,
-            ),
-        )
+        self._require_built()
+        return self._contraction_store("ch", self.contraction)
 
     def query_ch(self, source: int, target: int) -> float:
         """Stage-2 query: CH search over the shortcut arrays ``X(v).sc``."""
-        self._require_built()
-        store = self._ch_store()
-        if store is not None:
-            return store.query(source, target)
-        self._check_endpoints(source, target)
-        return ch_bidirectional_query(
-            source, target, lambda v: self.contraction.shortcuts[v]
+        return self._stage_query(
+            self._ch_store(), source, target,
+            ch_bidirectional_query, self.contraction.shortcuts.__getitem__,
         )
 
     def query_h2h(self, source: int, target: int) -> float:
-        """Stage-3 query: H2H label lookup (fastest)."""
-        labels = self._require_built()
-        store = self._label_store()
-        if store is not None:
-            return store.query(source, target)
-        self._check_endpoints(source, target)
-        return labels.query(source, target)
-
-    def query(self, source: int, target: int) -> float:
-        """Default query path (the fastest stage; the index is assumed up to date)."""
-        return self.query_h2h(source, target)
+        """Stage-3 query: H2H label lookup (fastest), the final stage."""
+        return self.query(source, target)
 
     # ------------------------------------------------------------------
     # Maintenance

@@ -24,17 +24,16 @@ import math
 import time
 from dataclasses import dataclass
 from functools import partial
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro import obs
 from repro.base import DistanceIndex, StageTiming, Timer, UpdateReport
-from repro.exceptions import IndexNotBuiltError, PartitioningError, VertexNotFoundError
+from repro.exceptions import IndexNotBuiltError, PartitioningError
 from repro.graph.graph import Graph
 from repro.graph.updates import UpdateBatch
 from repro.kernels.label_store import LabelStore
-from repro.kernels.shortcut_store import ShortcutStore
 from repro.partitioning.base import Partitioning
 from repro.partitioning.natural_cut import natural_cut_partition
 from repro.partitioning.ordering import boundary_first_order
@@ -143,14 +142,9 @@ class NoBoundaryPSPIndex(DistanceIndex):
     # back to the pure-Python structures when no store is frozen.
     # ------------------------------------------------------------------
     def _store_for(self, key: str, labels, contraction):
-        def freeze(template):
-            if labels is not None:
-                return LabelStore.freeze(labels)
-            return ShortcutStore.freeze(
-                contraction.shortcuts.__getitem__, contraction.order, template
-            )
-
-        return self._kernel(key, freeze)
+        if labels is None:
+            return self._contraction_store(key, contraction)
+        return self._kernel(key, lambda _: LabelStore.freeze(labels))
 
     def _overlay_store(self):
         return self._store_for(
@@ -246,28 +240,26 @@ class NoBoundaryPSPIndex(DistanceIndex):
         """The ``(family, same_partition_direct)`` pair behind :meth:`query`."""
         return self.family, False
 
-    def query(self, source: int, target: int) -> float:
+    # No single store answers the final stage (the join reads the overlay's
+    # and the partitions' stores), so the lift-then-join is the reference
+    # the base query plane runs.
+    def _final_store(self):
         self._require_built()
-        if not self.graph.has_vertex(source):
-            raise VertexNotFoundError(source)
-        if not self.graph.has_vertex(target):
-            raise VertexNotFoundError(target)
+        return None
+
+    def _reference_query(self, source: int, target: int) -> float:
         return self._psp_query(source, target, *self._query_strategy())
 
-    def query_many(self, pairs: Iterable[Tuple[int, int]]) -> List[float]:
-        """Batched queries: each distinct endpoint is lifted once per batch."""
-        self._require_built()
-        pair_list = list(pairs)
-        for source, target in pair_list:
-            if not self.graph.has_vertex(source):
-                raise VertexNotFoundError(source)
-            if not self.graph.has_vertex(target):
-                raise VertexNotFoundError(target)
-        return self._psp_query_many(pair_list, *self._query_strategy())
+    def _reference_one_to_many(self, source: int, targets: List[int]) -> List[float]:
+        """The source is lifted once."""
+        return self._psp_query_many(
+            [(source, target) for target in targets], *self._query_strategy()
+        )
 
-    def query_one_to_many(self, source: int, targets: Sequence[int]) -> List[float]:
-        """One-to-many batch: the source is lifted once."""
-        return self.query_many([(source, target) for target in targets])
+    def _reference_many(self, pairs: List[Tuple[int, int]]) -> List[float]:
+        """Each distinct endpoint is lifted once per batch."""
+        self._check_pairs(pairs)
+        return self._psp_query_many(pairs, *self._query_strategy())
 
     def _psp_query(
         self,

@@ -122,14 +122,35 @@ class TestPostUpdateEquivalence:
         )
 
 
+#: Every query plane entry point with an endpoint that is not a vertex.
+UNKNOWN_VERTEX_CALLS = {
+    "query(x, x)": lambda index: index.query(10_000, 10_000),
+    "query(s, x)": lambda index: index.query(0, 10_000),
+    "query_one_to_many(x, [])": lambda index: index.query_one_to_many(10_000, []),
+    "query_one_to_many(x, ts)": lambda index: index.query_one_to_many(10_000, [3, 7]),
+    "query_one_to_many(s, [t, x])": lambda index: index.query_one_to_many(0, [3, 10_000]),
+    "query_many([.., (x, t)])": lambda index: index.query_many([(0, 3), (-5, 7)]),
+    "query_many([.., (x, x)])": lambda index: index.query_many([(0, 3), (10_000, 10_000)]),
+}
+
+
 class TestBatchValidation:
     def test_unknown_vertices_raise(self, built_indexes):
-        for method in ("BiDijkstra", "DH2H", "PMHL", "PostMHL", "N-CH-P"):
-            index = built_indexes[method]
-            with pytest.raises(VertexNotFoundError):
-                index.query_one_to_many(0, [3, 10_000])
-            with pytest.raises(VertexNotFoundError):
-                index.query_many([(0, 3), (-5, 7)])
+        """All nine methods, frozen stores and pure reference alike."""
+        silent = []
+        for method, index in built_indexes.items():
+            for use_kernels in (True, False):
+                index.use_kernels = use_kernels
+                try:
+                    for call_name, call in UNKNOWN_VERTEX_CALLS.items():
+                        try:
+                            call(index)
+                        except VertexNotFoundError:
+                            continue
+                        silent.append((method, use_kernels, call_name))
+                finally:
+                    index.use_kernels = True
+        assert silent == []
 
     def test_empty_batches(self, built_indexes):
         for index in built_indexes.values():

@@ -33,6 +33,7 @@ from repro.graph.updates import generate_update_batch
 from repro.hierarchy.ch import ch_bidirectional_query
 from repro.kernels.arena import Arena
 from repro.kernels.graph_snapshot import GraphSnapshot
+from repro.kernels.label_store import LabelStore
 from repro.kernels.native import native_kernel
 from repro.kernels.shortcut_store import ShortcutStore
 from repro.registry import create_index, get_spec
@@ -805,7 +806,8 @@ class TestMaintenanceKernels:
 # ----------------------------------------------------------------------
 class TestStageEndpoints:
     """Every stage of every index raises the typed error for an unknown
-    vertex, on both rungs, also when it is both endpoints."""
+    vertex, on both rungs, also when it is both endpoints; so does every
+    entry point of every label and shortcut store those stages froze."""
 
     @pytest.mark.parametrize("use_kernels", (True, False), ids=("kernels", "pure"))
     @pytest.mark.parametrize("method", sorted(NINE_SPECS))
@@ -820,6 +822,23 @@ class TestStageEndpoints:
                 with pytest.raises(VertexNotFoundError):
                     stage.query(source, target)
             assert stage.query(5, 5) == 0.0
+            stage.query(0, 63)  # freezes the stores the stage reads
+        stores = [
+            store for store in index._kernel_stores.values()
+            if isinstance(store, (LabelStore, ShortcutStore))
+        ]
+        frozen = use_kernels and native_kernel() is not None
+        assert bool(stores) == (frozen and method != "BiDijkstra")
+        for store in stores:
+            for call in (
+                lambda: store.query(missing, 5),
+                lambda: store.one_to_many(missing, [5]),
+                lambda: store.one_to_many(missing, []),
+                lambda: store.one_to_many(5, [missing]),
+                lambda: store.query_pairs([(5, 5), (missing, missing)]),
+            ):
+                with pytest.raises(VertexNotFoundError):
+                    call()
 
 
 # ----------------------------------------------------------------------
