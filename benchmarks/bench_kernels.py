@@ -9,13 +9,15 @@ pure-Python reference path (``use_kernels=False``), for
 * the batch plane (``query_many`` over a pair batch),
 
 then PMHL's five query stages one by one (recorded only, no bar), then
-the milliseconds of a full freeze and of a refreeze (values gathered into
-the previous epoch's layout) of DCH's shortcut store, PMHL's cross-boundary
-label store and the graph snapshot (recorded only, no bar), then, per
-maintained method, the CPU time of alternating ``apply_batch`` windows
-with the native maintenance kernels (``recompute_row`` /
-``shortcut_row``) and with them patched out (the pure loops they port), and
-writes the rows plus the derived speedups to ``BENCH_kernels.json`` —
+the milliseconds of a full freeze and of a refreeze of DCH's shortcut store
+(the store over the slot arrays as they stand), PMHL's cross-boundary label
+store and the graph snapshot (values gathered into the previous epoch's
+layout; recorded only, no bar), then the median milliseconds of one DCH
+update window (``dch_window``), then, per maintained method, the CPU time of
+alternating ``apply_batch`` windows with the native maintenance kernels
+(``recompute_row`` / ``shortcut_row`` / ``update_slots``) and with them
+patched out (the pure loops they port), and writes the rows plus the
+derived speedups to ``BENCH_kernels.json`` —
 the machine-readable perf trajectory seeded by this benchmark and uploaded
 as a CI artifact.  Run directly::
 
@@ -40,6 +42,7 @@ from typing import Dict, List, Optional, Tuple
 
 import repro.labeling.h2h as h2h_module
 import repro.treedec.mde as mde_module
+import repro.treedec.slots as slots_module
 from repro.graph.generators import grid_road_network
 from repro.graph.updates import generate_update_batch
 from repro.kernels.graph_snapshot import GraphSnapshot
@@ -90,6 +93,8 @@ STAGE_BATCH = 64
 STAGE_BATCHES = 4
 #: Timed freezes per refreeze row (median reported).
 FREEZE_REPEATS = 7
+#: Timed DCH update windows of the ``dch_window`` row (median reported).
+DCH_WINDOWS = 9
 
 
 def _measure(index, pairs: List[Tuple[int, int]], scalar_n: int) -> Dict[str, object]:
@@ -158,7 +163,7 @@ def _measure_stages(index, pairs: List[Tuple[int, int]]) -> Dict[str, Dict[str, 
 @contextlib.contextmanager
 def _pure_maintenance():
     """Run the update loops on their pure rung (what a missing compiler gives)."""
-    modules = (h2h_module, mde_module)
+    modules = (h2h_module, mde_module, slots_module)
     saved = [module.native_kernel for module in modules]
     for module in modules:
         module.native_kernel = lambda: None
@@ -207,12 +212,14 @@ def _measure_refreeze(dch, pmhl) -> Optional[Dict[str, Dict[str, float]]]:
     the layout of; the refrozen store must equal the full one byte for byte.
 
     A full freeze derives the layout afresh (for the label store: the tree's
-    cached LCA / position arrays), a refreeze gathers the values into the
-    layout of a template store (for the label store: the tree's cached one).
+    cached LCA / position arrays).  DCH's refreeze is the store over its
+    slot arrays as the last pass left them; the other two gather the values
+    into the layout of a template store (for the label store: the tree's
+    cached one).
     """
     if native_kernel() is None:
         return None
-    shortcuts, order = dch.contraction.shortcuts, dch.contraction.order
+    contraction = dch.contraction
     labels = pmhl.cross_labels
 
     def full_labels():
@@ -221,8 +228,8 @@ def _measure_refreeze(dch, pmhl) -> Optional[Dict[str, Dict[str, float]]]:
 
     cases = {
         "dch_ch": (
-            lambda: ShortcutStore.freeze(shortcuts.__getitem__, order),
-            lambda template: ShortcutStore.freeze(shortcuts.__getitem__, order, template),
+            lambda: ShortcutStore.freeze(contraction.upward, contraction.order),
+            lambda template: contraction.store(),
         ),
         "pmhl_cross_labels": (full_labels, lambda template: LabelStore.freeze(labels)),
         "graph_snapshot": (
@@ -241,6 +248,19 @@ def _measure_refreeze(dch, pmhl) -> Optional[Dict[str, Dict[str, float]]]:
         rows[name] = {"full_freeze_ms": full_ms, "refreeze_ms": refreeze_ms,
                       "speedup": full_ms / refreeze_ms}
     return rows
+
+
+def _measure_dch_window(dch) -> Dict[str, float]:
+    """Median milliseconds of one ``UPDATE_VOLUME``-edge DCH ``apply_batch``
+    (edge refresh plus shortcut pass), over ``DCH_WINDOWS`` windows."""
+    samples = []
+    for window in range(DCH_WINDOWS):
+        batch = generate_update_batch(dch.graph, UPDATE_VOLUME, seed=200 + window)
+        start = time.perf_counter()
+        dch.apply_batch(batch)
+        samples.append(time.perf_counter() - start)
+    return {"apply_ms": 1e3 * statistics.median(samples), "edges": UPDATE_VOLUME,
+            "windows": DCH_WINDOWS}
 
 
 def run(out_path: str) -> Dict[str, object]:
@@ -315,6 +335,9 @@ def run(out_path: str) -> Dict[str, object]:
             f"{name:>20}: full freeze {row['full_freeze_ms']:6.2f} ms   "
             f"refreeze {row['refreeze_ms']:6.2f} ms   ({row['speedup']:4.1f}x)"
         )
+    report["dch_window"] = _measure_dch_window(built["DCH"])
+    print(f"{'dch_window':>20}: {report['dch_window']['apply_ms']:6.2f} ms per "
+          f"{UPDATE_VOLUME}-edge apply_batch")
 
     for name, entry in report["methods"].items():
         row = entry.get("maintenance")

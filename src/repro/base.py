@@ -359,14 +359,11 @@ class DistanceIndex(abc.ABC):
         throughput evaluator models.  Multi-stage indexes (MHL, PMHL,
         PostMHL) list their own; every other index gets the paper's
         protocol: BiDijkstra on the live graph once the on-spot edge refresh
-        is done, the native query once the whole update completes.
+        is done (:meth:`query_bidijkstra`: the C search on the kernel rung),
+        the native query once the whole update completes.
         """
         return (
-            QueryStage(
-                "bidijkstra_fallback",
-                "edge_update",
-                lambda source, target: bidijkstra(self.graph, source, target),
-            ),
+            QueryStage("bidijkstra_fallback", "edge_update", self.query_bidijkstra),
             QueryStage("native", LAST_STAGE, self.query),
         )
 
@@ -449,8 +446,9 @@ class DistanceIndex(abc.ABC):
         return entry
 
     def _contraction_store(self, key: str, contraction):
-        """Frozen upward shortcut arrays of ``contraction`` under memo
-        ``key`` — the store of every CH-style search stage."""
+        """Frozen upward shortcut arrays of a dict ``contraction`` under
+        memo ``key`` — the store of every CH-style search stage but DCH's,
+        whose flat contraction is its store."""
         return self._kernel(
             key,
             lambda template: ShortcutStore.freeze(

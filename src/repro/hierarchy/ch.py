@@ -4,9 +4,14 @@ CH builds a hierarchical shortcut index by contracting vertices in ascending
 importance order; a query is a bidirectional Dijkstra that only relaxes edges
 from lower-rank to higher-rank vertices (Section III-A of the paper).  DCH
 [Ouyang et al., VLDB 2020] maintains the shortcut values under edge-weight
-changes; here maintenance is realised with the supporter-based bottom-up
-recomputation of :func:`repro.treedec.mde.update_shortcuts_bottom_up`, which
-handles both weight increases and decreases.
+changes with the supporter-based bottom-up recomputation, which handles both
+weight increases and decreases.
+
+Both hold their contraction flat, as a
+:class:`~repro.treedec.slots.SlotContraction`: topology once, one weight
+array per epoch.  A DCH batch patches the slots' graph weights and runs one
+pass over the arrays (C, or a pure loop without a compiler) into the next
+epoch's copy, and that copy is the epoch's shortcut store as it stands.
 
 The query routine is written against an abstract "upward neighbour" callback so
 the partitioned CH query of PMHL (a search over the union of the partition and
@@ -26,7 +31,7 @@ from repro.exceptions import IndexNotBuiltError
 from repro.graph.graph import Graph
 from repro.graph.updates import UpdateBatch
 from repro.registry import IndexSpec, register_spec
-from repro.treedec.mde import ContractionResult, contract_graph, update_shortcuts_bottom_up
+from repro.treedec.slots import SlotContraction
 
 INF = math.inf
 
@@ -119,30 +124,32 @@ class CHIndex(DistanceIndex):
         super().__init__(graph)
         self._order = list(order) if order is not None else None
         self._tiers = dict(tiers) if tiers is not None else None
-        self.contraction: Optional[ContractionResult] = None
+        self.contraction: Optional[SlotContraction] = None
 
     # ------------------------------------------------------------------
     def _build(self) -> None:
         with obs.span(self.name.lower() + ".build.contraction"):
-            self.contraction = contract_graph(
+            self.contraction = SlotContraction.build(
                 self.graph, order=self._order, tiers=self._tiers
             )
 
-    def _require_built(self) -> ContractionResult:
+    def _require_built(self) -> SlotContraction:
         if self.contraction is None:
             raise IndexNotBuiltError(f"{self.name} index has not been built")
         return self.contraction
 
     def upward_neighbors(self, v: int) -> Mapping[int, float]:
         """Upward (higher-rank) shortcut neighbours of ``v``."""
-        return self._require_built().shortcuts[v]
+        return self._require_built().upward(v)
 
     def _shortcut_store(self):
-        """Frozen upward adjacency of this epoch (``None`` = pure path)."""
-        return self._contraction_store("ch", self._require_built())
+        """This epoch's shortcut store (``None`` = pure path): the
+        contraction's arena, as the last pass left it."""
+        contraction = self._require_built()
+        return self._kernel("ch", lambda _template: contraction.store())
 
-    # The final stage: the shortcut store, or the search over the shortcut
-    # dicts (the native batch is the same search looped in C, so results
+    # The final stage: the shortcut store, or the search over the slot
+    # arrays (the native batch is the same search looped in C, so results
     # match the scalar path bit for bit).
     def _final_store(self):
         return self._shortcut_store()
@@ -162,17 +169,18 @@ class CHIndex(DistanceIndex):
     # Snapshot persistence (see repro.store)
     # ------------------------------------------------------------------
     def to_state(self, io) -> Dict[str, object]:
-        from repro.store.codec import pack_contraction
-
-        return {"contraction": pack_contraction(self._require_built(), io)}
+        return {"slots": self._require_built().to_state(io)}
 
     def from_state(self, state: Dict[str, object], io) -> None:
-        from repro.store.codec import unpack_contraction
-
-        self.contraction = unpack_contraction(state["contraction"], io)
+        self.contraction = SlotContraction.from_state(state["slots"], io)
 
     def _kernel_exports(self):
         return {"ch": self._shortcut_store}
+
+    def _attach_kernel(self, key: str, store: object) -> None:
+        super()._attach_kernel(key, store)
+        if key == "ch":
+            self._require_built().share_rows(store)
 
     @property
     def rank(self) -> Dict[int, int]:
@@ -183,10 +191,12 @@ class CHIndex(DistanceIndex):
 class DCHIndex(CHIndex):
     """Dynamic Contraction Hierarchies (the paper's DCH baseline).
 
-    Index maintenance traces affected shortcuts bottom-up using the supporter
-    records collected at construction time.  The update report contains a
-    single ``shortcut_update`` stage; queries are available again once that
-    stage finishes (plus the trivial on-spot edge refresh).
+    Index maintenance traces affected shortcuts bottom-up over the
+    supporter slots derived at construction time
+    (:meth:`~repro.treedec.slots.SlotContraction.update`).  The update report
+    contains a single ``shortcut_update`` stage; the native query is
+    available again once that stage finishes, BiDijkstra on the live graph
+    from the on-spot edge refresh on.
     """
 
     name = "DCH"
@@ -201,11 +211,8 @@ class DCHIndex(CHIndex):
         self._emit_stage(report, StageTiming("edge_update", timer.seconds))
 
         with Timer() as timer:
-            changed = update_shortcuts_bottom_up(
-                contraction, self.graph, [update.key() for update in batch]
-            )
+            contraction.update(batch)
         self._emit_stage(report, StageTiming("shortcut_update", timer.seconds))
-        self.last_changed_shortcuts = changed
         return report
 
 
@@ -214,12 +221,13 @@ class DCHIndex(CHIndex):
 class DCHSpec(IndexSpec):
     """Construction spec for the dynamic CH baseline (no knobs).
 
-    DCH's batch plane stays a per-pair loop of the scalar query, so batch
-    answers equal scalar ones bit for bit.  The native kernel answers each
-    pair with the elimination-tree query: the contraction's upward graph is
-    chordal, so it walks the source's and the target's ancestor chains with
-    no heap, evaluating the same float sums the pure upward search settles
-    (see DESIGN.md, "The native kernels").
+    DCH's batch plane is one ``query_pairs`` call of the shortcut store, the
+    scalar query looped in C, so batch answers equal scalar ones bit for
+    bit.  The native kernel answers each pair with the elimination-tree
+    query: the contraction's upward graph is chordal, so it walks the
+    source's and the target's ancestor chains with no heap, evaluating the
+    same float sums the pure upward search settles (see DESIGN.md, "The
+    native kernels").
     """
 
     method = "DCH"

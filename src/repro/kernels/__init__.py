@@ -31,7 +31,9 @@ and keyed to the index's kernel epoch (see
 once per update epoch per query stage; since updates change weights only,
 that refreeze gathers the new values into the previous epoch's layout
 (:func:`~repro.kernels.arena.regather`, the C ``gather_rows``) and rebuilds
-the layout only when a row no longer fits it.  Every store computes exactly the
+the layout only when a row no longer fits it.  DCH needs neither: its
+shortcuts live in the store's layout (:mod:`repro.treedec.slots`), and its
+refreeze wraps the arena its last update pass wrote.  Every store computes exactly the
 reference arithmetic, so results are bit-identical on both rungs.
 """
 

@@ -1,4 +1,4 @@
-/* Native kernels of repro.kernels: the frozen query stores, and the two hot
+/* Native kernels of repro.kernels: the frozen query stores, and the hot
  * loops of index maintenance.
  *
  * Two capsule types are exported for the query side:
@@ -65,6 +65,13 @@
  * __getitem__ (see container_get), so a snapshot-loaded LazyDict
  * materialises exactly as it does under the pure loops, which stay in place
  * as the fallback and as the oracle the differential tests compare against.
+ *
+ * update_slots is DCH's whole shortcut pass, over flat arrays instead of
+ * containers (repro.treedec.slots): shortcut weights in the shortcut
+ * store's CSR slot order, each slot's graph weight, and a CSR of int32
+ * supporter slot pairs.  It writes only the weight array it is handed --
+ * the next epoch's copy, so the store over the previous one is untouched --
+ * and checks every index it will follow before its first write.
  *
  * gather_rows is the value half of a refreeze: weight-only updates keep
  * every store's layout (the shortcut set, the tree's label lengths, the
@@ -1659,6 +1666,219 @@ done:
     return result;
 }
 
+/* ------------------------------------------------------------------ */
+/* Slot maintenance (flat shortcut weights, supporter slot pairs)     */
+/* ------------------------------------------------------------------ */
+
+/* Borrow a C-contiguous buffer of `itemsize`-byte items, floats ('d') or
+ * signed integers ('i') by `kind`, writable when asked; a TypeError
+ * otherwise. */
+static int borrow_typed(PyObject *obj, Py_buffer *view, char kind, Py_ssize_t itemsize,
+                        int writable) {
+    int flags = PyBUF_C_CONTIGUOUS | PyBUF_FORMAT | (writable ? PyBUF_WRITABLE : 0);
+    if (PyObject_GetBuffer(obj, view, flags) < 0) {
+        return -1;
+    }
+    const char *format = view->format != NULL ? view->format : "B";
+    if (*format == '<' || *format == '=' || *format == '@') {
+        format++;
+    }
+    char c = format[0];
+    int ok = view->itemsize == itemsize && c != '\0' && format[1] == '\0' &&
+             (kind == 'd' ? c == 'd'
+                          : c == 'b' || c == 'h' || c == 'i' || c == 'l' || c == 'q' || c == 'n');
+    if (!ok) {
+        PyBuffer_Release(view);
+        view->obj = NULL;
+        PyErr_SetString(PyExc_TypeError,
+                        "update_slots takes float64 base / weights, int32 sup_slots and "
+                        "int64 indptr / indices / sup_indptr / seeds buffers");
+        return -1;
+    }
+    return 0;
+}
+
+/* The shape checks of update_slots, all before its first write: lengths
+ * agree, both offset arrays start at 0 and are monotone, every row's
+ * columns lie above the row and below n, every supporter slot lies in a row
+ * below its target slot's row, every seed is a row.  0, or -1 with a
+ * ValueError set. */
+static int check_slots(const int64_t *indptr, Py_ssize_t n_indptr, const int64_t *indices,
+                       Py_ssize_t m, Py_ssize_t n_base, Py_ssize_t n_weights,
+                       const int64_t *sup_indptr, Py_ssize_t n_sup_indptr,
+                       const int32_t *sup_slots, Py_ssize_t n_sup_slots,
+                       const int64_t *seeds, Py_ssize_t n_seeds) {
+    const char *error = NULL;
+    Py_ssize_t n = n_indptr - 1;
+    if (n_indptr < 1 || n_base != m || n_weights != m || n_sup_indptr != m + 1 ||
+        n_sup_slots % 2 != 0 || indptr[0] != 0 || indptr[n] != m ||
+        sup_indptr[0] != 0 || sup_indptr[m] != n_sup_slots / 2) {
+        error = "slot array lengths disagree";
+        goto done;
+    }
+    for (Py_ssize_t r = 0; r < n; r++) {
+        if (indptr[r] > indptr[r + 1]) {
+            error = "row offsets are not monotone";
+            goto done;
+        }
+    }
+    for (Py_ssize_t s = 0; s < m; s++) {
+        if (sup_indptr[s] > sup_indptr[s + 1]) {
+            error = "supporter offsets are not monotone";
+            goto done;
+        }
+    }
+    /* Row r's slots, and their supporter records, are contiguous: each
+     * range is checked with one branch-free reduction. */
+    for (Py_ssize_t r = 0; r < n; r++) {
+        int bad = 0;
+        for (int64_t s = indptr[r]; s < indptr[r + 1]; s++) {
+            bad |= (uint64_t)indices[s] - (uint64_t)(r + 1) >= (uint64_t)(n - r - 1);
+        }
+        if (bad) {
+            error = "a slot's column is not a row above its own";
+            goto done;
+        }
+        uint64_t limit = (uint64_t)indptr[r];
+        for (int64_t k = 2 * sup_indptr[indptr[r]]; k < 2 * sup_indptr[indptr[r + 1]]; k++) {
+            bad |= (uint64_t)(int64_t)sup_slots[k] >= limit;
+        }
+        if (bad) {
+            error = "a supporter slot is not in a row below its target's row";
+            goto done;
+        }
+    }
+    for (Py_ssize_t i = 0; i < n_seeds; i++) {
+        if (seeds[i] < 0 || seeds[i] >= n) {
+            error = "a seed is not a row";
+            goto done;
+        }
+    }
+done:
+    if (error != NULL) {
+        PyErr_SetString(PyExc_ValueError, error);
+        return -1;
+    }
+    return 0;
+}
+
+/* update_slots(indptr, indices, base, sup_indptr, sup_slots, weights, seeds)
+ *     -> None
+ *
+ * Bottom-up shortcut maintenance over flat arrays (the pass DCH runs per
+ * update batch).  Row r owns slots indptr[r]..indptr[r+1]; slot s holds the
+ * shortcut from row r up to row indices[s], its graph weight base[s] (inf
+ * for a non-edge) and the supporter pairs sup_slots[2k], sup_slots[2k+1]
+ * for k in sup_indptr[s]..sup_indptr[s+1]: the two slots of a lower row x
+ * whose sum is the shortcut's value through x.  Rows are visited in
+ * ascending order from a bitmap seeded with `seeds`; every slot of a dirty
+ * row becomes base min its supporter sums -- the float64 adds and `<` of
+ * mde.recompute_shortcut, so values are bit-identical to the dict path --
+ * and a changed slot (r, c) marks the owner of every pair (c, w) over r's
+ * other columns w: min(c, w), always a row above r.  Only `weights` is
+ * written: the caller passes the next epoch's copy, so a store over the
+ * previous copy stays as it was.  Every input is checked first (see
+ * check_slots); a failed check is a ValueError with nothing written.
+ *
+ * It returns None and raises with fixed messages on purpose: each C-API
+ * function this file imports adds a PLT entry that moves every function
+ * compiled after it, and moving the CH search code by 48 bytes made
+ * search_query_pairs ~7% slower on a 2-core Xeon VM.  Keep new code free of
+ * new imports, or re-measure the search kernels. */
+static PyObject *update_slots(PyObject *self, PyObject *const *args, Py_ssize_t nargs) {
+    enum { U_INDPTR, U_INDICES, U_BASE, U_SUP_INDPTR, U_SUP_SLOTS, U_WEIGHTS, U_SEEDS,
+           U_NVIEWS };
+    static const char kinds[U_NVIEWS] = {'i', 'i', 'd', 'i', 'i', 'd', 'i'};
+    static const Py_ssize_t sizes[U_NVIEWS] = {8, 8, 8, 8, 4, 8, 8};
+    Py_buffer views[U_NVIEWS];
+    Py_ssize_t counts[U_NVIEWS];
+    PyObject *result = NULL;
+    uint8_t *dirty = NULL;
+    (void)self;
+    if (nargs != U_NVIEWS) {
+        PyErr_SetString(PyExc_TypeError,
+                        "update_slots(indptr, indices, base, sup_indptr, sup_slots, "
+                        "weights, seeds) takes 7 arguments");
+        return NULL;
+    }
+    memset(views, 0, sizeof(views));
+    for (int i = 0; i < U_NVIEWS; i++) {
+        if (borrow_typed(args[i], &views[i], kinds[i], sizes[i], i == U_WEIGHTS) < 0) {
+            goto done;
+        }
+        counts[i] = views[i].len / sizes[i];
+    }
+    const int64_t *indptr = (const int64_t *)views[U_INDPTR].buf;
+    const int64_t *indices = (const int64_t *)views[U_INDICES].buf;
+    const double *base = (const double *)views[U_BASE].buf;
+    const int64_t *sup_indptr = (const int64_t *)views[U_SUP_INDPTR].buf;
+    const int32_t *sup_slots = (const int32_t *)views[U_SUP_SLOTS].buf;
+    double *weights = (double *)views[U_WEIGHTS].buf;
+    const int64_t *seeds = (const int64_t *)views[U_SEEDS].buf;
+    if (check_slots(indptr, counts[U_INDPTR], indices, counts[U_INDICES], counts[U_BASE],
+                    counts[U_WEIGHTS], sup_indptr, counts[U_SUP_INDPTR], sup_slots,
+                    counts[U_SUP_SLOTS], seeds, counts[U_SEEDS]) < 0) {
+        goto done;
+    }
+    Py_ssize_t n = counts[U_INDPTR] - 1;
+    dirty = (uint8_t *)calloc((size_t)(n > 0 ? n : 1), 1);
+    if (dirty == NULL) {
+        PyErr_NoMemory();
+        goto done;
+    }
+    int64_t first = n;
+    for (Py_ssize_t i = 0; i < counts[U_SEEDS]; i++) {
+        dirty[seeds[i]] = 1;
+        if (seeds[i] < first) {
+            first = seeds[i];
+        }
+    }
+    for (int64_t r = first; r < n; r++) {
+        if (!dirty[r]) {
+            continue;
+        }
+        int64_t top = -1; /* highest column among the row's changed slots */
+        for (int64_t s = indptr[r]; s < indptr[r + 1]; s++) {
+            double value = base[s];
+            for (int64_t k = 2 * sup_indptr[s]; k < 2 * sup_indptr[s + 1]; k += 2) {
+                double candidate = weights[sup_slots[k]] + weights[sup_slots[k + 1]];
+                if (candidate < value) {
+                    value = candidate;
+                }
+            }
+            if (value != weights[s]) {
+                weights[s] = value;
+                if (indices[s] > top) {
+                    top = indices[s];
+                }
+            }
+        }
+        if (top < 0) {
+            continue;
+        }
+        /* Pairs (c, w) of changed columns c: owner w for every column w
+         * below the highest changed one, and that column itself when the
+         * row has a column above it. */
+        int above = 0;
+        for (int64_t s = indptr[r]; s < indptr[r + 1]; s++) {
+            if (indices[s] < top) {
+                dirty[indices[s]] = 1;
+            } else if (indices[s] > top) {
+                above = 1;
+            }
+        }
+        if (above) {
+            dirty[top] = 1;
+        }
+    }
+    result = Py_None;
+    Py_INCREF(result);
+done:
+    free(dirty);
+    release_views(views, U_NVIEWS);
+    return result;
+}
+
 static PyMethodDef methods[] = {
     {"build", label_build, METH_VARARGS,
      "build(mask, comp, first, logs, tbl_flat, tbl_off, pos_indptr, pos_data, "
@@ -1689,6 +1909,9 @@ static PyMethodDef methods[] = {
     {"shortcut_row", (PyCFunction)maintain_shortcut_row, METH_FASTCALL,
      "shortcut_row(shortcuts, supporters, v, neighbors, base_weights) -> "
      "recomputed sc(v, u) for every u in neighbors (inputs untouched)"},
+    {"update_slots", (PyCFunction)update_slots, METH_FASTCALL,
+     "update_slots(indptr, indices, base, sup_indptr, sup_slots, weights, seeds) -> "
+     "None (bottom-up pass from the seed rows; writes only weights)"},
     {NULL, NULL, 0, NULL},
 };
 

@@ -2,11 +2,19 @@
 
 CH-family query stages (DCH, the CH stage of MHL, the PCH stages of PMHL and
 PostMHL, TOAIN's sub-core search, the CH-underlying PSP families) all search
-an "upward neighbours" mapping — live dict-of-dict shortcut arrays, sometimes
-filtered or merged per call.  A :class:`ShortcutStore` freezes the relevant
-upward adjacency, preserving the source mapping's iteration order, into CSR
-arrays packed in one :class:`~repro.kernels.arena.Arena` (the buffer
-``repro.store`` serializes and ``repro.cluster`` shards mmap-share).
+an "upward neighbours" mapping.  A :class:`ShortcutStore` holds that upward
+adjacency as CSR arrays packed in one :class:`~repro.kernels.arena.Arena`
+(the buffer ``repro.store`` serializes and ``repro.cluster`` shards
+mmap-share), in one of two ways:
+
+* DCH keeps its shortcuts in this layout all along
+  (:class:`~repro.treedec.slots.SlotContraction`): each update batch writes
+  the next epoch's arena, and the epoch's store wraps it as it stands —
+  no gather, no template, only ``search_build``'s checks;
+* every other stage reads live dict-of-dict shortcut arrays, sometimes
+  filtered or merged per call, and :meth:`ShortcutStore.freeze` copies them,
+  preserving the mappings' iteration order, gathering into the previous
+  epoch's layout when it still fits.
 
 The native C kernel borrows the arena views and answers the CH query in C
 (scalar and batch) as an elimination-tree query: rows are frozen in
@@ -23,7 +31,7 @@ through when the kernel is not loaded (no store is frozen then).
 
 from __future__ import annotations
 
-from typing import Callable, Iterable, List, Mapping, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -41,20 +49,18 @@ class ShortcutStore:
     #: the store it drops as the template of its memo key.
     gathers_into_template = True
 
-    def __init__(self, arena: Arena, layout: Optional["ShortcutStore"] = None):
-        """``layout``: an earlier store with the same ids, whose (never
-        mutated) ``row`` dict and remap are shared instead of rebuilt."""
+    def __init__(self, arena: Arena, rows: Optional[Tuple[Dict[int, int], object]] = None):
+        """``rows``: the ``(row dict, remap)`` of an earlier store or a
+        contraction with the same ids, shared (never mutated) instead of
+        rebuilt."""
         self.arena = arena
-        ids = arena["ids"]
-        if layout is None:
-            self.row = {v: i for i, v in enumerate(ids.tolist())}
-            self._remap = build_remap(ids)
-        else:
-            self.row = layout.row
-            self._remap = layout._remap
+        if rows is None:
+            ids = arena["ids"]
+            rows = ({v: i for i, v in enumerate(ids.tolist())}, build_remap(ids))
+        self.row, self._remap = rows
         kernel = native_kernel()
         self.capsule = kernel.search_build(
-            ids, arena["indptr"], arena["indices"], arena["weights"]
+            arena["ids"], arena["indptr"], arena["indices"], arena["weights"]
         )
         if not kernel.search_is_tree(self.capsule):
             raise ValueError("shortcut store rows do not form an elimination tree")
@@ -79,7 +85,7 @@ class ShortcutStore:
             arena = regather(template, ids, map(upward, ids))
             if arena is not None:
                 count_freeze("shortcut_store", "reused")
-                return cls(arena, layout=template)
+                return cls(arena, rows=(template.row, template._remap))
         position = {v: i for i, v in enumerate(ids)}
         indptr = [0]
         indices: List[int] = []

@@ -8,6 +8,7 @@ from repro.treedec.mde import (
     recompute_shortcut,
     update_shortcuts_bottom_up,
 )
+from repro.treedec.slots import SlotContraction, update_slots
 from repro.treedec.tree import TreeDecomposition
 
 __all__ = [
@@ -16,6 +17,8 @@ __all__ = [
     "mde_order",
     "recompute_shortcut",
     "update_shortcuts_bottom_up",
+    "SlotContraction",
+    "update_slots",
     "TreeDecomposition",
     "LCAOracle",
 ]

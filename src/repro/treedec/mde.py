@@ -11,7 +11,9 @@ produces
 * *supporter* records: for every shortcut pair ``(u, w)`` the list of lower
   vertices whose contraction contributed the value ``sc(x, u) + sc(x, w)``.
   Supporters are what make bottom-up dynamic maintenance (DCH / the shortcut
-  phase of DH2H) possible for both weight increases and decreases.
+  phase of DH2H) possible for both weight increases and decreases.  DCH
+  keeps them as flat slot pairs instead (:mod:`repro.treedec.slots`); the
+  dicts here serve the H2H family.
 
 The contraction can be driven by the classic minimum-degree heuristic, by a
 caller-specified fixed order, or by a *tiered* minimum-degree rule (contract
@@ -111,6 +113,7 @@ def contract_graph(
     graph: Graph,
     order: Optional[Sequence[int]] = None,
     tiers: Optional[Dict[int, int]] = None,
+    record_supporters: bool = True,
 ) -> ContractionResult:
     """Contract every vertex of ``graph`` and record shortcuts and supporters.
 
@@ -125,6 +128,10 @@ def contract_graph(
         Optional tier map used only when ``order`` is omitted; lower tiers are
         contracted first (this realises the boundary-first property when
         boundary vertices are given a higher tier).
+    record_supporters:
+        ``False`` leaves ``supporters`` and ``base_edges`` empty, for a caller
+        that derives them from the rows (every pair of ``X(v).N`` is
+        supported by ``v``; see :mod:`repro.treedec.slots`).
     """
     if graph.num_vertices == 0:
         raise GraphError("cannot contract an empty graph")
@@ -138,8 +145,10 @@ def contract_graph(
         v: dict(graph.neighbors(v)) for v in graph.vertices()
     }
     result = ContractionResult()
-    for u, v, w in graph.edges():
-        result.base_edges[_pair_key(u, v)] = w
+    supporters = result.supporters if record_supporters else None
+    if record_supporters:
+        for u, v, w in graph.edges():
+            result.base_edges[_pair_key(u, v)] = w
 
     if order is not None:
         sequence = list(order)
@@ -186,8 +195,8 @@ def contract_graph(
             for w_vertex in nbr_list[i + 1 :]:
                 dw = nbrs[w_vertex]
                 through = du + dw
-                key = _pair_key(u, w_vertex)
-                result.supporters.setdefault(key, []).append(v)
+                if supporters is not None:
+                    supporters.setdefault(_pair_key(u, w_vertex), []).append(v)
                 current = work[u].get(w_vertex, INF)
                 if through < current:
                     work[u][w_vertex] = through

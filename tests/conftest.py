@@ -95,13 +95,15 @@ def random_graph() -> Graph:
 
 @pytest.fixture
 def pure_maintenance(monkeypatch):
-    """A switch: once called, ``recompute_vertex`` and ``update_shortcuts_bottom_up``
-    run their pure loops (what a missing compiler gives) until the test ends."""
+    """A switch: once called, ``recompute_vertex``, ``update_shortcuts_bottom_up``
+    and ``update_slots`` run their pure loops (what a missing compiler gives)
+    until the test ends."""
     import repro.labeling.h2h as h2h_module
     import repro.treedec.mde as mde_module
+    import repro.treedec.slots as slots_module
 
     def switch() -> None:
-        for module in (h2h_module, mde_module):
+        for module in (h2h_module, mde_module, slots_module):
             monkeypatch.setattr(module, "native_kernel", lambda: None)
 
     return switch
@@ -114,7 +116,8 @@ def float_bits(values) -> bytes:
 
 
 def maintenance_structures(index) -> List[Tuple[str, object]]:
-    """Every ``H2HLabels`` / ``ContractionResult`` an index holds, by attribute path.
+    """Every ``H2HLabels`` / ``ContractionResult`` / ``SlotContraction`` an
+    index holds, by attribute path.
 
     Walks the index's attributes (and the PSP family / overlay objects and
     lists below them) in sorted-name order, each structure reported once —
@@ -122,6 +125,7 @@ def maintenance_structures(index) -> List[Tuple[str, object]]:
     """
     from repro.labeling.h2h import H2HLabels
     from repro.treedec.mde import ContractionResult
+    from repro.treedec.slots import SlotContraction
 
     found: List[Tuple[str, object]] = []
     seen = set()
@@ -129,7 +133,7 @@ def maintenance_structures(index) -> List[Tuple[str, object]]:
     def walk(path: str, obj) -> None:
         if id(obj) in seen:
             return
-        if isinstance(obj, (H2HLabels, ContractionResult)):
+        if isinstance(obj, (H2HLabels, ContractionResult, SlotContraction)):
             seen.add(id(obj))
             found.append((path, obj))
         elif isinstance(obj, (list, tuple)):
@@ -149,7 +153,9 @@ def index_state_digest(index, pairs) -> str:
 
     Covers ``dis`` / ``pos`` of every label set, the shortcut array of every
     contraction (both in stored order) and ``query_many(pairs)``; two indexes
-    with equal digests are bit-identical in everything a query can read.
+    with equal digests are bit-identical in everything a query can read.  A
+    flat contraction hashes the same bytes as the dict one it replaces: per
+    row its vertex, its neighbour ids and its weights, in slot order.
     """
     digest = hashlib.sha256()
 
@@ -164,6 +170,13 @@ def index_state_digest(index, pairs) -> str:
                 feed("q", [v])
                 feed("d", row)
                 feed("q", obj.pos[v])
+        elif hasattr(obj, "arena"):
+            ids, indptr = obj.arena["ids"], obj.arena["indptr"].tolist()
+            neighbors, weights = ids[obj.arena["indices"]], obj.arena["weights"]
+            for r, v in enumerate(obj.order):
+                feed("q", [v])
+                feed("q", neighbors[indptr[r] : indptr[r + 1]].tolist())
+                feed("d", weights[indptr[r] : indptr[r + 1]].tolist())
         else:
             for v in obj.order:
                 feed("q", [v])

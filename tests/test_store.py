@@ -316,6 +316,8 @@ class TestMaintenanceParity:
         loaded = load_index(snapshot_dirs[method])
         loaded.apply_batch(generate_update_batch(loaded.graph, UPDATE_VOLUME, seed=4))
         for path, structure in maintenance_structures(loaded):
+            if hasattr(structure, "arena"):
+                continue  # a flat contraction holds arrays, no dict
             names = (
                 ("dis", "pos")
                 if hasattr(structure, "dis")
