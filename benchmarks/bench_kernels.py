@@ -11,12 +11,13 @@ pure-Python reference path (``use_kernels=False``), for
 then PMHL's five query stages one by one (recorded only, no bar), then
 the milliseconds of a full freeze and of a refreeze of DCH's shortcut store
 (the store over the slot arrays as they stand), PMHL's cross-boundary label
-store and the graph snapshot (values gathered into the previous epoch's
-layout; recorded only, no bar), then the median milliseconds of one DCH
-update window (``dch_window``), then, per maintained method, the CPU time of
-alternating ``apply_batch`` windows with the native maintenance kernels
-(``recompute_row`` / ``shortcut_row`` / ``update_slots``) and with them
-patched out (the pure loops they port), and writes the rows plus the
+store (the store wrapping the label arena as it stands) and the graph
+snapshot (values gathered into the previous epoch's layout; recorded only,
+no bar), then the median milliseconds of one DCH and one PMHL update window
+(``dch_window`` / ``pmhl_window``), then, per maintained method, the CPU
+time of alternating ``apply_batch`` windows with the native maintenance
+kernels (``update_labels`` / ``shortcut_row`` / ``update_slots``) and with
+them patched out (the pure loops they port), and writes the rows plus the
 derived speedups to ``BENCH_kernels.json`` —
 the machine-readable perf trajectory seeded by this benchmark and uploaded
 as a CI artifact.  Run directly::
@@ -46,7 +47,8 @@ import repro.treedec.slots as slots_module
 from repro.graph.generators import grid_road_network
 from repro.graph.updates import generate_update_batch
 from repro.kernels.graph_snapshot import GraphSnapshot
-from repro.kernels.label_store import LabelStore
+from repro.kernels.arena import Arena
+from repro.kernels.label_store import LabelStore, layout_arrays
 from repro.kernels.native import native_kernel, native_kernel_error
 from repro.kernels.shortcut_store import ShortcutStore
 from repro.registry import create_index, get_spec
@@ -93,8 +95,9 @@ STAGE_BATCH = 64
 STAGE_BATCHES = 4
 #: Timed freezes per refreeze row (median reported).
 FREEZE_REPEATS = 7
-#: Timed DCH update windows of the ``dch_window`` row (median reported).
-DCH_WINDOWS = 9
+#: Timed update windows of the ``dch_window`` / ``pmhl_window`` rows
+#: (median reported).
+TIMED_WINDOWS = 9
 
 
 def _measure(index, pairs: List[Tuple[int, int]], scalar_n: int) -> Dict[str, object]:
@@ -211,11 +214,11 @@ def _measure_refreeze(dch, pmhl) -> Optional[Dict[str, Dict[str, float]]]:
     """Full freeze vs refreeze of the three stores a weight-only epoch keeps
     the layout of; the refrozen store must equal the full one byte for byte.
 
-    A full freeze derives the layout afresh (for the label store: the tree's
-    cached LCA / position arrays).  DCH's refreeze is the store over its
-    slot arrays as the last pass left them; the other two gather the values
-    into the layout of a template store (for the label store: the tree's
-    cached one).
+    A full freeze derives the layout afresh (for the label store: the LCA,
+    position and offset arrays from the tree, then a copy of the values).
+    DCH's and PMHL's refreezes are the stores over their arenas as the last
+    pass left them; the graph snapshot gathers its values into the layout
+    of a template store.
     """
     if native_kernel() is None:
         return None
@@ -223,8 +226,9 @@ def _measure_refreeze(dch, pmhl) -> Optional[Dict[str, Dict[str, float]]]:
     labels = pmhl.cross_labels
 
     def full_labels():
-        labels.tree._kernel_layout = None
-        return LabelStore.freeze(labels)
+        arrays = layout_arrays(labels.tree, labels.keys, labels.row)
+        arrays["dis_data"] = labels.arena["dis_data"].copy()
+        return LabelStore(Arena.pack(arrays))
 
     cases = {
         "dch_ch": (
@@ -250,17 +254,17 @@ def _measure_refreeze(dch, pmhl) -> Optional[Dict[str, Dict[str, float]]]:
     return rows
 
 
-def _measure_dch_window(dch) -> Dict[str, float]:
-    """Median milliseconds of one ``UPDATE_VOLUME``-edge DCH ``apply_batch``
-    (edge refresh plus shortcut pass), over ``DCH_WINDOWS`` windows."""
+def _measure_window(index, seed: int) -> Dict[str, float]:
+    """Median milliseconds of one ``UPDATE_VOLUME``-edge ``apply_batch`` of
+    ``index``, over ``TIMED_WINDOWS`` windows."""
     samples = []
-    for window in range(DCH_WINDOWS):
-        batch = generate_update_batch(dch.graph, UPDATE_VOLUME, seed=200 + window)
+    for window in range(TIMED_WINDOWS):
+        batch = generate_update_batch(index.graph, UPDATE_VOLUME, seed=seed + window)
         start = time.perf_counter()
-        dch.apply_batch(batch)
+        index.apply_batch(batch)
         samples.append(time.perf_counter() - start)
     return {"apply_ms": 1e3 * statistics.median(samples), "edges": UPDATE_VOLUME,
-            "windows": DCH_WINDOWS}
+            "windows": TIMED_WINDOWS}
 
 
 def run(out_path: str) -> Dict[str, object]:
@@ -335,9 +339,10 @@ def run(out_path: str) -> Dict[str, object]:
             f"{name:>20}: full freeze {row['full_freeze_ms']:6.2f} ms   "
             f"refreeze {row['refreeze_ms']:6.2f} ms   ({row['speedup']:4.1f}x)"
         )
-    report["dch_window"] = _measure_dch_window(built["DCH"])
-    print(f"{'dch_window':>20}: {report['dch_window']['apply_ms']:6.2f} ms per "
-          f"{UPDATE_VOLUME}-edge apply_batch")
+    for name, seed in (("DCH", 200), ("PMHL", 300)):
+        row = report[name.lower() + "_window"] = _measure_window(built[name], seed)
+        print(f"{name.lower() + '_window':>20}: {row['apply_ms']:6.2f} ms per "
+              f"{UPDATE_VOLUME}-edge apply_batch")
 
     for name, entry in report["methods"].items():
         row = entry.get("maintenance")

@@ -49,6 +49,8 @@ import time
 from dataclasses import dataclass, field
 from typing import Callable, Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple
 
+import numpy as np
+
 from repro import obs
 from repro.algorithms.dijkstra import bidijkstra
 from repro.exceptions import StoreNotPublishedError, VertexNotFoundError
@@ -101,6 +103,11 @@ class UpdateReport:
     """Result of installing one update batch."""
 
     stages: List[StageTiming] = field(default_factory=list)
+    #: Work of the batch's label passes (``H2HLabels.update_top_down``):
+    #: rows recomputed, columns recomputed, columns whose value changed.
+    vertices_visited: int = 0
+    columns_recomputed: int = 0
+    columns_changed: int = 0
 
     @property
     def total_seconds(self) -> float:
@@ -299,15 +306,31 @@ class DistanceIndex(abc.ABC):
 
         Template method: the per-method maintenance logic lives in
         :meth:`_apply_batch`; this wrapper owns the cross-cutting concerns —
-        currently the ``<method>.apply_batch`` tracing span that every
-        per-stage span nests under (see ``repro.obs``).
+        the ``<method>.apply_batch`` tracing span that every per-stage span
+        nests under (see ``repro.obs``), and the report's label-pass work
+        counters.
         """
+        before = self._label_work()
         if not obs.is_enabled():
-            return self._apply_batch(batch)
-        with obs.span(
-            self.name.lower() + ".apply_batch", index=self.name, updates=len(batch)
-        ):
-            return self._apply_batch(batch)
+            report = self._apply_batch(batch)
+        else:
+            with obs.span(
+                self.name.lower() + ".apply_batch", index=self.name, updates=len(batch)
+            ):
+                report = self._apply_batch(batch)
+        (
+            report.vertices_visited, report.columns_recomputed, report.columns_changed
+        ) = (self._label_work() - before).tolist()
+        return report
+
+    def _label_sets(self) -> Iterable:
+        """The ``H2HLabels`` this index maintains (none by default)."""
+        return ()
+
+    def _label_work(self):
+        """The label passes' cumulative work counters, summed over
+        :meth:`_label_sets`."""
+        return sum((labels.work for labels in self._label_sets()), np.zeros(3, np.int64))
 
     @abc.abstractmethod
     def _apply_batch(self, batch: UpdateBatch) -> UpdateReport:

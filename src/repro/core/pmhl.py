@@ -285,6 +285,10 @@ class PMHLIndex(PostBoundaryPSPIndex):
     def _kernel_exports(self):
         return {"cross_labels": self._cross_store}
 
+    def _label_sets(self):
+        cross = () if self.cross_labels is None else (self.cross_labels,)
+        return (*super()._label_sets(), *cross)
+
     def stage_catalog(self) -> Tuple[QueryStage, ...]:
         """Q-Stages 1-5 in release order, each released by its U-Stage (Figure 7)."""
         return (

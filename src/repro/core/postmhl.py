@@ -128,18 +128,13 @@ class PostMHLIndex(DistanceIndex):
         self.disB = {}
         self.boundary_position = []
         self.boundary_distances = []
+        depth = self.tree.depth
         for pid, boundary in enumerate(self.td.boundary):
             self.boundary_position.append({b: j for j, b in enumerate(boundary)})
-            distances: Dict[Tuple[int, int], float] = {}
-            for i, b1 in enumerate(boundary):
-                for b2 in boundary[i + 1 :]:
-                    d = self.labels.query(b1, b2)
-                    distances[(b1, b2)] = d
-                    distances[(b2, b1)] = d
-            self.boundary_distances.append(distances)
-            depth = self.tree.depth
+            self.boundary_distances.append(self.labels.pair_distances(boundary))
+            columns = [depth[b] for b in boundary]
             for v in self.td.partition_vertices[pid]:
-                self.disB[v] = [self.labels.dis[v][depth[b]] for b in boundary]
+                self.disB[v] = self.labels.dis(v)[columns].tolist()
 
     def _require_built(self) -> None:
         if self.labels is None:
@@ -216,7 +211,7 @@ class PostMHLIndex(DistanceIndex):
         depth = tree.depth
         overlay = self.td.overlay_vertices
         position = self.boundary_position[pid]
-        dis_s, dis_t = self.labels.dis[source], self.labels.dis[target]
+        dis_s, dis_t = self.labels.dis(source).tolist(), self.labels.dis(target).tolist()
         best = dis_s[depth[lca]] + dis_t[depth[lca]]
         for x in tree.neighbors(lca):
             if x in overlay:
@@ -367,15 +362,9 @@ class PostMHLIndex(DistanceIndex):
         return report
 
     def _compute_boundary_distances(self, pid: int) -> Dict[Tuple[int, int], float]:
-        """All-pair boundary distances of partition ``pid`` from the overlay labels."""
-        boundary = self.td.boundary[pid]
-        distances: Dict[Tuple[int, int], float] = {}
-        for i, b1 in enumerate(boundary):
-            for b2 in boundary[i + 1 :]:
-                d = self.labels.query(b1, b2)
-                distances[(b1, b2)] = d
-                distances[(b2, b1)] = d
-        return distances
+        """All-pair boundary distances of partition ``pid`` from the overlay
+        labels as they stand after U-Stage 3 (one ``query_pairs`` call)."""
+        return self.labels.pair_distances(self.td.boundary[pid])
 
     def _update_post_boundary_partition(self, pid: int) -> None:
         """Recompute the boundary arrays and in-partition label entries of one partition.
@@ -383,7 +372,8 @@ class PostMHLIndex(DistanceIndex):
         Mirrors Algorithm 4: a top-down pass over the partition subtree where
         overlay neighbours are resolved through the boundary distance table /
         boundary arrays instead of through (possibly stale) cross-boundary
-        label entries.
+        label entries.  Rows are read as lists and their in-partition columns
+        ``[root_depth, depth]`` written back as each vertex finishes.
         """
         tree = self.tree
         td = self.td
@@ -395,15 +385,10 @@ class PostMHLIndex(DistanceIndex):
         root = td.roots[pid]
         root_depth = depth[root]
         shortcuts = self.contraction.shortcuts
+        labels = self.labels
+        rows: Dict[int, List[float]] = {}
 
-        stack = [root]
-        order: List[int] = []
-        while stack:
-            v = stack.pop()
-            order.append(v)
-            stack.extend(tree.children[v])
-
-        for v in order:
+        for v in tree.subtree(root):
             neighbors = tree.neighbors(v)
             sc = shortcuts[v]
             # Boundary array X(v).disB.
@@ -425,7 +410,7 @@ class PostMHLIndex(DistanceIndex):
 
             # In-partition distance-array entries (depth >= root_depth).
             anc = tree.ancestors[v]
-            dis_v = self.labels.dis[v]
+            dis_v = rows[v] = labels.dis(v).tolist()
             for j in range(root_depth, len(anc) - 1):
                 ancestor = anc[j]
                 best = INF
@@ -433,48 +418,23 @@ class PostMHLIndex(DistanceIndex):
                     if x in overlay:
                         d = self.disB[ancestor][position[x]]
                     elif depth[x] > j:
-                        d = self.labels.dis[x][j]
+                        d = rows[x][j]
                     else:
-                        d = self.labels.dis[ancestor][depth[x]]
+                        d = rows[ancestor][depth[x]]
                     candidate = sc[x] + d
                     if candidate < best:
                         best = candidate
                 dis_v[j] = best
             dis_v[len(anc) - 1] = 0.0
+            labels.write(v, root_depth, dis_v[root_depth:])
 
     def _update_cross_boundary_partition(self, pid: int) -> None:
-        """Recompute the overlay-ancestor label entries of one partition (top-down)."""
-        tree = self.tree
-        td = self.td
-        depth = tree.depth
-        root = td.roots[pid]
-        root_depth = depth[root]
-        shortcuts = self.contraction.shortcuts
-
-        stack = [root]
-        order: List[int] = []
-        while stack:
-            v = stack.pop()
-            order.append(v)
-            stack.extend(tree.children[v])
-
-        for v in order:
-            neighbors = tree.neighbors(v)
-            sc = shortcuts[v]
-            anc = tree.ancestors[v]
-            dis_v = self.labels.dis[v]
-            for j in range(root_depth):
-                ancestor = anc[j]
-                best = INF
-                for x in neighbors:
-                    if depth[x] > j:
-                        d = self.labels.dis[x][j]
-                    else:
-                        d = self.labels.dis[ancestor][depth[x]]
-                    candidate = sc[x] + d
-                    if candidate < best:
-                        best = candidate
-                dis_v[j] = best
+        """Recompute the overlay-ancestor label entries of one partition: the
+        label pass over every row of its subtree, columns ``[0, root_depth)``."""
+        root_depth = self.tree.depth[self.td.roots[pid]]
+        self.labels.update_top_down(
+            self.td.partition_vertices[pid], columns=(0, root_depth)
+        )
 
     # ------------------------------------------------------------------
     # Introspection and throughput metadata
@@ -543,6 +503,9 @@ class PostMHLIndex(DistanceIndex):
 
     def _kernel_exports(self):
         return {"labels": self._label_store}
+
+    def _label_sets(self):
+        return () if self.labels is None else (self.labels,)
 
     @property
     def overlay_vertex_count(self) -> int:

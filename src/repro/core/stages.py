@@ -13,7 +13,7 @@ parallelisation.
 from __future__ import annotations
 
 import time
-from typing import Dict, Iterable, List, Optional, Set, Tuple
+from typing import Iterable, List, Optional, Set, Tuple
 
 from repro.labeling.h2h import H2HLabels
 
@@ -55,24 +55,12 @@ def timed_label_update_by_root(
     tuple
         ``(changed_vertices, per_root_seconds)``.
     """
-    tree = labels.tree
-    affected_set = {v for v in affected if v in labels.dis}
+    affected_set = {v for v in affected if v in labels.row}
     if allowed is not None:
         affected_set &= allowed
     changed: Set[int] = set()
     per_root_seconds: List[float] = []
-    if not affected_set:
-        return changed, per_root_seconds
-
-    roots = tree.branch_roots(sorted(affected_set))
-    # Group affected vertices by the branch root whose subtree contains them.
-    groups: Dict[int, List[int]] = {root: [] for root in roots}
-    for v in affected_set:
-        for root in roots:
-            if tree.same_component(root, v) and tree.is_ancestor(root, v):
-                groups[root].append(v)
-                break
-    for root, group in groups.items():
+    for group in labels.tree.branch_groups(affected_set).values():
         start = time.perf_counter()
         changed |= labels.update_top_down(group, allowed=allowed)
         per_root_seconds.append(time.perf_counter() - start)

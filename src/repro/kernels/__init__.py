@@ -4,7 +4,8 @@ After a build or update batch completes, each index *freezes* its query-side
 state into immutable flat stores (see the per-module docs):
 
 * :class:`~repro.kernels.label_store.LabelStore` — CSR distance/position
-  arrays + flattened LCA for H2H-family labels (C scalar and batch queries);
+  arrays + flattened LCA for H2H-family labels (C scalar and batch queries),
+  the labels' own arena wrapped;
 * :class:`~repro.kernels.graph_snapshot.GraphSnapshot` — CSR adjacency for
   the index-free stage-1 searches, with a native bidirectional-search /
   one-to-many kernel;
@@ -31,9 +32,10 @@ and keyed to the index's kernel epoch (see
 once per update epoch per query stage; since updates change weights only,
 that refreeze gathers the new values into the previous epoch's layout
 (:func:`~repro.kernels.arena.regather`, the C ``gather_rows``) and rebuilds
-the layout only when a row no longer fits it.  DCH needs neither: its
-shortcuts live in the store's layout (:mod:`repro.treedec.slots`), and its
-refreeze wraps the arena its last update pass wrote.  Every store computes exactly the
+the layout only when a row no longer fits it.  DCH and the H2H-family
+labels need neither: their values live in the store's layout
+(:mod:`repro.treedec.slots`, :mod:`repro.labeling.h2h`), and their refreeze
+wraps the arena the last update pass wrote.  Every store computes exactly the
 reference arithmetic, so results are bit-identical on both rungs.
 """
 

@@ -3,9 +3,9 @@
  *
  * Two capsule types are exported for the query side:
  *
- * 1. "repro.kernels.labelstore" -- an H2H-family label store: the CSR
- *    distance/position arrays of one H2HLabels instance plus the flattened
- *    Euler-tour LCA arrays of its tree decomposition:
+ * 1. "repro.kernels.labelstore" -- an H2H-family label store: the arena of
+ *    one H2HLabels instance, which is the CSR distance/position arrays plus
+ *    the flattened Euler-tour LCA arrays of its tree decomposition:
  *
  *      comp[r]        component id of row r (forest support),
  *      first[r]       first Euler-tour position of row r,
@@ -49,37 +49,42 @@
  * directly over the owning store's arena -- including mmap-backed arenas
  * shared across repro.cluster shard processes.
  *
- * The maintenance kernels take no capsule.  recompute_row (the body of
- * H2HLabels.recompute_vertex, the DH2H label phase) and shortcut_row
- * (mde.recompute_shortcut over one vertex's whole row, the DCH shortcut
- * phase) walk the *live* dict-of-list / dict-of-dict containers the indexes
- * maintain -- labels.dis, the contraction's shortcuts and supporters, the
- * tree's depth map -- because those are what every update stage mutates in
- * place: a frozen layout would have to be rebuilt or patched per stage,
- * whereas a C loop over the same objects needs no second representation and
- * no invalidation.  They only read: each returns a fresh list and the Python
- * caller stores it.  Containers another layer filled are not trusted --
- * types, depths, row lengths and list sizes are checked (the sizes again
- * after any lookup that may have run Python), a missing key is the KeyError
- * the Python loop raises -- and lookups honour a dict subclass's
- * __getitem__ (see container_get), so a snapshot-loaded LazyDict
- * materialises exactly as it does under the pure loops, which stay in place
- * as the fallback and as the oracle the differential tests compare against.
+ * The maintenance kernels take no capsule.  update_labels is the H2H
+ * family's whole top-down label pass (H2HLabels.update_top_down, and
+ * build) over the flat rows of a label arena: the tree in row space, the
+ * dis / pos CSR, each position slot's shortcut, and the seed rows.  It
+ * writes only the dis_data buffer it is handed -- the labels' copy-on-write
+ * buffer, so a store wrapping an earlier one is untouched -- and checks
+ * every index it will follow before its first write.  update_slots is
+ * DCH's whole shortcut pass, the same way, over flat arrays
+ * (repro.treedec.slots): shortcut weights in the shortcut store's CSR slot
+ * order, each slot's graph weight, and a CSR of int32 supporter slot pairs.
  *
- * update_slots is DCH's whole shortcut pass, over flat arrays instead of
- * containers (repro.treedec.slots): shortcut weights in the shortcut
- * store's CSR slot order, each slot's graph weight, and a CSR of int32
- * supporter slot pairs.  It writes only the weight array it is handed --
- * the next epoch's copy, so the store over the previous one is untouched --
- * and checks every index it will follow before its first write.
+ * shortcut_row (mde.recompute_shortcut over one vertex's whole row, the
+ * shortcut phase of the H2H family and the PSP indexes) and recompute_row
+ * (one label row over dict-of-list containers: the path the label phase
+ * ran before its rows were flat, kept as the container oracle the
+ * differential tests check update_labels against) walk *live* Python
+ * containers -- the contraction's shortcut and supporter dicts, a dis dict,
+ * the tree's depth map.  They only read: each returns a fresh list.
+ * Containers another layer filled are not trusted -- types, depths, row
+ * lengths and list sizes are checked (the sizes again after any lookup that
+ * may have run Python), a missing key is the KeyError the Python loop
+ * raises -- and lookups honour a dict subclass's __getitem__ (see
+ * container_get), so a snapshot-loaded LazyDict materialises exactly as it
+ * does under the pure loops, which stay in place as the fallback and as the
+ * oracle the differential tests compare against.
  *
  * gather_rows is the value half of a refreeze: weight-only updates keep
- * every store's layout (the shortcut set, the tree's label lengths, the
- * graph's CSR), so a new epoch's store copies the previous epoch's layout
- * arrays and gathers only its values from the live rows, in one pass that
- * also checks each row against the layout (counts, and for dict rows the
- * keys in iteration order).  A mismatch is a ValueError and the caller
+ * every store's layout (the shortcut set, the graph's CSR), so a new
+ * epoch's shortcut store or graph snapshot copies the previous epoch's
+ * layout arrays and gathers only its values from the live rows, in one pass
+ * that also checks each row against the layout (counts, and for dict rows
+ * the keys in iteration order).  A mismatch is a ValueError and the caller
  * rebuilds the layout; dict rows are read under container_get's rule.
+ * Label stores and DCH's store gather nothing: they wrap the arena their
+ * update pass wrote.  The label pass uses it for its input instead: each
+ * pass gathers its seed rows' shortcut dicts into its shortcut array.
  *
  * No function releases the GIL; concurrent Python threads therefore
  * serialize around the shared per-capsule scratch space by construction, and
@@ -1209,7 +1214,8 @@ static PyObject *float_list(const double *values, Py_ssize_t n) {
 
 /* recompute_row(dis, anc, neighbors, sc_row, depth) -> list
  *
- * The body of H2HLabels.recompute_vertex for the vertex whose ancestor chain
+ * One H2H distance row over dict-of-list containers (the container oracle
+ * of update_labels, see the file header) for the vertex whose ancestor chain
  * is `anc` (m entries, the vertex itself last): per neighbour x at depth px,
  * columns j < px relax against sc_row[x] + dis[x][j], columns px <= j < m-1
  * against sc_row[x] + dis[anc[j]][px]; column m-1 is 0.0.  Same candidates,
@@ -1691,8 +1697,8 @@ static int borrow_typed(PyObject *obj, Py_buffer *view, char kind, Py_ssize_t it
         PyBuffer_Release(view);
         view->obj = NULL;
         PyErr_SetString(PyExc_TypeError,
-                        "update_slots takes float64 base / weights, int32 sup_slots and "
-                        "int64 indptr / indices / sup_indptr / seeds buffers");
+                        "maintenance buffers are float64 values, int32 supporter slots, "
+                        "int8 masks and int64 offsets / rows");
         return -1;
     }
     return 0;
@@ -1879,6 +1885,304 @@ done:
     return result;
 }
 
+/* ------------------------------------------------------------------ */
+/* Label maintenance (flat dis rows, the DH2H top-down phase)         */
+/* ------------------------------------------------------------------ */
+
+/* update_labels' arguments: buffers, then the column range. */
+enum { A_PARENT, A_DEPTH, A_CHILD_INDPTR, A_CHILD_ROWS, A_DIS_INDPTR, A_POS_INDPTR,
+       A_POS_DATA, A_SC, A_DIS_DATA, A_SEEDS, A_ALLOWED, A_CHANGED, A_COUNTS, A_LO, A_HI,
+       A_NARGS, A_NBUF = A_LO };
+
+/* The shape checks of update_labels, all before its first write: lengths
+ * agree; roots have depth 0 and parent -1, every other row's parent is a
+ * row one level up; every child row is in range and names its parent; each
+ * offset array starts at 0 and is monotone (dis_indptr's rows are exactly
+ * depth + 1 wide); each position row ends at the row's own column and its
+ * other entries are columns above it; every seed is a row; the allowed mask
+ * is empty or one byte per row; 0 <= lo <= hi <= the widest row.  Sets the
+ * widest row and the longest position row; 0, or -1 with a ValueError. */
+static int check_labels(const Py_ssize_t *len, const int64_t *parent, const int64_t *depth,
+                        const int64_t *child_indptr, const int64_t *child_rows,
+                        const int64_t *dis_indptr, const int64_t *pos_indptr,
+                        const int64_t *pos_data, const int64_t *seeds, Py_ssize_t lo,
+                        Py_ssize_t hi, Py_ssize_t *width, Py_ssize_t *max_row) {
+    const char *error = NULL;
+    Py_ssize_t n = len[A_PARENT];
+    if (len[A_DEPTH] != n || len[A_CHILD_INDPTR] != n + 1 || len[A_DIS_INDPTR] != n + 1 ||
+        len[A_POS_INDPTR] != n + 1 || len[A_SC] != len[A_POS_DATA] ||
+        len[A_CHANGED] != n || len[A_COUNTS] != 3 ||
+        (len[A_ALLOWED] != 0 && len[A_ALLOWED] != n) || child_indptr[0] != 0 ||
+        child_indptr[n] != len[A_CHILD_ROWS] || dis_indptr[0] != 0 ||
+        dis_indptr[n] != len[A_DIS_DATA] || pos_indptr[0] != 0 ||
+        pos_indptr[n] != len[A_POS_DATA]) {
+        error = "label array lengths disagree";
+        goto done;
+    }
+    *width = *max_row = 0;
+    for (Py_ssize_t r = 0; r < n; r++) {
+        int64_t p = parent[r];
+        if (depth[r] < 0 || depth[r] >= n ||
+            (p < 0 ? p != -1 || depth[r] != 0
+                   : p >= n || depth[r] == 0 || depth[p] != depth[r] - 1)) {
+            error = "a row's parent or depth is out of range";
+            goto done;
+        }
+        if (dis_indptr[r + 1] - dis_indptr[r] != depth[r] + 1) {
+            error = "dis offsets do not match the ancestor depths";
+            goto done;
+        }
+        if (child_indptr[r] > child_indptr[r + 1] || pos_indptr[r] >= pos_indptr[r + 1]) {
+            error = "child or position offsets are not monotone";
+            goto done;
+        }
+        if (depth[r] + 1 > *width) {
+            *width = depth[r] + 1;
+        }
+        if (pos_indptr[r + 1] - pos_indptr[r] > *max_row) {
+            *max_row = pos_indptr[r + 1] - pos_indptr[r];
+        }
+    }
+    for (Py_ssize_t r = 0; r < n; r++) {
+        int bad = 0;
+        for (int64_t k = child_indptr[r]; k < child_indptr[r + 1]; k++) {
+            bad |= (uint64_t)child_rows[k] >= (uint64_t)n || parent[child_rows[k]] != r;
+        }
+        if (bad) {
+            error = "a child row is out of range or names another parent";
+            goto done;
+        }
+        int64_t last = pos_indptr[r + 1] - 1;
+        for (int64_t k = pos_indptr[r]; k < last; k++) {
+            bad |= (uint64_t)pos_data[k] >= (uint64_t)depth[r];
+        }
+        if (bad || pos_data[last] != depth[r]) {
+            error = "a position is not a column of its row";
+            goto done;
+        }
+    }
+    for (Py_ssize_t i = 0; i < len[A_SEEDS]; i++) {
+        if (seeds[i] < 0 || seeds[i] >= n) {
+            error = "a seed is not a row";
+            goto done;
+        }
+    }
+    if (lo < 0 || lo > hi || hi > *width) {
+        error = "the column range is not inside the widest row";
+    }
+done:
+    if (error != NULL) {
+        PyErr_SetString(PyExc_ValueError, error);
+        return -1;
+    }
+    return 0;
+}
+
+/* update_labels(parent, depth, child_indptr, child_rows, dis_indptr, pos_indptr,
+ *               pos_data, sc, dis_data, seeds, allowed, changed, counts, lo, hi)
+ *     -> None
+ *
+ * One whole top-down label update (H2HLabels.update_top_down) over the flat
+ * rows of a label arena: dis_data[dis_indptr[r]..] holds row r's distances
+ * to its depth[r] + 1 ancestors (root first), pos_data[pos_indptr[r]..]
+ * the columns of its tree neighbours X(r).N in contraction order and then
+ * its own, and sc (aligned with pos_data) the shortcut to each neighbour.
+ * A neighbour at column px is the ancestor at depth px.
+ *
+ * The seed rows (those the allowed mask, when not empty, admits) are where
+ * the shortcuts changed; a seed with no seed among its proper ancestors is
+ * a branch root, and the pass visits each branch root's subtree top-down
+ * through allowed children.  A visited row is recomputed when it is a seed
+ * or an ancestor changed, over its columns [lo, min(hi, depth + 1)): per
+ * neighbour at px, columns above px relax against the neighbour's own row,
+ * columns from px down against each ancestor's entry for it; the row's own
+ * column is 0.0.  Those are the candidates, the float64 adds and the `<` of
+ * recompute_row, whose minimum does not depend on the order they are read
+ * in, so the values are bit-identical to the container path.  A row whose
+ * recomputed columns differ from the stored ones is written, flagged in
+ * `changed` (one byte per row), and makes its children recompute.  counts
+ * receives the rows recomputed, the columns recomputed and the columns
+ * changed.
+ *
+ * Only dis_data, changed and counts are written; dis_data is the caller's
+ * copy-on-write buffer, so a label store over an earlier one is untouched.
+ * Every index is checked first (check_labels), so a failed check writes
+ * nothing.  Like update_slots it returns None and imports nothing new (see
+ * the placement note there). */
+static PyObject *update_labels(PyObject *self, PyObject *const *args, Py_ssize_t nargs) {
+    Py_buffer views[A_NBUF];
+    Py_ssize_t len[A_NBUF];
+    PyObject *result = NULL;
+    uint8_t *scratch = NULL;
+    (void)self;
+    if (nargs != A_NARGS) {
+        PyErr_SetString(PyExc_TypeError,
+                        "update_labels(parent, depth, child_indptr, child_rows, dis_indptr, "
+                        "pos_indptr, pos_data, sc, dis_data, seeds, allowed, changed, counts, "
+                        "lo, hi) takes 15 arguments");
+        return NULL;
+    }
+    memset(views, 0, sizeof(views));
+    for (int a = 0; a < A_NBUF; a++) {
+        int bytes = a == A_ALLOWED || a == A_CHANGED;
+        int floats = a == A_SC || a == A_DIS_DATA;
+        if (borrow_typed(args[a], &views[a], floats ? 'd' : 'i', bytes ? 1 : 8,
+                         a == A_DIS_DATA || a == A_CHANGED || a == A_COUNTS) < 0) {
+            goto done;
+        }
+        len[a] = views[a].len / (bytes ? 1 : 8);
+    }
+    Py_ssize_t lo = PyLong_AsSsize_t(args[A_LO]);
+    Py_ssize_t hi = PyLong_AsSsize_t(args[A_HI]);
+    if ((lo == -1 || hi == -1) && PyErr_Occurred()) {
+        goto done;
+    }
+    const int64_t *parent = (const int64_t *)views[A_PARENT].buf;
+    const int64_t *depth = (const int64_t *)views[A_DEPTH].buf;
+    const int64_t *child_indptr = (const int64_t *)views[A_CHILD_INDPTR].buf;
+    const int64_t *child_rows = (const int64_t *)views[A_CHILD_ROWS].buf;
+    const int64_t *dis_indptr = (const int64_t *)views[A_DIS_INDPTR].buf;
+    const int64_t *pos_indptr = (const int64_t *)views[A_POS_INDPTR].buf;
+    const int64_t *pos_data = (const int64_t *)views[A_POS_DATA].buf;
+    const double *sc = (const double *)views[A_SC].buf;
+    double *dis = (double *)views[A_DIS_DATA].buf;
+    const int64_t *seeds = (const int64_t *)views[A_SEEDS].buf;
+    const int8_t *allowed = len[A_ALLOWED] ? (const int8_t *)views[A_ALLOWED].buf : NULL;
+    int8_t *changed = (int8_t *)views[A_CHANGED].buf;
+    int64_t *out = (int64_t *)views[A_COUNTS].buf;
+    Py_ssize_t n = len[A_PARENT], width = 0, max_row = 0;
+    if (check_labels(len, parent, depth, child_indptr, child_rows, dis_indptr, pos_indptr,
+                     pos_data, seeds, lo, hi, &width, &max_row) < 0) {
+        goto done;
+    }
+    /* One allocation: order / stack / ancestor starts / a row's neighbour
+     * columns (int64), a new row and a row's neighbour shortcuts (float64),
+     * seed marks and flags (bytes). */
+    size_t n1 = (size_t)n + 1, w1 = (size_t)width + 1, k1 = (size_t)max_row + 1;
+    scratch = (uint8_t *)calloc(1, (2 * n1 + 2 * w1 + 2 * k1) * 8 + 2 * n1);
+    if (scratch == NULL) {
+        PyErr_NoMemory();
+        goto done;
+    }
+    int64_t *order = (int64_t *)scratch, *stack = order + n1, *start = stack + n1;
+    int64_t *nb_px = start + w1;
+    double *row_new = (double *)(nb_px + k1), *nb_sc = row_new + w1;
+    uint8_t *seed = (uint8_t *)(nb_sc + k1), *flag = seed + n1;
+    for (Py_ssize_t i = 0; i < len[A_SEEDS]; i++) {
+        if (allowed == NULL || allowed[seeds[i]]) {
+            seed[seeds[i]] = 1;
+        }
+    }
+    /* The branch roots' subtrees, top-down (flag marks the roots taken). */
+    Py_ssize_t visits = 0;
+    for (Py_ssize_t i = 0; i < len[A_SEEDS]; i++) {
+        int64_t root = seeds[i], p = parent[root];
+        if (!seed[root] || flag[root]) {
+            continue;
+        }
+        while (p >= 0 && !seed[p]) {
+            p = parent[p];
+        }
+        if (p >= 0) {
+            continue;
+        }
+        flag[root] = 1;
+        Py_ssize_t top = 0;
+        stack[top++] = root;
+        while (top > 0) {
+            int64_t r = stack[--top];
+            order[visits++] = r;
+            for (int64_t k = child_indptr[r]; k < child_indptr[r + 1]; k++) {
+                if (allowed == NULL || allowed[child_rows[k]]) {
+                    stack[top++] = child_rows[k];
+                }
+            }
+        }
+    }
+    memset(changed, 0, (size_t)n);
+    memset(flag, 0, n1);
+    out[0] = out[1] = out[2] = 0;
+    for (Py_ssize_t i = 0; i < visits; i++) {
+        int64_t r = order[i], p = parent[r];
+        /* A branch root's parent is never visited: its flag stays 0. */
+        uint8_t ancestor_changed = p >= 0 ? flag[p] : 0;
+        flag[r] = ancestor_changed;
+        if (!seed[r] && !ancestor_changed) {
+            continue;
+        }
+        int64_t m = depth[r] + 1, a = lo, b = hi < m ? hi : m;
+        out[0]++;
+        if (a >= b) {
+            continue;
+        }
+        for (int64_t d = m - 1, x = r; d >= 0; d--, x = parent[x]) {
+            start[d] = dis_indptr[x];
+        }
+        /* The row's neighbours by column (insertion sort). */
+        int64_t k0 = pos_indptr[r], nk = pos_indptr[r + 1] - 1 - k0;
+        for (int64_t i = 0; i < nk; i++) {
+            int64_t px = pos_data[k0 + i], at = i;
+            for (; at > 0 && nb_px[at - 1] > px; at--) {
+                nb_px[at] = nb_px[at - 1];
+                nb_sc[at] = nb_sc[at - 1];
+            }
+            nb_px[at] = px;
+            nb_sc[at] = sc[k0 + i];
+        }
+        for (int64_t j = a; j < b; j++) {
+            row_new[j] = Py_HUGE_VAL;
+        }
+        /* Columns above a neighbour at px: its own row, contiguous. */
+        for (int64_t i = 0; i < nk; i++) {
+            const double *x_row = dis + start[nb_px[i]];
+            double s = nb_sc[i];
+            int64_t end = nb_px[i] < b ? nb_px[i] : b;
+            for (int64_t j = a; j < end; j++) {
+                double candidate = s + x_row[j];
+                row_new[j] = candidate < row_new[j] ? candidate : row_new[j];
+            }
+        }
+        /* Columns from px down: one ancestor row at a time, its entries for
+         * the neighbours at or above it. */
+        int64_t end = m - 1 < b ? m - 1 : b, above = 0;
+        for (int64_t j = a; j < end; j++) {
+            while (above < nk && nb_px[above] <= j) {
+                above++;
+            }
+            const double *anc_row = dis + start[j];
+            double best = row_new[j];
+            for (int64_t i = 0; i < above; i++) {
+                double candidate = nb_sc[i] + anc_row[nb_px[i]];
+                best = candidate < best ? candidate : best;
+            }
+            row_new[j] = best;
+        }
+        if (b == m) {
+            row_new[m - 1] = 0.0;
+        }
+        double *row = dis + start[m - 1];
+        int64_t moved = 0;
+        for (int64_t j = a; j < b; j++) {
+            if (row_new[j] != row[j]) {
+                row[j] = row_new[j];
+                moved++;
+            }
+        }
+        out[1] += b - a;
+        out[2] += moved;
+        if (moved) {
+            changed[r] = 1;
+            flag[r] = 1;
+        }
+    }
+    result = Py_None;
+    Py_INCREF(result);
+done:
+    free(scratch);
+    release_views(views, A_NBUF);
+    return result;
+}
+
 static PyMethodDef methods[] = {
     {"build", label_build, METH_VARARGS,
      "build(mask, comp, first, logs, tbl_flat, tbl_off, pos_indptr, pos_data, "
@@ -1912,6 +2216,10 @@ static PyMethodDef methods[] = {
     {"update_slots", (PyCFunction)update_slots, METH_FASTCALL,
      "update_slots(indptr, indices, base, sup_indptr, sup_slots, weights, seeds) -> "
      "None (bottom-up pass from the seed rows; writes only weights)"},
+    {"update_labels", (PyCFunction)update_labels, METH_FASTCALL,
+     "update_labels(parent, depth, child_indptr, child_rows, dis_indptr, pos_indptr, "
+     "pos_data, sc, dis_data, seeds, allowed, changed, counts, lo, hi) -> None "
+     "(top-down label pass from the seed rows; writes dis_data, changed, counts)"},
     {NULL, NULL, 0, NULL},
 };
 

@@ -2,10 +2,10 @@
 
 A :class:`LabelStore` is an immutable, flat-array snapshot of one
 :class:`~repro.labeling.h2h.H2HLabels` instance: the per-vertex distance
-arrays ``X(v).dis`` become one ``int64`` offset array plus one contiguous
-``float64`` data array, the hub positions ``X(v).pos`` become a second CSR
-pair, and the tree's Euler-tour LCA oracle is flattened into integer arrays
-whose sparse-table entries are packed as ``depth << SHIFT | row`` so the
+arrays ``X(v).dis`` are one ``int64`` offset array plus one contiguous
+``float64`` data array, the hub positions ``X(v).pos`` a second CSR pair,
+and the tree's Euler-tour LCA oracle is flattened into integer arrays whose
+sparse-table entries are packed as ``depth << SHIFT | row`` so the
 range-minimum over depths is a plain integer minimum.
 
 All of those arrays live side by side in one :class:`~repro.kernels.arena.
@@ -19,18 +19,18 @@ views: a scalar query is one call, and a batch (:meth:`one_to_many`,
 ``float64`` output buffer out, so there is no per-query Python and no
 per-query numpy temporary.  A store exists only when that kernel is loaded
 (``repro.base.DistanceIndex._kernel``); without it the index answers through
-``H2HLabels.query``, the pure-Python reference.  The kernel performs exactly
-the reference arithmetic (``dis_s[i] + dis_t[i]`` minimised over
+``H2HLabels.query``, the pure reference.  The kernel performs exactly the
+reference arithmetic (``dis_s[i] + dis_t[i]`` minimised over
 ``i ∈ pos[lca]``), so its results are bit-identical to ``H2HLabels.query``;
 the equivalence suite in ``tests/test_kernels.py`` enforces this for every
 index.
 
-The *layout* (row numbering, LCA arrays, position CSR) depends only on the
-tree structure, which weight-only updates never change — it is computed once
-per tree and cached on the :class:`~repro.treedec.tree.TreeDecomposition`
-keyed by its ``structure_version``.  A freeze after an update batch therefore
-only gathers the distance data (one pass of the C kernel's ``gather_rows``)
-before packing the epoch's arena.
+The labels *are* this arena: :func:`layout_arrays` derives the topology
+entries (row numbering, LCA arrays, position CSR, ``dis`` offsets) once per
+tree, weight-only updates write only ``dis_data``, and :meth:`LabelStore.
+freeze` wraps the labels' arena as it stands — no gather, no copy.  The
+labels copy their buffer on the first write after a wrap, so a store never
+sees a later write (``repro.labeling.h2h``).
 """
 
 from __future__ import annotations
@@ -49,75 +49,45 @@ SHIFT = 22
 MASK = (1 << SHIFT) - 1
 
 
-class LabelLayout:
-    """Structure-dependent part of a label store (shared across freezes)."""
+def layout_arrays(tree, verts: List[int], row: Dict[int, int]) -> Dict[str, np.ndarray]:
+    """The topology entries of ``tree``'s label arena, rows in ``verts``
+    order (``row`` maps a vertex to its row): everything but ``dis_data``.
 
-    __slots__ = (
-        "version",
-        "row",
-        "verts",
-        "comp",
-        "first",
-        "logs",
-        "tbl_flat",
-        "tbl_off",
-        "pos_indptr",
-        "pos_data",
+    ``X(v).pos`` is ``v``'s neighbours' depths in contraction order, then
+    ``v``'s own; row ``v`` of ``dis`` is ``depth[v] + 1`` wide.
+    """
+    some = verts[0]
+    tree.lca(some, some)  # force the Euler-tour oracle
+    oracle = tree._lca
+    depth = tree.depth
+    packed = np.array(
+        [(depth[v] << SHIFT) | row[v] for v in oracle._euler], dtype=np.int64
     )
-
-    def __init__(self, tree, verts: List[int], pos: Dict[int, List[int]]):
-        self.version = getattr(tree, "structure_version", 0)
-        self.verts = verts
-        self.row = {v: i for i, v in enumerate(verts)}
-        row = self.row
-        # Force the Euler-tour oracle, then flatten it into row space.
-        some = verts[0]
-        tree.lca(some, some)
-        oracle = tree._lca
-        self.comp = np.array([tree.component[v] for v in verts], dtype=np.int64)
-        self.first = np.array([oracle._first[v] for v in verts], dtype=np.int64)
-        self.logs = np.array(oracle._log, dtype=np.int64)
-        depth = tree.depth
-        packed = [(depth[v] << SHIFT) | row[v] for v in oracle._euler]
-        levels = [
-            np.array([packed[i] for i in level], dtype=np.int64)
-            for level in oracle._table
-        ]
-        tbl_off = np.zeros(len(levels) + 1, dtype=np.int64)
-        for k, level in enumerate(levels):
-            tbl_off[k + 1] = tbl_off[k] + len(level)
-        self.tbl_off = tbl_off
-        self.tbl_flat = (
-            np.concatenate(levels) if levels else np.zeros(0, dtype=np.int64)
-        )
-        counts = [len(pos[v]) for v in verts]
-        self.pos_indptr = np.zeros(len(verts) + 1, dtype=np.int64)
-        np.cumsum(counts, out=self.pos_indptr[1:])
-        self.pos_data = np.array(
-            [i for v in verts for i in pos[v]], dtype=np.int64
-        )
-
-
-def _layout_for(tree, labels) -> Optional[LabelLayout]:
-    """The (cached) layout of ``labels``'s tree, or ``None`` if unsupported."""
-    verts = sorted(labels.dis.keys())
-    if not verts or len(verts) >= (1 << SHIFT):
-        return None
-    if len(verts) != len(tree.parent):
-        # Restricted label builds (dis covering a subset of the tree) keep
-        # the pure-Python path; none of the shipped indexes hits this.
-        return None
-    cached = getattr(tree, "_kernel_layout", None)
-    version = getattr(tree, "structure_version", 0)
-    if cached is not None and cached.version == version:
-        return cached
-    layout = LabelLayout(tree, verts, labels.pos)
-    tree._kernel_layout = layout
-    return layout
+    levels = [packed[np.asarray(level, dtype=np.int64)] for level in oracle._table]
+    tbl_off = np.zeros(len(levels) + 1, dtype=np.int64)
+    np.cumsum([len(level) for level in levels], out=tbl_off[1:])
+    pos = [[depth[x] for x in tree.neighbors(v)] + [depth[v]] for v in verts]
+    pos_indptr = np.zeros(len(verts) + 1, dtype=np.int64)
+    np.cumsum([len(p) for p in pos], out=pos_indptr[1:])
+    dis_indptr = np.zeros(len(verts) + 1, dtype=np.int64)
+    np.cumsum([depth[v] + 1 for v in verts], out=dis_indptr[1:])
+    return {
+        "verts": np.asarray(verts, dtype=np.int64),
+        "comp": np.array([tree.component[v] for v in verts], dtype=np.int64),
+        "first": np.array([oracle._first[v] for v in verts], dtype=np.int64),
+        "logs": np.array(oracle._log, dtype=np.int64),
+        "tbl_flat": np.concatenate(levels) if levels else np.zeros(0, dtype=np.int64),
+        "tbl_off": tbl_off,
+        "pos_indptr": pos_indptr,
+        "pos_data": np.fromiter(
+            (i for p in pos for i in p), dtype=np.int64, count=int(pos_indptr[-1])
+        ),
+        "dis_indptr": dis_indptr,
+    }
 
 
 #: Arena entries of a label store, in pack order.
-_FIELDS = (
+LABEL_FIELDS = (
     "verts",
     "comp",
     "first",
@@ -136,17 +106,18 @@ class LabelStore:
 
     __slots__ = ("arena", "row", "_remap", "capsule", "query")
 
-    def __init__(self, arena: Arena, row: Optional[Dict[int, int]] = None):
+    def __init__(self, arena: Arena, rows: Optional[Tuple[Dict[int, int], object]] = None):
+        """``rows`` is the ``(row dict, dense remap)`` pair of the labels the
+        arena belongs to; derived from ``verts`` when omitted."""
         self.arena = arena
-        verts = arena["verts"]
-        if row is None:
-            row = {v: i for i, v in enumerate(verts.tolist())}
-        self.row = row
-        # Dense id->row remap: turns batch row mapping into one numpy gather
-        # (no per-query Python dict lookups) when the id space is dense.
-        self._remap = build_remap(verts)
+        if rows is None:
+            verts = arena["verts"]
+            rows = ({v: i for i, v in enumerate(verts.tolist())}, build_remap(verts))
+        # The dense id->row remap turns batch row mapping into one numpy
+        # gather (no per-query dict lookups) when the id space is dense.
+        self.row, self._remap = rows
         kernel = native_kernel()
-        self.capsule = kernel.build(MASK, *(arena[field] for field in _FIELDS[1:]))
+        self.capsule = kernel.build(MASK, *(arena[field] for field in LABEL_FIELDS[1:]))
         #: The scalar query ``(source, target) -> distance``: a closure over
         #: the row map and the capsule, so a lookup is one dict probe per
         #: endpoint and one C call.
@@ -157,33 +128,14 @@ class LabelStore:
     # ------------------------------------------------------------------
     @classmethod
     def freeze(cls, labels) -> Optional["LabelStore"]:
-        """Freeze ``labels`` into a flat arena-backed store; ``None`` when
-        unsupported."""
-        layout = _layout_for(labels.tree, labels)
-        if layout is None:
+        """Wrap ``labels``'s arena as it stands; ``None`` when its rows do
+        not fit the packed sparse table.  The labels copy their buffer on
+        their next write, so this store keeps its bytes."""
+        if len(labels.keys) >= (1 << SHIFT):
             return None
-        verts = layout.verts
-        rows = list(map(labels.dis.__getitem__, verts))
-        dis_indptr = np.zeros(len(rows) + 1, dtype=np.int64)
-        np.cumsum([len(row) for row in rows], out=dis_indptr[1:])
-        dis_data = np.empty(int(dis_indptr[-1]), dtype=np.float64)
-        native_kernel().gather_rows(rows, dis_indptr, dis_data)
-        arena = Arena.pack(
-            {
-                "verts": np.asarray(verts, dtype=np.int64),
-                "comp": layout.comp,
-                "first": layout.first,
-                "logs": layout.logs,
-                "tbl_flat": layout.tbl_flat,
-                "tbl_off": layout.tbl_off,
-                "pos_indptr": layout.pos_indptr,
-                "pos_data": layout.pos_data,
-                "dis_indptr": dis_indptr,
-                "dis_data": dis_data,
-            }
-        )
-        count_freeze("label_store", "built")
-        return cls(arena, row=layout.row)
+        store = cls(labels.wrap(), rows=(labels.row, labels.remap))
+        count_freeze("label_store", "reused")
+        return store
 
     # ------------------------------------------------------------------
     # Snapshot persistence (see repro.store)

@@ -401,6 +401,14 @@ class NoBoundaryPSPIndex(DistanceIndex):
         self._require_built()
         return self.family.index_size() + self.overlay.index_size()
 
+    def _label_sets(self):
+        if self.family is None or self.overlay is None:
+            return ()
+        return tuple(
+            labels for labels in (*self.family.labels, self.overlay.labels)
+            if labels is not None
+        )
+
     # ------------------------------------------------------------------
     # Snapshot persistence (see repro.store)
     # ------------------------------------------------------------------

@@ -102,8 +102,13 @@ class OverlayIndex:
         return ch_bidirectional_query(b1, b2, lambda v: self.contraction.shortcuts[v])
 
     def boundary_pair_distances(self, pid: int) -> Dict[Tuple[int, int], float]:
-        """All-pair global distances among the boundary vertices of partition ``pid``."""
+        """All-pair global distances among the boundary vertices of partition
+        ``pid``: one ``query_pairs`` call over the overlay labels as they
+        stand, or a CH query per pair without labels."""
         boundary = self.partitioning.sorted_boundary(pid)
+        if self.with_labels:
+            self._require_built()
+            return self.labels.pair_distances(boundary)
         distances: Dict[Tuple[int, int], float] = {}
         for i, b1 in enumerate(boundary):
             for b2 in boundary[i + 1 :]:

@@ -119,12 +119,14 @@ class PostBoundaryPSPIndex(NoBoundaryPSPIndex):
             start = time.perf_counter()
             boundary = partitioning.boundary(pid)
             new_distances = self.overlay.boundary_pair_distances(pid)
+            # The entries that differ, one C-level set difference (sorted:
+            # the order the table lists its pairs in).
             changed_pairs = {
                 pair: weight
-                for pair, weight in new_distances.items()
-                if pair[0] < pair[1]
-                and weight < INF
-                and self.boundary_distances[pid].get(pair) != weight
+                for pair, weight in sorted(
+                    new_distances.items() - self.boundary_distances[pid].items()
+                )
+                if pair[0] < pair[1] and weight < INF
             }
             intra_updates = [
                 u
@@ -145,6 +147,10 @@ class PostBoundaryPSPIndex(NoBoundaryPSPIndex):
     # ------------------------------------------------------------------
     def index_size(self) -> int:
         return super().index_size() + self.extended_family.index_size()
+
+    def _label_sets(self):
+        extended = self.extended_family.labels if self.extended_family is not None else ()
+        return (*super()._label_sets(), *(labels for labels in extended if labels is not None))
 
     # ------------------------------------------------------------------
     # Snapshot persistence: the no-boundary state plus the extended

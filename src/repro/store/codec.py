@@ -16,7 +16,10 @@ all have exactly one on-disk shape.  The helpers keep two invariants:
 Derived structures that are cheap to recompute relative to construction —
 tree decompositions, LCA oracles, partition boundary sets — are rebuilt on
 load instead of stored; what the paper's methods pay minutes for (the
-contraction passes and label arrays) is what goes into the payload.
+contraction passes and label arrays) is what goes into the payload.  H2H
+labels are stored as their arena (:func:`pack_labels`): the label store's
+entries, flattened LCA tables included, and ``dis_data``, mapped back as
+they are and checked against the tree on load (:func:`unpack_labels`).
 """
 
 from __future__ import annotations
@@ -49,8 +52,8 @@ class LazyDict(_LoadedDict):
 
     Loading a snapshot materialises Python dict-of-list structures from flat
     arrays; for the structures only the *maintenance* paths read (supporter
-    records, shortcut arrays, label dicts shadowed by a reattached kernel
-    store) that conversion is deferred: the loader closure keeps the (mmap-
+    records and shortcut arrays of dict contractions) that conversion is
+    deferred: the loader closure keeps the (mmap-
     backed) arrays and runs once, on the first access, after which the
     instance **is** a plain dict — its class is swapped to the override-free
     :class:`_LoadedDict`, so no later access enters Python.  Query-only warm
@@ -276,51 +279,19 @@ def unpack_contraction(state: Dict[str, object], io: ArrayReader) -> Contraction
 # H2H label arrays (dis / pos over a tree decomposition)
 # ----------------------------------------------------------------------
 def pack_labels(labels, io: ArrayWriter) -> Dict[str, object]:
-    """Serialize an ``H2HLabels`` instance as CSR distance/position arrays."""
-    verts = list(labels.dis.keys())
-    dis_indptr = [0]
-    dis_data: List[float] = []
-    pos_indptr = [0]
-    pos_data: List[int] = []
-    for v in verts:
-        dis_data.extend(labels.dis[v])
-        dis_indptr.append(len(dis_data))
-        pos_data.extend(labels.pos[v])
-        pos_indptr.append(len(pos_data))
-    return {
-        "verts": io.put_ints(verts),
-        "dis_indptr": io.put_ints(dis_indptr),
-        "dis_data": io.put_floats(dis_data),
-        "pos_indptr": io.put_ints(pos_indptr),
-        "pos_data": io.put_ints(pos_data),
-    }
+    """Serialize an ``H2HLabels`` instance: its arena, as written."""
+    return labels.arena.to_state(io)
 
 
 def unpack_labels(state: Dict[str, object], io: ArrayReader, tree: TreeDecomposition):
+    """Map saved labels onto ``tree``: the arena is reattached (mmap-backed
+    when the payload is) and copied on the first update.  Only the rows are
+    checked here; the label pass checks every index it follows before it
+    writes, and the store's build what a query reads."""
+    from repro.kernels.arena import Arena
     from repro.labeling.h2h import H2HLabels
 
-    labels = H2HLabels(tree)
-
-    # With a reattached kernel store the dict-of-list labels are only read
-    # by maintenance and the pure reference path; materialise them lazily.
-    def load_dis(target: dict) -> None:
-        same = _canonical_ids(tree.contraction.order)
-        verts = map(same, io.get_list(state["verts"]))
-        indptr = io.get_list(state["dis_indptr"])
-        data = io.get_list(state["dis_data"])
-        for i, v in enumerate(verts):
-            target[v] = data[indptr[i] : indptr[i + 1]]
-
-    def load_pos(target: dict) -> None:
-        verts = io.get_list(state["verts"])
-        indptr = io.get_list(state["pos_indptr"])
-        data = io.get_list(state["pos_data"])
-        for i, v in enumerate(verts):
-            target[v] = data[indptr[i] : indptr[i + 1]]
-
-    labels.dis = LazyDict(load_dis)
-    labels.pos = LazyDict(load_pos)
-    return labels
+    return H2HLabels(tree, Arena.from_state(state, io))
 
 
 # ----------------------------------------------------------------------

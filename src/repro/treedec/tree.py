@@ -51,9 +51,6 @@ class TreeDecomposition:
     depth: Dict[int, int] = field(default_factory=dict)
     ancestors: Dict[int, List[int]] = field(default_factory=dict)
     component: Dict[int, int] = field(default_factory=dict)
-    #: Bumped whenever the tree *structure* is (re)computed; memoised
-    #: traversal orders and frozen kernel layouts key off this counter.
-    structure_version: int = 0
     _lca: Optional[LCAOracle] = None
 
     # ------------------------------------------------------------------
@@ -122,12 +119,10 @@ class TreeDecomposition:
         if len(order) != len(self.contraction.order):
             raise GraphError("tree traversal did not reach every vertex")
         # Structural change: invalidate every structure-keyed memo (traversal
-        # orders, the LCA oracle, frozen kernel layouts).
+        # orders, the LCA oracle).
         self._topdown_order = tuple(order)
         self._bottomup_order = tuple(reversed(order))
-        self.structure_version += 1
         self._lca = None
-        self._kernel_layout = None
 
     # ------------------------------------------------------------------
     # Queries on the structure
@@ -214,16 +209,28 @@ class TreeDecomposition:
         the subtrees rooted at the branch roots covers every affected vertex
         exactly once.
         """
-        vertex_set = set(vertices)
-        roots: List[int] = []
-        for v in sorted(vertex_set, key=lambda x: self.depth[x]):
-            ancestor_in_set = False
-            u = self.parent[v]
-            while u is not None:
-                if u in vertex_set:
-                    ancestor_in_set = True
-                    break
-                u = self.parent[u]
-            if not ancestor_in_set:
-                roots.append(v)
-        return roots
+        return list(self.branch_groups(vertices))
+
+    def branch_groups(self, vertices: Sequence[int]) -> Dict[int, List[int]]:
+        """``vertices`` grouped under their branch roots (see
+        :meth:`branch_roots`), roots by depth.  Every tree vertex is walked
+        at most once: the walk up from each vertex stops at the first one
+        whose branch root (or lack of one) is already known."""
+        depth, parent = self.depth, self.parent
+        above: Dict[int, Optional[int]] = {}  # vertex -> branch root over it
+        groups: Dict[int, List[int]] = {}
+        for v in sorted(set(vertices), key=depth.__getitem__):
+            path = []
+            u = parent[v]
+            while u is not None and u not in above:
+                path.append(u)
+                u = parent[u]
+            root = None if u is None else above[u]
+            for w in path:
+                above[w] = root
+            if root is None:
+                root = v
+                groups[v] = []
+            above[v] = root
+            groups[root].append(v)
+        return groups

@@ -5,12 +5,13 @@ from __future__ import annotations
 import hashlib
 import random
 import struct
-from typing import List, Tuple
+from typing import Dict, List, Tuple
 
 import pytest
 
 from repro.graph.generators import grid_road_network, random_connected_graph
 from repro.graph.graph import Graph
+from repro.graph.updates import EdgeUpdate, UpdateBatch, generate_update_batch
 from repro.kernels.native import native_kernel, native_kernel_error
 
 
@@ -95,7 +96,7 @@ def random_graph() -> Graph:
 
 @pytest.fixture
 def pure_maintenance(monkeypatch):
-    """A switch: once called, ``recompute_vertex``, ``update_shortcuts_bottom_up``
+    """A switch: once called, ``update_labels``, ``update_shortcuts_bottom_up``
     and ``update_slots`` run their pure loops (what a missing compiler gives)
     until the test ends."""
     import repro.labeling.h2h as h2h_module
@@ -109,10 +110,147 @@ def pure_maintenance(monkeypatch):
     return switch
 
 
+def inverse(batch: UpdateBatch) -> UpdateBatch:
+    """The batch that restores the weights ``batch`` replaced."""
+    return UpdateBatch([EdgeUpdate(u.u, u.v, u.new_weight, u.old_weight) for u in batch])
+
+
+def _twice(graph) -> UpdateBatch:
+    """Three edges, the first named twice: its last weight must win."""
+    (a, b, w), (c, d, x), (e, f, y) = list(graph.edges())[:3]
+    return UpdateBatch([
+        EdgeUpdate(a, b, w, 4 * w), EdgeUpdate(c, d, x, x / 2),
+        EdgeUpdate(a, b, 4 * w, w / 3), EdgeUpdate(e, f, y, 3 * y),
+    ])
+
+
+#: Update sequences every maintenance-parity test runs, each a function of
+#: the graph: increase-only, decrease-only, mixed, empty, a batch and its
+#: inverse, and one edge named twice.
+BATCH_SEQUENCES = {
+    "increase": lambda g: [generate_update_batch(g, 12, seed=5, decrease_fraction=0.0)],
+    "decrease": lambda g: [generate_update_batch(g, 12, seed=6, decrease_fraction=1.0)],
+    "mixed": lambda g: [generate_update_batch(g, 12, seed=7)],
+    "empty": lambda g: [UpdateBatch([])],
+    "revert": lambda g: [batch := generate_update_batch(g, 12, seed=8), inverse(batch)],
+    "twice": lambda g: [_twice(g)],
+}
+
+
 def float_bits(values) -> bytes:
     """The float64 bit patterns of ``values`` (``==`` would equate 0.0 and -0.0)."""
     values = list(values)
     return struct.pack(f"<{len(values)}d", *values)
+
+
+def label_rows(labels) -> Dict[int, List[float]]:
+    """A dict copy of ``labels``'s ``dis`` rows, keyed in the tree's
+    top-down order: the containers the dict maintenance path ran over."""
+    return {v: labels.dis(v).tolist() for v in labels.tree.top_down_order()}
+
+
+def container_row(rows: Dict[int, List[float]], tree, v: int) -> List[float]:
+    """``v``'s distance array from the dict ``rows``: the container kernel
+    ``recompute_row`` when it is loaded, else the Python loop it ports."""
+    anc, depth = tree.ancestors[v], tree.depth
+    neighbors, shortcuts = tree.neighbors(v), tree.contraction.shortcuts[v]
+    kernel = native_kernel()
+    if kernel is not None:
+        return kernel.recompute_row(rows, anc, neighbors, shortcuts, depth)
+    new = [float("inf")] * len(anc)
+    for x in neighbors:
+        px = depth[x]
+        for j in range(len(anc) - 1):
+            d = rows[x][j] if j < px else rows[anc[j]][px]
+            if shortcuts[x] + d < new[j]:
+                new[j] = shortcuts[x] + d
+    new[-1] = 0.0
+    return new
+
+
+def container_label_pass(labels, rows, affected, allowed=None, columns=None):
+    """The dict path of one label pass over ``rows`` (a :func:`label_rows`
+    copy): branch roots, a depth-first walk, and :func:`container_row` for
+    every seed and every row below a changed one, keeping the columns
+    outside ``columns``.  Returns the vertices whose row changed."""
+    tree = labels.tree
+    seeds = {v for v in affected if v in rows}
+    if allowed is not None:
+        seeds &= allowed
+    lo, hi = columns if columns is not None else (0, labels.width)
+    changed = set()
+    for root in tree.branch_roots(sorted(seeds)):
+        stack = [(root, False)]
+        while stack:
+            v, ancestor_changed = stack.pop()
+            if ancestor_changed or v in seeds:
+                old = rows[v]
+                rows[v] = old[:lo] + container_row(rows, tree, v)[lo:hi] + old[hi:]
+                if rows[v] != old:
+                    changed.add(v)
+                    ancestor_changed = True
+            stack.extend(
+                (child, ancestor_changed) for child in tree.children[v]
+                if allowed is None or child in allowed
+            )
+    return changed
+
+
+@pytest.fixture
+def container_oracle(monkeypatch):
+    """Run every ``H2HLabels.update_top_down`` next to
+    :func:`container_label_pass` on a dict copy of the rows it starts from,
+    and assert both leave the same bits and report the same changed rows.
+    Returns the list of passes checked."""
+    from repro.labeling.h2h import H2HLabels
+
+    original = H2HLabels.update_top_down
+    checked = []
+
+    def update_top_down(self, affected, allowed=None, columns=None):
+        affected = list(affected)
+        rows = label_rows(self)
+        expected = container_label_pass(self, rows, affected, allowed, columns)
+        changed = original(self, affected, allowed, columns)
+        assert changed == expected
+        assert {v: float_bits(row) for v, row in label_rows(self).items()} == {
+            v: float_bits(row) for v, row in rows.items()
+        }
+        checked.append(self)
+        return changed
+
+    monkeypatch.setattr(H2HLabels, "update_top_down", update_top_down)
+    return checked
+
+
+def check_label_maintenance(method: str, graph: Graph, kind: str, **kwargs):
+    """Build ``method`` on a copy of ``graph``, run the ``kind`` sequence of
+    :data:`BATCH_SEQUENCES` through it, and assert that every label arena
+    equals, byte for byte, the one a fresh build on the updated graph holds
+    (and, for the empty and reverting sequences, the one it started with).
+    Returns the maintained index."""
+    from repro.registry import create_index
+
+    index = create_index(method, graph.copy(), **kwargs)
+    index.build()
+    before = {path: bytes(labels.arena.buffer) for path, labels in label_sets(index)}
+    for batch in BATCH_SEQUENCES[kind](graph):
+        index.apply_batch(batch)
+        batch.apply(graph)
+    fresh = create_index(method, graph.copy(), **kwargs)
+    fresh.build()
+    after = {path: bytes(labels.arena.buffer) for path, labels in label_sets(index)}
+    assert after.keys() == before.keys() and after
+    assert after == {path: bytes(labels.arena.buffer) for path, labels in label_sets(fresh)}
+    assert (after == before) == (kind in ("empty", "revert"))
+    return index
+
+
+def label_sets(index) -> List[Tuple[str, object]]:
+    """The ``H2HLabels`` of ``index``, by attribute path."""
+    from repro.labeling.h2h import H2HLabels
+
+    return [(p, obj) for p, obj in maintenance_structures(index) if isinstance(obj, H2HLabels)]
 
 
 def maintenance_structures(index) -> List[Tuple[str, object]]:
@@ -151,11 +289,13 @@ def maintenance_structures(index) -> List[Tuple[str, object]]:
 def index_state_digest(index, pairs) -> str:
     """SHA-256 over the float64 bits of an index's labels, shortcuts and answers.
 
-    Covers ``dis`` / ``pos`` of every label set, the shortcut array of every
-    contraction (both in stored order) and ``query_many(pairs)``; two indexes
-    with equal digests are bit-identical in everything a query can read.  A
-    flat contraction hashes the same bytes as the dict one it replaces: per
-    row its vertex, its neighbour ids and its weights, in slot order.
+    Covers ``dis`` / ``pos`` of every label set (rows in the tree's top-down
+    order), the shortcut array of every contraction (in stored order) and
+    ``query_many(pairs)``; two indexes with equal digests are bit-identical
+    in everything a query can read.  Flat structures hash the same bytes as
+    the dict ones they replaced: a label row is its vertex, its ``dis`` and
+    its ``pos``; a contraction row its vertex, its neighbour ids and its
+    weights, in slot order.
     """
     digest = hashlib.sha256()
 
@@ -163,13 +303,15 @@ def index_state_digest(index, pairs) -> str:
         values = list(values)
         digest.update(struct.pack(f"<{len(values)}{fmt}", *values))
 
+    from repro.labeling.h2h import H2HLabels
+
     for path, obj in maintenance_structures(index):
         digest.update(path.encode())
-        if hasattr(obj, "dis"):
-            for v, row in obj.dis.items():
+        if isinstance(obj, H2HLabels):
+            for v in obj.tree.top_down_order():
                 feed("q", [v])
-                feed("d", row)
-                feed("q", obj.pos[v])
+                feed("d", obj.dis(v).tolist())
+                feed("q", obj.pos(v).tolist())
         elif hasattr(obj, "arena"):
             ids, indptr = obj.arena["ids"], obj.arena["indptr"].tolist()
             neighbors, weights = ids[obj.arena["indices"]], obj.arena["weights"]

@@ -8,7 +8,6 @@ from repro.algorithms.dijkstra import dijkstra_distance
 from repro.exceptions import IndexNotBuiltError, VertexNotFoundError
 from repro.graph.generators import grid_road_network, random_connected_graph
 from repro.graph.updates import (
-    EdgeUpdate,
     UpdateBatch,
     generate_update_batch,
     generate_update_stream,
@@ -19,7 +18,14 @@ from repro.registry import create_index
 from repro.treedec.mde import contract_graph, update_shortcuts_bottom_up
 from repro.treedec.slots import SlotContraction
 
-from tests.conftest import NEEDS_NATIVE, float_bits, paper_example_graph, random_query_pairs
+from tests.conftest import (
+    BATCH_SEQUENCES,
+    NEEDS_NATIVE,
+    float_bits,
+    inverse,
+    paper_example_graph,
+    random_query_pairs,
+)
 
 
 def assert_matches_dijkstra(index, graph, pairs):
@@ -118,32 +124,8 @@ class TestDCHMaintenance:
         before = float_bits(index.contraction.arena["weights"])
         batch = generate_update_batch(graph, volume=6, seed=2, decrease_fraction=1.0)
         index.apply_batch(batch)
-        index.apply_batch(_inverse(batch))
+        index.apply_batch(inverse(batch))
         assert float_bits(index.contraction.arena["weights"]) == before
-
-
-def _inverse(batch: UpdateBatch) -> UpdateBatch:
-    return UpdateBatch([EdgeUpdate(u.u, u.v, u.new_weight, u.old_weight) for u in batch])
-
-
-def _twice(graph) -> UpdateBatch:
-    """Three edges, the first named twice: its last weight must win."""
-    (a, b, w), (c, d, x), (e, f, y) = list(graph.edges())[:3]
-    return UpdateBatch([
-        EdgeUpdate(a, b, w, 4 * w), EdgeUpdate(c, d, x, x / 2),
-        EdgeUpdate(a, b, 4 * w, w / 3), EdgeUpdate(e, f, y, 3 * y),
-    ])
-
-
-#: The batch sequences of TestSlotMaintenance, each a function of the graph.
-BATCHES = {
-    "increase": lambda g: [generate_update_batch(g, 12, seed=5, decrease_fraction=0.0)],
-    "decrease": lambda g: [generate_update_batch(g, 12, seed=6, decrease_fraction=1.0)],
-    "mixed": lambda g: [generate_update_batch(g, 12, seed=7)],
-    "empty": lambda g: [UpdateBatch([])],
-    "revert": lambda g: [batch := generate_update_batch(g, 12, seed=8), _inverse(batch)],
-    "twice": lambda g: [_twice(g)],
-}
 
 
 def _dict_weights(contraction) -> bytes:
@@ -159,7 +141,7 @@ class TestSlotMaintenance:
     (``update_shortcuts_bottom_up`` over a dict ``contract_graph``)."""
 
     @pytest.mark.parametrize("rung", ("native", "pure"))
-    @pytest.mark.parametrize("kind", sorted(BATCHES))
+    @pytest.mark.parametrize("kind", sorted(BATCH_SEQUENCES))
     def test_weights_equal_a_fresh_build_and_the_dict_path(self, kind, rung, pure_maintenance):
         if rung == "pure":
             pure_maintenance()
@@ -169,7 +151,7 @@ class TestSlotMaintenance:
         reference = contract_graph(graph)
         assert reference.order == index.contraction.order
         before = float_bits(index.contraction.arena["weights"])
-        for batch in BATCHES[kind](graph):
+        for batch in BATCH_SEQUENCES[kind](graph):
             index.apply_batch(batch)
             batch.apply(graph)
             update_shortcuts_bottom_up(reference, graph, [u.key() for u in batch])

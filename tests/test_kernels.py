@@ -40,7 +40,7 @@ from repro.registry import create_index, get_spec
 from repro.serving.engine import ServingEngine
 from repro.store.snapshot import load_index, save_index
 from repro.throughput.workload import sample_query_pairs
-from tests.conftest import NEEDS_NATIVE, patch_out_native_kernel
+from tests.conftest import NEEDS_NATIVE, label_rows, patch_out_native_kernel
 
 #: All nine registered methods with small-graph construction parameters.
 NINE_SPECS = {
@@ -606,7 +606,7 @@ class TestMaintenanceKernels:
         """``recompute_row``'s arguments for ``v``, containers shallow-copied."""
         tree = index.tree
         return [
-            dict(index.labels.dis),
+            label_rows(index.labels),
             list(tree.ancestors[v]),
             list(tree.neighbors(v)),
             dict(index.contraction.shortcuts[v]),
@@ -641,7 +641,7 @@ class TestMaintenanceKernels:
 
         kernel = native_kernel()
         for v in built.contraction.order:
-            assert kernel.recompute_row(*self._row_args(built, v)) == built.labels.dis[v]
+            assert kernel.recompute_row(*self._row_args(built, v)) == built.labels.dis(v).tolist()
             assert kernel.shortcut_row(*self._shortcut_args(built, v)) == [
                 recompute_shortcut(built.contraction, built.graph, v, u)
                 for u in built.contraction.neighbors[v]
@@ -793,7 +793,7 @@ class TestMaintenanceKernels:
         def bits(index):
             neighbors = index.contraction.neighbors
             return (
-                {v: float_bits(row) for v, row in index.labels.dis.items()},
+                {v: float_bits(row) for v, row in label_rows(index.labels).items()},
                 {v: float_bits(row[u] for u in neighbors[v])
                  for v, row in index.contraction.shortcuts.items()},
             )

@@ -14,7 +14,13 @@ from repro.psp.no_boundary import NoBoundaryPSPIndex
 from repro.psp.post_boundary import PTDPIndex
 from repro.store import load_index, save_index
 
-from tests.conftest import random_query_pairs
+from tests.conftest import (
+    BATCH_SEQUENCES,
+    check_label_maintenance,
+    inverse,
+    label_sets,
+    random_query_pairs,
+)
 
 
 def build_pmhl(graph, k=4, seed=0):
@@ -210,3 +216,48 @@ class TestPMHLAggregatesPSP:
         check()
         apply(seed * 10 + 3, 0.5)
         check()
+
+
+class TestFlatLabelMaintenance:
+    """Every label set of PMHL and P-TD-P (partitions, overlay, extended
+    partitions, L*) on both rungs: after every kind of batch each arena
+    equals a fresh build on the updated graph, and every pass equals the
+    dict path step for step."""
+
+    @pytest.mark.parametrize("rung", ("native", "pure"))
+    @pytest.mark.parametrize("kind", sorted(BATCH_SEQUENCES))
+    @pytest.mark.parametrize("method", ("PMHL", "P-TD-P"))
+    def test_arenas_equal_a_fresh_build_and_the_dict_path(
+        self, method, kind, rung, pure_maintenance, container_oracle
+    ):
+        if rung == "pure":
+            pure_maintenance()
+        graph = grid_road_network(9, 9, seed=4)
+        index = check_label_maintenance(method, graph, kind, num_partitions=4)
+        checked = {id(labels) for labels in container_oracle}
+        assert {id(labels) for _, labels in label_sets(index)} <= checked
+        for s, t in random_query_pairs(graph, 30, seed=4):
+            assert index.query(s, t) == pytest.approx(dijkstra_distance(graph, s, t))
+
+    def test_work_counters_match_on_both_rungs_and_for_a_batch_and_its_inverse(
+        self, pure_maintenance
+    ):
+        """The benchmark stack's PMHL window (48x48 grid, seed 7, 8
+        partitions, a 20-edge batch A then A^-1) counts the same label work
+        on both rungs, and the same for A as for A^-1."""
+
+        def windows():
+            graph = grid_road_network(48, 48, seed=7)
+            batch = generate_update_batch(graph.copy(), 20, seed=1)
+            index = PMHLIndex(graph, num_partitions=8)
+            index.build()
+            return [
+                (report.vertices_visited, report.columns_recomputed, report.columns_changed)
+                for report in (index.apply_batch(batch), index.apply_batch(inverse(batch)))
+            ]
+
+        native = windows()
+        pure_maintenance()
+        assert windows() == native
+        assert native[0] == native[1]
+        assert native[0][:2] == (6320, 561997)

@@ -9,7 +9,12 @@ from repro.exceptions import IndexNotBuiltError, VertexNotFoundError
 from repro.graph.generators import grid_road_network, highway_network
 from repro.graph.updates import generate_update_batch, generate_update_stream
 
-from tests.conftest import random_query_pairs
+from tests.conftest import (
+    BATCH_SEQUENCES,
+    NEEDS_NATIVE,
+    check_label_maintenance,
+    random_query_pairs,
+)
 
 
 def build_postmhl(graph, bandwidth=12, ke=4):
@@ -131,7 +136,7 @@ class TestPostMHLMaintenance:
         rebuilt = H2HIndex(graph, order=list(index.contraction.order))
         rebuilt.build()
         for v in index.contraction.order:
-            assert index.labels.dis[v] == pytest.approx(rebuilt.labels.dis[v])
+            assert index.labels.dis(v).tolist() == pytest.approx(rebuilt.labels.dis(v).tolist())
 
     def test_update_stream_stays_correct(self):
         graph = grid_road_network(7, 7, seed=9)
@@ -167,3 +172,55 @@ class TestPostMHLMaintenance:
                     assert index.disB[v][j] == pytest.approx(
                         dijkstra_distance(graph, v, b)
                     )
+
+
+class TestFlatLabelMaintenance:
+    """PostMHL's one amalgamated label arena on both rungs: after every kind
+    of batch it equals a fresh build on the updated graph, and every pass —
+    U-Stage 3's overlay rows, U-Stage 5's cross-boundary columns — equals
+    the dict path step for step."""
+
+    @pytest.mark.parametrize("rung", ("native", "pure"))
+    @pytest.mark.parametrize("kind", sorted(BATCH_SEQUENCES))
+    def test_arenas_equal_a_fresh_build_and_the_dict_path(
+        self, kind, rung, pure_maintenance, container_oracle
+    ):
+        if rung == "pure":
+            pure_maintenance()
+        graph = grid_road_network(9, 9, seed=4)
+        index = check_label_maintenance(
+            "PostMHL", graph, kind, bandwidth=10, expected_partitions=4
+        )
+        assert index.td.num_partitions > 1 and index.labels in container_oracle
+        for s, t in random_query_pairs(graph, 30, seed=4):
+            expected = dijkstra_distance(graph, s, t)
+            for stage in index.stage_catalog():
+                assert stage.query(s, t) == pytest.approx(expected), (s, t, stage.name)
+
+    @NEEDS_NATIVE
+    def test_store_frozen_after_u_stage_3_is_unchanged_by_u_stages_4_and_5(self):
+        from repro.kernels.label_store import LabelStore
+
+        graph = grid_road_network(10, 10, seed=3)
+        index = build_postmhl(graph, bandwidth=10, ke=4)
+        pairs = random_query_pairs(graph, 40, seed=3)
+        held = {}
+
+        def listener(timing):
+            if timing.name == "overlay_label_update":
+                store = LabelStore.freeze(index.labels)
+                held.update(
+                    store=store, bytes=bytes(store.arena.buffer),
+                    answers=store.query_pairs(pairs),
+                )
+
+        index.set_stage_listener(listener)
+        index.apply_batch(generate_update_batch(graph, volume=20, seed=4))
+        store = held["store"]
+        assert bytes(store.arena.buffer) == held["bytes"]
+        assert store.query_pairs(pairs) == held["answers"]
+        # U-Stages 4 and 5 wrote in-partition columns into a copy.
+        assert index.labels.arena is not store.arena
+        assert bytes(index.labels.arena.buffer) != held["bytes"]
+        for s, t in pairs:
+            assert index.query(s, t) == pytest.approx(dijkstra_distance(graph, s, t))

@@ -159,7 +159,7 @@ class TestIndexProperties:
         lca = tree.lca(s, t)
         expected = dijkstra_distance(graph, s, t)
         candidates = [
-            labels.dis[s][i] + labels.dis[t][i] for i in labels.pos[lca]
+            labels.dis(s)[i] + labels.dis(t)[i] for i in labels.pos(lca)
         ]
         assert min(candidates) == pytest.approx(expected)
         assert all(c >= expected - 1e-9 for c in candidates)
