@@ -13,14 +13,14 @@ the milliseconds of a full freeze and of a refreeze of DCH's shortcut store
 (the store over the slot arrays as they stand), PMHL's cross-boundary label
 store (the store wrapping the label arena as it stands) and the graph
 snapshot (values gathered into the previous epoch's layout; recorded only,
-no bar), then the median milliseconds of one DCH and one PMHL update window
-(``dch_window`` / ``pmhl_window``), then, per maintained method, the CPU
-time of alternating ``apply_batch`` windows with the native maintenance
-kernels (``update_labels`` / ``shortcut_row`` / ``update_slots``) and with
-them patched out (the pure loops they port), and writes the rows plus the
-derived speedups to ``BENCH_kernels.json`` —
-the machine-readable perf trajectory seeded by this benchmark and uploaded
-as a CI artifact.  Run directly::
+no bar), then the median milliseconds of one DCH, one DH2H and one PMHL
+update window (``dch_window`` / ``dh2h_window`` / ``pmhl_window``), then,
+per maintained method, the CPU time of alternating ``apply_batch`` windows
+with the native maintenance kernels (``update_labels`` / ``update_slots``)
+and with them patched out (the pure loops they port), and writes the rows
+plus the derived speedups to ``BENCH_kernels.json`` — the machine-readable
+perf trajectory seeded by this benchmark and uploaded as a CI artifact.
+Run directly::
 
     PYTHONPATH=src python benchmarks/bench_kernels.py [--out BENCH_kernels.json]
 
@@ -42,7 +42,6 @@ import time
 from typing import Dict, List, Optional, Tuple
 
 import repro.labeling.h2h as h2h_module
-import repro.treedec.mde as mde_module
 import repro.treedec.slots as slots_module
 from repro.graph.generators import grid_road_network
 from repro.graph.updates import generate_update_batch
@@ -95,8 +94,8 @@ STAGE_BATCH = 64
 STAGE_BATCHES = 4
 #: Timed freezes per refreeze row (median reported).
 FREEZE_REPEATS = 7
-#: Timed update windows of the ``dch_window`` / ``pmhl_window`` rows
-#: (median reported).
+#: Timed update windows of the ``dch_window`` / ``dh2h_window`` /
+#: ``pmhl_window`` rows (median reported).
 TIMED_WINDOWS = 9
 
 
@@ -166,7 +165,7 @@ def _measure_stages(index, pairs: List[Tuple[int, int]]) -> Dict[str, Dict[str, 
 @contextlib.contextmanager
 def _pure_maintenance():
     """Run the update loops on their pure rung (what a missing compiler gives)."""
-    modules = (h2h_module, mde_module, slots_module)
+    modules = (h2h_module, slots_module)
     saved = [module.native_kernel for module in modules]
     for module in modules:
         module.native_kernel = lambda: None
@@ -318,7 +317,7 @@ def run(out_path: str) -> Dict[str, object]:
         if name != "BiDijkstra":
             entry["maintenance"] = _measure_maintenance(fast, reference, pairs)
         report["methods"][name] = entry
-        if name in ("DCH", "PMHL"):
+        if name in ("DCH", "DH2H", "PMHL"):
             built[name] = fast
         print(
             f"{name:>10}: scalar {entry['scalar_speedup']:5.1f}x "
@@ -339,7 +338,7 @@ def run(out_path: str) -> Dict[str, object]:
             f"{name:>20}: full freeze {row['full_freeze_ms']:6.2f} ms   "
             f"refreeze {row['refreeze_ms']:6.2f} ms   ({row['speedup']:4.1f}x)"
         )
-    for name, seed in (("DCH", 200), ("PMHL", 300)):
+    for name, seed in (("DCH", 200), ("DH2H", 250), ("PMHL", 300)):
         row = report[name.lower() + "_window"] = _measure_window(built[name], seed)
         print(f"{name.lower() + '_window':>20}: {row['apply_ms']:6.2f} ms per "
               f"{UPDATE_VOLUME}-edge apply_batch")

@@ -108,6 +108,11 @@ class UpdateReport:
     vertices_visited: int = 0
     columns_recomputed: int = 0
     columns_changed: int = 0
+    #: Work of the batch's shortcut passes (``SlotContraction.run``): rows
+    #: recomputed, supporter records relaxed, slots whose value changed.
+    shortcut_rows_visited: int = 0
+    shortcuts_relaxed: int = 0
+    shortcuts_changed: int = 0
 
     @property
     def total_seconds(self) -> float:
@@ -307,10 +312,11 @@ class DistanceIndex(abc.ABC):
         Template method: the per-method maintenance logic lives in
         :meth:`_apply_batch`; this wrapper owns the cross-cutting concerns —
         the ``<method>.apply_batch`` tracing span that every per-stage span
-        nests under (see ``repro.obs``), and the report's label-pass work
-        counters.
+        nests under (see ``repro.obs``), and the report's label-pass and
+        shortcut-pass work counters.
         """
         before = self._label_work()
+        before_slots = self._shortcut_work()
         if not obs.is_enabled():
             report = self._apply_batch(batch)
         else:
@@ -321,6 +327,9 @@ class DistanceIndex(abc.ABC):
         (
             report.vertices_visited, report.columns_recomputed, report.columns_changed
         ) = (self._label_work() - before).tolist()
+        (
+            report.shortcut_rows_visited, report.shortcuts_relaxed, report.shortcuts_changed
+        ) = (self._shortcut_work() - before_slots).tolist()
         return report
 
     def _label_sets(self) -> Iterable:
@@ -331,6 +340,15 @@ class DistanceIndex(abc.ABC):
         """The label passes' cumulative work counters, summed over
         :meth:`_label_sets`."""
         return sum((labels.work for labels in self._label_sets()), np.zeros(3, np.int64))
+
+    def _contractions(self) -> Iterable:
+        """The ``SlotContraction`` objects this index maintains (none by default)."""
+        return ()
+
+    def _shortcut_work(self):
+        """The shortcut passes' cumulative work counters, summed over
+        :meth:`_contractions`."""
+        return sum((c.work for c in self._contractions()), np.zeros(3, np.int64))
 
     @abc.abstractmethod
     def _apply_batch(self, batch: UpdateBatch) -> UpdateReport:
@@ -468,17 +486,6 @@ class DistanceIndex(abc.ABC):
             self._kernel_stores[key] = entry
         return entry
 
-    def _contraction_store(self, key: str, contraction):
-        """Frozen upward shortcut arrays of a dict ``contraction`` under
-        memo ``key`` — the store of every CH-style search stage but DCH's,
-        whose flat contraction is its store."""
-        return self._kernel(
-            key,
-            lambda template: ShortcutStore.freeze(
-                contraction.shortcuts.__getitem__, contraction.order, template
-            ),
-        )
-
     def _graph_snapshot(self):
         """CSR snapshot of the live graph for index-free searches.
 
@@ -550,11 +557,16 @@ class DistanceIndex(abc.ABC):
         return {}
 
     def _attach_kernel(self, key: str, store: object) -> None:
-        """Install a reattached frozen store under the current kernel epoch."""
+        """Install a reattached frozen store under the current kernel epoch.
+        A shortcut store lends its row dict to the contraction it froze, so a
+        loaded index keeps one row map per contraction."""
         if key == "__graph__":
             self._graph_snapshot_cache = store
         else:
             self._kernel_stores[key] = store
+            if isinstance(store, ShortcutStore):
+                for contraction in self._contractions():
+                    contraction.share_rows(store)
 
     def adopt_stores(self, stores: Dict[str, object]) -> None:
         """Answer from ``stores`` — frozen by another index — from now on.

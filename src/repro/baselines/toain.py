@@ -16,7 +16,8 @@ substrates already built here (see DESIGN.md §3):
   its upward-reachable hierarchy vertices whose rank falls in the top ``L``
   fraction — larger ``L`` makes queries faster (more chances to meet in the
   materialised zone) and updates slower (more labels to refresh);
-* updates refresh the affected shortcuts (DCH-style) and rebuild the
+* updates refresh the affected shortcuts (DCH-style: one pass over the flat
+  contraction, :class:`~repro.treedec.slots.SlotContraction`) and rebuild the
   materialised labels of affected vertices.
 """
 
@@ -27,16 +28,19 @@ import math
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
+import numpy as np
+
 from repro import obs
 from repro.base import DistanceIndex, StageTiming, Timer, UpdateReport
 from repro.exceptions import IndexNotBuiltError, VertexNotFoundError
 from repro.graph.graph import Graph
 from repro.graph.updates import UpdateBatch
 from repro.hierarchy.ch import ch_bidirectional_query
+from repro.kernels.arena import Arena, count_freeze
 from repro.kernels.hub_store import HubStore
 from repro.kernels.shortcut_store import ShortcutStore
 from repro.registry import IndexSpec, register_spec
-from repro.treedec.mde import ContractionResult, contract_graph, update_shortcuts_bottom_up
+from repro.treedec.slots import SlotContraction
 
 INF = math.inf
 
@@ -62,7 +66,7 @@ class TOAINIndex(DistanceIndex):
                 f"checkin_fraction must be in (0, 1], got {checkin_fraction}"
             )
         self.checkin_fraction = checkin_fraction
-        self.contraction: Optional[ContractionResult] = None
+        self.contraction: Optional[SlotContraction] = None
         self.core_rank_threshold = 0
         #: Materialised upward labels: vertex -> {core vertex: distance}.
         self.core_labels: Dict[int, Dict[int, float]] = {}
@@ -71,17 +75,30 @@ class TOAINIndex(DistanceIndex):
     def _build(self) -> None:
         prefix = self.name.lower() + ".build."
         with obs.span(prefix + "contraction"):
-            self.contraction = contract_graph(self.graph)
+            self.contraction = SlotContraction.build(self.graph)
         n = self.contraction.num_vertices
         core_size = max(1, int(self.checkin_fraction * n))
         self.core_rank_threshold = n - core_size
         with obs.span(prefix + "core_labels"):
-            self.core_labels = {
-                v: self._upward_core_labels(v) for v in self.contraction.order
-            }
+            self.core_labels = self._core_labels()
 
-    def _upward_core_labels(self, vertex: int) -> Dict[int, float]:
-        """Upward CH search from ``vertex``, keeping only core-zone vertices."""
+    def _core_labels(self) -> Dict[int, Dict[int, float]]:
+        """Every vertex's materialised labels, from this epoch's shortcuts."""
+        contraction = self.contraction
+        weights = contraction.arena["weights"].tolist()
+        bounds = contraction.arena["indptr"].tolist()
+        neighbors = contraction.neighbors
+        upward = {
+            v: list(zip(neighbors[v], weights[lo:hi]))
+            for v, lo, hi in zip(contraction.order, bounds, bounds[1:])
+        }
+        return {v: self._upward_core_labels(v, upward) for v in contraction.order}
+
+    def _upward_core_labels(
+        self, vertex: int, upward: Dict[int, List[Tuple[int, float]]]
+    ) -> Dict[int, float]:
+        """Upward CH search from ``vertex`` over the ``upward`` rows, keeping
+        only core-zone vertices."""
         contraction = self.contraction
         dist: Dict[int, float] = {vertex: 0.0}
         heap: List[Tuple[float, int]] = [(0.0, vertex)]
@@ -91,7 +108,7 @@ class TOAINIndex(DistanceIndex):
             if v in settled:
                 continue
             settled[v] = d
-            for u, w in contraction.shortcuts[v].items():
+            for u, w in upward[v]:
                 nd = d + w
                 if nd < dist.get(u, INF):
                     dist[u] = nd
@@ -101,7 +118,7 @@ class TOAINIndex(DistanceIndex):
             v: d for v, d in settled.items() if rank[v] >= self.core_rank_threshold
         }
 
-    def _require_built(self) -> ContractionResult:
+    def _require_built(self) -> SlotContraction:
         if self.contraction is None:
             raise IndexNotBuiltError("TOAIN index has not been built")
         return self.contraction
@@ -110,14 +127,29 @@ class TOAINIndex(DistanceIndex):
     # Frozen stores
     # ------------------------------------------------------------------
     def _sub_core_store(self):
-        """Frozen sub-core upward adjacency (``None`` = pure path)."""
+        """Frozen sub-core upward adjacency (``None`` = pure path): the
+        contraction's slots whose column lies below the core, in slot
+        order."""
         contraction = self._require_built()
-        return self._kernel(
-            "sub_core",
-            lambda template: ShortcutStore.freeze(
-                self._sub_core_upward(), contraction.order, template
-            ),
-        )
+
+        def freeze(_):
+            arena = contraction.arena
+            keep = np.flatnonzero(arena["indices"] < self.core_rank_threshold)
+            indptr = np.zeros(contraction.num_vertices + 1, dtype=np.int64)
+            np.cumsum(
+                np.bincount(contraction.slot_rows(keep), minlength=contraction.num_vertices),
+                out=indptr[1:],
+            )
+            count_freeze("shortcut_store", "built")
+            return ShortcutStore(
+                Arena.pack({
+                    "ids": arena["ids"], "indptr": indptr,
+                    "indices": arena["indices"][keep], "weights": arena["weights"][keep],
+                }),
+                rows=(contraction.rank, contraction.remap),
+            )
+
+        return self._kernel("sub_core", freeze)
 
     def _hub_store(self):
         """Frozen CSR hub-label table (``None`` = pure path)."""
@@ -241,7 +273,7 @@ class TOAINIndex(DistanceIndex):
                     return cached
             filtered = {
                 u: w
-                for u, w in contraction.shortcuts[v].items()
+                for u, w in contraction.upward(v).items()
                 if rank[u] < threshold
             }
             if memo is not None:
@@ -268,15 +300,11 @@ class TOAINIndex(DistanceIndex):
         self._emit_stage(report, StageTiming("edge_update", timer.seconds))
 
         with Timer() as timer:
-            update_shortcuts_bottom_up(
-                contraction, self.graph, [update.key() for update in batch]
-            )
+            contraction.update(batch)
         self._emit_stage(report, StageTiming("shortcut_update", timer.seconds))
 
         with Timer() as timer:
-            self.core_labels = {
-                v: self._upward_core_labels(v) for v in contraction.order
-            }
+            self.core_labels = self._core_labels()
         self._emit_stage(report, StageTiming("label_rebuild", timer.seconds))
         return report
 
@@ -291,11 +319,11 @@ class TOAINIndex(DistanceIndex):
     # Snapshot persistence (see repro.store)
     # ------------------------------------------------------------------
     def to_state(self, io) -> Dict[str, object]:
-        from repro.store.codec import pack_contraction, pack_pairs_csr
+        from repro.store.codec import pack_pairs_csr
 
         contraction = self._require_built()
         return {
-            "contraction": pack_contraction(contraction, io),
+            "slots": contraction.to_state(io),
             "core_rank_threshold": int(self.core_rank_threshold),
             "core_labels": pack_pairs_csr(
                 ((v, labels.items()) for v, labels in self.core_labels.items()), io
@@ -303,9 +331,9 @@ class TOAINIndex(DistanceIndex):
         }
 
     def from_state(self, state: Dict[str, object], io) -> None:
-        from repro.store.codec import unpack_contraction, unpack_pairs_csr
+        from repro.store.codec import unpack_pairs_csr
 
-        self.contraction = unpack_contraction(state["contraction"], io)
+        self.contraction = SlotContraction.from_state(state["slots"], io)
         self.core_rank_threshold = int(state["core_rank_threshold"])
         self.core_labels = {
             v: dict(pairs)
@@ -314,6 +342,9 @@ class TOAINIndex(DistanceIndex):
 
     def _kernel_exports(self):
         return {"sub_core": self._sub_core_store, "hubs": self._hub_store}
+
+    def _contractions(self):
+        return () if self.contraction is None else (self.contraction,)
 
 
 @register_spec

@@ -8,9 +8,8 @@ aggregation* (Algorithm 1): the partition trees and the overlay tree are
 merged into one cross-boundary tree ``T*`` whose node relationships prioritise
 the overlay tree.
 
-This module implements that aggregation by composing a single
-:class:`~repro.treedec.mde.ContractionResult` out of the partition and overlay
-contractions:
+This module implements that aggregation by composing one contraction out of
+the partition and overlay contractions:
 
 * a non-boundary vertex keeps the neighbour set / shortcut array of its
   partition contraction,
@@ -18,10 +17,14 @@ contractions:
 
 which — because the partition and overlay contractions are restrictions of one
 global boundary-first order (Lemma 3) — is exactly what a single global
-contraction of the road network under that order would produce.  The shortcut
-dictionaries are shared *by reference*, so partition/overlay shortcut
-maintenance automatically keeps the cross-boundary shortcut arrays fresh and
-U-Stage 5 only has to refresh distance labels.
+contraction of the road network under that order would produce.  The result
+is a :class:`~repro.treedec.slots.UnionContraction`: its topology is built
+once, in the global order, with one index map per source arena, and its
+weights are gathered through those maps.  Partition and overlay maintenance
+therefore keeps the cross-boundary shortcut arrays fresh with no pass of
+their own: ``L*``'s label pass gathers its shortcuts from the sources (one
+``np.take`` each), the PCH stage's store wraps the union's gathered arena,
+and U-Stage 5 only has to refresh distance labels.
 """
 
 from __future__ import annotations
@@ -32,7 +35,7 @@ from repro.labeling.h2h import H2HLabels
 from repro.partitioning.base import Partitioning
 from repro.psp.overlay import OverlayIndex
 from repro.psp.partition_family import PartitionIndexFamily
-from repro.treedec.mde import ContractionResult
+from repro.treedec.slots import UnionContraction
 from repro.treedec.tree import TreeDecomposition
 
 
@@ -41,25 +44,15 @@ def compose_cross_boundary_contraction(
     order: Sequence[int],
     family: PartitionIndexFamily,
     overlay: OverlayIndex,
-) -> ContractionResult:
-    """Compose the global cross-boundary contraction from PSP building blocks.
-
-    The returned :class:`ContractionResult` shares the shortcut dictionaries of
-    the partition and overlay contractions by reference; it carries no
-    supporter records because its shortcuts are never maintained directly.
-    """
+) -> UnionContraction:
+    """The global cross-boundary contraction: boundary vertices' rows from the
+    overlay contraction, every other vertex's from its partition's."""
     boundary = partitioning.all_boundary()
-    composed = ContractionResult()
-    composed.order = list(order)
-    composed.rank = {v: i for i, v in enumerate(composed.order)}
-    for v in composed.order:
-        if v in boundary:
-            source = overlay.contraction
-        else:
-            source = family.contractions[partitioning.partition_of(v)]
-        composed.neighbors[v] = source.neighbors[v]
-        composed.shortcuts[v] = source.shortcuts[v]
-    return composed
+    pieces = [(overlay.contraction, sorted(boundary))]
+    for pid in range(partitioning.num_partitions):
+        inner = [v for v in partitioning.partition_vertices(pid) if v not in boundary]
+        pieces.append((family.contractions[pid], inner))
+    return UnionContraction(order, pieces)
 
 
 def build_cross_boundary_index(
@@ -67,7 +60,7 @@ def build_cross_boundary_index(
     order: Sequence[int],
     family: PartitionIndexFamily,
     overlay: OverlayIndex,
-) -> Tuple[ContractionResult, TreeDecomposition, H2HLabels]:
+) -> Tuple[UnionContraction, TreeDecomposition, H2HLabels]:
     """Build the cross-boundary tree ``T*`` and labels ``L*`` (Algorithm 1).
 
     Returns the composed contraction, the aggregated tree decomposition and the

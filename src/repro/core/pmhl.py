@@ -22,7 +22,9 @@ paper's multi-threaded execution (see ``repro.throughput.parallel``).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Set, Tuple
+from typing import Dict, List, Optional, Tuple
+
+import numpy as np
 
 from repro import obs
 from repro.base import DistanceIndex, QueryStage, StageTiming, Timer, UpdateReport
@@ -35,7 +37,6 @@ from repro.graph.graph import Graph
 from repro.graph.updates import UpdateBatch
 from repro.hierarchy.ch import ch_bidirectional_query
 from repro.kernels.label_store import LabelStore
-from repro.kernels.shortcut_store import ShortcutStore
 from repro.labeling.h2h import H2HLabels
 from repro.partitioning.base import Partitioning
 from repro.psp.post_boundary import PostBoundaryPSPIndex
@@ -127,29 +128,11 @@ class PMHLIndex(PostBoundaryPSPIndex):
             "cross_labels", lambda _: LabelStore.freeze(self.cross_labels)
         )
 
-    def _pch_upward(self) -> Callable[[int], Dict[int, float]]:
-        """Upward shortcut array of a vertex in the union of the overlay's
-        and the partitions' contractions."""
-        boundary = self.partitioning.all_boundary()
-        partition_of = self.partitioning.partition_of
-        overlay_shortcuts = self.overlay.contraction.shortcuts
-        contractions = self.family.contractions
-
-        def upward(v: int) -> Dict[int, float]:
-            if v in boundary:
-                return overlay_shortcuts[v]
-            return contractions[partition_of(v)].shortcuts[v]
-
-        return upward
-
     def _pch_store(self):
+        """The union of the overlay's and the partitions' shortcut arrays:
+        the cross-boundary contraction's arena, gathered from them."""
         self._require_built()
-        return self._kernel(
-            "pch",
-            lambda template: ShortcutStore.freeze(
-                self._pch_upward(), self.order, template
-            ),
-        )
+        return self._kernel("pch", lambda _: self.cross_tree.contraction.store())
 
     # ------------------------------------------------------------------
     # Query processing (Q-Stages 1-5; Q-Stage 1 is the base class's
@@ -159,7 +142,7 @@ class PMHLIndex(PostBoundaryPSPIndex):
         """Q-Stage 2: partitioned CH query over the union of shortcut arrays."""
         return self._stage_query(
             self._pch_store(), source, target,
-            lambda s, t: ch_bidirectional_query(s, t, self._pch_upward()),
+            ch_bidirectional_query, self.cross_tree.contraction.upward,
         )
 
     def query_no_boundary(self, source: int, target: int) -> float:
@@ -214,12 +197,12 @@ class PMHLIndex(PostBoundaryPSPIndex):
         per_partition, inter_updates = self._split_batch(batch)
 
         # U-Stage 2: no-boundary shortcut update (partitions in parallel, then overlay).
-        times, changed, changed_boundary = self._update_partition_shortcuts(per_partition)
+        times, changed, boundary_changes = self._update_partition_shortcuts(per_partition)
         self._emit_stage(report,
             StageTiming("partition_shortcut_update", sum(times), parallel_times=times)
         )
         with Timer() as timer:
-            overlay_changed = self.overlay.update_shortcuts(inter_updates, changed_boundary)
+            overlay_changed = self.overlay.update_shortcuts(inter_updates, boundary_changes)
         self._emit_stage(report, StageTiming("overlay_shortcut_update", timer.seconds))
 
         # U-Stage 3: no-boundary label update (partitions in parallel, then overlay).
@@ -239,10 +222,11 @@ class PMHLIndex(PostBoundaryPSPIndex):
 
         # U-Stage 5: cross-boundary index update (branch roots in parallel).
         with Timer() as timer:
-            affected: Set[int] = set(overlay_changed)
-            for changed_report in changed.values():
-                affected.update(changed_report)
-            _, per_root_times = timed_label_update_by_root(self.cross_labels, affected)
+            affected = [self.overlay.contraction.vertices(overlay_changed)]
+            affected += [self.family.contractions[pid].vertices(s) for pid, s in changed.items()]
+            _, per_root_times = timed_label_update_by_root(
+                self.cross_labels, np.concatenate(affected).tolist()
+            )
         self._emit_stage(report,
             StageTiming("cross_boundary_update", timer.seconds, parallel_times=per_root_times)
         )
@@ -261,9 +245,9 @@ class PMHLIndex(PostBoundaryPSPIndex):
     # ------------------------------------------------------------------
     def to_state(self, io) -> Dict[str, object]:
         """All five stages' structures; the cross-boundary contraction is not
-        stored — it is recomposed on load so its shortcut dicts keep sharing
-        the family/overlay dictionaries by reference (the property U-Stage 5
-        maintenance relies on)."""
+        stored — it is recomposed on load so its gather maps read the loaded
+        family / overlay arenas (the property U-Stage 5 maintenance relies
+        on)."""
         from repro.store import codec
 
         state = super().to_state(io)

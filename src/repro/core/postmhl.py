@@ -24,7 +24,9 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, List, Optional, Tuple
+
+import numpy as np
 
 from repro import obs
 from repro.base import DistanceIndex, QueryStage, StageTiming, Timer, UpdateReport
@@ -36,7 +38,7 @@ from repro.kernels.label_store import LabelStore
 from repro.labeling.h2h import H2HLabels
 from repro.partitioning.td_partition import TDPartitioning, td_partition
 from repro.registry import IndexSpec, register_spec
-from repro.treedec.mde import ContractionResult, contract_graph, update_shortcuts_bottom_up
+from repro.treedec.slots import SlotContraction
 from repro.treedec.tree import TreeDecomposition
 
 INF = math.inf
@@ -73,7 +75,7 @@ class PostMHLIndex(DistanceIndex):
         self.expected_partitions = expected_partitions
         self.beta_lower = beta_lower
         self.beta_upper = beta_upper
-        self.contraction: Optional[ContractionResult] = None
+        self.contraction: Optional[SlotContraction] = None
         self.tree: Optional[TreeDecomposition] = None
         self.td: Optional[TDPartitioning] = None
         self.labels: Optional[H2HLabels] = None
@@ -85,6 +87,11 @@ class PostMHLIndex(DistanceIndex):
         #: Per-partition all-pair boundary distance tables ``D``.
         self.boundary_distances: List[Dict[Tuple[int, int], float]] = []
         self.build_breakdown: Dict[str, float] = {}
+        #: Each contraction row's partition, ``-1`` for an overlay row, and
+        #: the int8 row mask of each partition (key ``-1``: the overlay),
+        #: derived on the first update.
+        self._row_partition: Optional[np.ndarray] = None
+        self._row_masks: Dict[int, np.ndarray] = {}
 
     # ------------------------------------------------------------------
     # Construction (Section VI-B, Algorithm 4)
@@ -93,7 +100,8 @@ class PostMHLIndex(DistanceIndex):
         breakdown: Dict[str, float] = {}
 
         start = time.perf_counter()
-        self.contraction = contract_graph(self.graph)
+        self._row_partition, self._row_masks = None, {}
+        self.contraction = SlotContraction.build(self.graph)
         self.tree = TreeDecomposition.from_contraction(self.contraction)
         breakdown["tree_decomposition"] = time.perf_counter() - start
         obs.record_span(
@@ -154,8 +162,9 @@ class PostMHLIndex(DistanceIndex):
         return self._kernel("labels", lambda _: LabelStore.freeze(self.labels))
 
     def _pch_store(self):
+        """The contraction's arena, as U-Stage 2 left it."""
         self._require_built()
-        return self._contraction_store("pch", self.contraction)
+        return self._kernel("pch", lambda _: self.contraction.store())
 
     # ------------------------------------------------------------------
     # Query processing (Q-Stages 1-4; Q-Stage 1 is the base class's
@@ -165,7 +174,7 @@ class PostMHLIndex(DistanceIndex):
         """Q-Stage 2: partitioned CH query over the shared shortcut arrays."""
         return self._stage_query(
             self._pch_store(), source, target,
-            ch_bidirectional_query, self.contraction.shortcuts.__getitem__,
+            ch_bidirectional_query, self.contraction.upward,
         )
 
     def query_post_boundary(self, source: int, target: int) -> float:
@@ -265,37 +274,30 @@ class PostMHLIndex(DistanceIndex):
         # Before any structure mutates (kernel staleness protocol).
         self.invalidate_kernels()
 
-        # U-Stage 1: on-spot edge update.
+        # U-Stage 1: on-spot edge update, of the graph and of the
+        # contraction's graph weights.
+        contraction = self.contraction
         with Timer() as timer:
             batch.apply(self.graph)
+            updates = list(batch)
+            rows = contraction.patch(
+                [u.u for u in updates], [u.v for u in updates], [u.new_weight for u in updates]
+            )
         self._emit_stage(report, StageTiming("edge_update", timer.seconds))
 
-        # Group the changed edges by the partition of their owning vertex.
-        per_partition_edges: Dict[int, List[Tuple[int, int]]] = {}
-        overlay_edges: List[Tuple[int, int]] = []
-        for update in batch:
-            owner = self.contraction.owner(update.u, update.v)
-            pid = td.partition_of(owner)
-            if pid is None:
-                overlay_edges.append(update.key())
-            else:
-                per_partition_edges.setdefault(pid, []).append(update.key())
-
-        # U-Stage 2: shortcut array update (partitions in parallel, then overlay).
+        # U-Stage 2: shortcut array update (partitions in parallel, then
+        # overlay).  Each pass starts from the owner rows of its own
+        # partition, confined to that partition's rows, and the rows it would
+        # have dirtied outside them seed the overlay pass.
+        owners = self._row_partitions()[rows]
+        escaped = np.zeros(contraction.num_vertices, dtype=np.int8)
         partition_times: List[float] = []
-        partition_changed: Dict[int, Dict[int, List[int]]] = {}
-        escaped: Set[int] = set()
-        for pid, edges in sorted(per_partition_edges.items()):
+        partition_changed: Dict[int, np.ndarray] = {}
+        for pid in np.unique(owners[owners >= 0]).tolist():
             start = time.perf_counter()
-            partition_set = set(td.partition_vertices[pid])
-            changed = update_shortcuts_bottom_up(
-                self.contraction,
-                self.graph,
-                edges,
-                restrict_to=partition_set,
-                escaped_out=escaped,
+            partition_changed[pid] = contraction.run(
+                rows[owners == pid], self._row_mask(pid), escaped
             )
-            partition_changed[pid] = changed
             partition_times.append(time.perf_counter() - start)
         self._emit_stage(report,
             StageTiming(
@@ -304,19 +306,15 @@ class PostMHLIndex(DistanceIndex):
         )
 
         with Timer() as timer:
-            overlay_changed_shortcuts = update_shortcuts_bottom_up(
-                self.contraction,
-                self.graph,
-                overlay_edges,
-                restrict_to=td.overlay_vertices,
-                seed_vertices=sorted(escaped),
+            overlay_changed = contraction.run(
+                np.concatenate([rows[owners < 0], np.flatnonzero(escaped)]), self._row_mask(-1)
             )
         self._emit_stage(report, StageTiming("overlay_shortcut_update", timer.seconds))
 
         # U-Stage 3: overlay index (label) update.
         with Timer() as timer:
             overlay_changed_labels = self.labels.update_top_down(
-                overlay_changed_shortcuts.keys(), allowed=td.overlay_vertices
+                contraction.vertices(overlay_changed), allowed=td.overlay_vertices
             )
         self._emit_stage(report, StageTiming("overlay_label_update", timer.seconds))
 
@@ -325,7 +323,7 @@ class PostMHLIndex(DistanceIndex):
         affected_cross: List[int] = []
         new_boundary_distances: Dict[int, Dict[Tuple[int, int], float]] = {}
         for pid in range(td.num_partitions):
-            has_local_changes = bool(partition_changed.get(pid))
+            has_local_changes = len(partition_changed.get(pid, ())) > 0
             distances = self._compute_boundary_distances(pid)
             new_boundary_distances[pid] = distances
             boundary_changed = distances != self.boundary_distances[pid]
@@ -384,13 +382,13 @@ class PostMHLIndex(DistanceIndex):
         overlay = td.overlay_vertices
         root = td.roots[pid]
         root_depth = depth[root]
-        shortcuts = self.contraction.shortcuts
+        upward = self.contraction.upward
         labels = self.labels
         rows: Dict[int, List[float]] = {}
 
         for v in tree.subtree(root):
             neighbors = tree.neighbors(v)
-            sc = shortcuts[v]
+            sc = upward(v)
             # Boundary array X(v).disB.
             new_disB = []
             for j, b in enumerate(boundary):
@@ -468,7 +466,7 @@ class PostMHLIndex(DistanceIndex):
             disB_data.extend(self.disB[v])
             disB_indptr.append(len(disB_data))
         return {
-            "contraction": codec.pack_contraction(self.contraction, io),
+            "slots": self.contraction.to_state(io),
             "labels": codec.pack_labels(self.labels, io),
             "td_roots": io.put_ints(self.td.roots),
             "disB_verts": io.put_ints(disB_verts),
@@ -483,7 +481,8 @@ class PostMHLIndex(DistanceIndex):
     def from_state(self, state: Dict[str, object], io) -> None:
         from repro.store import codec
 
-        self.contraction = codec.unpack_contraction(state["contraction"], io)
+        self._row_partition, self._row_masks = None, {}
+        self.contraction = SlotContraction.from_state(state["slots"], io)
         self.tree = TreeDecomposition.from_contraction(self.contraction)
         self.td = TDPartitioning.from_roots(self.tree, io.get_list(state["td_roots"]))
         self.labels = codec.unpack_labels(state["labels"], io, self.tree)
@@ -506,6 +505,26 @@ class PostMHLIndex(DistanceIndex):
 
     def _label_sets(self):
         return () if self.labels is None else (self.labels,)
+
+    def _contractions(self):
+        return () if self.contraction is None else (self.contraction,)
+
+    def _row_partitions(self) -> np.ndarray:
+        """Each contraction row's partition (``-1``: an overlay row)."""
+        if self._row_partition is None:
+            partition_of = self.td.partition_of
+            self._row_partition = np.fromiter(
+                (-1 if (pid := partition_of(v)) is None else pid for v in self.contraction.order),
+                np.int64, self.contraction.num_vertices,
+            )
+        return self._row_partition
+
+    def _row_mask(self, pid: int) -> np.ndarray:
+        """The int8 row mask of partition ``pid`` (``-1``: the overlay)."""
+        mask = self._row_masks.get(pid)
+        if mask is None:
+            mask = self._row_masks[pid] = (self._row_partitions() == pid).astype(np.int8)
+        return mask
 
     @property
     def overlay_vertex_count(self) -> int:

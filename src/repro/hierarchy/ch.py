@@ -177,10 +177,8 @@ class CHIndex(DistanceIndex):
     def _kernel_exports(self):
         return {"ch": self._shortcut_store}
 
-    def _attach_kernel(self, key: str, store: object) -> None:
-        super()._attach_kernel(key, store)
-        if key == "ch":
-            self._require_built().share_rows(store)
+    def _contractions(self):
+        return () if self.contraction is None else (self.contraction,)
 
     @property
     def rank(self) -> Dict[int, int]:

@@ -29,13 +29,13 @@ Without the kernel, or with ``use_kernels=False``, an index answers through
 the reference path.  Freezing is lazy (first query after an invalidation)
 and keyed to the index's kernel epoch (see
 ``repro.base.DistanceIndex.invalidate_kernels``), so a store is built at most
-once per update epoch per query stage; since updates change weights only,
-that refreeze gathers the new values into the previous epoch's layout
+once per update epoch per query stage.  Updates change weights only, so
+contraction and label values live in their store's layout all along
+(:mod:`repro.treedec.slots`, :mod:`repro.labeling.h2h`), and a refreeze
+wraps the arena the last update pass wrote; the graph snapshot's refreeze
+gathers the new values into the previous epoch's layout
 (:func:`~repro.kernels.arena.regather`, the C ``gather_rows``) and rebuilds
-the layout only when a row no longer fits it.  DCH and the H2H-family
-labels need neither: their values live in the store's layout
-(:mod:`repro.treedec.slots`, :mod:`repro.labeling.h2h`), and their refreeze
-wraps the arena the last update pass wrote.  Every store computes exactly the
+the layout only when a row no longer fits it.  Every store computes exactly the
 reference arithmetic, so results are bit-identical on both rungs.
 """
 

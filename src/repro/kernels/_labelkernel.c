@@ -55,36 +55,33 @@
  * dis / pos CSR, each position slot's shortcut, and the seed rows.  It
  * writes only the dis_data buffer it is handed -- the labels' copy-on-write
  * buffer, so a store wrapping an earlier one is untouched -- and checks
- * every index it will follow before its first write.  update_slots is
- * DCH's whole shortcut pass, the same way, over flat arrays
+ * every index it will follow before its first write.  update_slots is the
+ * shortcut pass of every contraction (DCH, the H2H family, the PSP
+ * partitions and overlay, PostMHL, TOAIN), the same way, over flat arrays
  * (repro.treedec.slots): shortcut weights in the shortcut store's CSR slot
  * order, each slot's graph weight, and a CSR of int32 supporter slot pairs.
+ * It also reports what it did -- the changed slots, the rows a row mask kept
+ * it from visiting, and its work counters -- so no caller re-derives them.
  *
- * shortcut_row (mde.recompute_shortcut over one vertex's whole row, the
- * shortcut phase of the H2H family and the PSP indexes) and recompute_row
- * (one label row over dict-of-list containers: the path the label phase
- * ran before its rows were flat, kept as the container oracle the
- * differential tests check update_labels against) walk *live* Python
- * containers -- the contraction's shortcut and supporter dicts, a dis dict,
- * the tree's depth map.  They only read: each returns a fresh list.
- * Containers another layer filled are not trusted -- types, depths, row
- * lengths and list sizes are checked (the sizes again after any lookup that
- * may have run Python), a missing key is the KeyError the Python loop
- * raises -- and lookups honour a dict subclass's __getitem__ (see
- * container_get), so a snapshot-loaded LazyDict materialises exactly as it
- * does under the pure loops, which stay in place as the fallback and as the
- * oracle the differential tests compare against.
+ * recompute_row (one label row over dict-of-list containers: the path the
+ * label phase ran before its rows were flat, kept as the container oracle
+ * the differential tests check update_labels against) walks *live* Python
+ * containers -- a dis dict, a shortcut row dict, the tree's depth map.  It
+ * only reads and returns a fresh list.  Containers another layer filled are
+ * not trusted -- types, depths, row lengths and list sizes are checked (the
+ * sizes again after any lookup that may have run Python), a missing key is
+ * the KeyError the Python loop raises -- and lookups honour a dict
+ * subclass's __getitem__ (see container_get).
  *
  * gather_rows is the value half of a refreeze: weight-only updates keep
  * every store's layout (the shortcut set, the graph's CSR), so a new
- * epoch's shortcut store or graph snapshot copies the previous epoch's
- * layout arrays and gathers only its values from the live rows, in one pass
- * that also checks each row against the layout (counts, and for dict rows
- * the keys in iteration order).  A mismatch is a ValueError and the caller
- * rebuilds the layout; dict rows are read under container_get's rule.
- * Label stores and DCH's store gather nothing: they wrap the arena their
- * update pass wrote.  The label pass uses it for its input instead: each
- * pass gathers its seed rows' shortcut dicts into its shortcut array.
+ * epoch's filtered shortcut store (TOAIN's sub-core) or graph snapshot
+ * copies the previous epoch's layout arrays and gathers only its values
+ * from the live rows, in one pass that also checks each row against the
+ * layout (counts, and for dict rows the keys in iteration order).  A
+ * mismatch is a ValueError and the caller rebuilds the layout; dict rows are
+ * read under container_get's rule.  Label stores and contraction stores
+ * gather nothing: they wrap the arena their update pass wrote.
  *
  * No function releases the GIL; concurrent Python threads therefore
  * serialize around the shared per-capsule scratch space by construction, and
@@ -95,6 +92,15 @@
 #include <Python.h>
 #include <stdint.h>
 #include <string.h>
+
+/* The CH search kernels start on a cache-line boundary, so code added or
+ * removed before them (or a C-API import more or less in the PLT) does not
+ * move their loops' alignment. */
+#if defined(__GNUC__)
+#define SEARCH_ALIGN __attribute__((aligned(64)))
+#else
+#define SEARCH_ALIGN
+#endif
 
 static const char *LABEL_CAPSULE = "repro.kernels.labelstore";
 static const char *SEARCH_CAPSULE = "repro.kernels.searchgraph";
@@ -716,7 +722,7 @@ static inline void tree_relax(const SearchGraph *g, double *dist, int64_t v, dou
  * w >= 0, so a row skipped at distance >= best cannot lower best).  Rows are
  * reset to +inf as soon as they are read, so both chains are clean when the
  * query returns. */
-static double search_tree(SearchGraph *g, int64_t rs, int64_t rt, int *failed) {
+SEARCH_ALIGN static double search_tree(SearchGraph *g, int64_t rs, int64_t rt, int *failed) {
     *failed = 0;
     if (rs == rt) {
         return 0.0;
@@ -920,7 +926,7 @@ static PyObject *search_query(PyObject *self, PyObject *const *args,
 
 /* query_pairs(graph, s_rows, t_rows, out, ch_mode): the scalar search looped
  * in C -- identical per-pair results, no per-pair Python. */
-static PyObject *search_query_pairs(PyObject *self, PyObject *const *args,
+SEARCH_ALIGN static PyObject *search_query_pairs(PyObject *self, PyObject *const *args,
                                     Py_ssize_t nargs) {
     (void)self;
     if (nargs != 5) {
@@ -1310,129 +1316,6 @@ done:
     return result;
 }
 
-/* *value = min(*value, row[v] + row[u]) over row = shortcuts[x] for every
- * supporter x in sup; a row missing either endpoint contributes nothing
- * (the Python loop's row.get(., inf)). */
-static int relax_supporters(PyObject *shortcuts, PyObject *sup, PyObject *v,
-                            PyObject *u, double *value) {
-    if (!PyList_Check(sup)) {
-        PyErr_SetString(PyExc_TypeError, "supporter records must be lists");
-        return -1;
-    }
-    for (Py_ssize_t k = 0; k < PyList_GET_SIZE(sup); k++) {
-        PyObject *x = PyList_GET_ITEM(sup, k);
-        Py_INCREF(x);
-        PyObject *row = container_get(shortcuts, x, 0);
-        Py_DECREF(x);
-        if (row == NULL) {
-            return -1;
-        }
-        if (!PyDict_Check(row)) {
-            Py_DECREF(row);
-            PyErr_SetString(PyExc_TypeError, "shortcut rows must be dicts");
-            return -1;
-        }
-        PyObject *a = container_get(row, v, 1);
-        PyObject *b = a != NULL ? container_get(row, u, 1) : NULL;
-        Py_DECREF(row);
-        int status = 0;
-        if (b != NULL) {
-            double da, db;
-            if (as_double(a, &da) < 0 || as_double(b, &db) < 0) {
-                status = -1;
-            } else if (da + db < *value) {
-                *value = da + db;
-            }
-        } else if (PyErr_Occurred()) {
-            status = -1;
-        }
-        Py_XDECREF(a);
-        Py_XDECREF(b);
-        if (status < 0) {
-            return -1;
-        }
-    }
-    return 0;
-}
-
-/* mde.recompute_shortcut(v, u): the graph weight `base` relaxed over the
- * supporters of the canonical pair (min(v, u), max(v, u)). */
-static int shortcut_entry(PyObject *shortcuts, PyObject *supporters, PyObject *v,
-                          PyObject *u, PyObject *base, double *value) {
-    if (as_double(base, value) < 0) {
-        return -1;
-    }
-    int v_first = PyObject_RichCompareBool(v, u, Py_LT);
-    if (v_first < 0) {
-        return -1;
-    }
-    PyObject *key = v_first ? PyTuple_Pack(2, v, u) : PyTuple_Pack(2, u, v);
-    if (key == NULL) {
-        return -1;
-    }
-    PyObject *sup = container_get(supporters, key, 1);
-    Py_DECREF(key);
-    if (sup == NULL) {
-        return PyErr_Occurred() ? -1 : 0;
-    }
-    int status = relax_supporters(shortcuts, sup, v, u, value);
-    Py_DECREF(sup);
-    return status;
-}
-
-/* shortcut_row(shortcuts, supporters, v, neighbors, base_weights) -> list
- *
- * mde.recompute_shortcut for every u in X(v).N in one call: entry i starts
- * from base_weights[i] (the current graph weight of (v, neighbors[i]), inf
- * when it is no edge).  Nothing is written; the caller compares the result
- * against shortcuts[v] and stores what changed. */
-static PyObject *maintain_shortcut_row(PyObject *self, PyObject *const *args,
-                                       Py_ssize_t nargs) {
-    (void)self;
-    if (nargs != 5) {
-        PyErr_SetString(PyExc_TypeError,
-                        "shortcut_row(shortcuts, supporters, v, neighbors, base_weights) "
-                        "takes 5 arguments");
-        return NULL;
-    }
-    PyObject *shortcuts = args[0], *supporters = args[1], *v = args[2];
-    PyObject *neighbors = args[3], *base = args[4];
-    if (!PyList_Check(neighbors) || !PyList_Check(base)) {
-        PyErr_SetString(PyExc_TypeError, "neighbors and base_weights must be lists");
-        return NULL;
-    }
-    Py_ssize_t n = PyList_GET_SIZE(neighbors);
-    if (PyList_GET_SIZE(base) != n) {
-        PyErr_SetString(PyExc_ValueError,
-                        "neighbors and base_weights must have equal lengths");
-        return NULL;
-    }
-    double *values = (double *)malloc((size_t)(n > 0 ? n : 1) * sizeof(double));
-    if (values == NULL) {
-        return PyErr_NoMemory();
-    }
-    PyObject *result = NULL;
-    for (Py_ssize_t i = 0; i < n; i++) {
-        /* The previous entry's lookups may have run Python. */
-        if (PyList_GET_SIZE(neighbors) != n || PyList_GET_SIZE(base) != n) {
-            PyErr_SetString(PyExc_ValueError, "neighbors changed size during the call");
-            goto done;
-        }
-        PyObject *u = PyList_GET_ITEM(neighbors, i);
-        Py_INCREF(u);
-        int status = shortcut_entry(shortcuts, supporters, v, u,
-                                    PyList_GET_ITEM(base, i), &values[i]);
-        Py_DECREF(u);
-        if (status < 0) {
-            goto done;
-        }
-    }
-    result = float_list(values, n);
-done:
-    free(values);
-    return result;
-}
-
 /* ------------------------------------------------------------------ */
 /* Refreeze gather (live rows into a previous epoch's CSR layout)     */
 /* ------------------------------------------------------------------ */
@@ -1704,21 +1587,49 @@ static int borrow_typed(PyObject *obj, Py_buffer *view, char kind, Py_ssize_t it
     return 0;
 }
 
+/* Whether some slots[k], lo <= k < hi, lies outside [0, limit): eight
+ * independent flags per block (a fixed-width body the compiler turns into
+ * vector compares; the scan of every supporter record is most of a pass's
+ * checks), then the tail. */
+static inline int32_t slot_out_of_range(const int32_t *slots, int64_t lo, int64_t hi,
+                                        int32_t limit) {
+    int32_t flags[8] = {0, 0, 0, 0, 0, 0, 0, 0};
+    int64_t k = lo;
+    for (; k + 8 <= hi; k += 8) {
+        for (int j = 0; j < 8; j++) {
+            flags[j] |= (slots[k + j] < 0) | (slots[k + j] >= limit);
+        }
+    }
+    for (; k < hi; k++) {
+        flags[0] |= (slots[k] < 0) | (slots[k] >= limit);
+    }
+    int32_t any = 0;
+    for (int j = 0; j < 8; j++) {
+        any |= flags[j];
+    }
+    return any;
+}
+
 /* The shape checks of update_slots, all before its first write: lengths
- * agree, both offset arrays start at 0 and are monotone, every row's
- * columns lie above the row and below n, every supporter slot lies in a row
- * below its target slot's row, every seed is a row.  0, or -1 with a
- * ValueError set. */
+ * agree (the row mask and the escaped rows hold 0 or n entries, the changed
+ * flags m, the counters 3; m below 2^31, all int32 slots can name), both
+ * offset arrays start at 0 and are monotone,
+ * every row's columns lie above the row and below n, every supporter slot
+ * lies in a row below its target slot's row, every seed is a row.  0, or -1
+ * with a ValueError set. */
 static int check_slots(const int64_t *indptr, Py_ssize_t n_indptr, const int64_t *indices,
                        Py_ssize_t m, Py_ssize_t n_base, Py_ssize_t n_weights,
                        const int64_t *sup_indptr, Py_ssize_t n_sup_indptr,
                        const int32_t *sup_slots, Py_ssize_t n_sup_slots,
-                       const int64_t *seeds, Py_ssize_t n_seeds) {
+                       const int64_t *seeds, Py_ssize_t n_seeds, Py_ssize_t n_mask,
+                       Py_ssize_t n_escaped, Py_ssize_t n_changed, Py_ssize_t n_counts) {
     const char *error = NULL;
     Py_ssize_t n = n_indptr - 1;
     if (n_indptr < 1 || n_base != m || n_weights != m || n_sup_indptr != m + 1 ||
         n_sup_slots % 2 != 0 || indptr[0] != 0 || indptr[n] != m ||
-        sup_indptr[0] != 0 || sup_indptr[m] != n_sup_slots / 2) {
+        sup_indptr[0] != 0 || sup_indptr[m] != n_sup_slots / 2 ||
+        (n_mask != 0 && n_mask != n) || (n_escaped != 0 && n_escaped != n) ||
+        n_changed != m || n_counts != 3 || m > INT32_MAX) {
         error = "slot array lengths disagree";
         goto done;
     }
@@ -1745,10 +1656,8 @@ static int check_slots(const int64_t *indptr, Py_ssize_t n_indptr, const int64_t
             error = "a slot's column is not a row above its own";
             goto done;
         }
-        uint64_t limit = (uint64_t)indptr[r];
-        for (int64_t k = 2 * sup_indptr[indptr[r]]; k < 2 * sup_indptr[indptr[r + 1]]; k++) {
-            bad |= (uint64_t)(int64_t)sup_slots[k] >= limit;
-        }
+        bad |= slot_out_of_range(sup_slots, 2 * sup_indptr[indptr[r]],
+                                 2 * sup_indptr[indptr[r + 1]], (int32_t)indptr[r]);
         if (bad) {
             error = "a supporter slot is not in a row below its target's row";
             goto done;
@@ -1768,21 +1677,40 @@ done:
     return 0;
 }
 
-/* update_slots(indptr, indices, base, sup_indptr, sup_slots, weights, seeds)
- *     -> None
+/* Queue row r: dirty when the mask admits it (or there is none), else
+ * recorded as escaped (when the caller collects escaped rows). */
+static inline void mark_row(uint8_t *dirty, const int8_t *mask, Py_ssize_t n_mask,
+                            int8_t *escaped, Py_ssize_t n_escaped, int64_t r) {
+    if (n_mask == 0 || mask[r]) {
+        dirty[r] = 1;
+    } else if (n_escaped != 0) {
+        escaped[r] = 1;
+    }
+}
+
+/* update_slots(indptr, indices, base, sup_indptr, sup_slots, weights, seeds,
+ *              mask, escaped, changed, counts) -> None
  *
- * Bottom-up shortcut maintenance over flat arrays (the pass DCH runs per
- * update batch).  Row r owns slots indptr[r]..indptr[r+1]; slot s holds the
- * shortcut from row r up to row indices[s], its graph weight base[s] (inf
- * for a non-edge) and the supporter pairs sup_slots[2k], sup_slots[2k+1]
+ * Bottom-up shortcut maintenance over flat arrays (the shortcut pass of
+ * every contraction).  Row r owns slots indptr[r]..indptr[r+1]; slot s holds
+ * the shortcut from row r up to row indices[s], its graph weight base[s]
+ * (inf for a non-edge) and the supporter pairs sup_slots[2k], sup_slots[2k+1]
  * for k in sup_indptr[s]..sup_indptr[s+1]: the two slots of a lower row x
  * whose sum is the shortcut's value through x.  Rows are visited in
  * ascending order from a bitmap seeded with `seeds`; every slot of a dirty
- * row becomes base min its supporter sums -- the float64 adds and `<` of
- * mde.recompute_shortcut, so values are bit-identical to the dict path --
- * and a changed slot (r, c) marks the owner of every pair (c, w) over r's
- * other columns w: min(c, w), always a row above r.  Only `weights` is
- * written: the caller passes the next epoch's copy, so a store over the
+ * row becomes base min its supporter sums -- the float64 adds and `<` of a
+ * fresh contraction, so values are bit-identical to one -- and a changed
+ * slot (r, c) marks the owner of every pair (c, w) over r's other columns
+ * w: min(c, w), always a row above r.
+ *
+ * A non-empty int8 `mask` (n entries) confines the pass: a seed or a marked
+ * row the mask excludes is not visited but flagged in `escaped` (n entries,
+ * or none to drop it) -- PostMHL's per-partition passes, whose escaped rows
+ * seed the overlay pass.  Outputs accumulate, so one set of them can span a
+ * batch's passes: changed[s] is set for every slot whose value changed,
+ * escaped[r] for every excluded row, and counts[] gains the rows recomputed,
+ * the supporter records relaxed and the slots changed.  Nothing else is
+ * written: the caller passes the next epoch's weights, so a store over the
  * previous copy stays as it was.  Every input is checked first (see
  * check_slots); a failed check is a ValueError with nothing written.
  *
@@ -1793,9 +1721,10 @@ done:
  * new imports, or re-measure the search kernels. */
 static PyObject *update_slots(PyObject *self, PyObject *const *args, Py_ssize_t nargs) {
     enum { U_INDPTR, U_INDICES, U_BASE, U_SUP_INDPTR, U_SUP_SLOTS, U_WEIGHTS, U_SEEDS,
-           U_NVIEWS };
-    static const char kinds[U_NVIEWS] = {'i', 'i', 'd', 'i', 'i', 'd', 'i'};
-    static const Py_ssize_t sizes[U_NVIEWS] = {8, 8, 8, 8, 4, 8, 8};
+           U_MASK, U_ESCAPED, U_CHANGED, U_COUNTS, U_NVIEWS };
+    static const char kinds[U_NVIEWS] = {'i', 'i', 'd', 'i', 'i', 'd', 'i',
+                                         'i', 'i', 'i', 'i'};
+    static const Py_ssize_t sizes[U_NVIEWS] = {8, 8, 8, 8, 4, 8, 8, 1, 1, 1, 8};
     Py_buffer views[U_NVIEWS];
     Py_ssize_t counts[U_NVIEWS];
     PyObject *result = NULL;
@@ -1804,12 +1733,13 @@ static PyObject *update_slots(PyObject *self, PyObject *const *args, Py_ssize_t 
     if (nargs != U_NVIEWS) {
         PyErr_SetString(PyExc_TypeError,
                         "update_slots(indptr, indices, base, sup_indptr, sup_slots, "
-                        "weights, seeds) takes 7 arguments");
+                        "weights, seeds, mask, escaped, changed, counts) takes 11 arguments");
         return NULL;
     }
     memset(views, 0, sizeof(views));
     for (int i = 0; i < U_NVIEWS; i++) {
-        if (borrow_typed(args[i], &views[i], kinds[i], sizes[i], i == U_WEIGHTS) < 0) {
+        int writable = i == U_WEIGHTS || i >= U_ESCAPED;
+        if (borrow_typed(args[i], &views[i], kinds[i], sizes[i], writable) < 0) {
             goto done;
         }
         counts[i] = views[i].len / sizes[i];
@@ -1821,9 +1751,15 @@ static PyObject *update_slots(PyObject *self, PyObject *const *args, Py_ssize_t 
     const int32_t *sup_slots = (const int32_t *)views[U_SUP_SLOTS].buf;
     double *weights = (double *)views[U_WEIGHTS].buf;
     const int64_t *seeds = (const int64_t *)views[U_SEEDS].buf;
+    const int8_t *mask = (const int8_t *)views[U_MASK].buf;
+    int8_t *escaped = (int8_t *)views[U_ESCAPED].buf;
+    int8_t *changed = (int8_t *)views[U_CHANGED].buf;
+    int64_t *work = (int64_t *)views[U_COUNTS].buf;
+    Py_ssize_t n_mask = counts[U_MASK], n_escaped = counts[U_ESCAPED];
     if (check_slots(indptr, counts[U_INDPTR], indices, counts[U_INDICES], counts[U_BASE],
                     counts[U_WEIGHTS], sup_indptr, counts[U_SUP_INDPTR], sup_slots,
-                    counts[U_SUP_SLOTS], seeds, counts[U_SEEDS]) < 0) {
+                    counts[U_SUP_SLOTS], seeds, counts[U_SEEDS], n_mask, n_escaped,
+                    counts[U_CHANGED], counts[U_COUNTS]) < 0) {
         goto done;
     }
     Py_ssize_t n = counts[U_INDPTR] - 1;
@@ -1834,7 +1770,7 @@ static PyObject *update_slots(PyObject *self, PyObject *const *args, Py_ssize_t 
     }
     int64_t first = n;
     for (Py_ssize_t i = 0; i < counts[U_SEEDS]; i++) {
-        dirty[seeds[i]] = 1;
+        mark_row(dirty, mask, n_mask, escaped, n_escaped, seeds[i]);
         if (seeds[i] < first) {
             first = seeds[i];
         }
@@ -1844,6 +1780,8 @@ static PyObject *update_slots(PyObject *self, PyObject *const *args, Py_ssize_t 
             continue;
         }
         int64_t top = -1; /* highest column among the row's changed slots */
+        work[0]++;
+        work[1] += sup_indptr[indptr[r + 1]] - sup_indptr[indptr[r]];
         for (int64_t s = indptr[r]; s < indptr[r + 1]; s++) {
             double value = base[s];
             for (int64_t k = 2 * sup_indptr[s]; k < 2 * sup_indptr[s + 1]; k += 2) {
@@ -1854,6 +1792,8 @@ static PyObject *update_slots(PyObject *self, PyObject *const *args, Py_ssize_t 
             }
             if (value != weights[s]) {
                 weights[s] = value;
+                changed[s] = 1;
+                work[2]++;
                 if (indices[s] > top) {
                     top = indices[s];
                 }
@@ -1868,13 +1808,13 @@ static PyObject *update_slots(PyObject *self, PyObject *const *args, Py_ssize_t 
         int above = 0;
         for (int64_t s = indptr[r]; s < indptr[r + 1]; s++) {
             if (indices[s] < top) {
-                dirty[indices[s]] = 1;
+                mark_row(dirty, mask, n_mask, escaped, n_escaped, indices[s]);
             } else if (indices[s] > top) {
                 above = 1;
             }
         }
         if (above) {
-            dirty[top] = 1;
+            mark_row(dirty, mask, n_mask, escaped, n_escaped, top);
         }
     }
     result = Py_None;
@@ -2210,12 +2150,10 @@ static PyMethodDef methods[] = {
     {"recompute_row", (PyCFunction)maintain_recompute_row, METH_FASTCALL,
      "recompute_row(dis, anc, neighbors, sc_row, depth) -> H2H distance array "
      "of the vertex at the end of anc (inputs untouched)"},
-    {"shortcut_row", (PyCFunction)maintain_shortcut_row, METH_FASTCALL,
-     "shortcut_row(shortcuts, supporters, v, neighbors, base_weights) -> "
-     "recomputed sc(v, u) for every u in neighbors (inputs untouched)"},
     {"update_slots", (PyCFunction)update_slots, METH_FASTCALL,
-     "update_slots(indptr, indices, base, sup_indptr, sup_slots, weights, seeds) -> "
-     "None (bottom-up pass from the seed rows; writes only weights)"},
+     "update_slots(indptr, indices, base, sup_indptr, sup_slots, weights, seeds, mask, "
+     "escaped, changed, counts) -> None (bottom-up pass from the seed rows; writes "
+     "weights, escaped, changed, counts)"},
     {"update_labels", (PyCFunction)update_labels, METH_FASTCALL,
      "update_labels(parent, depth, child_indptr, child_rows, dis_indptr, pos_indptr, "
      "pos_data, sc, dis_data, seeds, allowed, changed, counts, lo, hi) -> None "

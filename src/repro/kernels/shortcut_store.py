@@ -5,16 +5,16 @@ PostMHL, TOAIN's sub-core search, the CH-underlying PSP families) all search
 an "upward neighbours" mapping.  A :class:`ShortcutStore` holds that upward
 adjacency as CSR arrays packed in one :class:`~repro.kernels.arena.Arena`
 (the buffer ``repro.store`` serializes and ``repro.cluster`` shards
-mmap-share), in one of two ways:
-
-* DCH keeps its shortcuts in this layout all along
-  (:class:`~repro.treedec.slots.SlotContraction`): each update batch writes
-  the next epoch's arena, and the epoch's store wraps it as it stands —
-  no gather, no template, only ``search_build``'s checks;
-* every other stage reads live dict-of-dict shortcut arrays, sometimes
-  filtered or merged per call, and :meth:`ShortcutStore.freeze` copies them,
-  preserving the mappings' iteration order, gathering into the previous
-  epoch's layout when it still fits.
+mmap-share).  Every contraction keeps its shortcuts in this layout all
+along (:mod:`repro.treedec.slots`): each update batch's pass writes the
+next epoch's arena (a copy, once a store holds the current one), and the
+epoch's store wraps it as it stands — no gather, no template, only
+``search_build``'s checks.  PMHL's PCH store wraps the cross-boundary
+union's arena, gathered from the partition and overlay arenas; TOAIN's
+sub-core store packs the slots below the core.  :meth:`ShortcutStore.freeze`
+remains for an adjacency given as mappings: it copies them, preserving
+their iteration order, gathering into the previous epoch's layout when it
+still fits.
 
 The native C kernel borrows the arena views and answers the CH query in C
 (scalar and batch) as an elimination-tree query: rows are frozen in

@@ -14,9 +14,10 @@ A query ``q(s, t)`` finds the LCA ``X`` of ``X(s)`` and ``X(t)`` and returns
 ``min_{i ∈ X.pos} X(s).dis[i] + X(t).dis[i]``.
 
 DH2H [Zhang et al., ICDE 2021] maintains the index in two phases: a bottom-up
-*shortcut update* (shared with DCH) followed by a top-down *label update* that
-only recomputes distance arrays inside the subtrees rooted at the shallowest
-affected tree nodes, pruning untouched branches.
+*shortcut update* (shared with DCH: one pass over the flat contraction,
+:class:`~repro.treedec.slots.SlotContraction`) followed by a top-down *label
+update* that only recomputes distance arrays inside the subtrees rooted at the
+shallowest affected tree nodes, pruning untouched branches.
 
 :class:`H2HLabels` keeps every ``X(v).dis`` and ``X(v).pos`` flat, as the
 arena of a :class:`~repro.kernels.label_store.LabelStore`: the tree fixes
@@ -27,7 +28,10 @@ C kernel's ``update_labels``, or a numpy step per row without it), and
 ``build`` is the same pass over every row.  A store wraps the arena as it
 stands; the first write after a wrap copies the buffer first, so no store
 — of an earlier epoch, or of an earlier stage of this one — sees a later
-write.
+write.  The pass reads each neighbour's shortcut through a gather map built
+once per tree: one ``np.take`` per source arena of the tree's contraction
+(one for a plain contraction, one per partition and the overlay for PMHL's
+``L*``).
 """
 
 from __future__ import annotations
@@ -49,13 +53,11 @@ from repro.kernels.arena import Arena, build_remap, rows_of
 from repro.kernels.label_store import LABEL_FIELDS, LabelStore, layout_arrays
 from repro.kernels.native import native_kernel
 from repro.registry import IndexSpec, register_spec
-from repro.treedec.mde import ContractionResult, contract_graph, update_shortcuts_bottom_up
+from repro.treedec.slots import NO_ROWS, SlotContraction
 from repro.treedec.tree import TreeDecomposition
 
 INF = math.inf
 
-#: No allowed mask: every row may be visited.
-_ALL_ROWS = np.zeros(0, dtype=np.int8)
 
 
 class H2HLabels:
@@ -99,10 +101,12 @@ class H2HLabels:
         self.width = int(self.depth.max()) + 1
         self._bounds = arena["dis_indptr"].tolist()
         #: ``sc(v, x)`` per position slot of ``pos_data`` (the own-column
-        #: slots unused); gathered whole on the first pass, then each pass
-        #: refreshes its seeds' rows — the rows whose shortcuts changed.
+        #: slots unused), regathered by a pass when a source changed since.
         self._sc: Optional[np.ndarray] = None
-        self._neighbor_rows: Optional[np.ndarray] = None
+        #: ``[(source contraction, position slots, source slots)]`` and the
+        #: sources' versions at the last gather.
+        self._sc_map: List[Tuple[SlotContraction, np.ndarray, np.ndarray]] = []
+        self._sc_versions: Optional[Tuple[int, ...]] = None
         #: Rows recomputed, columns recomputed and columns changed, summed
         #: over every pass so far (``UpdateReport`` takes per-batch deltas).
         self.work = np.zeros(3, dtype=np.int64)
@@ -127,7 +131,7 @@ class H2HLabels:
         check_label_arrays(
             self.parent, self.depth, self.child_indptr, self.child_rows,
             arena["dis_indptr"], arena["pos_indptr"], pos_data, pos_data,
-            arena["dis_data"], np.zeros(0, dtype=np.int64), _ALL_ROWS, np.zeros(n, dtype=np.int8),
+            arena["dis_data"], np.zeros(0, dtype=np.int64), NO_ROWS, np.zeros(n, dtype=np.int8),
             np.zeros(3, dtype=np.int64), 0, 0,
         )
 
@@ -236,8 +240,11 @@ class H2HLabels:
         each row's recomputation to ``[lo, hi)`` (default: the whole row).
         """
         row = self.row
-        seeds = np.unique(np.fromiter((row[v] for v in affected if v in row), np.int64))
-        mask = _ALL_ROWS
+        if isinstance(affected, np.ndarray):
+            seeds = np.unique(rows_of(row, self.remap, affected))
+        else:
+            seeds = np.unique(np.fromiter((row[v] for v in affected if v in row), np.int64))
+        mask = NO_ROWS
         if allowed is not None:
             mask = np.zeros(len(self.keys), dtype=np.int8)
             mask[rows_of(row, self.remap, [v for v in allowed if v in row])] = 1
@@ -245,7 +252,7 @@ class H2HLabels:
         if not seeds.size:
             return set()
         lo, hi = (0, self.width) if columns is None else columns
-        sc = self._shortcuts(seeds)
+        sc = self._shortcuts()
         arena = self.arena
         dis_data = self._writable()
         changed = np.zeros(len(self.keys), dtype=np.int8)
@@ -259,44 +266,36 @@ class H2HLabels:
         keys = self.keys
         return {keys[r] for r in np.flatnonzero(changed).tolist()}
 
-    def _shortcuts(self, rows: np.ndarray) -> np.ndarray:
-        """The shortcut cache, with ``rows`` (all rows, the first time)
-        gathered afresh from the contraction, in ``pos`` order: one C
-        ``gather_rows`` over the rows' shortcut dicts, which also checks
-        their keys against the neighbours' rows, or a Python loop."""
-        contraction, keys, row = self.tree.contraction, self.keys, self.row
-        pos_indptr = self.arena["pos_indptr"]
+    def _shortcuts(self) -> np.ndarray:
+        """The shortcut of every position slot, in ``pos`` order: gathered
+        from the contraction's source arenas (one ``np.take`` each) when one
+        of them changed since the last pass."""
         if self._sc is None:
             self._sc = np.zeros(len(self.arena["pos_data"]), dtype=np.float64)
-            # Each position slot's neighbour row (the own slot: the row).
-            self._neighbor_rows = np.fromiter(
-                (row[x] for v in keys for x in (*contraction.neighbors[v], v)),
-                np.int64, len(self._sc),
-            )
-            rows = np.arange(len(keys), dtype=np.int64)
-        # Row r's neighbour slots are pos_indptr[r] .. pos_indptr[r + 1] - 2.
-        starts = pos_indptr[rows]
-        counts = pos_indptr[rows + 1] - 1 - starts
-        indptr = np.zeros(len(rows) + 1, dtype=np.int64)
-        np.cumsum(counts, out=indptr[1:])
-        slots = np.arange(int(indptr[-1])) + np.repeat(starts - indptr[:-1], counts)
-        shortcuts = contraction.shortcuts
-        kernel = native_kernel()
-        if kernel is not None:
-            values = np.empty(len(slots), dtype=np.float64)
-            kernel.gather_rows(
-                [shortcuts[keys[r]] for r in rows.tolist()], indptr, values,
-                row if self.remap is None else self.remap, self._neighbor_rows[slots],
-            )
-        else:
-            values = []
-            for r in rows.tolist():
-                v = keys[r]
-                values.extend(map(shortcuts[v].__getitem__, contraction.neighbors[v]))
-            if len(values) != len(slots):
-                raise ValueError("shortcut rows do not match the label positions")
-        self._sc[slots] = values
+            self._sc_map = self._gather_map()
+        versions = tuple(source.version for source, _, _ in self._sc_map)
+        if versions != self._sc_versions:
+            for source, dst, src in self._sc_map:
+                self._sc[dst] = source.arena["weights"].take(src)
+            self._sc_versions = versions
         return self._sc
+
+    def _gather_map(self) -> List[Tuple[SlotContraction, np.ndarray, np.ndarray]]:
+        """Each position slot's shortcut slot, split by source arena.  Row
+        ``r``'s neighbour slots are ``pos_indptr[r] .. pos_indptr[r+1] - 2``,
+        in the order of its contraction row's slots."""
+        contraction, pos_indptr = self.tree.contraction, self.arena["pos_indptr"]
+        crows = contraction.rows_of(self.keys)
+        indptr = contraction.arena["indptr"]
+        counts = indptr[crows + 1] - indptr[crows]
+        if not np.array_equal(counts, np.diff(pos_indptr) - 1):
+            raise ValueError("shortcut rows do not match the label positions")
+        within = np.arange(int(counts.sum())) - np.repeat(np.cumsum(counts) - counts, counts)
+        dst = np.repeat(pos_indptr[:-1], counts) + within
+        sources, slot_sid, slot_src = contraction.slot_map()
+        slots = np.repeat(indptr[crows], counts) + within
+        sid, src = slot_sid[slots], slot_src[slots]
+        return [(source, dst[sid == i], src[sid == i]) for i, source in enumerate(sources)]
 
     # ------------------------------------------------------------------
     # Introspection
@@ -442,14 +441,14 @@ class H2HIndex(DistanceIndex):
         super().__init__(graph)
         self._order = list(order) if order is not None else None
         self._tiers = dict(tiers) if tiers is not None else None
-        self.contraction: Optional[ContractionResult] = None
+        self.contraction: Optional[SlotContraction] = None
         self.tree: Optional[TreeDecomposition] = None
         self.labels: Optional[H2HLabels] = None
 
     def _build(self) -> None:
         prefix = self.name.lower() + ".build."
         with obs.span(prefix + "contraction"):
-            self.contraction = contract_graph(
+            self.contraction = SlotContraction.build(
                 self.graph, order=self._order, tiers=self._tiers
             )
         with obs.span(prefix + "tree_decomposition"):
@@ -490,24 +489,25 @@ class H2HIndex(DistanceIndex):
     # Snapshot persistence (see repro.store)
     # ------------------------------------------------------------------
     def to_state(self, io) -> Dict[str, object]:
-        """Contraction (shortcuts + supporters) and the label CSR arrays.
+        """The flat contraction (arena, graph weights, supporter slots) and
+        the label arena.
 
         The tree decomposition and its LCA oracle are *not* stored: they are
         derived from the contraction in O(n·h) on load, which is negligible
         next to the contraction and label-construction work being skipped.
         """
-        from repro.store.codec import pack_contraction, pack_labels
+        from repro.store.codec import pack_labels
 
         labels = self._require_built()
         return {
-            "contraction": pack_contraction(self.contraction, io),
+            "slots": self.contraction.to_state(io),
             "labels": pack_labels(labels, io),
         }
 
     def from_state(self, state: Dict[str, object], io) -> None:
-        from repro.store.codec import unpack_contraction, unpack_labels
+        from repro.store.codec import unpack_labels
 
-        self.contraction = unpack_contraction(state["contraction"], io)
+        self.contraction = SlotContraction.from_state(state["slots"], io)
         self.tree = TreeDecomposition.from_contraction(self.contraction)
         self.labels = unpack_labels(state["labels"], io, self.tree)
 
@@ -516,6 +516,9 @@ class H2HIndex(DistanceIndex):
 
     def _label_sets(self):
         return () if self.labels is None else (self.labels,)
+
+    def _contractions(self):
+        return () if self.contraction is None else (self.contraction,)
 
     @property
     def tree_height(self) -> int:
@@ -555,17 +558,13 @@ class DH2HIndex(H2HIndex):
         self._emit_stage(report, StageTiming("edge_update", timer.seconds))
 
         with Timer() as timer:
-            changed_shortcuts = update_shortcuts_bottom_up(
-                self.contraction, self.graph, [update.key() for update in batch]
-            )
+            changed = self.contraction.update(batch)
         self._emit_stage(report, StageTiming("shortcut_update", timer.seconds))
 
         with Timer() as timer:
-            changed_labels = labels.update_top_down(changed_shortcuts.keys())
+            self.last_changed_labels = labels.update_top_down(self.contraction.vertices(changed))
         self._emit_stage(report, StageTiming("label_update", timer.seconds))
-
-        self.last_changed_shortcuts = changed_shortcuts
-        self.last_changed_labels = changed_labels
+        self.last_changed_slots = changed
         return report
 
 

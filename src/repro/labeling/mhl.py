@@ -23,13 +23,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Tuple
 
-from repro.base import QueryStage, StageTiming, Timer, UpdateReport
+from repro.base import QueryStage
 from repro.graph.graph import Graph
-from repro.graph.updates import UpdateBatch
 from repro.hierarchy.ch import ch_bidirectional_query
 from repro.labeling.h2h import DH2HIndex
 from repro.registry import IndexSpec, register_spec
-from repro.treedec.mde import update_shortcuts_bottom_up
 
 
 class MHLIndex(DH2HIndex):
@@ -41,53 +39,25 @@ class MHLIndex(DH2HIndex):
     # Stage-specific query processing
     # ------------------------------------------------------------------
     def _ch_store(self):
-        """Frozen stage-2 shortcut adjacency of this epoch (``None`` = pure path)."""
+        """Stage-2 shortcut store of this epoch (``None`` = pure path): the
+        contraction's arena, as the shortcut pass left it."""
         self._require_built()
-        return self._contraction_store("ch", self.contraction)
+        return self._kernel("ch", lambda _: self.contraction.store())
 
     def query_ch(self, source: int, target: int) -> float:
         """Stage-2 query: CH search over the shortcut arrays ``X(v).sc``."""
         return self._stage_query(
             self._ch_store(), source, target,
-            ch_bidirectional_query, self.contraction.shortcuts.__getitem__,
+            ch_bidirectional_query, self.contraction.upward,
         )
 
     def query_h2h(self, source: int, target: int) -> float:
         """Stage-3 query: H2H label lookup (fastest), the final stage."""
         return self.query(source, target)
 
-    # ------------------------------------------------------------------
-    # Maintenance
-    # ------------------------------------------------------------------
-    def _apply_batch(self, batch: UpdateBatch) -> UpdateReport:
-        """Three-stage maintenance mirroring U-Stages of the multi-stage scheme.
-
-        Stage names map to the query stage that becomes available when the
-        stage completes: after ``edge_update`` BiDijkstra is correct, after
-        ``shortcut_update`` the CH query is correct, after ``label_update`` the
-        H2H query is correct.
-        """
-        labels = self._require_built()
-        report = UpdateReport()
-        self.invalidate_kernels()
-
-        with Timer() as timer:
-            batch.apply(self.graph)
-        self._emit_stage(report, StageTiming("edge_update", timer.seconds))
-
-        with Timer() as timer:
-            changed_shortcuts = update_shortcuts_bottom_up(
-                self.contraction, self.graph, [update.key() for update in batch]
-            )
-        self._emit_stage(report, StageTiming("shortcut_update", timer.seconds))
-
-        with Timer() as timer:
-            changed_labels = labels.update_top_down(changed_shortcuts.keys())
-        self._emit_stage(report, StageTiming("label_update", timer.seconds))
-
-        self.last_changed_shortcuts = changed_shortcuts
-        self.last_changed_labels = changed_labels
-        return report
+    # Maintenance is DH2H's: its three stages (``edge_update``,
+    # ``shortcut_update``, ``label_update``) release BiDijkstra, the CH query
+    # and the H2H query in turn (see :meth:`stage_catalog`).
 
     # ------------------------------------------------------------------
     # Snapshot persistence: the DH2H state covers MHL (the CH stage reads

@@ -37,7 +37,7 @@ from repro.kernels.label_store import LabelStore
 from repro.partitioning.base import Partitioning
 from repro.partitioning.natural_cut import natural_cut_partition
 from repro.partitioning.ordering import boundary_first_order
-from repro.psp.overlay import OverlayIndex
+from repro.psp.overlay import Changes, OverlayIndex
 from repro.psp.partition_family import PartitionIndexFamily
 from repro.registry import IndexSpec, register_spec
 
@@ -143,7 +143,7 @@ class NoBoundaryPSPIndex(DistanceIndex):
     # ------------------------------------------------------------------
     def _store_for(self, key: str, labels, contraction):
         if labels is None:
-            return self._contraction_store(key, contraction)
+            return self._kernel(key, lambda _: contraction.store())
         return self._kernel(key, lambda _: LabelStore.freeze(labels))
 
     def _overlay_store(self):
@@ -326,7 +326,7 @@ class NoBoundaryPSPIndex(DistanceIndex):
         self._emit_stage(report, StageTiming("edge_update", timer.seconds))
 
         per_partition, inter_updates = self._split_batch(batch)
-        shortcut_times, changed, changed_boundary = self._update_partition_shortcuts(
+        shortcut_times, changed, boundary_changes = self._update_partition_shortcuts(
             per_partition
         )
         label_times = self._update_partition_labels(changed)
@@ -338,7 +338,7 @@ class NoBoundaryPSPIndex(DistanceIndex):
         )
 
         with Timer() as timer:
-            self.overlay.apply_updates(inter_updates, changed_boundary)
+            self.overlay.apply_updates(inter_updates, boundary_changes)
         self._emit_stage(report, StageTiming("overlay_update", timer.seconds))
 
         self.last_report = report
@@ -359,40 +359,36 @@ class NoBoundaryPSPIndex(DistanceIndex):
 
     def _update_partition_shortcuts(
         self, per_partition: Dict[int, List]
-    ) -> Tuple[List[float], Dict[int, Dict[int, List[int]]], Dict[Tuple[int, int], float]]:
+    ) -> Tuple[List[float], Dict[int, np.ndarray], Changes]:
         """Shortcut phase of the touched partitions (parallel in the paper).
 
-        Returns per-partition seconds, each partition's changed-shortcut
-        report (the seed of its label phase) and the boundary shortcuts whose
-        values changed (the seed of the overlay's shortcut phase).
+        Returns per-partition seconds, each partition's changed slots (the
+        seed of its label phase) and ``(us, vs, weights)`` of the boundary
+        shortcuts whose values changed (the seed of the overlay's shortcut
+        phase).
         """
         times: List[float] = []
-        changed: Dict[int, Dict[int, List[int]]] = {}
-        changed_boundary: Dict[Tuple[int, int], float] = {}
+        changed: Dict[int, np.ndarray] = {}
+        boundary: List[Changes] = []
+        family = self.family
         for pid, updates in sorted(per_partition.items()):
             start = time.perf_counter()
-            changed_edges = self.family.apply_edge_updates(pid, updates)
-            changed_report = self.family.update_shortcuts(pid, changed_edges)
-            changed[pid] = changed_report
-            boundary = self.partitioning.boundary(pid)
-            shortcuts = self.family.contractions[pid].shortcuts
-            for v, neighbours in changed_report.items():
-                if v not in boundary:
-                    continue
-                for u in neighbours:
-                    if u in boundary:
-                        changed_boundary[(v, u)] = shortcuts[v][u]
+            changed[pid] = slots = family.update_shortcuts(
+                pid, [u.u for u in updates], [u.v for u in updates],
+                [u.new_weight for u in updates],
+            )
+            boundary.append(family.boundary_shortcuts(pid, slots))
             times.append(time.perf_counter() - start)
-        return times, changed, changed_boundary
+        if not boundary:
+            return times, changed, ((), (), ())
+        return times, changed, tuple(np.concatenate(part) for part in zip(*boundary))
 
-    def _update_partition_labels(
-        self, changed: Dict[int, Dict[int, List[int]]]
-    ) -> List[float]:
+    def _update_partition_labels(self, changed: Dict[int, np.ndarray]) -> List[float]:
         """Label phase of the touched partitions; returns per-partition seconds."""
         times: List[float] = []
-        for pid, changed_report in sorted(changed.items()):
+        for pid, slots in sorted(changed.items()):
             start = time.perf_counter()
-            self.family.update_labels(pid, changed_report.keys())
+            self.family.update_labels(pid, slots)
             times.append(time.perf_counter() - start)
         return times
 
@@ -409,16 +405,20 @@ class NoBoundaryPSPIndex(DistanceIndex):
             if labels is not None
         )
 
+    def _contractions(self):
+        if self.family is None or self.overlay is None:
+            return ()
+        return (*self.family.contractions, self.overlay.contraction)
+
     # ------------------------------------------------------------------
     # Snapshot persistence (see repro.store)
     # ------------------------------------------------------------------
     def to_state(self, io) -> Dict[str, object]:
         """Partition assignment, global order, family and overlay structures.
 
-        The overlay graph is stored explicitly (it is maintained
-        incrementally and can legitimately differ from a fresh
-        ``build_overlay_graph``); the per-partition graphs travel inside the
-        family payload.
+        The partition and overlay graphs are not stored: each flat
+        contraction carries its graph weights (``base``), which are all
+        maintenance reads of them.
         """
         from repro.store import codec
 

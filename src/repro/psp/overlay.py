@@ -7,13 +7,22 @@ way (the paper's Theorem 2 / the "optimized no-boundary" construction), the
 overlay preserves the *global* shortest distances between any two boundary
 vertices, so an index over the overlay answers boundary-to-boundary queries
 exactly.
+
+The overlay graph is a build input only: its flat contraction
+(:class:`~repro.treedec.slots.SlotContraction`) holds every edge weight in
+``base`` from then on, and each batch patches the inter-partition edges and
+the partitions' changed boundary shortcuts straight into it.  Which boundary
+pairs a partition joins never changes after a build (weights stay finite and
+positive), so a batch never adds an overlay edge.
 """
 
 from __future__ import annotations
 
 import math
 import time
-from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Dict, Iterable, Optional, Sequence, Set, Tuple
+
+import numpy as np
 
 from repro.exceptions import IndexNotBuiltError
 from repro.graph.graph import Graph
@@ -22,10 +31,13 @@ from repro.labeling.h2h import H2HLabels
 from repro.partitioning.base import Partitioning
 from repro.partitioning.ordering import restrict_order
 from repro.psp.partition_family import PartitionIndexFamily
-from repro.treedec.mde import ContractionResult, contract_graph, update_shortcuts_bottom_up
+from repro.treedec.slots import SlotContraction
 from repro.treedec.tree import TreeDecomposition
 
 INF = math.inf
+
+#: ``(us, vs, weights)`` of a set of shortcut or edge changes.
+Changes = Tuple[Sequence[int], Sequence[int], Sequence[float]]
 
 
 def build_overlay_graph(
@@ -46,7 +58,7 @@ def build_overlay_graph(
     for u, v, w in partitioning.inter_edges():
         overlay.add_edge(u, v, w)
     for pid in range(partitioning.num_partitions):
-        for (b1, b2), weight in family.boundary_shortcuts(pid).items():
+        for b1, b2, weight in zip(*(a.tolist() for a in family.boundary_shortcuts(pid))):
             overlay.add_edge(b1, b2, weight)
     return overlay
 
@@ -65,8 +77,7 @@ class OverlayIndex:
         self.family = family
         self.order = list(order)
         self.with_labels = with_labels
-        self.graph: Optional[Graph] = None
-        self.contraction: Optional[ContractionResult] = None
+        self.contraction: Optional[SlotContraction] = None
         self.tree: Optional[TreeDecomposition] = None
         self.labels: Optional[H2HLabels] = None
         self.build_seconds = 0.0
@@ -76,16 +87,22 @@ class OverlayIndex:
     def build(self) -> float:
         """Build the overlay graph and its index; returns the build time."""
         start = time.perf_counter()
-        self.graph = build_overlay_graph(self.partitioning, self.family)
-        overlay_order = restrict_order(self.order, self.graph.vertices())
-        self.contraction = contract_graph(self.graph, order=overlay_order)
-        self.tree = TreeDecomposition.from_contraction(self.contraction, allow_forest=True)
+        graph = build_overlay_graph(self.partitioning, self.family)
+        overlay_order = restrict_order(self.order, graph.vertices())
+        self.attach(SlotContraction.build(graph, order=overlay_order))
         if self.with_labels:
-            self.labels = H2HLabels(self.tree)
             self.labels.build()
         self.build_seconds = time.perf_counter() - start
         self._built = True
         return self.build_seconds
+
+    def attach(self, contraction: SlotContraction, labels=None) -> None:
+        """Install the contraction, its tree and its labels (``labels``
+        reattaches saved ones: an ``Arena``)."""
+        self.contraction = contraction
+        self.tree = TreeDecomposition.from_contraction(contraction, allow_forest=True)
+        if self.with_labels:
+            self.labels = H2HLabels(self.tree, labels)
 
     def _require_built(self) -> None:
         if not self._built:
@@ -99,7 +116,7 @@ class OverlayIndex:
             return 0.0
         if self.with_labels:
             return self.labels.query(b1, b2)
-        return ch_bidirectional_query(b1, b2, lambda v: self.contraction.shortcuts[v])
+        return ch_bidirectional_query(b1, b2, self.contraction.upward)
 
     def boundary_pair_distances(self, pid: int) -> Dict[Tuple[int, int], float]:
         """All-pair global distances among the boundary vertices of partition
@@ -118,57 +135,45 @@ class OverlayIndex:
         return distances
 
     # ------------------------------------------------------------------
-    def update_shortcuts(
-        self,
-        inter_updates: Iterable,
-        changed_boundary_shortcuts: Dict[Tuple[int, int], float],
-    ) -> Dict[int, List[int]]:
-        """Shortcut half of overlay maintenance: install edge changes, then
-        update the overlay shortcut arrays bottom-up.
+    def update_shortcuts(self, inter_updates: Iterable, boundary_changes: Changes) -> np.ndarray:
+        """Shortcut half of overlay maintenance: install the new edge weights
+        and run the overlay's shortcut pass.
 
         Parameters
         ----------
         inter_updates:
             Edge updates whose endpoints lie in different partitions (their
             weights are copied verbatim onto the overlay edges).
-        changed_boundary_shortcuts:
-            New values of partition boundary shortcuts that changed during the
-            partition shortcut-update phase.
+        boundary_changes:
+            ``(us, vs, weights)`` of the partition boundary shortcuts that
+            changed during the partition shortcut-update phase.
 
-        Returns the changed-shortcut report that seeds :meth:`update_labels`.
+        Returns the changed slots, which seed :meth:`update_labels`.
         """
         self._require_built()
-        changed_edges: List[Tuple[int, int]] = []
-        for update in inter_updates:
-            if self.graph.has_edge(update.u, update.v):
-                self.graph.set_edge_weight(update.u, update.v, update.new_weight)
-                changed_edges.append(update.key())
-        for (b1, b2), weight in changed_boundary_shortcuts.items():
-            if self.graph.has_edge(b1, b2):
-                if self.graph.edge_weight(b1, b2) != weight:
-                    self.graph.set_edge_weight(b1, b2, weight)
-                    changed_edges.append((b1, b2) if b1 < b2 else (b2, b1))
-            else:
-                self.graph.add_edge(b1, b2, weight)
-                changed_edges.append((b1, b2) if b1 < b2 else (b2, b1))
-        return update_shortcuts_bottom_up(self.contraction, self.graph, changed_edges)
+        inter = list(inter_updates)
+        us, vs, weights = boundary_changes
+        contraction = self.contraction
+        seeds = contraction.patch(
+            [u.u for u in inter] + list(us), [u.v for u in inter] + list(vs),
+            [u.new_weight for u in inter] + list(weights),
+        )
+        return contraction.run(seeds)
 
-    def update_labels(self, changed_report: Dict[int, List[int]]) -> Set[int]:
-        """Label half of overlay maintenance: top-down from the vertices whose
-        shortcuts changed; returns the vertices whose labels changed."""
-        if self.with_labels and changed_report:
-            return self.labels.update_top_down(changed_report.keys())
+    def update_labels(self, slots: np.ndarray) -> Set[int]:
+        """Label half of overlay maintenance: top-down from the owners of the
+        changed ``slots``; returns the vertices whose labels changed."""
+        if self.with_labels and len(slots):
+            return self.labels.update_top_down(self.contraction.vertices(slots))
         return set()
 
     def apply_updates(
-        self,
-        inter_updates: Iterable,
-        changed_boundary_shortcuts: Dict[Tuple[int, int], float],
-    ) -> Tuple[Dict[int, List[int]], Set[int]]:
+        self, inter_updates: Iterable, boundary_changes: Changes
+    ) -> Tuple[np.ndarray, Set[int]]:
         """Shortcut half, then label half (arguments as :meth:`update_shortcuts`);
-        returns ``(changed_shortcut_report, changed_label_vertices)``."""
-        changed_report = self.update_shortcuts(inter_updates, changed_boundary_shortcuts)
-        return changed_report, self.update_labels(changed_report)
+        returns ``(changed slots, changed label vertices)``."""
+        slots = self.update_shortcuts(inter_updates, boundary_changes)
+        return slots, self.update_labels(slots)
 
     # ------------------------------------------------------------------
     def index_size(self) -> int:

@@ -1,21 +1,28 @@
 """Per-partition index structures sharing a global boundary-first order.
 
 A *partition index family* holds, for every partition ``G_i`` (or extended
-partition ``G'_i``), its own copy of the (sub)graph, its MDE contraction under
-the restriction of a shared global vertex order, the resulting tree
+partition ``G'_i``), the flat contraction of its (sub)graph under the
+restriction of a shared global vertex order
+(:class:`~repro.treedec.slots.SlotContraction`), the resulting tree
 decomposition and (optionally) H2H distance labels.  PMHL's no-boundary and
 post-boundary indexes and the N-CH-P / P-TD-P baselines are all built from
 such families, so the class also exposes the per-partition maintenance
-primitives (shortcut update, label update) together with their individual
-wall-clock times, which the throughput machinery converts into simulated
-parallel stage times.
+primitives (shortcut update, label update), which the PSP indexes time one
+partition at a time so the throughput machinery can convert them into
+simulated parallel stage times.
+
+The (sub)graphs are build inputs only: a contraction's ``base`` array holds
+each shortcut's graph weight from then on, and a partition's edge updates
+go straight into it.
 """
 
 from __future__ import annotations
 
 import math
 import time
-from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Optional, Sequence, Set
+
+import numpy as np
 
 from repro.exceptions import IndexNotBuiltError
 from repro.graph.graph import Graph
@@ -23,7 +30,7 @@ from repro.hierarchy.ch import ch_bidirectional_query
 from repro.labeling.h2h import H2HLabels
 from repro.partitioning.base import Partitioning
 from repro.partitioning.ordering import restrict_order
-from repro.treedec.mde import ContractionResult, contract_graph, update_shortcuts_bottom_up
+from repro.treedec.slots import SlotContraction
 from repro.treedec.tree import TreeDecomposition
 
 INF = math.inf
@@ -42,9 +49,9 @@ class PartitionIndexFamily:
         Build H2H labels per partition (hop-based underlying index).  When
         ``False`` only the shortcut arrays are kept (CH underlying index).
     graphs:
-        Optional per-partition graphs; defaults to the intra-edge subgraphs
-        ``G_i``.  The post-boundary strategy passes extended partitions
-        ``G'_i`` here.
+        Optional per-partition graphs to build from; defaults to the
+        intra-edge subgraphs ``G_i``.  The post-boundary strategy passes
+        extended partitions ``G'_i`` here.
     """
 
     def __init__(
@@ -57,16 +64,16 @@ class PartitionIndexFamily:
         self.partitioning = partitioning
         self.order = list(order)
         self.with_labels = with_labels
-        if graphs is not None:
-            self.graphs = graphs
-        else:
-            self.graphs = [
-                partitioning.subgraph(pid) for pid in range(partitioning.num_partitions)
-            ]
-        self.contractions: List[Optional[ContractionResult]] = [None] * len(self.graphs)
-        self.trees: List[Optional[TreeDecomposition]] = [None] * len(self.graphs)
-        self.labels: List[Optional[H2HLabels]] = [None] * len(self.graphs)
-        self.build_times: List[float] = [0.0] * len(self.graphs)
+        count = partitioning.num_partitions if graphs is None else len(graphs)
+        #: The build inputs, dropped once the contractions hold the weights.
+        self._graphs = graphs
+        self.contractions: List[Optional[SlotContraction]] = [None] * count
+        self.trees: List[Optional[TreeDecomposition]] = [None] * count
+        self.labels: List[Optional[H2HLabels]] = [None] * count
+        self.build_times: List[float] = [0.0] * count
+        #: Per partition, ``True`` for each slot joining two boundary
+        #: vertices (the overlay's edges), derived on first use.
+        self._boundary_slots: Dict[int, np.ndarray] = {}
         self._built = False
 
     # ------------------------------------------------------------------
@@ -74,25 +81,32 @@ class PartitionIndexFamily:
     # ------------------------------------------------------------------
     @property
     def num_partitions(self) -> int:
-        return len(self.graphs)
+        return len(self.contractions)
 
     def build(self) -> List[float]:
         """Build every partition structure; returns per-partition build times."""
         for pid in range(self.num_partitions):
             start = time.perf_counter()
-            subgraph = self.graphs[pid]
+            subgraph = (
+                self.partitioning.subgraph(pid) if self._graphs is None else self._graphs[pid]
+            )
             partition_order = restrict_order(self.order, subgraph.vertices())
-            contraction = contract_graph(subgraph, order=partition_order)
-            tree = TreeDecomposition.from_contraction(contraction, allow_forest=True)
-            self.contractions[pid] = contraction
-            self.trees[pid] = tree
+            self.attach(pid, SlotContraction.build(subgraph, order=partition_order))
             if self.with_labels:
-                labels = H2HLabels(tree)
-                labels.build()
-                self.labels[pid] = labels
+                self.labels[pid].build()
             self.build_times[pid] = time.perf_counter() - start
+        self._graphs = None
         self._built = True
         return list(self.build_times)
+
+    def attach(self, pid: int, contraction: SlotContraction, labels=None) -> None:
+        """Install partition ``pid``'s contraction, its tree and its labels
+        (``labels`` reattaches saved ones: an ``Arena``)."""
+        tree = TreeDecomposition.from_contraction(contraction, allow_forest=True)
+        self.contractions[pid] = contraction
+        self.trees[pid] = tree
+        if self.with_labels:
+            self.labels[pid] = H2HLabels(tree, labels)
 
     def _require_built(self) -> None:
         if not self._built:
@@ -106,85 +120,65 @@ class PartitionIndexFamily:
         self._require_built()
         if self.with_labels:
             return self.labels[pid].query(source, target)
-        contraction = self.contractions[pid]
-        return ch_bidirectional_query(source, target, lambda v: contraction.shortcuts[v])
+        return ch_bidirectional_query(source, target, self.contractions[pid].upward)
 
     # ------------------------------------------------------------------
     # Boundary shortcuts (overlay-graph construction, Theorem 2)
     # ------------------------------------------------------------------
-    def boundary_shortcuts(self, pid: int) -> Dict[Tuple[int, int], float]:
-        """Shortcuts among boundary vertices produced by the partition contraction.
+    def boundary_slots(self, pid: int) -> np.ndarray:
+        """``True`` for each slot of partition ``pid`` whose two endpoints are
+        boundary vertices.
 
         Under the boundary-first order all non-boundary vertices of the
-        partition are contracted first, so the shortcut arrays of the boundary
-        vertices describe the boundary-to-boundary contracted graph, which
-        preserves global distances (Theorem 2 of the paper).
+        partition are contracted first, so these shortcuts describe the
+        boundary-to-boundary contracted graph, which preserves global
+        distances (Theorem 2 of the paper): they are the overlay's edges.
         """
+        flags = self._boundary_slots.get(pid)
+        if flags is None:
+            arena = self.contractions[pid].arena
+            boundary = self.partitioning.boundary(pid)
+            is_boundary = np.fromiter(
+                (v in boundary for v in arena["ids"].tolist()), bool, len(arena["ids"])
+            )
+            owners = np.repeat(is_boundary, np.diff(arena["indptr"]))
+            flags = self._boundary_slots[pid] = owners & is_boundary[arena["indices"]]
+        return flags
+
+    def boundary_shortcuts(self, pid: int, slots: Optional[np.ndarray] = None):
+        """``(us, vs, weights)`` of partition ``pid``'s boundary shortcuts:
+        all of them, or those among ``slots`` (a pass's changed slots)."""
         self._require_built()
+        flags = self.boundary_slots(pid)
+        picked = np.flatnonzero(flags) if slots is None else slots[flags[slots]]
         contraction = self.contractions[pid]
-        boundary = self.partitioning.boundary(pid)
-        shortcuts: Dict[Tuple[int, int], float] = {}
-        for b in boundary:
-            if b not in contraction.shortcuts:
-                continue
-            for u, weight in contraction.shortcuts[b].items():
-                if u in boundary:
-                    shortcuts[(b, u)] = weight
-        return shortcuts
+        arena = contraction.arena
+        return (
+            arena["ids"][contraction.slot_rows(picked)],
+            arena["ids"][arena["indices"][picked]],
+            arena["weights"][picked],
+        )
 
     # ------------------------------------------------------------------
     # Maintenance
     # ------------------------------------------------------------------
-    def apply_edge_updates(self, pid: int, updates: Iterable) -> List[Tuple[int, int]]:
-        """Apply edge-weight updates to the partition's graph copy.
-
-        Returns the list of changed edge keys (for the shortcut update seed).
-        Updates whose edge does not exist in the partition graph are skipped
-        (e.g. boundary-pair virtual edges handled separately by the caller).
-        """
-        graph = self.graphs[pid]
-        changed: List[Tuple[int, int]] = []
-        for update in updates:
-            if graph.has_edge(update.u, update.v):
-                graph.set_edge_weight(update.u, update.v, update.new_weight)
-                changed.append(update.key())
-        return changed
-
-    def set_edge_weights(
-        self, pid: int, new_weights: Dict[Tuple[int, int], float]
-    ) -> List[Tuple[int, int]]:
-        """Set explicit edge weights on the partition graph (adding missing edges).
-
-        Used for the extended partitions, whose boundary-pair edges carry the
-        global boundary distances.
-        """
-        graph = self.graphs[pid]
-        changed: List[Tuple[int, int]] = []
-        for (u, v), weight in new_weights.items():
-            if graph.has_edge(u, v):
-                if graph.edge_weight(u, v) != weight:
-                    graph.set_edge_weight(u, v, weight)
-                    changed.append((u, v) if u < v else (v, u))
-            else:
-                graph.add_edge(u, v, weight)
-                changed.append((u, v) if u < v else (v, u))
-        return changed
-
     def update_shortcuts(
-        self, pid: int, changed_edges: Sequence[Tuple[int, int]]
-    ) -> Dict[int, List[int]]:
-        """Bottom-up shortcut maintenance of one partition; returns the change report."""
+        self, pid: int, us: Sequence[int], vs: Sequence[int], weights: Sequence[float]
+    ) -> np.ndarray:
+        """Install new weights of partition ``pid``'s edges ``(us[i], vs[i])``
+        and run its shortcut pass; returns the changed slots.  An edge the
+        partition's contraction has no slot for is a ``GraphError``."""
         self._require_built()
-        return update_shortcuts_bottom_up(
-            self.contractions[pid], self.graphs[pid], changed_edges
-        )
+        contraction = self.contractions[pid]
+        return contraction.run(contraction.patch(us, vs, weights))
 
-    def update_labels(self, pid: int, affected: Iterable[int]) -> Set[int]:
-        """Top-down label maintenance of one partition; returns changed vertices."""
+    def update_labels(self, pid: int, slots: np.ndarray) -> Set[int]:
+        """Top-down label maintenance of one partition from the owners of
+        its changed ``slots``; returns changed vertices."""
         self._require_built()
-        if not self.with_labels:
+        if not self.with_labels or not len(slots):
             return set()
-        return self.labels[pid].update_top_down(affected)
+        return self.labels[pid].update_top_down(self.contractions[pid].vertices(slots))
 
     # ------------------------------------------------------------------
     # Introspection

@@ -137,10 +137,14 @@ class PostBoundaryPSPIndex(NoBoundaryPSPIndex):
                 times.append(time.perf_counter() - start)
                 continue
             self.boundary_distances[pid] = new_distances
-            changed_edges = self.extended_family.apply_edge_updates(pid, intra_updates)
-            changed_edges += self.extended_family.set_edge_weights(pid, changed_pairs)
-            changed_report = self.extended_family.update_shortcuts(pid, changed_edges)
-            self.extended_family.update_labels(pid, changed_report.keys())
+            pairs = list(changed_pairs)
+            changed = self.extended_family.update_shortcuts(
+                pid,
+                [u.u for u in intra_updates] + [a for a, _ in pairs],
+                [u.v for u in intra_updates] + [b for _, b in pairs],
+                [u.new_weight for u in intra_updates] + list(changed_pairs.values()),
+            )
+            self.extended_family.update_labels(pid, changed)
             times.append(time.perf_counter() - start)
         return times
 
@@ -152,9 +156,13 @@ class PostBoundaryPSPIndex(NoBoundaryPSPIndex):
         extended = self.extended_family.labels if self.extended_family is not None else ()
         return (*super()._label_sets(), *(labels for labels in extended if labels is not None))
 
+    def _contractions(self):
+        extended = self.extended_family.contractions if self.extended_family is not None else ()
+        return (*super()._contractions(), *extended)
+
     # ------------------------------------------------------------------
     # Snapshot persistence: the no-boundary state plus the extended
-    # partitions (whose boundary-pair edges exist nowhere else) and the
+    # partitions (whose boundary-pair weights exist nowhere else) and the
     # boundary distance tables used for update change detection.
     # ------------------------------------------------------------------
     def to_state(self, io) -> Dict[str, object]:

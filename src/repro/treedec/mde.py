@@ -11,9 +11,13 @@ produces
 * *supporter* records: for every shortcut pair ``(u, w)`` the list of lower
   vertices whose contraction contributed the value ``sc(x, u) + sc(x, w)``.
   Supporters are what make bottom-up dynamic maintenance (DCH / the shortcut
-  phase of DH2H) possible for both weight increases and decreases.  DCH
-  keeps them as flat slot pairs instead (:mod:`repro.treedec.slots`); the
-  dicts here serve the H2H family.
+  phase of DH2H) possible for both weight increases and decreases.
+
+Every index lays this result out flat (:mod:`repro.treedec.slots`), derives
+its supporters from the rows as slot pairs, and maintains the flat arrays in
+one pass per batch; the dicts here are the construction step, and the
+reference a maintained contraction is checked against (a fresh contraction
+of the updated graph under the same order).
 
 The contraction can be driven by the classic minimum-degree heuristic, by a
 caller-specified fixed order, or by a *tiered* minimum-degree rule (contract
@@ -30,7 +34,6 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.exceptions import GraphError
 from repro.graph.graph import Graph
-from repro.kernels.native import native_kernel
 
 INF = math.inf
 
@@ -86,16 +89,6 @@ class ContractionResult:
     def shortcut_count(self) -> int:
         """Total number of (vertex, higher neighbour) shortcut entries."""
         return sum(len(n) for n in self.neighbors.values())
-
-    def owner(self, u: int, w: int) -> int:
-        """Return the lower-rank endpoint, which owns the shortcut ``(u, w)``."""
-        return u if self.rank[u] < self.rank[w] else w
-
-    def shortcut_value(self, u: int, w: int) -> float:
-        """Current value of shortcut ``(u, w)`` regardless of endpoint order."""
-        low = self.owner(u, w)
-        high = w if low == u else u
-        return self.shortcuts[low].get(high, INF)
 
 
 def mde_order(graph: Graph, tiers: Optional[Dict[int, int]] = None) -> List[int]:
@@ -214,135 +207,3 @@ def contract_graph(
         contracted_count += 1
 
     return result
-
-
-def recompute_shortcut(
-    result: ContractionResult,
-    graph: Graph,
-    v: int,
-    u: int,
-) -> float:
-    """Recompute ``sc(v, u)`` from the current graph weight and supporter values.
-
-    ``v`` must be the owner (lower-rank endpoint).  Supporters all have lower
-    rank than ``v``, so when vertices are processed in ascending rank order
-    their shortcut values are already up to date.
-    """
-    key = _pair_key(v, u)
-    value = graph.edge_weight_or(v, u, INF)
-    shortcuts = result.shortcuts
-    for x in result.supporters.get(key, ()):  # x has lower rank than both v and u
-        row = shortcuts[x]
-        candidate = row.get(v, INF) + row.get(u, INF)
-        if candidate < value:
-            value = candidate
-    return value
-
-
-def update_shortcuts_bottom_up(
-    result: ContractionResult,
-    graph: Graph,
-    changed_edges: Sequence[Tuple[int, int]],
-    restrict_to: Optional[set] = None,
-    escaped_out: Optional[set] = None,
-    seed_vertices: Optional[Sequence[int]] = None,
-) -> Dict[int, List[int]]:
-    """Bottom-up shortcut maintenance after edge-weight updates (DCH core).
-
-    The graph must already carry the *new* weights.  Processes vertices in
-    ascending rank order starting from the owners of the changed edges; for
-    every dirty vertex all of its shortcuts are recomputed from base weight and
-    supporter contributions, and any change is propagated to the owners of the
-    shortcut pairs the vertex supports.
-
-    Parameters
-    ----------
-    restrict_to:
-        Optional vertex set; propagation never leaves this set.  Used by the
-        PSP indexes to confine partition-level maintenance to one partition.
-    escaped_out:
-        Optional set collecting vertices *outside* ``restrict_to`` that would
-        have been marked dirty (either directly by a changed edge they own or
-        by propagation).  The caller uses them as seeds for a later pass over
-        the remaining vertices (e.g. the overlay pass of PostMHL's U-Stage 2).
-    seed_vertices:
-        Optional extra vertices marked dirty from the start (typically the
-        ``escaped_out`` set collected by earlier restricted passes).
-
-    Returns
-    -------
-    dict
-        Mapping of vertex to the list of its neighbours whose shortcut value
-        changed (the "affected shortcut" report consumed by the label-update
-        phase and by the overlay update).
-    """
-    dirty: set = set()
-    for a, b in changed_edges:
-        if a not in result.rank or b not in result.rank:
-            continue
-        owner = result.owner(a, b)
-        if restrict_to is not None and owner not in restrict_to:
-            if escaped_out is not None:
-                escaped_out.add(owner)
-            continue
-        dirty.add(owner)
-    if seed_vertices is not None:
-        for v in seed_vertices:
-            if v not in result.rank:
-                continue
-            if restrict_to is not None and v not in restrict_to:
-                if escaped_out is not None:
-                    escaped_out.add(v)
-                continue
-            dirty.add(v)
-
-    changed_report: Dict[int, List[int]] = {}
-    if not dirty:
-        return changed_report
-
-    rank = result.rank
-    shortcuts = result.shortcuts
-    heap: List[Tuple[int, int]] = [(rank[v], v) for v in dirty]
-    heapq.heapify(heap)
-    queued = set(dirty)
-    kernel = native_kernel()
-
-    while heap:
-        _, v = heapq.heappop(heap)
-        queued.discard(v)
-        nbr_list = result.neighbors[v]
-        if kernel is not None:
-            # ``recompute_shortcut`` for the whole row in one C call over the
-            # same containers (bit-identical); the graph weights go in as a list.
-            new_row = kernel.shortcut_row(
-                shortcuts, result.supporters, v, nbr_list,
-                [graph.edge_weight_or(v, u, INF) for u in nbr_list],
-            )
-        else:
-            new_row = [recompute_shortcut(result, graph, v, u) for u in nbr_list]
-        row = shortcuts[v]
-        changed_neighbors: List[int] = []
-        for u, new_value in zip(nbr_list, new_row):
-            if new_value != row[u]:
-                row[u] = new_value
-                changed_neighbors.append(u)
-        if not changed_neighbors:
-            continue
-        changed_report[v] = changed_neighbors
-        # Shortcut changes of v alter v's supporting contribution to pairs
-        # (u, w) with u, w in X(v).N; mark the owners of the pairs involving a
-        # changed neighbour as dirty.
-        for u in changed_neighbors:
-            rank_u = rank[u]
-            for w_vertex in nbr_list:
-                if w_vertex == u:
-                    continue
-                owner = u if rank_u < rank[w_vertex] else w_vertex
-                if restrict_to is not None and owner not in restrict_to:
-                    if escaped_out is not None:
-                        escaped_out.add(owner)
-                    continue
-                if owner not in queued:
-                    queued.add(owner)
-                    heapq.heappush(heap, (rank[owner], owner))
-    return changed_report

@@ -1,45 +1,58 @@
-"""A contraction's shortcuts as flat arrays, maintained bottom-up in one pass.
+"""Contractions as flat arrays, maintained bottom-up in one pass.
 
 The paper's updates change edge weights only, so a contraction's topology —
 its order, every ``X(v).N`` and every supporter record — survives every
-epoch, and only the shortcut values move.  :class:`SlotContraction` keeps
+epoch, and only the shortcut values move.  Every contraction here keeps
 that split (the topology/weights split of Customizable CH, Dibbelt,
-Strasser, Wagner, JEA 2016).  Rows are vertices in contraction order; a
-*slot* is one shortcut ``(v, u)``, ``u`` in ``X(v).N``:
+Strasser, Wagner, JEA 2016): DCH's, the H2H family's, the PSP partitions',
+extended partitions' and overlay's, PostMHL's and TOAIN's.  Rows are
+vertices in contraction order; a *slot* is one shortcut ``(v, u)``, ``u``
+in ``X(v).N``.
 
-* ``arena`` — ``ids`` / ``indptr`` / ``indices`` / ``weights``, the exact
-  layout of :class:`~repro.kernels.shortcut_store.ShortcutStore` (columns
-  are rows; a row's slots in ascending neighbour id, the dict order of
-  :func:`~repro.treedec.mde.contract_graph`).  The epoch's store is this
-  arena: no gather, no template;
-* ``base`` — each slot's graph weight (``inf`` for a fill-in shortcut),
-  patched from each batch's updates in order;
-* ``sup_indptr`` / ``sup_slots`` — a CSR over slots of ``int32`` slot pairs
+:class:`FlatContraction` is the read side every contraction shares: the
+``arena`` — ``ids`` / ``indptr`` / ``indices`` / ``weights``, the exact
+layout of :class:`~repro.kernels.shortcut_store.ShortcutStore` (columns are
+rows; a row's slots in ascending neighbour id, the dict order of
+:func:`~repro.treedec.mde.contract_graph`) — whose epoch store is the arena
+itself: no gather, no template.  Two kinds fill it:
+
+* :class:`SlotContraction` owns its weights and maintains them.  Besides
+  the arena it holds ``base`` — each slot's graph weight (``inf`` for a
+  fill-in shortcut), patched from each batch's updates in order — and
+  ``sup_indptr`` / ``sup_slots``, a CSR over slots of ``int32`` slot pairs
   ``(slot(x, v), slot(x, u))``: one per lower row ``x`` whose contraction
   supports ``(v, u)``.  Every pair of ``X(x).N`` is supported by ``x``, so
-  the records are derived from the rows (:func:`supporter_slots`) and the
-  contraction never builds the supporter dict.
+  the records are derived from the rows (:func:`supporter_slots`) and no
+  supporter dict is ever built;
+* :class:`UnionContraction` owns none: it is the cross-boundary contraction
+  of PMHL, the partition and overlay contractions stitched in the global
+  order.  Its topology is built once, with one index map per source arena,
+  and its weights are gathered from the sources (one ``np.take`` each)
+  whenever one of them has changed since.
 
-:func:`update_slots` is the whole maintenance pass over these arrays: the C
-kernel's ``update_slots`` when it is loaded, :func:`_update_slots_pure`
-otherwise.  Both compute the float64 sums and minima of
-:func:`~repro.treedec.mde.update_shortcuts_bottom_up`, so the weights are
-bit-identical to the dict path and to a fresh contraction of the updated
-graph.  The pass writes a copy of the epoch's buffer, which becomes the next
-epoch's arena: a store over an earlier arena is never written.
+:func:`update_slots` is the whole maintenance pass over a
+:class:`SlotContraction`: the C kernel's ``update_slots`` when it is
+loaded, :func:`_update_slots_pure` otherwise.  Both compute the float64
+sums and minima a fresh contraction computes, so the weights are
+bit-identical to :func:`~repro.treedec.mde.contract_graph` of the updated
+graph under the same order.  A pass can be confined to a row mask, whose
+excluded rows it reports instead of visiting (PostMHL's per-partition
+passes), and reports the slots it changed and its work.  Its first write
+after a store or a snapshot took the arena copies the buffer first, so no
+store of an earlier epoch, or of an earlier stage, sees a later write.
 """
 
 from __future__ import annotations
 
 import heapq
 import math
-from typing import Dict, Iterable, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from repro.exceptions import GraphError, VertexNotFoundError
 from repro.graph.graph import Graph
-from repro.graph.updates import EdgeUpdate
-from repro.kernels.arena import Arena, build_remap, count_freeze
+from repro.kernels.arena import Arena, build_remap, count_freeze, rows_of
 from repro.kernels.native import native_kernel
 from repro.kernels.shortcut_store import ShortcutStore
 from repro.treedec.mde import contract_graph
@@ -49,25 +62,129 @@ INF = math.inf
 #: Supporter records per numpy step of :func:`supporter_slots`.
 RECORD_CHUNK = 1 << 16
 
+#: An empty row mask / escaped-rows buffer: every row may be visited.
+NO_ROWS = np.zeros(0, dtype=np.int8)
 
-class SlotContraction:
-    """Flat shortcut arrays of one contraction (see the module docstring)."""
 
-    __slots__ = ("arena", "base", "sup_indptr", "sup_slots", "order", "rank", "remap",
-                 "_layout")
+class FlatContraction:
+    """The read side of a flat contraction (see the module docstring)."""
 
-    def __init__(self, arena: Arena, base, sup_indptr, sup_slots):
-        self.arena = arena
-        self.base = base
-        self.sup_indptr = sup_indptr
-        self.sup_slots = sup_slots
+    __slots__ = ("_arena", "order", "rank", "remap", "_layout", "_wrapped", "_neighbors")
+
+    def __init__(self, arena: Arena):
+        self._arena = arena
         ids = arena["ids"]
         #: Vertices in contraction order, and each vertex's row.
-        self.order = ids.tolist()
+        self.order: List[int] = ids.tolist()
         self.rank: Dict[int, int] = dict(zip(self.order, range(len(self.order))))
         self.remap = build_remap(ids)
         #: The freeze counter's ``layout`` label of this arena's store.
         self._layout = "built"
+        #: ``True`` while a store or a snapshot payload holds the arena: the
+        #: next write copies the buffer first.
+        self._wrapped = False
+        self._neighbors: Optional[Dict[int, List[int]]] = None
+
+    @property
+    def arena(self) -> Arena:
+        """This epoch's arena."""
+        return self._arena
+
+    @property
+    def num_vertices(self) -> int:
+        return len(self.order)
+
+    def shortcut_count(self) -> int:
+        return len(self._arena["indices"])
+
+    @property
+    def treewidth_upper_bound(self) -> int:
+        """Width of the elimination ordering (the widest row)."""
+        counts = np.diff(self._arena["indptr"])
+        return int(counts.max()) if len(counts) else 0
+
+    @property
+    def neighbors(self) -> Dict[int, List[int]]:
+        """``{v: X(v).N}`` in slot order: the topology, derived once."""
+        if self._neighbors is None:
+            arena = self._arena
+            columns = arena["ids"][arena["indices"]].tolist()
+            bounds = arena["indptr"].tolist()
+            self._neighbors = {
+                v: columns[lo:hi] for v, lo, hi in zip(self.order, bounds, bounds[1:])
+            }
+        return self._neighbors
+
+    def upward(self, v: int) -> Dict[int, float]:
+        """``v``'s shortcuts this epoch, ``{higher neighbour: weight}``, in
+        slot order (the pure CH search's upward mapping)."""
+        r, arena = self.rank[v], self.arena
+        lo, hi = arena["indptr"][r : r + 2].tolist()
+        return dict(zip(self.neighbors[v], arena["weights"][lo:hi].tolist()))
+
+    def rows_of(self, vertices: Sequence[int]) -> np.ndarray:
+        """The rows of ``vertices`` (``VertexNotFoundError`` for a stranger)."""
+        return rows_of(self.rank, self.remap, vertices)
+
+    def slot_rows(self, slots: np.ndarray) -> np.ndarray:
+        """The owner row of every slot in ``slots``."""
+        return np.searchsorted(self._arena["indptr"], slots, side="right") - 1
+
+    def vertices(self, slots: np.ndarray) -> np.ndarray:
+        """The distinct owners of ``slots``, as vertex ids (a change report's
+        keys: the seeds of a label pass)."""
+        return self._arena["ids"][np.unique(self.slot_rows(slots))]
+
+    def slot_map(self) -> Tuple[List["SlotContraction"], np.ndarray, np.ndarray]:
+        """Where each slot's weight lives: ``(sources, source index per slot,
+        source slot per slot)``."""
+        raise NotImplementedError
+
+    def share_rows(self, store: ShortcutStore) -> None:
+        """Use ``store``'s row dict and remap from now on when it froze the
+        same ids (a store loaded or adopted next to this contraction)."""
+        if np.array_equal(store.arena["ids"], self._arena["ids"]):
+            self.rank, self.remap = store.row, store._remap
+
+    def store(self) -> ShortcutStore:
+        """This epoch's frozen store: the arena itself, which no pass writes
+        again, sharing this contraction's row dict and remap."""
+        arena = self.arena
+        self._wrapped = True
+        count_freeze("shortcut_store", self._layout)
+        return ShortcutStore(arena, rows=(self.rank, self.remap))
+
+    def _writable(self) -> Arena:
+        """The arena a write goes to: copied first when a store or a
+        snapshot holds it; its store reuses the layout from then on."""
+        if self._wrapped:
+            self._arena = Arena(self._arena.buffer.copy(), self._arena.toc)
+            self._wrapped = False
+        self._layout = "reused"
+        return self._arena
+
+
+class SlotContraction(FlatContraction):
+    """A contraction that owns and maintains its weights (see the module
+    docstring)."""
+
+    __slots__ = ("base", "sup_indptr", "sup_slots", "work", "version", "_keys")
+
+    def __init__(self, arena: Arena, base, sup_indptr, sup_slots):
+        super().__init__(arena)
+        self.base = base
+        self.sup_indptr = sup_indptr
+        self.sup_slots = sup_slots
+        #: Rows recomputed, supporter records relaxed and slots changed,
+        #: summed over every pass so far (``UpdateReport`` takes deltas).
+        self.work = np.zeros(3, dtype=np.int64)
+        #: Bumped by every pass that changes a weight (a union's staleness
+        #: check).
+        self.version = 0
+        #: ``(width, keys)``: each slot's key ``row * width + column id``
+        #: (``width`` = max id + 1), derived on first use.  The keys ascend:
+        #: rows do, and a row's slots are in ascending neighbour id.
+        self._keys: Optional[Tuple[int, np.ndarray]] = None
 
     @classmethod
     def build(
@@ -101,76 +218,83 @@ class SlotContraction:
         )
         return cls(arena, base, *supporter_slots(indptr, indices))
 
+    def slot_map(self):
+        m = self.shortcut_count()
+        return [self], np.zeros(m, dtype=np.int64), np.arange(m, dtype=np.int64)
+
     # ------------------------------------------------------------------
-    def shortcut_count(self) -> int:
-        return len(self.arena["indices"])
+    # Maintenance
+    # ------------------------------------------------------------------
+    def locate(self, us: Sequence[int], vs: Sequence[int]) -> Tuple[np.ndarray, np.ndarray]:
+        """``(owner rows, slots)`` of the shortcuts ``(us[i], vs[i])``: one
+        ``searchsorted`` over the slot keys.  A pair with no slot —
+        an endpoint outside the contraction, a loop, two vertices no row
+        joins — is a :class:`~repro.exceptions.GraphError` naming it."""
+        ids = self._arena["ids"]
+        if self._keys is None:
+            indices, width = self._arena["indices"], int(ids.max(initial=0)) + 1
+            self._keys = (width, self.slot_rows(np.arange(len(indices))) * width + ids[indices])
+        width, slot_keys = self._keys
+        try:
+            ru, rv = self.rows_of(us), self.rows_of(vs)
+        except VertexNotFoundError:
+            found = [u in self.rank and v in self.rank for u, v in zip(us, vs)]
+        else:
+            low, high = np.minimum(ru, rv), np.maximum(ru, rv)
+            # A loop's key names its own row as a column: no slot's.
+            keys = low * width + ids[high]
+            at = np.searchsorted(slot_keys, keys)
+            found = at < len(slot_keys)
+            found[found] = slot_keys[at[found]] == keys[found]
+            if found.all():
+                return low, at
+        i = found.index(False) if isinstance(found, list) else int(np.argmin(found))
+        raise GraphError(f"edge ({us[i]}, {vs[i]}) has no shortcut slot in this contraction")
 
-    def upward(self, v: int) -> Dict[int, float]:
-        """``v``'s shortcuts this epoch, ``{higher neighbour: weight}``, in
-        slot order (the pure CH search's upward mapping)."""
-        r, arena, order = self.rank[v], self.arena, self.order
-        lo, hi = arena["indptr"][r : r + 2].tolist()
-        return dict(
-            zip(
-                [order[c] for c in arena["indices"][lo:hi].tolist()],
-                arena["weights"][lo:hi].tolist(),
-            )
-        )
+    def patch(self, us: Sequence[int], vs: Sequence[int], weights: Sequence[float]) -> np.ndarray:
+        """Install new graph weights into ``base`` and return the owner rows
+        (the pass's seeds).  Pairs are located before anything is written;
+        a pair named twice ends at its last weight, as the graph does."""
+        rows, slots = self.locate(us, vs)
+        if len(slots):
+            last = len(slots) - 1 - np.unique(slots[::-1], return_index=True)[1]
+            self.base[slots[last]] = np.asarray(weights, dtype=np.float64)[last]
+        return rows
 
-    def slot(self, u: int, v: int) -> Optional[Tuple[int, int]]:
-        """``(owner row, slot)`` of the shortcut between ``u`` and ``v``, or
-        ``None`` when the contraction has no such shortcut."""
-        ru, rv = self.rank.get(u), self.rank.get(v)
-        if ru is None or rv is None or ru == rv:
-            return None
-        low, high, arena = min(ru, rv), max(ru, rv), self.arena
-        lo, hi = arena["indptr"][low : low + 2].tolist()
-        hit = np.flatnonzero(arena["indices"][lo:hi] == high)
-        return (low, lo + int(hit[0])) if hit.size else None
-
-    def update(self, updates: Iterable[EdgeUpdate]) -> None:
-        """Install ``updates`` and recompute what they affect into the next
-        epoch's arena.
-
-        ``base`` is patched in update order, so an edge named twice ends at
-        its last weight, as the graph does.  The owner rows of the updated
-        edges seed :func:`update_slots`, which writes a copy of this epoch's
-        buffer; the copy then becomes :attr:`arena`.
-        """
-        seeds = []
-        for update in updates:
-            found = self.slot(update.u, update.v)
-            if found is not None:
-                seeds.append(found[0])
-                self.base[found[1]] = update.new_weight
-        if not seeds:
-            return
-        arena = Arena(self.arena.buffer.copy(), self.arena.toc)
+    def run(self, seeds, mask=NO_ROWS, escaped=NO_ROWS) -> np.ndarray:
+        """One :func:`update_slots` pass from the ``seeds`` rows (confined to
+        ``mask``'s rows, excluded ones flagged in ``escaped``, when a mask is
+        given); returns the slots whose weight changed, ascending."""
+        seeds = np.asarray(seeds, dtype=np.int64)
+        if not len(seeds):
+            return seeds
+        arena = self._writable()
+        changed = np.zeros(len(self.base), dtype=np.int8)
+        counts = np.zeros(3, dtype=np.int64)
         update_slots(
             arena["indptr"], arena["indices"], self.base, self.sup_indptr, self.sup_slots,
-            arena["weights"], np.asarray(seeds, dtype=np.int64),
+            arena["weights"], seeds, mask, escaped, changed, counts,
         )
-        self.arena = arena
-        self._layout = "reused"
+        self.work += counts
+        if counts[2]:
+            self.version += 1
+        return np.flatnonzero(changed)
 
-    def share_rows(self, store: ShortcutStore) -> None:
-        """Use ``store``'s row dict and remap from now on when it froze the
-        same ids (a store loaded or adopted next to this contraction)."""
-        if np.array_equal(store.arena["ids"], self.arena["ids"]):
-            self.rank, self.remap = store.row, store._remap
-
-    def store(self) -> ShortcutStore:
-        """This epoch's frozen store: the arena itself, which no pass writes
-        again, sharing this contraction's row dict and remap."""
-        count_freeze("shortcut_store", self._layout)
-        return ShortcutStore(self.arena, rows=(self.rank, self.remap))
+    def update(self, updates) -> np.ndarray:
+        """Install ``updates`` (``EdgeUpdate`` objects, in order) and run one pass
+        from their owner rows; returns the changed slots."""
+        updates = list(updates)
+        return self.run(self.patch(
+            [update.u for update in updates], [update.v for update in updates],
+            [update.new_weight for update in updates],
+        ))
 
     # ------------------------------------------------------------------
     # Snapshot persistence (see repro.store)
     # ------------------------------------------------------------------
     def to_state(self, io) -> Dict[str, object]:
         """The arena, ``base`` and the supporter CSR, as written."""
-        state = self.arena.to_state(io)
+        state = self._arena.to_state(io)
         state["base"] = io.put_array(self.base)
         state["sup_indptr"] = io.put_array(self.sup_indptr)
         state["sup_slots"] = io.put_array(self.sup_slots)
@@ -178,19 +302,86 @@ class SlotContraction:
 
     @classmethod
     def from_state(cls, state: Dict[str, object], io) -> "SlotContraction":
-        """Reattach the arrays (``base`` is copied: updates patch it).  Only
-        the dtype is checked here: every pass checks the rest before it
-        reads (:func:`check_slot_arrays`, or the C kernel's own checks),
-        and the store's build checks what the query reads."""
+        """Reattach the arrays (``base`` is copied: updates patch it; the
+        arena is copied on the first write).  Only the dtype is checked
+        here: every pass checks the rest before it reads
+        (:func:`check_slot_arrays`, or the C kernel's own checks), and the
+        store's build checks what the query reads."""
         sup_slots = io.get_array(state["sup_slots"])
         if sup_slots.dtype != np.int32:
             raise ValueError("supporter slots must be int32")
-        return cls(
+        contraction = cls(
             Arena.from_state(state, io),
             np.array(io.get_array(state["base"]), dtype=np.float64),
             io.get_array(state["sup_indptr"]),
             sup_slots,
         )
+        contraction._wrapped = True
+        return contraction
+
+
+class UnionContraction(FlatContraction):
+    """Several contractions' rows stitched in one order, weights gathered
+    from their arenas (see the module docstring)."""
+
+    __slots__ = ("_sources", "_slot_sid", "_slot_src", "_maps", "_versions")
+
+    def __init__(self, order: Sequence[int], pieces: Sequence[Tuple[SlotContraction, Sequence[int]]]):
+        """Row ``v`` of ``order`` is ``v``'s row in the one piece
+        ``(source, vertices)`` that lists it; every column must be a vertex
+        of ``order``."""
+        ids = np.asarray(order, dtype=np.int64)
+        n = len(ids)
+        rank = dict(zip(ids.tolist(), range(n)))
+        remap = build_remap(ids)
+        sid = np.full(n, -1, dtype=np.int64)
+        start = np.zeros(n, dtype=np.int64)
+        counts = np.zeros(n, dtype=np.int64)
+        for i, (source, vertices) in enumerate(pieces):
+            rows = rows_of(rank, remap, list(vertices))
+            own = source.rows_of(list(vertices))
+            indptr = source.arena["indptr"]
+            sid[rows], start[rows], counts[rows] = i, indptr[own], indptr[own + 1] - indptr[own]
+        if (sid < 0).any():
+            raise ValueError("a vertex of the order has no source contraction")
+        indptr = np.zeros(n + 1, dtype=np.int64)
+        np.cumsum(counts, out=indptr[1:])
+        m = int(indptr[-1])
+        slot_sid = np.repeat(sid, counts)
+        slot_src = np.arange(m, dtype=np.int64) + np.repeat(start - indptr[:-1], counts)
+        indices = np.empty(m, dtype=np.int64)
+        self._sources = [source for source, _ in pieces]
+        self._maps = []
+        for i, source in enumerate(self._sources):
+            dst = np.flatnonzero(slot_sid == i)
+            src = slot_src[dst]
+            arena = source.arena
+            indices[dst] = rows_of(rank, remap, arena["ids"][arena["indices"][src]])
+            self._maps.append((source, dst, src))
+        self._slot_sid, self._slot_src = slot_sid, slot_src
+        weights = np.empty(m, dtype=np.float64)
+        self._versions = self._gather(weights)
+        super().__init__(Arena.pack({
+            "ids": ids, "indptr": indptr, "indices": indices, "weights": weights,
+        }))
+
+    def _gather(self, weights: np.ndarray) -> Tuple[int, ...]:
+        """Fill ``weights`` from the sources; returns their versions."""
+        for source, dst, src in self._maps:
+            weights[dst] = source.arena["weights"].take(src)
+        return tuple(source.version for source in self._sources)
+
+    @property
+    def arena(self) -> Arena:
+        """This epoch's arena: the sources' weights are gathered into it
+        (a copy, when a store holds the current one) whenever one of them
+        changed since the last gather."""
+        if tuple(source.version for source in self._sources) != self._versions:
+            self._versions = self._gather(self._writable()["weights"])
+        return self._arena
+
+    def slot_map(self):
+        return list(self._sources), self._slot_sid, self._slot_src
 
 
 def supporter_slots(indptr, indices) -> Tuple[np.ndarray, np.ndarray]:
@@ -251,16 +442,21 @@ def supporter_slots(indptr, indices) -> Tuple[np.ndarray, np.ndarray]:
     return sup_indptr, sup_slots
 
 
-def check_slot_arrays(indptr, indices, base, sup_indptr, sup_slots, weights, seeds=()) -> None:
-    """The C pass's input checks: ``ValueError`` unless the lengths agree,
-    both offset arrays start at 0 and are monotone, every row's columns lie
-    above the row and below ``n``, every supporter slot lies in a row below
-    its target slot's row, and every seed is a row."""
+def check_slot_arrays(
+    indptr, indices, base, sup_indptr, sup_slots, weights, seeds, mask, escaped, changed, counts,
+) -> None:
+    """The C pass's input checks: ``ValueError`` unless the lengths agree
+    (the mask and the escaped rows 0 or ``n``, the changed flags ``m``, the
+    counters 3), both offset arrays start at 0 and are monotone, every row's
+    columns lie above the row and below ``n``, every supporter slot lies in
+    a row below its target slot's row, and every seed is a row."""
     n, m = len(indptr) - 1, len(indices)
     if (
         n < 0 or len(base) != m or len(weights) != m or len(sup_indptr) != m + 1
         or len(sup_slots) % 2 or indptr[0] != 0 or indptr[-1] != m
         or sup_indptr[0] != 0 or sup_indptr[-1] != len(sup_slots) // 2
+        or len(mask) not in (0, n) or len(escaped) not in (0, n)
+        or len(changed) != m or len(counts) != 3
     ):
         raise ValueError("slot array lengths disagree")
     if (np.diff(indptr) < 0).any():
@@ -272,35 +468,51 @@ def check_slot_arrays(indptr, indices, base, sup_indptr, sup_slots, weights, see
         raise ValueError("a slot's column is not a row above its own")
     pairs = sup_slots.reshape(-1, 2)
     floor = np.repeat(indptr[rows], np.diff(sup_indptr))
-    if (pairs.min(axis=1) < 0).any() or (pairs.max(axis=1) >= floor).any():
+    if (pairs.min(axis=1, initial=0) < 0).any() or (pairs.max(axis=1, initial=-1) >= floor).any():
         raise ValueError("a supporter slot is not in a row below its target's row")
-    seeds = np.asarray(seeds, dtype=np.int64)
     if ((seeds < 0) | (seeds >= n)).any():
         raise ValueError("a seed is not a row")
 
 
-def update_slots(indptr, indices, base, sup_indptr, sup_slots, weights, seeds) -> None:
-    """The bottom-up pass from the ``seeds`` rows, writing only ``weights``:
-    the C kernel's ``update_slots`` when it is loaded (its comment has the
-    algorithm), else the pure loop."""
+def update_slots(
+    indptr, indices, base, sup_indptr, sup_slots, weights, seeds, mask, escaped, changed, counts,
+) -> None:
+    """The bottom-up pass from the ``seeds`` rows, writing only ``weights``
+    and the three outputs: the C kernel's ``update_slots`` when it is
+    loaded (its comment has the algorithm), else the pure loop."""
     kernel = native_kernel()
-    if kernel is not None:
-        kernel.update_slots(indptr, indices, base, sup_indptr, sup_slots, weights, seeds)
-    else:
-        _update_slots_pure(indptr, indices, base, sup_indptr, sup_slots, weights, seeds)
+    run = kernel.update_slots if kernel is not None else _update_slots_pure
+    run(indptr, indices, base, sup_indptr, sup_slots, weights, seeds, mask, escaped, changed,
+        counts)
 
 
-def _update_slots_pure(indptr, indices, base, sup_indptr, sup_slots, weights, seeds) -> None:
+def _update_slots_pure(
+    indptr, indices, base, sup_indptr, sup_slots, weights, seeds, mask, escaped, changed, counts,
+) -> None:
     """The C pass, one numpy step per dirty row (the rung without a compiler)."""
-    check_slot_arrays(indptr, indices, base, sup_indptr, sup_slots, weights, seeds)
+    check_slot_arrays(indptr, indices, base, sup_indptr, sup_slots, weights, seeds, mask,
+                      escaped, changed, counts)
     pairs = sup_slots.reshape(-1, 2)
-    heap = sorted(set(np.asarray(seeds).tolist()))
-    queued = set(heap)
+    heap: List[int] = []
+    queued = set()
+
+    def mark(row: int) -> None:
+        if len(mask) and not mask[row]:
+            if len(escaped):
+                escaped[row] = 1
+        elif row not in queued:
+            queued.add(row)
+            heapq.heappush(heap, row)
+
+    for row in seeds.tolist():
+        mark(row)
     while heap:
         r = heapq.heappop(heap)
         lo, hi = indptr[r : r + 2].tolist()
         value = base[lo:hi].copy()
         first, last = sup_indptr[lo], sup_indptr[hi]
+        counts[0] += 1
+        counts[1] += last - first
         if last > first:
             owners = np.repeat(np.arange(hi - lo), np.diff(sup_indptr[lo : hi + 1]))
             through = weights[pairs[first:last, 0]] + weights[pairs[first:last, 1]]
@@ -309,13 +521,12 @@ def _update_slots_pure(indptr, indices, base, sup_indptr, sup_slots, weights, se
         if not moved.any():
             continue
         weights[lo:hi] = value
+        changed[lo:hi][moved] = 1
+        counts[2] += int(np.count_nonzero(moved))
         # A changed column c marks the owner min(c, w) of each pair (c, w).
         columns = indices[lo:hi]
         top = columns[moved].max()
-        marks = columns[columns < top].tolist()
+        for row in columns[columns < top].tolist():
+            mark(row)
         if (columns > top).any():
-            marks.append(int(top))
-        for row in marks:
-            if row not in queued:
-                queued.add(row)
-                heapq.heappush(heap, row)
+            mark(int(top))

@@ -9,6 +9,10 @@ The resulting rooted tree is what H2H, MHL, PMHL and PostMHL hang their
 distance/position/boundary arrays on.  This module only captures the
 *structure* (parents, children, depths, ancestor chains, subtree sizes) plus a
 constant-time LCA oracle; the label arrays live with the individual indexes.
+The contraction is read for its topology only (``order``, ``rank``,
+``neighbors``): the indexes hand in their flat contraction
+(:mod:`repro.treedec.slots`), whose weights move under the tree each epoch
+while the tree itself never changes.
 """
 
 from __future__ import annotations
@@ -18,7 +22,6 @@ from typing import Dict, Iterator, List, Optional, Sequence
 
 from repro.exceptions import GraphError
 from repro.treedec.lca import LCAOracle
-from repro.treedec.mde import ContractionResult
 
 
 @dataclass
@@ -28,7 +31,10 @@ class TreeDecomposition:
     Attributes
     ----------
     contraction:
-        The underlying :class:`ContractionResult` (owns shortcut arrays).
+        The underlying contraction: a flat one
+        (:class:`~repro.treedec.slots.FlatContraction`) or a
+        :class:`~repro.treedec.mde.ContractionResult`; only its topology is
+        read.
     root:
         The highest-rank vertex (contracted last).
     parent:
@@ -43,7 +49,7 @@ class TreeDecomposition:
         paper's distance-array convention where the last entry is 0.
     """
 
-    contraction: ContractionResult
+    contraction: object
     root: int
     roots: List[int] = field(default_factory=list)
     parent: Dict[int, Optional[int]] = field(default_factory=dict)
@@ -58,7 +64,7 @@ class TreeDecomposition:
     # ------------------------------------------------------------------
     @classmethod
     def from_contraction(
-        cls, contraction: ContractionResult, allow_forest: bool = False
+        cls, contraction, allow_forest: bool = False
     ) -> "TreeDecomposition":
         """Build the tree from a contraction.
 
@@ -159,10 +165,6 @@ class TreeDecomposition:
     def neighbors(self, v: int) -> List[int]:
         """``X(v).N`` — the tree-node neighbour set of ``v``."""
         return self.contraction.neighbors[v]
-
-    def shortcut(self, v: int, u: int) -> float:
-        """Current shortcut value ``sc(v, u)`` for ``u in X(v).N``."""
-        return self.contraction.shortcuts[v][u]
 
     def subtree(self, v: int) -> Iterator[int]:
         """Iterate over the subtree rooted at ``v`` (including ``v``), top-down."""

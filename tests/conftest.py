@@ -96,15 +96,13 @@ def random_graph() -> Graph:
 
 @pytest.fixture
 def pure_maintenance(monkeypatch):
-    """A switch: once called, ``update_labels``, ``update_shortcuts_bottom_up``
-    and ``update_slots`` run their pure loops (what a missing compiler gives)
-    until the test ends."""
+    """A switch: once called, ``update_labels`` and ``update_slots`` run
+    their pure loops (what a missing compiler gives) until the test ends."""
     import repro.labeling.h2h as h2h_module
-    import repro.treedec.mde as mde_module
     import repro.treedec.slots as slots_module
 
     def switch() -> None:
-        for module in (h2h_module, mde_module, slots_module):
+        for module in (h2h_module, slots_module):
             monkeypatch.setattr(module, "native_kernel", lambda: None)
 
     return switch
@@ -153,7 +151,7 @@ def container_row(rows: Dict[int, List[float]], tree, v: int) -> List[float]:
     """``v``'s distance array from the dict ``rows``: the container kernel
     ``recompute_row`` when it is loaded, else the Python loop it ports."""
     anc, depth = tree.ancestors[v], tree.depth
-    neighbors, shortcuts = tree.neighbors(v), tree.contraction.shortcuts[v]
+    neighbors, shortcuts = tree.neighbors(v), tree.contraction.upward(v)
     kernel = native_kernel()
     if kernel is not None:
         return kernel.recompute_row(rows, anc, neighbors, shortcuts, depth)
@@ -246,6 +244,44 @@ def check_label_maintenance(method: str, graph: Graph, kind: str, **kwargs):
     return index
 
 
+def arena_bytes(index) -> Dict[str, bytes]:
+    """Every arena an index maintains, by attribute path: each label set's,
+    each flat contraction's (a union's gathered one too), and each
+    ``SlotContraction``'s graph weights (``<path>.base``)."""
+    found: Dict[str, bytes] = {}
+    for path, obj in maintenance_structures(index):
+        if hasattr(obj, "arena"):
+            found[path] = bytes(obj.arena.buffer)
+        if hasattr(obj, "base"):
+            found[path + ".base"] = bytes(obj.base)
+    return found
+
+
+def check_slot_maintenance(method: str, graph: Graph, kind: str, **kwargs):
+    """Build ``method`` on a copy of ``graph``, run the ``kind`` sequence of
+    :data:`BATCH_SEQUENCES` through it, and assert that every contraction and
+    label arena (:func:`arena_bytes`) equals, byte for byte, the one a fresh
+    build on the updated graph holds (and, for the empty and reverting
+    sequences, the one it started with).  Returns the maintained index."""
+    from repro.registry import create_index
+    from repro.treedec.slots import FlatContraction
+
+    index = create_index(method, graph.copy(), **kwargs)
+    index.build()
+    before = arena_bytes(index)
+    for batch in BATCH_SEQUENCES[kind](graph):
+        index.apply_batch(batch)
+        batch.apply(graph)
+    fresh = create_index(method, graph.copy(), **kwargs)
+    fresh.build()
+    after = arena_bytes(index)
+    assert after.keys() == before.keys()
+    assert any(isinstance(obj, FlatContraction) for _, obj in maintenance_structures(index))
+    assert after == arena_bytes(fresh)
+    assert (after == before) == (kind in ("empty", "revert"))
+    return index
+
+
 def label_sets(index) -> List[Tuple[str, object]]:
     """The ``H2HLabels`` of ``index``, by attribute path."""
     from repro.labeling.h2h import H2HLabels
@@ -254,7 +290,7 @@ def label_sets(index) -> List[Tuple[str, object]]:
 
 
 def maintenance_structures(index) -> List[Tuple[str, object]]:
-    """Every ``H2HLabels`` / ``ContractionResult`` / ``SlotContraction`` an
+    """Every ``H2HLabels`` / ``ContractionResult`` / flat contraction an
     index holds, by attribute path.
 
     Walks the index's attributes (and the PSP family / overlay objects and
@@ -263,7 +299,7 @@ def maintenance_structures(index) -> List[Tuple[str, object]]:
     """
     from repro.labeling.h2h import H2HLabels
     from repro.treedec.mde import ContractionResult
-    from repro.treedec.slots import SlotContraction
+    from repro.treedec.slots import FlatContraction
 
     found: List[Tuple[str, object]] = []
     seen = set()
@@ -271,7 +307,7 @@ def maintenance_structures(index) -> List[Tuple[str, object]]:
     def walk(path: str, obj) -> None:
         if id(obj) in seen:
             return
-        if isinstance(obj, (H2HLabels, ContractionResult, SlotContraction)):
+        if isinstance(obj, (H2HLabels, ContractionResult, FlatContraction)):
             seen.add(id(obj))
             found.append((path, obj))
         elif isinstance(obj, (list, tuple)):

@@ -17,7 +17,7 @@ from repro.partitioning.ordering import boundary_first_order
 from repro.psp.overlay import OverlayIndex
 from repro.psp.partition_family import PartitionIndexFamily
 
-from tests.conftest import random_query_pairs
+from tests.conftest import BATCH_SEQUENCES, check_slot_maintenance, random_query_pairs
 
 
 class TestBiDijkstraIndex:
@@ -96,8 +96,16 @@ class TestCrossBoundaryAggregation:
                 if v in boundary
                 else family.contractions[partitioning.partition_of(v)]
             )
-            # Shared by reference: maintenance of the parts keeps L* shortcuts fresh.
-            assert composed.shortcuts[v] is source.shortcuts[v]
+            # Gathered through the union's maps: maintenance of the parts
+            # keeps L* shortcuts fresh.
+            assert composed.upward(v) == source.upward(v)
+        batch = generate_update_batch(graph, volume=6, seed=4)
+        touched = family.contractions[0]
+        inner = [u for u in batch if partitioning.partition_of(u.u) == 0 == partitioning.partition_of(u.v)]
+        assert inner and len(touched.update(inner))
+        for v in composed.order:
+            if v not in boundary and partitioning.partition_of(v) == 0:
+                assert composed.upward(v) == touched.upward(v)
 
     def test_cross_boundary_labels_are_global_distances(self):
         graph = grid_road_network(7, 7, seed=5)
@@ -116,7 +124,26 @@ class TestCrossBoundaryAggregation:
         global_contraction = contract_graph(graph, order=order)
         for v in order:
             assert composed.neighbors[v] == global_contraction.neighbors[v]
-            for u in composed.neighbors[v]:
-                assert composed.shortcuts[v][u] == pytest.approx(
-                    global_contraction.shortcuts[v][u]
-                )
+            assert composed.upward(v) == pytest.approx(global_contraction.shortcuts[v])
+
+
+class TestSlotMaintenance:
+    """TOAIN's contraction on both rungs: after every kind of batch its arena
+    and graph weights equal a fresh build's byte for byte, and so do the
+    core labels rebuilt from them."""
+
+    @pytest.mark.parametrize("rung", ("native", "pure"))
+    @pytest.mark.parametrize("kind", sorted(BATCH_SEQUENCES))
+    def test_arenas_equal_a_fresh_build(self, kind, rung, pure_maintenance):
+        from repro.registry import create_index
+
+        if rung == "pure":
+            pure_maintenance()
+        graph = grid_road_network(8, 8, seed=4)
+        index = check_slot_maintenance("TOAIN", graph, kind)
+        fresh = create_index("TOAIN", graph.copy())
+        fresh.build()
+        assert index.core_labels == fresh.core_labels
+        for s, t in random_query_pairs(graph, 20, seed=4):
+            assert index.query(s, t) == pytest.approx(dijkstra_distance(graph, s, t))
+

@@ -15,7 +15,7 @@ from repro.graph.updates import (
 from repro.hierarchy.ch import CHIndex, DCHIndex
 from repro.kernels.native import native_kernel
 from repro.registry import create_index
-from repro.treedec.mde import contract_graph, update_shortcuts_bottom_up
+from repro.treedec.mde import contract_graph
 from repro.treedec.slots import SlotContraction
 
 from tests.conftest import (
@@ -137,29 +137,26 @@ def _dict_weights(contraction) -> bytes:
 
 class TestSlotMaintenance:
     """DCH's flat pass on both rungs: after every kind of batch its weights
-    equal, bit for bit, a fresh build on the updated graph and the dict path
-    (``update_shortcuts_bottom_up`` over a dict ``contract_graph``)."""
+    equal, bit for bit, a fresh build on the updated graph and a dict
+    ``contract_graph`` of it under the same order."""
 
     @pytest.mark.parametrize("rung", ("native", "pure"))
     @pytest.mark.parametrize("kind", sorted(BATCH_SEQUENCES))
-    def test_weights_equal_a_fresh_build_and_the_dict_path(self, kind, rung, pure_maintenance):
+    def test_weights_equal_a_fresh_build(self, kind, rung, pure_maintenance):
         if rung == "pure":
             pure_maintenance()
         graph = grid_road_network(8, 8, seed=4)
         index = DCHIndex(graph.copy())
         index.build()
-        reference = contract_graph(graph)
-        assert reference.order == index.contraction.order
         before = float_bits(index.contraction.arena["weights"])
         for batch in BATCH_SEQUENCES[kind](graph):
             index.apply_batch(batch)
             batch.apply(graph)
-            update_shortcuts_bottom_up(reference, graph, [u.key() for u in batch])
         weights = float_bits(index.contraction.arena["weights"])
         fresh = DCHIndex(graph.copy())
         fresh.build()
         assert weights == float_bits(fresh.contraction.arena["weights"])
-        assert weights == _dict_weights(reference)
+        assert weights == _dict_weights(contract_graph(graph, order=index.contraction.order))
         if kind in ("empty", "revert"):
             assert weights == before
         else:
@@ -234,6 +231,16 @@ MALFORMED = {
     "negative-slot": lambda a: a["sup_slots"].__setitem__(2 * _supported(a)[1] + 1, -1),
     "seed-past-n": lambda a: a["seeds"].__setitem__(0, len(a["indptr"]) - 1),
     "negative-seed": lambda a: a["seeds"].__setitem__(0, -1),
+    # the row mask and the outputs
+    "short-mask": lambda a: a.update(mask=a["mask"][:-1]),
+    "long-mask": lambda a: a.update(mask=numpy.ones(len(a["mask"]) + 1, numpy.int8)),
+    "short-escaped": lambda a: a.update(escaped=a["escaped"][:-1]),
+    "long-escaped": lambda a: a.update(escaped=numpy.zeros(len(a["escaped"]) + 1, numpy.int8)),
+    "short-changed": lambda a: a.update(changed=a["changed"][:-1]),
+    "long-changed": lambda a: a.update(changed=numpy.zeros(len(a["changed"]) + 1, numpy.int8)),
+    "no-changed": lambda a: a.update(changed=numpy.zeros(0, numpy.int8)),
+    "short-counts": lambda a: a.update(counts=a["counts"][:-1]),
+    "long-counts": lambda a: a.update(counts=numpy.zeros(4, numpy.int64)),
     # mis-ordered
     "indptr-not-monotone": lambda a: _break_monotone(a["indptr"]),
     "sup-indptr-not-monotone": lambda a: _break_monotone(a["sup_indptr"]),
@@ -246,7 +253,13 @@ MALFORMED = {
 }
 
 #: ``update_slots``' arguments in order.
-SLOT_ARGS = ("indptr", "indices", "base", "sup_indptr", "sup_slots", "weights", "seeds")
+SLOT_ARGS = (
+    "indptr", "indices", "base", "sup_indptr", "sup_slots", "weights", "seeds", "mask",
+    "escaped", "changed", "counts",
+)
+
+#: The buffers ``update_slots`` may write.
+SLOT_OUTPUTS = ("weights", "escaped", "changed", "counts")
 
 
 def _update_passes():
@@ -262,31 +275,52 @@ class TestUpdateSlotsInputs:
 
     @pytest.fixture
     def arrays(self):
-        """Copies of a built DCH's arrays, every row a seed."""
+        """Copies of a built DCH's arrays, every row a seed, a mask that
+        admits the upper half of the rows, and outputs holding values no
+        pass writes (a write on failure would show)."""
         index = DCHIndex(grid_road_network(6, 6, seed=2))
         index.build()
         c = index.contraction
+        n, m = len(c.order), c.shortcut_count()
         return {
             "indptr": c.arena["indptr"].copy(), "indices": c.arena["indices"].copy(),
             "base": c.base.copy(), "sup_indptr": c.sup_indptr.copy(),
             "sup_slots": c.sup_slots.copy(), "weights": c.arena["weights"].copy(),
-            "seeds": numpy.arange(len(c.order), dtype=numpy.int64),
+            "seeds": numpy.arange(n, dtype=numpy.int64),
+            "mask": (numpy.arange(n) >= n // 2).astype(numpy.int8),
+            "escaped": numpy.full(n, 7, dtype=numpy.int8),
+            "changed": numpy.full(m, 7, dtype=numpy.int8),
+            "counts": numpy.full(3, 7, dtype=numpy.int64),
         }
+
+    @staticmethod
+    def _outputs(arrays):
+        return [bytes(numpy.ascontiguousarray(arrays[name])) for name in SLOT_OUTPUTS]
 
     @pytest.mark.parametrize("case", sorted(MALFORMED))
     @pytest.mark.parametrize("update", _update_passes())
     def test_malformed_arrays_raise_before_writing(self, arrays, update, case):
         MALFORMED[case](arrays)
-        weights = float_bits(arrays["weights"])
+        outputs = self._outputs(arrays)
         with pytest.raises(ValueError):
             update(*(arrays[name] for name in SLOT_ARGS))
-        assert float_bits(arrays["weights"]) == weights
+        assert self._outputs(arrays) == outputs
 
     @pytest.mark.parametrize("update", _update_passes())
     def test_well_formed_arrays_pass(self, arrays, update):
+        """Every row a seed over consistent weights: nothing changes, the
+        lower half escapes the mask, and the counters count the visited
+        upper half's rows and supporter records."""
         weights = float_bits(arrays["weights"])
+        n = len(arrays["mask"])
+        for name in ("escaped", "changed", "counts"):
+            arrays[name][:] = 0
         update(*(arrays[name] for name in SLOT_ARGS))
         assert float_bits(arrays["weights"]) == weights
+        assert arrays["escaped"].tolist() == [1] * (n // 2) + [0] * (n - n // 2)
+        assert not arrays["changed"].any()
+        records = arrays["sup_indptr"][-1] - arrays["sup_indptr"][arrays["indptr"][n // 2]]
+        assert arrays["counts"].tolist() == [n - n // 2, records, 0]
 
     def test_malformed_snapshot_arrays_are_refused(self, tmp_path):
         """A snapshot's slot arrays: the wrong dtype fails the load, a
@@ -320,12 +354,17 @@ class TestUpdateSlotsInputs:
             "indices": arrays["indices"].astype(numpy.float64),
             "base": arrays["base"].astype(numpy.float32),
             "weights": [1.0, 2.0],
+            "mask": arrays["mask"].astype(numpy.int64),
+            "changed": arrays["changed"].astype(numpy.float64),
+            "counts": arrays["counts"].astype(numpy.int32),
         }
         for name, value in wrong.items():
             with pytest.raises(TypeError):
                 kernel.update_slots(*(value if key == name else arrays[key] for key in SLOT_ARGS))
-        arrays["weights"].flags.writeable = False
-        with pytest.raises((TypeError, ValueError, BufferError)):
-            kernel.update_slots(*(arrays[name] for name in SLOT_ARGS))
+        for name in SLOT_OUTPUTS:
+            arrays[name].flags.writeable = False
+            with pytest.raises((TypeError, ValueError, BufferError)):
+                kernel.update_slots(*(arrays[name] for name in SLOT_ARGS))
+            arrays[name].flags.writeable = True
         with pytest.raises(TypeError):
             kernel.update_slots(*(arrays[name] for name in SLOT_ARGS[:-1]))

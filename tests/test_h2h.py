@@ -17,6 +17,7 @@ from tests.conftest import (
     BATCH_SEQUENCES,
     NEEDS_NATIVE,
     check_label_maintenance,
+    check_slot_maintenance,
     float_bits,
     label_rows,
     paper_example_graph,
@@ -137,15 +138,12 @@ class TestDH2HMaintenance:
                 index.apply_batch(
                     generate_update_batch(graph, volume=12, seed=10 * seed + step)
                 )
-                changed.append((index.last_changed_shortcuts, index.last_changed_labels))
+                changed.append((index.last_changed_slots.tolist(), index.last_changed_labels))
             contraction = index.contraction
             return (
                 {v: float_bits(row) for v, row in label_rows(index.labels).items()},
                 {v: index.labels.pos(v).tolist() for v in contraction.order},
-                {
-                    v: float_bits(contraction.shortcuts[v][u] for u in contraction.neighbors[v])
-                    for v in contraction.order
-                },
+                float_bits(contraction.arena["weights"]),
                 changed,
             )
 
@@ -284,7 +282,7 @@ def _label_arrays():
         "child_indptr": labels.child_indptr.copy(), "child_rows": labels.child_rows.copy(),
         "dis_indptr": arena["dis_indptr"].copy(), "pos_indptr": arena["pos_indptr"].copy(),
         "pos_data": arena["pos_data"].copy(),
-        "sc": labels._shortcuts(numpy.arange(n)).copy(),
+        "sc": labels._shortcuts().copy(),
         "dis_data": arena["dis_data"].copy(), "seeds": numpy.arange(n, dtype=numpy.int64),
         "allowed": numpy.zeros(0, dtype=numpy.int8),
         # Not what the pass leaves: a write on failure would show.
@@ -370,6 +368,59 @@ def _label_passes():
     if native_kernel() is not None:
         passes.append(pytest.param(native_kernel().update_labels, id="native"))
     return passes
+
+
+class TestSlotMaintenance:
+    """DH2H's and MHL's shortcut pass on both rungs: after every kind of
+    batch the contraction's arena and graph weights, and the label arena,
+    equal a fresh build's byte for byte."""
+
+    @pytest.mark.parametrize("rung", ("native", "pure"))
+    @pytest.mark.parametrize("kind", sorted(BATCH_SEQUENCES))
+    @pytest.mark.parametrize("method", ("DH2H", "MHL"))
+    def test_arenas_equal_a_fresh_build(self, method, kind, rung, pure_maintenance):
+        if rung == "pure":
+            pure_maintenance()
+        graph = grid_road_network(8, 8, seed=4)
+        index = check_slot_maintenance(method, graph, kind)
+        query = index.query_ch if method == "MHL" else index.query
+        for s, t in random_query_pairs(graph, 20, seed=4):
+            assert query(s, t) == pytest.approx(dijkstra_distance(graph, s, t))
+
+    def test_shortcut_work_counters_match_on_both_rungs(self, pure_maintenance):
+        def windows():
+            graph = grid_road_network(9, 9, seed=3)
+            index = DH2HIndex(graph)
+            index.build()
+            reports = [index.apply_batch(generate_update_batch(graph, 12, seed=s)) for s in (1, 2)]
+            return [
+                (r.shortcut_rows_visited, r.shortcuts_relaxed, r.shortcuts_changed)
+                for r in reports
+            ]
+
+        native = windows()
+        pure_maintenance()
+        assert windows() == native
+        assert all(changed > 0 for _, _, changed in native)
+
+    @NEEDS_NATIVE
+    def test_old_epoch_ch_store_survives_two_windows(self):
+        """MHL's CH-stage store wraps the contraction's arena; the next
+        batch's pass writes a copy, so the old store keeps its bytes and its
+        answers while the index moves on."""
+        index = MHLIndex(grid_road_network(10, 10, seed=5))
+        index.build()
+        pairs = random_query_pairs(index.graph, 40, seed=5)
+        old = index._ch_store()
+        old_bytes, answers = bytes(old.arena.buffer), old.query_pairs(pairs)
+        for seed in (1, 2):
+            index.apply_batch(generate_update_batch(index.graph, volume=20, seed=seed))
+            new = index._ch_store()
+            assert new is not old and new.arena is index.contraction.arena
+            for s, t in pairs:
+                assert new.query(s, t) == pytest.approx(dijkstra_distance(index.graph, s, t))
+        assert bytes(old.arena.buffer) == old_bytes
+        assert old.query_pairs(pairs) == answers
 
 
 class TestUpdateLabelsInputs:

@@ -590,10 +590,26 @@ class TestKernelSpeedup:
         )
 
 
+class _ItemsOnly(dict):
+    """A dict subclass whose raw storage is empty and whose contents only its
+    ``__getitem__`` / ``items()`` show: what a C-API dict read of a lazily
+    filled mapping would see as empty."""
+
+    def __init__(self, contents):
+        super().__init__()
+        self._contents = dict(contents)
+
+    def __getitem__(self, key):
+        return self._contents[key]
+
+    def items(self):
+        return self._contents.items()
+
+
 @NEEDS_NATIVE
 class TestMaintenanceKernels:
-    """``recompute_row`` / ``shortcut_row`` over the live containers: what a
-    loaded index hands them, and what malformed input must turn into."""
+    """``recompute_row`` over the live containers: what the label oracle
+    hands it, and what malformed input must turn into."""
 
     @pytest.fixture(scope="class")
     def built(self):
@@ -609,80 +625,35 @@ class TestMaintenanceKernels:
             label_rows(index.labels),
             list(tree.ancestors[v]),
             list(tree.neighbors(v)),
-            dict(index.contraction.shortcuts[v]),
+            index.contraction.upward(v),
             dict(tree.depth),
         ]
-
-    @staticmethod
-    def _shortcut_args(index, v):
-        """``shortcut_row``'s arguments for ``v``, containers shallow-copied."""
-        contraction = index.contraction
-        nbrs = list(contraction.neighbors[v])
-        base = [index.graph.edge_weight_or(v, u) for u in nbrs]
-        return [dict(contraction.shortcuts), dict(contraction.supporters), v, nbrs, base]
 
     @staticmethod
     def _deep_vertex(index):
         """A vertex with neighbours both above and below some ancestor."""
         return max(index.tree.depth, key=lambda v: (len(index.tree.neighbors(v)), v))
 
-    @staticmethod
-    def _supported_vertex(index):
-        """A vertex owning a shortcut that has supporters."""
-        contraction = index.contraction
-        for v in reversed(contraction.order):
-            for u in contraction.neighbors[v]:
-                if contraction.supporters.get((min(u, v), max(u, v))):
-                    return v
-        raise AssertionError("no supported shortcut on this graph")
-
     def test_kernels_match_the_pure_rung_on_every_vertex(self, built):
-        from repro.treedec.mde import recompute_shortcut
-
         kernel = native_kernel()
         for v in built.contraction.order:
             assert kernel.recompute_row(*self._row_args(built, v)) == built.labels.dis(v).tolist()
-            assert kernel.shortcut_row(*self._shortcut_args(built, v)) == [
-                recompute_shortcut(built.contraction, built.graph, v, u)
-                for u in built.contraction.neighbors[v]
-            ]
 
-    def test_unloaded_lazy_containers_are_materialised(self, built):
-        """A C-API dict read skips ``LazyDict.__getitem__`` and sees an empty
-        dict; the kernels must go through the override, which loads the
-        container and swaps its class to the plain one."""
-        from repro.store.codec import LazyDict, _LoadedDict
-
+    def test_dict_subclass_reads_go_through_getitem(self, built):
+        """A C-API dict read skips a subclass's ``__getitem__`` and sees its
+        raw storage; the kernel must go through the override."""
         kernel = native_kernel()
-
-        def lazy(contents):
-            return LazyDict(lambda target: target.update(contents))
-
         v = self._deep_vertex(built)
         args = self._row_args(built, v)
         expected = kernel.recompute_row(*args)
-        dis = lazy(args[0])
-        assert kernel.recompute_row(dis, *args[1:]) == expected
-        assert type(dis) is _LoadedDict and dict(dis) == args[0]
-
-        v = self._supported_vertex(built)
-        args = self._shortcut_args(built, v)
-        expected = kernel.shortcut_row(*args)
-        shortcuts, supporters = lazy(args[0]), lazy(args[1])
-        assert kernel.shortcut_row(shortcuts, supporters, *args[2:]) == expected
-        assert type(shortcuts) is _LoadedDict and dict(shortcuts) == args[0]
-        assert type(supporters) is _LoadedDict and dict(supporters) == args[1]
+        assert kernel.recompute_row(_ItemsOnly(args[0]), *args[1:]) == expected
+        assert kernel.recompute_row(*args[:3], _ItemsOnly(args[3]), args[4]) == expected
 
     def test_inputs_are_not_written(self, built):
-        kernel = native_kernel()
-        for make, call in (
-            (self._row_args, kernel.recompute_row),
-            (self._shortcut_args, kernel.shortcut_row),
-        ):
-            args = make(built, self._supported_vertex(built))
-            before = repr(args)
-            call(*args)
-            assert repr(args) == before
+        args = self._row_args(built, self._deep_vertex(built))
+        before = repr(args)
+        native_kernel().recompute_row(*args)
+        assert repr(args) == before
 
     def test_malformed_recompute_row_input_raises(self, built):
         kernel = native_kernel()
@@ -725,47 +696,10 @@ class TestMaintenanceKernels:
         with pytest.raises(TypeError):
             kernel.recompute_row({}, [v], [])
 
-    def test_malformed_shortcut_row_input_raises(self, built):
-        kernel = native_kernel()
-        v = self._supported_vertex(built)
-        # One supported shortcut (v, u) of the row and its first supporter x.
-        supporters = built.contraction.supporters
-        u = next(u for u in built.contraction.neighbors[v]
-                 if supporters.get((min(u, v), max(u, v))))
-        pair = (min(u, v), max(u, v))
-        x = supporters[pair][0]
-
-        def call(mutate):
-            args = self._shortcut_args(built, v)
-            mutate(*args)
-            return kernel.shortcut_row(*args)
-
-        with pytest.raises(ValueError):  # mismatched lengths
-            call(lambda sc, sup, v, nbrs, base: base.pop())
-        with pytest.raises(TypeError):  # non-dict shortcut row
-            call(lambda sc, sup, v, nbrs, base: sc.__setitem__(x, [1.0, 2.0]))
-        with pytest.raises(KeyError):  # supporter without a shortcut row
-            call(lambda sc, sup, v, nbrs, base: sc.__delitem__(x))
-        with pytest.raises(TypeError):  # non-numeric base weight
-            call(lambda sc, sup, v, nbrs, base: base.__setitem__(0, "w"))
-        with pytest.raises(TypeError):  # non-numeric shortcut value
-            call(lambda sc, sup, v, nbrs, base: sc.__setitem__(x, dict.fromkeys(sc[x], "w")))
-        with pytest.raises(TypeError):  # supporter record that is no list
-            call(lambda sc, sup, v, nbrs, base: sup.__setitem__(pair, 7))
-        with pytest.raises(TypeError):
-            kernel.shortcut_row({}, {}, v, (1,), [1.0])
-
-        # A supporter row missing an endpoint is skipped, as ``row.get(., inf)``.
-        args = self._shortcut_args(built, v)
-        args[0][x] = {}
-        args[1][pair] = [x]
-        slot = args[3].index(u)
-        assert kernel.shortcut_row(*args)[slot] == args[4][slot]
-
     def test_int_weighted_graph_labels_equal_the_pure_rung(self, pure_maintenance):
-        """Int weights take the ``PyFloat_AsDouble`` fallback.  The kernels
-        return floats where the pure rung's ``sc + d`` stays an int, so the two
-        rungs are compared as the float64 values they denote."""
+        """Int weights enter the flat contraction as the float64 values they
+        denote (its ``base`` and ``weights`` are float64 arrays), so both
+        rungs maintain the same floats."""
         from repro.graph.updates import EdgeUpdate, UpdateBatch
         from tests.conftest import float_bits
 
@@ -791,11 +725,9 @@ class TestMaintenanceKernels:
         pure = build_and_update()
 
         def bits(index):
-            neighbors = index.contraction.neighbors
             return (
                 {v: float_bits(row) for v, row in label_rows(index.labels).items()},
-                {v: float_bits(row[u] for u in neighbors[v])
-                 for v, row in index.contraction.shortcuts.items()},
+                float_bits(index.contraction.arena["weights"]),
             )
 
         assert bits(native) == bits(pure)
@@ -968,7 +900,6 @@ class TestRefreezeGather:
 
     def test_gather_rows_unit(self):
         gather = native_kernel().gather_rows
-        from repro.store.codec import LazyDict
 
         # Unkeyed list rows: exact lengths only.
         out = numpy.empty(3)
@@ -980,13 +911,14 @@ class TestRefreezeGather:
                 gather(bad, numpy.array([0, 2, 3]), out)
         with pytest.raises(ValueError):  # row count differs from the layout
             gather([[1.0, 2.0]], numpy.array([0, 2, 3]), out)
-        # Keyed dict rows, through a dense remap or a dict: an unmaterialised
-        # LazyDict row is read through its items(), never as empty.
+        # Keyed dict rows, through a dense remap or a dict: a dict subclass
+        # with its own __getitem__ is read through its items(), never as
+        # its (empty) raw storage.
         indptr, indices = numpy.array([0, 2, 3]), numpy.array([1, 2, 2])
         dense = numpy.array([-1, 0, 1, 2])
         for remap in (dense, {1: 0, 2: 1, 3: 2}):
             out = numpy.empty(3)
-            lazy = LazyDict(lambda target: target.update({3: 7.0}))
+            lazy = _ItemsOnly({3: 7.0})
             gather([{2: 1.5, 3: 2.5}, lazy], indptr, out, remap, indices)
             assert out.tolist() == [1.5, 2.5, 7.0]
             for bad in ([{3: 2.5, 2: 1.5}, {3: 7.0}], [{2: 1.5, 0: 2.5}, {3: 7.0}],

@@ -1,11 +1,14 @@
 """Unit and integration tests for the PMHL index (the paper's Section V)."""
 
+import json
+import os
+
 import pytest
 
 from repro.algorithms.dijkstra import dijkstra_distance
 from repro.core.pmhl import PMHLIndex
 from repro.core.stages import PMHL_UPDATE_STAGES
-from repro.exceptions import IndexNotBuiltError, VertexNotFoundError
+from repro.exceptions import IndexNotBuiltError, SnapshotFormatError, VertexNotFoundError
 from repro.graph.generators import grid_road_network, highway_network
 from repro.graph.updates import generate_update_batch, generate_update_stream
 from repro.partitioning.base import Partitioning
@@ -16,7 +19,10 @@ from repro.store import load_index, save_index
 
 from tests.conftest import (
     BATCH_SEQUENCES,
+    NEEDS_NATIVE,
+    arena_bytes,
     check_label_maintenance,
+    check_slot_maintenance,
     inverse,
     label_sets,
     random_query_pairs,
@@ -243,8 +249,9 @@ class TestFlatLabelMaintenance:
         self, pure_maintenance
     ):
         """The benchmark stack's PMHL window (48x48 grid, seed 7, 8
-        partitions, a 20-edge batch A then A^-1) counts the same label work
-        on both rungs, and the same for A as for A^-1."""
+        partitions, a 20-edge batch A then A^-1) counts the same label and
+        shortcut work on both rungs, and the same for A as for A^-1: both
+        directions move the same slots between the same two values."""
 
         def windows():
             graph = grid_road_network(48, 48, seed=7)
@@ -252,7 +259,9 @@ class TestFlatLabelMaintenance:
             index = PMHLIndex(graph, num_partitions=8)
             index.build()
             return [
-                (report.vertices_visited, report.columns_recomputed, report.columns_changed)
+                (report.vertices_visited, report.columns_recomputed, report.columns_changed,
+                 report.shortcut_rows_visited, report.shortcuts_relaxed,
+                 report.shortcuts_changed)
                 for report in (index.apply_batch(batch), index.apply_batch(inverse(batch)))
             ]
 
@@ -260,4 +269,87 @@ class TestFlatLabelMaintenance:
         pure_maintenance()
         assert windows() == native
         assert native[0] == native[1]
-        assert native[0][:2] == (6320, 561997)
+        assert native[0] == (6320, 561997, 96748, 1163, 542068, 3637)
+
+
+class TestSlotMaintenance:
+    """PMHL's shortcut passes (partitions, overlay, extended partitions) and
+    the cross-boundary union gathered from them, on both rungs: after every
+    kind of batch every contraction, union and label arena equals a fresh
+    build's byte for byte."""
+
+    @pytest.mark.parametrize("rung", ("native", "pure"))
+    @pytest.mark.parametrize("kind", sorted(BATCH_SEQUENCES))
+    def test_arenas_equal_a_fresh_build(self, kind, rung, pure_maintenance):
+        if rung == "pure":
+            pure_maintenance()
+        graph = grid_road_network(9, 9, seed=4)
+        index = check_slot_maintenance("PMHL", graph, kind, num_partitions=4)
+        for s, t in random_query_pairs(graph, 20, seed=4):
+            assert index.query_pch(s, t) == pytest.approx(dijkstra_distance(graph, s, t))
+
+    @NEEDS_NATIVE
+    def test_old_epoch_stores_survive_two_windows(self):
+        """The PCH store (the union's gathered arena), the partition and
+        overlay label stores, and a store over every partition and overlay
+        contraction, all taken before two windows: each keeps its bytes and
+        its answers, while the maintained arenas — L*'s shortcuts read
+        through the gather maps after those contractions were copied —
+        equal a fresh build's."""
+        graph = grid_road_network(10, 10, seed=5)
+        index = build_pmhl(graph.copy(), k=4)
+        pairs = random_query_pairs(graph, 40, seed=5)
+        family, overlay = index.family, index.overlay
+        stores = {"pch": index._pch_store(), "overlay": index._overlay_store()}
+        for pid in range(family.num_partitions):
+            stores[f"partition_{pid}"] = index._family_store(family, pid)
+            stores[f"contraction_{pid}"] = family.contractions[pid].store()
+        stores["overlay_contraction"] = overlay.contraction.store()
+        held = {key: (bytes(store.arena.buffer), store.query_pairs(
+            [(s, t) for s, t in pairs if s in store.row and t in store.row]
+        )) for key, store in stores.items()}
+        for seed in (1, 2):
+            batch = generate_update_batch(graph, volume=20, seed=seed)
+            index.apply_batch(batch)
+            batch.apply(graph)
+            assert index._pch_store() is not stores["pch"]
+            for s, t in pairs:
+                assert index.query_pch(s, t) == pytest.approx(dijkstra_distance(graph, s, t))
+        fresh = build_pmhl(graph.copy(), k=4)
+        assert arena_bytes(index) == arena_bytes(fresh)
+        for key, store in stores.items():
+            known = [(s, t) for s, t in pairs if s in store.row and t in store.row]
+            assert (bytes(store.arena.buffer), store.query_pairs(known)) == held[key], key
+
+    def test_snapshot_round_trip_after_updates(self, tmp_path):
+        """Saved after two batches, the loaded index holds the same arenas,
+        and one more batch keeps both byte for byte equal."""
+        graph = grid_road_network(9, 9, seed=6)
+        index = build_pmhl(graph, k=4)
+        for seed in (1, 2):
+            index.apply_batch(generate_update_batch(index.graph, volume=12, seed=seed))
+        save_index(index, str(tmp_path / "snap"))
+        loaded = load_index(str(tmp_path / "snap"))
+        assert arena_bytes(loaded) == arena_bytes(index)
+        for held in (index, loaded):
+            held.apply_batch(generate_update_batch(held.graph, volume=12, seed=3))
+        assert arena_bytes(loaded) == arena_bytes(index)
+        pairs = random_query_pairs(index.graph, 30, seed=6)
+        assert loaded.query_many(pairs) == index.query_many(pairs)
+        assert [loaded.query_pch(s, t) for s, t in pairs] == [
+            index.query_pch(s, t) for s, t in pairs
+        ]
+
+    def test_snapshot_without_slot_contractions_is_refused(self, tmp_path):
+        """A snapshot whose contractions are not stored under ``slots`` (the
+        layout before every contraction was flat stored them as
+        ``contraction`` / ``contractions``) is a typed format error."""
+        path = str(tmp_path / "snap")
+        save_index(build_pmhl(grid_road_network(6, 6, seed=1), k=2), path)
+        state_path = os.path.join(path, "state.json")
+        with open(state_path) as handle:
+            text = handle.read()
+        with open(state_path, "w") as handle:
+            handle.write(json.dumps(json.loads(text.replace('"slots"', '"contractions"'))))
+        with pytest.raises(SnapshotFormatError):
+            load_index(path)

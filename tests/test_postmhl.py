@@ -13,6 +13,8 @@ from tests.conftest import (
     BATCH_SEQUENCES,
     NEEDS_NATIVE,
     check_label_maintenance,
+    check_slot_maintenance,
+    float_bits,
     random_query_pairs,
 )
 
@@ -224,3 +226,60 @@ class TestFlatLabelMaintenance:
         assert bytes(index.labels.arena.buffer) != held["bytes"]
         for s, t in pairs:
             assert index.query(s, t) == pytest.approx(dijkstra_distance(graph, s, t))
+
+
+class TestSlotMaintenance:
+    """PostMHL's one contraction, maintained by per-partition passes confined
+    to their rows and an overlay pass seeded by what escaped them, on both
+    rungs: after every kind of batch its arena, graph weights and labels
+    equal a fresh build's byte for byte."""
+
+    @pytest.mark.parametrize("rung", ("native", "pure"))
+    @pytest.mark.parametrize("kind", sorted(BATCH_SEQUENCES))
+    def test_arenas_equal_a_fresh_build(self, kind, rung, pure_maintenance):
+        if rung == "pure":
+            pure_maintenance()
+        graph = grid_road_network(9, 9, seed=4)
+        index = check_slot_maintenance(
+            "PostMHL", graph, kind, bandwidth=10, expected_partitions=4
+        )
+        for s, t in random_query_pairs(graph, 20, seed=4):
+            assert index.query_pch(s, t) == pytest.approx(dijkstra_distance(graph, s, t))
+
+    @pytest.mark.parametrize("rung", ("native", "pure"))
+    def test_restricted_passes_equal_one_unrestricted_pass(
+        self, rung, pure_maintenance, monkeypatch
+    ):
+        """U-Stage 2's per-partition passes plus the overlay pass their
+        escaped rows seed leave the same weights as one pass over the whole
+        contraction, and some partition pass did hand rows to the overlay."""
+        from repro.treedec.slots import SlotContraction
+
+        if rung == "pure":
+            pure_maintenance()
+        graph = grid_road_network(12, 12, seed=2)
+        index = build_postmhl(graph, bandwidth=10, ke=4)
+        twin = SlotContraction.build(graph.copy())
+        assert twin.order == index.contraction.order
+        escaped_rows = []
+        run = SlotContraction.run
+
+        def recording_run(self, seeds, mask=None, escaped=None):
+            if mask is None:
+                return run(self, seeds)
+            changed = run(self, seeds, mask, *(() if escaped is None else (escaped,)))
+            if escaped is not None and len(escaped):
+                escaped_rows.append(int(escaped.sum()))
+            return changed
+
+        for seed in (1, 2, 3):
+            batch = generate_update_batch(index.graph, volume=15, seed=seed)
+            monkeypatch.setattr(SlotContraction, "run", recording_run)
+            index.apply_batch(batch)
+            monkeypatch.setattr(SlotContraction, "run", run)
+            twin.update(batch)
+            assert float_bits(index.contraction.arena["weights"]) == float_bits(
+                twin.arena["weights"]
+            )
+        assert max(escaped_rows) > 0
+

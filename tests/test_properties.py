@@ -15,7 +15,8 @@ from repro.labeling.h2h import H2HIndex
 from repro.partitioning.bfs_grow import bfs_partition
 from repro.throughput.parallel import lpt_makespan
 from repro.throughput.qos import qos_constrained_rate
-from repro.treedec.mde import contract_graph, update_shortcuts_bottom_up
+from repro.treedec.mde import contract_graph
+from repro.treedec.slots import SlotContraction
 from repro.treedec.tree import TreeDecomposition
 
 # Building indexes inside hypothesis examples is deliberate: suppress the
@@ -119,15 +120,13 @@ class TestContractionProperties:
     def test_shortcut_maintenance_equals_rebuild(self, params, volume, seed):
         graph = make_graph(params)
         volume = min(volume, graph.num_edges)
-        contraction = contract_graph(graph)
-        order = list(contraction.order)
+        contraction = SlotContraction.build(graph)
         batch = generate_update_batch(graph, volume, seed=seed)
         batch.apply(graph)
-        update_shortcuts_bottom_up(contraction, graph, [u.key() for u in batch])
-        rebuilt = contract_graph(graph, order=order)
-        for v in order:
-            for u in contraction.neighbors[v]:
-                assert contraction.shortcuts[v][u] == pytest.approx(rebuilt.shortcuts[v][u])
+        contraction.update(batch)
+        rebuilt = contract_graph(graph, order=contraction.order)
+        for v in contraction.order:
+            assert contraction.upward(v) == rebuilt.shortcuts[v]
 
 
 class TestIndexProperties:

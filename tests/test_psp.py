@@ -19,7 +19,13 @@ from repro.psp.post_boundary import PostBoundaryPSPIndex, PTDPIndex
 from repro.registry import create_index
 from repro.store import load_index, save_index
 
-from tests.conftest import random_query_pairs
+from tests.conftest import (
+    BATCH_SEQUENCES,
+    NEEDS_NATIVE,
+    arena_bytes,
+    check_slot_maintenance,
+    random_query_pairs,
+)
 
 
 def build_family(graph, k=4, seed=0, with_labels=True):
@@ -83,27 +89,25 @@ class TestOverlay:
         batch = generate_update_batch(graph, volume=12, seed=4)
         batch.apply(graph)
         # Maintain partitions then feed boundary changes into the overlay.
-        changed_boundary = {}
+        boundary_changes = [[], [], []]
         per_partition = {}
         for update in batch:
             pu, pv = partitioning.partition_of(update.u), partitioning.partition_of(update.v)
             if pu == pv:
                 per_partition.setdefault(pu, []).append(update)
         for pid, updates in per_partition.items():
-            changed_edges = family.apply_edge_updates(pid, updates)
-            changed_report = family.update_shortcuts(pid, changed_edges)
-            family.update_labels(pid, changed_report.keys())
-            boundary = partitioning.boundary(pid)
-            for v, neighbours in changed_report.items():
-                if v in boundary:
-                    for u in neighbours:
-                        if u in boundary:
-                            changed_boundary[(v, u)] = family.contractions[pid].shortcuts[v][u]
+            slots = family.update_shortcuts(
+                pid, [u.u for u in updates], [u.v for u in updates],
+                [u.new_weight for u in updates],
+            )
+            family.update_labels(pid, slots)
+            for part, values in zip(boundary_changes, family.boundary_shortcuts(pid, slots)):
+                part.extend(values.tolist())
         inter = [
             u for u in batch
             if partitioning.partition_of(u.u) != partitioning.partition_of(u.v)
         ]
-        overlay.apply_updates(inter, changed_boundary)
+        overlay.apply_updates(inter, boundary_changes)
 
         boundary = sorted(partitioning.all_boundary())
         for b1 in boundary[:5]:
@@ -118,7 +122,7 @@ class TestPartitionFamily:
         graph = grid_road_network(8, 8, seed=5)
         partitioning, order, family = build_family(graph)
         for pid in range(partitioning.num_partitions):
-            subgraph = family.graphs[pid]
+            subgraph = partitioning.subgraph(pid)
             members = partitioning.partition_vertices(pid)
             for s in members[:4]:
                 for t in members[-4:]:
@@ -419,3 +423,53 @@ class TestOverlayEdgeCases:
         for index in indexes:  # same seed on equal graphs: the same batch
             index.apply_batch(generate_update_batch(index.graph, volume=12, seed=k or 5))
         check()
+
+
+class TestSlotMaintenance:
+    """N-CH-P's and P-TD-P's partition, overlay and extended-partition
+    contractions on both rungs: after every kind of batch every contraction
+    and label arena equals a fresh build's byte for byte."""
+
+    @pytest.mark.parametrize("rung", ("native", "pure"))
+    @pytest.mark.parametrize("kind", sorted(BATCH_SEQUENCES))
+    @pytest.mark.parametrize("method", ("N-CH-P", "P-TD-P"))
+    def test_arenas_equal_a_fresh_build(self, method, kind, rung, pure_maintenance):
+        if rung == "pure":
+            pure_maintenance()
+        graph = grid_road_network(9, 9, seed=4)
+        index = check_slot_maintenance(method, graph, kind, num_partitions=4)
+        for s, t in random_query_pairs(graph, 20, seed=4):
+            assert index.query(s, t) == pytest.approx(dijkstra_distance(graph, s, t))
+
+    @NEEDS_NATIVE
+    def test_old_epoch_partition_and_overlay_stores_survive_two_windows(self):
+        """N-CH-P's stores are its contractions' arenas: each batch's passes
+        write copies, so stores taken before two windows keep their bytes
+        and answers."""
+        graph = grid_road_network(10, 10, seed=5)
+        index = create_index("N-CH-P", graph.copy(), num_partitions=4)
+        index.build()
+        keys = ["overlay", *(f"partition_{pid}" for pid in range(4))]
+        exports = index._kernel_exports()
+        stores = {key: exports[key]() for key in keys}
+        pairs = random_query_pairs(graph, 60, seed=5)
+        held = {}
+        for key, store in stores.items():
+            known = [(s, t) for s, t in pairs if s in store.row and t in store.row]
+            held[key] = (bytes(store.arena.buffer), known, store.query_pairs(known))
+        for seed in (1, 2):
+            batch = generate_update_batch(graph, volume=20, seed=seed)
+            index.apply_batch(batch)
+            batch.apply(graph)
+            for key in keys:
+                assert exports[key]() is not stores[key]
+            for s, t in pairs:
+                assert index.query(s, t) == pytest.approx(dijkstra_distance(graph, s, t))
+        fresh = create_index("N-CH-P", graph.copy(), num_partitions=4)
+        fresh.build()
+        assert arena_bytes(index) == arena_bytes(fresh)
+        for key, store in stores.items():
+            old_bytes, known, answers = held[key]
+            assert bytes(store.arena.buffer) == old_bytes, key
+            assert store.query_pairs(known) == answers, key
+

@@ -585,112 +585,6 @@ class TestBuildCache:
         assert key_a != key_c
 
 
-class TestLazyDictConcurrency:
-    def test_concurrent_first_touch_sees_full_contents(self):
-        """Racing first reads (warm-started multi-thread serving) must never
-        observe a partially materialised dict."""
-        import threading
-        import time
-
-        from repro.store.codec import LazyDict
-
-        def loader(target):
-            for i in range(500):
-                target[i] = i
-                if i == 1:
-                    time.sleep(0.02)  # widen the window racing readers hit
-
-        lazy = LazyDict(loader)
-        errors = []
-        started = threading.Barrier(6)
-
-        def reader():
-            try:
-                started.wait()
-                assert lazy[499] == 499
-                assert len(lazy) == 500
-            except Exception as exc:  # pragma: no cover - failure capture
-                errors.append(exc)
-
-        threads = [threading.Thread(target=reader) for _ in range(6)]
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join()
-        assert errors == []
-        # Whichever reader won the race, the swap to a plain dict happened once.
-        assert type(lazy).__getitem__ is dict.__getitem__
-
-
-def _ior(d):
-    d |= {3: 4}
-    return d
-
-
-#: One call per public ``dict`` method that reads, merges or writes contents.
-DICT_CALLS = {
-    "__contains__": lambda d: (1 in d, 9 in d),
-    "__getitem__": lambda d: d[1],
-    "__iter__": lambda d: list(iter(d)),
-    "__len__": lambda d: (len(d), bool(d)),
-    "__reversed__": lambda d: list(reversed(d)),
-    "__eq__": lambda d: d == {1: 2, 5: 6},
-    "__ne__": lambda d: d != {1: 2, 5: 6},
-    "__repr__": repr,
-    "__str__": str,
-    "__format__": lambda d: format(d, ""),
-    "__or__": lambda d: d | {3: 4},
-    "__ror__": lambda d: {3: 4} | d,
-    "__ior__": _ior,
-    "__setitem__": lambda d: d.__setitem__(3, 4),
-    "__delitem__": lambda d: d.__delitem__(1),
-    "get": lambda d: (d.get(1), d.get(9, "missing")),
-    "keys": lambda d: list(d.keys()),
-    "values": lambda d: list(d.values()),
-    "items": lambda d: list(d.items()),
-    "copy": lambda d: d.copy(),
-    "pop": lambda d: d.pop(1),
-    "popitem": lambda d: d.popitem(),
-    "setdefault": lambda d: (d.setdefault(1, 0), d.setdefault(3, 4)),
-    "update": lambda d: d.update({3: 4}),
-    "clear": lambda d: d.clear(),
-    # Not methods, but the two ways a dict is most often copied.
-    "dict()": dict,
-    "{**d}": lambda d: {**d},
-}
-
-#: ``dir(dict)`` entries that do not depend on the contents: the object
-#: protocol, construction, and the ordering operators (``NotImplemented``).
-DICT_NOT_CONTENT = {
-    "__class__", "__class_getitem__", "__delattr__", "__dir__", "__doc__",
-    "__getattribute__", "__getstate__", "__hash__", "__init__",
-    "__init_subclass__", "__new__", "__reduce__", "__reduce_ex__",
-    "__setattr__", "__sizeof__", "__subclasshook__", "fromkeys",
-    "__ge__", "__gt__", "__le__", "__lt__",
-}
-
-
-class TestLazyDictIsADict:
-    def test_every_dict_method_is_classified(self):
-        """A ``dict`` method this suite has never heard of fails here, not in
-        production as an empty view of an unloaded container."""
-        assert set(dir(dict)) <= set(DICT_CALLS) | DICT_NOT_CONTENT
-
-    @pytest.mark.parametrize("name", sorted(DICT_CALLS))
-    def test_unloaded_reads_like_the_loaded_dict(self, name):
-        from repro.store.codec import LazyDict
-
-        contents = {1: 2, 5: 6}
-        plain = dict(contents)
-        lazy = LazyDict(lambda target: target.update(contents))
-        call = DICT_CALLS[name]
-        assert call(lazy) == call(plain)
-        assert dict.items(lazy) == plain.items()  # read past any override
-        # ... and from now on nothing about it is lazy or Python-level.
-        assert type(lazy).__getitem__ is dict.__getitem__
-        assert type(lazy).get is dict.get
-
-
 @NEEDS_NATIVE
 class TestKernelReattachment:
     def test_stores_attached_without_refreeze(self, built_indexes, snapshot_dirs):

@@ -1,13 +1,16 @@
 """Unit tests for the tree decomposition substrate (MDE, tree, LCA)."""
 
+import re
+
 import pytest
 
 from repro.algorithms.dijkstra import dijkstra_distance
 from repro.exceptions import GraphError
 from repro.graph.generators import grid_road_network
 from repro.graph.graph import Graph
-from repro.graph.updates import generate_update_batch
-from repro.treedec.mde import contract_graph, mde_order, update_shortcuts_bottom_up
+from repro.graph.updates import EdgeUpdate, UpdateBatch, generate_update_batch
+from repro.treedec.mde import contract_graph, mde_order
+from repro.treedec.slots import SlotContraction
 from repro.treedec.tree import TreeDecomposition
 
 from tests.conftest import float_bits, paper_example_graph
@@ -82,43 +85,40 @@ class TestContraction:
                 assert result.rank[x] < result.rank[w]
 
 
+def _fresh_weights(graph, order) -> bytes:
+    """A fresh contraction's shortcut values under ``order``, in slot order."""
+    fresh = contract_graph(graph, order=order)
+    return float_bits(fresh.shortcuts[v][u] for v in fresh.order for u in fresh.neighbors[v])
+
+
 class TestShortcutMaintenance:
+    """The flat pass (``SlotContraction.update``) against a fresh contraction
+    of the updated graph under the same order: the same bits."""
+
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_update_matches_rebuild(self, seed):
         """After a batch update, maintained shortcuts equal rebuilt shortcuts."""
         graph = grid_road_network(6, 6, seed=seed)
-        result = contract_graph(graph)
-        order = list(result.order)
-
+        contraction = SlotContraction.build(graph)
         batch = generate_update_batch(graph, volume=10, seed=seed)
         batch.apply(graph)
-        update_shortcuts_bottom_up(result, graph, [u.key() for u in batch])
-
-        rebuilt = contract_graph(graph, order=order)
-        for v in order:
-            for u in result.neighbors[v]:
-                assert result.shortcuts[v][u] == pytest.approx(rebuilt.shortcuts[v][u])
+        assert len(contraction.update(batch))
+        assert float_bits(contraction.arena["weights"]) == _fresh_weights(graph, contraction.order)
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_native_and_pure_rungs_agree_bit_for_bit(self, seed, pure_maintenance):
-        """Mixed increase / decrease batches through ``shortcut_row`` and through
-        the pure ``recompute_shortcut`` loop: same shortcut bits, same report."""
+        """Mixed increase / decrease batches through the C ``update_slots`` and
+        through its pure loop: same shortcut bits, same changed slots, same
+        work counters."""
 
         def maintain():
             graph = grid_road_network(9, 9, seed=seed)
-            result = contract_graph(graph)
+            contraction = SlotContraction.build(graph)
             reports = []
             for step in range(3):
                 batch = generate_update_batch(graph, volume=12, seed=10 * seed + step)
-                batch.apply(graph)
-                reports.append(
-                    update_shortcuts_bottom_up(result, graph, [u.key() for u in batch])
-                )
-            rows = {
-                v: float_bits(result.shortcuts[v][u] for u in result.neighbors[v])
-                for v in result.order
-            }
-            return rows, reports
+                reports.append(contraction.update(batch).tolist())
+            return float_bits(contraction.arena["weights"]), reports, contraction.work.tolist()
 
         native = maintain()
         pure_maintenance()
@@ -127,22 +127,40 @@ class TestShortcutMaintenance:
 
     def test_update_with_no_changes_reports_nothing(self):
         graph = grid_road_network(4, 4, seed=0)
-        result = contract_graph(graph)
-        report = update_shortcuts_bottom_up(result, graph, [])
-        assert report == {}
+        contraction = SlotContraction.build(graph)
+        assert contraction.update([]).tolist() == []
+        assert contraction.work.tolist() == [0, 0, 0]
 
     def test_decrease_only_and_increase_only(self):
         for fraction in (0.0, 1.0):
             graph = grid_road_network(5, 5, seed=4)
-            result = contract_graph(graph)
-            order = list(result.order)
+            contraction = SlotContraction.build(graph)
             batch = generate_update_batch(graph, volume=8, seed=4, decrease_fraction=fraction)
             batch.apply(graph)
-            update_shortcuts_bottom_up(result, graph, [u.key() for u in batch])
-            rebuilt = contract_graph(graph, order=order)
-            for v in order:
-                for u in result.neighbors[v]:
-                    assert result.shortcuts[v][u] == pytest.approx(rebuilt.shortcuts[v][u])
+            contraction.update(batch)
+            assert float_bits(contraction.arena["weights"]) == _fresh_weights(
+                graph, contraction.order
+            )
+
+    @pytest.mark.parametrize("rung", ("native", "pure"))
+    def test_update_without_a_slot_raises_and_writes_nothing(self, rung, pure_maintenance):
+        """A pair no row joins, a vertex the contraction lacks and a loop are
+        each a ``GraphError`` naming the pair, raised before any weight or
+        graph weight is written — also when valid updates come first."""
+        if rung == "pure":
+            pure_maintenance()
+        graph = grid_road_network(6, 6, seed=1)
+        contraction = SlotContraction.build(graph)
+        u, v, w = next(iter(graph.edges()))
+        far = (contraction.order[0], contraction.order[1])
+        assert far[1] not in contraction.neighbors[far[0]]
+        state = bytes(contraction.arena.buffer), float_bits(contraction.base)
+        for bad in (far, (u, 10_000), (u, u)):
+            batch = UpdateBatch([EdgeUpdate(u, v, w, 2 * w), EdgeUpdate(*bad, 1.0, 2.0)])
+            with pytest.raises(GraphError, match=re.escape(f"({bad[0]}, {bad[1]})")):
+                contraction.update(batch)
+            assert (bytes(contraction.arena.buffer), float_bits(contraction.base)) == state
+        assert contraction.work.tolist() == [0, 0, 0]
 
 
 class TestTreeDecomposition:
