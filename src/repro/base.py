@@ -165,10 +165,9 @@ class DistanceIndex(abc.ABC):
         self._kernel_epoch = 0
         self._kernel_stores: Dict[str, object] = {}
         self._graph_snapshot_cache = None
-        #: The shortcut stores and graph snapshot (under ``"__graph__"``) the
-        #: last invalidation dropped, by memo key: a refreeze gathers its
-        #: values into the template's layout (see :meth:`_kernel`).
-        self._kernel_templates: Dict[str, object] = {}
+        #: The graph snapshot the last invalidation dropped: the next
+        #: snapshot gathers its values into this one's layout.
+        self._graph_template = None
 
     # ------------------------------------------------------------------
     # Lifecycle
@@ -424,22 +423,15 @@ class DistanceIndex(abc.ABC):
         frozen from pre-update state.  The serving engine additionally calls
         this when it opens a new epoch, keying freezes to its epoch counter.
 
-        The dropped stores a refreeze gathers into (those whose class sets
-        ``gathers_into_template``) stay on as templates, one per memo key,
-        until that key refreezes: weight updates keep their layout, so the
-        refreeze copies only values into it.  A template is never served
-        and never written (a store is immutable), so a reader still holding
-        it answers exactly as before.
+        The dropped graph snapshot stays on as the template of the next
+        one: weight updates keep its layout, so the refreeze copies only
+        values into it.  A template is never served and never written (a
+        snapshot is immutable), so a reader still holding it answers
+        exactly as before.
         """
         self._kernel_epoch += 1
-        templates = self._kernel_templates
-        templates.update(
-            (key, store)
-            for key, store in list(self._kernel_stores.items())
-            if getattr(store, "gathers_into_template", False)
-        )
         if self._graph_snapshot_cache is not None:
-            templates["__graph__"] = self._graph_snapshot_cache
+            self._graph_template = self._graph_snapshot_cache
         self._kernel_stores.clear()
         self._graph_snapshot_cache = None
         if obs.is_enabled():
@@ -449,13 +441,10 @@ class DistanceIndex(abc.ABC):
                 index=self.name,
             ).inc()
 
-    def _kernel(self, key: str, builder: Callable[[object], object]):
+    def _kernel(self, key: str, builder: Callable[[], object]):
         """Per-epoch memo of one frozen store.
 
-        ``builder(template)`` runs at most once per kernel epoch per ``key``;
-        ``template`` is the store the last invalidation dropped under ``key``
-        (or ``None``), released here: a ``ShortcutStore.freeze`` gathers into
-        its layout and itself checks that the layout still fits.  A
+        ``builder()`` runs at most once per kernel epoch per ``key``.  A
         ``None`` result (freeze unsupported for this structure) is cached
         too so unsupported structures don't retry on every query.  Returns
         ``None`` whenever ``use_kernels`` is off or the C kernel is not
@@ -471,10 +460,9 @@ class DistanceIndex(abc.ABC):
                 raise StoreNotPublishedError(key)
             if native_kernel() is None:
                 return None
-            template = self._kernel_templates.pop(key, None)
             if obs.is_enabled():
                 with obs.span("kernels.freeze." + key, index=self.name, store=key):
-                    entry = builder(template)
+                    entry = builder()
                 obs.registry().counter(
                     "repro_kernel_freezes_total",
                     "Frozen-store builds (label 'frozen' distinguishes "
@@ -482,7 +470,7 @@ class DistanceIndex(abc.ABC):
                     index=self.name, store=key, frozen=entry is not None,
                 ).inc()
             else:
-                entry = builder(template)
+                entry = builder()
             self._kernel_stores[key] = entry
         return entry
 
@@ -508,10 +496,9 @@ class DistanceIndex(abc.ABC):
 
             # A stale snapshot (out-of-band mutation) is as good a template
             # as the one the last invalidation dropped.
-            template = snapshot or self._kernel_templates.get("__graph__")
-            snapshot = GraphSnapshot.freeze(self.graph, template)
+            snapshot = GraphSnapshot.freeze(self.graph, snapshot or self._graph_template)
             self._graph_snapshot_cache = snapshot
-            self._kernel_templates.pop("__graph__", None)
+            self._graph_template = None
         return snapshot
 
     # ------------------------------------------------------------------
@@ -578,8 +565,8 @@ class DistanceIndex(abc.ABC):
         frozen from its own structures again.
         """
         self.invalidate_kernels()
-        # Nothing here ever freezes again, so no template is ever released.
-        self._kernel_templates.clear()
+        # Nothing here ever freezes again, so the template is never used.
+        self._graph_template = None
         for key, store in stores.items():
             self._attach_kernel(key, store)
         self.store_reader = True

@@ -132,7 +132,7 @@ class TOAINIndex(DistanceIndex):
         order."""
         contraction = self._require_built()
 
-        def freeze(_):
+        def freeze():
             arena = contraction.arena
             keep = np.flatnonzero(arena["indices"] < self.core_rank_threshold)
             indptr = np.zeros(contraction.num_vertices + 1, dtype=np.int64)
@@ -155,7 +155,7 @@ class TOAINIndex(DistanceIndex):
         """Frozen CSR hub-label table (``None`` = pure path)."""
         contraction = self._require_built()
 
-        def freeze(_):
+        def freeze():
             rank = contraction.rank
             threshold = self.core_rank_threshold
             core = [v for v in contraction.order if rank[v] >= threshold]

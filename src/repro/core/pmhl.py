@@ -125,14 +125,14 @@ class PMHLIndex(PostBoundaryPSPIndex):
     def _cross_store(self):
         self._require_built()
         return self._kernel(
-            "cross_labels", lambda _: LabelStore.freeze(self.cross_labels)
+            "cross_labels", lambda: LabelStore.freeze(self.cross_labels)
         )
 
     def _pch_store(self):
         """The union of the overlay's and the partitions' shortcut arrays:
         the cross-boundary contraction's arena, gathered from them."""
         self._require_built()
-        return self._kernel("pch", lambda _: self.cross_tree.contraction.store())
+        return self._kernel("pch", self.cross_tree.contraction.store)
 
     # ------------------------------------------------------------------
     # Query processing (Q-Stages 1-5; Q-Stage 1 is the base class's

@@ -159,12 +159,12 @@ class PostMHLIndex(DistanceIndex):
     # ------------------------------------------------------------------
     def _label_store(self):
         self._require_built()
-        return self._kernel("labels", lambda _: LabelStore.freeze(self.labels))
+        return self._kernel("labels", lambda: LabelStore.freeze(self.labels))
 
     def _pch_store(self):
         """The contraction's arena, as U-Stage 2 left it."""
         self._require_built()
-        return self._kernel("pch", lambda _: self.contraction.store())
+        return self._kernel("pch", self.contraction.store)
 
     # ------------------------------------------------------------------
     # Query processing (Q-Stages 1-4; Q-Stage 1 is the base class's

@@ -146,7 +146,7 @@ class CHIndex(DistanceIndex):
         """This epoch's shortcut store (``None`` = pure path): the
         contraction's arena, as the last pass left it."""
         contraction = self._require_built()
-        return self._kernel("ch", lambda _template: contraction.store())
+        return self._kernel("ch", contraction.store)
 
     # The final stage: the shortcut store, or the search over the slot
     # arrays (the native batch is the same search looped in C, so results

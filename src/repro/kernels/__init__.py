@@ -30,13 +30,14 @@ the reference path.  Freezing is lazy (first query after an invalidation)
 and keyed to the index's kernel epoch (see
 ``repro.base.DistanceIndex.invalidate_kernels``), so a store is built at most
 once per update epoch per query stage.  Updates change weights only, so
-contraction and label values live in their store's layout all along
-(:mod:`repro.treedec.slots`, :mod:`repro.labeling.h2h`), and a refreeze
-wraps the arena the last update pass wrote; the graph snapshot's refreeze
-gathers the new values into the previous epoch's layout
-(:func:`~repro.kernels.arena.regather`, the C ``gather_rows``) and rebuilds
-the layout only when a row no longer fits it.  Every store computes exactly the
-reference arithmetic, so results are bit-identical on both rungs.
+contraction and label values live in their store's layout all along, written
+at build by the same pass that maintains them (:mod:`repro.treedec.slots`,
+:mod:`repro.labeling.h2h`), and a refreeze wraps the arena the last pass
+wrote.  Only the graph snapshot is kept across an invalidation, as the
+template of the next one: its refreeze gathers the new values into that
+layout (:func:`~repro.kernels.arena.regather`, the C ``gather_rows``) and
+rebuilds the layout only when a row no longer fits it.  Every store computes
+exactly the reference arithmetic, so results are bit-identical on both rungs.
 """
 
 from repro.kernels.arena import Arena

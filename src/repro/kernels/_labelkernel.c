@@ -57,27 +57,17 @@
  * buffer, so a store wrapping an earlier one is untouched -- and checks
  * every index it will follow before its first write.  update_slots is the
  * shortcut pass of every contraction (DCH, the H2H family, the PSP
- * partitions and overlay, PostMHL, TOAIN), the same way, over flat arrays
+ * partitions and overlay, PostMHL, TOAIN) -- at build, seeded with every
+ * row, and after every batch -- the same way, over flat arrays
  * (repro.treedec.slots): shortcut weights in the shortcut store's CSR slot
  * order, each slot's graph weight, and a CSR of int32 supporter slot pairs.
  * It also reports what it did -- the changed slots, the rows a row mask kept
  * it from visiting, and its work counters -- so no caller re-derives them.
  *
- * recompute_row (one label row over dict-of-list containers: the path the
- * label phase ran before its rows were flat, kept as the container oracle
- * the differential tests check update_labels against) walks *live* Python
- * containers -- a dis dict, a shortcut row dict, the tree's depth map.  It
- * only reads and returns a fresh list.  Containers another layer filled are
- * not trusted -- types, depths, row lengths and list sizes are checked (the
- * sizes again after any lookup that may have run Python), a missing key is
- * the KeyError the Python loop raises -- and lookups honour a dict
- * subclass's __getitem__ (see container_get).
- *
- * gather_rows is the value half of a refreeze: weight-only updates keep
- * every store's layout (the shortcut set, the graph's CSR), so a new
- * epoch's filtered shortcut store (TOAIN's sub-core) or graph snapshot
- * copies the previous epoch's layout arrays and gathers only its values
- * from the live rows, in one pass that also checks each row against the
+ * gather_rows is the value half of a graph snapshot's refreeze: weight-only
+ * updates keep the graph's CSR layout, so a new epoch's snapshot copies the
+ * previous epoch's layout arrays and gathers only its values from the live
+ * adjacency rows, in one pass that also checks each row against the
  * layout (counts, and for dict rows the keys in iteration order).  A
  * mismatch is a ValueError and the caller rebuilds the layout; dict rows are
  * read under container_get's rule.  Label stores and contraction stores
@@ -85,8 +75,8 @@
  *
  * No function releases the GIL; concurrent Python threads therefore
  * serialize around the shared per-capsule scratch space by construction, and
- * the maintenance kernels see the containers under the same exclusion the
- * pure loops do.
+ * gather_rows sees the live rows under the same exclusion the pure code
+ * does.
  */
 #define PY_SSIZE_T_CLEAN
 #include <Python.h>
@@ -1096,15 +1086,13 @@ static PyObject *search_one_to_many(PyObject *self, PyObject *const *args,
 }
 
 /* ------------------------------------------------------------------ */
-/* Maintenance kernels (over the live Python containers)              */
+/* Refreeze gather (live rows into a previous epoch's CSR layout)     */
 /* ------------------------------------------------------------------ */
 
 /* container[key] as a new reference.  PyDict_GetItem* reads a dict's raw
- * storage, which skips a subclass's __getitem__ -- an unmaterialised
- * store.codec.LazyDict would read as empty -- so the fast path is taken only
- * when the type's mp_subscript is dict's own (plain dicts, and a LazyDict
- * once its loader has run and swapped its class); anything else goes through
- * PyObject_GetItem.  A missing key raises KeyError, or with `missing_ok`
+ * storage, which skips a subclass's __getitem__ -- a lazily filled mapping
+ * would read as empty -- so the fast path is taken only when the type's
+ * mp_subscript is dict's own; anything else goes through PyObject_GetItem.  A missing key raises KeyError, or with `missing_ok`
  * returns NULL with no exception set (dict.get semantics). */
 static PyObject *container_get(PyObject *container, PyObject *key, int missing_ok) {
     PyMappingMethods *mapping = Py_TYPE(container)->tp_as_mapping;
@@ -1126,10 +1114,7 @@ static PyObject *container_get(PyObject *container, PyObject *key, int missing_o
 }
 
 /* float(obj): exact floats inline, anything else (int weights) through
- * PyFloat_AsDouble.  Int inputs are thereby normalised: both kernels return
- * floats where the pure rung's `sc + d` would stay an int of the same value
- * (Graph stores float weights, so no index reaches this).  Returns -1 with
- * an exception set on failure. */
+ * PyFloat_AsDouble.  Returns -1 with an exception set on failure. */
 static inline int as_double(PyObject *obj, double *out) {
     if (PyFloat_CheckExact(obj)) {
         *out = PyFloat_AS_DOUBLE(obj);
@@ -1150,175 +1135,6 @@ static inline int row_entry(PyObject *row, Py_ssize_t j, double *out) {
     }
     return as_double(PyList_GET_ITEM(row, j), out);
 }
-
-/* dis[vertex] as a new reference, checked to be a list of at least `need`
- * entries (exactly `need` when `exact`). */
-static PyObject *distance_row(PyObject *dis, PyObject *vertex, Py_ssize_t need,
-                              int exact) {
-    PyObject *row = container_get(dis, vertex, 0);
-    if (row == NULL) {
-        return NULL;
-    }
-    if (!PyList_Check(row)) {
-        PyErr_SetString(PyExc_TypeError, "distance arrays must be lists");
-    } else if (exact ? PyList_GET_SIZE(row) != need : PyList_GET_SIZE(row) < need) {
-        PyErr_SetString(PyExc_ValueError,
-                        "distance array length does not match its vertex's depth");
-    } else {
-        return row;
-    }
-    Py_DECREF(row);
-    return NULL;
-}
-
-/* sc_row[x] and depth[x] of one neighbour, the depth checked to lie strictly
- * above a vertex whose ancestor chain has m entries. */
-static int neighbour_inputs(PyObject *sc_row, PyObject *depth, PyObject *x,
-                            Py_ssize_t m, double *sc, Py_ssize_t *px) {
-    PyObject *sc_obj = container_get(sc_row, x, 0);
-    if (sc_obj == NULL) {
-        return -1;
-    }
-    int status = as_double(sc_obj, sc);
-    Py_DECREF(sc_obj);
-    if (status < 0) {
-        return -1;
-    }
-    PyObject *px_obj = container_get(depth, x, 0);
-    if (px_obj == NULL) {
-        return -1;
-    }
-    *px = PyLong_AsSsize_t(px_obj);
-    Py_DECREF(px_obj);
-    if (*px == -1 && PyErr_Occurred()) {
-        return -1;
-    }
-    if (*px < 0 || *px >= m - 1) {
-        PyErr_SetString(PyExc_ValueError,
-                        "neighbour depth outside the vertex's ancestor chain");
-        return -1;
-    }
-    return 0;
-}
-
-/* A fresh list of the n floats in values. */
-static PyObject *float_list(const double *values, Py_ssize_t n) {
-    PyObject *list = PyList_New(n);
-    if (list == NULL) {
-        return NULL;
-    }
-    for (Py_ssize_t i = 0; i < n; i++) {
-        PyObject *item = PyFloat_FromDouble(values[i]);
-        if (item == NULL) {
-            Py_DECREF(list);
-            return NULL;
-        }
-        PyList_SET_ITEM(list, i, item);
-    }
-    return list;
-}
-
-/* recompute_row(dis, anc, neighbors, sc_row, depth) -> list
- *
- * One H2H distance row over dict-of-list containers (the container oracle
- * of update_labels, see the file header) for the vertex whose ancestor chain
- * is `anc` (m entries, the vertex itself last): per neighbour x at depth px,
- * columns j < px relax against sc_row[x] + dis[x][j], columns px <= j < m-1
- * against sc_row[x] + dis[anc[j]][px]; column m-1 is 0.0.  Same candidates,
- * same float64 add and `<` as the Python loop.  Nothing is written to any
- * argument; the caller stores the returned list. */
-static PyObject *maintain_recompute_row(PyObject *self, PyObject *const *args,
-                                        Py_ssize_t nargs) {
-    (void)self;
-    if (nargs != 5) {
-        PyErr_SetString(PyExc_TypeError,
-                        "recompute_row(dis, anc, neighbors, sc_row, depth) takes 5 arguments");
-        return NULL;
-    }
-    PyObject *dis = args[0], *anc = args[1], *neighbors = args[2];
-    PyObject *sc_row = args[3], *depth = args[4];
-    if (!PyList_Check(anc) || !PyList_Check(neighbors)) {
-        PyErr_SetString(PyExc_TypeError, "anc and neighbors must be lists");
-        return NULL;
-    }
-    Py_ssize_t m = PyList_GET_SIZE(anc);
-    if (m < 1) {
-        PyErr_SetString(PyExc_ValueError, "anc must hold at least the vertex itself");
-        return NULL;
-    }
-    double *best = (double *)malloc((size_t)m * sizeof(double));
-    /* dis[anc[j]], fetched on first use and owned until return. */
-    PyObject **anc_rows = (PyObject **)calloc((size_t)m, sizeof(PyObject *));
-    PyObject *result = NULL;
-    if (best == NULL || anc_rows == NULL) {
-        PyErr_NoMemory();
-        goto done;
-    }
-    for (Py_ssize_t j = 0; j < m; j++) {
-        best[j] = Py_HUGE_VAL;
-    }
-    for (Py_ssize_t i = 0; i < PyList_GET_SIZE(neighbors); i++) {
-        PyObject *x = PyList_GET_ITEM(neighbors, i);
-        double sc, d;
-        Py_ssize_t px;
-        Py_INCREF(x);
-        PyObject *row = neighbour_inputs(sc_row, depth, x, m, &sc, &px) < 0
-                            ? NULL
-                            : distance_row(dis, x, px, 0);
-        Py_DECREF(x);
-        if (row == NULL) {
-            goto done;
-        }
-        for (Py_ssize_t j = 0; j < px; j++) {
-            if (row_entry(row, j, &d) < 0) {
-                Py_DECREF(row);
-                goto done;
-            }
-            double candidate = sc + d;
-            if (candidate < best[j]) {
-                best[j] = candidate;
-            }
-        }
-        Py_DECREF(row);
-        for (Py_ssize_t j = px; j < m - 1; j++) {
-            if (anc_rows[j] == NULL) {
-                if (PyList_GET_SIZE(anc) != m) {
-                    PyErr_SetString(PyExc_ValueError, "anc changed size during the call");
-                    goto done;
-                }
-                PyObject *ancestor = PyList_GET_ITEM(anc, j);
-                Py_INCREF(ancestor);
-                anc_rows[j] = distance_row(dis, ancestor, j + 1, 1);
-                Py_DECREF(ancestor);
-                if (anc_rows[j] == NULL) {
-                    goto done;
-                }
-            }
-            if (row_entry(anc_rows[j], px, &d) < 0) {
-                goto done;
-            }
-            double candidate = sc + d;
-            if (candidate < best[j]) {
-                best[j] = candidate;
-            }
-        }
-    }
-    best[m - 1] = 0.0;
-    result = float_list(best, m);
-done:
-    if (anc_rows != NULL) {
-        for (Py_ssize_t j = 0; j < m; j++) {
-            Py_XDECREF(anc_rows[j]);
-        }
-    }
-    free(anc_rows);
-    free(best);
-    return result;
-}
-
-/* ------------------------------------------------------------------ */
-/* Refreeze gather (live rows into a previous epoch's CSR layout)     */
-/* ------------------------------------------------------------------ */
 
 /* Replace a pending TypeError / OverflowError (a key or value of the wrong
  * kind) with the ValueError every gather mismatch raises. */
@@ -1373,8 +1189,8 @@ static int gather_dict_row(PyObject *row, PyObject *remap, const int64_t *dense,
     PyMappingMethods *mapping = Py_TYPE(row)->tp_as_mapping;
     if (mapping == NULL ||
         mapping->mp_subscript != PyDict_Type.tp_as_mapping->mp_subscript) {
-        /* A dict subclass with its own __getitem__ (an unmaterialised
-         * LazyDict): its raw storage may be empty, so read items(). */
+        /* A dict subclass with its own __getitem__: its raw storage may
+         * be empty, so read items(). */
         items = PyMapping_Items(row);
         if (items == NULL) {
             return -1;
@@ -1936,9 +1752,9 @@ done:
  * or an ancestor changed, over its columns [lo, min(hi, depth + 1)): per
  * neighbour at px, columns above px relax against the neighbour's own row,
  * columns from px down against each ancestor's entry for it; the row's own
- * column is 0.0.  Those are the candidates, the float64 adds and the `<` of
- * recompute_row, whose minimum does not depend on the order they are read
- * in, so the values are bit-identical to the container path.  A row whose
+ * column is 0.0.  The minimum over those candidates does not depend on
+ * the order they are read in, so the values equal the dict-of-list
+ * recurrence (the oracle the tests keep) bit for bit.  A row whose
  * recomputed columns differ from the stored ones is written, flagged in
  * `changed` (one byte per row), and makes its children recompute.  counts
  * receives the rows recomputed, the columns recomputed and the columns
@@ -2147,9 +1963,6 @@ static PyMethodDef methods[] = {
     {"gather_rows", (PyCFunction)gather_rows, METH_FASTCALL,
      "gather_rows(rows, indptr, out[, remap, indices]) -> None (fills out with the "
      "rows' values in a fixed CSR layout; ValueError on any mismatch)"},
-    {"recompute_row", (PyCFunction)maintain_recompute_row, METH_FASTCALL,
-     "recompute_row(dis, anc, neighbors, sc_row, depth) -> H2H distance array "
-     "of the vertex at the end of anc (inputs untouched)"},
     {"update_slots", (PyCFunction)update_slots, METH_FASTCALL,
      "update_slots(indptr, indices, base, sup_indptr, sup_slots, weights, seeds, mask, "
      "escaped, changed, counts) -> None (bottom-up pass from the seed rows; writes "

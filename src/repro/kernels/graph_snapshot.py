@@ -39,9 +39,6 @@ class GraphSnapshot:
 
     __slots__ = ("version", "arena", "row", "_remap", "capsule")
 
-    #: A refreeze gathers into the previous snapshot (see ShortcutStore).
-    gathers_into_template = True
-
     def __init__(
         self, arena: Arena, version: int, layout: Optional["GraphSnapshot"] = None
     ):

@@ -8,13 +8,12 @@ adjacency as CSR arrays packed in one :class:`~repro.kernels.arena.Arena`
 mmap-share).  Every contraction keeps its shortcuts in this layout all
 along (:mod:`repro.treedec.slots`): each update batch's pass writes the
 next epoch's arena (a copy, once a store holds the current one), and the
-epoch's store wraps it as it stands — no gather, no template, only
-``search_build``'s checks.  PMHL's PCH store wraps the cross-boundary
-union's arena, gathered from the partition and overlay arenas; TOAIN's
-sub-core store packs the slots below the core.  :meth:`ShortcutStore.freeze`
-remains for an adjacency given as mappings: it copies them, preserving
-their iteration order, gathering into the previous epoch's layout when it
-still fits.
+epoch's store wraps it as it stands — no gather, only ``search_build``'s
+checks.  PMHL's PCH store wraps the cross-boundary union's arena, gathered
+from the partition and overlay arenas; TOAIN's sub-core store packs the
+slots below the core.  :meth:`ShortcutStore.freeze` remains for an
+adjacency given as mappings: it copies them, preserving their iteration
+order.
 
 The native C kernel borrows the arena views and answers the CH query in C
 (scalar and batch) as an elimination-tree query: rows are frozen in
@@ -36,7 +35,7 @@ from typing import Callable, Dict, Iterable, List, Mapping, Optional, Sequence, 
 import numpy as np
 
 from repro.exceptions import VertexNotFoundError
-from repro.kernels.arena import Arena, build_remap, count_freeze, regather, rows_of
+from repro.kernels.arena import Arena, build_remap, count_freeze, rows_of
 from repro.kernels.native import native_kernel
 
 
@@ -44,10 +43,6 @@ class ShortcutStore:
     """Immutable upward adjacency (vertex -> [(higher-rank neighbor, weight)])."""
 
     __slots__ = ("arena", "row", "_remap", "capsule")
-
-    #: A refreeze gathers into the previous epoch's store, so an index keeps
-    #: the store it drops as the template of its memo key.
-    gathers_into_template = True
 
     def __init__(self, arena: Arena, rows: Optional[Tuple[Dict[int, int], object]] = None):
         """``rows``: the ``(row dict, remap)`` of an earlier store or a
@@ -67,25 +62,11 @@ class ShortcutStore:
 
     @classmethod
     def freeze(
-        cls,
-        upward: Callable[[int], Mapping[int, float]],
-        vertices: Iterable[int],
-        template: Optional["ShortcutStore"] = None,
+        cls, upward: Callable[[int], Mapping[int, float]], vertices: Iterable[int]
     ) -> Optional["ShortcutStore"]:
         """Materialise ``upward(v)`` for every vertex, preserving item order;
-        ``None`` when the adjacency leaves ``vertices`` (unsupported).
-
-        ``template`` is the previous epoch's store of the same adjacency:
-        weight updates keep the shortcut set, so only the weights are
-        gathered into its layout (:func:`~repro.kernels.arena.regather`);
-        when a row no longer fits it, the layout is rebuilt from scratch.
-        """
+        ``None`` when the adjacency leaves ``vertices`` (unsupported)."""
         ids = list(vertices)
-        if template is not None:
-            arena = regather(template, ids, map(upward, ids))
-            if arena is not None:
-                count_freeze("shortcut_store", "reused")
-                return cls(arena, rows=(template.row, template._remap))
         position = {v: i for i, v in enumerate(ids)}
         indptr = [0]
         indices: List[int] = []

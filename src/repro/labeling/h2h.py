@@ -465,7 +465,7 @@ class H2HIndex(DistanceIndex):
     def _label_store(self):
         """The frozen :class:`LabelStore` of this epoch (``None`` = pure path)."""
         labels = self._require_built()
-        return self._kernel("labels", lambda _: LabelStore.freeze(labels))
+        return self._kernel("labels", lambda: LabelStore.freeze(labels))
 
     # The final stage: the label store, or the labels themselves.
     def _final_store(self):

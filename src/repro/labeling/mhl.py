@@ -42,7 +42,7 @@ class MHLIndex(DH2HIndex):
         """Stage-2 shortcut store of this epoch (``None`` = pure path): the
         contraction's arena, as the shortcut pass left it."""
         self._require_built()
-        return self._kernel("ch", lambda _: self.contraction.store())
+        return self._kernel("ch", self.contraction.store)
 
     def query_ch(self, source: int, target: int) -> float:
         """Stage-2 query: CH search over the shortcut arrays ``X(v).sc``."""

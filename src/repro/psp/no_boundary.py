@@ -143,8 +143,8 @@ class NoBoundaryPSPIndex(DistanceIndex):
     # ------------------------------------------------------------------
     def _store_for(self, key: str, labels, contraction):
         if labels is None:
-            return self._kernel(key, lambda _: contraction.store())
-        return self._kernel(key, lambda _: LabelStore.freeze(labels))
+            return self._kernel(key, contraction.store)
+        return self._kernel(key, lambda: LabelStore.freeze(labels))
 
     def _overlay_store(self):
         return self._store_for(

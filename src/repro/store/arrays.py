@@ -26,7 +26,7 @@ import io
 import os
 import struct
 import zipfile
-from typing import Dict, List, Sequence
+from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
@@ -92,16 +92,21 @@ class ArrayWriter:
 
     def __init__(self):
         self._arrays: Dict[str, object] = {}
-        self._counter = 0
+        #: ``id(array) -> (array, name)`` of every array put so far; holding
+        #: the object keeps its identity from being reused.
+        self._names: Dict[int, Tuple[object, str]] = {}
 
     # ------------------------------------------------------------------
     def put_array(self, array) -> ArrayRef:
         """Store an array verbatim; returns the reference to embed in the
-        state tree."""
-        name = f"a{self._counter:04d}"
-        self._counter += 1
-        self._arrays[name] = np.ascontiguousarray(array)
-        return {_REF_KEY: name}
+        state tree.  The same array object put again (an arena two owners
+        pack: a contraction and its store, labels and theirs) is written once
+        and referenced twice."""
+        known = self._names.get(id(array))
+        if known is None:
+            known = self._names[id(array)] = (array, f"a{len(self._arrays):04d}")
+            self._arrays[known[1]] = np.ascontiguousarray(array)
+        return {_REF_KEY: known[1]}
 
     def put_ints(self, values: Sequence[int]) -> ArrayRef:
         """Store an int64 array; returns the reference to embed in the state tree."""

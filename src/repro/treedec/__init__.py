@@ -1,7 +1,8 @@
-"""Tree decomposition substrate: MDE contraction, tree structure, LCA oracle."""
+"""Tree decomposition substrate: MDE elimination, flat contractions, tree
+structure, LCA oracle."""
 
 from repro.treedec.lca import LCAOracle
-from repro.treedec.mde import ContractionResult, contract_graph, mde_order
+from repro.treedec.mde import eliminate, mde_order
 from repro.treedec.slots import (
     FlatContraction,
     SlotContraction,
@@ -11,8 +12,7 @@ from repro.treedec.slots import (
 from repro.treedec.tree import TreeDecomposition
 
 __all__ = [
-    "ContractionResult",
-    "contract_graph",
+    "eliminate",
     "mde_order",
     "FlatContraction",
     "SlotContraction",

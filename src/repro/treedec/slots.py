@@ -12,18 +12,18 @@ in ``X(v).N``.
 :class:`FlatContraction` is the read side every contraction shares: the
 ``arena`` — ``ids`` / ``indptr`` / ``indices`` / ``weights``, the exact
 layout of :class:`~repro.kernels.shortcut_store.ShortcutStore` (columns are
-rows; a row's slots in ascending neighbour id, the dict order of
-:func:`~repro.treedec.mde.contract_graph`) — whose epoch store is the arena
-itself: no gather, no template.  Two kinds fill it:
+rows; a row's slots in ascending neighbour id, the row order of
+:func:`~repro.treedec.mde.eliminate`) — whose epoch store is the arena
+itself: no gather.  Two kinds fill it:
 
-* :class:`SlotContraction` owns its weights and maintains them.  Besides
-  the arena it holds ``base`` — each slot's graph weight (``inf`` for a
-  fill-in shortcut), patched from each batch's updates in order — and
-  ``sup_indptr`` / ``sup_slots``, a CSR over slots of ``int32`` slot pairs
-  ``(slot(x, v), slot(x, u))``: one per lower row ``x`` whose contraction
-  supports ``(v, u)``.  Every pair of ``X(x).N`` is supported by ``x``, so
-  the records are derived from the rows (:func:`supporter_slots`) and no
-  supporter dict is ever built;
+* :class:`SlotContraction` owns its weights: one pass computes them at
+  build and maintains them after.  Besides the arena it holds ``base`` —
+  each slot's graph weight (``inf`` for a fill-in shortcut), patched from
+  each batch's updates in order — and ``sup_indptr`` / ``sup_slots``, a
+  CSR over slots of ``int32`` slot pairs ``(slot(x, v), slot(x, u))``: one
+  per lower row ``x`` whose contraction supports ``(v, u)``.  Every pair of
+  ``X(x).N`` is supported by ``x``, so the records are derived from the
+  rows (:func:`supporter_slots`);
 * :class:`UnionContraction` owns none: it is the cross-boundary contraction
   of PMHL, the partition and overlay contractions stitched in the global
   order.  Its topology is built once, with one index map per source arena,
@@ -32,9 +32,9 @@ itself: no gather, no template.  Two kinds fill it:
 
 :func:`update_slots` is the whole maintenance pass over a
 :class:`SlotContraction`: the C kernel's ``update_slots`` when it is
-loaded, :func:`_update_slots_pure` otherwise.  Both compute the float64
-sums and minima a fresh contraction computes, so the weights are
-bit-identical to :func:`~repro.treedec.mde.contract_graph` of the updated
+loaded, :func:`_update_slots_pure` otherwise.  Both compute the same
+float64 sums and minima, and a build is this pass seeded with every row,
+so maintained weights are bit-identical to a fresh build on the updated
 graph under the same order.  A pass can be confined to a row mask, whose
 excluded rows it reports instead of visiting (PostMHL's per-partition
 passes), and reports the slots it changed and its work.  Its first write
@@ -55,7 +55,7 @@ from repro.graph.graph import Graph
 from repro.kernels.arena import Arena, build_remap, count_freeze, rows_of
 from repro.kernels.native import native_kernel
 from repro.kernels.shortcut_store import ShortcutStore
-from repro.treedec.mde import contract_graph
+from repro.treedec.mde import eliminate
 
 INF = math.inf
 
@@ -193,30 +193,32 @@ class SlotContraction(FlatContraction):
         order: Optional[Sequence[int]] = None,
         tiers: Optional[Dict[int, int]] = None,
     ) -> "SlotContraction":
-        """Contract ``graph`` (see :func:`~repro.treedec.mde.contract_graph`)
-        and lay the result out flat; the supporters come from the rows."""
-        result = contract_graph(graph, order=order, tiers=tiers, record_supporters=False)
-        rows = [result.neighbors[v] for v in result.order]
-        indptr = np.zeros(len(rows) + 1, dtype=np.int64)
+        """Contract ``graph``: the rows of :func:`~repro.treedec.mde.eliminate`
+        laid out flat, each slot's graph weight in ``base``, the supporters
+        derived from the rows, and the weights from one :func:`update_slots`
+        pass seeded with every row.  The pass is not a window: it adds
+        nothing to :attr:`work` and leaves :attr:`version` as it is."""
+        order, rows = eliminate(graph, order=order, tiers=tiers)
+        n = len(order)
+        indptr = np.zeros(n + 1, dtype=np.int64)
         np.cumsum([len(row) for row in rows], out=indptr[1:])
-        m, rank, shortcuts = int(indptr[-1]), result.rank, result.shortcuts
+        m, rank = int(indptr[-1]), dict(zip(order, range(n)))
         indices = np.fromiter((rank[u] for row in rows for u in row), np.int64, m)
-        weights = np.fromiter(
-            (shortcuts[v][u] for v, row in zip(result.order, rows) for u in row), np.float64, m
-        )
         base = np.fromiter(
-            (graph.neighbors(v).get(u, INF) for v, row in zip(result.order, rows) for u in row),
+            (graph.neighbors(v).get(u, INF) for v, row in zip(order, rows) for u in row),
             np.float64, m,
         )
-        arena = Arena.pack(
-            {
-                "ids": np.asarray(result.order, dtype=np.int64),
-                "indptr": indptr,
-                "indices": indices,
-                "weights": weights,
-            }
+        arena = Arena.pack({
+            "ids": np.asarray(order, dtype=np.int64), "indptr": indptr, "indices": indices,
+            "weights": base,
+        })
+        contraction = cls(arena, base, *supporter_slots(indptr, indices))
+        update_slots(
+            arena["indptr"], arena["indices"], base, contraction.sup_indptr,
+            contraction.sup_slots, arena["weights"], np.arange(n, dtype=np.int64), NO_ROWS,
+            NO_ROWS, np.zeros(m, dtype=np.int8), np.zeros(3, dtype=np.int64),
         )
-        return cls(arena, base, *supporter_slots(indptr, indices))
+        return contraction
 
     def slot_map(self):
         m = self.shortcut_count()

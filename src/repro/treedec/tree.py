@@ -10,7 +10,7 @@ distance/position/boundary arrays on.  This module only captures the
 *structure* (parents, children, depths, ancestor chains, subtree sizes) plus a
 constant-time LCA oracle; the label arrays live with the individual indexes.
 The contraction is read for its topology only (``order``, ``rank``,
-``neighbors``): the indexes hand in their flat contraction
+``neighbors``): it is always a flat contraction
 (:mod:`repro.treedec.slots`), whose weights move under the tree each epoch
 while the tree itself never changes.
 """
@@ -26,14 +26,13 @@ from repro.treedec.lca import LCAOracle
 
 @dataclass
 class TreeDecomposition:
-    """Rooted tree decomposition derived from a contraction result.
+    """Rooted tree decomposition derived from a flat contraction.
 
     Attributes
     ----------
     contraction:
-        The underlying contraction: a flat one
-        (:class:`~repro.treedec.slots.FlatContraction`) or a
-        :class:`~repro.treedec.mde.ContractionResult`; only its topology is
+        The underlying flat contraction
+        (:class:`~repro.treedec.slots.FlatContraction`); only its topology is
         read.
     root:
         The highest-rank vertex (contracted last).

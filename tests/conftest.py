@@ -141,6 +141,58 @@ def float_bits(values) -> bytes:
     return struct.pack(f"<{len(values)}d", *values)
 
 
+def reference_shortcuts(graph: Graph, order) -> Dict[int, Dict[int, float]]:
+    """``{v: {u: sc(v, u)}}`` of contracting ``graph`` under ``order`` by the
+    weighted dict elimination: ``v``'s shortcuts are its current
+    neighbours' weights, then each pair of them is joined at the smaller of
+    its current weight and the path through ``v``.  Rows ascend by
+    neighbour id (the slot order).  It shares no code with the flat pass
+    that builds and maintains every contraction, so it is that pass's
+    independent oracle."""
+    work = {v: dict(graph.neighbors(v)) for v in graph.vertices()}
+    shortcuts = {}
+    for v in order:
+        nbrs = work.pop(v)
+        row = sorted(nbrs)
+        shortcuts[v] = {u: nbrs[u] for u in row}
+        for i, u in enumerate(row):
+            del work[u][v]
+            for w in row[i + 1 :]:
+                through = nbrs[u] + nbrs[w]
+                if w not in work[u] or through < work[u][w]:
+                    work[u][w] = work[w][u] = through
+    return shortcuts
+
+
+def reference_weights(graph: Graph, order) -> bytes:
+    """The float64 bits of :func:`reference_shortcuts` in slot order: what a
+    contraction's ``weights`` must hold."""
+    shortcuts = reference_shortcuts(graph, order)
+    return float_bits(sc for v in order for sc in shortcuts[v].values())
+
+
+def check_build_equals_reference(graph, **kwargs):
+    """``SlotContraction.build`` against the weighted dict elimination
+    (``reference_shortcuts``): the same order and rows, ``base`` holding each
+    slot's graph weight (``inf`` for fill-in), the same weight bits, and a
+    build that counts no work and no version."""
+    from repro.treedec.mde import eliminate
+    from repro.treedec.slots import SlotContraction
+
+    contraction = SlotContraction.build(graph, **kwargs)
+    order, rows = eliminate(graph, **kwargs)
+    assert contraction.order == order
+    reference = reference_shortcuts(graph, order)
+    assert [contraction.neighbors[v] for v in order] == rows
+    assert rows == [list(reference[v]) for v in order]
+    assert float_bits(contraction.arena["weights"]) == reference_weights(graph, order)
+    assert float_bits(contraction.base) == float_bits(
+        graph.neighbors(v).get(u, float("inf")) for v in order for u in reference[v]
+    )
+    assert contraction.work.tolist() == [0, 0, 0] and contraction.version == 0
+    return contraction
+
+
 def label_rows(labels) -> Dict[int, List[float]]:
     """A dict copy of ``labels``'s ``dis`` rows, keyed in the tree's
     top-down order: the containers the dict maintenance path ran over."""
@@ -148,13 +200,10 @@ def label_rows(labels) -> Dict[int, List[float]]:
 
 
 def container_row(rows: Dict[int, List[float]], tree, v: int) -> List[float]:
-    """``v``'s distance array from the dict ``rows``: the container kernel
-    ``recompute_row`` when it is loaded, else the Python loop it ports."""
+    """``v``'s distance array from the dict ``rows``: the dict-of-list
+    loop the flat label pass replaced, kept as its oracle."""
     anc, depth = tree.ancestors[v], tree.depth
     neighbors, shortcuts = tree.neighbors(v), tree.contraction.upward(v)
-    kernel = native_kernel()
-    if kernel is not None:
-        return kernel.recompute_row(rows, anc, neighbors, shortcuts, depth)
     new = [float("inf")] * len(anc)
     for x in neighbors:
         px = depth[x]
@@ -290,15 +339,14 @@ def label_sets(index) -> List[Tuple[str, object]]:
 
 
 def maintenance_structures(index) -> List[Tuple[str, object]]:
-    """Every ``H2HLabels`` / ``ContractionResult`` / flat contraction an
-    index holds, by attribute path.
+    """Every ``H2HLabels`` / flat contraction an index holds, by attribute
+    path.
 
     Walks the index's attributes (and the PSP family / overlay objects and
     lists below them) in sorted-name order, each structure reported once —
     the containers ``apply_batch`` reads, wherever a method keeps them.
     """
     from repro.labeling.h2h import H2HLabels
-    from repro.treedec.mde import ContractionResult
     from repro.treedec.slots import FlatContraction
 
     found: List[Tuple[str, object]] = []
@@ -307,7 +355,7 @@ def maintenance_structures(index) -> List[Tuple[str, object]]:
     def walk(path: str, obj) -> None:
         if id(obj) in seen:
             return
-        if isinstance(obj, (H2HLabels, ContractionResult, FlatContraction)):
+        if isinstance(obj, (H2HLabels, FlatContraction)):
             seen.add(id(obj))
             found.append((path, obj))
         elif isinstance(obj, (list, tuple)):
@@ -348,17 +396,12 @@ def index_state_digest(index, pairs) -> str:
                 feed("q", [v])
                 feed("d", obj.dis(v).tolist())
                 feed("q", obj.pos(v).tolist())
-        elif hasattr(obj, "arena"):
+        else:
             ids, indptr = obj.arena["ids"], obj.arena["indptr"].tolist()
             neighbors, weights = ids[obj.arena["indices"]], obj.arena["weights"]
             for r, v in enumerate(obj.order):
                 feed("q", [v])
                 feed("q", neighbors[indptr[r] : indptr[r + 1]].tolist())
                 feed("d", weights[indptr[r] : indptr[r + 1]].tolist())
-        else:
-            for v in obj.order:
-                feed("q", [v])
-                feed("q", obj.neighbors[v])
-                feed("d", (obj.shortcuts[v][u] for u in obj.neighbors[v]))
     feed("d", index.query_many(pairs))
     return digest.hexdigest()

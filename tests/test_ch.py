@@ -15,7 +15,6 @@ from repro.graph.updates import (
 from repro.hierarchy.ch import CHIndex, DCHIndex
 from repro.kernels.native import native_kernel
 from repro.registry import create_index
-from repro.treedec.mde import contract_graph
 from repro.treedec.slots import SlotContraction
 
 from tests.conftest import (
@@ -25,6 +24,7 @@ from tests.conftest import (
     inverse,
     paper_example_graph,
     random_query_pairs,
+    reference_weights,
 )
 
 
@@ -128,17 +128,10 @@ class TestDCHMaintenance:
         assert float_bits(index.contraction.arena["weights"]) == before
 
 
-def _dict_weights(contraction) -> bytes:
-    """A dict contraction's shortcut values in slot order."""
-    return float_bits(
-        contraction.shortcuts[v][u] for v in contraction.order for u in contraction.neighbors[v]
-    )
-
-
 class TestSlotMaintenance:
     """DCH's flat pass on both rungs: after every kind of batch its weights
-    equal, bit for bit, a fresh build on the updated graph and a dict
-    ``contract_graph`` of it under the same order."""
+    equal, bit for bit, a fresh build on the updated graph and the weighted
+    dict elimination of it under the same order."""
 
     @pytest.mark.parametrize("rung", ("native", "pure"))
     @pytest.mark.parametrize("kind", sorted(BATCH_SEQUENCES))
@@ -156,7 +149,7 @@ class TestSlotMaintenance:
         fresh = DCHIndex(graph.copy())
         fresh.build()
         assert weights == float_bits(fresh.contraction.arena["weights"])
-        assert weights == _dict_weights(contract_graph(graph, order=index.contraction.order))
+        assert weights == reference_weights(graph, index.contraction.order)
         if kind in ("empty", "revert"):
             assert weights == before
         else:

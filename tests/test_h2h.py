@@ -208,7 +208,7 @@ class TestMHL:
 class TestFlatLabelMaintenance:
     """The label pass on both rungs: after every kind of batch each arena
     equals a fresh build on the updated graph, and every pass equals the
-    dict path (``recompute_row`` over a dict copy) step for step."""
+    dict path (``container_row`` over a dict copy) step for step."""
 
     @pytest.mark.parametrize("rung", ("native", "pure"))
     @pytest.mark.parametrize("kind", sorted(BATCH_SEQUENCES))

@@ -18,9 +18,11 @@ The contract under test (see DESIGN.md §7):
 
 from __future__ import annotations
 
+import gc
 import json
 import os
 import time
+import weakref
 
 import numpy
 import pytest
@@ -31,7 +33,7 @@ from repro.graph.generators import grid_road_network
 from repro.graph.graph import Graph
 from repro.graph.updates import generate_update_batch
 from repro.hierarchy.ch import ch_bidirectional_query
-from repro.kernels.arena import Arena
+from repro.kernels.arena import Arena, regather
 from repro.kernels.graph_snapshot import GraphSnapshot
 from repro.kernels.label_store import LabelStore
 from repro.kernels.native import native_kernel
@@ -608,93 +610,8 @@ class _ItemsOnly(dict):
 
 @NEEDS_NATIVE
 class TestMaintenanceKernels:
-    """``recompute_row`` over the live containers: what the label oracle
-    hands it, and what malformed input must turn into."""
-
-    @pytest.fixture(scope="class")
-    def built(self):
-        index = create_index("DH2H", grid_road_network(8, 8, seed=5))
-        index.build()
-        return index
-
-    @staticmethod
-    def _row_args(index, v):
-        """``recompute_row``'s arguments for ``v``, containers shallow-copied."""
-        tree = index.tree
-        return [
-            label_rows(index.labels),
-            list(tree.ancestors[v]),
-            list(tree.neighbors(v)),
-            index.contraction.upward(v),
-            dict(tree.depth),
-        ]
-
-    @staticmethod
-    def _deep_vertex(index):
-        """A vertex with neighbours both above and below some ancestor."""
-        return max(index.tree.depth, key=lambda v: (len(index.tree.neighbors(v)), v))
-
-    def test_kernels_match_the_pure_rung_on_every_vertex(self, built):
-        kernel = native_kernel()
-        for v in built.contraction.order:
-            assert kernel.recompute_row(*self._row_args(built, v)) == built.labels.dis(v).tolist()
-
-    def test_dict_subclass_reads_go_through_getitem(self, built):
-        """A C-API dict read skips a subclass's ``__getitem__`` and sees its
-        raw storage; the kernel must go through the override."""
-        kernel = native_kernel()
-        v = self._deep_vertex(built)
-        args = self._row_args(built, v)
-        expected = kernel.recompute_row(*args)
-        assert kernel.recompute_row(_ItemsOnly(args[0]), *args[1:]) == expected
-        assert kernel.recompute_row(*args[:3], _ItemsOnly(args[3]), args[4]) == expected
-
-    def test_inputs_are_not_written(self, built):
-        args = self._row_args(built, self._deep_vertex(built))
-        before = repr(args)
-        native_kernel().recompute_row(*args)
-        assert repr(args) == before
-
-    def test_malformed_recompute_row_input_raises(self, built):
-        kernel = native_kernel()
-        v = self._deep_vertex(built)
-        x = built.tree.neighbors(v)[0]
-        m = len(built.tree.ancestors[v])
-
-        def call(mutate):
-            dis, anc, nbrs, sc_row, depth = self._row_args(built, v)
-            mutate(dis, anc, nbrs, sc_row, depth)
-            return kernel.recompute_row(dis, anc, nbrs, sc_row, depth)
-
-        with pytest.raises(ValueError):  # neighbour depth >= m - 1
-            call(lambda dis, anc, nbrs, sc, depth: depth.__setitem__(x, m - 1))
-        with pytest.raises(ValueError):
-            call(lambda dis, anc, nbrs, sc, depth: depth.__setitem__(x, -1))
-        deep = max(built.tree.neighbors(v), key=built.tree.depth.get)
-        with pytest.raises(ValueError):  # neighbour row too short
-            call(lambda dis, anc, nbrs, sc, depth: dis.__setitem__(deep, []))
-        with pytest.raises(ValueError):  # ancestor row too short
-            call(lambda dis, anc, nbrs, sc, depth: dis.__setitem__(
-                anc[m - 2], dis[anc[m - 2]][:-1]))
-        with pytest.raises(TypeError):  # non-numeric distance entry
-            call(lambda dis, anc, nbrs, sc, depth: dis.__setitem__(
-                anc[m - 2], ["far"] * (m - 1)))
-        with pytest.raises(TypeError):  # non-numeric shortcut
-            call(lambda dis, anc, nbrs, sc, depth: sc.__setitem__(x, None))
-        with pytest.raises(TypeError):  # distance array that is no list
-            call(lambda dis, anc, nbrs, sc, depth: dis.__setitem__(x, tuple(dis[x])))
-        with pytest.raises(KeyError):  # missing vertex, each container
-            call(lambda dis, anc, nbrs, sc, depth: dis.__delitem__(x))
-        with pytest.raises(KeyError):
-            call(lambda dis, anc, nbrs, sc, depth: sc.__delitem__(x))
-        with pytest.raises(KeyError):
-            call(lambda dis, anc, nbrs, sc, depth: depth.__delitem__(x))
-        with pytest.raises(TypeError):
-            kernel.recompute_row({}, (v,), [], {}, {})
-        with pytest.raises(ValueError):
-            kernel.recompute_row({}, [], [], {}, {})
-        with pytest.raises(TypeError):
-            kernel.recompute_row({}, [v], [])
+    """The C maintenance passes against their pure loops on inputs no index
+    builds."""
 
     def test_int_weighted_graph_labels_equal_the_pure_rung(self, pure_maintenance):
         """Int weights enter the flat contraction as the float64 values they
@@ -858,16 +775,25 @@ class TestRefreezeGather:
         assert numpy.array_equal(old.arena.buffer, old_bytes)
         assert old.query_pairs(pairs) == answers
         assert [old.query(s, t) for s, t in pairs] == answers
-        # The template is released once its key has refrozen.
-        assert "ch" not in index._kernel_templates
+
+    def test_apply_releases_the_old_epoch_store(self):
+        """Once a batch invalidates it, nothing of the index pins the old
+        epoch's store and arena, even before the next refreeze: only a graph
+        snapshot is ever kept as a template."""
+        index = create_index("DCH", grid_road_network(10, 10, seed=5))
+        index.build()
+        released = weakref.ref(index._shortcut_store().arena.buffer)
+        index.apply_batch(generate_update_batch(index.graph, volume=30, seed=4))
+        gc.collect()
+        assert released() is None
 
     # -- fallback: rows that no longer fit the template's layout --------
     #: Upward rows of a four-vertex elimination tree 0 -> 1 -> 2 -> 3.
     ROWS = [{1: 1.0, 2: 4.0}, {2: 2.0}, {3: 1.0}, {}]
 
     @staticmethod
-    def _freeze(rows, template=None):
-        return ShortcutStore.freeze(rows.__getitem__, range(len(rows)), template)
+    def _freeze(rows):
+        return ShortcutStore.freeze(rows.__getitem__, range(len(rows)))
 
     @pytest.mark.parametrize(
         "mutate",
@@ -884,7 +810,11 @@ class TestRefreezeGather:
         ),
     )
     def test_misfit_rows_rebuild_the_layout(self, mutate):
+        """``regather`` refuses rows that no longer fit (the caller rebuilds
+        the layout then) and gathers rows that do into a copy of the
+        template's buffer, byte-identical to a full freeze."""
         template = self._freeze(self.ROWS)
+        ids = range(len(self.ROWS))
         rows = [dict(row) for row in self.ROWS]
         mutate(rows)
         arena = template.arena
@@ -893,10 +823,13 @@ class TestRefreezeGather:
                 rows, arena["indptr"], numpy.empty(len(arena["weights"])),
                 template._remap, arena["indices"],
             )
-        gathered = self._freeze(rows, template)
-        full = self._freeze(rows)
-        assert _same_bytes(gathered, full)
-        assert gathered.row is not template.row
+        assert regather(template, ids, rows) is None
+        fitting = [{u: 2 * w for u, w in row.items()} for row in self.ROWS]
+        gathered = regather(template, ids, fitting)
+        assert not numpy.shares_memory(gathered.buffer, arena.buffer)
+        full = self._freeze(fitting).arena
+        assert gathered.toc == full.toc and bytes(gathered.buffer) == bytes(full.buffer)
+        assert bytes(arena.buffer) == bytes(self._freeze(self.ROWS).arena.buffer)
 
     def test_gather_rows_unit(self):
         gather = native_kernel().gather_rows
@@ -948,7 +881,7 @@ class TestRefreezeGather:
         reference = load_index(path)
         reference.apply_batch(batch)
         reference.invalidate_kernels()
-        reference._kernel_templates.clear()
+        reference._graph_template = None
         _warm(reference, pairs)
         full = _frozen(reference)
         assert full.keys() == _frozen(loaded).keys()
@@ -960,8 +893,8 @@ class TestRefreezeGather:
     def test_adopt_drops_the_templates(self):
         index = create_index("DCH", grid_road_network(6, 6, seed=1))
         index.build()
-        store = index._shortcut_store()
+        store, snapshot = index._shortcut_store(), index._graph_snapshot()
         index.invalidate_kernels()
-        assert index._kernel_templates["ch"] is store
+        assert index._graph_template is snapshot
         index.adopt_stores({"ch": store})
-        assert index._kernel_templates == {}
+        assert index._graph_template is None

@@ -15,7 +15,7 @@ from repro.partitioning.ordering import (
     restrict_order,
 )
 from repro.partitioning.td_partition import td_partition
-from repro.treedec.mde import contract_graph
+from repro.treedec.slots import SlotContraction
 from repro.treedec.tree import TreeDecomposition
 
 
@@ -152,7 +152,7 @@ class TestBoundaryFirstOrdering:
 class TestTDPartitioning:
     def _tree(self, rows=10, cols=10, seed=8):
         graph = grid_road_network(rows, cols, seed=seed)
-        return graph, TreeDecomposition.from_contraction(contract_graph(graph))
+        return graph, TreeDecomposition.from_contraction(SlotContraction.build(graph))
 
     def test_structure_valid(self):
         graph, tree = self._tree()

@@ -1,6 +1,7 @@
 """Property-based tests (hypothesis) on core data structures and invariants."""
 
 import math
+import random
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -15,9 +16,16 @@ from repro.labeling.h2h import H2HIndex
 from repro.partitioning.bfs_grow import bfs_partition
 from repro.throughput.parallel import lpt_makespan
 from repro.throughput.qos import qos_constrained_rate
-from repro.treedec.mde import contract_graph
+from repro.treedec.mde import eliminate
 from repro.treedec.slots import SlotContraction
 from repro.treedec.tree import TreeDecomposition
+
+from tests.conftest import (
+    check_build_equals_reference,
+    float_bits,
+    reference_shortcuts,
+    reference_weights,
+)
 
 # Building indexes inside hypothesis examples is deliberate: suppress the
 # slow-example health check and keep example counts small.
@@ -98,18 +106,18 @@ class TestContractionProperties:
     def test_shortcut_values_dominate_distances(self, params):
         """Every shortcut is at least the true shortest distance between its endpoints."""
         graph = make_graph(params)
-        contraction = contract_graph(graph)
-        for v in contraction.order:
-            dist = dijkstra(graph, v, targets=list(contraction.neighbors[v]))
-            for u in contraction.neighbors[v]:
-                assert contraction.shortcuts[v][u] >= dist.get(u, math.inf) - 1e-9
+        order = eliminate(graph)[0]
+        for v, row in reference_shortcuts(graph, order).items():
+            dist = dijkstra(graph, v, targets=list(row))
+            for u, sc in row.items():
+                assert sc >= dist.get(u, math.inf) - 1e-9
 
     @given(graph_params)
     @INDEX_SETTINGS
     def test_tree_decomposition_covers_edges(self, params):
         """Definition 1 (2): every edge appears inside some tree node."""
         graph = make_graph(params)
-        tree = TreeDecomposition.from_contraction(contract_graph(graph))
+        tree = TreeDecomposition.from_contraction(SlotContraction.build(graph))
         for u, v, _ in graph.edges():
             low = u if tree.contraction.rank[u] < tree.contraction.rank[v] else v
             high = v if low == u else u
@@ -124,9 +132,25 @@ class TestContractionProperties:
         batch = generate_update_batch(graph, volume, seed=seed)
         batch.apply(graph)
         contraction.update(batch)
-        rebuilt = contract_graph(graph, order=contraction.order)
+        rebuilt = reference_shortcuts(graph, contraction.order)
         for v in contraction.order:
-            assert contraction.upward(v) == rebuilt.shortcuts[v]
+            assert contraction.upward(v) == rebuilt[v]
+        assert float_bits(contraction.arena["weights"]) == reference_weights(
+            graph, contraction.order
+        )
+
+    @given(graph_params, st.booleans(), st.integers(0, 1000))
+    @INDEX_SETTINGS
+    def test_build_equals_the_reference_elimination(self, params, tiered, seed):
+        """``SlotContraction.build`` (rows from the symbolic elimination,
+        weights from one pass) equals the weighted dict elimination bit for
+        bit, under the minimum-degree order, a tiered one or an explicit one."""
+        graph = make_graph(params)
+        vertices = sorted(graph.vertices())
+        random.Random(seed).shuffle(vertices)
+        for options in ({"tiers": {v: v % 3 for v in vertices}} if tiered else {},
+                        {"order": vertices}):
+            check_build_equals_reference(graph, **options)
 
 
 class TestIndexProperties:

@@ -352,6 +352,61 @@ class TestMaintenanceParity:
         assert digests == GOLDEN_DIGESTS[method]
 
 
+@NEEDS_NATIVE
+class TestSharedBuffers:
+    """An arena two owners pack — a contraction and its shortcut store,
+    labels and their label store — is one payload member, referenced
+    twice, and a loaded index is still a full peer of the saved one."""
+
+    @staticmethod
+    def _save(index, path, monkeypatch, share=True):
+        """Save ``index``; returns the ids of the arrays ``put_array`` was
+        handed.  ``share=False`` writes every put as its own member (the
+        payload earlier versions wrote)."""
+        from repro.store.arrays import _REF_KEY, ArrayWriter
+
+        put, seen = ArrayWriter.put_array, []
+
+        def put_array(self, array):
+            seen.append(id(array))
+            if share:
+                return put(self, array)
+            name = f"a{len(self._arrays):04d}"
+            self._arrays[name] = numpy.ascontiguousarray(array)
+            self._names[id(array)] = (array, name)
+            return {_REF_KEY: name}
+
+        monkeypatch.setattr(ArrayWriter, "put_array", put_array)
+        save_index(index, path)
+        monkeypatch.undo()
+        return seen
+
+    @staticmethod
+    def _members(path) -> int:
+        import zipfile
+
+        with zipfile.ZipFile(os.path.join(path, "payload.npz")) as archive:
+            return len(archive.namelist())
+
+    @pytest.mark.parametrize("share", (True, False), ids=("shared", "unshared"))
+    @pytest.mark.parametrize("method", ("DCH", "PMHL", "PostMHL"))
+    def test_each_buffer_is_written_once(self, method, share, tmp_path, monkeypatch):
+        index = create_index(NINE_SPECS[method], _base_graph().copy())
+        index.build()
+        index.apply_batch(generate_update_batch(index.graph, UPDATE_VOLUME, seed=2))
+        path = str(tmp_path / "snap")
+        seen = self._save(index, path, monkeypatch, share)
+        assert self._members(path) == (len(set(seen)) if share else len(seen))
+        assert len(set(seen)) < len(seen)
+        loaded = load_index(path)
+        pairs = _query_pairs(index.graph)
+        _assert_equivalent(index, loaded, pairs)
+        for copy in (index, loaded):
+            copy.apply_batch(generate_update_batch(copy.graph, UPDATE_VOLUME, seed=3))
+        assert index_state_digest(loaded, pairs) == index_state_digest(index, pairs)
+        _assert_equivalent(index, loaded, pairs)
+
+
 class TestCorruptionAndSkew:
     @pytest.fixture()
     def snapshot(self, tmp_path):

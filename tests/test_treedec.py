@@ -2,6 +2,7 @@
 
 import re
 
+import numpy as np
 import pytest
 
 from repro.algorithms.dijkstra import dijkstra_distance
@@ -9,23 +10,28 @@ from repro.exceptions import GraphError
 from repro.graph.generators import grid_road_network
 from repro.graph.graph import Graph
 from repro.graph.updates import EdgeUpdate, UpdateBatch, generate_update_batch
-from repro.treedec.mde import contract_graph, mde_order
+from repro.treedec.mde import eliminate, mde_order
 from repro.treedec.slots import SlotContraction
 from repro.treedec.tree import TreeDecomposition
 
-from tests.conftest import float_bits, paper_example_graph
+from tests.conftest import (
+    check_build_equals_reference,
+    float_bits,
+    paper_example_graph,
+    reference_weights,
+)
 
 
 class TestContraction:
     def test_order_covers_all_vertices(self):
         graph = paper_example_graph()
-        result = contract_graph(graph)
+        result = SlotContraction.build(graph)
         assert sorted(result.order) == sorted(graph.vertices())
         assert all(result.rank[result.order[i]] == i for i in range(len(result.order)))
 
     def test_neighbors_have_higher_rank(self):
         graph = grid_road_network(6, 6, seed=0)
-        result = contract_graph(graph)
+        result = SlotContraction.build(graph)
         for v in result.order:
             for u in result.neighbors[v]:
                 assert result.rank[u] > result.rank[v]
@@ -33,31 +39,42 @@ class TestContraction:
     def test_explicit_order_respected(self):
         graph = paper_example_graph()
         order = sorted(graph.vertices())
-        result = contract_graph(graph, order=order)
-        assert result.order == order
+        assert eliminate(graph, order=order)[0] == order
+        assert SlotContraction.build(graph, order=order).order == order
 
     def test_explicit_order_must_cover_all(self):
         graph = paper_example_graph()
         with pytest.raises(GraphError):
-            contract_graph(graph, order=[0, 1, 2])
+            eliminate(graph, order=[0, 1, 2])
+
+    def test_repeated_vertex_in_order_rejected(self):
+        graph = paper_example_graph()
+        vertices = sorted(graph.vertices())
+        # As many distinct ids as vertices, but the first one twice.
+        order = [vertices[0], *vertices[:-1], 99]
+        with pytest.raises(GraphError, match="twice"):
+            eliminate(graph, order=order)
 
     def test_tiered_order_puts_low_tier_first(self):
         graph = grid_road_network(5, 5, seed=1)
         boundary = {0, 4, 20, 24}
         tiers = {v: (1 if v in boundary else 0) for v in graph.vertices()}
-        result = contract_graph(graph, tiers=tiers)
+        result = SlotContraction.build(graph, tiers=tiers)
         boundary_ranks = [result.rank[v] for v in boundary]
         non_boundary_ranks = [result.rank[v] for v in graph.vertices() if v not in boundary]
         assert min(boundary_ranks) > max(non_boundary_ranks)
 
     def test_empty_graph_rejected(self):
         with pytest.raises(GraphError):
-            contract_graph(Graph())
+            eliminate(Graph())
+        with pytest.raises(GraphError):
+            SlotContraction.build(Graph())
 
     def test_mde_order_is_permutation(self):
         graph = grid_road_network(4, 4, seed=0)
         order = mde_order(graph)
         assert sorted(order) == sorted(graph.vertices())
+        assert order == eliminate(graph)[0]
 
     def test_shortcut_preserves_distances_between_high_rank_vertices(self):
         """Contracting low vertices must preserve distances among the rest.
@@ -68,32 +85,84 @@ class TestContraction:
         top-most vertices means sc equals the true graph distance.
         """
         graph = paper_example_graph()
-        result = contract_graph(graph)
+        result = SlotContraction.build(graph)
         top = result.order[-1]
         second = result.order[-2]
-        if top in result.shortcuts[second]:
-            assert result.shortcuts[second][top] == pytest.approx(
+        if top in result.neighbors[second]:
+            assert result.upward(second)[top] == pytest.approx(
                 dijkstra_distance(graph, second, top)
             )
 
     def test_supporters_have_lower_rank(self):
+        """Every supporter record of a slot ``(v, u)`` is a pair of slots of
+        one row below ``v``'s, whose columns are ``v`` and ``u``."""
         graph = grid_road_network(5, 5, seed=3)
-        result = contract_graph(graph)
-        for (u, w), supporters in result.supporters.items():
-            for x in supporters:
-                assert result.rank[x] < result.rank[u]
-                assert result.rank[x] < result.rank[w]
+        result = SlotContraction.build(graph)
+        indptr, indices = result.arena["indptr"], result.arena["indices"]
+        targets = np.arange(result.shortcut_count())
+        records = np.diff(result.sup_indptr)
+        assert records.sum() > 0
+        pairs = result.sup_slots.reshape(-1, 2)
+        target = np.repeat(targets, records)
+        low, high = result.slot_rows(pairs[:, 0]), result.slot_rows(pairs[:, 1])
+        assert (low == high).all()
+        assert (low < result.slot_rows(target)).all()
+        assert (indices[pairs[:, 0]] == result.slot_rows(target)).all()
+        assert (indices[pairs[:, 1]] == indices[target]).all()
+        # Every pair of every row supports one slot.
+        counts = np.diff(indptr)
+        assert len(pairs) == int((counts * (counts - 1) // 2).sum())
 
 
-def _fresh_weights(graph, order) -> bytes:
-    """A fresh contraction's shortcut values under ``order``, in slot order."""
-    fresh = contract_graph(graph, order=order)
-    return float_bits(fresh.shortcuts[v][u] for v in fresh.order for u in fresh.neighbors[v])
+def _disconnected_partition_subgraph() -> Graph:
+    """A partition subgraph in two pieces plus an isolated vertex (a
+    partition whose boundary was cut out of it)."""
+    grid = grid_road_network(6, 6, seed=3)
+    graph = Graph()
+    for u, v, w in grid.edges():
+        if u < 12 and v < 12 and not {u, v} & {3, 4}:
+            graph.add_edge(u, v, w)
+    graph.add_vertex(40)
+    return graph
+
+
+def _tiered(graph):
+    return {v: int(v % 5 == 0) for v in graph.vertices()}
+
+
+BUILD_CASES = {
+    "plain": (lambda: grid_road_network(9, 9, seed=2), lambda g: {}),
+    "tiered": (lambda: grid_road_network(9, 9, seed=2), lambda g: {"tiers": _tiered(g)}),
+    "explicit": (
+        lambda: grid_road_network(7, 7, seed=4),
+        lambda g: {"order": sorted(g.vertices(), key=lambda v: (v * 17) % 49)},
+    ),
+    "disconnected": (_disconnected_partition_subgraph, lambda g: {}),
+    "disconnected-explicit": (
+        _disconnected_partition_subgraph,
+        lambda g: {"order": sorted(g.vertices(), reverse=True)},
+    ),
+}
+
+
+class TestBuild:
+    """A build is the maintenance pass seeded with every row: it must equal
+    the weighted dict elimination bit for bit, on both rungs."""
+
+    @pytest.mark.parametrize("rung", ("native", "pure"))
+    @pytest.mark.parametrize("case", sorted(BUILD_CASES))
+    def test_build_equals_the_reference_elimination(self, case, rung, pure_maintenance):
+        if rung == "pure":
+            pure_maintenance()
+        make_graph, options = BUILD_CASES[case]
+        graph = make_graph()
+        contraction = check_build_equals_reference(graph, **options(graph))
+        assert np.isinf(contraction.base).any()
 
 
 class TestShortcutMaintenance:
-    """The flat pass (``SlotContraction.update``) against a fresh contraction
-    of the updated graph under the same order: the same bits."""
+    """The flat pass (``SlotContraction.update``) against the weighted dict
+    elimination of the updated graph under the same order: the same bits."""
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_update_matches_rebuild(self, seed):
@@ -103,7 +172,8 @@ class TestShortcutMaintenance:
         batch = generate_update_batch(graph, volume=10, seed=seed)
         batch.apply(graph)
         assert len(contraction.update(batch))
-        assert float_bits(contraction.arena["weights"]) == _fresh_weights(graph, contraction.order)
+        weights = float_bits(contraction.arena["weights"])
+        assert weights == reference_weights(graph, contraction.order)
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_native_and_pure_rungs_agree_bit_for_bit(self, seed, pure_maintenance):
@@ -138,7 +208,7 @@ class TestShortcutMaintenance:
             batch = generate_update_batch(graph, volume=8, seed=4, decrease_fraction=fraction)
             batch.apply(graph)
             contraction.update(batch)
-            assert float_bits(contraction.arena["weights"]) == _fresh_weights(
+            assert float_bits(contraction.arena["weights"]) == reference_weights(
                 graph, contraction.order
             )
 
@@ -166,7 +236,7 @@ class TestShortcutMaintenance:
 class TestTreeDecomposition:
     def test_tree_structure_invariants(self):
         graph = grid_road_network(6, 6, seed=5)
-        result = contract_graph(graph)
+        result = SlotContraction.build(graph)
         tree = TreeDecomposition.from_contraction(result)
 
         assert tree.root == result.order[-1]
@@ -184,7 +254,7 @@ class TestTreeDecomposition:
     def test_neighbors_are_proper_ancestors(self):
         """X(v).N must lie on the root-to-v path (the separator property)."""
         graph = grid_road_network(6, 6, seed=6)
-        tree = TreeDecomposition.from_contraction(contract_graph(graph))
+        tree = TreeDecomposition.from_contraction(SlotContraction.build(graph))
         for v in tree.top_down_order():
             ancestor_set = set(tree.ancestors[v][:-1])
             for u in tree.neighbors(v):
@@ -192,7 +262,7 @@ class TestTreeDecomposition:
 
     def test_orders_are_consistent(self):
         graph = grid_road_network(5, 5, seed=7)
-        tree = TreeDecomposition.from_contraction(contract_graph(graph))
+        tree = TreeDecomposition.from_contraction(SlotContraction.build(graph))
         seen = set()
         for v in tree.top_down_order():
             parent = tree.parent[v]
@@ -207,7 +277,7 @@ class TestTreeDecomposition:
 
     def test_subtree_and_sizes(self):
         graph = grid_road_network(5, 5, seed=8)
-        tree = TreeDecomposition.from_contraction(contract_graph(graph))
+        tree = TreeDecomposition.from_contraction(SlotContraction.build(graph))
         sizes = tree.subtree_sizes()
         assert sizes[tree.root] == graph.num_vertices
         for v in tree.top_down_order():
@@ -215,7 +285,7 @@ class TestTreeDecomposition:
 
     def test_lca_matches_naive(self):
         graph = grid_road_network(6, 6, seed=9)
-        tree = TreeDecomposition.from_contraction(contract_graph(graph))
+        tree = TreeDecomposition.from_contraction(SlotContraction.build(graph))
 
         def naive_lca(u, v):
             ancestors_u = tree.ancestors[u]
@@ -235,7 +305,7 @@ class TestTreeDecomposition:
 
     def test_branch_roots(self):
         graph = grid_road_network(6, 6, seed=10)
-        tree = TreeDecomposition.from_contraction(contract_graph(graph))
+        tree = TreeDecomposition.from_contraction(SlotContraction.build(graph))
         leaves = [v for v in tree.top_down_order() if not tree.children[v]]
         chosen = leaves[:3] + [tree.root]
         roots = tree.branch_roots(chosen)
@@ -246,11 +316,11 @@ class TestTreeDecomposition:
         graph.add_edge(0, 1, 1.0)
         graph.add_edge(2, 3, 1.0)
         with pytest.raises(GraphError):
-            TreeDecomposition.from_contraction(contract_graph(graph))
+            TreeDecomposition.from_contraction(SlotContraction.build(graph))
 
     def test_is_ancestor(self):
         graph = grid_road_network(4, 4, seed=11)
-        tree = TreeDecomposition.from_contraction(contract_graph(graph))
+        tree = TreeDecomposition.from_contraction(SlotContraction.build(graph))
         for v in tree.top_down_order():
             for ancestor in tree.ancestors[v]:
                 assert tree.is_ancestor(ancestor, v)
