@@ -12,8 +12,8 @@ then PMHL's five query stages one by one (recorded only, no bar), then
 the milliseconds of a full freeze and of a refreeze of DCH's shortcut store
 (the store over the slot arrays as they stand), PMHL's cross-boundary label
 store (the store wrapping the label arena as it stands) and the graph
-snapshot (values gathered into the previous epoch's layout; recorded only,
-no bar), then the median milliseconds of one DCH, one DH2H and one PMHL
+snapshot (a copy patched at one batch's edge slots; recorded only, no bar),
+then the median milliseconds of one DCH, one DH2H and one PMHL
 update window (``dch_window`` / ``dh2h_window`` / ``pmhl_window``), then,
 per maintained method, the CPU time of alternating ``apply_batch`` windows
 with the native maintenance kernels (``update_labels`` / ``update_slots``)
@@ -216,13 +216,15 @@ def _measure_refreeze(dch, pmhl) -> Optional[Dict[str, Dict[str, float]]]:
     A full freeze derives the layout afresh (for the label store: the LCA,
     position and offset arrays from the tree, then a copy of the values).
     DCH's and PMHL's refreezes are the stores over their arenas as the last
-    pass left them; the graph snapshot gathers its values into the layout
-    of a template store.
+    pass left them; the graph snapshot's is the previous snapshot patched at
+    the slots of one ``UPDATE_VOLUME``-edge batch's edges.
     """
     if native_kernel() is None:
         return None
     contraction = dch.contraction
     labels = pmhl.cross_labels
+    edges = [(update.u, update.v)
+             for update in generate_update_batch(dch.graph, UPDATE_VOLUME, seed=7)]
 
     def full_labels():
         arrays = layout_arrays(labels.tree, labels.keys, labels.row)
@@ -237,7 +239,7 @@ def _measure_refreeze(dch, pmhl) -> Optional[Dict[str, Dict[str, float]]]:
         "pmhl_cross_labels": (full_labels, lambda template: LabelStore.freeze(labels)),
         "graph_snapshot": (
             lambda: GraphSnapshot.freeze(dch.graph),
-            lambda template: GraphSnapshot.freeze(dch.graph, template),
+            lambda template: template.patched(dch.graph, edges),
         ),
     }
     rows: Dict[str, Dict[str, float]] = {}

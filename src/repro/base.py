@@ -119,10 +119,6 @@ class UpdateReport:
         """Sequential wall-clock total over all stages."""
         return sum(stage.seconds for stage in self.stages)
 
-    def stage_seconds(self, name: str) -> float:
-        """Total seconds spent in stages with the given name."""
-        return sum(stage.seconds for stage in self.stages if stage.name == name)
-
 
 class Timer:
     """Minimal context-manager stopwatch used to record stage timings."""
@@ -165,9 +161,6 @@ class DistanceIndex(abc.ABC):
         self._kernel_epoch = 0
         self._kernel_stores: Dict[str, object] = {}
         self._graph_snapshot_cache = None
-        #: The graph snapshot the last invalidation dropped: the next
-        #: snapshot gathers its values into this one's layout.
-        self._graph_template = None
 
     # ------------------------------------------------------------------
     # Lifecycle
@@ -423,17 +416,12 @@ class DistanceIndex(abc.ABC):
         frozen from pre-update state.  The serving engine additionally calls
         this when it opens a new epoch, keying freezes to its epoch counter.
 
-        The dropped graph snapshot stays on as the template of the next
-        one: weight updates keep its layout, so the refreeze copies only
-        values into it.  A template is never served and never written (a
-        snapshot is immutable), so a reader still holding it answers
-        exactly as before.
+        The graph snapshot is left alone: it is keyed to ``graph.version``
+        instead (:meth:`_graph_snapshot`), and the edge refresh
+        (:meth:`_refresh_edges`) carries it to the new version.
         """
         self._kernel_epoch += 1
-        if self._graph_snapshot_cache is not None:
-            self._graph_template = self._graph_snapshot_cache
         self._kernel_stores.clear()
-        self._graph_snapshot_cache = None
         if obs.is_enabled():
             obs.registry().counter(
                 "repro_kernel_invalidations_total",
@@ -494,12 +482,27 @@ class DistanceIndex(abc.ABC):
                 return None
             from repro.kernels.graph_snapshot import GraphSnapshot
 
-            # A stale snapshot (out-of-band mutation) is as good a template
-            # as the one the last invalidation dropped.
-            snapshot = GraphSnapshot.freeze(self.graph, snapshot or self._graph_template)
+            snapshot = GraphSnapshot.freeze(self.graph)
             self._graph_snapshot_cache = snapshot
-            self._graph_template = None
         return snapshot
+
+    def _refresh_edges(self, batch: UpdateBatch) -> None:
+        """U-Stage 1's on-spot edge refresh: apply ``batch`` to the graph.
+
+        The one place a batch changes the graph.  A graph snapshot that was
+        fresh before the batch is carried to the new version by rewriting
+        only the batch's weight slots (:meth:`GraphSnapshot.patched`); a
+        stale one (out-of-band mutation) stays stale and is frozen in full
+        on its next use.  A rejected batch raises with the graph and the
+        snapshot untouched.
+        """
+        snapshot = self._graph_snapshot_cache
+        fresh = snapshot is not None and snapshot.is_fresh(self.graph)
+        batch.apply(self.graph)
+        if fresh:
+            self._graph_snapshot_cache = snapshot.patched(
+                self.graph, [(update.u, update.v) for update in batch]
+            )
 
     # ------------------------------------------------------------------
     # Snapshot persistence (see repro.store)
@@ -565,8 +568,7 @@ class DistanceIndex(abc.ABC):
         frozen from its own structures again.
         """
         self.invalidate_kernels()
-        # Nothing here ever freezes again, so the template is never used.
-        self._graph_template = None
+        self._graph_snapshot_cache = None
         for key, store in stores.items():
             self._attach_kernel(key, store)
         self.store_reader = True

@@ -59,11 +59,12 @@ class BiDijkstraIndex(DistanceIndex):
 
     def _apply_batch(self, batch: UpdateBatch) -> UpdateReport:
         report = UpdateReport()
-        # The CSR snapshot also self-invalidates via graph.version; the epoch
-        # bump keeps the kernel protocol uniform across indexes.
+        # The CSR snapshot is keyed to graph.version and patched by the edge
+        # refresh; the epoch bump keeps the kernel protocol uniform across
+        # indexes.
         self.invalidate_kernels()
         with Timer() as timer:
-            batch.apply(self.graph)
+            self._refresh_edges(batch)
         self._emit_stage(report, StageTiming("edge_update", timer.seconds))
         return report
 

@@ -71,8 +71,3 @@ def build_cross_boundary_index(
     labels = H2HLabels(tree)
     labels.build()
     return composed, tree, labels
-
-
-def cross_boundary_label_size(labels: H2HLabels) -> int:
-    """Number of distance-label entries of the cross-boundary index."""
-    return labels.label_entry_count()

@@ -130,7 +130,8 @@ class PMHLIndex(PostBoundaryPSPIndex):
 
     def _pch_store(self):
         """The union of the overlay's and the partitions' shortcut arrays:
-        the cross-boundary contraction's arena, gathered from them."""
+        the cross-boundary contraction's arena, gathered from them at the
+        end of U-Stage 2."""
         self._require_built()
         return self._kernel("pch", self.cross_tree.contraction.store)
 
@@ -191,7 +192,7 @@ class PMHLIndex(PostBoundaryPSPIndex):
 
         # U-Stage 1: on-spot edge update.
         with Timer() as timer:
-            batch.apply(self.graph)
+            self._refresh_edges(batch)
         self._emit_stage(report, StageTiming("edge_update", timer.seconds))
 
         per_partition, inter_updates = self._split_batch(batch)
@@ -203,6 +204,9 @@ class PMHLIndex(PostBoundaryPSPIndex):
         )
         with Timer() as timer:
             overlay_changed = self.overlay.update_shortcuts(inter_updates, boundary_changes)
+            # PCH's union, gathered before its stage is released: a reader's
+            # freeze then only wraps it.
+            self.cross_tree.contraction.gather()
         self._emit_stage(report, StageTiming("overlay_shortcut_update", timer.seconds))
 
         # U-Stage 3: no-boundary label update (partitions in parallel, then overlay).

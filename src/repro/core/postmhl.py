@@ -278,7 +278,7 @@ class PostMHLIndex(DistanceIndex):
         # contraction's graph weights.
         contraction = self.contraction
         with Timer() as timer:
-            batch.apply(self.graph)
+            self._refresh_edges(batch)
             updates = list(batch)
             rows = contraction.patch(
                 [u.u for u in updates], [u.v for u in updates], [u.new_weight for u in updates]

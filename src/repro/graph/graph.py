@@ -18,7 +18,7 @@ although the synthetic generators produce contiguous ids.
 from __future__ import annotations
 
 import math
-from typing import Dict, Iterable, Iterator, List, Optional, Tuple, ValuesView
+from typing import Dict, Iterable, Iterator, List, Optional, Tuple
 
 from repro.exceptions import (
     EdgeNotFoundError,
@@ -286,12 +286,6 @@ class Graph:
             indptr[i + 1] = indptr[i] + len(nbrs)
         return ids, indptr, indices, weights
 
-    def adjacency_rows(self) -> Tuple[List[int], ValuesView[Dict[int, float]]]:
-        """The rows :meth:`to_csr` flattens: the vertices in adjacency order
-        and a live view of their neighbour dicts, in the same order.  The
-        dicts are the graph's own; callers only read them."""
-        return list(self._adj), self._adj.values()
-
     # ------------------------------------------------------------------
     # Connectivity helpers
     # ------------------------------------------------------------------
@@ -324,10 +318,6 @@ class Graph:
     # ------------------------------------------------------------------
     # Misc
     # ------------------------------------------------------------------
-    def total_weight(self) -> float:
-        """Return the sum of all edge weights (useful as a sanity fingerprint)."""
-        return sum(w for _, _, w in self.edges())
-
     def _require_vertex(self, v: int) -> None:
         if v not in self._adj:
             raise VertexNotFoundError(v)

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import gzip
 from pathlib import Path
-from typing import List, Optional, Tuple, Union
+from typing import Optional, Union
 
 from repro.exceptions import GraphError
 from repro.graph.graph import Graph
@@ -126,8 +126,3 @@ def write_edge_list(graph: Graph, path: PathLike) -> None:
     with _open_text(path, "w") as handle:
         for u, v, w in graph.edges():
             handle.write(f"{u} {v} {w}\n")
-
-
-def edges_sorted(graph: Graph) -> List[Tuple[int, int, float]]:
-    """Return the edge list sorted by endpoints (stable fingerprint for tests)."""
-    return sorted(graph.edges())

@@ -205,7 +205,7 @@ class DCHIndex(CHIndex):
         self.invalidate_kernels()
 
         with Timer() as timer:
-            batch.apply(self.graph)
+            self._refresh_edges(batch)
         self._emit_stage(report, StageTiming("edge_update", timer.seconds))
 
         with Timer() as timer:

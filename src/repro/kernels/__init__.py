@@ -33,11 +33,12 @@ once per update epoch per query stage.  Updates change weights only, so
 contraction and label values live in their store's layout all along, written
 at build by the same pass that maintains them (:mod:`repro.treedec.slots`,
 :mod:`repro.labeling.h2h`), and a refreeze wraps the arena the last pass
-wrote.  Only the graph snapshot is kept across an invalidation, as the
-template of the next one: its refreeze gathers the new values into that
-layout (:func:`~repro.kernels.arena.regather`, the C ``gather_rows``) and
-rebuilds the layout only when a row no longer fits it.  Every store computes
-exactly the reference arithmetic, so results are bit-identical on both rungs.
+wrote.  The graph snapshot is keyed to ``graph.version`` instead and
+survives an invalidation: a batch's edge refresh
+(``repro.base.DistanceIndex._refresh_edges``) patches the batch's weight
+slots into a copy of it, and only a snapshot gone stale out of band is
+frozen in full again.  Every store computes exactly the reference
+arithmetic, so results are bit-identical on both rungs.
 """
 
 from repro.kernels.arena import Arena

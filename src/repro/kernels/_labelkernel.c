@@ -64,19 +64,11 @@
  * It also reports what it did -- the changed slots, the rows a row mask kept
  * it from visiting, and its work counters -- so no caller re-derives them.
  *
- * gather_rows is the value half of a graph snapshot's refreeze: weight-only
- * updates keep the graph's CSR layout, so a new epoch's snapshot copies the
- * previous epoch's layout arrays and gathers only its values from the live
- * adjacency rows, in one pass that also checks each row against the
- * layout (counts, and for dict rows the keys in iteration order).  A
- * mismatch is a ValueError and the caller rebuilds the layout; dict rows are
- * read under container_get's rule.  Label stores and contraction stores
- * gather nothing: they wrap the arena their update pass wrote.
- *
- * No function releases the GIL; concurrent Python threads therefore
- * serialize around the shared per-capsule scratch space by construction, and
- * gather_rows sees the live rows under the same exclusion the pure code
- * does.
+ * Every entry reads and writes only buffers (borrowed through the buffer
+ * protocol, directly or via a capsule) and scalar row arguments: none walks
+ * a Python dict or list.  No function releases the GIL; concurrent Python
+ * threads therefore serialize around the shared per-capsule scratch space by
+ * construction.
  */
 #define PY_SSIZE_T_CLEAN
 #include <Python.h>
@@ -1086,292 +1078,6 @@ static PyObject *search_one_to_many(PyObject *self, PyObject *const *args,
 }
 
 /* ------------------------------------------------------------------ */
-/* Refreeze gather (live rows into a previous epoch's CSR layout)     */
-/* ------------------------------------------------------------------ */
-
-/* container[key] as a new reference.  PyDict_GetItem* reads a dict's raw
- * storage, which skips a subclass's __getitem__ -- a lazily filled mapping
- * would read as empty -- so the fast path is taken only when the type's
- * mp_subscript is dict's own; anything else goes through PyObject_GetItem.  A missing key raises KeyError, or with `missing_ok`
- * returns NULL with no exception set (dict.get semantics). */
-static PyObject *container_get(PyObject *container, PyObject *key, int missing_ok) {
-    PyMappingMethods *mapping = Py_TYPE(container)->tp_as_mapping;
-    if (PyDict_Check(container) && mapping != NULL &&
-        mapping->mp_subscript == PyDict_Type.tp_as_mapping->mp_subscript) {
-        PyObject *value = PyDict_GetItemWithError(container, key);
-        if (value != NULL) {
-            Py_INCREF(value);
-        } else if (!missing_ok && !PyErr_Occurred()) {
-            PyErr_SetObject(PyExc_KeyError, key);
-        }
-        return value;
-    }
-    PyObject *value = PyObject_GetItem(container, key);
-    if (value == NULL && missing_ok && PyErr_ExceptionMatches(PyExc_KeyError)) {
-        PyErr_Clear();
-    }
-    return value;
-}
-
-/* float(obj): exact floats inline, anything else (int weights) through
- * PyFloat_AsDouble.  Returns -1 with an exception set on failure. */
-static inline int as_double(PyObject *obj, double *out) {
-    if (PyFloat_CheckExact(obj)) {
-        *out = PyFloat_AS_DOUBLE(obj);
-        return 0;
-    }
-    Py_INCREF(obj);
-    *out = PyFloat_AsDouble(obj);
-    Py_DECREF(obj);
-    return (*out == -1.0 && PyErr_Occurred()) ? -1 : 0;
-}
-
-/* float(row[j]); the bound is re-checked on every read because a non-float
- * entry's __float__ may run Python that resizes the row. */
-static inline int row_entry(PyObject *row, Py_ssize_t j, double *out) {
-    if (j >= PyList_GET_SIZE(row)) {
-        PyErr_SetString(PyExc_ValueError, "distance array shorter than its depth");
-        return -1;
-    }
-    return as_double(PyList_GET_ITEM(row, j), out);
-}
-
-/* Replace a pending TypeError / OverflowError (a key or value of the wrong
- * kind) with the ValueError every gather mismatch raises. */
-static void as_mismatch(const char *message) {
-    if (PyErr_ExceptionMatches(PyExc_TypeError) ||
-        PyErr_ExceptionMatches(PyExc_OverflowError)) {
-        PyErr_Clear();
-        PyErr_SetString(PyExc_ValueError, message);
-    }
-}
-
-/* The layout row of `key` under `remap` (a dense int64 id -> row buffer, or
- * a dict); -1 with a ValueError set when the key has no row. */
-static int64_t remapped_row(PyObject *remap, const int64_t *dense,
-                            Py_ssize_t dense_n, PyObject *key) {
-    PyObject *value = NULL;
-    int64_t row = -1;
-    if (dense != NULL) {
-        long long id = PyLong_AsLongLong(key);
-        if (id == -1 && PyErr_Occurred()) {
-            as_mismatch("row key is not a vertex id");
-            return -1;
-        }
-        row = (id >= 0 && id < dense_n) ? dense[id] : -1;
-    } else {
-        value = container_get(remap, key, 1);
-        if (value == NULL) {
-            if (PyErr_Occurred()) {
-                return -1;
-            }
-        } else {
-            row = PyLong_AsLongLong(value);
-            Py_DECREF(value);
-            if (row == -1 && PyErr_Occurred()) {
-                as_mismatch("remap value is not a row");
-                return -1;
-            }
-        }
-    }
-    if (row < 0) {
-        PyErr_SetString(PyExc_ValueError, "row key is not in the layout");
-    }
-    return row;
-}
-
-/* out[lo:hi] = the values of one dict row, whose keys mapped through the
- * remap must be indices[lo:hi] in iteration order. */
-static int gather_dict_row(PyObject *row, PyObject *remap, const int64_t *dense,
-                           Py_ssize_t dense_n, const int64_t *indices,
-                           double *out, int64_t lo, int64_t hi) {
-    PyObject *items = NULL;
-    PyMappingMethods *mapping = Py_TYPE(row)->tp_as_mapping;
-    if (mapping == NULL ||
-        mapping->mp_subscript != PyDict_Type.tp_as_mapping->mp_subscript) {
-        /* A dict subclass with its own __getitem__: its raw storage may
-         * be empty, so read items(). */
-        items = PyMapping_Items(row);
-        if (items == NULL) {
-            return -1;
-        }
-        if (PyList_GET_SIZE(items) != hi - lo) {
-            Py_DECREF(items);
-            PyErr_SetString(PyExc_ValueError, "row length differs from the layout");
-            return -1;
-        }
-    } else if (PyDict_GET_SIZE(row) != hi - lo) {
-        PyErr_SetString(PyExc_ValueError, "row length differs from the layout");
-        return -1;
-    }
-    Py_ssize_t pos = 0;
-    int status = 0;
-    for (int64_t j = lo; j < hi; j++) {
-        PyObject *key, *value;
-        if (items != NULL) {
-            PyObject *item = PyList_GET_ITEM(items, j - lo);
-            if (!PyTuple_Check(item) || PyTuple_GET_SIZE(item) != 2) {
-                PyErr_SetString(PyExc_ValueError, "row items must be pairs");
-                status = -1;
-                break;
-            }
-            key = PyTuple_GET_ITEM(item, 0);
-            value = PyTuple_GET_ITEM(item, 1);
-        } else if (!PyDict_Next(row, &pos, &key, &value)) {
-            PyErr_SetString(PyExc_ValueError, "row changed size during the gather");
-            status = -1;
-            break;
-        }
-        Py_INCREF(key);
-        Py_INCREF(value);
-        int64_t r = remapped_row(remap, dense, dense_n, key);
-        if (r >= 0 && r != indices[j]) {
-            PyErr_SetString(PyExc_ValueError, "row keys differ from the layout");
-            r = -1;
-        }
-        if (r >= 0 && as_double(value, &out[j]) < 0) {
-            as_mismatch("row entry is not a number");
-            r = -1;
-        }
-        Py_DECREF(key);
-        Py_DECREF(value);
-        if (r < 0) {
-            status = -1;
-            break;
-        }
-    }
-    /* A value's __float__ may have run Python that resized the row. */
-    if (status == 0 && items == NULL && PyDict_GET_SIZE(row) != hi - lo) {
-        PyErr_SetString(PyExc_ValueError, "row changed size during the gather");
-        status = -1;
-    }
-    Py_XDECREF(items);
-    return status;
-}
-
-/* out[lo:hi] = the entries of one list row of exactly hi - lo items. */
-static int gather_list_row(PyObject *row, double *out, int64_t lo, int64_t hi) {
-    if (PyList_GET_SIZE(row) != hi - lo) {
-        PyErr_SetString(PyExc_ValueError, "row length differs from the layout");
-        return -1;
-    }
-    for (int64_t j = lo; j < hi; j++) {
-        /* row_entry re-checks the bound: __float__ may resize the row. */
-        if (row_entry(row, (Py_ssize_t)(j - lo), &out[j]) < 0) {
-            as_mismatch("row entry is not a number");
-            return -1;
-        }
-    }
-    return 0;
-}
-
-/* gather_rows(rows, indptr, out[, remap, indices]) -> None
- *
- * Writes the values of rows[r] into out[indptr[r]:indptr[r+1]]: the value
- * half of a CSR store refrozen into a previous epoch's layout.  List rows
- * must hold exactly the layout's count; dict rows (which need remap and
- * indices) exactly that many items, whose keys mapped through remap (a dense
- * int64 id -> row buffer, -1 for no row, or a dict) equal indices[j] in
- * iteration order.  Any mismatch -- a count, a key, the order, a value that
- * is no number, a row of another type -- is a ValueError, and `out` is then
- * partly written: the caller discards it and rebuilds the layout.  Nothing
- * but `out` is written. */
-static PyObject *gather_rows(PyObject *self, PyObject *const *args, Py_ssize_t nargs) {
-    enum { G_INDPTR, G_OUT, G_REMAP, G_INDICES, G_NVIEWS };
-    Py_buffer views[G_NVIEWS];
-    const void *ptr;
-    Py_ssize_t n, n_indptr, n_out, n_remap = 0, n_indices = 0;
-    const int64_t *indptr, *dense = NULL, *indices = NULL;
-    double *out;
-    PyObject *rows, *remap = nargs == 5 ? args[3] : NULL, *result = NULL;
-    (void)self;
-    if (nargs != 3 && nargs != 5) {
-        PyErr_SetString(PyExc_TypeError,
-                        "gather_rows(rows, indptr, out[, remap, indices]) takes 3 or 5 "
-                        "arguments");
-        return NULL;
-    }
-    memset(views, 0, sizeof(views));
-    rows = PySequence_Fast(args[0], "rows must be a sequence");
-    if (rows == NULL) {
-        return NULL;
-    }
-    if (borrow_buffer(args[1], &views[G_INDPTR], &ptr, &n_indptr) < 0) {
-        goto done;
-    }
-    indptr = (const int64_t *)ptr;
-    if (PyObject_GetBuffer(args[2], &views[G_OUT], PyBUF_C_CONTIGUOUS | PyBUF_WRITABLE) < 0) {
-        goto done;
-    }
-    if (views[G_OUT].itemsize != 8) {
-        PyErr_SetString(PyExc_TypeError, "out must be a float64 buffer");
-        goto done;
-    }
-    out = (double *)views[G_OUT].buf;
-    n_out = views[G_OUT].len / 8;
-    if (remap != NULL) {
-        if (PyObject_CheckBuffer(remap)) {
-            if (borrow_buffer(remap, &views[G_REMAP], &ptr, &n_remap) < 0) {
-                goto done;
-            }
-            dense = (const int64_t *)ptr;
-        } else if (!PyDict_Check(remap)) {
-            PyErr_SetString(PyExc_TypeError, "remap must be an int64 buffer or a dict");
-            goto done;
-        }
-        if (borrow_buffer(args[4], &views[G_INDICES], &ptr, &n_indices) < 0) {
-            goto done;
-        }
-        indices = (const int64_t *)ptr;
-        if (n_indices != n_out) {
-            PyErr_SetString(PyExc_ValueError, "indices and out must have equal lengths");
-            goto done;
-        }
-    }
-    n = PySequence_Fast_GET_SIZE(rows);
-    if (n_indptr != n + 1 || indptr[0] != 0 || indptr[n] != n_out) {
-        PyErr_SetString(PyExc_ValueError, "row count differs from the layout");
-        goto done;
-    }
-    for (Py_ssize_t r = 0; r < n; r++) {
-        int64_t lo = indptr[r], hi = indptr[r + 1];
-        int status;
-        /* A previous row's __float__ may have run Python that resized a
-         * list `rows`; the item array is fetched again each row. */
-        if (PySequence_Fast_GET_SIZE(rows) != n) {
-            PyErr_SetString(PyExc_ValueError, "rows changed size during the gather");
-            goto done;
-        }
-        if (lo > hi || hi > n_out) {
-            PyErr_SetString(PyExc_ValueError, "layout offsets are not monotone");
-            goto done;
-        }
-        PyObject *row = PySequence_Fast_GET_ITEM(rows, r);
-        Py_INCREF(row);
-        if (PyDict_Check(row) && remap != NULL) {
-            status = gather_dict_row(row, remap, dense, n_remap, indices, out, lo, hi);
-        } else if (PyList_Check(row) && remap == NULL) {
-            status = gather_list_row(row, out, lo, hi);
-        } else {
-            PyErr_SetString(PyExc_ValueError,
-                            remap != NULL ? "keyed rows must be dicts"
-                                          : "unkeyed rows must be lists");
-            status = -1;
-        }
-        Py_DECREF(row);
-        if (status < 0) {
-            goto done;
-        }
-    }
-    result = Py_None;
-    Py_INCREF(result);
-done:
-    release_views(views, G_NVIEWS);
-    Py_DECREF(rows);
-    return result;
-}
-
-/* ------------------------------------------------------------------ */
 /* Slot maintenance (flat shortcut weights, supporter slot pairs)     */
 /* ------------------------------------------------------------------ */
 
@@ -1960,9 +1666,6 @@ static PyMethodDef methods[] = {
      "search_query_pairs(graph, s_rows, t_rows, out, ch_mode) -> None (fills out)"},
     {"search_one_to_many", (PyCFunction)search_one_to_many, METH_FASTCALL,
      "search_one_to_many(graph, rs, t_rows, out) -> None (truncated Dijkstra)"},
-    {"gather_rows", (PyCFunction)gather_rows, METH_FASTCALL,
-     "gather_rows(rows, indptr, out[, remap, indices]) -> None (fills out with the "
-     "rows' values in a fixed CSR layout; ValueError on any mismatch)"},
     {"update_slots", (PyCFunction)update_slots, METH_FASTCALL,
      "update_slots(indptr, indices, base, sup_indptr, sup_slots, weights, seeds, mask, "
      "escaped, changed, counts) -> None (bottom-up pass from the seed rows; writes "

@@ -19,18 +19,21 @@ results are bit-identical to the live-graph reference, which is what an
 index searches when the kernel is not loaded (no snapshot is frozen then).
 
 Every snapshot records ``graph.version`` at freeze time; holders use
-:meth:`is_fresh` to detect out-of-band mutation.
+:meth:`is_fresh` to detect out-of-band mutation.  A batch changes weights
+only, so the snapshot of the next epoch is :meth:`patched` from a fresh one:
+its buffer is copied and the batch's ``2·|batch|`` weight slots rewritten,
+while a stale snapshot is frozen in full again.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, List, Optional
+from typing import Iterable, List, Optional, Tuple
 
 import numpy as np
 
 from repro.exceptions import VertexNotFoundError
 from repro.graph.graph import Graph
-from repro.kernels.arena import Arena, build_remap, count_freeze, regather, rows_of
+from repro.kernels.arena import Arena, build_remap, count_freeze, rows_of
 from repro.kernels.native import native_kernel
 
 
@@ -58,18 +61,8 @@ class GraphSnapshot:
         )
 
     @classmethod
-    def freeze(
-        cls, graph: Graph, template: Optional["GraphSnapshot"] = None
-    ) -> "GraphSnapshot":
-        """Freeze ``graph``'s adjacency.  ``template`` is an earlier snapshot
-        of the same graph: while only weights changed since, just the weights
-        are gathered into its layout (:func:`~repro.kernels.arena.regather`);
-        an added or removed edge or vertex rebuilds the layout."""
-        if template is not None:
-            arena = regather(template, *graph.adjacency_rows())
-            if arena is not None:
-                count_freeze("graph_snapshot", "reused")
-                return cls(arena, graph.version, layout=template)
+    def freeze(cls, graph: Graph) -> "GraphSnapshot":
+        """Freeze ``graph``'s adjacency, layout and weights."""
         count_freeze("graph_snapshot", "built")
         ids, indptr, indices, weights = graph.to_csr()
         arena = Arena.pack(
@@ -81,6 +74,30 @@ class GraphSnapshot:
             }
         )
         return cls(arena, graph.version)
+
+    def patched(
+        self, graph: Graph, edges: Iterable[Tuple[int, int]]
+    ) -> "GraphSnapshot":
+        """The snapshot of ``graph`` after a weight-only change of ``edges``.
+
+        ``self`` must have been fresh before those edges changed, so the
+        layout still fits: the buffer is copied, each edge's ``(u, v)`` and
+        ``(v, u)`` slots take ``graph.edge_weight(u, v)`` (an edge named
+        twice takes its final weight), and ``row`` / remap are shared.  The
+        result is byte-identical to :meth:`freeze`; ``self`` is only read.
+        """
+        arena = Arena(self.arena.buffer.copy(), self.arena.toc)
+        indptr = arena["indptr"]
+        indices = arena["indices"]
+        weights = arena["weights"]
+        row = self.row
+        for u, v in edges:
+            weight = graph.edge_weight(u, v)
+            for a, b in ((row[u], row[v]), (row[v], row[u])):
+                lo = int(indptr[a])
+                weights[lo + indices[lo : int(indptr[a + 1])].tolist().index(b)] = weight
+        count_freeze("graph_snapshot", "reused")
+        return GraphSnapshot(arena, graph.version, layout=self)
 
     def is_fresh(self, graph: Graph) -> bool:
         """True while the snapshot still matches the live graph."""

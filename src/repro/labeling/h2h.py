@@ -101,7 +101,7 @@ class H2HLabels:
         self.width = int(self.depth.max()) + 1
         self._bounds = arena["dis_indptr"].tolist()
         #: ``sc(v, x)`` per position slot of ``pos_data`` (the own-column
-        #: slots unused), regathered by a pass when a source changed since.
+        #: slots unused), gathered again by a pass when a source changed since.
         self._sc: Optional[np.ndarray] = None
         #: ``[(source contraction, position slots, source slots)]`` and the
         #: sources' versions at the last gather.
@@ -554,7 +554,7 @@ class DH2HIndex(H2HIndex):
         self.invalidate_kernels()
 
         with Timer() as timer:
-            batch.apply(self.graph)
+            self._refresh_edges(batch)
         self._emit_stage(report, StageTiming("edge_update", timer.seconds))
 
         with Timer() as timer:

@@ -322,7 +322,7 @@ class NoBoundaryPSPIndex(DistanceIndex):
         self.invalidate_kernels()
 
         with Timer() as timer:
-            batch.apply(self.graph)
+            self._refresh_edges(batch)
         self._emit_stage(report, StageTiming("edge_update", timer.seconds))
 
         per_partition, inter_updates = self._split_batch(batch)

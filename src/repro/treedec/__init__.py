@@ -2,7 +2,7 @@
 structure, LCA oracle."""
 
 from repro.treedec.lca import LCAOracle
-from repro.treedec.mde import eliminate, mde_order
+from repro.treedec.mde import eliminate
 from repro.treedec.slots import (
     FlatContraction,
     SlotContraction,
@@ -13,7 +13,6 @@ from repro.treedec.tree import TreeDecomposition
 
 __all__ = [
     "eliminate",
-    "mde_order",
     "FlatContraction",
     "SlotContraction",
     "UnionContraction",

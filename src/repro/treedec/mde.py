@@ -33,19 +33,6 @@ from repro.exceptions import GraphError
 from repro.graph.graph import Graph
 
 
-def mde_order(graph: Graph, tiers: Optional[Dict[int, int]] = None) -> List[int]:
-    """The (tiered) minimum-degree elimination order of ``graph``.
-
-    ``tiers[v]`` (default 0) groups vertices; all vertices of a lower tier are
-    eliminated before any vertex of a higher tier.  Within a tier the vertex
-    with the minimum current degree is eliminated first (ties broken by id for
-    determinism).  This is the order-only public entry of :func:`eliminate`
-    (exported by :mod:`repro.treedec`, called by ``boundary_first_order``),
-    kept so that callers needing no rows do not unpack them.
-    """
-    return eliminate(graph, tiers=tiers)[0]
-
-
 def eliminate(
     graph: Graph,
     order: Optional[Sequence[int]] = None,
@@ -64,9 +51,11 @@ def eliminate(
         Optional explicit elimination order covering every vertex.  When
         omitted the (tiered) minimum-degree heuristic decides the order.
     tiers:
-        Optional tier map used only when ``order`` is omitted; lower tiers are
-        eliminated first (this realises the boundary-first property when
-        boundary vertices are given a higher tier).
+        Optional tier map (default 0) used only when ``order`` is omitted;
+        every vertex of a lower tier is eliminated before any vertex of a
+        higher tier (this realises the boundary-first property when boundary
+        vertices are given a higher tier).  Within a tier the vertex of
+        minimum current degree goes first, ties broken by id.
     """
     if graph.num_vertices == 0:
         raise GraphError("cannot contract an empty graph")

@@ -27,8 +27,9 @@ itself: no gather.  Two kinds fill it:
 * :class:`UnionContraction` owns none: it is the cross-boundary contraction
   of PMHL, the partition and overlay contractions stitched in the global
   order.  Its topology is built once, with one index map per source arena,
-  and its weights are gathered from the sources (one ``np.take`` each)
-  whenever one of them has changed since.
+  and its weights are gathered from the sources (one ``np.take`` each) at
+  construction and by :meth:`UnionContraction.gather`, which the maintainer
+  calls once the sources' passes are done.
 
 :func:`update_slots` is the whole maintenance pass over a
 :class:`SlotContraction`: the C kernel's ``update_slots`` when it is
@@ -326,7 +327,7 @@ class UnionContraction(FlatContraction):
     """Several contractions' rows stitched in one order, weights gathered
     from their arenas (see the module docstring)."""
 
-    __slots__ = ("_sources", "_slot_sid", "_slot_src", "_maps", "_versions")
+    __slots__ = ("_sources", "_slot_sid", "_slot_src", "_maps")
 
     def __init__(self, order: Sequence[int], pieces: Sequence[Tuple[SlotContraction, Sequence[int]]]):
         """Row ``v`` of ``order`` is ``v``'s row in the one piece
@@ -362,25 +363,21 @@ class UnionContraction(FlatContraction):
             self._maps.append((source, dst, src))
         self._slot_sid, self._slot_src = slot_sid, slot_src
         weights = np.empty(m, dtype=np.float64)
-        self._versions = self._gather(weights)
+        self._fill(weights)
         super().__init__(Arena.pack({
             "ids": ids, "indptr": indptr, "indices": indices, "weights": weights,
         }))
 
-    def _gather(self, weights: np.ndarray) -> Tuple[int, ...]:
-        """Fill ``weights`` from the sources; returns their versions."""
+    def _fill(self, weights: np.ndarray) -> None:
         for source, dst, src in self._maps:
             weights[dst] = source.arena["weights"].take(src)
-        return tuple(source.version for source in self._sources)
 
-    @property
-    def arena(self) -> Arena:
-        """This epoch's arena: the sources' weights are gathered into it
-        (a copy, when a store holds the current one) whenever one of them
-        changed since the last gather."""
-        if tuple(source.version for source in self._sources) != self._versions:
-            self._versions = self._gather(self._writable()["weights"])
-        return self._arena
+    def gather(self) -> None:
+        """Gather the sources' weights into this epoch's arena (a copy, when
+        a store holds the current one).  The maintainer calls it once the
+        sources' passes are done, before it releases a stage that reads the
+        union, so a reader's :meth:`store` only wraps."""
+        self._fill(self._writable()["weights"])
 
     def slot_map(self):
         return list(self._sources), self._slot_sid, self._slot_src

@@ -108,6 +108,7 @@ class TestCrossBoundaryAggregation:
         touched = family.contractions[0]
         inner = [u for u in batch if partitioning.partition_of(u.u) == 0 == partitioning.partition_of(u.v)]
         assert inner and len(touched.update(inner))
+        composed.gather()
         for v in composed.order:
             if v not in boundary and partitioning.partition_of(v) == 0:
                 assert composed.upward(v) == touched.upward(v)

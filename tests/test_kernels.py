@@ -28,12 +28,18 @@ import numpy
 import pytest
 
 from repro.algorithms.dijkstra import bidijkstra, dijkstra_distance
-from repro.exceptions import SnapshotFormatError, VertexNotFoundError
+from repro.exceptions import (
+    EdgeNotFoundError,
+    InvalidWeightError,
+    SnapshotFormatError,
+    StoreNotPublishedError,
+    VertexNotFoundError,
+)
 from repro.graph.generators import grid_road_network
 from repro.graph.graph import Graph
-from repro.graph.updates import generate_update_batch
+from repro.graph.updates import EdgeUpdate, UpdateBatch, generate_update_batch
 from repro.hierarchy.ch import ch_bidirectional_query
-from repro.kernels.arena import Arena, regather
+from repro.kernels.arena import Arena
 from repro.kernels.graph_snapshot import GraphSnapshot
 from repro.kernels.label_store import LabelStore
 from repro.kernels.native import native_kernel
@@ -592,22 +598,6 @@ class TestKernelSpeedup:
         )
 
 
-class _ItemsOnly(dict):
-    """A dict subclass whose raw storage is empty and whose contents only its
-    ``__getitem__`` / ``items()`` show: what a C-API dict read of a lazily
-    filled mapping would see as empty."""
-
-    def __init__(self, contents):
-        super().__init__()
-        self._contents = dict(contents)
-
-    def __getitem__(self, key):
-        return self._contents[key]
-
-    def items(self):
-        return self._contents.items()
-
-
 @NEEDS_NATIVE
 class TestMaintenanceKernels:
     """The C maintenance passes against their pure loops on inputs no index
@@ -720,9 +710,10 @@ BATCH_KINDS = ((0.0, 21), (1.0, 22), (0.5, 23))
 
 @NEEDS_NATIVE
 class TestRefreezeGather:
-    """A new epoch's store gathers its values into the previous epoch's
-    layout: byte-identical to a full freeze, without touching the old epoch,
-    and rebuilt from scratch whenever a row no longer fits the layout."""
+    """A new epoch's store reuses the previous epoch's layout: contraction
+    and label stores wrap the arena their pass wrote, the graph snapshot is
+    patched at the batch's slots.  Each is byte-identical to a full freeze
+    and leaves the old epoch's store untouched."""
 
     @pytest.mark.parametrize("method", sorted(NINE_SPECS))
     def test_gathered_stores_equal_a_full_freeze(self, method):
@@ -778,87 +769,64 @@ class TestRefreezeGather:
 
     def test_apply_releases_the_old_epoch_store(self):
         """Once a batch invalidates it, nothing of the index pins the old
-        epoch's store and arena, even before the next refreeze: only a graph
-        snapshot is ever kept as a template."""
+        epoch's store and arena, even before the next refreeze; the old
+        graph snapshot is let go as soon as the batch patches its copy."""
         index = create_index("DCH", grid_road_network(10, 10, seed=5))
         index.build()
         released = weakref.ref(index._shortcut_store().arena.buffer)
+        old_graph = weakref.ref(index._graph_snapshot().arena.buffer)
         index.apply_batch(generate_update_batch(index.graph, volume=30, seed=4))
         gc.collect()
         assert released() is None
+        assert old_graph() is None
+        assert index._graph_snapshot_cache.is_fresh(index.graph)
 
-    # -- fallback: rows that no longer fit the template's layout --------
-    #: Upward rows of a four-vertex elimination tree 0 -> 1 -> 2 -> 3.
-    ROWS = [{1: 1.0, 2: 4.0}, {2: 2.0}, {3: 1.0}, {}]
-
-    @staticmethod
-    def _freeze(rows):
-        return ShortcutStore.freeze(rows.__getitem__, range(len(rows)))
+    def test_edge_named_twice_patches_its_last_weight(self):
+        graph = grid_road_network(8, 8, seed=2)
+        index = create_index("BiDijkstra", graph)
+        index.build()
+        old = index._graph_snapshot()
+        old_bytes = old.arena.buffer.copy()
+        u, v, w = next(iter(graph.edges()))
+        x, y, z = list(graph.edges())[7]
+        batch = UpdateBatch([
+            EdgeUpdate(u, v, w, 2 * w + 1),
+            EdgeUpdate(x, y, z, z + 3),
+            EdgeUpdate(v, u, 2 * w + 1, w + 0.25),
+        ])
+        index.apply_batch(batch)
+        patched = index._graph_snapshot_cache
+        assert patched is not old and patched.row is old.row
+        assert patched.is_fresh(graph)
+        assert graph.edge_weight(u, v) == w + 0.25
+        assert _same_bytes(patched, GraphSnapshot.freeze(graph))
+        assert numpy.array_equal(old.arena.buffer, old_bytes)
+        assert index.query_bidijkstra(u, v) == bidijkstra(graph, u, v)
 
     @pytest.mark.parametrize(
-        "mutate",
+        "update, error",
         (
-            pytest.param(lambda rows: rows[1].__setitem__(3, 5.0), id="extra-key"),
-            pytest.param(lambda rows: rows[0].pop(2), id="missing-key"),
-            pytest.param(
-                lambda rows: rows.__setitem__(0, {2: 4.0, 1: 1.0}), id="swapped-order"
-            ),
-            pytest.param(lambda rows: rows[0].__setitem__(2, "4.5"), id="non-numeric"),
-            pytest.param(
-                lambda rows: rows.__setitem__(0, __import__("types").MappingProxyType(
-                    {1: 1.0, 2: 4.0})), id="not-dict-or-list"),
+            pytest.param(EdgeUpdate(0, 63, 1.0, 2.0), EdgeNotFoundError, id="no-edge"),
+            pytest.param(None, InvalidWeightError, id="bad-weight"),
         ),
     )
-    def test_misfit_rows_rebuild_the_layout(self, mutate):
-        """``regather`` refuses rows that no longer fit (the caller rebuilds
-        the layout then) and gathers rows that do into a copy of the
-        template's buffer, byte-identical to a full freeze."""
-        template = self._freeze(self.ROWS)
-        ids = range(len(self.ROWS))
-        rows = [dict(row) for row in self.ROWS]
-        mutate(rows)
-        arena = template.arena
-        with pytest.raises(ValueError):
-            native_kernel().gather_rows(
-                rows, arena["indptr"], numpy.empty(len(arena["weights"])),
-                template._remap, arena["indices"],
-            )
-        assert regather(template, ids, rows) is None
-        fitting = [{u: 2 * w for u, w in row.items()} for row in self.ROWS]
-        gathered = regather(template, ids, fitting)
-        assert not numpy.shares_memory(gathered.buffer, arena.buffer)
-        full = self._freeze(fitting).arena
-        assert gathered.toc == full.toc and bytes(gathered.buffer) == bytes(full.buffer)
-        assert bytes(arena.buffer) == bytes(self._freeze(self.ROWS).arena.buffer)
-
-    def test_gather_rows_unit(self):
-        gather = native_kernel().gather_rows
-
-        # Unkeyed list rows: exact lengths only.
-        out = numpy.empty(3)
-        gather([[1.0, 2], [3.5]], numpy.array([0, 2, 3]), out)
-        assert out.tolist() == [1.0, 2.0, 3.5]
-        for bad in ([[1.0], [3.5, 4.0]], [[1.0, 2.0], [3.5, 1.0]], [[1.0, 2.0], (3.5,)],
-                    [[1.0, 2.0], {0: 3.5}], [[1.0, None], [3.5]]):
-            with pytest.raises(ValueError):
-                gather(bad, numpy.array([0, 2, 3]), out)
-        with pytest.raises(ValueError):  # row count differs from the layout
-            gather([[1.0, 2.0]], numpy.array([0, 2, 3]), out)
-        # Keyed dict rows, through a dense remap or a dict: a dict subclass
-        # with its own __getitem__ is read through its items(), never as
-        # its (empty) raw storage.
-        indptr, indices = numpy.array([0, 2, 3]), numpy.array([1, 2, 2])
-        dense = numpy.array([-1, 0, 1, 2])
-        for remap in (dense, {1: 0, 2: 1, 3: 2}):
-            out = numpy.empty(3)
-            lazy = _ItemsOnly({3: 7.0})
-            gather([{2: 1.5, 3: 2.5}, lazy], indptr, out, remap, indices)
-            assert out.tolist() == [1.5, 2.5, 7.0]
-            for bad in ([{3: 2.5, 2: 1.5}, {3: 7.0}], [{2: 1.5, 0: 2.5}, {3: 7.0}],
-                        [{2: 1.5, 9: 2.5}, {3: 7.0}], [{2: 1.5, "x": 2.5}, {3: 7.0}],
-                        [{2: 1.5, 3: 2.5}, [7.0]]):
-                with pytest.raises(ValueError):
-                    gather(bad, indptr, out, remap, indices)
+    def test_rejected_batch_leaves_the_snapshot(self, update, error):
+        graph = grid_road_network(8, 8, seed=2)
+        index = create_index("DCH", graph)
+        index.build()
+        snapshot = index._graph_snapshot()
+        snapshot_bytes = snapshot.arena.buffer.copy()
+        version = graph.version
+        u, v, w = next(iter(graph.edges()))
+        if update is None:
+            update = EdgeUpdate(u, v, w, -1.0)
+        batch = UpdateBatch([EdgeUpdate(u, v, w, w + 1), update])
+        with pytest.raises(error):
+            index.apply_batch(batch)
+        assert graph.version == version
+        assert index._graph_snapshot_cache is snapshot
+        assert numpy.array_equal(snapshot.arena.buffer, snapshot_bytes)
+        assert index._graph_snapshot() is snapshot
 
     @pytest.mark.parametrize("method", ("DCH", "MHL", "PMHL"))
     def test_first_refreeze_after_load_equals_a_full_freeze(self, method, tmp_path):
@@ -881,20 +849,51 @@ class TestRefreezeGather:
         reference = load_index(path)
         reference.apply_batch(batch)
         reference.invalidate_kernels()
-        reference._graph_template = None
+        reference._graph_snapshot_cache = None
         _warm(reference, pairs)
         full = _frozen(reference)
         assert full.keys() == _frozen(loaded).keys()
         for key, store in _frozen(loaded).items():
             assert _same_bytes(store, full[key]), (method, key)
-            if key in attached and isinstance(store, ShortcutStore):
+            if key in attached and isinstance(store, (ShortcutStore, GraphSnapshot)):
                 assert store.row is attached[key].row, (method, key)
+                assert store.row is not full[key].row, (method, key)
 
-    def test_adopt_drops_the_templates(self):
+    def test_loaded_graph_snapshot_is_patched(self, tmp_path):
+        """A loaded snapshot keeps the saved graph's CSR layout (the loaded
+        graph's rows may iterate in another order), and the first batch after
+        the load patches it: the same bytes as a full freeze of the saved
+        graph after that batch."""
+        index = create_index("BiDijkstra", grid_road_network(10, 10, seed=5))
+        index.build()
+        index.query_bidijkstra(0, 5)
+        path = str(tmp_path / "snap")
+        save_index(index, path)
+        loaded = load_index(path)
+        attached = loaded._graph_snapshot_cache
+        assert attached is not None and attached.is_fresh(loaded.graph)
+        batch = generate_update_batch(loaded.graph, volume=12, seed=31)
+        loaded.apply_batch(batch)
+        patched = loaded._graph_snapshot_cache
+        assert patched is not attached and patched.row is attached.row
+        batch.apply(index.graph)
+        assert _same_bytes(patched, GraphSnapshot.freeze(index.graph))
+        pairs = _query_pairs(loaded.graph)[:20]
+        assert [loaded.query(s, t) for s, t in pairs] == [
+            bidijkstra(loaded.graph, s, t) for s, t in pairs
+        ]
+
+    def test_adopt_drops_the_graph_snapshot(self):
+        """An invalidation keeps the graph snapshot (it is keyed to the graph
+        version); adopting stores drops it, and a reader whose stores hold
+        none never freezes one from its own graph."""
         index = create_index("DCH", grid_road_network(6, 6, seed=1))
         index.build()
         store, snapshot = index._shortcut_store(), index._graph_snapshot()
         index.invalidate_kernels()
-        assert index._graph_template is snapshot
+        assert index._graph_snapshot_cache is snapshot
+        assert index._graph_snapshot() is snapshot
         index.adopt_stores({"ch": store})
-        assert index._graph_template is None
+        assert index._graph_snapshot_cache is None
+        with pytest.raises(StoreNotPublishedError):
+            index.query_bidijkstra(0, 5)

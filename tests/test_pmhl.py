@@ -3,9 +3,11 @@
 import json
 import os
 
+import numpy
 import pytest
 
 from repro.algorithms.dijkstra import dijkstra_distance
+from repro.core.cross_boundary import compose_cross_boundary_contraction
 from repro.core.pmhl import PMHLIndex
 from repro.core.stages import PMHL_UPDATE_STAGES
 from repro.exceptions import IndexNotBuiltError, SnapshotFormatError, VertexNotFoundError
@@ -146,6 +148,73 @@ class TestPMHLMaintenance:
         assert by_name["partition_shortcut_update"].parallel_times is not None
         assert by_name["post_boundary_update"].parallel_times is not None
         assert by_name["cross_boundary_update"].parallel_times is not None
+
+
+@NEEDS_NATIVE
+class TestPCHFreezeRace:
+    """PCH's store wraps the cross-boundary union, which the maintainer
+    gathers before it releases the stage.  A union gathered lazily by the
+    first reader let a second reader wrap a copy that a third had not
+    gathered into yet: wrong distances from a released stage."""
+
+    def test_interleaved_freezes_wrap_the_gathered_union(self, monkeypatch):
+        from repro.treedec import slots
+
+        graph = grid_road_network(10, 10, seed=3)
+        index = build_pmhl(graph, k=4, seed=3)
+        index._pch_store()  # the epoch-0 store holds the union's arena
+        union = index.cross_tree.contraction
+        pairs = random_query_pairs(graph, 30, seed=3)
+        old_weights = union.arena["weights"].copy()
+        seen = {}
+        frozen = []
+
+        def freeze():
+            store = index._pch_store()
+            frozen.append((store.arena["weights"].copy(), [store.query(s, t) for s, t in pairs]))
+
+        # Readers C and B, each run once: C as soon as a freeze copies an
+        # arena, B on that copy's first read of its weights.
+        script = {"copy": lambda: union.upward(union.order[0]), "read": freeze}
+
+        def fire(event):
+            action = script.pop(event, None)
+            if action is not None:
+                action()
+
+        class Interleaved(slots.Arena):
+            def __init__(self, buffer, toc):
+                super().__init__(buffer, toc)
+                self.first = "copy" in script
+                fire("copy")
+
+            def __getitem__(self, name):
+                if name == "weights" and self.first:
+                    self.first = False
+                    fire("read")
+                return super().__getitem__(name)
+
+        def on_stage(timing):
+            if timing.name != "overlay_shortcut_update":
+                return
+            seen["expected"] = compose_cross_boundary_contraction(
+                index.partitioning, index.order, index.family, index.overlay
+            ).arena["weights"].copy()
+            seen["distances"] = [dijkstra_distance(graph, s, t) for s, t in pairs]
+            with monkeypatch.context() as patch:
+                patch.setattr(slots, "Arena", Interleaved)
+                freeze()  # reader A
+                fire("copy")
+                fire("read")
+
+        index.set_stage_listener(on_stage)
+        index.apply_batch(generate_update_batch(graph, volume=20, seed=3))
+        expected = seen["expected"]
+        assert not numpy.array_equal(expected, old_weights)
+        assert len(frozen) == 2
+        for weights, answers in frozen:
+            assert numpy.array_equal(weights, expected)
+            assert answers == pytest.approx(seen["distances"])
 
 
 PARALLEL_STAGES = {

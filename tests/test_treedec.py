@@ -10,7 +10,7 @@ from repro.exceptions import GraphError
 from repro.graph.generators import grid_road_network
 from repro.graph.graph import Graph
 from repro.graph.updates import EdgeUpdate, UpdateBatch, generate_update_batch
-from repro.treedec.mde import eliminate, mde_order
+from repro.treedec.mde import eliminate
 from repro.treedec.slots import SlotContraction
 from repro.treedec.tree import TreeDecomposition
 
@@ -70,11 +70,18 @@ class TestContraction:
         with pytest.raises(GraphError):
             SlotContraction.build(Graph())
 
-    def test_mde_order_is_permutation(self):
+    def test_eliminate_order_is_permutation(self):
         graph = grid_road_network(4, 4, seed=0)
-        order = mde_order(graph)
+        order, rows = eliminate(graph)
         assert sorted(order) == sorted(graph.vertices())
-        assert order == eliminate(graph)[0]
+        assert len(rows) == len(order)
+
+    def test_eliminate_tiers_go_lowest_first(self):
+        graph = grid_road_network(6, 6, seed=0)
+        tiers = {v: v % 3 for v in graph.vertices()}
+        order = eliminate(graph, tiers=tiers)[0]
+        assert sorted(order) == sorted(graph.vertices())
+        assert [tiers[v] for v in order] == sorted(tiers.values())
 
     def test_shortcut_preserves_distances_between_high_rank_vertices(self):
         """Contracting low vertices must preserve distances among the rest.
