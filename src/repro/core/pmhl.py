@@ -79,7 +79,6 @@ class PMHLIndex(PostBoundaryPSPIndex):
         super().__init__(
             graph,
             num_partitions=num_partitions,
-            underlying="h2h",
             partitioning=partitioning,
             seed=seed,
         )
@@ -235,7 +234,6 @@ class PMHLIndex(PostBoundaryPSPIndex):
             StageTiming("cross_boundary_update", timer.seconds, parallel_times=per_root_times)
         )
 
-        self.last_report = report
         return report
 
     # ------------------------------------------------------------------

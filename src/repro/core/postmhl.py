@@ -84,8 +84,9 @@ class PostMHLIndex(DistanceIndex):
         self.disB: Dict[int, List[float]] = {}
         #: Per-partition boundary vertex index (vertex -> position in ``B_i``).
         self.boundary_position: List[Dict[int, int]] = []
-        #: Per-partition all-pair boundary distance tables ``D``.
-        self.boundary_distances: List[Dict[Tuple[int, int], float]] = []
+        #: Per-partition all-pair boundary distance tables ``D``, rows and
+        #: columns in ``td.boundary[pid]`` order.
+        self.boundary_distances: List[np.ndarray] = []
         self.build_breakdown: Dict[str, float] = {}
         #: Each contraction row's partition, ``-1`` for an overlay row, and
         #: the int8 row mask of each partition (key ``-1``: the overlay),
@@ -135,11 +136,10 @@ class PostMHLIndex(DistanceIndex):
         """Materialise ``disB`` and the per-partition boundary distance tables."""
         self.disB = {}
         self.boundary_position = []
-        self.boundary_distances = []
+        self.boundary_distances = self._boundary_tables()
         depth = self.tree.depth
         for pid, boundary in enumerate(self.td.boundary):
             self.boundary_position.append({b: j for j, b in enumerate(boundary)})
-            self.boundary_distances.append(self.labels.pair_distances(boundary))
             columns = [depth[b] for b in boundary]
             for v in self.td.partition_vertices[pid]:
                 self.disB[v] = self.labels.dis(v)[columns].tolist()
@@ -319,14 +319,14 @@ class PostMHLIndex(DistanceIndex):
         self._emit_stage(report, StageTiming("overlay_label_update", timer.seconds))
 
         # Decide which partitions the parallel stages must touch.
+        # A partition's boundary table is read from the overlay labels as
+        # U-Stage 3 left them.
         affected_post: List[int] = []
         affected_cross: List[int] = []
-        new_boundary_distances: Dict[int, Dict[Tuple[int, int], float]] = {}
-        for pid in range(td.num_partitions):
+        for pid, distances in enumerate(self._boundary_tables()):
             has_local_changes = len(partition_changed.get(pid, ())) > 0
-            distances = self._compute_boundary_distances(pid)
-            new_boundary_distances[pid] = distances
-            boundary_changed = distances != self.boundary_distances[pid]
+            boundary_changed = not np.array_equal(distances, self.boundary_distances[pid])
+            self.boundary_distances[pid] = distances
             if has_local_changes or boundary_changed:
                 affected_post.append(pid)
             ancestors_changed = any(
@@ -339,7 +339,6 @@ class PostMHLIndex(DistanceIndex):
         post_times: List[float] = []
         for pid in affected_post:
             start = time.perf_counter()
-            self.boundary_distances[pid] = new_boundary_distances[pid]
             self._update_post_boundary_partition(pid)
             post_times.append(time.perf_counter() - start)
         self._emit_stage(report,
@@ -356,13 +355,12 @@ class PostMHLIndex(DistanceIndex):
             StageTiming("cross_boundary_update", sum(cross_times), parallel_times=cross_times)
         )
 
-        self.last_report = report
         return report
 
-    def _compute_boundary_distances(self, pid: int) -> Dict[Tuple[int, int], float]:
-        """All-pair boundary distances of partition ``pid`` from the overlay
-        labels as they stand after U-Stage 3 (one ``query_pairs`` call)."""
-        return self.labels.pair_distances(self.td.boundary[pid])
+    def _boundary_tables(self) -> List[np.ndarray]:
+        """Every partition's boundary distance matrix from the overlay labels
+        as they stand."""
+        return [self.labels.distance_matrix(boundary) for boundary in self.td.boundary]
 
     def _update_post_boundary_partition(self, pid: int) -> None:
         """Recompute the boundary arrays and in-partition label entries of one partition.
@@ -378,7 +376,7 @@ class PostMHLIndex(DistanceIndex):
         depth = tree.depth
         boundary = td.boundary[pid]
         position = self.boundary_position[pid]
-        distances = self.boundary_distances[pid]
+        distances = self.boundary_distances[pid].tolist()
         overlay = td.overlay_vertices
         root = td.roots[pid]
         root_depth = depth[root]
@@ -391,18 +389,16 @@ class PostMHLIndex(DistanceIndex):
             sc = upward(v)
             # Boundary array X(v).disB.
             new_disB = []
-            for j, b in enumerate(boundary):
+            for j in range(len(boundary)):
                 best = INF
                 for x in neighbors:
                     if x in overlay:
-                        d = 0.0 if x == b else distances.get((x, b), INF)
+                        d = distances[position[x]][j]
                     else:
                         d = self.disB[x][j]
                     candidate = sc[x] + d
                     if candidate < best:
                         best = candidate
-                if v == b:  # pragma: no cover - boundary vertices are overlay, not in-partition
-                    best = 0.0
                 new_disB.append(best)
             self.disB[v] = new_disB
 
@@ -472,9 +468,6 @@ class PostMHLIndex(DistanceIndex):
             "disB_verts": io.put_ints(disB_verts),
             "disB_indptr": io.put_ints(disB_indptr),
             "disB_data": io.put_floats(disB_data),
-            "boundary_distances": [
-                codec.pack_pair_table(table, io) for table in self.boundary_distances
-            ],
             "build_breakdown": dict(self.build_breakdown),
         }
 
@@ -495,9 +488,7 @@ class PostMHLIndex(DistanceIndex):
         self.disB = {
             v: data[indptr[i] : indptr[i + 1]] for i, v in enumerate(verts)
         }
-        self.boundary_distances = [
-            codec.unpack_pair_table(table, io) for table in state["boundary_distances"]
-        ]
+        self.boundary_distances = self._boundary_tables()
         self.build_breakdown = dict(state.get("build_breakdown", {}))
 
     def _kernel_exports(self):

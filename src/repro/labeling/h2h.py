@@ -200,22 +200,31 @@ class H2HLabels:
                 results.append(float((dis_s[hubs] + self.dis(target)[hubs]).min()))
         return results
 
-    def query_pairs(self, pairs: Sequence[Tuple[int, int]]) -> List[float]:
-        """Distances of ``pairs`` over the arena as it stands: one C call
-        when the kernel is loaded (a transient store, so nothing is
-        wrapped), else :meth:`query` per pair; bit-identical either way."""
-        if native_kernel() is None:
-            return [self.query(s, t) for s, t in pairs]
-        return LabelStore(self.arena, rows=(self.row, self.remap)).query_pairs(pairs)
-
-    def pair_distances(self, vertices: Sequence[int]) -> Dict[Tuple[int, int], float]:
-        """``{(a, b): d}`` over every pair of ``vertices``, both orders, from
-        one :meth:`query_pairs` call."""
-        pairs = [(a, b) for i, a in enumerate(vertices) for b in vertices[i + 1 :]]
-        distances = self.query_pairs(pairs)
-        table = dict(zip(pairs, distances))
-        table.update(zip([(b, a) for a, b in pairs], distances))
-        return table
+    def distance_matrix(self, vertices: Sequence[int]) -> np.ndarray:
+        """The symmetric ``k x k`` distances among ``vertices`` (distinct),
+        zero on the diagonal, over the arena as it stands.  The upper
+        triangle is one C ``query_pairs`` call when the kernel is loaded (a
+        transient store, so nothing is wrapped), else :meth:`query` per
+        pair; bit-identical either way."""
+        k = len(vertices)
+        matrix = np.zeros((k, k), dtype=np.float64)
+        upper = np.triu_indices(k, 1)
+        if k < 2:
+            return matrix
+        kernel = native_kernel()
+        if kernel is None:
+            verts = list(vertices)
+            values = [
+                self.query(verts[i], verts[j]) for i, j in zip(*(a.tolist() for a in upper))
+            ]
+        else:
+            rows = rows_of(self.row, self.remap, vertices)
+            values = np.empty(len(upper[0]), dtype=np.float64)
+            store = LabelStore(self.arena, rows=(self.row, self.remap))
+            kernel.query_pairs(store.capsule, rows[upper[0]], rows[upper[1]], values)
+        matrix[upper] = values
+        matrix[upper[::-1]] = values
+        return matrix
 
     # ------------------------------------------------------------------
     # Maintenance

@@ -83,7 +83,6 @@ class NoBoundaryPSPIndex(DistanceIndex):
         self.order: List[int] = []
         self.family: Optional[PartitionIndexFamily] = None
         self.overlay: Optional[OverlayIndex] = None
-        self.last_report: Optional[UpdateReport] = None
         #: ``(kernel epoch, overlay column of each vertex, {pid: M_p})``.
         self._lift_memo: Tuple[int, Dict[int, int], Dict[int, np.ndarray]] = (-1, {}, {})
 
@@ -341,7 +340,6 @@ class NoBoundaryPSPIndex(DistanceIndex):
             self.overlay.apply_updates(inter_updates, boundary_changes)
         self._emit_stage(report, StageTiming("overlay_update", timer.seconds))
 
-        self.last_report = report
         return report
 
     def _split_batch(self, batch: UpdateBatch) -> Tuple[Dict[int, List], List]:

@@ -18,9 +18,8 @@ positive), so a batch never adds an overlay edge.
 
 from __future__ import annotations
 
-import math
 import time
-from typing import Dict, Iterable, Optional, Sequence, Set, Tuple
+from typing import Iterable, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
@@ -33,8 +32,6 @@ from repro.partitioning.ordering import restrict_order
 from repro.psp.partition_family import PartitionIndexFamily
 from repro.treedec.slots import SlotContraction
 from repro.treedec.tree import TreeDecomposition
-
-INF = math.inf
 
 #: ``(us, vs, weights)`` of a set of shortcut or edge changes.
 Changes = Tuple[Sequence[int], Sequence[int], Sequence[float]]
@@ -117,22 +114,6 @@ class OverlayIndex:
         if self.with_labels:
             return self.labels.query(b1, b2)
         return ch_bidirectional_query(b1, b2, self.contraction.upward)
-
-    def boundary_pair_distances(self, pid: int) -> Dict[Tuple[int, int], float]:
-        """All-pair global distances among the boundary vertices of partition
-        ``pid``: one ``query_pairs`` call over the overlay labels as they
-        stand, or a CH query per pair without labels."""
-        boundary = self.partitioning.sorted_boundary(pid)
-        if self.with_labels:
-            self._require_built()
-            return self.labels.pair_distances(boundary)
-        distances: Dict[Tuple[int, int], float] = {}
-        for i, b1 in enumerate(boundary):
-            for b2 in boundary[i + 1 :]:
-                d = self.query(b1, b2)
-                distances[(b1, b2)] = d
-                distances[(b2, b1)] = d
-        return distances
 
     # ------------------------------------------------------------------
     def update_shortcuts(self, inter_updates: Iterable, boundary_changes: Changes) -> np.ndarray:

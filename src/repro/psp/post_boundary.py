@@ -8,8 +8,12 @@ partitions* ``{G'_i}`` whose indexes ``{L'_i}`` answer same-partition queries
 exactly and locally.  Cross-partition queries still concatenate through the
 overlay.
 
-``PostBoundaryPSPIndex(underlying="h2h")`` is the paper's **P-TD-P** baseline
-(query-oriented PSP with DH2H underlying).
+Every index of this strategy is hop-based (H2H labels over the partitions,
+the overlay and the extended partitions): ``PTDPIndex`` is the paper's
+**P-TD-P** baseline (query-oriented PSP with DH2H underlying).  A partition's
+boundary distance table is one ``float64`` matrix over its sorted boundary,
+one :meth:`~repro.labeling.h2h.H2HLabels.distance_matrix` call over the
+overlay labels.
 """
 
 from __future__ import annotations
@@ -18,6 +22,8 @@ import math
 import time
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
+
+import numpy as np
 
 from repro import obs
 from repro.base import StageTiming, UpdateReport
@@ -40,20 +46,19 @@ class PostBoundaryPSPIndex(NoBoundaryPSPIndex):
         self,
         graph: Graph,
         num_partitions: int = 4,
-        underlying: str = "h2h",
         partitioning: Optional[Partitioning] = None,
         seed: int = 0,
     ):
         super().__init__(
             graph,
             num_partitions=num_partitions,
-            underlying=underlying,
             partitioning=partitioning,
             seed=seed,
         )
         self.extended_family: Optional[PartitionIndexFamily] = None
-        #: Per-partition all-pair global boundary distances (for change detection).
-        self.boundary_distances: List[Dict[Tuple[int, int], float]] = []
+        #: Per-partition all-pair global boundary distances, rows and columns
+        #: in sorted-boundary order (for change detection).
+        self.boundary_distances: List[np.ndarray] = []
 
     # ------------------------------------------------------------------
     # Construction (Section III-C, Steps 4-5)
@@ -67,25 +72,20 @@ class PostBoundaryPSPIndex(NoBoundaryPSPIndex):
         """Insert every partition's all-pair global boundary distances (from
         the overlay index) into its subgraph and index the results."""
         extended_graphs: List[Graph] = []
-        self.boundary_distances = []
-        for pid in range(self.partitioning.num_partitions):
+        self.boundary_distances = self._boundary_tables()
+        for pid, distances in enumerate(self.boundary_distances):
             extended = self.partitioning.subgraph(pid)
-            distances = self.overlay.boundary_pair_distances(pid)
-            for (b1, b2), weight in distances.items():
-                if b1 < b2 and weight < INF:
-                    if extended.has_edge(b1, b2):
-                        extended.set_edge_weight(
-                            b1, b2, min(weight, extended.edge_weight(b1, b2))
-                        )
-                    else:
-                        extended.add_edge(b1, b2, weight)
+            boundary = self.partitioning.sorted_boundary(pid)
+            # The upper triangle, row by row (ascending pairs).
+            for i, j in zip(*(a.tolist() for a in np.nonzero(np.triu(distances < INF, 1)))):
+                b1, b2, weight = boundary[i], boundary[j], float(distances[i, j])
+                if extended.has_edge(b1, b2):
+                    extended.set_edge_weight(b1, b2, min(weight, extended.edge_weight(b1, b2)))
+                else:
+                    extended.add_edge(b1, b2, weight)
             extended_graphs.append(extended)
-            self.boundary_distances.append(distances)
         self.extended_family = PartitionIndexFamily(
-            self.partitioning,
-            self.order,
-            with_labels=(self.underlying == "h2h"),
-            graphs=extended_graphs,
+            self.partitioning, self.order, with_labels=True, graphs=extended_graphs
         )
         self.extended_family.build()
 
@@ -113,40 +113,42 @@ class PostBoundaryPSPIndex(NoBoundaryPSPIndex):
         """Refresh the extended partitions whose boundary distances or edges
         changed, once the overlay index is up to date; returns per-partition
         seconds (parallel in the paper)."""
-        partitioning = self.partitioning
+        partitioning, labels = self.partitioning, self.overlay.labels
         times: List[float] = []
         for pid in range(partitioning.num_partitions):
             start = time.perf_counter()
             boundary = partitioning.boundary(pid)
-            new_distances = self.overlay.boundary_pair_distances(pid)
-            # The entries that differ, one C-level set difference (sorted:
-            # the order the table lists its pairs in).
-            changed_pairs = {
-                pair: weight
-                for pair, weight in sorted(
-                    new_distances.items() - self.boundary_distances[pid].items()
-                )
-                if pair[0] < pair[1] and weight < INF
-            }
+            ordered = partitioning.sorted_boundary(pid)
+            new = labels.distance_matrix(ordered)
+            # The finite upper-triangle entries that differ, row by row
+            # (ascending pairs).
+            rows, cols = np.nonzero(np.triu(new != self.boundary_distances[pid], 1) & (new < INF))
+            self.boundary_distances[pid] = new
             intra_updates = [
                 u
                 for u in per_partition.get(pid, [])
                 if not (u.u in boundary and u.v in boundary)
             ]
-            if not changed_pairs and not intra_updates:
-                times.append(time.perf_counter() - start)
-                continue
-            self.boundary_distances[pid] = new_distances
-            pairs = list(changed_pairs)
-            changed = self.extended_family.update_shortcuts(
-                pid,
-                [u.u for u in intra_updates] + [a for a, _ in pairs],
-                [u.v for u in intra_updates] + [b for _, b in pairs],
-                [u.new_weight for u in intra_updates] + list(changed_pairs.values()),
-            )
-            self.extended_family.update_labels(pid, changed)
+            if len(rows) or intra_updates:
+                ids = np.asarray(ordered, dtype=np.int64)
+                changed = self.extended_family.update_shortcuts(
+                    pid,
+                    [u.u for u in intra_updates] + ids[rows].tolist(),
+                    [u.v for u in intra_updates] + ids[cols].tolist(),
+                    [u.new_weight for u in intra_updates] + new[rows, cols].tolist(),
+                )
+                self.extended_family.update_labels(pid, changed)
             times.append(time.perf_counter() - start)
         return times
+
+    def _boundary_tables(self) -> List[np.ndarray]:
+        """Every partition's boundary distance matrix from the overlay labels
+        as they stand."""
+        labels = self.overlay.labels
+        return [
+            labels.distance_matrix(self.partitioning.sorted_boundary(pid))
+            for pid in range(self.partitioning.num_partitions)
+        ]
 
     # ------------------------------------------------------------------
     def index_size(self) -> int:
@@ -162,17 +164,14 @@ class PostBoundaryPSPIndex(NoBoundaryPSPIndex):
 
     # ------------------------------------------------------------------
     # Snapshot persistence: the no-boundary state plus the extended
-    # partitions (whose boundary-pair weights exist nowhere else) and the
-    # boundary distance tables used for update change detection.
+    # partitions (whose boundary-pair weights exist nowhere else).  The
+    # boundary distance tables are rebuilt from the loaded overlay labels.
     # ------------------------------------------------------------------
     def to_state(self, io) -> Dict[str, object]:
         from repro.store import codec
 
         state = super().to_state(io)
         state["extended_family"] = codec.pack_family(self.extended_family, io)
-        state["boundary_distances"] = [
-            codec.pack_pair_table(table, io) for table in self.boundary_distances
-        ]
         return state
 
     def from_state(self, state: Dict[str, object], io) -> None:
@@ -182,30 +181,13 @@ class PostBoundaryPSPIndex(NoBoundaryPSPIndex):
         self.extended_family = codec.unpack_family(
             state["extended_family"], io, self.partitioning, self.order
         )
-        self.boundary_distances = [
-            codec.unpack_pair_table(table, io) for table in state["boundary_distances"]
-        ]
+        self.boundary_distances = self._boundary_tables()
 
 
 class PTDPIndex(PostBoundaryPSPIndex):
     """The paper's **P-TD-P** baseline: post-boundary PSP with DH2H underlying."""
 
     name = "P-TD-P"
-
-    def __init__(
-        self,
-        graph: Graph,
-        num_partitions: int = 4,
-        partitioning: Optional[Partitioning] = None,
-        seed: int = 0,
-    ):
-        super().__init__(
-            graph,
-            num_partitions=num_partitions,
-            underlying="h2h",
-            partitioning=partitioning,
-            seed=seed,
-        )
 
 
 @register_spec

@@ -16,7 +16,9 @@ invariants:
 
 Derived structures that are cheap to recompute relative to construction —
 tree decompositions, LCA oracles, partition boundary sets, PMHL's
-cross-boundary union — are rebuilt on load instead of stored; what the
+cross-boundary union, the boundary distance tables of P-TD-P, PMHL and
+PostMHL (one ``distance_matrix`` call per partition over the loaded
+labels) — are rebuilt on load instead of stored; what the
 paper's methods pay minutes for (the contraction passes and label arrays)
 is what goes into the payload.  A contraction is stored as its
 :meth:`~repro.treedec.slots.SlotContraction.to_state` (the arena, ``base``
@@ -28,8 +30,9 @@ their first write.
 
 from __future__ import annotations
 
-import math
 from typing import Dict, List, Tuple
+
+import numpy as np
 
 from repro.graph.graph import Graph
 from repro.store.arrays import ArrayReader, ArrayWriter
@@ -40,20 +43,24 @@ from repro.treedec.tree import TreeDecomposition
 # Graph
 # ----------------------------------------------------------------------
 def pack_graph(graph: Graph, io: ArrayWriter) -> Dict[str, object]:
-    """Serialize a graph's vertices, edges and coordinates."""
+    """Serialize a graph's vertices, adjacency and coordinates.  The
+    adjacency is a CSR with every vertex's neighbours in iteration order
+    (each edge twice), so a loaded graph iterates exactly as the saved one
+    (a graph snapshot frozen from it is byte-identical)."""
     verts = list(graph.vertices())
-    edge_u: List[int] = []
-    edge_v: List[int] = []
-    edge_w: List[float] = []
-    for u, v, w in graph.edges():
-        edge_u.append(u)
-        edge_v.append(v)
-        edge_w.append(w)
+    indptr = [0]
+    nbrs: List[int] = []
+    weights: List[float] = []
+    for v in verts:
+        row = graph.neighbors(v)
+        nbrs.extend(row)
+        weights.extend(row.values())
+        indptr.append(len(nbrs))
     state: Dict[str, object] = {
         "vertices": io.put_ints(verts),
-        "edge_u": io.put_ints(edge_u),
-        "edge_v": io.put_ints(edge_v),
-        "edge_w": io.put_floats(edge_w),
+        "indptr": io.put_ints(indptr),
+        "nbrs": io.put_ints(nbrs),
+        "weights": io.put_floats(weights),
     }
     coords = [(v, *c) for v in verts if (c := graph.coordinate(v)) is not None]
     if coords:
@@ -64,23 +71,43 @@ def pack_graph(graph: Graph, io: ArrayWriter) -> Dict[str, object]:
 
 
 def unpack_graph(state: Dict[str, object], io: ArrayReader) -> Graph:
-    verts = io.get_list(state["vertices"])
-    edge_u = io.get_list(state["edge_u"])
-    edge_v = io.get_list(state["edge_v"])
-    edge_w = io.get_list(state["edge_w"])
-    # Validate once up front, then build the adjacency directly: the
-    # per-edge ``add_edge`` checks would dominate load time on big graphs.
-    if any(not (math.isfinite(w) and w > 0) for w in edge_w):
+    verts = np.asarray(io.get_array(state["vertices"]), dtype=np.int64)
+    indptr = np.asarray(io.get_array(state["indptr"]), dtype=np.int64)
+    nbrs = np.asarray(io.get_array(state["nbrs"]), dtype=np.int64)
+    weights = np.asarray(io.get_array(state["weights"]), dtype=np.float64)
+    # Validate once up front, in numpy, then build the adjacency directly:
+    # the per-edge ``add_edge`` checks would dominate load time on big graphs.
+    if not (np.isfinite(weights) & (weights > 0)).all():
         raise ValueError("snapshot graph payload carries a non-positive edge weight")
-    if verts and min(verts) < 0:
+    if len(verts) and verts.min() < 0:
         raise ValueError("snapshot graph payload carries a negative vertex id")
+    counts = np.diff(indptr)
+    if (
+        len(indptr) != len(verts) + 1 or indptr[0] != 0 or indptr[-1] != len(nbrs)
+        or (counts < 0).any()
+    ):
+        raise ValueError("snapshot graph payload has a malformed adjacency")
+    # Every edge is listed once from each end, with one weight, between two
+    # distinct vertices: the entries sorted by (u, v) are the transposed
+    # entries sorted by (v, u), with no pair twice and no self-loop.  Every
+    # neighbour is then a row's vertex too.
+    us = np.repeat(verts, counts)
+    forward, backward = np.lexsort((nbrs, us)), np.lexsort((us, nbrs))
+    u, v = us[forward], nbrs[forward]
+    if (
+        (us == nbrs).any() or ((u[1:] == u[:-1]) & (v[1:] == v[:-1])).any()
+        or not np.array_equal(u, nbrs[backward]) or not np.array_equal(v, us[backward])
+        or not np.array_equal(weights[forward], weights[backward])
+    ):
+        raise ValueError("snapshot graph payload has an asymmetric adjacency")
+    adjacency = {v: {} for v in verts.tolist()}
+    if len(adjacency) != len(verts):
+        raise ValueError("snapshot graph payload lists a vertex twice")
+    for a, b, weight in zip(us.tolist(), nbrs.tolist(), weights.tolist()):
+        adjacency[a][b] = weight
     graph = Graph()
-    adjacency = {v: {} for v in verts}
-    for u, v, w in zip(edge_u, edge_v, edge_w):
-        adjacency[u][v] = w
-        adjacency[v][u] = w
     graph._adj = adjacency
-    graph._num_edges = len(edge_u)
+    graph._num_edges = len(nbrs) // 2
     if "coord_v" in state:
         for v, x, y in zip(
             io.get_list(state["coord_v"]),
@@ -226,29 +253,6 @@ def unpack_pairs_csr(
         )
         for i, v in enumerate(verts)
     }
-
-
-# ----------------------------------------------------------------------
-# Symmetric pair -> distance tables (boundary distance caches)
-# ----------------------------------------------------------------------
-def pack_pair_table(table: Dict[Tuple[int, int], float], io: ArrayWriter) -> Dict[str, object]:
-    """Serialize a symmetric ``(a, b) -> d`` table (one direction stored)."""
-    items = [(a, b, d) for (a, b), d in table.items() if a < b]
-    return {
-        "a": io.put_ints([a for a, _, _ in items]),
-        "b": io.put_ints([b for _, b, _ in items]),
-        "d": io.put_floats([d for _, _, d in items]),
-    }
-
-
-def unpack_pair_table(state: Dict[str, object], io: ArrayReader) -> Dict[Tuple[int, int], float]:
-    table: Dict[Tuple[int, int], float] = {}
-    for a, b, d in zip(
-        io.get_list(state["a"]), io.get_list(state["b"]), io.get_list(state["d"])
-    ):
-        table[(a, b)] = d
-        table[(b, a)] = d
-    return table
 
 
 # ----------------------------------------------------------------------

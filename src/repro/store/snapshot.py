@@ -54,7 +54,9 @@ from repro.store.codec import pack_graph, unpack_graph, unpack_kernel_store
 
 FORMAT = "repro-index-snapshot"
 STORES_FORMAT = "repro-store-generation"
-SCHEMA_VERSION = 1
+#: 2: the graph payload is a neighbour-order CSR, and the boundary
+#: distance tables of P-TD-P, PMHL and PostMHL are rebuilt on load.
+SCHEMA_VERSION = 2
 
 _MANIFEST = "manifest.json"
 _STATE = "state.json"

@@ -2,10 +2,12 @@
 
 import math
 
+import numpy as np
 import pytest
 
 from repro.algorithms.dijkstra import dijkstra_distance
 from repro.core.pmhl import PMHLIndex
+from repro.core.postmhl import PostMHLIndex
 from repro.exceptions import PartitioningError
 from repro.graph.generators import grid_road_network, highway_network
 from repro.graph.updates import generate_update_batch, generate_update_stream
@@ -24,6 +26,7 @@ from tests.conftest import (
     NEEDS_NATIVE,
     arena_bytes,
     check_slot_maintenance,
+    patch_out_native_kernel,
     random_query_pairs,
 )
 
@@ -76,9 +79,11 @@ class TestOverlay:
         overlay = OverlayIndex(partitioning, family, order)
         overlay.build()
         for pid in range(partitioning.num_partitions):
-            distances = overlay.boundary_pair_distances(pid)
-            for (b1, b2), d in list(distances.items())[:20]:
-                assert d == pytest.approx(dijkstra_distance(graph, b1, b2))
+            boundary = partitioning.sorted_boundary(pid)
+            distances = overlay.labels.distance_matrix(boundary)
+            for i, b1 in enumerate(boundary[:5]):
+                for j, b2 in enumerate(boundary):
+                    assert distances[i, j] == pytest.approx(dijkstra_distance(graph, b1, b2))
 
     def test_overlay_update_keeps_boundary_distances(self):
         graph = grid_road_network(8, 8, seed=4)
@@ -149,12 +154,26 @@ class TestPartitionFamily:
         assert family.index_size() > 0
 
 
-@pytest.mark.parametrize("index_cls", [NoBoundaryPSPIndex, PostBoundaryPSPIndex])
-@pytest.mark.parametrize("underlying", ["h2h", "ch"])
+def make_psp(index_cls, underlying, graph, seed):
+    """A no-boundary index of either underlying, or a post-boundary one
+    (always hop-based)."""
+    if index_cls is PostBoundaryPSPIndex:
+        return index_cls(graph, num_partitions=4, seed=seed)
+    return index_cls(graph, num_partitions=4, underlying=underlying, seed=seed)
+
+
+@pytest.mark.parametrize(
+    "index_cls, underlying",
+    [
+        pytest.param(NoBoundaryPSPIndex, "h2h", id="h2h-NoBoundaryPSPIndex"),
+        pytest.param(NoBoundaryPSPIndex, "ch", id="ch-NoBoundaryPSPIndex"),
+        pytest.param(PostBoundaryPSPIndex, "h2h", id="h2h-PostBoundaryPSPIndex"),
+    ],
+)
 class TestPSPIndexCorrectness:
     def test_queries_match_dijkstra(self, index_cls, underlying):
         graph = grid_road_network(8, 8, seed=8)
-        index = index_cls(graph, num_partitions=4, underlying=underlying, seed=8)
+        index = make_psp(index_cls, underlying, graph, seed=8)
         index.build()
         pairs = endpoint_cases(index.partitioning) + random_query_pairs(graph, 40, seed=8)
         for decrease_fraction in (None, 0.0, 1.0):  # fresh, increases, decreases
@@ -171,7 +190,7 @@ class TestPSPIndexCorrectness:
         """The lift-then-join regroups the Section III-C concatenation, so it
         may round differently; the bound, set beforehand, is 4 ulp."""
         graph = grid_road_network(8, 8, seed=12)
-        index = index_cls(graph, num_partitions=4, underlying=underlying, seed=12)
+        index = make_psp(index_cls, underlying, graph, seed=12)
         index.use_kernels = False
         index.build()
         family, direct = index._query_strategy()
@@ -195,7 +214,7 @@ class TestPSPIndexCorrectness:
 
     def test_queries_after_updates(self, index_cls, underlying):
         graph = grid_road_network(7, 7, seed=9)
-        index = index_cls(graph, num_partitions=4, underlying=underlying, seed=9)
+        index = make_psp(index_cls, underlying, graph, seed=9)
         index.build()
         for batch in generate_update_stream(graph, num_batches=3, volume=8, seed=9):
             index.apply_batch(batch)
@@ -331,6 +350,14 @@ def two_grids(side=5, seed=0):
     return graph
 
 
+def boundaryless_partitioning(graph):
+    """On :func:`two_grids`: the first grid one partition without a boundary,
+    the second split in two."""
+    return Partitioning(graph, {
+        v: 0 if v < 25 else 1 + ((v - 25) % 5 >= 3) for v in graph.vertices()
+    })
+
+
 PSP_METHODS = ["N-CH-P", "P-TD-P", "PMHL"]
 
 
@@ -386,9 +413,7 @@ class TestOverlayEdgeCases:
             index = create_index(method, graph, num_partitions=k or 3,
                                  use_kernels=use_kernels)
             if k is None:
-                index.partitioning = Partitioning(graph, {
-                    v: 0 if v < 25 else 1 + ((v - 25) % 5 >= 3) for v in graph.vertices()
-                })
+                index.partitioning = boundaryless_partitioning(graph)
             index.build()
             indexes.append(index)
         if k is None:
@@ -473,3 +498,135 @@ class TestSlotMaintenance:
             assert bytes(store.arena.buffer) == old_bytes, key
             assert store.query_pairs(known) == answers, key
 
+
+
+class TestDistanceMatrix:
+    """``H2HLabels.distance_matrix``: the pairwise 2-hop queries as one
+    symmetric matrix, on both rungs, bit for bit."""
+
+    @staticmethod
+    def pairwise(labels, vertices):
+        return [[labels.query(a, b) for b in vertices] for a in vertices]
+
+    @pytest.mark.parametrize("rung", ("native", "pure"))
+    @pytest.mark.parametrize("k", [3, 4])
+    def test_forest_overlay_is_pairwise_query(self, k, rung, monkeypatch):
+        if rung == "pure":
+            patch_out_native_kernel(monkeypatch)
+        index = create_index("P-TD-P", two_grids(), num_partitions=k)
+        index.build()
+        labels = index.overlay.labels
+        assert len(index.overlay.tree.roots) > 1
+        vertices = sorted(labels.keys, reverse=True)  # any order, not only sorted
+        matrix = labels.distance_matrix(vertices)
+        assert matrix.dtype == np.float64 and matrix.shape == (len(vertices),) * 2
+        expected = self.pairwise(labels, vertices)
+        assert [[d.hex() for d in row] for row in matrix.tolist()] == [
+            [d.hex() for d in row] for row in expected
+        ]
+        assert np.isinf(matrix).any()  # the overlay's trees do not reach each other
+        assert np.array_equal(matrix, matrix.T) and not np.diag(matrix).any()
+        for pid in range(index.partitioning.num_partitions):
+            boundary = index.partitioning.sorted_boundary(pid)
+            assert index.boundary_distances[pid].tobytes() == np.array(
+                self.pairwise(labels, boundary), dtype=np.float64
+            ).tobytes()
+
+    @NEEDS_NATIVE
+    def test_rungs_agree_bit_for_bit(self, monkeypatch):
+        index = create_index("PostMHL", grid_road_network(9, 9, seed=2))
+        index.build()
+        vertices = sorted(index.td.overlay_vertices)
+        native = index.labels.distance_matrix(vertices)
+        patch_out_native_kernel(monkeypatch)
+        pure = index.labels.distance_matrix(vertices)
+        assert native.tobytes() == pure.tobytes()
+        for i, j in [(0, 1), (1, len(vertices) - 1)]:
+            expected = dijkstra_distance(index.graph, vertices[i], vertices[j])
+            assert native[i, j] == native[j, i] == pytest.approx(expected)
+
+    @pytest.mark.parametrize("size", [0, 1])
+    def test_fewer_than_two_vertices_make_no_kernel_call(self, size, monkeypatch):
+        import repro.labeling.h2h as h2h_module
+
+        index = create_index("DH2H", grid_road_network(5, 5, seed=1))
+        index.build()
+
+        class NoCalls:
+            def query_pairs(self, *args):
+                raise AssertionError("query_pairs called")
+
+        monkeypatch.setattr(h2h_module, "native_kernel", NoCalls)
+        matrix = index.labels.distance_matrix(list(range(size)))
+        assert matrix.dtype == np.float64 and matrix.shape == (size, size)
+        assert not matrix.any()
+
+    @pytest.mark.parametrize("rung", ("native", "pure"))
+    @pytest.mark.parametrize("method", ["P-TD-P", "PMHL"])
+    def test_boundaryless_partition_holds_an_empty_table(self, method, rung, monkeypatch):
+        if rung == "pure":
+            patch_out_native_kernel(monkeypatch)
+        graph = two_grids()
+        index = create_index(method, graph, num_partitions=3)
+        index.partitioning = boundaryless_partitioning(graph)
+        index.build()
+        assert index.boundary_distances[0].shape == (0, 0)
+        index.apply_batch(generate_update_batch(graph, volume=12, seed=3))
+        assert index.boundary_distances[0].shape == (0, 0)
+        assert [len(b) for b in index.boundary_distances] == index.partitioning.boundary_sizes()
+
+
+def held_and_fresh_tables(index):
+    """The boundary tables ``index`` holds and a fresh ``distance_matrix`` of
+    each table's boundary, as ``(shape, bytes)`` rows."""
+    if isinstance(index, PostMHLIndex):
+        labels, boundaries = index.labels, index.td.boundary
+    else:
+        partitioning, labels = index.partitioning, index.overlay.labels
+        boundaries = [partitioning.sorted_boundary(p) for p in range(partitioning.num_partitions)]
+
+    def rows(tables):
+        return [(table.shape, table.tobytes()) for table in tables]
+
+    return rows(index.boundary_distances), rows(labels.distance_matrix(b) for b in boundaries)
+
+
+class TestBoundaryTables:
+    """P-TD-P's, PMHL's and PostMHL's boundary distance tables stay fresh
+    matrices of their boundaries through every kind of batch, on both rungs,
+    and a snapshot rebuilds the same ones."""
+
+    @pytest.mark.parametrize("rung", ("native", "pure"))
+    @pytest.mark.parametrize("kind", sorted(BATCH_SEQUENCES))
+    @pytest.mark.parametrize(
+        "method, kwargs",
+        [
+            ("P-TD-P", {"num_partitions": 4}),
+            ("PMHL", {"num_partitions": 4}),
+            ("PostMHL", {"bandwidth": 10, "expected_partitions": 4}),
+        ],
+        ids=["P-TD-P", "PMHL", "PostMHL"],
+    )
+    def test_tables_track_the_labels(self, method, kwargs, kind, rung, monkeypatch, tmp_path):
+        if rung == "pure":
+            patch_out_native_kernel(monkeypatch)
+        graph = grid_road_network(8, 8, seed=6)
+        index = create_index(method, graph.copy(), **kwargs)
+        index.build()
+        held, fresh = held_and_fresh_tables(index)
+        assert held == fresh and any(shape[0] > 1 for shape, _ in held)
+        built = held
+        for batch in BATCH_SEQUENCES[kind](graph):
+            index.apply_batch(batch)
+            batch.apply(graph)
+            held, fresh = held_and_fresh_tables(index)
+            assert held == fresh
+        if kind in ("empty", "revert"):
+            assert held == built
+        elif kind != "twice":  # its three edges may lie on no boundary path
+            assert held != built
+        save_index(index, str(tmp_path / "snap"))
+        loaded = load_index(str(tmp_path / "snap"))
+        assert held_and_fresh_tables(loaded) == (held, held)
+        for s, t in random_query_pairs(graph, 20, seed=6):
+            assert loaded.query(s, t) == pytest.approx(dijkstra_distance(graph, s, t))

@@ -46,6 +46,7 @@ from repro.store import (
     save_index,
     save_stores,
 )
+from repro.store.codec import pack_graph, unpack_graph
 from repro.throughput.workload import sample_query_pairs
 
 from tests.conftest import NEEDS_NATIVE, index_state_digest, maintenance_structures
@@ -559,6 +560,122 @@ class TestFingerprint:
         c = _base_graph()
         c.add_vertex(10_000)
         assert graph_fingerprint(a) != graph_fingerprint(c)
+
+
+class ListIO:
+    """The writer / reader surface the graph codec uses, over plain lists."""
+
+    def __init__(self):
+        self.arrays = []
+
+    def put_ints(self, values):
+        self.arrays.append(list(values))
+        return len(self.arrays) - 1
+
+    put_floats = put_ints
+
+    def get_list(self, ref):
+        return list(self.arrays[ref])
+
+    def get_array(self, ref):
+        return numpy.asarray(self.arrays[ref])
+
+
+#: A grid whose neighbour rows an edge-list codec would reorder.
+def _ordered_graph():
+    return grid_road_network(10, 10, seed=1)
+
+
+class TestGraphPayload:
+    """The graph payload keeps every neighbour row in iteration order, so a
+    loaded graph (and a graph snapshot frozen from it) is the saved one's
+    byte for byte; a payload that is not a symmetric adjacency is refused."""
+
+    @staticmethod
+    def rows(graph):
+        return [(v, list(graph.neighbors(v).items())) for v in graph.vertices()]
+
+    def test_codec_keeps_rows_in_order(self):
+        graph = _ordered_graph()
+        io = ListIO()
+        loaded = unpack_graph(pack_graph(graph, io), io)
+        assert self.rows(loaded) == self.rows(graph)
+        assert loaded.num_edges == graph.num_edges
+        assert graph_fingerprint(loaded) == graph_fingerprint(graph)
+
+    @pytest.mark.parametrize(
+        "tamper, message",
+        [
+            (lambda a, st: a[st["weights"]].__setitem__(0, 2.5 * a[st["weights"]][0]),
+             "asymmetric"),
+            (lambda a, st: a[st["nbrs"]].__setitem__(0, a[st["nbrs"]][1]), "asymmetric"),
+            (lambda a, st: a[st["nbrs"]].__setitem__(0, 0), "asymmetric"),
+            (lambda a, st: a[st["nbrs"]].__setitem__(0, 10_000), "asymmetric"),
+            (lambda a, st: a[st["indptr"]].pop(), "malformed"),
+            (lambda a, st: a[st["weights"]].__setitem__(0, -1.0), "non-positive"),
+            (lambda a, st: (a[st["vertices"]].append(a[st["vertices"]][0]),
+                            a[st["indptr"]].append(a[st["indptr"]][-1])), "twice"),
+        ],
+        ids=["weight", "duplicate", "self-loop", "unknown-vertex", "indptr", "negative",
+             "vertex-twice"],
+    )
+    def test_codec_refuses_a_broken_adjacency(self, tamper, message):
+        io = ListIO()
+        state = pack_graph(_ordered_graph(), io)
+        tamper(io.arrays, state)
+        with pytest.raises(ValueError, match=message):
+            unpack_graph(state, io)
+
+    @pytest.mark.parametrize("method", ["BiDijkstra", "PMHL"])
+    def test_neighbour_order_survives_save_load(self, method, tmp_path):
+        built = create_index(method, _ordered_graph())
+        built.build()
+        save_index(built, str(tmp_path / "snap"))
+        loaded = load_index(str(tmp_path / "snap"))
+        assert self.rows(loaded.graph) == self.rows(built.graph)
+        batch = generate_update_batch(built.graph, UPDATE_VOLUME, seed=2)
+        for index in (built, loaded):
+            index.apply_batch(batch)
+        assert self.rows(loaded.graph) == self.rows(built.graph)
+
+    @NEEDS_NATIVE
+    @pytest.mark.parametrize("method", ["BiDijkstra", "PMHL"])
+    def test_fresh_freeze_equals_the_attached_snapshot(self, method, tmp_path):
+        """BiDijkstra's snapshot is reattached from the payload, PMHL's frozen
+        on first use; either way a fresh freeze of the loaded graph, and the
+        saved index's snapshot, are the same bytes — after one batch too,
+        when the loaded one is patched."""
+        from repro.kernels.graph_snapshot import GraphSnapshot
+
+        built = create_index(method, _ordered_graph())
+        built.build()
+        save_index(built, str(tmp_path / "snap"))
+        loaded = load_index(str(tmp_path / "snap"))
+        batch = generate_update_batch(built.graph, UPDATE_VOLUME, seed=2)
+        for step in ("load", "batch"):
+            if step == "batch":
+                for index in (built, loaded):
+                    index.apply_batch(batch)
+            attached = bytes(loaded._graph_snapshot().arena.buffer)
+            assert attached == bytes(GraphSnapshot.freeze(loaded.graph).arena.buffer), step
+            assert attached == bytes(built._graph_snapshot().arena.buffer), step
+
+    def test_snapshot_of_the_edge_list_schema_is_refused(self, tmp_path):
+        """Schema 1 stored the graph as an edge list and the boundary tables
+        as pair lists: such a snapshot raises, typed, and never loads."""
+        index = create_index(NINE_SPECS["PMHL"], _base_graph())
+        index.build()
+        path = str(tmp_path / "snap")
+        save_index(index, path)
+        manifest_path = os.path.join(path, "manifest.json")
+        with open(manifest_path) as handle:
+            manifest = json.load(handle)
+        manifest["schema_version"] = 1
+        with open(manifest_path, "w") as handle:
+            json.dump(manifest, handle)
+        with pytest.raises(SnapshotVersionError) as excinfo:
+            load_index(path)
+        assert excinfo.value.found == 1
 
 
 class TestServingIntegration:
