@@ -17,6 +17,7 @@ although the synthetic generators produce contiguous ids.
 
 from __future__ import annotations
 
+import itertools
 import math
 from typing import Dict, Iterable, Iterator, List, Optional, Tuple
 
@@ -273,17 +274,12 @@ class Graph:
         CSR relax edges in exactly the order the live graph would — the
         property the frozen-kernel equivalence guarantees rest on.
         """
+        rows = self._adj.values()
         ids = list(self._adj)
-        position = {v: i for i, v in enumerate(ids)}
-        indptr = [0] * (len(ids) + 1)
-        indices: List[int] = []
-        weights: List[float] = []
-        for i, v in enumerate(ids):
-            nbrs = self._adj[v]
-            for u, w in nbrs.items():
-                indices.append(position[u])
-                weights.append(w)
-            indptr[i + 1] = indptr[i] + len(nbrs)
+        position = dict(zip(ids, range(len(ids))))
+        indptr = [0, *itertools.accumulate(map(len, rows))]
+        indices = [position[u] for nbrs in rows for u in nbrs]
+        weights = [w for nbrs in rows for w in nbrs.values()]
         return ids, indptr, indices, weights
 
     # ------------------------------------------------------------------

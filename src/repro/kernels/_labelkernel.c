@@ -64,6 +64,16 @@
  * It also reports what it did -- the changed slots, the rows a row mask kept
  * it from visiting, and its work counters -- so no caller re-derives them.
  *
+ * The build entries give update_slots its topology.  eliminate runs the
+ * symbolic (tiered) minimum-degree elimination, or follows an explicit
+ * order, over a graph's CSR (Graph.to_csr) with sorted-array merges, no
+ * weights: the order of repro.treedec.mde.eliminate and its rows.
+ * eliminate_slots lays those rows out as a SlotContraction's arrays -- the
+ * slot topology, each slot's graph weight and the supporter CSR -- so a
+ * build's only per-vertex Python is the CSR export.  Both check every input
+ * before their first write; the pure rung (mde.eliminate and
+ * slots.supporter_slots) is their differential oracle.
+ *
  * Every entry reads and writes only buffers (borrowed through the buffer
  * protocol, directly or via a capsule) and scalar row arguments: none walks
  * a Python dict or list.  No function releases the GIL; concurrent Python
@@ -1645,6 +1655,613 @@ done:
     return result;
 }
 
+/* ------------------------------------------------------------------ */
+/* Symbolic elimination (order, slot topology, supporter CSR)         */
+/* ------------------------------------------------------------------ */
+
+static const char *ELIMINATION_CAPSULE = "repro.kernels.elimination";
+
+/* One graph's elimination, between eliminate and eliminate_slots.  Vertices
+ * are named by key: the rank of their id among the graph's ids, so ascending
+ * key is ascending id.  Round i's row, rows[i], holds its columns' keys
+ * ascending (row_ptr[i+1] - row_ptr[i] of them); slot s is graph edge
+ * col_edge[s] (an index into orig_key / edge_w, the graph's rows in key
+ * space), or -1 for fill-in.  Nothing is block-copied: a copy loop the
+ * compiler turns into memcpy would import it (see update_slots on
+ * imports). */
+typedef struct {
+    int64_t n;
+    int64_t m;
+    int64_t records;
+    int64_t *rank;     /* n: the round of each key */
+    int64_t *row_ptr;  /* n + 1 */
+    int64_t **rows;    /* n */
+    int64_t *col_edge; /* m */
+    int64_t *orig_key; /* edges */
+    double *edge_w;    /* edges */
+} Elimination;
+
+static void elimination_free(Elimination *el) {
+    if (el != NULL) {
+        for (int64_t i = 0; el->rows != NULL && i < el->n; i++) {
+            free(el->rows[i]);
+        }
+        free(el->rows);
+        free(el->rank);
+        free(el->row_ptr);
+        free(el->col_edge);
+        free(el->orig_key);
+        free(el->edge_w);
+        free(el);
+    }
+}
+
+static void elimination_destructor(PyObject *capsule) {
+    elimination_free((Elimination *)PyCapsule_GetPointer(capsule, ELIMINATION_CAPSULE));
+}
+
+/* Sort idx[0..count) stably by val[idx[i]]: a bottom-up merge sort through
+ * tmp (count entries).  Returns the buffer that holds the result, idx or
+ * tmp. */
+static int64_t *sort_by_value(int64_t *idx, int64_t *tmp, int64_t count, const int64_t *val) {
+    int64_t *src = idx, *dst = tmp;
+    for (int64_t width = 1; width < count; width *= 2) {
+        for (int64_t lo = 0; lo < count; lo += 2 * width) {
+            int64_t mid = lo + width < count ? lo + width : count;
+            int64_t hi = lo + 2 * width < count ? lo + 2 * width : count;
+            int64_t a = lo, b = mid, k = lo;
+            while (a < mid && b < hi) {
+                dst[k++] = val[src[b]] < val[src[a]] ? src[b++] : src[a++];
+            }
+            while (a < mid) {
+                dst[k++] = src[a++];
+            }
+            while (b < hi) {
+                dst[k++] = src[b++];
+            }
+        }
+        int64_t *swap = src;
+        src = dst;
+        dst = swap;
+    }
+    return src;
+}
+
+/* The position of `key` in the ascending keys[lo..hi), or -1. */
+static int64_t find_key(const int64_t *keys, int64_t lo, int64_t hi, int64_t key) {
+    while (lo < hi) {
+        int64_t mid = lo + (hi - lo) / 2;
+        if (keys[mid] < key) {
+            lo = mid + 1;
+        } else if (keys[mid] > key) {
+            hi = mid;
+        } else {
+            return mid;
+        }
+    }
+    return -1;
+}
+
+/* The minimum-degree priority: (tier, current degree, key), all distinct. */
+typedef struct {
+    int64_t *heap; /* keys */
+    int64_t *at;   /* each key's heap position */
+    int64_t size;
+    const int64_t *tier;
+    const int64_t *degree;
+} DegreeHeap;
+
+static inline int degree_less(const DegreeHeap *h, int64_t a, int64_t b) {
+    if (h->tier[a] != h->tier[b]) {
+        return h->tier[a] < h->tier[b];
+    }
+    if (h->degree[a] != h->degree[b]) {
+        return h->degree[a] < h->degree[b];
+    }
+    return a < b;
+}
+
+static inline void degree_place(DegreeHeap *h, int64_t i, int64_t key) {
+    h->heap[i] = key;
+    h->at[key] = i;
+}
+
+/* Move the key at position i down below any smaller child. */
+static void degree_sift_down(DegreeHeap *h, int64_t i) {
+    int64_t key = h->heap[i];
+    for (;;) {
+        int64_t child = 2 * i + 1;
+        if (child >= h->size) {
+            break;
+        }
+        if (child + 1 < h->size && degree_less(h, h->heap[child + 1], h->heap[child])) {
+            child++;
+        }
+        if (!degree_less(h, h->heap[child], key)) {
+            break;
+        }
+        degree_place(h, i, h->heap[child]);
+        i = child;
+    }
+    degree_place(h, i, key);
+}
+
+/* Restore the heap around position i after its key's priority moved
+ * either way. */
+static void degree_sift(DegreeHeap *h, int64_t i) {
+    int64_t key = h->heap[i];
+    while (i > 0 && degree_less(h, key, h->heap[(i - 1) / 2])) {
+        degree_place(h, i, h->heap[(i - 1) / 2]);
+        i = (i - 1) / 2;
+    }
+    degree_place(h, i, key);
+    degree_sift_down(h, i);
+}
+
+static int64_t degree_pop(DegreeHeap *h) {
+    int64_t top = h->heap[0];
+    h->size--;
+    if (h->size > 0) {
+        degree_place(h, 0, h->heap[h->size]);
+        degree_sift_down(h, 0);
+    }
+    return top;
+}
+
+/* `buf` (items of `item` bytes, *cap of them) grown to hold `need`: the
+ * same buffer when it already does, a larger one (never none), or NULL
+ * when out of memory (`buf` is then still the caller's). */
+static void *grow(void *buf, int64_t *cap, int64_t need, size_t item) {
+    if (buf != NULL && need <= *cap) {
+        return buf;
+    }
+    int64_t next = *cap * 2 > need ? *cap * 2 : need > 0 ? need : 1;
+    void *grown = realloc(buf, (size_t)next * item);
+    if (grown != NULL) {
+        *cap = next;
+    }
+    return grown;
+}
+
+/* The shape checks of eliminate that need no sort: lengths agree (the
+ * tiers and the order hold 0 or n entries, the sizes 2), n >= 1, the row
+ * offsets start at 0, end at the edge count and are monotone, and every
+ * neighbour is another row.  NULL, or the ValueError's message. */
+static const char *check_graph(const int64_t *indptr, Py_ssize_t n_indptr, Py_ssize_t n_ids,
+                               const int64_t *positions, Py_ssize_t n_edges,
+                               Py_ssize_t n_weights, Py_ssize_t n_tiers, Py_ssize_t n_order,
+                               Py_ssize_t n_out_order, Py_ssize_t n_sizes) {
+    Py_ssize_t n = n_ids;
+    if (n < 1) {
+        return "cannot contract an empty graph";
+    }
+    if (n_indptr != n + 1 || n_weights != n_edges || (n_tiers != 0 && n_tiers != n) ||
+        (n_order != 0 && n_order != n) || n_out_order != n || n_sizes != 2 ||
+        indptr[0] != 0 || indptr[n] != n_edges) {
+        return "graph array lengths disagree";
+    }
+    for (Py_ssize_t r = 0; r < n; r++) {
+        if (indptr[r] > indptr[r + 1]) {
+            return "row offsets are not monotone";
+        }
+    }
+    for (Py_ssize_t r = 0; r < n; r++) {
+        for (int64_t e = indptr[r]; e < indptr[r + 1]; e++) {
+            if (positions[e] < 0 || positions[e] >= n || positions[e] == r) {
+                return "a neighbour is not another row";
+            }
+        }
+    }
+    return NULL;
+}
+
+/* eliminate(ids, indptr, positions, weights, tiers, order, out_order, sizes)
+ *     -> elimination capsule
+ *
+ * The symbolic elimination of a graph given as its CSR (Graph.to_csr: row r
+ * is vertex ids[r], its neighbours' rows are positions[indptr[r]..
+ * indptr[r+1]], with weights[...]), the port of repro.treedec.mde.eliminate.
+ * With an explicit `order` (n vertex ids) round i eliminates order[i]; with
+ * none, each round eliminates the remaining vertex of least (tier, current
+ * degree, id) -- tiers[r] per row, all 0 when `tiers` is empty -- which is
+ * the vertex eliminate's lazy heap pops, so the order is the same.  A round
+ * keeps the vertex's remaining neighbours, ascending by id, as its row and
+ * joins them pairwise: one sorted-array merge into each neighbour's row.
+ *
+ * It writes the order's ids into out_order (n entries) and [slots,
+ * supporter records] into sizes, and returns the rows in a capsule that
+ * eliminate_slots lays out.  Every input is checked first (check_graph,
+ * then: ids distinct, no row names a neighbour twice, every edge in both its
+ * rows, the order a permutation of the ids, fewer than 2^31 slots); a
+ * failed check is a ValueError with nothing written. */
+static PyObject *eliminate(PyObject *self, PyObject *const *args, Py_ssize_t nargs) {
+    enum { E_IDS, E_INDPTR, E_POSITIONS, E_WEIGHTS, E_TIERS, E_ORDER, E_OUT_ORDER, E_SIZES,
+           E_NVIEWS };
+    Py_buffer views[E_NVIEWS];
+    Py_ssize_t len[E_NVIEWS];
+    PyObject *result = NULL;
+    const char *error = NULL;
+    Elimination *el = NULL;
+    int64_t *scratch = NULL, **adj = NULL, *spare = NULL;
+    Py_ssize_t n = 0;
+    (void)self;
+    if (nargs != E_NVIEWS) {
+        PyErr_SetString(PyExc_TypeError,
+                        "eliminate(ids, indptr, positions, weights, tiers, order, out_order, "
+                        "sizes) takes 8 arguments");
+        return NULL;
+    }
+    memset(views, 0, sizeof(views));
+    for (int i = 0; i < E_NVIEWS; i++) {
+        if (borrow_typed(args[i], &views[i], i == E_WEIGHTS ? 'd' : 'i', 8,
+                         i >= E_OUT_ORDER) < 0) {
+            goto done;
+        }
+        len[i] = views[i].len / 8;
+    }
+    const int64_t *ids = (const int64_t *)views[E_IDS].buf;
+    const int64_t *indptr = (const int64_t *)views[E_INDPTR].buf;
+    const int64_t *positions = (const int64_t *)views[E_POSITIONS].buf;
+    const double *weights = (const double *)views[E_WEIGHTS].buf;
+    const int64_t *tiers = (const int64_t *)views[E_TIERS].buf;
+    const int64_t *order = (const int64_t *)views[E_ORDER].buf;
+    n = len[E_IDS];
+    Py_ssize_t n_edges = len[E_POSITIONS];
+    error = check_graph(indptr, len[E_INDPTR], n, positions, n_edges, len[E_WEIGHTS],
+                        len[E_TIERS], len[E_ORDER], len[E_OUT_ORDER], len[E_SIZES]);
+    if (error != NULL) {
+        goto done;
+    }
+    /* One int64 block, carved into n + 1-entry arrays and edge arrays. */
+    enum { K_KEY_OF, K_BY_ID, K_ID_TMP, K_KEY_ID, K_TIER, K_DEGREE, K_HEAP, K_AT, K_CAP,
+           K_ROUNDS, K_ORIG_PTR, K_N };
+    size_t width = (size_t)n + 1, edges = n_edges > 0 ? (size_t)n_edges : 1;
+    scratch = (int64_t *)malloc((K_N * width + 3 * edges) * sizeof(int64_t));
+    el = (Elimination *)calloc(1, sizeof(Elimination));
+    adj = (int64_t **)calloc((size_t)n, sizeof(int64_t *));
+    if (scratch == NULL || el == NULL || adj == NULL) {
+        PyErr_NoMemory();
+        goto done;
+    }
+    int64_t *key_of = scratch + K_KEY_OF * width, *tier = scratch + K_TIER * width;
+    int64_t *degree = scratch + K_DEGREE * width, *heap = scratch + K_HEAP * width;
+    int64_t *at = scratch + K_AT * width, *cap = scratch + K_CAP * width;
+    int64_t *rounds = scratch + K_ROUNDS * width, *orig_ptr = scratch + K_ORIG_PTR * width;
+    int64_t *key_id = scratch + K_KEY_ID * width;
+    int64_t *edge_key = scratch + K_N * width, *edge_ids = edge_key + edges;
+    int64_t *edge_tmp = edge_ids + edges;
+    el->n = n;
+    el->rank = (int64_t *)malloc((size_t)n * sizeof(int64_t));
+    el->row_ptr = (int64_t *)calloc(width, sizeof(int64_t));
+    el->rows = (int64_t **)calloc((size_t)n, sizeof(int64_t *));
+    el->edge_w = (double *)malloc(edges * sizeof(double));
+    el->orig_key = (int64_t *)malloc(edges * sizeof(int64_t));
+    if (el->rank == NULL || el->row_ptr == NULL || el->rows == NULL || el->edge_w == NULL ||
+        el->orig_key == NULL) {
+        PyErr_NoMemory();
+        goto done;
+    }
+    int64_t *orig_key = el->orig_key;
+    /* Keys: the rows sorted by id, by_id[k] being key k's row. */
+    int64_t *by_id = scratch + K_BY_ID * width;
+    for (Py_ssize_t r = 0; r < n; r++) {
+        by_id[r] = r;
+    }
+    by_id = sort_by_value(by_id, scratch + K_ID_TMP * width, n, ids);
+    for (Py_ssize_t k = 0; k < n; k++) {
+        key_id[k] = ids[by_id[k]];
+        if (k > 0 && key_id[k] == key_id[k - 1]) {
+            error = "vertex ids are not distinct";
+            goto done;
+        }
+        key_of[by_id[k]] = k;
+    }
+    /* The graph in key space: each key's neighbours ascending, with their
+     * weights, and the working graph's rows, a copy of them. */
+    for (Py_ssize_t e = 0; e < n_edges; e++) {
+        edge_key[e] = key_of[positions[e]];
+    }
+    orig_ptr[0] = 0;
+    for (Py_ssize_t k = 0; k < n; k++) {
+        int64_t r = by_id[k], lo = orig_ptr[k], d = indptr[r + 1] - indptr[r];
+        orig_ptr[k + 1] = lo + d;
+        for (int64_t i = 0; i < d; i++) {
+            edge_ids[lo + i] = indptr[r] + i;
+        }
+        const int64_t *sorted = sort_by_value(edge_ids + lo, edge_tmp + lo, d, edge_key);
+        cap[k] = d > 0 ? d : 1;
+        adj[k] = (int64_t *)malloc((size_t)cap[k] * sizeof(int64_t));
+        if (adj[k] == NULL) {
+            PyErr_NoMemory();
+            goto done;
+        }
+        for (int64_t i = 0; i < d; i++) {
+            orig_key[lo + i] = adj[k][i] = edge_key[sorted[i]];
+            el->edge_w[lo + i] = weights[sorted[i]];
+            if (i > 0 && orig_key[lo + i] == orig_key[lo + i - 1]) {
+                error = "a row names a neighbour twice";
+                goto done;
+            }
+        }
+        degree[k] = d;
+        tier[k] = len[E_TIERS] != 0 ? tiers[r] : 0;
+    }
+    for (Py_ssize_t k = 0; k < n; k++) {
+        for (int64_t e = orig_ptr[k]; e < orig_ptr[k + 1]; e++) {
+            int64_t j = orig_key[e];
+            if (find_key(orig_key, orig_ptr[j], orig_ptr[j + 1], k) < 0) {
+                error = "the adjacency is not symmetric";
+                goto done;
+            }
+        }
+    }
+    if (len[E_ORDER] != 0) {
+        for (Py_ssize_t k = 0; k < n; k++) {
+            at[k] = 0; /* named yet (the heap is not used) */
+        }
+        for (Py_ssize_t i = 0; i < n; i++) {
+            int64_t key = find_key(key_id, 0, n, order[i]);
+            if (key < 0) {
+                error = "the order names a vertex outside the graph";
+                goto done;
+            }
+            if (at[key]) {
+                error = "the order names a vertex twice";
+                goto done;
+            }
+            at[key] = 1;
+            rounds[i] = key;
+        }
+    }
+    DegreeHeap pq = {heap, at, 0, tier, degree};
+    if (len[E_ORDER] == 0) {
+        for (Py_ssize_t k = 0; k < n; k++) {
+            degree_place(&pq, pq.size++, k);
+        }
+        for (int64_t i = n / 2 - 1; i >= 0; i--) {
+            degree_sift_down(&pq, i);
+        }
+    }
+    int64_t m = 0, edge_cap = 0, spare_cap = 0;
+    for (Py_ssize_t i = 0; i < n; i++) {
+        int64_t v = len[E_ORDER] != 0 ? rounds[i] : degree_pop(&pq);
+        const int64_t *row = adj[v];
+        int64_t d = degree[v];
+        rounds[i] = v;
+        el->rank[v] = i;
+        el->rows[i] = adj[v];
+        adj[v] = NULL;
+        if (m + d > INT32_MAX) {
+            error = "the shortcuts overflow the int32 supporter slots";
+            goto done;
+        }
+        int64_t *col_edge = (int64_t *)grow(el->col_edge, &edge_cap, m + d, sizeof(int64_t));
+        if (col_edge == NULL) {
+            PyErr_NoMemory();
+            goto done;
+        }
+        el->col_edge = col_edge;
+        /* Each slot's graph edge: the row walked against v's graph
+         * neighbours, both ascending. */
+        for (int64_t s = 0, e = orig_ptr[v]; s < d; s++) {
+            while (e < orig_ptr[v + 1] && orig_key[e] < row[s]) {
+                e++;
+            }
+            col_edge[m + s] = e < orig_ptr[v + 1] && orig_key[e] == row[s] ? e : -1;
+        }
+        m += d;
+        el->row_ptr[i + 1] = m;
+        el->records += d * (d - 1) / 2;
+        /* Fill-in: every neighbour u's row becomes its union with v's, less
+         * u and v, merged into the spare buffer, which then swaps with u's. */
+        for (int64_t s = 0; s < d; s++) {
+            int64_t u = row[s], a = 0, b = 0, k = 0, du = degree[u];
+            const int64_t *own = adj[u];
+            int64_t *merged = (int64_t *)grow(spare, &spare_cap, du + d, sizeof(int64_t));
+            if (merged == NULL) {
+                PyErr_NoMemory();
+                goto done;
+            }
+            while (a < du || b < d) {
+                int64_t x;
+                if (b == d || (a < du && own[a] < row[b])) {
+                    x = own[a++];
+                } else if (a == du || row[b] < own[a]) {
+                    x = row[b++];
+                } else {
+                    x = own[a++];
+                    b++;
+                }
+                if (x != u && x != v) {
+                    merged[k++] = x;
+                }
+            }
+            spare = adj[u];
+            adj[u] = merged;
+            int64_t swap = cap[u];
+            cap[u] = spare_cap;
+            spare_cap = swap;
+            degree[u] = k;
+            if (len[E_ORDER] == 0) {
+                degree_sift(&pq, at[u]);
+            }
+        }
+    }
+    el->m = m;
+    result = PyCapsule_New(el, ELIMINATION_CAPSULE, elimination_destructor);
+    if (result == NULL) {
+        goto done;
+    }
+    int64_t *out_order = (int64_t *)views[E_OUT_ORDER].buf;
+    int64_t *sizes = (int64_t *)views[E_SIZES].buf;
+    for (Py_ssize_t i = 0; i < n; i++) {
+        out_order[i] = key_id[rounds[i]];
+    }
+    sizes[0] = m;
+    sizes[1] = el->records;
+    el = NULL; /* the capsule's */
+done:
+    if (error != NULL) {
+        PyErr_SetString(PyExc_ValueError, error);
+    }
+    for (Py_ssize_t k = 0; adj != NULL && k < n; k++) {
+        free(adj[k]);
+    }
+    free(adj);
+    free(spare);
+    free(scratch);
+    elimination_free(el);
+    release_views(views, E_NVIEWS);
+    return result;
+}
+
+/* eliminate_slots(elimination, indptr, indices, base, sup_indptr, sup_slots)
+ *     -> None
+ *
+ * Lays out an eliminate capsule's rows as a SlotContraction's arrays:
+ * indptr (n + 1) and indices (slots, each a column's round) as in the
+ * shortcut store, base (each slot's graph weight, inf for fill-in), and the
+ * supporter CSR of repro.treedec.slots.supporter_slots -- sup_indptr
+ * (slots + 1) and the int32 slot pairs sup_slots (2 x records).  Row x
+ * supports every pair of its slots: for columns c < c' (by round) the
+ * target is the slot of c' in row c and the pair is (x's slot of c, x's
+ * slot of c').  Records are grouped by target slot, supporters in ascending
+ * row: a counting sort, one walk to count and one to place.  Every length is
+ * checked before the first write (a ValueError). */
+static PyObject *eliminate_slots(PyObject *self, PyObject *const *args, Py_ssize_t nargs) {
+    enum { T_INDPTR, T_INDICES, T_BASE, T_SUP_INDPTR, T_SUP_SLOTS, T_NVIEWS };
+    static const char kinds[T_NVIEWS] = {'i', 'i', 'd', 'i', 'i'};
+    static const Py_ssize_t sizes[T_NVIEWS] = {8, 8, 8, 8, 4};
+    Py_buffer views[T_NVIEWS];
+    Py_ssize_t len[T_NVIEWS];
+    PyObject *result = NULL;
+    int64_t *scratch = NULL;
+    (void)self;
+    if (nargs != T_NVIEWS + 1) {
+        PyErr_SetString(PyExc_TypeError,
+                        "eliminate_slots(elimination, indptr, indices, base, sup_indptr, "
+                        "sup_slots) takes 6 arguments");
+        return NULL;
+    }
+    const Elimination *el =
+        (const Elimination *)PyCapsule_GetPointer(args[0], ELIMINATION_CAPSULE);
+    if (el == NULL) {
+        return NULL;
+    }
+    memset(views, 0, sizeof(views));
+    for (int i = 0; i < T_NVIEWS; i++) {
+        if (borrow_typed(args[i + 1], &views[i], kinds[i], sizes[i], 1) < 0) {
+            goto done;
+        }
+        len[i] = views[i].len / sizes[i];
+    }
+    int64_t n = el->n, m = el->m;
+    if (len[T_INDPTR] != n + 1 || len[T_INDICES] != m || len[T_BASE] != m ||
+        len[T_SUP_INDPTR] != m + 1 || len[T_SUP_SLOTS] != 2 * el->records) {
+        PyErr_SetString(PyExc_ValueError, "slot array lengths disagree");
+        goto done;
+    }
+    /* cursor and slot_row (m each), by_column (m), by_column_ptr (n + 1),
+     * slot_of and seen (n each). */
+    scratch = (int64_t *)malloc(((size_t)3 * m + 3 * (size_t)n + 1) * sizeof(int64_t));
+    if (scratch == NULL) {
+        PyErr_NoMemory();
+        goto done;
+    }
+    int64_t *cursor = scratch, *slot_row = cursor + m, *by_column = slot_row + m;
+    int64_t *by_column_ptr = by_column + m, *slot_of = by_column_ptr + n + 1;
+    int64_t *seen = slot_of + n;
+    int64_t *indptr = (int64_t *)views[T_INDPTR].buf;
+    int64_t *indices = (int64_t *)views[T_INDICES].buf;
+    double *base = (double *)views[T_BASE].buf;
+    int64_t *sup_indptr = (int64_t *)views[T_SUP_INDPTR].buf;
+    int32_t *sup_slots = (int32_t *)views[T_SUP_SLOTS].buf;
+    const int64_t *row_ptr = el->row_ptr;
+    indptr[0] = 0;
+    for (int64_t x = 0; x < n; x++) {
+        const int64_t *row = el->rows[x];
+        int64_t lo = row_ptr[x], d = row_ptr[x + 1] - lo;
+        for (int64_t j = 0; j < d; j++) {
+            int64_t e = el->col_edge[lo + j];
+            indices[lo + j] = el->rank[row[j]];
+            base[lo + j] = e >= 0 ? el->edge_w[e] : Py_HUGE_VAL;
+            slot_row[lo + j] = x;
+        }
+        indptr[x + 1] = lo + d;
+    }
+    /* Row c's slots are the targets of the pairs (a, b) of every row x
+     * with a's column c and b's above it; x's other columns above c are
+     * all c's columns (closure).  So the supporters are laid out target
+     * row by target row: the rows x listing c (by_column, ascending x)
+     * found through a transpose of the slots, each b's target found
+     * through c's slot of each key (slot_of, valid where seen == c); one
+     * walk counts each target's records, a second places them. */
+    for (int64_t c = 0; c <= n; c++) {
+        by_column_ptr[c] = 0;
+    }
+    for (int64_t s = 0; s < m; s++) {
+        by_column_ptr[indices[s] + 1]++;
+    }
+    for (int64_t c = 0; c < n; c++) {
+        by_column_ptr[c + 1] += by_column_ptr[c];
+        slot_of[c] = by_column_ptr[c]; /* the transpose's fill cursor, here */
+        seen[c] = -1;
+    }
+    for (int64_t a = 0; a < m; a++) {
+        by_column[slot_of[indices[a]]++] = a;
+    }
+    sup_indptr[0] = 0;
+    for (int64_t c = 0; c < n; c++) {
+        const int64_t *keys = el->rows[c];
+        int64_t lo = row_ptr[c], hi = row_ptr[c + 1];
+        for (int64_t t = lo; t < hi; t++) {
+            slot_of[keys[t - lo]] = t;
+            seen[keys[t - lo]] = c;
+            cursor[t] = 0;
+        }
+        for (int pass = 0; pass < 2; pass++) {
+            for (int64_t k = by_column_ptr[c]; k < by_column_ptr[c + 1]; k++) {
+                int64_t a = by_column[k], x = slot_row[a];
+                const int64_t *row = el->rows[x];
+                for (int64_t b = row_ptr[x]; b < row_ptr[x + 1]; b++) {
+                    int64_t key = row[b - row_ptr[x]];
+                    if (indices[b] <= c) {
+                        continue;
+                    }
+                    if (seen[key] != c) {
+                        PyErr_SetString(PyExc_ValueError,
+                                        "contraction rows are not closed under fill-in");
+                        goto done;
+                    }
+                    int64_t t = slot_of[key];
+                    if (pass == 1) {
+                        sup_slots[2 * cursor[t]] = (int32_t)a;
+                        sup_slots[2 * cursor[t] + 1] = (int32_t)b;
+                    }
+                    cursor[t]++;
+                }
+            }
+            if (pass == 0) {
+                for (int64_t t = lo; t < hi; t++) {
+                    sup_indptr[t + 1] = sup_indptr[t] + cursor[t];
+                    cursor[t] = sup_indptr[t];
+                }
+                if (sup_indptr[hi] > el->records) {
+                    PyErr_SetString(PyExc_ValueError,
+                                    "contraction rows are not closed under fill-in");
+                    goto done;
+                }
+            }
+        }
+    }
+    result = Py_None;
+    Py_INCREF(result);
+done:
+    free(scratch);
+    release_views(views, T_NVIEWS);
+    return result;
+}
+
 static PyMethodDef methods[] = {
     {"build", label_build, METH_VARARGS,
      "build(mask, comp, first, logs, tbl_flat, tbl_off, pos_indptr, pos_data, "
@@ -1674,6 +2291,12 @@ static PyMethodDef methods[] = {
      "update_labels(parent, depth, child_indptr, child_rows, dis_indptr, pos_indptr, "
      "pos_data, sc, dis_data, seeds, allowed, changed, counts, lo, hi) -> None "
      "(top-down label pass from the seed rows; writes dis_data, changed, counts)"},
+    {"eliminate", (PyCFunction)eliminate, METH_FASTCALL,
+     "eliminate(ids, indptr, positions, weights, tiers, order, out_order, sizes) -> "
+     "elimination capsule (symbolic elimination of a graph CSR; writes out_order, sizes)"},
+    {"eliminate_slots", (PyCFunction)eliminate_slots, METH_FASTCALL,
+     "eliminate_slots(elimination, indptr, indices, base, sup_indptr, sup_slots) -> None "
+     "(the slot topology, graph weights and supporter CSR of an elimination)"},
     {NULL, NULL, 0, NULL},
 };
 

@@ -20,7 +20,7 @@ from typing import Dict, Iterable, List, Sequence
 
 from repro.graph.graph import Graph
 from repro.partitioning.base import Partitioning
-from repro.treedec.mde import eliminate
+from repro.treedec.slots import elimination_order
 
 
 def boundary_first_tiers(partitioning: Partitioning) -> Dict[int, int]:
@@ -36,7 +36,7 @@ def boundary_first_order(graph: Graph, partitioning: Partitioning) -> List[int]:
     the full graph, then the boundary vertices, again by minimum degree on the
     remaining (contracted) graph — which doubles as the overlay order.
     """
-    return eliminate(graph, tiers=boundary_first_tiers(partitioning))[0]
+    return elimination_order(graph, tiers=boundary_first_tiers(partitioning))
 
 
 def restrict_order(order: Sequence[int], vertices: Iterable[int]) -> List[int]:

@@ -18,6 +18,13 @@ by ``x``) — are derived from the rows by
 every update batch runs (the topology/weights split of Customizable CH,
 Dibbelt, Strasser, Wagner, JEA 2016).
 
+This module is the pure rung of that topology.  A build reads it through
+:func:`~repro.treedec.slots.eliminate_slots`, which runs the C kernel's
+``eliminate`` entry instead when it is loaded: the same order and rows,
+from sorted-array merges over the graph's CSR, with the slot layout and the
+supporter records computed there too.  :func:`eliminate` stays as the rung
+without a compiler and as the C entry's differential oracle.
+
 The elimination can be driven by the classic minimum-degree heuristic, by a
 caller-specified fixed order, or by a *tiered* minimum-degree rule (eliminate
 all tier-0 vertices before any tier-1 vertex, and so on), which is how the
@@ -57,12 +64,7 @@ def eliminate(
         vertices are given a higher tier).  Within a tier the vertex of
         minimum current degree goes first, ties broken by id.
     """
-    if graph.num_vertices == 0:
-        raise GraphError("cannot contract an empty graph")
-    if order is not None and len(set(order)) != graph.num_vertices:
-        raise GraphError(
-            f"explicit order must cover all {graph.num_vertices} vertices exactly once"
-        )
+    check_order(graph, order)
 
     # Working adjacency (the eliminated graph G_i).
     work: Dict[int, Set[int]] = {v: set(graph.neighbors(v)) for v in graph.vertices()}
@@ -77,8 +79,6 @@ def eliminate(
     while len(eliminated) < graph.num_vertices:
         if order is not None:
             v = order[len(eliminated)]
-            if v not in work:
-                raise GraphError(f"vertex {v} appears twice in the contraction order")
         else:
             while True:
                 if not heap:
@@ -102,3 +102,24 @@ def eliminate(
         eliminated.append(v)
         rows.append(row)
     return eliminated, rows
+
+
+def check_order(graph: Graph, order: Optional[Sequence[int]]) -> None:
+    """A :class:`~repro.exceptions.GraphError` for an empty ``graph``, or for
+    an explicit ``order`` that is not a permutation of its vertices: the
+    first entry outside the graph or named twice is the one reported."""
+    if graph.num_vertices == 0:
+        raise GraphError("cannot contract an empty graph")
+    if order is None:
+        return
+    seen: Set[int] = set()
+    for v in order:
+        if v not in graph:
+            raise GraphError(f"vertex {v} is not in the graph")
+        if v in seen:
+            raise GraphError(f"vertex {v} appears twice in the contraction order")
+        seen.add(v)
+    if len(seen) != graph.num_vertices:
+        raise GraphError(
+            f"explicit order must cover all {graph.num_vertices} vertices exactly once"
+        )

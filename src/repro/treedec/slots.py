@@ -23,7 +23,8 @@ itself: no gather.  Two kinds fill it:
   CSR over slots of ``int32`` slot pairs ``(slot(x, v), slot(x, u))``: one
   per lower row ``x`` whose contraction supports ``(v, u)``.  Every pair of
   ``X(x).N`` is supported by ``x``, so the records are derived from the
-  rows (:func:`supporter_slots`);
+  rows.  :func:`eliminate_slots` computes all of it, the order and the rows
+  too, from the graph;
 * :class:`UnionContraction` owns none: it is the cross-boundary contraction
   of PMHL, the partition and overlay contractions stitched in the global
   order.  Its topology is built once, with one index map per source arena,
@@ -31,12 +32,14 @@ itself: no gather.  Two kinds fill it:
   construction and by :meth:`UnionContraction.gather`, which the maintainer
   calls once the sources' passes are done.
 
-:func:`update_slots` is the whole maintenance pass over a
-:class:`SlotContraction`: the C kernel's ``update_slots`` when it is
-loaded, :func:`_update_slots_pure` otherwise.  Both compute the same
-float64 sums and minima, and a build is this pass seeded with every row,
-so maintained weights are bit-identical to a fresh build on the updated
-graph under the same order.  A pass can be confined to a row mask, whose
+:func:`eliminate_slots` is a build's topology and :func:`update_slots` the
+whole maintenance pass over a :class:`SlotContraction`: each the C kernel's
+entry (``eliminate`` / ``update_slots``) when it is loaded, the pure rung
+otherwise (:func:`~repro.treedec.mde.eliminate` with
+:func:`supporter_slots`, and :func:`_update_slots_pure`), with the same bits:
+the passes compute the same float64 sums and minima, and a build is this
+pass seeded with every row, so maintained weights are bit-identical to a
+fresh build on the updated graph under the same order.  A pass can be confined to a row mask, whose
 excluded rows it reports instead of visiting (PostMHL's per-partition
 passes), and reports the slots it changed and its work.  Its first write
 after a store or a snapshot took the arena copies the buffer first, so no
@@ -56,7 +59,7 @@ from repro.graph.graph import Graph
 from repro.kernels.arena import Arena, build_remap, count_freeze, rows_of
 from repro.kernels.native import native_kernel
 from repro.kernels.shortcut_store import ShortcutStore
-from repro.treedec.mde import eliminate
+from repro.treedec.mde import check_order, eliminate
 
 INF = math.inf
 
@@ -65,6 +68,9 @@ RECORD_CHUNK = 1 << 16
 
 #: An empty row mask / escaped-rows buffer: every row may be visited.
 NO_ROWS = np.zeros(0, dtype=np.int8)
+
+#: No tiers / no explicit order, for the C ``eliminate``.
+NO_INTS = np.zeros(0, dtype=np.int64)
 
 
 class FlatContraction:
@@ -194,26 +200,17 @@ class SlotContraction(FlatContraction):
         order: Optional[Sequence[int]] = None,
         tiers: Optional[Dict[int, int]] = None,
     ) -> "SlotContraction":
-        """Contract ``graph``: the rows of :func:`~repro.treedec.mde.eliminate`
-        laid out flat, each slot's graph weight in ``base``, the supporters
-        derived from the rows, and the weights from one :func:`update_slots`
-        pass seeded with every row.  The pass is not a window: it adds
-        nothing to :attr:`work` and leaves :attr:`version` as it is."""
-        order, rows = eliminate(graph, order=order, tiers=tiers)
-        n = len(order)
-        indptr = np.zeros(n + 1, dtype=np.int64)
-        np.cumsum([len(row) for row in rows], out=indptr[1:])
-        m, rank = int(indptr[-1]), dict(zip(order, range(n)))
-        indices = np.fromiter((rank[u] for row in rows for u in row), np.int64, m)
-        base = np.fromiter(
-            (graph.neighbors(v).get(u, INF) for v, row in zip(order, rows) for u in row),
-            np.float64, m,
+        """Contract ``graph``: the topology of :func:`eliminate_slots` (the
+        rows laid out flat, each slot's graph weight in ``base``, the
+        supporters), and the weights from one :func:`update_slots` pass
+        seeded with every row.  The pass is not a window: it adds nothing to
+        :attr:`work` and leaves :attr:`version` as it is."""
+        ids, indptr, indices, base, sup_indptr, sup_slots = eliminate_slots(
+            graph, order=order, tiers=tiers
         )
-        arena = Arena.pack({
-            "ids": np.asarray(order, dtype=np.int64), "indptr": indptr, "indices": indices,
-            "weights": base,
-        })
-        contraction = cls(arena, base, *supporter_slots(indptr, indices))
+        n, m = len(ids), len(indices)
+        arena = Arena.pack({"ids": ids, "indptr": indptr, "indices": indices, "weights": base})
+        contraction = cls(arena, base, sup_indptr, sup_slots)
         update_slots(
             arena["indptr"], arena["indices"], base, contraction.sup_indptr,
             contraction.sup_slots, arena["weights"], np.arange(n, dtype=np.int64), NO_ROWS,
@@ -381,6 +378,83 @@ class UnionContraction(FlatContraction):
 
     def slot_map(self):
         return list(self._sources), self._slot_sid, self._slot_src
+
+
+def eliminate_slots(
+    graph: Graph,
+    order: Optional[Sequence[int]] = None,
+    tiers: Optional[Dict[int, int]] = None,
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """A contraction's topology: ``(order, indptr, indices, base, sup_indptr,
+    sup_slots)``.
+
+    ``order`` holds the vertex ids in elimination order (explicit, or the
+    tiered minimum-degree order of :func:`~repro.treedec.mde.eliminate`);
+    row ``i`` owns slots ``indptr[i]..indptr[i + 1]``, one per vertex of
+    ``X(order[i]).N`` in ascending id, ``indices`` naming each one's row and
+    ``base`` its graph weight (``inf`` for fill-in); the supporter CSR is
+    :func:`supporter_slots`'s.  The C kernel's ``eliminate`` entry computes
+    all of it from the graph's CSR when it is loaded, else the pure rung
+    does, with the same bits.  A bad ``order`` is a
+    :class:`~repro.exceptions.GraphError` on both rungs."""
+    kernel = native_kernel()
+    if kernel is None:
+        return _eliminate_slots_pure(graph, order, tiers)
+    ids, sizes, elimination = _eliminate_native(kernel, graph, order, tiers)
+    m, records = sizes.tolist()
+    arrays = (
+        np.empty(len(ids) + 1, dtype=np.int64), np.empty(m, dtype=np.int64),
+        np.empty(m, dtype=np.float64), np.empty(m + 1, dtype=np.int64),
+        np.empty(2 * records, dtype=np.int32),
+    )
+    kernel.eliminate_slots(elimination, *arrays)
+    return (ids, *arrays)
+
+
+def elimination_order(graph: Graph, tiers: Optional[Dict[int, int]] = None) -> List[int]:
+    """The tiered minimum-degree order of ``graph`` alone (no slot layout):
+    :func:`eliminate_slots`'s ``order``."""
+    kernel = native_kernel()
+    if kernel is None:
+        return eliminate(graph, tiers=tiers)[0]
+    return _eliminate_native(kernel, graph, None, tiers)[0].tolist()
+
+
+def _eliminate_native(kernel, graph: Graph, order, tiers):
+    """The C ``eliminate`` over ``graph.to_csr()``: ``(order ids, [slots,
+    supporter records], the rows' capsule)``.  A bad order is reported as
+    :func:`~repro.treedec.mde.eliminate` reports it."""
+    check_order(graph, order)
+    ids, indptr, positions, weights = graph.to_csr()
+    n = len(ids)
+    tier_of = np.fromiter((tiers.get(v, 0) for v in ids), np.int64, n) if tiers else NO_INTS
+    explicit = NO_INTS if order is None else np.asarray(order, dtype=np.int64)
+    out_order = np.empty(n, dtype=np.int64)
+    sizes = np.zeros(2, dtype=np.int64)
+    elimination = kernel.eliminate(
+        np.asarray(ids, dtype=np.int64), np.asarray(indptr, dtype=np.int64),
+        np.asarray(positions, dtype=np.int64), np.asarray(weights, dtype=np.float64),
+        tier_of, explicit, out_order, sizes,
+    )
+    return out_order, sizes, elimination
+
+
+def _eliminate_slots_pure(graph: Graph, order, tiers):
+    """:func:`eliminate_slots` without the kernel: the rows of
+    :func:`~repro.treedec.mde.eliminate` laid out one slot at a time, and
+    :func:`supporter_slots`."""
+    order, rows = eliminate(graph, order=order, tiers=tiers)
+    n = len(order)
+    indptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum([len(row) for row in rows], out=indptr[1:])
+    m, rank = int(indptr[-1]), dict(zip(order, range(n)))
+    indices = np.fromiter((rank[u] for row in rows for u in row), np.int64, m)
+    base = np.fromiter(
+        (graph.neighbors(v).get(u, INF) for v, row in zip(order, rows) for u in row),
+        np.float64, m,
+    )
+    return (np.asarray(order, dtype=np.int64), indptr, indices, base,
+            *supporter_slots(indptr, indices))
 
 
 def supporter_slots(indptr, indices) -> Tuple[np.ndarray, np.ndarray]:

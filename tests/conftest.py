@@ -96,8 +96,9 @@ def random_graph() -> Graph:
 
 @pytest.fixture
 def pure_maintenance(monkeypatch):
-    """A switch: once called, ``update_labels`` and ``update_slots`` run
-    their pure loops (what a missing compiler gives) until the test ends."""
+    """A switch: once called, ``update_labels``, ``update_slots`` and a
+    build's elimination (``eliminate_slots`` / ``elimination_order``) run
+    their pure rungs (what a missing compiler gives) until the test ends."""
     import repro.labeling.h2h as h2h_module
     import repro.treedec.slots as slots_module
 

@@ -1,20 +1,27 @@
 """Unit tests for the tree decomposition substrate (MDE, tree, LCA)."""
 
+import random
 import re
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from repro.algorithms.dijkstra import dijkstra_distance
 from repro.exceptions import GraphError
-from repro.graph.generators import grid_road_network
+from repro.graph.generators import grid_road_network, random_connected_graph
 from repro.graph.graph import Graph
 from repro.graph.updates import EdgeUpdate, UpdateBatch, generate_update_batch
+from repro.kernels.native import native_kernel
+from repro.registry import create_index, get_spec
+from repro.treedec import slots as slots_module
 from repro.treedec.mde import eliminate
-from repro.treedec.slots import SlotContraction
+from repro.treedec.slots import SlotContraction, _eliminate_slots_pure, eliminate_slots
 from repro.treedec.tree import TreeDecomposition
 
 from tests.conftest import (
+    NEEDS_NATIVE,
     check_build_equals_reference,
     float_bits,
     paper_example_graph,
@@ -54,6 +61,19 @@ class TestContraction:
         order = [vertices[0], *vertices[:-1], 99]
         with pytest.raises(GraphError, match="twice"):
             eliminate(graph, order=order)
+
+    @pytest.mark.parametrize("rung", ("native", "pure"))
+    def test_vertex_outside_the_graph_in_order_rejected(self, rung, pure_maintenance):
+        """An order of the right length naming a stranger says so, on both
+        rungs, instead of calling a vertex repeated."""
+        if rung == "pure":
+            pure_maintenance()
+        graph = grid_road_network(3, 3, seed=0)
+        order = sorted(graph.vertices())
+        order[4] = 999
+        for build in (eliminate, SlotContraction.build, eliminate_slots):
+            with pytest.raises(GraphError, match="vertex 999 is not in the graph"):
+                build(graph, order=order)
 
     def test_tiered_order_puts_low_tier_first(self):
         graph = grid_road_network(5, 5, seed=1)
@@ -332,3 +352,218 @@ class TestTreeDecomposition:
             for ancestor in tree.ancestors[v]:
                 assert tree.is_ancestor(ancestor, v)
             assert tree.is_ancestor(v, v)
+
+
+def _topology_bits(topology):
+    """The six outputs of ``eliminate_slots`` as comparable bytes, dtypes
+    included."""
+    return [(array.dtype.str, array.tobytes()) for array in topology]
+
+
+def _relabelled(graph: Graph, seed: int) -> Graph:
+    """``graph`` with scattered, unsorted vertex ids, inserted in a shuffled
+    order (so the C entry's id sort and the CSR's row order both matter)."""
+    rng = random.Random(seed)
+    vertices = sorted(graph.vertices())
+    rng.shuffle(vertices)
+    name = {v: 7919 * v + rng.randrange(7919) for v in vertices}
+    relabelled = Graph()
+    for v in vertices:
+        relabelled.add_vertex(name[v])
+    edges = list(graph.edges())
+    rng.shuffle(edges)
+    for u, v, w in edges:
+        relabelled.add_edge(name[u], name[v], w)
+    return relabelled
+
+
+def _set(index, position, value):
+    def corrupt(args):
+        args[index][position] = value
+    return corrupt
+
+
+def _replace(index, values):
+    def corrupt(args):
+        args[index] = np.array(values(args), dtype=np.int64)
+    return corrupt
+
+
+def _asymmetric(args):
+    """Row 0's first neighbour becomes a row that does not list row 0."""
+    indptr, positions = args[1], args[2]
+    listed = set(positions[indptr[0] : indptr[1]].tolist())
+    positions[0] = next(r for r in range(1, len(args[0])) if r not in listed)
+
+
+def _repeated_neighbour(args):
+    indptr, positions = args[1], args[2]
+    positions[indptr[0] + 1] = positions[indptr[0]]
+
+
+def _no_vertices(args):
+    args[0], args[6] = np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64)
+    args[1] = np.zeros(1, dtype=np.int64)
+
+
+#: Corruptions of ``eliminate``'s arguments (ids, indptr, positions,
+#: weights, tiers, order, out_order, sizes), each a ``ValueError``.
+MALFORMED = {
+    "non-monotone offsets": _set(1, 2, 10**6),
+    "neighbour out of range": _set(2, 0, 9),
+    "negative neighbour": _set(2, 0, -1),
+    "self neighbour": _set(2, 0, 0),
+    "asymmetric adjacency": _asymmetric,
+    "repeated neighbour": _repeated_neighbour,
+    "repeated id": lambda args: args[0].__setitem__(1, args[0][0]),
+    "tiers of the wrong length": _replace(4, lambda args: [0] * (len(args[0]) - 1)),
+    "duplicate order id": _replace(5, lambda args: [args[0][0], *args[0][:-1]]),
+    "missing order id": _replace(5, lambda args: args[0][:-1]),
+    "foreign order id": _replace(5, lambda args: [*args[0][:-1], 999]),
+    "short out_order": _replace(6, lambda args: args[0][:-1]),
+    "no vertices": _no_vertices,
+}
+
+
+@NEEDS_NATIVE
+class TestEliminationEntry:
+    """The C ``eliminate`` / ``eliminate_slots`` entries against the pure
+    rung (``eliminate`` + ``supporter_slots``): all six outputs, and the
+    built weights, bit for bit; and their input checks."""
+
+    @staticmethod
+    def check_rungs_agree(graph, **options):
+        native = eliminate_slots(graph, **options)
+        pure = _eliminate_slots_pure(graph, options.get("order"), options.get("tiers"))
+        assert _topology_bits(native) == _topology_bits(pure)
+        return native
+
+    @pytest.mark.parametrize("case", sorted(BUILD_CASES))
+    def test_build_cases(self, case, pure_maintenance):
+        make_graph, options = BUILD_CASES[case]
+        graph = make_graph()
+        self.check_rungs_agree(graph, **options(graph))
+        built = SlotContraction.build(graph, **options(graph))
+        pure_maintenance()
+        pure = SlotContraction.build(graph, **options(graph))
+        assert bytes(built.arena.buffer) == bytes(pure.arena.buffer)
+        assert _topology_bits([built.base, built.sup_indptr, built.sup_slots]) == _topology_bits(
+            [pure.base, pure.sup_indptr, pure.sup_slots]
+        )
+
+    @given(
+        st.integers(min_value=1, max_value=40), st.integers(min_value=0, max_value=60),
+        st.integers(min_value=0, max_value=3), st.integers(min_value=0, max_value=3),
+        st.sampled_from(("heuristic", "tiers", "order")), st.integers(0, 10_000),
+    )
+    @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    def test_random_graphs(self, n, extra, pieces, isolated, mode, seed):
+        """Connected and disconnected random graphs (``pieces`` more
+        components, ``isolated`` lone vertices) with scattered ids, under the
+        heuristic, random tiers or a random explicit order."""
+        rng = random.Random(seed)
+        graph = random_connected_graph(n, extra, seed=seed)
+        offset = n
+        for piece in range(pieces):
+            size = rng.randrange(1, 8)
+            for u, v, w in random_connected_graph(size, rng.randrange(6), seed=seed + piece).edges():
+                graph.add_edge(u + offset, v + offset, w)
+            graph.add_vertex(offset)
+            offset += size
+        for k in range(isolated):
+            graph.add_vertex(offset + k)
+        graph = _relabelled(graph, seed)
+        vertices = sorted(graph.vertices())
+        options = {}
+        if mode == "tiers":
+            options["tiers"] = {v: rng.randrange(3) for v in vertices if rng.random() < 0.7}
+        elif mode == "order":
+            rng.shuffle(vertices)
+            options["order"] = vertices
+        ids = self.check_rungs_agree(graph, **options)[0]
+        assert eliminate(graph, **options)[0] == ids.tolist()
+
+    @pytest.mark.parametrize("method, params", [
+        ("DCH", {}), ("DH2H", {}), ("MHL", {}), ("TOAIN", {"checkin_fraction": 0.25}),
+        ("N-CH-P", {"num_partitions": 4, "seed": 0}),
+        ("P-TD-P", {"num_partitions": 4, "seed": 0}),
+        ("PMHL", {"num_partitions": 4, "seed": 0}),
+        ("PostMHL", {"bandwidth": 8, "expected_partitions": 3}),
+    ])
+    def test_every_contraction_of_every_method(self, method, params, monkeypatch):
+        """Each elimination a build runs (partitions, overlay, extended
+        partitions, the boundary-first order, PostMHL's and TOAIN's) equals
+        the pure rung's."""
+        import repro.partitioning.ordering as ordering_module
+
+        seen = []
+        order_only = ordering_module.elimination_order
+
+        def checked(graph, order=None, tiers=None):
+            seen.append("topology")
+            return self.check_rungs_agree(graph, order=order, tiers=tiers)
+
+        def checked_order(graph, tiers=None):
+            seen.append("order")
+            ids = order_only(graph, tiers=tiers)
+            assert ids == eliminate(graph, tiers=tiers)[0]
+            return ids
+
+        monkeypatch.setattr(slots_module, "eliminate_slots", checked)
+        monkeypatch.setattr(ordering_module, "elimination_order", checked_order)
+        create_index(get_spec(method, **params), grid_road_network(12, 12, seed=5)).build()
+        assert "topology" in seen
+        if method in ("N-CH-P", "P-TD-P", "PMHL"):
+            assert "order" in seen and seen.count("topology") > 4
+
+    @staticmethod
+    def csr_arguments(graph):
+        """``eliminate``'s arguments for ``graph`` (no tiers, no order), as
+        mutable arrays; the outputs hold -7."""
+        ids, indptr, positions, weights = graph.to_csr()
+        return [
+            np.array(ids, dtype=np.int64), np.array(indptr, dtype=np.int64),
+            np.array(positions, dtype=np.int64), np.array(weights, dtype=np.float64),
+            np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64),
+            np.full(len(ids), -7, dtype=np.int64), np.full(2, -7, dtype=np.int64),
+        ]
+
+    @pytest.mark.parametrize("case", sorted(MALFORMED))
+    def test_malformed_inputs_raise_before_any_write(self, case):
+        args = self.csr_arguments(grid_road_network(3, 3, seed=0))
+        MALFORMED[case](args)
+        before = [array.copy() for array in args]
+        with pytest.raises(ValueError):
+            native_kernel().eliminate(*args)
+        for array, kept in zip(args, before):
+            assert np.array_equal(array, kept)
+
+    def test_wrong_dtypes_and_arity_are_type_errors(self):
+        kernel = native_kernel()
+        graph = grid_road_network(3, 3, seed=0)
+        args = self.csr_arguments(graph)
+        args[3] = args[3].astype(np.float32)
+        with pytest.raises(TypeError):
+            kernel.eliminate(*args)
+        with pytest.raises(TypeError):
+            kernel.eliminate(*args[:7])
+
+    def test_slot_arrays_of_the_wrong_length_are_rejected(self):
+        graph = grid_road_network(4, 4, seed=1)
+        kernel = native_kernel()
+        args = self.csr_arguments(graph)
+        elimination = kernel.eliminate(*args)
+        m, records = args[7].tolist()
+        shapes = [(len(args[0]) + 1, np.int64), (m, np.int64), (m, np.float64),
+                  (m + 1, np.int64), (2 * records, np.int32)]
+        for wrong in range(len(shapes)):
+            arrays = [np.full(size + (i == wrong), 3, dtype=dtype)
+                      for i, (size, dtype) in enumerate(shapes)]
+            with pytest.raises(ValueError):
+                kernel.eliminate_slots(elimination, *arrays)
+            assert all((array == 3).all() for array in arrays)
+        with pytest.raises(ValueError):
+            kernel.eliminate_slots(object(), *[np.zeros(s, d) for s, d in shapes])
+        arrays = [np.empty(size, dtype=dtype) for size, dtype in shapes]
+        kernel.eliminate_slots(elimination, *arrays)
+        assert _topology_bits([args[6], *arrays]) == _topology_bits(eliminate_slots(graph))
