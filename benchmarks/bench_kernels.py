@@ -227,7 +227,7 @@ def _measure_refreeze(dch, pmhl) -> Optional[Dict[str, Dict[str, float]]]:
              for update in generate_update_batch(dch.graph, UPDATE_VOLUME, seed=7)]
 
     def full_labels():
-        arrays = layout_arrays(labels.tree, labels.keys, labels.row)
+        arrays = layout_arrays(labels.tree)
         arrays["dis_data"] = labels.arena["dis_data"].copy()
         return LabelStore(Arena.pack(arrays))
 

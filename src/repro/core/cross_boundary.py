@@ -67,7 +67,6 @@ def build_cross_boundary_index(
     fully-built global distance labels.
     """
     composed = compose_cross_boundary_contraction(partitioning, order, family, overlay)
-    tree = TreeDecomposition.from_contraction(composed, allow_forest=True)
-    labels = H2HLabels(tree)
+    labels = H2HLabels.over(composed, allow_forest=True)
     labels.build()
-    return composed, tree, labels
+    return composed, labels.tree, labels

@@ -36,6 +36,7 @@ from repro.core.stages import timed_label_update_by_root
 from repro.graph.graph import Graph
 from repro.graph.updates import UpdateBatch
 from repro.hierarchy.ch import ch_bidirectional_query
+from repro.kernels.arena import Arena
 from repro.kernels.label_store import LabelStore
 from repro.labeling.h2h import H2HLabels
 from repro.partitioning.base import Partitioning
@@ -258,14 +259,14 @@ class PMHLIndex(PostBoundaryPSPIndex):
         return state
 
     def from_state(self, state: Dict[str, object], io) -> None:
-        from repro.store import codec
-
         super().from_state(state, io)
         composed = compose_cross_boundary_contraction(
             self.partitioning, self.order, self.family, self.overlay
         )
-        self.cross_tree = TreeDecomposition.from_contraction(composed, allow_forest=True)
-        self.cross_labels = codec.unpack_labels(state["cross_labels"], io, self.cross_tree)
+        self.cross_labels = H2HLabels.over(
+            composed, Arena.from_state(state["cross_labels"], io), allow_forest=True
+        )
+        self.cross_tree = self.cross_labels.tree
         self.build_breakdown = dict(state.get("build_breakdown", {}))
 
     def _kernel_exports(self):

@@ -34,6 +34,7 @@ from repro.exceptions import IndexNotBuiltError
 from repro.graph.graph import Graph
 from repro.graph.updates import UpdateBatch
 from repro.hierarchy.ch import ch_bidirectional_query
+from repro.kernels.arena import Arena
 from repro.kernels.label_store import LabelStore
 from repro.labeling.h2h import H2HLabels
 from repro.partitioning.td_partition import TDPartitioning, td_partition
@@ -137,10 +138,9 @@ class PostMHLIndex(DistanceIndex):
         self.disB = {}
         self.boundary_position = []
         self.boundary_distances = self._boundary_tables()
-        depth = self.tree.depth
         for pid, boundary in enumerate(self.td.boundary):
             self.boundary_position.append({b: j for j, b in enumerate(boundary)})
-            columns = [depth[b] for b in boundary]
+            columns = self.tree.depth[self.tree.rows(boundary)]
             for v in self.td.partition_vertices[pid]:
                 self.disB[v] = self.labels.dis(v)[columns].tolist()
 
@@ -214,20 +214,22 @@ class PostMHLIndex(DistanceIndex):
         return self.labels.query_one_to_many(source, targets)
 
     def _same_partition_post_query(self, pid: int, source: int, target: int) -> float:
-        """Same-partition query over the LCA separator using post-boundary data only."""
+        """Same-partition query over the LCA separator using post-boundary
+        data only.  ``X(lca).pos`` is the column (depth) of each vertex of
+        ``X(lca).N``, in slot order, then the LCA's own."""
         tree = self.tree
         lca = tree.lca(source, target)
-        depth = tree.depth
+        columns = self.labels.pos(lca).tolist()
         overlay = self.td.overlay_vertices
         position = self.boundary_position[pid]
         dis_s, dis_t = self.labels.dis(source).tolist(), self.labels.dis(target).tolist()
-        best = dis_s[depth[lca]] + dis_t[depth[lca]]
-        for x in tree.neighbors(lca):
+        best = dis_s[columns[-1]] + dis_t[columns[-1]]
+        for x, column in zip(tree.neighbors(lca), columns):
             if x in overlay:
                 j = position[x]
                 candidate = self.disB[source][j] + self.disB[target][j]
             else:
-                candidate = dis_s[depth[x]] + dis_t[depth[x]]
+                candidate = dis_s[column] + dis_t[column]
             if candidate < best:
                 best = candidate
         return best
@@ -269,7 +271,6 @@ class PostMHLIndex(DistanceIndex):
     def _apply_batch(self, batch: UpdateBatch) -> UpdateReport:
         self._require_built()
         report = UpdateReport()
-        tree = self.tree
         td = self.td
         # Before any structure mutates (kernel staleness protocol).
         self.invalidate_kernels()
@@ -323,15 +324,19 @@ class PostMHLIndex(DistanceIndex):
         # U-Stage 3 left them.
         affected_post: List[int] = []
         affected_cross: List[int] = []
+        # A changed overlay label is a proper ancestor of a partition's root
+        # when the root's preorder number falls strictly inside its subtree.
+        pre, size, _ = self.tree.intervals
+        changed = self.tree.rows(list(overlay_changed_labels))
+        starts, ends = pre[changed], pre[changed] + size[changed]
         for pid, distances in enumerate(self._boundary_tables()):
             has_local_changes = len(partition_changed.get(pid, ())) > 0
             boundary_changed = not np.array_equal(distances, self.boundary_distances[pid])
             self.boundary_distances[pid] = distances
             if has_local_changes or boundary_changed:
                 affected_post.append(pid)
-            ancestors_changed = any(
-                a in overlay_changed_labels for a in tree.ancestors[td.roots[pid]][:-1]
-            )
+            at = pre[self.tree.row[td.roots[pid]]]
+            ancestors_changed = bool(((starts < at) & (at < ends)).any())
             if has_local_changes or ancestors_changed:
                 affected_cross.append(pid)
 
@@ -369,23 +374,30 @@ class PostMHLIndex(DistanceIndex):
         overlay neighbours are resolved through the boundary distance table /
         boundary arrays instead of through (possibly stale) cross-boundary
         label entries.  Rows are read as lists and their in-partition columns
-        ``[root_depth, depth]`` written back as each vertex finishes.
+        ``[root_depth, depth]`` written back as each vertex finishes.  The
+        walk is a preorder, so the in-partition part of ``X(v).A`` is carried
+        down it: ``path[j - root_depth]`` is ``v``'s ancestor at depth ``j``.
         """
         tree = self.tree
         td = self.td
-        depth = tree.depth
         boundary = td.boundary[pid]
         position = self.boundary_position[pid]
         distances = self.boundary_distances[pid].tolist()
         overlay = td.overlay_vertices
         root = td.roots[pid]
-        root_depth = depth[root]
-        upward = self.contraction.upward
         labels = self.labels
+        depth, row_of = tree.depth.tolist(), tree.row
+        root_depth = depth[row_of[root]]
+        upward = self.contraction.upward
         rows: Dict[int, List[float]] = {}
+        path: List[int] = []
 
         for v in tree.subtree(root):
             neighbors = tree.neighbors(v)
+            columns = [depth[row_of[x]] for x in neighbors]
+            depth_v = depth[row_of[v]]
+            del path[depth_v - root_depth :]
+            path.append(v)
             sc = upward(v)
             # Boundary array X(v).disB.
             new_disB = []
@@ -403,29 +415,28 @@ class PostMHLIndex(DistanceIndex):
             self.disB[v] = new_disB
 
             # In-partition distance-array entries (depth >= root_depth).
-            anc = tree.ancestors[v]
             dis_v = rows[v] = labels.dis(v).tolist()
-            for j in range(root_depth, len(anc) - 1):
-                ancestor = anc[j]
+            for j in range(root_depth, depth_v):
+                ancestor = path[j - root_depth]
                 best = INF
-                for x in neighbors:
+                for x, px in zip(neighbors, columns):
                     if x in overlay:
                         d = self.disB[ancestor][position[x]]
-                    elif depth[x] > j:
+                    elif px > j:
                         d = rows[x][j]
                     else:
-                        d = rows[ancestor][depth[x]]
+                        d = rows[ancestor][px]
                     candidate = sc[x] + d
                     if candidate < best:
                         best = candidate
                 dis_v[j] = best
-            dis_v[len(anc) - 1] = 0.0
+            dis_v[depth_v] = 0.0
             labels.write(v, root_depth, dis_v[root_depth:])
 
     def _update_cross_boundary_partition(self, pid: int) -> None:
         """Recompute the overlay-ancestor label entries of one partition: the
         label pass over every row of its subtree, columns ``[0, root_depth)``."""
-        root_depth = self.tree.depth[self.td.roots[pid]]
+        root_depth = int(self.labels.pos(self.td.roots[pid])[-1])
         self.labels.update_top_down(
             self.td.partition_vertices[pid], columns=(0, root_depth)
         )
@@ -472,13 +483,11 @@ class PostMHLIndex(DistanceIndex):
         }
 
     def from_state(self, state: Dict[str, object], io) -> None:
-        from repro.store import codec
-
         self._row_partition, self._row_masks = None, {}
         self.contraction = SlotContraction.from_state(state["slots"], io)
-        self.tree = TreeDecomposition.from_contraction(self.contraction)
+        self.labels = H2HLabels.over(self.contraction, Arena.from_state(state["labels"], io))
+        self.tree = self.labels.tree
         self.td = TDPartitioning.from_roots(self.tree, io.get_list(state["td_roots"]))
-        self.labels = codec.unpack_labels(state["labels"], io, self.tree)
         self.boundary_position = [
             {b: j for j, b in enumerate(boundary)} for boundary in self.td.boundary
         ]

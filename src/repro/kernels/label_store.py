@@ -4,9 +4,9 @@ A :class:`LabelStore` is an immutable, flat-array snapshot of one
 :class:`~repro.labeling.h2h.H2HLabels` instance: the per-vertex distance
 arrays ``X(v).dis`` are one ``int64`` offset array plus one contiguous
 ``float64`` data array, the hub positions ``X(v).pos`` a second CSR pair,
-and the tree's Euler-tour LCA oracle is flattened into integer arrays whose
-sparse-table entries are packed as ``depth << SHIFT | row`` so the
-range-minimum over depths is a plain integer minimum.
+and the tree's Euler-tour LCA entries are integer arrays whose sparse-table
+entries are packed as ``depth << SHIFT | row`` so the range-minimum over
+depths is a plain integer minimum.
 
 All of those arrays live side by side in one :class:`~repro.kernels.arena.
 Arena` — the unified buffer that ``repro.store`` serializes as a single
@@ -25,12 +25,16 @@ reference arithmetic (``dis_s[i] + dis_t[i]`` minimised over
 the equivalence suite in ``tests/test_kernels.py`` enforces this for every
 index.
 
-The labels *are* this arena: :func:`layout_arrays` derives the topology
+The labels *are* this arena: :func:`layout_arrays` assembles the topology
 entries (row numbering, LCA arrays, position CSR, ``dis`` offsets) once per
-tree, weight-only updates write only ``dis_data``, and :meth:`LabelStore.
-freeze` wraps the labels' arena as it stands — no gather, no copy.  The
-labels copy their buffer on the first write after a wrap, so a store never
-sees a later write (``repro.labeling.h2h``).
+tree from the row-space tree (:mod:`repro.treedec.tree`, numpy over the
+contraction's arena), weight-only updates write only ``dis_data``, and
+:meth:`LabelStore.freeze` wraps the labels' arena as it stands — no gather,
+no copy.  The labels copy their buffer on the first write after a wrap, so
+a store never sees a later write (``repro.labeling.h2h``).  The C query
+indexes the offsets, positions and LCA entries without bounds checks, so
+every *load* of a label arena — as labels or as a store — checks them first
+(:func:`check_query_arrays`); a freeze wraps labels already checked.
 """
 
 from __future__ import annotations
@@ -49,41 +53,85 @@ SHIFT = 22
 MASK = (1 << SHIFT) - 1
 
 
-def layout_arrays(tree, verts: List[int], row: Dict[int, int]) -> Dict[str, np.ndarray]:
-    """The topology entries of ``tree``'s label arena, rows in ``verts``
-    order (``row`` maps a vertex to its row): everything but ``dis_data``.
+def floor_log2(count: int) -> np.ndarray:
+    """``[0, floor(log2 1), ..., floor(log2 count)]``: the sparse table's
+    level of each window length (entry 0 unused)."""
+    logs = np.zeros(count + 1, dtype=np.int64)
+    logs[1:] = np.frexp(np.arange(1, count + 1, dtype=np.float64))[1] - 1
+    return logs
 
-    ``X(v).pos`` is ``v``'s neighbours' depths in contraction order, then
-    ``v``'s own; row ``v`` of ``dis`` is ``depth[v] + 1`` wide.
+
+def layout_arrays(tree) -> Dict[str, np.ndarray]:
+    """The topology entries of ``tree``'s label arena, rows in the tree's
+    (ascending vertex id): everything but ``dis_data``.
+
+    The LCA entries are the tree's; ``X(v).pos`` is ``v``'s neighbours'
+    depths in slot order, then ``v``'s own — one gather of the depths over
+    the contraction's slots; row ``v`` of ``dis`` is ``depth[v] + 1`` wide.
     """
-    some = verts[0]
-    tree.lca(some, some)  # force the Euler-tour oracle
-    oracle = tree._lca
-    depth = tree.depth
-    packed = np.array(
-        [(depth[v] << SHIFT) | row[v] for v in oracle._euler], dtype=np.int64
-    )
-    levels = [packed[np.asarray(level, dtype=np.int64)] for level in oracle._table]
-    tbl_off = np.zeros(len(levels) + 1, dtype=np.int64)
-    np.cumsum([len(level) for level in levels], out=tbl_off[1:])
-    pos = [[depth[x] for x in tree.neighbors(v)] + [depth[v]] for v in verts]
-    pos_indptr = np.zeros(len(verts) + 1, dtype=np.int64)
-    np.cumsum([len(p) for p in pos], out=pos_indptr[1:])
-    dis_indptr = np.zeros(len(verts) + 1, dtype=np.int64)
-    np.cumsum([depth[v] + 1 for v in verts], out=dis_indptr[1:])
+    arena, crows, depth = tree.contraction.arena, tree.crows, tree.depth
+    by_crow = np.empty_like(depth)
+    by_crow[crows] = depth
+    # Per contraction row, its neighbours' depths and then its own; the
+    # label rows take these rows in their order.
+    indptr = arena["indptr"] + np.arange(len(crows) + 1)
+    pos = np.insert(by_crow[arena["indices"]], arena["indptr"][1:], by_crow)
+    counts = indptr[crows + 1] - indptr[crows]
+    pos_indptr, dis_indptr = np.zeros((2, len(crows) + 1), dtype=np.int64)
+    np.cumsum(counts, out=pos_indptr[1:])
+    np.cumsum(depth + 1, out=dis_indptr[1:])
+    pos_data = pos[np.arange(pos_indptr[-1]) + np.repeat(indptr[crows] - pos_indptr[:-1], counts)]
     return {
-        "verts": np.asarray(verts, dtype=np.int64),
-        "comp": np.array([tree.component[v] for v in verts], dtype=np.int64),
-        "first": np.array([oracle._first[v] for v in verts], dtype=np.int64),
-        "logs": np.array(oracle._log, dtype=np.int64),
-        "tbl_flat": np.concatenate(levels) if levels else np.zeros(0, dtype=np.int64),
-        "tbl_off": tbl_off,
+        "verts": tree.verts,
+        "comp": tree.comp,
+        "first": tree.first,
+        "logs": tree.logs,
+        "tbl_flat": tree.tbl_flat,
+        "tbl_off": tree.tbl_off,
         "pos_indptr": pos_indptr,
-        "pos_data": np.fromiter(
-            (i for p in pos for i in p), dtype=np.int64, count=int(pos_indptr[-1])
-        ),
+        "pos_data": pos_data,
         "dis_indptr": dis_indptr,
     }
+
+
+def check_query_arrays(arena: Arena) -> None:
+    """Every entry the C query indexes without a bounds check, checked on
+    load (``ValueError``): offsets over their data, positions inside their
+    rows, ``first`` inside the tour, ``logs`` the floor of log2, ``tbl_off``
+    the level lengths, and every table entry a row whose depth (its ``dis``
+    width less one) the high bits carry — each row at its ``first``, each
+    level's entry the shallower of its two below (the left on a tie).  So a
+    query's LCA row is never deeper than either endpoint."""
+    n, dis_indptr, pos_indptr = len(arena["verts"]), arena["dis_indptr"], arena["pos_indptr"]
+    widths, counts, pos_data = np.diff(dis_indptr), np.diff(pos_indptr), arena["pos_data"]
+    if (
+        len(widths) != n or len(counts) != n or dis_indptr[0] != 0 or pos_indptr[0] != 0
+        or dis_indptr[-1] != len(arena["dis_data"]) or pos_indptr[-1] != len(pos_data)
+        or (widths < 1).any() or (counts < 1).any()
+    ):
+        raise ValueError("label offsets are not monotone over their data")
+    if ((pos_data < 0) | (pos_data >= np.repeat(widths, counts))).any():
+        raise ValueError("a position is not a column of its row")
+    first, logs, tbl_flat, tbl_off = (arena[name] for name in LCA_FIELDS)
+    tour = len(logs) - 1
+    if len(first) != n or tour < 1 or ((first < 0) | (first >= tour)).any():
+        raise ValueError("a label row's first tour position is out of range")
+    if not np.array_equal(logs, floor_log2(tour)):
+        raise ValueError("the label store's log table is not floor(log2 i)")
+    bounds = np.cumsum(tour + 1 - (1 << np.arange(int(logs[-1]) + 1)))
+    if not np.array_equal(tbl_off, np.r_[0, bounds]) or bounds[-1] != len(tbl_flat):
+        raise ValueError("the sparse-table offsets do not match the level lengths")
+    rows = tbl_flat & MASK
+    if (tbl_flat < 0).any() or (rows >= n).any():
+        raise ValueError("a sparse-table entry names no row")
+    if ((tbl_flat >> SHIFT) != widths[rows] - 1).any() or (rows[first] != np.arange(n)).any():
+        raise ValueError("the Euler tour does not match the label rows")
+    bounds = tbl_off.tolist()
+    for k in range(1, len(bounds) - 1):
+        below, level = tbl_flat[bounds[k - 1] : bounds[k]], tbl_flat[bounds[k] : bounds[k + 1]]
+        left, right = below[: len(level)], below[len(below) - len(level) :]
+        if (level != np.where(left >> SHIFT <= right >> SHIFT, left, right)).any():
+            raise ValueError("a sparse-table level is not the minimum of the one below")
 
 
 #: Arena entries of a label store, in pack order.
@@ -99,6 +147,9 @@ LABEL_FIELDS = (
     "dis_indptr",
     "dis_data",
 )
+
+#: The tree's LCA entries among them.
+LCA_FIELDS = LABEL_FIELDS[2:6]
 
 
 class LabelStore:
@@ -153,8 +204,11 @@ class LabelStore:
 
     @classmethod
     def from_state(cls, state: dict, io) -> "LabelStore":
-        """Rebuild a store from a snapshot payload (mmap-backed when possible)."""
-        return cls(Arena.from_state(state, io))
+        """Rebuild a store from a snapshot payload (mmap-backed when possible),
+        what the C query indexes checked first (:func:`check_query_arrays`)."""
+        arena = Arena.from_state(state, io)
+        check_query_arrays(arena)
+        return cls(arena)
 
     # ------------------------------------------------------------------
     # Queries

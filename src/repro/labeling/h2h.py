@@ -1,10 +1,11 @@
 """Hierarchical 2-Hop Labeling (H2H) and its dynamic version (DH2H).
 
 H2H [Ouyang et al., SIGMOD 2018] builds a tree decomposition via MDE and
-stores, for every vertex ``v``:
+keeps, for every vertex ``v``:
 
 * ``X(v).A`` — the ancestor chain from the root down to ``v`` (the index of an
-  ancestor inside the chain equals its tree depth),
+  ancestor inside the chain equals its tree depth): not stored, a parent walk
+  of the row-space tree (:meth:`~repro.treedec.tree.TreeDecomposition.chain`),
 * ``X(v).dis`` — distances from ``v`` to every vertex of ``X(v).A`` (the last
   entry, the distance to itself, is 0), and
 * ``X(v).pos`` — positions inside ``X(v).A`` of the vertices of
@@ -22,7 +23,9 @@ shallowest affected tree nodes, pruning untouched branches.
 :class:`H2HLabels` keeps every ``X(v).dis`` and ``X(v).pos`` flat, as the
 arena of a :class:`~repro.kernels.label_store.LabelStore`: the tree fixes
 the topology entries (rows in ascending vertex id, the LCA tables, ``pos``,
-the ``dis`` offsets), and one ``float64`` ``dis_data`` holds the values.
+the ``dis`` offsets; derived in numpy from the contraction's arena, or read
+back from saved labels and checked), and one ``float64`` ``dis_data`` holds
+the values.
 The label update is one pass over those arrays (:func:`update_labels`: the
 C kernel's ``update_labels``, or a numpy step per row without it), and
 ``build`` is the same pass over every row.  A store wraps the arena as it
@@ -37,7 +40,6 @@ once per tree: one ``np.take`` per source arena of the tree's contraction
 from __future__ import annotations
 
 import math
-from itertools import repeat
 from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from dataclasses import dataclass
@@ -49,8 +51,8 @@ from repro.base import DistanceIndex, StageTiming, Timer, UpdateReport
 from repro.exceptions import IndexNotBuiltError
 from repro.graph.graph import Graph
 from repro.graph.updates import UpdateBatch
-from repro.kernels.arena import Arena, build_remap, rows_of
-from repro.kernels.label_store import LABEL_FIELDS, LabelStore, layout_arrays
+from repro.kernels.arena import Arena, rows_of
+from repro.kernels.label_store import LABEL_FIELDS, LabelStore, check_query_arrays, layout_arrays
 from repro.kernels.native import native_kernel
 from repro.registry import IndexSpec, register_spec
 from repro.treedec.slots import NO_ROWS, SlotContraction
@@ -65,38 +67,27 @@ class H2HLabels:
     decomposition, flat in the label store's layout (see the module docs)."""
 
     def __init__(self, tree: TreeDecomposition, arena: Optional[Arena] = None):
-        """``arena`` reattaches saved labels: its rows must be the tree's
-        vertices and its offsets and positions pass the label pass's checks
-        (``ValueError`` otherwise).  Without it the values are zeros until
-        :meth:`build`."""
+        """``arena`` reattaches saved labels (see :meth:`over`): its rows
+        must be the tree's vertices and its offsets, positions and LCA
+        entries pass the checks of a load (``ValueError`` otherwise).
+        Without it the values are zeros until :meth:`build`."""
         self.tree = tree
-        #: Row ``r`` is vertex ``keys[r]``; ``row`` maps back.
-        self.keys: List[int] = sorted(tree.parent)
-        self.row: Dict[int, int] = dict(zip(self.keys, range(len(self.keys))))
-        n, row = len(self.keys), self.row
-        # The tree in row space, what the pass walks: depths, parents (-1
-        # for a root) and a children CSR (children in ascending row order).
-        self.depth = np.fromiter(map(tree.depth.__getitem__, self.keys), np.int64, n)
-        self.parent = np.fromiter(
-            map(row.get, map(tree.parent.__getitem__, self.keys), repeat(-1)), np.int64, n
-        )
-        roots = np.count_nonzero(self.parent < 0)
-        self.child_rows = np.argsort(self.parent, kind="stable")[roots:]
-        self.child_indptr = np.zeros(n + 1, dtype=np.int64)
-        np.cumsum(
-            np.bincount(self.parent[self.child_rows], minlength=n), out=self.child_indptr[1:]
-        )
+        #: Row ``r`` is vertex ``keys[r]``; ``row`` maps back.  The tree in
+        #: row space is what the pass walks: depths, parents (-1 for a root)
+        #: and a children CSR (children in ascending row order).
+        self.keys, self.row, self.remap = tree.keys, tree.row, tree.remap
+        self.depth, self.parent = tree.depth, tree.parent
+        self.child_indptr, self.child_rows = tree.child_indptr, tree.child_rows
         #: ``True`` while a store or a snapshot payload holds :attr:`arena`:
         #: the next write copies the buffer first.
         self._wrapped = arena is not None
         if arena is None:
-            arrays = layout_arrays(tree, self.keys, row)
+            arrays = layout_arrays(tree)
             arrays["dis_data"] = np.zeros(int(arrays["dis_indptr"][-1]), dtype=np.float64)
             arena = Arena.pack(arrays)
         else:
             self._check_saved(arena)
         self.arena = arena
-        self.remap = build_remap(arena["verts"])
         #: The widest row: the default column range is ``[0, width)``.
         self.width = int(self.depth.max()) + 1
         self._bounds = arena["dis_indptr"].tolist()
@@ -118,9 +109,20 @@ class H2HLabels:
         """Compute every distance array: the label pass over all rows."""
         self.update_top_down(self.keys)
 
+    @classmethod
+    def over(
+        cls, contraction, arena: Optional[Arena] = None, allow_forest: bool = False
+    ) -> "H2HLabels":
+        """The labels of ``contraction``'s tree: zeros until :meth:`build`,
+        or saved ones reattached from ``arena``, whose depths, components
+        and LCA entries the tree reads instead of deriving them."""
+        return cls(TreeDecomposition.from_contraction(contraction, allow_forest, arena), arena)
+
     def _check_saved(self, arena: Arena) -> None:
         """Saved labels fit this tree: the store's entries and dtypes, the
-        rows, and the label pass's checks over the offsets and positions."""
+        rows, the label pass's checks over the offsets and positions (the
+        depths a loaded tree reads from them included), each tree's
+        component, and what the C query indexes (:func:`check_query_arrays`)."""
         dtypes = dict.fromkeys(LABEL_FIELDS, "int64")
         dtypes["dis_data"] = "float64"
         if {name: dtype for name, dtype, _, _ in arena.toc} != dtypes:
@@ -134,6 +136,11 @@ class H2HLabels:
             arena["dis_data"], np.zeros(0, dtype=np.int64), NO_ROWS, np.zeros(n, dtype=np.int8),
             np.zeros(3, dtype=np.int64), 0, 0,
         )
+        comp, roots = arena["comp"], self.tree.rows(self.tree.roots)
+        if len(comp) != n or (comp[roots] != np.arange(len(roots))).any() or (
+                comp[self.child_rows] != comp[self.parent[self.child_rows]]).any():
+            raise ValueError("a row's component is not its tree's")
+        check_query_arrays(arena)
 
     def wrap(self) -> Arena:
         """The arena as it stands, for a store; the next write copies it."""
@@ -294,7 +301,7 @@ class H2HLabels:
         ``r``'s neighbour slots are ``pos_indptr[r] .. pos_indptr[r+1] - 2``,
         in the order of its contraction row's slots."""
         contraction, pos_indptr = self.tree.contraction, self.arena["pos_indptr"]
-        crows = contraction.rows_of(self.keys)
+        crows = self.tree.crows
         indptr = contraction.arena["indptr"]
         counts = indptr[crows + 1] - indptr[crows]
         if not np.array_equal(counts, np.diff(pos_indptr) - 1):
@@ -501,9 +508,9 @@ class H2HIndex(DistanceIndex):
         """The flat contraction (arena, graph weights, supporter slots) and
         the label arena.
 
-        The tree decomposition and its LCA oracle are *not* stored: they are
-        derived from the contraction in O(n·h) on load, which is negligible
-        next to the contraction and label-construction work being skipped.
+        The tree decomposition is *not* stored: on load its parents come
+        from the contraction and its depths and LCA entries from the label
+        arena (:meth:`H2HLabels.over`).
         """
         from repro.store.codec import pack_labels
 
@@ -514,11 +521,9 @@ class H2HIndex(DistanceIndex):
         }
 
     def from_state(self, state: Dict[str, object], io) -> None:
-        from repro.store.codec import unpack_labels
-
         self.contraction = SlotContraction.from_state(state["slots"], io)
-        self.tree = TreeDecomposition.from_contraction(self.contraction)
-        self.labels = unpack_labels(state["labels"], io, self.tree)
+        self.labels = H2HLabels.over(self.contraction, Arena.from_state(state["labels"], io))
+        self.tree = self.labels.tree
 
     def _kernel_exports(self):
         return {"labels": self._label_store}
@@ -532,12 +537,12 @@ class H2HIndex(DistanceIndex):
     @property
     def tree_height(self) -> int:
         self._require_built()
-        return self.tree.height
+        return int(self.tree.depth.max()) + 1
 
     @property
     def treewidth(self) -> int:
         self._require_built()
-        return self.tree.treewidth
+        return self.contraction.treewidth_upper_bound
 
 
 class DH2HIndex(H2HIndex):

@@ -19,6 +19,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Set
 
+import numpy as np
+
 from repro.exceptions import PartitioningError
 from repro.treedec.tree import TreeDecomposition
 
@@ -53,7 +55,7 @@ class TDPartitioning:
         snapshots reconstruct a ``TDPartitioning`` from the stored root list.
         """
         result = cls(tree=tree, roots=list(roots))
-        vertex_partition: Dict[int, Optional[int]] = {v: None for v in tree.parent}
+        vertex_partition: Dict[int, Optional[int]] = dict.fromkeys(tree.keys)
         for pid, root in enumerate(result.roots):
             members = sorted(tree.subtree(root))
             result.partition_vertices.append(members)
@@ -135,29 +137,24 @@ def td_partition(
 
     n = tree.num_vertices
     ideal = n / expected_partitions
-    lower = beta_lower * ideal
-    upper = beta_upper * ideal
-    sizes = tree.subtree_sizes()
-    rank = tree.contraction.rank
+    pre, size, _ = tree.intervals
+    indptr = tree.contraction.arena["indptr"]
+    width = indptr[tree.crows + 1] - indptr[tree.crows]
 
     # Root candidates, scanned in decreasing vertex order (Algorithm 2 line 7).
     # A candidate must have a non-empty neighbour set: a subtree with no
     # separator would swallow the whole component and leave no overlay graph.
-    candidates = [
-        v
-        for v in sorted(tree.parent, key=lambda x: -rank[x])
-        if lower <= sizes[v] <= upper and 1 <= len(tree.neighbors(v)) <= bandwidth
-    ]
+    fits = (beta_lower * ideal <= size) & (size <= beta_upper * ideal) & (width >= 1)
+    candidates = np.flatnonzero(fits & (width <= bandwidth))
+    candidates = candidates[np.argsort(-tree.crows[candidates])].tolist()
 
-    # Minimum-overlay selection: keep candidates whose subtrees are disjoint.
+    # Minimum-overlay selection: keep candidates whose subtrees (preorder
+    # intervals) are disjoint.
+    spans = list(zip(pre.tolist(), (pre + size).tolist()))
     roots: List[int] = []
-    for v in candidates:
+    for r in candidates:
         if len(roots) >= expected_partitions:
             break
-        independent = all(
-            not tree.is_ancestor(u, v) and not tree.is_ancestor(v, u) for u in roots
-        )
-        if independent:
-            roots.append(v)
-
-    return TDPartitioning.from_roots(tree, roots)
+        if all(spans[r][1] <= spans[u][0] or spans[u][1] <= spans[r][0] for u in roots):
+            roots.append(r)
+    return TDPartitioning.from_roots(tree, [tree.keys[r] for r in roots])

@@ -83,8 +83,8 @@ class NoBoundaryPSPIndex(DistanceIndex):
         self.order: List[int] = []
         self.family: Optional[PartitionIndexFamily] = None
         self.overlay: Optional[OverlayIndex] = None
-        #: ``(kernel epoch, overlay column of each vertex, {pid: M_p})``.
-        self._lift_memo: Tuple[int, Dict[int, int], Dict[int, np.ndarray]] = (-1, {}, {})
+        #: ``(kernel epoch, {pid: M_p})``.
+        self._lift_memo: Tuple[int, Dict[int, np.ndarray]] = (-1, {})
 
     # ------------------------------------------------------------------
     # Construction (Section III-C, Steps 1-3; one method per step so PMHL
@@ -185,9 +185,10 @@ class NoBoundaryPSPIndex(DistanceIndex):
 
     def _lift_matrix(self, pid: int) -> np.ndarray:
         """``M_p[i, h] = d̃(b_i, h)`` for every overlay ancestor ``h`` of the
-        ``i``-th boundary vertex of partition ``pid``, ``inf`` elsewhere.
+        ``i``-th boundary vertex of partition ``pid``, ``inf`` elsewhere;
+        columns are the overlay tree's rows.
 
-        One row is one overlay ``one_to_many(b_i, ancestors[b_i])`` — through
+        One row is one overlay ``one_to_many(b_i, chain(b_i))`` — through
         the frozen overlay store, so a store reader derives the matrix from
         the adopted generation (and a missing ``overlay`` store raises), or
         through ``overlay.query`` on the pure rung.  Memoised per kernel
@@ -195,21 +196,19 @@ class NoBoundaryPSPIndex(DistanceIndex):
         post-boundary strategy share it.
         """
         epoch = self.kernel_epoch
-        memo = self._lift_memo
-        if memo[0] != epoch:
-            columns = {h: i for i, h in enumerate(self.overlay.tree.ancestors)}
-            memo = self._lift_memo = (epoch, columns, {})
-        _, columns, matrices = memo
+        if self._lift_memo[0] != epoch:
+            self._lift_memo = (epoch, {})
+        matrices = self._lift_memo[1]
         matrix = matrices.get(pid)
         if matrix is None:
             store = self._overlay_store()
             query = self.overlay.query
-            ancestors = self.overlay.tree.ancestors
+            tree = self.overlay.tree
             boundary = self.partitioning.sorted_boundary(pid)
-            matrix = np.full((len(boundary), len(columns)), INF)
+            matrix = np.full((len(boundary), tree.num_vertices), INF)
             for row, b in zip(matrix, boundary):
-                chain = ancestors[b]
-                row[[columns[h] for h in chain]] = (
+                chain = tree.chain(b)
+                row[tree.rows(chain)] = (
                     store.one_to_many(b, chain)
                     if store is not None
                     else [query(b, h) for h in chain]

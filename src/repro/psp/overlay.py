@@ -95,11 +95,13 @@ class OverlayIndex:
 
     def attach(self, contraction: SlotContraction, labels=None) -> None:
         """Install the contraction, its tree and its labels (``labels``
-        reattaches saved ones: an ``Arena``)."""
+        reattaches saved ones: an ``Arena``, which the tree is read from)."""
         self.contraction = contraction
-        self.tree = TreeDecomposition.from_contraction(contraction, allow_forest=True)
         if self.with_labels:
-            self.labels = H2HLabels(self.tree, labels)
+            self.labels = H2HLabels.over(contraction, labels, allow_forest=True)
+            self.tree = self.labels.tree
+        else:
+            self.tree = TreeDecomposition.from_contraction(contraction, allow_forest=True)
 
     def _require_built(self) -> None:
         if not self._built:

@@ -31,7 +31,6 @@ from repro.labeling.h2h import H2HLabels
 from repro.partitioning.base import Partitioning
 from repro.partitioning.ordering import restrict_order
 from repro.treedec.slots import SlotContraction
-from repro.treedec.tree import TreeDecomposition
 
 INF = math.inf
 
@@ -68,7 +67,6 @@ class PartitionIndexFamily:
         #: The build inputs, dropped once the contractions hold the weights.
         self._graphs = graphs
         self.contractions: List[Optional[SlotContraction]] = [None] * count
-        self.trees: List[Optional[TreeDecomposition]] = [None] * count
         self.labels: List[Optional[H2HLabels]] = [None] * count
         self.build_times: List[float] = [0.0] * count
         #: Per partition, ``True`` for each slot joining two boundary
@@ -100,13 +98,11 @@ class PartitionIndexFamily:
         return list(self.build_times)
 
     def attach(self, pid: int, contraction: SlotContraction, labels=None) -> None:
-        """Install partition ``pid``'s contraction, its tree and its labels
-        (``labels`` reattaches saved ones: an ``Arena``)."""
-        tree = TreeDecomposition.from_contraction(contraction, allow_forest=True)
+        """Install partition ``pid``'s contraction and its labels over their
+        tree (``labels`` reattaches saved ones: an ``Arena``)."""
         self.contractions[pid] = contraction
-        self.trees[pid] = tree
         if self.with_labels:
-            self.labels[pid] = H2HLabels(tree, labels)
+            self.labels[pid] = H2HLabels.over(contraction, labels, allow_forest=True)
 
     def _require_built(self) -> None:
         if not self._built:

@@ -15,7 +15,8 @@ invariants:
   loaded index accepts update batches exactly like the original.
 
 Derived structures that are cheap to recompute relative to construction —
-tree decompositions, LCA oracles, partition boundary sets, PMHL's
+tree decompositions (parents from the contraction; depths and LCA entries
+read from the label arena), partition boundary sets, PMHL's
 cross-boundary union, the boundary distance tables of P-TD-P, PMHL and
 PostMHL (one ``distance_matrix`` call per partition over the loaded
 labels) — are rebuilt on load instead of stored; what the
@@ -36,7 +37,6 @@ import numpy as np
 
 from repro.graph.graph import Graph
 from repro.store.arrays import ArrayReader, ArrayWriter
-from repro.treedec.tree import TreeDecomposition
 
 
 # ----------------------------------------------------------------------
@@ -122,19 +122,10 @@ def unpack_graph(state: Dict[str, object], io: ArrayReader) -> Graph:
 # H2H label arrays (dis / pos over a tree decomposition)
 # ----------------------------------------------------------------------
 def pack_labels(labels, io: ArrayWriter) -> Dict[str, object]:
-    """Serialize an ``H2HLabels`` instance: its arena, as written."""
+    """Serialize an ``H2HLabels`` instance: its arena, as written; a load
+    reattaches it with ``H2HLabels.over(contraction, Arena.from_state(...))``
+    (mmap-backed when the payload is, copied on the first update)."""
     return labels.arena.to_state(io)
-
-
-def unpack_labels(state: Dict[str, object], io: ArrayReader, tree: TreeDecomposition):
-    """Map saved labels onto ``tree``: the arena is reattached (mmap-backed
-    when the payload is) and copied on the first update.  Only the rows are
-    checked here; the label pass checks every index it follows before it
-    writes, and the store's build what a query reads."""
-    from repro.kernels.arena import Arena
-    from repro.labeling.h2h import H2HLabels
-
-    return H2HLabels(tree, Arena.from_state(state, io))
 
 
 # ----------------------------------------------------------------------

@@ -1,7 +1,6 @@
-"""Tree decomposition substrate: MDE elimination, flat contractions, tree
-structure, LCA oracle."""
+"""Tree decomposition substrate: MDE elimination, flat contractions, and
+the tree in row space (its LCA entries included)."""
 
-from repro.treedec.lca import LCAOracle
 from repro.treedec.mde import eliminate
 from repro.treedec.slots import (
     FlatContraction,
@@ -18,5 +17,4 @@ __all__ = [
     "UnionContraction",
     "update_slots",
     "TreeDecomposition",
-    "LCAOracle",
 ]

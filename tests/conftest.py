@@ -194,20 +194,40 @@ def check_build_equals_reference(graph, **kwargs):
     return contraction
 
 
+def top_down_order(tree) -> List[int]:
+    """The vertices in the order the dict tree's stack walk visited them —
+    roots in ascending rank, the highest-rank child popped first — the row
+    order of :func:`index_state_digest` (and of the golden digests)."""
+    rank, keys = tree.contraction.rank, tree.keys
+    children = {v: [] for v in keys}
+    for r, p in enumerate(tree.parent.tolist()):
+        if p >= 0:
+            children[keys[p]].append(keys[r])
+    order = []
+    for root in tree.roots:
+        stack = [root]
+        while stack:
+            v = stack.pop()
+            order.append(v)
+            stack.extend(sorted(children[v], key=rank.__getitem__))
+    return order
+
+
 def label_rows(labels) -> Dict[int, List[float]]:
     """A dict copy of ``labels``'s ``dis`` rows, keyed in the tree's
     top-down order: the containers the dict maintenance path ran over."""
-    return {v: labels.dis(v).tolist() for v in labels.tree.top_down_order()}
+    return {v: labels.dis(v).tolist() for v in top_down_order(labels.tree)}
 
 
 def container_row(rows: Dict[int, List[float]], tree, v: int) -> List[float]:
     """``v``'s distance array from the dict ``rows``: the dict-of-list
-    loop the flat label pass replaced, kept as its oracle."""
-    anc, depth = tree.ancestors[v], tree.depth
+    loop the flat label pass replaced, kept as its oracle.  ``X(v).A`` is
+    a parent walk."""
+    anc = tree.chain(v)
     neighbors, shortcuts = tree.neighbors(v), tree.contraction.upward(v)
     new = [float("inf")] * len(anc)
     for x in neighbors:
-        px = depth[x]
+        px = int(tree.depth[tree.row[x]])
         for j in range(len(anc) - 1):
             d = rows[x][j] if j < px else rows[anc[j]][px]
             if shortcuts[x] + d < new[j]:
@@ -227,7 +247,7 @@ def container_label_pass(labels, rows, affected, allowed=None, columns=None):
         seeds &= allowed
     lo, hi = columns if columns is not None else (0, labels.width)
     changed = set()
-    for root in tree.branch_roots(sorted(seeds)):
+    for root in tree.branch_groups(seeds):
         stack = [(root, False)]
         while stack:
             v, ancestor_changed = stack.pop()
@@ -237,8 +257,10 @@ def container_label_pass(labels, rows, affected, allowed=None, columns=None):
                 if rows[v] != old:
                     changed.add(v)
                     ancestor_changed = True
+            r = tree.row[v]
+            children = tree.child_rows[tree.child_indptr[r] : tree.child_indptr[r + 1]]
             stack.extend(
-                (child, ancestor_changed) for child in tree.children[v]
+                (tree.keys[child], ancestor_changed) for child in children.tolist()
                 if allowed is None or child in allowed
             )
     return changed
@@ -393,7 +415,7 @@ def index_state_digest(index, pairs) -> str:
     for path, obj in maintenance_structures(index):
         digest.update(path.encode())
         if isinstance(obj, H2HLabels):
-            for v in obj.tree.top_down_order():
+            for v in top_down_order(obj.tree):
                 feed("q", [v])
                 feed("d", obj.dis(v).tolist())
                 feed("q", obj.pos(v).tolist())

@@ -62,11 +62,12 @@ class TestH2HConstruction:
         index.build()
         labels = index.labels
         tree = index.tree
-        for v in tree.top_down_order():
-            assert len(labels.dis(v)) == tree.depth[v] + 1
+        for v in tree.keys:
+            assert len(labels.dis(v)) == tree.depth[tree.row[v]] + 1
             assert labels.dis(v)[-1] == 0.0
-            # Distance entries are true shortest distances to ancestors.
-            for j, ancestor in enumerate(tree.ancestors[v]):
+            # Distance entries are true shortest distances to ancestors,
+            # read through a parent walk.
+            for j, ancestor in enumerate(tree.chain(v)):
                 assert labels.dis(v)[j] == pytest.approx(
                     dijkstra_distance(graph, v, ancestor)
                 )

@@ -21,6 +21,8 @@ from __future__ import annotations
 
 import json
 import os
+import subprocess
+import sys
 
 import numpy
 import pytest
@@ -35,6 +37,7 @@ from repro.exceptions import (
 )
 from repro.graph.generators import grid_road_network
 from repro.graph.updates import generate_update_batch
+from repro.kernels.label_store import MASK
 from repro.registry import create_index, get_spec
 from repro.serving.engine import ServingEngine
 from repro.store import (
@@ -543,6 +546,117 @@ class TestCorruptionAndSkew:
         assert loaded.expected_partitions == 3
         pairs = _query_pairs(index.graph)[:15]
         assert index.query_many(pairs) == loaded.query_many(pairs)
+
+
+#: A child process that loads a snapshot (``index``) or a store generation
+#: (``stores``) and answers every pair of the grid: exit 0 with ``refused``
+#: when the load raises ``SnapshotFormatError``, 3 when the queries answered.
+#: A crash in C ends it by a signal, which fails the test instead of pytest.
+_LOAD_AND_QUERY = """
+import sys
+from repro.exceptions import SnapshotFormatError
+from repro.graph.generators import grid_road_network
+from repro.store import load_index, load_stores
+kind, path, key, side = sys.argv[1], sys.argv[2], sys.argv[3], int(sys.argv[4])
+pairs = [(s, t) for s in range(side * side) for t in range(side * side)]
+try:
+    if kind == "index":
+        answers = load_index(path).query_many(pairs)
+    else:
+        _, stores = load_stores(path, grid_road_network(side, side, seed=5))
+        answers = stores[key].query_pairs(pairs)
+except SnapshotFormatError as exc:
+    print("refused:", exc)
+    sys.exit(0)
+print("answered", sum(answers))
+sys.exit(3)
+"""
+
+
+def _corrupt_first(arrays):
+    arrays["first"][5] = 10**11
+
+
+def _corrupt_logs(arrays):
+    arrays["logs"][2:] += 40
+
+
+def _corrupt_tbl_off(arrays):
+    arrays["tbl_off"][1:] += 10**9
+
+
+def _corrupt_tbl_flat(arrays):
+    """Every level-1 entry names row ``MASK``, far past the last row."""
+    arrays["tbl_flat"][arrays["tbl_off"][1] : arrays["tbl_off"][2]] |= MASK
+
+
+def _corrupt_pos_data(arrays):
+    arrays["pos_data"][-2] = 10**9
+
+
+def _corrupt_dis_indptr(arrays):
+    arrays["dis_indptr"][3:] += 10**9
+
+
+#: One corruption per entry the C query indexes without bounds checks;
+#: every one of them is read by some pair of the grid.
+QUERY_CORRUPTIONS = {
+    "first": _corrupt_first,
+    "logs": _corrupt_logs,
+    "tbl_off": _corrupt_tbl_off,
+    "tbl_flat": _corrupt_tbl_flat,
+    "pos_data": _corrupt_pos_data,
+    "dis_indptr": _corrupt_dis_indptr,
+}
+
+
+def _corrupt_label_arena(path, arena_state, corrupt):
+    """Rewrite the payload member holding the label arena ``arena_state``
+    (a ``{"arena", "toc"}`` entry of the state) with ``corrupt`` applied to
+    its entries."""
+    with open(os.path.join(path, "manifest.json")) as handle:
+        payload = os.path.join(path, json.load(handle)["payload"])
+    with numpy.load(payload) as archive:
+        members = {name: archive[name] for name in archive.files}
+    member = arena_state["arena"]["__array__"]
+    buffer = members[member].view(numpy.uint8).copy()
+    arrays = {
+        name: buffer[offset : offset + 8 * count].view(dtype)
+        for name, dtype, offset, count in arena_state["toc"]
+    }
+    corrupt(arrays)
+    members[member] = buffer
+    numpy.savez(payload, **members)
+
+
+class TestCorruptedLabelArena:
+    """A label arena with a corrupted LCA entry (``first``, ``logs``,
+    ``tbl_off``, ``tbl_flat``), position or offset is refused on load — as
+    an index's labels and as a kernel store of a store generation — before
+    the C query reads it.  Each case loads and queries in a child process."""
+
+    @pytest.mark.parametrize("entry", sorted(QUERY_CORRUPTIONS))
+    @pytest.mark.parametrize("method, key", [("DH2H", "labels"), ("PMHL", "cross_labels")])
+    @pytest.mark.parametrize("kind", ["index", pytest.param("stores", marks=NEEDS_NATIVE)])
+    def test_refused_on_load(self, kind, method, key, entry, tmp_path):
+        index = create_index(NINE_SPECS[method], _base_graph())
+        index.build()
+        path = str(tmp_path / "snap")
+        if kind == "index":
+            save_index(index, path)
+        else:
+            save_stores(index, path, epoch=0)
+        with open(os.path.join(path, "state.json")) as handle:
+            state = json.load(handle)
+        arena_state = state["index"][key] if kind == "index" else state["kernels"][key]
+        _corrupt_label_arena(path, arena_state, QUERY_CORRUPTIONS[entry])
+        child = subprocess.run(
+            [sys.executable, "-c", _LOAD_AND_QUERY, kind, path, key, str(GRID_SIDE)],
+            capture_output=True, text=True, timeout=120,
+            env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)},
+        )
+        assert child.returncode == 0, (child.returncode, child.stdout, child.stderr)
+        assert child.stdout.startswith("refused:"), child.stdout
 
 
 class TestFingerprint:

@@ -1,4 +1,5 @@
-"""Unit tests for the tree decomposition substrate (MDE, tree, LCA)."""
+"""Unit tests for the tree decomposition substrate (MDE, the row-space tree
+and its LCA entries, flat contractions)."""
 
 import random
 import re
@@ -13,8 +14,12 @@ from repro.exceptions import GraphError
 from repro.graph.generators import grid_road_network, random_connected_graph
 from repro.graph.graph import Graph
 from repro.graph.updates import EdgeUpdate, UpdateBatch, generate_update_batch
+from repro.kernels.label_store import SHIFT, layout_arrays
 from repro.kernels.native import native_kernel
+from repro.labeling.h2h import H2HLabels
+from repro.partitioning.td_partition import TDPartitioning, td_partition
 from repro.registry import create_index, get_spec
+from repro.store import load_index, save_index
 from repro.treedec import slots as slots_module
 from repro.treedec.mde import eliminate
 from repro.treedec.slots import SlotContraction, _eliminate_slots_pure, eliminate_slots
@@ -24,6 +29,7 @@ from tests.conftest import (
     NEEDS_NATIVE,
     check_build_equals_reference,
     float_bits,
+    maintenance_structures,
     paper_example_graph,
     reference_weights,
 )
@@ -260,69 +266,298 @@ class TestShortcutMaintenance:
         assert contraction.work.tolist() == [0, 0, 0]
 
 
+def reference_tree(contraction):
+    """The dict tree the row-space tree replaced, kept as its oracle: each
+    vertex's parent is its minimum-rank neighbour, children and roots in
+    ascending rank, and the Euler tour an explicit depth-first walk."""
+    rank, neighbors = contraction.rank, contraction.neighbors
+    parent, children, roots = {}, {v: [] for v in contraction.order}, []
+    for v in contraction.order:
+        if neighbors[v]:
+            parent[v] = min(neighbors[v], key=rank.__getitem__)
+            children[parent[v]].append(v)
+        else:
+            parent[v] = None
+            roots.append(v)
+    depth, comp, tour, first = {}, {}, [], {}
+    for c, root in enumerate(roots):
+        depth[root], comp[root], first[root] = 0, c, len(tour)
+        tour.append(root)
+        stack = [(root, iter(children[root]))]
+        while stack:
+            v, pending = stack[-1]
+            child = next(pending, None)
+            if child is None:
+                stack.pop()
+                if stack:
+                    tour.append(stack[-1][0])
+                continue
+            depth[child], comp[child], first[child] = depth[v] + 1, c, len(tour)
+            tour.append(child)
+            stack.append((child, iter(children[child])))
+    return {"parent": parent, "children": children, "roots": roots, "depth": depth,
+            "comp": comp, "tour": tour, "first": first}
+
+
+def reference_chain(ref, v):
+    """``X(v).A`` of the reference tree, root first."""
+    chain = [v]
+    while ref["parent"][chain[-1]] is not None:
+        chain.append(ref["parent"][chain[-1]])
+    return chain[::-1]
+
+
+def reference_layout(contraction, ref):
+    """The label arena's topology entries, from the reference tree with
+    Python lists: the sparse table keeps the left entry on a depth tie."""
+    verts = sorted(contraction.order)
+    row = {v: r for r, v in enumerate(verts)}
+    depth, tour = ref["depth"], ref["tour"]
+    logs = [0] * (len(tour) + 1)
+    for i in range(2, len(tour) + 1):
+        logs[i] = logs[i // 2] + 1
+    levels, span = [list(range(len(tour)))], 1
+    while 2 * span <= len(tour):
+        below = levels[-1]
+        levels.append([
+            a if depth[tour[a]] <= depth[tour[b]] else b
+            for a, b in zip(below, below[span:])
+        ])
+        span *= 2
+    pos = [[depth[x] for x in contraction.neighbors[v]] + [depth[v]] for v in verts]
+    return {
+        "verts": verts,
+        "comp": [ref["comp"][v] for v in verts],
+        "first": [ref["first"][v] for v in verts],
+        "logs": logs,
+        "tbl_flat": [depth[tour[e]] << SHIFT | row[tour[e]] for level in levels for e in level],
+        "tbl_off": list(np.cumsum([0] + [len(level) for level in levels])),
+        "pos_indptr": list(np.cumsum([0] + [len(p) for p in pos])),
+        "pos_data": [c for p in pos for c in p],
+        "dis_indptr": list(np.cumsum([0] + [depth[v] + 1 for v in verts])),
+    }
+
+
+def reference_td_partition(ref, contraction, bandwidth, expected, beta_lower=0.1, beta_upper=2.0):
+    """Algorithm 2 over the reference tree: candidates by size and boundary
+    width in descending rank, kept while their subtrees are disjoint."""
+    sizes = {v: 1 for v in contraction.order}
+    for v in contraction.order:  # ascending rank: children first
+        if ref["parent"][v] is not None:
+            sizes[ref["parent"][v]] += sizes[v]
+    ideal = len(contraction.order) / expected
+    candidates = [
+        v for v in reversed(contraction.order)
+        if beta_lower * ideal <= sizes[v] <= beta_upper * ideal
+        and 1 <= len(contraction.neighbors[v]) <= bandwidth
+    ]
+    roots = []
+    for v in candidates:
+        if len(roots) >= expected:
+            break
+        if all(u not in reference_chain(ref, v) and v not in reference_chain(ref, u) for u in roots):
+            roots.append(v)
+    return roots
+
+
+def reference_subtree(ref, v):
+    """``v``'s subtree in preorder, children in ascending rank."""
+    out, stack = [], [v]
+    while stack:
+        x = stack.pop()
+        out.append(x)
+        stack.extend(reversed(ref["children"][x]))
+    return out
+
+
+def check_tree_against_reference(contraction, tree, rng, pairs=60):
+    """Every layout array, ``lca``, ``is_ancestor``, ``chain``, ``subtree``,
+    ``branch_groups`` and ``TDPartitioning.from_roots`` of ``tree`` equal the
+    reference tree's."""
+    ref = reference_tree(contraction)
+    layout = layout_arrays(tree)
+    for name, expected in reference_layout(contraction, ref).items():
+        assert layout[name].dtype == np.int64, name
+        assert layout[name].tolist() == [int(x) for x in expected], name
+    verts = sorted(contraction.order)
+    assert tree.keys == verts
+    assert tree.roots == ref["roots"]
+    assert tree.parent.tolist() == [
+        -1 if ref["parent"][v] is None else tree.row[ref["parent"][v]] for v in verts
+    ]
+    for _ in range(pairs):
+        u, v = rng.choice(verts), rng.choice(verts)
+        chain_u, chain_v = reference_chain(ref, u), reference_chain(ref, v)
+        assert tree.chain(u) == chain_u
+        assert tree.is_ancestor(u, v) == (u in chain_v)
+        assert tree.same_component(u, v) == (ref["comp"][u] == ref["comp"][v])
+        if ref["comp"][u] == ref["comp"][v]:
+            assert tree.lca(u, v) == [a for a, b in zip(chain_u, chain_v) if a == b][-1]
+        else:
+            with pytest.raises(GraphError):
+                tree.lca(u, v)
+        assert tree.subtree(u) == reference_subtree(ref, u)
+    preorder = sorted(verts, key=ref["first"].__getitem__)
+    chosen = set(rng.sample(verts, min(len(verts), rng.randrange(1, 12))))
+    roots = [v for v in preorder if v in chosen
+             and not any(a in chosen for a in reference_chain(ref, v)[:-1])]
+    expected_groups = {
+        root: [v for v in preorder if v in chosen and root in reference_chain(ref, v)]
+        for root in roots
+    }
+    assert list(tree.branch_groups(chosen).items()) == list(expected_groups.items())
+    picked = [v for v in roots if contraction.neighbors[v]]
+    td = TDPartitioning.from_roots(tree, picked)
+    assert td.partition_vertices == [sorted(reference_subtree(ref, v)) for v in picked]
+    assert td.boundary == [sorted(contraction.neighbors[v]) for v in picked]
+    members = {x for v in picked for x in reference_subtree(ref, v)}
+    assert td.overlay_vertices == set(verts) - members
+    return ref
+
+
+def _scattered_graph(n, extra, pieces, isolated, seed):
+    """A random connected graph plus ``pieces`` more components and
+    ``isolated`` lone vertices, with scattered, unsorted ids."""
+    rng = random.Random(seed)
+    graph = random_connected_graph(n, extra, seed=seed)
+    offset = n
+    for piece in range(pieces):
+        size = rng.randrange(1, 8)
+        for u, v, w in random_connected_graph(size, rng.randrange(6), seed=seed + piece).edges():
+            graph.add_edge(u + offset, v + offset, w)
+        graph.add_vertex(offset)
+        offset += size
+    for k in range(isolated):
+        graph.add_vertex(offset + k)
+    return _relabelled(graph, seed)
+
+
 class TestTreeDecomposition:
+    """The row-space tree against the dict reference, and the loaded tree
+    (depths and LCA entries read from a saved label arena) against the
+    derived one."""
+
+    @given(
+        st.integers(min_value=1, max_value=40), st.integers(min_value=0, max_value=60),
+        st.integers(min_value=0, max_value=3), st.integers(min_value=0, max_value=3),
+        st.booleans(), st.integers(0, 10_000),
+    )
+    @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    def test_random_graphs(self, n, extra, pieces, isolated, tiered, seed):
+        """Connected and disconnected graphs, isolated vertices, scattered
+        ids, with and without tiers."""
+        rng = random.Random(seed)
+        graph = _scattered_graph(n, extra, pieces, isolated, seed)
+        tiers = {v: rng.randrange(3) for v in graph.vertices()} if tiered else None
+        contraction = SlotContraction.build(graph, tiers=tiers)
+        tree = TreeDecomposition.from_contraction(contraction, allow_forest=True)
+        check_tree_against_reference(contraction, tree, rng)
+        roots = td_partition(tree, bandwidth=6, expected_partitions=3)
+        ref = reference_tree(contraction)
+        assert roots.roots == reference_td_partition(ref, contraction, 6, 3)
+
+    @pytest.mark.parametrize("method, params", [
+        ("DH2H", {}), ("MHL", {}),
+        ("P-TD-P", {"num_partitions": 4, "seed": 0}),
+        ("N-CH-P", {"num_partitions": 4, "seed": 0}),
+        ("PMHL", {"num_partitions": 4, "seed": 0}),
+        ("PostMHL", {"bandwidth": 8, "expected_partitions": 3}),
+    ])
+    def test_every_tree_of_every_method(self, method, params, tmp_path):
+        """Every tree a build derives, and every tree a load reads from the
+        saved labels, equals the reference on a 12² grid; PostMHL's
+        TD-partitioning too."""
+        index = create_index(get_spec(method, **params), grid_road_network(12, 12, seed=5))
+        index.build()
+        save_index(index, str(tmp_path / "snap"))
+        loaded = load_index(str(tmp_path / "snap"))
+        rng = random.Random(1)
+        trees = 0
+        for source in (index, loaded):
+            for path, labels in maintenance_structures(source):
+                if isinstance(labels, H2HLabels):
+                    check_tree_against_reference(labels.tree.contraction, labels.tree, rng, 20)
+                    trees += 1
+            if method in ("N-CH-P", "P-TD-P", "PMHL"):
+                overlay = source.overlay.tree
+                check_tree_against_reference(overlay.contraction, overlay, rng, 20)
+        assert trees >= {"N-CH-P": 0, "P-TD-P": 10, "PMHL": 20}.get(method, 2)
+        if method == "PostMHL":
+            ref = reference_tree(index.contraction)
+            assert index.td.roots == reference_td_partition(ref, index.contraction, 8, 3)
+
+    def test_disconnected_graph_rejected(self):
+        graph = Graph()
+        graph.add_edge(0, 1, 1.0)
+        graph.add_edge(2, 3, 1.0)
+        with pytest.raises(GraphError):
+            TreeDecomposition.from_contraction(SlotContraction.build(graph))
+
     def test_tree_structure_invariants(self):
         graph = grid_road_network(6, 6, seed=5)
         result = SlotContraction.build(graph)
         tree = TreeDecomposition.from_contraction(result)
 
-        assert tree.root == result.order[-1]
-        assert tree.parent[tree.root] is None
+        assert tree.root == result.order[-1] and tree.roots == [tree.root]
+        assert tree.parent[tree.row[tree.root]] == -1
         for v in result.order:
             if v == tree.root:
                 continue
-            parent = tree.parent[v]
+            parent = tree.keys[tree.parent[tree.row[v]]]
             assert result.rank[parent] > result.rank[v]
             assert parent == min(result.neighbors[v], key=lambda u: result.rank[u])
-            assert tree.depth[v] == tree.depth[parent] + 1
-            assert tree.ancestors[v][-1] == v
-            assert tree.ancestors[v][0] == tree.root
+            assert tree.depth[tree.row[v]] == tree.depth[tree.row[parent]] + 1
+            chain = tree.chain(v)  # a parent walk
+            assert chain[-1] == v and chain[0] == tree.root and chain[-2] == parent
 
     def test_neighbors_are_proper_ancestors(self):
         """X(v).N must lie on the root-to-v path (the separator property)."""
         graph = grid_road_network(6, 6, seed=6)
         tree = TreeDecomposition.from_contraction(SlotContraction.build(graph))
-        for v in tree.top_down_order():
-            ancestor_set = set(tree.ancestors[v][:-1])
+        for v in tree.keys:
+            chain = tree.chain(v)
+            assert len(chain) == tree.depth[tree.row[v]] + 1
             for u in tree.neighbors(v):
-                assert u in ancestor_set
+                assert u in chain[:-1]
 
     def test_orders_are_consistent(self):
+        """The subtree walk is a preorder (every parent before its
+        children), and the children CSR names each row's children."""
         graph = grid_road_network(5, 5, seed=7)
         tree = TreeDecomposition.from_contraction(SlotContraction.build(graph))
         seen = set()
-        for v in tree.top_down_order():
-            parent = tree.parent[v]
-            if parent is not None:
-                assert parent in seen
+        for v in tree.subtree(tree.root):
+            r = tree.parent[tree.row[v]]
+            if r >= 0:
+                assert tree.keys[r] in seen
             seen.add(v)
-        seen = set()
-        for v in tree.bottom_up_order():
-            for child in tree.children[v]:
-                assert child in seen
-            seen.add(v)
+        assert seen == set(tree.keys)
+        for r in range(tree.num_vertices):
+            children = tree.child_rows[tree.child_indptr[r] : tree.child_indptr[r + 1]]
+            assert (tree.parent[children] == r).all()
+            assert list(children) == sorted(children)
+        assert tree.child_indptr[-1] == tree.num_vertices - 1
 
     def test_subtree_and_sizes(self):
         graph = grid_road_network(5, 5, seed=8)
         tree = TreeDecomposition.from_contraction(SlotContraction.build(graph))
-        sizes = tree.subtree_sizes()
-        assert sizes[tree.root] == graph.num_vertices
-        for v in tree.top_down_order():
-            assert sizes[v] == len(list(tree.subtree(v)))
+        assert tree.intervals[1][tree.row[tree.root]] == graph.num_vertices
+        for v in tree.keys:
+            members = tree.subtree(v)
+            assert tree.intervals[1][tree.row[v]] == len(members) == len(set(members))
+            assert all(v in tree.chain(x) for x in members)
 
     def test_lca_matches_naive(self):
         graph = grid_road_network(6, 6, seed=9)
         tree = TreeDecomposition.from_contraction(SlotContraction.build(graph))
 
         def naive_lca(u, v):
-            ancestors_u = tree.ancestors[u]
-            ancestors_v = set(tree.ancestors[v])
+            ancestors_u = tree.chain(u)  # parent walks
+            ancestors_v = set(tree.chain(v))
             for x in reversed(ancestors_u):
                 if x in ancestors_v:
                     return x
             raise AssertionError("no common ancestor")
-
-        import random
 
         rng = random.Random(0)
         vertices = sorted(graph.vertices())
@@ -333,24 +568,23 @@ class TestTreeDecomposition:
     def test_branch_roots(self):
         graph = grid_road_network(6, 6, seed=10)
         tree = TreeDecomposition.from_contraction(SlotContraction.build(graph))
-        leaves = [v for v in tree.top_down_order() if not tree.children[v]]
+        leaves = [v for v in tree.keys if tree.intervals[1][tree.row[v]] == 1]
         chosen = leaves[:3] + [tree.root]
-        roots = tree.branch_roots(chosen)
-        assert roots == [tree.root]
-
-    def test_disconnected_graph_rejected(self):
-        graph = Graph()
-        graph.add_edge(0, 1, 1.0)
-        graph.add_edge(2, 3, 1.0)
-        with pytest.raises(GraphError):
-            TreeDecomposition.from_contraction(SlotContraction.build(graph))
+        groups = tree.branch_groups(chosen)
+        assert list(groups) == [tree.root]
+        assert sorted(groups[tree.root]) == sorted(chosen)
+        assert tree.branch_groups(leaves[:3]) == {leaf: [leaf] for leaf in sorted(
+            leaves[:3], key=lambda v: tree.intervals[0][tree.row[v]])}
 
     def test_is_ancestor(self):
         graph = grid_road_network(4, 4, seed=11)
         tree = TreeDecomposition.from_contraction(SlotContraction.build(graph))
-        for v in tree.top_down_order():
-            for ancestor in tree.ancestors[v]:
+        for v in tree.keys:
+            chain = tree.chain(v)  # a parent walk
+            for ancestor in chain:
                 assert tree.is_ancestor(ancestor, v)
+            for other in tree.keys:
+                assert tree.is_ancestor(other, v) == (other in chain)
             assert tree.is_ancestor(v, v)
 
 
@@ -462,17 +696,7 @@ class TestEliminationEntry:
         components, ``isolated`` lone vertices) with scattered ids, under the
         heuristic, random tiers or a random explicit order."""
         rng = random.Random(seed)
-        graph = random_connected_graph(n, extra, seed=seed)
-        offset = n
-        for piece in range(pieces):
-            size = rng.randrange(1, 8)
-            for u, v, w in random_connected_graph(size, rng.randrange(6), seed=seed + piece).edges():
-                graph.add_edge(u + offset, v + offset, w)
-            graph.add_vertex(offset)
-            offset += size
-        for k in range(isolated):
-            graph.add_vertex(offset + k)
-        graph = _relabelled(graph, seed)
+        graph = _scattered_graph(n, extra, pieces, isolated, seed)
         vertices = sorted(graph.vertices())
         options = {}
         if mode == "tiers":
