@@ -10,18 +10,25 @@ indexes into that single tree:
   outside every partition subtree),
 * **post-boundary index** — for in-partition vertices, the distance-array
   entries to in-partition ancestors plus a boundary array ``X(v).disB`` with
-  the global distances to the partition boundary ``B_i = X(root_i).N``,
+  the global distances to the partition boundary ``B_i = X(root_i).N`` (one
+  ``float64`` matrix per partition: a row per member, in ascending label-row
+  order, and a column per boundary vertex),
 * **cross-boundary index** — the distance-array entries of in-partition
   vertices to their overlay ancestors.
 
 Because the cross-boundary part equals a plain H2H index over the MDE order,
 PostMHL's fastest query stage matches DH2H query efficiency, while maintenance
 parallelises over partitions (U-Stages 2, 4, 5) as in the paper's Figure 9.
+
+U-Stage 4 is numpy over ``disB`` one tree level at a time, then the label
+pass over the partition's rows from the root's depth on, reading overlay
+neighbours from the boundary columns ``disB`` is scattered into (which only
+U-Stage 5, recomputing them, reads next).
 """
 
 from __future__ import annotations
 
-import math
+import bisect
 import time
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
@@ -41,8 +48,6 @@ from repro.partitioning.td_partition import TDPartitioning, td_partition
 from repro.registry import IndexSpec, register_spec
 from repro.treedec.slots import SlotContraction
 from repro.treedec.tree import TreeDecomposition
-
-INF = math.inf
 
 
 class PostMHLIndex(DistanceIndex):
@@ -80,11 +85,12 @@ class PostMHLIndex(DistanceIndex):
         self.tree: Optional[TreeDecomposition] = None
         self.td: Optional[TDPartitioning] = None
         self.labels: Optional[H2HLabels] = None
-        #: ``disB[v][j]`` — global distance from in-partition vertex ``v`` to
-        #: the ``j``-th boundary vertex of its partition.
-        self.disB: Dict[int, List[float]] = {}
-        #: Per-partition boundary vertex index (vertex -> position in ``B_i``).
-        self.boundary_position: List[Dict[int, int]] = []
+        #: ``disB[pid][i, j]`` — global distance from the ``i``-th vertex of
+        #: ``td.partition_vertices[pid]`` to the ``j``-th of ``td.boundary[pid]``.
+        self.disB: List[np.ndarray] = []
+        #: Per partition, the column of ``disB`` of the boundary vertex at
+        #: each depth above the partition root (``-1``: none there).
+        self.boundary_column: List[np.ndarray] = []
         #: Per-partition all-pair boundary distance tables ``D``, rows and
         #: columns in ``td.boundary[pid]`` order.
         self.boundary_distances: List[np.ndarray] = []
@@ -134,15 +140,35 @@ class PostMHLIndex(DistanceIndex):
         self.build_breakdown = breakdown
 
     def _build_boundary_arrays(self) -> None:
-        """Materialise ``disB`` and the per-partition boundary distance tables."""
-        self.disB = {}
-        self.boundary_position = []
+        """``disB`` gathered from the label arena (row ``v``, column
+        ``depth(b)``) and the per-partition boundary distance tables."""
+        self._index_boundaries()
         self.boundary_distances = self._boundary_tables()
-        for pid, boundary in enumerate(self.td.boundary):
-            self.boundary_position.append({b: j for j, b in enumerate(boundary)})
-            columns = self.tree.depth[self.tree.rows(boundary)]
-            for v in self.td.partition_vertices[pid]:
-                self.disB[v] = self.labels.dis(v)[columns].tolist()
+        arena, tree = self.labels.arena, self.tree
+        self.disB = [
+            arena["dis_data"][
+                arena["dis_indptr"][tree.rows(members)][:, None] + self._boundary_depths(pid)
+            ]
+            for pid, members in enumerate(self.td.partition_vertices)
+        ]
+
+    def _boundary_depths(self, pid: int) -> np.ndarray:
+        """The depth of each boundary vertex of ``pid``: its label column."""
+        return self.tree.depth[self.tree.rows(self.td.boundary[pid])]
+
+    def _index_boundaries(self) -> None:
+        """:attr:`boundary_column` from the boundaries' depths (distinct:
+        a boundary lies on the root's ancestor chain)."""
+        self.boundary_column = []
+        for pid, root in enumerate(self.td.roots):
+            column = np.full(int(self.tree.depth[self.tree.row[root]]), -1, dtype=np.int64)
+            depths = self._boundary_depths(pid)
+            column[depths] = np.arange(len(depths))
+            self.boundary_column.append(column)
+
+    def _disB_row(self, pid: int, v: int) -> np.ndarray:
+        """``X(v).disB``: ``v``'s row of its partition's matrix."""
+        return self.disB[pid][bisect.bisect_left(self.td.partition_vertices[pid], v)]
 
     def _require_built(self) -> None:
         if self.labels is None:
@@ -153,9 +179,9 @@ class PostMHLIndex(DistanceIndex):
     #
     # The amalgamated label store is only frozen for the *fastest* stage
     # (released after U-Stage 5, when every ``dis`` entry is final); the
-    # post-boundary stage keeps the pure path because mid-batch its overlay
-    # label reads would otherwise share a store with stale in-partition
-    # entries.
+    # post-boundary stage memoises none because mid-batch its overlay label
+    # reads would otherwise share a store with stale in-partition entries
+    # (each query's are one ``pair_distances`` call, a transient store).
     # ------------------------------------------------------------------
     def _label_store(self):
         self._require_built()
@@ -216,54 +242,38 @@ class PostMHLIndex(DistanceIndex):
     def _same_partition_post_query(self, pid: int, source: int, target: int) -> float:
         """Same-partition query over the LCA separator using post-boundary
         data only.  ``X(lca).pos`` is the column (depth) of each vertex of
-        ``X(lca).N``, in slot order, then the LCA's own."""
-        tree = self.tree
-        lca = tree.lca(source, target)
-        columns = self.labels.pos(lca).tolist()
-        overlay = self.td.overlay_vertices
-        position = self.boundary_position[pid]
-        dis_s, dis_t = self.labels.dis(source).tolist(), self.labels.dis(target).tolist()
-        best = dis_s[columns[-1]] + dis_t[columns[-1]]
-        for x, column in zip(tree.neighbors(lca), columns):
-            if x in overlay:
-                j = position[x]
-                candidate = self.disB[source][j] + self.disB[target][j]
-            else:
-                candidate = dis_s[column] + dis_t[column]
-            if candidate < best:
-                best = candidate
-        return best
+        ``X(lca).N``, then the LCA's own: a column above the partition root
+        is an overlay neighbour's, read from ``disB``."""
+        columns = self.labels.pos(self.tree.lca(source, target))
+        column = self.boundary_column[pid]
+        above = columns < len(column)
+        j, inside = column[columns[above]], columns[~above]
+        dis_s, dis_t = self.labels.dis(source), self.labels.dis(target)
+        via_boundary = self._disB_row(pid, source)[j] + self._disB_row(pid, target)[j]
+        return float(min((dis_s[inside] + dis_t[inside]).min(), via_boundary.min(initial=np.inf)))
 
     def _overlay_to_partition_query(self, overlay_vertex: int, pid: int, inner: int) -> float:
-        """Query between an overlay vertex and an in-partition vertex."""
-        best = INF
-        for j, b in enumerate(self.td.boundary[pid]):
-            candidate = self.labels.query(overlay_vertex, b) + self.disB[inner][j]
-            if candidate < best:
-                best = candidate
-        return best
+        """Query between an overlay vertex and an in-partition vertex: one
+        label call over the boundary."""
+        k = len(self.td.boundary[pid])
+        to_boundary = self.labels.pair_distances(
+            [overlay_vertex, *self.td.boundary[pid]], np.zeros(k, np.int64), np.arange(1, k + 1)
+        )
+        return float((to_boundary + self._disB_row(pid, inner)).min())
 
     def _cross_partition_post_query(
         self, pid_s: int, source: int, pid_t: int, target: int
     ) -> float:
-        """Cross-partition query concatenating boundary arrays through the overlay."""
-        best = INF
-        boundary_s = self.td.boundary[pid_s]
-        boundary_t = self.td.boundary[pid_t]
-        dis_b_s = self.disB[source]
-        dis_b_t = self.disB[target]
-        for i, bp in enumerate(boundary_s):
-            d_s = dis_b_s[i]
-            if d_s == INF:
-                continue
-            for j, bq in enumerate(boundary_t):
-                d_t = dis_b_t[j]
-                if d_t == INF:
-                    continue
-                candidate = d_s + self.labels.query(bp, bq) + d_t
-                if candidate < best:
-                    best = candidate
-        return best
+        """Cross-partition query concatenating boundary arrays through the
+        overlay: one label call over ``B_s × B_t``."""
+        boundary_s, boundary_t = self.td.boundary[pid_s], self.td.boundary[pid_t]
+        shape = (len(boundary_s), len(boundary_t))
+        first, second = np.indices(shape).reshape(2, -1)
+        between = self.labels.pair_distances(
+            boundary_s + boundary_t, first, shape[0] + second
+        ).reshape(shape)
+        dis_b_s, dis_b_t = self._disB_row(pid_s, source), self._disB_row(pid_t, target)
+        return float(((dis_b_s[:, None] + between) + dis_b_t[None, :]).min())
 
     # ------------------------------------------------------------------
     # Maintenance (U-Stages 1-5, Section VI-C)
@@ -368,70 +378,46 @@ class PostMHLIndex(DistanceIndex):
         return [self.labels.distance_matrix(boundary) for boundary in self.td.boundary]
 
     def _update_post_boundary_partition(self, pid: int) -> None:
-        """Recompute the boundary arrays and in-partition label entries of one partition.
+        """Recompute the boundary arrays and in-partition label entries of one
+        partition (Algorithm 4).
 
-        Mirrors Algorithm 4: a top-down pass over the partition subtree where
-        overlay neighbours are resolved through the boundary distance table /
-        boundary arrays instead of through (possibly stale) cross-boundary
-        label entries.  Rows are read as lists and their in-partition columns
-        ``[root_depth, depth]`` written back as each vertex finishes.  The
-        walk is a preorder, so the in-partition part of ``X(v).A`` is carried
-        down it: ``path[j - root_depth]`` is ``v``'s ancestor at depth ``j``.
-        """
-        tree = self.tree
-        td = self.td
-        boundary = td.boundary[pid]
-        position = self.boundary_position[pid]
-        distances = self.boundary_distances[pid].tolist()
-        overlay = td.overlay_vertices
-        root = td.roots[pid]
-        labels = self.labels
-        depth, row_of = tree.depth.tolist(), tree.row
-        root_depth = depth[row_of[root]]
-        upward = self.contraction.upward
-        rows: Dict[int, List[float]] = {}
-        path: List[int] = []
-
-        for v in tree.subtree(root):
-            neighbors = tree.neighbors(v)
-            columns = [depth[row_of[x]] for x in neighbors]
-            depth_v = depth[row_of[v]]
-            del path[depth_v - root_depth :]
-            path.append(v)
-            sc = upward(v)
-            # Boundary array X(v).disB.
-            new_disB = []
-            for j in range(len(boundary)):
-                best = INF
-                for x in neighbors:
-                    if x in overlay:
-                        d = distances[position[x]][j]
-                    else:
-                        d = self.disB[x][j]
-                    candidate = sc[x] + d
-                    if candidate < best:
-                        best = candidate
-                new_disB.append(best)
-            self.disB[v] = new_disB
-
-            # In-partition distance-array entries (depth >= root_depth).
-            dis_v = rows[v] = labels.dis(v).tolist()
-            for j in range(root_depth, depth_v):
-                ancestor = path[j - root_depth]
-                best = INF
-                for x, px in zip(neighbors, columns):
-                    if x in overlay:
-                        d = self.disB[ancestor][position[x]]
-                    elif px > j:
-                        d = rows[x][j]
-                    else:
-                        d = rows[ancestor][px]
-                    candidate = sc[x] + d
-                    if candidate < best:
-                        best = candidate
-                dis_v[j] = best
-            dis_v[depth_v] = 0.0
-            labels.write(v, root_depth, dis_v[root_depth:])
+        A row's neighbours are its proper ancestors, so ``disB`` goes one
+        tree level at a time over the stack ``[D; disB]`` (an overlay
+        neighbour is a boundary vertex: its row of ``D``): one gather, one
+        add of the shortcuts, one ``np.minimum.reduceat``.  The label pass
+        then recomputes columns ``[root_depth, depth]``, reading an overlay
+        neighbour's entry from the boundary columns ``disB`` fills."""
+        tree, labels, arena = self.tree, self.labels, self.contraction.arena
+        rows = tree.rows(self.td.partition_vertices[pid])
+        distances = self.boundary_distances[pid]
+        k, column = len(distances), self.boundary_column[pid]
+        root_depth = len(column)
+        # The rows level by level, and their slots in that order.
+        levels = tree.depth[rows]
+        order = np.argsort(levels, kind="stable")
+        crows = tree.crows[rows[order]]
+        first, counts = arena["indptr"][crows], np.diff(arena["indptr"])[crows]
+        starts = np.cumsum(counts) - counts
+        slots = np.repeat(first - starts, counts) + np.arange(int(counts.sum()))
+        # Each slot's shortcut and source row in ``[D; disB]``.
+        neighbors = tree.rows(arena["ids"][arena["indices"][slots]])
+        depth = tree.depth[neighbors]
+        source = np.where(
+            depth < root_depth, column[np.minimum(depth, root_depth - 1)],
+            k + np.searchsorted(rows, neighbors),
+        )
+        shortcut = arena["weights"][slots, None]
+        stacked = np.concatenate([distances, np.empty((len(rows), k))])
+        bounds = np.flatnonzero(np.diff(levels[order], prepend=-1)).tolist() + [len(rows)]
+        ends = np.append(starts, len(slots))
+        for a, b in zip(bounds, bounds[1:]):
+            lo, hi = starts[a], ends[b]
+            stacked[k + order[a:b]] = np.minimum.reduceat(
+                shortcut[lo:hi] + stacked[source[lo:hi]], starts[a:b] - lo, axis=0
+            )
+        self.disB[pid] = stacked[k:]
+        labels.scatter(rows, self._boundary_depths(pid), self.disB[pid])
+        labels.update_top_down(tree.verts[rows], columns=(root_depth, labels.width))
 
     def _update_cross_boundary_partition(self, pid: int) -> None:
         """Recompute the overlay-ancestor label entries of one partition: the
@@ -446,7 +432,7 @@ class PostMHLIndex(DistanceIndex):
     # ------------------------------------------------------------------
     def index_size(self) -> int:
         self._require_built()
-        boundary_entries = sum(len(values) for values in self.disB.values())
+        boundary_entries = sum(matrix.size for matrix in self.disB)
         return (
             self.labels.label_entry_count()
             + self.contraction.shortcut_count()
@@ -461,24 +447,18 @@ class PostMHLIndex(DistanceIndex):
 
         Only the TD-partitioning's root list is stored: the subtree members,
         boundaries and overlay set are fully determined by the roots and the
-        tree, which :meth:`TDPartitioning.from_roots` rebuilds on load.
+        tree, which :meth:`TDPartitioning.from_roots` rebuilds on load, and
+        they give each ``disB`` matrix its shape.  The matrices are one
+        array, row-major in partition order.
         """
         from repro.store import codec
 
         self._require_built()
-        disB_verts = list(self.disB)
-        disB_indptr = [0]
-        disB_data: List[float] = []
-        for v in disB_verts:
-            disB_data.extend(self.disB[v])
-            disB_indptr.append(len(disB_data))
         return {
             "slots": self.contraction.to_state(io),
             "labels": codec.pack_labels(self.labels, io),
             "td_roots": io.put_ints(self.td.roots),
-            "disB_verts": io.put_ints(disB_verts),
-            "disB_indptr": io.put_ints(disB_indptr),
-            "disB_data": io.put_floats(disB_data),
+            "disB": io.put_floats(np.concatenate([np.zeros(0), *(m.ravel() for m in self.disB)])),
             "build_breakdown": dict(self.build_breakdown),
         }
 
@@ -488,15 +468,15 @@ class PostMHLIndex(DistanceIndex):
         self.labels = H2HLabels.over(self.contraction, Arena.from_state(state["labels"], io))
         self.tree = self.labels.tree
         self.td = TDPartitioning.from_roots(self.tree, io.get_list(state["td_roots"]))
-        self.boundary_position = [
-            {b: j for j, b in enumerate(boundary)} for boundary in self.td.boundary
+        self._index_boundaries()
+        data = np.asarray(io.get_array(state["disB"]), dtype=np.float64)
+        shapes = [(len(m), len(b)) for m, b in zip(self.td.partition_vertices, self.td.boundary)]
+        bounds = np.cumsum([0] + [rows * columns for rows, columns in shapes]).tolist()
+        if len(data) != bounds[-1]:
+            raise ValueError("the boundary arrays do not fit the partitions")
+        self.disB = [
+            data[lo:hi].reshape(shape) for lo, hi, shape in zip(bounds, bounds[1:], shapes)
         ]
-        verts = io.get_list(state["disB_verts"])
-        indptr = io.get_list(state["disB_indptr"])
-        data = io.get_list(state["disB_data"])
-        self.disB = {
-            v: data[indptr[i] : indptr[i + 1]] for i, v in enumerate(verts)
-        }
         self.boundary_distances = self._boundary_tables()
         self.build_breakdown = dict(state.get("build_breakdown", {}))
 

@@ -154,11 +154,11 @@ class H2HLabels:
             self._wrapped = False
         return self.arena["dis_data"]
 
-    def write(self, v: int, lo: int, values: Sequence[float]) -> None:
-        """Store ``values`` as ``v``'s columns from ``lo`` on (a row pass
-        outside :meth:`update_top_down`: PostMHL's U-Stage 4)."""
-        start = self._bounds[self.row[v]] + lo
-        self._writable()[start : start + len(values)] = values
+    def scatter(self, rows: np.ndarray, columns: np.ndarray, values: np.ndarray) -> None:
+        """Store ``values[i, j]`` as row ``rows[i]``'s column ``columns[j]``
+        (PostMHL's U-Stage 4 fills its partition rows' boundary columns so)."""
+        dis_data = self._writable()
+        dis_data[self.arena["dis_indptr"][rows][:, None] + columns] = values
 
     def dis(self, v: int) -> np.ndarray:
         """``X(v).dis``: a view of ``v``'s row (read it; writes go through
@@ -207,28 +207,35 @@ class H2HLabels:
                 results.append(float((dis_s[hubs] + self.dis(target)[hubs]).min()))
         return results
 
-    def distance_matrix(self, vertices: Sequence[int]) -> np.ndarray:
-        """The symmetric ``k x k`` distances among ``vertices`` (distinct),
-        zero on the diagonal, over the arena as it stands.  The upper
-        triangle is one C ``query_pairs`` call when the kernel is loaded (a
-        transient store, so nothing is wrapped), else :meth:`query` per
-        pair; bit-identical either way."""
-        k = len(vertices)
-        matrix = np.zeros((k, k), dtype=np.float64)
-        upper = np.triu_indices(k, 1)
-        if k < 2:
-            return matrix
+    def pair_distances(
+        self, vertices: Sequence[int], first: np.ndarray, second: np.ndarray
+    ) -> np.ndarray:
+        """``query(vertices[i], vertices[j])`` for each ``(i, j)`` of
+        ``zip(first, second)``, over the arena as it stands: one C
+        ``query_pairs`` call when the kernel is loaded (a transient store,
+        so nothing is wrapped), else :meth:`query` per pair; bit-identical
+        either way."""
         kernel = native_kernel()
         if kernel is None:
             verts = list(vertices)
-            values = [
-                self.query(verts[i], verts[j]) for i, j in zip(*(a.tolist() for a in upper))
-            ]
-        else:
-            rows = rows_of(self.row, self.remap, vertices)
-            values = np.empty(len(upper[0]), dtype=np.float64)
-            store = LabelStore(self.arena, rows=(self.row, self.remap))
-            kernel.query_pairs(store.capsule, rows[upper[0]], rows[upper[1]], values)
+            pairs = zip(first.tolist(), second.tolist())
+            return np.array([self.query(verts[i], verts[j]) for i, j in pairs], dtype=np.float64)
+        rows = rows_of(self.row, self.remap, vertices)
+        values = np.empty(len(first), dtype=np.float64)
+        store = LabelStore(self.arena, rows=(self.row, self.remap))
+        kernel.query_pairs(store.capsule, rows[first], rows[second], values)
+        return values
+
+    def distance_matrix(self, vertices: Sequence[int]) -> np.ndarray:
+        """The symmetric ``k x k`` distances among ``vertices`` (distinct),
+        zero on the diagonal: the upper triangle is one
+        :meth:`pair_distances` call."""
+        k = len(vertices)
+        matrix = np.zeros((k, k), dtype=np.float64)
+        if k < 2:
+            return matrix
+        upper = np.triu_indices(k, 1)
+        values = self.pair_distances(vertices, *upper)
         matrix[upper] = values
         matrix[upper[::-1]] = values
         return matrix

@@ -21,7 +21,13 @@ cross-boundary union, the boundary distance tables of P-TD-P, PMHL and
 PostMHL (one ``distance_matrix`` call per partition over the loaded
 labels) — are rebuilt on load instead of stored; what the
 paper's methods pay minutes for (the contraction passes and label arrays)
-is what goes into the payload.  A contraction is stored as its
+is what goes into the payload.  PostMHL's boundary arrays ``disB`` are
+stored (one ``float64`` array, the per-partition matrices row-major in
+partition order, shaped on load by the partitioning) although a build
+gathers them from the label columns: U-Stage 4 recomputes them through
+the boundary tables, 2-hop queries whose sums may differ in the last bit
+from the label entry, so after a batch they are not derivable from the
+labels.  A contraction is stored as its
 :meth:`~repro.treedec.slots.SlotContraction.to_state` (the arena, ``base``
 and the supporter CSR) under the key ``slots``, and H2H labels as their
 arena (:func:`pack_labels`): the label store's entries, flattened LCA tables

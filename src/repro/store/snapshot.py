@@ -56,7 +56,9 @@ FORMAT = "repro-index-snapshot"
 STORES_FORMAT = "repro-store-generation"
 #: 2: the graph payload is a neighbour-order CSR, and the boundary
 #: distance tables of P-TD-P, PMHL and PostMHL are rebuilt on load.
-SCHEMA_VERSION = 2
+#: 3: PostMHL's boundary arrays are one ``float64`` array (``disB``), its
+#: per-partition matrices row-major in partition order.
+SCHEMA_VERSION = 3
 
 _MANIFEST = "manifest.json"
 _STATE = "state.json"
