@@ -27,7 +27,7 @@ def main() -> None:
     print(f"network: {graph.num_vertices} vertices, {graph.num_edges} edges")
 
     index = PostMHLIndex(graph, bandwidth=12, expected_partitions=6)
-    engine = ServingEngine(index, response_qos=0.2, snapshot_limit=32)
+    engine = ServingEngine(index, response_qos=0.2)
     print(f"PostMHL built in {index.build_seconds:.2f}s; engine ready at epoch 0")
 
     pairs = list(sample_query_pairs(graph, 80, seed=3))

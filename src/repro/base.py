@@ -46,6 +46,7 @@ from __future__ import annotations
 
 import abc
 import time
+from contextlib import nullcontext
 from dataclasses import dataclass, field
 from typing import Callable, Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple
 
@@ -140,6 +141,9 @@ class DistanceIndex(abc.ABC):
     #: — cheaper than a distance-cache probe, so the serving engine routes
     #: batches through it uncached.  Search-based final stages keep ``False``.
     final_stage_is_label_lookup: bool = False
+    #: ``True`` on an index with no maintenance (CH, H2H): ``apply_batch``
+    #: refuses every batch before anything is written.
+    static: bool = False
 
     def __init__(self, graph: Graph):
         self.graph = graph
@@ -301,21 +305,31 @@ class DistanceIndex(abc.ABC):
     def apply_batch(self, batch: UpdateBatch) -> UpdateReport:
         """Apply a batch of edge-weight updates to the graph and the index.
 
-        Template method: the per-method maintenance logic lives in
-        :meth:`_apply_batch`; this wrapper owns the cross-cutting concerns —
-        the ``<method>.apply_batch`` tracing span that every per-stage span
-        nests under (see ``repro.obs``), and the report's label-pass and
+        Template method.  A static index, or one not built yet, raises
+        before anything is written.  Then U-Stage 1, the same for every
+        index: the frozen stores are dropped (no query may read a pre-update
+        store), the graph takes the batch (:meth:`_refresh_edges`) and the
+        ``edge_update`` stage is emitted, which releases BiDijkstra.  The
+        per-method maintenance from U-Stage 2 on lives in
+        :meth:`_apply_batch`.  The wrapper also owns the
+        ``<method>.apply_batch`` tracing span that every per-stage span nests
+        under (see ``repro.obs``), and the report's label-pass and
         shortcut-pass work counters.
         """
+        if self.static:
+            raise NotImplementedError(f"{type(self).__name__} is static: it has no maintenance")
+        self._require_built()
         before = self._label_work()
         before_slots = self._shortcut_work()
-        if not obs.is_enabled():
-            report = self._apply_batch(batch)
-        else:
-            with obs.span(
-                self.name.lower() + ".apply_batch", index=self.name, updates=len(batch)
-            ):
-                report = self._apply_batch(batch)
+        report = UpdateReport()
+        with obs.span(
+            self.name.lower() + ".apply_batch", index=self.name, updates=len(batch)
+        ) if obs.is_enabled() else nullcontext():
+            self.invalidate_kernels()
+            with Timer() as timer:
+                self._refresh_edges(batch)
+            self._emit_stage(report, StageTiming("edge_update", timer.seconds))
+            self._apply_batch(batch, report)
         (
             report.vertices_visited, report.columns_recomputed, report.columns_changed
         ) = (self._label_work() - before).tolist()
@@ -342,9 +356,10 @@ class DistanceIndex(abc.ABC):
         :meth:`_contractions`."""
         return sum((c.work for c in self._contractions()), np.zeros(3, np.int64))
 
-    @abc.abstractmethod
-    def _apply_batch(self, batch: UpdateBatch) -> UpdateReport:
-        """Concrete maintenance logic of :meth:`apply_batch`."""
+    def _apply_batch(self, batch: UpdateBatch, report: UpdateReport) -> None:
+        """Maintenance after U-Stage 1: update the index's structures and
+        emit each finished stage into ``report``.  An index-free method has
+        nothing past the edge refresh."""
 
     @abc.abstractmethod
     def index_size(self) -> int:
@@ -413,8 +428,8 @@ class DistanceIndex(abc.ABC):
 
         Called by :meth:`build` and at the *start* of every ``apply_batch``
         (before any structure is mutated), so no query can ever read a store
-        frozen from pre-update state.  The serving engine additionally calls
-        this when it opens a new epoch, keying freezes to its epoch counter.
+        frozen from pre-update state.  The serving engine runs that entry
+        under its write lock, so freezes are keyed to its epochs too.
 
         The graph snapshot is left alone: it is keyed to ``graph.version``
         instead (:meth:`_graph_snapshot`), and the edge refresh
@@ -579,6 +594,11 @@ class DistanceIndex(abc.ABC):
     @property
     def is_built(self) -> bool:
         return self._built
+
+    def _require_built(self):
+        """Raise :class:`~repro.exceptions.IndexNotBuiltError` before a
+        build (an index's override may return its root structure).  An
+        index-free method has nothing to require."""
 
     def _check_endpoints(self, source: int, target: int) -> None:
         """Raise :class:`~repro.exceptions.VertexNotFoundError` unless both

@@ -25,9 +25,8 @@ from dataclasses import dataclass
 from typing import List, Sequence
 
 from repro.algorithms.dijkstra import dijkstra_one_to_many
-from repro.base import DistanceIndex, StageTiming, Timer, UpdateReport
+from repro.base import DistanceIndex
 from repro.graph.graph import Graph
-from repro.graph.updates import UpdateBatch
 from repro.registry import IndexSpec, register_spec
 
 INF = math.inf
@@ -56,17 +55,6 @@ class BiDijkstraIndex(DistanceIndex):
         if snapshot is not None:
             return snapshot.one_to_many(source, targets)
         return dijkstra_one_to_many(self.graph, source, targets)
-
-    def _apply_batch(self, batch: UpdateBatch) -> UpdateReport:
-        report = UpdateReport()
-        # The CSR snapshot is keyed to graph.version and patched by the edge
-        # refresh; the epoch bump keeps the kernel protocol uniform across
-        # indexes.
-        self.invalidate_kernels()
-        with Timer() as timer:
-            self._refresh_edges(batch)
-        self._emit_stage(report, StageTiming("edge_update", timer.seconds))
-        return report
 
     def index_size(self) -> int:
         return 0

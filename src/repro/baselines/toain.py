@@ -283,7 +283,7 @@ class TOAINIndex(DistanceIndex):
         return sub_core
 
     # ------------------------------------------------------------------
-    def _apply_batch(self, batch: UpdateBatch) -> UpdateReport:
+    def _apply_batch(self, batch: UpdateBatch, report: UpdateReport) -> None:
         """Refresh shortcuts (DCH-style) and rebuild all materialised labels.
 
         TOAIN was designed for static edge weights; following the paper, its
@@ -291,22 +291,13 @@ class TOAINIndex(DistanceIndex):
         materialised check-in labels on every batch, which is what makes its
         update cost high on large networks.
         """
-        contraction = self._require_built()
-        report = UpdateReport()
-        self.invalidate_kernels()
-
         with Timer() as timer:
-            self._refresh_edges(batch)
-        self._emit_stage(report, StageTiming("edge_update", timer.seconds))
-
-        with Timer() as timer:
-            contraction.update(batch)
+            self.contraction.update(batch)
         self._emit_stage(report, StageTiming("shortcut_update", timer.seconds))
 
         with Timer() as timer:
             self.core_labels = self._core_labels()
         self._emit_stage(report, StageTiming("label_rebuild", timer.seconds))
-        return report
 
     # ------------------------------------------------------------------
     def index_size(self) -> int:

@@ -36,6 +36,8 @@ from repro.cluster.worker import worker_main
 
 #: Default seconds a worker may stay silent before it is declared hung.
 DEFAULT_WORKER_TIMEOUT = 60.0
+#: Seconds a (re)spawned reader may take to load the snapshot and report ready.
+SPAWN_TIMEOUT = 120.0
 
 
 def _pick_context(name: Optional[str] = None):
@@ -74,14 +76,12 @@ class Dispatcher:
         snapshot_path: str,
         num_workers: int,
         worker_timeout: float = DEFAULT_WORKER_TIMEOUT,
-        spawn_timeout: float = 120.0,
         start_method: Optional[str] = None,
     ) -> None:
         if num_workers < 1:
             raise ClusterError(f"num_workers must be >= 1, got {num_workers}")
         self.num_workers = num_workers
         self.worker_timeout = worker_timeout
-        self.spawn_timeout = spawn_timeout
         #: The base snapshot every reader loads.
         self.snapshot_path = snapshot_path
         #: ``(epoch, path)`` of the newest store generation, which a
@@ -158,7 +158,7 @@ class Dispatcher:
         """Readiness check: the ping only returns once the reader loaded the
         base snapshot and adopted the newest generation, so it must report
         that generation's epoch."""
-        reply = self._request(handle, "ping", None, timeout=self.spawn_timeout)
+        reply = self._request(handle, "ping", None, timeout=SPAWN_TIMEOUT)
         if reply["epoch"] != self.generation[0]:
             raise ClusterError(
                 f"worker {handle.worker_id} started at epoch {reply['epoch']}, "

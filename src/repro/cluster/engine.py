@@ -81,9 +81,6 @@ class ClusterEngine(EngineCore):
         Seconds a reader may stay silent before the in-flight call fails
         with :class:`~repro.exceptions.ClusterWorkerError` and the reader is
         respawned into the newest store generation.
-    snapshot_limit:
-        Per-epoch graph snapshots retained for :meth:`graph_at`
-        (correctness oracles); ``0`` disables.
     start_method:
         Multiprocessing start method override (default: fork where
         available).
@@ -99,7 +96,6 @@ class ClusterEngine(EngineCore):
         admission=None,
         publish_dir: Optional[str] = None,
         worker_timeout: float = DEFAULT_WORKER_TIMEOUT,
-        snapshot_limit: int = 16,
         start_method: Optional[str] = None,
     ) -> None:
         if native_kernel() is None:
@@ -135,7 +131,7 @@ class ClusterEngine(EngineCore):
         #: commit, a stats pull.
         self._dispatch = threading.Lock()
         self._published: List[str] = []
-        super().__init__(response_qos, admission, snapshot_limit)
+        super().__init__(response_qos, admission)
 
     @classmethod
     def from_index(cls, index, workdir: str, **engine_kwargs) -> "ClusterEngine":
@@ -264,7 +260,7 @@ class ClusterEngine(EngineCore):
                         f"adopt barrier broke: expected every reader at epoch "
                         f"{epoch}, got {sorted(epochs)}"
                     )
-                self._commit_epoch(epoch)
+                self._commit_epoch(epoch, batch)
         except Exception as exc:
             # The maintainer carries the batch and cannot take it back, so no
             # later epoch can be committed truthfully: the cluster stops

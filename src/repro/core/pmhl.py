@@ -183,18 +183,8 @@ class PMHLIndex(PostBoundaryPSPIndex):
     # PMHL's order, each emitted as its own stage so the query stage it
     # completes is released before the next phase starts.
     # ------------------------------------------------------------------
-    def _apply_batch(self, batch: UpdateBatch) -> UpdateReport:
-        self._require_built()
-        report = UpdateReport()
-        # Before any structure mutates: stage queries released mid-batch
-        # refreeze from the new epoch's structures, never a pre-update store.
-        self.invalidate_kernels()
-
-        # U-Stage 1: on-spot edge update.
-        with Timer() as timer:
-            self._refresh_edges(batch)
-        self._emit_stage(report, StageTiming("edge_update", timer.seconds))
-
+    def _apply_batch(self, batch: UpdateBatch, report: UpdateReport) -> None:
+        # U-Stage 1, the on-spot edge update, is the base class's.
         per_partition, inter_updates = self._split_batch(batch)
 
         # U-Stage 2: no-boundary shortcut update (partitions in parallel, then overlay).
@@ -234,8 +224,6 @@ class PMHLIndex(PostBoundaryPSPIndex):
         self._emit_stage(report,
             StageTiming("cross_boundary_update", timer.seconds, parallel_times=per_root_times)
         )
-
-        return report
 
     # ------------------------------------------------------------------
     # Introspection and throughput metadata

@@ -278,28 +278,20 @@ class PostMHLIndex(DistanceIndex):
     # ------------------------------------------------------------------
     # Maintenance (U-Stages 1-5, Section VI-C)
     # ------------------------------------------------------------------
-    def _apply_batch(self, batch: UpdateBatch) -> UpdateReport:
-        self._require_built()
-        report = UpdateReport()
+    def _apply_batch(self, batch: UpdateBatch, report: UpdateReport) -> None:
         td = self.td
-        # Before any structure mutates (kernel staleness protocol).
-        self.invalidate_kernels()
-
-        # U-Stage 1: on-spot edge update, of the graph and of the
-        # contraction's graph weights.
+        # U-Stage 1, the on-spot edge update, is the base class's.
+        # U-Stage 2: shortcut array update (partitions in parallel, then
+        # overlay).  The batch's weights go into the contraction's graph
+        # weights first.  Each pass starts from the owner rows of its own
+        # partition, confined to that partition's rows, and the rows it would
+        # have dirtied outside them seed the overlay pass.
         contraction = self.contraction
-        with Timer() as timer:
-            self._refresh_edges(batch)
+        with Timer() as patch:
             updates = list(batch)
             rows = contraction.patch(
                 [u.u for u in updates], [u.v for u in updates], [u.new_weight for u in updates]
             )
-        self._emit_stage(report, StageTiming("edge_update", timer.seconds))
-
-        # U-Stage 2: shortcut array update (partitions in parallel, then
-        # overlay).  Each pass starts from the owner rows of its own
-        # partition, confined to that partition's rows, and the rows it would
-        # have dirtied outside them seed the overlay pass.
         owners = self._row_partitions()[rows]
         escaped = np.zeros(contraction.num_vertices, dtype=np.int8)
         partition_times: List[float] = []
@@ -312,7 +304,9 @@ class PostMHLIndex(DistanceIndex):
             partition_times.append(time.perf_counter() - start)
         self._emit_stage(report,
             StageTiming(
-                "partition_shortcut_update", sum(partition_times), parallel_times=partition_times
+                "partition_shortcut_update",
+                patch.seconds + sum(partition_times),
+                parallel_times=partition_times,
             )
         )
 
@@ -369,8 +363,6 @@ class PostMHLIndex(DistanceIndex):
         self._emit_stage(report,
             StageTiming("cross_boundary_update", sum(cross_times), parallel_times=cross_times)
         )
-
-        return report
 
     def _boundary_tables(self) -> List[np.ndarray]:
         """Every partition's boundary distance matrix from the overlay labels

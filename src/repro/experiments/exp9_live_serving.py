@@ -71,7 +71,6 @@ def live_serving_rows(
             index,
             response_qos=config.response_qos,
             cache_capacity=cache_capacity,
-            snapshot_limit=0,
         )
         with engine:
             report = run_mixed_workload(

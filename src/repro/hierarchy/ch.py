@@ -114,6 +114,7 @@ class CHIndex(DistanceIndex):
     """
 
     name = "CH"
+    static = True
 
     def __init__(
         self,
@@ -157,11 +158,6 @@ class CHIndex(DistanceIndex):
     def _reference_query(self, source: int, target: int) -> float:
         return ch_bidirectional_query(source, target, self.upward_neighbors)
 
-    def _apply_batch(self, batch: UpdateBatch) -> UpdateReport:
-        raise NotImplementedError(
-            "CHIndex is static; use DCHIndex for dynamic maintenance"
-        )
-
     def index_size(self) -> int:
         return self._require_built().shortcut_count()
 
@@ -199,19 +195,12 @@ class DCHIndex(CHIndex):
 
     name = "DCH"
 
-    def _apply_batch(self, batch: UpdateBatch) -> UpdateReport:
-        contraction = self._require_built()
-        report = UpdateReport()
-        self.invalidate_kernels()
+    static = False
 
+    def _apply_batch(self, batch: UpdateBatch, report: UpdateReport) -> None:
         with Timer() as timer:
-            self._refresh_edges(batch)
-        self._emit_stage(report, StageTiming("edge_update", timer.seconds))
-
-        with Timer() as timer:
-            contraction.update(batch)
+            self.contraction.update(batch)
         self._emit_stage(report, StageTiming("shortcut_update", timer.seconds))
-        return report
 
 
 @register_spec

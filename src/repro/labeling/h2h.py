@@ -454,6 +454,7 @@ class H2HIndex(DistanceIndex):
 
     name = "H2H"
     final_stage_is_label_lookup = True
+    static = True
 
     def __init__(
         self,
@@ -500,9 +501,6 @@ class H2HIndex(DistanceIndex):
     def _reference_one_to_many(self, source: int, targets: List[int]) -> List[float]:
         """The source label is fetched once."""
         return self.labels.query_one_to_many(source, targets)
-
-    def _apply_batch(self, batch: UpdateBatch) -> UpdateReport:
-        raise NotImplementedError("H2HIndex is static; use DH2HIndex for dynamic maintenance")
 
     def index_size(self) -> int:
         labels = self._require_built()
@@ -568,25 +566,19 @@ class DH2HIndex(H2HIndex):
 
     name = "DH2H"
 
-    def _apply_batch(self, batch: UpdateBatch) -> UpdateReport:
-        labels = self._require_built()
-        report = UpdateReport()
-        # Before any structure mutates: no query may read a pre-update store.
-        self.invalidate_kernels()
+    static = False
 
-        with Timer() as timer:
-            self._refresh_edges(batch)
-        self._emit_stage(report, StageTiming("edge_update", timer.seconds))
-
+    def _apply_batch(self, batch: UpdateBatch, report: UpdateReport) -> None:
         with Timer() as timer:
             changed = self.contraction.update(batch)
         self._emit_stage(report, StageTiming("shortcut_update", timer.seconds))
 
         with Timer() as timer:
-            self.last_changed_labels = labels.update_top_down(self.contraction.vertices(changed))
+            self.last_changed_labels = self.labels.update_top_down(
+                self.contraction.vertices(changed)
+            )
         self._emit_stage(report, StageTiming("label_update", timer.seconds))
         self.last_changed_slots = changed
-        return report
 
 
 @register_spec

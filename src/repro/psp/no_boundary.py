@@ -313,16 +313,7 @@ class NoBoundaryPSPIndex(DistanceIndex):
     # query stage between them; the planar strategies here run them back to
     # back and report per-partition work as one ``partition_update`` stage.
     # ------------------------------------------------------------------
-    def _apply_batch(self, batch: UpdateBatch) -> UpdateReport:
-        self._require_built()
-        report = UpdateReport()
-        # Before any structure mutates (kernel staleness protocol).
-        self.invalidate_kernels()
-
-        with Timer() as timer:
-            self._refresh_edges(batch)
-        self._emit_stage(report, StageTiming("edge_update", timer.seconds))
-
+    def _apply_batch(self, batch: UpdateBatch, report: UpdateReport) -> None:
         per_partition, inter_updates = self._split_batch(batch)
         shortcut_times, changed, boundary_changes = self._update_partition_shortcuts(
             per_partition
@@ -338,8 +329,6 @@ class NoBoundaryPSPIndex(DistanceIndex):
         with Timer() as timer:
             self.overlay.apply_updates(inter_updates, boundary_changes)
         self._emit_stage(report, StageTiming("overlay_update", timer.seconds))
-
-        return report
 
     def _split_batch(self, batch: UpdateBatch) -> Tuple[Dict[int, List], List]:
         """Group a batch into per-partition updates and inter-partition ones."""

@@ -101,13 +101,12 @@ class PostBoundaryPSPIndex(NoBoundaryPSPIndex):
     # ------------------------------------------------------------------
     # Maintenance
     # ------------------------------------------------------------------
-    def _apply_batch(self, batch: UpdateBatch) -> UpdateReport:
-        report = super()._apply_batch(batch)
+    def _apply_batch(self, batch: UpdateBatch, report: UpdateReport) -> None:
+        super()._apply_batch(batch, report)
         post_times = self._update_extended_partitions(self._split_batch(batch)[0])
         self._emit_stage(report,
             StageTiming("post_boundary_update", sum(post_times), parallel_times=post_times)
         )
-        return report
 
     def _update_extended_partitions(self, per_partition: Dict[int, List]) -> List[float]:
         """Refresh the extended partitions whose boundary distances or edges

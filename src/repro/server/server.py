@@ -89,6 +89,10 @@ from repro.server.protocol import (
     needs_drain,
 )
 
+#: Most threads the server runs blocking backend calls on (capped by
+#: ``max_inflight``).
+EXECUTOR_THREADS = 8
+
 #: One reply frame before encoding: ``(op, seq, payload)``.
 _Reply = Tuple[int, int, object]
 #: One gathered query frame: its connection, ``seq`` and pairs.
@@ -139,9 +143,6 @@ class QueryServer:
         pipelining client cannot monopolise the executor.
     max_frame_bytes:
         Frame size cap, both directions.
-    executor_threads:
-        Thread-pool size for blocking backend calls (default:
-        ``min(8, max_inflight)``).
     write_timeout:
         Seconds a response write may stall on a non-reading client before
         the connection is dropped (the response slot is freed either way).
@@ -155,7 +156,6 @@ class QueryServer:
         max_inflight: int = 64,
         max_inflight_per_connection: int = 16,
         max_frame_bytes: int = DEFAULT_MAX_FRAME_BYTES,
-        executor_threads: Optional[int] = None,
         write_timeout: float = 15.0,
     ) -> None:
         if max_inflight < 1:
@@ -172,7 +172,6 @@ class QueryServer:
         self.max_inflight_per_connection = max_inflight_per_connection
         self.max_frame_bytes = max_frame_bytes
         self.write_timeout = write_timeout
-        self._executor_threads = executor_threads or min(8, max_inflight)
 
         self._server: Optional[asyncio.base_events.Server] = None
         self._executor: Optional[ThreadPoolExecutor] = None
@@ -223,7 +222,8 @@ class QueryServer:
             return self
         self._draining = False
         self._executor = ThreadPoolExecutor(
-            max_workers=self._executor_threads, thread_name_prefix="repro-server"
+            max_workers=min(EXECUTOR_THREADS, self.max_inflight),
+            thread_name_prefix="repro-server",
         )
         self._server = await asyncio.start_server(
             self._on_connection, self.host, self.port

@@ -18,11 +18,11 @@ from __future__ import annotations
 import queue
 import threading
 import time
-from collections import Counter, OrderedDict
+from collections import Counter, deque
 from collections.abc import Sequence
 from dataclasses import dataclass
-from itertools import repeat
-from typing import Dict, Iterable, List, Mapping, Optional, TypeVar
+from itertools import islice, repeat
+from typing import Dict, Iterable, List, Mapping, Optional, Tuple, TypeVar
 
 from repro import obs
 from repro.base import DistanceIndex, QueryPair, UpdateReport
@@ -33,7 +33,7 @@ from repro.exceptions import (
     VertexNotFoundError,
 )
 from repro.graph.graph import Graph
-from repro.graph.updates import UpdateBatch
+from repro.graph.updates import EdgeUpdate, UpdateBatch
 from repro.obs.metrics import MetricRegistry
 from repro.serving.admission import AdmissionController, AlwaysAdmit
 from repro.serving.metrics import ServingMetrics
@@ -46,6 +46,9 @@ CACHE_STAGE = "cache"
 #: :attr:`BatchResult.stage` of a batch that mixes cache hits with computed
 #: answers.
 MIXED_STAGE = "mixed"
+#: Committed batches an engine retains for :meth:`EngineCore.graph_at`: the
+#: graphs of the current epoch and of this many before it can be rebuilt.
+EPOCH_RETENTION = 32
 
 
 @dataclass(frozen=True)
@@ -146,7 +149,8 @@ class EngineCore:
     """Lifecycle, admission, epochs and maintenance shared by every backend.
 
     A backend sets up whatever :attr:`graph` and its obs gauges read *before*
-    calling this constructor (epoch 0 is snapshotted here); the three
+    calling this constructor (the graph of epoch 0 is copied here, once: the
+    base :meth:`graph_at` replays committed batches onto); the two
     arguments are documented on the backends' own constructors.
     """
 
@@ -158,7 +162,6 @@ class EngineCore:
         self,
         response_qos: Optional[float],
         admission: Optional[AdmissionController],
-        snapshot_limit: int,
     ) -> None:
         self.metrics = ServingMetrics()
         if admission is not None:
@@ -189,9 +192,14 @@ class EngineCore:
         self._pending_cond = threading.Condition()
         self._running = False
 
-        self._snapshot_limit = snapshot_limit
-        self._snapshots: "OrderedDict[int, Graph]" = OrderedDict()
-        self._commit_epoch(0)
+        self._epoch = 0
+        #: What :meth:`graph_at` rebuilds epochs from: the graph at epoch
+        #: ``_base_epoch`` (a private copy, taken once) and the batches
+        #: committed after it, oldest first.
+        self._history = threading.Lock()
+        self._base = self.graph.copy()
+        self._base_epoch = 0
+        self._batches: "deque[Tuple[EdgeUpdate, ...]]" = deque()
 
         if obs.is_enabled():
             self._register_obs(obs.registry())
@@ -283,35 +291,47 @@ class EngineCore:
         return self._running
 
     # ------------------------------------------------------------------
-    # Epochs and snapshots
+    # Epochs
     # ------------------------------------------------------------------
     @property
     def current_epoch(self) -> int:
         return self._epoch
 
     def graph_at(self, epoch: int) -> Graph:
-        """Graph snapshot of ``epoch`` (for per-epoch correctness oracles)."""
-        with self._state:
-            snapshot = self._snapshots.get(epoch)
-        if snapshot is None:
-            raise ServingError(
-                f"no graph snapshot retained for epoch {epoch} "
-                f"(snapshot_limit={self._snapshot_limit})"
-            )
-        return snapshot
+        """A fresh copy of the graph at ``epoch`` (for per-epoch correctness
+        oracles): the retained base with the batches committed after it, up
+        to ``epoch``, replayed in order.  The newest
+        :data:`EPOCH_RETENTION` epochs before the current one are retained."""
+        with self._history:
+            first = self._base_epoch
+            if not first <= epoch <= first + len(self._batches):
+                raise ServingError(
+                    f"no graph retained for epoch {epoch} (retained: "
+                    f"{first}..{first + len(self._batches)})"
+                )
+            graph = self._base.copy()
+            batches = list(islice(self._batches, epoch - first))
+        for updates in batches:
+            UpdateBatch(list(updates)).apply(graph)
+        return graph
 
-    def _commit_epoch(self, epoch: int) -> None:
-        """Make ``epoch`` current and retain its graph snapshot.
+    def _commit_epoch(self, epoch: int, batch: UpdateBatch) -> None:
+        """Make ``epoch`` current: :attr:`graph` is the previous epoch's with
+        ``batch`` applied.
 
         Backends call this from :meth:`_install` once :attr:`graph` is at the
-        new state, while whatever excludes their readers is still held.
+        new state, while whatever excludes their readers is still held.  The
+        batch is retained for :meth:`graph_at`; past
+        :data:`EPOCH_RETENTION`, the oldest retained batch is applied onto
+        the base.
         """
+        with self._history:
+            self._batches.append(tuple(batch))
+            if len(self._batches) > EPOCH_RETENTION:
+                UpdateBatch(list(self._batches.popleft())).apply(self._base)
+                self._base_epoch += 1
         with self._state:
             self._epoch = epoch
-            if self._snapshot_limit > 0:
-                self._snapshots[epoch] = self.graph.copy()
-                while len(self._snapshots) > self._snapshot_limit:
-                    self._snapshots.popitem(last=False)
 
     def export_snapshot(
         self, path: str, timeout: Optional[float] = None, **save_kwargs

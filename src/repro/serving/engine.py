@@ -21,18 +21,21 @@ them.
 
 The update-stage listener installed on the index (see
 :meth:`repro.base.DistanceIndex.set_stage_listener`) fires at every stage
-boundary.  The first stage bumps the epoch, snapshots the graph, drops the
-frozen stores, clears the distance cache and releases the lock (BiDijkstra
-serves the new epoch from then on, concurrently with the remaining
-maintenance).  Every later stage publishes the query stage it
+boundary.  The index drops its frozen stores before the edge refresh, under
+the write lock (:meth:`repro.base.DistanceIndex.apply_batch`).  The first
+stage boundary bumps the epoch (the core retains the batch, not a copy of
+the graph, for :meth:`graph_at`), clears the distance cache and releases
+the lock (BiDijkstra serves the new epoch from then on, concurrently with
+the remaining maintenance).  Every later stage publishes the query stage it
 releases to the router, with no lock.  A query takes the read lock, reads
 the epoch and runs on the fastest stage valid at it; holding the lock pins
 the epoch, since the next batch's edge refresh needs the write lock.  That
 is the paper's query-processing timeline, with real threads instead of a
 simulated one.
 
-Every answer therefore equals a fresh Dijkstra run on the graph snapshot of
-the epoch it reports — the invariant the serving tests enforce.
+Every answer therefore equals a fresh Dijkstra run on the graph of the
+epoch it reports (:meth:`graph_at`) — the invariant the serving tests
+enforce.
 """
 
 from __future__ import annotations
@@ -72,9 +75,6 @@ class ServingEngine(EngineCore):
         fronts search stages only — an index whose final stage is a label
         lookup (``DistanceIndex.final_stage_is_label_lookup``) is cached only
         while its slower fallback stages answer during an install.
-    snapshot_limit:
-        How many per-epoch graph snapshots to retain for :meth:`graph_at`
-        (used by correctness oracles); ``0`` disables snapshotting.
     """
 
     _obs_prefix = "serving"
@@ -84,7 +84,6 @@ class ServingEngine(EngineCore):
         index: DistanceIndex,
         response_qos: Optional[float] = None,
         cache_capacity: int = 4096,
-        snapshot_limit: int = 16,
         admission: Optional[AdmissionController] = None,
     ) -> None:
         if not index.is_built:
@@ -94,7 +93,7 @@ class ServingEngine(EngineCore):
         self.cache = EpochDistanceCache(cache_capacity) if cache_capacity > 0 else None
         #: Held for writing only during a batch's edge refresh (U-Stage 1).
         self._graph_rw = RWLock()
-        super().__init__(response_qos, admission, snapshot_limit)
+        super().__init__(response_qos, admission)
 
     def _register_obs(self, registry: MetricRegistry) -> None:
         super()._register_obs(registry)
@@ -157,14 +156,11 @@ class ServingEngine(EngineCore):
                 return
             # First stage of every index: the on-spot edge refresh.  The graph
             # now *is* epoch ``pending_epoch``; publish it while still holding
-            # the write lock so no query can observe a half-open epoch.
-            self._commit_epoch(pending_epoch)
-            # Key the frozen query kernels to the serving epoch: every store
-            # frozen from here on belongs to ``pending_epoch`` and is frozen at
-            # most once per stage (apply_batch also invalidates at entry; this
-            # call is the engine-side guard for indexes installed behind
-            # custom apply_batch wrappers).  No reader can be mid-freeze.
-            index.invalidate_kernels()
+            # the write lock so no query can observe a half-open epoch.  The
+            # index dropped its frozen stores before the refresh, under this
+            # lock, so every store frozen from here on belongs to
+            # ``pending_epoch``.
+            self._commit_epoch(pending_epoch, batch)
             self.router.begin_epoch(pending_epoch)
             if self.cache is not None:
                 # No entry can be served at the new epoch (``get`` rejects

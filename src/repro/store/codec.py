@@ -37,10 +37,12 @@ their first write.
 
 from __future__ import annotations
 
+from itertools import islice
 from typing import Dict, List, Tuple
 
 import numpy as np
 
+from repro.exceptions import VertexNotFoundError
 from repro.graph.graph import Graph
 from repro.store.arrays import ArrayReader, ArrayWriter
 
@@ -53,19 +55,12 @@ def pack_graph(graph: Graph, io: ArrayWriter) -> Dict[str, object]:
     adjacency is a CSR with every vertex's neighbours in iteration order
     (each edge twice), so a loaded graph iterates exactly as the saved one
     (a graph snapshot frozen from it is byte-identical)."""
-    verts = list(graph.vertices())
-    indptr = [0]
-    nbrs: List[int] = []
-    weights: List[float] = []
-    for v in verts:
-        row = graph.neighbors(v)
-        nbrs.extend(row)
-        weights.extend(row.values())
-        indptr.append(len(nbrs))
+    verts, indptr, indices, weights = graph.to_csr()
+    ids = np.asarray(verts, dtype=np.int64)
     state: Dict[str, object] = {
-        "vertices": io.put_ints(verts),
+        "vertices": io.put_ints(ids),
         "indptr": io.put_ints(indptr),
-        "nbrs": io.put_ints(nbrs),
+        "nbrs": io.put_ints(ids[np.asarray(indices, dtype=np.int64)]),
         "weights": io.put_floats(weights),
     }
     coords = [(v, *c) for v in verts if (c := graph.coordinate(v)) is not None]
@@ -106,21 +101,22 @@ def unpack_graph(state: Dict[str, object], io: ArrayReader) -> Graph:
         or not np.array_equal(weights[forward], weights[backward])
     ):
         raise ValueError("snapshot graph payload has an asymmetric adjacency")
-    adjacency = {v: {} for v in verts.tolist()}
+    # One dict per row, over its slice of the (neighbour, weight) stream.
+    entries = zip(nbrs.tolist(), weights.tolist())
+    adjacency = {v: dict(islice(entries, count)) for v, count in zip(verts.tolist(), counts.tolist())}
     if len(adjacency) != len(verts):
         raise ValueError("snapshot graph payload lists a vertex twice")
-    for a, b, weight in zip(us.tolist(), nbrs.tolist(), weights.tolist()):
-        adjacency[a][b] = weight
     graph = Graph()
     graph._adj = adjacency
     graph._num_edges = len(nbrs) // 2
     if "coord_v" in state:
-        for v, x, y in zip(
-            io.get_list(state["coord_v"]),
-            io.get_list(state["coord_x"]),
-            io.get_list(state["coord_y"]),
-        ):
-            graph.set_coordinate(v, x, y)
+        coord_v = np.asarray(io.get_array(state["coord_v"]), dtype=np.int64)
+        missing = coord_v[~np.isin(coord_v, verts)]
+        if len(missing):
+            raise VertexNotFoundError(int(missing[0]))
+        xs = np.asarray(io.get_array(state["coord_x"]), dtype=np.float64).tolist()
+        ys = np.asarray(io.get_array(state["coord_y"]), dtype=np.float64).tolist()
+        graph._coords = dict(zip(coord_v.tolist(), zip(xs, ys)))
     return graph
 
 

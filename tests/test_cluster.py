@@ -815,7 +815,7 @@ class TestAtomicSnapshotWrites:
         self, base_graph, tmp_path
     ):
         index = create_index(get_spec("DCH"), base_graph.copy())
-        engine = ServingEngine(index, cache_capacity=0, snapshot_limit=0)
+        engine = ServingEngine(index, cache_capacity=0)
         target = str(tmp_path / "export")
         engine.export_snapshot(target, generation=7)
         engine.export_snapshot(target, generation=8)  # atomic overwrite

@@ -22,8 +22,9 @@ from repro.exceptions import (
     VertexNotFoundError,
 )
 from repro.graph.generators import grid_road_network
-from repro.graph.updates import generate_update_stream
+from repro.graph.updates import EdgeUpdate, UpdateBatch, generate_update_stream
 from repro.registry import create_index
+from repro.serving import core
 from repro.serving.admission import AdmissionDecision, AlwaysAdmit
 from repro.serving.core import BatchResult, QueryResult
 from repro.serving.engine import ServingEngine
@@ -99,29 +100,56 @@ class TestLifecycle:
 
 
 class TestEpochRetention:
-    def test_graph_at_retains_the_newest_snapshot_limit_epochs(self, make_engine, graph):
+    def test_graph_at_retains_the_newest_epoch_retention_epochs(
+        self, make_engine, graph, monkeypatch
+    ):
+        monkeypatch.setattr(core, "EPOCH_RETENTION", 2)
         batches = generate_update_stream(graph, 3, volume=4, seed=5)
-        with make_engine(snapshot_limit=2) as engine:
+        with make_engine() as engine:
             assert engine.graph_at(0).num_edges == graph.num_edges
             for expected, batch in enumerate(batches, start=1):
                 report = engine.apply_batch(batch)
                 assert report.stages
                 assert engine.current_epoch == expected
             assert len(engine.update_reports) == 3
-            for evicted in (0, 1):
-                with pytest.raises(ServingError, match="snapshot_limit=2"):
-                    engine.graph_at(evicted)
-            # Each retained snapshot is the graph right after its own batch.
-            for epoch in (2, 3):
+            with pytest.raises(ServingError, match="retained: 1..3"):
+                engine.graph_at(0)
+            with pytest.raises(ServingError, match="retained: 1..3"):
+                engine.graph_at(4)
+            # Each retained epoch's graph is the graph right after its own batch.
+            for epoch in (1, 2, 3):
                 snapshot = engine.graph_at(epoch)
                 for update in batches[epoch - 1]:
                     assert snapshot.edge_weight(update.u, update.v) == update.new_weight
             assert engine.graph_at(3) is not engine.graph
+            assert engine.graph_at(3) is not engine.graph_at(3)
 
-    def test_snapshot_limit_zero_retains_nothing(self, make_engine):
-        engine = make_engine(snapshot_limit=0)
-        with pytest.raises(ServingError):
-            engine.graph_at(0)
+    def test_graph_at_equals_the_graph_each_epoch_committed(
+        self, make_engine, graph, monkeypatch
+    ):
+        """Byte for byte through ``to_csr`` (neighbour order too), for every
+        retained epoch, with a batch that names one edge twice."""
+        u, v, weight = next(graph.edges())
+        batches = generate_update_stream(graph, 3, volume=4, seed=5)
+        batches.insert(1, UpdateBatch([
+            EdgeUpdate(u, v, weight, 2 * weight), EdgeUpdate(v, u, 2 * weight, 0.5 * weight),
+        ]))
+        with make_engine() as engine:
+            committed = {}
+            commit = engine._commit_epoch
+
+            def recording_commit(epoch, batch):
+                commit(epoch, batch)
+                committed[epoch] = engine.graph.copy()
+
+            monkeypatch.setattr(engine, "_commit_epoch", recording_commit)
+            committed[0] = engine.graph.copy()
+            for batch in batches:
+                engine.apply_batch(batch)
+            assert sorted(committed) == list(range(len(batches) + 1))
+            assert engine.graph_at(2).edge_weight(u, v) == 0.5 * weight
+            for epoch, expected in committed.items():
+                assert engine.graph_at(epoch).to_csr() == expected.to_csr()
 
 
 class TestAdmissionAndInflight:

@@ -7,9 +7,14 @@ import pytest
 from repro import IndexSpec, PAPER_METHODS, create_index, get_spec, registered_methods
 from repro.core.pmhl import PMHLIndex, PMHLSpec
 from repro.core.postmhl import PostMHLIndex, PostMHLSpec
+from repro.exceptions import IndexNotBuiltError
 from repro.experiments.config import DEFAULT_CONFIG
 from repro.graph.generators import grid_road_network
+from repro.graph.updates import generate_update_batch
+from repro.hierarchy.ch import CHIndex
+from repro.labeling.h2h import H2HIndex
 from repro.registry import experiment_methods, spec_class, spec_from_config
+from repro.store.snapshot import graph_fingerprint
 
 QUICK = DEFAULT_CONFIG.quick()
 
@@ -79,6 +84,34 @@ class TestCreateIndex:
     def test_registry_exposes_spec_base(self):
         for name in registered_methods():
             assert issubclass(spec_class(name), IndexSpec)
+
+
+class TestApplyBatchRefusals:
+    """``apply_batch`` refuses before U-Stage 1 writes anything."""
+
+    @staticmethod
+    def _refuses(index, error):
+        graph = index.graph
+        batch = generate_update_batch(graph, 5, seed=1)
+        before, version = graph_fingerprint(graph), graph.version
+        with pytest.raises(error):
+            index.apply_batch(batch)
+        assert graph_fingerprint(graph) == before
+        assert graph.version == version
+
+    @pytest.mark.parametrize(
+        "method", [name for name in registered_methods() if name != "BiDijkstra"]
+    )
+    def test_unbuilt_index_refuses_with_the_graph_untouched(self, graph, method):
+        self._refuses(create_index(method, graph), IndexNotBuiltError)
+
+    @pytest.mark.parametrize("index_cls", [CHIndex, H2HIndex])
+    @pytest.mark.parametrize("built", [False, True])
+    def test_static_index_refuses_with_the_graph_untouched(self, graph, index_cls, built):
+        index = index_cls(graph)
+        if built:
+            index.build()
+        self._refuses(index, NotImplementedError)
 
 
 class TestConfigBinding:

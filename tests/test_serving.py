@@ -35,11 +35,7 @@ from repro.throughput.workload import sample_query_pairs
 
 def _serving_oracle_run(index, graph, *, query_threads, num_batches, seed=3):
     """Drive a mixed workload and replay every answer against Dijkstra."""
-    engine = ServingEngine(
-        index,
-        snapshot_limit=num_batches + 1,
-        cache_capacity=512,
-    )
+    engine = ServingEngine(index, cache_capacity=512)
     pairs = list(sample_query_pairs(graph, 25, seed=5))
     batches = generate_update_stream(graph, num_batches, volume=8, seed=seed)
     with engine:
@@ -55,17 +51,23 @@ def _serving_oracle_run(index, graph, *, query_threads, num_batches, seed=3):
     assert report.batches_applied == num_batches
     assert engine.current_epoch == num_batches
     assert report.queries_served > 0
+    graphs = _graphs_by_epoch(engine, report.results)
     mismatches = [
         result
         for result in report.results
         if abs(
-            dijkstra_distance(engine.graph_at(result.epoch), result.source, result.target)
+            dijkstra_distance(graphs[result.epoch], result.source, result.target)
             - result.distance
         )
         > 1e-9
     ]
     assert mismatches == [], f"{len(mismatches)} stale/incorrect answers: {mismatches[:3]}"
     return report
+
+
+def _graphs_by_epoch(engine, results):
+    """One ``graph_at`` copy per epoch the results report."""
+    return {epoch: engine.graph_at(epoch) for epoch in {result.epoch for result in results}}
 
 
 class TestServingCorrectness:
@@ -92,7 +94,7 @@ class TestServingCorrectness:
     def test_epochs_are_monotonic_per_client(self):
         graph = grid_road_network(6, 6, seed=5)
         index = PostMHLIndex(graph, bandwidth=10, expected_partitions=4)
-        engine = ServingEngine(index, snapshot_limit=4)
+        engine = ServingEngine(index)
         batches = generate_update_stream(graph, 2, volume=6, seed=1)
         epochs = []
         with engine:
@@ -132,7 +134,7 @@ class TestServingEngineBasics:
         from repro.graph.updates import EdgeUpdate, UpdateBatch
 
         graph = grid_road_network(4, 4, seed=1)
-        engine = ServingEngine(BiDijkstraIndex(graph), snapshot_limit=4)
+        engine = ServingEngine(BiDijkstraIndex(graph))
         bad = UpdateBatch([EdgeUpdate(0, 15, 1.0, 2.0)])  # edge does not exist
         good_edge = next(iter(graph.edges()))
         good = UpdateBatch([EdgeUpdate(good_edge[0], good_edge[1], good_edge[2], good_edge[2] * 2)])
@@ -174,9 +176,7 @@ class TestServeBatch:
     def _engine(self, cache_capacity=512):
         graph = grid_road_network(7, 7, seed=7)
         index = PostMHLIndex(graph, bandwidth=10, expected_partitions=4)
-        return graph, ServingEngine(
-            index, snapshot_limit=8, cache_capacity=cache_capacity
-        )
+        return graph, ServingEngine(index, cache_capacity=cache_capacity)
 
     def test_batch_results_share_one_epoch_and_match_oracle(self):
         graph, engine = self._engine()
@@ -252,11 +252,12 @@ class TestServeBatch:
                 for _ in range(10):
                     collected.extend(engine.serve_batch(pairs))
             engine.wait_for_maintenance()
+        graphs = _graphs_by_epoch(engine, collected)
         mismatches = [
             result
             for result in collected
             if abs(
-                dijkstra_distance(engine.graph_at(result.epoch), result.source, result.target)
+                dijkstra_distance(graphs[result.epoch], result.source, result.target)
                 - result.distance
             )
             > 1e-9
@@ -335,11 +336,11 @@ RELEASED_STAGE = {
 def _assert_oracle(engine, results):
     """Every answer equals Dijkstra on the graph of the epoch it reports."""
     oracle = {}
+    graphs = _graphs_by_epoch(engine, results)
     for result in results:
         key = (result.epoch, result.source, result.target)
         if key not in oracle:
-            graph = engine.graph_at(result.epoch)
-            oracle[key] = dijkstra_distance(graph, result.source, result.target)
+            oracle[key] = dijkstra_distance(graphs[result.epoch], result.source, result.target)
         assert abs(oracle[key] - result.distance) <= 1e-9, (result, oracle[key])
 
 

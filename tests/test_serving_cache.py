@@ -64,7 +64,7 @@ class TestEpochDistanceCache:
 
 class TestEngineCacheIntegration:
     def _engine(self, graph, index_cls=DCHIndex, **index_kwargs):
-        return ServingEngine(index_cls(graph, **index_kwargs), snapshot_limit=8)
+        return ServingEngine(index_cls(graph, **index_kwargs))
 
     def test_repeat_query_hits_cache_within_epoch(self):
         graph = grid_road_network(6, 6, seed=7)
