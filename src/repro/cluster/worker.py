@@ -2,8 +2,8 @@
 
 ``worker_main`` is the child-process entry point.  It loads the base
 snapshot with :func:`repro.store.load_index` — every reader maps the *same*
-mmap-backed ``.npz`` payload read-only — or, when the cluster first starts
-under fork, inherits the maintainer's copy, adopts the newest store generation
+payload file (one arena, mapped once) read-only — or, when the cluster first
+starts under fork, inherits the maintainer's mapping, adopts the newest store generation
 the dispatcher hands it (none while the cluster is at epoch 0), and then
 serves commands from its pipe until told to shut down.  A reader never
 mutates its index: the maintainer applies every update batch and writes the

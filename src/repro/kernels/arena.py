@@ -10,13 +10,15 @@ one memory model:
 * **one contiguous buffer** — every array of a frozen store lives at an
   aligned offset inside a single ``uint8`` buffer, described by a small table
   of contents (``name -> (dtype, offset, count)``);
-* **one serialization** — ``repro.store`` persists an arena as a single
-  payload array plus the JSON table of contents, so a store round-trips as
-  one buffer handoff instead of N array references;
+* **one serialization** — the snapshot payload file is itself laid out by
+  :func:`layout`, and ``repro.store`` reads it back as one arena over one
+  ``np.memmap``; a store's arena is one entry of that payload plus its JSON
+  table of contents;
 * **one sharing path** — ``repro.cluster`` workers warm-start from the same
-  mmap-backed snapshot payload; because :meth:`Arena.from_state` wraps the
-  mapped bytes without copying (when they are suitably aligned), every shard
-  executes its native kernels directly over the shared page cache;
+  mapped payload; :meth:`Arena.from_state` wraps the mapped bytes without
+  copying (every entry is 64-byte aligned in a page-aligned mapping), so
+  every shard executes its native kernels directly over the shared page
+  cache;
 * **one native handoff** — the C kernels of :mod:`repro.kernels.native`
   borrow the buffers via the buffer protocol (no memcpy), so a frozen kernel
   epoch is pointers into this arena, wherever its bytes physically live.
@@ -39,8 +41,8 @@ from repro import obs
 from repro.exceptions import VertexNotFoundError
 
 #: Offset alignment inside the buffer.  64 bytes keeps every view cache-line
-#: aligned when the buffer itself is (fresh allocations are; mmap-backed
-#: buffers are checked and re-based if the payload landed unaligned).
+#: aligned when the buffer itself is (fresh allocations and mappings are, and
+#: a nested arena starts at an aligned offset of its payload).
 ALIGN = 64
 
 #: dtypes an arena may carry — everything the kernel stores use.
@@ -59,8 +61,12 @@ class Arena:
         for name, dtype, offset, count in self.toc:
             if dtype not in _DTYPES:
                 raise ValueError(f"arena entry {name!r} has unsupported dtype {dtype!r}")
-            itemsize = np.dtype(dtype).itemsize
-            end = offset + count * itemsize
+            if offset % ALIGN or count < 0:
+                raise ValueError(
+                    f"arena entry {name!r} at offset {offset} with count {count} "
+                    f"is not a {ALIGN}-byte aligned, non-negative extent"
+                )
+            end = offset + count * np.dtype(dtype).itemsize
             if offset < 0 or end > buffer.nbytes:
                 raise ValueError(
                     f"arena entry {name!r} [{offset}:{end}] exceeds the "
@@ -73,29 +79,11 @@ class Arena:
     # ------------------------------------------------------------------
     @classmethod
     def pack(cls, arrays: Dict[str, object]) -> "Arena":
-        """Pack named arrays into one aligned contiguous buffer.
-
-        Insertion order is preserved in the table of contents; each array is
-        converted to a C-contiguous 1-D array of its (preserved) dtype.
-        """
-        prepared: List[Tuple[str, object]] = []
-        for name, values in arrays.items():
-            array = np.ascontiguousarray(values)
-            if array.ndim != 1:
-                array = array.reshape(-1)
-            if array.dtype.name not in _DTYPES:
-                raise ValueError(
-                    f"arena entry {name!r} has unsupported dtype {array.dtype}"
-                )
-            prepared.append((name, array))
-        offset = 0
-        toc: List[Tuple[str, str, int, int]] = []
-        for name, array in prepared:
-            offset = -(-offset // ALIGN) * ALIGN  # round up
-            toc.append((name, array.dtype.name, offset, array.size))
-            offset += array.nbytes
-        buffer = np.zeros(offset if offset else 1, dtype=np.uint8)
-        for (name, dtype, start, count), (_, array) in zip(toc, prepared):
+        """Pack named arrays into one aligned contiguous buffer (see
+        :func:`layout`)."""
+        toc, flat, nbytes = layout(arrays)
+        buffer = np.zeros(nbytes or 1, dtype=np.uint8)
+        for (_, _, start, _), array in zip(toc, flat):
             buffer[start : start + array.nbytes] = array.view(np.uint8)
         return cls(buffer, toc)
 
@@ -131,30 +119,42 @@ class Arena:
 
     @classmethod
     def from_state(cls, state: Dict[str, object], io) -> "Arena":
-        """Reattach an arena onto a (possibly mmap-backed) payload array.
-
-        The payload bytes are wrapped without copying whenever their base
-        address is 8-byte aligned — the case for fresh arrays and for mmap
-        views starting at aligned file offsets — so a cluster shard's kernels
-        execute directly over the shared snapshot pages.  An unaligned
-        payload (possible for npz members at odd zip offsets) is copied once
-        into an aligned private buffer rather than served via misaligned
-        loads.
-        """
-        raw = io.get_array(state["arena"])
-        buffer = np.asarray(raw).view(np.uint8).reshape(-1)
-        if buffer.ctypes.data % 8 != 0:  # pragma: no cover - zip-layout dependent
-            buffer = np.array(buffer, dtype=np.uint8)
+        """Reattach an arena onto its payload entry without copying, so a
+        cluster shard's kernels execute directly over the mapped pages."""
+        buffer = io.get_array(state["arena"])
+        if buffer.dtype != np.uint8:
+            raise ValueError(f"arena buffer has dtype {buffer.dtype}, not uint8")
         return cls(buffer, [tuple(entry) for entry in state["toc"]])
 
     def is_shared(self) -> bool:
-        """True when the buffer is a view onto an mmap-backed payload."""
+        """True when the buffer is a view onto a mapped payload."""
         base = self.buffer
         while base is not None:
             if isinstance(base, np.memmap):
                 return True
             base = getattr(base, "base", None)
         return False
+
+
+def layout(
+    arrays: Dict[str, object],
+) -> Tuple[List[Tuple[str, str, int, int]], List[object], int]:
+    """Lay out named arrays the way every arena is: in insertion order, each
+    as a C-contiguous 1-D array of its (preserved) dtype at the next
+    :data:`ALIGN` offset.  Returns the table of contents, the flattened
+    arrays and the byte length the last entry ends at."""
+    toc: List[Tuple[str, str, int, int]] = []
+    flat: List[object] = []
+    offset = 0
+    for name, values in arrays.items():
+        array = np.ascontiguousarray(values).reshape(-1)
+        if array.dtype.name not in _DTYPES:
+            raise ValueError(f"arena entry {name!r} has unsupported dtype {array.dtype}")
+        offset = -(-offset // ALIGN) * ALIGN  # round up
+        toc.append((name, array.dtype.name, offset, array.size))
+        flat.append(array)
+        offset += array.nbytes
+    return toc, flat, offset
 
 
 # ----------------------------------------------------------------------

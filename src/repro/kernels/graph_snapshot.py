@@ -114,8 +114,8 @@ class GraphSnapshot:
 
     @classmethod
     def from_state(cls, state: dict, io, graph: Graph) -> "GraphSnapshot":
-        """Reattach a snapshot over the (possibly mmap-backed) payload
-        buffer, re-keyed to the *loaded* graph's version."""
+        """Reattach a snapshot over its entry of the mapped payload,
+        re-keyed to the *loaded* graph's version."""
         return cls(Arena.from_state(state, io), graph.version)
 
     # ------------------------------------------------------------------

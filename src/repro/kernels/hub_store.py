@@ -98,7 +98,7 @@ class HubStore:
 
     @classmethod
     def from_state(cls, state: dict, io) -> "HubStore":
-        """Rebuild from a snapshot payload (mmap-backed when possible)."""
+        """Rebuild over its entry of the mapped snapshot payload."""
         return cls(Arena.from_state(state, io))
 
     def join_pair(self, source: int, target: int) -> float:

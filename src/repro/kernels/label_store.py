@@ -204,7 +204,7 @@ class LabelStore:
 
     @classmethod
     def from_state(cls, state: dict, io) -> "LabelStore":
-        """Rebuild a store from a snapshot payload (mmap-backed when possible),
+        """Rebuild a store over its entry of the mapped snapshot payload,
         what the C query indexes checked first (:func:`check_query_arrays`)."""
         arena = Arena.from_state(state, io)
         check_query_arrays(arena)

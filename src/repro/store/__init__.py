@@ -2,7 +2,8 @@
 
 The subsystem turns every built :class:`~repro.base.DistanceIndex` into a
 durable artifact: :func:`save_index` writes a schema-versioned snapshot
-directory (JSON manifest + flat-array payload), :func:`load_index` restores a
+directory (JSON manifest + state tree + one flat-array payload file laid out
+as an arena, which a load maps once), :func:`load_index` restores a
 ready-to-serve index — reconstructing or fingerprint-verifying the graph,
 honoring :class:`~repro.registry.IndexSpec` overrides, and reattaching the
 frozen kernel stores so the first query after a load already runs at full

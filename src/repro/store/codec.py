@@ -126,7 +126,7 @@ def unpack_graph(state: Dict[str, object], io: ArrayReader) -> Graph:
 def pack_labels(labels, io: ArrayWriter) -> Dict[str, object]:
     """Serialize an ``H2HLabels`` instance: its arena, as written; a load
     reattaches it with ``H2HLabels.over(contraction, Arena.from_state(...))``
-    (mmap-backed when the payload is, copied on the first update)."""
+    (a view of the mapped payload, copied on the first update)."""
     return labels.arena.to_state(io)
 
 

@@ -7,8 +7,10 @@ A snapshot is a directory::
                          graph fingerprint (written last: its presence
                          marks a complete snapshot)
       state.json      -- the JSON state tree produced by ``to_state`` with
-                         embedded array references
-      payload.npz     -- flat arrays (mmap-read on load)
+                         embedded array references, and the payload's
+                         table of contents (``payload_toc``)
+      payload.bin     -- every flat array, laid out as one arena (mapped
+                         once on load; see ``repro.store.arrays``)
 
 ``save_index`` captures everything the query *and* maintenance paths read,
 plus the frozen kernel stores behind the index's batch query path (when the
@@ -58,7 +60,10 @@ STORES_FORMAT = "repro-store-generation"
 #: distance tables of P-TD-P, PMHL and PostMHL are rebuilt on load.
 #: 3: PostMHL's boundary arrays are one ``float64`` array (``disB``), its
 #: per-partition matrices row-major in partition order.
-SCHEMA_VERSION = 3
+#: 4: the payload is one arena file (``payload.bin``, backend ``"arena"``)
+#: whose table of contents the state tree records, not a zip of ``.npy``
+#: members.
+SCHEMA_VERSION = 4
 
 _MANIFEST = "manifest.json"
 _STATE = "state.json"
@@ -181,7 +186,7 @@ def save_stores(index: DistanceIndex, path: str, epoch: int) -> str:
     """Write ``index``'s exported query stores as a *store generation*.
 
     A store generation is a snapshot directory without the graph and the
-    index state: the npz payload holds only the arenas of
+    index state: the payload holds only the arenas of
     :meth:`~repro.base.DistanceIndex._kernel_exports` (frozen now if this
     kernel epoch has not frozen them yet), and the manifest records the
     ``epoch`` they answer for.  The write is atomic (see :func:`save_index`).
@@ -299,9 +304,9 @@ def _write_files(
     manifest_path = os.path.join(path, _MANIFEST)
     if os.path.exists(manifest_path):
         os.remove(manifest_path)
-    writer.write(path)
+    toc = writer.write(path)
     with open(os.path.join(path, _STATE), "w") as handle:
-        json.dump(state, handle)
+        json.dump(dict(state, payload_toc=toc), handle)
     # The manifest goes last: its presence marks a complete snapshot.
     with open(manifest_path, "w") as handle:
         json.dump(manifest, handle, indent=2)
@@ -356,27 +361,26 @@ def read_manifest(path: str, format: str = FORMAT) -> Dict[str, object]:
     return manifest
 
 
-def _open_state(path: str, manifest: Dict[str, object], mmap: bool = True):
+def _open_state(path: str, manifest: Dict[str, object]):
     """The payload reader and the JSON state tree a manifest points at."""
     try:
         payload_name = manifest["payload"]
         payload_backend = manifest["payload_backend"]
     except KeyError as exc:
         raise SnapshotFormatError(f"snapshot manifest is missing field {exc}") from None
-    reader = open_payload(path, payload_name, payload_backend, mmap=mmap)
     state_path = os.path.join(path, manifest.get("state_file", _STATE))
     try:
         with open(state_path) as handle:
             state = json.load(handle)
-    except (OSError, ValueError) as exc:
-        raise SnapshotFormatError(f"unreadable snapshot state {state_path!r}: {exc}") from exc
-    return reader, state
+        toc = state.pop("payload_toc")
+    except (OSError, ValueError, AttributeError, KeyError, TypeError) as exc:
+        raise SnapshotFormatError(f"unreadable snapshot state {state_path!r}: {exc!r}") from exc
+    return open_payload(path, payload_name, payload_backend, toc), state
 
 
 def load_index(
     path: str,
     graph: Optional[Graph] = None,
-    mmap: bool = True,
     **overrides: object,
 ) -> DistanceIndex:
     """Load a snapshot back into a ready-to-serve index.
@@ -390,8 +394,6 @@ def load_index(
         exactly as the snapshot's graph (else
         :class:`~repro.exceptions.SnapshotGraphMismatchError`); when omitted
         the graph is reconstructed from the snapshot.
-    mmap:
-        Attach mmap-backed views onto the npz payload where possible.
     overrides:
         Spec parameter overrides (validated against the method's
         :class:`~repro.registry.IndexSpec`), e.g. ``use_kernels=False``.
@@ -408,7 +410,7 @@ def load_index(
         raise SnapshotFormatError(f"snapshot manifest is missing field {exc}") from None
     saved_params.update(overrides)
     spec = get_spec(method, **saved_params)
-    reader, state = _open_state(path, manifest, mmap)
+    reader, state = _open_state(path, manifest)
 
     if graph is not None:
         found = graph_fingerprint(graph)
@@ -442,9 +444,9 @@ def load_index(
     return index
 
 
-def load_snapshot_graph(path: str, mmap: bool = True) -> Graph:
+def load_snapshot_graph(path: str) -> Graph:
     """Reconstruct only the graph of a snapshot (no index state)."""
-    reader, state = _open_state(path, read_manifest(path), mmap)
+    reader, state = _open_state(path, read_manifest(path))
     try:
         return unpack_graph(state["graph"], reader)
     except (KeyError, IndexError, TypeError, ValueError) as exc:

@@ -347,31 +347,49 @@ class TestArenaRoundTrip:
 
         writer = ArrayWriter()
         state = arena.to_state(writer)
-        writer.write(str(tmp_path))
-        reader = open_payload(str(tmp_path), writer.filename, "npz")
+        toc = writer.write(str(tmp_path))
+        reader = open_payload(str(tmp_path), writer.filename, "arena", toc)
         loaded = Arena.from_state(state, reader)
         for name, expected in arrays.items():
             assert numpy.array_equal(loaded[name], expected)
-        # The payload writer aligns npz members, so the loaded arena is a
-        # view over the snapshot's mmap — shared, not copied.
+        # The payload is one arena over one mapping, so the loaded arena is
+        # a view over the snapshot's mmap — shared, not copied.
         assert loaded.is_shared()
 
-    def test_npz_members_are_aligned_mmap_views(self, tmp_path):
-        """Every payload member — whatever odd sizes precede it — comes back
-        as an 8-byte-aligned memmap view (the property the arena and the C
-        kernels depend on; plain ``np.savez`` leaves this to chance)."""
+    def test_payload_entries_are_aligned_views_of_one_mapping(self, tmp_path):
+        """Every payload entry — whatever odd sizes precede it — comes back
+        as a 64-byte-aligned view of the one mapping of the payload file
+        (the property the arena and the C kernels depend on)."""
         from repro.store.arrays import ArrayWriter, open_payload
 
         writer = ArrayWriter()
-        refs = []
-        for size in (1, 3, 7, 11, 2, 5):
-            refs.append(writer.put_ints(list(range(size))))
-        writer.write(str(tmp_path))
-        reader = open_payload(str(tmp_path), writer.filename, "npz")
-        for ref in refs:
-            member = reader.get_array(ref)
-            assert isinstance(member, numpy.memmap)
-            assert member.ctypes.data % 8 == 0
+        sizes = (1, 3, 7, 11, 2, 0, 5)
+        refs = [writer.put_ints(list(range(size))) for size in sizes]
+        toc = writer.write(str(tmp_path))
+        reader = open_payload(str(tmp_path), writer.filename, "arena", toc)
+        mapping = reader.arena.buffer
+        assert isinstance(mapping, numpy.memmap)
+        assert mapping.ctypes.data % 64 == 0
+        for ref, size in zip(refs, sizes):
+            entry = reader.get_array(ref)
+            assert entry.tolist() == list(range(size))
+            assert entry.base is not None and numpy.shares_memory(entry, mapping) == (size > 0)
+            assert entry.ctypes.data % 64 == 0
+        # The file ends where its last entry does.
+        name, dtype, offset, count = toc[-1]
+        assert mapping.nbytes == offset + count * numpy.dtype(dtype).itemsize
+
+    @pytest.mark.parametrize(
+        "entry",
+        [("a", "int64", 8, 1), ("a", "int64", 0, -1), ("a", "object", 0, 1),
+         ("a", "int64", 64, 9)],
+        ids=["misaligned", "negative-count", "object-dtype", "past-the-end"],
+    )
+    def test_arena_refuses_a_bad_entry(self, entry):
+        from repro.kernels.arena import Arena
+
+        with pytest.raises(ValueError):
+            Arena(numpy.zeros(128, dtype=numpy.uint8), [entry])
 
 
 #: Every method that freezes a ShortcutStore, and the query stage that reads it.
@@ -516,8 +534,8 @@ class TestEliminationTreeQuery:
 
         writer = ArrayWriter()
         state = {"ch": dict(arena.to_state(writer), kind="shortcut_store")}
-        writer.write(str(tmp_path))
-        reader = open_payload(str(tmp_path), writer.filename, "npz")
+        toc = writer.write(str(tmp_path))
+        reader = open_payload(str(tmp_path), writer.filename, "arena", toc)
         with pytest.raises(SnapshotFormatError):
             _unpack_kernels(state, reader, Graph(len(rows)))
 

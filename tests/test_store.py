@@ -359,13 +359,13 @@ class TestMaintenanceParity:
 @NEEDS_NATIVE
 class TestSharedBuffers:
     """An arena two owners pack — a contraction and its shortcut store,
-    labels and their label store — is one payload member, referenced
+    labels and their label store — is one payload entry, referenced
     twice, and a loaded index is still a full peer of the saved one."""
 
     @staticmethod
     def _save(index, path, monkeypatch, share=True):
         """Save ``index``; returns the ids of the arrays ``put_array`` was
-        handed.  ``share=False`` writes every put as its own member (the
+        handed.  ``share=False`` writes every put as its own entry (the
         payload earlier versions wrote)."""
         from repro.store.arrays import _REF_KEY, ArrayWriter
 
@@ -387,10 +387,9 @@ class TestSharedBuffers:
 
     @staticmethod
     def _members(path) -> int:
-        import zipfile
-
-        with zipfile.ZipFile(os.path.join(path, "payload.npz")) as archive:
-            return len(archive.namelist())
+        """Entries of the payload's table of contents."""
+        with open(os.path.join(path, "state.json")) as handle:
+            return len(json.load(handle)["payload_toc"])
 
     @pytest.mark.parametrize("share", (True, False), ids=("shared", "unshared"))
     @pytest.mark.parametrize("method", ("DCH", "PMHL", "PostMHL"))
@@ -492,16 +491,44 @@ class TestCorruptionAndSkew:
         with pytest.raises(SnapshotFormatError):
             load_index(snapshot)
 
-    def test_json_payload_backend_rejected(self, snapshot):
-        """The pure-JSON payload is gone: a manifest naming it is a typed
-        format error, not a reader that half-works."""
+    @staticmethod
+    def _edit_manifest(snapshot, **fields):
         manifest_path = os.path.join(snapshot, "manifest.json")
         with open(manifest_path) as handle:
             manifest = json.load(handle)
-        manifest["payload_backend"] = "json"
+        manifest.update(fields)
         with open(manifest_path, "w") as handle:
             json.dump(manifest, handle)
+
+    def test_json_payload_backend_rejected(self, snapshot):
+        """The pure-JSON payload is gone: a manifest naming it is a typed
+        format error, not a reader that half-works."""
+        self._edit_manifest(snapshot, payload_backend="json")
         with pytest.raises(SnapshotFormatError, match="json"):
+            load_index(snapshot)
+
+    def test_npz_payload_backend_rejected(self, snapshot):
+        """So is the zip of ``.npy`` members schema 3 wrote."""
+        self._edit_manifest(snapshot, payload="payload.npz", payload_backend="npz")
+        with pytest.raises(SnapshotFormatError, match="npz"):
+            load_index(snapshot)
+
+    def test_schema_3_snapshot_is_refused(self, snapshot):
+        """Schema 3 stored the payload as a zip of ``.npy`` members: such a
+        snapshot raises, typed, and never loads."""
+        self._edit_manifest(snapshot, schema_version=3)
+        with pytest.raises(SnapshotVersionError) as excinfo:
+            load_index(snapshot)
+        assert excinfo.value.found == 3
+
+    def test_state_without_payload_toc_rejected(self, snapshot):
+        state_path = os.path.join(snapshot, "state.json")
+        with open(state_path) as handle:
+            state = json.load(handle)
+        del state["payload_toc"]
+        with open(state_path, "w") as handle:
+            json.dump(state, handle)
+        with pytest.raises(SnapshotFormatError):
             load_index(snapshot)
 
     def test_kernel_store_without_arena_rejected(self, snapshot):
@@ -610,23 +637,41 @@ QUERY_CORRUPTIONS = {
 }
 
 
-def _corrupt_label_arena(path, arena_state, corrupt):
-    """Rewrite the payload member holding the label arena ``arena_state``
-    (a ``{"arena", "toc"}`` entry of the state) with ``corrupt`` applied to
-    its entries."""
+def _payload(path):
+    """A snapshot's payload file and its table of contents by entry name."""
     with open(os.path.join(path, "manifest.json")) as handle:
         payload = os.path.join(path, json.load(handle)["payload"])
-    with numpy.load(payload) as archive:
-        members = {name: archive[name] for name in archive.files}
-    member = arena_state["arena"]["__array__"]
-    buffer = members[member].view(numpy.uint8).copy()
+    with open(os.path.join(path, "state.json")) as handle:
+        toc = {entry[0]: entry for entry in json.load(handle)["payload_toc"]}
+    return payload, toc
+
+
+def _corrupt_label_arena(path, arena_state, corrupt):
+    """Rewrite, in place, the payload entry holding the label arena
+    ``arena_state`` (a ``{"arena", "toc"}`` entry of the state) with
+    ``corrupt`` applied to its entries."""
+    payload, toc = _payload(path)
+    _name, _dtype, start, count = toc[arena_state["arena"]["__array__"]]
+    buffer = numpy.memmap(payload, dtype=numpy.uint8, mode="r+", offset=start, shape=(count,))
     arrays = {
         name: buffer[offset : offset + 8 * count].view(dtype)
         for name, dtype, offset, count in arena_state["toc"]
     }
     corrupt(arrays)
-    members[member] = buffer
-    numpy.savez(payload, **members)
+    buffer.flush()
+    del arrays, buffer
+
+
+def _load_and_query(kind, path, key):
+    """Run ``_LOAD_AND_QUERY`` in a child process; it must print ``refused:``
+    and exit 0 (a crash in C would end it by a signal)."""
+    child = subprocess.run(
+        [sys.executable, "-c", _LOAD_AND_QUERY, kind, path, key, str(GRID_SIDE)],
+        capture_output=True, text=True, timeout=120,
+        env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)},
+    )
+    assert child.returncode == 0, (child.returncode, child.stdout, child.stderr)
+    assert child.stdout.startswith("refused:"), child.stdout
 
 
 class TestCorruptedLabelArena:
@@ -650,13 +695,90 @@ class TestCorruptedLabelArena:
             state = json.load(handle)
         arena_state = state["index"][key] if kind == "index" else state["kernels"][key]
         _corrupt_label_arena(path, arena_state, QUERY_CORRUPTIONS[entry])
-        child = subprocess.run(
-            [sys.executable, "-c", _LOAD_AND_QUERY, kind, path, key, str(GRID_SIDE)],
-            capture_output=True, text=True, timeout=120,
-            env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)},
-        )
-        assert child.returncode == 0, (child.returncode, child.stdout, child.stderr)
-        assert child.stdout.startswith("refused:"), child.stdout
+        _load_and_query(kind, path, key)
+
+
+def _truncate(keep):
+    def corrupt(payload, toc):
+        with open(payload, "rb+") as handle:
+            handle.truncate(keep(os.path.getsize(payload)))
+
+    return corrupt
+
+
+def _toc_entry(which, change):
+    """Apply ``change(entry, nbytes)`` to one non-empty entry of ``toc``: the
+    one that ends ``"last"`` — where the payload (or the arena's buffer)
+    ends, so that only a bounds check can catch a longer or later extent —
+    or the ``"first"``, which a one-byte shift leaves in bounds."""
+
+    def corrupt(nbytes, toc):
+        # Entries are laid out in order, so the last non-empty one ends last.
+        pick = [i for i, entry in enumerate(toc) if entry[3] > 0][0 if which == "first" else -1]
+        toc[pick] = change(list(toc[pick]), nbytes)
+
+    return corrupt
+
+
+#: A truncated payload file, and one corrupted entry of a table of contents.
+PAYLOAD_TRUNCATIONS = {
+    "truncated-to-0": _truncate(lambda size: 0),
+    "truncated-to-half": _truncate(lambda size: size // 2),
+    "truncated-by-1": _truncate(lambda size: size - 1),
+}
+TOC_CORRUPTIONS = {
+    "offset-plus-1": _toc_entry("first", lambda e, nbytes: [e[0], e[1], e[2] + 1, e[3]]),
+    "offset-past-end": _toc_entry(
+        "last", lambda e, nbytes: [e[0], e[1], -(-nbytes // 64) * 64 + 64, e[3]]
+    ),
+    "count-doubled": _toc_entry("last", lambda e, nbytes: [e[0], e[1], e[2], 2 * e[3]]),
+    "dtype-object": _toc_entry("first", lambda e, nbytes: [e[0], "object", e[2], e[3]]),
+}
+
+
+class TestCorruptedPayload:
+    """A PMHL snapshot or store generation whose payload is truncated (to
+    nothing, to half, by one byte), or whose payload table of contents or
+    label-arena table of contents has one corrupted entry (misaligned, past
+    the end, too long, an unsupported dtype), is refused on load with
+    ``SnapshotFormatError`` — in a child process, so a crash in C fails the
+    test instead of passing it."""
+
+    @staticmethod
+    def _save(kind, tmp_path):
+        index = create_index(NINE_SPECS["PMHL"], _base_graph())
+        index.build()
+        path = str(tmp_path / "snap")
+        if kind == "index":
+            save_index(index, path)
+        else:
+            save_stores(index, path, epoch=0)
+        return path
+
+    @pytest.mark.parametrize("case", sorted(PAYLOAD_TRUNCATIONS))
+    @pytest.mark.parametrize("kind", ["index", pytest.param("stores", marks=NEEDS_NATIVE)])
+    def test_truncated_payload_refused(self, kind, case, tmp_path):
+        path = self._save(kind, tmp_path)
+        PAYLOAD_TRUNCATIONS[case](_payload(path)[0], None)
+        _load_and_query(kind, path, "cross_labels")
+
+    @pytest.mark.parametrize("case", sorted(TOC_CORRUPTIONS))
+    @pytest.mark.parametrize("toc", ["payload", "arena"])
+    @pytest.mark.parametrize("kind", ["index", pytest.param("stores", marks=NEEDS_NATIVE)])
+    def test_corrupted_toc_entry_refused(self, kind, toc, case, tmp_path):
+        path = self._save(kind, tmp_path)
+        state_path = os.path.join(path, "state.json")
+        with open(state_path) as handle:
+            state = json.load(handle)
+        if toc == "payload":
+            TOC_CORRUPTIONS[case](os.path.getsize(_payload(path)[0]), state["payload_toc"])
+        else:
+            arena = (state["index"] if kind == "index" else state["kernels"])["cross_labels"]
+            nbytes = _payload(path)[1][arena["arena"]["__array__"]][3]
+            TOC_CORRUPTIONS[case](nbytes, arena["toc"])
+        with open(state_path, "w") as handle:
+            json.dump(state, handle)
+        _load_and_query(kind, path, "cross_labels")
 
 
 class TestFingerprint:
@@ -890,34 +1012,77 @@ class TestKernelReattachment:
         assert refrozen is not attached
 
 
-class TestNpzPayloadReader:
-    def test_interleaved_member_fetches_share_no_file_offset(self, tmp_path, monkeypatch):
-        """A fetch that starts while another is mid-header (a second thread,
-        or a forked cluster reader and the maintainer it inherited the index
-        from) leaves the first one reading its own header: both members come
-        back as mmap views with their own contents."""
-        from repro.store.arrays import ArrayReader, ArrayWriter
+class TestArenaPayloadReader:
+    """A load maps its payload once, and everything it reads is a view of
+    that one mapping."""
 
-        writer = ArrayWriter()
-        first = writer.put_ints(range(10))
-        second = writer.put_floats([0.5, 1.5, 2.5])
-        reader = ArrayReader(str(tmp_path / writer.write(str(tmp_path))))
-        read_magic = numpy.lib.format.read_magic
-        nested = {}
+    def test_every_array_a_load_reads_views_one_mapping(self, built_indexes, tmp_path,
+                                                        monkeypatch):
+        from repro.store.arrays import ArrayReader
 
-        def interleaved(handle):
-            version = read_magic(handle)
-            if "second" not in nested:
-                nested["second"] = None
-                nested["second"] = reader.get_array(second)
-            return version
+        path = str(tmp_path / "snap")
+        save_index(built_indexes["PMHL"], path)
+        get_array, read = ArrayReader.get_array, []
 
-        monkeypatch.setattr(numpy.lib.format, "read_magic", interleaved)
-        array = reader.get_array(first)
-        assert isinstance(array, numpy.memmap)
-        assert array.tolist() == list(range(10))
-        assert isinstance(nested["second"], numpy.memmap)
-        assert nested["second"].tolist() == [0.5, 1.5, 2.5]
+        def recording(self, ref):
+            array = get_array(self, ref)
+            read.append((self, array))
+            return array
+
+        monkeypatch.setattr(ArrayReader, "get_array", recording)
+        loaded = load_index(path)
+        monkeypatch.undo()
+        readers = {id(reader): reader for reader, _ in read}
+        assert len(readers) == 1 and len(read) > 10
+        mapping = next(iter(readers.values())).arena.buffer
+        assert isinstance(mapping, numpy.memmap)
+
+        def root(array):
+            while isinstance(array, numpy.ndarray) and array is not mapping:
+                array = array.base
+            return array
+
+        arrays = [array for _, array in read]
+        arrays += [store.arena.buffer for store in loaded._kernel_stores.values()]
+        assert all(root(array) is mapping for array in arrays)
+        if os.path.exists("/proc/self/maps"):
+            payload = os.path.realpath(os.path.join(path, "payload.bin"))
+            with open("/proc/self/maps") as handle:
+                assert sum(payload in line for line in handle) == 1
+
+    def test_empty_payload_saves_and_loads(self, tmp_path):
+        """A store generation of an index that exports no store (one on its
+        reference path) has an empty payload file, and it loads."""
+        index = create_index("DCH", _base_graph(), use_kernels=False)
+        index.build()
+        path = save_stores(index, str(tmp_path / "stores"), epoch=4)
+        assert os.path.getsize(os.path.join(path, "payload.bin")) == 0
+        assert load_stores(path, index.graph) == (4, {})
+
+    def test_reader_forked_after_load_answers_like_its_parent(self, snapshot_dirs):
+        """One mapping, taken at open: a process forked after ``load_index``
+        (a cluster reader inheriting the maintainer's index) answers every
+        pair bit-identically to its parent."""
+        index = load_index(snapshot_dirs["PMHL"])
+        side = GRID_SIDE * GRID_SIDE
+        pairs = [(s, t) for s in range(side) for t in range(side)]
+        read_end, write_end = os.pipe()
+        pid = os.fork()
+        if pid == 0:  # pragma: no cover - the forked child
+            code = 1
+            try:
+                os.close(read_end)
+                answers = numpy.asarray(index.query_many(pairs), dtype=numpy.float64)
+                with os.fdopen(write_end, "wb") as out:
+                    out.write(answers.tobytes())
+                code = 0
+            finally:
+                os._exit(code)
+        os.close(write_end)
+        with os.fdopen(read_end, "rb") as source:
+            child = source.read()
+        assert os.waitpid(pid, 0)[1] == 0
+        assert child == numpy.asarray(index.query_many(pairs), dtype=numpy.float64).tobytes()
 
 
 @NEEDS_NATIVE
