@@ -7,6 +7,11 @@ These serve two roles in the reproduction:
    index-free search while the index is stale).
 2. *Ground truth* — every index in the test-suite is validated against plain
    Dijkstra.
+
+Every search runs over row positions and the weighted rows of
+:meth:`~repro.graph.graph.Graph.adjacency` (Python lists, made once per
+weight version); positions ascend with vertex ids, so the heap's ties break
+by id, and ids are translated back only at the answer.
 """
 
 from __future__ import annotations
@@ -24,11 +29,13 @@ INF = math.inf
 def _dijkstra_settle(
     graph: Graph, source: int, remaining: Optional[set]
 ) -> Dict[int, float]:
-    """Core Dijkstra loop (no validation; ``remaining`` is consumed in place).
+    """Core Dijkstra loop over positions (no validation; ``remaining``, a set
+    of positions, is consumed in place): ``{position: distance}``.
 
     Shared by every one-to-many entry point so batch callers pay validation
     and target-set construction once per source group, not once per call.
     """
+    rows = graph.adjacency()
     dist: Dict[int, float] = {source: 0.0}
     settled: Dict[int, float] = {}
     heap: List[Tuple[float, int]] = [(0.0, source)]
@@ -41,12 +48,23 @@ def _dijkstra_settle(
             remaining.discard(v)
             if not remaining:
                 break
-        for u, w in graph.neighbors(v).items():
+        for u, w in rows[v]:
             nd = d + w
             if nd < dist.get(u, INF):
                 dist[u] = nd
                 heapq.heappush(heap, (nd, u))
     return settled
+
+
+def _row(graph: Graph, v: int) -> int:
+    """Row of ``v``, or ``-1`` (which no search settles) if it is absent."""
+    return graph.position(v) if graph.has_vertex(v) else -1
+
+
+def _by_id(graph: Graph, by_position: Dict[int, float]) -> Dict[int, float]:
+    """A position-keyed result keyed by vertex id."""
+    ids = graph.id_list
+    return {ids[p]: d for p, d in by_position.items()}
 
 
 def dijkstra(graph: Graph, source: int, targets: Optional[Iterable[int]] = None) -> Dict[int, float]:
@@ -68,10 +86,10 @@ def dijkstra(graph: Graph, source: int, targets: Optional[Iterable[int]] = None)
         Mapping of reached vertex to shortest distance.  Unreachable vertices
         are absent from the mapping.
     """
-    if not graph.has_vertex(source):
-        raise VertexNotFoundError(source)
-    remaining = set(targets) if targets is not None else None
-    return _dijkstra_settle(graph, source, remaining)
+    start = graph.position(source)
+    # A target the graph lacks is position -1, which no search settles.
+    remaining = None if targets is None else {_row(graph, t) for t in targets}
+    return _by_id(graph, _dijkstra_settle(graph, start, remaining))
 
 
 def dijkstra_one_to_many(
@@ -86,23 +104,21 @@ def dijkstra_one_to_many(
     a source-grouped ``query_many`` that validated the batch up front).
     """
     if validate:
-        if not graph.has_vertex(source):
-            raise VertexNotFoundError(source)
-        for target in targets:
-            if not graph.has_vertex(target):
-                raise VertexNotFoundError(target)
-    settled = _dijkstra_settle(graph, source, set(targets))
-    return [settled.get(target, INF) for target in targets]
+        for vertex in (source, *targets):
+            if not graph.has_vertex(vertex):
+                raise VertexNotFoundError(vertex)
+    rows = [graph.position(t) for t in targets]
+    settled = _dijkstra_settle(graph, graph.position(source), set(rows))
+    return [settled.get(row, INF) for row in rows]
 
 
 def dijkstra_distance(graph: Graph, source: int, target: int) -> float:
     """Shortest distance between ``source`` and ``target`` (``inf`` if unreachable)."""
+    start = graph.position(source)
     if source == target:
-        if not graph.has_vertex(source):
-            raise VertexNotFoundError(source)
         return 0.0
-    settled = dijkstra(graph, source, targets=[target])
-    return settled.get(target, INF)
+    goal = _row(graph, target)
+    return _dijkstra_settle(graph, start, {goal}).get(goal, INF)
 
 
 def dijkstra_path(graph: Graph, source: int, target: int) -> Tuple[float, List[int]]:
@@ -110,28 +126,25 @@ def dijkstra_path(graph: Graph, source: int, target: int) -> Tuple[float, List[i
 
     Returns ``(inf, [])`` when the target is unreachable.
     """
-    if not graph.has_vertex(source):
-        raise VertexNotFoundError(source)
-    if not graph.has_vertex(target):
-        raise VertexNotFoundError(target)
+    start, goal = graph.position(source), graph.position(target)
     if source == target:
         return 0.0, [source]
-    dist: Dict[int, float] = {source: 0.0}
+    rows, ids = graph.adjacency(), graph.id_list
+    dist: Dict[int, float] = {start: 0.0}
     parent: Dict[int, int] = {}
     settled: set = set()
-    heap: List[Tuple[float, int]] = [(0.0, source)]
+    heap: List[Tuple[float, int]] = [(0.0, start)]
     while heap:
         d, v = heapq.heappop(heap)
         if v in settled:
             continue
         settled.add(v)
-        if v == target:
-            path = [target]
-            while path[-1] != source:
+        if v == goal:
+            path = [goal]
+            while path[-1] != start:
                 path.append(parent[path[-1]])
-            path.reverse()
-            return d, path
-        for u, w in graph.neighbors(v).items():
+            return d, [ids[p] for p in reversed(path)]
+        for u, w in rows[v]:
             nd = d + w
             if nd < dist.get(u, INF):
                 dist[u] = nd
@@ -142,19 +155,17 @@ def dijkstra_path(graph: Graph, source: int, target: int) -> Tuple[float, List[i
 
 def bidijkstra(graph: Graph, source: int, target: int) -> float:
     """Bidirectional Dijkstra shortest distance (the paper's BiDijkstra baseline)."""
-    if not graph.has_vertex(source):
-        raise VertexNotFoundError(source)
-    if not graph.has_vertex(target):
-        raise VertexNotFoundError(target)
+    start, goal = graph.position(source), graph.position(target)
     if source == target:
         return 0.0
+    rows = graph.adjacency()
 
-    dist_f: Dict[int, float] = {source: 0.0}
-    dist_b: Dict[int, float] = {target: 0.0}
+    dist_f: Dict[int, float] = {start: 0.0}
+    dist_b: Dict[int, float] = {goal: 0.0}
     settled_f: set = set()
     settled_b: set = set()
-    heap_f: List[Tuple[float, int]] = [(0.0, source)]
-    heap_b: List[Tuple[float, int]] = [(0.0, target)]
+    heap_f: List[Tuple[float, int]] = [(0.0, start)]
+    heap_b: List[Tuple[float, int]] = [(0.0, goal)]
     best = INF
 
     while heap_f or heap_b:
@@ -169,7 +180,7 @@ def bidijkstra(graph: Graph, source: int, target: int) -> float:
             settled_f.add(v)
             if v in dist_b:
                 best = min(best, d + dist_b[v])
-            for u, w in graph.neighbors(v).items():
+            for u, w in rows[v]:
                 nd = d + w
                 if nd < dist_f.get(u, INF):
                     dist_f[u] = nd
@@ -183,7 +194,7 @@ def bidijkstra(graph: Graph, source: int, target: int) -> float:
             settled_b.add(v)
             if v in dist_f:
                 best = min(best, d + dist_f[v])
-            for u, w in graph.neighbors(v).items():
+            for u, w in rows[v]:
                 nd = d + w
                 if nd < dist_b.get(u, INF):
                     dist_b[u] = nd
@@ -193,4 +204,3 @@ def bidijkstra(graph: Graph, source: int, target: int) -> float:
         else:
             break
     return best
-

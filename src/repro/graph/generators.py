@@ -23,6 +23,8 @@ import random
 from dataclasses import dataclass
 from typing import Dict, List, Tuple
 
+import numpy as np
+
 from repro.exceptions import GraphError
 from repro.graph.graph import Graph
 
@@ -59,25 +61,28 @@ def grid_road_network(
     if rows < 1 or cols < 1:
         raise GraphError(f"grid dimensions must be positive, got {rows}x{cols}")
     rng = random.Random(seed)
-    graph = Graph(rows * cols)
-
-    def vid(r: int, c: int) -> int:
-        return r * cols + c
-
-    for r in range(rows):
-        for c in range(cols):
-            graph.set_coordinate(vid(r, c), float(c), float(r))
+    n = rows * cols
+    # ``rng.uniform(lo, hi)`` is ``lo + (hi - lo) * rng.random()``: spelled
+    # out, the same draws without a method call per edge.
+    draw, span = rng.random, max_weight - min_weight
 
     candidate_edges: List[Tuple[int, int]] = []
-    for r in range(rows):
-        for c in range(cols):
-            if c + 1 < cols:
-                candidate_edges.append((vid(r, c), vid(r, c + 1)))
-            if r + 1 < rows:
-                candidate_edges.append((vid(r, c), vid(r + 1, c)))
+    for v in range(n):
+        if (v + 1) % cols:
+            candidate_edges.append((v, v + 1))
+        if v + cols < n:
+            candidate_edges.append((v, v + cols))
 
+    # The live edges in insertion order (a re-inserted edge moves to the
+    # end, which is where the builder then lists it in both rows), plus
+    # each vertex's neighbour set for the removal's degree and reach tests.
+    live: Dict[Tuple[int, int], float] = {
+        edge: min_weight + span * draw() for edge in candidate_edges
+    }
+    adjacent: List[set] = [set() for _ in range(n)]
     for u, v in candidate_edges:
-        graph.add_edge(u, v, rng.uniform(min_weight, max_weight))
+        adjacent[u].add(v)
+        adjacent[v].add(u)
 
     # Remove a fraction of edges while preserving connectivity.
     removable = list(candidate_edges)
@@ -87,26 +92,37 @@ def grid_road_network(
     for u, v in removable:
         if removed >= target_removals:
             break
-        if graph.degree(u) <= 1 or graph.degree(v) <= 1:
+        if len(adjacent[u]) <= 1 or len(adjacent[v]) <= 1:
             continue
-        weight = graph.edge_weight(u, v)
-        graph.remove_edge(u, v)
-        if _still_connected_locally(graph, u, v):
+        weight = live.pop((u, v))
+        adjacent[u].discard(v)
+        adjacent[v].discard(u)
+        if _still_connected_locally(adjacent, u, v):
             removed += 1
         else:
-            graph.add_edge(u, v, weight)
+            live[(u, v)] = weight
+            adjacent[u].add(v)
+            adjacent[v].add(u)
 
     # Add diagonal shortcut streets.
     for r in range(rows - 1):
-        for c in range(cols - 1):
-            if rng.random() < diagonal_probability:
-                u, v = vid(r, c), vid(r + 1, c + 1)
-                graph.add_edge(u, v, rng.uniform(min_weight, max_weight) * math.sqrt(2))
+        for v in range(r * cols, r * cols + cols - 1):
+            if draw() < diagonal_probability:
+                live[(v, v + cols + 1)] = (min_weight + span * draw()) * math.sqrt(2)
 
-    return graph
+    row, col = np.divmod(np.arange(n), cols)
+    return _from_pairs(live, range(n), np.stack([col, row], axis=1))
 
 
-def _still_connected_locally(graph: Graph, u: int, v: int, hop_limit: int = 64) -> bool:
+def _from_pairs(edges: Dict[Tuple[int, int], float], vertices, coords=None) -> Graph:
+    """:meth:`Graph.from_edges` over an insertion-ordered ``{(u, v): weight}``."""
+    us, vs = zip(*edges) if edges else ((), ())
+    return Graph.from_edges(us, vs, list(edges.values()), vertices=vertices, coords=coords)
+
+
+def _still_connected_locally(
+    adjacent: List[set], u: int, v: int, hop_limit: int = 64
+) -> bool:
     """Check whether ``u`` can still reach ``v`` within a bounded BFS.
 
     A bounded search keeps the generator fast; if the bound is exceeded the
@@ -119,7 +135,7 @@ def _still_connected_locally(graph: Graph, u: int, v: int, hop_limit: int = 64) 
     for _ in range(hop_limit):
         next_frontier = []
         for x in frontier:
-            for y in graph.neighbors(x):
+            for y in adjacent[x]:
                 if y == v:
                     return True
                 if y not in seen:
@@ -146,24 +162,24 @@ def random_connected_graph(
     if num_vertices < 1:
         raise GraphError("num_vertices must be at least 1")
     rng = random.Random(seed)
-    graph = Graph(num_vertices)
+    edges: Dict[Tuple[int, int], float] = {}
     order = list(range(num_vertices))
     rng.shuffle(order)
     for i in range(1, num_vertices):
         u = order[i]
         v = order[rng.randrange(i)]
-        graph.add_edge(u, v, rng.uniform(min_weight, max_weight))
+        edges[(u, v)] = rng.uniform(min_weight, max_weight)
     attempts = 0
     added = 0
     while added < extra_edges and attempts < extra_edges * 10:
         attempts += 1
         u = rng.randrange(num_vertices)
         v = rng.randrange(num_vertices)
-        if u == v or graph.has_edge(u, v):
+        if u == v or (u, v) in edges or (v, u) in edges:
             continue
-        graph.add_edge(u, v, rng.uniform(min_weight, max_weight))
+        edges[(u, v)] = rng.uniform(min_weight, max_weight)
         added += 1
-    return graph
+    return _from_pairs(edges, range(num_vertices))
 
 
 def highway_network(
@@ -184,7 +200,8 @@ def highway_network(
         raise GraphError("clusters and cluster_size must be positive")
     rng = random.Random(seed)
     side = max(2, int(math.sqrt(cluster_size)))
-    graph = Graph()
+    edges: Dict[Tuple[int, int], float] = {}
+    coords: List[Tuple[float, float]] = []
     cluster_vertices: List[List[int]] = []
     offset = 0
     grid_cols = int(math.ceil(math.sqrt(clusters)))
@@ -196,35 +213,28 @@ def highway_network(
             min_weight=min_weight,
             max_weight=max_weight,
         )
-        mapping: Dict[int, int] = {}
         base_x = (cluster_index % grid_cols) * (side * 3)
         base_y = (cluster_index // grid_cols) * (side * 3)
-        for v in sorted(city.vertices()):
-            mapping[v] = offset + v
-            graph.add_vertex(offset + v)
-            coord = city.coordinate(v)
-            graph.set_coordinate(offset + v, base_x + coord[0], base_y + coord[1])
+        coords.extend((base_x + x, base_y + y) for x, y in city.coords.tolist())
         for u, v, w in city.edges():
-            graph.add_edge(mapping[u], mapping[v], w)
-        cluster_vertices.append([mapping[v] for v in sorted(city.vertices())])
+            edges[(offset + u, offset + v)] = w
+        cluster_vertices.append(list(range(offset, offset + city.num_vertices)))
         offset += city.num_vertices
 
     # Highways: connect each cluster to the next in a ring plus a few chords.
+    def highway(i: int, j: int) -> None:
+        u = rng.choice(cluster_vertices[i])
+        v = rng.choice(cluster_vertices[j])
+        if u != v and (u, v) not in edges and (v, u) not in edges:
+            edges[(u, v)] = rng.uniform(min_weight, max_weight) * highway_factor * side
+
     for i in range(clusters):
-        j = (i + 1) % clusters
         if clusters == 1:
             break
-        u = rng.choice(cluster_vertices[i])
-        v = rng.choice(cluster_vertices[j])
-        if u != v and not graph.has_edge(u, v):
-            graph.add_edge(u, v, rng.uniform(min_weight, max_weight) * highway_factor * side)
+        highway(i, (i + 1) % clusters)
     for _ in range(max(0, clusters - 2)):
-        i, j = rng.sample(range(clusters), 2)
-        u = rng.choice(cluster_vertices[i])
-        v = rng.choice(cluster_vertices[j])
-        if u != v and not graph.has_edge(u, v):
-            graph.add_edge(u, v, rng.uniform(min_weight, max_weight) * highway_factor * side)
-    return graph
+        highway(*rng.sample(range(clusters), 2))
+    return _from_pairs(edges, range(offset), coords)
 
 
 @dataclass(frozen=True)

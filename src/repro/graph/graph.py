@@ -1,25 +1,33 @@
-"""Weighted undirected road-network graph.
+"""Weighted undirected road-network graph, stored as arrays.
 
-The :class:`Graph` class is the substrate every index in this package is built
-on.  It stores an undirected graph with strictly positive edge weights
-(travel times) using an adjacency-dictionary representation, which gives
+The :class:`Graph` class is the substrate every index in this package is
+built on.  Its topology is a CSR made once — by :meth:`Graph.from_edges`, or
+checked from a snapshot payload by :meth:`Graph.from_arrays` — and never
+changed; its metric is one ``float64`` weight per undirected edge, which
+:meth:`Graph.set_edge_weight` overwrites in place.  The paper's updates
+change weights only: this is the topology / metric split of Customizable CH
+(Dibbelt, Strasser, Wagner, JEA 2016) every contraction here follows.
 
-* O(1) average weight lookup / update (needed by the dynamic-index update
-  paths, which touch individual edges),
-* cheap iteration over a vertex's neighbours (needed by Dijkstra-family
-  searches and by Minimum Degree Elimination), and
-* cheap structural copies (needed when building partition subgraphs and
-  extended partitions).
+* ``ids: int64[n]`` — vertex ids, strictly ascending, not necessarily
+  contiguous; a vertex's *position* (row) is its index in ``ids``;
+* ``indptr: int64[n + 1]`` / ``indices: int64[2m]`` — each row's neighbour
+  positions, every edge listed from both ends, in the order the edges first
+  reached the builder (so generators, partitioners and searches whose
+  tie-breaks follow neighbour order are a function of the edge sequence);
+* ``edge: int64[2m]`` — each slot's undirected edge; ``weights: float64[m]``;
+* ``coords: float64[n, 2]`` or ``None`` (``nan`` where a vertex has none).
 
-Vertices are non-negative integers.  They do not have to be contiguous,
-although the synthetic generators produce contiguous ids.
+The pure-Python rungs walk lists made by one ``tolist()`` per topology (per
+weight version for the weighted rows), never numpy scalars.  Vertex
+membership is one dict lookup (id to row, made once per topology).
 """
 
 from __future__ import annotations
 
-import itertools
 import math
-from typing import Dict, Iterable, Iterator, List, Optional, Tuple
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
+
+import numpy as np
 
 from repro.exceptions import (
     EdgeNotFoundError,
@@ -42,287 +50,391 @@ def _check_weight(weight: float) -> float:
     return value
 
 
+def _ints(values) -> np.ndarray:
+    """``values`` (any iterable of ids) as a flat ``int64`` array."""
+    return np.asarray(values if isinstance(values, np.ndarray) else list(values),
+                      dtype=np.int64).reshape(-1)
+
+
+def _unique(values: np.ndarray) -> np.ndarray:
+    """The sorted distinct entries of ``values``: ``np.unique`` by one sort
+    (numpy 2's hash-based ``np.unique`` is an order of magnitude slower on
+    these int64 arrays)."""
+    ordered = np.sort(values)
+    return ordered[np.concatenate(([True], ordered[1:] != ordered[:-1]))] if len(ordered) else ordered
+
+
 class Graph:
     """Undirected graph with positive edge weights and optional coordinates.
 
-    Parameters
-    ----------
-    num_vertices:
-        If given, vertices ``0..num_vertices-1`` are created up front.
-
-    Notes
-    -----
-    The graph is *undirected*: ``add_edge(u, v, w)`` makes the weight visible
-    from both endpoints, and ``set_edge_weight`` keeps both directions in
-    sync.  This mirrors the paper, which treats road networks as undirected
-    and notes the techniques extend to directed graphs.
+    Build it with :meth:`from_edges`; the constructor wraps arrays that are
+    already the layout of the module docstring.  An edge's one weight is read
+    from both endpoints (the paper treats road networks as undirected).
     """
 
-    __slots__ = ("_adj", "_coords", "_num_edges", "_version")
+    __slots__ = ("ids", "indptr", "indices", "edge", "weights", "coords",
+                 "_version", "_members", "_topology", "_rows")
 
-    def __init__(self, num_vertices: int = 0):
-        if num_vertices < 0:
-            raise GraphError(f"num_vertices must be non-negative, got {num_vertices}")
-        self._adj: Dict[int, Dict[int, float]] = {v: {} for v in range(num_vertices)}
-        self._coords: Dict[int, Tuple[float, float]] = {}
-        self._num_edges = 0
-        self._version = 0
+    def __init__(self, ids, indptr, indices, edge, weights, coords=None, version: int = 0):
+        self.ids, self.indptr, self.indices, self.edge = ids, indptr, indices, edge
+        self.weights, self.coords, self._version = weights, coords, version
+        #: ``v in _members`` is the vertex check and ``_members[v]`` its row:
+        #: a dict, whose lookup costs half a ``range`` test's in CPython.
+        self._members = dict(zip(ids.tolist(), range(len(ids))))
+        #: Arrays and lists derived from the topology alone, shared by copies.
+        self._topology: Dict[str, object] = {}
+        self._rows: Tuple[int, Optional[list]] = (-1, None)
+
+    @classmethod
+    def from_edges(
+        cls,
+        us: Sequence[int] = (),
+        vs: Sequence[int] = (),
+        weights: Sequence[float] = (),
+        vertices: Sequence[int] = (),
+        coords=None,
+    ) -> "Graph":
+        """The graph on ``vertices`` plus every endpoint, with the edges
+        ``(us[i], vs[i], weights[i])``.
+
+        An edge given twice keeps its first position in both rows and the
+        *minimum* weight (shortcut-insertion semantics).  A self-loop, a
+        negative id or a weight that is not finite and positive is refused,
+        the first in input order reported.  ``coords`` is ``float64[n, 2]``
+        aligned with the sorted ids.
+        """
+        us, vs = _ints(us), _ints(vs)
+        try:
+            ws = np.asarray(weights, dtype=np.float64).reshape(-1)
+        except (TypeError, ValueError):
+            for weight in weights:
+                _check_weight(weight)
+            raise
+        if not len(us) == len(vs) == len(ws):
+            raise GraphError("from_edges needs one weight per (u, v) pair")
+        bad = (us == vs) | ~(np.isfinite(ws) & (ws > 0))
+        if bad.any():
+            first = int(np.argmax(bad))
+            if us[first] == vs[first]:
+                raise GraphError(f"self-loops are not allowed (vertex {int(us[first])})")
+            raise InvalidWeightError(weights[first])
+        ids = _unique(np.concatenate([_ints(vertices), us, vs]))
+        if len(ids) and ids[0] < 0:
+            raise GraphError(f"vertex ids must be non-negative, got {int(ids[0])}")
+        pu, pv = np.searchsorted(ids, us), np.searchsorted(ids, vs)
+        lo, hi = np.minimum(pu, pv), np.maximum(pu, pv)
+        # Duplicates sort together in input order (lexsort is stable): the
+        # first names the edge, the minimum weighs it.
+        order = np.lexsort((hi, lo))
+        new = np.ones(len(order), dtype=bool)
+        new[1:] = (np.diff(lo[order]) != 0) | (np.diff(hi[order]) != 0)
+        starts = np.flatnonzero(new)
+        first = order[starts]
+        ranked = np.argsort(first)
+        a, b = pu[first[ranked]], pv[first[ranked]]
+        w = (np.minimum.reduceat(ws[order], starts) if len(starts) else ws)[ranked]
+        # Both directions of every edge; each row's slots in edge order.
+        src, eid = np.concatenate([a, b]), np.tile(np.arange(len(w)), 2)
+        slots = np.lexsort((eid, src))
+        indptr = np.zeros(len(ids) + 1, dtype=np.int64)
+        np.cumsum(np.bincount(src, minlength=len(ids)), out=indptr[1:])
+        if coords is not None:
+            coords = np.array(coords, dtype=np.float64).reshape(len(ids), 2)
+        return cls(ids, indptr, np.concatenate([b, a])[slots], eid[slots], w, coords)
+
+    @classmethod
+    def from_arrays(cls, ids, indptr, indices, edge, weights, coords=None) -> "Graph":
+        """Wrap arrays (a snapshot payload's views) once numpy has checked
+        they are the module docstring's layout: a ``ValueError`` names the
+        first broken rule, so no search ever reads a bad CSR."""
+        n, slots, m = len(ids), len(indices), len(weights)
+        if any(a.dtype != np.int64 or a.ndim != 1 for a in (ids, indptr, indices, edge)) \
+                or weights.dtype != np.float64:
+            raise ValueError("graph payload arrays do not have the graph's dtypes")
+        if n and (ids[0] < 0 or (ids[1:] <= ids[:-1]).any()):
+            raise ValueError("graph payload ids are not distinct non-negative ascending ids")
+        if (len(indptr) != n + 1 or indptr[0] != 0 or indptr[-1] != slots
+                or (indptr[1:] < indptr[:-1]).any() or len(edge) != slots or slots != 2 * m):
+            raise ValueError("graph payload has a malformed adjacency")
+        if slots and (min(indices.min(), edge.min()) < 0 or indices.max() >= n
+                      or edge.max() >= m):
+            raise ValueError("graph payload names a row or an edge out of range")
+        if not (np.isfinite(weights) & (weights > 0)).all():
+            raise ValueError("graph payload carries a non-positive edge weight")
+        # Every edge owns two slots, each the other's mirror image, between
+        # distinct rows, and no two rows are joined twice.
+        graph = cls(ids, indptr, indices, edge, weights, coords)
+        tail, pair = graph.slot_rows(), np.argsort(edge, kind="stable")
+        a, b = pair[0::2], pair[1::2]
+        if ((np.bincount(edge, minlength=m) != 2).any() or (tail == indices).any()
+                or (tail[a] != indices[b]).any() or (indices[a] != tail[b]).any()
+                or len(_unique(tail * n + indices)) != slots):
+            raise ValueError("graph payload has an asymmetric adjacency")
+        if coords is not None and coords.shape != (n, 2):
+            raise ValueError("graph payload coordinates do not match its vertices")
+        return graph
 
     # ------------------------------------------------------------------
-    # Basic properties
+    # Vertices and edges
     # ------------------------------------------------------------------
     @property
     def num_vertices(self) -> int:
-        """Number of vertices currently in the graph."""
-        return len(self._adj)
+        return len(self.ids)
 
     @property
     def num_edges(self) -> int:
-        """Number of undirected edges currently in the graph."""
-        return self._num_edges
+        return len(self.weights)
 
     @property
     def version(self) -> int:
-        """Monotonic mutation counter (bumped by every structural/weight change).
-
-        Frozen snapshots (``repro.kernels.GraphSnapshot``) record the version
-        at freeze time so staleness is detectable in O(1).
-        """
+        """Counter bumped by every weight write: frozen snapshots
+        (``repro.kernels.GraphSnapshot``) record it to detect staleness."""
         return self._version
 
+    @property
+    def slot_weights(self) -> np.ndarray:
+        """``float64[2m]``: each slot's weight."""
+        return self.weights[self.edge]
+
+    @property
+    def id_list(self) -> List[int]:
+        """The ids as a Python list, made once (callers must not mutate it)."""
+        return self._derived("ids", self.ids.tolist)
+
     def vertices(self) -> Iterator[int]:
-        """Iterate over all vertex ids."""
-        return iter(self._adj)
+        """Iterate over all vertex ids, ascending."""
+        return iter(self.id_list)
 
     def edges(self) -> Iterator[Edge]:
-        """Iterate over all undirected edges as ``(u, v, weight)`` with ``u < v``."""
-        for u, nbrs in self._adj.items():
-            for v, w in nbrs.items():
-                if u < v:
-                    yield (u, v, w)
+        """Every edge once as ``(u, v, weight)`` with ``u < v``: rows
+        ascending, each row's neighbours in row order."""
+        return zip(*(array.tolist() for array in self.edge_arrays()))
+
+    def edge_arrays(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """``(us, vs, weights)`` of :meth:`edges`, as arrays."""
+        upper = self.upper_slots()
+        return (self.ids[self.slot_rows()[upper]], self.ids[self.indices[upper]],
+                self.weights[self.edge[upper]])
 
     def has_vertex(self, v: int) -> bool:
-        """Return ``True`` if vertex ``v`` exists."""
-        return v in self._adj
+        return v in self._members
 
     def missing_endpoint(self, pairs: Iterable[Tuple[int, int]]) -> Optional[int]:
         """First vertex of ``pairs`` (source before target) that does not
         exist, or ``None`` — a whole batch validated in one call."""
-        adj = self._adj
+        members = self._members
         for source, target in pairs:
-            if source not in adj:
+            if source not in members:
                 return source
-            if target not in adj:
+            if target not in members:
                 return target
         return None
 
+    def position(self, v: int) -> int:
+        """Row of vertex ``v``; :class:`VertexNotFoundError` if absent."""
+        if v not in self._members:
+            raise VertexNotFoundError(v)
+        return self._members[v]
+
+    def positions(self, vertices) -> np.ndarray:
+        """Rows of ``vertices`` as an ``int64`` array; the first vertex that
+        does not exist is a :class:`VertexNotFoundError`."""
+        wanted = _ints(vertices)
+        rows = np.minimum(np.searchsorted(self.ids, wanted), max(len(self.ids) - 1, 0))
+        found = self.ids[rows] == wanted if len(self.ids) else np.zeros(len(wanted), bool)
+        if not found.all():
+            raise VertexNotFoundError(int(wanted[np.argmin(found)]))
+        return rows
+
+    def _edge_id(self, u: int, v: int) -> int:
+        """The edge joining ``u`` and ``v``, ``-1`` when there is none."""
+        members = self._members
+        if u in members and v in members:
+            indptr, indices, edge = self._lists()
+            row, start = members[u], indptr[members[u]]
+            neighbours = indices[start : indptr[row + 1]]
+            if members[v] in neighbours:
+                return edge[start + neighbours.index(members[v])]
+        return -1
+
     def has_edge(self, u: int, v: int) -> bool:
-        """Return ``True`` if the undirected edge ``(u, v)`` exists."""
-        return u in self._adj and v in self._adj[u]
+        return self._edge_id(u, v) >= 0
 
     def degree(self, v: int) -> int:
-        """Return the number of neighbours of ``v``."""
-        self._require_vertex(v)
-        return len(self._adj[v])
-
-    def neighbors(self, v: int) -> Dict[int, float]:
-        """Return the neighbour-to-weight mapping of ``v``.
-
-        The returned dictionary is the live internal mapping; callers must not
-        mutate it.  Use :meth:`set_edge_weight` / :meth:`add_edge` instead.
-        """
-        self._require_vertex(v)
-        return self._adj[v]
+        row = self.position(v)
+        return int(self.indptr[row + 1] - self.indptr[row])
 
     # ------------------------------------------------------------------
-    # Mutation
+    # The metric
     # ------------------------------------------------------------------
-    def add_vertex(self, v: int) -> None:
-        """Add an isolated vertex ``v`` (no-op if it already exists)."""
-        if v < 0:
-            raise GraphError(f"vertex ids must be non-negative, got {v}")
-        if v not in self._adj:
-            self._adj[v] = {}
-            self._version += 1
-
-    def add_edge(self, u: int, v: int, weight: float) -> None:
-        """Add the undirected edge ``(u, v)`` with the given weight.
-
-        If the edge already exists its weight is kept at the *minimum* of the
-        existing and the new weight.  This matches shortcut-insertion
-        semantics used throughout the contraction-based indexes.
-        """
-        if u == v:
-            raise GraphError(f"self-loops are not allowed (vertex {u})")
-        value = _check_weight(weight)
-        self.add_vertex(u)
-        self.add_vertex(v)
-        if v in self._adj[u]:
-            if value < self._adj[u][v]:
-                self._adj[u][v] = value
-                self._adj[v][u] = value
-                self._version += 1
-        else:
-            self._adj[u][v] = value
-            self._adj[v][u] = value
-            self._num_edges += 1
-            self._version += 1
-
     def set_edge_weight(self, u: int, v: int, weight: float) -> None:
-        """Overwrite the weight of an existing edge ``(u, v)``."""
-        value = _check_weight(weight)
-        if not self.has_edge(u, v):
+        """Overwrite the weight of edge ``(u, v)``: one ``weights`` entry
+        (the array is copied first if it is a read-only payload view)."""
+        value, edge = _check_weight(weight), self._edge_id(u, v)
+        if edge < 0:
             raise EdgeNotFoundError(u, v)
-        self._adj[u][v] = value
-        self._adj[v][u] = value
+        if not self.weights.flags.writeable:
+            self.weights = self.weights.copy()
+        self.weights[edge] = value
         self._version += 1
 
     def edge_weight(self, u: int, v: int) -> float:
-        """Return the weight of edge ``(u, v)``; raise if it does not exist."""
-        if not self.has_edge(u, v):
+        """The weight of edge ``(u, v)``; raise if it does not exist."""
+        edge = self._edge_id(u, v)
+        if edge < 0:
             raise EdgeNotFoundError(u, v)
-        return self._adj[u][v]
+        return float(self.weights[edge])
 
-    def edge_weight_or(self, u: int, v: int, default: float = math.inf) -> float:
-        """Return the weight of edge ``(u, v)`` or ``default`` if absent."""
-        if u in self._adj:
-            return self._adj[u].get(v, default)
-        return default
-
-    def remove_edge(self, u: int, v: int) -> None:
-        """Remove the undirected edge ``(u, v)``; raise if it does not exist."""
-        if not self.has_edge(u, v):
-            raise EdgeNotFoundError(u, v)
-        del self._adj[u][v]
-        del self._adj[v][u]
-        self._num_edges -= 1
-        self._version += 1
-
-    def remove_vertex(self, v: int) -> None:
-        """Remove vertex ``v`` and all incident edges."""
-        self._require_vertex(v)
-        for nbr in list(self._adj[v]):
-            self.remove_edge(v, nbr)
-        del self._adj[v]
-        self._coords.pop(v, None)
-        self._version += 1
+    def weights_of(self, us, vs, default: float = math.inf) -> np.ndarray:
+        """``float64`` weights of the pairs ``(us[i], vs[i])``, ``default``
+        where a pair is no edge: one sorted search, no Python per pair."""
+        keys, slot_of = self._derived("keys", self._slot_keys)
+        wanted = self.positions(us) * len(self.ids) + self.positions(vs)
+        at = np.minimum(np.searchsorted(keys, wanted), max(len(keys) - 1, 0))
+        hit = keys[at] == wanted if len(keys) else np.zeros(len(wanted), bool)
+        out = np.full(len(wanted), default, dtype=np.float64)
+        out[hit] = self.weights[self.edge[slot_of[at[hit]]]]
+        return out
 
     # ------------------------------------------------------------------
     # Coordinates (used by coordinate-based partitioning and A*)
     # ------------------------------------------------------------------
     def set_coordinate(self, v: int, x: float, y: float) -> None:
-        """Attach a planar coordinate to vertex ``v``."""
-        self._require_vertex(v)
-        self._coords[v] = (float(x), float(y))
+        row = self.position(v)
+        if self.coords is None:
+            self.coords = np.full((len(self.ids), 2), np.nan)
+        self.coords[row] = (float(x), float(y))
 
     def coordinate(self, v: int) -> Optional[Tuple[float, float]]:
-        """Return the coordinate of ``v`` or ``None`` if not set."""
-        return self._coords.get(v)
+        """The coordinate of ``v``, or ``None`` if not set."""
+        if self.coords is None:
+            return None
+        x, y = self.coords[self.position(v)].tolist()
+        return None if math.isnan(x) else (x, y)
 
     def has_coordinates(self) -> bool:
-        """Return ``True`` if every vertex has a coordinate."""
-        return len(self._coords) == len(self._adj) and len(self._adj) > 0
+        """``True`` if every vertex has a coordinate."""
+        return self.coords is not None and len(self.ids) > 0 and not np.isnan(self.coords).any()
 
     # ------------------------------------------------------------------
     # Derived graphs
     # ------------------------------------------------------------------
     def copy(self) -> "Graph":
-        """Return a deep structural copy of this graph.
-
-        The copy carries the source's ``version`` counter forward: a holder
-        of a version-keyed snapshot that is handed the copy in place of the
-        original keeps monotonic staleness detection — the counter can never
-        jump *backwards* past a freeze point across the copy boundary.
-        """
-        g = Graph()
-        g._adj = {v: dict(nbrs) for v, nbrs in self._adj.items()}
-        g._coords = dict(self._coords)
-        g._num_edges = self._num_edges
-        g._version = self._version
+        """A copy with its own weights and coordinates, sharing the
+        (immutable) topology.  It carries the ``version`` forward, so a
+        version-keyed snapshot handed the copy stays monotonic."""
+        g = Graph(self.ids, self.indptr, self.indices, self.edge, self.weights.copy(),
+                  None if self.coords is None else self.coords.copy(), self._version)
+        g._members, g._topology = self._members, self._topology
         return g
 
     def subgraph(self, vertices: Iterable[int]) -> "Graph":
-        """Return the vertex-induced subgraph on ``vertices``.
+        """The vertex-induced subgraph on ``vertices`` (the PSP indexes'
+        ``E_intra``): a mask over the slots, rows and edges in their order."""
+        keep = np.zeros(len(self.ids), dtype=bool)
+        keep[self.positions(vertices)] = True
+        slots = keep[self.slot_rows()] & keep[self.indices]
+        kept = np.zeros(len(self.weights), dtype=bool)
+        kept[self.edge[slots]] = True
+        row_of, edge_of = np.cumsum(keep) - 1, np.cumsum(kept) - 1
+        indptr = np.zeros(int(keep.sum()) + 1, dtype=np.int64)
+        np.cumsum(np.bincount(row_of[self.slot_rows()[slots]], minlength=len(indptr) - 1),
+                  out=indptr[1:])
+        return Graph(self.ids[keep], indptr, row_of[self.indices[slots]],
+                     edge_of[self.edge[slots]], self.weights[kept],
+                     None if self.coords is None else self.coords[keep])
 
-        Only edges with *both* endpoints inside ``vertices`` are kept, which is
-        exactly the intra-partition edge set ``E_intra`` used by the PSP
-        indexes.
-        """
-        keep = set(vertices)
-        for v in keep:
-            self._require_vertex(v)
-        g = Graph()
-        for v in keep:
-            g.add_vertex(v)
-            if v in self._coords:
-                g._coords[v] = self._coords[v]
-        for v in keep:
-            for u, w in self._adj[v].items():
-                if u in keep and v < u:
-                    g.add_edge(v, u, w)
-        return g
-
-    # ------------------------------------------------------------------
-    # Frozen export
-    # ------------------------------------------------------------------
-    def to_csr(self) -> Tuple[List[int], List[int], List[int], List[float]]:
-        """Export the adjacency in CSR form: ``(ids, indptr, indices, weights)``.
-
-        ``ids`` lists the vertices in adjacency-iteration order; ``indices``
-        holds *positions into* ``ids`` (not vertex ids).  Row contents
-        preserve the neighbour-dict iteration order, so searches over the
-        CSR relax edges in exactly the order the live graph would — the
-        property the frozen-kernel equivalence guarantees rest on.
-        """
-        rows = self._adj.values()
-        ids = list(self._adj)
-        position = dict(zip(ids, range(len(ids))))
-        indptr = [0, *itertools.accumulate(map(len, rows))]
-        indices = [position[u] for nbrs in rows for u in nbrs]
-        weights = [w for nbrs in rows for w in nbrs.values()]
-        return ids, indptr, indices, weights
+    def with_edges(self, us=(), vs=(), weights=(), vertices=()) -> "Graph":
+        """This graph plus the edges ``(us[i], vs[i], weights[i])``, appended
+        in order, and the isolated ``vertices``: one :meth:`from_edges` over
+        the concatenated edge arrays, so rows keep their order and a pair
+        that is already an edge keeps the minimum.  New vertices have no
+        coordinate."""
+        slot = np.empty(len(self.weights), dtype=np.int64)
+        slot[self.edge] = np.arange(len(self.edge))  # a slot of each edge, either direction
+        graph = Graph.from_edges(
+            np.concatenate([self.ids[self.slot_rows()[slot]], _ints(us)]),
+            np.concatenate([self.ids[self.indices[slot]], _ints(vs)]),
+            np.concatenate([self.weights, np.asarray(weights, dtype=np.float64).reshape(-1)]),
+            vertices=np.concatenate([self.ids, _ints(vertices)]),
+        )
+        if self.coords is not None:
+            graph.coords = np.full((graph.num_vertices, 2), np.nan)
+            graph.coords[graph.positions(self.ids)] = self.coords
+        return graph
 
     # ------------------------------------------------------------------
-    # Connectivity helpers
+    # Derived from the topology (made once, shared by copies)
+    # ------------------------------------------------------------------
+    def _derived(self, name: str, make):
+        if name not in self._topology:
+            self._topology[name] = make()
+        return self._topology[name]
+
+    def _lists(self) -> Tuple[List[int], List[int], List[int]]:
+        """``(indptr, indices, edge)`` as Python lists."""
+        return self._derived("lists", lambda: tuple(
+            a.tolist() for a in (self.indptr, self.indices, self.edge)))
+
+    def slot_rows(self) -> np.ndarray:
+        """``int64[2m]``: the row each slot belongs to."""
+        return self._derived("tail", lambda: np.repeat(
+            np.arange(len(self.ids), dtype=np.int64), np.diff(self.indptr)))
+
+    def upper_slots(self) -> np.ndarray:
+        """The slots of :meth:`edges` (neighbour above its row), in order."""
+        return self._derived("upper", lambda: np.flatnonzero(self.indices > self.slot_rows()))
+
+    def _slot_keys(self) -> Tuple[np.ndarray, np.ndarray]:
+        """Sorted ``row * n + neighbour`` keys and the slot of each."""
+        raw = self.slot_rows() * len(self.ids) + self.indices
+        slot_of = np.argsort(raw, kind="stable")
+        return raw[slot_of], slot_of
+
+    def neighbor_rows(self) -> List[List[int]]:
+        """Per row, its neighbour positions in row order."""
+        indptr, indices, _ = self._lists()
+        return self._derived("rows", lambda: [
+            indices[lo:hi] for lo, hi in zip(indptr, indptr[1:])])
+
+    def adjacency(self) -> List[List[Tuple[int, float]]]:
+        """Per row, its ``(neighbour position, weight)`` pairs in row order:
+        what the pure searches walk, made once per weight version."""
+        version, rows = self._rows
+        if rows is None or version != self._version:
+            indptr, indices, _ = self._lists()
+            flat = list(zip(indices, self.slot_weights.tolist()))
+            rows = [flat[lo:hi] for lo, hi in zip(indptr, indptr[1:])]
+            self._rows = (self._version, rows)
+        return rows
+
+    # ------------------------------------------------------------------
+    # Connectivity
     # ------------------------------------------------------------------
     def connected_components(self) -> List[List[int]]:
-        """Return the connected components as lists of vertex ids."""
-        seen: set = set()
-        components: List[List[int]] = []
-        for start in self._adj:
-            if start in seen:
-                continue
-            stack = [start]
-            seen.add(start)
-            component = []
-            while stack:
-                v = stack.pop()
-                component.append(v)
-                for u in self._adj[v]:
-                    if u not in seen:
-                        seen.add(u)
-                        stack.append(u)
-            components.append(component)
-        return components
+        """The connected components as lists of vertex ids (ascending),
+        by their smallest id: a label propagation with pointer jumping."""
+        label, tail = np.arange(len(self.ids)), self.slot_rows()
+        while True:
+            lower = label.copy()
+            np.minimum.at(lower, tail, label[self.indices])
+            lower = lower[lower]
+            if np.array_equal(lower, label):
+                break
+            label = lower
+        order = np.argsort(label, kind="stable")
+        starts = np.flatnonzero(np.diff(label[order], prepend=-1))[1:]
+        return [ids.tolist() for ids in np.split(self.ids[order], starts)] if len(order) else []
 
     def is_connected(self) -> bool:
-        """Return ``True`` if the graph has at most one connected component."""
-        if not self._adj:
-            return True
-        return len(self.connected_components()) == 1
-
-    # ------------------------------------------------------------------
-    # Misc
-    # ------------------------------------------------------------------
-    def _require_vertex(self, v: int) -> None:
-        if v not in self._adj:
-            raise VertexNotFoundError(v)
+        """``True`` if the graph has at most one connected component."""
+        return len(self.ids) == 0 or len(self.connected_components()) == 1
 
     def __contains__(self, v: int) -> bool:
-        return v in self._adj
+        return v in self._members
 
     def __len__(self) -> int:
-        return len(self._adj)
+        return len(self.ids)
 
     def __repr__(self) -> str:  # pragma: no cover - debug helper
         return f"Graph(n={self.num_vertices}, m={self.num_edges})"

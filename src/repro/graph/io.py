@@ -35,7 +35,7 @@ def read_dimacs_gr(path: PathLike) -> Graph:
     weight, matching the paper's undirected-graph model.  DIMACS vertex ids
     are 1-based; they are shifted to 0-based ids here.
     """
-    graph = Graph()
+    us, vs, weights = [], [], []
     declared_vertices: Optional[int] = None
     with _open_text(path, "r") as handle:
         for line_no, raw in enumerate(handle, start=1):
@@ -47,20 +47,19 @@ def read_dimacs_gr(path: PathLike) -> Graph:
                 if len(parts) != 4 or parts[1] != "sp":
                     raise GraphError(f"{path}: malformed problem line at {line_no}: {line!r}")
                 declared_vertices = int(parts[2])
-                for v in range(declared_vertices):
-                    graph.add_vertex(v)
             elif parts[0] == "a":
                 if len(parts) != 4:
                     raise GraphError(f"{path}: malformed arc line at {line_no}: {line!r}")
-                u, v, w = int(parts[1]) - 1, int(parts[2]) - 1, float(parts[3])
-                if u == v:
-                    continue
-                graph.add_edge(u, v, w)
+                u, v = int(parts[1]) - 1, int(parts[2]) - 1
+                if u != v:
+                    us.append(u)
+                    vs.append(v)
+                    weights.append(float(parts[3]))
             else:
                 raise GraphError(f"{path}: unknown line type at {line_no}: {line!r}")
     if declared_vertices is None:
         raise GraphError(f"{path}: missing 'p sp' problem line")
-    return graph
+    return Graph.from_edges(us, vs, weights, vertices=range(declared_vertices))
 
 
 def read_dimacs_co(path: PathLike, graph: Graph) -> None:
@@ -107,7 +106,7 @@ def write_dimacs_co(graph: Graph, path: PathLike) -> None:
 
 def read_edge_list(path: PathLike) -> Graph:
     """Read a whitespace-separated ``u v weight`` edge list (0-based ids)."""
-    graph = Graph()
+    us, vs, weights = [], [], []
     with _open_text(path, "r") as handle:
         for line_no, raw in enumerate(handle, start=1):
             line = raw.strip()
@@ -116,9 +115,10 @@ def read_edge_list(path: PathLike) -> Graph:
             parts = line.split()
             if len(parts) != 3:
                 raise GraphError(f"{path}: malformed edge line at {line_no}: {line!r}")
-            u, v, w = int(parts[0]), int(parts[1]), float(parts[2])
-            graph.add_edge(u, v, w)
-    return graph
+            us.append(int(parts[0]))
+            vs.append(int(parts[1]))
+            weights.append(float(parts[2]))
+    return Graph.from_edges(us, vs, weights)
 
 
 def write_edge_list(graph: Graph, path: PathLike) -> None:

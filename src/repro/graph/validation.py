@@ -7,9 +7,10 @@ preconditions explicitly instead of failing deep inside an index build.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import List
+
+import numpy as np
 
 from repro.exceptions import DisconnectedGraphError, GraphError
 from repro.graph.graph import Graph
@@ -35,16 +36,16 @@ class GraphStats:
 
 def graph_stats(graph: Graph) -> GraphStats:
     """Compute summary statistics of ``graph``."""
-    degrees = [graph.degree(v) for v in graph.vertices()]
-    weights = [w for _, _, w in graph.edges()]
+    degrees = np.diff(graph.indptr)
+    weights = graph.weights
     return GraphStats(
         num_vertices=graph.num_vertices,
         num_edges=graph.num_edges,
-        min_degree=min(degrees) if degrees else 0,
-        max_degree=max(degrees) if degrees else 0,
+        min_degree=int(degrees.min()) if len(degrees) else 0,
+        max_degree=int(degrees.max()) if len(degrees) else 0,
         avg_degree=(2.0 * graph.num_edges / graph.num_vertices) if graph.num_vertices else 0.0,
-        min_weight=min(weights) if weights else 0.0,
-        max_weight=max(weights) if weights else 0.0,
+        min_weight=float(weights.min()) if len(weights) else 0.0,
+        max_weight=float(weights.max()) if len(weights) else 0.0,
         num_components=len(graph.connected_components()),
     )
 
@@ -58,10 +59,7 @@ def validate_graph(graph: Graph, require_connected: bool = True) -> List[str]:
     problems: List[str] = []
     if graph.num_vertices == 0:
         raise GraphError("graph has no vertices")
-    for u, v, w in graph.edges():
-        if not math.isfinite(w) or w <= 0:
-            problems.append(f"edge ({u}, {v}) has invalid weight {w}")
-    isolated = [v for v in graph.vertices() if graph.degree(v) == 0]
+    isolated = graph.ids[np.diff(graph.indptr) == 0].tolist()
     if isolated:
         problems.append(f"{len(isolated)} isolated vertices (e.g. {isolated[:5]})")
     if require_connected and not graph.is_connected():

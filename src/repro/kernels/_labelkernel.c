@@ -66,11 +66,11 @@
  *
  * The build entries give update_slots its topology.  eliminate runs the
  * symbolic (tiered) minimum-degree elimination, or follows an explicit
- * order, over a graph's CSR (Graph.to_csr) with sorted-array merges, no
+ * order, over a graph's own CSR arrays with sorted-array merges, no
  * weights: the order of repro.treedec.mde.eliminate and its rows.
  * eliminate_slots lays those rows out as a SlotContraction's arrays -- the
  * slot topology, each slot's graph weight and the supporter CSR -- so a
- * build's only per-vertex Python is the CSR export.  Both check every input
+ * build runs no per-vertex Python here.  Both check every input
  * before their first write; the pure rung (mde.eliminate and
  * slots.supporter_slots) is their differential oracle.
  *
@@ -1858,8 +1858,8 @@ static const char *check_graph(const int64_t *indptr, Py_ssize_t n_indptr, Py_ss
 /* eliminate(ids, indptr, positions, weights, tiers, order, out_order, sizes)
  *     -> elimination capsule
  *
- * The symbolic elimination of a graph given as its CSR (Graph.to_csr: row r
- * is vertex ids[r], its neighbours' rows are positions[indptr[r]..
+ * The symbolic elimination of a graph given as its CSR (Graph's arrays: row
+ * r is vertex ids[r], its neighbours' rows are positions[indptr[r]..
  * indptr[r+1]], with weights[...]), the port of repro.treedec.mde.eliminate.
  * With an explicit `order` (n vertex ids) round i eliminates order[i]; with
  * none, each round eliminates the remaining vertex of least (tier, current

@@ -58,6 +58,10 @@ class Arena:
         self.buffer = buffer
         self.toc = [tuple(entry) for entry in toc]
         self._views: Dict[str, object] = {}
+        # Views slice a plain ndarray over the buffer: a mapped buffer's
+        # memmap subclass would route every later slice and ufunc of a
+        # load through ``np.memmap``'s Python hooks.
+        data = np.asarray(buffer)
         for name, dtype, offset, count in self.toc:
             if dtype not in _DTYPES:
                 raise ValueError(f"arena entry {name!r} has unsupported dtype {dtype!r}")
@@ -72,7 +76,7 @@ class Arena:
                     f"arena entry {name!r} [{offset}:{end}] exceeds the "
                     f"{buffer.nbytes}-byte buffer"
                 )
-            self._views[name] = buffer[offset:end].view(dtype)
+            self._views[name] = data[offset:end].view(dtype)
 
     # ------------------------------------------------------------------
     # Construction

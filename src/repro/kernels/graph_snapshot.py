@@ -1,11 +1,10 @@
 """Frozen CSR snapshot of the live graph for index-free query stages.
 
 Stage-1 queries (BiDijkstra) and the truncated one-to-many Dijkstras of the
-batch plane repeatedly walk ``Graph._adj`` — a dict of dicts whose per-edge
-iteration cost dominates small-graph searches.  A :class:`GraphSnapshot`
-freezes the adjacency into CSR arrays (``indptr`` / ``indices`` / ``weights``
-via :meth:`repro.graph.graph.Graph.to_csr`) packed into one
-:class:`~repro.kernels.arena.Arena` — the same buffer ``repro.store``
+batch plane walk the graph's CSR.  A :class:`GraphSnapshot` freezes it —
+the graph's ``ids`` / ``indptr`` / ``indices`` and each slot's weight
+(:attr:`repro.graph.graph.Graph.slot_weights`) — into one
+:class:`~repro.kernels.arena.Arena`, the same buffer ``repro.store``
 serializes and ``repro.cluster`` workers mmap-share.
 
 The C search kernel of ``repro.kernels.native`` borrows the arena views (no
@@ -13,7 +12,7 @@ copy) and runs the bidirectional search / truncated one-to-many Dijkstra
 entirely in C.  Both are literal ports of
 :func:`repro.algorithms.dijkstra.bidijkstra` and
 :func:`~repro.algorithms.dijkstra.dijkstra_one_to_many` — same relaxation
-order (CSR rows preserve the adjacency-dict iteration order), same heap keys
+order (the graph's rows, as they stand), same heap keys
 (``(distance, original vertex id)``), same float arithmetic — so their
 results are bit-identical to the live-graph reference, which is what an
 index searches when the kernel is not loaded (no snapshot is frozen then).
@@ -64,13 +63,12 @@ class GraphSnapshot:
     def freeze(cls, graph: Graph) -> "GraphSnapshot":
         """Freeze ``graph``'s adjacency, layout and weights."""
         count_freeze("graph_snapshot", "built")
-        ids, indptr, indices, weights = graph.to_csr()
         arena = Arena.pack(
             {
-                "ids": np.asarray(ids, dtype=np.int64),
-                "indptr": np.asarray(indptr, dtype=np.int64),
-                "indices": np.asarray(indices, dtype=np.int64),
-                "weights": np.asarray(weights, dtype=np.float64),
+                "ids": graph.ids,
+                "indptr": graph.indptr,
+                "indices": graph.indices,
+                "weights": graph.slot_weights,
             }
         )
         return cls(arena, graph.version)

@@ -18,18 +18,17 @@ from repro.graph.graph import Graph
 from repro.partitioning.base import Partitioning
 
 
-def _spread_seeds(graph: Graph, k: int, rng: random.Random) -> List[int]:
-    """Pick ``k`` seeds far apart using a BFS farthest-point heuristic."""
-    vertices = sorted(graph.vertices())
+def _spread_seeds(rows: List[List[int]], k: int, rng: random.Random) -> List[int]:
+    """Pick ``k`` seed rows far apart using a BFS farthest-point heuristic."""
+    vertices = range(len(rows))
     seeds = [rng.choice(vertices)]
-    hop_distance: Dict[int, int] = {}
     while len(seeds) < k:
         # Multi-source BFS from current seeds, measured in hops.
         queue = deque(seeds)
-        hop_distance = {seed: 0 for seed in seeds}
+        hop_distance: Dict[int, int] = {seed: 0 for seed in seeds}
         while queue:
             v = queue.popleft()
-            for u in graph.neighbors(v):
+            for u in rows[v]:
                 if u not in hop_distance:
                     hop_distance[u] = hop_distance[v] + 1
                     queue.append(u)
@@ -55,11 +54,12 @@ def bfs_partition(graph: Graph, num_partitions: int, seed: int = 0) -> Partition
         raise PartitioningError(
             f"cannot split {n} vertices into {num_partitions} non-empty partitions"
         )
+    rows = graph.neighbor_rows()
     rng = random.Random(seed)
-    seeds = _spread_seeds(graph, num_partitions, rng)
+    seeds = _spread_seeds(rows, num_partitions, rng)
 
     capacity = max(1, int(1.25 * n / num_partitions) + 1)
-    assignment: Dict[int, int] = {}
+    assignment = [-1] * n
     frontiers: List[deque] = []
     sizes = [0] * num_partitions
     for pid, s in enumerate(seeds):
@@ -78,8 +78,8 @@ def bfs_partition(graph: Graph, num_partitions: int, seed: int = 0) -> Partition
             next_frontier: deque = deque()
             while frontier:
                 v = frontier.popleft()
-                for u in graph.neighbors(v):
-                    if u in assignment:
+                for u in rows[v]:
+                    if assignment[u] >= 0:
                         continue
                     if sizes[pid] >= capacity:
                         next_frontier.append(v)
@@ -95,14 +95,14 @@ def bfs_partition(graph: Graph, num_partitions: int, seed: int = 0) -> Partition
 
     # Any vertex still unassigned (capacity exhausted everywhere or disconnected
     # leftovers) joins the smallest adjacent region, or the globally smallest.
-    unassigned = [v for v in graph.vertices() if v not in assignment]
+    unassigned = [v for v in range(n) if assignment[v] < 0]
     # BFS sweep so leftovers attach to already-assigned neighbours first.
     progress = True
     while unassigned and progress:
         progress = False
         still_left = []
         for v in unassigned:
-            neighbour_pids = {assignment[u] for u in graph.neighbors(v) if u in assignment}
+            neighbour_pids = {assignment[u] for u in rows[v] if assignment[u] >= 0}
             if neighbour_pids:
                 pid = min(neighbour_pids, key=lambda p: sizes[p])
                 assignment[v] = pid
@@ -127,25 +127,29 @@ def refine_boundary(
     A vertex moves to a neighbouring partition when the move strictly reduces
     the number of cut edges and does not push the target partition above
     ``balance_slack`` times the ideal size.  This is the "local improvement"
-    flavour of natural-cut partitioners, kept deliberately simple.
+    flavour of natural-cut partitioners, kept deliberately simple.  Only a
+    vertex with a neighbour in another partition can move: the passes visit
+    the boundary, plus the neighbours of every vertex that moved.
     """
     graph = partitioning.graph
-    assignment = dict(partitioning.vertex_partition)
+    rows = graph.neighbor_rows()
+    assignment = partitioning.part.tolist()
     k = partitioning.num_partitions
     ideal = graph.num_vertices / k
     limit = int(balance_slack * ideal) + 1
-    sizes = [0] * k
-    for v, pid in assignment.items():
-        sizes[pid] += 1
+    sizes = partitioning.sizes()
+    cut = partitioning.boundary_mask.tolist()
 
     for _ in range(max_passes):
         moved = 0
-        for v in sorted(graph.vertices()):
+        for v in range(graph.num_vertices):
+            if not cut[v]:
+                continue
             current = assignment[v]
             if sizes[current] <= 1:
                 continue
             neighbour_count: Dict[int, int] = {}
-            for u in graph.neighbors(v):
+            for u in rows[v]:
                 neighbour_count[assignment[u]] = neighbour_count.get(assignment[u], 0) + 1
             best_pid, best_gain = current, 0
             internal = neighbour_count.get(current, 0)
@@ -160,6 +164,8 @@ def refine_boundary(
                 sizes[current] -= 1
                 sizes[best_pid] += 1
                 moved += 1
+                for u in rows[v]:
+                    cut[u] = True
         if moved == 0:
             break
     return Partitioning(graph, assignment)

@@ -9,7 +9,7 @@ the experiment harness uses it by default when coordinates are available.
 
 from __future__ import annotations
 
-from typing import Dict, List
+import numpy as np
 
 from repro.exceptions import PartitioningError
 from repro.graph.graph import Graph
@@ -32,29 +32,27 @@ def kdtree_partition(graph: Graph, num_partitions: int) -> Partitioning:
     if not graph.has_coordinates():
         raise PartitioningError("kdtree_partition requires vertex coordinates")
 
-    assignment: Dict[int, int] = {}
+    coords = graph.coords
+    part = np.zeros(graph.num_vertices, dtype=np.int64)
     next_pid = 0
 
-    def split(vertices: List[int], parts: int) -> None:
+    def split(rows: np.ndarray, parts: int) -> None:
         nonlocal next_pid
-        if parts <= 1 or len(vertices) <= 1:
-            pid = next_pid
+        if parts <= 1 or len(rows) <= 1:
+            part[rows] = next_pid
             next_pid += 1
-            for v in vertices:
-                assignment[v] = pid
             return
-        xs = [graph.coordinate(v)[0] for v in vertices]
-        ys = [graph.coordinate(v)[1] for v in vertices]
-        axis = 0 if (max(xs) - min(xs)) >= (max(ys) - min(ys)) else 1
-        vertices_sorted = sorted(
-            vertices, key=lambda v: (graph.coordinate(v)[axis], graph.coordinate(v)[1 - axis], v)
-        )
+        xs, ys = coords[rows, 0], coords[rows, 1]
+        axis = 0 if (xs.max() - xs.min()) >= (ys.max() - ys.min()) else 1
+        # By the axis coordinate, then the other one, then the id (rows
+        # ascend with ids).
+        rows = rows[np.lexsort((rows, coords[rows, 1 - axis], coords[rows, axis]))]
         left_parts = parts // 2
         right_parts = parts - left_parts
-        cut = int(round(len(vertices_sorted) * left_parts / parts))
-        cut = max(1, min(len(vertices_sorted) - 1, cut))
-        split(vertices_sorted[:cut], left_parts)
-        split(vertices_sorted[cut:], right_parts)
+        cut = int(round(len(rows) * left_parts / parts))
+        cut = max(1, min(len(rows) - 1, cut))
+        split(rows[:cut], left_parts)
+        split(rows[cut:], right_parts)
 
-    split(sorted(graph.vertices()), num_partitions)
-    return Partitioning(graph, assignment)
+    split(np.arange(graph.num_vertices), num_partitions)
+    return Partitioning(graph, part)

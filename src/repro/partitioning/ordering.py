@@ -18,6 +18,8 @@ from __future__ import annotations
 
 from typing import Dict, Iterable, List, Sequence
 
+import numpy as np
+
 from repro.graph.graph import Graph
 from repro.partitioning.base import Partitioning
 from repro.treedec.slots import elimination_order
@@ -25,8 +27,7 @@ from repro.treedec.slots import elimination_order
 
 def boundary_first_tiers(partitioning: Partitioning) -> Dict[int, int]:
     """Tier map realising the boundary-first property (boundary = tier 1)."""
-    boundary = partitioning.all_boundary()
-    return {v: (1 if v in boundary else 0) for v in partitioning.graph.vertices()}
+    return dict(zip(partitioning.graph.id_list, partitioning.boundary_mask.astype(int).tolist()))
 
 
 def boundary_first_order(graph: Graph, partitioning: Partitioning) -> List[int]:
@@ -41,8 +42,8 @@ def boundary_first_order(graph: Graph, partitioning: Partitioning) -> List[int]:
 
 def restrict_order(order: Sequence[int], vertices: Iterable[int]) -> List[int]:
     """Restrict a global vertex order to a subset, preserving relative order."""
-    wanted = set(vertices)
-    return [v for v in order if v in wanted]
+    order = np.asarray(order, dtype=np.int64)
+    return order[np.isin(order, np.fromiter(vertices, np.int64))].tolist()
 
 
 def rank_of(order: Sequence[int]) -> Dict[int, int]:

@@ -44,20 +44,19 @@ def build_overlay_graph(
 
     Every boundary vertex becomes an overlay vertex; inter-partition edges keep
     their current weights; boundary shortcuts contributed by each partition
-    contraction are added with their shortcut values.
+    contraction follow with their shortcut values: one builder call over the
+    concatenated edge arrays.
     """
-    overlay = Graph()
-    for b in sorted(partitioning.all_boundary()):
-        overlay.add_vertex(b)
-        coordinate = partitioning.graph.coordinate(b)
-        if coordinate is not None:
-            overlay.set_coordinate(b, *coordinate)
-    for u, v, w in partitioning.inter_edges():
-        overlay.add_edge(u, v, w)
-    for pid in range(partitioning.num_partitions):
-        for b1, b2, weight in zip(*(a.tolist() for a in family.boundary_shortcuts(pid))):
-            overlay.add_edge(b1, b2, weight)
-    return overlay
+    graph = partitioning.graph
+    parts = [partitioning.inter_edge_arrays()] + [
+        family.boundary_shortcuts(pid) for pid in range(partitioning.num_partitions)
+    ]
+    us, vs, weights = (np.concatenate([np.asarray(p[i]) for p in parts]) for i in range(3))
+    mask = partitioning.boundary_mask
+    return Graph.from_edges(
+        us, vs, weights, vertices=graph.ids[mask],
+        coords=None if graph.coords is None else graph.coords[mask],
+    )
 
 
 class OverlayIndex:

@@ -133,10 +133,8 @@ class PartitionIndexFamily:
         flags = self._boundary_slots.get(pid)
         if flags is None:
             arena = self.contractions[pid].arena
-            boundary = self.partitioning.boundary(pid)
-            is_boundary = np.fromiter(
-                (v in boundary for v in arena["ids"].tolist()), bool, len(arena["ids"])
-            )
+            partitioning = self.partitioning
+            is_boundary = partitioning.boundary_mask[partitioning.graph.positions(arena["ids"])]
             owners = np.repeat(is_boundary, np.diff(arena["indptr"]))
             flags = self._boundary_slots[pid] = owners & is_boundary[arena["indices"]]
         return flags

@@ -74,16 +74,14 @@ class PostBoundaryPSPIndex(NoBoundaryPSPIndex):
         extended_graphs: List[Graph] = []
         self.boundary_distances = self._boundary_tables()
         for pid, distances in enumerate(self.boundary_distances):
-            extended = self.partitioning.subgraph(pid)
-            boundary = self.partitioning.sorted_boundary(pid)
-            # The upper triangle, row by row (ascending pairs).
-            for i, j in zip(*(a.tolist() for a in np.nonzero(np.triu(distances < INF, 1)))):
-                b1, b2, weight = boundary[i], boundary[j], float(distances[i, j])
-                if extended.has_edge(b1, b2):
-                    extended.set_edge_weight(b1, b2, min(weight, extended.edge_weight(b1, b2)))
-                else:
-                    extended.add_edge(b1, b2, weight)
-            extended_graphs.append(extended)
+            boundary = np.asarray(self.partitioning.sorted_boundary(pid), dtype=np.int64)
+            # The clique is the upper triangle, row by row (ascending pairs),
+            # appended to the subgraph's edges; a pair that is already an
+            # edge keeps the smaller weight.
+            rows, cols = np.nonzero(np.triu(distances < INF, 1))
+            extended_graphs.append(self.partitioning.subgraph(pid).with_edges(
+                boundary[rows], boundary[cols], distances[rows, cols]
+            ))
         self.extended_family = PartitionIndexFamily(
             self.partitioning, self.order, with_labels=True, graphs=extended_graphs
         )

@@ -37,12 +37,11 @@ their first write.
 
 from __future__ import annotations
 
-from itertools import islice
 from typing import Dict, List, Tuple
 
 import numpy as np
 
-from repro.exceptions import VertexNotFoundError
+from repro.exceptions import PartitioningError
 from repro.graph.graph import Graph
 from repro.store.arrays import ArrayReader, ArrayWriter
 
@@ -51,73 +50,25 @@ from repro.store.arrays import ArrayReader, ArrayWriter
 # Graph
 # ----------------------------------------------------------------------
 def pack_graph(graph: Graph, io: ArrayWriter) -> Dict[str, object]:
-    """Serialize a graph's vertices, adjacency and coordinates.  The
-    adjacency is a CSR with every vertex's neighbours in iteration order
-    (each edge twice), so a loaded graph iterates exactly as the saved one
-    (a graph snapshot frozen from it is byte-identical)."""
-    verts, indptr, indices, weights = graph.to_csr()
-    ids = np.asarray(verts, dtype=np.int64)
+    """Serialize a graph as its arrays (``ids``, ``indptr``, ``indices``,
+    ``edge``, ``weights`` and ``coords`` when it has any), so a loaded graph
+    has the saved one's rows, edge ids and weights, and a graph snapshot
+    frozen from it is byte-identical."""
     state: Dict[str, object] = {
-        "vertices": io.put_ints(ids),
-        "indptr": io.put_ints(indptr),
-        "nbrs": io.put_ints(ids[np.asarray(indices, dtype=np.int64)]),
-        "weights": io.put_floats(weights),
+        name: io.put_array(getattr(graph, name))
+        for name in ("ids", "indptr", "indices", "edge", "weights")
     }
-    coords = [(v, *c) for v in verts if (c := graph.coordinate(v)) is not None]
-    if coords:
-        state["coord_v"] = io.put_ints([c[0] for c in coords])
-        state["coord_x"] = io.put_floats([c[1] for c in coords])
-        state["coord_y"] = io.put_floats([c[2] for c in coords])
+    if graph.coords is not None:
+        state["coords"] = io.put_array(graph.coords.reshape(-1))
     return state
 
 
 def unpack_graph(state: Dict[str, object], io: ArrayReader) -> Graph:
-    verts = np.asarray(io.get_array(state["vertices"]), dtype=np.int64)
-    indptr = np.asarray(io.get_array(state["indptr"]), dtype=np.int64)
-    nbrs = np.asarray(io.get_array(state["nbrs"]), dtype=np.int64)
-    weights = np.asarray(io.get_array(state["weights"]), dtype=np.float64)
-    # Validate once up front, in numpy, then build the adjacency directly:
-    # the per-edge ``add_edge`` checks would dominate load time on big graphs.
-    if not (np.isfinite(weights) & (weights > 0)).all():
-        raise ValueError("snapshot graph payload carries a non-positive edge weight")
-    if len(verts) and verts.min() < 0:
-        raise ValueError("snapshot graph payload carries a negative vertex id")
-    counts = np.diff(indptr)
-    if (
-        len(indptr) != len(verts) + 1 or indptr[0] != 0 or indptr[-1] != len(nbrs)
-        or (counts < 0).any()
-    ):
-        raise ValueError("snapshot graph payload has a malformed adjacency")
-    # Every edge is listed once from each end, with one weight, between two
-    # distinct vertices: the entries sorted by (u, v) are the transposed
-    # entries sorted by (v, u), with no pair twice and no self-loop.  Every
-    # neighbour is then a row's vertex too.
-    us = np.repeat(verts, counts)
-    forward, backward = np.lexsort((nbrs, us)), np.lexsort((us, nbrs))
-    u, v = us[forward], nbrs[forward]
-    if (
-        (us == nbrs).any() or ((u[1:] == u[:-1]) & (v[1:] == v[:-1])).any()
-        or not np.array_equal(u, nbrs[backward]) or not np.array_equal(v, us[backward])
-        or not np.array_equal(weights[forward], weights[backward])
-    ):
-        raise ValueError("snapshot graph payload has an asymmetric adjacency")
-    # One dict per row, over its slice of the (neighbour, weight) stream.
-    entries = zip(nbrs.tolist(), weights.tolist())
-    adjacency = {v: dict(islice(entries, count)) for v, count in zip(verts.tolist(), counts.tolist())}
-    if len(adjacency) != len(verts):
-        raise ValueError("snapshot graph payload lists a vertex twice")
-    graph = Graph()
-    graph._adj = adjacency
-    graph._num_edges = len(nbrs) // 2
-    if "coord_v" in state:
-        coord_v = np.asarray(io.get_array(state["coord_v"]), dtype=np.int64)
-        missing = coord_v[~np.isin(coord_v, verts)]
-        if len(missing):
-            raise VertexNotFoundError(int(missing[0]))
-        xs = np.asarray(io.get_array(state["coord_x"]), dtype=np.float64).tolist()
-        ys = np.asarray(io.get_array(state["coord_y"]), dtype=np.float64).tolist()
-        graph._coords = dict(zip(coord_v.tolist(), zip(xs, ys)))
-    return graph
+    """The graph over views of the payload's arrays, checked in numpy
+    (:meth:`Graph.from_arrays`) before anything reads them."""
+    arrays = [io.get_array(state[name]) for name in ("ids", "indptr", "indices", "edge", "weights")]
+    coords = io.get_array(state["coords"]).reshape(-1, 2) if "coords" in state else None
+    return Graph.from_arrays(*arrays, coords=coords)
 
 
 # ----------------------------------------------------------------------
@@ -134,20 +85,26 @@ def pack_labels(labels, io: ArrayWriter) -> Dict[str, object]:
 # Planar partitioning
 # ----------------------------------------------------------------------
 def pack_partitioning(partitioning, io: ArrayWriter) -> Dict[str, object]:
-    items = list(partitioning.vertex_partition.items())
-    return {
-        "verts": io.put_ints([v for v, _ in items]),
-        "pids": io.put_ints([p for _, p in items]),
-    }
+    """Serialize a planar partitioning as its ``part`` array (one partition
+    id per graph row) and its partition count."""
+    return {"part": io.put_array(partitioning.part), "num_partitions": partitioning.num_partitions}
 
 
 def unpack_partitioning(state: Dict[str, object], io: ArrayReader, graph: Graph):
+    """The partitioning over a view of the payload's ``part``; an entry
+    outside ``0..num_partitions-1`` or a partition left empty is a
+    ``ValueError``."""
     from repro.partitioning.base import Partitioning
 
-    assignment = dict(
-        zip(io.get_list(state["verts"]), io.get_list(state["pids"]))
-    )
-    return Partitioning(graph, assignment)
+    part, k = io.get_array(state["part"]), int(state["num_partitions"])
+    if part.dtype != np.int32 or len(part) != graph.num_vertices:
+        raise ValueError("partitioning payload does not cover the graph's vertices")
+    if len(part) and (part.min() < 0 or part.max() >= k):
+        raise ValueError("partitioning payload names a partition out of range")
+    try:
+        return Partitioning(graph, part)
+    except PartitioningError as exc:
+        raise ValueError(f"partitioning payload is malformed: {exc}") from None
 
 
 # ----------------------------------------------------------------------

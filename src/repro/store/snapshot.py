@@ -41,6 +41,8 @@ import tempfile
 import time
 from typing import Dict, Optional, Tuple
 
+import numpy as np
+
 from repro import obs
 from repro.base import DistanceIndex
 from repro.exceptions import (
@@ -63,7 +65,10 @@ STORES_FORMAT = "repro-store-generation"
 #: 4: the payload is one arena file (``payload.bin``, backend ``"arena"``)
 #: whose table of contents the state tree records, not a zip of ``.npy``
 #: members.
-SCHEMA_VERSION = 4
+#: 5: the graph payload is the graph's own arrays (``ids`` / ``indptr`` /
+#: ``indices`` / ``edge`` / ``weights`` / ``coords``), a planar partitioning
+#: its ``part`` array, and the fingerprint hashes canonical edge arrays.
+SCHEMA_VERSION = 5
 
 _MANIFEST = "manifest.json"
 _STATE = "state.json"
@@ -72,16 +77,18 @@ _STATE = "state.json"
 def graph_fingerprint(graph: Graph) -> str:
     """Deterministic digest of a graph's exact topology and weights.
 
-    Weights are hashed through ``repr`` (shortest round-trip form), so two
-    graphs fingerprint equal iff they are bit-identical; vertex and edge
-    enumeration is sorted, so adjacency iteration order does not matter.
+    Hashes the vertex ids and the canonical edge arrays — every edge as
+    ``(u, v)`` with ``u < v``, sorted by ``np.lexsort`` — with the weights
+    as their ``float64`` bytes: two graphs fingerprint equal iff they have
+    the same vertices, edges and bit-identical weights, whatever their
+    rows' order.
     """
-    digest = hashlib.sha256()
-    digest.update(f"v{graph.num_vertices};e{graph.num_edges};".encode())
-    for v in sorted(graph.vertices()):
-        digest.update(f"n{v};".encode())
-    for u, v, w in sorted(graph.edges()):
-        digest.update(f"{u},{v},{w!r};".encode())
+    us, vs, weights = graph.edge_arrays()
+    order = np.lexsort((vs, us))
+    digest = hashlib.sha256(f"v{graph.num_vertices};e{graph.num_edges};".encode())
+    for array in (graph.ids, us[order], vs[order]):
+        digest.update(array.astype("<i8").tobytes())
+    digest.update(weights[order].astype("<f8").tobytes())
     return "sha256:" + digest.hexdigest()
 
 
@@ -306,7 +313,7 @@ def _write_files(
         os.remove(manifest_path)
     toc = writer.write(path)
     with open(os.path.join(path, _STATE), "w") as handle:
-        json.dump(dict(state, payload_toc=toc), handle)
+        handle.write(json.dumps(dict(state, payload_toc=toc)))
     # The manifest goes last: its presence marks a complete snapshot.
     with open(manifest_path, "w") as handle:
         json.dump(manifest, handle, indent=2)

@@ -36,6 +36,8 @@ from __future__ import annotations
 import heapq
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
+import numpy as np
+
 from repro.exceptions import GraphError
 from repro.graph.graph import Graph
 
@@ -66,12 +68,16 @@ def eliminate(
     """
     check_order(graph, order)
 
-    # Working adjacency (the eliminated graph G_i).
-    work: Dict[int, Set[int]] = {v: set(graph.neighbors(v)) for v in graph.vertices()}
-    tier_of = tiers or {}
-    if order is None:
-        # Lazy-deletion heap keyed by (tier, degree, vertex-id).
-        heap: List[Tuple[int, int, int]] = [(tier_of.get(v, 0), len(work[v]), v) for v in work]
+    # Working adjacency (the eliminated graph G_i) over row positions, which
+    # ascend with the ids: ties by position are ties by id.
+    ids = graph.id_list
+    work: Dict[int, Set[int]] = dict(enumerate(map(set, graph.neighbor_rows())))
+    tier_of = [tiers.get(v, 0) for v in ids] if tiers else [0] * len(ids)
+    if order is not None:
+        order = [graph.position(v) for v in order]
+    else:
+        # Lazy-deletion heap keyed by (tier, degree, position).
+        heap: List[Tuple[int, int, int]] = [(tier_of[v], len(work[v]), v) for v in work]
         heapq.heapify(heap)
 
     eliminated: List[int] = []
@@ -86,7 +92,7 @@ def eliminate(
                         "contraction heap exhausted before all vertices were contracted"
                     )
                 tier, degree, v = heapq.heappop(heap)
-                if v in work and degree == len(work[v]) and tier == tier_of.get(v, 0):
+                if v in work and degree == len(work[v]):
                     break  # else a stale entry
 
         nbrs = work.pop(v)
@@ -98,9 +104,9 @@ def eliminate(
             adjacent.discard(u)
             adjacent.discard(v)
             if order is None:
-                heapq.heappush(heap, (tier_of.get(u, 0), len(adjacent), u))
-        eliminated.append(v)
-        rows.append(row)
+                heapq.heappush(heap, (tier_of[u], len(adjacent), u))
+        eliminated.append(ids[v])
+        rows.append([ids[u] for u in row])
     return eliminated, rows
 
 
@@ -112,14 +118,17 @@ def check_order(graph: Graph, order: Optional[Sequence[int]]) -> None:
         raise GraphError("cannot contract an empty graph")
     if order is None:
         return
-    seen: Set[int] = set()
-    for v in order:
-        if v not in graph:
-            raise GraphError(f"vertex {v} is not in the graph")
-        if v in seen:
-            raise GraphError(f"vertex {v} appears twice in the contraction order")
-        seen.add(v)
-    if len(seen) != graph.num_vertices:
+    wanted = np.asarray(order, dtype=np.int64)
+    if len(wanted) == graph.num_vertices and np.array_equal(np.sort(wanted), graph.ids):
+        return  # a permutation of the (sorted, distinct) ids
+    known = np.isin(wanted, graph.ids)
+    first = np.zeros(len(wanted), dtype=bool)
+    first[np.unique(wanted, return_index=True)[1]] = True
+    if not (known & first).all():
+        at = int(np.argmin(known & first))
+        problem = "appears twice in the contraction order" if known[at] else "is not in the graph"
+        raise GraphError(f"vertex {order[at]} {problem}")
+    if len(wanted) != graph.num_vertices:
         raise GraphError(
             f"explicit order must cover all {graph.num_vertices} vertices exactly once"
         )

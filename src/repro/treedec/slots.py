@@ -421,19 +421,19 @@ def elimination_order(graph: Graph, tiers: Optional[Dict[int, int]] = None) -> L
 
 
 def _eliminate_native(kernel, graph: Graph, order, tiers):
-    """The C ``eliminate`` over ``graph.to_csr()``: ``(order ids, [slots,
-    supporter records], the rows' capsule)``.  A bad order is reported as
-    :func:`~repro.treedec.mde.eliminate` reports it."""
+    """The C ``eliminate`` over the graph's own CSR arrays: ``(order ids,
+    [slots, supporter records], the rows' capsule)``.  A bad order is
+    reported as :func:`~repro.treedec.mde.eliminate` reports it."""
     check_order(graph, order)
-    ids, indptr, positions, weights = graph.to_csr()
-    n = len(ids)
-    tier_of = np.fromiter((tiers.get(v, 0) for v in ids), np.int64, n) if tiers else NO_INTS
+    n = graph.num_vertices
+    tier_of = (
+        np.fromiter((tiers.get(v, 0) for v in graph.id_list), np.int64, n) if tiers else NO_INTS
+    )
     explicit = NO_INTS if order is None else np.asarray(order, dtype=np.int64)
     out_order = np.empty(n, dtype=np.int64)
     sizes = np.zeros(2, dtype=np.int64)
     elimination = kernel.eliminate(
-        np.asarray(ids, dtype=np.int64), np.asarray(indptr, dtype=np.int64),
-        np.asarray(positions, dtype=np.int64), np.asarray(weights, dtype=np.float64),
+        graph.ids, graph.indptr, graph.indices, graph.slot_weights,
         tier_of, explicit, out_order, sizes,
     )
     return out_order, sizes, elimination
@@ -449,10 +449,8 @@ def _eliminate_slots_pure(graph: Graph, order, tiers):
     np.cumsum([len(row) for row in rows], out=indptr[1:])
     m, rank = int(indptr[-1]), dict(zip(order, range(n)))
     indices = np.fromiter((rank[u] for row in rows for u in row), np.int64, m)
-    base = np.fromiter(
-        (graph.neighbors(v).get(u, INF) for v, row in zip(order, rows) for u in row),
-        np.float64, m,
-    )
+    owners = np.repeat(np.asarray(order, dtype=np.int64), np.diff(indptr))
+    base = graph.weights_of(owners, np.fromiter((u for row in rows for u in row), np.int64, m))
     return (np.asarray(order, dtype=np.int64), indptr, indices, base,
             *supporter_slots(indptr, indices))
 

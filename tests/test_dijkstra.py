@@ -19,25 +19,19 @@ from tests.conftest import paper_example_graph, random_query_pairs
 
 class TestDijkstra:
     def test_simple_triangle(self):
-        graph = Graph()
-        graph.add_edge(0, 1, 1.0)
-        graph.add_edge(1, 2, 1.0)
-        graph.add_edge(0, 2, 5.0)
+        graph = Graph.from_edges([0, 1, 0], [1, 2, 2], [1.0, 1.0, 5.0])
         assert dijkstra_distance(graph, 0, 2) == 2.0
 
     def test_source_equals_target(self):
-        graph = Graph(3)
-        graph.add_edge(0, 1, 1.0)
+        graph = Graph.from_edges([0], [1], [1.0], vertices=range(3))
         assert dijkstra_distance(graph, 0, 0) == 0.0
 
     def test_unreachable_returns_inf(self):
-        graph = Graph()
-        graph.add_edge(0, 1, 1.0)
-        graph.add_edge(2, 3, 1.0)
+        graph = Graph.from_edges([0, 2], [1, 3], [1.0, 1.0])
         assert dijkstra_distance(graph, 0, 3) == math.inf
 
     def test_unknown_source_raises(self):
-        graph = Graph(2)
+        graph = Graph.from_edges(vertices=range(2))
         with pytest.raises(VertexNotFoundError):
             dijkstra(graph, 42)
 
@@ -65,14 +59,12 @@ class TestDijkstraPath:
         assert total == pytest.approx(distance)
 
     def test_path_unreachable(self):
-        graph = Graph()
-        graph.add_edge(0, 1, 1.0)
-        graph.add_vertex(2)
+        graph = Graph.from_edges([0], [1], [1.0], vertices=[2])
         distance, path = dijkstra_path(graph, 0, 2)
         assert distance == math.inf and path == []
 
     def test_trivial_path(self):
-        graph = Graph(1)
+        graph = Graph.from_edges(vertices=[0])
         assert dijkstra_path(graph, 0, 0) == (0.0, [0])
 
 

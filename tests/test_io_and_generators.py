@@ -177,7 +177,7 @@ class TestUpdateBatches:
         graph = grid_road_network(6, 6, seed=9)
         partitioning = natural_cut_partition(graph, 4, seed=9)
         batch = generate_update_batch(graph, volume=12, seed=9)
-        intra, inter = split_intra_inter(batch, partitioning.vertex_partition)
+        intra, inter = split_intra_inter(batch, partitioning.part)
         assert len(intra) + len(inter) == len(batch)
         for update in intra:
             assert partitioning.partition_of(update.u) == partitioning.partition_of(update.v)
@@ -185,8 +185,7 @@ class TestUpdateBatches:
             assert partitioning.partition_of(update.u) != partitioning.partition_of(update.v)
 
     def test_apply_missing_edge_raises(self):
-        graph = Graph(3)
-        graph.add_edge(0, 1, 1.0)
+        graph = Graph.from_edges([0], [1], [1.0], vertices=range(3))
         batch = UpdateBatch([EdgeUpdate(1, 2, 1.0, 2.0)])
         from repro.exceptions import EdgeNotFoundError
 
@@ -197,9 +196,7 @@ class TestUpdateBatches:
     def test_rejected_batch_writes_nothing(self, bad):
         from repro.exceptions import GraphError
 
-        graph = Graph(3)
-        graph.add_edge(0, 1, 1.0)
-        graph.add_edge(0, 2, 4.0)
+        graph = Graph.from_edges([0, 0], [1, 2], [1.0, 4.0])
         version = graph.version
         u, v, weight = bad
         batch = UpdateBatch([EdgeUpdate(0, 2, 4.0, 2.0), EdgeUpdate(u, v, 1.0, weight)])
@@ -223,19 +220,16 @@ class TestValidation:
         assert_valid(graph)
 
     def test_disconnected_rejected(self):
-        graph = Graph()
-        graph.add_edge(0, 1, 1.0)
-        graph.add_edge(2, 3, 1.0)
+        graph = Graph.from_edges([0, 2], [1, 3], [1.0, 1.0])
         with pytest.raises(DisconnectedGraphError):
             validate_graph(graph)
         assert validate_graph(graph, require_connected=False) == []
 
     def test_isolated_vertices_reported(self):
-        graph = Graph(3)
-        graph.add_edge(0, 1, 1.0)
+        graph = Graph.from_edges([0], [1], [1.0], vertices=range(3))
         problems = validate_graph(graph, require_connected=False)
         assert any("isolated" in p for p in problems)
 
     def test_empty_graph_rejected(self):
         with pytest.raises(GraphError):
-            validate_graph(Graph())
+            validate_graph(Graph.from_edges())

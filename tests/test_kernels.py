@@ -224,17 +224,13 @@ class TestStaleness:
         assert index.query(0, 35) == bidijkstra(graph, 0, 35)
         # Mutate the graph directly — no apply_batch, no kernel invalidation.
         # A weight change keeps the CSR layout (the stale snapshot is the
-        # refreeze's template); an added or removed edge changes it.
+        # refreeze's template); the topology never changes.
         u, v, w = next(iter(graph.edges()))
         graph.set_edge_weight(u, v, w * 3.5)
         assert index.query(0, 35) == bidijkstra(graph, 0, 35)
-        graph.add_edge(0, 35, 1.0)
-        assert index.query(0, 35) == bidijkstra(graph, 0, 35) == 1.0
-        graph.remove_edge(0, 35)
-        assert index.query(0, 35) == bidijkstra(graph, 0, 35)
-        # Same edges and counts, but u's and v's neighbours in another order.
-        graph.remove_edge(u, v)
-        graph.add_edge(u, v, w)
+        a, b, c = list(graph.edges())[-1]
+        graph.set_edge_weight(a, b, c / 4)
+        graph.set_edge_weight(u, v, w)
         assert index.query(0, 35) == bidijkstra(graph, 0, 35)
         if native_kernel() is not None:
             snapshot = index._graph_snapshot()
@@ -474,16 +470,16 @@ class TestEliminationTreeQuery:
         assert native_kernel().search_query(store.capsule, row, row, 1) == 0.0
 
     def test_disconnected_forest_is_inf_on_both_rungs(self):
-        graph = Graph()
+        edges = []
         for offset in (0, 100):  # two 3x3 grids with no edge between them
             for r in range(3):
                 for c in range(3):
                     v = offset + 3 * r + c
-                    graph.add_vertex(v)
                     if c:
-                        graph.add_edge(v - 1, v, 1.0 + c)
+                        edges.append((v - 1, v, 1.0 + c))
                     if r:
-                        graph.add_edge(v - 3, v, 2.0 + r)
+                        edges.append((v - 3, v, 2.0 + r))
+        graph = Graph.from_edges(*zip(*edges))
         fast = create_index("DCH", graph.copy())
         fast.build()
         reference = create_index("DCH", graph.copy(), use_kernels=False)
@@ -537,7 +533,7 @@ class TestEliminationTreeQuery:
         toc = writer.write(str(tmp_path))
         reader = open_payload(str(tmp_path), writer.filename, "arena", toc)
         with pytest.raises(SnapshotFormatError):
-            _unpack_kernels(state, reader, Graph(len(rows)))
+            _unpack_kernels(state, reader, Graph.from_edges(vertices=range(len(rows))))
 
     def test_loaded_and_adopted_stores_stay_trees(self, tmp_path):
         from repro.store.snapshot import load_stores, save_stores
@@ -631,12 +627,9 @@ class TestMaintenanceKernels:
         native_kernel()
 
         def build_and_update():
-            graph = grid_road_network(6, 6, seed=5)
-            for v in graph.vertices():
-                # ``Graph`` coerces weights to float; plant ints behind it.
-                row = graph.neighbors(v)
-                for u in row:
-                    row[u] = 1 + (u * v) % 7
+            us, vs, _ = zip(*grid_road_network(6, 6, seed=5).edges())
+            # The builder stores the int weights as the float64s they denote.
+            graph = Graph.from_edges(us, vs, [1 + (u * v) % 7 for u, v in zip(us, vs)])
             index = create_index("DH2H", graph)
             index.build()
             (u, v, w), (a, b, c) = list(graph.edges())[:2]

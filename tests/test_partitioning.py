@@ -18,6 +18,8 @@ from repro.partitioning.td_partition import td_partition
 from repro.treedec.slots import SlotContraction
 from repro.treedec.tree import TreeDecomposition
 
+from tests.conftest import neighbors
+
 
 class TestPartitioningBase:
     def test_from_sets(self):
@@ -55,7 +57,7 @@ class TestPartitioningBase:
                 assert partitioning.partition_of(b) == pid
                 assert any(
                     partitioning.partition_of(u) != pid
-                    for u in graph.neighbors(b)
+                    for u in neighbors(graph, b)
                 )
         inter = partitioning.inter_edges()
         assert all(

@@ -232,7 +232,7 @@ class TestPMHLAggregatesPSP:
 
     def test_stage_queries_equal_psp_indexes(self, seed, use_kernels, tmp_path):
         base = grid_road_network(9, 9, seed=seed)
-        assignment = natural_cut_partition(base, 4, seed=seed).vertex_partition
+        assignment = natural_cut_partition(base, 4, seed=seed).part
         pairs = random_query_pairs(base, 60, seed=seed)
 
         def build(cls, **kwargs):
@@ -240,7 +240,7 @@ class TestPMHLAggregatesPSP:
             index = cls(
                 graph,
                 num_partitions=4,
-                partitioning=Partitioning(graph, dict(assignment)),
+                partitioning=Partitioning(graph, assignment),
                 **kwargs,
             )
             index.use_kernels = use_kernels

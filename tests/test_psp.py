@@ -341,12 +341,11 @@ def two_grids(side=5, seed=0):
     graph = grid_road_network(side, side, seed=seed)
     other = grid_road_network(side, side, seed=seed + 1)
     offset = graph.num_vertices
+    us, vs, weights = other.edge_arrays()
+    graph = graph.with_edges(us + offset, vs + offset, weights, vertices=other.ids + offset)
     for v in other.vertices():
         x, y = other.coordinate(v)
-        graph.add_vertex(v + offset)
         graph.set_coordinate(v + offset, x + 1000.0, y)
-    for u, v, w in other.edges():
-        graph.add_edge(u + offset, v + offset, w)
     return graph
 
 

@@ -178,8 +178,8 @@ class TestEndToEnd:
             run(main(engine))
 
     def test_unreachable_pair_serves_infinity(self):
-        graph = random_connected_graph(8, 0, seed=5)
-        graph.add_vertex(99)  # isolated vertex: no path to anything
+        # An isolated vertex: no path to anything.
+        graph = random_connected_graph(8, 0, seed=5).with_edges(vertices=[99])
 
         async def main(engine):
             async with running_server(engine) as server:
@@ -295,7 +295,7 @@ def test_differential_network_vs_inprocess(method):
     pairs = list(sample_query_pairs(graph, QUERY_SAMPLE, seed=GRAPH_SEED + 1))
     disconnected = method not in NEEDS_CONNECTED
     if disconnected:
-        graph.add_vertex(ISOLATED)  # every pair touching it is inf
+        graph = graph.with_edges(vertices=[ISOLATED])  # every pair touching it is inf
         pairs += [(0, ISOLATED), (ISOLATED, 5)]
     targets = [t for _s, t in pairs]
 

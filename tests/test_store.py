@@ -52,7 +52,9 @@ from repro.store import (
 from repro.store.codec import pack_graph, unpack_graph
 from repro.throughput.workload import sample_query_pairs
 
-from tests.conftest import NEEDS_NATIVE, index_state_digest, maintenance_structures
+from tests.conftest import (
+    NEEDS_NATIVE, index_state_digest, maintenance_structures, neighbors,
+)
 
 #: All nine registered methods with small-graph construction parameters.
 NINE_SPECS = {
@@ -781,6 +783,52 @@ class TestCorruptedPayload:
         _load_and_query(kind, path, "cross_labels")
 
 
+def _swap_edge_ids(array):
+    """Swap slot 0's edge id with the next slot's that names another edge."""
+    other = int(numpy.flatnonzero(array != array[0])[0])
+    array[0], array[other] = int(array[other]), int(array[0])
+
+
+#: One corruption per graph-payload rule a load checks before anything reads
+#: the views: ``(state path of the array, corruption)``.
+GRAPH_PAYLOAD_CORRUPTIONS = {
+    "indptr-non-monotone": (("graph", "indptr"), lambda a: a.__setitem__(3, a[4] + 2)),
+    "indices-out-of-range": (("graph", "indices"), lambda a: a.__setitem__(7, 10**6)),
+    # Slot 0 reads the next edge's weight; its mirror slot keeps its own.
+    "asymmetric-weight": (("graph", "edge"), lambda a: a.__setitem__(0, a[0] + 1)),
+    # Each edge still owns two slots, but not a slot and its mirror image.
+    "edge-id-wrong-slot": (("graph", "edge"), _swap_edge_ids),
+    "part-out-of-range": (("index", "partitioning", "part"), lambda a: a.__setitem__(0, 99)),
+}
+
+
+class TestCorruptedGraphPayload:
+    """A PMHL snapshot whose graph CSR (``indptr``, ``indices``, ``edge``)
+    or partition assignment (``part``) is corrupted in the payload is
+    refused on load with ``SnapshotFormatError`` — the graph and the
+    partitioning are views of the payload, checked in numpy before any
+    search reads them.  Each case loads and queries in a child process."""
+
+    @pytest.mark.parametrize("case", sorted(GRAPH_PAYLOAD_CORRUPTIONS))
+    def test_refused_on_load(self, case, tmp_path):
+        index = create_index(NINE_SPECS["PMHL"], _base_graph())
+        index.build()
+        path = str(tmp_path / "snap")
+        save_index(index, path)
+        with open(os.path.join(path, "state.json")) as handle:
+            state = json.load(handle)
+        where, corrupt = GRAPH_PAYLOAD_CORRUPTIONS[case]
+        for key in where:
+            state = state[key]
+        payload, toc = _payload(path)
+        _name, dtype, start, count = toc[state["__array__"]]
+        array = numpy.memmap(payload, dtype=dtype, mode="r+", offset=start, shape=(count,))
+        corrupt(array)
+        array.flush()
+        del array
+        _load_and_query("index", path, "cross_labels")
+
+
 class TestFingerprint:
     def test_insensitive_to_iteration_order(self):
         a = _base_graph()
@@ -793,28 +841,25 @@ class TestFingerprint:
         edge = next(iter(b.edges()))
         b.set_edge_weight(edge[0], edge[1], edge[2] * 2)
         assert graph_fingerprint(a) != graph_fingerprint(b)
-        c = _base_graph()
-        c.add_vertex(10_000)
+        c = _base_graph().with_edges(vertices=[10_000])
         assert graph_fingerprint(a) != graph_fingerprint(c)
 
 
 class ListIO:
-    """The writer / reader surface the graph codec uses, over plain lists."""
+    """The writer / reader surface the graph codec uses, over plain lists
+    (each array's dtype kept beside it)."""
 
     def __init__(self):
         self.arrays = []
+        self.dtypes = []
 
-    def put_ints(self, values):
-        self.arrays.append(list(values))
+    def put_array(self, array):
+        self.arrays.append(numpy.asarray(array).tolist())
+        self.dtypes.append(numpy.asarray(array).dtype)
         return len(self.arrays) - 1
 
-    put_floats = put_ints
-
-    def get_list(self, ref):
-        return list(self.arrays[ref])
-
     def get_array(self, ref):
-        return numpy.asarray(self.arrays[ref])
+        return numpy.asarray(self.arrays[ref], dtype=self.dtypes[ref])
 
 
 #: A grid whose neighbour rows an edge-list codec would reorder.
@@ -823,13 +868,13 @@ def _ordered_graph():
 
 
 class TestGraphPayload:
-    """The graph payload keeps every neighbour row in iteration order, so a
-    loaded graph (and a graph snapshot frozen from it) is the saved one's
-    byte for byte; a payload that is not a symmetric adjacency is refused."""
+    """The graph payload is the graph's arrays, so a loaded graph (and a
+    graph snapshot frozen from it) is the saved one's byte for byte; a
+    payload that is not a well-formed symmetric CSR is refused."""
 
     @staticmethod
     def rows(graph):
-        return [(v, list(graph.neighbors(v).items())) for v in graph.vertices()]
+        return [(v, list(neighbors(graph, v).items())) for v in graph.vertices()]
 
     def test_codec_keeps_rows_in_order(self):
         graph = _ordered_graph()
@@ -842,15 +887,14 @@ class TestGraphPayload:
     @pytest.mark.parametrize(
         "tamper, message",
         [
-            (lambda a, st: a[st["weights"]].__setitem__(0, 2.5 * a[st["weights"]][0]),
-             "asymmetric"),
-            (lambda a, st: a[st["nbrs"]].__setitem__(0, a[st["nbrs"]][1]), "asymmetric"),
-            (lambda a, st: a[st["nbrs"]].__setitem__(0, 0), "asymmetric"),
-            (lambda a, st: a[st["nbrs"]].__setitem__(0, 10_000), "asymmetric"),
+            (lambda a, st: a[st["edge"]].__setitem__(0, a[st["edge"]][1]), "asymmetric"),
+            (lambda a, st: a[st["indices"]].__setitem__(0, a[st["indices"]][1]), "asymmetric"),
+            (lambda a, st: a[st["indices"]].__setitem__(0, 0), "asymmetric"),
+            (lambda a, st: a[st["indices"]].__setitem__(0, 10_000), "out of range"),
             (lambda a, st: a[st["indptr"]].pop(), "malformed"),
             (lambda a, st: a[st["weights"]].__setitem__(0, -1.0), "non-positive"),
-            (lambda a, st: (a[st["vertices"]].append(a[st["vertices"]][0]),
-                            a[st["indptr"]].append(a[st["indptr"]][-1])), "twice"),
+            (lambda a, st: (a[st["ids"]].append(a[st["ids"]][0]),
+                            a[st["indptr"]].append(a[st["indptr"]][-1])), "distinct"),
         ],
         ids=["weight", "duplicate", "self-loop", "unknown-vertex", "indptr", "negative",
              "vertex-twice"],

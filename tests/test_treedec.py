@@ -92,9 +92,9 @@ class TestContraction:
 
     def test_empty_graph_rejected(self):
         with pytest.raises(GraphError):
-            eliminate(Graph())
+            eliminate(Graph.from_edges())
         with pytest.raises(GraphError):
-            SlotContraction.build(Graph())
+            SlotContraction.build(Graph.from_edges())
 
     def test_eliminate_order_is_permutation(self):
         graph = grid_road_network(4, 4, seed=0)
@@ -151,12 +151,8 @@ def _disconnected_partition_subgraph() -> Graph:
     """A partition subgraph in two pieces plus an isolated vertex (a
     partition whose boundary was cut out of it)."""
     grid = grid_road_network(6, 6, seed=3)
-    graph = Graph()
-    for u, v, w in grid.edges():
-        if u < 12 and v < 12 and not {u, v} & {3, 4}:
-            graph.add_edge(u, v, w)
-    graph.add_vertex(40)
-    return graph
+    kept = [(u, v, w) for u, v, w in grid.edges() if u < 12 and v < 12 and not {u, v} & {3, 4}]
+    return Graph.from_edges(*zip(*kept), vertices=[40])
 
 
 def _tiered(graph):
@@ -419,17 +415,17 @@ def _scattered_graph(n, extra, pieces, isolated, seed):
     """A random connected graph plus ``pieces`` more components and
     ``isolated`` lone vertices, with scattered, unsorted ids."""
     rng = random.Random(seed)
-    graph = random_connected_graph(n, extra, seed=seed)
+    edges = list(random_connected_graph(n, extra, seed=seed).edges())
+    vertices = list(range(n))
     offset = n
     for piece in range(pieces):
         size = rng.randrange(1, 8)
         for u, v, w in random_connected_graph(size, rng.randrange(6), seed=seed + piece).edges():
-            graph.add_edge(u + offset, v + offset, w)
-        graph.add_vertex(offset)
+            edges.append((u + offset, v + offset, w))
+        vertices.append(offset)
         offset += size
-    for k in range(isolated):
-        graph.add_vertex(offset + k)
-    return _relabelled(graph, seed)
+    vertices.extend(range(offset, offset + isolated))
+    return _relabelled(Graph.from_edges(*zip(*edges), vertices=vertices), seed)
 
 
 class TestTreeDecomposition:
@@ -487,9 +483,7 @@ class TestTreeDecomposition:
             assert index.td.roots == reference_td_partition(ref, index.contraction, 8, 3)
 
     def test_disconnected_graph_rejected(self):
-        graph = Graph()
-        graph.add_edge(0, 1, 1.0)
-        graph.add_edge(2, 3, 1.0)
+        graph = Graph.from_edges([0, 2], [1, 3], [1.0, 1.0])
         with pytest.raises(GraphError):
             TreeDecomposition.from_contraction(SlotContraction.build(graph))
 
@@ -595,20 +589,19 @@ def _topology_bits(topology):
 
 
 def _relabelled(graph: Graph, seed: int) -> Graph:
-    """``graph`` with scattered, unsorted vertex ids, inserted in a shuffled
-    order (so the C entry's id sort and the CSR's row order both matter)."""
+    """``graph`` with scattered vertex ids whose order is not the original
+    one, its edges given in a shuffled order (so the rows' order differs
+    from the ids')."""
     rng = random.Random(seed)
     vertices = sorted(graph.vertices())
     rng.shuffle(vertices)
     name = {v: 7919 * v + rng.randrange(7919) for v in vertices}
-    relabelled = Graph()
-    for v in vertices:
-        relabelled.add_vertex(name[v])
     edges = list(graph.edges())
     rng.shuffle(edges)
-    for u, v, w in edges:
-        relabelled.add_edge(name[u], name[v], w)
-    return relabelled
+    return Graph.from_edges(
+        [name[u] for u, _, _ in edges], [name[v] for _, v, _ in edges],
+        [w for _, _, w in edges], vertices=[name[v] for v in vertices],
+    )
 
 
 def _set(index, position, value):
@@ -744,12 +737,10 @@ class TestEliminationEntry:
     def csr_arguments(graph):
         """``eliminate``'s arguments for ``graph`` (no tiers, no order), as
         mutable arrays; the outputs hold -7."""
-        ids, indptr, positions, weights = graph.to_csr()
         return [
-            np.array(ids, dtype=np.int64), np.array(indptr, dtype=np.int64),
-            np.array(positions, dtype=np.int64), np.array(weights, dtype=np.float64),
+            graph.ids.copy(), graph.indptr.copy(), graph.indices.copy(), graph.slot_weights,
             np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64),
-            np.full(len(ids), -7, dtype=np.int64), np.full(2, -7, dtype=np.int64),
+            np.full(graph.num_vertices, -7, dtype=np.int64), np.full(2, -7, dtype=np.int64),
         ]
 
     @pytest.mark.parametrize("case", sorted(MALFORMED))
