@@ -48,6 +48,7 @@ from repro.partitioning.td_partition import TDPartitioning, td_partition
 from repro.registry import IndexSpec, register_spec
 from repro.treedec.slots import SlotContraction
 from repro.treedec.tree import TreeDecomposition
+from repro.uniques import unique
 
 
 class PostMHLIndex(DistanceIndex):
@@ -296,7 +297,7 @@ class PostMHLIndex(DistanceIndex):
         escaped = np.zeros(contraction.num_vertices, dtype=np.int8)
         partition_times: List[float] = []
         partition_changed: Dict[int, np.ndarray] = {}
-        for pid in np.unique(owners[owners >= 0]).tolist():
+        for pid in unique(owners[owners >= 0]).tolist():
             start = time.perf_counter()
             partition_changed[pid] = contraction.run(
                 rows[owners == pid], self._row_mask(pid), escaped

@@ -35,6 +35,7 @@ from repro.exceptions import (
     InvalidWeightError,
     VertexNotFoundError,
 )
+from repro.uniques import unique
 
 Edge = Tuple[int, int, float]
 
@@ -54,14 +55,6 @@ def _ints(values) -> np.ndarray:
     """``values`` (any iterable of ids) as a flat ``int64`` array."""
     return np.asarray(values if isinstance(values, np.ndarray) else list(values),
                       dtype=np.int64).reshape(-1)
-
-
-def _unique(values: np.ndarray) -> np.ndarray:
-    """The sorted distinct entries of ``values``: ``np.unique`` by one sort
-    (numpy 2's hash-based ``np.unique`` is an order of magnitude slower on
-    these int64 arrays)."""
-    ordered = np.sort(values)
-    return ordered[np.concatenate(([True], ordered[1:] != ordered[:-1]))] if len(ordered) else ordered
 
 
 class Graph:
@@ -118,7 +111,7 @@ class Graph:
             if us[first] == vs[first]:
                 raise GraphError(f"self-loops are not allowed (vertex {int(us[first])})")
             raise InvalidWeightError(weights[first])
-        ids = _unique(np.concatenate([_ints(vertices), us, vs]))
+        ids = unique(np.concatenate([_ints(vertices), us, vs]))
         if len(ids) and ids[0] < 0:
             raise GraphError(f"vertex ids must be non-negative, got {int(ids[0])}")
         pu, pv = np.searchsorted(ids, us), np.searchsorted(ids, vs)
@@ -168,7 +161,7 @@ class Graph:
         a, b = pair[0::2], pair[1::2]
         if ((np.bincount(edge, minlength=m) != 2).any() or (tail == indices).any()
                 or (tail[a] != indices[b]).any() or (indices[a] != tail[b]).any()
-                or len(_unique(tail * n + indices)) != slots):
+                or len(unique(tail * n + indices)) != slots):
             raise ValueError("graph payload has an asymmetric adjacency")
         if coords is not None and coords.shape != (n, 2):
             raise ValueError("graph payload coordinates do not match its vertices")

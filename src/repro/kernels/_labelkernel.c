@@ -94,6 +94,15 @@
 #define SEARCH_ALIGN
 #endif
 
+/* The tree query's relaxation loop (tree_relax) is a handful of
+ * instructions run for thousands of arcs a query, and gcc's -O2 does not
+ * unroll it. */
+#if defined(__GNUC__) && !defined(__clang__)
+#define TREE_UNROLL _Pragma("GCC unroll 4")
+#else
+#define TREE_UNROLL
+#endif
+
 static const char *LABEL_CAPSULE = "repro.kernels.labelstore";
 static const char *SEARCH_CAPSULE = "repro.kernels.searchgraph";
 
@@ -612,9 +621,14 @@ static PyObject *search_build(PyObject *self, PyObject *args) {
     g->indptr = (const int64_t *)ptrs[S_INDPTR];
     g->indices = (const int64_t *)ptrs[S_INDICES];
     g->weights = (const double *)ptrs[S_WEIGHTS];
+    /* indptr starts at 0, never falls and ends at len(indices), so every row
+     * that tree_parents and the searches walk lies inside indices. */
     int valid = counts[S_INDPTR] == g->n + 1 &&
                 counts[S_INDICES] == counts[S_WEIGHTS] &&
-                (g->n == 0 || g->indptr[g->n] == counts[S_INDICES]);
+                g->indptr[0] == 0 && g->indptr[g->n] == counts[S_INDICES];
+    for (int64_t v = 0; valid && v < g->n; v++) {
+        valid = g->indptr[v] <= g->indptr[v + 1];
+    }
     if (valid) {
         for (int64_t e = 0; e < counts[S_INDICES]; e++) {
             if (g->indices[e] < 0 || g->indices[e] >= g->n) {
@@ -691,16 +705,23 @@ static int tree_scratch(SearchGraph *g) {
     return 0;
 }
 
-/* Relax the upward arcs of row v at distance d into dist[]. */
+/* Relax the upward arcs of row v at distance d into dist[].  The min is
+ * stored unconditionally: a conditional store may not be turned into an
+ * unconditional one by the compiler, so `if (nd < dist[u]) dist[u] = nd`
+ * compiles to a compare and a jump around the store, which mispredicts
+ * often (it depends on the data at every arc); this form compiles to minsd
+ * and one store, with the same sums and the same minimum.  Unrolling it 4x
+ * (TREE_UNROLL) took another ~25% off the 80x80 DCH query (DESIGN.md
+ * section 7). */
 static inline void tree_relax(const SearchGraph *g, double *dist, int64_t v, double d) {
     const int64_t *nbr = g->indices + g->indptr[v];
     const int64_t *nbr_end = g->indices + g->indptr[v + 1];
     const double *wgt = g->weights + g->indptr[v];
+    TREE_UNROLL
     for (; nbr < nbr_end; nbr++, wgt++) {
         double nd = d + *wgt;
-        if (nd < dist[*nbr]) {
-            dist[*nbr] = nd;
-        }
+        double old = dist[*nbr];
+        dist[*nbr] = nd < old ? nd : old;
     }
 }
 
@@ -713,7 +734,9 @@ static inline void tree_relax(const SearchGraph *g, double *dist, int64_t v, dou
  * search's pruned candidates reduce to, bit for bit (fl(a + w) >= a for
  * w >= 0, so a row skipped at distance >= best cannot lower best).  Rows are
  * reset to +inf as soon as they are read, so both chains are clean when the
- * query returns. */
+ * query returns.  Nearly all of a query's time is tree_relax's arcs (two
+ * chains of up to ~32 k at 80x80), relaxed by a branch-free min: see
+ * there. */
 SEARCH_ALIGN static double search_tree(SearchGraph *g, int64_t rs, int64_t rt, int *failed) {
     *failed = 0;
     if (rs == rt) {
@@ -1249,8 +1272,12 @@ static inline void mark_row(uint8_t *dirty, const int8_t *mask, Py_ssize_t n_mas
  * It returns None and raises with fixed messages on purpose: each C-API
  * function this file imports adds a PLT entry that moves every function
  * compiled after it, and moving the CH search code by 48 bytes made
- * search_query_pairs ~7% slower on a 2-core Xeon VM.  Keep new code free of
- * new imports, or re-measure the search kernels. */
+ * search_query_pairs ~7% slower on a 2-core Xeon VM.  Since the tree query
+ * relaxes branch-free (tree_relax), 64 bytes of padding before search_tree,
+ * and search_tree moved to 32 bytes past a cache line, left the 80x80 DCH
+ * query at 16-19 us against 17-18 us (best of 5 runs of 20 k pairs, four
+ * rounds, same VM): within noise.  Keep new code free of new imports
+ * anyway, or re-measure the search kernels. */
 static PyObject *update_slots(PyObject *self, PyObject *const *args, Py_ssize_t nargs) {
     enum { U_INDPTR, U_INDICES, U_BASE, U_SUP_INDPTR, U_SUP_SLOTS, U_WEIGHTS, U_SEEDS,
            U_MASK, U_ESCAPED, U_CHANGED, U_COUNTS, U_NVIEWS };

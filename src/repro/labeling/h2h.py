@@ -57,6 +57,7 @@ from repro.kernels.native import native_kernel
 from repro.registry import IndexSpec, register_spec
 from repro.treedec.slots import NO_ROWS, SlotContraction
 from repro.treedec.tree import TreeDecomposition
+from repro.uniques import unique
 
 INF = math.inf
 
@@ -264,9 +265,9 @@ class H2HLabels:
         """
         row = self.row
         if isinstance(affected, np.ndarray):
-            seeds = np.unique(rows_of(row, self.remap, affected))
+            seeds = unique(rows_of(row, self.remap, affected))
         else:
-            seeds = np.unique(np.fromiter((row[v] for v in affected if v in row), np.int64))
+            seeds = unique(np.fromiter((row[v] for v in affected if v in row), np.int64))
         mask = NO_ROWS
         if allowed is not None:
             mask = np.zeros(len(self.keys), dtype=np.int8)

@@ -16,7 +16,7 @@ from __future__ import annotations
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Dict, Optional, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 
 @dataclass
@@ -38,54 +38,82 @@ class CacheStats:
         return self.hits / self.lookups if self.lookups else 0.0
 
 
-@dataclass
-class _Entry:
-    distance: float
-    epoch: int
+def _key(source: int, target: int) -> Tuple[int, int]:
+    return (source, target) if source <= target else (target, source)
 
 
 class EpochDistanceCache:
-    """Thread-safe LRU cache of (source, target) → distance, keyed by epoch."""
+    """Thread-safe LRU cache of (source, target) → distance, keyed by epoch.
+
+    A batch probes it with one :meth:`get_many` and fills it with one
+    :meth:`put_many`: one lock acquisition and one stats update per call.
+    Pairs are handled in order, so a batch leaves the entries, their LRU
+    order and the stats as one call per pair would; :meth:`get` and
+    :meth:`put` are batches of one.  Entries are ``(distance, epoch)``."""
 
     def __init__(self, capacity: int = 4096) -> None:
         if capacity < 1:
             raise ValueError(f"capacity must be >= 1, got {capacity}")
         self.capacity = capacity
         self._lock = threading.Lock()
-        self._entries: "OrderedDict[Tuple[int, int], _Entry]" = OrderedDict()
+        self._entries: "OrderedDict[Tuple[int, int], Tuple[float, int]]" = OrderedDict()
         self.stats = CacheStats()
-
-    @staticmethod
-    def _key(source: int, target: int) -> Tuple[int, int]:
-        return (source, target) if source <= target else (target, source)
 
     # ------------------------------------------------------------------
     def get(self, source: int, target: int, epoch: int) -> Optional[float]:
         """Cached distance at ``epoch``, or ``None`` on miss/stale rejection."""
-        key = self._key(source, target)
-        with self._lock:
-            entry = self._entries.get(key)
-            if entry is None:
-                self.stats.misses += 1
-                return None
-            if entry.epoch != epoch:
-                del self._entries[key]
-                self.stats.stale_rejections += 1
-                self.stats.misses += 1
-                return None
-            self._entries.move_to_end(key)
-            self.stats.hits += 1
-            return entry.distance
+        return self.get_many([(source, target)], epoch)[0]
 
     def put(self, source: int, target: int, distance: float, epoch: int) -> None:
         """Insert a distance computed at ``epoch``."""
-        key = self._key(source, target)
+        self.put_many([(source, target)], [distance], epoch)
+
+    def get_many(
+        self, pairs: Sequence[Tuple[int, int]], epoch: int
+    ) -> List[Optional[float]]:
+        """The cached distance of every pair at ``epoch``, in order: ``None``
+        on a miss, and on a stale-epoch rejection, which drops the entry."""
+        entries = self._entries
+        found: List[Optional[float]] = []
+        hits = stale = 0
         with self._lock:
-            self._entries[key] = _Entry(distance, epoch)
-            self._entries.move_to_end(key)
-            while len(self._entries) > self.capacity:
-                self._entries.popitem(last=False)
-                self.stats.evictions += 1
+            for source, target in pairs:
+                key = _key(source, target)
+                entry = entries.get(key)
+                if entry is None:
+                    found.append(None)
+                elif entry[1] != epoch:
+                    del entries[key]
+                    stale += 1
+                    found.append(None)
+                else:
+                    entries.move_to_end(key)
+                    hits += 1
+                    found.append(entry[0])
+            stats = self.stats
+            stats.hits += hits
+            stats.misses += len(found) - hits
+            stats.stale_rejections += stale
+        return found
+
+    def put_many(
+        self, pairs: Sequence[Tuple[int, int]], distances: Sequence[float], epoch: int
+    ) -> None:
+        """Insert the distance of every pair, computed at ``epoch``, in order;
+        the least recently used entry goes whenever an insert leaves more
+        than ``capacity`` entries, pair by pair as :meth:`put` would."""
+        entries = self._entries
+        capacity = self.capacity
+        evictions = 0
+        with self._lock:
+            for (source, target), distance in zip(pairs, distances):
+                key = _key(source, target)
+                entries[key] = (distance, epoch)
+                entries.move_to_end(key)
+                if len(entries) > capacity:
+                    entries.popitem(last=False)
+                    evictions += 1
+            self.stats.evictions += evictions
 
     # ------------------------------------------------------------------
     def invalidate_all(self) -> int:
@@ -103,7 +131,7 @@ class EpochDistanceCache:
 
     def __contains__(self, pair: Tuple[int, int]) -> bool:
         with self._lock:
-            return self._key(*pair) in self._entries
+            return _key(*pair) in self._entries
 
     def snapshot(self) -> Dict[str, float]:
         with self._lock:

@@ -206,7 +206,9 @@ class ServingEngine(EngineCore):
 
         The cache fronts search stages only: through a label-lookup stage
         (``stage.cached`` false) the whole batch goes straight to the index,
-        with no per-pair work on this side of the kernel.
+        with no per-pair work on this side of the kernel.  Through a search
+        stage the cache is probed once for the batch and filled once with its
+        misses.
         """
         cache = self.cache
         name = stage.name
@@ -214,15 +216,16 @@ class ServingEngine(EngineCore):
         if cache is None or not stage.cached:
             distances = self._compute(stage, pair_list)
         else:
-            distances = [cache.get(source, target, epoch) for source, target in pair_list]
+            distances = cache.get_many(pair_list, epoch)
             misses = [position for position, hit in enumerate(distances) if hit is None]
             if not misses:
                 name = CACHE_STAGE
             else:
-                answers = self._compute(stage, [pair_list[position] for position in misses])
+                missed = [pair_list[position] for position in misses]
+                answers = self._compute(stage, missed)
                 for position, distance in zip(misses, answers):
                     distances[position] = distance
-                    cache.put(*pair_list[position], distance, epoch)
+                cache.put_many(missed, answers, epoch)
                 if len(misses) < len(pair_list):
                     stages = [CACHE_STAGE] * len(pair_list)
                     for position in misses:

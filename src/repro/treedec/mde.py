@@ -40,6 +40,7 @@ import numpy as np
 
 from repro.exceptions import GraphError
 from repro.graph.graph import Graph
+from repro.uniques import first_occurrences
 
 
 def eliminate(
@@ -123,7 +124,7 @@ def check_order(graph: Graph, order: Optional[Sequence[int]]) -> None:
         return  # a permutation of the (sorted, distinct) ids
     known = np.isin(wanted, graph.ids)
     first = np.zeros(len(wanted), dtype=bool)
-    first[np.unique(wanted, return_index=True)[1]] = True
+    first[first_occurrences(wanted)] = True
     if not (known & first).all():
         at = int(np.argmin(known & first))
         problem = "appears twice in the contraction order" if known[at] else "is not in the graph"

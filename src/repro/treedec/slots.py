@@ -60,6 +60,7 @@ from repro.kernels.arena import Arena, build_remap, count_freeze, rows_of
 from repro.kernels.native import native_kernel
 from repro.kernels.shortcut_store import ShortcutStore
 from repro.treedec.mde import check_order, eliminate
+from repro.uniques import first_occurrences, unique
 
 INF = math.inf
 
@@ -140,7 +141,7 @@ class FlatContraction:
     def vertices(self, slots: np.ndarray) -> np.ndarray:
         """The distinct owners of ``slots``, as vertex ids (a change report's
         keys: the seeds of a label pass)."""
-        return self._arena["ids"][np.unique(self.slot_rows(slots))]
+        return self._arena["ids"][unique(self.slot_rows(slots))]
 
     def slot_map(self) -> Tuple[List["SlotContraction"], np.ndarray, np.ndarray]:
         """Where each slot's weight lives: ``(sources, source index per slot,
@@ -257,7 +258,7 @@ class SlotContraction(FlatContraction):
         a pair named twice ends at its last weight, as the graph does."""
         rows, slots = self.locate(us, vs)
         if len(slots):
-            last = len(slots) - 1 - np.unique(slots[::-1], return_index=True)[1]
+            last = len(slots) - 1 - first_occurrences(slots[::-1])
             self.base[slots[last]] = np.asarray(weights, dtype=np.float64)[last]
         return rows
 

@@ -29,6 +29,7 @@ import numpy as np
 from repro.exceptions import GraphError
 from repro.kernels.arena import build_remap, rows_of
 from repro.kernels.label_store import LCA_FIELDS, MASK, SHIFT, floor_log2
+from repro.uniques import unique
 
 
 class TreeDecomposition:
@@ -203,7 +204,7 @@ class TreeDecomposition:
         preorder intervals, so one sort and one running maximum of the
         interval ends find the roots."""
         pre, size, _ = self.intervals
-        rows = np.unique(self.rows(list(vertices)))
+        rows = unique(self.rows(list(vertices)))
         rows = rows[np.argsort(pre[rows])]
         ends = pre[rows] + size[rows]
         reach = np.maximum.accumulate(ends)

@@ -26,6 +26,8 @@ import weakref
 
 import numpy
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from repro.algorithms.dijkstra import bidijkstra, dijkstra_distance
 from repro.exceptions import (
@@ -425,6 +427,34 @@ DOWNWARD_ROWS = [[(1, 1.0)], [(0, 1.0), (2, 2.0)], []]
 MISSING_FILL_ROWS = [[(1, 1.0), (3, 5.0)], [(2, 2.0)], [(3, 1.0)], []]
 
 
+@st.composite
+def tree_query_graphs(draw):
+    """Small graphs with scattered ids and duplicate edges: half of them
+    connected by a random spanning path, the rest whatever the random edges
+    leave (isolated vertices, several components).  Returns
+    ``(vertices, edges)``."""
+    ids = draw(st.lists(st.integers(0, 10**6), min_size=1, max_size=14, unique=True))
+    weights = st.one_of(st.integers(1, 9).map(float), st.floats(0.01, 50.0))
+    edges = []
+    if draw(st.booleans()):
+        path = draw(st.permutations(ids))
+        edges += [(u, v, draw(weights)) for u, v in zip(path, path[1:])]
+    pairs = st.tuples(st.sampled_from(ids), st.sampled_from(ids), weights)
+    edges += [(u, v, w) for u, v, w in draw(st.lists(pairs, max_size=40)) if u != v]
+    return ids, edges
+
+
+def _upward(store):
+    """The store's rows as the reference's upward mapping, in CSR order."""
+    arena = store.arena
+    ids, indptr = arena["ids"].tolist(), arena["indptr"].tolist()
+    indices, weights = arena["indices"].tolist(), arena["weights"].tolist()
+    return {
+        ids[r]: {ids[c]: w for c, w in zip(indices[indptr[r]:indptr[r + 1]],
+                                           weights[indptr[r]:indptr[r + 1]])}
+        for r in range(len(ids))
+    }
+
 @NEEDS_NATIVE
 class TestEliminationTreeQuery:
     """The CH query walks the elimination tree of every shortcut store: each
@@ -458,6 +488,40 @@ class TestEliminationTreeQuery:
             assert stores, (method, name)
             for key, store in stores.items():
                 assert native_kernel().search_is_tree(store.capsule), (method, name, key)
+
+    @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(tree_query_graphs(), st.randoms(use_true_random=False))
+    def test_random_graphs_match_the_upward_dijkstra(self, spec, rng):
+        """Every ordered pair of a random graph -- so ``s == t`` and both
+        directions of every ancestor pair -- through the scalar entry,
+        ``query_pairs`` and ``one_to_many``, equals ``ch_bidirectional_query``
+        over the same rows bit for bit; then the same pairs again in reverse
+        order on the same capsule, so a scratch row a query left dirty
+        changes a later answer."""
+        vertices, edges = spec
+        us, vs, ws = zip(*edges) if edges else ((), (), ())
+        index = create_index("DCH", Graph.from_edges(us, vs, ws, vertices=vertices))
+        index.build()
+        store = index._shortcut_store()
+        kernel = native_kernel()
+        assert kernel.search_is_tree(store.capsule)
+        upward = _upward(store)
+        pairs = [(s, t) for s in vertices for t in vertices]
+        rng.shuffle(pairs)
+        expected = {
+            pair: ch_bidirectional_query(*pair, upward.__getitem__).hex() for pair in pairs
+        }
+        for order in (pairs, pairs[::-1]):
+            want = [expected[pair] for pair in order]
+            scalar = [kernel.search_query(store.capsule, store.row[s], store.row[t], 1)
+                      for s, t in order]
+            assert [d.hex() for d in scalar] == want
+            assert [d.hex() for d in store.query_pairs(order)] == want
+            for source in vertices:
+                targets = [t for s, t in order if s == source]
+                assert [d.hex() for d in store.one_to_many(source, targets)] == [
+                    expected[source, t] for t in targets
+                ]
 
     def test_source_equals_target(self):
         index = create_index("DCH", grid_road_network(6, 6, seed=1))
@@ -587,8 +651,9 @@ class TestKernelSpeedup:
         )
 
     def test_ch_search_kernel_at_least_2x_faster(self):
-        """Conservative CI bar for the native bidirectional-search kernel;
-        bench_kernels.py records the real (~15x) gap on the bigger graph."""
+        """Conservative CI bar for the native CH query kernel; bench_kernels.py
+        records the real gap on a bigger graph (DCH scalar ~300x at 52x52 in
+        BENCH_kernels.json)."""
         base = grid_road_network(18, 18, seed=5)
         fast = create_index("DCH", base.copy())
         fast.build()

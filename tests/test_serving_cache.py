@@ -6,7 +6,11 @@ stage never probes it)."""
 
 from __future__ import annotations
 
+import dataclasses
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.algorithms.dijkstra import dijkstra_distance
 from repro.core.pmhl import PMHLIndex
@@ -61,6 +65,45 @@ class TestEpochDistanceCache:
         with pytest.raises(ValueError):
             EpochDistanceCache(capacity=0)
 
+
+#: A pair over few vertices (so keys repeat, in both orders), an epoch of
+#: three (so entries go stale), and the operations a cache sees.
+_PAIRS = st.lists(st.tuples(st.integers(0, 4), st.integers(0, 4)), max_size=12)
+_EPOCHS = st.integers(0, 2)
+_OPERATIONS = st.lists(
+    st.one_of(
+        st.tuples(st.just("get"), _PAIRS, _EPOCHS),
+        st.tuples(st.just("put"), _PAIRS, _EPOCHS),
+        st.tuples(st.just("invalidate"), st.just([]), st.just(0)),
+    ),
+    max_size=25,
+)
+
+
+class TestBatchedCacheCalls:
+    """``get_many`` / ``put_many`` leave a cache exactly as one ``get`` /
+    ``put`` per pair would: the answers, the entries in LRU order and every
+    stats field, after every operation of a random sequence -- repeated and
+    reversed pairs, stale epochs, batches larger than the capacity."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(1, 6), _OPERATIONS)
+    def test_batches_equal_per_pair_calls(self, capacity, operations):
+        batched, single = EpochDistanceCache(capacity), EpochDistanceCache(capacity)
+        for step, (kind, pairs, epoch) in enumerate(operations):
+            distances = [float(step * 100 + i) for i in range(len(pairs))]
+            if kind == "get":
+                assert batched.get_many(pairs, epoch) == [
+                    single.get(source, target, epoch) for source, target in pairs
+                ]
+            elif kind == "put":
+                batched.put_many(pairs, distances, epoch)
+                for (source, target), distance in zip(pairs, distances):
+                    single.put(source, target, distance, epoch)
+            else:
+                assert batched.invalidate_all() == single.invalidate_all()
+            assert list(batched._entries.items()) == list(single._entries.items())
+            assert dataclasses.asdict(batched.stats) == dataclasses.asdict(single.stats)
 
 class TestEngineCacheIntegration:
     def _engine(self, graph, index_cls=DCHIndex, **index_kwargs):

@@ -648,10 +648,10 @@ def _payload(path):
     return payload, toc
 
 
-def _corrupt_label_arena(path, arena_state, corrupt):
-    """Rewrite, in place, the payload entry holding the label arena
-    ``arena_state`` (a ``{"arena", "toc"}`` entry of the state) with
-    ``corrupt`` applied to its entries."""
+def _corrupt_arena(path, arena_state, corrupt):
+    """Rewrite, in place, the payload entry holding the arena ``arena_state``
+    (a ``{"arena", "toc"}`` entry of the state) with ``corrupt`` applied to
+    its entries."""
     payload, toc = _payload(path)
     _name, _dtype, start, count = toc[arena_state["arena"]["__array__"]]
     buffer = numpy.memmap(payload, dtype=numpy.uint8, mode="r+", offset=start, shape=(count,))
@@ -664,9 +664,10 @@ def _corrupt_label_arena(path, arena_state, corrupt):
     del arrays, buffer
 
 
-def _load_and_query(kind, path, key):
+def _load_and_query(kind, path, key, reason=""):
     """Run ``_LOAD_AND_QUERY`` in a child process; it must print ``refused:``
-    and exit 0 (a crash in C would end it by a signal)."""
+    (followed somewhere by ``reason``) and exit 0 (a crash in C would end it
+    by a signal)."""
     child = subprocess.run(
         [sys.executable, "-c", _LOAD_AND_QUERY, kind, path, key, str(GRID_SIDE)],
         capture_output=True, text=True, timeout=120,
@@ -674,6 +675,7 @@ def _load_and_query(kind, path, key):
     )
     assert child.returncode == 0, (child.returncode, child.stdout, child.stderr)
     assert child.stdout.startswith("refused:"), child.stdout
+    assert reason in child.stdout, child.stdout
 
 
 class TestCorruptedLabelArena:
@@ -696,9 +698,48 @@ class TestCorruptedLabelArena:
         with open(os.path.join(path, "state.json")) as handle:
             state = json.load(handle)
         arena_state = state["index"][key] if kind == "index" else state["kernels"][key]
-        _corrupt_label_arena(path, arena_state, QUERY_CORRUPTIONS[entry])
+        _corrupt_arena(path, arena_state, QUERY_CORRUPTIONS[entry])
         _load_and_query(kind, path, key)
 
+
+#: One corruption per shortcut-arena rule the C search checks when it wraps
+#: the arena, before it walks a row: ``(corruption, the refusal's reason)``.
+#: Without the indptr check the negative entry sends the tree check's
+#: first scan far outside ``indices``: a segfault.
+SHORTCUT_CORRUPTIONS = {
+    "indptr-negative": (lambda a: a["indptr"].__setitem__(1, -10**12), "inconsistent"),
+    "indptr-non-monotone": (
+        lambda a: a["indptr"].__setitem__(3, a["indptr"][4] + 2), "inconsistent"
+    ),
+    "indptr-overshoot": (
+        lambda a: a["indptr"].__setitem__(len(a["indptr"]) - 2, 10**12), "inconsistent"
+    ),
+    # Row 5's first arc names row 2, below it.
+    "indices-below-row": (
+        lambda a: a["indices"].__setitem__(a["indptr"][5], 2), "elimination tree"
+    ),
+}
+
+
+@NEEDS_NATIVE
+class TestCorruptedShortcutArena:
+    """A DCH snapshot whose shortcut arena has a negative, a non-monotone or
+    an overshooting ``indptr`` entry, or an arc to a lower row, is refused on
+    load with ``SnapshotFormatError``: the kernel checks the CSR before it
+    walks a row, and the elimination tree after.  Each case loads and
+    queries in a child process."""
+
+    @pytest.mark.parametrize("case", sorted(SHORTCUT_CORRUPTIONS))
+    def test_refused_on_load(self, case, tmp_path):
+        index = create_index(NINE_SPECS["DCH"], _base_graph())
+        index.build()
+        path = str(tmp_path / "snap")
+        save_index(index, path)
+        with open(os.path.join(path, "state.json")) as handle:
+            state = json.load(handle)
+        corrupt, reason = SHORTCUT_CORRUPTIONS[case]
+        _corrupt_arena(path, state["kernels"]["ch"], corrupt)
+        _load_and_query("index", path, "ch", reason)
 
 def _truncate(keep):
     def corrupt(payload, toc):
