@@ -20,9 +20,8 @@ import threading
 import time
 from collections import Counter, deque
 from collections.abc import Sequence
-from dataclasses import dataclass
 from itertools import islice, repeat
-from typing import Dict, Iterable, List, Mapping, Optional, Tuple, TypeVar
+from typing import Dict, Iterable, List, Mapping, NamedTuple, Optional, Tuple, TypeVar
 
 from repro import obs
 from repro.base import DistanceIndex, QueryPair, UpdateReport
@@ -51,9 +50,9 @@ MIXED_STAGE = "mixed"
 EPOCH_RETENTION = 32
 
 
-@dataclass(frozen=True)
-class QueryResult:
-    """One served query: the answer plus the serving context."""
+class QueryResult(NamedTuple):
+    """One served query: the answer plus the serving context.  A named tuple:
+    a batch's rows are built in one pass (:class:`BatchResult`)."""
 
     source: int
     target: int

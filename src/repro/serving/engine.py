@@ -31,7 +31,9 @@ releases to the router, with no lock.  A query takes the read lock, reads
 the epoch and runs on the fastest stage valid at it; holding the lock pins
 the epoch, since the next batch's edge refresh needs the write lock.  That
 is the paper's query-processing timeline, with real threads instead of a
-simulated one.
+simulated one.  Mid-install, a batch that the router expects a later stage
+to answer sooner, release included, waits for that release without the
+read lock and routes again (:meth:`ServingEngine._answer`).
 
 Every answer therefore equals a fresh Dijkstra run on the graph of the
 epoch it reports (:meth:`graph_at`) — the invariant the serving tests
@@ -188,13 +190,35 @@ class ServingEngine(EngineCore):
     def _answer(self, pair_list: List[QueryPair], started: float) -> BatchResult:
         """One lock acquisition and one stage-routing decision per batch
         (a scalar query is a batch of one).  Holding the read lock pins the
-        epoch for the whole batch: the next edge refresh needs the write lock."""
+        epoch for the whole batch: the next edge refresh needs the write lock.
+
+        Mid-install, when the router expects a later stage to be released
+        and answer the batch sooner than the best valid stage would
+        (:meth:`StageRouter.wait_plan`), the batch drops the read lock, waits
+        for that release (at most what the best valid stage would take) and
+        takes the lock and routes again.  It waits unlocked so that a stage
+        that never comes cannot hold up the next edge refresh; blocked in a
+        condition, the waiting thread leaves the GIL to the installer."""
+        router = self.router
         lock = self._graph_rw
         lock.acquire_read()
         try:
             epoch = self._epoch
+            stage = router.best_valid_stage(epoch)
+            plan = None if stage.final else router.wait_plan(stage, len(pair_list))
+            if plan is None:
+                return self._answer_batch(pair_list, epoch, stage, started)
+        finally:
+            lock.release_read()
+        waited = time.perf_counter()
+        target, budget = plan
+        router.wait_for_release(target, epoch, budget)
+        self.metrics.record_stage_wait(time.perf_counter() - waited)
+        lock.acquire_read()
+        try:
+            epoch = self._epoch
             return self._answer_batch(
-                pair_list, epoch, self.router.best_valid_stage(epoch), started
+                pair_list, epoch, router.best_valid_stage(epoch), started
             )
         finally:
             lock.release_read()
@@ -237,10 +261,15 @@ class ServingEngine(EngineCore):
     def _compute(self, stage: RoutedStage, pairs: List[QueryPair]) -> List[float]:
         """``pairs`` through ``stage``: the index's native fastest stage
         amortises a batch in ``query_many``; every other stage (and a lone
-        pair) answers through its scalar algorithm."""
+        pair) answers through its scalar algorithm.  The wall time teaches
+        the router the stage's cost per pair."""
+        started = time.perf_counter()
         if stage.final and len(pairs) > 1:
-            return self.index.query_many(pairs)
-        return [stage.query(source, target) for source, target in pairs]
+            distances = self.index.query_many(pairs)
+        else:
+            distances = [stage.query(source, target) for source, target in pairs]
+        self.router.observe_cost(stage, time.perf_counter() - started, len(pairs))
+        return distances
 
     # ------------------------------------------------------------------
     # Introspection

@@ -27,8 +27,10 @@ class ServingMetrics:
 
     Tracks served/shed query counts, a per-stage breakdown (which query stage
     actually answered — the live counterpart of the paper's Figure 13), cache
-    accounting, maintenance batches, and a latency histogram.  ``qps`` is the
-    served rate over a sliding window; ``lifetime_qps`` over the whole run.
+    accounting, maintenance batches, a latency histogram, and the batches
+    that waited for a stage's release (with how long they waited).  ``qps``
+    is the served rate over a sliding window; ``lifetime_qps`` over the
+    whole run.
     """
 
     def __init__(self, clock=time.monotonic, window_seconds: float = 2.0) -> None:
@@ -45,6 +47,10 @@ class ServingMetrics:
         self._maintenance = Histogram(
             name="repro_serving_maintenance_seconds", thread_safe=True
         )
+        self._stage_waits = Counter("repro_serving_stage_waits_total")
+        self._stage_wait = Histogram(
+            name="repro_serving_stage_wait_seconds", thread_safe=True
+        )
         #: ``(timestamp, queries)`` per recorded batch inside the window, and
         #: the running sum of their counts.
         self._recent: deque = deque()
@@ -58,6 +64,8 @@ class ServingMetrics:
         registry.install(self._latency, "Per-query response time")
         registry.install(self._batches, "Installed update batches")
         registry.install(self._maintenance, "Wall time per installed batch")
+        registry.install(self._stage_waits, "Batches that waited for a stage's release")
+        registry.install(self._stage_wait, "Wall time per wait for a stage's release")
 
     # ------------------------------------------------------------------
     def record_queries(
@@ -101,6 +109,11 @@ class ServingMetrics:
         self._batches.inc()
         self._maintenance.record(wall_seconds)
 
+    def record_stage_wait(self, wall_seconds: float) -> None:
+        """A batch waited ``wall_seconds`` for a stage's release."""
+        self._stage_waits.inc()
+        self._stage_wait.record(wall_seconds)
+
     # ------------------------------------------------------------------
     @property
     def queries_served(self) -> int:
@@ -136,7 +149,7 @@ class ServingMetrics:
         served, shed = self.queries_served, self.queries_shed
         attempted = served + shed
         with self._lock:
-            latency = self._latency_snapshot()
+            latency = _quantiles(self._latency)
         return {
             "queries_served": served,
             "queries_shed": shed,
@@ -148,19 +161,22 @@ class ServingMetrics:
             "batches_applied": int(self._batches.value),
             "maintenance_seconds": self._maintenance.sum,
             "latency": latency,
+            "stage_waits": int(self._stage_waits.value),
+            "stage_wait_seconds": _quantiles(self._stage_wait),
         }
 
-    def _latency_snapshot(self) -> Dict[str, object]:
-        """The latency histogram under second-suffixed keys (caller holds the lock)."""
-        latency = self._latency
-        return {
-            "count": float(latency.count),
-            "mean_seconds": latency.mean,
-            "min_seconds": latency.min,
-            "p50_seconds": latency.quantile(0.50),
-            "p95_seconds": latency.quantile(0.95),
-            "p99_seconds": latency.quantile(0.99),
-            "max_seconds": latency.max,
-            "bucket_bounds": latency.bucket_bounds(),
-            "bucket_counts": latency.bucket_counts(),
-        }
+
+def _quantiles(histogram: Histogram) -> Dict[str, object]:
+    """A histogram under second-suffixed keys (a lock-free one read under
+    its owner's lock)."""
+    return {
+        "count": float(histogram.count),
+        "mean_seconds": histogram.mean,
+        "min_seconds": histogram.min,
+        "p50_seconds": histogram.quantile(0.50),
+        "p95_seconds": histogram.quantile(0.95),
+        "p99_seconds": histogram.quantile(0.99),
+        "max_seconds": histogram.max,
+        "bucket_bounds": histogram.bucket_bounds(),
+        "bucket_counts": histogram.bucket_counts(),
+    }

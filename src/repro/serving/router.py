@@ -8,16 +8,30 @@ count) at which it last became consistent, and a query at epoch ``e`` is
 dispatched to the most efficient stage whose ``valid_epoch == e``.  The
 analytic evaluator reads the same table, so the live and modelled stage
 timelines cannot drift apart.
+
+The router also learns, per stage, what a computed pair costs and how long
+after a batch's edge refresh the stage is released, so that a batch can wait
+for a stage about to be released instead of running on a much slower one
+(:meth:`StageRouter.wait_plan`).
 """
 
 from __future__ import annotations
 
+import threading
+import time
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional
+from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.base import LAST_STAGE, DistanceIndex
 
 __all__ = ["LAST_STAGE", "RoutedStage", "StageRouter"]
+
+#: Weight of the newest sample in a stage's learned cost and release offset.
+EWMA_WEIGHT = 0.5
+
+
+def _ewma(average: Optional[float], sample: float) -> float:
+    return sample if average is None else average + EWMA_WEIGHT * (sample - average)
 
 
 @dataclass
@@ -36,6 +50,12 @@ class RoutedStage:
     cached: bool
     #: Epoch at which this stage last became consistent.
     valid_epoch: int = 0
+    #: Learned seconds per computed pair (an EWMA over the batches this stage
+    #: computed); ``None`` until it has computed one.
+    cost: Optional[float] = None
+    #: Learned seconds from a batch's edge refresh to this stage's release
+    #: (an EWMA over installs); ``None`` until an install released it.
+    release_offset: Optional[float] = None
 
 
 class StageRouter:
@@ -46,9 +66,11 @@ class StageRouter:
     each later stage completion calls :meth:`release`, and :meth:`complete`
     runs once the whole batch is installed.  All three run on the maintenance
     thread — :meth:`begin_epoch` under the engine's write lock, the other two
-    without one — and each only stores one integer per stage, after the
-    structures that stage reads are final; a query thread reading
-    ``valid_epoch`` therefore needs no lock of its own.
+    without one — and each only stores one integer per stage (and the
+    stage's learned release offset), after the structures that stage reads
+    are final; a query thread reading ``valid_epoch`` therefore needs no lock
+    of its own.  :meth:`release` and :meth:`complete` then wake the threads
+    blocked in :meth:`wait_for_release`.
     """
 
     def __init__(self, index: DistanceIndex):
@@ -65,24 +87,43 @@ class StageRouter:
             )
             for position, row in enumerate(rows)
         ]
+        #: Notified at every release; guards nothing else.
+        self._released = threading.Condition()
+        #: When the newest epoch's edge refresh completed, and the thread
+        #: installing it (``None`` once the batch is complete).
+        self._epoch_started = 0.0
+        self._installer: Optional[int] = None
 
     # ------------------------------------------------------------------
     # Epoch transitions (maintenance thread)
     # ------------------------------------------------------------------
     def begin_epoch(self, epoch: int) -> None:
         """The edge refresh completed: only the live-graph stage is valid."""
+        self._epoch_started = time.perf_counter()
+        self._installer = threading.get_ident()
         self._stages[0].valid_epoch = epoch
 
     def release(self, update_stage: str, epoch: int) -> None:
         """An update stage completed; release the query stages it unlocks."""
-        for stage in self._stages:
-            if stage.released_after == update_stage:
-                stage.valid_epoch = epoch
+        self._publish(
+            [stage for stage in self._stages if stage.released_after == update_stage], epoch
+        )
 
     def complete(self, epoch: int) -> None:
         """The whole batch is installed: every stage is valid at ``epoch``."""
-        for stage in self._stages:
-            stage.valid_epoch = epoch
+        self._publish([stage for stage in self._stages if stage.valid_epoch != epoch], epoch)
+        self._installer = None
+
+    def _publish(self, stages: List[RoutedStage], epoch: int) -> None:
+        """Mark ``stages`` valid at ``epoch``, learn their release offset and
+        wake the waiting batches."""
+        if stages:
+            offset = time.perf_counter() - self._epoch_started
+            for stage in stages:
+                stage.release_offset = _ewma(stage.release_offset, offset)
+                stage.valid_epoch = epoch
+        with self._released:
+            self._released.notify_all()
 
     # ------------------------------------------------------------------
     # Dispatch (query threads)
@@ -98,14 +139,54 @@ class StageRouter:
                 return stage
         return None
 
+    def observe_cost(self, stage: RoutedStage, seconds: float, pairs: int) -> None:
+        """``stage`` computed ``pairs`` pairs in ``seconds``.  Query threads
+        race here unlocked: a lost update drops one sample of an estimate."""
+        stage.cost = _ewma(stage.cost, seconds / pairs)
+
+    def wait_plan(
+        self, best: RoutedStage, pairs: int
+    ) -> Optional[Tuple[RoutedStage, float]]:
+        """Whether a batch of ``pairs`` pairs, routed to ``best`` mid-install,
+        should wait for a later stage instead: the later stage whose expected
+        release time plus ``pairs`` times its cost is lowest, if that is below
+        ``pairs`` times ``best``'s cost, and the most to wait for it (what
+        ``best`` would take).  ``None`` (route as before) on the installing
+        thread and while a cost or offset it needs is still unknown."""
+        if best.cost is None or self._installer in (None, threading.get_ident()):
+            return None
+        budget = pairs * best.cost
+        elapsed = time.perf_counter() - self._epoch_started
+        plan, lowest = None, budget
+        for stage in reversed(self._stages):
+            if stage is best:
+                break
+            if stage.cost is None or stage.release_offset is None:
+                continue
+            expected = max(stage.release_offset - elapsed, 0.0) + pairs * stage.cost
+            if expected < lowest:
+                plan, lowest = (stage, budget), expected
+        return plan
+
+    def wait_for_release(self, stage: RoutedStage, epoch: int, timeout: float) -> bool:
+        """Block until ``stage`` is valid at ``epoch`` or later, at most
+        ``timeout`` seconds; whether it is."""
+        with self._released:
+            return self._released.wait_for(lambda: stage.valid_epoch >= epoch, timeout)
+
     def describe(self) -> List[Dict[str, object]]:
-        """Introspection rows (stage name, release trigger, validity epoch)."""
+        """Introspection rows (stage name, release trigger, validity epoch,
+        the learned cost and release offset; ``None`` while unknown)."""
         return [
             {
                 "stage": stage.name,
                 "released_after": stage.released_after,
                 "valid_epoch": stage.valid_epoch,
                 "cached": stage.cached,
+                "cost_us_per_pair": None if stage.cost is None else 1e6 * stage.cost,
+                "release_offset_ms": (
+                    None if stage.release_offset is None else 1e3 * stage.release_offset
+                ),
             }
             for stage in self._stages
         ]

@@ -304,15 +304,18 @@ class SlotContraction(FlatContraction):
     @classmethod
     def from_state(cls, state: Dict[str, object], io) -> "SlotContraction":
         """Reattach the arrays (``base`` is copied: updates patch it; the
-        arena is copied on the first write).  Only the dtype is checked
-        here: every pass checks the rest before it reads
-        (:func:`check_slot_arrays`, or the C kernel's own checks), and the
-        store's build checks what the query reads."""
+        arena is copied on the first write).  The shortcut CSR, which the
+        pure-Python query walks, is checked here (:func:`check_shortcut_csr`);
+        the supporter arrays only for their dtype: every pass checks the
+        rest before it reads (:func:`check_slot_arrays`, or the C kernel's
+        own checks)."""
         sup_slots = io.get_array(state["sup_slots"])
         if sup_slots.dtype != np.int32:
             raise ValueError("supporter slots must be int32")
+        arena = Arena.from_state(state, io)
+        check_shortcut_csr(arena)
         contraction = cls(
-            Arena.from_state(state, io),
+            arena,
             np.array(io.get_array(state["base"]), dtype=np.float64),
             io.get_array(state["sup_indptr"]),
             sup_slots,
@@ -512,6 +515,23 @@ def supporter_slots(indptr, indices) -> Tuple[np.ndarray, np.ndarray]:
         sup_slots[2 * place + 1] = high[grouped]
         cursor += np.bincount(target, minlength=m)
     return sup_indptr, sup_slots
+
+
+def check_shortcut_csr(arena: Arena) -> None:
+    """``ValueError`` unless the arena's rows are a CSR over its ``ids``
+    (``indptr`` starts at 0, never falls and ends at the arc count, one
+    weight per arc, every arc names a row) whose arcs all go to a later
+    row; the reasons read as the C search's own refusals."""
+    indptr, indices = arena["indptr"], arena["indices"]
+    n, m = len(arena["ids"]), len(indices)
+    if (
+        len(indptr) != n + 1 or indptr[0] != 0 or indptr[-1] != m
+        or len(arena["weights"]) != m or (np.diff(indptr) < 0).any()
+        or (m and (indices.min() < 0 or indices.max() >= n))
+    ):
+        raise ValueError("shortcut-arena CSR arrays are inconsistent")
+    if (indices <= np.repeat(np.arange(n), np.diff(indptr))).any():
+        raise ValueError("shortcut-arena rows do not form an elimination tree")
 
 
 def check_slot_arrays(

@@ -506,6 +506,10 @@ class TestServingIntegration:
             == stats["batches_applied"] == 1
         )
         assert registry.get("repro_serving_cache_hits_total").value == stats["cache_hits"] == 0
+        assert (
+            registry.get("repro_serving_stage_waits_total").value
+            == stats["stage_waits"] == 0
+        )
 
         span_names = {event.name for event in obs.tracer().events()}
         assert "serving.install_batch" in span_names

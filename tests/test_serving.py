@@ -6,10 +6,11 @@ from __future__ import annotations
 import sys
 import threading
 import time
+from contextlib import contextmanager
 
 import pytest
 
-from repro.algorithms.dijkstra import dijkstra_distance
+from repro.algorithms.dijkstra import dijkstra, dijkstra_distance
 from repro.baselines.bidijkstra_index import BiDijkstraIndex
 from repro.core.pmhl import PMHLIndex
 from repro.core.postmhl import PostMHLIndex
@@ -23,7 +24,7 @@ from repro.graph.updates import generate_update_stream
 from repro.hierarchy.ch import DCHIndex
 from repro.labeling.h2h import DH2HIndex
 from repro.labeling.mhl import MHLIndex
-from repro.obs.metrics import Histogram
+from repro.obs.metrics import Histogram, MetricRegistry
 from repro.serving.admission import AdmissionController
 from repro.serving.driver import run_mixed_workload
 from repro.serving.engine import ServingEngine
@@ -31,6 +32,7 @@ from repro.serving.metrics import ServingMetrics
 from repro.serving.router import LAST_STAGE, StageRouter
 from repro.serving.rwlock import RWLock
 from repro.throughput.workload import sample_query_pairs
+from tests.conftest import NEEDS_NATIVE
 
 
 def _serving_oracle_run(index, graph, *, query_threads, num_batches, seed=3):
@@ -288,6 +290,33 @@ class TestStageRouter:
         router.complete(1)
         assert router.best_valid_stage(1).name == "CROSS_BOUNDARY"
 
+    def test_wait_plan_weighs_release_time_against_cost(self):
+        graph = grid_road_network(4, 4, seed=2)
+        index = DCHIndex(graph)
+        index.build()
+        router = StageRouter(index)
+        fallback, native = router.stages
+        # Another thread installs epoch 1; this one serves.
+        opener = threading.Thread(target=router.begin_epoch, args=(1,))
+        opener.start()
+        opener.join()
+        assert router.wait_plan(fallback, 64) is None  # nothing learned yet
+        fallback.cost, native.cost = 200e-6, 10e-6
+        assert router.wait_plan(fallback, 64) is None  # no release offset yet
+        native.release_offset = 0.0  # overdue: waiting costs only native's time
+        assert router.wait_plan(fallback, 64) == (native, 64 * 200e-6)
+        native.release_offset = 60.0  # due in a minute
+        assert router.wait_plan(fallback, 64) is None
+        native.release_offset, native.cost = 0.0, 300e-6  # slower than the fallback
+        assert router.wait_plan(fallback, 64) is None
+        native.cost = 10e-6
+        router.begin_epoch(2)  # the installing thread never waits
+        assert router.wait_plan(fallback, 64) is None
+        native.release_offset = None
+        router.complete(2)  # learns native's offset
+        row = router.describe()[1]
+        assert row["release_offset_ms"] >= 0.0 and row["cost_us_per_pair"] == 10.0
+
     def test_plain_index_fallback_catalog(self):
         graph = grid_road_network(4, 4, seed=2)
         index = DH2HIndex(graph)
@@ -415,6 +444,190 @@ class TestReleasedStagesDuringInstall:
         _assert_oracle(engine, collected)
 
 
+@contextmanager
+def _on_release(engine, hook):
+    """Call ``hook(update_stage)`` on the installing thread right after each
+    ``router.release`` (every update stage after the edge refresh)."""
+    router = engine.router
+    real_release = router.release
+
+    def release(update_stage, epoch):
+        real_release(update_stage, epoch)
+        hook(update_stage)
+
+    router.release = release
+    try:
+        yield
+    finally:
+        del router.release
+
+
+def _signal_waits(engine):
+    """An event set whenever a batch is about to wait for a release."""
+    router = engine.router
+    real_wait = router.wait_for_release
+    waiting = threading.Event()
+
+    def wait_for_release(stage, epoch, timeout):
+        waiting.set()
+        return real_wait(stage, epoch, timeout)
+
+    router.wait_for_release = wait_for_release
+    return waiting
+
+
+class TestStageWaits:
+    """Mid-install, a batch waits for a later stage when the router expects
+    it to be released and answer sooner than the best valid stage would: on
+    DCH, ``native`` against ``bidijkstra_fallback``.  The tests that need a
+    wait to be worth it run on the native rung only: without the C kernel,
+    DCH's Python tree query costs more per pair than the fallback, and the
+    rule rightly never waits."""
+
+    def _setup(self):
+        graph = grid_road_network(20, 20, seed=7)
+        engine = ServingEngine(DCHIndex(graph), cache_capacity=0)
+        # Few sources, so the oracle is one Dijkstra per source and epoch;
+        # many pairs (every one of the 400 vertices a target), so a wait's
+        # budget (what the fallback would take) is long next to a thread
+        # hand-over.
+        pairs = [(source, target) for source in (0, 57, 210, 399) for target in range(400)]
+        return engine, pairs, generate_update_stream(graph, 3, volume=8, seed=5)
+
+    @staticmethod
+    def _teach(engine, pairs, batch):
+        """Learn every cost and offset the rule reads: native's cost at epoch
+        0, the fallback's on the installing thread mid-install (which never
+        waits), native's release offset when the install completes."""
+        engine.serve_batch(pairs)
+        with _on_release(engine, lambda _: engine.serve_batch(pairs)):
+            engine.apply_batch(batch)
+        rows = engine.router.describe()
+        assert all(row["cost_us_per_pair"] is not None for row in rows)
+        assert rows[1]["release_offset_ms"] is not None
+        return rows
+
+    @staticmethod
+    def _assert_oracle(engine, result):
+        graph = engine.graph_at(result.epoch)
+        exact = {source: dijkstra(graph, source) for source, _ in result.pairs}
+        assert result.distances == pytest.approx(
+            [exact[s][t] for s, t in result.pairs], rel=1e-12
+        )
+
+    @NEEDS_NATIVE
+    def test_mid_install_batch_waits_for_native(self):
+        engine, pairs, batches = self._setup()
+        results = {}
+        reader = threading.Thread(
+            target=lambda: results.setdefault("batch", engine.serve_batch(pairs)),
+            daemon=True,
+        )
+        waiting = _signal_waits(engine)
+
+        def slow_install(_update_stage):
+            # Past native's expected release, waiting for it costs only what
+            # native takes: far less than the fallback.
+            time.sleep(2e-3 * rows[1]["release_offset_ms"])
+            reader.start()
+            assert waiting.wait(10.0), "the mid-install batch did not wait"
+
+        with engine:
+            rows = self._teach(engine, pairs, batches[0])
+            with _on_release(engine, slow_install):
+                engine.apply_batch(batches[1])
+            reader.join(10.0)
+        result = results["batch"]
+        assert (result.stage, result.epoch) == ("native", 2)
+        self._assert_oracle(engine, result)
+        stats = engine.stats()
+        assert stats["stage_waits"] == stats["stage_wait_seconds"]["count"] == 1
+
+    @NEEDS_NATIVE
+    def test_blocked_install_bounds_the_wait(self):
+        engine, pairs, batches = self._setup()
+        blocked, gate = threading.Event(), threading.Event()
+
+        def block(_update_stage):
+            blocked.set()
+            gate.wait(30.0)
+
+        with engine:
+            rows = self._teach(engine, pairs, batches[0])
+            with _on_release(engine, block):
+                installer = threading.Thread(
+                    target=engine.apply_batch, args=(batches[1],), daemon=True
+                )
+                installer.start()
+                assert blocked.wait(10.0)
+                time.sleep(2e-3 * rows[1]["release_offset_ms"])
+                result = engine.serve_batch(pairs)
+                gate.set()
+                installer.join(10.0)
+            assert not installer.is_alive()
+        assert (result.stage, result.epoch) == ("bidijkstra_fallback", 2)
+        self._assert_oracle(engine, result)
+        stats = engine.stats()
+        budget = 1e-6 * len(pairs) * rows[0]["cost_us_per_pair"]
+        assert stats["stage_waits"] == 1
+        assert stats["stage_wait_seconds"]["max_seconds"] < budget + 1.0
+
+    def test_fresh_engine_routes_as_before(self):
+        engine, pairs, batches = self._setup()
+        engine.serve_batch(pairs)  # native's cost is known, no offset yet
+        results = {}
+
+        def serve_from_another_thread(_update_stage):
+            reader = threading.Thread(
+                target=lambda: results.setdefault("batch", engine.serve_batch(pairs))
+            )
+            reader.start()
+            reader.join(10.0)
+
+        with engine, _on_release(engine, serve_from_another_thread):
+            engine.apply_batch(batches[0])
+        result = results["batch"]
+        assert (result.stage, result.epoch) == ("bidijkstra_fallback", 1)
+        self._assert_oracle(engine, result)
+        assert engine.stats()["stage_waits"] == 0
+
+    def test_waiter_does_not_hold_the_read_lock(self):
+        """A stage a failed install never released is waited for without the
+        read lock: the next install goes ahead, and its release ends the wait."""
+        engine, pairs, batches = self._setup()
+        results = {}
+
+        def fail(_update_stage):
+            raise RuntimeError("maintenance failed after the edge refresh")
+
+        with engine:
+            self._teach(engine, pairs, batches[0])
+            with _on_release(engine, fail), pytest.raises(RuntimeError):
+                engine.apply_batch(batches[1])
+            # Epoch 2 is committed with only the fallback released.  A
+            # fallback taught to take a second per pair makes the wait's
+            # budget far longer than this test.
+            engine.router.stages[0].cost = 1.0
+            waiting = _signal_waits(engine)
+            reader = threading.Thread(
+                target=lambda: results.setdefault("batch", engine.serve_batch(pairs[:30])),
+                daemon=True,
+            )
+            reader.start()
+            assert waiting.wait(10.0)
+            installer = threading.Thread(
+                target=engine.apply_batch, args=(batches[2],), daemon=True
+            )
+            installer.start()
+            installer.join(10.0)
+            assert not installer.is_alive(), "the waiting reader held up the next install"
+            reader.join(10.0)
+            assert not reader.is_alive()
+        result = results["batch"]
+        assert (result.stage, result.epoch) == ("native", 3)
+        self._assert_oracle(engine, result)
+
+
 class TestAdmissionControl:
     def _controller(self, **kwargs):
         clock = [0.0]
@@ -497,6 +710,19 @@ class TestMetrics:
         assert snapshot["cache_hits"] == 1
         assert snapshot["by_stage"]["CROSS_BOUNDARY"] == 10
         assert metrics.qps() > 0
+
+    def test_stage_waits_in_snapshot_and_registry(self):
+        metrics = ServingMetrics()
+        registry = MetricRegistry()
+        metrics.install(registry)
+        for seconds in (0.001, 0.004):
+            metrics.record_stage_wait(seconds)
+        snapshot = metrics.snapshot()
+        assert snapshot["stage_waits"] == 2
+        waits = snapshot["stage_wait_seconds"]
+        assert waits["count"] == 2 and waits["max_seconds"] == 0.004
+        assert registry.get("repro_serving_stage_waits_total").value == 2
+        assert registry.get("repro_serving_stage_wait_seconds").count == 2
 
 
 def _in_thread(action):

@@ -702,10 +702,11 @@ class TestCorruptedLabelArena:
         _load_and_query(kind, path, key)
 
 
-#: One corruption per shortcut-arena rule the C search checks when it wraps
-#: the arena, before it walks a row: ``(corruption, the refusal's reason)``.
-#: Without the indptr check the negative entry sends the tree check's
-#: first scan far outside ``indices``: a segfault.
+#: One corruption per shortcut-arena rule the contraction's load checks (and
+#: the C search again when it wraps the arena, before it walks a row):
+#: ``(corruption, the refusal's reason)``.  Without the indptr check the
+#: negative entry sends the tree check's first scan far outside ``indices``:
+#: a segfault.
 SHORTCUT_CORRUPTIONS = {
     "indptr-negative": (lambda a: a["indptr"].__setitem__(1, -10**12), "inconsistent"),
     "indptr-non-monotone": (
@@ -721,13 +722,12 @@ SHORTCUT_CORRUPTIONS = {
 }
 
 
-@NEEDS_NATIVE
 class TestCorruptedShortcutArena:
     """A DCH snapshot whose shortcut arena has a negative, a non-monotone or
     an overshooting ``indptr`` entry, or an arc to a lower row, is refused on
-    load with ``SnapshotFormatError``: the kernel checks the CSR before it
-    walks a row, and the elimination tree after.  Each case loads and
-    queries in a child process."""
+    load with ``SnapshotFormatError``, on both rungs and for the same reason:
+    the contraction's load checks the CSR and the arcs' direction before any
+    query reads them.  Each case loads and queries in a child process."""
 
     @pytest.mark.parametrize("case", sorted(SHORTCUT_CORRUPTIONS))
     def test_refused_on_load(self, case, tmp_path):
@@ -738,7 +738,9 @@ class TestCorruptedShortcutArena:
         with open(os.path.join(path, "state.json")) as handle:
             state = json.load(handle)
         corrupt, reason = SHORTCUT_CORRUPTIONS[case]
-        _corrupt_arena(path, state["kernels"]["ch"], corrupt)
+        # The contraction's arena; on the native rung the "ch" store wraps
+        # the same payload entry.
+        _corrupt_arena(path, state["index"]["slots"], corrupt)
         _load_and_query("index", path, "ch", reason)
 
 def _truncate(keep):
