@@ -21,7 +21,7 @@ The batch plane amortises framing, the codec, and scheduling across
 — **batch QPS >= 2x scalar QPS on every backend** — is about the protocol,
 not the cores, and holds on single-core CI.  Beside it, **pipelined scalar
 QPS >= 1.5x depth-1 scalar QPS** keeps the gather working: without it the two
-rows are flat, because every frame pays its own executor hop and write.
+rows are flat, because every frame pays its own engine call and write.
 Results land in ``BENCH_server.json``.  Run directly::
 
     PYTHONPATH=src python benchmarks/bench_server.py [--out BENCH_server.json]

@@ -87,6 +87,9 @@ class ClusterEngine(EngineCore):
     """
 
     _obs_prefix = "cluster"
+    #: A serve waits on the readers' pipes, for up to ``worker_timeout`` (and
+    #: a respawn) when one hangs.
+    serves_in_process = False
 
     def __init__(
         self,

@@ -13,20 +13,37 @@ Concurrency model
 
 The event loop owns all protocol state.  Each connection's read loop takes
 whatever the socket delivered, splits out every complete frame and handles
-them without awaiting in between; backend calls block (engine locks, shard
-round trips), so they run on a bounded thread pool via ``run_in_executor``.
-Clients may pipeline: requests on one connection are answered out of order,
-matched by the echoed ``seq``.
+them without awaiting in between.  Clients may pipeline: requests on one
+connection are answered out of order, matched by the echoed ``seq``.
 
 Every query frame (``QUERY_BATCH``, ``ONE_TO_MANY``) is **gathered**: its
-pairs join a server-wide list, and the list is served as one
-``backend.serve_batch`` — one admission decision, one epoch, one executor
-hop, one write per connection — then sliced back into one ``DISTANCES``
-reply per frame.  At most one gathered batch is on the executor; frames that
-arrive while it runs form the next one, so batch size follows load (one
-frame on an idle server) with no timer and nothing to tune.  Caps, ``seq``
-echo and typed errors stay per frame: a bad frame never fails its
-neighbours.
+pairs join a server-wide list, and on the next loop turn the list is served
+as one ``backend.serve_batch`` — one admission decision, one epoch, one write
+per connection — then sliced back into one ``DISTANCES`` reply per frame.
+At most one gathered batch is being served at a time, and the frames gathered
+meanwhile are the next one, so batch size follows load (one frame on an idle
+server) with no timer and nothing to tune.  Caps, ``seq`` echo and typed
+errors stay per frame: a bad frame never fails its neighbours.
+
+Where the serve runs depends on the backend's type.  An in-process backend
+(``serves_in_process``: :class:`~repro.serving.engine.ServingEngine`) is
+served on the loop's own thread: its query holds the GIL for the whole
+serve, so a thread hop would add its round trip and no parallelism.  While
+such a batch is served the loop reads nothing; frames that arrive meanwhile
+wait in the socket buffer and, when the serve returns, are read, capped and
+gathered into the next batch, so the in-flight caps bound the size of one
+gathered batch.  Each wait such a serve can make is bounded: the read lock
+during a batch's edge refresh, and a mid-install wait for a stage about to
+be released (at most what the fallback stage would take).  ``PING``,
+``STATS`` and the start of an ``APPLY_BATCH`` therefore wait for at most one
+gathered batch.  A :class:`~repro.cluster.engine.ClusterEngine` serve waits
+on its readers' pipes, for up to its worker timeout when a reader hangs, so
+it runs on a small thread pool via ``run_in_executor`` and the loop keeps
+answering meanwhile.
+
+``APPLY_BATCH`` blocks for a whole update window, and a cluster's ``STATS``
+asks every reader under the dispatch lock an adopt holds, so both always run
+on that thread pool: queries keep flowing while an install runs.
 
 Backpressure (DESIGN.md §12)
 ----------------------------
@@ -41,15 +58,22 @@ it unboundedly — the HTTP-429 analogue:
 * the backend's **Lemma-1 admission control** sheds the query
   (:class:`~repro.exceptions.QueryRejectedError`).
 
-Every RETRY carries a ``queue_depth`` hint — the current in-flight count
-plus the run of consecutive sheds since the last accepted request, so under
-sustained overload successive hints increase monotonically — and a
-``suggested_wait_seconds`` proportional to that depth times the recent
+The caps are checked when a frame is read (for an in-process backend, the
+frames a serve kept waiting in the socket buffer meet them once it returns),
+so ``RETRY queue_full`` is decided at read time and a gathered batch never
+outgrows the caps.  Every RETRY carries a ``queue_depth`` hint — the current
+in-flight count plus the run of consecutive sheds since the last accepted
+request, so under sustained overload successive hints increase monotonically
+— and a ``suggested_wait_seconds`` proportional to that depth times the recent
 service-time estimate.
 
 Shutdown drains: :meth:`stop` refuses new connections immediately, lets
 every in-flight request finish and deliver its response, then closes the
-remaining connections.  No admitted request is ever dropped.
+remaining connections.  No admitted request is ever dropped.  A frame read
+once the drain has begun is answered ``RETRY draining``, and that includes
+the frames buffered behind a batch served on the loop when :meth:`stop` was
+called: before closing, the drain lets the read loops take what is already
+in their sockets.
 """
 
 from __future__ import annotations
@@ -89,9 +113,15 @@ from repro.server.protocol import (
     needs_drain,
 )
 
-#: Most threads the server runs blocking backend calls on (capped by
-#: ``max_inflight``).
+#: Most threads the server runs ``APPLY_BATCH`` and ``STATS`` requests (and a
+#: cluster's query batches) on (capped by ``max_inflight``).
 EXECUTOR_THREADS = 8
+
+#: Loop turns in a row without a socket read after which :meth:`QueryServer.stop`
+#: takes the read loops to have consumed what their sockets had buffered, and
+#: the most turns it gives them (a client that keeps sending cannot hold it).
+DRAIN_IDLE_TURNS = 3
+DRAIN_MAX_TURNS = 100
 
 #: One reply frame before encoding: ``(op, seq, payload)``.
 _Reply = Tuple[int, int, object]
@@ -130,8 +160,9 @@ class QueryServer:
         A started :class:`~repro.serving.engine.ServingEngine` or
         :class:`~repro.cluster.engine.ClusterEngine` — the server speaks the
         :class:`~repro.serving.core.EngineCore` surface (``serve_batch``,
-        ``apply_batch``, ``stats``, ``current_epoch``) and does not own the
-        backend's lifecycle.
+        ``apply_batch``, ``stats``, ``current_epoch``; ``serves_in_process``
+        says where query batches are served) and does not own the backend's
+        lifecycle.
     host / port:
         Listen address; port 0 binds an ephemeral port (read it back from
         :attr:`address` after :meth:`start`).
@@ -140,7 +171,7 @@ class QueryServer:
         for the next engine batch); excess arrivals get RETRY frames.
     max_inflight_per_connection:
         Per-connection cap, strictly enforced before the global cap so one
-        pipelining client cannot monopolise the executor.
+        pipelining client cannot fill a gathered batch on its own.
     max_frame_bytes:
         Frame size cap, both directions.
     write_timeout:
@@ -172,6 +203,9 @@ class QueryServer:
         self.max_inflight_per_connection = max_inflight_per_connection
         self.max_frame_bytes = max_frame_bytes
         self.write_timeout = write_timeout
+        #: Whether gathered batches are served on the loop's thread (module
+        #: docstring); a backend that does not say is served from a thread.
+        self._serve_on_loop = getattr(backend, "serves_in_process", False)
 
         self._server: Optional[asyncio.base_events.Server] = None
         self._executor: Optional[ThreadPoolExecutor] = None
@@ -183,6 +217,9 @@ class QueryServer:
         self._gathered: List[_Gathered] = []
         self._gather_running = False
         self._draining = False
+        #: Socket reads that returned data, so :meth:`stop` can tell when the
+        #: read loops have taken everything already buffered.
+        self._reads = 0
         self._inflight = 0
         self._shed_streak = 0
         self._service_ewma = 0.0
@@ -252,15 +289,27 @@ class QueryServer:
             return
         self._draining = True
         self._server.close()
-        await self._server.wait_closed()
         # Every admitted request completes and writes its response before the
         # connection goes away — zero dropped in-flight queries.
         while self._tasks:
             await asyncio.gather(*list(self._tasks), return_exceptions=True)
+        # A serve on the loop kept later frames waiting in the socket buffers:
+        # let the read loops take them, so each is answered RETRY draining
+        # rather than cut off by the close.
+        idle_turns = 0
+        for _ in range(DRAIN_MAX_TURNS):
+            reads = self._reads
+            await asyncio.sleep(0)
+            idle_turns = idle_turns + 1 if self._reads == reads else 0
+            if idle_turns == DRAIN_IDLE_TURNS:
+                break
         for conn in list(self._connections):
             await conn.close()
         if self._conn_tasks:
             await asyncio.wait(list(self._conn_tasks), timeout=5.0)
+        # Since Python 3.12.1 this waits for every connection to drop, so it
+        # comes after they are closed.
+        await self._server.wait_closed()
         self._server = None
         if self._executor is not None:
             self._executor.shutdown(wait=True)
@@ -310,6 +359,7 @@ class QueryServer:
                 return
             if not data:
                 return  # clean close: peer went away (possibly mid-frame)
+            self._reads += 1
             splitter.feed(data)
             while True:
                 try:
@@ -386,16 +436,18 @@ class QueryServer:
     # ------------------------------------------------------------------
     async def _serve_gathered(self) -> None:
         """Serve every query frame gathered so far as one engine batch and
-        answer each connection with one write; frames that arrived meanwhile
-        are the next batch, so at most one is ever on the executor."""
+        answer each connection with one write; frames gathered meanwhile are
+        the next batch, so at most one is ever being served."""
         batch, self._gathered = self._gathered, []
         started = time.perf_counter()
-        loop = asyncio.get_running_loop()
         frames = [pairs for _conn, _seq, pairs in batch]
         try:
-            outcomes = await loop.run_in_executor(
-                self._executor, self._execute_gathered, frames
-            )
+            if self._serve_on_loop:
+                outcomes = self._execute_gathered(frames)
+            else:
+                outcomes = await asyncio.get_running_loop().run_in_executor(
+                    self._executor, self._execute_gathered, frames
+                )
         finally:
             for conn, _seq, _pairs in batch:
                 conn.inflight -= 1
@@ -426,7 +478,8 @@ class QueryServer:
             await asyncio.gather(*(self._drain(conn) for conn in stalled))
 
     def _execute_gathered(self, frames: List[List[Tuple[int, int]]]) -> list:
-        """One ``serve_batch`` for the gathered frames (executor thread).
+        """One ``serve_batch`` for the gathered frames (on the loop's thread
+        for an in-process backend, else on an executor thread).
 
         Returns one outcome per frame — its ``DISTANCES`` payload, sliced out
         of the one :class:`~repro.serving.core.BatchResult`, or the exception
@@ -489,7 +542,8 @@ class QueryServer:
             )
 
     def _execute(self, frame: Frame):
-        """Run one request against the backend (executor thread, blocking)."""
+        """Run one ``APPLY_BATCH`` or ``STATS`` request against the backend
+        (executor thread, blocking)."""
         op, payload = frame.op, frame.payload
         if op == OP_APPLY_BATCH:
             batch = _require_batch(payload, frame.seq)

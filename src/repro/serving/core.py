@@ -157,6 +157,12 @@ class EngineCore:
     #: ``repro_<prefix>_*`` gauges.
     _obs_prefix: str
 
+    #: Whether :meth:`serve_batch` computes in this process: it holds the GIL
+    #: but for short, bounded waits, so a server calls it on its event loop.
+    #: A backend whose serve waits on other processes sets this false and is
+    #: served from a thread.
+    serves_in_process = True
+
     def __init__(
         self,
         response_qos: Optional[float],

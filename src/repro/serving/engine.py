@@ -177,6 +177,13 @@ class ServingEngine(EngineCore):
                 "serving.install_batch", epoch=pending_epoch, updates=len(batch)
             ):
                 report = index.apply_batch(batch)
+        except BaseException:
+            if not refreshing:
+                # The epoch is committed and serves from the stages released
+                # so far; none waits for a release that will not come.
+                self.router.abandon()
+            raise
+        else:
             self.router.complete(pending_epoch)
         finally:
             index.set_stage_listener(None)

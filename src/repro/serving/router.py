@@ -64,13 +64,14 @@ class StageRouter:
     The engine drives the router from the update-stage listener: the first
     stage of every batch (the on-spot edge refresh) calls :meth:`begin_epoch`,
     each later stage completion calls :meth:`release`, and :meth:`complete`
-    runs once the whole batch is installed.  All three run on the maintenance
-    thread — :meth:`begin_epoch` under the engine's write lock, the other two
+    runs once the whole batch is installed (:meth:`abandon` instead, when the
+    install fails after its edge refresh).  All four run on the maintenance
+    thread — :meth:`begin_epoch` under the engine's write lock, the others
     without one — and each only stores one integer per stage (and the
     stage's learned release offset), after the structures that stage reads
     are final; a query thread reading ``valid_epoch`` therefore needs no lock
-    of its own.  :meth:`release` and :meth:`complete` then wake the threads
-    blocked in :meth:`wait_for_release`.
+    of its own.  :meth:`release`, :meth:`complete` and :meth:`abandon` then
+    wake the threads blocked in :meth:`wait_for_release`.
     """
 
     def __init__(self, index: DistanceIndex):
@@ -90,7 +91,7 @@ class StageRouter:
         #: Notified at every release; guards nothing else.
         self._released = threading.Condition()
         #: When the newest epoch's edge refresh completed, and the thread
-        #: installing it (``None`` once the batch is complete).
+        #: installing it (``None`` once the batch is complete or abandoned).
         self._epoch_started = 0.0
         self._installer: Optional[int] = None
 
@@ -113,6 +114,14 @@ class StageRouter:
         """The whole batch is installed: every stage is valid at ``epoch``."""
         self._publish([stage for stage in self._stages if stage.valid_epoch != epoch], epoch)
         self._installer = None
+
+    def abandon(self) -> None:
+        """The newest epoch's install failed after its edge refresh: the
+        epoch stays committed with the stages released so far and releases
+        nothing more, so no batch waits for it."""
+        self._installer = None
+        with self._released:
+            self._released.notify_all()
 
     def _publish(self, stages: List[RoutedStage], epoch: int) -> None:
         """Mark ``stages`` valid at ``epoch``, learn their release offset and
@@ -169,10 +178,14 @@ class StageRouter:
         return plan
 
     def wait_for_release(self, stage: RoutedStage, epoch: int, timeout: float) -> bool:
-        """Block until ``stage`` is valid at ``epoch`` or later, at most
-        ``timeout`` seconds; whether it is."""
+        """Block until ``stage`` is valid at ``epoch`` or later, or no
+        install is running (the newest was abandoned), at most ``timeout``
+        seconds; whether the stage is valid."""
         with self._released:
-            return self._released.wait_for(lambda: stage.valid_epoch >= epoch, timeout)
+            self._released.wait_for(
+                lambda: stage.valid_epoch >= epoch or self._installer is None, timeout
+            )
+            return stage.valid_epoch >= epoch
 
     def describe(self) -> List[Dict[str, object]]:
         """Introspection rows (stage name, release trigger, validity epoch,

@@ -2,9 +2,9 @@
 
 Kept out of the ``test_*`` modules so both the protocol fuzz suite and the
 behavioural suite can reuse one harness: a bounded ``run`` wrapper (no async
-test may ever hang CI), a server context manager, raw-socket helpers for
-crafting malformed wire bytes, and a controllable blocking backend for the
-backpressure/drain tests.
+test may ever hang CI), a server context manager that runs the server on its
+own thread and loop, raw-socket helpers for crafting malformed wire bytes,
+and a controllable blocking backend for the backpressure/drain tests.
 """
 
 from __future__ import annotations
@@ -12,6 +12,7 @@ from __future__ import annotations
 import asyncio
 import contextlib
 import threading
+import weakref
 from typing import List, Tuple
 
 from repro.serving.core import BatchResult
@@ -27,15 +28,58 @@ def run(coro, timeout: float = TEST_TIMEOUT):
     return asyncio.run(asyncio.wait_for(coro, timeout))
 
 
+#: Each running test server's event loop (its own, on its own thread).
+_SERVER_LOOPS: "weakref.WeakKeyDictionary[QueryServer, asyncio.AbstractEventLoop]" = (
+    weakref.WeakKeyDictionary()
+)
+
+
+def _run_loop(loop: asyncio.AbstractEventLoop) -> None:
+    """A server thread's body: run ``loop`` until stopped, then cancel what
+    is left on it and close it."""
+    asyncio.set_event_loop(loop)
+    try:
+        loop.run_forever()
+        leftovers = asyncio.all_tasks(loop)
+        for task in leftovers:
+            task.cancel()
+        loop.run_until_complete(asyncio.gather(*leftovers, return_exceptions=True))
+    finally:
+        loop.close()
+
+
+async def on_server_loop(server, coro):
+    """Await ``coro`` run on ``server``'s own event loop (``server.stop()``
+    has to run where the server runs)."""
+    future = asyncio.run_coroutine_threadsafe(coro, _SERVER_LOOPS[server])
+    return await asyncio.wrap_future(future)
+
+
 @contextlib.asynccontextmanager
 async def running_server(backend, **server_kwargs):
-    """Start a :class:`QueryServer` over ``backend``; always drain it."""
+    """Start a :class:`QueryServer` over ``backend`` on its own thread and
+    event loop, as a real server runs in its own process; always drain it.
+
+    The server answers an in-process backend's query frames on its loop, so
+    such a backend that blocks (:class:`BlockingBackend`) parks the server's
+    loop, never the test's.
+    """
     server = QueryServer(backend, port=0, **server_kwargs)
-    await server.start()
+    loop = asyncio.new_event_loop()
+    thread = threading.Thread(
+        target=_run_loop, args=(loop,), name="test-server-loop", daemon=True
+    )
+    thread.start()
+    _SERVER_LOOPS[server] = loop
     try:
+        await on_server_loop(server, server.start())
         yield server
     finally:
-        await server.stop()
+        try:
+            await on_server_loop(server, server.stop())
+        finally:
+            loop.call_soon_threadsafe(loop.stop)
+            await asyncio.get_running_loop().run_in_executor(None, thread.join, 10.0)
 
 
 async def open_raw(server) -> Tuple[asyncio.StreamReader, asyncio.StreamWriter]:
@@ -67,18 +111,26 @@ async def close_writer(writer: asyncio.StreamWriter) -> None:
 class BlockingBackend:
     """A stub backend whose queries park on an event until released.
 
-    Lets the backpressure tests saturate the server's in-flight caps
-    deterministically: admitted requests block inside the executor until
-    :meth:`release` and every parked request then completes normally —
-    which is also exactly what the drain test needs.
+    By default it stands in for an in-process engine, which the server
+    serves on its own loop, so a parked ``serve_batch`` parks that loop:
+    nothing more is read until :meth:`release`, and frames sent meanwhile
+    wait in the socket buffer.  With ``serves_in_process=False`` it stands in
+    for a cluster, served from the server's thread pool: the loop keeps
+    reading and gathers the frames sent meanwhile into the next batch.
+    That lets the backpressure and drain tests hold a batch in flight and
+    queue frames behind it deterministically; once released, every parked
+    and later batch completes normally.
     """
 
-    def __init__(self, epoch: int = 0) -> None:
+    def __init__(self, epoch: int = 0, serves_in_process: bool = True) -> None:
+        self.serves_in_process = serves_in_process
         self._release = threading.Event()
         self._epoch = epoch
         self.served = 0
         #: Size of every ``serve_batch`` call, recorded as it parks.
         self.batches: List[int] = []
+        #: Size of every ``apply_batch`` call, recorded as it parks.
+        self.applied: List[int] = []
         self._lock = threading.Lock()
 
     # -- test controls -------------------------------------------------
@@ -97,6 +149,14 @@ class BlockingBackend:
         with self._lock:
             self.served += len(pairs)
         return BatchResult(list(pairs), [1.0] * len(pairs), self._epoch, 0.0, "stub")
+
+    def apply_batch(self, batch) -> None:
+        """Parks like a query (on the server's executor, not its loop), then
+        advances the epoch."""
+        with self._lock:
+            self.applied.append(len(batch))
+        assert self._release.wait(timeout=TEST_TIMEOUT), "backend never released"
+        self._epoch += 1
 
     def stats(self) -> dict:
         return {"stub": True, "served": self.served}
@@ -131,6 +191,7 @@ __all__ = [
     "TEST_TIMEOUT",
     "run",
     "running_server",
+    "on_server_loop",
     "open_raw",
     "drain_frames",
     "close_writer",

@@ -15,6 +15,7 @@ import asyncio
 import math
 import struct
 import threading
+import time
 
 import pytest
 
@@ -27,8 +28,9 @@ from repro.exceptions import (
     ServerClosedError,
     ServingError,
 )
-from repro.graph.generators import load_dataset, random_connected_graph
-from repro.graph.updates import generate_update_batch
+from repro.core.pmhl import PMHLIndex
+from repro.graph.generators import grid_road_network, load_dataset, random_connected_graph
+from repro.graph.updates import generate_update_batch, generate_update_stream
 from repro.registry import create_index
 from repro.serving.admission import AdmissionController
 from repro.serving.core import CACHE_STAGE
@@ -37,20 +39,26 @@ from repro.server import AsyncClient, LoadReport, run_closed_loop
 from repro.server.loadgen import quantile
 from repro import obs
 from repro.server.protocol import (
+    OP_APPLY_BATCH,
     OP_DISTANCES,
     OP_ERROR,
     OP_ONE_TO_MANY,
     OP_QUERY_BATCH,
+    OP_RESULT,
     OP_RETRY,
+    encode_frame,
     read_frame,
 )
 from repro.throughput.workload import sample_query_pairs
 
 from tests.conftest import NEEDS_NATIVE, paper_example_graph
 from tests.server_harness import (
+    TEST_TIMEOUT,
     BlockingBackend,
     close_writer,
+    drain_frames,
     fake_clock,
+    on_server_loop,
     open_raw,
     run,
     running_server,
@@ -478,6 +486,165 @@ def test_failed_install_errors_only_the_request_that_caused_it(monkeypatch):
         run(main())
 
 
+class TestInstallsStayOffTheLoop:
+    def test_queries_are_answered_while_an_install_runs(self):
+        """A ``QUERY_BATCH`` sent after an ``APPLY_BATCH`` whose install is
+        held mid-way is answered first, at the new epoch, by the stage the
+        install has released so far; the ``APPLY_BATCH`` reply follows once
+        the install finishes."""
+        graph = grid_road_network(7, 7, seed=7)
+        engine = ServingEngine(PMHLIndex(graph, num_partitions=4, seed=0), cache_capacity=0)
+        pairs = list(sample_query_pairs(graph, 12, seed=3))
+        batch = generate_update_stream(graph, 1, volume=8, seed=5)[0]
+        held, gate = threading.Event(), threading.Event()
+        real_release = engine.router.release
+
+        def release(update_stage, epoch):
+            real_release(update_stage, epoch)
+            if update_stage == "overlay_shortcut_update":  # PCH is released
+                held.set()
+                gate.wait(TEST_TIMEOUT)
+
+        engine.router.release = release
+
+        async def main():
+            async with running_server(engine) as server:
+                reader, writer = await open_raw(server)
+                writer.write(
+                    encode_frame(OP_APPLY_BATCH, 1, {"updates": as_tuples(batch)})
+                )
+                await wait_for(held.is_set, timeout=10.0)
+                writer.write(pairs_frame(2, pairs))
+                reply = await read_frame(reader)
+                assert (reply.op, reply.seq) == (OP_DISTANCES, 2)
+                assert reply.payload["epoch"] == 1
+                assert set(reply.payload["stages"]) == {"PCH"}
+                oracle = engine.graph_at(1)
+                assert reply.payload["distances"] == pytest.approx(
+                    [dijkstra_distance(oracle, *pair) for pair in pairs], rel=1e-12
+                )
+
+                gate.set()
+                applied = await read_frame(reader)
+                assert (applied.op, applied.seq) == (OP_RESULT, 1)
+                assert applied.payload == {"epoch": 1, "applied": len(batch)}
+                writer.write(pairs_frame(3, pairs))
+                final = await read_frame(reader)
+                assert set(final.payload["stages"]) == {"CROSS_BOUNDARY"}
+                assert final.payload["distances"] == pytest.approx(
+                    reply.payload["distances"], rel=1e-12
+                )
+                await close_writer(writer)
+
+        with engine:
+            try:
+                run(main())
+            finally:
+                gate.set()
+
+    class Recording:
+        """A backend that records the threads each of its calls ran on."""
+
+        def __init__(self, engine) -> None:
+            self.engine = engine
+            self.serves_in_process = engine.serves_in_process
+            self.threads = {"serve_batch": set(), "apply_batch": set(), "stats": set()}
+
+        @property
+        def current_epoch(self) -> int:
+            return self.engine.current_epoch
+
+        def serve_batch(self, pairs):
+            self.threads["serve_batch"].add(threading.get_ident())
+            return self.engine.serve_batch(pairs)
+
+        def apply_batch(self, batch):
+            self.threads["apply_batch"].add(threading.get_ident())
+            return self.engine.apply_batch(batch)
+
+        def stats(self):
+            self.threads["stats"].add(threading.get_ident())
+            return self.engine.stats()
+
+    @staticmethod
+    async def _record_threads(backend) -> int:
+        """Send every request kind through a server over ``backend``; the
+        server loop's thread."""
+
+        async def loop_thread() -> int:
+            return threading.get_ident()
+
+        async with running_server(backend) as server:
+            server_thread = await on_server_loop(server, loop_thread())
+            async with await AsyncClient.connect(*server.address) as client:
+                await client.query(0, 7)
+                await client.query_batch([(0, 7), (0, 9)])
+                await client.one_to_many(0, [7, 9])
+                assert await client.apply_batch([(0, 8, 6.0, 3.0)]) == 1
+                await client.stats()
+        threads = backend.threads
+        assert threads["apply_batch"] and threads["stats"]
+        assert server_thread not in threads["apply_batch"] | threads["stats"]
+        assert threading.get_ident() not in threads["apply_batch"] | threads["stats"]
+        return server_thread
+
+    def test_query_frames_are_served_on_the_loop_and_installs_off_it(self):
+        """For an in-process engine ``serve_batch`` runs on the server loop's
+        thread for both query ops; ``apply_batch`` and ``stats`` run on
+        another thread."""
+        with build_engine() as engine:
+            backend = self.Recording(engine)
+            server_thread = run(self._record_threads(backend))
+        assert backend.threads["serve_batch"] == {server_thread}
+
+    @NEEDS_NATIVE
+    def test_cluster_query_frames_are_served_off_the_loop(self, tmp_path):
+        """A cluster's serve waits on its readers' pipes, so its query
+        frames, like installs and stats, are served off the loop."""
+        from repro.cluster import ClusterEngine
+
+        index = create_index("BiDijkstra", paper_example_graph())
+        index.build()
+        # fork-before-loop: worker processes must exist before asyncio.run.
+        with ClusterEngine.from_index(index, str(tmp_path), num_workers=2) as engine:
+            backend = self.Recording(engine)
+            server_thread = run(self._record_threads(backend))
+        assert backend.threads["serve_batch"]
+        assert server_thread not in backend.threads["serve_batch"]
+
+    @NEEDS_NATIVE
+    def test_a_hung_cluster_reader_does_not_stall_the_loop(self, tmp_path):
+        """While a query batch waits out a hung reader's timeout, the server
+        still answers a ``PING`` at once; the batch then gets its typed
+        error."""
+        from repro.cluster import ClusterEngine
+
+        index = create_index("BiDijkstra", paper_example_graph())
+        index.build()
+        worker_timeout = 3.0
+
+        async def main(engine):
+            async with running_server(engine) as server:
+                async with await AsyncClient.connect(*server.address) as client:
+                    await client.query_batch([(0, 7), (0, 9)])  # both readers answer
+                    engine.inject_worker_hang(0, seconds=30.0)
+                    await asyncio.sleep(0.2)
+                    stalled = asyncio.ensure_future(client.query_batch([(0, 7), (0, 9)]))
+                    await wait_for(lambda: server.stats()["inflight"] == 1)
+                    started = time.monotonic()
+                    await client.ping()
+                    assert time.monotonic() - started < worker_timeout / 3
+                    assert not stalled.done()
+                    with pytest.raises(RemoteServerError) as excinfo:
+                        await stalled
+                    assert excinfo.value.code == "cluster_worker_failed"
+
+        with ClusterEngine.from_index(
+            index, str(tmp_path), num_workers=2, worker_timeout=worker_timeout
+        ) as engine:
+            run(main(engine))
+
+
 # ----------------------------------------------------------------------
 # Satellite: backpressure + admission control at the network boundary
 # ----------------------------------------------------------------------
@@ -490,12 +657,12 @@ class TestBackpressure:
                 backend, max_inflight=2, max_inflight_per_connection=8
             ) as server:
                 reader, writer = await open_raw(server)
-                for seq in range(1, 9):
-                    writer.write(query_frame(seq, 1, 2))
+                writer.write(b"".join(query_frame(seq, 1, 2) for seq in range(1, 9)))
                 await writer.drain()
 
-                # Two admitted requests park in the executor; the six
-                # overflow frames shed immediately with growing depth hints.
+                # The segment is read as a whole: two frames are admitted and
+                # park the server's loop as one batch, and the six overflow
+                # frames shed before it with growing depth hints.
                 retries = [await read_frame(reader) for _ in range(6)]
                 assert all(f.op == OP_RETRY for f in retries)
                 depths = [f.payload["queue_depth"] for f in retries]
@@ -514,6 +681,9 @@ class TestBackpressure:
         run(main())
 
     def test_accepted_after_retry_succeeds(self):
+        """Frames buffered behind a parked batch meet the caps when it
+        returns: with a cap of one, the first is admitted and the second
+        shed, and the shed request is admitted once retried."""
         backend = BlockingBackend()
 
         async def main():
@@ -521,16 +691,23 @@ class TestBackpressure:
                 client = await AsyncClient.connect(*server.address)
                 try:
                     parked = asyncio.ensure_future(client.query(1, 2))
-                    await wait_for(lambda: server.stats()["inflight"] == 1)
-                    with pytest.raises(ServerBackpressureError) as excinfo:
-                        await client.query(3, 4)
-                    assert excinfo.value.queue_depth >= 1
-                    assert excinfo.value.suggested_wait_seconds > 0
+                    await wait_for(lambda: backend.batches == [1])
+                    admitted = asyncio.ensure_future(client.query(3, 4))
+                    shed = asyncio.ensure_future(client.query(5, 6))
+                    await asyncio.sleep(0)  # both written, neither read
+                    assert server.stats()["inflight"] == 1
 
                     backend.release()
                     assert (await parked).distance == 1.0
+                    assert (await admitted).distance == 1.0
+                    with pytest.raises(ServerBackpressureError) as excinfo:
+                        await shed
+                    assert excinfo.value.reason == "queue_full"
+                    assert excinfo.value.queue_depth >= 1
+                    assert excinfo.value.suggested_wait_seconds > 0
+                    assert backend.batches == [1, 1]
                     # The retried request is now admitted and served.
-                    retried = await client.query_with_retry(3, 4)
+                    retried = await client.query_with_retry(5, 6)
                     assert retried.distance == 1.0
                     assert client.retries == 0  # first shed raised; with_retry clean
                 finally:
@@ -539,31 +716,38 @@ class TestBackpressure:
         run(main())
 
     def test_per_connection_cap_isolates_slow_client(self):
+        """A greedy connection sheds beyond its own cap, while a well-behaved
+        client's frame, read in the same loop turn, joins the same batch."""
         backend = BlockingBackend()
 
         async def main():
             async with running_server(
                 backend, max_inflight=64, max_inflight_per_connection=2
             ) as server:
-                reader, writer = await open_raw(server)
-                for seq in range(1, 5):
-                    writer.write(query_frame(seq, 1, 2))
-                await writer.drain()
-                # The greedy connection sheds beyond its own cap...
-                retries = [await read_frame(reader) for _ in range(2)]
-                assert all(f.op == OP_RETRY for f in retries)
-
-                # ...while a well-behaved client is still admitted.
                 client = await AsyncClient.connect(*server.address)
                 try:
+                    await wait_for(lambda: server.stats()["connections"] == 1)
+                    reader, writer = await open_raw(server)
+                    writer.write(b"".join(query_frame(seq, 1, 2) for seq in range(1, 5)))
+                    # The greedy connection sheds beyond its own cap...
+                    retries = await read_frames(reader, 2)
+                    assert all(f.op == OP_RETRY for f in retries)
+                    assert {f.seq for f in retries} == {3, 4}
+                    await wait_for(lambda: backend.batches == [2])
+
+                    # ...and again for what it buffers behind the parked
+                    # batch, while a well-behaved client is admitted.
+                    writer.write(b"".join(query_frame(seq, 1, 2) for seq in range(5, 8)))
                     other = asyncio.ensure_future(client.query(5, 6))
-                    await wait_for(lambda: server.stats()["inflight"] == 3)
+                    await asyncio.sleep(0)
                     backend.release()
                     assert (await other).distance == 1.0
                 finally:
                     await client.close()
-                results = [await read_frame(reader) for _ in range(2)]
-                assert all(f.op == OP_DISTANCES for f in results)
+                replies = await read_frames(reader, 5)
+                assert [f.op for f in replies].count(OP_RETRY) == 1
+                assert sorted(f.seq for f in replies) == [1, 2, 5, 6, 7]
+                assert backend.batches == [2, 3]
                 await close_writer(writer)
 
         run(main())
@@ -674,31 +858,63 @@ class TestDrain:
 
         async def main():
             async with running_server(backend) as server:
-                client = await AsyncClient.connect(*server.address)
-                pending = [
-                    asyncio.ensure_future(client.query(i, i + 1)) for i in range(5)
-                ]
-                await wait_for(lambda: server.stats()["inflight"] == 5)
+                reader, writer = await open_raw(server)
+                writer.write(b"".join(query_frame(seq, seq, seq + 1) for seq in range(1, 6)))
+                await wait_for(lambda: backend.batches == [5])  # one parked batch
+                assert server.stats()["inflight"] == 5
 
-                stop_task = asyncio.ensure_future(server.stop())
+                stop_task = asyncio.ensure_future(on_server_loop(server, server.stop()))
                 await asyncio.sleep(0.05)
                 assert not stop_task.done(), "stop() returned with work in flight"
                 backend.release()
                 await stop_task
 
                 # Zero dropped: every parked request got its response.
-                replies = await asyncio.gather(*pending)
-                assert [r.distance for r in replies] == [1.0] * 5
+                replies = await read_frames(reader, 5)
+                assert [f.op for f in replies] == [OP_DISTANCES] * 5
+                assert sorted(f.seq for f in replies) == [1, 2, 3, 4, 5]
+                assert [distance_of(f) for f in replies] == [1.0] * 5
                 assert backend.served == 5
-                await client.close()
+                await close_writer(writer)
+
+        run(main())
+
+    def test_drain_refuses_frames_buffered_behind_a_parked_batch(self):
+        """A drain asked for while a batch parks the loop starts once it
+        returns: the parked batch is delivered, and each frame that waited
+        unread behind it is read before the close and refused with a
+        ``draining`` RETRY."""
+        backend = BlockingBackend()
+
+        async def main():
+            async with running_server(backend) as server:
+                reader, writer = await open_raw(server)
+                writer.write(query_frame(1, 1, 2))
+                await wait_for(lambda: backend.batches == [1])  # the loop is parked
+                writer.write(b"".join(query_frame(seq, seq, seq + 1) for seq in range(2, 6)))
+
+                stop_task = asyncio.ensure_future(on_server_loop(server, server.stop()))
+                await asyncio.sleep(0.05)
+                assert not stop_task.done(), "stop() returned with work in flight"
+
+                backend.release()
+                await stop_task
+                frames = await drain_frames(reader)  # until the server closes
+                assert [(f.op, f.seq) for f in frames] == [(OP_DISTANCES, 1)] + [
+                    (OP_RETRY, seq) for seq in range(2, 6)
+                ]
+                assert {f.payload["reason"] for f in frames[1:]} == {"draining"}
+                assert backend.batches == [1]
+                assert backend.served == 1
+                await close_writer(writer)
 
         run(main())
 
     def test_drain_delivers_gathered_requests_behind_a_running_batch(self):
-        """Requests admitted while a gathered batch runs are not on any task
-        yet; ``stop()`` still waits for them, and only later arrivals are
-        turned away."""
-        backend = BlockingBackend()
+        """A batch served off the loop (a cluster's) leaves the loop reading:
+        requests admitted while it runs are not on any task yet; ``stop()``
+        still waits for them, and only later arrivals are turned away."""
+        backend = BlockingBackend(serves_in_process=False)
 
         async def main():
             async with running_server(backend) as server:
@@ -708,7 +924,7 @@ class TestDrain:
                 writer.write(b"".join(query_frame(seq, seq, seq + 1) for seq in range(2, 6)))
                 await wait_for(lambda: server.stats()["inflight"] == 5)
 
-                stop_task = asyncio.ensure_future(server.stop())
+                stop_task = asyncio.ensure_future(on_server_loop(server, server.stop()))
                 await wait_for(lambda: server.stats()["draining"])
                 writer.write(query_frame(6, 6, 7))
                 late = await read_frame(reader)
@@ -741,6 +957,8 @@ class TestDrain:
         run(main())
 
     def test_requests_during_drain_get_draining_retry(self):
+        """An install in flight keeps the drain open (it runs off the loop),
+        and a query frame arriving meanwhile is refused with ``draining``."""
         backend = BlockingBackend()
 
         async def main():
@@ -748,9 +966,10 @@ class TestDrain:
                 client = await AsyncClient.connect(*server.address)
                 reader, writer = await open_raw(server)
 
-                parked = asyncio.ensure_future(client.query(1, 2))
-                await wait_for(lambda: server.stats()["inflight"] == 1)
-                stop_task = asyncio.ensure_future(server.stop())
+                parked = asyncio.ensure_future(client.apply_batch([(0, 1, 1.0, 2.0)]))
+                await wait_for(lambda: backend.applied == [1])
+                assert server.stats()["inflight"] == 1
+                stop_task = asyncio.ensure_future(on_server_loop(server, server.stop()))
                 await wait_for(lambda: server.stats()["draining"])
 
                 writer.write(query_frame(1, 3, 4))
@@ -758,10 +977,12 @@ class TestDrain:
                 frame = await read_frame(reader)
                 assert frame.op == OP_RETRY
                 assert frame.payload["reason"] == "draining"
+                assert not stop_task.done()
 
                 backend.release()
                 await stop_task
-                assert (await parked).distance == 1.0
+                assert await parked == 1
+                assert backend.batches == []
                 await client.close()
                 await close_writer(writer)
 
@@ -773,8 +994,8 @@ class TestDrain:
 
         async def main():
             async with running_server(backend) as server:
-                await server.stop()
-                await server.stop()
+                await on_server_loop(server, server.stop())
+                await on_server_loop(server, server.stop())
                 assert not server.is_serving
 
         run(main())
@@ -844,8 +1065,8 @@ class TestGather:
             run(main(engine))
 
     def test_frames_of_two_connections_and_a_one_to_many_share_one_engine_batch(self):
-        """Frames queued behind a parked batch — two ``QUERY_BATCH`` frames on
-        two connections and a ``ONE_TO_MANY`` — are one ``serve_batch``, and
+        """Frames buffered behind a parked batch — two ``QUERY_BATCH`` frames
+        on two connections and a ``ONE_TO_MANY`` — are one ``serve_batch``, and
         each reply holds exactly its own pairs, in order, at one epoch, with
         the stage column the engine produced."""
         batch_a = [(0, 7), (0, 9), (4, 10)]
@@ -857,7 +1078,7 @@ class TestGather:
                 first, first_writer = await open_raw(server)
                 second, second_writer = await open_raw(server)
                 first_writer.write(query_frame(1, 0, 7))
-                await wait_for(lambda: backend.batches == [1])  # parked on the executor
+                await wait_for(lambda: backend.batches == [1])  # the loop is parked
                 first_writer.write(
                     pairs_frame(2, batch_a)
                     + make_frame(
@@ -866,7 +1087,9 @@ class TestGather:
                     )
                 )
                 second_writer.write(pairs_frame(4, batch_b))
-                await wait_for(lambda: server.stats()["inflight"] == 4)
+                assert server.stats()["inflight"] == 1  # nothing read meanwhile
+                # Both connections' frames are read in one loop turn when the
+                # parked batch returns, and are gathered before the next serve.
                 backend.release()
                 replies = {f.seq: f for f in await read_frames(first, 3)}
                 replies.update((f.seq, f) for f in await read_frames(second, 1))
@@ -908,7 +1131,7 @@ class TestGather:
                     + pairs_frame(3, bad)
                     + make_frame(OP_ONE_TO_MANY, 4, struct.pack("<3i", 0, 9, 13))
                 )
-                await wait_for(lambda: server.stats()["inflight"] == 4)
+                assert server.stats()["inflight"] == 1  # nothing read meanwhile
                 backend.release()
                 by_seq = {f.seq: f for f in await read_frames(reader, 4)}
                 assert by_seq[3].op == OP_ERROR
@@ -917,6 +1140,8 @@ class TestGather:
                 assert by_seq[4].payload["distances"] == [engine.query(0, 9), engine.query(0, 13)]
                 # The batch of 7 failed; then each frame alone: 2, 3 (fails), 2.
                 assert backend.batches == [1, 7, 2, 3, 2]
+                # The server counts a request once its reply is written.
+                await wait_for(lambda: server.stats()["requests_total"] == 3)
                 stats = server.stats()
                 assert stats["errors_total"] == 1 and stats["inflight"] == 0
                 assert stats["requests_total"] == 3
@@ -1088,11 +1313,14 @@ class TestGather:
         ``stats()``, and the older server's ``stats()`` is untouched."""
 
         async def serve(server, queries: int, unknown_ops: int) -> None:
+            requests = server.stats()["requests_total"] + queries
             reader, writer = await open_raw(server)
             writer.write(b"".join(query_frame(seq, 0, 7) for seq in range(queries)))
             writer.write(b"".join(make_frame(0x55, 100 + i, b"{}") for i in range(unknown_ops)))
             frames = await read_frames(reader, queries + unknown_ops)
             assert sum(f.op == OP_DISTANCES for f in frames) == queries
+            # The server counts a request once its reply is written.
+            await wait_for(lambda: server.stats()["requests_total"] == requests)
             await close_writer(writer)
 
         def series_sum(name: str) -> float:
@@ -1152,7 +1380,6 @@ def test_cli_serve_end_to_end(tmp_path):
     thread.start()
 
     deadline = 60.0
-    import time
 
     start = time.monotonic()
     while not announce.exists():

@@ -592,22 +592,114 @@ class TestStageWaits:
         assert engine.stats()["stage_waits"] == 0
 
     def test_waiter_does_not_hold_the_read_lock(self):
-        """A stage a failed install never released is waited for without the
-        read lock: the next install goes ahead, and its release ends the wait."""
+        """A batch waiting for a release holds no read lock: while it waits
+        for the stage an install held after its edge refresh has not yet
+        released, a writer takes the lock at once."""
         engine, pairs, batches = self._setup()
         results = {}
+        blocked, gate = threading.Event(), threading.Event()
 
-        def fail(_update_stage):
-            raise RuntimeError("maintenance failed after the edge refresh")
+        def block(_update_stage):
+            blocked.set()
+            gate.wait(30.0)
 
         with engine:
             self._teach(engine, pairs, batches[0])
-            with _on_release(engine, fail), pytest.raises(RuntimeError):
-                engine.apply_batch(batches[1])
-            # Epoch 2 is committed with only the fallback released.  A
-            # fallback taught to take a second per pair makes the wait's
-            # budget far longer than this test.
+            with _on_release(engine, block):
+                installer = threading.Thread(
+                    target=engine.apply_batch, args=(batches[1],), daemon=True
+                )
+                installer.start()
+                assert blocked.wait(10.0)
+                # Epoch 2 is committed with only the fallback released.  A
+                # fallback taught to take a second per pair makes the wait's
+                # budget far longer than this test.
+                engine.router.stages[0].cost = 1.0
+                waiting = _signal_waits(engine)
+                reader = threading.Thread(
+                    target=lambda: results.setdefault("batch", engine.serve_batch(pairs[:30])),
+                    daemon=True,
+                )
+                reader.start()
+                assert waiting.wait(10.0)
+                writer = threading.Thread(
+                    target=lambda: (
+                        engine._graph_rw.acquire_write(), engine._graph_rw.release_write()
+                    ),
+                    daemon=True,
+                )
+                writer.start()
+                writer.join(5.0)
+                acquired = not writer.is_alive()
+                gate.set()
+                installer.join(10.0)
+                reader.join(10.0)
+            assert acquired, "the waiting reader holds the read lock"
+            assert not installer.is_alive() and not reader.is_alive()
+        result = results["batch"]
+        assert (result.stage, result.epoch) == ("native", 2)
+        self._assert_oracle(engine, result)
+
+    @staticmethod
+    def _fail_install(engine, batch, held=None):
+        """Install ``batch`` and fail it right after its edge refresh; with
+        ``held = (blocked, gate)``, set ``blocked`` and wait for ``gate``
+        first.  Whether the install raised."""
+
+        def fail(_update_stage):
+            if held is not None:
+                held[0].set()
+                held[1].wait(30.0)
+            raise RuntimeError("maintenance failed after the edge refresh")
+
+        with _on_release(engine, fail):
+            try:
+                engine.apply_batch(batch)
+            except RuntimeError:
+                return True
+        return False
+
+    def test_failed_install_routes_to_the_fallback_without_waiting(self):
+        """An install that fails after its edge refresh releases nothing
+        more: a batch from another thread answers through the fallback at
+        once instead of waiting for ``native`` first."""
+        engine, pairs, batches = self._setup()
+        results = {}
+        with engine:
+            self._teach(engine, pairs, batches[0])
+            assert self._fail_install(engine, batches[1])
+            # A wait's budget would be 30 s: longer than the join below.
             engine.router.stages[0].cost = 1.0
+            waits = engine.stats()["stage_waits"]
+            reader = threading.Thread(
+                target=lambda: results.setdefault("batch", engine.serve_batch(pairs[:30])),
+                daemon=True,
+            )
+            reader.start()
+            reader.join(10.0)
+            assert not reader.is_alive(), "the batch waited for a stage that never comes"
+            assert engine.stats()["stage_waits"] == waits
+        result = results["batch"]
+        assert (result.stage, result.epoch) == ("bidijkstra_fallback", 2)
+        self._assert_oracle(engine, result)
+
+    def test_failed_install_wakes_a_waiting_batch(self):
+        """A batch already waiting for ``native`` when the install fails
+        wakes at once and answers through the fallback."""
+        engine, pairs, batches = self._setup()
+        results, failed = {}, []
+        blocked, gate = threading.Event(), threading.Event()
+        with engine:
+            self._teach(engine, pairs, batches[0])
+            installer = threading.Thread(
+                target=lambda: failed.append(
+                    self._fail_install(engine, batches[1], (blocked, gate))
+                ),
+                daemon=True,
+            )
+            installer.start()
+            assert blocked.wait(10.0)
+            engine.router.stages[0].cost = 1.0  # a 30 s budget
             waiting = _signal_waits(engine)
             reader = threading.Thread(
                 target=lambda: results.setdefault("batch", engine.serve_batch(pairs[:30])),
@@ -615,17 +707,17 @@ class TestStageWaits:
             )
             reader.start()
             assert waiting.wait(10.0)
-            installer = threading.Thread(
-                target=engine.apply_batch, args=(batches[2],), daemon=True
-            )
-            installer.start()
+            gate.set()
             installer.join(10.0)
-            assert not installer.is_alive(), "the waiting reader held up the next install"
             reader.join(10.0)
-            assert not reader.is_alive()
+            assert failed == [True]
+            assert not reader.is_alive(), "the failed install left the batch waiting"
         result = results["batch"]
-        assert (result.stage, result.epoch) == ("native", 3)
+        assert (result.stage, result.epoch) == ("bidijkstra_fallback", 2)
         self._assert_oracle(engine, result)
+        stats = engine.stats()
+        assert stats["stage_waits"] == 1
+        assert stats["stage_wait_seconds"]["max_seconds"] < 10.0
 
 
 class TestAdmissionControl:
