@@ -25,6 +25,7 @@ back at the new epoch and the barrier still closes (see
 from __future__ import annotations
 
 import multiprocessing
+import select
 import time
 from typing import Dict, List, Optional, Tuple
 
@@ -55,17 +56,30 @@ def _pick_context(name: Optional[str] = None):
 
 
 class WorkerHandle:
-    """One live worker process plus its dispatcher-side pipe end."""
+    """One live worker process plus its dispatcher-side pipe end, and a
+    ``select.poll`` registered on that pipe once: ``Connection.poll`` builds
+    and tears down a selector on every call."""
 
-    __slots__ = ("worker_id", "process", "conn")
+    __slots__ = ("worker_id", "process", "conn", "_poller")
 
     def __init__(self, worker_id: int, process, conn) -> None:
         self.worker_id = worker_id
         self.process = process
         self.conn = conn
+        self._poller = None
+        if hasattr(select, "poll"):  # not on Windows
+            self._poller = select.poll()
+            self._poller.register(conn, select.POLLIN)
 
     def is_alive(self) -> bool:
         return self.process.is_alive()
+
+    def readable(self, timeout: float) -> bool:
+        """Whether a reply (or the pipe's EOF) is waiting, after up to
+        ``timeout`` seconds."""
+        if self._poller is None:
+            return self.conn.poll(timeout)
+        return bool(self._poller.poll(1000.0 * timeout))
 
 
 class Dispatcher:
@@ -234,14 +248,14 @@ class Dispatcher:
             try:
                 # Bounded poll so a worker that dies *without* closing the
                 # pipe (SIGKILL) is still detected by the liveness check.
-                if handle.conn.poll(min(remaining, 0.05)):
+                if handle.readable(min(remaining, 0.05)):
                     status, result = handle.conn.recv()
                     break
             except (EOFError, OSError) as exc:
                 raise ClusterWorkerError(
                     handle.worker_id, f"pipe closed awaiting {command!r}: {exc}"
                 ) from exc
-            if not handle.is_alive() and not handle.conn.poll(0):
+            if not handle.is_alive() and not handle.readable(0):
                 raise ClusterWorkerError(
                     handle.worker_id,
                     f"died (exitcode {handle.process.exitcode}) awaiting {command!r}",

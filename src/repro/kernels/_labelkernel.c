@@ -76,9 +76,13 @@
  *
  * Every entry reads and writes only buffers (borrowed through the buffer
  * protocol, directly or via a capsule) and scalar row arguments: none walks
- * a Python dict or list.  No function releases the GIL; concurrent Python
- * threads therefore serialize around the shared per-capsule scratch space by
- * construction.
+ * a Python dict or list.  The search entries (search_query,
+ * search_query_pairs in both modes, search_one_to_many) run their loops
+ * without the GIL: every check, scratch allocation and Python-API call
+ * happens with it held, and a failure inside the loop is recorded there and
+ * raised once the GIL is back.  Each search-graph capsule guards its scratch
+ * with its own lock (see SearchGraph).  Every other entry -- the label
+ * queries and every maintenance pass -- holds the GIL throughout.
  */
 #define PY_SSIZE_T_CLEAN
 #include <Python.h>
@@ -480,7 +484,13 @@ typedef struct {
      * at a root. */
     int64_t *parent;
     /* Reusable per-query scratch (validity tracked by query stamps, so a new
-     * query never pays an O(n) reset).  Guarded by the GIL. */
+     * query never pays an O(n) reset).  A search runs without the GIL, so the
+     * scratch is guarded by `lock` (search_enter / search_leave), held for the
+     * whole GIL-free part of one entry.  The arrays themselves are allocated
+     * with the GIL held and before the lock is taken: a pointer is NULL only
+     * while no search has ever used it, and once set it stays until
+     * search_free. */
+    PyThread_type_lock lock;
     int64_t stamp;
     int64_t *dist_stamp_f, *dist_stamp_b;
     int64_t *settled_stamp_f, *settled_stamp_b;
@@ -513,6 +523,9 @@ static void search_free(SearchGraph *g) {
     free(g->parent);
     free(g->tree_f);
     free(g->tree_b);
+    if (g->lock != NULL) {
+        PyThread_free_lock(g->lock);
+    }
     free(g);
 }
 
@@ -642,6 +655,11 @@ static PyObject *search_build(PyObject *self, PyObject *args) {
         PyErr_SetString(PyExc_ValueError, "search-graph CSR arrays are inconsistent");
         return NULL;
     }
+    g->lock = PyThread_allocate_lock();
+    if (g->lock == NULL) {
+        search_free(g);
+        return PyErr_NoMemory();
+    }
     if (tree_parents(g) < 0) {
         search_free(g);
         return NULL;
@@ -736,14 +754,10 @@ static inline void tree_relax(const SearchGraph *g, double *dist, int64_t v, dou
  * reset to +inf as soon as they are read, so both chains are clean when the
  * query returns.  Nearly all of a query's time is tree_relax's arcs (two
  * chains of up to ~32 k at 80x80), relaxed by a branch-free min: see
- * there. */
-SEARCH_ALIGN static double search_tree(SearchGraph *g, int64_t rs, int64_t rt, int *failed) {
-    *failed = 0;
+ * there.  Runs without the GIL, under the scratch lock, over the scratch
+ * tree_scratch allocated; it cannot fail. */
+SEARCH_ALIGN static double search_tree(SearchGraph *g, int64_t rs, int64_t rt) {
     if (rs == rt) {
-        return 0.0;
-    }
-    if (tree_scratch(g) < 0) {
-        *failed = 1;
         return 0.0;
     }
     const int64_t *parent = g->parent;
@@ -791,17 +805,18 @@ SEARCH_ALIGN static double search_tree(SearchGraph *g, int64_t rs, int64_t rt, i
     return best;
 }
 
+/* What a search loop records when it fails without the GIL; search_raise
+ * turns it into a Python error once the GIL is back. */
+enum { SEARCH_OK = 0, SEARCH_NO_MEMORY, SEARCH_ROW_RANGE };
+
 /* Bidirectional Dijkstra (GraphSnapshot.bidijkstra), a literal port of the
  * Python reference: same alternation, same lazy deletion, same float
- * arithmetic, and the same stop rule, best <= top_f + top_b. */
+ * arithmetic, and the same stop rule, best <= top_f + top_b.  Runs without
+ * the GIL, under the scratch lock, over the scratch search_scratch
+ * allocated; sets *failed to SEARCH_NO_MEMORY when a heap cannot grow. */
 static double search_bidirectional(SearchGraph *g, int64_t rs, int64_t rt,
                                    int *failed) {
-    *failed = 0;
     if (rs == rt) {
-        return 0.0;
-    }
-    if (search_scratch(g) < 0) {
-        *failed = 1;
         return 0.0;
     }
     int64_t stamp = ++g->stamp;
@@ -815,8 +830,7 @@ static double search_bidirectional(SearchGraph *g, int64_t rs, int64_t rt,
     g->dist_stamp_b[rt] = stamp;
     if (heap_push(hf, 0.0, g->ids[rs], rs) < 0 ||
         heap_push(hb, 0.0, g->ids[rt], rt) < 0) {
-        PyErr_NoMemory();
-        *failed = 1;
+        *failed = SEARCH_NO_MEMORY;
         return 0.0;
     }
     double best = Py_HUGE_VAL;
@@ -859,8 +873,7 @@ static double search_bidirectional(SearchGraph *g, int64_t rs, int64_t rt,
                 dist[u] = nd;
                 dist_stamp[u] = stamp;
                 if (heap_push(heap, nd, g->ids[u], u) < 0) {
-                    PyErr_NoMemory();
-                    *failed = 1;
+                    *failed = SEARCH_NO_MEMORY;
                     return 0.0;
                 }
                 if (other_dist_stamp[u] == stamp) {
@@ -876,11 +889,12 @@ static double search_bidirectional(SearchGraph *g, int64_t rs, int64_t rt,
 }
 
 /* One pair: ch_mode 1 is the CH query (ShortcutStore), which walks the two
- * ancestor chains; ch_mode 0 is the bidirectional Dijkstra (GraphSnapshot). */
+ * ancestor chains; ch_mode 0 is the bidirectional Dijkstra (GraphSnapshot).
+ * *failed is written only on failure. */
 static inline double search_pair(SearchGraph *g, int64_t rs, int64_t rt,
                                  int ch_mode, int *failed) {
     if (ch_mode) {
-        return search_tree(g, rs, rt, failed);
+        return search_tree(g, rs, rt);
     }
     return search_bidirectional(g, rs, rt, failed);
 }
@@ -893,6 +907,64 @@ static int check_ch_mode(const SearchGraph *g, long ch_mode) {
         return -1;
     }
     return 0;
+}
+
+static inline int row_out_of_range(const SearchGraph *g, int64_t r) {
+    return r < 0 || r >= g->n;
+}
+
+/* Every row of a caller's array in range, checked with the GIL held: 0, or
+ * -1 with IndexError set. */
+static int check_rows(const SearchGraph *g, const int64_t *rows, Py_ssize_t m) {
+    for (Py_ssize_t i = 0; i < m; i++) {
+        if (row_out_of_range(g, rows[i])) {
+            PyErr_SetString(PyExc_IndexError, "search-graph row out of range");
+            return -1;
+        }
+    }
+    return 0;
+}
+
+/* A caller's row read once, by a GIL-free loop: the array may be written by
+ * another thread meanwhile, so the loop checks the value it read, not a
+ * reload of it. */
+static inline int64_t read_row(const int64_t *rows, Py_ssize_t i) {
+    return ((const volatile int64_t *)rows)[i];
+}
+
+/* The scratch a search of this mode uses, allocated with the GIL held: 0, or
+ * -1 with MemoryError set. */
+static int search_prepare(SearchGraph *g, int ch_mode) {
+    return ch_mode ? tree_scratch(g) : search_scratch(g);
+}
+
+/* Take g's scratch lock and release the GIL; returns the thread state
+ * search_leave restores.  Called with the GIL held.  The lock is first tried
+ * without blocking, and waited for only once the GIL is released; and
+ * search_leave drops the lock before it waits for the GIL.  So no thread
+ * waits for a scratch lock while it holds the GIL, nor for the GIL while it
+ * holds a scratch lock. */
+static PyThreadState *search_enter(SearchGraph *g) {
+    int locked = PyThread_acquire_lock(g->lock, NOWAIT_LOCK);
+    PyThreadState *state = PyEval_SaveThread();
+    if (!locked) {
+        PyThread_acquire_lock(g->lock, WAIT_LOCK);
+    }
+    return state;
+}
+
+static void search_leave(SearchGraph *g, PyThreadState *state) {
+    PyThread_release_lock(g->lock);
+    PyEval_RestoreThread(state);
+}
+
+/* The typed error for what a GIL-free loop recorded; the GIL is held. */
+static PyObject *search_raise(int failed) {
+    if (failed == SEARCH_NO_MEMORY) {
+        return PyErr_NoMemory();
+    }
+    PyErr_SetString(PyExc_IndexError, "search-graph row out of range");
+    return NULL;
 }
 
 /* is_tree(graph) -> whether the rows form an elimination tree */
@@ -931,16 +1003,21 @@ static PyObject *search_query(PyObject *self, PyObject *const *args,
         PyErr_SetString(PyExc_IndexError, "search-graph row out of range");
         return NULL;
     }
-    int failed;
-    double result = search_pair(g, rs, rt, ch_mode != 0, &failed);
-    if (failed) {
+    if (search_prepare(g, ch_mode != 0) < 0) {
         return NULL;
+    }
+    int failed = SEARCH_OK;
+    PyThreadState *state = search_enter(g);
+    double result = search_pair(g, rs, rt, ch_mode != 0, &failed);
+    search_leave(g, state);
+    if (failed) {
+        return search_raise(failed);
     }
     return PyFloat_FromDouble(result);
 }
 
 /* query_pairs(graph, s_rows, t_rows, out, ch_mode): the scalar search looped
- * in C -- identical per-pair results, no per-pair Python. */
+ * in C -- identical per-pair results, no per-pair Python, no GIL. */
 SEARCH_ALIGN static PyObject *search_query_pairs(PyObject *self, PyObject *const *args,
                                     Py_ssize_t nargs) {
     (void)self;
@@ -977,27 +1054,96 @@ SEARCH_ALIGN static PyObject *search_query_pairs(PyObject *self, PyObject *const
     const int64_t *t_rows = (const int64_t *)t_view.buf;
     double *out = (double *)out_view.buf;
     Py_ssize_t m = s_view.len / 8;
-    int failed = 0;
-    for (Py_ssize_t i = 0; i < m; i++) {
-        int64_t rs = s_rows[i];
-        int64_t rt = t_rows[i];
-        if (rs < 0 || rs >= g->n || rt < 0 || rt >= g->n) {
-            PyErr_SetString(PyExc_IndexError, "search-graph row out of range");
-            failed = 1;
-            break;
+    PyObject *result = NULL;
+    if (check_rows(g, s_rows, m) == 0 && check_rows(g, t_rows, m) == 0 &&
+        search_prepare(g, ch_mode != 0) == 0) {
+        int failed = SEARCH_OK;
+        PyThreadState *state = search_enter(g);
+        for (Py_ssize_t i = 0; i < m && !failed; i++) {
+            int64_t rs = read_row(s_rows, i);
+            int64_t rt = read_row(t_rows, i);
+            if (row_out_of_range(g, rs) || row_out_of_range(g, rt)) {
+                failed = SEARCH_ROW_RANGE;
+                break;
+            }
+            out[i] = search_pair(g, rs, rt, ch_mode != 0, &failed);
         }
-        out[i] = search_pair(g, rs, rt, ch_mode != 0, &failed);
+        search_leave(g, state);
         if (failed) {
-            break;
+            search_raise(failed);
+        } else {
+            Py_INCREF(Py_None);
+            result = Py_None;
         }
     }
     PyBuffer_Release(&s_view);
     PyBuffer_Release(&t_view);
     PyBuffer_Release(&out_view);
-    if (failed) {
-        return NULL;
+    return result;
+}
+
+/* The truncated Dijkstra of search_one_to_many, without the GIL and under the
+ * scratch lock: SEARCH_OK, or what failed. */
+static int search_truncated(SearchGraph *g, int64_t rs, const int64_t *t_rows,
+                            double *out, Py_ssize_t m) {
+    int64_t stamp = ++g->stamp;
+    /* dist_stamp_b doubles as the "is a pending target" marker. */
+    int64_t remaining = 0;
+    for (Py_ssize_t i = 0; i < m; i++) {
+        int64_t rt = read_row(t_rows, i);
+        if (row_out_of_range(g, rt)) {
+            return SEARCH_ROW_RANGE;
+        }
+        if (g->dist_stamp_b[rt] != stamp) {
+            g->dist_stamp_b[rt] = stamp;
+            remaining++;
+        }
     }
-    Py_RETURN_NONE;
+    Heap *heap = &g->heap_f;
+    heap->size = 0;
+    g->dist_f[rs] = 0.0;
+    g->dist_stamp_f[rs] = stamp;
+    if (heap_push(heap, 0.0, g->ids[rs], rs) < 0) {
+        return SEARCH_NO_MEMORY;
+    }
+    while (heap->size > 0) {
+        HeapEntry top = heap_pop(heap);
+        int64_t v = top.row;
+        if (g->settled_stamp_f[v] == stamp) {
+            continue;
+        }
+        g->settled_stamp_f[v] = stamp;
+        g->settled_val[v] = top.dist;
+        if (g->dist_stamp_b[v] == stamp) {
+            g->dist_stamp_b[v] = stamp - 1; /* discard from remaining */
+            if (--remaining == 0) {
+                break;
+            }
+        }
+        const int64_t *nbr = g->indices + g->indptr[v];
+        const int64_t *nbr_end = g->indices + g->indptr[v + 1];
+        const double *wgt = g->weights + g->indptr[v];
+        for (; nbr < nbr_end; nbr++, wgt++) {
+            int64_t u = *nbr;
+            double nd = top.dist + *wgt;
+            double du = (g->dist_stamp_f[u] == stamp) ? g->dist_f[u] : Py_HUGE_VAL;
+            if (nd < du) {
+                g->dist_f[u] = nd;
+                g->dist_stamp_f[u] = stamp;
+                if (heap_push(heap, nd, g->ids[u], u) < 0) {
+                    return SEARCH_NO_MEMORY;
+                }
+            }
+        }
+    }
+    for (Py_ssize_t i = 0; i < m; i++) {
+        int64_t rt = read_row(t_rows, i);
+        if (row_out_of_range(g, rt)) {
+            return SEARCH_ROW_RANGE;
+        }
+        out[i] = (g->settled_stamp_f[rt] == stamp) ? g->settled_val[rt] : Py_HUGE_VAL;
+    }
+    return SEARCH_OK;
 }
 
 /* one_to_many(graph, rs, t_rows, out): one truncated Dijkstra from rs -- a
@@ -1031,83 +1177,21 @@ static PyObject *search_one_to_many(PyObject *self, PyObject *const *args,
     const int64_t *t_rows = (const int64_t *)t_view.buf;
     double *out = (double *)out_view.buf;
     Py_ssize_t m = t_view.len / 8;
-    int failed = 0;
-    if (search_scratch(g) < 0) {
-        failed = 1;
-    }
-    if (!failed) {
-        int64_t stamp = ++g->stamp;
-        /* dist_stamp_b doubles as the "is a pending target" marker. */
-        int64_t remaining = 0;
-        for (Py_ssize_t i = 0; i < m; i++) {
-            int64_t rt = t_rows[i];
-            if (rt < 0 || rt >= g->n) {
-                PyErr_SetString(PyExc_IndexError, "search-graph row out of range");
-                failed = 1;
-                break;
-            }
-            if (g->dist_stamp_b[rt] != stamp) {
-                g->dist_stamp_b[rt] = stamp;
-                remaining++;
-            }
-        }
-        if (!failed) {
-            Heap *heap = &g->heap_f;
-            heap->size = 0;
-            g->dist_f[rs] = 0.0;
-            g->dist_stamp_f[rs] = stamp;
-            if (heap_push(heap, 0.0, g->ids[rs], rs) < 0) {
-                PyErr_NoMemory();
-                failed = 1;
-            }
-            while (!failed && heap->size > 0) {
-                HeapEntry top = heap_pop(heap);
-                int64_t v = top.row;
-                if (g->settled_stamp_f[v] == stamp) {
-                    continue;
-                }
-                g->settled_stamp_f[v] = stamp;
-                g->settled_val[v] = top.dist;
-                if (g->dist_stamp_b[v] == stamp) {
-                    g->dist_stamp_b[v] = stamp - 1; /* discard from remaining */
-                    if (--remaining == 0) {
-                        break;
-                    }
-                }
-                const int64_t *nbr = g->indices + g->indptr[v];
-                const int64_t *nbr_end = g->indices + g->indptr[v + 1];
-                const double *wgt = g->weights + g->indptr[v];
-                for (; nbr < nbr_end; nbr++, wgt++) {
-                    int64_t u = *nbr;
-                    double nd = top.dist + *wgt;
-                    double du = (g->dist_stamp_f[u] == stamp) ? g->dist_f[u]
-                                                              : Py_HUGE_VAL;
-                    if (nd < du) {
-                        g->dist_f[u] = nd;
-                        g->dist_stamp_f[u] = stamp;
-                        if (heap_push(heap, nd, g->ids[u], u) < 0) {
-                            PyErr_NoMemory();
-                            failed = 1;
-                            break;
-                        }
-                    }
-                }
-            }
-            if (!failed) {
-                for (Py_ssize_t i = 0; i < m; i++) {
-                    int64_t rt = t_rows[i];
-                    out[i] = (g->settled_stamp_f[rt] == stamp) ? g->settled_val[rt]
-                                                               : Py_HUGE_VAL;
-                }
-            }
+    PyObject *result = NULL;
+    if (check_rows(g, t_rows, m) == 0 && search_scratch(g) == 0) {
+        PyThreadState *state = search_enter(g);
+        int failed = search_truncated(g, rs, t_rows, out, m);
+        search_leave(g, state);
+        if (failed) {
+            search_raise(failed);
+        } else {
+            Py_INCREF(Py_None);
+            result = Py_None;
         }
     }
     PyBuffer_Release(&t_view);
     PyBuffer_Release(&out_view);
-    if (failed) {
-        return NULL;
-    }
-    Py_RETURN_NONE;
+    return result;
 }
 
 /* ------------------------------------------------------------------ */

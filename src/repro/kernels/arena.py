@@ -152,10 +152,11 @@ def layout(
     offset = 0
     for name, values in arrays.items():
         array = np.ascontiguousarray(values).reshape(-1)
-        if array.dtype.name not in _DTYPES:
+        dtype = array.dtype.name  # a Python-level property in numpy: read once
+        if dtype not in _DTYPES:
             raise ValueError(f"arena entry {name!r} has unsupported dtype {array.dtype}")
         offset = -(-offset // ALIGN) * ALIGN  # round up
-        toc.append((name, array.dtype.name, offset, array.size))
+        toc.append((name, dtype, offset, array.size))
         flat.append(array)
         offset += array.nbytes
     return toc, flat, offset

@@ -27,8 +27,8 @@ errors stay per frame: a bad frame never fails its neighbours.
 
 Where the serve runs depends on the backend's type.  An in-process backend
 (``serves_in_process``: :class:`~repro.serving.engine.ServingEngine`) is
-served on the loop's own thread: its query holds the GIL for the whole
-serve, so a thread hop would add its round trip and no parallelism.  While
+served on the loop's own thread: one batch is in flight at a time, so a
+thread hop would add its round trip and no parallelism.  While
 such a batch is served the loop reads nothing; frames that arrive meanwhile
 wait in the socket buffer and, when the serve returns, are read, capped and
 gathered into the next batch, so the in-flight caps bound the size of one

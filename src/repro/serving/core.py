@@ -20,7 +20,9 @@ import threading
 import time
 from collections import Counter, deque
 from collections.abc import Sequence
+from functools import partial
 from itertools import islice, repeat
+from operator import itemgetter
 from typing import Dict, Iterable, List, Mapping, NamedTuple, Optional, Tuple, TypeVar
 
 from repro import obs
@@ -64,6 +66,10 @@ class QueryResult(NamedTuple):
     stage: str
     latency_seconds: float
     from_cache: bool = False
+
+
+#: One :class:`QueryResult` from a tuple of its fields, built in C.
+_make_row = partial(tuple.__new__, QueryResult)
 
 
 class BatchResult(Sequence):
@@ -113,12 +119,19 @@ class BatchResult(Sequence):
     def _materialise(self) -> List[QueryResult]:
         rows = self._rows
         if rows is None:
-            epoch, latency = self.epoch, self.latency_seconds
-            stages = repeat(self.stage) if self.stages is None else self.stages
-            rows = self._rows = [
-                QueryResult(source, target, distance, epoch, stage, latency, stage == CACHE_STAGE)
-                for (source, target), distance, stage in zip(self.pairs, self.distances, stages)
-            ]
+            if self.stages is None:
+                stages = repeat(self.stage)
+                from_cache = repeat(self.stage == CACHE_STAGE)
+            else:
+                stages = self.stages
+                from_cache = map(CACHE_STAGE.__eq__, self.stages)
+            # Columns zipped into rows by tuple.__new__: no Python frame per
+            # row, where QueryResult(...) runs the named tuple's __new__.
+            rows = self._rows = list(map(_make_row, zip(
+                map(itemgetter(0), self.pairs), map(itemgetter(1), self.pairs),
+                self.distances, repeat(self.epoch), stages,
+                repeat(self.latency_seconds), from_cache,
+            )))
         return rows
 
     def __len__(self) -> int:
@@ -157,8 +170,9 @@ class EngineCore:
     #: ``repro_<prefix>_*`` gauges.
     _obs_prefix: str
 
-    #: Whether :meth:`serve_batch` computes in this process: it holds the GIL
-    #: but for short, bounded waits, so a server calls it on its event loop.
+    #: Whether :meth:`serve_batch` computes in this process: it runs on the
+    #: calling thread but for short, bounded waits, so a server calls it on
+    #: its event loop.
     #: A backend whose serve waits on other processes sets this false and is
     #: served from a thread.
     serves_in_process = True

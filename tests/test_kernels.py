@@ -21,8 +21,12 @@ from __future__ import annotations
 import gc
 import json
 import os
+import random
+import sys
+import threading
 import time
 import weakref
+from contextlib import contextmanager
 
 import numpy
 import pytest
@@ -622,6 +626,220 @@ class TestEliminationTreeQuery:
         assert native_kernel().search_is_tree(adopted.capsule)
         pairs = _query_pairs(index.graph)
         assert reader.query_many(pairs) == index.query_many(pairs)
+
+
+def _grid_capsule(side):
+    """A ``side`` x ``side`` grid as a search-graph capsule built in numpy,
+    with symmetric weights: BiDijkstra from corner to corner settles nearly
+    every row."""
+    n = side * side
+    cell = numpy.arange(n, dtype=numpy.int64).reshape(side, side)
+    a = numpy.concatenate([cell[:, :-1].ravel(), cell[:-1, :].ravel()])
+    b = numpy.concatenate([cell[:, 1:].ravel(), cell[1:, :].ravel()])
+    src, dst = numpy.concatenate([a, b]), numpy.concatenate([b, a])
+    order = numpy.argsort(src, kind="stable")
+    indptr = numpy.zeros(n + 1, dtype=numpy.int64)
+    numpy.cumsum(numpy.bincount(src, minlength=n), out=indptr[1:])
+    weights = 1.0 + (src + dst)[order] % 7
+    return native_kernel().search_build(
+        numpy.arange(n, dtype=numpy.int64), indptr, dst[order], weights
+    )
+
+
+def _chain_capsule(n):
+    """Rows 0 -> 1 -> ... -> n - 1, every arc upward: an elimination tree
+    whose CH query (0, 1) walks all n rows."""
+    return native_kernel().search_build(
+        numpy.arange(n, dtype=numpy.int64),
+        numpy.minimum(numpy.arange(n + 1), n - 1).astype(numpy.int64),
+        numpy.arange(1, n, dtype=numpy.int64),
+        numpy.ones(n - 1),
+    )
+
+
+@contextmanager
+def _switch_interval(seconds):
+    previous = sys.getswitchinterval()
+    sys.setswitchinterval(seconds)
+    try:
+        yield
+    finally:
+        sys.setswitchinterval(previous)
+
+
+def _ticks_during(call):
+    """Run ``call`` while another Python thread ticks every 0.1 ms; returns
+    the call's start and end and the tick times.  The switch interval is
+    1 ms while it runs."""
+    ticks, stop = [], threading.Event()
+
+    def tick():
+        last = 0.0
+        while not stop.is_set():
+            now = time.perf_counter()
+            if now - last >= 1e-4:
+                ticks.append(now)
+                last = now
+
+    ticker = threading.Thread(target=tick, daemon=True)
+    with _switch_interval(1e-3):
+        ticker.start()
+        try:
+            while not ticks:
+                time.sleep(1e-3)
+            start = time.perf_counter()
+            call()
+            end = time.perf_counter()
+        finally:
+            stop.set()
+            ticker.join(10.0)
+    assert not ticker.is_alive()
+    return start, end, ticks
+
+
+@NEEDS_NATIVE
+class TestSearchesReleaseTheGIL:
+    """The search entries run their loops without the GIL: another Python
+    thread keeps running through a long call, threads that share one capsule
+    still get the serial answers (each capsule's scratch has its own lock),
+    and a failure inside the loop is a typed error once the GIL is back."""
+
+    GRID_SIDE = 500
+    CHAIN_ROWS = 300_000
+
+    @pytest.fixture(scope="class")
+    def grid(self):
+        return _grid_capsule(self.GRID_SIDE)
+
+    @pytest.fixture(scope="class")
+    def chain(self):
+        return _chain_capsule(self.CHAIN_ROWS)
+
+    @pytest.mark.parametrize("entry", [
+        "search_query", "query_pairs_bidijkstra", "query_pairs_tree", "one_to_many",
+    ])
+    def test_a_python_thread_runs_through_a_long_call(self, entry, grid, chain):
+        """Each call searches for tens of milliseconds (the whole grid, or the
+        300 000-row chain 64 times).  A call that holds the GIL leaves one
+        gap in the ticks as long as the kernel ran, between a hand-over
+        before it and one after it; a call that releases it leaves gaps of
+        at most a few switch intervals."""
+        kernel = native_kernel()
+        last = self.GRID_SIDE ** 2 - 1
+        one = numpy.full(1, last, dtype=numpy.int64)
+        out = numpy.full(64, numpy.nan)
+        calls = {
+            "search_query": lambda: out.__setitem__(0, kernel.search_query(grid, 0, last, 0)),
+            "query_pairs_bidijkstra": lambda: kernel.search_query_pairs(
+                grid, numpy.zeros(1, dtype=numpy.int64), one, out[:1], 0
+            ),
+            "query_pairs_tree": lambda: kernel.search_query_pairs(
+                chain, numpy.zeros(64, dtype=numpy.int64),
+                numpy.ones(64, dtype=numpy.int64), out, 1,
+            ),
+            "one_to_many": lambda: kernel.search_one_to_many(grid, 0, one, out[:1]),
+        }
+        start, end, ticks = _ticks_during(calls[entry])
+        expected = 1.0 if entry == "query_pairs_tree" else kernel.search_query(grid, 0, last, 0)
+        assert numpy.all(out[:64 if entry == "query_pairs_tree" else 1] == expected)
+        span = end - start
+        assert span > 10e-3, "the call is too short to tell"
+        points = [start] + [tick for tick in ticks if start < tick < end] + [end]
+        longest = max(b - a for a, b in zip(points, points[1:]))
+        assert longest < span / 2, (
+            f"no tick for {1e3 * longest:.1f} ms of a {1e3 * span:.1f} ms call"
+        )
+
+    def test_a_row_changed_mid_call_is_an_index_error(self, chain):
+        """The rows are checked with the GIL held; a row another thread puts
+        out of range while the loop runs is caught by the loop and raised as
+        IndexError after the GIL is back, with the pairs before it answered."""
+        kernel = native_kernel()
+        s_rows = numpy.zeros(64, dtype=numpy.int64)
+        t_rows = numpy.ones(64, dtype=numpy.int64)
+        out = numpy.full(64, numpy.nan)
+        go = threading.Event()
+
+        def corrupt():
+            go.wait(10.0)
+            time.sleep(5e-3)  # well inside the call's 64 walks of the chain
+            t_rows[-1] = self.CHAIN_ROWS
+
+        thread = threading.Thread(target=corrupt, daemon=True)
+        thread.start()
+        go.set()
+        with pytest.raises(IndexError, match="row out of range"):
+            kernel.search_query_pairs(chain, s_rows, t_rows, out, 1)
+        thread.join(10.0)
+        assert not thread.is_alive()
+        assert out[0] == 1.0 and numpy.isnan(out[-1])
+        # The capsule's scratch is clean and its lock free for the next call.
+        t_rows[-1] = 1
+        kernel.search_query_pairs(chain, s_rows, t_rows, out, 1)
+        assert numpy.all(out == 1.0)
+
+    def test_rows_out_of_range_are_refused_before_any_search(self, grid):
+        """A batch with a row out of range answers none of its pairs, not
+        the ones before that row."""
+        kernel = native_kernel()
+        rows = numpy.array([1, self.GRID_SIDE ** 2], dtype=numpy.int64)
+        out = numpy.full(2, numpy.nan)
+        with pytest.raises(IndexError):
+            kernel.search_query_pairs(grid, numpy.zeros(2, dtype=numpy.int64), rows, out, 0)
+        with pytest.raises(IndexError):
+            kernel.search_one_to_many(grid, 0, rows, out)
+        assert numpy.isnan(out).all()
+
+    def test_threads_sharing_capsules_get_the_serial_answers(self):
+        """Four threads mix batch, scalar and one-to-many calls on one DCH
+        shortcut store and one graph snapshot while the GIL changes hands
+        every microsecond: every answer equals the serial one bit for bit."""
+        graph = grid_road_network(24, 24, seed=3)
+        index = create_index("DCH", graph)
+        index.build()
+        store, snapshot = index._shortcut_store(), index._graph_snapshot()
+        kernel = native_kernel()
+        pairs = list(sample_query_pairs(graph, 120, seed=4))
+        sources = sorted({s for s, _ in pairs})[:6]
+        targets = [t for _, t in pairs[:30]]
+        s_rows = numpy.array([snapshot.row[s] for s, _ in pairs], dtype=numpy.int64)
+        t_rows = numpy.array([snapshot.row[t] for _, t in pairs], dtype=numpy.int64)
+
+        def snapshot_pairs():
+            out = numpy.empty(len(pairs))
+            kernel.search_query_pairs(snapshot.capsule, s_rows, t_rows, out, 0)
+            return out.tolist()
+
+        calls = {
+            "store.query_pairs": lambda: store.query_pairs(pairs),
+            "store.query": lambda: [store.query(s, t) for s, t in pairs[:30]],
+            "store.one_to_many": lambda: [store.one_to_many(s, targets) for s in sources],
+            "snapshot.query_pairs": snapshot_pairs,
+            "snapshot.bidijkstra": lambda: [snapshot.bidijkstra(s, t) for s, t in pairs[:30]],
+            "snapshot.one_to_many": lambda: [snapshot.one_to_many(s, targets) for s in sources],
+        }
+        serial = {name: call() for name, call in calls.items()}
+        wrong, errors = [], []
+
+        def worker(seed):
+            rng = random.Random(seed)
+            try:
+                for _ in range(40):
+                    name = rng.choice(sorted(calls))
+                    if calls[name]() != serial[name]:
+                        wrong.append(name)
+            except Exception as exc:  # reported below, not swallowed
+                errors.append(exc)
+
+        threads = [threading.Thread(target=worker, args=(seed,)) for seed in range(4)]
+        with _switch_interval(1e-6):
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(60.0)
+        assert not any(thread.is_alive() for thread in threads)
+        assert errors == [] and wrong == []
+        assert serial["store.query_pairs"] == pytest.approx(serial["snapshot.query_pairs"])
 
 
 @NEEDS_NATIVE

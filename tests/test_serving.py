@@ -26,6 +26,7 @@ from repro.labeling.h2h import DH2HIndex
 from repro.labeling.mhl import MHLIndex
 from repro.obs.metrics import Histogram, MetricRegistry
 from repro.serving.admission import AdmissionController
+from repro.serving.core import BatchResult, QueryResult
 from repro.serving.driver import run_mixed_workload
 from repro.serving.engine import ServingEngine
 from repro.serving.metrics import ServingMetrics
@@ -227,6 +228,33 @@ class TestServeBatch:
         stats = engine.stats()
         assert stats["by_stage"] == {"native": 10, "cache": 12}
         assert stats["cache_hits"] == 12
+
+    def test_rows_are_query_results_built_from_the_columns(self):
+        """A mixed cache / compute batch's rows equal rows made with
+        ``QueryResult(...)``, with each pair's stage and ``from_cache``, and
+        iterating gives the same rows as indexing."""
+        graph = grid_road_network(7, 7, seed=7)
+        engine = ServingEngine(DCHIndex(graph), cache_capacity=512)
+        pairs = list(sample_query_pairs(graph, 10, seed=6))
+        engine.serve_batch(pairs[:6])
+        mixed = engine.serve_batch(pairs)
+        assert mixed.stage == "mixed"
+        expected = [
+            QueryResult(s, t, d, mixed.epoch, stage, mixed.latency_seconds, stage == "cache")
+            for (s, t), d, stage in zip(pairs, mixed.distances, mixed.stages)
+        ]
+        assert [r.stage for r in expected] == ["cache"] * 6 + ["native"] * 4
+        rows = list(mixed)
+        assert rows == expected
+        assert all(type(row) is QueryResult for row in rows)
+        assert [mixed[i] for i in range(len(mixed))] == rows and mixed[-1] == expected[-1]
+        assert [r.from_cache for r in rows] == [True] * 6 + [False] * 4
+        uniform = BatchResult([(1, 2), (3, 4)], [5.0, 6.0], 7, 0.5, "cache")
+        assert list(uniform) == [
+            QueryResult(1, 2, 5.0, 7, "cache", 0.5, True),
+            QueryResult(3, 4, 6.0, 7, "cache", 0.5, True),
+        ]
+        assert list(BatchResult([], [], 0, 0.0, "native")) == []
 
     def test_query_batch_matches_scalar_engine_queries(self):
         graph, engine = self._engine(cache_capacity=0)
@@ -718,6 +746,57 @@ class TestStageWaits:
         stats = engine.stats()
         assert stats["stage_waits"] == 1
         assert stats["stage_wait_seconds"]["max_seconds"] < 10.0
+
+
+@NEEDS_NATIVE
+class TestInstallBesideSearches:
+    """The search kernels release the GIL, so an install starts while another
+    thread keeps serving DCH batches, not one switch interval later."""
+
+    def test_a_submitted_batch_installs_while_a_thread_serves(self):
+        """One thread serves DCH batches, submits an update batch between two
+        of them, and serves on until the batch is installed.  Under a 5 s
+        switch interval the installer gets the GIL only when the serving
+        thread gives it up: at once while a search runs without it, or after
+        5 s if the searches held it.  Every answer served matches Dijkstra on
+        the epoch it reports."""
+        graph = grid_road_network(40, 40, seed=7)
+        engine = ServingEngine(DCHIndex(graph), cache_capacity=0)
+        pairs = list(sample_query_pairs(graph, 64, seed=5))
+        batch = generate_update_stream(graph, 1, volume=10, seed=5)[0]
+        collected, elapsed = [], []
+
+        def serve_and_submit():
+            for _ in range(5):
+                collected.append(engine.serve_batch(pairs))
+            started = time.monotonic()
+            engine.submit_batch(batch)
+            while engine.pending_batches and time.monotonic() - started < 30.0:
+                collected.append(engine.serve_batch(pairs))
+            elapsed.append(time.monotonic() - started)
+
+        previous = sys.getswitchinterval()
+        with engine:
+            engine.serve_batch(pairs)  # freeze the store before the clock runs
+            reader = threading.Thread(target=serve_and_submit, daemon=True)
+            sys.setswitchinterval(5.0)
+            try:
+                reader.start()
+                reader.join(60.0)
+            finally:
+                sys.setswitchinterval(previous)
+            assert not reader.is_alive()
+            assert engine.wait_for_maintenance(30.0)
+        assert elapsed[0] < 2.0, f"the install took {elapsed[0]:.2f} s beside the searches"
+        assert engine.current_epoch == 1
+        assert {result.epoch for result in collected} <= {0, 1}
+        exact = {}
+        for result in collected:
+            for (source, target), distance in zip(result.pairs, result.distances):
+                key = (result.epoch, source)
+                if key not in exact:
+                    exact[key] = dijkstra(engine.graph_at(result.epoch), source)
+                assert abs(exact[key][target] - distance) <= 1e-9
 
 
 class TestAdmissionControl:
