@@ -7,7 +7,8 @@ N-CH-P, P-TD-P, TOAIN, PMHL, PostMHL): each exposes
 * :meth:`DistanceIndex.query` — answer a shortest-distance query (``t_q``),
 * :meth:`DistanceIndex.query_many` / :meth:`DistanceIndex.query_one_to_many` —
   the batch query plane: answer many queries in one call, amortising
-  per-query work where the index allows it,
+  per-query work where the index allows it (:meth:`DistanceIndex.query_ids`
+  is its columnar form: a ``(k, 2)`` id array in, ``float64`` out),
 * :meth:`DistanceIndex.apply_batch` — install a batch of edge-weight updates
   (``t_u``), returning a per-stage timing breakdown for the multi-stage
   methods,
@@ -57,6 +58,7 @@ from repro.algorithms.dijkstra import bidijkstra
 from repro.exceptions import StoreNotPublishedError, VertexNotFoundError
 from repro.graph.graph import Graph
 from repro.graph.updates import UpdateBatch
+from repro.kernels.arena import pair_ids
 from repro.kernels.native import native_kernel
 from repro.kernels.shortcut_store import ShortcutStore
 
@@ -225,27 +227,28 @@ class DistanceIndex(abc.ABC):
         store = self._final_store()
         if store is not None:
             return store.one_to_many(source, targets)
-        self._check_pairs((source, target) for target in (source, *targets))
+        self._check_vertices([source, *targets])
         return self._reference_one_to_many(source, targets)
 
     def query_many(self, pairs: Iterable[QueryPair]) -> List[float]:
-        """Shortest distances for many ``(source, target)`` pairs at once.
+        """Shortest distances for many ``(source, target)`` pairs at once,
+        in input order: :meth:`query_ids` over the pairs as one array."""
+        return self.query_ids(pair_ids(pairs)).tolist()
 
-        One call of the final store's ``query_pairs`` kernel; without a
-        store, :meth:`_reference_many` answers.  Results are returned in
-        input order.
-        """
-        pair_list = list(pairs)
+    def query_ids(self, pairs: np.ndarray) -> np.ndarray:
+        """Shortest distances of a ``(k, 2)`` integer pair array, in order,
+        as ``float64``: one call of the final store's ``query_ids`` kernel;
+        without a store, :meth:`_reference_many` answers."""
         store = self._final_store()
         if store is not None:
-            return store.query_pairs(pair_list)
-        return self._reference_many(pair_list)
+            return store.query_ids(pairs)
+        return np.array(self._reference_many(pairs.tolist()), dtype=np.float64)
 
     def _final_store(self):
         """This epoch's frozen store of the final query stage, or ``None``.
 
         The store answers :meth:`query`, :meth:`query_one_to_many` and
-        :meth:`query_many` and raises
+        :meth:`query_ids` and raises
         :class:`~repro.exceptions.VertexNotFoundError` itself; ``None`` (the
         pure rung, or an index without one final store) hands them to the
         reference hooks below.  An index's override raises
@@ -609,11 +612,10 @@ class DistanceIndex(abc.ABC):
         if not self.graph.has_vertex(target):
             raise VertexNotFoundError(target)
 
-    def _check_pairs(self, pairs: Iterable[QueryPair]) -> None:
-        """:meth:`_check_endpoints` for a whole batch, in one graph call."""
-        missing = self.graph.missing_endpoint(pairs)
-        if missing is not None:
-            raise VertexNotFoundError(missing)
+    def _check_vertices(self, vertices) -> None:
+        """:meth:`_check_endpoints` for many vertices (a list or an integer
+        array, pairs interleaved), in one graph call."""
+        self.graph.positions(vertices)
 
     def describe(self) -> Dict[str, object]:
         """Small summary dictionary used by the experiment reports."""

@@ -313,10 +313,11 @@ class Dispatcher:
     # Batch operations
     # ------------------------------------------------------------------
     def query_shards(
-        self, slices: List[List], timeout: Optional[float] = None
-    ) -> List[Tuple[int, List[float]]]:
-        """Scatter slice ``i`` to worker ``i``, gather ``(epoch, distances)``
-        per slice, in slice order.
+        self, slices: List[bytes], timeout: Optional[float] = None
+    ) -> List[Tuple[int, bytes]]:
+        """Scatter slice ``i`` (``int64`` ids, pairs interleaved) to worker
+        ``i``, gather ``(epoch, float64 distances as bytes)`` per slice, in
+        slice order.
 
         On any shard failure the surviving replies are discarded, every
         failed worker is respawned at the current epoch, and the first

@@ -45,8 +45,10 @@ import threading
 import time
 from typing import Dict, List, Optional
 
+import numpy as np
+
 from repro import obs
-from repro.base import QueryPair, UpdateReport
+from repro.base import UpdateReport
 from repro.exceptions import ClusterError, ClusterWorkerError, EngineStoppedError
 from repro.graph.graph import Graph
 from repro.graph.updates import UpdateBatch
@@ -203,21 +205,24 @@ class ClusterEngine(EngineCore):
     # name is ``query_many`` — the cluster answers to both.
     query_many = EngineCore.query_batch
 
-    def _answer(self, pair_list: List[QueryPair], started: float) -> BatchResult:
+    def _answer(self, pairs: np.ndarray, started: float) -> BatchResult:
         """Split the batch across the readers and gather at one epoch.
 
         Every reader maps the whole index, so the batch splits into
         ``min(num_workers, len(pairs))`` contiguous near-equal slices, one per
-        reader; the readers answer concurrently and the replies concatenate
-        in input order.  Every reply must carry the dispatcher's epoch or the
-        call raises :class:`~repro.exceptions.ClusterError` instead of
-        returning a torn read.
+        reader, each sent as one buffer of ``int64`` ids; the readers answer
+        concurrently, each with one buffer of ``float64`` distances, and the
+        replies concatenate in input order.  Every reply must carry the
+        dispatcher's epoch or the call raises
+        :class:`~repro.exceptions.ClusterError` instead of returning a torn
+        read.
         """
         if not self._running:
             raise EngineStoppedError("serve_batch on a stopped cluster; call start()")
-        count = min(self.num_workers, len(pair_list))
-        bounds = [len(pair_list) * part // count for part in range(count + 1)]
-        slices = [pair_list[low:high] for low, high in zip(bounds, bounds[1:])]
+        count = min(self.num_workers, len(pairs))
+        bounds = [len(pairs) * part // count for part in range(count + 1)]
+        ids = pairs.astype(np.int64, copy=False)
+        slices = [ids[low:high].tobytes() for low, high in zip(bounds, bounds[1:])]
         with self._dispatch:
             epoch = self._epoch
             replies = self._dispatcher.query_shards(slices)
@@ -227,9 +232,9 @@ class ClusterEngine(EngineCore):
                 f"torn epoch: dispatcher at {epoch}, readers answered at "
                 f"{sorted(epochs)} — the barrier protocol was violated"
             )
-        distances = [distance for _epoch, part in replies for distance in part]
-        latency = (time.perf_counter() - started) / len(pair_list)
-        return BatchResult(pair_list, distances, epoch, latency, self._stage)
+        distances = np.frombuffer(b"".join([part for _epoch, part in replies]), np.float64)
+        latency = (time.perf_counter() - started) / len(pairs)
+        return BatchResult(pairs, distances, epoch, latency, self._stage)
 
     # ------------------------------------------------------------------
     # Maintenance plane

@@ -19,8 +19,10 @@ half of the cluster's epoch barrier.
 Commands
 --------
 ``ping``            liveness check; replies with worker id, epoch and pid.
-``query``           answer a sub-batch of pairs via ``query_many`` at the
-                    reader's current epoch.
+``query``           answer a sub-batch of pairs, one buffer of ``int64`` ids
+                    (sources and targets interleaved), via ``query_ids`` at
+                    the reader's current epoch; replies ``(epoch, float64
+                    distances as bytes)``.
 ``adopt``           map the store generation ``(epoch, path)`` and answer at
                     that epoch from now on (the commit of the barrier).
 ``stats``           serving counters for dispatcher-side aggregation.
@@ -39,6 +41,8 @@ import gc
 import os
 import time
 from typing import Optional, Tuple
+
+import numpy as np
 
 from repro.exceptions import ClusterError
 
@@ -123,9 +127,10 @@ def worker_main(
                     result = {"worker": worker_id, "epoch": epoch, "pid": os.getpid()}
                 elif command == "query":
                     started = time.perf_counter()
-                    distances = index.query_many(payload)
+                    pairs = np.frombuffer(payload, np.int64).reshape(-1, 2)
+                    distances = index.query_ids(pairs).tobytes()
                     query_seconds += time.perf_counter() - started
-                    queries_served += len(payload)
+                    queries_served += len(pairs)
                     result = (epoch, distances)
                 elif command == "adopt":
                     _adopt(index, *payload)

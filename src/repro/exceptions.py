@@ -27,11 +27,16 @@ class EdgeNotFoundError(GraphError):
 
 
 class VertexNotFoundError(GraphError):
-    """Raised when an operation references a vertex that does not exist."""
+    """Raised when an operation references a vertex that does not exist.
 
-    def __init__(self, v: int):
+    ``position`` is the vertex's index in the flat id buffer of the batch
+    call that found it missing (sources and targets interleaved), when one
+    did."""
+
+    def __init__(self, v: int, position: "int | None" = None):
         super().__init__(f"vertex {v} does not exist")
         self.vertex = v
+        self.position = position
 
 
 class InvalidWeightError(GraphError):

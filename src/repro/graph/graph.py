@@ -35,6 +35,7 @@ from repro.exceptions import (
     InvalidWeightError,
     VertexNotFoundError,
 )
+from repro.kernels.arena import build_remap, rows_of
 from repro.uniques import unique
 
 Edge = Tuple[int, int, float]
@@ -212,17 +213,6 @@ class Graph:
     def has_vertex(self, v: int) -> bool:
         return v in self._members
 
-    def missing_endpoint(self, pairs: Iterable[Tuple[int, int]]) -> Optional[int]:
-        """First vertex of ``pairs`` (source before target) that does not
-        exist, or ``None`` — a whole batch validated in one call."""
-        members = self._members
-        for source, target in pairs:
-            if source not in members:
-                return source
-            if target not in members:
-                return target
-        return None
-
     def position(self, v: int) -> int:
         """Row of vertex ``v``; :class:`VertexNotFoundError` if absent."""
         if v not in self._members:
@@ -230,14 +220,11 @@ class Graph:
         return self._members[v]
 
     def positions(self, vertices) -> np.ndarray:
-        """Rows of ``vertices`` as an ``int64`` array; the first vertex that
-        does not exist is a :class:`VertexNotFoundError`."""
-        wanted = _ints(vertices)
-        rows = np.minimum(np.searchsorted(self.ids, wanted), max(len(self.ids) - 1, 0))
-        found = self.ids[rows] == wanted if len(self.ids) else np.zeros(len(wanted), bool)
-        if not found.all():
-            raise VertexNotFoundError(int(wanted[np.argmin(found)]))
-        return rows
+        """Rows of ``vertices`` as an ``int64`` array, one id-map call (the
+        C ``map_ids`` when the kernel is loaded); the first vertex that does
+        not exist is a :class:`VertexNotFoundError` naming it and its
+        position."""
+        return rows_of(self._derived("idmap", lambda: build_remap(self.ids)), vertices)
 
     def _edge_id(self, u: int, v: int) -> int:
         """The edge joining ``u`` and ``v``, ``-1`` when there is none."""

@@ -208,7 +208,7 @@ class DCHIndex(CHIndex):
 class DCHSpec(IndexSpec):
     """Construction spec for the dynamic CH baseline (no knobs).
 
-    DCH's batch plane is one ``query_pairs`` call of the shortcut store, the
+    DCH's batch plane is one ``query_ids`` call of the shortcut store, the
     scalar query looped in C, so batch answers equal scalar ones bit for
     bit.  The native kernel answers each pair with the elimination-tree
     query: the contraction's upward graph is chordal, so it walks the

@@ -20,6 +20,12 @@
  *    results are bit-identical to H2HLabels.query.  one_to_many/query_pairs
  *    loop the same body in C over caller-provided int64 row buffers, writing
  *    into a float64 output buffer: one call per batch, no per-query Python.
+ *    query_ids is the batch plane's entry: it takes the vertex ids
+ *    themselves, int32 as they come off the wire or int64, and maps each to
+ *    its row through the store's id map (a dense remap, or sorted ids
+ *    searched by bisection), checks it and answers, in the same call; the
+ *    first id with no row stops it and its position is returned.
+ *    search_query_ids is the same for a search graph.
  *
  * 2. "repro.kernels.searchgraph" -- a CSR adjacency (graph snapshot or
  *    CH-style upward shortcut arrays) for the Dijkstra-family searches:
@@ -76,9 +82,8 @@
  *
  * Every entry reads and writes only buffers (borrowed through the buffer
  * protocol, directly or via a capsule) and scalar row arguments: none walks
- * a Python dict or list.  The search entries (search_query,
- * search_query_pairs in both modes, search_one_to_many) run their loops
- * without the GIL: every check, scratch allocation and Python-API call
+ * a Python dict or list.  The search entries (search_query, search_query_ids
+ * in both modes, search_one_to_many) run their loops without the GIL: every check, scratch allocation and Python-API call
  * happens with it held, and a failure inside the loop is recorded there and
  * raised once the GIL is back.  Each search-graph capsule guards its scratch
  * with its own lock (see SearchGraph).  Every other entry -- the label
@@ -395,6 +400,193 @@ static PyObject *label_query_pairs(PyObject *self, PyObject *const *args,
     PyBuffer_Release(&t_view);
     PyBuffer_Release(&out_view);
     Py_RETURN_NONE;
+}
+
+/* ------------------------------------------------------------------ */
+/* Id maps: vertex ids, as they come off the wire, to store rows       */
+/* ------------------------------------------------------------------ */
+
+/* A store's id -> row map (repro.kernels.arena.build_remap): one int64
+ * buffer, either a dense remap, remap[id] the row of id or -1 (1-D), or,
+ * where the id space is too sparse for one, the sorted ids over their rows
+ * (2 x n), searched by binary search. */
+typedef struct {
+    const int64_t *keys;
+    const int64_t *rows; /* NULL for a dense remap */
+    Py_ssize_t n;
+} IdMap;
+
+/* Borrow a C-contiguous buffer of signed integers: int32 or int64 vertex ids,
+ * or, with `wide` set, int64 only; a TypeError otherwise. */
+static int borrow_ints(PyObject *obj, Py_buffer *view, int wide, int writable) {
+    int flags = PyBUF_C_CONTIGUOUS | PyBUF_FORMAT | (writable ? PyBUF_WRITABLE : 0);
+    if (PyObject_GetBuffer(obj, view, flags) < 0) {
+        return -1;
+    }
+    const char *format = view->format != NULL ? view->format : "B";
+    if (*format == '<' || *format == '=' || *format == '@') {
+        format++;
+    }
+    char c = format[0];
+    int ok = c != '\0' && format[1] == '\0' &&
+             (c == 'i' || c == 'l' || c == 'q' || c == 'n') &&
+             (view->itemsize == 8 || (view->itemsize == 4 && !wide));
+    if (!ok) {
+        PyBuffer_Release(view);
+        view->obj = NULL;
+        PyErr_SetString(PyExc_TypeError,
+                        "vertex ids are int32 or int64 buffers; id maps and rows int64");
+        return -1;
+    }
+    return 0;
+}
+
+static int borrow_idmap(PyObject *obj, Py_buffer *view, IdMap *map) {
+    if (borrow_ints(obj, view, 1, 0) < 0) {
+        return -1;
+    }
+    map->keys = (const int64_t *)view->buf;
+    if (view->ndim == 1) {
+        map->rows = NULL;
+        map->n = view->shape[0];
+        return 0;
+    }
+    if (view->ndim == 2 && view->shape[0] == 2) {
+        map->n = view->shape[1];
+        map->rows = map->keys + map->n;
+        return 0;
+    }
+    PyBuffer_Release(view);
+    view->obj = NULL;
+    PyErr_SetString(PyExc_TypeError, "an id map is a 1-D remap or 2 x n sorted ids over rows");
+    return -1;
+}
+
+static inline int64_t read_id(const Py_buffer *ids, Py_ssize_t i) {
+    return ids->itemsize == 4 ? (int64_t)((const int32_t *)ids->buf)[i]
+                              : ((const int64_t *)ids->buf)[i];
+}
+
+/* The row of `id`, or -1 when the map has none. */
+static inline int64_t idmap_row(const IdMap *map, int64_t id) {
+    if (map->rows == NULL) {
+        return (id >= 0 && id < map->n) ? map->keys[id] : -1;
+    }
+    Py_ssize_t lo = 0, hi = map->n;
+    while (lo < hi) {
+        Py_ssize_t mid = lo + (hi - lo) / 2;
+        if (map->keys[mid] < id) {
+            lo = mid + 1;
+        } else {
+            hi = mid;
+        }
+    }
+    return (lo < map->n && map->keys[lo] == id) ? map->rows[lo] : -1;
+}
+
+/* map_ids(ids, idmap, rows) -> position of the first id with no row, or -1.
+ * Writes the row of every id before it into rows (int64, one per id), or
+ * only checks when rows is None. */
+static PyObject *map_ids(PyObject *self, PyObject *const *args, Py_ssize_t nargs) {
+    (void)self;
+    if (nargs != 3) {
+        PyErr_SetString(PyExc_TypeError, "map_ids(ids, idmap, rows) takes 3 arguments");
+        return NULL;
+    }
+    Py_buffer views[3] = {{0}};
+    IdMap map;
+    if (borrow_ints(args[0], &views[0], 0, 0) < 0 ||
+        borrow_idmap(args[1], &views[1], &map) < 0 ||
+        (args[2] != Py_None && borrow_ints(args[2], &views[2], 1, 1) < 0)) {
+        release_views(views, 3);
+        return NULL;
+    }
+    Py_ssize_t m = views[0].len / views[0].itemsize;
+    int64_t *rows = views[2].obj != NULL ? (int64_t *)views[2].buf : NULL;
+    if (rows != NULL && views[2].len / 8 != m) {
+        release_views(views, 3);
+        PyErr_SetString(PyExc_ValueError, "rows must hold one int64 per id");
+        return NULL;
+    }
+    Py_ssize_t missing = -1;
+    for (Py_ssize_t i = 0; i < m; i++) {
+        int64_t row = idmap_row(&map, read_id(&views[0], i));
+        if (row < 0) {
+            missing = i;
+            break;
+        }
+        if (rows != NULL) {
+            rows[i] = row;
+        }
+    }
+    release_views(views, 3);
+    return PyLong_FromSsize_t(missing);
+}
+
+/* Borrow a batch call's (ids, idmap, out): 2k int32 / int64 ids, sources and
+ * targets interleaved, and k writable float64 answers.  0, or -1 with the
+ * views released and a TypeError / ValueError set. */
+static int borrow_batch(PyObject *const *args, Py_buffer *views, IdMap *map) {
+    if (borrow_ints(args[0], &views[0], 0, 0) < 0 || borrow_idmap(args[1], &views[1], map) < 0 ||
+        PyObject_GetBuffer(args[2], &views[2], PyBUF_C_CONTIGUOUS | PyBUF_WRITABLE) < 0) {
+        release_views(views, 3);
+        return -1;
+    }
+    Py_ssize_t m = views[0].len / views[0].itemsize;
+    if (views[2].itemsize != 8 || m % 2 != 0 || views[2].len / 8 != m / 2) {
+        release_views(views, 3);
+        PyErr_SetString(PyExc_ValueError,
+                        "a batch is 2k interleaved ids and k float64 answers");
+        return -1;
+    }
+    return 0;
+}
+
+/* query_ids(store, ids, idmap, out) -> position of the first id with no row,
+ * or -1: the label store's batch plane in one call.  Every id is mapped and
+ * checked and every pair answered, in pair order; at the first id with no
+ * row (source before target) the call stops and returns its position, so
+ * out is complete only on -1.  A row the map names past the store is an
+ * IndexError. */
+static PyObject *label_query_ids(PyObject *self, PyObject *const *args, Py_ssize_t nargs) {
+    (void)self;
+    if (nargs != 4) {
+        PyErr_SetString(PyExc_TypeError,
+                        "query_ids(store, ids, idmap, out) takes 4 arguments");
+        return NULL;
+    }
+    LabelStore *st = label_from_arg(args[0]);
+    if (st == NULL) {
+        return NULL;
+    }
+    Py_buffer views[3] = {{0}};
+    IdMap map;
+    if (borrow_batch(args + 1, views, &map) < 0) {
+        return NULL;
+    }
+    double *out = (double *)views[2].buf;
+    Py_ssize_t m = views[0].len / views[0].itemsize;
+    Py_ssize_t missing = -1;
+    for (Py_ssize_t i = 0; i < m; i += 2) {
+        int64_t rs = idmap_row(&map, read_id(&views[0], i));
+        if (rs < 0) {
+            missing = i;
+            break;
+        }
+        int64_t rt = idmap_row(&map, read_id(&views[0], i + 1));
+        if (rt < 0) {
+            missing = i + 1;
+            break;
+        }
+        if (rs >= st->n || rt >= st->n) {
+            release_views(views, 3);
+            PyErr_SetString(PyExc_IndexError, "label-store row out of range");
+            return NULL;
+        }
+        out[i / 2] = (rs == rt) ? 0.0 : label_query_rows(st, rs, rt);
+    }
+    release_views(views, 3);
+    return PyLong_FromSsize_t(missing);
 }
 
 /* ------------------------------------------------------------------ */
@@ -1016,14 +1208,16 @@ static PyObject *search_query(PyObject *self, PyObject *const *args,
     return PyFloat_FromDouble(result);
 }
 
-/* query_pairs(graph, s_rows, t_rows, out, ch_mode): the scalar search looped
- * in C -- identical per-pair results, no per-pair Python, no GIL. */
-SEARCH_ALIGN static PyObject *search_query_pairs(PyObject *self, PyObject *const *args,
-                                    Py_ssize_t nargs) {
+/* search_query_ids(graph, ids, idmap, out, ch_mode) -> position of the first
+ * id with no row, or -1: query_ids for a search graph.  The ids are mapped
+ * into a private row buffer with the GIL held (so no other thread can change
+ * them under the loop), then the pairs are searched without it. */
+SEARCH_ALIGN static PyObject *search_query_ids(PyObject *self, PyObject *const *args,
+                                               Py_ssize_t nargs) {
     (void)self;
     if (nargs != 5) {
         PyErr_SetString(PyExc_TypeError,
-                        "query_pairs(graph, s_rows, t_rows, out, ch_mode) takes 5 arguments");
+                        "search_query_ids(graph, ids, idmap, out, ch_mode) takes 5 arguments");
         return NULL;
     }
     SearchGraph *g = search_from_arg(args[0]);
@@ -1034,51 +1228,46 @@ SEARCH_ALIGN static PyObject *search_query_pairs(PyObject *self, PyObject *const
     if ((ch_mode == -1 && PyErr_Occurred()) || check_ch_mode(g, ch_mode) < 0) {
         return NULL;
     }
-    Py_buffer s_view, t_view, out_view;
-    if (PyObject_GetBuffer(args[1], &s_view, PyBUF_C_CONTIGUOUS) < 0) {
+    Py_buffer views[3] = {{0}};
+    IdMap map;
+    if (borrow_batch(args + 1, views, &map) < 0) {
         return NULL;
     }
-    if (pair_buffers(args[2], args[3], &t_view, &out_view) < 0) {
-        PyBuffer_Release(&s_view);
-        return NULL;
-    }
-    if (s_view.itemsize != 8 || s_view.len != t_view.len) {
-        PyBuffer_Release(&s_view);
-        PyBuffer_Release(&t_view);
-        PyBuffer_Release(&out_view);
-        PyErr_SetString(PyExc_TypeError,
-                        "s_rows/t_rows/out must be matching 8-byte buffers");
-        return NULL;
-    }
-    const int64_t *s_rows = (const int64_t *)s_view.buf;
-    const int64_t *t_rows = (const int64_t *)t_view.buf;
-    double *out = (double *)out_view.buf;
-    Py_ssize_t m = s_view.len / 8;
+    double *out = (double *)views[2].buf;
+    Py_ssize_t m = views[0].len / views[0].itemsize;
+    int64_t *rows = (int64_t *)malloc((m > 0 ? m : 1) * sizeof(int64_t));
     PyObject *result = NULL;
-    if (check_rows(g, s_rows, m) == 0 && check_rows(g, t_rows, m) == 0 &&
-        search_prepare(g, ch_mode != 0) == 0) {
+    Py_ssize_t missing = -1;
+    if (rows == NULL) {
+        PyErr_NoMemory();
+        goto done;
+    }
+    for (Py_ssize_t i = 0; i < m; i++) {
+        rows[i] = idmap_row(&map, read_id(&views[0], i));
+        if (rows[i] < 0) {
+            missing = i;
+            break;
+        }
+    }
+    if (missing < 0) {
+        if (check_rows(g, rows, m) < 0 || search_prepare(g, ch_mode != 0) < 0) {
+            goto done;
+        }
         int failed = SEARCH_OK;
         PyThreadState *state = search_enter(g);
-        for (Py_ssize_t i = 0; i < m && !failed; i++) {
-            int64_t rs = read_row(s_rows, i);
-            int64_t rt = read_row(t_rows, i);
-            if (row_out_of_range(g, rs) || row_out_of_range(g, rt)) {
-                failed = SEARCH_ROW_RANGE;
-                break;
-            }
-            out[i] = search_pair(g, rs, rt, ch_mode != 0, &failed);
+        for (Py_ssize_t i = 0; i < m && !failed; i += 2) {
+            out[i / 2] = search_pair(g, rows[i], rows[i + 1], ch_mode != 0, &failed);
         }
         search_leave(g, state);
         if (failed) {
             search_raise(failed);
-        } else {
-            Py_INCREF(Py_None);
-            result = Py_None;
+            goto done;
         }
     }
-    PyBuffer_Release(&s_view);
-    PyBuffer_Release(&t_view);
-    PyBuffer_Release(&out_view);
+    result = PyLong_FromSsize_t(missing);
+done:
+    free(rows);
+    release_views(views, 3);
     return result;
 }
 
@@ -1356,12 +1545,14 @@ static inline void mark_row(uint8_t *dirty, const int8_t *mask, Py_ssize_t n_mas
  * It returns None and raises with fixed messages on purpose: each C-API
  * function this file imports adds a PLT entry that moves every function
  * compiled after it, and moving the CH search code by 48 bytes made
- * search_query_pairs ~7% slower on a 2-core Xeon VM.  Since the tree query
+ * the CH batch search ~7% slower on a 2-core Xeon VM.  Since the tree query
  * relaxes branch-free (tree_relax), 64 bytes of padding before search_tree,
  * and search_tree moved to 32 bytes past a cache line, left the 80x80 DCH
  * query at 16-19 us against 17-18 us (best of 5 runs of 20 k pairs, four
  * rounds, same VM): within noise.  Keep new code free of new imports
- * anyway, or re-measure the search kernels. */
+ * anyway, or re-measure the search kernels (the id entries' one import,
+ * PyLong_FromSsize_t: 2 000 80x80 DCH pairs read 10.3-11.2 us/pair before
+ * it, 10.3-10.6 after). */
 static PyObject *update_slots(PyObject *self, PyObject *const *args, Py_ssize_t nargs) {
     enum { U_INDPTR, U_INDICES, U_BASE, U_SUP_INDPTR, U_SUP_SLOTS, U_WEIGHTS, U_SEEDS,
            U_MASK, U_ESCAPED, U_CHANGED, U_COUNTS, U_NVIEWS };
@@ -2383,6 +2574,12 @@ static PyMethodDef methods[] = {
      "one_to_many(store, rs, t_rows, out) -> None (fills out)"},
     {"query_pairs", (PyCFunction)label_query_pairs, METH_FASTCALL,
      "query_pairs(store, s_rows, t_rows, out) -> None (fills out)"},
+    {"map_ids", (PyCFunction)map_ids, METH_FASTCALL,
+     "map_ids(ids, idmap, rows) -> position of the first id with no row, or -1 "
+     "(fills rows unless None)"},
+    {"query_ids", (PyCFunction)label_query_ids, METH_FASTCALL,
+     "query_ids(store, ids, idmap, out) -> position of the first id with no row, "
+     "or -1 (ids interleave sources and targets; fills out)"},
     {"search_build", search_build, METH_VARARGS,
      "search_build(ids, indptr, indices, weights) -> CSR search-graph capsule "
      "(buffers borrowed, not copied)"},
@@ -2390,8 +2587,9 @@ static PyMethodDef methods[] = {
      "search_is_tree(graph) -> True when CH queries walk the elimination tree"},
     {"search_query", (PyCFunction)search_query, METH_FASTCALL,
      "search_query(graph, rs, rt, ch_mode) -> bidirectional-search distance"},
-    {"search_query_pairs", (PyCFunction)search_query_pairs, METH_FASTCALL,
-     "search_query_pairs(graph, s_rows, t_rows, out, ch_mode) -> None (fills out)"},
+    {"search_query_ids", (PyCFunction)search_query_ids, METH_FASTCALL,
+     "search_query_ids(graph, ids, idmap, out, ch_mode) -> position of the first id "
+     "with no row, or -1 (ids interleave sources and targets; fills out)"},
     {"search_one_to_many", (PyCFunction)search_one_to_many, METH_FASTCALL,
      "search_one_to_many(graph, rs, t_rows, out) -> None (truncated Dijkstra)"},
     {"update_slots", (PyCFunction)update_slots, METH_FASTCALL,

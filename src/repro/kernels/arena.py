@@ -1,11 +1,7 @@
 """Unified flat-array arena shared by every frozen kernel store.
 
-Before this module each kernel store (:class:`~repro.kernels.label_store.
-LabelStore`, :class:`~repro.kernels.graph_snapshot.GraphSnapshot`,
-:class:`~repro.kernels.shortcut_store.ShortcutStore`, :class:`~repro.kernels.
-hub_store.HubStore`) carried its own loose bag of numpy arrays and its own
-bespoke snapshot wire format.  An :class:`Arena` replaces all of that with
-one memory model:
+Every kernel store (label, graph snapshot, shortcut and hub stores) keeps
+its arrays in an :class:`Arena`, one memory model:
 
 * **one contiguous buffer** — every array of a frozen store lives at an
   aligned offset inside a single ``uint8`` buffer, described by a small table
@@ -28,17 +24,21 @@ never writes to it afterwards; the next epoch's values go into a copy of the
 buffer (a maintenance pass's copy-on-write arrays, a graph snapshot's
 :meth:`~repro.kernels.graph_snapshot.GraphSnapshot.patched`).  Views are
 plain numpy slices of the buffer — zero-copy, C-contiguous, and safe to hand
-to the native kernels.
+to the native kernels.  The module also holds the id maps every store (and
+the graph's vertex check) maps vertex ids to rows through (:func:`build_remap`).
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple
+import struct
+from itertools import chain, starmap
+from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
 from repro import obs
 from repro.exceptions import VertexNotFoundError
+from repro.kernels.native import native_kernel
 
 #: Offset alignment inside the buffer.  64 bytes keeps every view cache-line
 #: aligned when the buffer itself is (fresh allocations and mappings are, and
@@ -94,10 +94,6 @@ class Arena:
     # ------------------------------------------------------------------
     # Access
     # ------------------------------------------------------------------
-    def view(self, name: str):
-        """The zero-copy typed view of one entry (raises ``KeyError`` if absent)."""
-        return self._views[name]
-
     def __getitem__(self, name: str):
         return self._views[name]
 
@@ -163,62 +159,87 @@ def layout(
 
 
 # ----------------------------------------------------------------------
-# Row mapping (shared by every arena-backed store)
+# Id maps: vertex ids to rows (every store, and the graph's vertex check)
 # ----------------------------------------------------------------------
 
-#: Largest vertex id (relative to the row count) for which the dense
-#: id->row remap array is built; sparser id spaces keep the dict path.
+#: Largest vertex id (relative to the row count) for which a dense id->row
+#: remap is built; a sparser id space is searched by bisection instead.
 REMAP_SLACK = 1024
 
 
-def build_remap(ids) -> Optional[object]:
-    """Dense ``id -> row`` remap array for a store's ``int64`` id column.
-
-    Returns ``None`` when an id is negative or the id space is too sparse
-    for a dense table to pay off; callers then fall back to the row dict.
-    """
-    if len(ids) == 0:
-        return None
-    lo = int(ids.min())
-    hi = int(ids.max())
-    if lo < 0 or hi >= len(ids) + REMAP_SLACK:
-        return None
-    remap = np.full(hi + 1, -1, dtype=np.int64)
-    remap[ids] = np.arange(len(ids), dtype=np.int64)
-    return remap
+def build_remap(ids) -> np.ndarray:
+    """The ``id -> row`` map of an ``int64`` id column, as the one ``int64``
+    array the C batch entries read: a dense remap (``remap[id]`` is the row
+    of ``id``, or -1) when the ids are non-negative and dense enough, else
+    the sorted ids over their rows (``2 x n``), searched by bisection."""
+    ids = np.asarray(ids, dtype=np.int64)
+    if len(ids) and ids.min() >= 0 and ids.max() < len(ids) + REMAP_SLACK:
+        remap = np.full(int(ids.max()) + 1, -1, dtype=np.int64)
+        remap[ids] = np.arange(len(ids), dtype=np.int64)
+        return remap
+    order = np.argsort(ids, kind="stable")
+    return np.stack((ids[order], order))
 
 
-def rows_of(row: Dict, remap, vertices: Sequence):
-    """Map a vertex sequence to an ``int64`` row array for the native kernels.
+_PAIR = struct.Struct("=qq")
 
-    With a dense remap this is one conversion plus one gather — no per-vertex
-    Python.  Unknown vertices raise :class:`VertexNotFoundError` naming the
-    first offender.
-    """
-    if remap is not None:
-        try:
-            arr = np.asarray(vertices, dtype=np.int64)
-        except (TypeError, ValueError, OverflowError):
-            arr = None
-        if arr is not None and arr.ndim == 1:
-            if arr.size == 0:
-                return arr
-            if int(arr.min()) >= 0 and int(arr.max()) < len(remap):
-                rows = remap[arr]
-                if int(rows.min()) >= 0:
-                    return rows
-            for v in vertices:
-                if v not in row:
-                    raise VertexNotFoundError(v)
+
+def id_array(vertices) -> np.ndarray:
+    """``vertices`` as the flat integer array an id map reads: an integer
+    array as it is, anything else packed once.  A value that is no ``int64``
+    id is a :class:`VertexNotFoundError` naming it."""
+    if isinstance(vertices, np.ndarray) and vertices.dtype.kind == "i":
+        return vertices.ravel()  # a view when C-contiguous, else a copy
+    values = list(vertices)
     try:
-        return np.fromiter(
-            (row[v] for v in vertices), dtype=np.int64, count=len(vertices)
-        )
-    except (KeyError, TypeError):
-        for v in vertices:
-            if v not in row:
-                raise VertexNotFoundError(v) from None
-        raise
+        return np.frombuffer(struct.pack(f"={len(values)}q", *values), np.int64)
+    except struct.error:  # name the first value that is no int64 id
+        bad = next(i for i, v in enumerate(values)
+                   if not isinstance(v, (int, np.integer)) or not -(2**63) <= v < 2**63)
+        raise VertexNotFoundError(values[bad], bad) from None
+
+
+def pair_ids(pairs) -> np.ndarray:
+    """A batch of ``(source, target)`` pairs as one ``(k, 2)`` integer array:
+    a C-contiguous ``(k, 2)`` integer array as it is, a sequence of pairs
+    packed once (one ``struct`` call a pair).  A pair that is not two values
+    is a ``ValueError``."""
+    if isinstance(pairs, np.ndarray) and pairs.ndim == 2 and pairs.shape[1] == 2:
+        if pairs.dtype.kind == "i" and pairs.flags.c_contiguous:
+            return pairs
+        return id_array(pairs).reshape(-1, 2)
+    pair_list = pairs if isinstance(pairs, (list, tuple)) else list(pairs)
+    try:
+        return np.frombuffer(b"".join(starmap(_PAIR.pack, pair_list)), np.int64).reshape(-1, 2)
+    except struct.error:
+        id_array(chain.from_iterable(pair_list))  # names a value that is no id
+        raise ValueError("each pair must be (source, target)") from None
+
+
+def rows_of(idmap: np.ndarray, vertices) -> np.ndarray:
+    """``vertices`` as ``int64`` rows through ``idmap``: one C call, or numpy
+    without the kernel.  The first vertex with no row is a
+    :class:`VertexNotFoundError` naming it and its position."""
+    ids = id_array(vertices)
+    kernel = native_kernel()
+    if kernel is not None:
+        rows = np.empty(len(ids), dtype=np.int64)
+        missing = kernel.map_ids(ids, idmap, rows)
+    elif idmap.ndim == 1:
+        # Gathered, not searched: searchsorted (like take and arange) drops
+        # the GIL at every call, so serving threads calling it per query
+        # starve a thread waiting for the GIL (each drop restarts its wait).
+        inside = (ids >= 0) & (ids < len(idmap))
+        rows = np.where(inside, idmap[np.where(inside, ids, 0)], -1)
+    else:
+        keys, mapped = idmap
+        at = np.minimum(np.searchsorted(keys, ids), max(len(keys) - 1, 0))
+        rows = np.where(keys[at] == ids, mapped[at], -1) if len(keys) else ids * 0 - 1
+    if kernel is None:
+        missing = int(np.argmax(rows < 0)) if (rows < 0).any() else -1
+    if missing >= 0:
+        raise VertexNotFoundError(int(ids[missing]), missing)
+    return rows
 
 
 # ----------------------------------------------------------------------

@@ -26,14 +26,16 @@ while a stale snapshot is frozen in full again.
 
 from __future__ import annotations
 
-from typing import Iterable, List, Optional, Tuple
+from typing import TYPE_CHECKING, Iterable, List, Optional, Tuple
 
 import numpy as np
 
 from repro.exceptions import VertexNotFoundError
-from repro.graph.graph import Graph
 from repro.kernels.arena import Arena, build_remap, count_freeze, rows_of
 from repro.kernels.native import native_kernel
+
+if TYPE_CHECKING:  # repro.graph.graph maps its vertex ids through repro.kernels
+    from repro.graph.graph import Graph
 
 
 class GraphSnapshot:
@@ -138,7 +140,7 @@ class GraphSnapshot:
         target_list = list(targets)
         if not target_list:
             return []
-        t_rows = rows_of(row, self._remap, target_list)
+        t_rows = rows_of(self._remap, target_list)
         out = np.empty(len(target_list), dtype=np.float64)
         native_kernel().search_one_to_many(self.capsule, row[source], t_rows, out)
         return out.tolist()

@@ -131,7 +131,7 @@ class HubStore:
         targets = list(targets)
         if not targets:
             return []
-        t_rows = rows_of(row, self._remap, targets)
+        t_rows = rows_of(self._remap, targets)
         rs = row[source]
         s_start, s_end = self.hub_indptr[rs], self.hub_indptr[rs + 1]
         dense = np.full(self.core_size, INF, dtype=np.float64)

@@ -14,10 +14,11 @@ payload and ``repro.cluster`` workers mmap-share, and whose views the native
 kernel borrows without copying.
 
 The C kernel of ``repro.kernels.native`` answers every query over those
-views: a scalar query is one call, and a batch (:meth:`one_to_many`,
-:meth:`query_pairs`) crosses into C once with ``int64`` row buffers in and a
-``float64`` output buffer out, so there is no per-query Python and no
-per-query numpy temporary.  A store exists only when that kernel is loaded
+views: a scalar query is one call, and a batch crosses into C once — a
+one-to-many with an ``int64`` row buffer, a pair batch (:meth:`query_ids`)
+with the vertex ids and the id map, mapped, checked and answered in that one
+call — with a ``float64`` output buffer out, so there is no per-query Python
+and no per-query numpy temporary.  A store exists only when that kernel is loaded
 (``repro.base.DistanceIndex._kernel``); without it the index answers through
 ``H2HLabels.query``, the pure reference.  The kernel performs exactly the
 reference arithmetic (``dis_s[i] + dis_t[i]`` minimised over
@@ -44,7 +45,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.exceptions import VertexNotFoundError
-from repro.kernels.arena import Arena, build_remap, count_freeze, rows_of
+from repro.kernels.arena import Arena, build_remap, count_freeze, pair_ids, rows_of
 from repro.kernels.native import native_kernel
 
 #: Rows are packed into the low bits of sparse-table entries; depth goes in
@@ -158,14 +159,14 @@ class LabelStore:
     __slots__ = ("arena", "row", "_remap", "capsule", "query")
 
     def __init__(self, arena: Arena, rows: Optional[Tuple[Dict[int, int], object]] = None):
-        """``rows`` is the ``(row dict, dense remap)`` pair of the labels the
+        """``rows`` is the ``(row dict, id map)`` pair of the labels the
         arena belongs to; derived from ``verts`` when omitted."""
         self.arena = arena
         if rows is None:
             verts = arena["verts"]
             rows = ({v: i for i, v in enumerate(verts.tolist())}, build_remap(verts))
-        # The dense id->row remap turns batch row mapping into one numpy
-        # gather (no per-query dict lookups) when the id space is dense.
+        # The dict serves the scalar query, the id map (``build_remap``) every
+        # batch: the C batch entries map ids through it themselves.
         self.row, self._remap = rows
         kernel = native_kernel()
         self.capsule = kernel.build(MASK, *(arena[field] for field in LABEL_FIELDS[1:]))
@@ -232,11 +233,6 @@ class LabelStore:
 
         return query
 
-    def _rows_of(self, vertices: Sequence[int]):
-        """Map a vertex sequence to an ``int64`` row array (one gather when
-        the id space is dense — the only per-batch Python is this call)."""
-        return rows_of(self.row, self._remap, vertices)
-
     def one_to_many(self, source: int, targets: Sequence[int]) -> List[float]:
         """Distances from ``source`` to every target (bit-identical batch)."""
         row = self.row
@@ -246,16 +242,22 @@ class LabelStore:
         if not targets:
             return []
         out = np.empty(len(targets), dtype=np.float64)
-        native_kernel().one_to_many(self.capsule, row[source], self._rows_of(targets), out)
+        native_kernel().one_to_many(
+            self.capsule, row[source], rows_of(self._remap, targets), out
+        )
         return out.tolist()
+
+    def query_ids(self, pairs: np.ndarray) -> np.ndarray:
+        """Distances of a ``(k, 2)`` integer pair array, in order, as
+        ``float64``: one C call maps every id to its row, checks it and
+        answers (``query_ids``).  The first vertex with no row, in pair order
+        and source before target, is a :class:`VertexNotFoundError`."""
+        out = np.empty(len(pairs), dtype=np.float64)
+        missing = native_kernel().query_ids(self.capsule, pairs, self._remap, out)
+        if missing >= 0:
+            raise VertexNotFoundError(int(pairs.flat[missing]), missing)
+        return out
 
     def query_pairs(self, pairs: Sequence[Tuple[int, int]]) -> List[float]:
         """Distances for arbitrary ``(source, target)`` pairs, input order."""
-        pairs = list(pairs)
-        if not pairs:
-            return []
-        s_rows = self._rows_of([s for s, _ in pairs])
-        t_rows = self._rows_of([t for _, t in pairs])
-        out = np.empty(len(pairs), dtype=np.float64)
-        native_kernel().query_pairs(self.capsule, s_rows, t_rows, out)
-        return out.tolist()
+        return self.query_ids(pair_ids(pairs)).tolist()

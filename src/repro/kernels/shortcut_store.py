@@ -35,7 +35,7 @@ from typing import Callable, Dict, Iterable, List, Mapping, Optional, Sequence, 
 import numpy as np
 
 from repro.exceptions import VertexNotFoundError
-from repro.kernels.arena import Arena, build_remap, count_freeze, rows_of
+from repro.kernels.arena import Arena, build_remap, count_freeze, id_array, pair_ids
 from repro.kernels.native import native_kernel
 
 
@@ -123,25 +123,25 @@ class ShortcutStore:
 
     def one_to_many(self, source: int, targets: Sequence[int]) -> List[float]:
         """The scalar search looped in C: distances in target order."""
-        row = self.row
-        if source not in row:
+        if source not in self.row:
             raise VertexNotFoundError(source)
-        targets = list(targets)
-        if not targets:
-            return []
-        s_rows = np.full(len(targets), row[source], dtype=np.int64)
-        t_rows = rows_of(row, self._remap, targets)
-        out = np.empty(len(targets), dtype=np.float64)
-        native_kernel().search_query_pairs(self.capsule, s_rows, t_rows, out, 1)
-        return out.tolist()
+        targets = id_array(list(targets))
+        pairs = np.empty((len(targets), 2), dtype=targets.dtype)
+        pairs[:, 0], pairs[:, 1] = source, targets
+        return self.query_ids(pairs).tolist()
+
+    def query_ids(self, pairs: np.ndarray) -> np.ndarray:
+        """Distances of a ``(k, 2)`` integer pair array, in order, as
+        ``float64``: one C call maps and checks every id, then searches
+        every pair without the GIL (``search_query_ids``).  The first vertex
+        with no row, in pair order and source before target, is a
+        :class:`VertexNotFoundError`."""
+        out = np.empty(len(pairs), dtype=np.float64)
+        missing = native_kernel().search_query_ids(self.capsule, pairs, self._remap, out, 1)
+        if missing >= 0:
+            raise VertexNotFoundError(int(pairs.flat[missing]), missing)
+        return out
 
     def query_pairs(self, pairs: Sequence[Tuple[int, int]]) -> List[float]:
         """Distances for arbitrary ``(source, target)`` pairs, input order."""
-        pairs = list(pairs)
-        if not pairs:
-            return []
-        s_rows = rows_of(self.row, self._remap, [s for s, _ in pairs])
-        t_rows = rows_of(self.row, self._remap, [t for _, t in pairs])
-        out = np.empty(len(pairs), dtype=np.float64)
-        native_kernel().search_query_pairs(self.capsule, s_rows, t_rows, out, 1)
-        return out.tolist()
+        return self.query_ids(pair_ids(pairs)).tolist()

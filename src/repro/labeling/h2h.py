@@ -221,7 +221,7 @@ class H2HLabels:
             verts = list(vertices)
             pairs = zip(first.tolist(), second.tolist())
             return np.array([self.query(verts[i], verts[j]) for i, j in pairs], dtype=np.float64)
-        rows = rows_of(self.row, self.remap, vertices)
+        rows = rows_of(self.remap, vertices)
         values = np.empty(len(first), dtype=np.float64)
         store = LabelStore(self.arena, rows=(self.row, self.remap))
         kernel.query_pairs(store.capsule, rows[first], rows[second], values)
@@ -265,13 +265,13 @@ class H2HLabels:
         """
         row = self.row
         if isinstance(affected, np.ndarray):
-            seeds = unique(rows_of(row, self.remap, affected))
+            seeds = unique(rows_of(self.remap, affected))
         else:
             seeds = unique(np.fromiter((row[v] for v in affected if v in row), np.int64))
         mask = NO_ROWS
         if allowed is not None:
             mask = np.zeros(len(self.keys), dtype=np.int8)
-            mask[rows_of(row, self.remap, [v for v in allowed if v in row])] = 1
+            mask[rows_of(self.remap, [v for v in allowed if v in row])] = 1
             seeds = seeds[mask[seeds] != 0]
         if not seeds.size:
             return set()

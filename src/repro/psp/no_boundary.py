@@ -33,6 +33,7 @@ from repro.base import DistanceIndex, StageTiming, Timer, UpdateReport
 from repro.exceptions import IndexNotBuiltError, PartitioningError
 from repro.graph.graph import Graph
 from repro.graph.updates import UpdateBatch
+from repro.kernels.arena import pair_ids
 from repro.kernels.label_store import LabelStore
 from repro.partitioning.base import Partitioning
 from repro.partitioning.natural_cut import natural_cut_partition
@@ -256,7 +257,7 @@ class NoBoundaryPSPIndex(DistanceIndex):
 
     def _reference_many(self, pairs: List[Tuple[int, int]]) -> List[float]:
         """Each distinct endpoint is lifted once per batch."""
-        self._check_pairs(pairs)
+        self._check_vertices(pair_ids(pairs))
         return self._psp_query_many(pairs, *self._query_strategy())
 
     def _psp_query(

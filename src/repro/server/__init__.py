@@ -27,7 +27,6 @@ from repro.server.protocol import (
     Frame,
     encode_frame,
     read_frame,
-    write_frame,
 )
 from repro.server.server import QueryServer
 
@@ -41,7 +40,6 @@ __all__ = [
     "Frame",
     "encode_frame",
     "read_frame",
-    "write_frame",
     "PROTOCOL_VERSION",
     "DEFAULT_MAX_FRAME_BYTES",
     "OP_QUERY_BATCH",

@@ -17,7 +17,7 @@ from __future__ import annotations
 import asyncio
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Dict, List, Sequence, Tuple
 
 from repro.exceptions import ServerBackpressureError
@@ -52,21 +52,8 @@ class LoadReport:
     latencies: List[float] = field(default_factory=list, repr=False)
 
     def to_dict(self) -> Dict[str, object]:
-        return {
-            "label": self.label,
-            "concurrency": self.concurrency,
-            "depth": self.depth,
-            "batch_size": self.batch_size,
-            "duration_seconds": self.duration_seconds,
-            "operations": self.operations,
-            "queries": self.queries,
-            "retries": self.retries,
-            "qps": self.qps,
-            "mean_seconds": self.mean_seconds,
-            "p50_seconds": self.p50_seconds,
-            "p99_seconds": self.p99_seconds,
-            "p999_seconds": self.p999_seconds,
-        }
+        """Every field but the raw latency samples."""
+        return {f.name: getattr(self, f.name) for f in fields(self) if f.name != "latencies"}
 
 
 async def run_closed_loop(

@@ -32,9 +32,11 @@ Every other op's payload is UTF-8 JSON (the stdlib codec): requests
 * :data:`OP_RETRY` — backpressure (the HTTP-429 analogue), payload
   ``{"reason", "queue_depth", "suggested_wait_seconds"}``.
 
-Either way :func:`encode_frame` takes and :func:`decode_body` returns the
-payload as a plain mapping (``{"pairs": [(s, t), …]}``, ``{"source",
-"targets"}``, ``{"distances", "epoch", "stages"}`` for the packed ops).
+:func:`encode_frame` takes a mapping (``{"pairs"}``: pairs or a ``(k, 2)``
+integer array; ``{"source", "targets"}``; ``{"distances", "epoch",
+"stages"}``: distances as floats or ``float64``, one stage a pair or one for
+all); :func:`decode_body` returns ``DISTANCES`` as that mapping of lists and
+a query op's payload as the packed ids of its pairs, which the server reads.
 
 Framing errors raise the typed exceptions from :mod:`repro.exceptions`
 (:class:`~repro.exceptions.ProtocolError` /
@@ -50,8 +52,10 @@ import asyncio
 import json
 import struct
 from dataclasses import dataclass
-from itertools import chain
+from itertools import chain, starmap
 from typing import Optional
+
+import numpy as np
 
 from repro.exceptions import (
     FrameTooLargeError,
@@ -120,26 +124,44 @@ class Frame:
 # ----------------------------------------------------------------------
 # Payload codecs: packed columns for the batch ops, JSON for the rest
 # ----------------------------------------------------------------------
+_PAIR = struct.Struct("<ii")
+_ZERO, _ONE = bytes(4), (1).to_bytes(4, "little")
+
+
+def _refuse_bools(ids, packed: bytes) -> None:
+    """A bool packs as the id 0 or 1: only a payload holding one has its
+    types read (a type check costs the client as much as the packing)."""
+    if (_ZERO in packed or _ONE in packed) and bool in set(map(type, ids)):
+        raise ProtocolError("a vertex id is a bool, not an integer")
+
+
 def _pack(layout: str, values) -> bytes:
-    """``struct.pack`` with the client-side failure typed: a vertex id outside
-    int32 (or a non-number) never reaches the wire."""
+    """``struct.pack`` with the client-side failure typed: a value outside its
+    field (an id outside int32), a non-integer or a bool never reaches the wire."""
     try:
-        return struct.pack(layout, *values)
+        packed = struct.pack(layout, *values)
     except struct.error as exc:
         raise ProtocolError(f"value does not fit the packed payload: {exc}") from None
+    _refuse_bools(values, packed)
+    return packed
 
 
 def _encode_pairs(payload) -> bytes:
-    pairs = list(payload["pairs"])
-    flat = list(chain.from_iterable(pairs))
-    if len(flat) != 2 * len(pairs):
-        raise ProtocolError("each pair must be (source, target)")
-    return _pack(f"<{len(flat)}i", flat)
+    """Refused here, as :func:`_pack` refuses: a pair that is not two ids (an
+    array goes through ``tolist``: ``astype("<i4")`` would wrap an id)."""
+    pairs = payload["pairs"]
+    pairs = pairs.tolist() if isinstance(pairs, np.ndarray) else list(pairs)
+    try:  # one struct call a pair: two values, each an int32
+        packed = b"".join(starmap(_PAIR.pack, pairs))
+    except struct.error as exc:
+        raise ProtocolError(f"each pair must be two int32 vertex ids: {exc}") from None
+    _refuse_bools(chain.from_iterable(pairs), packed)
+    return packed
 
 
 def _encode_one_to_many(payload) -> bytes:
-    targets = list(payload["targets"])
-    return _pack(f"<{len(targets) + 1}i", (payload["source"], *targets))
+    ids = [payload["source"], *payload["targets"]]
+    return _pack(f"<{len(ids)}i", ids)
 
 
 #: Distinct stage names one DISTANCES frame can carry (a u8 stage id each).
@@ -147,16 +169,19 @@ MAX_STAGE_NAMES = 256
 
 
 def _encode_distances(payload) -> bytes:
-    distances, stages = payload["distances"], payload["stages"]
-    names = list(dict.fromkeys(stages))
-    if len(names) > MAX_STAGE_NAMES or len(stages) != len(distances):
-        raise ProtocolError(
-            f"{len(stages)} stages ({len(names)} distinct) for {len(distances)} "
-            f"distances: one stage a distance, at most {MAX_STAGE_NAMES} names"
-        )
-    ids = bytes(map({name: i for i, name in enumerate(names)}.__getitem__, stages))
-    head = _pack(f"<qI{len(distances)}d", (payload["epoch"], len(distances), *distances))
-    return head + ids + "\n".join(names).encode()
+    """``stages``: one name a distance, or one name (a ``str``) for all."""
+    distances = np.asarray(payload["distances"], dtype="<f8")
+    stages = payload["stages"]
+    if isinstance(stages, str):
+        names, ids = [stages], bytes(len(distances))
+    else:
+        names = list(dict.fromkeys(stages))
+        if len(names) > MAX_STAGE_NAMES or len(stages) != len(distances):
+            raise ProtocolError(f"{len(stages)} stages ({len(names)} distinct) for "
+                                f"{len(distances)} distances: at most {MAX_STAGE_NAMES} names")
+        ids = bytes(map({name: i for i, name in enumerate(names)}.__getitem__, stages))
+    head = _pack("<qI", (payload["epoch"], len(distances)))
+    return b"".join((head, distances.tobytes(), ids, "\n".join(names).encode()))
 
 
 def _records(raw: bytes, head: int, size: int, what: str) -> int:
@@ -168,28 +193,34 @@ def _records(raw: bytes, head: int, size: int, what: str) -> int:
     return count
 
 
-def _decode_pairs(raw: bytes):
+def _decode_pairs(raw: bytes) -> bytes:
     _records(raw, 0, 8, "int32 source, int32 target")
-    return {"pairs": list(struct.iter_unpack("<ii", raw))}
+    return raw
 
 
-def _decode_one_to_many(raw: bytes):
+def _decode_one_to_many(raw: bytes) -> bytes:
+    """The payload as the ``QUERY_BATCH`` payload of its pairs."""
     count = _records(raw, 4, 4, "int32 source, then int32 targets")
-    source, *targets = struct.unpack(f"<{count + 1}i", raw)
-    return {"source": source, "targets": targets}
+    pairs = np.empty((count, 2), dtype="<i4")
+    pairs[:, 0], pairs[:, 1] = np.frombuffer(raw, "<i4", 1), np.frombuffer(raw, "<i4", -1, 4)
+    return pairs.tobytes()
 
 
 def _decode_distances(raw: bytes):
-    count = struct.unpack_from("<I", raw, 8)[0] if len(raw) >= 12 else 0
+    epoch, count = struct.unpack_from("<qI", raw) if len(raw) >= 12 else (0, 0)
     ids_at = 12 + 8 * count
     if count < 1 or len(raw) < ids_at + count:
         raise ValueError(f"{len(raw)} bytes is not 12 + 9n (+ stage names) with n >= 1")
-    epoch, _count, *distances = struct.unpack_from(f"<qI{count}d", raw)
     ids = raw[ids_at : ids_at + count]
     names = raw[ids_at + count :].decode("utf-8").split("\n")  # bad UTF-8: ValueError
-    if max(ids) >= len(names):
+    if len(names) == 1 and ids.count(0) == count:
+        stages = [names[0]] * count  # one stage names every pair
+    elif max(ids) >= len(names):
         raise ValueError(f"stage id {max(ids)} is past the {len(names)} stage names")
-    return {"distances": distances, "epoch": epoch, "stages": [names[i] for i in ids]}
+    else:
+        stages = list(map(names.__getitem__, ids))
+    distances = np.frombuffer(raw, "<f8", count, 12).tolist()
+    return {"distances": distances, "epoch": epoch, "stages": stages}
 
 
 def _encode_json(payload) -> bytes:
@@ -222,7 +253,7 @@ def encode_frame(
         raise ProtocolError(f"seq {seq} does not fit u32")
     try:
         body = _PACKED.get(op, _JSON)[0](payload)
-    except (KeyError, TypeError) as exc:
+    except (KeyError, TypeError, ValueError) as exc:
         raise ProtocolError(
             f"payload of op {OP_NAMES.get(op, op)} has the wrong shape: {exc!r}"
         ) from None
@@ -343,15 +374,3 @@ def needs_drain(writer: asyncio.StreamWriter) -> bool:
     """
     transport = writer.transport
     return transport.is_closing() or transport.get_write_buffer_size() > 0
-
-
-async def write_frame(
-    writer: asyncio.StreamWriter,
-    op: int,
-    seq: int,
-    payload: Optional[object] = None,
-    max_frame_bytes: int = DEFAULT_MAX_FRAME_BYTES,
-) -> None:
-    """Encode and send one frame, waiting for the transport to drain."""
-    writer.write(encode_frame(op, seq, payload, max_frame_bytes))
-    await writer.drain()

@@ -4,85 +4,68 @@
 frame protocol of :mod:`repro.server.protocol`, and answers through any
 *backend* with the serving-engine surface — a single-process
 :class:`~repro.serving.engine.ServingEngine` or a sharded
-:class:`~repro.cluster.engine.ClusterEngine`.  This puts serialization,
-scheduling and backpressure on the measured path, so throughput numbers are
-end-to-end service numbers rather than in-process kernel microseconds.
+:class:`~repro.cluster.engine.ClusterEngine` — so throughput numbers are
+end-to-end service numbers.  DESIGN.md §12 has the protocol, the failure
+model and the measurements behind the choices below.
 
 Concurrency model
 -----------------
 
-The event loop owns all protocol state.  Each connection's read loop takes
-whatever the socket delivered, splits out every complete frame and handles
-them without awaiting in between.  Clients may pipeline: requests on one
-connection are answered out of order, matched by the echoed ``seq``.
+The event loop owns all protocol state.  Each connection's read loop splits
+every complete frame out of what the socket delivered and handles them
+without awaiting in between; requests on one connection may be pipelined
+and are answered out of order, matched by the echoed ``seq``.
 
 Every query frame (``QUERY_BATCH``, ``ONE_TO_MANY``) is **gathered**: its
-pairs join a server-wide list, and on the next loop turn the list is served
-as one ``backend.serve_batch`` — one admission decision, one epoch, one write
-per connection — then sliced back into one ``DISTANCES`` reply per frame.
-At most one gathered batch is being served at a time, and the frames gathered
-meanwhile are the next one, so batch size follows load (one frame on an idle
-server) with no timer and nothing to tune.  Caps, ``seq`` echo and typed
+packed pair ids join a server-wide list, and on the next loop turn the
+list's payloads are joined and read as one ``int32`` array, served by one
+``backend.serve_batch`` (one admission decision, one epoch, one C call of
+the final stage), and each frame's ``DISTANCES`` reply is a slice of the one
+``float64`` answer array, one write per connection.  At most one gathered
+batch is served at a time, and the frames gathered meanwhile are the next,
+so batch size follows load with no timer.  Caps, ``seq`` echo and typed
 errors stay per frame: a bad frame never fails its neighbours.
 
-Where the serve runs depends on the backend's type.  An in-process backend
-(``serves_in_process``: :class:`~repro.serving.engine.ServingEngine`) is
-served on the loop's own thread: one batch is in flight at a time, so a
-thread hop would add its round trip and no parallelism.  While
-such a batch is served the loop reads nothing; frames that arrive meanwhile
-wait in the socket buffer and, when the serve returns, are read, capped and
-gathered into the next batch, so the in-flight caps bound the size of one
-gathered batch.  Each wait such a serve can make is bounded: the read lock
-during a batch's edge refresh, and a mid-install wait for a stage about to
-be released (at most what the fallback stage would take).  ``PING``,
-``STATS`` and the start of an ``APPLY_BATCH`` therefore wait for at most one
-gathered batch.  A :class:`~repro.cluster.engine.ClusterEngine` serve waits
-on its readers' pipes, for up to its worker timeout when a reader hangs, so
-it runs on a small thread pool via ``run_in_executor`` and the loop keeps
-answering meanwhile.
+An in-process backend (``serves_in_process``) is served on the loop's own
+thread: one batch is in flight at a time, so a thread hop would add its
+round trip and no parallelism.  Meanwhile the loop reads nothing; frames
+wait in the socket buffer and meet the caps when the serve returns.  Each
+wait such a serve makes is bounded (the read lock during an edge refresh, a
+mid-install wait for a stage about to be released).  A ``ClusterEngine``
+serve waits on its readers' pipes, up to the worker timeout when a reader
+hangs, so it runs on a small thread pool, as do ``APPLY_BATCH`` (a whole
+update window) and ``STATS`` on every backend: queries keep flowing while
+an install runs.
 
-``APPLY_BATCH`` blocks for a whole update window, and a cluster's ``STATS``
-asks every reader under the dispatch lock an adopt holds, so both always run
-on that thread pool: queries keep flowing while an install runs.
+Backpressure and shutdown
+-------------------------
 
-Backpressure (DESIGN.md §12)
-----------------------------
+A request is shed with a typed RETRY frame (the HTTP-429 analogue), never
+queued unboundedly, at the **global** in-flight cap (``max_inflight``), the
+**per-connection** cap (a greedy client saturates only its own connection),
+and the backend's **Lemma-1 admission control**
+(:class:`~repro.exceptions.QueryRejectedError`).  The caps are checked when
+a frame is read, so a gathered batch never outgrows them.  Every RETRY
+carries a ``queue_depth`` hint (in-flight plus the run of consecutive sheds,
+monotone under sustained overload) and a ``suggested_wait_seconds``
+proportional to it.
 
-Three conditions shed a request with a typed RETRY frame instead of queueing
-it unboundedly — the HTTP-429 analogue:
-
-* the **global in-flight cap** (``max_inflight``) is reached;
-* the **per-connection in-flight cap** (``max_inflight_per_connection``) is
-  reached — a slow or greedy client saturates its own connection, never the
-  whole dispatcher;
-* the backend's **Lemma-1 admission control** sheds the query
-  (:class:`~repro.exceptions.QueryRejectedError`).
-
-The caps are checked when a frame is read (for an in-process backend, the
-frames a serve kept waiting in the socket buffer meet them once it returns),
-so ``RETRY queue_full`` is decided at read time and a gathered batch never
-outgrows the caps.  Every RETRY carries a ``queue_depth`` hint — the current
-in-flight count plus the run of consecutive sheds since the last accepted
-request, so under sustained overload successive hints increase monotonically
-— and a ``suggested_wait_seconds`` proportional to that depth times the recent
-service-time estimate.
-
-Shutdown drains: :meth:`stop` refuses new connections immediately, lets
-every in-flight request finish and deliver its response, then closes the
-remaining connections.  No admitted request is ever dropped.  A frame read
-once the drain has begun is answered ``RETRY draining``, and that includes
-the frames buffered behind a batch served on the loop when :meth:`stop` was
-called: before closing, the drain lets the read loops take what is already
-in their sockets.
+:meth:`QueryServer.stop` drains: it refuses new connections, lets every
+in-flight request deliver its response, answers frames read meanwhile (those
+buffered behind a batch served on the loop included) ``RETRY draining``, and
+then closes the connections.  No admitted request is ever dropped.
 """
 
 from __future__ import annotations
 
 import asyncio
 import time
+from bisect import bisect_right
 from concurrent.futures import ThreadPoolExecutor
-from itertools import accumulate, chain
+from itertools import accumulate
 from typing import Dict, List, Optional, Set, Tuple
+
+import numpy as np
 
 from repro import obs
 from repro.exceptions import (
@@ -90,6 +73,7 @@ from repro.exceptions import (
     QueryRejectedError,
     ReproError,
     ServerError,
+    VertexNotFoundError,
 )
 from repro.graph.updates import EdgeUpdate, UpdateBatch
 from repro.obs.metrics import Counter, LabeledCounter
@@ -125,8 +109,9 @@ DRAIN_MAX_TURNS = 100
 
 #: One reply frame before encoding: ``(op, seq, payload)``.
 _Reply = Tuple[int, int, object]
-#: One gathered query frame: its connection, ``seq`` and pairs.
-_Gathered = Tuple["_Connection", int, List[Tuple[int, int]]]
+#: One gathered query frame: its connection, ``seq`` and packed pair ids
+#: (8 bytes a pair).
+_Gathered = Tuple["_Connection", int, bytes]
 
 
 class _Connection:
@@ -406,18 +391,12 @@ class QueryServer:
             return
         conn.inflight += 1
         self._inflight += 1
-        payload = frame.payload
-        if frame.op == OP_QUERY_BATCH:
-            pairs = payload["pairs"]
-        elif frame.op == OP_ONE_TO_MANY:
-            source = payload["source"]
-            pairs = [(source, target) for target in payload["targets"]]
-        else:
+        if frame.op not in (OP_QUERY_BATCH, OP_ONE_TO_MANY):
             self._spawn(self._process(conn, frame))
             return
-        # The codec already validated the column layout; the backend checks
-        # that every vertex exists.
-        self._gathered.append((conn, frame.seq, pairs))
+        # The payload is the frame's packed pair ids, its layout checked by
+        # the codec; the backend checks that every vertex exists.
+        self._gathered.append((conn, frame.seq, frame.payload))
         if not self._gather_running:
             # The task's first step runs on the next loop turn, after every
             # frame already buffered has joined the list: a lone request
@@ -440,7 +419,7 @@ class QueryServer:
         the next batch, so at most one is ever being served."""
         batch, self._gathered = self._gathered, []
         started = time.perf_counter()
-        frames = [pairs for _conn, _seq, pairs in batch]
+        frames = [ids for _conn, _seq, ids in batch]
         try:
             if self._serve_on_loop:
                 outcomes = self._execute_gathered(frames)
@@ -449,7 +428,7 @@ class QueryServer:
                     self._executor, self._execute_gathered, frames
                 )
         finally:
-            for conn, _seq, _pairs in batch:
+            for conn, _seq, _ids in batch:
                 conn.inflight -= 1
             self._inflight -= len(batch)
             if self._gathered:
@@ -458,11 +437,11 @@ class QueryServer:
                 self._gather_running = False
         serve_seconds = time.perf_counter() - started
         self._gathered_batches.inc()
-        self._gathered_queries.inc(sum(map(len, frames)))
+        self._gathered_queries.inc(sum(map(len, frames)) // 8)
 
         replies: Dict[_Connection, List[_Reply]] = {}
         served = 0
-        for (conn, seq, _pairs), outcome in zip(batch, outcomes):
+        for (conn, seq, _ids), outcome in zip(batch, outcomes):
             if isinstance(outcome, Exception):
                 reply = self._failure_reply(seq, outcome)
             else:
@@ -477,29 +456,38 @@ class QueryServer:
         if stalled:
             await asyncio.gather(*(self._drain(conn) for conn in stalled))
 
-    def _execute_gathered(self, frames: List[List[Tuple[int, int]]]) -> list:
-        """One ``serve_batch`` for the gathered frames (on the loop's thread
-        for an in-process backend, else on an executor thread).
+    def _execute_gathered(self, frames: List[bytes]) -> list:
+        """One ``serve_batch`` of the gathered frames' ids, joined and read
+        as one ``int32`` array (on the loop's thread for an in-process
+        backend, else on an executor thread).
 
-        Returns one outcome per frame — its ``DISTANCES`` payload, sliced out
-        of the one :class:`~repro.serving.core.BatchResult`, or the exception
-        that frame gets answered with — and never raises.  The backend fails
-        a batch as a whole (one unknown vertex), so a failed batch of several
-        frames is re-served one frame at a time: the typed error lands on the
-        frame that caused it and the others get their answer.  An admission
-        shed is the engine's verdict on the whole batch and is not retried.
+        Returns one outcome per frame — its ``DISTANCES`` payload, a slice of
+        the one ``float64`` answer array, or the exception it is answered
+        with — and never raises.  A batch fails as a whole: at an unknown
+        vertex the engine names its position, so the frame holding it gets
+        the error and the other frames are served again as one batch.  An
+        admission shed is the verdict on the whole batch and is not retried;
+        any other failure re-serves each frame alone.
         """
+        bounds = list(accumulate((len(ids) // 8 for ids in frames), initial=0))
         try:
-            result = self.backend.serve_batch(list(chain.from_iterable(frames)))
+            result = self.backend.serve_batch(
+                np.frombuffer(b"".join(frames), "<i4").reshape(-1, 2)
+            )
         except Exception as exc:
             if isinstance(exc, QueryRejectedError) or len(frames) == 1:
                 return [exc] * len(frames)
-            return [self._execute_gathered([frame])[0] for frame in frames]
-        distances, epoch = result.distances, result.epoch
-        stages = result.stages or [result.stage] * len(distances)
-        bounds = list(accumulate(map(len, frames), initial=0))
+            position = exc.position if isinstance(exc, VertexNotFoundError) else None
+            if position is None:
+                return [self._execute_gathered([frame])[0] for frame in frames]
+            bad = bisect_right(bounds, position // 2) - 1
+            rest = iter(self._execute_gathered(frames[:bad] + frames[bad + 1 :]))
+            return [exc if index == bad else next(rest) for index in range(len(frames))]
+        distances, epoch, stages = result.distance_array, result.epoch, result.stages
         return [
-            {"distances": distances[start:end], "epoch": epoch, "stages": stages[start:end]}
+            # One stage for the whole batch: its name stands for every pair.
+            {"distances": distances[start:end], "epoch": epoch,
+             "stages": result.stage if stages is None else stages[start:end]}
             for start, end in zip(bounds, bounds[1:])
         ]
 
@@ -682,37 +670,20 @@ def _bad_payload(message: str, seq: int) -> ProtocolError:
     return ProtocolError(message, code="bad_payload", seq=seq, recoverable=True)
 
 
-def _require_mapping(payload, seq: int) -> dict:
-    if not isinstance(payload, dict):
-        raise _bad_payload(
-            f"payload must be a JSON object, got {type(payload).__name__}", seq
-        )
-    return payload
-
-
-def _as_vertex(value, context: str, seq: int) -> int:
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise _bad_payload(f"{context} must be an integer vertex id, got {value!r}", seq)
-    return value
-
-
 def _require_batch(payload, seq: int) -> UpdateBatch:
-    mapping = _require_mapping(payload, seq)
-    raw = mapping.get("updates")
+    """The ``APPLY_BATCH`` payload ``{"updates": [[u, v, old, new], ...]}``
+    as a batch: integer vertex ids, number weights."""
+    raw = payload.get("updates") if isinstance(payload, dict) else None
     if not isinstance(raw, list):
-        raise _bad_payload("'updates' must be a list of [u, v, old, new]", seq)
+        raise _bad_payload("payload must be a JSON object with an 'updates' list", seq)
     updates = []
     for item in raw:
-        if not isinstance(item, (list, tuple)) or len(item) != 4:
-            raise _bad_payload(
-                f"each update must be [u, v, old_weight, new_weight], got {item!r}", seq
-            )
-        u = _as_vertex(item[0], "u", seq)
-        v = _as_vertex(item[1], "v", seq)
+        if not (isinstance(item, (list, tuple)) and len(item) == 4 and all(
+            isinstance(v, int) and not isinstance(v, bool) for v in item[:2]
+        )):
+            raise _bad_payload(f"each update must be [u, v, old, new], got {item!r}", seq)
         try:
-            old_weight = float(item[2])
-            new_weight = float(item[3])
+            updates.append(EdgeUpdate(item[0], item[1], float(item[2]), float(item[3])))
         except (TypeError, ValueError):
             raise _bad_payload(f"update weights must be numbers, got {item!r}", seq)
-        updates.append(EdgeUpdate(u, v, old_weight, new_weight))
     return UpdateBatch(updates)

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import threading
 from collections import OrderedDict
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 
@@ -135,13 +135,6 @@ class EpochDistanceCache:
 
     def snapshot(self) -> Dict[str, float]:
         with self._lock:
-            return {
-                "size": len(self._entries),
-                "capacity": self.capacity,
-                "hits": self.stats.hits,
-                "misses": self.stats.misses,
-                "stale_rejections": self.stats.stale_rejections,
-                "invalidated": self.stats.invalidated,
-                "evictions": self.stats.evictions,
-                "hit_rate": self.stats.hit_rate,
-            }
+            stats = self.stats
+            return {"size": len(self._entries), "capacity": self.capacity,
+                    **asdict(stats), "hit_rate": stats.hit_rate}

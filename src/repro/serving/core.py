@@ -22,19 +22,16 @@ from collections import Counter, deque
 from collections.abc import Sequence
 from functools import partial
 from itertools import islice, repeat
-from operator import itemgetter
 from typing import Dict, Iterable, List, Mapping, NamedTuple, Optional, Tuple, TypeVar
+
+import numpy as np
 
 from repro import obs
 from repro.base import DistanceIndex, QueryPair, UpdateReport
-from repro.exceptions import (
-    EngineStoppedError,
-    QueryRejectedError,
-    ServingError,
-    VertexNotFoundError,
-)
+from repro.exceptions import EngineStoppedError, QueryRejectedError, ServingError
 from repro.graph.graph import Graph
 from repro.graph.updates import EdgeUpdate, UpdateBatch
+from repro.kernels.arena import pair_ids
 from repro.obs.metrics import MetricRegistry
 from repro.serving.admission import AdmissionController, AlwaysAdmit
 from repro.serving.metrics import ServingMetrics
@@ -73,64 +70,79 @@ _make_row = partial(tuple.__new__, QueryResult)
 
 
 class BatchResult(Sequence):
-    """One served batch, held as columns instead of a row object per query.
+    """One served batch, held as arrays instead of a row object per query.
 
-    ``pairs`` and ``distances`` are parallel lists.  The whole batch shares one
-    ``epoch`` and one ``latency_seconds`` — the batch wall time amortised over
-    its queries (wall / len), which keeps metrics and the admission
-    controller's service-time estimator commensurable with scalar samples
-    (the whole-batch wall would inflate the estimate len-fold and shed
-    batches spuriously).  ``stage`` names the query stage that answered every
-    pair; when cache hits sit beside computed answers it is
-    :data:`MIXED_STAGE` and ``stages`` holds the per-pair column.
+    ``pairs`` is the ``(k, 2)`` integer id array served, ``distance_array``
+    its ``float64`` answers.  The whole batch shares one ``epoch`` and one
+    ``latency_seconds`` — the batch wall time amortised over its queries
+    (wall / len), which keeps metrics and the admission controller's
+    service-time estimator commensurable with scalar samples (the
+    whole-batch wall would inflate the estimate len-fold and shed batches
+    spuriously).  ``stage`` names the query stage that answered every pair;
+    when cache hits sit beside computed answers it is :data:`MIXED_STAGE`
+    and the ``uint8`` column ``stage_ids`` indexes ``stage_names``.
 
-    The result is also a read-only ``Sequence[QueryResult]``: the rows are
-    built on first indexing/iteration and memoised, so callers that only
-    want the columns (the wire plane, ``query_batch``) never pay for them.
+    Python objects are made only when a caller reads them: ``distances`` and
+    ``stages`` build lists, and the rows of this read-only
+    ``Sequence[QueryResult]`` are built on first indexing and memoised.
     """
 
     __slots__ = (
-        "pairs", "distances", "epoch", "latency_seconds", "stage", "stages", "_rows",
+        "pairs", "distance_array", "epoch", "latency_seconds", "stage",
+        "stage_ids", "stage_names", "_rows",
     )
 
     def __init__(
         self,
-        pairs: List[QueryPair],
-        distances: List[float],
+        pairs,
+        distances,
         epoch: int,
         latency_seconds: float,
         stage: str,
-        stages: Optional[List[str]] = None,
+        stage_ids=None,
+        stage_names: Tuple[str, ...] = (),
     ) -> None:
-        self.pairs = pairs
-        self.distances = distances
+        self.pairs = pair_ids(pairs)
+        self.distance_array = np.asarray(distances, dtype=np.float64)
         self.epoch = epoch
         self.latency_seconds = latency_seconds
         self.stage = stage
-        self.stages = stages
+        self.stage_ids = stage_ids
+        self.stage_names = stage_names
         self._rows: Optional[List[QueryResult]] = None
+
+    @property
+    def distances(self) -> List[float]:
+        """The answers as Python floats, in pair order."""
+        return self.distance_array.tolist()
+
+    @property
+    def stages(self) -> Optional[List[str]]:
+        """The stage of every pair, or ``None`` when ``stage`` answered all."""
+        ids = self.stage_ids
+        return None if ids is None else list(map(self.stage_names.__getitem__, ids.tolist()))
 
     def stage_counts(self) -> Mapping[str, int]:
         """How many of the batch's queries each stage answered."""
-        if self.stages is None:
+        if self.stage_ids is None:
             return {self.stage: len(self.pairs)}
         return Counter(self.stages)
 
     def _materialise(self) -> List[QueryResult]:
         rows = self._rows
         if rows is None:
-            if self.stages is None:
+            stages = self.stages
+            if stages is None:
                 stages = repeat(self.stage)
                 from_cache = repeat(self.stage == CACHE_STAGE)
             else:
-                stages = self.stages
-                from_cache = map(CACHE_STAGE.__eq__, self.stages)
+                from_cache = map(CACHE_STAGE.__eq__, stages)
+            sources, targets = self.pairs.T.tolist()
             # Columns zipped into rows by tuple.__new__: no Python frame per
             # row, where QueryResult(...) runs the named tuple's __new__.
             rows = self._rows = list(map(_make_row, zip(
-                map(itemgetter(0), self.pairs), map(itemgetter(1), self.pairs),
-                self.distances, repeat(self.epoch), stages,
-                repeat(self.latency_seconds), from_cache,
+                sources, targets, self.distance_array.tolist(), repeat(self.epoch),
+                stages, repeat(self.latency_seconds), from_cache,
             )))
         return rows
 
@@ -253,9 +265,9 @@ class EngineCore:
         """The live served graph at the current epoch."""
         raise NotImplementedError
 
-    def _answer(self, pair_list: List[QueryPair], started: float) -> BatchResult:
-        """Answer a validated, admitted, non-empty batch at a single epoch;
-        the result's latency is ``(now - started) / len(pair_list)``."""
+    def _answer(self, pairs: np.ndarray, started: float) -> BatchResult:
+        """Answer a validated, admitted, non-empty ``(k, 2)`` pair array at a
+        single epoch; the result's latency is ``(now - started) / k``."""
         raise NotImplementedError
 
     def _install(self, batch: UpdateBatch) -> UpdateReport:
@@ -479,14 +491,12 @@ class EngineCore:
         """Validate → admit → answer → record: the one serving template."""
         started = time.perf_counter()
         self._check_intact()
-        pair_list: List[QueryPair] = list(pairs)
-        # Validate up front: backends skip the vertex checks of
-        # ``index.query`` and would otherwise surface raw KeyErrors.
-        missing = self.graph.missing_endpoint(pair_list)
-        if missing is not None:
-            raise VertexNotFoundError(missing)
-        if not pair_list:
-            return BatchResult([], [], self._epoch, 0.0, "")
+        pairs = pair_ids(pairs)  # one (k, 2) integer array from here on
+        # Validate up front, in one id-map call: backends skip the vertex
+        # checks of ``index.query`` and would otherwise surface raw KeyErrors.
+        self.graph.positions(pairs)
+        if not len(pairs):
+            return BatchResult(pairs, (), self._epoch, 0.0, "")
         decision = self.admission.decide(inflight=self._inflight)
         if not decision.admitted:
             self.metrics.record_shed()
@@ -494,7 +504,7 @@ class EngineCore:
         with self._state:
             self._inflight += 1
         try:
-            result = self._answer(pair_list, started)
+            result = self._answer(pairs, started)
         finally:
             with self._state:
                 self._inflight -= 1
@@ -506,7 +516,7 @@ class EngineCore:
         if obs.is_enabled():
             obs.record_span(
                 f"{self._obs_prefix}.{span}", time.perf_counter() - started,
-                size=len(pair_list), stage=result.stage, epoch=result.epoch,
+                size=len(pairs), stage=result.stage, epoch=result.epoch,
             )
         return result
 

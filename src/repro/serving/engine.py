@@ -43,10 +43,12 @@ enforce.
 from __future__ import annotations
 
 import time
-from typing import Dict, List, Optional
+from typing import Dict, Optional
+
+import numpy as np
 
 from repro import obs
-from repro.base import DistanceIndex, QueryPair, StageTiming, UpdateReport
+from repro.base import DistanceIndex, StageTiming, UpdateReport
 from repro.graph.graph import Graph
 from repro.graph.updates import UpdateBatch
 from repro.obs.metrics import MetricRegistry
@@ -194,7 +196,7 @@ class ServingEngine(EngineCore):
     # ------------------------------------------------------------------
     # Query path
     # ------------------------------------------------------------------
-    def _answer(self, pair_list: List[QueryPair], started: float) -> BatchResult:
+    def _answer(self, pairs: np.ndarray, started: float) -> BatchResult:
         """One lock acquisition and one stage-routing decision per batch
         (a scalar query is a batch of one).  Holding the read lock pins the
         epoch for the whole batch: the next edge refresh needs the write lock.
@@ -212,9 +214,9 @@ class ServingEngine(EngineCore):
         try:
             epoch = self._epoch
             stage = router.best_valid_stage(epoch)
-            plan = None if stage.final else router.wait_plan(stage, len(pair_list))
+            plan = None if stage.final else router.wait_plan(stage, len(pairs))
             if plan is None:
-                return self._answer_batch(pair_list, epoch, stage, started)
+                return self._answer_batch(pairs, epoch, stage, started)
         finally:
             lock.release_read()
         waited = time.perf_counter()
@@ -225,56 +227,54 @@ class ServingEngine(EngineCore):
         try:
             epoch = self._epoch
             return self._answer_batch(
-                pair_list, epoch, router.best_valid_stage(epoch), started
+                pairs, epoch, router.best_valid_stage(epoch), started
             )
         finally:
             lock.release_read()
 
     def _answer_batch(
-        self, pair_list: List[QueryPair], epoch: int, stage: RoutedStage, started: float
+        self, pairs: np.ndarray, epoch: int, stage: RoutedStage, started: float
     ) -> BatchResult:
-        """Answer ``pair_list`` at ``epoch`` through ``stage``.
+        """Answer ``pairs`` at ``epoch`` through ``stage``.
 
         The cache fronts search stages only: through a label-lookup stage
-        (``stage.cached`` false) the whole batch goes straight to the index,
-        with no per-pair work on this side of the kernel.  Through a search
-        stage the cache is probed once for the batch and filled once with its
-        misses.
+        (``stage.cached`` false) the whole batch goes straight to the index
+        as the id array, with no per-pair work on this side of the kernel.
+        Through a search stage the cache is probed once for the batch and
+        filled once with its misses.
         """
-        cache = self.cache
-        name = stage.name
-        stages: Optional[List[str]] = None
+        cache, name, stage_ids = self.cache, stage.name, None
         if cache is None or not stage.cached:
-            distances = self._compute(stage, pair_list)
+            distances = self._compute(stage, pairs)
         else:
+            pair_list = pairs.tolist()
             distances = cache.get_many(pair_list, epoch)
             misses = [position for position, hit in enumerate(distances) if hit is None]
-            if not misses:
-                name = CACHE_STAGE
-            else:
-                missed = [pair_list[position] for position in misses]
-                answers = self._compute(stage, missed)
+            if misses:
+                answers = self._compute(stage, pairs[misses]).tolist()
                 for position, distance in zip(misses, answers):
                     distances[position] = distance
-                cache.put_many(missed, answers, epoch)
-                if len(misses) < len(pair_list):
-                    stages = [CACHE_STAGE] * len(pair_list)
-                    for position in misses:
-                        stages[position] = name
-                    name = MIXED_STAGE
-        latency = (time.perf_counter() - started) / len(pair_list)
-        return BatchResult(pair_list, distances, epoch, latency, name, stages)
+                cache.put_many([pair_list[position] for position in misses], answers, epoch)
+            if not misses:
+                name = CACHE_STAGE
+            elif len(misses) < len(pairs):
+                name, stage_ids = MIXED_STAGE, np.zeros(len(pairs), dtype=np.uint8)
+                stage_ids[misses] = 1
+        latency = (time.perf_counter() - started) / len(pairs)
+        return BatchResult(
+            pairs, distances, epoch, latency, name, stage_ids, (CACHE_STAGE, stage.name)
+        )
 
-    def _compute(self, stage: RoutedStage, pairs: List[QueryPair]) -> List[float]:
-        """``pairs`` through ``stage``: the index's native fastest stage
-        amortises a batch in ``query_many``; every other stage (and a lone
-        pair) answers through its scalar algorithm.  The wall time teaches
-        the router the stage's cost per pair."""
+    def _compute(self, stage: RoutedStage, pairs: np.ndarray) -> np.ndarray:
+        """``pairs`` through ``stage``: the index's final stage answers the
+        whole id array in one kernel call (``query_ids``); every other stage
+        answers pair by pair through its scalar algorithm.  The wall time
+        teaches the router the stage's cost per pair."""
         started = time.perf_counter()
         if stage.final and len(pairs) > 1:
-            distances = self.index.query_many(pairs)
+            distances = self.index.query_ids(pairs)
         else:
-            distances = [stage.query(source, target) for source, target in pairs]
+            distances = np.array([stage.query(*pair) for pair in pairs.tolist()], np.float64)
         self.router.observe_cost(stage, time.perf_counter() - started, len(pairs))
         return distances
 

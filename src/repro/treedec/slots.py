@@ -132,7 +132,7 @@ class FlatContraction:
 
     def rows_of(self, vertices: Sequence[int]) -> np.ndarray:
         """The rows of ``vertices`` (``VertexNotFoundError`` for a stranger)."""
-        return rows_of(self.rank, self.remap, vertices)
+        return rows_of(self.remap, vertices)
 
     def slot_rows(self, slots: np.ndarray) -> np.ndarray:
         """The owner row of every slot in ``slots``."""
@@ -342,7 +342,7 @@ class UnionContraction(FlatContraction):
         start = np.zeros(n, dtype=np.int64)
         counts = np.zeros(n, dtype=np.int64)
         for i, (source, vertices) in enumerate(pieces):
-            rows = rows_of(rank, remap, list(vertices))
+            rows = rows_of(remap, list(vertices))
             own = source.rows_of(list(vertices))
             indptr = source.arena["indptr"]
             sid[rows], start[rows], counts[rows] = i, indptr[own], indptr[own + 1] - indptr[own]
@@ -360,7 +360,7 @@ class UnionContraction(FlatContraction):
             dst = np.flatnonzero(slot_sid == i)
             src = slot_src[dst]
             arena = source.arena
-            indices[dst] = rows_of(rank, remap, arena["ids"][arena["indices"][src]])
+            indices[dst] = rows_of(remap, arena["ids"][arena["indices"][src]])
             self._maps.append((source, dst, src))
         self._slot_sid, self._slot_src = slot_sid, slot_src
         weights = np.empty(m, dtype=np.float64)

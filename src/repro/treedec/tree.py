@@ -36,7 +36,7 @@ class TreeDecomposition:
     """Rooted tree decomposition of a flat contraction (see the module docs).
 
     Row ``r`` is vertex ``keys[r]`` (``verts`` as an array; ``row`` and the
-    dense ``remap`` map back) and contraction row ``crows[r]``.  Per row:
+    id map ``remap`` map back) and contraction row ``crows[r]``.  Per row:
     ``parent`` (``-1`` for a root), ``depth``, ``comp``, and the children
     CSR ``child_indptr`` / ``child_rows``.  ``roots``: the roots' vertices in
     ascending rank (``root`` the last).
@@ -131,7 +131,7 @@ class TreeDecomposition:
 
     def rows(self, vertices: Sequence[int]) -> np.ndarray:
         """The rows of ``vertices`` (``VertexNotFoundError`` for a stranger)."""
-        return rows_of(self.row, self.remap, vertices)
+        return rows_of(self.remap, vertices)
 
     def neighbors(self, v: int) -> List[int]:
         """``X(v).N`` — the tree-node neighbour set of ``v``, in slot order."""

@@ -155,7 +155,7 @@ class TestSplit:
             before = [row["queries_served"] for row in cluster.worker_stats()]
             for pairs in (query_pairs[:1], query_pairs[:3], query_pairs, fan_out):
                 result = serve(cluster, pairs)
-                assert result.pairs == pairs
+                assert result.pairs.tolist() == [list(pair) for pair in pairs]
                 assert result.distances == index.query_many(pairs)
                 assert [row.stage for row in result] == [
                     row.stage for row in serve(single, pairs)

@@ -228,7 +228,11 @@ class TestBatchResult:
         with make_engine() as engine:
             result = engine.serve_batch(iter(pairs))
             assert isinstance(result, BatchResult)
-            assert result.pairs == pairs and len(result.distances) == len(pairs)
+            # the columns are arrays: (k, 2) ids and float64 distances
+            assert result.pairs.tolist() == [list(pair) for pair in pairs]
+            assert result.distance_array.dtype == "float64"
+            assert result.distance_array.tolist() == result.distances
+            assert len(result.distances) == len(pairs)
             assert len(result) == len(pairs)
             rows = list(result)
             assert all(isinstance(row, QueryResult) for row in rows)

@@ -199,7 +199,10 @@ class TestCoordinates:
         assert [v in graph for v in (7, 10, 40, 0, 8, -1, "x")] == [
             True, True, True, False, False, False, False,
         ]
-        assert graph.missing_endpoint([(7, 10), (40, 8)]) == 8
+        # the batch check: the first missing vertex, and its position
+        with pytest.raises(VertexNotFoundError) as excinfo:
+            graph.positions(np.array([(7, 10), (40, 8)]))
+        assert (excinfo.value.vertex, excinfo.value.position) == (8, 3)
 
 
 class TestVersionCounter:

@@ -45,7 +45,7 @@ from repro.graph.generators import grid_road_network
 from repro.graph.graph import Graph
 from repro.graph.updates import EdgeUpdate, UpdateBatch, generate_update_batch
 from repro.hierarchy.ch import ch_bidirectional_query
-from repro.kernels.arena import Arena
+from repro.kernels.arena import Arena, build_remap
 from repro.kernels.graph_snapshot import GraphSnapshot
 from repro.kernels.label_store import LabelStore
 from repro.kernels.native import native_kernel
@@ -587,9 +587,9 @@ class TestEliminationTreeQuery:
         with pytest.raises(ValueError):
             kernel.search_query(capsule, 0, 1, 1)
         out = numpy.empty(1)
-        rows_0 = numpy.zeros(1, dtype=numpy.int64)
+        ids = arena["ids"][:2].reshape(1, 2)
         with pytest.raises(ValueError):
-            kernel.search_query_pairs(capsule, rows_0, rows_0 + 1, out, 1)
+            kernel.search_query_ids(capsule, ids, build_remap(arena["ids"]), out, 1)
         with pytest.raises(ValueError):
             ShortcutStore(arena)
 
@@ -716,7 +716,7 @@ class TestSearchesReleaseTheGIL:
         return _chain_capsule(self.CHAIN_ROWS)
 
     @pytest.mark.parametrize("entry", [
-        "search_query", "query_pairs_bidijkstra", "query_pairs_tree", "one_to_many",
+        "search_query", "query_ids_bidijkstra", "query_ids_tree", "one_to_many",
     ])
     def test_a_python_thread_runs_through_a_long_call(self, entry, grid, chain):
         """Each call searches for tens of milliseconds (the whole grid, or the
@@ -728,20 +728,21 @@ class TestSearchesReleaseTheGIL:
         last = self.GRID_SIDE ** 2 - 1
         one = numpy.full(1, last, dtype=numpy.int64)
         out = numpy.full(64, numpy.nan)
+        # Both capsules' ids are their rows: the identity is the dense remap.
+        grid_ids, chain_ids = numpy.arange(last + 1), numpy.arange(self.CHAIN_ROWS)
         calls = {
             "search_query": lambda: out.__setitem__(0, kernel.search_query(grid, 0, last, 0)),
-            "query_pairs_bidijkstra": lambda: kernel.search_query_pairs(
-                grid, numpy.zeros(1, dtype=numpy.int64), one, out[:1], 0
+            "query_ids_bidijkstra": lambda: kernel.search_query_ids(
+                grid, numpy.array([[0, last]]), grid_ids, out[:1], 0
             ),
-            "query_pairs_tree": lambda: kernel.search_query_pairs(
-                chain, numpy.zeros(64, dtype=numpy.int64),
-                numpy.ones(64, dtype=numpy.int64), out, 1,
+            "query_ids_tree": lambda: kernel.search_query_ids(
+                chain, numpy.tile([0, 1], (64, 1)), chain_ids, out, 1,
             ),
             "one_to_many": lambda: kernel.search_one_to_many(grid, 0, one, out[:1]),
         }
         start, end, ticks = _ticks_during(calls[entry])
-        expected = 1.0 if entry == "query_pairs_tree" else kernel.search_query(grid, 0, last, 0)
-        assert numpy.all(out[:64 if entry == "query_pairs_tree" else 1] == expected)
+        expected = 1.0 if entry == "query_ids_tree" else kernel.search_query(grid, 0, last, 0)
+        assert numpy.all(out[:64 if entry == "query_ids_tree" else 1] == expected)
         span = end - start
         assert span > 10e-3, "the call is too short to tell"
         points = [start] + [tick for tick in ticks if start < tick < end] + [end]
@@ -750,42 +751,46 @@ class TestSearchesReleaseTheGIL:
             f"no tick for {1e3 * longest:.1f} ms of a {1e3 * span:.1f} ms call"
         )
 
-    def test_a_row_changed_mid_call_is_an_index_error(self, chain):
-        """The rows are checked with the GIL held; a row another thread puts
-        out of range while the loop runs is caught by the loop and raised as
-        IndexError after the GIL is back, with the pairs before it answered."""
+    def test_a_row_changed_mid_call_is_an_index_error(self, grid):
+        """One-to-many reads the caller's rows in its GIL-free loop (the
+        batch entry maps ids into a private buffer first): a row another
+        thread puts out of range while the loop runs is caught by the loop
+        and raised as IndexError after the GIL is back, with the targets
+        before it answered."""
         kernel = native_kernel()
-        s_rows = numpy.zeros(64, dtype=numpy.int64)
-        t_rows = numpy.ones(64, dtype=numpy.int64)
+        last = self.GRID_SIDE ** 2 - 1
+        t_rows = numpy.full(64, last, dtype=numpy.int64)
         out = numpy.full(64, numpy.nan)
         go = threading.Event()
 
         def corrupt():
             go.wait(10.0)
-            time.sleep(5e-3)  # well inside the call's 64 walks of the chain
-            t_rows[-1] = self.CHAIN_ROWS
+            time.sleep(5e-3)  # well inside the call's sweep of the whole grid
+            t_rows[-1] = last + 1
 
         thread = threading.Thread(target=corrupt, daemon=True)
         thread.start()
         go.set()
         with pytest.raises(IndexError, match="row out of range"):
-            kernel.search_query_pairs(chain, s_rows, t_rows, out, 1)
+            kernel.search_one_to_many(grid, 0, t_rows, out)
         thread.join(10.0)
         assert not thread.is_alive()
-        assert out[0] == 1.0 and numpy.isnan(out[-1])
+        expected = kernel.search_query(grid, 0, last, 0)
+        assert out[0] == expected and numpy.isnan(out[-1])
         # The capsule's scratch is clean and its lock free for the next call.
-        t_rows[-1] = 1
-        kernel.search_query_pairs(chain, s_rows, t_rows, out, 1)
-        assert numpy.all(out == 1.0)
+        t_rows[-1] = last
+        kernel.search_one_to_many(grid, 0, t_rows, out)
+        assert numpy.all(out == expected)
 
     def test_rows_out_of_range_are_refused_before_any_search(self, grid):
         """A batch with a row out of range answers none of its pairs, not
-        the ones before that row."""
+        the ones before that row (here the id map names a row past the
+        graph for id 1)."""
         kernel = native_kernel()
         rows = numpy.array([1, self.GRID_SIDE ** 2], dtype=numpy.int64)
         out = numpy.full(2, numpy.nan)
         with pytest.raises(IndexError):
-            kernel.search_query_pairs(grid, numpy.zeros(2, dtype=numpy.int64), rows, out, 0)
+            kernel.search_query_ids(grid, numpy.array([[0, 0], [0, 1]]), rows, out, 0)
         with pytest.raises(IndexError):
             kernel.search_one_to_many(grid, 0, rows, out)
         assert numpy.isnan(out).all()
@@ -802,12 +807,11 @@ class TestSearchesReleaseTheGIL:
         pairs = list(sample_query_pairs(graph, 120, seed=4))
         sources = sorted({s for s, _ in pairs})[:6]
         targets = [t for _, t in pairs[:30]]
-        s_rows = numpy.array([snapshot.row[s] for s, _ in pairs], dtype=numpy.int64)
-        t_rows = numpy.array([snapshot.row[t] for _, t in pairs], dtype=numpy.int64)
+        ids = numpy.array(pairs, dtype=numpy.int64)
 
         def snapshot_pairs():
             out = numpy.empty(len(pairs))
-            kernel.search_query_pairs(snapshot.capsule, s_rows, t_rows, out, 0)
+            kernel.search_query_ids(snapshot.capsule, ids, snapshot._remap, out, 0)
             return out.tolist()
 
         calls = {

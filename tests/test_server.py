@@ -1116,8 +1116,9 @@ class TestGather:
 
     def test_a_bad_frame_fails_alone_among_gathered_frames(self):
         """One frame with an unknown vertex among its pairs fails the gathered
-        batch; the frames are re-served one at a time, so only that frame
-        gets ``vertex_not_found`` and the others their distances."""
+        batch; the engine names the missing vertex's position, so that frame
+        gets ``vertex_not_found`` and the others are served again as one
+        batch."""
         good = [(0, 7), (0, 9)]
         bad = [(4, 10), (0, 999_999), (1, 7)]
 
@@ -1138,13 +1139,50 @@ class TestGather:
                 assert by_seq[3].payload["code"] == "vertex_not_found"
                 assert by_seq[2].payload["distances"] == [engine.query(*p) for p in good]
                 assert by_seq[4].payload["distances"] == [engine.query(0, 9), engine.query(0, 13)]
-                # The batch of 7 failed; then each frame alone: 2, 3 (fails), 2.
-                assert backend.batches == [1, 7, 2, 3, 2]
+                # The batch of 7 failed; then frames 2 and 4 as one batch of 4.
+                assert backend.batches == [1, 7, 4]
                 # The server counts a request once its reply is written.
                 await wait_for(lambda: server.stats()["requests_total"] == 3)
                 stats = server.stats()
                 assert stats["errors_total"] == 1 and stats["inflight"] == 0
                 assert stats["requests_total"] == 3
+                await close_writer(writer)
+
+        with build_engine() as engine:
+            run(main(engine, GatedEngine(engine)))
+
+    @pytest.mark.parametrize("bad_frames", [(4,), (0, 5)])
+    def test_a_bad_frame_costs_one_more_backend_call_not_one_a_frame(self, bad_frames):
+        """Eight frames gathered behind a parked batch, ``bad_frames`` of
+        them naming an unknown vertex: the batch fails at the first missing
+        vertex's position, that frame gets its error, and the rest are served
+        again as one batch — one backend call more per bad frame, where a
+        re-serve of every frame alone took 8 + 1."""
+        frames = [[(0, 7 + index % 3), (index % 6, 9)] for index in range(8)]
+        for index in bad_frames:
+            frames[index] = [(0, 7), (-3 - index, 9)]
+
+        async def main(engine, backend):
+            async with running_server(backend) as server:
+                reader, writer = await open_raw(server)
+                writer.write(query_frame(100, 0, 7))
+                await wait_for(lambda: backend.batches == [1])
+                writer.write(b"".join(
+                    pairs_frame(seq + 1, pairs) for seq, pairs in enumerate(frames)
+                ))
+                backend.release()
+                replies = {f.seq: f for f in await read_frames(reader, 9)}
+                for index, pairs in enumerate(frames):
+                    reply = replies[index + 1]
+                    if index in bad_frames:
+                        assert reply.op == OP_ERROR
+                        assert reply.payload["code"] == "vertex_not_found"
+                        assert f"vertex {-3 - index} " in reply.payload["message"]
+                    else:
+                        assert reply.payload["distances"] == [engine.query(*p) for p in pairs]
+                good = 16 - 2 * len(bad_frames)
+                calls = [16] + [16 - 2 * count for count in range(1, len(bad_frames) + 1)]
+                assert backend.batches == [1] + calls and calls[-1] == good
                 await close_writer(writer)
 
         with build_engine() as engine:

@@ -18,6 +18,8 @@ import math
 import random
 import struct
 
+import numpy
+
 import pytest
 
 from repro.exceptions import (
@@ -25,6 +27,8 @@ from repro.exceptions import (
     ProtocolError,
     ProtocolVersionError,
 )
+from repro.graph.graph import Graph
+from repro.kernels.arena import build_remap
 from repro.registry import create_index
 from repro.serving.engine import ServingEngine
 from repro.server import AsyncClient
@@ -122,14 +126,31 @@ class TestCodec:
         # n x (int32 source, int32 target), little-endian, straight after the header.
         assert wire[4 + FIXED_BODY_BYTES:] == b"".join(struct.pack("<ii", *p) for p in pairs)
         frame = decode_body(wire[4:])
-        assert (frame.op, frame.seq, frame.payload) == (OP_QUERY_BATCH, 5, {"pairs": pairs})
+        assert (frame.op, frame.seq) == (OP_QUERY_BATCH, 5)
+        # the decoded payload is the packed ids, read by the server as one array
+        assert numpy.frombuffer(frame.payload, "<i4").reshape(-1, 2).tolist() == [
+            list(p) for p in pairs
+        ]
         # any iterable of 2-sequences encodes to the same bytes
         assert encode_frame(OP_QUERY_BATCH, 5, {"pairs": iter(pairs)}) == wire
+
+    def test_an_id_array_packs_like_the_list(self):
+        pairs = [(3, 9), (0, 2**31 - 1), (-(2**31), 7), (0, 1)]
+        wire = encode_frame(OP_QUERY_BATCH, 5, {"pairs": pairs})
+        for dtype in (numpy.int64, numpy.int32, numpy.uint16):
+            ids = numpy.array(pairs if dtype != numpy.uint16 else [(3, 9)], dtype=dtype)
+            sent = pairs if dtype != numpy.uint16 else [(3, 9)]
+            assert encode_frame(OP_QUERY_BATCH, 5, {"pairs": ids}) == encode_frame(
+                OP_QUERY_BATCH, 5, {"pairs": sent}
+            )
+        assert wire == encode_frame(OP_QUERY_BATCH, 5, {"pairs": numpy.array(pairs)})
 
     def test_packed_one_to_many_layout_and_roundtrip(self):
         wire = encode_frame(OP_ONE_TO_MANY, 6, {"source": 4, "targets": range(3)})
         assert wire[4 + FIXED_BODY_BYTES:] == struct.pack("<4i", 4, 0, 1, 2)
-        assert decode_body(wire[4:]).payload == {"source": 4, "targets": [0, 1, 2]}
+        # decoded as the packed ids of its pairs, like a QUERY_BATCH payload
+        payload = decode_body(wire[4:]).payload
+        assert numpy.frombuffer(payload, "<i4").reshape(-1, 2).tolist() == [[4, 0], [4, 1], [4, 2]]
 
     def test_packed_distances_are_bit_exact(self):
         distances = [0.0, 0.1 + 0.2, math.inf, 1e-310, 16.0]
@@ -162,6 +183,20 @@ class TestCodec:
             (OP_QUERY_BATCH, None),
             (OP_ONE_TO_MANY, {"source": 2**31, "targets": [1]}),
             (OP_ONE_TO_MANY, {"source": 0, "targets": [1.5]}),
+            # Range, type and shape checks of the id columns (astype("<i4")
+            # alone would wrap an int64 id silently).
+            (OP_QUERY_BATCH, {"pairs": numpy.array([[0, 2**31]])}),
+            (OP_QUERY_BATCH, {"pairs": numpy.array([[0, -(2**31) - 1]])}),
+            (OP_QUERY_BATCH, {"pairs": numpy.array([[0.0, 1.0]])}),
+            (OP_QUERY_BATCH, {"pairs": numpy.array([[True, False]])}),
+            (OP_QUERY_BATCH, {"pairs": numpy.zeros((2, 3), dtype=numpy.int32)}),
+            (OP_QUERY_BATCH, {"pairs": numpy.zeros(4, dtype=numpy.int32)}),
+            (OP_QUERY_BATCH, {"pairs": [(0, 1.5)]}),
+            (OP_QUERY_BATCH, {"pairs": [(3, 9), (0, True)]}),
+            (OP_QUERY_BATCH, {"pairs": [(False, 9)]}),
+            (OP_QUERY_BATCH, {"pairs": [(1, 2, 3), (4,)]}),  # 2k ids, not k pairs
+            (OP_ONE_TO_MANY, {"source": True, "targets": [1]}),
+            (OP_ONE_TO_MANY, {"source": 0, "targets": numpy.array([2**31])}),
             (OP_DISTANCES, {"distances": [1.0], "epoch": "zero", "stages": ["s"]}),
             (OP_DISTANCES, {"distances": [1.0, 2.0], "epoch": 0, "stages": ["s"]}),
             # 257 distinct stage names do not fit a u8 stage id.
@@ -874,6 +909,61 @@ class TestTypedRequestErrors:
                 await assert_alive(server)
 
         run(main())
+
+    def test_client_refuses_bad_ids_before_sending(self, engine):
+        """Ids that do not fit the packed columns never reach the wire: the
+        client raises ``ProtocolError``, the server sees no request, and the
+        connection keeps answering."""
+
+        async def main():
+            async with running_server(engine) as server:
+                async with await AsyncClient.connect(*server.address) as client:
+                    for pairs in (
+                        [(0, 2**31)], [(0, -(2**31) - 1)], [(0, 7.0)], [(True, 7)],
+                        numpy.array([[0, 2**32]]), numpy.array([[0.5, 7]]),
+                        numpy.array([[0, 7, 9]]),
+                    ):
+                        with pytest.raises(ProtocolError):
+                            await client.query_batch(pairs)
+                    assert server.stats()["requests_total"] == 0
+                    reply = await client.query_batch(numpy.array([[0, 7]], dtype=numpy.int64))
+                    assert reply.distances == [16.0]
+
+        run(main())
+
+    def test_wire_ids_off_the_map_are_vertex_not_found(self):
+        """Ids that fit int32 but name no vertex — a negative id, 2**31 - 1,
+        and an id in a hole of a sparse id space (searched by bisection, no
+        dense remap) — each get a ``vertex_not_found`` ERROR naming that
+        vertex, and the connection stays open."""
+        graph = paper_example_graph()
+        us, vs, weights = graph.edge_arrays()
+        sparse = Graph.from_edges(us * 1_000_003 + 5, vs * 1_000_003 + 5, weights)
+        assert build_remap(sparse.ids).ndim == 2  # the bisection map
+        index = create_index("DCH", sparse)
+        index.build()
+        hole = int(sparse.ids[3]) + 1
+        source, target = sparse.ids[:2].tolist()
+
+        async def main(engine):
+            async with running_server(engine) as server:
+                reader, writer = await open_raw(server)
+                for seq, bad in enumerate((-5, 2**31 - 1, hole), start=1):
+                    writer.write(pairs_frame(seq, [(source, target), (bad, target)]))
+                    await writer.drain()
+                    error = await read_frame(reader)
+                    assert (error.op, error.seq) == (OP_ERROR, seq)
+                    assert error.payload["code"] == "vertex_not_found"
+                    assert error.payload["message"] == f"vertex {bad} does not exist"
+                writer.write(pairs_frame(9, [(source, target)]))
+                await writer.drain()
+                reply = await read_frame(reader)
+                assert (reply.op, reply.seq) == (OP_DISTANCES, 9)
+                assert reply.payload["distances"] == [engine.query(source, target)]
+                await close_writer(writer)
+
+        with ServingEngine(index, cache_capacity=0) as engine:
+            run(main(engine))
 
     def test_vertex_not_found(self, engine):
         async def main():
