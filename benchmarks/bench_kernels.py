@@ -2,8 +2,10 @@
 the eight maintained ones.
 
 Measures, on the quick configuration (a seeded grid analog), the per-query
-latency of every registered method with the frozen kernels on versus the
-pure-Python reference path (``use_kernels=False``), for
+latency of every registered method through its frozen stores versus its
+pure-Python reference (the reference rung of ``tests/oracles/queries``:
+the label lookups, CH searches, PSP partition and overlay queries and
+TOAIN's hub join in Python), for
 
 * the scalar ``query`` loop, and
 * the batch plane (``query_many`` over a pair batch),
@@ -17,7 +19,8 @@ then the median milliseconds of one DCH, one DH2H and one PMHL
 update window (``dch_window`` / ``dh2h_window`` / ``pmhl_window``), then,
 per maintained method, the CPU time of alternating ``apply_batch`` windows
 with the native maintenance kernels (``update_labels`` / ``update_slots``)
-and with them patched out (the pure loops they port), and writes the rows
+and with every C pass patched to its Python oracle
+(``tests.oracles.oracle_passes``: the loops they port), and writes the rows
 plus the derived speedups to ``BENCH_kernels.json`` — the machine-readable
 perf trajectory seeded by this benchmark and uploaded as a CI artifact.
 Run directly::
@@ -36,13 +39,16 @@ import argparse
 import contextlib
 import json
 import math
+import os
 import platform
 import statistics
+import sys
 import time
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
-import repro.labeling.h2h as h2h_module
-import repro.treedec.slots as slots_module
+# The repository root, for the oracles of the test suite.
+sys.path.insert(0, os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
+
 from repro.graph.generators import grid_road_network
 from repro.graph.updates import generate_update_batch
 from repro.kernels.graph_snapshot import GraphSnapshot
@@ -52,6 +58,8 @@ from repro.kernels.native import native_kernel, native_kernel_error
 from repro.kernels.shortcut_store import ShortcutStore
 from repro.registry import create_index, get_spec
 from repro.throughput.workload import sample_query_pairs
+from tests.oracles import oracle_passes
+from tests.oracles.queries import reference_rung
 
 #: All nine methods on quick-config construction parameters.
 SPECS = {
@@ -75,7 +83,7 @@ H2H_FAMILY = ("DH2H", "MHL", "PMHL", "PostMHL")
 CH_SEARCH_FAMILY = ("BiDijkstra", "DCH", "TOAIN", "N-CH-P", "P-TD-P")
 
 #: Methods whose update window is mostly the label loop: the native
-#: maintenance kernels must keep it ≥1.5x cheaper than the pure rung
+#: maintenance kernels must keep it ≥1.5x cheaper than the Python oracles
 #: (measured 3-4x; loose on purpose).  The other maintained methods — every
 #: spec but the index-free BiDijkstra — are recorded without a bar.
 MAINTENANCE_BARS = {"DH2H": 1.5, "P-TD-P": 1.5, "PMHL": 1.5, "PostMHL": 1.5}
@@ -162,29 +170,14 @@ def _measure_stages(index, pairs: List[Tuple[int, int]]) -> Dict[str, Dict[str, 
     return rows
 
 
-@contextlib.contextmanager
-def _pure_maintenance():
-    """Run the update loops on their pure rung (what a missing compiler gives)."""
-    modules = (h2h_module, slots_module)
-    saved = [module.native_kernel for module in modules]
-    for module in modules:
-        module.native_kernel = lambda: None
-    try:
-        yield
-    finally:
-        for module, function in zip(modules, saved):
-            module.native_kernel = function
-
-
-def _measure_maintenance(native_index, pure_index, pairs) -> Optional[Dict[str, float]]:
-    """CPU seconds of the same update windows on both rungs, alternating which
-    side goes first; both indexes see the same batches and must agree after."""
-    if native_kernel() is None:
-        return None
+def _measure_maintenance(native_index, pure_index, pairs) -> Dict[str, float]:
+    """CPU seconds of the same update windows through the C passes and
+    through their oracles, alternating which side goes first; both indexes
+    see the same batches and must agree after."""
     seconds: Dict[str, List[float]] = {"native": [], "pure": []}
     for window in range(UPDATE_WINDOWS):
         sides = [("native", native_index, contextlib.nullcontext()),
-                 ("pure", pure_index, _pure_maintenance())]
+                 ("pure", pure_index, oracle_passes())]
         if window % 2:
             sides.reverse()
         for rung, index, patched in sides:
@@ -209,7 +202,7 @@ def _median_ms(freeze, repeats: int = FREEZE_REPEATS) -> float:
     return 1e3 * statistics.median(samples)
 
 
-def _measure_refreeze(dch, pmhl) -> Optional[Dict[str, Dict[str, float]]]:
+def _measure_refreeze(dch, pmhl) -> Dict[str, Dict[str, float]]:
     """Full freeze vs refreeze of the three stores a weight-only epoch keeps
     the layout of; the refrozen store must equal the full one byte for byte.
 
@@ -219,8 +212,6 @@ def _measure_refreeze(dch, pmhl) -> Optional[Dict[str, Dict[str, float]]]:
     pass left them; the graph snapshot's is the previous snapshot patched at
     the slots of one ``UPDATE_VOLUME``-edge batch's edges.
     """
-    if native_kernel() is None:
-        return None
     contraction = dch.contraction
     labels = pmhl.cross_labels
     edges = [(update.u, update.v)
@@ -274,7 +265,7 @@ def run(out_path: str) -> Dict[str, object]:
         "benchmark": "frozen query kernels",
         "graph": {"kind": "grid", "side": GRID, "vertices": base.num_vertices,
                   "edges": base.num_edges},
-        "native_kernel": native_kernel() is not None,
+        "native_kernel": True,
         "native_kernel_error": native_kernel_error(),
         "python": platform.python_version(),
         "update_windows": {"count": UPDATE_WINDOWS, "edges": UPDATE_VOLUME},
@@ -289,7 +280,7 @@ def run(out_path: str) -> Dict[str, object]:
         build_seconds = fast.build()
         kernels = _measure(fast, pairs, scalar_n)
 
-        reference = create_index(spec, base.copy(), use_kernels=False)
+        reference = reference_rung(create_index(spec, base.copy()))
         reference.build()
         pure = _measure(reference, pairs, scalar_n)
 
@@ -313,9 +304,9 @@ def run(out_path: str) -> Dict[str, object]:
         }
         if name == "PMHL":
             report["pmhl_stages"] = _measure_stages(fast, pairs)
-        # After the query rows: the two built indexes become the two rungs of
-        # the update-window comparison (``use_kernels`` only selects the query
-        # stores; maintenance is the same code on both).
+        # After the query rows: the two built indexes become the two sides of
+        # the update-window comparison (the reference rung only selects the
+        # query path; maintenance is the same code on both).
         if name != "BiDijkstra":
             entry["maintenance"] = _measure_maintenance(fast, reference, pairs)
         report["methods"][name] = entry
@@ -335,7 +326,7 @@ def run(out_path: str) -> Dict[str, object]:
         )
 
     report["refreeze"] = _measure_refreeze(built["DCH"], built["PMHL"])
-    for name, row in (report["refreeze"] or {}).items():
+    for name, row in report["refreeze"].items():
         print(
             f"{name:>20}: full freeze {row['full_freeze_ms']:6.2f} ms   "
             f"refreeze {row['refreeze_ms']:6.2f} ms   ({row['speedup']:4.1f}x)"
@@ -355,7 +346,7 @@ def run(out_path: str) -> Dict[str, object]:
         )
         bar = MAINTENANCE_BARS.get(name)
         assert bar is None or row["apply_speedup"] >= bar, (
-            f"{name}: native maintenance only {row['apply_speedup']:.2f}x the pure rung"
+            f"{name}: native maintenance only {row['apply_speedup']:.2f}x the Python oracles"
         )
 
     report["families"] = _family_rows(report["methods"])

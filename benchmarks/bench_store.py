@@ -3,10 +3,11 @@
 Builds a medium grid analog, saves every method through ``repro.store`` and
 measures
 
-* ``build_seconds`` — full construction from the raw graph on the pure-Python
-  rung (what a machine without a compiler pays, and what the load bar has
-  been measured against since it was set); ``build_native_seconds`` is the
-  same construction through the native shortcut and label passes,
+* ``build_seconds`` — full construction from the raw graph with every
+  shortcut pass, label pass and elimination run by its Python oracle
+  (``tests/oracles``: the loops a build ran without the C kernel, what the
+  load bar has been measured against since it was set);
+  ``build_native_seconds`` is the same construction through the C passes,
 * ``save_seconds`` — snapshot serialization,
 * ``load_seconds`` — ``load_index`` (graph reconstruction + state restore +
   kernel-store reattachment), the median of ``LOAD_SAMPLES`` loads, and
@@ -42,17 +43,19 @@ import os
 import platform
 import statistics
 import tempfile
+import sys
 import time
 from typing import Dict, List
-from unittest import mock
 
-import repro.labeling.h2h as h2h_module
-import repro.treedec.slots as slots_module
+# The repository root, for the oracle passes of the test suite.
+sys.path.insert(0, os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
+
 from repro.graph.generators import grid_road_network
 from repro.graph.updates import generate_update_batch
 from repro.registry import create_index, get_spec
 from repro.store import load_index, save_index
 from repro.throughput.workload import sample_query_pairs
+from tests.oracles import oracle_passes
 
 #: All nine methods on quick-config construction parameters.
 SPECS = {
@@ -73,10 +76,10 @@ SPECS = {
 #: state for a 10x gap at this size.)
 HEAVY_METHODS = ("DH2H", "PMHL", "PostMHL")
 
-#: The bar guards the load.  The build is timed on the pure rung (its shortcut
-#: and label passes patched to the numpy loops), so no native kernel moves the
-#: numerator; a change to the pure build itself does, and is re-measured
-#: against the bar.
+#: The bar guards the load.  The build is timed with its passes patched to
+#: their Python oracles (``tests.oracles.oracle_passes``), so no native kernel
+#: moves the numerator; a change to the oracle build itself does, and is
+#: re-measured against the bar.
 SPEEDUP_BAR = 10.0
 #: Timed loads per method; ``load_seconds`` is their median (one sample read
 #: PostMHL within 1% of the bar).
@@ -150,8 +153,7 @@ def run(out_path: str, side: int = DEFAULT_SIDE) -> Dict[str, object]:
     with tempfile.TemporaryDirectory(prefix="bench_store_") as tmp:
         for name, spec in SPECS.items():
             index = create_index(spec, base.copy())
-            with mock.patch.object(h2h_module, "native_kernel", lambda: None), \
-                    mock.patch.object(slots_module, "native_kernel", lambda: None):
+            with oracle_passes():
                 build_seconds = _timed_build(index)
             expected = index.query_many(pairs)
             # Scalar-plane reference: BiDijkstra's scalar query differs from

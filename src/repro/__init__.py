@@ -1,7 +1,8 @@
 """repro — reproduction of "High Throughput Shortest Distance Query Processing
 on Large Dynamic Road Networks" (ICDE 2025).
 
-The package provides, in pure Python:
+The package provides, in Python over one small C kernel compiled on first
+use (:mod:`repro.kernels.native`):
 
 * a road-network graph substrate with synthetic dataset generators
   (:mod:`repro.graph`),
@@ -51,6 +52,7 @@ from repro.exceptions import (
     EngineStoppedError,
     GraphError,
     IndexNotBuiltError,
+    NativeKernelError,
     PartitioningError,
     QueryRejectedError,
     ReproError,
@@ -116,6 +118,7 @@ __all__ = [
     "ReproError",
     "GraphError",
     "IndexNotBuiltError",
+    "NativeKernelError",
     "PartitioningError",
     "WorkloadError",
     "ServingError",

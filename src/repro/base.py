@@ -36,11 +36,12 @@ queries without walking dict-of-dict structures.  The base class owns the
 lifecycle — a per-index **kernel epoch** that update paths bump via
 :meth:`DistanceIndex.invalidate_kernels`, and a per-epoch memo
 (:meth:`DistanceIndex._kernel`) so each store is frozen at most once per
-epoch.  A store exists only when the C kernel of ``repro.kernels.native``
-is loaded — the one rule, checked where stores are frozen (here) and where
-they are loaded (``repro.store``).  Without it, or with the ``use_kernels``
-flag off (default on, settable through the registry specs), an index answers
-through its pure-Python reference path; both return bit-identical distances.
+epoch.  The stores run on the C kernel of ``repro.kernels.native``, which is
+a dependency: :meth:`DistanceIndex.build` loads it first, and a machine
+where it does not compile gets
+:class:`~repro.exceptions.NativeKernelError` there.  The ``_reference_*``
+hooks stay as the stage queries of an index without one final store (the
+PSP join) and as the test suite's query oracles.
 """
 
 from __future__ import annotations
@@ -54,7 +55,6 @@ from typing import Callable, Dict, Iterable, List, NamedTuple, Optional, Sequenc
 import numpy as np
 
 from repro import obs
-from repro.algorithms.dijkstra import bidijkstra
 from repro.exceptions import StoreNotPublishedError, VertexNotFoundError
 from repro.graph.graph import Graph
 from repro.graph.updates import UpdateBatch
@@ -155,11 +155,6 @@ class DistanceIndex(abc.ABC):
         #: (set by ``create_index``); ``save_index`` persists its parameters.
         self.spec = None
         self._stage_listener: Optional[Callable[[StageTiming], None]] = None
-        #: Frozen-kernel switch: ``True`` answers queries through the flat
-        #: array stores of ``repro.kernels`` (when the C kernel is loaded);
-        #: ``False`` keeps the pure-Python reference path.  Results are
-        #: bit-identical either way.
-        self.use_kernels: bool = True
         #: Set for good by :meth:`adopt_stores`: the index's own structures
         #: no longer describe the served epoch, so a query whose store is not
         #: attached raises instead of freezing one from them.
@@ -172,7 +167,10 @@ class DistanceIndex(abc.ABC):
     # Lifecycle
     # ------------------------------------------------------------------
     def build(self) -> float:
-        """Construct the index; returns the construction time in seconds."""
+        """Construct the index; returns the construction time in seconds.
+        Loads the C kernel first (:class:`~repro.exceptions.NativeKernelError`
+        where it does not compile)."""
+        native_kernel()
         with obs.span(
             self.name.lower() + ".build",
             index=self.name,
@@ -249,9 +247,9 @@ class DistanceIndex(abc.ABC):
 
         The store answers :meth:`query`, :meth:`query_one_to_many` and
         :meth:`query_ids` and raises
-        :class:`~repro.exceptions.VertexNotFoundError` itself; ``None`` (the
-        pure rung, or an index without one final store) hands them to the
-        reference hooks below.  An index's override raises
+        :class:`~repro.exceptions.VertexNotFoundError` itself; ``None`` (an
+        index without one final store, or a test's reference rung) hands
+        them to the reference hooks below.  An index's override raises
         :class:`~repro.exceptions.IndexNotBuiltError` before a build.
         """
         return None
@@ -298,12 +296,10 @@ class DistanceIndex(abc.ABC):
 
         The first query stage of every multi-stage index: correct as soon as
         the on-spot edge update is done.  Runs over the CSR graph snapshot
-        when kernels are on (a literal port, bit-identical to the live search).
+        (a literal port of :func:`~repro.algorithms.dijkstra.bidijkstra`, bit
+        for bit).
         """
-        snapshot = self._graph_snapshot()
-        if snapshot is not None:
-            return snapshot.bidijkstra(source, target)
-        return bidijkstra(self.graph, source, target)
+        return self._graph_snapshot().bidijkstra(source, target)
 
     def apply_batch(self, batch: UpdateBatch) -> UpdateReport:
         """Apply a batch of edge-weight updates to the graph and the index.
@@ -410,7 +406,7 @@ class DistanceIndex(abc.ABC):
         throughput evaluator models.  Multi-stage indexes (MHL, PMHL,
         PostMHL) list their own; every other index gets the paper's
         protocol: BiDijkstra on the live graph once the on-spot edge refresh
-        is done (:meth:`query_bidijkstra`: the C search on the kernel rung),
+        is done (:meth:`query_bidijkstra`: the C search on the graph snapshot),
         the native query once the whole update completes.
         """
         return (
@@ -452,20 +448,14 @@ class DistanceIndex(abc.ABC):
 
         ``builder()`` runs at most once per kernel epoch per ``key``.  A
         ``None`` result (freeze unsupported for this structure) is cached
-        too so unsupported structures don't retry on every query.  Returns
-        ``None`` whenever ``use_kernels`` is off or the C kernel is not
-        loaded; a store reader raises
-        :class:`~repro.exceptions.StoreNotPublishedError` instead of calling
-        ``builder``.
+        too so unsupported structures don't retry on every query.  A store
+        reader raises :class:`~repro.exceptions.StoreNotPublishedError`
+        instead of calling ``builder``.
         """
-        if not self.use_kernels:
-            return None
         entry = self._kernel_stores.get(key, _UNFROZEN)
         if entry is _UNFROZEN:
             if self.store_reader:
                 raise StoreNotPublishedError(key)
-            if native_kernel() is None:
-                return None
             if obs.is_enabled():
                 with obs.span("kernels.freeze." + key, index=self.name, store=key):
                     entry = builder()
@@ -486,18 +476,14 @@ class DistanceIndex(abc.ABC):
         Self-invalidating: keyed to ``graph.version`` rather than the kernel
         epoch, so out-of-band graph mutation (e.g. a caller editing the graph
         directly) can never be served from a stale snapshot.  A store reader
-        serves only the adopted snapshot; without the C kernel there is none.
+        serves only the adopted snapshot.
         """
-        if not self.use_kernels:
-            return None
         snapshot = self._graph_snapshot_cache
         if self.store_reader:
             if snapshot is None:
                 raise StoreNotPublishedError("__graph__")
             return snapshot
         if snapshot is None or not snapshot.is_fresh(self.graph):
-            if native_kernel() is None:
-                return None
             from repro.kernels.graph_snapshot import GraphSnapshot
 
             snapshot = GraphSnapshot.freeze(self.graph)

@@ -24,7 +24,6 @@ import math
 from dataclasses import dataclass
 from typing import List, Sequence
 
-from repro.algorithms.dijkstra import dijkstra_one_to_many
 from repro.base import DistanceIndex
 from repro.graph.graph import Graph
 from repro.registry import IndexSpec, register_spec
@@ -47,14 +46,11 @@ class BiDijkstraIndex(DistanceIndex):
         """One truncated Dijkstra instead of ``len(targets)`` bidirectional searches.
 
         The search stops as soon as the farthest pending target settles, so
-        the cost of the whole batch is a single (partial) graph sweep — over
-        the frozen CSR snapshot when kernels are on.
+        the cost of the whole batch is a single (partial) graph sweep over
+        the frozen CSR snapshot (a literal port of
+        :func:`~repro.algorithms.dijkstra.dijkstra_one_to_many`).
         """
-        targets = list(targets)
-        snapshot = self._graph_snapshot()
-        if snapshot is not None:
-            return snapshot.one_to_many(source, targets)
-        return dijkstra_one_to_many(self.graph, source, targets)
+        return self._graph_snapshot().one_to_many(source, list(targets))
 
     def index_size(self) -> int:
         return 0

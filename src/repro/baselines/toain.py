@@ -35,7 +35,6 @@ from repro.base import DistanceIndex, StageTiming, Timer, UpdateReport
 from repro.exceptions import IndexNotBuiltError, VertexNotFoundError
 from repro.graph.graph import Graph
 from repro.graph.updates import UpdateBatch
-from repro.hierarchy.ch import ch_bidirectional_query
 from repro.kernels.arena import Arena, count_freeze
 from repro.kernels.hub_store import HubStore
 from repro.kernels.shortcut_store import ShortcutStore
@@ -127,7 +126,7 @@ class TOAINIndex(DistanceIndex):
     # Frozen stores
     # ------------------------------------------------------------------
     def _sub_core_store(self):
-        """Frozen sub-core upward adjacency (``None`` = pure path): the
+        """Frozen sub-core upward adjacency: the
         contraction's slots whose column lies below the core, in slot
         order."""
         contraction = self._require_built()
@@ -152,7 +151,7 @@ class TOAINIndex(DistanceIndex):
         return self._kernel("sub_core", freeze)
 
     def _hub_store(self):
-        """Frozen CSR hub-label table (``None`` = pure path)."""
+        """Frozen CSR hub-label table."""
         contraction = self._require_built()
 
         def freeze():
@@ -180,34 +179,20 @@ class TOAINIndex(DistanceIndex):
             raise VertexNotFoundError(target)
         if source == target:
             return 0.0
-        store = self._sub_core_store()
-        hub_store = self._hub_store() if store is not None else None
-        if hub_store is not None:
-            # Frozen plane: dense hub join + native sub-core search.  The
-            # join is the same minimum over the same float64 sums as the
-            # dict loop below, so both planes answer bit-identically.
-            best = hub_store.join_pair(source, target)
-            return min(best, store.query(source, target))
-        labels_s = self.core_labels[source]
-        labels_t = self.core_labels[target]
-        best = INF
-        for hub, d_s in labels_s.items():
-            d_t = labels_t.get(hub)
-            if d_t is not None and d_s + d_t < best:
-                best = d_s + d_t
-        below = ch_bidirectional_query(source, target, self._sub_core_upward())
-        return min(best, below)
+        # Dense hub join + native sub-core search.
+        best = self._hub_store().join_pair(source, target)
+        return min(best, self._sub_core_store().query(source, target))
 
     def query_one_to_many(self, source: int, targets: Sequence[int]) -> List[float]:
         """Batched queries: vectorized hub join + frozen sub-core searches.
 
-        With kernels on, the core-zone join for the whole batch is a single
+        The core-zone join for the whole batch is a single
         :meth:`~repro.kernels.hub_store.HubStore.join_one_to_many` (the
         source's labels are scattered into a dense vector once), and the
         per-pair sub-core searches run over the frozen shortcut arrays.  The
         join minimum is order-independent and every candidate is the same
         ``float64`` sum the scalar path computes, so results are bit-identical
-        to :meth:`query`; the pure reference keeps the dict-based loop.
+        to :meth:`query`.
         """
         contraction = self._require_built()
         if source not in contraction.rank:
@@ -218,69 +203,26 @@ class TOAINIndex(DistanceIndex):
                 raise VertexNotFoundError(target)
 
         sub_core_store = self._sub_core_store()
-        hub_store = self._hub_store() if sub_core_store is not None else None
-        if hub_store is not None:
-            # The one-scatter-many-gathers join only pays off once the batch
-            # amortises the dense source vector; tiny source groups loop the
-            # (bit-identical) frozen scalar plane instead.
-            if len(targets) < 8:
-                return [
-                    0.0
-                    if source == target
-                    else min(
-                        hub_store.join_pair(source, target),
-                        sub_core_store.query(source, target),
-                    )
-                    for target in targets
-                ]
-            joined = hub_store.join_one_to_many(source, targets)
-            below = sub_core_store.one_to_many(source, targets)
+        hub_store = self._hub_store()
+        # The one-scatter-many-gathers join only pays off once the batch
+        # amortises the dense source vector; tiny source groups loop the
+        # (bit-identical) scalar plane instead.
+        if len(targets) < 8:
             return [
-                0.0 if source == target else min(best, b)
-                for target, best, b in zip(targets, joined, below)
+                0.0
+                if source == target
+                else min(
+                    hub_store.join_pair(source, target),
+                    sub_core_store.query(source, target),
+                )
+                for target in targets
             ]
-        labels_s = self.core_labels[source]
-        sub_core_upward = self._sub_core_upward(memo={})
-        results: List[float] = []
-        for target in targets:
-            if source == target:
-                results.append(0.0)
-                continue
-            labels_t = self.core_labels[target]
-            best = INF
-            for hub, d_s in labels_s.items():
-                d_t = labels_t.get(hub)
-                if d_t is not None and d_s + d_t < best:
-                    best = d_s + d_t
-            below = ch_bidirectional_query(source, target, sub_core_upward)
-            results.append(min(best, below))
-        return results
-
-    def _sub_core_upward(self, memo: Optional[Dict[int, Dict[int, float]]] = None):
-        """Upward-neighbour callback restricted to the sub-core hierarchy.
-
-        With ``memo`` the filtered neighbourhoods are cached across calls
-        (values are identical either way — the cache only avoids refiltering).
-        """
-        contraction = self.contraction
-        rank = contraction.rank
-        threshold = self.core_rank_threshold
-
-        def sub_core(v: int) -> Dict[int, float]:
-            if memo is not None:
-                cached = memo.get(v)
-                if cached is not None:
-                    return cached
-            filtered = {
-                u: w
-                for u, w in contraction.upward(v).items()
-                if rank[u] < threshold
-            }
-            if memo is not None:
-                memo[v] = filtered
-            return filtered
-
-        return sub_core
+        joined = hub_store.join_one_to_many(source, targets)
+        below = sub_core_store.one_to_many(source, targets)
+        return [
+            0.0 if source == target else min(best, b)
+            for target, best, b in zip(targets, joined, below)
+        ]
 
     # ------------------------------------------------------------------
     def _apply_batch(self, batch: UpdateBatch, report: UpdateReport) -> None:

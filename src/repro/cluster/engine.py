@@ -52,7 +52,7 @@ from repro.base import UpdateReport
 from repro.exceptions import ClusterError, ClusterWorkerError, EngineStoppedError
 from repro.graph.graph import Graph
 from repro.graph.updates import UpdateBatch
-from repro.kernels.native import native_kernel, native_kernel_error
+from repro.kernels.native import native_kernel
 from repro.obs.metrics import MetricRegistry
 from repro.serving.core import BatchResult, EngineCore
 from repro.store import load_index, read_manifest, save_index, save_stores
@@ -103,12 +103,7 @@ class ClusterEngine(EngineCore):
         worker_timeout: float = DEFAULT_WORKER_TIMEOUT,
         start_method: Optional[str] = None,
     ) -> None:
-        if native_kernel() is None:
-            raise ClusterError(
-                "ClusterEngine needs the native C kernel: readers serve only "
-                "the maintainer's stores, and none exist without it "
-                f"({native_kernel_error()})"
-            )
+        native_kernel()  # readers serve only stores: NativeKernelError first
         manifest = read_manifest(snapshot_path)
         self.snapshot_path = snapshot_path
         self.method = manifest.get("method")
@@ -125,7 +120,7 @@ class ClusterEngine(EngineCore):
         )
         #: The maintainer: the cluster's one mutable index (its graph is the
         #: engine's graph).  Only ``_install`` mutates it.
-        self.index = load_index(snapshot_path, use_kernels=True)
+        self.index = load_index(snapshot_path)
         self._maintainer_is_base = True
         #: Readers answer only from the final stage's stores, so every answer
         #: carries the name the single-process engine reports once an epoch

@@ -94,11 +94,7 @@ def worker_main(
     # keeps the collector from touching — and so copying — its pages.
     gc.freeze()
     try:
-        index = (
-            base_index
-            if base_index is not None
-            else load_index(snapshot_path, use_kernels=True)
-        )
+        index = base_index if base_index is not None else load_index(snapshot_path)
         epoch, path = generation
         adopts = 0
         if path is not None:

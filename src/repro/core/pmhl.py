@@ -162,11 +162,10 @@ class PMHLIndex(PostBoundaryPSPIndex):
         """Q-Stage 5: cross-boundary 2-hop query on L* (fastest), the final stage."""
         return self.query(source, target)
 
-    # The final stage is L*: its frozen store, or the labels themselves, in
-    # place of the PSP classes' lift-then-join (so the pure batch is the
-    # base's source grouping again).  The pure one-to-many fetches the
-    # source's label array once; the 2-hop arithmetic is the scalar path's
-    # either way, so distances are bit-identical.
+    # The final stage is L*: its frozen store, in place of the PSP classes'
+    # lift-then-join.  The reference hooks answer from the labels themselves
+    # (the one-to-many fetches the source's label array once) with the
+    # store's 2-hop arithmetic, so distances are bit-identical.
     def _final_store(self):
         return self._cross_store()
 

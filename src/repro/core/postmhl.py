@@ -228,9 +228,9 @@ class PostMHLIndex(DistanceIndex):
         final stage."""
         return self.query(source, target)
 
-    # The final stage: the amalgamated label store, or the labels
-    # themselves (the pure one-to-many fetches the source's distance array
-    # once; the 2-hop arithmetic is the scalar path's either way).
+    # The final stage: the amalgamated label store.  The reference hooks
+    # answer from the labels themselves (the one-to-many fetches the
+    # source's distance array once) with the store's 2-hop arithmetic.
     def _final_store(self):
         return self._label_store()
 

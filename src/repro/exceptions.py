@@ -51,6 +51,13 @@ class DisconnectedGraphError(GraphError):
     """Raised when an algorithm requires a connected graph but got one that is not."""
 
 
+class NativeKernelError(ReproError):
+    """Raised when the native C kernel (``repro.kernels.native``), which
+    every index build, snapshot load and query store runs on, cannot be
+    compiled or loaded; the message names the compile command and the
+    failure."""
+
+
 class IndexError_(ReproError):
     """Base class for shortest-path index errors (named with a trailing underscore
     to avoid shadowing the builtin :class:`IndexError`)."""

@@ -52,7 +52,6 @@ def cache_key(spec: IndexSpec, graph: Graph) -> str:
     params = ",".join(
         f"{field}={value!r}"
         for field, value in sorted(dataclasses.asdict(spec).items())
-        if field != "use_kernels"  # a load-time override, not a build input
     )
     digest = hashlib.sha256(
         f"{spec.method}|{params}|{graph_fingerprint(graph)}".encode()
@@ -79,7 +78,7 @@ def load_or_build(spec: IndexSpec, graph: Graph) -> DistanceIndex:
     path = os.path.join(directory, cache_key(spec, graph))
     if os.path.isdir(path):
         try:
-            return load_index(path, use_kernels=spec.use_kernels)
+            return load_index(path)
         except (SnapshotError, OSError):
             pass  # stale/corrupt/unreadable entry: fall through and rebuild
     index = create_index(spec, graph.copy())

@@ -17,8 +17,9 @@ change weights only: this is the topology / metric split of Customizable CH
 * ``edge: int64[2m]`` — each slot's undirected edge; ``weights: float64[m]``;
 * ``coords: float64[n, 2]`` or ``None`` (``nan`` where a vertex has none).
 
-The pure-Python rungs walk lists made by one ``tolist()`` per topology (per
-weight version for the weighted rows), never numpy scalars.  Vertex
+The Python searches (the reference queries and the partitioners) walk lists
+made by one ``tolist()`` per topology (per weight version for the weighted
+rows), never numpy scalars.  Vertex
 membership is one dict lookup (id to row, made once per topology).
 """
 
@@ -221,7 +222,7 @@ class Graph:
 
     def positions(self, vertices) -> np.ndarray:
         """Rows of ``vertices`` as an ``int64`` array, one id-map call (the
-        C ``map_ids`` when the kernel is loaded); the first vertex that does
+        C ``map_ids``); the first vertex that does
         not exist is a :class:`VertexNotFoundError` naming it and its
         position."""
         return rows_of(self._derived("idmap", lambda: build_remap(self.ids)), vertices)

@@ -10,7 +10,7 @@ weight increases and decreases.
 Both hold their contraction flat, as a
 :class:`~repro.treedec.slots.SlotContraction`: topology once, one weight
 array per epoch.  A DCH batch patches the slots' graph weights and runs one
-pass over the arrays (C, or a pure loop without a compiler) into the next
+pass over the arrays (one C call) into the next
 epoch's copy, and that copy is the epoch's shortcut store as it stands.
 
 The query routine is written against an abstract "upward neighbour" callback so
@@ -144,7 +144,7 @@ class CHIndex(DistanceIndex):
         return self._require_built().upward(v)
 
     def _shortcut_store(self):
-        """This epoch's shortcut store (``None`` = pure path): the
+        """This epoch's shortcut store: the
         contraction's arena, as the last pass left it."""
         contraction = self._require_built()
         return self._kernel("ch", contraction.store)

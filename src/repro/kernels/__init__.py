@@ -20,13 +20,11 @@ the unified buffer ``repro.store`` serializes as a single payload and
 ``repro.cluster`` shards mmap-share, and whose views the C kernels borrow
 without copying.
 
-Two rungs answer every query: the C kernel of :mod:`repro.kernels.native`
-over these stores, and the pure-Python reference implementation.  One rule
-joins them — a store exists only when the C kernel is loaded — checked where
-stores are frozen (``repro.base.DistanceIndex._kernel`` / ``_graph_snapshot``)
-and loaded (``repro.store``); everywhere else a store can assume its capsule.
-Without the kernel, or with ``use_kernels=False``, an index answers through
-the reference path.  Freezing is lazy (first query after an invalidation)
+Every store answers through the C kernel of :mod:`repro.kernels.native`,
+which is a dependency: an index build and a snapshot load load it first, and
+a machine where it does not compile gets one typed error
+(:class:`~repro.exceptions.NativeKernelError`) naming the compile command.
+Freezing is lazy (first query after an invalidation)
 and keyed to the index's kernel epoch (see
 ``repro.base.DistanceIndex.invalidate_kernels``), so a store is built at most
 once per update epoch per query stage.  Updates change weights only, so
@@ -37,8 +35,9 @@ wrote.  The graph snapshot is keyed to ``graph.version`` instead and
 survives an invalidation: a batch's edge refresh
 (``repro.base.DistanceIndex._refresh_edges``) patches the batch's weight
 slots into a copy of it, and only a snapshot gone stale out of band is
-frozen in full again.  Every store computes exactly the reference
-arithmetic, so results are bit-identical on both rungs.
+frozen in full again.  Every store computes exactly the arithmetic of its
+index's pure-Python reference hooks (``_reference_query``, the test suite's
+query oracle), so the two agree bit for bit.
 """
 
 from repro.kernels.arena import Arena

@@ -73,12 +73,12 @@
  * The build entries give update_slots its topology.  eliminate runs the
  * symbolic (tiered) minimum-degree elimination, or follows an explicit
  * order, over a graph's own CSR arrays with sorted-array merges, no
- * weights: the order of repro.treedec.mde.eliminate and its rows.
+ * weights: the order of eliminate in tests/oracles/slots.py and its rows.
  * eliminate_slots lays those rows out as a SlotContraction's arrays -- the
  * slot topology, each slot's graph weight and the supporter CSR -- so a
  * build runs no per-vertex Python here.  Both check every input
- * before their first write; the pure rung (mde.eliminate and
- * slots.supporter_slots) is their differential oracle.
+ * before their first write; their Python twins (eliminate and
+ * supporter_slots in tests/oracles/slots.py) are the differential oracle.
  *
  * Every entry reads and writes only buffers (borrowed through the buffer
  * protocol, directly or via a capsule) and scalar row arguments: none walks
@@ -2162,7 +2162,7 @@ static const char *check_graph(const int64_t *indptr, Py_ssize_t n_indptr, Py_ss
  *
  * The symbolic elimination of a graph given as its CSR (Graph's arrays: row
  * r is vertex ids[r], its neighbours' rows are positions[indptr[r]..
- * indptr[r+1]], with weights[...]), the port of repro.treedec.mde.eliminate.
+ * indptr[r+1]], with weights[...]), the port of tests/oracles/slots.py's eliminate.
  * With an explicit `order` (n vertex ids) round i eliminates order[i]; with
  * none, each round eliminates the remaining vertex of least (tier, current
  * degree, id) -- tiers[r] per row, all 0 when `tiers` is empty -- which is
@@ -2423,7 +2423,7 @@ done:
  * Lays out an eliminate capsule's rows as a SlotContraction's arrays:
  * indptr (n + 1) and indices (slots, each a column's round) as in the
  * shortcut store, base (each slot's graph weight, inf for fill-in), and the
- * supporter CSR of repro.treedec.slots.supporter_slots -- sup_indptr
+ * supporter CSR of supporter_slots in tests/oracles/slots.py -- sup_indptr
  * (slots + 1) and the int32 slot pairs sup_slots (2 x records).  Row x
  * supports every pair of its slots: for columns c < c' (by round) the
  * target is the slot of c' in row c and the pair is (x's slot of c, x's

@@ -217,26 +217,12 @@ def pair_ids(pairs) -> np.ndarray:
 
 
 def rows_of(idmap: np.ndarray, vertices) -> np.ndarray:
-    """``vertices`` as ``int64`` rows through ``idmap``: one C call, or numpy
-    without the kernel.  The first vertex with no row is a
-    :class:`VertexNotFoundError` naming it and its position."""
+    """``vertices`` as ``int64`` rows through ``idmap``: one C ``map_ids``
+    call.  The first vertex with no row is a :class:`VertexNotFoundError`
+    naming it and its position."""
     ids = id_array(vertices)
-    kernel = native_kernel()
-    if kernel is not None:
-        rows = np.empty(len(ids), dtype=np.int64)
-        missing = kernel.map_ids(ids, idmap, rows)
-    elif idmap.ndim == 1:
-        # Gathered, not searched: searchsorted (like take and arange) drops
-        # the GIL at every call, so serving threads calling it per query
-        # starve a thread waiting for the GIL (each drop restarts its wait).
-        inside = (ids >= 0) & (ids < len(idmap))
-        rows = np.where(inside, idmap[np.where(inside, ids, 0)], -1)
-    else:
-        keys, mapped = idmap
-        at = np.minimum(np.searchsorted(keys, ids), max(len(keys) - 1, 0))
-        rows = np.where(keys[at] == ids, mapped[at], -1) if len(keys) else ids * 0 - 1
-    if kernel is None:
-        missing = int(np.argmax(rows < 0)) if (rows < 0).any() else -1
+    rows = np.empty(len(ids), dtype=np.int64)
+    missing = native_kernel().map_ids(ids, idmap, rows)
     if missing >= 0:
         raise VertexNotFoundError(int(ids[missing]), missing)
     return rows

@@ -14,8 +14,10 @@ entirely in C.  Both are literal ports of
 :func:`~repro.algorithms.dijkstra.dijkstra_one_to_many` — same relaxation
 order (the graph's rows, as they stand), same heap keys
 (``(distance, original vertex id)``), same float arithmetic — so their
-results are bit-identical to the live-graph reference, which is what an
-index searches when the kernel is not loaded (no snapshot is frozen then).
+results are bit-identical to the live-graph reference (the test suite's
+oracle).  The C build (``search_build``) refuses a CSR whose offsets,
+columns or weight count do not fit, and a loaded snapshot must name the
+graph's own vertices.
 
 Every snapshot records ``graph.version`` at freeze time; holders use
 :meth:`is_fresh` to detect out-of-band mutation.  A batch changes weights
@@ -115,8 +117,13 @@ class GraphSnapshot:
     @classmethod
     def from_state(cls, state: dict, io, graph: Graph) -> "GraphSnapshot":
         """Reattach a snapshot over its entry of the mapped payload,
-        re-keyed to the *loaded* graph's version."""
-        return cls(Arena.from_state(state, io), graph.version)
+        re-keyed to the *loaded* graph's version; its rows must be the
+        graph's vertices (``ValueError``), its CSR is checked by
+        ``search_build``."""
+        arena = Arena.from_state(state, io)
+        if not np.array_equal(arena["ids"], graph.ids):
+            raise ValueError("graph snapshot rows do not match the graph's vertices")
+        return cls(arena, graph.version)
 
     # ------------------------------------------------------------------
     # Searches (bit-identical ports of repro.algorithms.dijkstra)

@@ -13,10 +13,10 @@ the concatenated hub axis yields the per-target join minimum.
 
 The join arithmetic matches the scalar reference (``d_s + d_t`` minimised
 over the hubs both vertices share; targets with no shared hub get ``inf``),
-so results are bit-identical to the dict-based loop.  The join itself is
-numpy, but like every store a hub table is frozen only when the C kernel is
-loaded (``repro.base.DistanceIndex._kernel``): TOAIN's sub-core search, which
-every query pairs with the join, needs it.
+so results are bit-identical to a join over the dicts.  The join itself is
+numpy, which indexes the hub slots without a bounds check of its own (a
+negative slot wraps around), so a loaded table is checked first
+(:func:`check_hub_arena`).
 """
 
 from __future__ import annotations
@@ -30,6 +30,35 @@ from repro.exceptions import VertexNotFoundError
 from repro.kernels.arena import Arena, build_remap, count_freeze, rows_of
 
 INF = math.inf
+
+#: The hub arena's entries and their dtypes.
+HUB_FIELDS = {
+    "verts": "int64", "core_size": "int64", "hub_indptr": "int64",
+    "hub_slots": "int64", "hub_dists": "float64",
+}
+
+
+def check_hub_arena(arena: Arena) -> None:
+    """``ValueError`` unless the arena is a hub table the join may index:
+    the entries and dtypes of :data:`HUB_FIELDS`, one core size, a
+    ``hub_indptr`` over the rows that starts at 0, never falls and ends at
+    the hub count, one distance per hub, and every hub slot in ``[0,
+    core_size)``."""
+    if {name: dtype for name, dtype, _, _ in arena.toc} != HUB_FIELDS:
+        raise ValueError("hub arena does not have the hub store's entries")
+    indptr, slots = arena["hub_indptr"], arena["hub_slots"]
+    if len(arena["core_size"]) != 1:
+        raise ValueError("hub arena has no single core size")
+    core_size = int(arena["core_size"][0])
+    if (
+        len(indptr) != len(arena["verts"]) + 1 or indptr[0] != 0
+        or indptr[-1] != len(slots) or (np.diff(indptr) < 0).any()
+    ):
+        raise ValueError("hub offsets are inconsistent")
+    if len(arena["hub_dists"]) != len(slots):
+        raise ValueError("hub distances and slots differ in length")
+    if len(slots) and (slots.min() < 0 or slots.max() >= core_size):
+        raise ValueError("a hub slot is outside the core")
 
 
 class HubStore:
@@ -98,8 +127,11 @@ class HubStore:
 
     @classmethod
     def from_state(cls, state: dict, io) -> "HubStore":
-        """Rebuild over its entry of the mapped snapshot payload."""
-        return cls(Arena.from_state(state, io))
+        """Rebuild over its entry of the mapped snapshot payload, checked
+        first (:func:`check_hub_arena`)."""
+        arena = Arena.from_state(state, io)
+        check_hub_arena(arena)
+        return cls(arena)
 
     def join_pair(self, source: int, target: int) -> float:
         """Scalar hub-join minimum (``inf`` when no shared hub).

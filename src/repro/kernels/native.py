@@ -1,4 +1,4 @@
-"""Build/load machinery for the native (C) label-store kernel.
+"""Build/load machinery for the native (C) kernel.
 
 The scalar H2H-family query is a ~20-entry hub scan whose per-element cost in
 CPython is irreducible (~40 ns of interpreter work per hub); compiling the
@@ -10,13 +10,13 @@ directory and loaded via :mod:`importlib`.  Nothing is downloaded and nothing
 is installed: the build is one ``cc -O2 -shared`` invocation on a file that is
 part of the package.
 
-Gating: the native kernel is attempted only on CPython, can be disabled with
-``REPRO_DISABLE_NATIVE_KERNELS=1``, and every failure mode (no compiler, no
-headers, sandboxed filesystem, exotic platform) degrades silently to the
-pure-Python rung: no frozen store exists without the kernel (see
-``repro.kernels``), so every index answers through its reference path and
-maintains through the pure loops — the kernel is an accelerator, never a
-dependency.  Only ``repro.cluster`` refuses to start without it.
+The kernel is a dependency: every build's elimination, every maintenance
+pass, every frozen store and every id map runs on it.  :func:`native_kernel`
+returns the module or raises :class:`~repro.exceptions.NativeKernelError`
+naming the compile command and why it failed (no compiler, no headers, no
+writable cache directory, not CPython); the outcome is cached for the
+process.  The pure-Python twins of the maintenance passes live in the test
+suite (``tests/oracles``), as the C entries' differential oracles.
 """
 
 from __future__ import annotations
@@ -29,7 +29,9 @@ import sys
 import sysconfig
 import tempfile
 import threading
-from typing import Optional
+from typing import List, Optional
+
+from repro.exceptions import NativeKernelError
 
 _MODULE_NAME = "_labelkernel"
 _SOURCE_PATH = os.path.join(os.path.dirname(__file__), "_labelkernel.c")
@@ -38,10 +40,6 @@ _lock = threading.Lock()
 _loaded = False
 _module = None
 _failure: Optional[str] = None
-
-
-def _disabled_by_env() -> bool:
-    return os.environ.get("REPRO_DISABLE_NATIVE_KERNELS", "") not in ("", "0")
 
 
 def _check_private(path: str) -> str:
@@ -91,17 +89,24 @@ def _build_tag(source: bytes) -> str:
     return f"{abi}-{digest}"
 
 
-def _compile(source_path: str, out_path: str) -> Optional[str]:
-    """Compile the extension; returns an error string or ``None`` on success."""
-    include = sysconfig.get_paths().get("include")
-    if not include or not os.path.exists(os.path.join(include, "Python.h")):
-        return "Python development headers not found"
+def _compile_command(source_path: str, out_path: str) -> List[str]:
+    """The one compiler invocation that builds the extension."""
+    include = sysconfig.get_paths().get("include") or ""
     cc = sysconfig.get_config_var("CC") or "cc"
     command = cc.split() + ["-O2", "-shared", "-fPIC", f"-I{include}"]
     command += _extra_cflags() + [source_path, "-o", out_path]
     if sys.platform == "darwin":
         command.insert(-2, "-undefined")
         command.insert(-2, "dynamic_lookup")
+    return command
+
+
+def _compile(source_path: str, out_path: str) -> Optional[str]:
+    """Compile the extension; returns an error string or ``None`` on success."""
+    include = sysconfig.get_paths().get("include")
+    if not include or not os.path.exists(os.path.join(include, "Python.h")):
+        return "Python development headers not found"
+    command = _compile_command(source_path, out_path)
     try:
         proc = subprocess.run(
             command, capture_output=True, text=True, timeout=120, check=False
@@ -123,8 +128,6 @@ def _load_from(path: str):
 
 
 def _try_load():
-    if _disabled_by_env():
-        return None, "disabled via REPRO_DISABLE_NATIVE_KERNELS"
     if sys.implementation.name != "cpython":
         return None, f"native kernel requires CPython, running {sys.implementation.name}"
     try:
@@ -170,22 +173,33 @@ def _try_load():
 
 
 def native_kernel():
-    """The compiled ``_labelkernel`` module, or ``None`` when unavailable.
+    """The compiled ``_labelkernel`` module.
 
     The first call triggers (at most) one compilation; the result — success
-    or failure — is cached for the lifetime of the process.
+    or failure — is cached for the lifetime of the process.  A failure is a
+    :class:`~repro.exceptions.NativeKernelError` on every call.
     """
     global _loaded, _module, _failure
-    if _loaded:
+    if _module is not None:
         return _module
-    with _lock:
-        if not _loaded:
-            _module, _failure = _try_load()
-            _loaded = True
+    if not _loaded:
+        with _lock:
+            if not _loaded:
+                _module, _failure = _try_load()
+                _loaded = True
+    if _module is None:
+        command = " ".join(_compile_command(_SOURCE_PATH, "<cache>/" + _MODULE_NAME + ".so"))
+        raise NativeKernelError(
+            f"the native C kernel is required and did not load ({_failure}); "
+            f"it is compiled on first use by: {command}"
+        )
     return _module
 
 
 def native_kernel_error() -> Optional[str]:
-    """Why the native kernel is unavailable (``None`` when it loaded fine)."""
-    native_kernel()
-    return _failure
+    """Why the native kernel did not load (``None`` when it loaded fine)."""
+    try:
+        native_kernel()
+    except NativeKernelError:
+        return _failure
+    return None

@@ -26,9 +26,10 @@ the topology entries (rows in ascending vertex id, the LCA tables, ``pos``,
 the ``dis`` offsets; derived in numpy from the contraction's arena, or read
 back from saved labels and checked), and one ``float64`` ``dis_data`` holds
 the values.
-The label update is one pass over those arrays (:func:`update_labels`: the
-C kernel's ``update_labels``, or a numpy step per row without it), and
-``build`` is the same pass over every row.  A store wraps the arena as it
+The label update is one pass over those arrays (:func:`update_labels`: one
+call of the C kernel's ``update_labels``; its pure-Python twin is the test
+suite's oracle, in ``tests/oracles``), and ``build`` is the same pass over
+every row.  A store wraps the arena as it
 stands; the first write after a wrap copies the buffer first, so no store
 — of an earlier epoch, or of an earlier stage of this one — sees a later
 write.  The pass reads each neighbour's shortcut through a gather map built
@@ -213,18 +214,12 @@ class H2HLabels:
     ) -> np.ndarray:
         """``query(vertices[i], vertices[j])`` for each ``(i, j)`` of
         ``zip(first, second)``, over the arena as it stands: one C
-        ``query_pairs`` call when the kernel is loaded (a transient store,
-        so nothing is wrapped), else :meth:`query` per pair; bit-identical
-        either way."""
-        kernel = native_kernel()
-        if kernel is None:
-            verts = list(vertices)
-            pairs = zip(first.tolist(), second.tolist())
-            return np.array([self.query(verts[i], verts[j]) for i, j in pairs], dtype=np.float64)
+        ``query_pairs`` call over a transient store (so nothing is
+        wrapped), bit-identical to :meth:`query` per pair."""
         rows = rows_of(self.remap, vertices)
         values = np.empty(len(first), dtype=np.float64)
         store = LabelStore(self.arena, rows=(self.row, self.remap))
-        kernel.query_pairs(store.capsule, rows[first], rows[second], values)
+        native_kernel().query_pairs(store.capsule, rows[first], rows[second], values)
         return values
 
     def distance_matrix(self, vertices: Sequence[int]) -> np.ndarray:
@@ -377,77 +372,12 @@ def update_labels(
 ) -> None:
     """One top-down label pass from the ``seeds`` rows, writing only
     ``dis_data``, ``changed`` and ``counts``: the C kernel's
-    ``update_labels`` when it is loaded (its comment has the algorithm),
-    else the numpy loop."""
-    kernel = native_kernel()
-    run = kernel.update_labels if kernel is not None else _update_labels_pure
-    run(parent, depth, child_indptr, child_rows, dis_indptr, pos_indptr, pos_data, sc,
-        dis_data, seeds, allowed, changed, counts, lo, hi)
-
-
-def _update_labels_pure(
-    parent, depth, child_indptr, child_rows, dis_indptr, pos_indptr, pos_data, sc,
-    dis_data, seeds, allowed, changed, counts, lo, hi,
-) -> None:
-    """The C pass with one numpy gather and one minimum per recomputed row
-    (the rung without a compiler); same candidates, same bits."""
-    check_label_arrays(parent, depth, child_indptr, child_rows, dis_indptr, pos_indptr,
-                       pos_data, sc, dis_data, seeds, allowed, changed, counts, lo, hi)
-    parents, depths = parent.tolist(), depth.tolist()
-    seed = {r for r in seeds.tolist() if not len(allowed) or allowed[r]}
-    order: List[int] = []
-    roots: Set[int] = set()
-    for root in seeds.tolist():
-        if root not in seed or root in roots:
-            continue
-        p = parents[root]
-        while p >= 0 and p not in seed:
-            p = parents[p]
-        if p >= 0:
-            continue
-        roots.add(root)
-        stack = [root]
-        while stack:
-            r = stack.pop()
-            order.append(r)
-            children = child_rows[child_indptr[r] : child_indptr[r + 1]].tolist()
-            stack.extend(c for c in children if not len(allowed) or allowed[c])
-    changed[:] = 0
-    counts[:] = 0
-    flag: Dict[int, bool] = {}
-    for r in order:
-        ancestor_changed = flag.get(parents[r], False)
-        flag[r] = ancestor_changed
-        if r not in seed and not ancestor_changed:
-            continue
-        m = depths[r] + 1
-        a, b = lo, min(hi, m)
-        counts[0] += 1
-        if a >= b:
-            continue
-        chain = [0] * m
-        x = r
-        for d in range(m - 1, -1, -1):
-            chain[d], x = x, parents[x]
-        starts = dis_indptr[chain]
-        new = np.full(b - a, INF)
-        # Column j of neighbour k (at column px): its own row's entry j above
-        # px, the ancestor at j's entry px from px down.
-        columns = np.arange(a, min(b, m - 1))
-        k0, k1 = pos_indptr[r], pos_indptr[r + 1] - 1
-        px, shortcut = pos_data[k0:k1, None], sc[k0:k1, None]
-        slots = np.where(columns < px, starts[px] + columns, starts[columns] + px)
-        new[: len(columns)] = (shortcut + dis_data[slots]).min(axis=0, initial=INF)
-        if b == m:
-            new[-1] = 0.0
-        old = dis_data[starts[-1] + a : starts[-1] + b]
-        moved = int(np.count_nonzero(new != old))
-        counts[1] += b - a
-        counts[2] += moved
-        if moved:
-            old[:] = new
-            changed[r] = 1
-            flag[r] = True
+    ``update_labels`` (its comment has the algorithm; it refuses what
+    :func:`check_label_arrays` refuses)."""
+    native_kernel().update_labels(
+        parent, depth, child_indptr, child_rows, dis_indptr, pos_indptr, pos_data, sc,
+        dis_data, seeds, allowed, changed, counts, lo, hi,
+    )
 
 
 class H2HIndex(DistanceIndex):
@@ -488,7 +418,7 @@ class H2HIndex(DistanceIndex):
         return self.labels
 
     def _label_store(self):
-        """The frozen :class:`LabelStore` of this epoch (``None`` = pure path)."""
+        """The frozen :class:`LabelStore` of this epoch."""
         labels = self._require_built()
         return self._kernel("labels", lambda: LabelStore.freeze(labels))
 

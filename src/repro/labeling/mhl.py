@@ -39,7 +39,7 @@ class MHLIndex(DH2HIndex):
     # Stage-specific query processing
     # ------------------------------------------------------------------
     def _ch_store(self):
-        """Stage-2 shortcut store of this epoch (``None`` = pure path): the
+        """Stage-2 shortcut store of this epoch: the
         contraction's arena, as the shortcut pass left it."""
         self._require_built()
         return self._kernel("ch", self.contraction.store)

@@ -138,8 +138,7 @@ class NoBoundaryPSPIndex(DistanceIndex):
     # H2H-underlying structures freeze into :class:`LabelStore`\ s, CH
     # underlying ones (no labels) into :class:`ShortcutStore`\ s.
     # Per-partition stores are memoised under distinct keys so a query batch
-    # touching one partition never freezes the others.  Every fetcher falls
-    # back to the pure-Python structures when no store is frozen.
+    # touching one partition never freezes the others.
     # ------------------------------------------------------------------
     def _store_for(self, key: str, labels, contraction):
         if labels is None:
@@ -167,10 +166,7 @@ class NoBoundaryPSPIndex(DistanceIndex):
         self, family: PartitionIndexFamily, pid: int, source: int, target: int
     ) -> float:
         """Distance inside ``family``'s graph of partition ``pid``."""
-        store = self._family_store(family, pid)
-        if store is not None:
-            return store.query(source, target)
-        return family.query(pid, source, target)
+        return self._family_store(family, pid).query(source, target)
 
     def _to_boundary(
         self, family: PartitionIndexFamily, pid: int, vertex: int
@@ -180,9 +176,7 @@ class NoBoundaryPSPIndex(DistanceIndex):
         the partition's lift matrix)."""
         boundary = self.partitioning.sorted_boundary(pid)
         store = self._family_store(family, pid)
-        if store is not None:
-            return np.asarray(store.one_to_many(vertex, boundary), dtype=np.float64)
-        return np.array([family.query(pid, vertex, b) for b in boundary], dtype=np.float64)
+        return np.asarray(store.one_to_many(vertex, boundary), dtype=np.float64)
 
     def _lift_matrix(self, pid: int) -> np.ndarray:
         """``M_p[i, h] = d̃(b_i, h)`` for every overlay ancestor ``h`` of the
@@ -191,8 +185,8 @@ class NoBoundaryPSPIndex(DistanceIndex):
 
         One row is one overlay ``one_to_many(b_i, chain(b_i))`` — through
         the frozen overlay store, so a store reader derives the matrix from
-        the adopted generation (and a missing ``overlay`` store raises), or
-        through ``overlay.query`` on the pure rung.  Memoised per kernel
+        the adopted generation (and a missing ``overlay`` store raises).
+        Memoised per kernel
         epoch; it reads the overlay only, so the no-boundary and the
         post-boundary strategy share it.
         """
@@ -203,17 +197,12 @@ class NoBoundaryPSPIndex(DistanceIndex):
         matrix = matrices.get(pid)
         if matrix is None:
             store = self._overlay_store()
-            query = self.overlay.query
             tree = self.overlay.tree
             boundary = self.partitioning.sorted_boundary(pid)
             matrix = np.full((len(boundary), tree.num_vertices), INF)
             for row, b in zip(matrix, boundary):
                 chain = tree.chain(b)
-                row[tree.rows(chain)] = (
-                    store.one_to_many(b, chain)
-                    if store is not None
-                    else [query(b, h) for h in chain]
-                )
+                row[tree.rows(chain)] = store.one_to_many(b, chain)
             matrices[pid] = matrix
         return matrix
 

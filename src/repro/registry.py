@@ -58,11 +58,6 @@ class IndexSpec:
     #: ``{spec_field: config_attribute}`` binding for :func:`spec_from_config`.
     config_fields: ClassVar[Mapping[str, str]] = {}
 
-    #: Answer queries through the frozen flat-array kernels of
-    #: ``repro.kernels`` (default).  ``False`` keeps the pure-Python
-    #: reference path; results are bit-identical either way.
-    use_kernels: bool = True
-
     def create(self, graph: Graph) -> DistanceIndex:
         """Instantiate (but do not build) the index on ``graph``."""
         raise NotImplementedError
@@ -164,10 +159,8 @@ def create_index(
     else:
         spec = get_spec(spec_or_name, **overrides)
     index = spec.create(graph)
-    # The kernel switch is carried by the base spec so every method gets it
-    # without each concrete ``create`` having to forward it; the spec itself
-    # rides along so ``save_index`` can persist the construction recipe.
-    index.use_kernels = spec.use_kernels
+    # The spec rides along so ``save_index`` can persist the construction
+    # recipe.
     index.spec = spec
     return index
 

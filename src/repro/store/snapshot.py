@@ -13,11 +13,12 @@ A snapshot is a directory::
                          once on load; see ``repro.store.arrays``)
 
 ``save_index`` captures everything the query *and* maintenance paths read,
-plus the frozen kernel stores behind the index's batch query path (when the
-C kernel is loaded), so a loaded index serves its first query at full speed
-and accepts update batches exactly like the original.  ``load_index`` reverses it: spec resolution
+plus the frozen kernel stores behind the index's batch query path, so a
+loaded index serves its first query at full speed and accepts update
+batches exactly like the original.  ``load_index`` reverses it: spec resolution
 through the registry (keyword overrides welcome), graph reconstruction or
-fingerprint verification, ``from_state``, then kernel-store reattachment.
+fingerprint verification, ``from_state``, then kernel-store reattachment;
+like a build, it loads the C kernel first.
 
 A *store generation* (``save_stores`` / ``load_stores``) is the same layout
 holding only those kernel stores, tagged with the epoch they answer for: how
@@ -68,7 +69,8 @@ STORES_FORMAT = "repro-store-generation"
 #: 5: the graph payload is the graph's own arrays (``ids`` / ``indptr`` /
 #: ``indices`` / ``edge`` / ``weights`` / ``coords``), a planar partitioning
 #: its ``part`` array, and the fingerprint hashes canonical edge arrays.
-SCHEMA_VERSION = 5
+#: 6: the spec no longer carries the kernel switch (the C kernel is required).
+SCHEMA_VERSION = 6
 
 _MANIFEST = "manifest.json"
 _STATE = "state.json"
@@ -235,25 +237,21 @@ def load_stores(path: str, graph: Graph) -> Tuple[int, Dict[str, object]]:
 def _pack_kernels(index: DistanceIndex, writer: ArrayWriter) -> Dict[str, object]:
     """Freeze (or reuse) and serialize every store ``index`` exports."""
     kernels: Dict[str, object] = {}
-    if index.use_kernels:
-        for key, freezer in index._kernel_exports().items():
-            store = freezer()
-            if store is not None:
-                kernels[key] = store.to_state(writer)
+    for key, freezer in index._kernel_exports().items():
+        store = freezer()
+        if store is not None:
+            kernels[key] = store.to_state(writer)
     return kernels
 
 
 def _unpack_kernels(packed_stores: Dict[str, object], reader, graph: Graph) -> Dict[str, object]:
-    """Reattach every packed store — none without the C kernel, which every
-    store answers through (the loading index takes its reference path)."""
+    """Reattach every packed store."""
     try:
         for key, packed in packed_stores.items():
             if "arena" not in packed:
                 raise SnapshotFormatError(
                     f"kernel store {key!r} predates the arena layout; re-save the snapshot"
                 )
-        if native_kernel() is None:
-            return {}
         stores = {
             key: unpack_kernel_store(packed, reader, graph)
             for key, packed in packed_stores.items()
@@ -403,10 +401,11 @@ def load_index(
         the graph is reconstructed from the snapshot.
     overrides:
         Spec parameter overrides (validated against the method's
-        :class:`~repro.registry.IndexSpec`), e.g. ``use_kernels=False``.
+        :class:`~repro.registry.IndexSpec`).
     """
     from repro.registry import get_spec
 
+    native_kernel()
     started = time.perf_counter()
     manifest = read_manifest(path)
     try:
@@ -434,7 +433,6 @@ def load_index(
             raise SnapshotFormatError(f"corrupt snapshot graph payload: {exc}") from exc
 
     index = spec.create(graph)
-    index.use_kernels = spec.use_kernels
     index.spec = spec
     try:
         index.from_state(state["index"], reader)
@@ -443,9 +441,8 @@ def load_index(
     index._built = True
     index.build_seconds = manifest.get("index", {}).get("build_seconds", 0.0)
     index.invalidate_kernels()
-    if index.use_kernels:
-        for key, store in _unpack_kernels(state.get("kernels", {}), reader, graph).items():
-            index._attach_kernel(key, store)
+    for key, store in _unpack_kernels(state.get("kernels", {}), reader, graph).items():
+        index._attach_kernel(key, store)
     if obs.is_enabled():
         _record_snapshot_op("load", index.name, time.perf_counter() - started, path)
     return index

@@ -1,7 +1,7 @@
-"""Tree decomposition substrate: MDE elimination, flat contractions, and
-the tree in row space (its LCA entries included)."""
+"""Tree decomposition substrate: flat contractions (their MDE elimination
+and maintenance pass), and the tree in row space (its LCA entries
+included)."""
 
-from repro.treedec.mde import eliminate
 from repro.treedec.slots import (
     FlatContraction,
     SlotContraction,
@@ -11,7 +11,6 @@ from repro.treedec.slots import (
 from repro.treedec.tree import TreeDecomposition
 
 __all__ = [
-    "eliminate",
     "FlatContraction",
     "SlotContraction",
     "UnionContraction",

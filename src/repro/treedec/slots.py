@@ -12,9 +12,8 @@ in ``X(v).N``.
 :class:`FlatContraction` is the read side every contraction shares: the
 ``arena`` — ``ids`` / ``indptr`` / ``indices`` / ``weights``, the exact
 layout of :class:`~repro.kernels.shortcut_store.ShortcutStore` (columns are
-rows; a row's slots in ascending neighbour id, the row order of
-:func:`~repro.treedec.mde.eliminate`) — whose epoch store is the arena
-itself: no gather.  Two kinds fill it:
+rows; a row's slots in ascending neighbour id) — whose epoch store is the
+arena itself: no gather.  Two kinds fill it:
 
 * :class:`SlotContraction` owns its weights: one pass computes them at
   build and maintains them after.  Besides the arena it holds ``base`` —
@@ -33,12 +32,11 @@ itself: no gather.  Two kinds fill it:
   calls once the sources' passes are done.
 
 :func:`eliminate_slots` is a build's topology and :func:`update_slots` the
-whole maintenance pass over a :class:`SlotContraction`: each the C kernel's
-entry (``eliminate`` / ``update_slots``) when it is loaded, the pure rung
-otherwise (:func:`~repro.treedec.mde.eliminate` with
-:func:`supporter_slots`, and :func:`_update_slots_pure`), with the same bits:
-the passes compute the same float64 sums and minima, and a build is this
-pass seeded with every row, so maintained weights are bit-identical to a
+whole maintenance pass over a :class:`SlotContraction`: each one call of the
+C kernel (``eliminate`` / ``eliminate_slots``, ``update_slots``; their
+pure-Python twins are the test suite's oracles, in ``tests/oracles``).  A
+vertex's fill-in is a set union, so the topology reads no weight; a build is
+the pass seeded with every row, so maintained weights are bit-identical to a
 fresh build on the updated graph under the same order.  A pass can be confined to a row mask, whose
 excluded rows it reports instead of visiting (PostMHL's per-partition
 passes), and reports the slots it changed and its work.  Its first write
@@ -48,7 +46,6 @@ store of an earlier epoch, or of an earlier stage, sees a later write.
 
 from __future__ import annotations
 
-import heapq
 import math
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -59,13 +56,9 @@ from repro.graph.graph import Graph
 from repro.kernels.arena import Arena, build_remap, count_freeze, rows_of
 from repro.kernels.native import native_kernel
 from repro.kernels.shortcut_store import ShortcutStore
-from repro.treedec.mde import check_order, eliminate
 from repro.uniques import first_occurrences, unique
 
 INF = math.inf
-
-#: Supporter records per numpy step of :func:`supporter_slots`.
-RECORD_CHUNK = 1 << 16
 
 #: An empty row mask / escaped-rows buffer: every row may be visited.
 NO_ROWS = np.zeros(0, dtype=np.int8)
@@ -125,7 +118,7 @@ class FlatContraction:
 
     def upward(self, v: int) -> Dict[int, float]:
         """``v``'s shortcuts this epoch, ``{higher neighbour: weight}``, in
-        slot order (the pure CH search's upward mapping)."""
+        slot order (the CH reference search's upward mapping)."""
         r, arena = self.rank[v], self.arena
         lo, hi = arena["indptr"][r : r + 2].tolist()
         return dict(zip(self.neighbors[v], arena["weights"][lo:hi].tolist()))
@@ -305,10 +298,9 @@ class SlotContraction(FlatContraction):
     def from_state(cls, state: Dict[str, object], io) -> "SlotContraction":
         """Reattach the arrays (``base`` is copied: updates patch it; the
         arena is copied on the first write).  The shortcut CSR, which the
-        pure-Python query walks, is checked here (:func:`check_shortcut_csr`);
-        the supporter arrays only for their dtype: every pass checks the
-        rest before it reads (:func:`check_slot_arrays`, or the C kernel's
-        own checks)."""
+        reference CH search walks, is checked here (:func:`check_shortcut_csr`);
+        the supporter arrays only for their dtype: the C pass checks the
+        rest before it reads."""
         sup_slots = io.get_array(state["sup_slots"])
         if sup_slots.dtype != np.int32:
             raise ValueError("supporter slots must be int32")
@@ -390,21 +382,22 @@ def eliminate_slots(
     tiers: Optional[Dict[int, int]] = None,
 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """A contraction's topology: ``(order, indptr, indices, base, sup_indptr,
-    sup_slots)``.
+    sup_slots)``, from the C kernel's ``eliminate`` and ``eliminate_slots``
+    entries over the graph's own CSR arrays.
 
-    ``order`` holds the vertex ids in elimination order (explicit, or the
-    tiered minimum-degree order of :func:`~repro.treedec.mde.eliminate`);
-    row ``i`` owns slots ``indptr[i]..indptr[i + 1]``, one per vertex of
+    ``order`` holds the vertex ids in elimination order: explicit, or the
+    tiered minimum-degree order (every vertex of a lower tier, default 0,
+    before any of a higher one; within a tier the vertex of minimum current
+    degree, ties by id — how PSP's boundary-first order is realised).  Row
+    ``i`` owns slots ``indptr[i]..indptr[i + 1]``, one per vertex of
     ``X(order[i]).N`` in ascending id, ``indices`` naming each one's row and
-    ``base`` its graph weight (``inf`` for fill-in); the supporter CSR is
-    :func:`supporter_slots`'s.  The C kernel's ``eliminate`` entry computes
-    all of it from the graph's CSR when it is loaded, else the pure rung
-    does, with the same bits.  A bad ``order`` is a
-    :class:`~repro.exceptions.GraphError` on both rungs."""
+    ``base`` its graph weight (``inf`` for fill-in).  The supporter CSR
+    groups by target slot the ``int32`` slot pairs ``(slot(x, v), slot(x,
+    u))`` of every lower row ``x`` whose contraction supports ``(v, u)``,
+    supporters in ascending row order.  A bad ``order`` is a
+    :class:`~repro.exceptions.GraphError` (:func:`check_order`)."""
     kernel = native_kernel()
-    if kernel is None:
-        return _eliminate_slots_pure(graph, order, tiers)
-    ids, sizes, elimination = _eliminate_native(kernel, graph, order, tiers)
+    ids, sizes, elimination = _eliminate(kernel, graph, order, tiers)
     m, records = sizes.tolist()
     arrays = (
         np.empty(len(ids) + 1, dtype=np.int64), np.empty(m, dtype=np.int64),
@@ -418,16 +411,12 @@ def eliminate_slots(
 def elimination_order(graph: Graph, tiers: Optional[Dict[int, int]] = None) -> List[int]:
     """The tiered minimum-degree order of ``graph`` alone (no slot layout):
     :func:`eliminate_slots`'s ``order``."""
-    kernel = native_kernel()
-    if kernel is None:
-        return eliminate(graph, tiers=tiers)[0]
-    return _eliminate_native(kernel, graph, None, tiers)[0].tolist()
+    return _eliminate(native_kernel(), graph, None, tiers)[0].tolist()
 
 
-def _eliminate_native(kernel, graph: Graph, order, tiers):
+def _eliminate(kernel, graph: Graph, order, tiers):
     """The C ``eliminate`` over the graph's own CSR arrays: ``(order ids,
-    [slots, supporter records], the rows' capsule)``.  A bad order is
-    reported as :func:`~repro.treedec.mde.eliminate` reports it."""
+    [slots, supporter records], the rows' capsule)``."""
     check_order(graph, order)
     n = graph.num_vertices
     tier_of = (
@@ -443,78 +432,28 @@ def _eliminate_native(kernel, graph: Graph, order, tiers):
     return out_order, sizes, elimination
 
 
-def _eliminate_slots_pure(graph: Graph, order, tiers):
-    """:func:`eliminate_slots` without the kernel: the rows of
-    :func:`~repro.treedec.mde.eliminate` laid out one slot at a time, and
-    :func:`supporter_slots`."""
-    order, rows = eliminate(graph, order=order, tiers=tiers)
-    n = len(order)
-    indptr = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum([len(row) for row in rows], out=indptr[1:])
-    m, rank = int(indptr[-1]), dict(zip(order, range(n)))
-    indices = np.fromiter((rank[u] for row in rows for u in row), np.int64, m)
-    owners = np.repeat(np.asarray(order, dtype=np.int64), np.diff(indptr))
-    base = graph.weights_of(owners, np.fromiter((u for row in rows for u in row), np.int64, m))
-    return (np.asarray(order, dtype=np.int64), indptr, indices, base,
-            *supporter_slots(indptr, indices))
-
-
-def supporter_slots(indptr, indices) -> Tuple[np.ndarray, np.ndarray]:
-    """The supporter CSR of a contraction's rows: ``(sup_indptr, sup_slots)``.
-
-    Row ``x`` supports every pair of its slots: for columns ``c < c'`` the
-    target is the slot of column ``c'`` in row ``c``, and ``x``'s candidate
-    is the sum of its own two slots.  Records are grouped by target slot,
-    supporters in ascending row order.  Two numpy passes over chunks of
-    ``RECORD_CHUNK`` records, none per record: the first counts each
-    target's records, the second places them (a counting sort), so no
-    temporary grows with the record count.
-    """
-    n, m = len(indptr) - 1, int(indptr[-1])
-    if m >= 2**31:
-        raise ValueError(f"{m} shortcuts overflow the int32 supporter slots")
-    counts = np.diff(indptr)
-    slot_keys = np.repeat(np.arange(n, dtype=np.int64), counts) * n + indices
-    by_key = np.argsort(slot_keys)
-    sorted_keys = slot_keys[by_key]
-    # The records of slot a pair it with every later slot of its row; they
-    # are records begin[a] .. begin[a] + span[a] - 1 in row-major order.
-    span = np.repeat(indptr[1:], counts) - np.arange(m) - 1
-    begin = np.cumsum(span) - span
-    total = int(span.sum())
-    cuts = [0, *np.searchsorted(begin, np.arange(RECORD_CHUNK, total, RECORD_CHUNK)).tolist(), m]
-
-    def records(lo: int, hi: int):
-        """``(target, low, high)`` of the records whose first slot is in
-        ``[lo, hi)``; ``low`` is the supporter slot on the owner's column."""
-        first = np.repeat(np.arange(lo, hi), span[lo:hi])
-        record = np.arange(len(first)) + (begin[lo] if hi > lo else 0)
-        second = first + 1 + record - begin[first]
-        swap = indices[first] > indices[second]
-        low, high = np.where(swap, second, first), np.where(swap, first, second)
-        keys = indices[low] * n + indices[high]
-        target = by_key[np.minimum(np.searchsorted(sorted_keys, keys), max(m - 1, 0))]
-        if not np.array_equal(slot_keys[target], keys):
-            raise ValueError("contraction rows are not closed under fill-in")
-        return target, low, high
-
-    chunks = list(zip(cuts[:-1], cuts[1:]))
-    per_target = np.zeros(m, dtype=np.int64)
-    for lo, hi in chunks:
-        per_target += np.bincount(records(lo, hi)[0], minlength=m)
-    sup_indptr = np.zeros(m + 1, dtype=np.int64)
-    np.cumsum(per_target, out=sup_indptr[1:])
-    sup_slots = np.empty(2 * int(sup_indptr[-1]), dtype=np.int32)
-    cursor = sup_indptr[:-1].copy()
-    for lo, hi in chunks:
-        target, low, high = records(lo, hi)
-        grouped = np.argsort(target, kind="stable")
-        target = target[grouped]
-        place = cursor[target] + np.arange(len(target)) - np.searchsorted(target, target)
-        sup_slots[2 * place] = low[grouped]
-        sup_slots[2 * place + 1] = high[grouped]
-        cursor += np.bincount(target, minlength=m)
-    return sup_indptr, sup_slots
+def check_order(graph: Graph, order: Optional[Sequence[int]]) -> None:
+    """A :class:`~repro.exceptions.GraphError` for an empty ``graph``, or for
+    an explicit ``order`` that is not a permutation of its vertices: the
+    first entry outside the graph or named twice is the one reported."""
+    if graph.num_vertices == 0:
+        raise GraphError("cannot contract an empty graph")
+    if order is None:
+        return
+    wanted = np.asarray(order, dtype=np.int64)
+    if len(wanted) == graph.num_vertices and np.array_equal(np.sort(wanted), graph.ids):
+        return  # a permutation of the (sorted, distinct) ids
+    known = np.isin(wanted, graph.ids)
+    first = np.zeros(len(wanted), dtype=bool)
+    first[first_occurrences(wanted)] = True
+    if not (known & first).all():
+        at = int(np.argmin(known & first))
+        problem = "appears twice in the contraction order" if known[at] else "is not in the graph"
+        raise GraphError(f"vertex {order[at]} {problem}")
+    if len(wanted) != graph.num_vertices:
+        raise GraphError(
+            f"explicit order must cover all {graph.num_vertices} vertices exactly once"
+        )
 
 
 def check_shortcut_csr(arena: Arena) -> None:
@@ -534,91 +473,13 @@ def check_shortcut_csr(arena: Arena) -> None:
         raise ValueError("shortcut-arena rows do not form an elimination tree")
 
 
-def check_slot_arrays(
-    indptr, indices, base, sup_indptr, sup_slots, weights, seeds, mask, escaped, changed, counts,
-) -> None:
-    """The C pass's input checks: ``ValueError`` unless the lengths agree
-    (the mask and the escaped rows 0 or ``n``, the changed flags ``m``, the
-    counters 3), both offset arrays start at 0 and are monotone, every row's
-    columns lie above the row and below ``n``, every supporter slot lies in
-    a row below its target slot's row, and every seed is a row."""
-    n, m = len(indptr) - 1, len(indices)
-    if (
-        n < 0 or len(base) != m or len(weights) != m or len(sup_indptr) != m + 1
-        or len(sup_slots) % 2 or indptr[0] != 0 or indptr[-1] != m
-        or sup_indptr[0] != 0 or sup_indptr[-1] != len(sup_slots) // 2
-        or len(mask) not in (0, n) or len(escaped) not in (0, n)
-        or len(changed) != m or len(counts) != 3
-    ):
-        raise ValueError("slot array lengths disagree")
-    if (np.diff(indptr) < 0).any():
-        raise ValueError("row offsets are not monotone")
-    if (np.diff(sup_indptr) < 0).any():
-        raise ValueError("supporter offsets are not monotone")
-    rows = np.repeat(np.arange(n), np.diff(indptr))
-    if ((indices <= rows) | (indices >= n)).any():
-        raise ValueError("a slot's column is not a row above its own")
-    pairs = sup_slots.reshape(-1, 2)
-    floor = np.repeat(indptr[rows], np.diff(sup_indptr))
-    if (pairs.min(axis=1, initial=0) < 0).any() or (pairs.max(axis=1, initial=-1) >= floor).any():
-        raise ValueError("a supporter slot is not in a row below its target's row")
-    if ((seeds < 0) | (seeds >= n)).any():
-        raise ValueError("a seed is not a row")
-
-
 def update_slots(
     indptr, indices, base, sup_indptr, sup_slots, weights, seeds, mask, escaped, changed, counts,
 ) -> None:
     """The bottom-up pass from the ``seeds`` rows, writing only ``weights``
-    and the three outputs: the C kernel's ``update_slots`` when it is
-    loaded (its comment has the algorithm), else the pure loop."""
-    kernel = native_kernel()
-    run = kernel.update_slots if kernel is not None else _update_slots_pure
-    run(indptr, indices, base, sup_indptr, sup_slots, weights, seeds, mask, escaped, changed,
-        counts)
-
-
-def _update_slots_pure(
-    indptr, indices, base, sup_indptr, sup_slots, weights, seeds, mask, escaped, changed, counts,
-) -> None:
-    """The C pass, one numpy step per dirty row (the rung without a compiler)."""
-    check_slot_arrays(indptr, indices, base, sup_indptr, sup_slots, weights, seeds, mask,
-                      escaped, changed, counts)
-    pairs = sup_slots.reshape(-1, 2)
-    heap: List[int] = []
-    queued = set()
-
-    def mark(row: int) -> None:
-        if len(mask) and not mask[row]:
-            if len(escaped):
-                escaped[row] = 1
-        elif row not in queued:
-            queued.add(row)
-            heapq.heappush(heap, row)
-
-    for row in seeds.tolist():
-        mark(row)
-    while heap:
-        r = heapq.heappop(heap)
-        lo, hi = indptr[r : r + 2].tolist()
-        value = base[lo:hi].copy()
-        first, last = sup_indptr[lo], sup_indptr[hi]
-        counts[0] += 1
-        counts[1] += last - first
-        if last > first:
-            owners = np.repeat(np.arange(hi - lo), np.diff(sup_indptr[lo : hi + 1]))
-            through = weights[pairs[first:last, 0]] + weights[pairs[first:last, 1]]
-            np.minimum.at(value, owners, through)
-        moved = value != weights[lo:hi]
-        if not moved.any():
-            continue
-        weights[lo:hi] = value
-        changed[lo:hi][moved] = 1
-        counts[2] += int(np.count_nonzero(moved))
-        # A changed column c marks the owner min(c, w) of each pair (c, w).
-        columns = indices[lo:hi]
-        top = columns[moved].max()
-        for row in columns[columns < top].tolist():
-            mark(row)
-        if (columns > top).any():
-            mark(int(top))
+    and the three outputs: the C kernel's ``update_slots`` (its comment has
+    the algorithm and the input checks)."""
+    native_kernel().update_slots(
+        indptr, indices, base, sup_indptr, sup_slots, weights, seeds, mask, escaped, changed,
+        counts,
+    )

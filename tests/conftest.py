@@ -12,33 +12,12 @@ import pytest
 from repro.graph.generators import grid_road_network, random_connected_graph
 from repro.graph.graph import Graph
 from repro.graph.updates import EdgeUpdate, UpdateBatch, generate_update_batch
-from repro.kernels.native import native_kernel, native_kernel_error
-
-
-#: No frozen store exists without the native C kernel, and a
-#: ``ClusterEngine`` (whose readers serve only stores) refuses to start
-#: without it: every test that inspects a store or starts a cluster carries
-#: this skip, which the pure rung (``REPRO_DISABLE_NATIVE_KERNELS=1``, or no
-#: compiler) takes.
-NEEDS_NATIVE = pytest.mark.skipif(
-    native_kernel() is None,
-    reason=f"native C kernel unavailable: {native_kernel_error()}",
-)
-
-
-def pytest_collection_modifyitems(config, items):
-    """Give the engine-core conformance tests' cluster backend the native skip."""
-    for item in items:
-        callspec = getattr(item, "callspec", None)
-        if callspec is not None and callspec.params.get("make_engine") == "cluster":
-            item.add_marker(NEEDS_NATIVE)
 
 
 def patch_out_native_kernel(monkeypatch) -> None:
-    """Make the native kernel unavailable until the test ends — the state a
-    machine without a compiler loads.  Every check of the one store rule
-    (``repro.base``, ``repro.store``, ``repro.cluster``) and the maintenance
-    loops read it through ``native_kernel()``, so all of them see ``None``."""
+    """Put the native kernel loader in its failed state until the test ends
+    — what a machine without a compiler loads: every ``native_kernel()``
+    call raises :class:`~repro.exceptions.NativeKernelError`."""
     from repro.kernels import native
 
     monkeypatch.setattr(native, "_loaded", True)
@@ -100,16 +79,18 @@ def random_graph() -> Graph:
 
 
 @pytest.fixture
-def pure_maintenance(monkeypatch):
-    """A switch: once called, ``update_labels``, ``update_slots`` and a
-    build's elimination (``eliminate_slots`` / ``elimination_order``) run
-    their pure rungs (what a missing compiler gives) until the test ends."""
-    import repro.labeling.h2h as h2h_module
-    import repro.treedec.slots as slots_module
+def oracle_maintenance(monkeypatch):
+    """A switch: once called, every C pass of a build and an update window —
+    the label pass (``h2h.update_labels``), the label pairs' query
+    (``H2HLabels.pair_distances``), the shortcut pass
+    (``slots.update_slots``) and the elimination (``slots.eliminate_slots``
+    / ``ordering.elimination_order``) — runs its Python oracle
+    (``tests/oracles``) until the test ends."""
+    from tests.oracles import seams
 
     def switch() -> None:
-        for module in (h2h_module, slots_module):
-            monkeypatch.setattr(module, "native_kernel", lambda: None)
+        for owner, name, oracle in seams():
+            monkeypatch.setattr(owner, name, oracle)
 
     return switch
 
@@ -182,8 +163,8 @@ def check_build_equals_reference(graph, **kwargs):
     (``reference_shortcuts``): the same order and rows, ``base`` holding each
     slot's graph weight (``inf`` for fill-in), the same weight bits, and a
     build that counts no work and no version."""
-    from repro.treedec.mde import eliminate
     from repro.treedec.slots import SlotContraction
+    from tests.oracles.slots import eliminate
 
     contraction = SlotContraction.build(graph, **kwargs)
     order, rows = eliminate(graph, **kwargs)

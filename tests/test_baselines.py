@@ -122,7 +122,7 @@ class TestCrossBoundaryAggregation:
 
     def test_composed_equals_global_tiered_contraction(self):
         """The aggregation equals a genuine global contraction under the same order."""
-        from repro.treedec.mde import eliminate
+        from tests.oracles.slots import eliminate
 
         graph = grid_road_network(6, 6, seed=6)
         partitioning, order, family, overlay = self._build_parts(graph, seed=6)
@@ -135,17 +135,18 @@ class TestCrossBoundaryAggregation:
 
 
 class TestSlotMaintenance:
-    """TOAIN's contraction on both rungs: after every kind of batch its arena
+    """TOAIN's contraction through the C shortcut pass and through its
+    oracle: after every kind of batch its arena
     and graph weights equal a fresh build's byte for byte, and so do the
     core labels rebuilt from them."""
 
-    @pytest.mark.parametrize("rung", ("native", "pure"))
+    @pytest.mark.parametrize("rung", ("native", "oracle"))
     @pytest.mark.parametrize("kind", sorted(BATCH_SEQUENCES))
-    def test_arenas_equal_a_fresh_build(self, kind, rung, pure_maintenance):
+    def test_arenas_equal_a_fresh_build(self, kind, rung, oracle_maintenance):
         from repro.registry import create_index
 
-        if rung == "pure":
-            pure_maintenance()
+        if rung == "oracle":
+            oracle_maintenance()
         graph = grid_road_network(8, 8, seed=4)
         index = check_slot_maintenance("TOAIN", graph, kind)
         fresh = create_index("TOAIN", graph.copy())

@@ -30,6 +30,8 @@ from repro.graph.updates import generate_update_batch
 from repro.registry import create_index, get_spec, registered_methods
 from repro.throughput.workload import sample_query_pairs
 
+from tests.oracles.queries import kernel_rung, reference_rung
+
 #: All nine registered methods with small-graph construction parameters.
 NINE_SPECS = {
     "BiDijkstra": get_spec("BiDijkstra"),
@@ -136,20 +138,22 @@ UNKNOWN_VERTEX_CALLS = {
 
 class TestBatchValidation:
     def test_unknown_vertices_raise(self, built_indexes):
-        """All nine methods, frozen stores and pure reference alike."""
+        """All nine methods, through the frozen stores and on the reference
+        rung alike."""
         silent = []
         for method, index in built_indexes.items():
-            for use_kernels in (True, False):
-                index.use_kernels = use_kernels
+            for rung in ("kernels", "reference"):
+                if rung == "reference":
+                    reference_rung(index)
                 try:
                     for call_name, call in UNKNOWN_VERTEX_CALLS.items():
                         try:
                             call(index)
                         except VertexNotFoundError:
                             continue
-                        silent.append((method, use_kernels, call_name))
+                        silent.append((method, rung, call_name))
                 finally:
-                    index.use_kernels = True
+                    kernel_rung(index)
         assert silent == []
 
     def test_empty_batches(self, built_indexes):

@@ -3,7 +3,6 @@
 import numpy
 import pytest
 
-import repro.treedec.slots as slots_module
 from repro.algorithms.dijkstra import dijkstra_distance
 from repro.exceptions import IndexNotBuiltError, VertexNotFoundError
 from repro.graph.generators import grid_road_network, random_connected_graph
@@ -19,13 +18,13 @@ from repro.treedec.slots import SlotContraction
 
 from tests.conftest import (
     BATCH_SEQUENCES,
-    NEEDS_NATIVE,
     float_bits,
     inverse,
     paper_example_graph,
     random_query_pairs,
     reference_weights,
 )
+from tests.oracles import slots as slot_oracle
 
 
 def assert_matches_dijkstra(index, graph, pairs):
@@ -129,15 +128,16 @@ class TestDCHMaintenance:
 
 
 class TestSlotMaintenance:
-    """DCH's flat pass on both rungs: after every kind of batch its weights
+    """DCH's flat pass, in C and through its oracle: after every kind of
+    batch its weights
     equal, bit for bit, a fresh build on the updated graph and the weighted
     dict elimination of it under the same order."""
 
-    @pytest.mark.parametrize("rung", ("native", "pure"))
+    @pytest.mark.parametrize("rung", ("native", "oracle"))
     @pytest.mark.parametrize("kind", sorted(BATCH_SEQUENCES))
-    def test_weights_equal_a_fresh_build(self, kind, rung, pure_maintenance):
-        if rung == "pure":
-            pure_maintenance()
+    def test_weights_equal_a_fresh_build(self, kind, rung, oracle_maintenance):
+        if rung == "oracle":
+            oracle_maintenance()
         graph = grid_road_network(8, 8, seed=4)
         index = DCHIndex(graph.copy())
         index.build()
@@ -156,7 +156,6 @@ class TestSlotMaintenance:
             assert weights != before
         assert_matches_dijkstra(index, graph, random_query_pairs(graph, 30, seed=4))
 
-    @NEEDS_NATIVE
     def test_old_epoch_store_survives_two_windows(self):
         index = DCHIndex(grid_road_network(10, 10, seed=5))
         index.build()
@@ -256,14 +255,14 @@ SLOT_OUTPUTS = ("weights", "escaped", "changed", "counts")
 
 
 def _update_passes():
-    passes = [pytest.param(slots_module._update_slots_pure, id="pure")]
-    if native_kernel() is not None:
-        passes.append(pytest.param(native_kernel().update_slots, id="native"))
-    return passes
+    return [
+        pytest.param(slot_oracle.update_slots, id="oracle"),
+        pytest.param(native_kernel().update_slots, id="native"),
+    ]
 
 
 class TestUpdateSlotsInputs:
-    """``update_slots`` (C) and its pure loop refuse malformed arrays with a
+    """``update_slots`` (C) and its oracle refuse malformed arrays with a
     ``ValueError`` before writing anything."""
 
     @pytest.fixture
@@ -339,7 +338,6 @@ class TestUpdateSlotsInputs:
             loaded.contraction.update(generate_update_batch(loaded.graph, volume=4, seed=1))
         assert bytes(loaded.contraction.arena.buffer) == weights
 
-    @NEEDS_NATIVE
     def test_wrong_buffer_types_raise(self, arrays):
         kernel = native_kernel()
         wrong = {

@@ -32,6 +32,7 @@ from repro.exceptions import (
     EdgeNotFoundError,
     EngineStoppedError,
     InvalidWeightError,
+    NativeKernelError,
     VertexNotFoundError,
 )
 from repro.graph.generators import grid_road_network
@@ -46,7 +47,7 @@ from repro.store import (
     save_index,
 )
 from repro.throughput.workload import sample_query_pairs
-from tests.conftest import NEEDS_NATIVE, patch_out_native_kernel
+from tests.conftest import patch_out_native_kernel
 
 SIDE = 7
 SEED = 7
@@ -125,7 +126,6 @@ def leftovers(directory):
 # ----------------------------------------------------------------------
 # The batch split: contiguous near-equal slices, one per reader
 # ----------------------------------------------------------------------
-@NEEDS_NATIVE
 class TestSplit:
     @pytest.mark.parametrize(
         "snapshot_fixture, final_stage",
@@ -203,7 +203,6 @@ class TestSplit:
 # ----------------------------------------------------------------------
 # Bit-identical answers vs the single-process engine
 # ----------------------------------------------------------------------
-@NEEDS_NATIVE
 class TestBitIdentical:
     def test_fresh_matches_single_process(self, pmhl_snapshot, query_pairs, tmp_path):
         single = ServingEngine.from_snapshot(pmhl_snapshot, cache_capacity=0)
@@ -258,7 +257,6 @@ class TestBitIdentical:
             assert cluster.serve_batch([]) == []
 
 
-@NEEDS_NATIVE
 class TestReaderStart:
     def test_spawned_readers_answer_and_recover_like_forked_ones(
         self, pmhl_snapshot, query_pairs, update_batches, tmp_path
@@ -319,7 +317,6 @@ class TestReaderStart:
 # ----------------------------------------------------------------------
 # Epoch barrier: no torn reads across an update broadcast
 # ----------------------------------------------------------------------
-@NEEDS_NATIVE
 class TestEpochBarrier:
     def test_every_shard_answers_at_the_same_epoch(
         self, pmhl_snapshot, query_pairs, update_batches, tmp_path
@@ -414,7 +411,6 @@ class TestEpochBarrier:
 # ----------------------------------------------------------------------
 # Worker death / hang robustness
 # ----------------------------------------------------------------------
-@NEEDS_NATIVE
 class TestWorkerFailure:
     def test_crash_fails_batch_typed_then_recovers(
         self, pmhl_snapshot, query_pairs, tmp_path
@@ -510,7 +506,6 @@ class TestWorkerFailure:
 # ----------------------------------------------------------------------
 # Graceful shutdown: no orphan processes
 # ----------------------------------------------------------------------
-@NEEDS_NATIVE
 class TestShutdown:
     def test_stop_leaves_no_orphans(self, pmhl_snapshot, query_pairs, tmp_path):
         cluster = make_cluster(pmhl_snapshot, tmp_path, num_workers=3)
@@ -556,7 +551,6 @@ class TestShutdown:
 # ----------------------------------------------------------------------
 # Snapshot republish lifecycle + atomic writes
 # ----------------------------------------------------------------------
-@NEEDS_NATIVE
 class TestRepublish:
     def test_generation_published_after_each_window(
         self, pmhl_snapshot, update_batches, tmp_path
@@ -620,7 +614,6 @@ class TestRepublish:
 # ----------------------------------------------------------------------
 # Readers answer from the maintainer's stores, and from nothing else
 # ----------------------------------------------------------------------
-@NEEDS_NATIVE
 class TestReaderCompleteness:
     @pytest.mark.parametrize("method", sorted(NINE_SPECS))
     def test_readers_match_single_process_and_dijkstra(
@@ -679,7 +672,7 @@ class TestReaderCompleteness:
 # ----------------------------------------------------------------------
 class TestRejectedBatch:
     @pytest.mark.parametrize(
-        "backend", ["serving", pytest.param("cluster", marks=NEEDS_NATIVE)]
+        "backend", ["serving", "cluster"]
     )
     @pytest.mark.parametrize(
         "bad, error",
@@ -723,7 +716,6 @@ class TestRejectedBatch:
             assert store_generations(tmp_path / "gens") == ["stores-000001"]
 
 
-@NEEDS_NATIVE
 class TestUncommittedBatch:
     @pytest.mark.parametrize("stage", ["write", "adopt"])
     def test_failure_after_the_apply_fails_the_cluster(
@@ -768,7 +760,6 @@ class TestUncommittedBatch:
 # ----------------------------------------------------------------------
 # Stats
 # ----------------------------------------------------------------------
-@NEEDS_NATIVE
 class TestStats:
     def test_stats_report_store_generation_and_adopts(
         self, pmhl_snapshot, update_batches, tmp_path
@@ -790,11 +781,13 @@ class TestStats:
 
 class TestWithoutNativeKernel:
     def test_cluster_engine_refuses_to_start(self, pmhl_snapshot, tmp_path, monkeypatch):
-        """Readers serve only the maintainer's stores, and no store exists
-        without the C kernel: the cluster refuses typed, naming the reason."""
+        """Readers serve only the maintainer's stores, which run on the C
+        kernel: the cluster refuses with the loader's typed error, naming
+        the compile command and the reason, before it forks a reader."""
         patch_out_native_kernel(monkeypatch)
-        with pytest.raises(ClusterError, match="patched out by the test"):
+        with pytest.raises(NativeKernelError, match="patched out by the test") as error:
             make_cluster(pmhl_snapshot, tmp_path)
+        assert "-shared" in str(error.value) and "_labelkernel.c" in str(error.value)
         assert not os.path.exists(tmp_path / "gens")
 
 

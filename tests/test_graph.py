@@ -423,7 +423,7 @@ class TestArrayGraphAgainstDictReference:
 
 
 def test_pure_searches_read_one_list_per_weight_version():
-    """The pure rung's rows are made once per weight version, so a weight
+    """The Python searches' rows are made once per weight version, so a weight
     write is seen and repeated searches reuse the lists."""
     from repro.algorithms.dijkstra import bidijkstra, dijkstra_distance
 

@@ -3,7 +3,6 @@
 import numpy
 import pytest
 
-import repro.labeling.h2h as h2h_module
 from repro.algorithms.dijkstra import dijkstra_distance
 from repro.exceptions import IndexNotBuiltError
 from repro.graph.generators import grid_road_network, random_connected_graph
@@ -15,7 +14,6 @@ from repro.registry import create_index
 
 from tests.conftest import (
     BATCH_SEQUENCES,
-    NEEDS_NATIVE,
     check_label_maintenance,
     check_slot_maintenance,
     float_bits,
@@ -23,6 +21,7 @@ from tests.conftest import (
     paper_example_graph,
     random_query_pairs,
 )
+from tests.oracles import labels as label_oracle
 
 
 def assert_matches_dijkstra(query_fn, graph, pairs):
@@ -125,10 +124,10 @@ class TestDH2HMaintenance:
             assert index.labels.dis(v).tolist() == pytest.approx(rebuilt.labels.dis(v).tolist())
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
-    def test_native_and_pure_rungs_agree_bit_for_bit(self, seed, pure_maintenance):
+    def test_native_passes_equal_the_oracles_bit_for_bit(self, seed, oracle_maintenance):
         """Build plus mixed increase / decrease batches through the native
-        maintenance kernels and through the pure loops they port: same label
-        and shortcut bits, same positions, same changed sets."""
+        maintenance kernels and through their oracles (``tests/oracles``):
+        same label and shortcut bits, same positions, same changed sets."""
 
         def maintain():
             graph = grid_road_network(9, 9, seed=seed)
@@ -149,7 +148,7 @@ class TestDH2HMaintenance:
             )
 
         native = maintain()
-        pure_maintenance()
+        oracle_maintenance()
         assert maintain() == native
         assert all(labels for _, labels in native[3])
 
@@ -207,18 +206,19 @@ class TestMHL:
 
 
 class TestFlatLabelMaintenance:
-    """The label pass on both rungs: after every kind of batch each arena
+    """The label pass, in C and through its oracle: after every kind of
+    batch each arena
     equals a fresh build on the updated graph, and every pass equals the
     dict path (``container_row`` over a dict copy) step for step."""
 
-    @pytest.mark.parametrize("rung", ("native", "pure"))
+    @pytest.mark.parametrize("rung", ("native", "oracle"))
     @pytest.mark.parametrize("kind", sorted(BATCH_SEQUENCES))
     @pytest.mark.parametrize("method", ("DH2H", "MHL"))
     def test_arenas_equal_a_fresh_build_and_the_dict_path(
-        self, method, kind, rung, pure_maintenance, container_oracle
+        self, method, kind, rung, oracle_maintenance, container_oracle
     ):
-        if rung == "pure":
-            pure_maintenance()
+        if rung == "oracle":
+            oracle_maintenance()
         graph = grid_road_network(8, 8, seed=4)
         index = check_label_maintenance(method, graph, kind)
         assert index.labels in container_oracle
@@ -235,7 +235,6 @@ class TestFlatLabelMaintenance:
         work = (empty.vertices_visited, empty.columns_recomputed, empty.columns_changed)
         assert work == (0, 0, 0)
 
-    @NEEDS_NATIVE
     @pytest.mark.parametrize("method", ("DH2H", "PMHL"))
     def test_old_epoch_store_survives_two_windows(self, method):
         index = create_index(method, grid_road_network(10, 10, seed=5))
@@ -255,7 +254,6 @@ class TestFlatLabelMaintenance:
         assert old.query_pairs(pairs) == answers
         assert [old.query(s, t) for s, t in pairs] == answers
 
-    @NEEDS_NATIVE
     def test_a_store_wraps_the_arena_and_a_write_copies_it(self):
         index = DH2HIndex(grid_road_network(6, 6, seed=1))
         index.build()
@@ -365,30 +363,31 @@ CORRUPT_LABELS = {
 
 
 def _label_passes():
-    passes = [pytest.param(h2h_module._update_labels_pure, id="pure")]
-    if native_kernel() is not None:
-        passes.append(pytest.param(native_kernel().update_labels, id="native"))
-    return passes
+    return [
+        pytest.param(label_oracle.update_labels, id="oracle"),
+        pytest.param(native_kernel().update_labels, id="native"),
+    ]
 
 
 class TestSlotMaintenance:
-    """DH2H's and MHL's shortcut pass on both rungs: after every kind of
+    """DH2H's and MHL's shortcut pass, in C and through its oracle: after
+    every kind of
     batch the contraction's arena and graph weights, and the label arena,
     equal a fresh build's byte for byte."""
 
-    @pytest.mark.parametrize("rung", ("native", "pure"))
+    @pytest.mark.parametrize("rung", ("native", "oracle"))
     @pytest.mark.parametrize("kind", sorted(BATCH_SEQUENCES))
     @pytest.mark.parametrize("method", ("DH2H", "MHL"))
-    def test_arenas_equal_a_fresh_build(self, method, kind, rung, pure_maintenance):
-        if rung == "pure":
-            pure_maintenance()
+    def test_arenas_equal_a_fresh_build(self, method, kind, rung, oracle_maintenance):
+        if rung == "oracle":
+            oracle_maintenance()
         graph = grid_road_network(8, 8, seed=4)
         index = check_slot_maintenance(method, graph, kind)
         query = index.query_ch if method == "MHL" else index.query
         for s, t in random_query_pairs(graph, 20, seed=4):
             assert query(s, t) == pytest.approx(dijkstra_distance(graph, s, t))
 
-    def test_shortcut_work_counters_match_on_both_rungs(self, pure_maintenance):
+    def test_shortcut_work_counters_match_the_oracle(self, oracle_maintenance):
         def windows():
             graph = grid_road_network(9, 9, seed=3)
             index = DH2HIndex(graph)
@@ -400,11 +399,10 @@ class TestSlotMaintenance:
             ]
 
         native = windows()
-        pure_maintenance()
+        oracle_maintenance()
         assert windows() == native
         assert all(changed > 0 for _, _, changed in native)
 
-    @NEEDS_NATIVE
     def test_old_epoch_ch_store_survives_two_windows(self):
         """MHL's CH-stage store wraps the contraction's arena; the next
         batch's pass writes a copy, so the old store keeps its bytes and its
@@ -448,7 +446,6 @@ class TestUpdateLabelsInputs:
         assert arrays["counts"][0] == len(arrays["parent"])
         assert arrays["counts"][1] == len(arrays["dis_data"]) and arrays["counts"][2] == 0
 
-    @NEEDS_NATIVE
     def test_wrong_buffer_types_raise(self):
         kernel, arrays = native_kernel(), _label_arrays()
         wrong = {

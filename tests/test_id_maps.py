@@ -8,8 +8,7 @@ searched by bisection where the id space is too sparse for one), checks it
 and answers — ``query_ids`` for a label store, ``search_query_ids`` for a
 shortcut store — and returns the position of the first id with no row.
 ``map_ids`` is the same mapping alone, behind ``rows_of`` and the graph's
-vertex check (``Graph.positions``), which the engine runs before admission;
-without the kernel ``rows_of`` maps through numpy.
+vertex check (``Graph.positions``), which the engine runs before admission.
 
 Hypothesis draws batches over a dense and a sparse id space, as ``int32``
 and ``int64``, with repeated pairs, ``source == target``, and ids below 0,
@@ -31,12 +30,11 @@ from hypothesis import strategies as st
 from repro.exceptions import VertexNotFoundError
 from repro.graph.generators import grid_road_network
 from repro.graph.graph import Graph
-from repro.kernels import arena
 from repro.kernels.arena import build_remap, pair_ids, rows_of
 from repro.kernels.native import native_kernel
 from repro.registry import create_index
 
-from tests.conftest import NEEDS_NATIVE, float_bits
+from tests.conftest import float_bits
 
 #: Sparse ids: every grid vertex ``v`` becomes ``v * SPREAD + 17`` (so the
 #: largest is ~48 M, inside int32, and far past a dense remap's slack).
@@ -57,14 +55,13 @@ def _space(sparse: bool) -> SimpleNamespace:
         us, vs = us * SPREAD + 17, vs * SPREAD + 17
     graph = Graph.from_edges(us, vs, weights)
     ids = graph.ids.tolist()
-    space = SimpleNamespace(graph=graph, ids=ids, label=None, search=None)
-    if native_kernel() is not None:
-        labels = create_index("DH2H", graph)
-        labels.build()
-        search = create_index("DCH", graph)
-        search.build()
-        space.label, space.search = labels._final_store(), search._final_store()
-    return space
+    labels = create_index("DH2H", graph)
+    labels.build()
+    search = create_index("DCH", graph)
+    search.build()
+    return SimpleNamespace(
+        graph=graph, ids=ids, label=labels._final_store(), search=search._final_store()
+    )
 
 
 @pytest.fixture(scope="module", params=["dense", "sparse"])
@@ -112,7 +109,6 @@ def python_first_missing(members, pairs: np.ndarray) -> int:
     return -1
 
 
-@NEEDS_NATIVE
 class TestBatchEntries:
     @SETTINGS
     @given(data=st.data())
@@ -149,35 +145,34 @@ class TestBatchEntries:
 class TestMapIds:
     @SETTINGS
     @given(data=st.data())
-    def test_rows_and_first_missing_on_both_rungs(self, space, data):
+    def test_rows_and_first_missing(self, space, data):
+        """``map_ids`` against a dict probe per id: the same rows, or the
+        same first missing position."""
         pairs = data.draw(batches(space.ids))
         graph = space.graph
         idmap = build_remap(graph.ids)
         want = python_first_missing(set(space.ids), pairs)
-        rungs = []
-        for kernel in (native_kernel, lambda: None):  # map_ids, its numpy twin
-            with pytest.MonkeyPatch.context() as patch:
-                patch.setattr(arena, "native_kernel", kernel)
-                try:
-                    rungs.append(rows_of(idmap, pairs).tolist())
-                except VertexNotFoundError as exc:
-                    rungs.append(exc.position)
+        try:
+            got = rows_of(idmap, pairs).tolist()
+        except VertexNotFoundError as exc:
+            got = exc.position
         if want < 0:
-            rows = [graph.position(v) for v in pairs.reshape(-1).tolist()]
-            assert rungs == [rows, rows]
+            assert got == [graph.position(v) for v in pairs.reshape(-1).tolist()]
         else:
-            assert rungs == [want, want]
+            assert got == want
 
-    def test_the_numpy_twin_gathers_a_dense_map(self, monkeypatch):
+    @pytest.mark.parametrize("sparse", [False, True], ids=["dense", "sparse"])
+    def test_rows_of_makes_no_numpy_call_that_drops_the_gil(self, sparse, monkeypatch):
         """``searchsorted``, ``take`` and ``arange`` drop the GIL on every
-        call: threads serving single queries through them on the pure rung
-        starved a thread waiting for the GIL (a ``Thread.start`` took the
-        whole 0.4 s run of exp9).  The dense map is gathered instead."""
-        idmap = build_remap(_space(False).graph.ids)
-        monkeypatch.setattr(arena, "native_kernel", lambda: None)
+        call: threads serving single queries through them starved a thread
+        waiting for the GIL (a ``Thread.start`` took the whole 0.4 s run of
+        exp9).  ``rows_of`` is one C call over either id map."""
+        graph = _space(sparse).graph
+        idmap = build_remap(graph.ids)
+        ids = graph.ids[[3, 1, 2]].tolist()
         for name in ("searchsorted", "take", "arange"):
             monkeypatch.setattr(np, name, None)
-        assert rows_of(idmap, [3, 1, 2]).tolist() == [3, 1, 2]
+        assert rows_of(idmap, ids).tolist() == [3, 1, 2]
 
     @SETTINGS
     @given(data=st.data())
@@ -207,7 +202,6 @@ class TestMapIds:
             pair_ids([(1, 2**70)])
 
 
-@NEEDS_NATIVE
 class TestEntryInputs:
     """What the C entries refuse before they read an id."""
 

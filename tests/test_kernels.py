@@ -2,25 +2,23 @@
 
 The contract under test (see DESIGN.md §7):
 
-* with ``use_kernels=True`` (the default) every index answers scalar and
-  batch queries through the frozen flat-array stores of ``repro.kernels``,
-  and the results are **bit-identical** to the pure-Python reference path
-  (``use_kernels=False``) on all nine methods — freshly built and after
-  ``apply_batch``;
+* every index answers scalar and batch queries through the frozen
+  flat-array stores of ``repro.kernels``, and the results are
+  **bit-identical** to its pure-Python reference hooks (the reference rung
+  of ``tests/oracles/queries``) on all nine methods — freshly built and
+  after ``apply_batch``;
 * a query after an update never reads a pre-freeze store: ``apply_batch``
   invalidates at entry, the kernel epoch advances, and post-update answers
   replay exactly against a fresh Dijkstra oracle;
 * the CSR graph snapshot is additionally keyed to ``graph.version`` so even
   out-of-band graph mutation cannot be served from a stale snapshot;
-* without the native C kernel no store is frozen or loaded, and every index
-  answers exactly as its reference path does.
+* without the native C kernel a build, a snapshot load and a cluster start
+  each raise ``NativeKernelError`` naming the compile command.
 """
 
 from __future__ import annotations
 
 import gc
-import json
-import os
 import random
 import sys
 import threading
@@ -37,6 +35,7 @@ from repro.algorithms.dijkstra import bidijkstra, dijkstra_distance
 from repro.exceptions import (
     EdgeNotFoundError,
     InvalidWeightError,
+    NativeKernelError,
     SnapshotFormatError,
     StoreNotPublishedError,
     VertexNotFoundError,
@@ -54,7 +53,8 @@ from repro.registry import create_index, get_spec
 from repro.serving.engine import ServingEngine
 from repro.store.snapshot import load_index, save_index
 from repro.throughput.workload import sample_query_pairs
-from tests.conftest import NEEDS_NATIVE, label_rows, patch_out_native_kernel
+from tests.conftest import label_rows, patch_out_native_kernel
+from tests.oracles.queries import reference_rung
 
 #: All nine registered methods with small-graph construction parameters.
 NINE_SPECS = {
@@ -85,13 +85,14 @@ def _query_pairs(graph):
 
 @pytest.fixture(scope="module")
 def index_pairs():
-    """Every method built twice on the same 10x10 grid: kernels on / off."""
+    """Every method built twice on the same 10x10 grid: answering through
+    its stores, and on the reference rung."""
     base = grid_road_network(10, 10, seed=5)
     built = {}
     for name, spec in NINE_SPECS.items():
         fast = create_index(spec, base.copy())
         fast.build()
-        reference = create_index(spec, base.copy(), use_kernels=False)
+        reference = reference_rung(create_index(spec, base.copy()))
         reference.build()
         built[name] = (fast, reference)
     return built
@@ -177,7 +178,6 @@ class TestPostSnapshotLoadEquivalence:
             abs(a - b) <= 1e-6 * max(1.0, abs(b)) for a, b in zip(scalar, oracle)
         )
 
-    @NEEDS_NATIVE
     @pytest.mark.parametrize("method", ("BiDijkstra", "DCH", "DH2H", "TOAIN", "PMHL"))
     def test_loaded_stores_share_snapshot_mmap(self, tmp_path, method):
         """Warm-started stores execute over the snapshot's mmap'd buffers —
@@ -199,7 +199,6 @@ class TestPostSnapshotLoadEquivalence:
 
 
 class TestStaleness:
-    @NEEDS_NATIVE
     def test_update_invalidates_frozen_label_store(self):
         graph = grid_road_network(8, 8, seed=2)
         index = create_index("DH2H", graph)
@@ -238,9 +237,8 @@ class TestStaleness:
         graph.set_edge_weight(a, b, c / 4)
         graph.set_edge_weight(u, v, w)
         assert index.query(0, 35) == bidijkstra(graph, 0, 35)
-        if native_kernel() is not None:
-            snapshot = index._graph_snapshot()
-            assert _same_bytes(snapshot, GraphSnapshot.freeze(graph))
+        snapshot = index._graph_snapshot()
+        assert _same_bytes(snapshot, GraphSnapshot.freeze(graph))
 
     def test_serving_engine_never_reads_pre_freeze_store(self):
         graph = grid_road_network(8, 8, seed=7)
@@ -260,50 +258,33 @@ class TestStaleness:
 
 
 class TestWithoutNativeKernel:
-    """What a machine without a compiler runs: no store exists, so an index
-    answers through its reference path, bit for bit as ``use_kernels=False``
-    does — built fresh, after one batch, and loaded from a snapshot that was
-    saved with the kernel (whose stores must then be ignored)."""
-
-    @staticmethod
-    def _answers(index, pairs):
-        source = pairs[0][0]
-        targets = [t for _, t in pairs]
-        return (
-            [index.query(s, t) for s, t in pairs],
-            index.query_many(pairs),
-            index.query_one_to_many(source, targets),
-        )
+    """The C kernel is a dependency: with the loader in its failed state (a
+    machine without a compiler) a build and a snapshot load each raise
+    ``NativeKernelError`` naming the compile command and the failure,
+    before they write anything."""
 
     @pytest.mark.parametrize("method", sorted(NINE_SPECS))
-    def test_no_store_and_reference_answers(self, method, monkeypatch, tmp_path):
+    def test_build_and_load_raise_the_typed_error(self, method, monkeypatch, tmp_path):
+        from repro.kernels import native
+
         spec = NINE_SPECS[method]
-        base = grid_road_network(8, 8, seed=3)
-        saved = create_index(spec, base.copy())
+        saved = create_index(spec, grid_road_network(6, 6, seed=3))
         saved.build()
         snapshot = str(tmp_path / "snap")
         save_index(saved, snapshot)
-        with open(os.path.join(snapshot, "state.json")) as handle:
-            # Stores to ignore on load, wherever the kernel is loaded.
-            assert bool(json.load(handle).get("kernels")) == (native_kernel() is not None)
+        command = " ".join(native._compile_command(native._SOURCE_PATH, ""))
 
         patch_out_native_kernel(monkeypatch)
-        fresh = create_index(spec, base.copy())
-        fresh.build()
-        loaded = load_index(snapshot)
-        reference = create_index(spec, base.copy(), use_kernels=False)
-        reference.build()
-        pairs = _query_pairs(base)
-        batch = generate_update_batch(base, volume=12, seed=9)
-        for stage in ("fresh", "after one batch"):
-            if stage != "fresh":
-                for index in (fresh, loaded, reference):
-                    index.apply_batch(batch)
-            expected = self._answers(reference, pairs)
-            for index in (fresh, loaded):
-                assert self._answers(index, pairs) == expected, (method, stage)
-                assert index._kernel_stores == {}, (method, stage)
-                assert index._graph_snapshot_cache is None, (method, stage)
+        index = create_index(spec, grid_road_network(6, 6, seed=3))
+        for call in (index.build, lambda: load_index(snapshot)):
+            with pytest.raises(NativeKernelError) as error:
+                call()
+            assert command.split(" -o ")[0] in str(error.value)
+            assert "patched out by the test" in str(error.value)
+        assert not index.is_built
+        with pytest.raises(NativeKernelError):
+            native.native_kernel()
+        assert native.native_kernel_error() == "patched out by the test"
 
 
 class TestNativeCompileCache:
@@ -459,11 +440,11 @@ def _upward(store):
         for r in range(len(ids))
     }
 
-@NEEDS_NATIVE
 class TestEliminationTreeQuery:
     """The CH query walks the elimination tree of every shortcut store: each
     store any method freezes passes the kernel's tree check, and its answers
-    equal the pure rung's bit for bit, fresh and after every kind of batch."""
+    equal the reference rung's bit for bit, fresh and after every kind of
+    batch."""
 
     @pytest.mark.parametrize("method", sorted(CH_STAGES))
     def test_every_store_is_a_tree_and_bit_identical(self, method):
@@ -471,7 +452,7 @@ class TestEliminationTreeQuery:
         base = grid_road_network(12, 12, seed=4)
         fast = create_index(spec, base.copy())
         fast.build()
-        reference = create_index(spec, base.copy(), use_kernels=False)
+        reference = reference_rung(create_index(spec, base.copy()))
         reference.build()
         pairs = _query_pairs(base)
         stage = CH_STAGES[method]
@@ -550,7 +531,7 @@ class TestEliminationTreeQuery:
         graph = Graph.from_edges(*zip(*edges))
         fast = create_index("DCH", graph.copy())
         fast.build()
-        reference = create_index("DCH", graph.copy(), use_kernels=False)
+        reference = reference_rung(create_index("DCH", graph.copy()))
         reference.build()
         store = fast._shortcut_store()
         assert native_kernel().search_is_tree(store.capsule)
@@ -697,7 +678,6 @@ def _ticks_during(call):
     return start, end, ticks
 
 
-@NEEDS_NATIVE
 class TestSearchesReleaseTheGIL:
     """The search entries run their loops without the GIL: another Python
     thread keeps running through a long call, threads that share one capsule
@@ -846,14 +826,13 @@ class TestSearchesReleaseTheGIL:
         assert serial["store.query_pairs"] == pytest.approx(serial["snapshot.query_pairs"])
 
 
-@NEEDS_NATIVE
 class TestKernelSpeedup:
     def test_h2h_family_batch_at_least_2x_faster(self):
         """Conservative CI bar; bench_kernels.py records the real (~5-10x) gap."""
         base = grid_road_network(14, 14, seed=5)
         fast = create_index("DH2H", base.copy())
         fast.build()
-        reference = create_index("DH2H", base.copy(), use_kernels=False)
+        reference = reference_rung(create_index("DH2H", base.copy()))
         reference.build()
         pairs = list(sample_query_pairs(base, 3000, seed=6))
         fast.query_many(pairs[:4])  # freeze outside the timed region
@@ -879,7 +858,7 @@ class TestKernelSpeedup:
         base = grid_road_network(18, 18, seed=5)
         fast = create_index("DCH", base.copy())
         fast.build()
-        reference = create_index("DCH", base.copy(), use_kernels=False)
+        reference = reference_rung(create_index("DCH", base.copy()))
         reference.build()
         pairs = list(sample_query_pairs(base, 300, seed=6))
         fast.query(*pairs[0])  # freeze outside the timed region
@@ -899,12 +878,11 @@ class TestKernelSpeedup:
         )
 
 
-@NEEDS_NATIVE
 class TestMaintenanceKernels:
-    """The C maintenance passes against their pure loops on inputs no index
+    """The C maintenance passes against their oracles on inputs no index
     builds."""
 
-    def test_int_weighted_graph_labels_equal_the_pure_rung(self, pure_maintenance):
+    def test_int_weighted_graph_labels_equal_the_oracle(self, oracle_maintenance):
         """Int weights enter the flat contraction as the float64 values they
         denote (its ``base`` and ``weights`` are float64 arrays), so both
         rungs maintain the same floats."""
@@ -926,8 +904,8 @@ class TestMaintenanceKernels:
             return index
 
         native = build_and_update()
-        pure_maintenance()
-        pure = build_and_update()
+        oracle_maintenance()
+        oracle = build_and_update()
 
         def bits(index):
             return (
@@ -935,7 +913,7 @@ class TestMaintenanceKernels:
                 float_bits(index.contraction.arena["weights"]),
             )
 
-        assert bits(native) == bits(pure)
+        assert bits(native) == bits(oracle)
 
 
 # ----------------------------------------------------------------------
@@ -943,15 +921,16 @@ class TestMaintenanceKernels:
 # ----------------------------------------------------------------------
 class TestStageEndpoints:
     """Every stage of every index raises the typed error for an unknown
-    vertex, on both rungs, also when it is both endpoints; so does every
-    entry point of every label and shortcut store those stages froze."""
+    vertex, through its stores and on the reference rung, also when it is
+    both endpoints; so does every entry point of every label and shortcut
+    store those stages froze."""
 
-    @pytest.mark.parametrize("use_kernels", (True, False), ids=("kernels", "pure"))
+    @pytest.mark.parametrize("rung", ("kernels", "reference"))
     @pytest.mark.parametrize("method", sorted(NINE_SPECS))
-    def test_unknown_vertex_raises_at_every_stage(self, method, use_kernels):
-        index = create_index(
-            NINE_SPECS[method], grid_road_network(8, 8, seed=3), use_kernels=use_kernels
-        )
+    def test_unknown_vertex_raises_at_every_stage(self, method, rung):
+        index = create_index(NINE_SPECS[method], grid_road_network(8, 8, seed=3))
+        if rung == "reference":
+            reference_rung(index)
         index.build()
         missing = 10_000
         for stage in index.stage_catalog():
@@ -964,8 +943,7 @@ class TestStageEndpoints:
             store for store in index._kernel_stores.values()
             if isinstance(store, (LabelStore, ShortcutStore))
         ]
-        frozen = use_kernels and native_kernel() is not None
-        assert bool(stores) == (frozen and method != "BiDijkstra")
+        assert bool(stores) == (rung == "kernels" and method != "BiDijkstra")
         for store in stores:
             for call in (
                 lambda: store.query(missing, 5),
@@ -1006,7 +984,6 @@ def _frozen(index):
 BATCH_KINDS = ((0.0, 21), (1.0, 22), (0.5, 23))
 
 
-@NEEDS_NATIVE
 class TestRefreezeGather:
     """A new epoch's store reuses the previous epoch's layout: contraction
     and label stores wrap the arena their pass wrote, the graph snapshot is

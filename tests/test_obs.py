@@ -18,7 +18,6 @@ from repro.registry import create_index
 from repro.serving.engine import ServingEngine
 from repro.serving.metrics import ServingMetrics
 from repro.throughput.workload import sample_query_pairs
-from tests.conftest import NEEDS_NATIVE
 
 
 @pytest.fixture(autouse=True)
@@ -521,7 +520,6 @@ class TestServingIntegration:
         stages = registry.get("repro_kernel_invalidations_total", index=index.name)
         assert stages is None or stages.value >= 1.0
 
-    @NEEDS_NATIVE
     def test_serving_epoch_refreezes_into_the_previous_layout(self):
         """A DCH serving epoch gathers its shortcut store into the previous
         epoch's layout: the freeze counter's ``layout`` label says so."""

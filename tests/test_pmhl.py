@@ -21,7 +21,6 @@ from repro.store import load_index, save_index
 
 from tests.conftest import (
     BATCH_SEQUENCES,
-    NEEDS_NATIVE,
     arena_bytes,
     check_label_maintenance,
     check_slot_maintenance,
@@ -29,6 +28,7 @@ from tests.conftest import (
     label_sets,
     random_query_pairs,
 )
+from tests.oracles.queries import reference_rung
 
 
 def build_pmhl(graph, k=4, seed=0):
@@ -150,7 +150,6 @@ class TestPMHLMaintenance:
         assert by_name["cross_boundary_update"].parallel_times is not None
 
 
-@NEEDS_NATIVE
 class TestPCHFreezeRace:
     """PCH's store wraps the cross-boundary union, which the maintainer
     gathers before it releases the stage.  A union gathered lazily by the
@@ -225,12 +224,16 @@ PARALLEL_STAGES = {
 }
 
 
-@pytest.mark.parametrize("use_kernels", [True, False])
+@pytest.mark.parametrize("rung", ["native", "reference"])
 @pytest.mark.parametrize("seed", [0, 1])
 class TestPMHLAggregatesPSP:
-    """PMHL's Q3/Q4 *are* the PSP classes' queries: same bits in every state."""
+    """PMHL's Q3/Q4 *are* the PSP classes' queries: same bits in every state,
+    with the stores and on the reference rung (``tests/oracles/queries``)."""
 
-    def test_stage_queries_equal_psp_indexes(self, seed, use_kernels, tmp_path):
+    def test_stage_queries_equal_psp_indexes(self, seed, rung, tmp_path):
+        def on_rung(index):
+            return reference_rung(index) if rung == "reference" else index
+
         base = grid_road_network(9, 9, seed=seed)
         assignment = natural_cut_partition(base, 4, seed=seed).part
         pairs = random_query_pairs(base, 60, seed=seed)
@@ -243,8 +246,7 @@ class TestPMHLAggregatesPSP:
                 partitioning=Partitioning(graph, assignment),
                 **kwargs,
             )
-            index.use_kernels = use_kernels
-            index.build()
+            on_rung(index).build()
             return index
 
         pmhl = build(PMHLIndex)
@@ -286,8 +288,8 @@ class TestPMHLAggregatesPSP:
         # Snapshot round trip (N-PSP has no registry spec; it stays live).
         save_index(pmhl, str(tmp_path / "pmhl"))
         save_index(post_boundary, str(tmp_path / "ptdp"))
-        pmhl = load_index(str(tmp_path / "pmhl"), use_kernels=use_kernels)
-        post_boundary = load_index(str(tmp_path / "ptdp"), use_kernels=use_kernels)
+        pmhl = on_rung(load_index(str(tmp_path / "pmhl")))
+        post_boundary = on_rung(load_index(str(tmp_path / "ptdp")))
         check()
         apply(seed * 10 + 3, 0.5)
         check()
@@ -295,18 +297,19 @@ class TestPMHLAggregatesPSP:
 
 class TestFlatLabelMaintenance:
     """Every label set of PMHL and P-TD-P (partitions, overlay, extended
-    partitions, L*) on both rungs: after every kind of batch each arena
+    partitions, L*), in C and through the oracles: after every kind of
+    batch each arena
     equals a fresh build on the updated graph, and every pass equals the
     dict path step for step."""
 
-    @pytest.mark.parametrize("rung", ("native", "pure"))
+    @pytest.mark.parametrize("rung", ("native", "oracle"))
     @pytest.mark.parametrize("kind", sorted(BATCH_SEQUENCES))
     @pytest.mark.parametrize("method", ("PMHL", "P-TD-P"))
     def test_arenas_equal_a_fresh_build_and_the_dict_path(
-        self, method, kind, rung, pure_maintenance, container_oracle
+        self, method, kind, rung, oracle_maintenance, container_oracle
     ):
-        if rung == "pure":
-            pure_maintenance()
+        if rung == "oracle":
+            oracle_maintenance()
         graph = grid_road_network(9, 9, seed=4)
         index = check_label_maintenance(method, graph, kind, num_partitions=4)
         checked = {id(labels) for labels in container_oracle}
@@ -314,12 +317,13 @@ class TestFlatLabelMaintenance:
         for s, t in random_query_pairs(graph, 30, seed=4):
             assert index.query(s, t) == pytest.approx(dijkstra_distance(graph, s, t))
 
-    def test_work_counters_match_on_both_rungs_and_for_a_batch_and_its_inverse(
-        self, pure_maintenance
+    def test_work_counters_match_the_oracles_and_for_a_batch_and_its_inverse(
+        self, oracle_maintenance
     ):
         """The benchmark stack's PMHL window (48x48 grid, seed 7, 8
         partitions, a 20-edge batch A then A^-1) counts the same label and
-        shortcut work on both rungs, and the same for A as for A^-1: both
+        shortcut work in C and through the oracles, and the same for A as
+        for A^-1: both
         directions move the same slots between the same two values."""
 
         def windows():
@@ -335,7 +339,7 @@ class TestFlatLabelMaintenance:
             ]
 
         native = windows()
-        pure_maintenance()
+        oracle_maintenance()
         assert windows() == native
         assert native[0] == native[1]
         assert native[0] == (6320, 561997, 96748, 1163, 542068, 3637)
@@ -343,21 +347,21 @@ class TestFlatLabelMaintenance:
 
 class TestSlotMaintenance:
     """PMHL's shortcut passes (partitions, overlay, extended partitions) and
-    the cross-boundary union gathered from them, on both rungs: after every
+    the cross-boundary union gathered from them, in C and through the
+    oracle: after every
     kind of batch every contraction, union and label arena equals a fresh
     build's byte for byte."""
 
-    @pytest.mark.parametrize("rung", ("native", "pure"))
+    @pytest.mark.parametrize("rung", ("native", "oracle"))
     @pytest.mark.parametrize("kind", sorted(BATCH_SEQUENCES))
-    def test_arenas_equal_a_fresh_build(self, kind, rung, pure_maintenance):
-        if rung == "pure":
-            pure_maintenance()
+    def test_arenas_equal_a_fresh_build(self, kind, rung, oracle_maintenance):
+        if rung == "oracle":
+            oracle_maintenance()
         graph = grid_road_network(9, 9, seed=4)
         index = check_slot_maintenance("PMHL", graph, kind, num_partitions=4)
         for s, t in random_query_pairs(graph, 20, seed=4):
             assert index.query_pch(s, t) == pytest.approx(dijkstra_distance(graph, s, t))
 
-    @NEEDS_NATIVE
     def test_old_epoch_stores_survive_two_windows(self):
         """The PCH store (the union's gathered arena), the partition and
         overlay label stores, and a store over every partition and overlay

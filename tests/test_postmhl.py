@@ -16,7 +16,6 @@ from repro.store import load_index, save_index
 
 from tests.conftest import (
     BATCH_SEQUENCES,
-    NEEDS_NATIVE,
     check_label_maintenance,
     check_slot_maintenance,
     container_label_pass,
@@ -373,20 +372,20 @@ class TestPostMHLMaintenance:
 
 
 class TestFlatLabelMaintenance:
-    """PostMHL's one amalgamated label arena on both rungs: after every kind
-    of batch it equals a fresh build on the updated graph, and every pass —
+    """PostMHL's one amalgamated label arena, in C and through the oracles:
+    after every kind of batch it equals a fresh build on the updated graph, and every pass —
     U-Stage 3's overlay rows, U-Stage 4's in-partition columns from the
     partition root's depth on (over the boundary columns it filled from
     ``disB``), U-Stage 5's cross-boundary columns — equals the dict path
     step for step."""
 
-    @pytest.mark.parametrize("rung", ("native", "pure"))
+    @pytest.mark.parametrize("rung", ("native", "oracle"))
     @pytest.mark.parametrize("kind", sorted(BATCH_SEQUENCES))
     def test_arenas_equal_a_fresh_build_and_the_dict_path(
-        self, kind, rung, pure_maintenance, container_oracle
+        self, kind, rung, oracle_maintenance, container_oracle
     ):
-        if rung == "pure":
-            pure_maintenance()
+        if rung == "oracle":
+            oracle_maintenance()
         graph = grid_road_network(9, 9, seed=4)
         index = check_label_maintenance(
             "PostMHL", graph, kind, bandwidth=10, expected_partitions=4
@@ -397,7 +396,6 @@ class TestFlatLabelMaintenance:
             for stage in index.stage_catalog():
                 assert stage.query(s, t) == pytest.approx(expected), (s, t, stage.name)
 
-    @NEEDS_NATIVE
     def test_store_frozen_after_u_stage_3_is_unchanged_by_u_stages_4_and_5(self):
         from repro.kernels.label_store import LabelStore
 
@@ -428,15 +426,15 @@ class TestFlatLabelMaintenance:
 
 class TestSlotMaintenance:
     """PostMHL's one contraction, maintained by per-partition passes confined
-    to their rows and an overlay pass seeded by what escaped them, on both
-    rungs: after every kind of batch its arena, graph weights and labels
+    to their rows and an overlay pass seeded by what escaped them, in C and
+    through the oracle: after every kind of batch its arena, graph weights and labels
     equal a fresh build's byte for byte."""
 
-    @pytest.mark.parametrize("rung", ("native", "pure"))
+    @pytest.mark.parametrize("rung", ("native", "oracle"))
     @pytest.mark.parametrize("kind", sorted(BATCH_SEQUENCES))
-    def test_arenas_equal_a_fresh_build(self, kind, rung, pure_maintenance):
-        if rung == "pure":
-            pure_maintenance()
+    def test_arenas_equal_a_fresh_build(self, kind, rung, oracle_maintenance):
+        if rung == "oracle":
+            oracle_maintenance()
         graph = grid_road_network(9, 9, seed=4)
         index = check_slot_maintenance(
             "PostMHL", graph, kind, bandwidth=10, expected_partitions=4
@@ -444,17 +442,17 @@ class TestSlotMaintenance:
         for s, t in random_query_pairs(graph, 20, seed=4):
             assert index.query_pch(s, t) == pytest.approx(dijkstra_distance(graph, s, t))
 
-    @pytest.mark.parametrize("rung", ("native", "pure"))
+    @pytest.mark.parametrize("rung", ("native", "oracle"))
     def test_restricted_passes_equal_one_unrestricted_pass(
-        self, rung, pure_maintenance, monkeypatch
+        self, rung, oracle_maintenance, monkeypatch
     ):
         """U-Stage 2's per-partition passes plus the overlay pass their
         escaped rows seed leave the same weights as one pass over the whole
         contraction, and some partition pass did hand rows to the overlay."""
         from repro.treedec.slots import SlotContraction
 
-        if rung == "pure":
-            pure_maintenance()
+        if rung == "oracle":
+            oracle_maintenance()
         graph = grid_road_network(12, 12, seed=2)
         index = build_postmhl(graph, bandwidth=10, ke=4)
         twin = SlotContraction.build(graph.copy())
@@ -485,7 +483,8 @@ class TestSlotMaintenance:
 
 class TestPostBoundaryReference:
     """The ``disB`` matrices and U-Stage 4's level recurrence plus label
-    pass, against :class:`ReferencePostBoundary` on both rungs: after the
+    pass, against :class:`ReferencePostBoundary`, in C and through the
+    oracles: after the
     build, at ``post_boundary_update`` of every batch (``disB``, the label
     entries POST_BOUNDARY reads, and its answers of every kind) and after
     the batch (the whole arena, the reference finishing with U-Stage 5's
@@ -496,15 +495,15 @@ class TestPostBoundaryReference:
         "highway": lambda: highway_network(4, 25, seed=5),
     }
 
-    @pytest.mark.parametrize("rung", ("native", "pure"))
+    @pytest.mark.parametrize("rung", ("native", "oracle"))
     @pytest.mark.parametrize("bandwidth", (12, 24, 48))
     @pytest.mark.parametrize("kind", sorted(BATCH_SEQUENCES))
     @pytest.mark.parametrize("graph_name", sorted(GRAPHS))
     def test_bit_identical_to_the_dict_path(
-        self, graph_name, kind, bandwidth, rung, pure_maintenance, monkeypatch
+        self, graph_name, kind, bandwidth, rung, oracle_maintenance, monkeypatch
     ):
-        if rung == "pure":
-            pure_maintenance()
+        if rung == "oracle":
+            oracle_maintenance()
         graph = self.GRAPHS[graph_name]()
         index = build_postmhl(graph.copy(), bandwidth=bandwidth, ke=4)
         td = index.td

@@ -16,10 +16,10 @@ from repro.labeling.h2h import H2HIndex
 from repro.partitioning.bfs_grow import bfs_partition
 from repro.throughput.parallel import lpt_makespan
 from repro.throughput.qos import qos_constrained_rate
-from repro.treedec.mde import eliminate
 from repro.treedec.slots import SlotContraction
 from repro.treedec.tree import TreeDecomposition
 
+from tests.oracles.slots import eliminate
 from tests.conftest import (
     check_build_equals_reference,
     float_bits,

@@ -23,12 +23,11 @@ from repro.store import load_index, save_index
 
 from tests.conftest import (
     BATCH_SEQUENCES,
-    NEEDS_NATIVE,
     arena_bytes,
     check_slot_maintenance,
-    patch_out_native_kernel,
     random_query_pairs,
 )
+from tests.oracles.queries import reference_rung
 
 
 def build_family(graph, k=4, seed=0, with_labels=True):
@@ -191,7 +190,6 @@ class TestPSPIndexCorrectness:
         may round differently; the bound, set beforehand, is 4 ulp."""
         graph = grid_road_network(8, 8, seed=12)
         index = make_psp(index_cls, underlying, graph, seed=12)
-        index.use_kernels = False
         index.build()
         family, direct = index._query_strategy()
         partition_of = index.partitioning.partition_of
@@ -227,7 +225,7 @@ class TestPSPIndexCorrectness:
 PSP_STAGES = ["edge_update", "partition_update", "overlay_update"]
 
 
-@pytest.mark.parametrize("use_kernels", [True, False])
+@pytest.mark.parametrize("rung", ["native", "reference"])
 @pytest.mark.parametrize(
     "make, stages, parallel, registered",
     [
@@ -243,13 +241,16 @@ PSP_STAGES = ["edge_update", "partition_update", "overlay_update"]
 )
 class TestPSPBatchPlaneAndReports:
     """The batch plane runs the scalar routine: same bits fresh, updated and
-    reloaded; the composed maintenance phases keep each strategy's stage names."""
+    reloaded, also on the reference rung (``tests/oracles/queries``); the
+    composed maintenance phases keep each strategy's stage names."""
 
     def test_query_many_is_query_and_stage_names_hold(
-        self, make, stages, parallel, registered, use_kernels, tmp_path
+        self, make, stages, parallel, registered, rung, tmp_path
     ):
-        index = make(grid_road_network(8, 8, seed=11))
-        index.use_kernels = use_kernels
+        def on_rung(index):
+            return reference_rung(index) if rung == "reference" else index
+
+        index = on_rung(make(grid_road_network(8, 8, seed=11)))
         index.build()
         pairs = random_query_pairs(index.graph, 40, seed=11)
 
@@ -279,7 +280,7 @@ class TestPSPBatchPlaneAndReports:
         check()
         if registered:  # snapshots cover the registry's methods only
             save_index(index, str(tmp_path / "snap"))
-            index = load_index(str(tmp_path / "snap"), use_kernels=use_kernels)
+            index = on_rung(load_index(str(tmp_path / "snap")))
             check()
             apply(113, 0.5)
             check()
@@ -407,10 +408,9 @@ class TestOverlayEdgeCases:
         """``k=None`` makes the first grid one partition without a boundary
         (its lift is an empty reduction) and splits the second in two."""
         indexes = []
-        for use_kernels in (True, False):
+        for on_rung in (lambda index: index, reference_rung):
             graph = two_grids()
-            index = create_index(method, graph, num_partitions=k or 3,
-                                 use_kernels=use_kernels)
+            index = on_rung(create_index(method, graph, num_partitions=k or 3))
             if k is None:
                 index.partitioning = boundaryless_partitioning(graph)
             index.build()
@@ -441,7 +441,7 @@ class TestOverlayEdgeCases:
                         hexed[strategy, plane] = [d.hex() for d in distances]
                         assert hexed[strategy, plane] == hexed[strategy, "scalar"], plane
                 answers.append(hexed)
-            assert answers[0] == answers[1]  # both rungs, bit for bit
+            assert answers[0] == answers[1]  # the stores and the reference rung, bit for bit
 
         check()
         for index in indexes:  # same seed on equal graphs: the same batch
@@ -451,21 +451,21 @@ class TestOverlayEdgeCases:
 
 class TestSlotMaintenance:
     """N-CH-P's and P-TD-P's partition, overlay and extended-partition
-    contractions on both rungs: after every kind of batch every contraction
+    contractions, in C and through the oracle: after every kind of batch
+    every contraction
     and label arena equals a fresh build's byte for byte."""
 
-    @pytest.mark.parametrize("rung", ("native", "pure"))
+    @pytest.mark.parametrize("rung", ("native", "oracle"))
     @pytest.mark.parametrize("kind", sorted(BATCH_SEQUENCES))
     @pytest.mark.parametrize("method", ("N-CH-P", "P-TD-P"))
-    def test_arenas_equal_a_fresh_build(self, method, kind, rung, pure_maintenance):
-        if rung == "pure":
-            pure_maintenance()
+    def test_arenas_equal_a_fresh_build(self, method, kind, rung, oracle_maintenance):
+        if rung == "oracle":
+            oracle_maintenance()
         graph = grid_road_network(9, 9, seed=4)
         index = check_slot_maintenance(method, graph, kind, num_partitions=4)
         for s, t in random_query_pairs(graph, 20, seed=4):
             assert index.query(s, t) == pytest.approx(dijkstra_distance(graph, s, t))
 
-    @NEEDS_NATIVE
     def test_old_epoch_partition_and_overlay_stores_survive_two_windows(self):
         """N-CH-P's stores are its contractions' arenas: each batch's passes
         write copies, so stores taken before two windows keep their bytes
@@ -500,18 +500,19 @@ class TestSlotMaintenance:
 
 
 class TestDistanceMatrix:
-    """``H2HLabels.distance_matrix``: the pairwise 2-hop queries as one
-    symmetric matrix, on both rungs, bit for bit."""
+    """``H2HLabels.distance_matrix`` (one C ``query_pairs`` call): the
+    pairwise 2-hop queries of ``H2HLabels.query`` as one symmetric matrix,
+    bit for bit, over labels maintained in C and through the oracles."""
 
     @staticmethod
     def pairwise(labels, vertices):
         return [[labels.query(a, b) for b in vertices] for a in vertices]
 
-    @pytest.mark.parametrize("rung", ("native", "pure"))
+    @pytest.mark.parametrize("rung", ("native", "oracle"))
     @pytest.mark.parametrize("k", [3, 4])
-    def test_forest_overlay_is_pairwise_query(self, k, rung, monkeypatch):
-        if rung == "pure":
-            patch_out_native_kernel(monkeypatch)
+    def test_forest_overlay_is_pairwise_query(self, k, rung, oracle_maintenance):
+        if rung == "oracle":
+            oracle_maintenance()
         index = create_index("P-TD-P", two_grids(), num_partitions=k)
         index.build()
         labels = index.overlay.labels
@@ -531,15 +532,13 @@ class TestDistanceMatrix:
                 self.pairwise(labels, boundary), dtype=np.float64
             ).tobytes()
 
-    @NEEDS_NATIVE
-    def test_rungs_agree_bit_for_bit(self, monkeypatch):
+    def test_postmhl_matrix_is_pairwise_query(self):
         index = create_index("PostMHL", grid_road_network(9, 9, seed=2))
         index.build()
         vertices = sorted(index.td.overlay_vertices)
         native = index.labels.distance_matrix(vertices)
-        patch_out_native_kernel(monkeypatch)
-        pure = index.labels.distance_matrix(vertices)
-        assert native.tobytes() == pure.tobytes()
+        expected = np.array(self.pairwise(index.labels, vertices), dtype=np.float64)
+        assert native.tobytes() == expected.tobytes()
         for i, j in [(0, 1), (1, len(vertices) - 1)]:
             expected = dijkstra_distance(index.graph, vertices[i], vertices[j])
             assert native[i, j] == native[j, i] == pytest.approx(expected)
@@ -560,11 +559,11 @@ class TestDistanceMatrix:
         assert matrix.dtype == np.float64 and matrix.shape == (size, size)
         assert not matrix.any()
 
-    @pytest.mark.parametrize("rung", ("native", "pure"))
+    @pytest.mark.parametrize("rung", ("native", "oracle"))
     @pytest.mark.parametrize("method", ["P-TD-P", "PMHL"])
-    def test_boundaryless_partition_holds_an_empty_table(self, method, rung, monkeypatch):
-        if rung == "pure":
-            patch_out_native_kernel(monkeypatch)
+    def test_boundaryless_partition_holds_an_empty_table(self, method, rung, oracle_maintenance):
+        if rung == "oracle":
+            oracle_maintenance()
         graph = two_grids()
         index = create_index(method, graph, num_partitions=3)
         index.partitioning = boundaryless_partitioning(graph)
@@ -592,10 +591,10 @@ def held_and_fresh_tables(index):
 
 class TestBoundaryTables:
     """P-TD-P's, PMHL's and PostMHL's boundary distance tables stay fresh
-    matrices of their boundaries through every kind of batch, on both rungs,
-    and a snapshot rebuilds the same ones."""
+    matrices of their boundaries through every kind of batch, maintained in
+    C and through the oracles, and a snapshot rebuilds the same ones."""
 
-    @pytest.mark.parametrize("rung", ("native", "pure"))
+    @pytest.mark.parametrize("rung", ("native", "oracle"))
     @pytest.mark.parametrize("kind", sorted(BATCH_SEQUENCES))
     @pytest.mark.parametrize(
         "method, kwargs",
@@ -606,9 +605,11 @@ class TestBoundaryTables:
         ],
         ids=["P-TD-P", "PMHL", "PostMHL"],
     )
-    def test_tables_track_the_labels(self, method, kwargs, kind, rung, monkeypatch, tmp_path):
-        if rung == "pure":
-            patch_out_native_kernel(monkeypatch)
+    def test_tables_track_the_labels(
+        self, method, kwargs, kind, rung, oracle_maintenance, tmp_path
+    ):
+        if rung == "oracle":
+            oracle_maintenance()
         graph = grid_road_network(8, 8, seed=6)
         index = create_index(method, graph.copy(), **kwargs)
         index.build()

@@ -51,7 +51,7 @@ from repro.server.protocol import (
 )
 from repro.throughput.workload import sample_query_pairs
 
-from tests.conftest import NEEDS_NATIVE, paper_example_graph
+from tests.conftest import paper_example_graph
 from tests.server_harness import (
     TEST_TIMEOUT,
     BlockingBackend,
@@ -431,7 +431,6 @@ class TestEpochConsistency:
 
             self._assert_interleaved_consistency(server_cm, graph, engine)
 
-    @NEEDS_NATIVE
     def test_cluster_engine_no_torn_epochs(self, tmp_path):
         from repro.cluster import ClusterEngine
 
@@ -597,7 +596,6 @@ class TestInstallsStayOffTheLoop:
             server_thread = run(self._record_threads(backend))
         assert backend.threads["serve_batch"] == {server_thread}
 
-    @NEEDS_NATIVE
     def test_cluster_query_frames_are_served_off_the_loop(self, tmp_path):
         """A cluster's serve waits on its readers' pipes, so its query
         frames, like installs and stats, are served off the loop."""
@@ -612,7 +610,6 @@ class TestInstallsStayOffTheLoop:
         assert backend.threads["serve_batch"]
         assert server_thread not in backend.threads["serve_batch"]
 
-    @NEEDS_NATIVE
     def test_a_hung_cluster_reader_does_not_stall_the_loop(self, tmp_path):
         """While a query batch waits out a hung reader's timeout, the server
         still answers a ``PING`` at once; the batch then gets its typed
@@ -1293,7 +1290,6 @@ class TestGather:
                 lambda: running_server(engine), graph, engine
             )
 
-    @NEEDS_NATIVE
     def test_gathered_batch_reports_one_epoch_cluster(self, tmp_path):
         from repro.cluster import ClusterEngine
 

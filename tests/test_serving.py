@@ -33,7 +33,6 @@ from repro.serving.metrics import ServingMetrics
 from repro.serving.router import LAST_STAGE, StageRouter
 from repro.serving.rwlock import RWLock
 from repro.throughput.workload import sample_query_pairs
-from tests.conftest import NEEDS_NATIVE
 
 
 def _serving_oracle_run(index, graph, *, query_threads, num_batches, seed=3):
@@ -507,10 +506,9 @@ def _signal_waits(engine):
 class TestStageWaits:
     """Mid-install, a batch waits for a later stage when the router expects
     it to be released and answer sooner than the best valid stage would: on
-    DCH, ``native`` against ``bidijkstra_fallback``.  The tests that need a
-    wait to be worth it run on the native rung only: without the C kernel,
-    DCH's Python tree query costs more per pair than the fallback, and the
-    rule rightly never waits."""
+    DCH, ``native`` against ``bidijkstra_fallback``: DCH's C tree query
+    costs far less per pair than the fallback's search, so a wait is worth
+    it."""
 
     def _setup(self):
         graph = grid_road_network(20, 20, seed=7)
@@ -543,7 +541,6 @@ class TestStageWaits:
             [exact[s][t] for s, t in result.pairs], rel=1e-12
         )
 
-    @NEEDS_NATIVE
     def test_mid_install_batch_waits_for_native(self):
         engine, pairs, batches = self._setup()
         results = {}
@@ -571,7 +568,6 @@ class TestStageWaits:
         stats = engine.stats()
         assert stats["stage_waits"] == stats["stage_wait_seconds"]["count"] == 1
 
-    @NEEDS_NATIVE
     def test_blocked_install_bounds_the_wait(self):
         engine, pairs, batches = self._setup()
         blocked, gate = threading.Event(), threading.Event()
@@ -748,7 +744,6 @@ class TestStageWaits:
         assert stats["stage_wait_seconds"]["max_seconds"] < 10.0
 
 
-@NEEDS_NATIVE
 class TestInstallBesideSearches:
     """The search kernels release the GIL, so an install starts while another
     thread keeps serving DCH batches, not one switch interval later."""

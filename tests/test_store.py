@@ -8,8 +8,8 @@ The contract under test:
 * a loaded index is a full peer of the original: it accepts further update
   batches (the kernel epoch advances, reattached stores are invalidated) and
   keeps answering exactly like the original under the same updates;
-* ``IndexSpec`` overrides are honored on load (``use_kernels=False`` flips a
-  loaded index onto the pure reference path) and unknown overrides fail fast;
+* a loaded index answers like the original also on the reference rung
+  (``tests/oracles/queries``), and unknown spec overrides fail fast;
 * corruption and version skew raise *typed* errors — a truncated payload, a
   schema-version mismatch and a graph-fingerprint mismatch each surface as
   their own ``repro.exceptions`` class instead of wrong distances;
@@ -53,8 +53,9 @@ from repro.store.codec import pack_graph, unpack_graph
 from repro.throughput.workload import sample_query_pairs
 
 from tests.conftest import (
-    NEEDS_NATIVE, index_state_digest, maintenance_structures, neighbors,
+    index_state_digest, maintenance_structures, neighbors,
 )
+from tests.oracles.queries import reference_rung
 
 #: All nine registered methods with small-graph construction parameters.
 NINE_SPECS = {
@@ -210,16 +211,17 @@ class TestRoundTripFresh:
         assert manifest["graph"]["num_vertices"] == GRID_SIDE * GRID_SIDE
         assert manifest["graph"]["fingerprint"].startswith("sha256:")
 
-    def test_use_kernels_override_honored(self, built_indexes, snapshot_dirs):
+    def test_loaded_index_on_the_reference_rung(self, built_indexes, snapshot_dirs):
+        """The reattached stores and the loaded structures the reference
+        hooks read answer alike."""
         for method in ("DH2H", "PMHL"):
             original = built_indexes[method]
-            pure = load_index(snapshot_dirs[method], use_kernels=False)
-            assert pure.use_kernels is False
-            assert pure._kernel_stores == {}
+            reference = reference_rung(load_index(snapshot_dirs[method]))
+            attached = dict(reference._kernel_stores)
             pairs = _query_pairs(original.graph)[:20]
-            assert original.query_many(pairs) == pure.query_many(pairs)
-            # The pure path must not have frozen anything while answering.
-            assert pure._kernel_stores == {}
+            assert original.query_many(pairs) == reference.query_many(pairs)
+            # The reference rung answered without touching a store.
+            assert reference._kernel_stores == attached
 
     def test_unknown_override_rejected(self, snapshot_dirs):
         with pytest.raises(TypeError):
@@ -358,7 +360,6 @@ class TestMaintenanceParity:
         assert digests == GOLDEN_DIGESTS[method]
 
 
-@NEEDS_NATIVE
 class TestSharedBuffers:
     """An arena two owners pack — a contraction and its shortcut store,
     labels and their label store — is one payload entry, referenced
@@ -515,6 +516,14 @@ class TestCorruptionAndSkew:
         with pytest.raises(SnapshotFormatError, match="npz"):
             load_index(snapshot)
 
+    def test_schema_5_snapshot_is_refused(self, snapshot):
+        """Schema 5 wrote a spec field that no longer exists (the kernel
+        switch): such a snapshot raises, typed, instead of a spec error."""
+        self._edit_manifest(snapshot, schema_version=5)
+        with pytest.raises(SnapshotVersionError) as excinfo:
+            load_index(snapshot)
+        assert excinfo.value.found == 5
+
     def test_schema_3_snapshot_is_refused(self, snapshot):
         """Schema 3 stored the payload as a zip of ``.npy`` members: such a
         snapshot raises, typed, and never loads."""
@@ -535,7 +544,7 @@ class TestCorruptionAndSkew:
 
     def test_kernel_store_without_arena_rejected(self, snapshot):
         """A kernel store in the per-array layout that predates the arena
-        has no reader left: a typed format error on either rung."""
+        has no reader left: a typed format error."""
         state_path = os.path.join(snapshot, "state.json")
         with open(state_path) as handle:
             state = json.load(handle)
@@ -686,7 +695,7 @@ class TestCorruptedLabelArena:
 
     @pytest.mark.parametrize("entry", sorted(QUERY_CORRUPTIONS))
     @pytest.mark.parametrize("method, key", [("DH2H", "labels"), ("PMHL", "cross_labels")])
-    @pytest.mark.parametrize("kind", ["index", pytest.param("stores", marks=NEEDS_NATIVE)])
+    @pytest.mark.parametrize("kind", ["index", "stores"])
     def test_refused_on_load(self, kind, method, key, entry, tmp_path):
         index = create_index(NINE_SPECS[method], _base_graph())
         index.build()
@@ -725,9 +734,10 @@ SHORTCUT_CORRUPTIONS = {
 class TestCorruptedShortcutArena:
     """A DCH snapshot whose shortcut arena has a negative, a non-monotone or
     an overshooting ``indptr`` entry, or an arc to a lower row, is refused on
-    load with ``SnapshotFormatError``, on both rungs and for the same reason:
-    the contraction's load checks the CSR and the arcs' direction before any
-    query reads them.  Each case loads and queries in a child process."""
+    load with ``SnapshotFormatError``: the contraction's load checks the CSR
+    and the arcs' direction before any query reads them (and the C search
+    again when the ``ch`` store wraps the same payload entry).  Each case
+    loads and queries in a child process."""
 
     @pytest.mark.parametrize("case", sorted(SHORTCUT_CORRUPTIONS))
     def test_refused_on_load(self, case, tmp_path):
@@ -738,10 +748,110 @@ class TestCorruptedShortcutArena:
         with open(os.path.join(path, "state.json")) as handle:
             state = json.load(handle)
         corrupt, reason = SHORTCUT_CORRUPTIONS[case]
-        # The contraction's arena; on the native rung the "ch" store wraps
-        # the same payload entry.
+        # The contraction's arena; the "ch" store wraps the same payload
+        # entry.
         _corrupt_arena(path, state["index"]["slots"], corrupt)
         _load_and_query("index", path, "ch", reason)
+
+
+def _shorten(entry):
+    """A table-of-contents edit: the arena's ``entry`` one element short,
+    its bytes still inside the arena."""
+
+    def corrupt(toc):
+        for row in toc:
+            if row[0] == entry:
+                row[3] -= 1
+
+    return corrupt
+
+
+def _corrupt_store(kind, method, key, corrupt, tmp_path):
+    """Save ``method``'s index (``kind`` ``"index"``) or its store generation
+    (``"stores"``), then corrupt its ``key`` store: ``corrupt`` is ``(payload
+    edit, None)`` or ``(None, table-of-contents edit)``.  Returns the path."""
+    index = create_index(NINE_SPECS[method], _base_graph())
+    index.build()
+    path = str(tmp_path / "snap")
+    if kind == "index":
+        save_index(index, path)
+    else:
+        save_stores(index, path, epoch=0)
+    state_path = os.path.join(path, "state.json")
+    with open(state_path) as handle:
+        state = json.load(handle)
+    payload_edit, toc_edit = corrupt
+    if payload_edit is not None:
+        _corrupt_arena(path, state["kernels"][key], payload_edit)
+    else:
+        toc_edit(state["kernels"][key]["toc"])
+        with open(state_path, "w") as handle:
+            json.dump(state, handle)
+    return path
+
+
+#: TOAIN's hub table, whose join numpy indexes with no bounds check of its
+#: own (a negative slot wraps around): ``(corruption, the refusal's
+#: reason)``, each refused by ``check_hub_arena``.
+HUB_CORRUPTIONS = {
+    "indptr-non-monotone": (
+        (lambda a: a["hub_indptr"].__setitem__(3, a["hub_indptr"][4] + 2), None),
+        "offsets are inconsistent",
+    ),
+    "slot-negative": ((lambda a: a["hub_slots"].__setitem__(0, -1), None), "outside the core"),
+    "slot-past-the-core": (
+        (lambda a: a["hub_slots"].__setitem__(0, a["core_size"][0]), None), "outside the core"
+    ),
+    "dists-shorter-than-slots": ((None, _shorten("hub_dists")), "differ in length"),
+}
+
+
+class TestCorruptedHubArena:
+    """A TOAIN hub table with a non-monotone ``hub_indptr``, a slot outside
+    ``[0, core_size)`` or fewer distances than slots is refused on load with
+    ``SnapshotFormatError`` — in a snapshot and in a store generation —
+    before the join indexes it.  Each case loads and queries in a child
+    process."""
+
+    @pytest.mark.parametrize("case", sorted(HUB_CORRUPTIONS))
+    @pytest.mark.parametrize("kind", ["index", "stores"])
+    def test_refused_on_load(self, kind, case, tmp_path):
+        corrupt, reason = HUB_CORRUPTIONS[case]
+        path = _corrupt_store(kind, "TOAIN", "hubs", corrupt, tmp_path)
+        _load_and_query(kind, path, "hubs", reason)
+
+
+#: The graph snapshot's arena: the C ``search_build`` refuses a CSR that does
+#: not fit (its offsets, columns or weight count), and the load rows that
+#: are not the graph's own vertices.
+GRAPH_SNAPSHOT_CORRUPTIONS = {
+    "indptr-non-monotone": (
+        (lambda a: a["indptr"].__setitem__(3, a["indptr"][4] + 2), None), "inconsistent"
+    ),
+    "indices-past-the-rows": (
+        (lambda a: a["indices"].__setitem__(0, len(a["ids"])), None), "inconsistent"
+    ),
+    "weights-short": ((None, _shorten("weights")), "inconsistent"),
+    "ids-swapped": (
+        (lambda a: a["ids"].__setitem__([0, 1], a["ids"][[1, 0]]), None),
+        "graph's vertices",
+    ),
+}
+
+
+class TestCorruptedGraphSnapshotArena:
+    """BiDijkstra's graph snapshot with a non-monotone ``indptr``, a column
+    past the rows, a short weight array or rows that are not the graph's
+    vertices is refused on load with ``SnapshotFormatError``, in a snapshot
+    and in a store generation.  Each case loads and queries in a child
+    process."""
+
+    @pytest.mark.parametrize("case", sorted(GRAPH_SNAPSHOT_CORRUPTIONS))
+    @pytest.mark.parametrize("kind", ["index", "stores"])
+    def test_refused_on_load(self, kind, case, tmp_path):
+        corrupt, reason = GRAPH_SNAPSHOT_CORRUPTIONS[case]
+        path = _corrupt_store(kind, "BiDijkstra", "__graph__", corrupt, tmp_path)
+        _load_and_query(kind, path, "__graph__", reason)
 
 def _truncate(keep):
     def corrupt(payload, toc):
@@ -801,7 +911,7 @@ class TestCorruptedPayload:
         return path
 
     @pytest.mark.parametrize("case", sorted(PAYLOAD_TRUNCATIONS))
-    @pytest.mark.parametrize("kind", ["index", pytest.param("stores", marks=NEEDS_NATIVE)])
+    @pytest.mark.parametrize("kind", ["index", "stores"])
     def test_truncated_payload_refused(self, kind, case, tmp_path):
         path = self._save(kind, tmp_path)
         PAYLOAD_TRUNCATIONS[case](_payload(path)[0], None)
@@ -809,7 +919,7 @@ class TestCorruptedPayload:
 
     @pytest.mark.parametrize("case", sorted(TOC_CORRUPTIONS))
     @pytest.mark.parametrize("toc", ["payload", "arena"])
-    @pytest.mark.parametrize("kind", ["index", pytest.param("stores", marks=NEEDS_NATIVE)])
+    @pytest.mark.parametrize("kind", ["index", "stores"])
     def test_corrupted_toc_entry_refused(self, kind, toc, case, tmp_path):
         path = self._save(kind, tmp_path)
         state_path = os.path.join(path, "state.json")
@@ -961,7 +1071,6 @@ class TestGraphPayload:
             index.apply_batch(batch)
         assert self.rows(loaded.graph) == self.rows(built.graph)
 
-    @NEEDS_NATIVE
     @pytest.mark.parametrize("method", ["BiDijkstra", "PMHL"])
     def test_fresh_freeze_equals_the_attached_snapshot(self, method, tmp_path):
         """BiDijkstra's snapshot is reattached from the payload, PMHL's frozen
@@ -1080,7 +1189,6 @@ class TestBuildCache:
         assert key_a != key_c
 
 
-@NEEDS_NATIVE
 class TestKernelReattachment:
     def test_stores_attached_without_refreeze(self, built_indexes, snapshot_dirs):
         """The persisted stores are live immediately after the load."""
@@ -1139,8 +1247,8 @@ class TestArenaPayloadReader:
 
     def test_empty_payload_saves_and_loads(self, tmp_path):
         """A store generation of an index that exports no store (one on its
-        reference path) has an empty payload file, and it loads."""
-        index = create_index("DCH", _base_graph(), use_kernels=False)
+        reference rung) has an empty payload file, and it loads."""
+        index = reference_rung(create_index("DCH", _base_graph()))
         index.build()
         path = save_stores(index, str(tmp_path / "stores"), epoch=4)
         assert os.path.getsize(os.path.join(path, "payload.bin")) == 0
@@ -1172,7 +1280,6 @@ class TestArenaPayloadReader:
         assert child == numpy.asarray(index.query_many(pairs), dtype=numpy.float64).tobytes()
 
 
-@NEEDS_NATIVE
 class TestStoreGenerations:
     """``save_stores`` / ``load_stores`` + ``adopt_stores``: an index loaded
     from the base snapshot answers a later epoch from the stores another

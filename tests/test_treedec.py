@@ -21,18 +21,18 @@ from repro.partitioning.td_partition import TDPartitioning, td_partition
 from repro.registry import create_index, get_spec
 from repro.store import load_index, save_index
 from repro.treedec import slots as slots_module
-from repro.treedec.mde import eliminate
-from repro.treedec.slots import SlotContraction, _eliminate_slots_pure, eliminate_slots
+from repro.treedec.slots import SlotContraction, eliminate_slots
 from repro.treedec.tree import TreeDecomposition
 
 from tests.conftest import (
-    NEEDS_NATIVE,
     check_build_equals_reference,
     float_bits,
     maintenance_structures,
     paper_example_graph,
     reference_weights,
 )
+from tests.oracles import slots as slot_oracle
+from tests.oracles.slots import eliminate
 
 
 class TestContraction:
@@ -57,23 +57,25 @@ class TestContraction:
 
     def test_explicit_order_must_cover_all(self):
         graph = paper_example_graph()
-        with pytest.raises(GraphError):
-            eliminate(graph, order=[0, 1, 2])
+        for build in (eliminate, eliminate_slots):
+            with pytest.raises(GraphError):
+                build(graph, order=[0, 1, 2])
 
     def test_repeated_vertex_in_order_rejected(self):
         graph = paper_example_graph()
         vertices = sorted(graph.vertices())
         # As many distinct ids as vertices, but the first one twice.
         order = [vertices[0], *vertices[:-1], 99]
-        with pytest.raises(GraphError, match="twice"):
-            eliminate(graph, order=order)
+        for build in (eliminate, eliminate_slots):
+            with pytest.raises(GraphError, match="twice"):
+                build(graph, order=order)
 
-    @pytest.mark.parametrize("rung", ("native", "pure"))
-    def test_vertex_outside_the_graph_in_order_rejected(self, rung, pure_maintenance):
-        """An order of the right length naming a stranger says so, on both
-        rungs, instead of calling a vertex repeated."""
-        if rung == "pure":
-            pure_maintenance()
+    @pytest.mark.parametrize("rung", ("native", "oracle"))
+    def test_vertex_outside_the_graph_in_order_rejected(self, rung, oracle_maintenance):
+        """An order of the right length naming a stranger says so, in C and
+        in the oracle, instead of calling a vertex repeated."""
+        if rung == "oracle":
+            oracle_maintenance()
         graph = grid_road_network(3, 3, seed=0)
         order = sorted(graph.vertices())
         order[4] = 999
@@ -91,8 +93,9 @@ class TestContraction:
         assert min(boundary_ranks) > max(non_boundary_ranks)
 
     def test_empty_graph_rejected(self):
-        with pytest.raises(GraphError):
-            eliminate(Graph.from_edges())
+        for build in (eliminate, eliminate_slots):
+            with pytest.raises(GraphError):
+                build(Graph.from_edges())
         with pytest.raises(GraphError):
             SlotContraction.build(Graph.from_edges())
 
@@ -176,13 +179,14 @@ BUILD_CASES = {
 
 class TestBuild:
     """A build is the maintenance pass seeded with every row: it must equal
-    the weighted dict elimination bit for bit, on both rungs."""
+    the weighted dict elimination bit for bit, through the C entries and
+    through their oracles."""
 
-    @pytest.mark.parametrize("rung", ("native", "pure"))
+    @pytest.mark.parametrize("rung", ("native", "oracle"))
     @pytest.mark.parametrize("case", sorted(BUILD_CASES))
-    def test_build_equals_the_reference_elimination(self, case, rung, pure_maintenance):
-        if rung == "pure":
-            pure_maintenance()
+    def test_build_equals_the_reference_elimination(self, case, rung, oracle_maintenance):
+        if rung == "oracle":
+            oracle_maintenance()
         make_graph, options = BUILD_CASES[case]
         graph = make_graph()
         contraction = check_build_equals_reference(graph, **options(graph))
@@ -205,9 +209,9 @@ class TestShortcutMaintenance:
         assert weights == reference_weights(graph, contraction.order)
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
-    def test_native_and_pure_rungs_agree_bit_for_bit(self, seed, pure_maintenance):
+    def test_native_pass_equals_the_oracle_bit_for_bit(self, seed, oracle_maintenance):
         """Mixed increase / decrease batches through the C ``update_slots`` and
-        through its pure loop: same shortcut bits, same changed slots, same
+        through its oracle: same shortcut bits, same changed slots, same
         work counters."""
 
         def maintain():
@@ -220,7 +224,7 @@ class TestShortcutMaintenance:
             return float_bits(contraction.arena["weights"]), reports, contraction.work.tolist()
 
         native = maintain()
-        pure_maintenance()
+        oracle_maintenance()
         assert maintain() == native
         assert any(native[1])
 
@@ -241,13 +245,13 @@ class TestShortcutMaintenance:
                 graph, contraction.order
             )
 
-    @pytest.mark.parametrize("rung", ("native", "pure"))
-    def test_update_without_a_slot_raises_and_writes_nothing(self, rung, pure_maintenance):
+    @pytest.mark.parametrize("rung", ("native", "oracle"))
+    def test_update_without_a_slot_raises_and_writes_nothing(self, rung, oracle_maintenance):
         """A pair no row joins, a vertex the contraction lacks and a loop are
         each a ``GraphError`` naming the pair, raised before any weight or
         graph weight is written — also when valid updates come first."""
-        if rung == "pure":
-            pure_maintenance()
+        if rung == "oracle":
+            oracle_maintenance()
         graph = grid_road_network(6, 6, seed=1)
         contraction = SlotContraction.build(graph)
         u, v, w = next(iter(graph.edges()))
@@ -652,30 +656,30 @@ MALFORMED = {
 }
 
 
-@NEEDS_NATIVE
 class TestEliminationEntry:
-    """The C ``eliminate`` / ``eliminate_slots`` entries against the pure
-    rung (``eliminate`` + ``supporter_slots``): all six outputs, and the
-    built weights, bit for bit; and their input checks."""
+    """The C ``eliminate`` / ``eliminate_slots`` entries against their oracle
+    (``tests/oracles/slots.py``: ``eliminate`` + ``supporter_slots``): all
+    six outputs, and the built weights, bit for bit; and their input
+    checks."""
 
     @staticmethod
     def check_rungs_agree(graph, **options):
         native = eliminate_slots(graph, **options)
-        pure = _eliminate_slots_pure(graph, options.get("order"), options.get("tiers"))
-        assert _topology_bits(native) == _topology_bits(pure)
+        oracle = slot_oracle.eliminate_slots(graph, options.get("order"), options.get("tiers"))
+        assert _topology_bits(native) == _topology_bits(oracle)
         return native
 
     @pytest.mark.parametrize("case", sorted(BUILD_CASES))
-    def test_build_cases(self, case, pure_maintenance):
+    def test_build_cases(self, case, oracle_maintenance):
         make_graph, options = BUILD_CASES[case]
         graph = make_graph()
         self.check_rungs_agree(graph, **options(graph))
         built = SlotContraction.build(graph, **options(graph))
-        pure_maintenance()
-        pure = SlotContraction.build(graph, **options(graph))
-        assert bytes(built.arena.buffer) == bytes(pure.arena.buffer)
+        oracle_maintenance()
+        oracle = SlotContraction.build(graph, **options(graph))
+        assert bytes(built.arena.buffer) == bytes(oracle.arena.buffer)
         assert _topology_bits([built.base, built.sup_indptr, built.sup_slots]) == _topology_bits(
-            [pure.base, pure.sup_indptr, pure.sup_slots]
+            [oracle.base, oracle.sup_indptr, oracle.sup_slots]
         )
 
     @given(
@@ -710,7 +714,7 @@ class TestEliminationEntry:
     def test_every_contraction_of_every_method(self, method, params, monkeypatch):
         """Each elimination a build runs (partitions, overlay, extended
         partitions, the boundary-first order, PostMHL's and TOAIN's) equals
-        the pure rung's."""
+        the oracle's."""
         import repro.partitioning.ordering as ordering_module
 
         seen = []
