@@ -139,9 +139,10 @@ class DistanceIndex(abc.ABC):
 
     #: Human-readable method name used in experiment tables.
     name: str = "index"
-    #: ``True`` when the index's final (fastest) query stage is a label lookup
-    #: — cheaper than a distance-cache probe, so the serving engine routes
-    #: batches through it uncached.  Search-based final stages keep ``False``.
+    #: ``True`` when the index's final (fastest) query stage is a label lookup,
+    #: which the serving engine routes batches through uncached: on a stream
+    #: with few repeats a cache probe and fill would only add to it.
+    #: Search-based final stages keep ``False``.
     final_stage_is_label_lookup: bool = False
     #: ``True`` on an index with no maintenance (CH, H2H): ``apply_batch``
     #: refuses every batch before anything is written.

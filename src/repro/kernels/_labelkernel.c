@@ -55,6 +55,12 @@
  * directly over the owning store's arena -- including mmap-backed arenas
  * shared across repro.cluster shard processes.
  *
+ * 3. "repro.kernels.distancecache" -- the serving engine's epoch-exact LRU
+ *    distance cache (repro.serving.cache.EpochDistanceCache): a hash table
+ *    over an LRU list of (min id, max id) -> (distance, epoch) entries,
+ *    probed and filled a batch per call (cache_probe / cache_fill); the
+ *    misses of a probe are answered between the two calls.
+ *
  * The maintenance kernels take no capsule.  update_labels is the H2H
  * family's whole top-down label pass (H2HLabels.update_top_down, and
  * build) over the flat rows of a label arena: the tree in row space, the
@@ -83,11 +89,13 @@
  * Every entry reads and writes only buffers (borrowed through the buffer
  * protocol, directly or via a capsule) and scalar row arguments: none walks
  * a Python dict or list.  The search entries (search_query, search_query_ids
- * in both modes, search_one_to_many) run their loops without the GIL: every check, scratch allocation and Python-API call
- * happens with it held, and a failure inside the loop is recorded there and
- * raised once the GIL is back.  Each search-graph capsule guards its scratch
- * with its own lock (see SearchGraph).  Every other entry -- the label
- * queries and every maintenance pass -- holds the GIL throughout.
+ * in both modes, search_one_to_many) run their loops without the GIL: every
+ * check, scratch allocation and Python-API call happens with it held, and a
+ * failure inside the loop is recorded there and raised once the GIL is back.
+ * Each search-graph capsule guards its scratch with its own lock (see
+ * SearchGraph).  Every other entry -- the label queries, the distance-cache
+ * entries and every maintenance pass -- holds the GIL throughout, which
+ * orders a cache's callers.
  */
 #define PY_SSIZE_T_CLEAN
 #include <Python.h>
@@ -590,6 +598,399 @@ static PyObject *label_query_ids(PyObject *self, PyObject *const *args, Py_ssize
 }
 
 /* ------------------------------------------------------------------ */
+/* Epoch-exact LRU distance cache                                     */
+/* ------------------------------------------------------------------ */
+
+/* The table of repro.serving.cache.EpochDistanceCache: (min id, max id) ->
+ * (distance, epoch), at most `capacity` entries, evicted least recently
+ * used first.  A probe at an epoch other than the entry's is a stale-epoch
+ * rejection and drops the entry.  The five counters are CacheStats'.
+ *
+ * The entries live in one array of `capacity`, allocated with the cache,
+ * linked from the least to the most recently used; the unused ones form a
+ * free list.  A hash table of int32 entry slots finds them (open
+ * addressing, linear probing, backward-shift deletion): a power of two at
+ * least twice the capacity, so at most half full, and int32 slots bound the
+ * capacity by CACHE_MAX_CAPACITY.
+ *
+ * Every entry touches a table with the GIL held and calls nothing that can
+ * release it, so the GIL orders them and the table has no lock of its own. */
+
+static const char *CACHE_CAPSULE = "repro.kernels.distancecache";
+
+#define CACHE_MAX_CAPACITY ((Py_ssize_t)1 << 30)
+#define CACHE_NONE ((int32_t)-1)
+
+typedef struct {
+    int64_t lo, hi;
+    double dist;
+    int64_t epoch;
+    /* Neighbours in LRU order, CACHE_NONE at either end; `newer` also links
+     * the free entries. */
+    int32_t older, newer;
+} CacheEntry;
+
+enum { C_SIZE, C_HITS, C_MISSES, C_STALE, C_INVALIDATED, C_EVICTIONS, C_NSTATS };
+
+typedef struct {
+    Py_ssize_t capacity;
+    Py_ssize_t size;      /* live entries */
+    CacheEntry *entries;  /* `capacity` of them */
+    int32_t *table;       /* mask + 1 slots: an entry, or CACHE_NONE */
+    size_t mask;
+    int32_t oldest, newest, free;
+    int64_t hits, misses, stale, invalidated, evictions;
+} DistanceCache;
+
+static void cache_free(DistanceCache *c) {
+    if (c != NULL) {
+        free(c->entries);
+        free(c->table);
+        free(c);
+    }
+}
+
+static void cache_destructor(PyObject *capsule) {
+    cache_free((DistanceCache *)PyCapsule_GetPointer(capsule, CACHE_CAPSULE));
+}
+
+static DistanceCache *cache_from_arg(PyObject *arg) {
+    return (DistanceCache *)PyCapsule_GetPointer(arg, CACHE_CAPSULE);
+}
+
+static inline size_t cache_home(const DistanceCache *c, int64_t lo, int64_t hi) {
+    uint64_t h = ((uint64_t)lo * 0x9E3779B97F4A7C15ull) ^ (uint64_t)hi;
+    h *= 0xC2B2AE3D27D4EB4Full;
+    return (size_t)(h ^ (h >> 32)) & c->mask;
+}
+
+/* The slot holding (lo, hi), or the empty slot where it would go. */
+static inline size_t cache_slot(const DistanceCache *c, int64_t lo, int64_t hi) {
+    size_t i = cache_home(c, lo, hi);
+    for (;;) {
+        int32_t e = c->table[i];
+        if (e == CACHE_NONE || (c->entries[e].lo == lo && c->entries[e].hi == hi)) {
+            return i;
+        }
+        i = (i + 1) & c->mask;
+    }
+}
+
+static inline void cache_unlink(DistanceCache *c, int32_t e) {
+    CacheEntry *x = &c->entries[e];
+    if (x->older != CACHE_NONE) {
+        c->entries[x->older].newer = x->newer;
+    } else {
+        c->oldest = x->newer;
+    }
+    if (x->newer != CACHE_NONE) {
+        c->entries[x->newer].older = x->older;
+    } else {
+        c->newest = x->older;
+    }
+}
+
+static inline void cache_make_newest(DistanceCache *c, int32_t e) {
+    CacheEntry *x = &c->entries[e];
+    x->older = c->newest;
+    x->newer = CACHE_NONE;
+    if (c->newest != CACHE_NONE) {
+        c->entries[c->newest].newer = e;
+    } else {
+        c->oldest = e;
+    }
+    c->newest = e;
+}
+
+/* Drop the entry in slot i: off the LRU list onto the free list, and the
+ * probe runs after it shifted back so no lookup stops short. */
+static void cache_remove(DistanceCache *c, size_t i) {
+    int32_t e = c->table[i];
+    cache_unlink(c, e);
+    c->entries[e].newer = c->free;
+    c->free = e;
+    c->size--;
+    for (size_t j = (i + 1) & c->mask; c->table[j] != CACHE_NONE; j = (j + 1) & c->mask) {
+        const CacheEntry *x = &c->entries[c->table[j]];
+        /* The entry in j may fill the hole at i when i lies on its probe run,
+         * from its home slot to j. */
+        if (((j - cache_home(c, x->lo, x->hi)) & c->mask) >= ((j - i) & c->mask)) {
+            c->table[i] = c->table[j];
+            i = j;
+        }
+    }
+    c->table[i] = CACHE_NONE;
+}
+
+/* Drop every entry: an empty table, every entry on the free list. */
+static void cache_clear(DistanceCache *c) {
+    memset(c->table, 0xff, (c->mask + 1) * sizeof(int32_t)); /* every slot CACHE_NONE */
+    for (Py_ssize_t e = 0; e < c->capacity; e++) {
+        c->entries[e].newer = e + 1 < c->capacity ? (int32_t)(e + 1) : CACHE_NONE;
+    }
+    c->free = 0;
+    c->oldest = c->newest = CACHE_NONE;
+    c->size = 0;
+}
+
+/* 1 with *dist set when (s, t) is cached at `epoch`, and it becomes the most
+ * recently used entry; 0 otherwise, dropping an entry of another epoch.
+ * The caller counts hits and misses. */
+static inline int cache_get(DistanceCache *c, int64_t s, int64_t t, int64_t epoch,
+                            double *dist) {
+    int64_t lo = s <= t ? s : t, hi = s <= t ? t : s;
+    size_t i = cache_slot(c, lo, hi);
+    int32_t e = c->table[i];
+    if (e == CACHE_NONE) {
+        return 0;
+    }
+    if (c->entries[e].epoch != epoch) {
+        cache_remove(c, i);
+        c->stale++;
+        return 0;
+    }
+    if (e != c->newest) {
+        cache_unlink(c, e);
+        cache_make_newest(c, e);
+    }
+    *dist = c->entries[e].dist;
+    return 1;
+}
+
+/* Insert or overwrite (s, t) as the most recently used entry; at capacity a
+ * new key first evicts the least recently used one, which leaves what the
+ * insert-then-evict of an OrderedDict leaves. */
+static void cache_put(DistanceCache *c, int64_t s, int64_t t, double dist, int64_t epoch) {
+    int64_t lo = s <= t ? s : t, hi = s <= t ? t : s;
+    int32_t e = c->table[cache_slot(c, lo, hi)];
+    if (e != CACHE_NONE) {
+        cache_unlink(c, e);
+    } else {
+        if (c->size == c->capacity) {
+            const CacheEntry *old = &c->entries[c->oldest];
+            cache_remove(c, cache_slot(c, old->lo, old->hi));
+            c->evictions++;
+        }
+        e = c->free;
+        c->free = c->entries[e].newer;
+        c->entries[e].lo = lo;
+        c->entries[e].hi = hi;
+        c->table[cache_slot(c, lo, hi)] = e;
+        c->size++;
+    }
+    c->entries[e].dist = dist;
+    c->entries[e].epoch = epoch;
+    cache_make_newest(c, e);
+}
+
+/* cache_new(capacity) -> cache capsule.  A capacity below 1 or past
+ * CACHE_MAX_CAPACITY is a ValueError, before anything is allocated. */
+static PyObject *cache_new(PyObject *self, PyObject *arg) {
+    (void)self;
+    Py_ssize_t capacity = PyLong_AsSsize_t(arg);
+    if (capacity < 1 || capacity > CACHE_MAX_CAPACITY) {
+        /* Replaces the OverflowError of an int past Py_ssize_t. */
+        PyErr_SetString(PyExc_ValueError, "cache capacity must be an int in 1 .. 2**30");
+        return NULL;
+    }
+    size_t slots = 2;
+    while (slots < 2 * (size_t)capacity) {
+        slots <<= 1;
+    }
+    DistanceCache *c = (DistanceCache *)calloc(1, sizeof(DistanceCache));
+    if (c != NULL) {
+        c->entries = (CacheEntry *)malloc((size_t)capacity * sizeof(CacheEntry));
+        c->table = (int32_t *)malloc(slots * sizeof(int32_t));
+    }
+    if (c == NULL || c->entries == NULL || c->table == NULL) {
+        cache_free(c);
+        return PyErr_NoMemory();
+    }
+    c->capacity = capacity;
+    c->mask = slots - 1;
+    cache_clear(c);
+    PyObject *capsule = PyCapsule_New(c, CACHE_CAPSULE, cache_destructor);
+    if (capsule == NULL) {
+        cache_free(c);
+    }
+    return capsule;
+}
+
+/* Borrow a cache call's (ids, out, stages): 2k int32 / int64 ids, sources
+ * and targets interleaved, k writable float64 distances and, unless
+ * stages_obj is None, k writable uint8 stage ids.  0, or -1 with the views
+ * released and a TypeError / ValueError set. */
+static int borrow_answers(PyObject *ids_obj, PyObject *out_obj, PyObject *stages_obj,
+                          Py_buffer *views) {
+    int flags = PyBUF_C_CONTIGUOUS | PyBUF_WRITABLE;
+    if (borrow_ints(ids_obj, &views[0], 0, 0) < 0 ||
+        PyObject_GetBuffer(out_obj, &views[1], flags) < 0 ||
+        (stages_obj != Py_None && PyObject_GetBuffer(stages_obj, &views[2], flags) < 0)) {
+        release_views(views, 3);
+        return -1;
+    }
+    Py_ssize_t k = views[0].len / views[0].itemsize / 2;
+    if (views[0].len / views[0].itemsize != 2 * k || views[1].itemsize != 8 ||
+        views[1].len != 8 * k ||
+        (views[2].obj != NULL && (views[2].itemsize != 1 || views[2].len != k))) {
+        release_views(views, 3);
+        PyErr_SetString(PyExc_ValueError,
+                        "a cache batch is 2k interleaved ids, k float64 distances "
+                        "and k uint8 stages");
+        return -1;
+    }
+    return 0;
+}
+
+/* cache_probe(cache, ids, epoch, out, stages) -> hits.  Pair i found at
+ * `epoch` gets out[i] and stages[i] = 0; every other pair stages[i] = 1,
+ * its out[i] untouched.  Pairs are probed in order, so a batch leaves the
+ * entries, their order and the counters as one probe per pair would. */
+static PyObject *cache_probe(PyObject *self, PyObject *const *args, Py_ssize_t nargs) {
+    (void)self;
+    if (nargs != 5) {
+        PyErr_SetString(PyExc_TypeError,
+                        "cache_probe(cache, ids, epoch, out, stages) takes 5 arguments");
+        return NULL;
+    }
+    DistanceCache *c = cache_from_arg(args[0]);
+    if (c == NULL) {
+        return NULL;
+    }
+    long epoch = PyLong_AsLong(args[2]);
+    if (epoch == -1 && PyErr_Occurred()) {
+        return NULL;
+    }
+    Py_buffer views[3] = {{0}};
+    if (args[4] == Py_None) {
+        PyErr_SetString(PyExc_TypeError, "cache_probe needs a stages buffer");
+        return NULL;
+    }
+    if (borrow_answers(args[1], args[3], args[4], views) < 0) {
+        return NULL;
+    }
+    double *out = (double *)views[1].buf;
+    uint8_t *stages = (uint8_t *)views[2].buf;
+    Py_ssize_t k = views[1].len / 8, hits = 0;
+    for (Py_ssize_t i = 0; i < k; i++) {
+        int hit = cache_get(c, read_id(&views[0], 2 * i), read_id(&views[0], 2 * i + 1),
+                            epoch, &out[i]);
+        stages[i] = (uint8_t)!hit;
+        hits += hit;
+    }
+    c->hits += hits;
+    c->misses += k - hits;
+    release_views(views, 3);
+    return PyLong_FromSsize_t(hits);
+}
+
+/* cache_fill(cache, ids, out, stages, epoch) -> None: every pair, in order,
+ * or with stages only those whose stage is not 0 (the ones a probe missed),
+ * cached with its out distance at `epoch`. */
+static PyObject *cache_fill(PyObject *self, PyObject *const *args, Py_ssize_t nargs) {
+    (void)self;
+    if (nargs != 5) {
+        PyErr_SetString(PyExc_TypeError,
+                        "cache_fill(cache, ids, out, stages, epoch) takes 5 arguments");
+        return NULL;
+    }
+    DistanceCache *c = cache_from_arg(args[0]);
+    if (c == NULL) {
+        return NULL;
+    }
+    long epoch = PyLong_AsLong(args[4]);
+    if (epoch == -1 && PyErr_Occurred()) {
+        return NULL;
+    }
+    Py_buffer views[3] = {{0}};
+    if (borrow_answers(args[1], args[2], args[3], views) < 0) {
+        return NULL;
+    }
+    const double *out = (const double *)views[1].buf;
+    const uint8_t *stages = (const uint8_t *)views[2].buf;
+    Py_ssize_t k = views[1].len / 8;
+    for (Py_ssize_t i = 0; i < k; i++) {
+        if (stages == NULL || stages[i] != 0) {
+            cache_put(c, read_id(&views[0], 2 * i), read_id(&views[0], 2 * i + 1), out[i],
+                      epoch);
+        }
+    }
+    release_views(views, 3);
+    Py_INCREF(Py_None);
+    return Py_None;
+}
+
+/* cache_invalidate(cache) -> how many entries were dropped (all of them). */
+static PyObject *cache_invalidate(PyObject *self, PyObject *arg) {
+    (void)self;
+    DistanceCache *c = cache_from_arg(arg);
+    if (c == NULL) {
+        return NULL;
+    }
+    Py_ssize_t count = c->size;
+    cache_clear(c);
+    c->invalidated += count;
+    return PyLong_FromSsize_t(count);
+}
+
+/* cache_contains(cache, source, target) -> whether the pair has an entry, of
+ * any epoch; the LRU order and the counters stay as they are. */
+static PyObject *cache_contains(PyObject *self, PyObject *const *args, Py_ssize_t nargs) {
+    (void)self;
+    if (nargs != 3) {
+        PyErr_SetString(PyExc_TypeError, "cache_contains(cache, source, target) takes 3 arguments");
+        return NULL;
+    }
+    DistanceCache *c = cache_from_arg(args[0]);
+    if (c == NULL) {
+        return NULL;
+    }
+    long s = PyLong_AsLong(args[1]);
+    if (s == -1 && PyErr_Occurred()) {
+        return NULL;
+    }
+    long t = PyLong_AsLong(args[2]);
+    if (t == -1 && PyErr_Occurred()) {
+        return NULL;
+    }
+    int64_t lo = s <= t ? s : t, hi = s <= t ? t : s;
+    return PyBool_FromLong(c->table[cache_slot(c, lo, hi)] != CACHE_NONE);
+}
+
+/* cache_stats(cache, out) -> None: writes size, hits, misses, stale
+ * rejections, invalidated and evictions into six int64s. */
+static PyObject *cache_stats(PyObject *self, PyObject *const *args, Py_ssize_t nargs) {
+    (void)self;
+    if (nargs != 2) {
+        PyErr_SetString(PyExc_TypeError, "cache_stats(cache, out) takes 2 arguments");
+        return NULL;
+    }
+    DistanceCache *c = cache_from_arg(args[0]);
+    if (c == NULL) {
+        return NULL;
+    }
+    Py_buffer view;
+    if (borrow_ints(args[1], &view, 1, 1) < 0) {
+        return NULL;
+    }
+    if (view.len != C_NSTATS * 8) {
+        PyBuffer_Release(&view);
+        PyErr_SetString(PyExc_ValueError, "cache_stats writes six int64 counters");
+        return NULL;
+    }
+    int64_t *out = (int64_t *)view.buf;
+    out[C_SIZE] = c->size;
+    out[C_HITS] = c->hits;
+    out[C_MISSES] = c->misses;
+    out[C_STALE] = c->stale;
+    out[C_INVALIDATED] = c->invalidated;
+    out[C_EVICTIONS] = c->evictions;
+    PyBuffer_Release(&view);
+    Py_INCREF(Py_None);
+    return Py_None;
+}
+
+/* ------------------------------------------------------------------ */
 /* CSR search graph                                                   */
 /* ------------------------------------------------------------------ */
 
@@ -998,7 +1399,10 @@ SEARCH_ALIGN static double search_tree(SearchGraph *g, int64_t rs, int64_t rt) {
 }
 
 /* What a search loop records when it fails without the GIL; search_raise
- * turns it into a Python error once the GIL is back. */
+ * turns it into a Python error once the GIL is back.  SEARCH_NO_MEMORY is a
+ * heap_push whose realloc fails: tests/test_kernels.py reaches it in a child
+ * process that caps its own address space (RLIMIT_AS) before a search that
+ * must grow the heap (TestSearchesReleaseTheGIL). */
 enum { SEARCH_OK = 0, SEARCH_NO_MEMORY, SEARCH_ROW_RANGE };
 
 /* Bidirectional Dijkstra (GraphSnapshot.bidijkstra), a literal port of the
@@ -2590,6 +2994,21 @@ static PyMethodDef methods[] = {
     {"search_query_ids", (PyCFunction)search_query_ids, METH_FASTCALL,
      "search_query_ids(graph, ids, idmap, out, ch_mode) -> position of the first id "
      "with no row, or -1 (ids interleave sources and targets; fills out)"},
+    {"cache_new", cache_new, METH_O,
+     "cache_new(capacity) -> epoch-exact LRU distance-cache capsule"},
+    {"cache_probe", (PyCFunction)cache_probe, METH_FASTCALL,
+     "cache_probe(cache, ids, epoch, out, stages) -> hits (fills out for hits; stages: "
+     "0 hit, 1 miss)"},
+    {"cache_fill", (PyCFunction)cache_fill, METH_FASTCALL,
+     "cache_fill(cache, ids, out, stages, epoch) -> None (caches the pairs whose stage "
+     "is not 0, or every pair when stages is None)"},
+    {"cache_invalidate", cache_invalidate, METH_O,
+     "cache_invalidate(cache) -> number of entries dropped"},
+    {"cache_contains", (PyCFunction)cache_contains, METH_FASTCALL,
+     "cache_contains(cache, source, target) -> whether the pair has an entry"},
+    {"cache_stats", (PyCFunction)cache_stats, METH_FASTCALL,
+     "cache_stats(cache, out) -> None (size, hits, misses, stale rejections, invalidated, "
+     "evictions as six int64)"},
     {"search_one_to_many", (PyCFunction)search_one_to_many, METH_FASTCALL,
      "search_one_to_many(graph, rs, t_rows, out) -> None (truncated Dijkstra)"},
     {"update_slots", (PyCFunction)update_slots, METH_FASTCALL,

@@ -6,17 +6,25 @@ rejection** and drops the entry.  That check is the correctness gate — no
 partition footprint can prove a distance unchanged across a batch (a weight
 decrease anywhere can open a shorter path between vertices of untouched
 partitions) — and it keeps the cache exact whatever lock its caller holds
-around :meth:`put`.  Since no entry can be served at a newer epoch, the
-engine clears the whole cache (:meth:`invalidate_all`) when it commits one.
+around :meth:`~EpochDistanceCache.put`.  Since no entry can be served at a
+newer epoch, the engine clears the whole cache
+(:meth:`~EpochDistanceCache.invalidate_all`) when it commits one.
+
+The table is the C kernel's (``cache_new`` in ``_labelkernel.c``): a hash
+table over an exact LRU list of ``(min id, max id) → (distance, epoch)``
+entries, probed and filled a batch per call (:meth:`EpochDistanceCache.answer`).
 See DESIGN.md §5.
 """
 
 from __future__ import annotations
 
-import threading
-from collections import OrderedDict
 from dataclasses import asdict, dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
+
+import numpy as np
+
+from repro.kernels.arena import pair_ids
+from repro.kernels.native import native_kernel
 
 
 @dataclass
@@ -38,26 +46,20 @@ class CacheStats:
         return self.hits / self.lookups if self.lookups else 0.0
 
 
-def _key(source: int, target: int) -> Tuple[int, int]:
-    return (source, target) if source <= target else (target, source)
-
-
 class EpochDistanceCache:
     """Thread-safe LRU cache of (source, target) → distance, keyed by epoch.
 
-    A batch probes it with one :meth:`get_many` and fills it with one
-    :meth:`put_many`: one lock acquisition and one stats update per call.
-    Pairs are handled in order, so a batch leaves the entries, their LRU
-    order and the stats as one call per pair would; :meth:`get` and
-    :meth:`put` are batches of one.  Entries are ``(distance, epoch)``."""
+    Every read or write of the table is one C call made with the GIL held,
+    so concurrent callers see each call whole (:meth:`answer` computes its
+    misses between two of them).  Pairs are handled in order, so
+    a batch leaves the entries, their LRU order and the stats as one call
+    per pair would; :meth:`get` and :meth:`put` are batches of one.  A
+    capacity below 1, or past the table's int32 slots (2**30), is a
+    ``ValueError``."""
 
     def __init__(self, capacity: int = 4096) -> None:
-        if capacity < 1:
-            raise ValueError(f"capacity must be >= 1, got {capacity}")
         self.capacity = capacity
-        self._lock = threading.Lock()
-        self._entries: "OrderedDict[Tuple[int, int], Tuple[float, int]]" = OrderedDict()
-        self.stats = CacheStats()
+        self.capsule = native_kernel().cache_new(capacity)
 
     # ------------------------------------------------------------------
     def get(self, source: int, target: int, epoch: int) -> Optional[float]:
@@ -73,28 +75,11 @@ class EpochDistanceCache:
     ) -> List[Optional[float]]:
         """The cached distance of every pair at ``epoch``, in order: ``None``
         on a miss, and on a stale-epoch rejection, which drops the entry."""
-        entries = self._entries
-        found: List[Optional[float]] = []
-        hits = stale = 0
-        with self._lock:
-            for source, target in pairs:
-                key = _key(source, target)
-                entry = entries.get(key)
-                if entry is None:
-                    found.append(None)
-                elif entry[1] != epoch:
-                    del entries[key]
-                    stale += 1
-                    found.append(None)
-                else:
-                    entries.move_to_end(key)
-                    hits += 1
-                    found.append(entry[0])
-            stats = self.stats
-            stats.hits += hits
-            stats.misses += len(found) - hits
-            stats.stale_rejections += stale
-        return found
+        ids = pair_ids(pairs)
+        out = np.empty(len(ids))
+        stages = np.empty(len(ids), dtype=np.uint8)
+        native_kernel().cache_probe(self.capsule, ids, epoch, out, stages)
+        return [None if miss else d for d, miss in zip(out.tolist(), stages.tolist())]
 
     def put_many(
         self, pairs: Sequence[Tuple[int, int]], distances: Sequence[float], epoch: int
@@ -102,39 +87,54 @@ class EpochDistanceCache:
         """Insert the distance of every pair, computed at ``epoch``, in order;
         the least recently used entry goes whenever an insert leaves more
         than ``capacity`` entries, pair by pair as :meth:`put` would."""
-        entries = self._entries
-        capacity = self.capacity
-        evictions = 0
-        with self._lock:
-            for (source, target), distance in zip(pairs, distances):
-                key = _key(source, target)
-                entries[key] = (distance, epoch)
-                entries.move_to_end(key)
-                if len(entries) > capacity:
-                    entries.popitem(last=False)
-                    evictions += 1
-            self.stats.evictions += evictions
+        out = np.asarray(distances, dtype=np.float64)
+        native_kernel().cache_fill(self.capsule, pair_ids(pairs), out, None, epoch)
+
+    def answer(
+        self,
+        pairs: np.ndarray,
+        epoch: int,
+        compute: Callable[[np.ndarray], np.ndarray],
+        out: np.ndarray,
+        stages: np.ndarray,
+    ) -> int:
+        """Answer a ``(k, 2)`` pair array at ``epoch`` into ``out``: one probe
+        of every pair, ``compute`` on the misses' pair array (their
+        ``float64`` distances), one fill with them.  ``stages`` gets 0 for a
+        hit and 1 for a computed pair; returns the hits."""
+        kernel = native_kernel()
+        hits = kernel.cache_probe(self.capsule, pairs, epoch, out, stages)
+        if hits < len(pairs):
+            computed = stages.view(np.bool_)
+            out[computed] = compute(pairs[computed])
+            kernel.cache_fill(self.capsule, pairs, out, stages, epoch)
+        return hits
 
     # ------------------------------------------------------------------
     def invalidate_all(self) -> int:
         """Drop every entry; returns how many were removed."""
-        with self._lock:
-            count = len(self._entries)
-            self._entries.clear()
-            self.stats.invalidated += count
-            return count
+        return native_kernel().cache_invalidate(self.capsule)
 
     # ------------------------------------------------------------------
+    def _counters(self) -> List[int]:
+        """Size, then the :class:`CacheStats` fields in order."""
+        out = np.empty(6, dtype=np.int64)
+        native_kernel().cache_stats(self.capsule, out)
+        return out.tolist()
+
+    @property
+    def stats(self) -> CacheStats:
+        """The counters as they stand (a copy)."""
+        return CacheStats(*self._counters()[1:])
+
     def __len__(self) -> int:
-        with self._lock:
-            return len(self._entries)
+        return self._counters()[0]
 
     def __contains__(self, pair: Tuple[int, int]) -> bool:
-        with self._lock:
-            return _key(*pair) in self._entries
+        return native_kernel().cache_contains(self.capsule, *pair)
 
     def snapshot(self) -> Dict[str, float]:
-        with self._lock:
-            stats = self.stats
-            return {"size": len(self._entries), "capacity": self.capacity,
-                    **asdict(stats), "hit_rate": stats.hit_rate}
+        size, *counters = self._counters()
+        stats = CacheStats(*counters)
+        return {"size": size, "capacity": self.capacity,
+                **asdict(stats), "hit_rate": stats.hit_rate}

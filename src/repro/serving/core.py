@@ -18,7 +18,7 @@ from __future__ import annotations
 import queue
 import threading
 import time
-from collections import Counter, deque
+from collections import deque
 from collections.abc import Sequence
 from functools import partial
 from itertools import islice, repeat
@@ -123,10 +123,13 @@ class BatchResult(Sequence):
         return None if ids is None else list(map(self.stage_names.__getitem__, ids.tolist()))
 
     def stage_counts(self) -> Mapping[str, int]:
-        """How many of the batch's queries each stage answered."""
-        if self.stage_ids is None:
+        """How many of the batch's queries each stage answered (stages that
+        answered none are left out)."""
+        ids = self.stage_ids
+        if ids is None:
             return {self.stage: len(self.pairs)}
-        return Counter(self.stages)
+        counts = np.bincount(ids, minlength=len(self.stage_names)).tolist()
+        return {name: count for name, count in zip(self.stage_names, counts) if count}
 
     def _materialise(self) -> List[QueryResult]:
         rows = self._rows

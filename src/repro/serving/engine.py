@@ -43,6 +43,7 @@ enforce.
 from __future__ import annotations
 
 import time
+from functools import partial
 from typing import Dict, Optional
 
 import numpy as np
@@ -240,26 +241,25 @@ class ServingEngine(EngineCore):
         The cache fronts search stages only: through a label-lookup stage
         (``stage.cached`` false) the whole batch goes straight to the index
         as the id array, with no per-pair work on this side of the kernel.
-        Through a search stage the cache is probed once for the batch and
-        filled once with its misses.
+        Through a search stage the cache is probed once for the batch, the
+        stage computes the misses and the cache is filled once with them
+        (:meth:`EpochDistanceCache.answer`).
         """
         cache, name, stage_ids = self.cache, stage.name, None
         if cache is None or not stage.cached:
             distances = self._compute(stage, pairs)
         else:
-            pair_list = pairs.tolist()
-            distances = cache.get_many(pair_list, epoch)
-            misses = [position for position, hit in enumerate(distances) if hit is None]
-            if misses:
-                answers = self._compute(stage, pairs[misses]).tolist()
-                for position, distance in zip(misses, answers):
-                    distances[position] = distance
-                cache.put_many([pair_list[position] for position in misses], answers, epoch)
-            if not misses:
-                name = CACHE_STAGE
-            elif len(misses) < len(pairs):
-                name, stage_ids = MIXED_STAGE, np.zeros(len(pairs), dtype=np.uint8)
-                stage_ids[misses] = 1
+            distances = np.empty(len(pairs))
+            stage_ids = np.empty(len(pairs), dtype=np.uint8)
+            hits = cache.answer(
+                pairs, epoch, partial(self._compute, stage), distances, stage_ids
+            )
+            if hits == len(pairs):
+                name, stage_ids = CACHE_STAGE, None
+            elif hits:
+                name = MIXED_STAGE
+            else:
+                stage_ids = None
         latency = (time.perf_counter() - started) / len(pairs)
         return BatchResult(
             pairs, distances, epoch, latency, name, stage_ids, (CACHE_STAGE, stage.name)

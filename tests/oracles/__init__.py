@@ -11,6 +11,8 @@ either and compare the results bit for bit:
 * :mod:`tests.oracles.queries` — an index answering through its pure
   ``_reference_*`` hooks, the Dijkstra searches, the PSP families' and
   overlay's queries and TOAIN's dict hub join, never a frozen store.
+* :mod:`tests.oracles.cache` — the serving engine's distance cache as the
+  ``OrderedDict`` table the C cache replaced.
 
 :func:`seams` names where each C pass is called from and the oracle that
 stands in for it; ``conftest``'s ``oracle_maintenance`` fixture and

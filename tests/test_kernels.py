@@ -19,7 +19,9 @@ The contract under test (see DESIGN.md §7):
 from __future__ import annotations
 
 import gc
+import os
 import random
+import subprocess
 import sys
 import threading
 import time
@@ -50,6 +52,7 @@ from repro.kernels.label_store import LabelStore
 from repro.kernels.native import native_kernel
 from repro.kernels.shortcut_store import ShortcutStore
 from repro.registry import create_index, get_spec
+from repro.serving.cache import EpochDistanceCache
 from repro.serving.engine import ServingEngine
 from repro.store.snapshot import load_index, save_index
 from repro.throughput.workload import sample_query_pairs
@@ -638,6 +641,50 @@ def _chain_capsule(n):
     )
 
 
+_HEAP_CANNOT_GROW = """
+import resource
+import numpy
+from repro.kernels.native import native_kernel
+from repro.serving.cache import EpochDistanceCache
+
+kernel, leaves = native_kernel(), 300_000
+star = kernel.search_build(
+    numpy.arange(leaves + 1),
+    numpy.concatenate([[0], numpy.arange(leaves, 2 * leaves + 1)]),
+    numpy.concatenate([numpy.arange(1, leaves + 1), numpy.zeros(leaves, numpy.int64)]),
+    numpy.ones(2 * leaves),
+)
+ids, remap = numpy.array([[0, 1]]), numpy.arange(leaves + 1)
+out, stages, cache = numpy.empty(1), numpy.empty(1, numpy.uint8), EpochDistanceCache(4)
+
+
+def search(misses):
+    found = numpy.empty(len(misses))
+    kernel.search_query_ids(star, misses, remap, found, 0)
+    return found
+
+
+kernel.search_query(star, 5, 5, 0)  # allocates the scratch; the heap stays empty
+with open("/proc/self/status") as status:
+    mapped = next(int(line.split()[1]) for line in status if line.startswith("VmSize:"))
+soft, hard = resource.getrlimit(resource.RLIMIT_AS)
+resource.setrlimit(resource.RLIMIT_AS, (mapped * 1024 + (4 << 20), hard))
+for call in (
+    lambda: kernel.search_query(star, 0, 1, 0),
+    lambda: cache.answer(ids, 0, search, out, stages),
+):
+    try:
+        call()
+        print("answered")
+    except MemoryError:
+        print("MemoryError")
+resource.setrlimit(resource.RLIMIT_AS, (soft, hard))
+print("empty" if len(cache) == 0 else "filled", f"misses={cache.stats.misses}")
+cache.answer(ids, 0, search, out, stages)
+print(kernel.search_query(star, 0, 1, 0), out[0], "filled" if (0, 1) in cache else "empty")
+"""
+
+
 @contextmanager
 def _switch_interval(seconds):
     previous = sys.getswitchinterval()
@@ -696,11 +743,15 @@ class TestSearchesReleaseTheGIL:
         return _chain_capsule(self.CHAIN_ROWS)
 
     @pytest.mark.parametrize("entry", [
-        "search_query", "query_ids_bidijkstra", "query_ids_tree", "one_to_many",
+        "search_query", "query_ids_bidijkstra", "query_ids_tree", "query_ids_tree_cached",
+        "one_to_many",
     ])
     def test_a_python_thread_runs_through_a_long_call(self, entry, grid, chain):
         """Each call searches for tens of milliseconds (the whole grid, or the
-        300 000-row chain 64 times).  A call that holds the GIL leaves one
+        300 000-row chain 64 times; through a distance cache, the 64 pairs
+        are misses, probed before the search and filled after it, each in a
+        call of its own).  A call
+        that holds the GIL leaves one
         gap in the ticks as long as the kernel ran, between a hand-over
         before it and one after it; a call that releases it leaves gaps of
         at most a few switch intervals."""
@@ -710,6 +761,13 @@ class TestSearchesReleaseTheGIL:
         out = numpy.full(64, numpy.nan)
         # Both capsules' ids are their rows: the identity is the dense remap.
         grid_ids, chain_ids = numpy.arange(last + 1), numpy.arange(self.CHAIN_ROWS)
+        cache, stages = EpochDistanceCache(8), numpy.zeros(64, dtype=numpy.uint8)
+
+        def search_chain(misses):
+            found = numpy.empty(len(misses))
+            kernel.search_query_ids(chain, misses, chain_ids, found, 1)
+            return found
+
         calls = {
             "search_query": lambda: out.__setitem__(0, kernel.search_query(grid, 0, last, 0)),
             "query_ids_bidijkstra": lambda: kernel.search_query_ids(
@@ -718,11 +776,17 @@ class TestSearchesReleaseTheGIL:
             "query_ids_tree": lambda: kernel.search_query_ids(
                 chain, numpy.tile([0, 1], (64, 1)), chain_ids, out, 1,
             ),
+            "query_ids_tree_cached": lambda: cache.answer(
+                numpy.tile([0, 1], (64, 1)), 0, search_chain, out, stages,
+            ),
             "one_to_many": lambda: kernel.search_one_to_many(grid, 0, one, out[:1]),
         }
         start, end, ticks = _ticks_during(calls[entry])
-        expected = 1.0 if entry == "query_ids_tree" else kernel.search_query(grid, 0, last, 0)
-        assert numpy.all(out[:64 if entry == "query_ids_tree" else 1] == expected)
+        tree = entry.startswith("query_ids_tree")
+        expected = 1.0 if tree else kernel.search_query(grid, 0, last, 0)
+        assert numpy.all(out[:64 if tree else 1] == expected)
+        if entry == "query_ids_tree_cached":
+            assert stages.all() and cache.get(0, 1, 0) == 1.0
         span = end - start
         assert span > 10e-3, "the call is too short to tell"
         points = [start] + [tick for tick in ticks if start < tick < end] + [end]
@@ -774,6 +838,28 @@ class TestSearchesReleaseTheGIL:
         with pytest.raises(IndexError):
             kernel.search_one_to_many(grid, 0, rows, out)
         assert numpy.isnan(out).all()
+
+    def test_a_heap_that_cannot_grow_is_a_memory_error(self):
+        """``SEARCH_NO_MEMORY``: a heap that cannot grow inside the GIL-free
+        loop is a MemoryError once the GIL is back, the cache is not filled,
+        and the capsule answers again once memory is there.  A child process
+        caps its own address space just above what it maps, after the
+        search's scratch is allocated, then searches from the centre of a
+        300 000-leaf star, whose first step pushes every leaf (a 7 MiB
+        heap).  An ASan build's allocator returns the NULL too
+        (``allocator_may_return_null``) instead of ending the child."""
+        options = os.environ.get("ASAN_OPTIONS", "")
+        child = subprocess.run(
+            [sys.executable, "-c", _HEAP_CANNOT_GROW], capture_output=True, text=True,
+            timeout=120, env={
+                **os.environ, "PYTHONPATH": os.pathsep.join(sys.path),
+                "ASAN_OPTIONS": f"{options}:allocator_may_return_null=1".lstrip(":"),
+            },
+        )
+        assert child.returncode == 0, (child.returncode, child.stdout, child.stderr)
+        assert child.stdout.split() == [
+            "MemoryError", "MemoryError", "empty", "misses=1", "1.0", "1.0", "filled",
+        ], child.stdout
 
     def test_threads_sharing_capsules_get_the_serial_answers(self):
         """Four threads mix batch, scalar and one-to-many calls on one DCH

@@ -7,19 +7,26 @@ stage never probes it)."""
 from __future__ import annotations
 
 import dataclasses
+import random
+import sys
+import threading
+from collections import Counter
 
+import numpy
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.algorithms.dijkstra import dijkstra_distance
 from repro.core.pmhl import PMHLIndex
+from repro.exceptions import VertexNotFoundError
 from repro.graph.generators import grid_road_network
 from repro.hierarchy.ch import DCHIndex
 from repro.graph.updates import EdgeUpdate, UpdateBatch, generate_update_stream
 from repro.serving.cache import EpochDistanceCache
 from repro.serving.engine import ServingEngine
 from repro.throughput.workload import sample_query_pairs
+from tests.oracles.cache import EpochDistanceCache as OracleCache
 
 
 class TestEpochDistanceCache:
@@ -61,14 +68,18 @@ class TestEpochDistanceCache:
         assert cache.invalidate_all() == 2
         assert len(cache) == 0
 
-    def test_rejects_bad_capacity(self):
+    @pytest.mark.parametrize("capacity", [0, -1, 2**30 + 1, 2**64, 1.5])
+    def test_rejects_bad_capacity(self, capacity):
+        """Below 1, past the table's int32 slots and past ``Py_ssize_t``
+        alike, refused before the table allocates anything."""
         with pytest.raises(ValueError):
-            EpochDistanceCache(capacity=0)
+            EpochDistanceCache(capacity=capacity)
 
 
 #: A pair over few vertices (so keys repeat, in both orders), an epoch of
 #: three (so entries go stale), and the operations a cache sees.
-_PAIRS = st.lists(st.tuples(st.integers(0, 4), st.integers(0, 4)), max_size=12)
+_VERTICES = range(5)
+_PAIRS = st.lists(st.tuples(st.sampled_from(_VERTICES), st.sampled_from(_VERTICES)), max_size=12)
 _EPOCHS = st.integers(0, 2)
 _OPERATIONS = st.lists(
     st.one_of(
@@ -78,32 +89,65 @@ _OPERATIONS = st.lists(
     ),
     max_size=25,
 )
+_KEYS = [(s, t) for s in _VERTICES for t in _VERTICES if s <= t]
 
 
 class TestBatchedCacheCalls:
-    """``get_many`` / ``put_many`` leave a cache exactly as one ``get`` /
-    ``put`` per pair would: the answers, the entries in LRU order and every
-    stats field, after every operation of a random sequence -- repeated and
-    reversed pairs, stale epochs, batches larger than the capacity."""
+    """The C table against its oracle (the ``OrderedDict`` cache in
+    ``tests/oracles/cache.py``) on random operation sequences -- repeated
+    and reversed pairs, stale epochs, batches larger than the capacity: after
+    every operation, the ``get_many`` answers, ``len``, which keys were
+    evicted and every stats counter are the oracle's, for the C cache called
+    a batch at a time and a pair at a time."""
 
     @settings(max_examples=300, deadline=None)
-    @given(st.integers(1, 6), _OPERATIONS)
-    def test_batches_equal_per_pair_calls(self, capacity, operations):
+    @given(st.one_of(st.sampled_from([1, 2]), st.integers(1, 6)), _OPERATIONS)
+    def test_batches_and_pairs_equal_the_oracle(self, capacity, operations):
         batched, single = EpochDistanceCache(capacity), EpochDistanceCache(capacity)
+        oracle = OracleCache(capacity)
         for step, (kind, pairs, epoch) in enumerate(operations):
             distances = [float(step * 100 + i) for i in range(len(pairs))]
+            before = [key for key in _KEYS if key in oracle]
             if kind == "get":
-                assert batched.get_many(pairs, epoch) == [
-                    single.get(source, target, epoch) for source, target in pairs
-                ]
+                expected = oracle.get_many(pairs, epoch)
+                assert batched.get_many(pairs, epoch) == expected
+                assert [single.get(source, target, epoch) for source, target in pairs] == expected
             elif kind == "put":
+                oracle.put_many(pairs, distances, epoch)
                 batched.put_many(pairs, distances, epoch)
                 for (source, target), distance in zip(pairs, distances):
                     single.put(source, target, distance, epoch)
             else:
-                assert batched.invalidate_all() == single.invalidate_all()
-            assert list(batched._entries.items()) == list(single._entries.items())
-            assert dataclasses.asdict(batched.stats) == dataclasses.asdict(single.stats)
+                count = oracle.invalidate_all()
+                assert batched.invalidate_all() == count == single.invalidate_all()
+            present = [key for key in _KEYS if key in oracle]
+            dropped = [key for key in before if key not in present]
+            for cache in (batched, single):
+                assert len(cache) == len(oracle)
+                assert [key for key in _KEYS if key in cache] == present
+                assert [key for key in before if key not in cache] == dropped
+                assert dataclasses.asdict(cache.stats) == dataclasses.asdict(oracle.stats)
+                assert cache.snapshot() == oracle.snapshot()
+
+    def test_eviction_sequence_equals_the_oracle(self):
+        """A longer run over more keys than the capacity: the key each insert
+        evicts, in order, is the oracle's."""
+        rng = random.Random(5)
+        cache, oracle = EpochDistanceCache(16), OracleCache(16)
+        evicted, expected = [], []
+        for step in range(3000):
+            pair = (rng.randrange(40), rng.randrange(40))
+            if rng.random() < 0.5:
+                assert cache.get(*pair, step // 500) == oracle.get(*pair, step // 500)
+                continue
+            keys = [key for key in oracle._entries]
+            oracle.put(*pair, float(step), step // 500)
+            cache.put(*pair, float(step), step // 500)
+            expected += [key for key in keys if key not in oracle]
+            evicted += [key for key in keys if key not in cache]
+        assert evicted == expected and len(expected) > 500
+        assert cache.snapshot() == oracle.snapshot()
+
 
 class TestEngineCacheIntegration:
     def _engine(self, graph, index_cls=DCHIndex, **index_kwargs):
@@ -221,3 +265,128 @@ class TestEngineCacheIntegration:
         engine.serve(0, 20)
         assert engine.cache is None
         assert "cache" not in engine.stats()
+
+
+class TestCachedSearchStage:
+    """A cached stage answers a batch with one probe, its compute on the
+    misses and one fill (``EpochDistanceCache.answer``): its answers, stage
+    columns and cache counters equal the per-pair ``OrderedDict`` path's
+    (the oracle's ``answer``), bit for bit."""
+
+    def test_batch_path_equals_the_per_pair_oracle(self):
+        graph = grid_road_network(12, 12, seed=5)
+        pairs = list(sample_query_pairs(graph, 40, seed=6))
+        # Each batch twice in a row: the repeat is answered from the cache.
+        batches = [random.Random(i // 2).choices(pairs, k=16) for i in range(60)]
+
+        def serve_all(cache):
+            engine = ServingEngine(DCHIndex(graph), cache_capacity=24)
+            engine.cache = cache
+            results = [engine.serve_batch(batch) for batch in batches]
+            return [(r.stage, r.distances, r.stages) for r in results], cache.snapshot()
+
+        served = serve_all(EpochDistanceCache(24))
+        assert served == serve_all(OracleCache(24))
+        assert {stage for stage, _, _ in served[0]} == {"cache", "mixed", "native"}
+
+    def test_answer_fills_only_what_it_computed(self):
+        graph = grid_road_network(8, 8, seed=1)
+        index = DCHIndex(graph)
+        index.build()
+        cache, computed = EpochDistanceCache(8), []
+
+        def compute(misses):
+            computed.append(misses.tolist())
+            return index.query_ids(misses)
+
+        pairs = numpy.array([[0, 63], [5, 9], [0, 63], [63, 0]], dtype=numpy.int64)
+        out, stages = numpy.full(4, numpy.nan), numpy.full(4, 9, dtype=numpy.uint8)
+        assert cache.answer(pairs, 3, compute, out, stages) == 0
+        assert out.tolist() == index.query_ids(pairs).tolist()
+        assert stages.tolist() == [1, 1, 1, 1] and len(cache) == 2
+        assert cache.answer(pairs, 3, compute, out, stages) == 4
+        assert stages.tolist() == [0, 0, 0, 0] and len(computed) == 1
+        # A vertex with no row fails the compute: nothing is filled, and the
+        # hit beside it was counted.
+        bad = numpy.array([[0, 63], [1, 10_000], [2, 3]], dtype=numpy.int64)
+        with pytest.raises(VertexNotFoundError):
+            cache.answer(bad, 3, compute, numpy.empty(3), numpy.empty(3, numpy.uint8))
+        assert computed[-1] == [[1, 10_000], [2, 3]]
+        assert (2, 3) not in cache and cache.stats.hits == 5 and cache.stats.misses == 6
+        # Another epoch: every entry is stale.
+        assert cache.answer(pairs[:2], 4, compute, out[:2], stages[:2]) == 0
+        assert cache.stats.stale_rejections == 2
+
+
+class TestStageCounts:
+    """``BatchResult.stage_counts`` counts the stage column without a Python
+    object per pair: equal to counting the rows' stages, for a batch one
+    stage answered, an all-cache batch and a mixed one."""
+
+    def test_counts_equal_counting_the_rows(self):
+        graph = grid_road_network(6, 6, seed=7)
+        engine = ServingEngine(DCHIndex(graph))
+        pairs = list(sample_query_pairs(graph, 12, seed=2))
+        results = [
+            engine.serve_batch(pairs[:6]),
+            engine.serve_batch(pairs[:6]),
+            engine.serve_batch(pairs),
+        ]
+        assert [r.stage for r in results] == ["native", "cache", "mixed"]
+        for result in results:
+            assert result.stage_counts() == Counter(row.stage for row in result)
+        assert results[2].stage_counts() == Counter(results[2].stages) == {
+            "cache": 6, "native": 6,
+        }
+
+
+class TestConcurrentServing:
+    """Two threads serve batches on one cached DCH engine while a third
+    installs update batches: every answer equals Dijkstra on the graph of
+    the epoch its reply names, and the cache counted every pair probed
+    once."""
+
+    def test_answers_and_counters_under_installs(self):
+        graph = grid_road_network(10, 10, seed=11)
+        engine = ServingEngine(DCHIndex(graph), cache_capacity=64)
+        pairs = list(sample_query_pairs(graph, 60, seed=3))
+        updates = generate_update_stream(graph, 6, volume=6, seed=8)
+        replies, errors = [[], []], []
+        done = threading.Event()
+
+        def serve(lane):
+            rng = random.Random(lane)
+            try:
+                while not done.is_set() or len(replies[lane]) < 40:
+                    replies[lane].append(engine.serve_batch(rng.choices(pairs, k=16)))
+            except Exception as exc:  # reported below
+                errors.append(exc)
+
+        switch = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)  # the GIL changes hands mid-probe and mid-fill
+        try:
+            with engine:
+                threads = [threading.Thread(target=serve, args=(lane,)) for lane in (0, 1)]
+                for thread in threads:
+                    thread.start()
+                for batch in updates:
+                    engine.apply_batch(batch)
+                done.set()
+                for thread in threads:
+                    thread.join(60.0)
+        finally:
+            done.set()
+            sys.setswitchinterval(switch)
+        assert errors == [] and not any(thread.is_alive() for thread in threads)
+        served = [result for lane in replies for result in lane]
+        epochs = {result.epoch for result in served}
+        assert len(epochs) > 1
+        graphs = {epoch: engine.graph_at(epoch) for epoch in epochs}
+        for result in served:
+            for row in result:
+                assert row.distance == pytest.approx(
+                    dijkstra_distance(graphs[result.epoch], row.source, row.target)
+                )
+        stats = engine.cache.stats
+        assert stats.hits + stats.misses == sum(len(result) for result in served)
+        assert stats.hits == sum(result.stage_counts().get("cache", 0) for result in served)
