@@ -11,15 +11,30 @@ client concurrently.  Typed server responses map back to typed exceptions:
   carrying the queue-depth hint and suggested wait — the ``*_with_retry``
   helpers honour that hint, which is what the closed-loop load generator
   uses;
+* a reply that does not decode, or whose ERROR / RETRY payload has the wrong
+  shape, fails the request it answers with
+  :class:`~repro.exceptions.ProtocolError`;
 * a dropped connection fails every pending request with
-  :class:`~repro.exceptions.ServerClosedError`.
+  :class:`~repro.exceptions.ServerClosedError`, and so does every later one.
+
+Every request takes one path, :meth:`AsyncClient._request`: one coroutine
+that encodes the frame, queues it, awaits the reply and builds the reply
+tuple (``query``, ``query_batch``, ``one_to_many`` and the ``*_with_retry``
+helpers return that coroutine; the retry loop is part of it).  The frames
+queued in one loop turn leave in one ``transport.write``: the first queues a
+flush with ``call_soon``, which runs after every coroutine of the turn has
+queued its own.  :meth:`AsyncClient.send_raw` flushes at once, behind what is
+already queued, so the wire order is the issue order.  A request waits for
+``drain()`` before it queues when the transport already holds unsent bytes,
+so a peer that stops reading holds the queue at one loop turn's frames.
 """
 
 from __future__ import annotations
 
 import asyncio
-from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import (
+    Awaitable, Callable, Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple,
+)
 
 from repro.exceptions import (
     ProtocolError,
@@ -33,6 +48,7 @@ from repro.server.protocol import (
     OP_APPLY_BATCH,
     OP_DISTANCES,
     OP_ERROR,
+    OP_NAMES,
     OP_ONE_TO_MANY,
     OP_PING,
     OP_QUERY_BATCH,
@@ -48,8 +64,7 @@ from repro.server.protocol import (
 from repro.serving.core import CACHE_STAGE
 
 
-@dataclass(frozen=True)
-class QueryReply:
+class QueryReply(NamedTuple):
     """Scalar query response (a one-pair batch) with its serving context."""
 
     distance: float
@@ -58,14 +73,40 @@ class QueryReply:
     from_cache: bool = False
 
 
-@dataclass(frozen=True)
-class BatchReply:
+class BatchReply(NamedTuple):
     """Batch/one-to-many response at one epoch; ``stages[i]`` answered pair
     ``i`` (``"cache"`` for a cache hit)."""
 
     distances: List[float]
     epoch: int
     stages: List[str]
+
+
+def _batch_reply(payload) -> BatchReply:
+    return BatchReply(payload["distances"], payload["epoch"], payload["stages"])
+
+
+def _query_reply(payload) -> QueryReply:
+    (distance,), (stage,) = payload["distances"], payload["stages"]
+    return QueryReply(distance, payload["epoch"], stage, stage == CACHE_STAGE)
+
+
+def _refusal(op: int, payload) -> Exception:
+    """The exception an ERROR or RETRY frame (or a reply of an op no
+    request is answered with) fails its request with."""
+    payload = payload or {}
+    try:
+        if op == OP_RETRY:
+            return ServerBackpressureError(
+                payload.get("reason", "unknown"),
+                int(payload.get("queue_depth", 0)),
+                float(payload.get("suggested_wait_seconds", 0.001)),
+            )
+        if op == OP_ERROR:
+            return RemoteServerError(payload.get("code", "unknown"), payload.get("message", ""))
+    except (AttributeError, TypeError, ValueError) as exc:
+        return ProtocolError(f"malformed {OP_NAMES[op]} reply {payload!r}: {exc}")
+    return ProtocolError(f"unexpected response op {op:#x}")
 
 
 class AsyncClient:
@@ -82,11 +123,15 @@ class AsyncClient:
         self._max_frame_bytes = max_frame_bytes
         self._seq = 0
         self._pending: Dict[int, asyncio.Future] = {}
+        #: Frames queued this loop turn, written by one :meth:`_flush`.
+        self._outbox: List[bytes] = []
         self._write_lock = asyncio.Lock()
-        self._closed = False
+        #: Why requests are refused (``None`` while the connection is open).
+        self._closed: Optional[str] = None
         #: RETRY frames absorbed by the ``*_with_retry`` helpers.
         self.retries = 0
         self._reader_task = asyncio.ensure_future(self._read_loop())
+        self._loop = self._reader_task.get_loop()
 
     @classmethod
     async def connect(
@@ -109,88 +154,130 @@ class AsyncClient:
                 if not data:
                     raise EOFError("server closed the connection")
                 splitter.feed(data)
-                frame = splitter.next_frame()
-                while frame is not None:
+                while True:
+                    try:
+                        frame = splitter.next_frame()
+                    except ProtocolError as exc:
+                        if not exc.recoverable:
+                            raise
+                        self._resolve(exc.seq, exc)  # the stream is still in sync
+                        continue
+                    if frame is None:
+                        break
                     self._deliver(frame)
-                    frame = splitter.next_frame()
         except Exception as exc:
-            self._fail_pending(exc)
+            self._fail_pending(f"connection lost: {type(exc).__name__}: {exc}")
 
     def _deliver(self, frame: Frame) -> None:
         """Resolve the pending request ``frame`` answers."""
-        future = self._pending.pop(frame.seq, None)
-        if future is None or future.done():
-            return  # unsolicited (e.g. a seq-0 connection error)
-        if frame.op in (OP_RESULT, OP_DISTANCES):
-            future.set_result(frame.payload)
-        elif frame.op == OP_RETRY:
-            payload = frame.payload or {}
-            future.set_exception(
-                ServerBackpressureError(
-                    payload.get("reason", "unknown"),
-                    int(payload.get("queue_depth", 0)),
-                    float(payload.get("suggested_wait_seconds", 0.001)),
-                )
-            )
-        elif frame.op == OP_ERROR:
-            payload = frame.payload or {}
-            future.set_exception(
-                RemoteServerError(
-                    payload.get("code", "unknown"),
-                    payload.get("message", ""),
-                )
-            )
+        op, seq, payload = frame
+        if op == OP_DISTANCES or op == OP_RESULT:
+            self._resolve(seq, None, payload)
         else:
-            future.set_exception(
-                ProtocolError(f"unexpected response op {frame.op:#x}")
-            )
+            self._resolve(seq, _refusal(op, payload))
 
-    def _fail_pending(self, cause: Exception) -> None:
+    def _resolve(self, seq: int, error: Optional[Exception], payload=None) -> None:
+        future = self._pending.pop(seq, None)
+        if future is None or future.done():
+            return  # unsolicited (e.g. a seq-0 connection error) or abandoned
+        if error is None:
+            future.set_result(payload)
+        else:
+            future.set_exception(error)
+
+    def _fail_pending(self, reason: str) -> None:
+        """Refuse every later request, and fail every pending one, with
+        :class:`ServerClosedError`."""
+        if self._closed is None:
+            self._closed = reason
+        self._outbox.clear()
         pending = list(self._pending.values())
         self._pending.clear()
         for future in pending:
             if not future.done():
-                future.set_exception(
-                    ServerClosedError(f"connection lost: {type(cause).__name__}: {cause}")
-                )
+                future.set_exception(ServerClosedError(reason))
 
-    async def request(self, op: int, payload: Optional[object] = None):
-        """Send one raw request frame and await its matched response payload."""
-        if self._closed:
-            raise ServerClosedError("client is closed")
-        self._seq = (self._seq + 1) % 2**32 or 1
-        seq = self._seq
-        future: asyncio.Future = asyncio.get_running_loop().create_future()
-        self._pending[seq] = future
-        try:
-            self._writer.write(encode_frame(op, seq, payload, self._max_frame_bytes))
-            if needs_drain(self._writer):
-                async with self._write_lock:
-                    await self._writer.drain()
-            return await future
-        except (ConnectionError, OSError) as exc:
-            raise ServerClosedError(f"send failed: {exc}") from None
-        finally:
-            # Whatever ended the wait — a reply, an encode error, a cancelled
-            # caller — the slot goes; a late reply for it is then ignored.
-            self._pending.pop(seq, None)
+    def _post(self, data: bytes) -> None:
+        """Queue ``data`` for this loop turn's one write."""
+        if not self._outbox:
+            self._loop.call_soon(self._flush)
+        self._outbox.append(data)
+
+    def _flush(self) -> None:
+        """Write everything queued, in queue order, as one write (nothing
+        once the client is closed)."""
+        if self._outbox and self._closed is None:
+            self._writer.write(b"".join(self._outbox))
+        self._outbox.clear()
+
+    async def _request(
+        self,
+        op: int,
+        payload: Optional[object] = None,
+        reply: Optional[Callable] = None,
+        attempts: int = 0,
+        max_wait: float = 0.0,
+    ):
+        """The one request path: send one frame, await its matched reply
+        and return ``reply(payload)`` (the payload when ``reply`` is None).
+
+        With ``attempts`` > 0 a RETRY is absorbed up to ``attempts`` times,
+        each followed by the wait it suggests (at most ``max_wait``), and
+        the last one is raised; otherwise it is raised at once.
+        """
+        shed: Optional[ServerBackpressureError] = None
+        for _ in range(max(1, attempts)):
+            if self._closed is not None:
+                raise ServerClosedError(self._closed)
+            self._seq = seq = self._seq % 0xFFFFFFFF + 1
+            future = self._loop.create_future()
+            self._pending[seq] = future
+            try:
+                data = encode_frame(op, seq, payload, self._max_frame_bytes)
+                if needs_drain(self._writer):
+                    async with self._write_lock:
+                        await self._writer.drain()
+                self._post(data)
+                answer = await future
+            except ServerBackpressureError as exc:
+                if not attempts:
+                    raise
+                shed = exc
+            except (ConnectionError, OSError) as exc:
+                raise ServerClosedError(f"send failed: {exc}") from None
+            else:
+                return answer if reply is None else reply(answer)
+            finally:
+                # Whatever ended the wait — a reply, an encode error, a
+                # cancelled caller — the slot goes; a late reply for it is
+                # then ignored.
+                self._pending.pop(seq, None)
+            self.retries += 1
+            await asyncio.sleep(min(shed.suggested_wait_seconds, max_wait))
+        raise shed
+
+    def request(self, op: int, payload: Optional[object] = None) -> Awaitable:
+        """Send one raw request frame; await the result for its matched
+        response payload."""
+        return self._request(op, payload)
 
     async def send_raw(self, data: bytes) -> None:
-        """Write raw bytes on the connection (protocol fuzzing hook)."""
+        """Write raw bytes on the connection, behind every frame already
+        queued (protocol fuzzing hook)."""
+        self._outbox.append(data)
+        self._flush()
         async with self._write_lock:
-            self._writer.write(data)
             await self._writer.drain()
 
     async def close(self) -> None:
-        if self._closed:
-            return
-        self._closed = True
+        """Fail what is pending or queued with :class:`ServerClosedError`,
+        write nothing more and close the connection (idempotent)."""
+        self._fail_pending("client closed")
         self._reader_task.cancel()
         try:
             await self._reader_task
         except (asyncio.CancelledError, Exception):
             pass
-        self._fail_pending(ServerClosedError("client closed"))
         try:
             self._writer.close()
             await self._writer.wait_closed()
@@ -208,23 +295,21 @@ class AsyncClient:
     # ------------------------------------------------------------------
     async def ping(self) -> int:
         """Round trip; returns the backend's current epoch."""
-        payload = await self.request(OP_PING)
+        payload = await self._request(OP_PING)
         return int(payload["epoch"])
 
-    async def query(self, source: int, target: int) -> QueryReply:
+    def query(self, source: int, target: int) -> Awaitable[QueryReply]:
         """One pair, sent as a one-pair ``QUERY_BATCH``."""
-        reply = await self.query_batch(((source, target),))
-        (distance,), (stage,) = reply.distances, reply.stages
-        return QueryReply(distance, reply.epoch, stage, stage == CACHE_STAGE)
+        return self._request(OP_QUERY_BATCH, {"pairs": ((source, target),)}, _query_reply)
 
-    async def query_batch(self, pairs: Iterable[Tuple[int, int]]) -> BatchReply:
+    def query_batch(self, pairs: Iterable[Tuple[int, int]]) -> Awaitable[BatchReply]:
         """Packed batch query; a vertex id outside int32 raises
         :class:`~repro.exceptions.ProtocolError` before anything is sent."""
-        return BatchReply(**await self.request(OP_QUERY_BATCH, {"pairs": pairs}))
+        return self._request(OP_QUERY_BATCH, {"pairs": pairs}, _batch_reply)
 
-    async def one_to_many(self, source: int, targets: Iterable[int]) -> BatchReply:
-        return BatchReply(
-            **await self.request(OP_ONE_TO_MANY, {"source": source, "targets": targets})
+    def one_to_many(self, source: int, targets: Iterable[int]) -> Awaitable[BatchReply]:
+        return self._request(
+            OP_ONE_TO_MANY, {"source": source, "targets": targets}, _batch_reply
         )
 
     async def apply_batch(self, batch) -> int:
@@ -244,41 +329,31 @@ class AsyncClient:
             else:
                 u, v, old_weight, new_weight = update
                 updates.append([u, v, old_weight, new_weight])
-        payload = await self.request(OP_APPLY_BATCH, {"updates": updates})
+        payload = await self._request(OP_APPLY_BATCH, {"updates": updates})
         return int(payload["epoch"])
 
     async def stats(self) -> dict:
-        return await self.request(OP_STATS)
+        return await self._request(OP_STATS)
 
     # ------------------------------------------------------------------
     # Backpressure-honouring helpers
     # ------------------------------------------------------------------
-    async def query_with_retry(
+    def query_with_retry(
         self, source: int, target: int, attempts: int = 16, max_wait: float = 0.25
-    ) -> QueryReply:
+    ) -> Awaitable[QueryReply]:
         """Scalar query that backs off per the server's RETRY hints."""
-        return await self._with_retry(
-            lambda: self.query(source, target), attempts, max_wait
+        return self._request(
+            OP_QUERY_BATCH, {"pairs": ((source, target),)}, _query_reply,
+            max(1, attempts), max_wait,
         )
 
-    async def query_batch_with_retry(
+    def query_batch_with_retry(
         self,
         pairs: Sequence[Tuple[int, int]],
         attempts: int = 16,
         max_wait: float = 0.25,
-    ) -> BatchReply:
+    ) -> Awaitable[BatchReply]:
         """Batch query that backs off per the server's RETRY hints."""
-        return await self._with_retry(
-            lambda: self.query_batch(pairs), attempts, max_wait
+        return self._request(
+            OP_QUERY_BATCH, {"pairs": pairs}, _batch_reply, max(1, attempts), max_wait
         )
-
-    async def _with_retry(self, op, attempts: int, max_wait: float):
-        last: Optional[ServerBackpressureError] = None
-        for _ in range(max(1, attempts)):
-            try:
-                return await op()
-            except ServerBackpressureError as exc:
-                last = exc
-                self.retries += 1
-                await asyncio.sleep(min(exc.suggested_wait_seconds, max_wait))
-        raise last

@@ -37,6 +37,11 @@ integer array; ``{"source", "targets"}``; ``{"distances", "epoch",
 "stages"}``: distances as floats or ``float64``, one stage a pair or one for
 all); :func:`decode_body` returns ``DISTANCES`` as that mapping of lists and
 a query op's payload as the packed ids of its pairs, which the server reads.
+A ``DISTANCES`` frame is always laid out by :func:`encode_distances`, which
+the server calls straight with a served batch's columns (``encode_frame``
+turns its mapping into those columns first).  The frame head — length,
+version, op, seq — is one ``struct`` for every encode and for
+:class:`FrameSplitter`, and a :class:`Frame` is a named tuple.
 
 Framing errors raise the typed exceptions from :mod:`repro.exceptions`
 (:class:`~repro.exceptions.ProtocolError` /
@@ -51,9 +56,8 @@ from __future__ import annotations
 import asyncio
 import json
 import struct
-from dataclasses import dataclass
 from itertools import chain, starmap
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -76,6 +80,9 @@ DEFAULT_MAX_FRAME_BYTES = 8 * 2**20
 #: loops; one read usually holds several pipelined frames.
 READ_BYTES = 65536
 _LENGTH_PREFIX = struct.Struct(">I")
+#: The whole frame head — length prefix, version, op, seq — packed by every
+#: encode and read by :class:`FrameSplitter` in one call.
+_HEAD = struct.Struct(">IBBI")
 
 # Request op codes (0x01, the retired JSON scalar query, is unknown).
 OP_QUERY_BATCH = 0x02
@@ -108,8 +115,7 @@ OP_NAMES = {
 }
 
 
-@dataclass(frozen=True)
-class Frame:
+class Frame(NamedTuple):
     """One decoded frame: operation, request id, payload mapping (or ``None``)."""
 
     op: int
@@ -125,6 +131,8 @@ class Frame:
 # Payload codecs: packed columns for the batch ops, JSON for the rest
 # ----------------------------------------------------------------------
 _PAIR = struct.Struct("<ii")
+#: A ``DISTANCES`` payload's head: the epoch and the distance count.
+_DISTANCES_HEAD = struct.Struct("<qI")
 _ZERO, _ONE = bytes(4), (1).to_bytes(4, "little")
 
 
@@ -135,20 +143,10 @@ def _refuse_bools(ids, packed: bytes) -> None:
         raise ProtocolError("a vertex id is a bool, not an integer")
 
 
-def _pack(layout: str, values) -> bytes:
-    """``struct.pack`` with the client-side failure typed: a value outside its
-    field (an id outside int32), a non-integer or a bool never reaches the wire."""
-    try:
-        packed = struct.pack(layout, *values)
-    except struct.error as exc:
-        raise ProtocolError(f"value does not fit the packed payload: {exc}") from None
-    _refuse_bools(values, packed)
-    return packed
-
-
 def _encode_pairs(payload) -> bytes:
-    """Refused here, as :func:`_pack` refuses: a pair that is not two ids (an
-    array goes through ``tolist``: ``astype("<i4")`` would wrap an id)."""
+    """Refused here: an id outside int32, a float or a bool id, and a pair
+    that is not two ids (an array goes through ``tolist``: ``astype("<i4")``
+    would wrap an id)."""
     pairs = payload["pairs"]
     pairs = pairs.tolist() if isinstance(pairs, np.ndarray) else list(pairs)
     try:  # one struct call a pair: two values, each an int32
@@ -161,15 +159,21 @@ def _encode_pairs(payload) -> bytes:
 
 def _encode_one_to_many(payload) -> bytes:
     ids = [payload["source"], *payload["targets"]]
-    return _pack(f"<{len(ids)}i", ids)
+    try:
+        packed = struct.pack(f"<{len(ids)}i", *ids)
+    except struct.error as exc:
+        raise ProtocolError(f"value does not fit the packed payload: {exc}") from None
+    _refuse_bools(ids, packed)
+    return packed
 
 
 #: Distinct stage names one DISTANCES frame can carry (a u8 stage id each).
 MAX_STAGE_NAMES = 256
 
 
-def _encode_distances(payload) -> bytes:
-    """``stages``: one name a distance, or one name (a ``str``) for all."""
+def _distance_columns(payload):
+    """A ``DISTANCES`` mapping as :func:`encode_distances`'s columns;
+    ``stages`` is one name a distance, or one name (a ``str``) for all."""
     distances = np.asarray(payload["distances"], dtype="<f8")
     stages = payload["stages"]
     if isinstance(stages, str):
@@ -180,8 +184,39 @@ def _encode_distances(payload) -> bytes:
             raise ProtocolError(f"{len(stages)} stages ({len(names)} distinct) for "
                                 f"{len(distances)} distances: at most {MAX_STAGE_NAMES} names")
         ids = bytes(map({name: i for i, name in enumerate(names)}.__getitem__, stages))
-    head = _pack("<qI", (payload["epoch"], len(distances)))
-    return b"".join((head, distances.tobytes(), ids, "\n".join(names).encode()))
+    epoch = payload["epoch"]
+    if isinstance(epoch, bool):
+        raise ProtocolError("the epoch is a bool, not an integer")
+    return epoch, distances.tobytes(), ids, "\n".join(names).encode()
+
+
+def encode_distances(
+    seq: int,
+    epoch: int,
+    values: bytes,
+    stage_ids: bytes,
+    stage_names: bytes,
+    max_frame_bytes: int = DEFAULT_MAX_FRAME_BYTES,
+) -> bytes:
+    """One ``DISTANCES`` frame from columns already in wire form: ``values``
+    the little-endian ``float64`` distances, ``stage_ids`` one byte a
+    distance and ``stage_names`` the ``"\\n"``-joined UTF-8 name table.
+
+    The server encodes every reply here, straight from a served batch's
+    arrays: the epoch is the backend's own ``int``, so nothing is type
+    checked.  :func:`encode_frame` ends here too.
+    """
+    head = _DISTANCES_HEAD.pack(epoch, len(stage_ids))
+    length = FIXED_BODY_BYTES + len(head) + len(values) + len(stage_ids) + len(stage_names)
+    if length > max_frame_bytes:
+        raise FrameTooLargeError(length, max_frame_bytes)
+    return b"".join((
+        _HEAD.pack(length, PROTOCOL_VERSION, OP_DISTANCES, seq),
+        head,
+        values,
+        stage_ids,
+        stage_names,
+    ))
 
 
 def _records(raw: bytes, head: int, size: int, what: str) -> int:
@@ -207,7 +242,7 @@ def _decode_one_to_many(raw: bytes) -> bytes:
 
 
 def _decode_distances(raw: bytes):
-    epoch, count = struct.unpack_from("<qI", raw) if len(raw) >= 12 else (0, 0)
+    epoch, count = _DISTANCES_HEAD.unpack_from(raw) if len(raw) >= 12 else (0, 0)
     ids_at = 12 + 8 * count
     if count < 1 or len(raw) < ids_at + count:
         raise ValueError(f"{len(raw)} bytes is not 12 + 9n (+ stage names) with n >= 1")
@@ -231,13 +266,14 @@ def _decode_json(raw: bytes):
     return json.loads(raw.decode("utf-8")) if raw else None
 
 
-#: op → (encode, decode) of the packed ops; every other op is JSON.
-_PACKED = {
-    OP_QUERY_BATCH: (_encode_pairs, _decode_pairs),
-    OP_ONE_TO_MANY: (_encode_one_to_many, _decode_one_to_many),
-    OP_DISTANCES: (_encode_distances, _decode_distances),
+#: op → payload codec of the packed ops (a ``DISTANCES`` frame is encoded
+#: whole by :func:`encode_distances`); every other op is JSON.
+_ENCODERS = {OP_QUERY_BATCH: _encode_pairs, OP_ONE_TO_MANY: _encode_one_to_many}
+_DECODERS = {
+    OP_QUERY_BATCH: _decode_pairs,
+    OP_ONE_TO_MANY: _decode_one_to_many,
+    OP_DISTANCES: _decode_distances,
 }
-_JSON = (_encode_json, _decode_json)
 
 
 def encode_frame(
@@ -252,22 +288,32 @@ def encode_frame(
     if not 0 <= seq <= 0xFFFFFFFF:
         raise ProtocolError(f"seq {seq} does not fit u32")
     try:
-        body = _PACKED.get(op, _JSON)[0](payload)
-    except (KeyError, TypeError, ValueError) as exc:
+        if op == OP_DISTANCES:
+            return encode_distances(seq, *_distance_columns(payload), max_frame_bytes)
+        body = _ENCODERS.get(op, _encode_json)(payload)
+    except (KeyError, TypeError, ValueError, struct.error) as exc:
         raise ProtocolError(
             f"payload of op {OP_NAMES.get(op, op)} has the wrong shape: {exc!r}"
         ) from None
     length = FIXED_BODY_BYTES + len(body)
     if length > max_frame_bytes:
         raise FrameTooLargeError(length, max_frame_bytes)
-    return b"".join(
-        (
-            length.to_bytes(HEADER_BYTES, "big"),
-            bytes((PROTOCOL_VERSION, op)),
-            seq.to_bytes(4, "big"),
-            body,
-        )
-    )
+    return _HEAD.pack(length, PROTOCOL_VERSION, op, seq) + body
+
+
+def _decode(op: int, seq: int, raw: bytes) -> Frame:
+    """The frame of a header that parsed: its payload decoded and checked."""
+    try:
+        return Frame(op, seq, _DECODERS.get(op, _decode_json)(raw))
+    except ValueError as exc:  # torn columns, bad UTF-8, bad JSON
+        # The frame boundary itself was intact, so the stream is still in
+        # sync — the server can answer a typed error and keep the connection.
+        raise ProtocolError(
+            f"malformed {OP_NAMES.get(op, 'frame')} payload: {exc}",
+            code="bad_payload",
+            seq=seq,
+            recoverable=True,
+        ) from None
 
 
 def decode_body(body: bytes) -> Frame:
@@ -280,20 +326,7 @@ def decode_body(body: bytes) -> Frame:
     version = body[0]
     if version != PROTOCOL_VERSION:
         raise ProtocolVersionError(version, PROTOCOL_VERSION)
-    op = body[1]
-    seq = int.from_bytes(body[2:6], "big")
-    try:
-        payload = _PACKED.get(op, _JSON)[1](body[FIXED_BODY_BYTES:])
-    except ValueError as exc:  # torn columns, bad UTF-8, bad JSON
-        # The frame boundary itself was intact, so the stream is still in
-        # sync — the server can answer a typed error and keep the connection.
-        raise ProtocolError(
-            f"malformed {OP_NAMES.get(op, 'frame')} payload: {exc}",
-            code="bad_payload",
-            seq=seq,
-            recoverable=True,
-        ) from None
-    return Frame(op, seq, payload)
+    return _decode(body[1], int.from_bytes(body[2:6], "big"), body[FIXED_BODY_BYTES:])
 
 
 def _check_length(length: int, max_frame_bytes: int) -> None:
@@ -334,17 +367,22 @@ class FrameSplitter:
 
     def next_frame(self) -> Optional[Frame]:
         """The next complete frame, or ``None`` until more bytes are fed."""
-        buffer = self._buffer
-        body_start = self._position + HEADER_BYTES
-        if body_start > len(buffer):
+        buffer, start = self._buffer, self._position
+        body_at = start + _HEAD.size
+        if body_at > len(buffer):
+            if start + HEADER_BYTES <= len(buffer):  # a bad prefix fails at once
+                _check_length(_LENGTH_PREFIX.unpack_from(buffer, start)[0], self._max_frame_bytes)
             return None
-        (length,) = _LENGTH_PREFIX.unpack_from(buffer, self._position)
-        _check_length(length, self._max_frame_bytes)
-        body_end = body_start + length
-        if body_end > len(buffer):
+        length, version, op, seq = _HEAD.unpack_from(buffer, start)
+        if not FIXED_BODY_BYTES <= length <= self._max_frame_bytes:
+            _check_length(length, self._max_frame_bytes)
+        end = start + HEADER_BYTES + length
+        if end > len(buffer):
             return None
-        self._position = body_end
-        return decode_body(bytes(buffer[body_start:body_end]))
+        self._position = end
+        if version != PROTOCOL_VERSION:
+            raise ProtocolVersionError(version, PROTOCOL_VERSION)
+        return _decode(op, seq, bytes(buffer[body_at:end]))
 
 
 async def read_frame(

@@ -16,15 +16,20 @@ every complete frame out of what the socket delivered and handles them
 without awaiting in between; requests on one connection may be pipelined
 and are answered out of order, matched by the echoed ``seq``.
 
-Every query frame (``QUERY_BATCH``, ``ONE_TO_MANY``) is **gathered**: its
-packed pair ids join a server-wide list, and on the next loop turn the
+Every query frame (``QUERY_BATCH``, ``ONE_TO_MANY``) is **gathered**: the
+read loop itself checks the caps and appends its packed pair ids to a
+server-wide list — no coroutine a frame; only a frame answered at once
+(``PING``, a RETRY, an ERROR) or sent to the executor goes through the
+awaited :meth:`QueryServer._handle_frame`.  On the next loop turn the
 list's payloads are joined and read as one ``int32`` array, served by one
 ``backend.serve_batch`` (one admission decision, one epoch, one C call of
-the final stage), and each frame's ``DISTANCES`` reply is a slice of the one
-``float64`` answer array, one write per connection.  At most one gathered
-batch is served at a time, and the frames gathered meanwhile are the next,
-so batch size follows load with no timer.  Caps, ``seq`` echo and typed
-errors stay per frame: a bad frame never fails its neighbours.
+the final stage), and the batch's answers become its wire columns once
+(``float64`` distances, stage ids, name table): each connection's
+``DISTANCES`` replies are encoded from slices of them in one pass and go
+out in one write.  At most one gathered batch is served at a time, and the
+frames gathered meanwhile are the next, so batch size follows load with no
+timer.  Caps, ``seq`` echo and typed errors stay per frame: a bad frame
+never fails its neighbours.
 
 An in-process backend (``serves_in_process``) is served on the loop's own
 thread: one batch is in flight at a time, so a thread hop would add its
@@ -80,7 +85,6 @@ from repro.obs.metrics import Counter, LabeledCounter
 from repro.server.protocol import (
     DEFAULT_MAX_FRAME_BYTES,
     OP_APPLY_BATCH,
-    OP_DISTANCES,
     OP_ERROR,
     OP_NAMES,
     OP_ONE_TO_MANY,
@@ -93,6 +97,7 @@ from repro.server.protocol import (
     REQUEST_OPS,
     Frame,
     FrameSplitter,
+    encode_distances,
     encode_frame,
     needs_drain,
 )
@@ -109,6 +114,8 @@ DRAIN_MAX_TURNS = 100
 
 #: One reply frame before encoding: ``(op, seq, payload)``.
 _Reply = Tuple[int, int, object]
+#: The ops whose frames are gathered into one engine batch.
+_GATHERED_OPS = frozenset((OP_QUERY_BATCH, OP_ONE_TO_MANY))
 #: One gathered query frame: its connection, ``seq`` and packed pair ids
 #: (8 bytes a pair).
 _Gathered = Tuple["_Connection", int, bytes]
@@ -362,11 +369,42 @@ class QueryServer:
                     return
                 if frame is None:
                     break
+                op, seq, payload = frame
+                if op in _GATHERED_OPS and self._admit(conn):
+                    # The usual query frame joins the next batch right here;
+                    # the payload is its packed pair ids, its layout checked
+                    # by the codec (the backend checks that every vertex
+                    # exists).
+                    self._gathered.append((conn, seq, payload))
+                    if not self._gather_running:
+                        # The task's first step runs on the next loop turn,
+                        # after every frame already buffered has joined the
+                        # list: a lone request waits for no timer, a burst
+                        # shares one batch.
+                        self._gather_running = True
+                        self._spawn(self._serve_gathered())
+                    continue
                 await self._handle_frame(conn, frame)
                 if conn.closed:
                     return  # dropped for stalling: its buffered frames go unserved
 
+    def _admit(self, conn: _Connection) -> bool:
+        """Count one more request in flight, unless the server is draining
+        or a cap sheds it."""
+        if (
+            self._draining
+            or conn.inflight >= self.max_inflight_per_connection
+            or self._inflight >= self.max_inflight
+        ):
+            return False
+        conn.inflight += 1
+        self._inflight += 1
+        return True
+
     async def _handle_frame(self, conn: _Connection, frame: Frame) -> None:
+        """Every frame the read loop did not gather: ``PING`` is answered,
+        an unknown op or a shed request refused, ``APPLY_BATCH`` and
+        ``STATS`` admitted to the executor."""
         if frame.op == OP_PING:
             await self._safe_send(
                 conn, OP_RESULT, frame.seq,
@@ -380,29 +418,12 @@ class QueryServer:
                 {"code": "unknown_op", "message": f"unknown op {frame.op:#x}"},
             )
             return
-        if self._draining:
-            await self._send_retry(conn, frame.seq, "draining")
+        if not self._admit(conn):  # a query frame gets here only when shed
+            await self._send_retry(
+                conn, frame.seq, "draining" if self._draining else "queue_full"
+            )
             return
-        if (
-            conn.inflight >= self.max_inflight_per_connection
-            or self._inflight >= self.max_inflight
-        ):
-            await self._send_retry(conn, frame.seq, "queue_full")
-            return
-        conn.inflight += 1
-        self._inflight += 1
-        if frame.op not in (OP_QUERY_BATCH, OP_ONE_TO_MANY):
-            self._spawn(self._process(conn, frame))
-            return
-        # The payload is the frame's packed pair ids, its layout checked by
-        # the codec; the backend checks that every vertex exists.
-        self._gathered.append((conn, frame.seq, frame.payload))
-        if not self._gather_running:
-            # The task's first step runs on the next loop turn, after every
-            # frame already buffered has joined the list: a lone request
-            # waits for no timer, a burst shares one batch.
-            self._gather_running = True
-            self._spawn(self._serve_gathered())
+        self._spawn(self._process(conn, frame))
 
     def _spawn(self, coro) -> None:
         """Run ``coro`` as a task that :meth:`stop` waits for."""
@@ -439,35 +460,58 @@ class QueryServer:
         self._gathered_batches.inc()
         self._gathered_queries.inc(sum(map(len, frames)) // 8)
 
-        replies: Dict[_Connection, List[_Reply]] = {}
-        served = 0
+        answers: Dict[_Connection, List[Tuple[int, object]]] = {}
         for (conn, seq, _ids), outcome in zip(batch, outcomes):
-            if isinstance(outcome, Exception):
-                reply = self._failure_reply(seq, outcome)
-            else:
-                served += 1
-                reply = (OP_DISTANCES, seq, outcome)
-            replies.setdefault(conn, []).append(reply)
+            answers.setdefault(conn, []).append((seq, outcome))
         # Every connection gets its bytes before any stalled one is waited
         # for: a peer that stopped reading delays nobody else's replies.
-        stalled = [conn for conn, written in replies.items() if self._write(conn, written)]
+        stalled = [
+            conn for conn, replies in answers.items()
+            if self._write(conn, self._encode_answers(replies))
+        ]
+        served = sum(not isinstance(outcome, Exception) for outcome in outcomes)
         if served:
             self._record_served("query", served, started, serve_seconds)
         if stalled:
             await asyncio.gather(*(self._drain(conn) for conn in stalled))
+
+    def _encode_answers(self, replies: List[Tuple[int, object]]) -> bytes:
+        """One connection's replies from one gathered batch, encoded in one
+        pass: a ``DISTANCES`` frame straight from the batch's wire columns,
+        or the RETRY / typed ERROR frame a failed frame is answered with."""
+        started = time.perf_counter()
+        parts = []
+        for seq, outcome in replies:
+            if isinstance(outcome, Exception):
+                parts.append(self._encode(*self._failure_reply(seq, outcome)))
+                continue
+            (epoch, values, stage_ids, stage_names), start, end = outcome
+            try:
+                parts.append(encode_distances(
+                    seq, epoch, values[8 * start : 8 * end], stage_ids[start:end],
+                    stage_names, self.max_frame_bytes,
+                ))
+            except ProtocolError as exc:  # the reply outgrew the cap
+                parts.append(self._error_frame(seq, exc))
+        if obs.is_enabled():
+            obs.record_span(
+                "server.encode", time.perf_counter() - started,
+                op="query", size=len(replies),
+            )
+        return b"".join(parts)
 
     def _execute_gathered(self, frames: List[bytes]) -> list:
         """One ``serve_batch`` of the gathered frames' ids, joined and read
         as one ``int32`` array (on the loop's thread for an in-process
         backend, else on an executor thread).
 
-        Returns one outcome per frame — its ``DISTANCES`` payload, a slice of
-        the one ``float64`` answer array, or the exception it is answered
-        with — and never raises.  A batch fails as a whole: at an unknown
-        vertex the engine names its position, so the frame holding it gets
-        the error and the other frames are served again as one batch.  An
-        admission shed is the verdict on the whole batch and is not retried;
-        any other failure re-serves each frame alone.
+        Returns one outcome per frame — ``(columns, start, end)``, its pairs'
+        span of the batch's :func:`_wire_columns`, or the exception it is
+        answered with — and never raises.  A batch fails as a whole: at an
+        unknown vertex the engine names its position, so the frame holding
+        it gets the error and the other frames are served again as one
+        batch.  An admission shed is the verdict on the whole batch and is
+        not retried; any other failure re-serves each frame alone.
         """
         bounds = list(accumulate((len(ids) // 8 for ids in frames), initial=0))
         try:
@@ -483,13 +527,8 @@ class QueryServer:
             bad = bisect_right(bounds, position // 2) - 1
             rest = iter(self._execute_gathered(frames[:bad] + frames[bad + 1 :]))
             return [exc if index == bad else next(rest) for index in range(len(frames))]
-        distances, epoch, stages = result.distance_array, result.epoch, result.stages
-        return [
-            # One stage for the whole batch: its name stands for every pair.
-            {"distances": distances[start:end], "epoch": epoch,
-             "stages": result.stage if stages is None else stages[start:end]}
-            for start, end in zip(bounds, bounds[1:])
-        ]
+        columns = _wire_columns(result)
+        return [(columns, start, end) for start, end in zip(bounds, bounds[1:])]
 
     async def _process(self, conn: _Connection, frame: Frame) -> None:
         started = time.perf_counter()
@@ -583,11 +622,11 @@ class QueryServer:
         self, conn: _Connection, op: int, seq: int, payload
     ) -> None:
         """Write one frame; a dead or stalled peer drops the connection."""
-        if self._write(conn, [(op, seq, payload)]):
+        if self._write(conn, self._encode(op, seq, payload)):
             await self._drain(conn)
 
-    def _write(self, conn: _Connection, frames: List[_Reply]) -> bool:
-        """Encode ``frames`` and hand them to the transport in one write.
+    def _write(self, conn: _Connection, data: bytes) -> bool:
+        """Hand ``data`` to the transport in one write.
 
         Returns whether the caller has to :meth:`_drain`: with an empty
         transport buffer the bytes are already with the kernel, ``drain()``
@@ -596,27 +635,22 @@ class QueryServer:
         """
         if conn.closed:
             return False
-        started = time.perf_counter()
-        conn.writer.write(b"".join([self._encode(*frame) for frame in frames]))
-        if obs.is_enabled():
-            ops = {op for op, _seq, _payload in frames}
-            obs.record_span(
-                "server.encode", time.perf_counter() - started,
-                op=OP_NAMES[ops.pop()] if len(ops) == 1 else "mixed",
-                size=len(frames),
-            )
+        conn.writer.write(data)
         return needs_drain(conn.writer)
 
     def _encode(self, op: int, seq: int, payload) -> bytes:
         try:
             return encode_frame(op, seq, payload, self.max_frame_bytes)
         except ProtocolError as exc:
-            # The reply outgrew the cap (a packed reply is 9 bytes a pair
-            # against 4-8 in the request), or cannot be encoded at all:
-            # the request still gets its typed answer, and the stream stays
-            # in sync because nothing of the oversized frame was written.
-            self._errors.labels(exc.code).inc()
-            return encode_frame(OP_ERROR, seq, {"code": exc.code, "message": str(exc)})
+            return self._error_frame(seq, exc)
+
+    def _error_frame(self, seq: int, exc: ProtocolError) -> bytes:
+        """The reply outgrew the cap (a packed reply is 9 bytes a pair
+        against 4-8 in the request), or cannot be encoded at all: the
+        request still gets its typed answer, and the stream stays in sync
+        because nothing of the oversized frame was written."""
+        self._errors.labels(exc.code).inc()
+        return encode_frame(OP_ERROR, seq, {"code": exc.code, "message": str(exc)})
 
     async def _drain(self, conn: _Connection) -> None:
         """Wait for the peer to take what was written, within the timeout."""
@@ -648,6 +682,19 @@ class QueryServer:
             "max_inflight": self.max_inflight,
             "max_inflight_per_connection": self.max_inflight_per_connection,
         }
+
+
+def _wire_columns(result) -> Tuple[int, bytes, bytes, bytes]:
+    """A served batch's answers as :func:`~repro.server.protocol.encode_distances`
+    takes them, made once a batch: the epoch, the ``float64`` distances, a
+    stage id a pair and the name table (one name when one stage answered
+    every pair)."""
+    if result.stage_ids is None:
+        stage_ids, names = bytes(len(result.distance_array)), (result.stage,)
+    else:
+        stage_ids, names = result.stage_ids.tobytes(), result.stage_names
+    values = result.distance_array.astype("<f8", copy=False).tobytes()
+    return result.epoch, values, stage_ids, "\n".join(names).encode()
 
 
 #: Exception-name → wire error code for typed ReproError failures.

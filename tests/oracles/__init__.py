@@ -13,6 +13,9 @@ either and compare the results bit for bit:
   overlay's queries and TOAIN's dict hub join, never a frozen store.
 * :mod:`tests.oracles.cache` — the serving engine's distance cache as the
   ``OrderedDict`` table the C cache replaced.
+* :mod:`tests.oracles.codec` — the wire protocol's ``encode_frame`` and
+  ``decode_body`` as they were before the server encoded its replies
+  straight from a batch's columns.
 
 :func:`seams` names where each C pass is called from and the oracle that
 stands in for it; ``conftest``'s ``oracle_maintenance`` fixture and

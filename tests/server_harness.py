@@ -82,6 +82,20 @@ async def running_server(backend, **server_kwargs):
             await asyncio.get_running_loop().run_in_executor(None, thread.join, 10.0)
 
 
+@contextlib.asynccontextmanager
+async def fake_server(handler):
+    """A bare ``asyncio`` server on an ephemeral port whose connections run
+    ``handler(reader, writer)`` — a peer that misbehaves on purpose, for the
+    client's tests; yields its ``(host, port)``.  ``handler`` closes its
+    writer (``wait_closed`` waits for every connection since Python 3.12.1)."""
+    server = await asyncio.start_server(handler, "127.0.0.1", 0)
+    try:
+        yield server.sockets[0].getsockname()[:2]
+    finally:
+        server.close()
+        await server.wait_closed()
+
+
 async def open_raw(server) -> Tuple[asyncio.StreamReader, asyncio.StreamWriter]:
     """Open a raw stream connection to ``server`` (no client framing)."""
     host, port = server.address
@@ -192,6 +206,7 @@ __all__ = [
     "run",
     "running_server",
     "on_server_loop",
+    "fake_server",
     "open_raw",
     "drain_frames",
     "close_writer",

@@ -43,9 +43,11 @@ from repro.server.protocol import (
     OP_DISTANCES,
     OP_ERROR,
     OP_ONE_TO_MANY,
+    OP_PING,
     OP_QUERY_BATCH,
     OP_RESULT,
     OP_RETRY,
+    FrameSplitter,
     encode_frame,
     read_frame,
 )
@@ -58,6 +60,7 @@ from tests.server_harness import (
     close_writer,
     drain_frames,
     fake_clock,
+    fake_server,
     on_server_loop,
     open_raw,
     run,
@@ -280,6 +283,165 @@ class TestReplyAndRequestHygiene:
 
         with build_engine() as engine:
             run(main(engine))
+
+
+# ----------------------------------------------------------------------
+# The client against peers that misbehave on purpose
+# ----------------------------------------------------------------------
+def split_frames(data: bytes):
+    splitter = FrameSplitter()
+    splitter.feed(data)
+    frames = []
+    while (frame := splitter.next_frame()) is not None:
+        frames.append(frame)
+    return frames
+
+
+def recording_peer():
+    """A peer that reads everything until EOF and answers nothing: its
+    handler and the bytes it received."""
+    received = bytearray()
+    closed = asyncio.Event()
+
+    async def handler(reader, writer):
+        while data := await reader.read(65536):
+            received.extend(data)
+        writer.close()
+        closed.set()
+
+    return handler, received, closed
+
+
+def answering_peer(first_reply):
+    """A peer that answers the first request with ``first_reply(seq)``
+    (wire bytes) and every later one with a ``PING`` result at epoch 5."""
+
+    async def handler(reader, writer):
+        splitter = FrameSplitter()
+        replies = 0
+        while data := await reader.read(65536):
+            splitter.feed(data)
+            while (frame := splitter.next_frame()) is not None:
+                writer.write(
+                    first_reply(frame.seq) if not replies
+                    else encode_frame(OP_RESULT, frame.seq, {"pong": True, "epoch": 5})
+                )
+                replies += 1
+        writer.close()
+
+    return handler
+
+
+class TestClientOutbox:
+    def test_one_turns_requests_and_a_send_raw_leave_in_issue_order(self):
+        """Eight queries, a ``send_raw``, eight more, all issued in one
+        loop turn: the peer reads them in that order, and the client made
+        two writes (``send_raw`` flushes what was queued before it)."""
+        handler, received, closed = recording_peer()
+        raw = encode_frame(OP_PING, 999)
+
+        async def main():
+            async with fake_server(handler) as address:
+                client = await AsyncClient.connect(*address)
+                writes = []
+                write = client._writer.write
+                client._writer.write = lambda data: (writes.append(data), write(data))
+                tasks = [asyncio.ensure_future(client.query(i, i + 1)) for i in range(8)]
+                tasks.append(asyncio.ensure_future(client.send_raw(raw)))
+                tasks += [asyncio.ensure_future(client.query(i, i + 1)) for i in range(8, 16)]
+                await wait_for(lambda: len(received) == 16 * 18 + len(raw))
+                await client.close()
+                results = await asyncio.gather(*tasks, return_exceptions=True)
+                await asyncio.wait_for(closed.wait(), 5.0)
+            assert results[8] is None  # send_raw
+            assert all(isinstance(r, ServerClosedError) for r in results[:8] + results[9:])
+            frames = split_frames(bytes(received))
+            assert [f.seq for f in frames] == [*range(1, 9), 999, *range(9, 17)]
+            pairs = [struct.unpack("<ii", f.payload) for f in frames if f.op == OP_QUERY_BATCH]
+            assert pairs == [(i, i + 1) for i in range(16)]
+            assert len(writes) == 2 and b"".join(writes) == bytes(received)
+
+        run(main())
+
+    def test_close_fails_queued_requests_and_writes_nothing(self):
+        handler, received, closed = recording_peer()
+
+        async def main():
+            async with fake_server(handler) as address:
+                client = await AsyncClient.connect(*address)
+                tasks = [asyncio.ensure_future(client.query(i, i + 1)) for i in range(16)]
+                await asyncio.sleep(0)  # every frame is queued, the flush has not run
+                assert client._pending and client._outbox
+                await client.close()
+                results = await asyncio.gather(*tasks, return_exceptions=True)
+                assert all(isinstance(r, ServerClosedError) for r in results)
+                await asyncio.wait_for(closed.wait(), 5.0)
+                assert bytes(received) == b""
+                with pytest.raises(ServerClosedError):
+                    await client.query(0, 1)
+
+        run(main())
+
+
+class TestClientNeverHangs:
+    """A typed error, never a hang: each await below has a 2 s bound."""
+
+    def test_requests_after_a_clean_server_close_fail_at_once(self):
+        async def close_after_one(reader, writer):
+            await reader.read(65536)
+            writer.close()
+
+        async def main():
+            async with fake_server(close_after_one) as address:
+                client = await AsyncClient.connect(*address)
+                try:
+                    for _ in range(3):
+                        with pytest.raises(ServerClosedError):
+                            await asyncio.wait_for(client.ping(), 2.0)
+                    assert client._pending == {}
+                finally:
+                    await client.close()
+
+        run(main())
+
+    @pytest.mark.parametrize(
+        "op,payload",
+        [
+            (OP_RETRY, [1, 2]),
+            (OP_RETRY, "busy"),
+            (OP_RETRY, {"queue_depth": "many"}),
+            (OP_ERROR, [1, 2]),
+            (OP_ERROR, 7),
+            (OP_PING, None),  # a request op is no reply
+        ],
+    )
+    def test_a_malformed_refusal_fails_only_its_own_request(self, op, payload):
+        handler = answering_peer(lambda seq: encode_frame(op, seq, payload))
+
+        async def main():
+            async with fake_server(handler) as address:
+                async with await AsyncClient.connect(*address) as client:
+                    with pytest.raises(ProtocolError):
+                        await asyncio.wait_for(client.ping(), 2.0)
+                    assert await asyncio.wait_for(client.ping(), 2.0) == 5
+                    assert client._pending == {}
+
+        run(main())
+
+    def test_a_reply_that_does_not_decode_fails_only_its_own_request(self):
+        # A DISTANCES payload of one byte: the frame boundary holds, the
+        # payload is ``bad_payload``.
+        handler = answering_peer(lambda seq: make_frame(OP_DISTANCES, seq, b"\x00"))
+
+        async def main():
+            async with fake_server(handler) as address:
+                async with await AsyncClient.connect(*address) as client:
+                    with pytest.raises(ProtocolError) as excinfo:
+                        await asyncio.wait_for(client.query(0, 1), 2.0)
+                    assert excinfo.value.code == "bad_payload"
+                    assert await asyncio.wait_for(client.ping(), 2.0) == 5
+
+        run(main())
 
 
 # ----------------------------------------------------------------------
@@ -736,7 +898,8 @@ class TestBackpressure:
                     # batch, while a well-behaved client is admitted.
                     writer.write(b"".join(query_frame(seq, 1, 2) for seq in range(5, 8)))
                     other = asyncio.ensure_future(client.query(5, 6))
-                    await asyncio.sleep(0)
+                    for _ in range(2):  # one turn queues the frame, the next writes it
+                        await asyncio.sleep(0)
                     backend.release()
                     assert (await other).distance == 1.0
                 finally:

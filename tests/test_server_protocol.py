@@ -48,11 +48,13 @@ from repro.server.protocol import (
     Frame,
     FrameSplitter,
     decode_body,
+    encode_distances,
     encode_frame,
     read_frame,
 )
 
 from tests.conftest import paper_example_graph
+from tests.oracles import codec as oracle
 from tests.server_harness import (
     close_writer,
     drain_frames,
@@ -304,6 +306,185 @@ class TestCodec:
                 await read_frame(reader)
 
         run(main())
+
+
+# ----------------------------------------------------------------------
+# The codec against its oracle: the encoder and decoder it replaced
+# ----------------------------------------------------------------------
+#: Ids at and just past the int32 bounds, the bool look-alikes and a float.
+EDGE_IDS = (0, 1, 2**31 - 1, -(2**31), 2**31, -(2**31) - 1, True, False, 1.5, 2.0)
+#: Distances whose bits must survive: NaNs with payloads (quiet and
+#: signalling), both zeros, both infinities and a subnormal.
+EDGE_DISTANCES = tuple(
+    struct.unpack("<d", struct.pack("<Q", bits))[0]
+    for bits in (
+        0x7FF8_0000_0000_1234, 0x7FF0_0000_0000_0001, 0xFFF8_0000_0000_0000,
+        0x8000_0000_0000_0000, 0x0000_0000_0000_0000, 0x7FF0_0000_0000_0000,
+        0xFFF0_0000_0000_0000, 0x0000_0000_0000_0001,
+    )
+)
+
+
+def random_id(rng: random.Random):
+    roll = rng.random()
+    if roll < 0.55:
+        return rng.randrange(-3, 2304)
+    if roll < 0.75:
+        return rng.choice(EDGE_IDS)
+    if roll < 0.9:
+        return rng.choice((numpy.int32, numpy.int64, numpy.uint16))(rng.randrange(2304))
+    return rng.randrange(2)  # an id 0 or 1, beside which a bool may hide
+
+
+def random_pairs(rng: random.Random):
+    count = rng.choice((1, 1, 2, 7, 64))
+    clean = rng.random() < 0.5  # half the payloads hold only plain ids
+    pairs = [
+        (rng.randrange(2304), rng.randrange(2304)) if clean else (random_id(rng), random_id(rng))
+        for _ in range(count)
+    ]
+    roll = rng.random()
+    if roll < 0.1:
+        pairs[rng.randrange(count)] = (1, 2, 3)  # not a pair
+    elif roll < 0.15:
+        pairs[-1:] = [(1, 2, 3), (4,)]  # 2k ids, not k pairs
+    elif roll < 0.3:
+        dtype = rng.choice((numpy.int64, numpy.int32, numpy.float64, numpy.bool_))
+        return numpy.array([[rng.randrange(-5, 2304) for _ in range(2)] for _ in range(count)], dtype=dtype)
+    elif roll < 0.35:
+        return numpy.array([[0, rng.choice((2**31, -(2**31) - 1, 2**31 - 1))]])
+    elif roll < 0.5:
+        return [list(pair) for pair in pairs]
+    return pairs
+
+
+def random_distances(rng: random.Random):
+    count = rng.choice((1, 2, 64, 256, 257))
+    distances = [
+        rng.choice(EDGE_DISTANCES) if rng.random() < 0.3 else rng.random() * 1e4
+        for _ in range(count)
+    ]
+    roll = rng.random()
+    if roll < 0.3:
+        stages = rng.choice(("CROSS_BOUNDARY", "cache", "native"))
+    elif roll < 0.6:
+        stages = [rng.choice(("cache", "DCH", "native")) for _ in range(count)]
+    elif roll < 0.75:
+        stages = [f"shard{i}" for i in range(count)]  # 256 names fit, 257 do not
+    elif roll < 0.85:
+        stages = ["cache"] * (count + 1)
+    else:
+        stages = ["cache"] * count
+    epoch = rng.choice((0, 3, 2**40, 2**63 - 1, -1, 2**63, True, False, 1.5, "zero"))
+    if rng.random() < 0.3:
+        distances = numpy.array(distances)
+    return {"distances": distances, "epoch": epoch, "stages": stages}
+
+
+def random_request(rng: random.Random):
+    """``(op, seq, payload, max_frame_bytes)`` of one random frame, valid or not."""
+    op = rng.choice((OP_QUERY_BATCH, OP_QUERY_BATCH, OP_ONE_TO_MANY, OP_DISTANCES,
+                     OP_DISTANCES, OP_APPLY_BATCH, OP_RESULT, OP_PING))
+    if op == OP_QUERY_BATCH:
+        payload = {"pairs": random_pairs(rng)}
+    elif op == OP_ONE_TO_MANY:
+        payload = {"source": random_id(rng), "targets": [random_id(rng) for _ in range(rng.randrange(1, 9))]}
+    elif op == OP_DISTANCES:
+        payload = random_distances(rng)
+    elif op == OP_PING:
+        payload = None
+    else:
+        payload = rng.choice(({"updates": [[0, 8, 6.0, 3.0]]}, {"distance": math.inf}, [1, "x"], {"x": {1, 2}}))
+    seq = rng.choice((0, 1, 2**32 - 1, rng.randrange(2**32), rng.randrange(2**32), 2**32, -1))
+    if rng.random() < 0.05:
+        op = rng.choice((0x1FF, -1))
+    return op, seq, payload, rng.choice((DEFAULT_MAX_FRAME_BYTES,) * 9 + (96,))
+
+
+def outcome(call, *args):
+    """What ``call`` returned, or the type and code of the ProtocolError it raised."""
+    try:
+        return call(*args)
+    except ProtocolError as exc:
+        return ("error", type(exc).__name__, exc.code, exc.seq, exc.recoverable)
+
+
+def canonical(frame):
+    """A decode outcome with every distance as its eight bytes (a NaN is
+    not equal to itself)."""
+    if frame[0] == "error":
+        return frame
+    op, seq, payload = frame
+    if isinstance(payload, dict) and "distances" in payload:
+        payload = {**payload, "distances": [struct.pack("<d", d) for d in payload["distances"]]}
+    return op, seq, payload
+
+
+class TestCodecAgainstOracle:
+    """Seeded random payloads through the codec and through the parent's
+    (``tests/oracles/codec.py``): the same bytes or the same typed refusal,
+    and the same frames decoded, distances bit for bit."""
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_encode_gives_the_oracles_bytes_or_refusal(self, seed):
+        rng = random.Random(seed)
+        accepted = refused = 0
+        for _ in range(1500):
+            op, seq, payload, cap = random_request(rng)
+            want = outcome(oracle.encode_frame, op, seq, payload, cap)
+            assert outcome(encode_frame, op, seq, payload, cap) == want, (op, seq, payload, cap)
+            if isinstance(want, bytes):
+                accepted += 1
+            else:
+                refused += 1
+        assert accepted > 300 and refused > 300
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_decode_and_split_give_the_oracles_frames(self, seed):
+        """Encoded frames, and each with a byte flipped or its body cut short:
+        ``decode_body`` and the splitter read what the oracle reads."""
+        rng = random.Random(100 + seed)
+        decoded = 0
+        while decoded < 600:
+            op, seq, payload, _cap = random_request(rng)
+            wire = outcome(oracle.encode_frame, op, seq, payload)
+            if not isinstance(wire, bytes):
+                continue
+            body = bytearray(wire[4:])
+            roll = rng.random()
+            if roll < 0.3:
+                body[rng.randrange(len(body))] = rng.randrange(256)
+            elif roll < 0.5:
+                del body[rng.randrange(len(body)):]
+            body = bytes(body)
+            want = canonical(outcome(oracle.decode_body, body))
+            assert canonical(outcome(decode_body, body)) == want, body
+            if len(body) >= FIXED_BODY_BYTES:
+                splitter = FrameSplitter()
+                splitter.feed(len(body).to_bytes(4, "big") + body)
+                assert canonical(outcome(splitter.next_frame)) == want, body
+            decoded += want[0] != "error"
+
+    @pytest.mark.parametrize("names", [1, 2, MAX_STAGE_NAMES])
+    def test_server_encode_decodes_to_the_oracles_payload(self, names):
+        """:func:`encode_distances` straight from a batch's columns (one
+        name table for the whole batch, as the server sends it) decodes to
+        what the oracle encodes from the mapping."""
+        rng = random.Random(names)
+        table = [f"stage{i}" for i in range(names)]
+        count = max(names, 64)
+        ids = bytes(rng.randrange(names) for _ in range(count))
+        distances = numpy.array(
+            [rng.choice(EDGE_DISTANCES + (rng.random(),)) for _ in range(count)]
+        )
+        stages = [table[i] for i in ids]
+        wire = encode_distances(9, 2**40, distances.tobytes(), ids, "\n".join(table).encode())
+        want = oracle.encode_frame(
+            OP_DISTANCES, 9, {"distances": distances, "epoch": 2**40, "stages": stages}
+        )
+        assert canonical(decode_body(wire[4:])) == canonical(oracle.decode_body(want[4:]))
+        if names == 1:  # one stage: the server's frame is the oracle's, byte for byte
+            assert wire == want
 
 
 # ----------------------------------------------------------------------
